@@ -1,20 +1,18 @@
 //! Criterion benches for the multi-condition engine's ingest
 //! throughput: a [`ConditionRegistry`] hosting 1 / 100 / 10 000
-//! compiled conditions over one shared update stream, evaluated
-//! incrementally (per-node caches with dirty bits) vs with a full
-//! expression walk per routed arrival — plus the sharded registry at
-//! several shard counts to show the merge overhead is paid back.
+//! compiled conditions over one shared update stream vs a loop of
+//! independent `Evaluator`s over the same conditions — plus the
+//! sharded registry at several shard counts to show the merge overhead
+//! is paid back.
 //!
 //! The workload is `rcm_bench::throughput`, shared verbatim with
 //! `bench_snapshot` (which feeds `BENCH_rcm.json`) and the
 //! `throughput_smoke` CI check.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rcm_bench::throughput::{conditions, stream};
-use rcm_core::condition::Condition;
+use rcm_bench::throughput::{conditions, stream, EvaluatorLoop};
 use rcm_core::{Alert, CeId, ConditionRegistry};
 use rcm_sim::shard::ShardedRegistry;
 
@@ -25,12 +23,11 @@ fn bench_registry(c: &mut Criterion) {
         let (conds, ids) = conditions(n_conds);
         let updates = stream(&ids, n_updates);
 
-        let mut incremental = ConditionRegistry::new(CeId::new(0));
-        let mut full = ConditionRegistry::new(CeId::new(0));
+        let mut registry = ConditionRegistry::new(CeId::new(0));
         for cond in &conds {
-            incremental.add_compiled(cond.clone());
-            full.add(Arc::new(cond.clone()) as Arc<dyn Condition>);
+            registry.add_compiled(cond.clone());
         }
+        let mut evaluators = EvaluatorLoop::new(CeId::new(0), &conds);
 
         let mut g = c.benchmark_group(format!("throughput/{label}"));
         g.throughput(Throughput::Elements(n_updates as u64));
@@ -38,19 +35,19 @@ fn bench_registry(c: &mut Criterion) {
             g.sample_size(10);
         }
         let mut out: Vec<Alert> = Vec::new();
-        g.bench_function("incremental", |b| {
+        g.bench_function("registry", |b| {
             b.iter(|| {
-                incremental.restart();
+                registry.restart();
                 out.clear();
-                incremental.ingest_batch(black_box(&updates), &mut out);
+                registry.ingest_batch(black_box(&updates), &mut out);
                 out.len()
             })
         });
-        g.bench_function("full_reeval", |b| {
+        g.bench_function("evaluators", |b| {
             b.iter(|| {
-                full.restart();
+                evaluators.restart();
                 out.clear();
-                full.ingest_batch(black_box(&updates), &mut out);
+                evaluators.ingest_batch(black_box(&updates), &mut out);
                 out.len()
             })
         });

@@ -47,8 +47,8 @@ const INFORMATIONAL: &[&str] = &[
     "/ad3_realistic/interval_offers_per_sec",
     "/ad3_marching/interval_offers_per_sec",
     "/ad6_realistic/interval_offers_per_sec",
-    "/throughput/conds_100/incremental_ups",
-    "/throughput/conds_10k/incremental_ups",
+    "/throughput/conds_100/registry_ups",
+    "/throughput/conds_10k/registry_ups",
     "/pipeline/conds_10k/inline_ups",
     "/pipeline/conds_10k/workers_4_ups",
     "/tree/flat_ups",

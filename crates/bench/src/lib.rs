@@ -97,14 +97,15 @@ pub fn print_matrix(matrix: &Matrix, json: bool) {
 ///
 /// Every condition is a compiled expression over four of
 /// [`throughput::VARS`] shared variables, summing one window-16
-/// aggregate per variable — the shape where incremental re-evaluation
-/// pays: an update to one variable dirties only that variable's
-/// aggregate subtree (16 history reads) and the spine above it, while
-/// the other three stay cached; full re-evaluation recomputes all four
-/// on every routed arrival.
+/// aggregate per variable — the shape where the registry's shared
+/// store pays: each aggregate is one node however many conditions sum
+/// it, and an update to one variable recomputes that one aggregate
+/// once, while [`throughput::EvaluatorLoop`], the reference, keeps a
+/// history per condition and re-sums all four on every arrival.
 pub mod throughput {
     use rcm_core::condition::expr::CompiledCondition;
-    use rcm_core::{Update, VarId, VarRegistry};
+    use rcm_core::condition::Condition;
+    use rcm_core::{Alert, CeId, CondId, Evaluator, Update, VarId, VarRegistry};
 
     /// Number of distinct variables the conditions draw from.
     pub const VARS: usize = 8;
@@ -125,7 +126,7 @@ pub mod throughput {
                 let c = format!("v{}", (i + 3) % VARS);
                 let d = format!("v{}", (i + 5) % VARS);
                 // Thresholds keep alerts rare enough that emission cost
-                // (identical in both modes) does not drown evaluation.
+                // (identical on both sides) does not drown evaluation.
                 let t = 80 + (i % 40) as i64;
                 let jump = 100 + (i % 30) as i64;
                 let src = format!(
@@ -152,6 +153,48 @@ pub mod throughput {
                 Update::new(ids[v], seqno, value)
             })
             .collect()
+    }
+
+    /// The reference a `ConditionRegistry` is measured against, with
+    /// the registry's ingest surface: one independent [`Evaluator`] per
+    /// condition (ids `0, 1, …` like `ConditionRegistry::add`), each
+    /// offered every update for a variable its condition reads, in
+    /// registration order.
+    #[derive(Debug)]
+    pub struct EvaluatorLoop {
+        evaluators: Vec<(Vec<VarId>, Evaluator<CompiledCondition>)>,
+    }
+
+    impl EvaluatorLoop {
+        /// One evaluator per condition, for replica `ce`.
+        pub fn new(ce: CeId, conds: &[CompiledCondition]) -> Self {
+            let evaluators = conds
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    (c.variables(), Evaluator::with_ids(c.clone(), CondId::new(i as u32), ce))
+                })
+                .collect();
+            EvaluatorLoop { evaluators }
+        }
+
+        /// Clears every evaluator's histories; alert numbering continues.
+        pub fn restart(&mut self) {
+            for (_, ev) in &mut self.evaluators {
+                ev.restart();
+            }
+        }
+
+        /// Ingests `updates` in order, appending alerts to `out`.
+        pub fn ingest_batch(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
+            for &u in updates {
+                for (reads, ev) in &mut self.evaluators {
+                    if reads.contains(&u.var) {
+                        out.extend(ev.ingest(u));
+                    }
+                }
+            }
+        }
     }
 }
 

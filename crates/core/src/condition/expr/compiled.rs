@@ -7,7 +7,7 @@ use super::ast::{AggOp, BinOp, Expr, Field, UnOp};
 use super::parser::parse;
 use crate::condition::{Condition, Triggering};
 use crate::error::Result;
-use crate::history::HistorySet;
+use crate::history::{History, HistorySet};
 use crate::var::{VarId, VarRegistry};
 
 /// A parsed, type-checked, name-resolved condition ready for a
@@ -100,6 +100,48 @@ impl Val {
     }
 }
 
+/// Folds the `window` newest values of `h`, newest first; `None` until
+/// the history holds that many.
+pub(crate) fn aggregate(op: AggOp, h: &History, window: usize) -> Option<f64> {
+    if h.len() < window {
+        return None;
+    }
+    let values = h.updates().take(window).map(|u| u.value);
+    Some(match op {
+        AggOp::Min => values.fold(f64::INFINITY, f64::min),
+        AggOp::Max => values.fold(f64::NEG_INFINITY, f64::max),
+        AggOp::Sum => values.sum(),
+        AggOp::Avg => values.sum::<f64>() / window as f64,
+    })
+}
+
+/// Applies a unary operator; `None` on an operand of the wrong type.
+pub(crate) fn unary(op: UnOp, v: Val) -> Option<Val> {
+    match op {
+        UnOp::Neg => Some(Val::Num(-v.num()?)),
+        UnOp::Not => Some(Val::Bool(!v.boolean()?)),
+    }
+}
+
+/// Applies an arithmetic or comparison operator to numeric operands.
+/// The logical operators short-circuit, so each walk handles them
+/// itself.
+pub(crate) fn binary(op: BinOp, l: f64, r: f64) -> Val {
+    match op {
+        BinOp::Add => Val::Num(l + r),
+        BinOp::Sub => Val::Num(l - r),
+        BinOp::Mul => Val::Num(l * r),
+        BinOp::Div => Val::Num(l / r),
+        BinOp::Lt => Val::Bool(l < r),
+        BinOp::Le => Val::Bool(l <= r),
+        BinOp::Gt => Val::Bool(l > r),
+        BinOp::Ge => Val::Bool(l >= r),
+        BinOp::Eq => Val::Bool(l == r),
+        BinOp::Ne => Val::Bool(l != r),
+        BinOp::And | BinOp::Or => unreachable!("logical operators short-circuit in the caller"),
+    }
+}
+
 /// Evaluates an expression; `None` when a history entry is missing
 /// (undefined history) — the evaluator treats that as "condition not
 /// satisfied".
@@ -117,25 +159,9 @@ pub(crate) fn eval_expr(e: &Expr<VarId>, h: &HistorySet) -> Option<Val> {
         }
         Expr::Consecutive(var) => Some(Val::Bool(h.history(*var)?.is_consecutive())),
         Expr::Agg { op, var, window } => {
-            let mut values = Vec::with_capacity(*window as usize);
-            for i in 0..*window as usize {
-                values.push(h.value(*var, i)?);
-            }
-            let v = match op {
-                AggOp::Min => values.iter().cloned().fold(f64::INFINITY, f64::min),
-                AggOp::Max => values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                AggOp::Sum => values.iter().sum(),
-                AggOp::Avg => values.iter().sum::<f64>() / values.len() as f64,
-            };
-            Some(Val::Num(v))
+            aggregate(*op, h.history(*var)?, *window as usize).map(Val::Num)
         }
-        Expr::Unary { op, expr } => {
-            let v = eval_expr(expr, h)?;
-            match op {
-                UnOp::Neg => Some(Val::Num(-v.num()?)),
-                UnOp::Not => Some(Val::Bool(!v.boolean()?)),
-            }
-        }
+        Expr::Unary { op, expr } => unary(*op, eval_expr(expr, h)?),
         Expr::Binary { op, lhs, rhs } => {
             if op.is_logical() {
                 // Short-circuit like the host language would.
@@ -148,19 +174,7 @@ pub(crate) fn eval_expr(e: &Expr<VarId>, h: &HistorySet) -> Option<Val> {
             }
             let l = eval_expr(lhs, h)?.num()?;
             let r = eval_expr(rhs, h)?.num()?;
-            Some(match op {
-                BinOp::Add => Val::Num(l + r),
-                BinOp::Sub => Val::Num(l - r),
-                BinOp::Mul => Val::Num(l * r),
-                BinOp::Div => Val::Num(l / r),
-                BinOp::Lt => Val::Bool(l < r),
-                BinOp::Le => Val::Bool(l <= r),
-                BinOp::Gt => Val::Bool(l > r),
-                BinOp::Ge => Val::Bool(l >= r),
-                BinOp::Eq => Val::Bool(l == r),
-                BinOp::Ne => Val::Bool(l != r),
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            })
+            Some(binary(*op, l, r))
         }
         Expr::Abs(e) => Some(Val::Num(eval_expr(e, h)?.num()?.abs())),
         Expr::Min(a, b) => Some(Val::Num(eval_expr(a, h)?.num()?.min(eval_expr(b, h)?.num()?))),
@@ -187,6 +201,10 @@ impl Condition for CompiledCondition {
 
     fn eval(&self, h: &HistorySet) -> bool {
         eval_expr(&self.ast, h).and_then(Val::boolean).unwrap_or(false)
+    }
+
+    fn expr(&self) -> Option<&Expr<VarId>> {
+        Some(&self.ast)
     }
 }
 

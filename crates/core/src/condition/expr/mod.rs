@@ -34,13 +34,12 @@
 mod analysis;
 mod ast;
 mod compiled;
-mod incremental;
 mod lexer;
 mod parser;
+pub(crate) mod store;
 
 pub use analysis::{ExprInfo, Ty};
 pub use ast::{AggOp, BinOp, Expr, Field, UnOp};
 pub use compiled::CompiledCondition;
-pub use incremental::IncrementalExpr;
 pub use lexer::{LexError, Token};
 pub use parser::{parse, ParseError};

@@ -58,6 +58,7 @@ use std::sync::Arc;
 
 use crate::history::HistorySet;
 use crate::var::VarId;
+use expr::Expr;
 
 /// How a historical condition treats update loss (paper §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -111,6 +112,17 @@ pub trait Condition: fmt::Debug + Send + Sync {
 
     /// Evaluates the condition against the given histories.
     fn eval(&self, h: &HistorySet) -> bool;
+
+    /// The expression this condition is, if it is exactly one: `eval`
+    /// must equal the expression's value on every history set. A
+    /// [`ConditionRegistry`](crate::ConditionRegistry) evaluates such
+    /// conditions together, computing a subexpression several of them
+    /// share once per update, instead of calling `eval` on each.
+    /// Wrappers that add to their inner condition's verdict
+    /// ([`Conservative`], the combinators) keep the default.
+    fn expr(&self) -> Option<&Expr<VarId>> {
+        None
+    }
 }
 
 /// Extension helpers derived from the [`Condition`] trait.
@@ -153,6 +165,9 @@ macro_rules! forward_condition {
             }
             fn eval(&self, h: &HistorySet) -> bool {
                 (**self).eval(h)
+            }
+            fn expr(&self) -> Option<&Expr<VarId>> {
+                (**self).expr()
             }
         }
     )+};

@@ -39,8 +39,8 @@
 //!   restart without forgetting what they promised the user;
 //! * a **multi-condition engine** ([`ConditionRegistry`]): N conditions
 //!   hosted over one update stream behind a variable→condition inverted
-//!   index, with incremental expression re-evaluation
-//!   ([`condition::expr::IncrementalExpr`]) for compiled conditions.
+//!   index, with one history per variable and every subexpression that
+//!   compiled conditions share evaluated once per update.
 //!
 //! ## Quick example
 //!

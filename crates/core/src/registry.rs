@@ -3,26 +3,38 @@
 //!
 //! The paper's Condition Evaluator pairs one condition with one
 //! [`Evaluator`](crate::Evaluator). At scale a CE hosts thousands of
-//! conditions, and two costs dominate a naive loop of evaluators:
-//! offering every update to every condition, and re-computing whole
-//! expressions whose inputs did not change. The registry removes both:
+//! conditions, and a naive loop of evaluators pays three times over:
+//! it offers every update to every condition, keeps a copy of each
+//! variable's history per condition, and re-computes subexpressions
+//! that many conditions have in common. The registry removes all three:
 //!
 //! * a **variable → condition inverted index**, built from each
 //!   condition's variable set, so an arriving `u(x, s, v)` touches only
 //!   the conditions that mention `x`;
-//! * **incremental re-evaluation** for compiled conditions
-//!   ([`IncrementalExpr`]): per-node result caches with dirty bits
-//!   keyed by the updated variable, so unaffected subtrees are never
-//!   re-visited.
+//! * **one history ring per variable and one expression DAG** for every
+//!   condition that exposes its expression through
+//!   [`Condition::expr`] (a [`CompiledCondition`] does): the update is
+//!   pushed and stale-checked once, dirties only the nodes that read
+//!   its variable, and a subexpression shared by any number of
+//!   conditions is evaluated once per update. See
+//!   `condition::expr::store` for the interning and invalidation rules.
+//!
+//! Two kinds of condition keep a private [`HistorySet`] and
+//! `Condition::eval`, the only path that can serve them: those that
+//! expose no expression (closures, the ready-made types, combinators,
+//! `Conservative<_>`), and those registered after one of their
+//! variables already holds history — they have not seen what the shared
+//! ring holds, so it is not their history.
 //!
 //! Per condition the registry is *observationally identical* to an
 //! independent [`Evaluator`](crate::Evaluator) fed the projection of
 //! the stream onto that condition's variables — same alerts, same
-//! fingerprints, same per-condition `AlertId` numbering, same stale
-//! handling (a property test pins this byte-for-byte). Per update,
-//! alerts are emitted in ascending registration order; registering
-//! conditions in ascending [`CondId`] order (as [`ConditionRegistry::add`]
-//! does) therefore yields ascending-`CondId` emission, which is what the
+//! fingerprints and snapshots, same per-condition `AlertId` numbering,
+//! same stale handling (`tests/registry_shared.rs` pins this
+//! byte-for-byte). Per update, alerts are emitted in ascending
+//! registration order across both kinds; registering conditions in
+//! ascending [`CondId`] order (as [`ConditionRegistry::add`] does)
+//! therefore yields ascending-`CondId` emission, which is what the
 //! sharded wrapper in `rcm-sim` relies on to merge shard outputs
 //! bit-identically to an unsharded registry.
 
@@ -30,23 +42,29 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::alert::{Alert, AlertId, CeId, CondId};
-use crate::condition::expr::{CompiledCondition, IncrementalExpr};
+use crate::condition::expr::store::{ExprStore, Hosted};
+use crate::condition::expr::CompiledCondition;
 use crate::condition::{Condition, ConditionExt, DynCondition};
 use crate::error::Error;
 use crate::history::HistorySet;
 use crate::update::Update;
 use crate::var::VarId;
 
-/// One hosted condition: its evaluator state plus per-condition
+/// Where a hosted condition's histories live and how it is evaluated.
+#[derive(Debug)]
+enum Eval {
+    /// In the registry's shared store.
+    Shared(Hosted),
+    /// In a history set of its own, through `Condition::eval`.
+    Private { cond: DynCondition, histories: HistorySet },
+}
+
+/// One hosted condition: its evaluation state plus per-condition
 /// counters mirroring [`Evaluator`](crate::Evaluator)'s.
 #[derive(Debug)]
 struct Entry {
     cond_id: CondId,
-    cond: DynCondition,
-    /// Memoizing evaluator for compiled conditions; `None` falls back
-    /// to full `Condition::eval` per arrival.
-    incremental: Option<IncrementalExpr>,
-    histories: HistorySet,
+    eval: Eval,
     emitted: u64,
     ingested: u64,
     dropped_stale: u64,
@@ -54,40 +72,48 @@ struct Entry {
 
 impl Entry {
     /// Offers one update to this condition; mirrors
-    /// `Evaluator::try_ingest` exactly (the equivalence proptest pins
-    /// this): push → stale drop → count → defined && eval → alert with
-    /// the per-condition emission index.
-    fn offer(&mut self, update: Update, ce: CeId) -> Option<Alert> {
-        match self.histories.push(update) {
-            Ok(()) => {}
-            Err(Error::OutOfOrderUpdate { .. }) => {
-                self.dropped_stale += 1;
-                return None;
-            }
-            // The inverted index routes only subscribed variables, so
-            // `UnknownVariable` cannot happen here.
-            Err(e) => unreachable!("registry routed an unsubscribed update: {e}"),
+    /// `Evaluator::try_ingest` exactly: push → stale drop → count →
+    /// defined && eval → alert with the per-condition emission index.
+    /// `shared` is what the store said of the update, which it takes
+    /// once on behalf of every shared entry.
+    fn offer(
+        &mut self,
+        update: Update,
+        shared: bool,
+        store: &mut ExprStore,
+        ce: CeId,
+    ) -> Option<Alert> {
+        let accepted = match &mut self.eval {
+            Eval::Shared(_) => shared,
+            Eval::Private { histories, .. } => match histories.push(update) {
+                Ok(()) => true,
+                Err(Error::OutOfOrderUpdate { .. }) => false,
+                // The inverted index routes only subscribed variables,
+                // so `UnknownVariable` cannot happen here.
+                Err(e) => unreachable!("registry routed an unsubscribed update: {e}"),
+            },
+        };
+        if !accepted {
+            self.dropped_stale += 1;
+            return None;
         }
         self.ingested += 1;
-        if let Some(inc) = &mut self.incremental {
-            inc.invalidate(update.var);
-        }
-        if !self.histories.is_defined() {
-            return None;
-        }
-        let satisfied = match &mut self.incremental {
-            Some(inc) => inc.eval(&self.histories),
-            None => self.cond.eval(&self.histories),
+        let (fingerprint, snapshot) = match &self.eval {
+            Eval::Shared(hosted) => {
+                if !store.satisfied(hosted) {
+                    return None;
+                }
+                (store.fingerprint(hosted), store.snapshot(hosted))
+            }
+            Eval::Private { cond, histories } => {
+                if !histories.is_defined() || !cond.eval(histories) {
+                    return None;
+                }
+                (histories.fingerprint(), histories.snapshot())
+            }
         };
-        if !satisfied {
-            return None;
-        }
-        let alert = Alert::new(
-            self.cond_id,
-            self.histories.fingerprint(),
-            self.histories.snapshot(),
-            AlertId { ce, index: self.emitted },
-        );
+        let alert =
+            Alert::new(self.cond_id, fingerprint, snapshot, AlertId { ce, index: self.emitted });
         self.emitted += 1;
         Some(alert)
     }
@@ -129,33 +155,41 @@ pub struct RegistryStats {
 pub struct ConditionRegistry {
     ce: CeId,
     entries: Vec<Entry>,
+    /// Condition id → index into `entries`.
+    slot_of: BTreeMap<CondId, u32>,
     /// Variable → indices into `entries`, ascending (registration
     /// order), for conditions mentioning that variable.
     index: BTreeMap<VarId, Vec<u32>>,
+    /// Histories and expressions of every [`Eval::Shared`] entry.
+    store: ExprStore,
     unrouted: u64,
 }
 
 impl ConditionRegistry {
     /// Creates an empty registry for replica `ce`.
     pub fn new(ce: CeId) -> Self {
-        ConditionRegistry { ce, entries: Vec::new(), index: BTreeMap::new(), unrouted: 0 }
+        ConditionRegistry {
+            ce,
+            entries: Vec::new(),
+            slot_of: BTreeMap::new(),
+            index: BTreeMap::new(),
+            store: ExprStore::default(),
+            unrouted: 0,
+        }
     }
 
     /// Registers a condition under the next sequential [`CondId`]
     /// (`0, 1, 2, …` — matching registration order) and returns it.
-    /// Evaluation uses full `Condition::eval` per arrival.
     pub fn add(&mut self, cond: DynCondition) -> CondId {
         let id = CondId::new(self.entries.len() as u32);
         self.insert(id, cond);
         id
     }
 
-    /// Registers a compiled condition under the next sequential
-    /// [`CondId`] with incremental re-evaluation enabled.
+    /// [`ConditionRegistry::add`] for a condition not yet behind an
+    /// `Arc`.
     pub fn add_compiled(&mut self, cond: CompiledCondition) -> CondId {
-        let id = CondId::new(self.entries.len() as u32);
-        self.insert_compiled(id, cond);
-        id
+        self.add(Arc::new(cond))
     }
 
     /// Registers a condition under an explicit id (used by sharded
@@ -166,50 +200,33 @@ impl ConditionRegistry {
     ///
     /// Panics if `cond_id` is already registered here.
     pub fn insert(&mut self, cond_id: CondId, cond: DynCondition) {
-        let incremental = None;
-        self.insert_entry(cond_id, cond, incremental);
-    }
-
-    /// Registers a compiled condition under an explicit id with
-    /// incremental re-evaluation enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cond_id` is already registered here.
-    pub fn insert_compiled(&mut self, cond_id: CondId, cond: CompiledCondition) {
-        let incremental = Some(cond.incremental());
-        self.insert_entry(cond_id, Arc::new(cond), incremental);
-    }
-
-    fn insert_entry(
-        &mut self,
-        cond_id: CondId,
-        cond: DynCondition,
-        incremental: Option<IncrementalExpr>,
-    ) {
-        assert!(
-            self.entries.iter().all(|e| e.cond_id != cond_id),
-            "condition id {cond_id} already registered"
-        );
         assert!(
             u32::try_from(self.entries.len()).is_ok(),
             "condition table full: {} entries",
             self.entries.len()
         );
         let slot = self.entries.len() as u32;
-        for var in cond.variables() {
+        let taken = self.slot_of.insert(cond_id, slot);
+        assert!(taken.is_none(), "condition id {cond_id} already registered");
+        let spec = cond.history_spec();
+        for &(var, _) in &spec {
             self.index.entry(var).or_default().push(slot);
         }
-        let histories = HistorySet::new(cond.history_spec());
-        self.entries.push(Entry {
-            cond_id,
-            cond,
-            incremental,
-            histories,
-            emitted: 0,
-            ingested: 0,
-            dropped_stale: 0,
-        });
+        let eval = match cond.expr().and_then(|expr| self.store.host(expr, &spec)) {
+            Some(hosted) => Eval::Shared(hosted),
+            None => Eval::Private { histories: HistorySet::new(spec), cond },
+        };
+        self.entries.push(Entry { cond_id, eval, emitted: 0, ingested: 0, dropped_stale: 0 });
+    }
+
+    /// [`ConditionRegistry::insert`] for a condition not yet behind an
+    /// `Arc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cond_id` is already registered here.
+    pub fn insert_compiled(&mut self, cond_id: CondId, cond: CompiledCondition) {
+        self.insert(cond_id, Arc::new(cond));
     }
 
     /// Number of hosted conditions.
@@ -239,7 +256,8 @@ impl ConditionRegistry {
 
     /// Alerts emitted so far for `cond_id` (its next `AlertId::index`).
     pub fn alerts_emitted(&self, cond_id: CondId) -> Option<u64> {
-        self.entries.iter().find(|e| e.cond_id == cond_id).map(|e| e.emitted)
+        let slot = *self.slot_of.get(&cond_id)?;
+        self.entries.get(slot as usize).map(|e| e.emitted)
     }
 
     /// Aggregate counters over all hosted conditions.
@@ -290,6 +308,7 @@ impl ConditionRegistry {
         // Split borrows: the index is read-only while entries mutate.
         let index = &self.index;
         let entries = &mut self.entries;
+        let store = &mut self.store;
         let mut cached: Option<(VarId, &[u32])> = None;
         for (i, &update) in updates.iter().enumerate() {
             let routed = match cached {
@@ -305,10 +324,11 @@ impl ConditionRegistry {
                     }
                 },
             };
+            let shared = store.push(update);
             for &slot in routed {
                 // analyze: allow(hot-path): slots come from the routing table, which is
                 // analyze: allow(hot-path): rebuilt against this entries vec on registration
-                if let Some(alert) = entries[slot as usize].offer(update, ce) {
+                if let Some(alert) = entries[slot as usize].offer(update, shared, store, ce) {
                     emit(i as u64, alert);
                 }
             }
@@ -316,14 +336,14 @@ impl ConditionRegistry {
     }
 
     /// Simulates a crash-restart of the hosting CE: every condition's
-    /// in-memory histories (and incremental caches) are lost; alert
-    /// numbering continues, per condition, exactly like
+    /// in-memory histories are lost; alert numbering continues, per
+    /// condition, exactly like
     /// [`Evaluator::restart`](crate::Evaluator::restart).
     pub fn restart(&mut self) {
+        self.store.clear();
         for e in &mut self.entries {
-            e.histories.clear();
-            if let Some(inc) = &mut e.incremental {
-                inc.invalidate_all();
+            if let Eval::Private { histories, .. } = &mut e.eval {
+                histories.clear();
             }
         }
     }
@@ -382,17 +402,13 @@ impl ShardSlices {
         self.conditions += 1;
     }
 
-    /// Registers a compiled condition (incremental re-evaluation) under
-    /// its global id on the owning shard.
+    /// [`ShardSlices::insert`] for a condition not yet behind an `Arc`.
     ///
     /// # Panics
     ///
     /// Panics if `cond_id` is already registered.
     pub fn insert_compiled(&mut self, cond_id: CondId, cond: CompiledCondition) {
-        let s = self.shard_of(cond_id);
-        // analyze: allow(hot-path): shard_of returns id % len, in range.
-        self.shards[s].insert_compiled(cond_id, cond);
-        self.conditions += 1;
+        self.insert(cond_id, Arc::new(cond));
     }
 
     /// Number of hosted conditions across all shards.
@@ -428,8 +444,8 @@ impl ShardSlices {
         self.shards
     }
 
-    /// Crash-restart across every shard: histories and incremental
-    /// caches are lost, per-condition alert numbering survives.
+    /// Crash-restart across every shard: histories are lost,
+    /// per-condition alert numbering survives.
     pub fn restart(&mut self) {
         for s in &mut self.shards {
             s.restart();

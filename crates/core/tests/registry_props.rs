@@ -1,13 +1,19 @@
 //! Property-based equivalence pins for the multi-condition engine:
 //!
-//! 1. Incremental expression re-evaluation ([`IncrementalExpr`] via
-//!    `CompiledCondition::incremental`) equals fresh full evaluation for
-//!    random well-typed expressions × random update streams, including
-//!    seqno gaps, stale duplicates, and `consecutive(...)` guards.
+//! 1. A [`ConditionRegistry`] hosting one compiled condition — the
+//!    shared store with nothing to share — raises an alert exactly when
+//!    a from-scratch expression walk over a private [`HistorySet`] is
+//!    true, for random well-typed expressions × random update streams,
+//!    including seqno gaps, stale duplicates, undefined histories and
+//!    `consecutive(...)` guards. (The store's own unit tests compare
+//!    node values, `None` included, in lockstep with the same walk.)
 //! 2. [`ConditionRegistry`] — batched and one-at-a-time — produces
 //!    byte-identical alert sequences (fingerprints, snapshots, and
 //!    per-condition `AlertId` numbering) to a loop of independent
 //!    [`Evaluator`]s over the same stream.
+//!
+//! `registry_shared.rs` is the dependency-free seeded twin of part 2,
+//! with opaque and late-registered conditions mixed in.
 
 use proptest::prelude::*;
 
@@ -123,25 +129,25 @@ fn canonical_vars(vars: &mut VarRegistry) -> Vec<VarId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Incremental eval with per-variable invalidation equals fresh
-    /// full eval after every accepted push.
+    /// The shared store agrees with a fresh full eval after every
+    /// offered update, accepted or stale.
     #[test]
-    fn incremental_matches_full_eval(ast in bool_expr(), steps in stream()) {
+    fn shared_store_matches_full_eval(ast in bool_expr(), steps in stream()) {
         let mut vars = VarRegistry::new();
         let ids = canonical_vars(&mut vars);
         let Some(cond) = compile(&ast, &mut vars) else { return Ok(()) };
         let mut h = HistorySet::new(cond.history_spec());
-        let mut inc = cond.incremental();
+        let mut reg = ConditionRegistry::new(CeId::new(0));
+        reg.add_compiled(cond.clone());
+        let mut out = Vec::new();
         for u in updates(&steps, &ids) {
             if !cond.variables().contains(&u.var) {
                 continue;
             }
-            if h.push(u).is_ok() {
-                inc.invalidate(u.var);
-            }
-            prop_assert_eq!(inc.eval(&h), cond.eval(&h), "diverged on {} after {:?}", cond.source(), u);
-            // Warm-cache re-evaluation must agree too.
-            prop_assert_eq!(inc.eval(&h), cond.eval(&h));
+            let want = h.push(u).is_ok() && h.is_defined() && cond.eval(&h);
+            out.clear();
+            reg.ingest(u, &mut out);
+            prop_assert_eq!(!out.is_empty(), want, "diverged on {} after {:?}", cond.source(), u);
         }
     }
 

@@ -1,0 +1,430 @@
+//! Seeded sweep: a [`ConditionRegistry`] — whose compiled conditions
+//! share one history ring per variable and one expression DAG — against
+//! a loop of independent [`Evaluator`]s, each with a history set and a
+//! full expression walk of its own.
+//!
+//! Equal means: the same alerts in the same order with the same
+//! `AlertId`s, fingerprints and snapshot bits, and the same
+//! [`RegistryStats`]. Every script mixes seqno gaps, stale duplicates,
+//! strays for a variable nobody reads, a `restart()`, an opaque
+//! condition in the middle of the registration order, a condition
+//! registered mid-stream (its variables already hold history, so it
+//! must not read the shared rings) and one registered right after the
+//! restart (the rings are empty, so it may, and it deepens one). The
+//! registry is driven batched, one update at a time and in random
+//! chunks, and through [`ShardSlices`] at 1, 2 and 4 shards.
+//!
+//! No `proptest`, no `rand`: the generator is an inline SplitMix64, so
+//! this file compiles wherever `rcm-core` does.
+
+use std::sync::Arc;
+
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::condition::{Cmp, Condition, Conservative, DynCondition, Threshold};
+use rcm_core::{
+    Alert, CeId, CondId, ConditionRegistry, Evaluator, RegistryStats, ShardSlices, Update, VarId,
+    VarRegistry,
+};
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<'a, T>(&mut self, from: &'a [T]) -> &'a T {
+        &from[self.below(from.len())]
+    }
+}
+
+/// The variables conditions read; `stray` is fed but never read.
+const VARS: [&str; 3] = ["a", "b", "c"];
+
+/// Shapes the sweep must always contain. Thresholds are loose enough
+/// that each fires somewhere in the sweep (asserted below).
+const FIXED: [&str; 12] = [
+    "a[0].value > 10",
+    // The same `consecutive(a)` text under three degrees of `a`: three
+    // different reads, which must not share a node.
+    "consecutive(a) && a[0].value > -20",
+    "consecutive(a) && a[0].value - a[-1].value > 5",
+    "consecutive(a) && sum_over(a, 4) > 0",
+    // One subexpression, many thresholds.
+    "avg_over(a, 3) - avg_over(b, 3) > 1",
+    "avg_over(a, 3) - avg_over(b, 3) > -7",
+    "avg_over(a, 3) - avg_over(b, 3) > -7 && c[0].value < 0",
+    // Two windows over one variable.
+    "avg_over(a, 5) > avg_over(a, 2)",
+    // Operand order: an aggregate equals its own newest-first expansion
+    // bit for bit, and differs from the oldest-first one whenever f64
+    // addition rounds (the values below make it round often).
+    "sum_over(a, 3) == a[0].value + a[-1].value + a[-2].value",
+    "sum_over(a, 3) != a[-2].value + a[-1].value + a[0].value",
+    "max_over(b, 2) >= min_over(c, 3) || b[0].seqno == b[-1].seqno + 1",
+    // A decided left operand must leave the right one unread.
+    "a[0].value > 1e300 || !(b[-2].value > 0 && false)",
+];
+
+fn num_expr(rng: &mut SplitMix64, depth: u32) -> String {
+    if depth == 0 || rng.below(3) == 0 {
+        return match rng.below(5) {
+            0 => format!("{}", rng.below(40)),
+            1 => {
+                let op = *rng.pick(&["min_over", "max_over", "avg_over", "sum_over"]);
+                format!("{op}({}, {})", rng.pick(&VARS), 1 + rng.below(4))
+            }
+            _ => {
+                let field = *rng.pick(&["value", "value", "seqno"]);
+                format!("{}[{}].{field}", rng.pick(&VARS), -(rng.below(3) as i64))
+            }
+        };
+    }
+    let (l, r) = (num_expr(rng, depth - 1), num_expr(rng, depth - 1));
+    match rng.below(8) {
+        0 => format!("-({l})"),
+        1 => format!("abs({l})"),
+        2 => format!("min({l}, {r})"),
+        3 => format!("max({l}, {r})"),
+        n => format!("({l} {} {r})", ["+", "-", "*", "/"][n - 4]),
+    }
+}
+
+fn bool_expr(rng: &mut SplitMix64, depth: u32) -> String {
+    if depth == 0 || rng.below(3) == 0 {
+        return match rng.below(7) {
+            0 => format!("consecutive({})", rng.pick(&VARS)),
+            1 => format!("{}", rng.below(2) == 0),
+            _ => {
+                let op = *rng.pick(&["<", "<=", ">", ">=", "==", "!="]);
+                format!("({} {op} {})", num_expr(rng, 2), num_expr(rng, 2))
+            }
+        };
+    }
+    let (l, r) = (bool_expr(rng, depth - 1), bool_expr(rng, depth - 1));
+    match rng.below(3) {
+        0 => format!("!({l})"),
+        1 => format!("({l} && {r})"),
+        _ => format!("({l} || {r})"),
+    }
+}
+
+/// A random well-typed condition; retries trees that mention no
+/// variable, which `compile` rejects.
+fn random_condition(rng: &mut SplitMix64, vars: &mut VarRegistry) -> CompiledCondition {
+    loop {
+        if let Ok(cond) = CompiledCondition::compile(&bool_expr(rng, 3), vars) {
+            return cond;
+        }
+    }
+}
+
+/// A stretch of the stream, continuing each variable's seqnos from
+/// `next`: mostly consecutive, some gaps, some stale re-sends of the
+/// previous seqno, values of mixed magnitude.
+fn stretch(rng: &mut SplitMix64, ids: &[VarId], next: &mut [u64]) -> Vec<Update> {
+    (0..60 + rng.below(60))
+        .map(|_| {
+            let v = rng.below(ids.len());
+            let seqno = match rng.below(8) {
+                0 => next[v].saturating_sub(1).max(1),
+                1 => next[v] + 1 + rng.below(2) as u64,
+                _ => next[v],
+            };
+            next[v] = next[v].max(seqno + 1);
+            let value = match rng.below(6) {
+                0 => 1e16,
+                1 => -1e16,
+                2 => 0.1 * rng.below(100) as f64,
+                _ => rng.below(60) as f64 - 25.0,
+            };
+            Update::new(ids[v], seqno, value)
+        })
+        .collect()
+}
+
+enum Step {
+    Insert(CondId, DynCondition),
+    Ingest(Vec<Update>),
+    Restart,
+}
+
+/// One seed's script, the ids it gave the [`FIXED`] shapes, and the id
+/// of the compiled condition registered right after the restart.
+struct Script {
+    steps: Vec<Step>,
+    fixed: Vec<CondId>,
+    after_restart: CondId,
+}
+
+fn script(seed: u64) -> Script {
+    let mut rng = SplitMix64(seed);
+    let mut vars = VarRegistry::new();
+    let mut ids: Vec<VarId> = VARS.iter().map(|n| vars.register(n)).collect();
+    ids.push(vars.register("stray"));
+    let (a, b) = (ids[0], ids[1]);
+    let mut next = vec![1u64; ids.len()];
+
+    // Each condition with the FIXED shape it is, if any.
+    let mut conds: Vec<(Option<usize>, DynCondition)> = Vec::new();
+    for (shape, src) in FIXED.iter().enumerate() {
+        let cond = CompiledCondition::compile(src, &mut vars).unwrap();
+        conds.push((Some(shape), Arc::new(cond)));
+    }
+    // Opaque conditions, registered between compiled ones: a wrapper
+    // that adds to its inner condition's verdict, and a ready-made type.
+    let rise = CompiledCondition::compile("a[0].value - a[-1].value > 5", &mut vars).unwrap();
+    conds.insert(8, (None, Arc::new(Conservative::new(rise))));
+    conds.insert(3, (None, Arc::new(Threshold::new(b, Cmp::Gt, 0.0))));
+    for _ in 0..6 {
+        let at = rng.below(conds.len() + 1);
+        conds.insert(at, (None, Arc::new(random_condition(&mut rng, &mut vars))));
+    }
+
+    let mut steps: Vec<Step> = Vec::new();
+    let mut fixed = vec![CondId::new(0); FIXED.len()];
+    let mut registered = 0u32;
+    let mut insert = |steps: &mut Vec<Step>, cond: DynCondition| {
+        let id = CondId::new(registered);
+        steps.push(Step::Insert(id, cond));
+        registered += 1;
+        id
+    };
+    for (shape, cond) in conds {
+        let id = insert(&mut steps, cond);
+        if let Some(shape) = shape {
+            fixed[shape] = id;
+        }
+    }
+    steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
+    // Mid-stream: `a` and `b` hold history these two have not seen.
+    let late = CompiledCondition::compile("avg_over(a, 3) - avg_over(b, 3) > -7", &mut vars);
+    insert(&mut steps, Arc::new(late.unwrap()));
+    insert(&mut steps, Arc::new(random_condition(&mut rng, &mut vars)));
+    steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
+    steps.push(Step::Restart);
+    // Right after a restart: nothing holds history, and this one asks
+    // for a deeper `a` than anyone before it.
+    let deep = CompiledCondition::compile("consecutive(a) && min_over(a, 6) > -30", &mut vars);
+    let after_restart = insert(&mut steps, Arc::new(deep.unwrap()));
+    insert(&mut steps, Arc::new(Threshold::new(a, Cmp::Lt, 0.0)));
+    steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
+    Script { steps, fixed, after_restart }
+}
+
+/// What every engine under test and the reference offer.
+trait Engine {
+    fn insert(&mut self, id: CondId, cond: DynCondition);
+    fn ingest(&mut self, updates: &[Update], out: &mut Vec<Alert>);
+    fn restart(&mut self);
+    fn stats(&self) -> RegistryStats;
+}
+
+/// The reference: one evaluator per condition, offered every update for
+/// a variable its condition reads, in registration order.
+struct Evaluators {
+    ce: CeId,
+    all: Vec<(Vec<VarId>, Evaluator<DynCondition>)>,
+    unrouted: u64,
+}
+
+impl Engine for Evaluators {
+    fn insert(&mut self, id: CondId, cond: DynCondition) {
+        self.all.push((cond.variables(), Evaluator::with_ids(cond, id, self.ce)));
+    }
+
+    fn ingest(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
+        for &u in updates {
+            let mut routed = false;
+            for (reads, ev) in &mut self.all {
+                if reads.contains(&u.var) {
+                    routed = true;
+                    out.extend(ev.try_ingest(u).expect("routed by variable set"));
+                }
+            }
+            self.unrouted += u64::from(!routed);
+        }
+    }
+
+    fn restart(&mut self) {
+        for (_, ev) in &mut self.all {
+            ev.restart();
+        }
+    }
+
+    fn stats(&self) -> RegistryStats {
+        let mut s = RegistryStats { unrouted: self.unrouted, ..RegistryStats::default() };
+        for (_, ev) in &self.all {
+            s.ingested += ev.updates_ingested();
+            s.dropped_stale += ev.stale_dropped();
+            s.emitted += ev.alerts_emitted();
+        }
+        s
+    }
+}
+
+/// How a registry under test is fed.
+enum Feed {
+    Batched,
+    Stepped,
+    Chunked(SplitMix64),
+}
+
+struct Registry(ConditionRegistry, Feed);
+
+impl Engine for Registry {
+    fn insert(&mut self, id: CondId, cond: DynCondition) {
+        self.0.insert(id, cond);
+    }
+
+    fn ingest(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
+        match &mut self.1 {
+            Feed::Batched => self.0.ingest_batch(updates, out),
+            Feed::Stepped => updates.iter().for_each(|&u| self.0.ingest(u, out)),
+            Feed::Chunked(rng) => {
+                let mut rest = updates;
+                while !rest.is_empty() {
+                    let (chunk, tail) = rest.split_at((1 + rng.below(7)).min(rest.len()));
+                    self.0.ingest_batch(chunk, out);
+                    rest = tail;
+                }
+            }
+        }
+    }
+
+    fn restart(&mut self) {
+        self.0.restart();
+    }
+
+    fn stats(&self) -> RegistryStats {
+        self.0.stats()
+    }
+}
+
+impl Engine for ShardSlices {
+    fn insert(&mut self, id: CondId, cond: DynCondition) {
+        ShardSlices::insert(self, id, cond);
+    }
+
+    fn ingest(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
+        let parts: Vec<Vec<(u64, Alert)>> = self
+            .shards_mut()
+            .iter_mut()
+            .map(|shard| {
+                let mut tagged = Vec::new();
+                shard.ingest_batch_tagged(updates, &mut tagged);
+                tagged
+            })
+            .collect();
+        ShardSlices::merge_tagged(parts, out);
+    }
+
+    fn restart(&mut self) {
+        ShardSlices::restart(self);
+    }
+
+    fn stats(&self) -> RegistryStats {
+        ShardSlices::stats(self)
+    }
+}
+
+fn run(engine: &mut dyn Engine, steps: &[Step]) -> (Vec<Alert>, RegistryStats) {
+    let mut out = Vec::new();
+    for step in steps {
+        match step {
+            Step::Insert(id, cond) => engine.insert(*id, Arc::clone(cond)),
+            Step::Ingest(updates) => engine.ingest(updates, &mut out),
+            Step::Restart => engine.restart(),
+        }
+    }
+    (out, engine.stats())
+}
+
+/// `==` on alerts is the paper's identity (condition + fingerprint);
+/// this also compares provenance and the snapshot, values by bit.
+fn assert_same_alerts(got: &[Alert], want: &[Alert], what: &str) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g, w, "{what}: alert {i}");
+        assert_eq!(g.id, w.id, "{what}: alert {i} id");
+        assert_eq!(g.snapshot.len(), w.snapshot.len(), "{what}: alert {i} snapshot");
+        for (gu, wu) in g.snapshot.iter().zip(w.snapshot.iter()) {
+            assert_eq!((gu.var, gu.seqno), (wu.var, wu.seqno), "{what}: alert {i} snapshot");
+            assert_eq!(gu.value.to_bits(), wu.value.to_bits(), "{what}: alert {i} snapshot");
+        }
+    }
+    assert_eq!(got.len(), want.len(), "{what}: alert count");
+}
+
+#[test]
+fn registry_matches_independent_evaluators() {
+    let ce = CeId::new(5);
+    let mut fired = vec![0usize; FIXED.len()];
+    let (mut fired_after_restart, mut stale, mut strays) = (0usize, 0u64, 0u64);
+    for seed in 0..30u64 {
+        let Script { steps, fixed, after_restart } = script(seed);
+        let (want, want_stats) = run(&mut Evaluators { ce, all: Vec::new(), unrouted: 0 }, &steps);
+
+        let feeds = [Feed::Batched, Feed::Stepped, Feed::Chunked(SplitMix64(!seed))];
+        for (f, feed) in feeds.into_iter().enumerate() {
+            let what = format!("seed {seed}, feed {f}");
+            let (got, stats) = run(&mut Registry(ConditionRegistry::new(ce), feed), &steps);
+            assert_same_alerts(&got, &want, &what);
+            assert_eq!(stats, want_stats, "{what}");
+        }
+        for shards in [1usize, 2, 4] {
+            let what = format!("seed {seed}, {shards} shards");
+            let (got, stats) = run(&mut ShardSlices::new(ce, shards), &steps);
+            assert_same_alerts(&got, &want, &what);
+            // A stray is unrouted once per shard that ignores it, so
+            // only the per-condition sums compare.
+            let stats = RegistryStats { unrouted: want_stats.unrouted, ..stats };
+            assert_eq!(stats, want_stats, "{what}");
+        }
+
+        for (shape, id) in fixed.iter().enumerate() {
+            fired[shape] += want.iter().filter(|al| al.cond == *id).count();
+        }
+        fired_after_restart += want.iter().filter(|al| al.cond == after_restart).count();
+        stale += want_stats.dropped_stale;
+        strays += want_stats.unrouted;
+    }
+    // The sweep exercised what it claims to.
+    for (shape, n) in fired.iter().enumerate() {
+        assert!(*n > 0, "`{}` never fired", FIXED[shape]);
+    }
+    assert!(fired_after_restart > 0 && stale > 0 && strays > 0);
+}
+
+/// Per-condition alert numbering survives `restart()` for shared and
+/// private entries alike, and a stale update counts once per subscriber.
+#[test]
+fn numbering_and_stale_counts_are_per_condition() {
+    let mut vars = VarRegistry::new();
+    let x = vars.register("x");
+    let mut reg = ConditionRegistry::new(CeId::new(0));
+    let shared = reg.add_compiled(CompiledCondition::compile("x[0].value > 0", &mut vars).unwrap());
+    let also = reg.add_compiled(CompiledCondition::compile("x[0].value > 1", &mut vars).unwrap());
+    let opaque = reg.add(Arc::new(Threshold::new(x, Cmp::Gt, 0.0)));
+    let mut out = Vec::new();
+    reg.ingest(Update::new(x, 1, 1.0), &mut out);
+    reg.ingest(Update::new(x, 1, 1.0), &mut out); // stale for all three
+    assert_eq!(
+        reg.stats(),
+        RegistryStats { ingested: 3, dropped_stale: 3, emitted: 2, unrouted: 0 }
+    );
+    reg.restart();
+    reg.ingest(Update::new(x, 1, 2.0), &mut out);
+    let ids: Vec<(CondId, u64)> = out.iter().map(|al| (al.cond, al.id.index)).collect();
+    assert_eq!(ids, vec![(shared, 0), (opaque, 0), (shared, 1), (also, 0), (opaque, 1)]);
+    assert_eq!(reg.alerts_emitted(shared), Some(2));
+    assert_eq!(reg.alerts_emitted(also), Some(1));
+    assert_eq!(reg.alerts_emitted(CondId::new(9)), None);
+}

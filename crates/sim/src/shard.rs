@@ -53,9 +53,8 @@ impl ShardedRegistry {
     }
 
     /// Builds a sharded registry hosting `conds`, assigning condition
-    /// `i` the global id `CondId::new(i)` with incremental
-    /// re-evaluation enabled — the sharded equivalent of calling
-    /// [`rcm_core::ConditionRegistry::add_compiled`] for each.
+    /// `i` the global id `CondId::new(i)` — the sharded equivalent of
+    /// calling [`rcm_core::ConditionRegistry::add_compiled`] for each.
     pub fn from_compiled(
         ce: CeId,
         conds: impl IntoIterator<Item = CompiledCondition>,
@@ -68,9 +67,8 @@ impl ShardedRegistry {
         reg
     }
 
-    /// Builds a sharded registry hosting type-erased `conds` (full
-    /// re-evaluation per arrival), assigning condition `i` the global
-    /// id `CondId::new(i)`.
+    /// Builds a sharded registry hosting type-erased `conds`, assigning
+    /// condition `i` the global id `CondId::new(i)`.
     pub fn from_conditions(
         ce: CeId,
         conds: impl IntoIterator<Item = DynCondition>,
@@ -92,8 +90,8 @@ impl ShardedRegistry {
         self.slices.insert(cond_id, cond);
     }
 
-    /// Registers a compiled condition (incremental re-evaluation) under
-    /// its global id on the owning shard.
+    /// [`ShardedRegistry::insert`] for a condition not yet behind an
+    /// `Arc`.
     ///
     /// # Panics
     ///
@@ -138,8 +136,7 @@ impl ShardedRegistry {
     }
 
     /// Crash-restart of the hosting CE: every shard loses its
-    /// histories and incremental caches; alert numbering continues per
-    /// condition (see [`rcm_core::ConditionRegistry::restart`]).
+    /// histories; alert numbering continues per condition (see [`rcm_core::ConditionRegistry::restart`]).
     pub fn restart(&mut self) {
         self.slices.restart();
     }

@@ -2,10 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use rcm_core::condition::DynCondition;
 use rcm_core::{Alert, CeId, DerivedEmitter, DerivedPayload, DerivedUpdate, ShardSlices, Update};
 use rcm_transport::SeqGate;
 
-use crate::plan::PlannedCondition;
 use crate::window::ReplayWindow;
 use crate::{aggregate_stream, verdict_stream};
 
@@ -88,14 +88,14 @@ impl LeafCe {
     pub(crate) fn build(
         node: u32,
         ce: CeId,
-        conds: &[(rcm_core::CondId, PlannedCondition)],
+        conds: &[(rcm_core::CondId, DynCondition)],
         shards: usize,
         replay_window: usize,
         aggregates: Option<AggregateSpec>,
     ) -> Self {
         let mut slices = ShardSlices::new(ce, shards);
         for (id, cond) in conds {
-            cond.insert_into_slices(*id, &mut slices);
+            slices.insert(*id, cond.clone());
         }
         LeafCe {
             node,
@@ -202,11 +202,11 @@ mod tests {
         let conds = vec![
             (
                 CondId::new(0),
-                PlannedCondition::Dyn(Arc::new(Threshold::new(VarId::new(0), Cmp::Gt, 10.0))),
+                Arc::new(Threshold::new(VarId::new(0), Cmp::Gt, 10.0)) as DynCondition,
             ),
             (
                 CondId::new(1),
-                PlannedCondition::Dyn(Arc::new(Threshold::new(VarId::new(0), Cmp::Gt, 20.0))),
+                Arc::new(Threshold::new(VarId::new(0), Cmp::Gt, 20.0)) as DynCondition,
             ),
         ];
         LeafCe::build(3, CeId::new(7), &conds, shards, 8, aggregates)

@@ -1,45 +1,13 @@
 //! Tree topology and condition-placement planning.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{Condition, DynCondition};
-use rcm_core::{is_derived_var, CeId, CondId, ConditionRegistry, ShardSlices, VarId};
+use rcm_core::{is_derived_var, CeId, CondId, VarId};
 
 use crate::error::TreeError;
-
-/// A condition staged for a registry, preserving whether it gets
-/// incremental re-evaluation.
-#[derive(Debug, Clone)]
-pub(crate) enum PlannedCondition {
-    /// Full re-evaluation per arrival.
-    Dyn(DynCondition),
-    /// Compiled expression with incremental re-evaluation.
-    Compiled(CompiledCondition),
-}
-
-impl PlannedCondition {
-    pub(crate) fn variables(&self) -> Vec<VarId> {
-        match self {
-            PlannedCondition::Dyn(c) => c.variables(),
-            PlannedCondition::Compiled(c) => c.variables(),
-        }
-    }
-
-    pub(crate) fn insert_into_slices(&self, id: CondId, slices: &mut ShardSlices) {
-        match self {
-            PlannedCondition::Dyn(c) => slices.insert(id, c.clone()),
-            PlannedCondition::Compiled(c) => slices.insert_compiled(id, c.clone()),
-        }
-    }
-
-    pub(crate) fn insert_into_registry(&self, id: CondId, reg: &mut ConditionRegistry) {
-        match self {
-            PlannedCondition::Dyn(c) => reg.insert(id, c.clone()),
-            PlannedCondition::Compiled(c) => reg.insert_compiled(id, c.clone()),
-        }
-    }
-}
 
 /// Declarative description of an aggregation tree: how many leaves,
 /// how many interior relay tiers between them and the root, which leaf
@@ -56,8 +24,8 @@ pub struct TreePlan {
     relay_tiers: usize,
     fanout: usize,
     owner: BTreeMap<VarId, usize>,
-    pub(crate) leaf_conds: Vec<Vec<(CondId, PlannedCondition)>>,
-    pub(crate) root_conds: Vec<(CondId, PlannedCondition)>,
+    pub(crate) leaf_conds: Vec<Vec<(CondId, DynCondition)>>,
+    pub(crate) root_conds: Vec<(CondId, DynCondition)>,
     assigned: BTreeSet<CondId>,
 }
 
@@ -134,20 +102,6 @@ impl TreePlan {
     /// Places a condition on the leaf owning its variables and returns
     /// that leaf, or explains why no single leaf can host it.
     pub fn add_condition(&mut self, id: CondId, cond: DynCondition) -> Result<usize, TreeError> {
-        self.place(id, PlannedCondition::Dyn(cond))
-    }
-
-    /// Places a compiled condition (incremental re-evaluation) on the
-    /// leaf owning its variables and returns that leaf.
-    pub fn add_compiled(
-        &mut self,
-        id: CondId,
-        cond: CompiledCondition,
-    ) -> Result<usize, TreeError> {
-        self.place(id, PlannedCondition::Compiled(cond))
-    }
-
-    fn place(&mut self, id: CondId, cond: PlannedCondition) -> Result<usize, TreeError> {
         if self.assigned.contains(&id) {
             return Err(TreeError::DuplicateCondition { cond: id });
         }
@@ -169,22 +123,19 @@ impl TreePlan {
         Ok(leaf)
     }
 
-    /// Registers a condition on the **root**, monitoring derived
-    /// streams (aggregate or verdict shadows) as its input variables.
-    pub fn add_root_condition(&mut self, id: CondId, cond: DynCondition) -> Result<(), TreeError> {
-        self.place_root(id, PlannedCondition::Dyn(cond))
-    }
-
-    /// Registers a compiled root condition over derived streams.
-    pub fn add_root_compiled(
+    /// [`TreePlan::add_condition`] for a condition not yet behind an
+    /// `Arc`.
+    pub fn add_compiled(
         &mut self,
         id: CondId,
         cond: CompiledCondition,
-    ) -> Result<(), TreeError> {
-        self.place_root(id, PlannedCondition::Compiled(cond))
+    ) -> Result<usize, TreeError> {
+        self.add_condition(id, Arc::new(cond))
     }
 
-    fn place_root(&mut self, id: CondId, cond: PlannedCondition) -> Result<(), TreeError> {
+    /// Registers a condition on the **root**, monitoring derived
+    /// streams (aggregate or verdict shadows) as its input variables.
+    pub fn add_root_condition(&mut self, id: CondId, cond: DynCondition) -> Result<(), TreeError> {
         if self.assigned.contains(&id) {
             return Err(TreeError::DuplicateCondition { cond: id });
         }
@@ -194,6 +145,16 @@ impl TreePlan {
         self.root_conds.push((id, cond));
         self.assigned.insert(id);
         Ok(())
+    }
+
+    /// [`TreePlan::add_root_condition`] for a condition not yet behind
+    /// an `Arc`.
+    pub fn add_root_compiled(
+        &mut self,
+        id: CondId,
+        cond: CompiledCondition,
+    ) -> Result<(), TreeError> {
+        self.add_root_condition(id, Arc::new(cond))
     }
 
     /// Number of leaf CEs.

@@ -2,10 +2,9 @@
 
 use std::collections::BTreeMap;
 
+use rcm_core::condition::DynCondition;
 use rcm_core::{Alert, AlertId, CeId, CondId, ConditionRegistry, DerivedPayload, DerivedUpdate};
 use rcm_transport::SeqGate;
-
-use crate::plan::PlannedCondition;
 
 /// The tree's apex: admits every derived stream through one last
 /// `(variable, seqno)` gate, then
@@ -40,10 +39,10 @@ impl RootCe {
 
     /// A root stamping provenance `ce`, hosting `conds` over derived
     /// streams.
-    pub(crate) fn build(ce: CeId, conds: &[(CondId, PlannedCondition)]) -> Self {
+    pub(crate) fn build(ce: CeId, conds: &[(CondId, DynCondition)]) -> Self {
         let mut registry = ConditionRegistry::new(ce);
         for (id, cond) in conds {
-            cond.insert_into_registry(*id, &mut registry);
+            registry.insert(*id, cond.clone());
         }
         RootCe {
             ce,
@@ -147,12 +146,8 @@ mod tests {
     #[test]
     fn aggregates_feed_root_conditions() {
         let agg = crate::aggregate_stream(0, 0);
-        let conds = vec![(
-            CondId::new(5),
-            PlannedCondition::Dyn(
-                Arc::new(Threshold::new(agg, Cmp::Gt, 2.5)) as rcm_core::condition::DynCondition
-            ),
-        )];
+        let conds =
+            vec![(CondId::new(5), Arc::new(Threshold::new(agg, Cmp::Gt, 2.5)) as DynCondition)];
         let mut root = RootCe::build(CeId::new(1), &conds);
         let mut em = DerivedEmitter::new(agg);
         let mut out = Vec::new();

@@ -59,8 +59,12 @@ pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
 pub const SAFETY_WINDOW: usize = 12;
 
 /// rcm-core modules on the alert hot path (panic-free zone).
-pub const HOT_PATH: &[&str] =
-    &["crates/core/src/evaluator.rs", "crates/core/src/registry.rs", "crates/core/src/history.rs"];
+pub const HOT_PATH: &[&str] = &[
+    "crates/core/src/evaluator.rs",
+    "crates/core/src/registry.rs",
+    "crates/core/src/condition/expr/store.rs",
+    "crates/core/src/history.rs",
+];
 
 /// Transport modules on the wire hot path: the codec runs per frame on
 /// every link, so it counts malformed input and encode failures
