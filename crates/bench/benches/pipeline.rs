@@ -1,6 +1,6 @@
 //! Criterion benches for the CE's shard-parallel evaluation pipeline:
 //! the same `rcm_bench::throughput` workload evaluated by the
-//! single-threaded registry (the inline actor path) and by
+//! single-threaded registry (the zero-worker pipeline stage) and by
 //! [`EvalPipeline`] at 1 / 4 / 8 workers, over 100 and 10 000 hosted
 //! conditions.
 //!

@@ -134,7 +134,7 @@ fn throughput_cell(n_conds: usize, n_updates: usize, iters: u32) -> serde_json::
 }
 
 /// Evaluation-pipeline throughput over the shared workload: the
-/// single-threaded registry (the inline actor path) vs
+/// single-threaded registry (the zero-worker pipeline stage) vs
 /// [`EvalPipeline`] at 1 / 4 / 8 shard workers, updates/second.
 /// Asserts byte-identical output (ids included) at every worker count
 /// first; `speedup_4` for the 10k-condition cell is the ratio

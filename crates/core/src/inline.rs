@@ -12,7 +12,7 @@
 //! The inline storage is a `[MaybeUninit<T>; N]` block, so pushing
 //! never writes `T::Default` fillers and the element type needs no
 //! `Default` impl. This is the crate's **only** `unsafe` module (the
-//! crate is otherwise `#![deny(unsafe_code)]`, and `cargo xtask lint`
+//! crate is otherwise `#![deny(unsafe_code)]`, and `cargo xtask analyze`
 //! pins the allowlist): every `unsafe` block cites the single
 //! invariant below, and the drop-counter tests at the bottom pin
 //! leak-freedom and double-drop-freedom through every storage
@@ -408,9 +408,13 @@ mod tests {
 
     // ---- drop accounting: the unsafe audit's executable half -------
 
-    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::cell::Cell;
 
-    static LIVE: AtomicI64 = AtomicI64::new(0);
+    thread_local! {
+        /// Per thread, so per test: the harness runs each test on its
+        /// own thread, and a sibling's pushes must not show up here.
+        static LIVE: Cell<i64> = const { Cell::new(0) };
+    }
 
     /// An element that counts live instances; a double drop would send
     /// the counter negative, a leak leaves it positive.
@@ -418,7 +422,7 @@ mod tests {
     struct Counted(u64);
     impl Counted {
         fn new(v: u64) -> Self {
-            LIVE.fetch_add(1, Ordering::SeqCst);
+            LIVE.set(LIVE.get() + 1);
             Counted(v)
         }
     }
@@ -429,14 +433,14 @@ mod tests {
     }
     impl Drop for Counted {
         fn drop(&mut self) {
-            LIVE.fetch_sub(1, Ordering::SeqCst);
+            LIVE.set(LIVE.get() - 1);
         }
     }
 
     fn assert_balanced(f: impl FnOnce()) {
-        let before = LIVE.load(Ordering::SeqCst);
+        let before = LIVE.get();
         f();
-        assert_eq!(LIVE.load(Ordering::SeqCst), before, "leak or double drop");
+        assert_eq!(LIVE.get(), before, "leak or double drop");
     }
 
     #[test]

@@ -77,7 +77,7 @@
 
 // `unsafe` is denied crate-wide; the single audited exception is the
 // `inline` module's MaybeUninit small-vector storage (each block
-// carries a SAFETY comment and `cargo xtask lint` pins the allowlist).
+// carries a SAFETY comment and `cargo xtask analyze` pins the allowlist).
 // Miri runs this crate's test suite in CI to check those blocks.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

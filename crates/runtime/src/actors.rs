@@ -7,7 +7,7 @@
 //! alone and released before any channel operation; no actor ever
 //! holds two locks, so cross-thread lock cycles are impossible.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{self, AssertUnwindSafe};
 
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
@@ -28,7 +28,7 @@ use rcm_sync::Mutex;
 
 use rcm_core::ad::AlertFilter;
 use rcm_core::condition::Condition;
-use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, Update, VarId};
+use rcm_core::{Alert, CeId, LatencyHistogram, Update, VarId};
 
 use crate::faults::{FaultReport, IngestGate, RetainedWindow};
 use crate::pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
@@ -162,10 +162,9 @@ impl std::fmt::Debug for CeFaultConfig {
 /// shape plus the run-wide latency/shed ledgers (shared across
 /// replicas, snapshotted into the final report).
 pub(crate) struct CePipeline {
-    /// Worker count and batching; `workers == 0` keeps the in-actor
-    /// single-threaded evaluation path.
+    /// Worker count, ring capacity and batching.
     pub options: PipelineOptions,
-    /// Ingest→alert-emit latency histogram (recorded on both paths).
+    /// Ingest→alert-emit latency histogram.
     pub latency: Arc<LatencyHistogram>,
     /// Updates shed because a worker ring was full.
     pub shed: Arc<AtomicU64>,
@@ -178,10 +177,9 @@ impl std::fmt::Debug for CePipeline {
 }
 
 /// The pipeline's [`AlertDrain`] for a system replica: each merged
-/// round crosses the wire codec, lands in the shared `emitted` record
-/// and goes out the back link — exactly the single-threaded actor's
-/// per-alert path, relocated onto the sequencer thread (which owns the
-/// back link while the pipeline runs).
+/// round crosses the wire codec (a real serialization boundary, as in a
+/// deployment), lands in the shared `emitted` record and goes out the
+/// back link, which the drain owns while the pipeline runs.
 struct SystemDrain {
     back: Box<dyn AlertSink>,
     emitted: Arc<Mutex<Vec<Alert>>>,
@@ -212,175 +210,29 @@ impl AlertDrain for SystemDrain {
 /// Runs a Condition Evaluator replica under supervision: ingests
 /// updates until every DM feeding it hangs up, forwarding alerts over
 /// the (severable) lossless back link. The replica hosts its whole
-/// condition set in one [`ConditionRegistry`] — condition `i` is
+/// condition set in one [`EvalPipeline`] — condition `i` is
 /// `CondId::new(i)`, so a single-condition system emits under
-/// [`CondId::SINGLE`] exactly as before — and each arrival is routed
-/// through the registry's variable index to the conditions that mention
-/// it. A panic — scripted by the fault plan or genuine — is caught;
-/// within the restart budget the replica restarts: every condition's
-/// histories are wiped (the paper's crash model), the channel backlog
-/// that piled up "while down" is discarded as loss, and the bounded
-/// `H_x` histories are rebuilt by replaying the DMs' retained windows
-/// through the normal ingest path. The [`IngestGate`] outlives every
-/// crash, so the recorded `U_i` stays strictly ordered per variable no
-/// matter how replays and live arrivals interleave; per-condition alert
-/// numbering survives crashes too (the registry keeps it across
-/// `restart`).
-pub(crate) fn ce_body(
-    ce: CeId,
-    conditions: Vec<Arc<dyn Condition>>,
-    rx: Receiver<Update>,
-    back: Box<dyn AlertSink>,
-    ingested: Arc<Mutex<Vec<Update>>>,
-    emitted: Arc<Mutex<Vec<Alert>>>,
-    faults: Option<CeFaultConfig>,
-    pipeline: CePipeline,
-) {
-    if pipeline.options.workers == 0 {
-        ce_body_inline(ce, conditions, rx, back, ingested, emitted, faults, &pipeline.latency);
-    } else {
-        ce_body_pipelined(ce, conditions, rx, back, ingested, emitted, faults, pipeline);
-    }
-}
-
-/// The single-threaded evaluation path (`--workers 0`, the default):
-/// the CE thread itself hosts the registry and evaluates inline.
-#[allow(clippy::too_many_arguments)]
-fn ce_body_inline(
-    ce: CeId,
-    conditions: Vec<Arc<dyn Condition>>,
-    rx: Receiver<Update>,
-    mut back: Box<dyn AlertSink>,
-    ingested: Arc<Mutex<Vec<Update>>>,
-    emitted: Arc<Mutex<Vec<Alert>>>,
-    faults: Option<CeFaultConfig>,
-    latency: &LatencyHistogram,
-) {
-    let mut registry = ConditionRegistry::new(ce);
-    for (i, condition) in conditions.into_iter().enumerate() {
-        registry.insert(CondId::new(i as u32), condition);
-    }
-    // Reused per-arrival alert buffer: the hot path allocates nothing.
-    let mut alerts: Vec<Alert> = Vec::new();
-    let mut gate = IngestGate::new();
-    let mut arrivals: u64 = 0;
-    let mut kill_at: Vec<u64> = faults.as_ref().map(|f| f.kill_at.clone()).unwrap_or_default();
-    kill_at.sort_unstable();
-    kill_at.reverse(); // pop() yields the earliest threshold
-
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            for update in rx.iter() {
-                arrivals += 1;
-                if kill_at.last().is_some_and(|&k| arrivals >= k) {
-                    kill_at.pop();
-                    return CeExit::Killed;
-                }
-                if !gate.admit(&update) {
-                    continue; // duplicate of a replayed update
-                }
-                ingest(
-                    &mut registry,
-                    update,
-                    &mut alerts,
-                    back.as_mut(),
-                    &ingested,
-                    &emitted,
-                    latency,
-                );
-            }
-            CeExit::EndOfStream
-        }));
-        let injected = match run {
-            Ok(CeExit::EndOfStream) => break, // every DM hung up: done
-            Ok(CeExit::Killed) => true,
-            Err(payload) => {
-                if faults.is_none() {
-                    resume_unwind(payload); // unsupervised replica: die loudly
-                }
-                false
-            }
-        };
-        let cfg = faults.as_ref().expect("crash handling requires a fault config");
-        let recovery_start = Instant::now();
-        {
-            let mut report = cfg.report.lock();
-            if injected {
-                report.kills_injected += 1;
-            }
-            if report.restarts[cfg.ce_index] >= cfg.max_restarts {
-                report.replicas_abandoned += 1;
-                drop(report);
-                // Budget exhausted: the replica stays dead. Its severed
-                // back-link queue dies with it — queued alerts on a dead
-                // replica are the one sanctioned alert loss. Socket
-                // links still send their end-of-stream marker so the
-                // AD listener does not wait on a corpse.
-                back.abandon();
-                return;
-            }
-            report.restarts[cfg.ce_index] += 1;
-        }
-        // Crash model: histories are gone, alert numbering is not.
-        registry.restart();
-        // Updates that queued while "down" were never received; they
-        // are loss, exactly like a drop on the front link. Kill
-        // thresholds that pass during the outage simply never fire.
-        let mut discarded = 0u64;
-        while rx.try_recv().is_ok() {
-            arrivals += 1;
-            discarded += 1;
-        }
-        while kill_at.last().is_some_and(|&k| arrivals >= k) {
-            kill_at.pop();
-        }
-        // Rebuild bounded histories from every DM's retained window.
-        // The gate admits only seqnos beyond the pre-crash cursor, in
-        // the window's (ascending) order, so `U_i` stays ordered and
-        // nothing is double-ingested.
-        let mut replayed = 0u64;
-        for window in &cfg.windows {
-            for update in window.snapshot() {
-                if gate.admit(&update) {
-                    replayed += 1;
-                    ingest(
-                        &mut registry,
-                        update,
-                        &mut alerts,
-                        back.as_mut(),
-                        &ingested,
-                        &emitted,
-                        latency,
-                    );
-                }
-            }
-        }
-        let mut report = cfg.report.lock();
-        report.updates_dropped_down += discarded;
-        report.updates_replayed += replayed;
-        report.recovery_latency.push(recovery_start.elapsed());
-    }
-    // End of stream: a severed link must come back up and drain its
-    // queue before the replica exits — that is the lossless contract.
-    back.flush();
-}
-
-/// The pipelined evaluation path (`--workers >= 1`): the CE thread
-/// becomes the *dispatcher* — it runs the identical supervision
-/// protocol (same arrival counting, kill thresholds, restart budget,
-/// backlog discard and window replay as [`ce_body_inline`]) but hands
-/// every admitted update to the [`EvalPipeline`] instead of evaluating
-/// inline. Evaluation crosses shard workers and the sequencer merges
-/// results back into the single-threaded emission order; the back link
-/// lives in the sequencer's [`SystemDrain`].
+/// `CondId::SINGLE` — which evaluates on this thread (zero workers) or
+/// on shard workers whose results a sequencer merges back into the
+/// single-threaded emission order; either way the back link lives in
+/// the pipeline's [`SystemDrain`]. A panic — scripted by the fault plan
+/// or genuine — is caught; within the restart budget the replica
+/// restarts: every condition's histories are wiped (the paper's crash
+/// model), the channel backlog that piled up "while down" is discarded
+/// as loss, and the bounded `H_x` histories are rebuilt by replaying the
+/// DMs' retained windows through the normal ingest path. The
+/// [`IngestGate`] outlives every crash, so the recorded `U_i` stays
+/// strictly ordered per variable no matter how replays and live
+/// arrivals interleave; per-condition alert numbering survives crashes
+/// too (the registry keeps it across `restart`).
 ///
-/// The one semantic addition is *shedding*: when a worker ring is full
-/// the arrival is dropped before the ingest gate, so it is
-/// indistinguishable from a front-link loss (it never enters `U_i`,
-/// and the paper's per-AD guarantees already cover it). Recovery
-/// replays use the rings' blocking path and never shed.
+/// *Shedding*: when a worker ring is full the arrival is dropped before
+/// the ingest gate, so it is indistinguishable from a front-link loss
+/// (it never enters `U_i`, and the paper's per-AD guarantees already
+/// cover it). Recovery replays use the rings' blocking path and never
+/// shed.
 #[allow(clippy::too_many_arguments)]
-fn ce_body_pipelined(
+pub(crate) fn ce_body(
     ce: CeId,
     conditions: Vec<Arc<dyn Condition>>,
     rx: Receiver<Update>,
@@ -406,7 +258,7 @@ fn ce_body_pipelined(
     kill_at.reverse(); // pop() yields the earliest threshold
 
     loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
             for update in rx.iter() {
                 arrivals += 1;
                 if kill_at.last().is_some_and(|&k| arrivals >= k) {
@@ -433,7 +285,7 @@ fn ce_body_pipelined(
             Ok(CeExit::Killed) => true,
             Err(payload) => {
                 if faults.is_none() {
-                    resume_unwind(payload); // unsupervised replica: die loudly
+                    panic::resume_unwind(payload); // unsupervised replica: die loudly
                 }
                 false
             }
@@ -448,20 +300,25 @@ fn ce_body_pipelined(
             if report.restarts[cfg.ce_index] >= cfg.max_restarts {
                 report.replicas_abandoned += 1;
                 drop(report);
-                // Budget exhausted: in-flight ring jobs still evaluate
-                // (they were admitted), then the sequencer closes the
-                // back link without flushing — the same sanctioned
-                // alert loss as the inline path's `back.abandon()`.
+                // Budget exhausted: the replica stays dead. In-flight
+                // ring jobs still evaluate (they were admitted), then
+                // the drain closes the back link without flushing —
+                // queued alerts on a dead replica are the one
+                // sanctioned alert loss. Socket links still send their
+                // end-of-stream marker so the AD listener does not wait
+                // on a corpse.
                 pipe.abandon();
                 return;
             }
             report.restarts[cfg.ce_index] += 1;
         }
-        // Crash model: the restart marker rides the same FIFO rings as
-        // updates, so every shard wipes its histories at the same
-        // stream position; alert numbering survives (as in
-        // `ConditionRegistry::restart`).
+        // Crash model: histories are gone, alert numbering is not. The
+        // restart marker rides the same FIFO rings as updates, so every
+        // shard wipes its histories at the same stream position.
         pipe.restart();
+        // Updates that queued while "down" were never received; they
+        // are loss, exactly like a drop on the front link. Kill
+        // thresholds that pass during the outage simply never fire.
         let mut discarded = 0u64;
         while rx.try_recv().is_ok() {
             arrivals += 1;
@@ -470,8 +327,11 @@ fn ce_body_pipelined(
         while kill_at.last().is_some_and(|&k| arrivals >= k) {
             kill_at.pop();
         }
-        // Replay on the blocking path: retained history is
-        // already-admitted input and must not shed.
+        // Rebuild bounded histories from every DM's retained window.
+        // The gate admits only seqnos beyond the pre-crash cursor, in
+        // the window's (ascending) order, so `U_i` stays ordered and
+        // nothing is double-ingested. Replay takes the blocking path:
+        // retained history is already-admitted input and must not shed.
         let mut replayed = 0u64;
         for window in &cfg.windows {
             for update in window.snapshot() {
@@ -487,40 +347,10 @@ fn ce_body_pipelined(
         report.updates_replayed += replayed;
         report.recovery_latency.push(recovery_start.elapsed());
     }
-    // End of stream: close the rings, let the workers drain, and join;
-    // the sequencer flushes the back link (the lossless contract).
+    // End of stream: every in-flight update is evaluated, then the drain
+    // flushes the back link — a severed link must come back up and
+    // drain its queue before the replica exits (the lossless contract).
     pipe.finish();
-}
-
-/// The shared ingest path (live and replay): record the update in
-/// `U_i`, route it through the registry to every subscribed condition,
-/// and forward each resulting alert across the codec and the back link
-/// (in registration order — ascending [`CondId`]).
-fn ingest(
-    registry: &mut ConditionRegistry,
-    update: Update,
-    alerts: &mut Vec<Alert>,
-    back: &mut dyn AlertSink,
-    ingested: &Arc<Mutex<Vec<Update>>>,
-    emitted: &Arc<Mutex<Vec<Alert>>>,
-    latency: &LatencyHistogram,
-) {
-    let t0 = Instant::now();
-    alerts.clear();
-    registry.ingest(update, alerts);
-    ingested.lock().push(update);
-    for alert in alerts.drain(..) {
-        // Cross a real serialization boundary, as every alert would in
-        // a deployment.
-        let msg = roundtrip(&Message::Alert(alert));
-        let Message::Alert(alert) = msg else {
-            unreachable!("alert survived the codec as a different variant")
-        };
-        emitted.lock().push(alert.clone());
-        back.send_alert(alert);
-    }
-    let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    latency.record(nanos);
 }
 
 /// Runs the Alert Displayer: filters merged alert arrivals until every

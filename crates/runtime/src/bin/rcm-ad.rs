@@ -16,13 +16,12 @@
 //!
 //! There is no `--codec` flag here: the listener dispatches on each
 //! frame's version byte, so JSON and binary CEs (batched or not) can
-//! share one AD during a rollout. `--engine threaded|evented` picks
-//! the socket engine (default evented: the accept socket and every CE
+//! share one AD during a rollout. The accept socket and every CE
 //! connection ride one readiness loop, so an AD holds hundreds of back
-//! links without per-connection reader threads).
+//! links without per-connection reader threads.
 //!
-//! LOCK ORDER: no locks on the main thread beyond the listener's leaf
-//! stats mutex, read after the stream ends.
+//! LOCK ORDER: no locks on the main thread — the listener's counters
+//! are atomics, read after the stream ends.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -30,7 +29,7 @@ use std::process::ExitCode;
 use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, PassThrough};
 use rcm_core::VarId;
 use rcm_sync::time::Duration;
-use rcm_transport::{Engine, EventLoop, ListenerStats, TcpAlertListener};
+use rcm_transport::EventLoop;
 
 struct Options {
     bind: SocketAddr,
@@ -38,14 +37,12 @@ struct Options {
     filter: String,
     vars: Vec<VarId>,
     idle: Duration,
-    engine: Engine,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-ad --bind HOST:PORT [--replicas N] \
-         [--filter pass|ad1|ad2|ad3|ad4|ad5|ad6] [--var N ...] [--idle-ms N] \
-         [--engine threaded|evented]"
+         [--filter pass|ad1|ad2|ad3|ad4|ad5|ad6] [--var N ...] [--idle-ms N]"
     );
     ExitCode::FAILURE
 }
@@ -58,7 +55,6 @@ fn parse_args() -> Option<Options> {
         filter: "ad1".into(),
         vars: Vec::new(),
         idle: Duration::from_secs(10),
-        engine: Engine::default(),
     };
     let mut seen_bind = false;
     let mut args = std::env::args().skip(1);
@@ -72,7 +68,6 @@ fn parse_args() -> Option<Options> {
             "--filter" => opts.filter = args.next()?,
             "--var" => opts.vars.push(VarId::new(args.next()?.parse().ok()?)),
             "--idle-ms" => opts.idle = Duration::from_millis(args.next()?.parse().ok()?),
-            "--engine" => opts.engine = args.next()?.parse().ok()?,
             _ => return None,
         }
     }
@@ -116,54 +111,39 @@ fn main() -> ExitCode {
         }
     };
 
-    let stats: ListenerStats = match opts.engine {
-        Engine::Threaded => {
-            let listener = match TcpAlertListener::bind(opts.bind) {
-                Ok(l) => l.expected_fins(opts.replicas).idle_timeout(opts.idle),
-                Err(e) => {
-                    eprintln!("error: cannot bind {}: {e}", opts.bind);
-                    return ExitCode::FAILURE;
-                }
-            };
-            listener.run(display)
-        }
-        Engine::Evented => {
-            // The accept socket and every CE connection share one
-            // readiness loop on a side thread; filtering stays here,
-            // fed by a channel that closes when the listener retires.
-            let sock = match std::net::TcpListener::bind(opts.bind) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot bind {}: {e}", opts.bind);
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut el = match EventLoop::new() {
-                Ok(el) => el,
-                Err(e) => {
-                    eprintln!("error: cannot create event loop: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (tx, rx) = rcm_sync::chan::unbounded();
-            let counters =
-                match el.add_alert_listener(sock, opts.replicas, opts.idle, move |alert| {
-                    let _ = tx.send(alert);
-                }) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("error: cannot register listener: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            let engine = rcm_sync::thread::spawn(move || el.run());
-            while let Ok(alert) = rx.recv() {
-                display(alert);
-            }
-            let _ = engine.join();
-            counters.snapshot()
+    // The accept socket and every CE connection share one readiness
+    // loop on a side thread; filtering stays here, fed by a channel
+    // that closes when the listener retires.
+    let sock = match std::net::TcpListener::bind(opts.bind) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: cannot bind {}: {e}", opts.bind);
+            return ExitCode::FAILURE;
         }
     };
+    let mut el = match EventLoop::new() {
+        Ok(el) => el,
+        Err(e) => {
+            eprintln!("error: cannot create event loop: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (tx, rx) = rcm_sync::chan::unbounded();
+    let counters = match el.add_alert_listener(sock, opts.replicas, opts.idle, move |alert| {
+        let _ = tx.send(alert);
+    }) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: cannot register listener: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let engine = rcm_sync::thread::spawn(move || el.run());
+    while let Ok(alert) = rx.recv() {
+        display(alert);
+    }
+    let _ = engine.join();
+    let stats = counters.snapshot();
 
     eprintln!(
         "done: {displayed} alert(s) displayed of {} arriving over {} connection(s); \

@@ -21,36 +21,31 @@
 //! configuration here. `--codec json|binary` selects what *this* node
 //! emits on its back link (default binary; the AD auto-detects too),
 //! and `--batch N` coalesces up to `N` alerts per stream write
-//! (default 1 — no batching). `--engine threaded|evented` picks the
-//! socket engine (default evented: every socket of the node rides one
-//! readiness loop, so a CE holds thousands of idle front links;
-//! `threaded` is the blocking reference path).
+//! (default 1 — no batching). Every socket of the node rides one
+//! readiness loop, so a CE holds thousands of idle front links.
 //!
-//! `--workers N` (default 0 = evaluate inline on the ingress thread)
-//! enables the shard-parallel evaluation pipeline: conditions are
-//! split `cond_id % N` across worker threads fed over bounded SPSC
-//! rings, and a sequencer merges per-shard alerts back into the exact
-//! single-threaded emission order before the back link. A full ring
-//! sheds the update for every shard — observationally a front-link
-//! drop — and the exit report then carries the shed count and the
-//! ingest→emit latency percentiles.
+//! `--workers N` (default 0 = evaluate on the main thread) shards the
+//! evaluation pipeline: conditions are split `cond_id % N` across
+//! worker threads fed over bounded SPSC rings, and a sequencer merges
+//! per-shard alerts back into the exact single-threaded emission order
+//! before the back link. A full ring sheds the update for every shard
+//! — observationally a front-link drop. The exit report carries the
+//! shed count and the ingest→emit latency percentiles.
 //!
-//! LOCK ORDER: the only locks are the transport links' leaf stats
-//! mutexes, read one at a time after the stream ends.
+//! LOCK ORDER: no locks on the main thread — the link counters are
+//! atomics, read after the stream ends.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
 use rcm_core::condition::{expr::CompiledCondition, Condition};
-use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, VarRegistry};
+use rcm_core::{Alert, CeId, LatencyHistogram, VarRegistry};
 use rcm_net::Backoff;
 use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::time::Duration;
 use rcm_sync::Arc;
-use rcm_transport::{
-    BackLinkSpec, BatchPolicy, Codec, Engine, EventLoop, TcpBackLink, UdpFrontReceiver,
-};
+use rcm_transport::{BackLinkSpec, BatchPolicy, Codec, EventLoop, EventedBackLink};
 
 struct Options {
     bind: SocketAddr,
@@ -61,7 +56,6 @@ struct Options {
     idle: Duration,
     codec: Codec,
     batch: BatchPolicy,
-    engine: Engine,
     workers: usize,
 }
 
@@ -69,7 +63,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-ce --bind HOST:PORT --ad HOST:PORT --condition '<expr>' \
          [--condition '<expr>' ...] [--node N] [--dms N] [--idle-ms N] \
-         [--codec json|binary] [--batch N] [--engine threaded|evented] [--workers N]"
+         [--codec json|binary] [--batch N] [--workers N]"
     );
     ExitCode::FAILURE
 }
@@ -85,7 +79,6 @@ fn parse_args() -> Option<Options> {
         idle: Duration::from_secs(5),
         codec: Codec::default(),
         batch: BatchPolicy::off(),
-        engine: Engine::default(),
         workers: 0,
     };
     let mut seen_bind = false;
@@ -106,7 +99,6 @@ fn parse_args() -> Option<Options> {
             "--dms" => opts.dms = args.next()?.parse().ok()?,
             "--idle-ms" => opts.idle = Duration::from_millis(args.next()?.parse().ok()?),
             "--codec" => opts.codec = args.next()?.parse().ok()?,
-            "--engine" => opts.engine = args.next()?.parse().ok()?,
             "--workers" => opts.workers = args.next()?.parse().ok()?,
             "--batch" => {
                 let n: usize = args.next()?.parse().ok()?;
@@ -125,152 +117,42 @@ fn parse_args() -> Option<Options> {
     Some(opts)
 }
 
+/// Routes the pipeline's merged alert stream onto the back link;
+/// `end_of_stream` flushes and retires the link so every queued alert
+/// is on the wire before the node reports.
+struct BackDrain {
+    back: EventedBackLink,
+}
+
+impl AlertDrain for BackDrain {
+    fn alerts(&mut self, alerts: Vec<Alert>) {
+        for alert in alerts {
+            self.back.send_alert(alert);
+        }
+    }
+    fn end_of_stream(&mut self) {
+        self.back.finish();
+    }
+}
+
+/// Ingress and back link are state machines on one readiness loop;
+/// evaluation is dispatched from this thread, fed by a channel that
+/// closes when the ingress retires (all Fins, or the idle backstop).
 fn main() -> ExitCode {
     let Some(opts) = parse_args() else { return usage() };
 
     let mut vars = VarRegistry::new();
-    let mut registry = ConditionRegistry::new(CeId::new(opts.node));
     let mut conds: Vec<Arc<dyn Condition>> = Vec::new();
-    for (i, expr) in opts.conditions.iter().enumerate() {
+    for expr in &opts.conditions {
         match CompiledCondition::compile(expr, &mut vars) {
-            Ok(c) => {
-                let c: Arc<dyn Condition> = Arc::new(c);
-                conds.push(Arc::clone(&c));
-                registry.insert(CondId::new(i as u32), c);
-            }
+            Ok(c) => conds.push(Arc::new(c)),
             Err(e) => {
                 eprintln!("error: bad condition '{expr}': {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    match opts.engine {
-        Engine::Threaded => run_threaded(&opts, registry, &conds),
-        Engine::Evented => run_evented(&opts, registry, &conds),
-    }
-}
 
-/// Routes the pipeline sequencer's merged alert stream onto a back
-/// link; `end_of_stream` flushes and retires the link so every queued
-/// alert is on the wire before the node reports.
-struct BackDrain<B> {
-    back: B,
-}
-
-impl AlertDrain for BackDrain<TcpBackLink> {
-    fn alerts(&mut self, alerts: Vec<Alert>) {
-        for alert in alerts {
-            self.back.send_alert(alert);
-        }
-    }
-    fn end_of_stream(&mut self) {
-        self.back.finish();
-    }
-}
-
-impl AlertDrain for BackDrain<rcm_transport::EventedBackLink> {
-    fn alerts(&mut self, alerts: Vec<Alert>) {
-        for alert in alerts {
-            self.back.send_alert(alert);
-        }
-    }
-    fn end_of_stream(&mut self) {
-        self.back.finish();
-    }
-}
-
-/// Starts the evaluation pipeline for a deployed node: shards the
-/// condition set `cond_id % workers` and owns the back link via
-/// [`BackDrain`].
-fn start_pipeline<B>(
-    opts: &Options,
-    conds: &[Arc<dyn Condition>],
-    back: B,
-) -> (EvalPipeline, Arc<LatencyHistogram>, Arc<AtomicU64>)
-where
-    BackDrain<B>: AlertDrain + 'static,
-{
-    let latency = Arc::new(LatencyHistogram::new());
-    let shed = Arc::new(AtomicU64::new(0));
-    let pipe = EvalPipeline::start(
-        CeId::new(opts.node),
-        conds,
-        &PipelineOptions::with_workers(opts.workers),
-        Box::new(BackDrain { back }),
-        Arc::clone(&latency),
-        Arc::clone(&shed),
-    );
-    (pipe, latency, shed)
-}
-
-/// The reference path: a blocking ingress loop on this thread, a
-/// blocking back link inside its callback.
-fn run_threaded(
-    opts: &Options,
-    mut registry: ConditionRegistry,
-    conds: &[Arc<dyn Condition>],
-) -> ExitCode {
-    let receiver = match UdpFrontReceiver::bind(opts.bind) {
-        Ok(r) => r.expected_fins(opts.dms).idle_timeout(opts.idle),
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", opts.bind);
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut back = match TcpBackLink::connect(opts.ad, opts.node, backoff(opts)) {
-        Ok(b) => b.codec(opts.codec).batching(opts.batch),
-        Err(e) => {
-            eprintln!("error: cannot reach AD at {}: {e}", opts.ad);
-            return ExitCode::FAILURE;
-        }
-    };
-    let back_stats = back.stats_handle();
-
-    let ingress = if opts.workers == 0 {
-        // Single-threaded pipeline: ingress → registry → back link.
-        // The receiver's gate already dropped reorders/duplicates, so
-        // every delivered update goes straight into evaluation.
-        let mut alerts = Vec::new();
-        let ingress = receiver.run(|update| {
-            alerts.clear();
-            registry.ingest(update, &mut alerts);
-            for alert in alerts.drain(..) {
-                back.send_alert(alert);
-            }
-        });
-        back.finish();
-        ingress
-    } else {
-        // Shard-parallel pipeline: the drain owns the back link; a
-        // full ring sheds the update for every shard (≡ a front-link
-        // drop), keeping the ingress loop allocation- and wait-free.
-        let (mut pipe, latency, shed) = start_pipeline(opts, conds, back);
-        let ingress = receiver.run(|update| {
-            if pipe.would_shed() {
-                pipe.count_shed();
-            } else {
-                pipe.dispatch(update);
-            }
-        });
-        pipe.finish();
-        report_pipeline(opts.workers, shed.load(Ordering::Relaxed), &latency);
-        ingress
-    };
-
-    let sent = back_stats.lock().sent;
-    report(ingress.delivered, ingress.dropped_stale, ingress.decode_errors, sent);
-    ExitCode::SUCCESS
-}
-
-/// The default path: ingress and back link as state machines on one
-/// readiness loop; evaluation stays on this thread, fed by a channel
-/// that closes when the ingress retires (all Fins, or the idle
-/// backstop).
-fn run_evented(
-    opts: &Options,
-    mut registry: ConditionRegistry,
-    conds: &[Arc<dyn Condition>],
-) -> ExitCode {
     let sock = match std::net::UdpSocket::bind(opts.bind) {
         Ok(s) => s,
         Err(e) => {
@@ -295,9 +177,11 @@ fn run_evented(
             return ExitCode::FAILURE;
         }
     };
+    let backoff =
+        Backoff::new(Duration::from_millis(1), Duration::from_millis(100), opts.node as u64);
     let spec =
-        BackLinkSpec::new(opts.ad, opts.node, backoff(opts)).codec(opts.codec).batching(opts.batch);
-    let mut back = match el.add_back_link(spec) {
+        BackLinkSpec::new(opts.ad, opts.node, backoff).codec(opts.codec).batching(opts.batch);
+    let back = match el.add_back_link(spec) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("error: cannot reach AD at {}: {e}", opts.ad);
@@ -307,51 +191,48 @@ fn run_evented(
     let back_stats = back.stats_handle();
     let engine = rcm_sync::thread::spawn(move || el.run());
 
-    if opts.workers == 0 {
-        let mut alerts = Vec::new();
-        while let Ok(update) = rx.recv() {
-            alerts.clear();
-            registry.ingest(update, &mut alerts);
-            for alert in alerts.drain(..) {
-                back.send_alert(alert);
-            }
+    // The ingress gate already dropped reorders and duplicates, so every
+    // delivered update goes straight into evaluation; a full worker ring
+    // sheds the update for every shard (≡ a front-link drop), keeping
+    // this loop wait-free.
+    let latency = Arc::new(LatencyHistogram::new());
+    let shed = Arc::new(AtomicU64::new(0));
+    let mut pipe = EvalPipeline::start(
+        CeId::new(opts.node),
+        &conds,
+        &PipelineOptions::with_workers(opts.workers),
+        Box::new(BackDrain { back }),
+        Arc::clone(&latency),
+        Arc::clone(&shed),
+    );
+    while let Ok(update) = rx.recv() {
+        if pipe.would_shed() {
+            pipe.count_shed();
+        } else {
+            pipe.dispatch(update);
         }
-        back.finish();
-    } else {
-        let (mut pipe, latency, shed) = start_pipeline(opts, conds, back);
-        while let Ok(update) = rx.recv() {
-            if pipe.would_shed() {
-                pipe.count_shed();
-            } else {
-                pipe.dispatch(update);
-            }
-        }
-        pipe.finish();
-        report_pipeline(opts.workers, shed.load(Ordering::Relaxed), &latency);
     }
+    pipe.finish();
     let _ = engine.join();
 
-    let i = ingress.snapshot();
-    report(i.delivered, i.dropped_stale, i.decode_errors, back_stats.snapshot().sent);
-    ExitCode::SUCCESS
-}
-
-fn backoff(opts: &Options) -> Backoff {
-    Backoff::new(Duration::from_millis(1), Duration::from_millis(100), opts.node as u64)
-}
-
-fn report(delivered: u64, stale: u64, decode_errors: u64, sent: u64) {
-    eprintln!(
-        "done: {delivered} update(s) evaluated ({stale} stale dropped, \
-         {decode_errors} decode error(s)); {sent} alert(s) sent"
-    );
-}
-
-fn report_pipeline(workers: usize, shed: u64, latency: &LatencyHistogram) {
     let snap = latency.snapshot();
     eprintln!(
-        "pipeline: {workers} worker(s), {shed} update(s) shed; ingest→emit latency \
+        "pipeline: {} worker(s), {} update(s) shed; ingest→emit latency \
          p50 {} ns, p99 {} ns, p999 {} ns over {} update(s)",
-        snap.p50_ns, snap.p99_ns, snap.p999_ns, snap.count
+        opts.workers,
+        shed.load(Ordering::Relaxed),
+        snap.p50_ns,
+        snap.p99_ns,
+        snap.p999_ns,
+        snap.count
     );
+    let i = ingress.snapshot();
+    eprintln!(
+        "done: {} update(s) evaluated ({} stale dropped, {} decode error(s)); {} alert(s) sent",
+        i.delivered,
+        i.dropped_stale,
+        i.decode_errors,
+        back_stats.snapshot().sent
+    );
+    ExitCode::SUCCESS
 }

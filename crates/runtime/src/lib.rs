@@ -76,7 +76,7 @@ pub use faults::{
 pub use link::{FrontLink, LinkReport};
 pub use pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
 pub use rcm_transport::{
-    BatchPolicy, BoundTopology, Codec, Engine, Topology, TransportMode, TransportReport,
+    BatchPolicy, BoundTopology, Codec, Topology, TransportMode, TransportReport,
 };
 pub use rcm_tree::{AggregateSpec, TreeError, TreeOptions, TreePlan, TreeStats};
 pub use system::{ConfigError, MonitorSystem, PipelineReport, RunReport, SystemBuilder, VarFeed};

@@ -1,16 +1,19 @@
-//! The CE's shard-parallel evaluation pipeline: dispatcher → shard
-//! workers → sequencer, bit-identical to the single-threaded actor.
+//! The CE's evaluation stage: one [`EvalPipeline`] behind every
+//! supervised CE body and every `rcm-ce` node, for any worker count.
 //!
-//! PR 7's evented engine lets one CE process hold 10k+ front links,
-//! which moved the throughput ceiling into the single evaluation
-//! thread. This module parallelizes that stage while keeping the
-//! output byte-for-byte identical:
+//! With `workers == 0` the pipeline hosts the [`ConditionRegistry`] on
+//! the caller's thread: no rings, no threads, nothing to shed — each
+//! dispatch is `registry.ingest` → drain → latency record. This is the
+//! plain single-threaded evaluator, and the reference the sharded stage
+//! is pinned against.
 //!
-//! * the **dispatcher** (the supervised CE body) admits updates exactly
-//!   as before (same ingest gate, same kill/restart/replay protocol)
-//!   and fans each admitted update out to every worker over a bounded
-//!   [`spsc`](rcm_sync::spsc) ring, stamped with a global admission
-//!   index and an admission timestamp;
+//! With `workers >= 1` evaluation is shard-parallel, with the output
+//! byte-for-byte identical:
+//!
+//! * the **dispatcher** (the supervised CE body) admits updates (ingest
+//!   gate, kill/restart/replay protocol) and fans each admitted update
+//!   out to every worker over a bounded [`spsc`](rcm_sync::spsc) ring,
+//!   stamped with a global admission index and an admission timestamp;
 //! * each **shard worker** owns the `cond_id % workers` slice of the
 //!   condition set (rcm-core's [`ShardSlices`] seam — the same
 //!   partition the sim's `ShardedRegistry` uses) in a private
@@ -28,7 +31,7 @@
 //! admitted update stream in the identical order (rings are FIFO and
 //! the dispatcher sheds all-or-nothing, pre-gate), so each condition's
 //! state evolution — and therefore its alert stream and `AlertId`
-//! numbering — is exactly what the single-threaded actor computes.
+//! numbering — is exactly what the zero-worker stage computes.
 //! Sorting each round by condition id (a unique key: one alert per
 //! condition per update) is then a permutation-free reconstruction of
 //! the unsharded stream. Restart markers flow through the same FIFO
@@ -65,11 +68,12 @@ use rcm_core::condition::Condition;
 use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, ShardSlices, Update};
 use rcm_transport::BatchPolicy;
 
-/// Where the sequencer delivers each admitted update's merged alerts.
+/// Where the pipeline delivers each admitted update's merged alerts.
 ///
-/// The thread that runs the sequencer owns the drain, so the CE's back
-/// link (channel or socket) moves in here; `rcm-ce` and the scale
-/// gauntlet provide their own implementations.
+/// The thread that merges owns the drain (the sequencer, or the
+/// dispatching thread itself with zero workers), so the CE's back link
+/// (channel or socket) moves in here; `rcm-ce` and the scale gauntlet
+/// provide their own implementations.
 pub trait AlertDrain: Send {
     /// One admitted update's merged alerts, in ascending condition-id
     /// order. Never called with an empty batch.
@@ -88,13 +92,15 @@ pub trait AlertDrain: Send {
 /// [`SystemBuilder`](crate::SystemBuilder) or `rcm-ce --workers`.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineOptions {
-    /// Shard workers. `0` keeps the single-threaded in-actor path
-    /// (the default; no pipeline threads are spawned at all).
+    /// Shard workers. `0` (the default) evaluates on the dispatching
+    /// thread: no pipeline threads are spawned and nothing is shed.
     pub workers: usize,
     /// Bounded ring capacity per worker; a full ring sheds arrivals.
+    /// Unused with zero workers.
     pub ring_capacity: usize,
     /// Worker drain batching (`max_count`/`max_delay` apply;
     /// `max_bytes` is meaningless for in-process jobs and ignored).
+    /// Unused with zero workers.
     pub batch: BatchPolicy,
 }
 
@@ -145,27 +151,47 @@ enum Out {
     Abandoned,
 }
 
-/// A running evaluation pipeline: worker threads, their rings, and the
-/// sequencer. Owned by the dispatching CE body.
+/// A running evaluation pipeline, owned by the dispatching CE body.
 pub struct EvalPipeline {
-    rings: Vec<spsc::Producer<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    sequencer: Option<JoinHandle<()>>,
+    stage: Stage,
     next_idx: u64,
     shed: Arc<AtomicU64>,
 }
 
+/// Where dispatched updates are evaluated.
+enum Stage {
+    /// `workers == 0`: the registry and the drain live on the
+    /// dispatching thread; a dispatch returns once its alerts are out.
+    Inline {
+        registry: ConditionRegistry,
+        drain: Box<dyn AlertDrain>,
+        latency: Arc<LatencyHistogram>,
+    },
+    /// `workers >= 1`: one ring and one thread per shard, plus the
+    /// sequencer (which owns the drain).
+    Sharded {
+        rings: Vec<spsc::Producer<Job>>,
+        workers: Vec<JoinHandle<()>>,
+        sequencer: JoinHandle<()>,
+    },
+}
+
 impl std::fmt::Debug for EvalPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let workers = match &self.stage {
+            Stage::Inline { .. } => 0,
+            Stage::Sharded { workers, .. } => workers.len(),
+        };
         f.debug_struct("EvalPipeline")
-            .field("workers", &self.workers.len())
+            .field("workers", &workers)
             .field("dispatched", &self.next_idx)
             .finish()
     }
 }
 
 impl EvalPipeline {
-    /// Spawns `options.workers` shard workers (at least 1) plus the
+    /// Starts the evaluation stage: with `options.workers == 0` on the
+    /// caller's thread, otherwise on that many shard workers plus the
     /// sequencer. Condition `i` gets global id `CondId::new(i)` and
     /// lives on shard `i % workers`, exactly as the sim's sharded
     /// engine partitions.
@@ -177,33 +203,46 @@ impl EvalPipeline {
         latency: Arc<LatencyHistogram>,
         shed: Arc<AtomicU64>,
     ) -> EvalPipeline {
-        let workers = options.workers.max(1);
-        let mut slices = ShardSlices::new(ce, workers);
-        for (i, cond) in conditions.iter().enumerate() {
-            slices.insert(CondId::new(i as u32), Arc::clone(cond));
-        }
-        let batch = options.batch;
-        let mut rings = Vec::with_capacity(workers);
-        let mut joins = Vec::with_capacity(workers);
-        let mut outs: Vec<Receiver<Out>> = Vec::with_capacity(workers);
-        for shard in slices.into_shards() {
-            let (tx, rx) = spsc::ring::<Job>(options.ring_capacity.max(1));
-            let (out_tx, out_rx) = unbounded::<Out>();
-            rings.push(tx);
-            outs.push(out_rx);
-            joins.push(rcm_sync::thread::spawn(move || worker_body(shard, rx, out_tx, batch)));
-        }
-        let seq_latency = Arc::clone(&latency);
-        let sequencer =
-            Some(rcm_sync::thread::spawn(move || sequencer_body(outs, drain, seq_latency)));
-        EvalPipeline { rings, workers: joins, sequencer, next_idx: 0, shed }
+        let conditions =
+            conditions.iter().enumerate().map(|(i, c)| (CondId::new(i as u32), Arc::clone(c)));
+        let stage = if options.workers == 0 {
+            let mut registry = ConditionRegistry::new(ce);
+            for (id, cond) in conditions {
+                registry.insert(id, cond);
+            }
+            Stage::Inline { registry, drain, latency }
+        } else {
+            let mut slices = ShardSlices::new(ce, options.workers);
+            for (id, cond) in conditions {
+                slices.insert(id, cond);
+            }
+            let batch = options.batch;
+            let mut rings = Vec::with_capacity(options.workers);
+            let mut workers = Vec::with_capacity(options.workers);
+            let mut outs: Vec<Receiver<Out>> = Vec::with_capacity(options.workers);
+            for shard in slices.into_shards() {
+                let (tx, rx) = spsc::ring::<Job>(options.ring_capacity.max(1));
+                let (out_tx, out_rx) = unbounded::<Out>();
+                rings.push(tx);
+                outs.push(out_rx);
+                workers
+                    .push(rcm_sync::thread::spawn(move || worker_body(shard, rx, out_tx, batch)));
+            }
+            let sequencer = rcm_sync::thread::spawn(move || sequencer_body(outs, drain, latency));
+            Stage::Sharded { rings, workers, sequencer }
+        };
+        EvalPipeline { stage, next_idx: 0, shed }
     }
 
     /// Whether dispatching one more update right now would overflow a
-    /// ring. The dispatcher is the only producer, so a `false` answer
-    /// stays valid until it pushes: workers only ever *free* space.
+    /// ring (never, with zero workers). The dispatcher is the only
+    /// producer, so a `false` answer stays valid until it pushes:
+    /// workers only ever *free* space.
     pub fn would_shed(&self) -> bool {
-        self.rings.iter().any(spsc::Producer::is_full)
+        match &self.stage {
+            Stage::Inline { .. } => false,
+            Stage::Sharded { rings, .. } => rings.iter().any(spsc::Producer::is_full),
+        }
     }
 
     /// Records one shed arrival (kept with the pipeline so every
@@ -212,33 +251,48 @@ impl EvalPipeline {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fans an admitted update out to every shard. Call only after
-    /// [`EvalPipeline::would_shed`] said there is room — a race-free
-    /// protocol for the single dispatcher.
+    /// Evaluates an admitted update (zero workers) or fans it out to
+    /// every shard. Call only after [`EvalPipeline::would_shed`] said
+    /// there is room — a race-free protocol for the single dispatcher.
     pub fn dispatch(&mut self, update: Update) {
-        let idx = self.next_idx;
-        self.next_idx += 1;
-        let t0 = Instant::now();
-        for ring in &self.rings {
-            if ring.push(Job::Update { idx, t0, update }).is_err() {
-                // Unreachable under the would_shed protocol (and a
-                // dead consumer means the run is tearing down anyway);
-                // losing a push here would desync shard histories, so
-                // account it as shed for the report's sake.
-                self.count_shed();
-            }
-        }
+        self.dispatch_with(update, false);
     }
 
-    /// Fans an admitted update out on the rings' *blocking* path — the
+    /// [`EvalPipeline::dispatch`] on the rings' *blocking* path — the
     /// replay entry: recovery replays are already-admitted history and
     /// must not shed.
     pub fn dispatch_wait(&mut self, update: Update) {
+        self.dispatch_with(update, true);
+    }
+
+    fn dispatch_with(&mut self, update: Update, wait: bool) {
         let idx = self.next_idx;
         self.next_idx += 1;
         let t0 = Instant::now();
-        for ring in &self.rings {
-            let _ = ring.push_wait(Job::Update { idx, t0, update });
+        match &mut self.stage {
+            Stage::Inline { registry, drain, latency } => {
+                let mut alerts = Vec::new();
+                registry.ingest(update, &mut alerts);
+                if !alerts.is_empty() {
+                    drain.alerts(alerts);
+                }
+                latency.record(elapsed_nanos(t0));
+            }
+            Stage::Sharded { rings, .. } => {
+                for ring in rings.iter() {
+                    let job = Job::Update { idx, t0, update };
+                    if wait {
+                        let _ = ring.push_wait(job);
+                    } else if ring.push(job).is_err() {
+                        // Unreachable under the would_shed protocol
+                        // (and a dead consumer means the run is tearing
+                        // down anyway); losing a push here would desync
+                        // shard histories, so account it as shed for
+                        // the report's sake.
+                        self.shed.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
         }
     }
 
@@ -247,46 +301,60 @@ impl EvalPipeline {
         self.next_idx
     }
 
-    /// Delivers the crash marker to every shard (blocking — restarts
-    /// are control flow, never shed): each wipes its histories at the
-    /// same stream position; alert numbering survives.
+    /// The crash marker: every shard wipes its histories at the same
+    /// stream position (delivered blocking — restarts are control flow,
+    /// never shed); alert numbering survives.
     pub fn restart(&mut self) {
-        for ring in &self.rings {
-            let _ = ring.push_wait(Job::Restart);
-        }
-    }
-
-    /// End of stream: closes the rings, lets every worker drain, and
-    /// joins the pipeline. The sequencer calls the drain's
-    /// `end_of_stream` (flushing the back link) before exiting.
-    pub fn finish(mut self) {
-        self.rings.clear(); // dropping the producers closes the rings
-        self.join();
-    }
-
-    /// Budget exhausted: delivers the abandon marker (in-flight
-    /// updates still evaluate first — they were admitted), then joins.
-    /// The sequencer calls the drain's `abandoned` instead of flushing.
-    pub fn abandon(mut self) {
-        for ring in &self.rings {
-            let _ = ring.push_wait(Job::Abandon);
-        }
-        self.rings.clear();
-        self.join();
-    }
-
-    fn join(&mut self) {
-        for handle in self.workers.drain(..) {
-            if let Err(payload) = handle.join() {
-                resume_unwind(payload);
-            }
-        }
-        if let Some(handle) = self.sequencer.take() {
-            if let Err(payload) = handle.join() {
-                resume_unwind(payload);
+        match &mut self.stage {
+            Stage::Inline { registry, .. } => registry.restart(),
+            Stage::Sharded { rings, .. } => {
+                for ring in rings.iter() {
+                    let _ = ring.push_wait(Job::Restart);
+                }
             }
         }
     }
+
+    /// End of stream: every in-flight update is evaluated, then the
+    /// drain's `end_of_stream` runs (flushing the back link) and the
+    /// pipeline's threads, if any, are joined.
+    pub fn finish(self) {
+        match self.stage {
+            Stage::Inline { mut drain, .. } => drain.end_of_stream(),
+            Stage::Sharded { rings, workers, sequencer } => {
+                drop(rings); // dropping the producers closes the rings
+                join(workers, sequencer);
+            }
+        }
+    }
+
+    /// Budget exhausted: in-flight updates still evaluate first (they
+    /// were admitted), then the drain's `abandoned` runs instead of the
+    /// flush.
+    pub fn abandon(self) {
+        match self.stage {
+            Stage::Inline { mut drain, .. } => drain.abandoned(),
+            Stage::Sharded { rings, workers, sequencer } => {
+                for ring in &rings {
+                    let _ = ring.push_wait(Job::Abandon);
+                }
+                drop(rings);
+                join(workers, sequencer);
+            }
+        }
+    }
+}
+
+fn join(workers: Vec<JoinHandle<()>>, sequencer: JoinHandle<()>) {
+    for handle in workers.into_iter().chain([sequencer]) {
+        if let Err(payload) = handle.join() {
+            resume_unwind(payload);
+        }
+    }
+}
+
+fn elapsed_nanos(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// One shard worker: evaluates every update in admission order against
@@ -401,8 +469,7 @@ fn sequencer_body(
             drain.alerts(std::mem::take(&mut merged));
         }
         if let Some((_, t0)) = round {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            latency.record(nanos);
+            latency.record(elapsed_nanos(t0));
         }
     }
 }
@@ -497,7 +564,7 @@ mod tests {
         let updates = stream(60);
         let want = reference(&conds, &updates);
         assert!(!want.is_empty());
-        for workers in [1usize, 2, 3, 8] {
+        for workers in [0usize, 1, 2, 3, 8] {
             let (got, flushed, abandoned) = run_pipeline(&conds, &updates, workers, None);
             assert_eq!(got, want, "workers = {workers}");
             for (g, w) in got.iter().zip(&want) {
@@ -521,7 +588,7 @@ mod tests {
         reg.restart();
         reg.ingest_batch(&updates[cut..], &mut want);
 
-        for workers in [1usize, 4] {
+        for workers in [0usize, 1, 4] {
             let (got, ..) = run_pipeline(&conds, &updates, workers, Some(cut));
             assert_eq!(got, want, "workers = {workers}");
             for (g, w) in got.iter().zip(&want) {
@@ -535,29 +602,31 @@ mod tests {
         let conds = family(3);
         let updates = stream(10);
         let want = reference(&conds, &updates);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let flushed = Arc::new(Mutex::new(false));
-        let abandoned = Arc::new(Mutex::new(false));
-        let drain = Box::new(VecDrain {
-            alerts: Arc::clone(&got),
-            flushed: Arc::clone(&flushed),
-            abandoned: Arc::clone(&abandoned),
-        });
-        let mut pipe = EvalPipeline::start(
-            CeId::new(0),
-            &conds,
-            &PipelineOptions::with_workers(2),
-            drain,
-            Arc::new(LatencyHistogram::new()),
-            Arc::new(AtomicU64::new(0)),
-        );
-        for &u in &updates {
-            pipe.dispatch_wait(u);
+        for workers in [0usize, 2] {
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let flushed = Arc::new(Mutex::new(false));
+            let abandoned = Arc::new(Mutex::new(false));
+            let drain = Box::new(VecDrain {
+                alerts: Arc::clone(&got),
+                flushed: Arc::clone(&flushed),
+                abandoned: Arc::clone(&abandoned),
+            });
+            let mut pipe = EvalPipeline::start(
+                CeId::new(0),
+                &conds,
+                &PipelineOptions::with_workers(workers),
+                drain,
+                Arc::new(LatencyHistogram::new()),
+                Arc::new(AtomicU64::new(0)),
+            );
+            for &u in &updates {
+                pipe.dispatch_wait(u);
+            }
+            pipe.abandon();
+            assert_eq!(got.lock().clone(), want, "workers = {workers}");
+            assert!(*abandoned.lock(), "workers = {workers}");
+            assert!(!*flushed.lock(), "workers = {workers}");
         }
-        pipe.abandon();
-        assert_eq!(got.lock().clone(), want);
-        assert!(*abandoned.lock());
-        assert!(!*flushed.lock());
     }
 
     #[test]
@@ -609,27 +678,34 @@ mod tests {
     fn latency_histogram_sees_every_round() {
         let conds = family(1);
         let updates = stream(25);
-        let latency = Arc::new(LatencyHistogram::new());
-        let drain = Box::new(VecDrain {
-            alerts: Arc::new(Mutex::new(Vec::new())),
-            flushed: Arc::new(Mutex::new(false)),
-            abandoned: Arc::new(Mutex::new(false)),
-        });
-        let mut pipe = EvalPipeline::start(
-            CeId::new(0),
-            &conds,
-            &PipelineOptions::with_workers(2),
-            drain,
-            Arc::clone(&latency),
-            Arc::new(AtomicU64::new(0)),
-        );
-        for &u in &updates {
-            pipe.dispatch_wait(u);
+        for workers in [0usize, 2] {
+            let latency = Arc::new(LatencyHistogram::new());
+            let drain = Box::new(VecDrain {
+                alerts: Arc::new(Mutex::new(Vec::new())),
+                flushed: Arc::new(Mutex::new(false)),
+                abandoned: Arc::new(Mutex::new(false)),
+            });
+            let mut pipe = EvalPipeline::start(
+                CeId::new(0),
+                &conds,
+                &PipelineOptions::with_workers(workers),
+                drain,
+                Arc::clone(&latency),
+                Arc::new(AtomicU64::new(0)),
+            );
+            if workers == 0 {
+                // No thread and no ring: nothing that could fill.
+                assert!(format!("{pipe:?}").contains("workers: 0"), "{pipe:?}");
+            }
+            for &u in &updates {
+                pipe.dispatch_wait(u);
+                assert!(workers != 0 || !pipe.would_shed());
+            }
+            pipe.finish();
+            let snap = latency.snapshot();
+            assert_eq!(snap.count, 25, "workers = {workers}");
+            assert!(snap.p99_ns >= snap.p50_ns);
+            assert!(snap.max_ns >= snap.p999_ns);
         }
-        pipe.finish();
-        let snap = latency.snapshot();
-        assert_eq!(snap.count, 25);
-        assert!(snap.p99_ns >= snap.p50_ns);
-        assert!(snap.max_ns >= snap.p999_ns);
     }
 }

@@ -7,7 +7,7 @@
 //! transport links, whose counter mutexes are leaves.
 
 use rcm_core::{Alert, Update};
-use rcm_transport::{EventedBackLink, TcpBackLink, UdpFrontLink};
+use rcm_transport::{EventedBackLink, UdpFrontLink};
 
 use crate::actors::{AlertSink, UpdateSender};
 
@@ -26,20 +26,6 @@ impl UpdateSender for UdpSender {
 
     fn finish(&mut self) {
         self.link.finish(self.fin_repeats);
-    }
-}
-
-impl AlertSink for TcpBackLink {
-    fn send_alert(&mut self, alert: Alert) {
-        TcpBackLink::send_alert(self, alert);
-    }
-
-    fn flush(&mut self) {
-        self.finish();
-    }
-
-    fn abandon(&mut self) {
-        TcpBackLink::abandon(self);
     }
 }
 

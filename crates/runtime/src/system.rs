@@ -19,9 +19,8 @@ use rcm_core::{Alert, CeId, LatencyHistogram, LatencySnapshot, Update, VarId};
 use rcm_net::{Backoff, LossModel, Lossless};
 use rcm_transport::engine::{BackLinkCounters, EngineCounters, IngressCounters, ListenerCounters};
 use rcm_transport::{
-    BackLinkSpec, BoundTopology, Engine, EngineStats, EventLoop, FrontLinkStats, IngressStats,
-    ListenerStats, TcpAlertListener, TcpBackLink, TcpLinkStats, TransportMode, TransportReport,
-    UdpFrontLink, UdpFrontReceiver,
+    BackLinkSpec, BoundTopology, EngineStats, EventLoop, FrontLinkStats, ListenerStats,
+    TcpLinkStats, TransportMode, TransportReport, UdpFrontLink,
 };
 
 use crate::actors::{
@@ -251,15 +250,14 @@ impl SystemBuilder {
         self
     }
 
-    /// Number of evaluation workers per CE replica (default 0: each
-    /// replica evaluates inline on its own thread, the reference
-    /// single-threaded path). With `workers >= 1` every replica runs
-    /// the shard-parallel [`EvalPipeline`](crate::EvalPipeline):
-    /// conditions are partitioned `cond_id % workers` across worker
-    /// threads fed over bounded rings, and a sequencer merges per-shard
-    /// alerts back into the exact single-threaded emission order — the
-    /// output is byte-identical for any worker count, but arrivals that
-    /// find a ring full are shed like front-link loss (counted in
+    /// Number of evaluation workers per CE replica's
+    /// [`EvalPipeline`](crate::EvalPipeline) (default 0: each replica
+    /// evaluates on its own thread). With `workers >= 1` conditions are
+    /// partitioned `cond_id % workers` across worker threads fed over
+    /// bounded rings, and a sequencer merges per-shard alerts back into
+    /// the exact single-threaded emission order — the output is
+    /// byte-identical for any worker count, but arrivals that find a
+    /// ring full are shed like front-link loss (counted in
     /// [`RunReport::pipeline`]).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
@@ -475,9 +473,6 @@ impl SystemBuilder {
             shed,
             front_vars: Vec::new(),
             front_stats: Vec::new(),
-            ingress_stats: Vec::new(),
-            tcp_stats: Vec::new(),
-            ad_stats: None,
             engine_counters: None,
             evented_ingress: Vec::new(),
             evented_tcp: Vec::new(),
@@ -487,10 +482,11 @@ impl SystemBuilder {
 
     /// Socket-mode assembly: the same actor bodies, with every channel
     /// link swapped for a real socket from the bound topology. DMs own
-    /// one UDP socket per replica; each CE gets a UDP ingress thread
-    /// (enforcing the front-link contract through the shared seqno
-    /// gate) and a reconnecting TCP back link; the AD gets a TCP
-    /// listener thread fanning frames into the ordinary `ad_body`.
+    /// one UDP socket per replica; every CE's UDP ingress (enforcing the
+    /// front-link contract through the shared seqno gate) and
+    /// reconnecting TCP back link, and the AD's TCP listener fanning
+    /// frames into the ordinary `ad_body`, are state machines on one
+    /// readiness loop.
     fn start_sockets(
         self,
         topology: BoundTopology,
@@ -521,77 +517,41 @@ impl SystemBuilder {
 
         let mut handles: Vec<JoinHandle<()>> = Vec::new();
 
-        // Evented mode runs every CE ingress, back link and the AD
-        // listener of this process as state machines on one readiness
-        // loop; threaded mode keeps the reference thread-per-link path.
-        let mut event_loop = match parts.engine {
-            Engine::Evented => Some(EventLoop::new().map_err(transport_err)?),
-            Engine::Threaded => None,
-        };
+        let mut event_loop = EventLoop::new().map_err(transport_err)?;
         let mut evented_ingress: Vec<Arc<IngressCounters>> = Vec::new();
         let mut evented_tcp: Vec<Arc<BackLinkCounters>> = Vec::new();
-        let mut evented_ad: Option<Arc<ListenerCounters>> = None;
 
         // AD side: the TCP listener decodes alert frames from every CE
         // connection and fans them into the same channel the in-process
         // AD consumes. It hangs up (closing the channel) once every
         // replica's end-of-stream marker arrived.
         let (alert_tx, alert_rx) = unbounded::<Alert>();
-        let mut ad_stats = None;
-        if let Some(el) = event_loop.as_mut() {
-            evented_ad = Some(
-                el.add_alert_listener(
-                    parts.listener,
-                    self.replicas,
-                    parts.idle_timeout * 2,
-                    move |alert| {
-                        let _ = alert_tx.send(alert);
-                    },
-                )
-                .map_err(transport_err)?,
-            );
-        } else {
-            let listener = TcpAlertListener::from_listener(parts.listener)
-                .map_err(transport_err)?
-                .expected_fins(self.replicas)
-                .idle_timeout(parts.idle_timeout * 2);
-            ad_stats = Some(listener.stats_handle());
-            handles.push(rcm_sync::thread::spawn(move || {
-                listener.run(|alert| {
+        let evented_ad = event_loop
+            .add_alert_listener(
+                parts.listener,
+                self.replicas,
+                parts.idle_timeout * 2,
+                move |alert| {
                     let _ = alert_tx.send(alert);
-                });
-            }));
-        }
+                },
+            )
+            .map_err(transport_err)?;
 
-        // CE side: per replica, a UDP ingress thread feeding the CE
-        // thread over a channel, and a TCP back link to the AD. The
-        // back link connects eagerly, so a dead AD address fails here
-        // rather than silently dropping alerts later.
+        // CE side: per replica, a UDP ingress feeding the CE thread
+        // over a channel, and a TCP back link to the AD. The back link
+        // connects eagerly, so a dead AD address fails here rather than
+        // silently dropping alerts later.
         let mut ingested: Vec<Arc<Mutex<Vec<Update>>>> = Vec::new();
         let mut emitted: Vec<Arc<Mutex<Vec<Alert>>>> = Vec::new();
-        let mut ingress_stats: Vec<Arc<Mutex<IngressStats>>> = Vec::new();
-        let mut tcp_stats: Vec<Arc<Mutex<TcpLinkStats>>> = Vec::new();
         for (ce, sock) in parts.ce_sockets.into_iter().enumerate() {
             let (tx, rx) = unbounded::<Update>();
-            if let Some(el) = event_loop.as_mut() {
-                evented_ingress.push(
-                    el.add_front_ingress(sock, n_feeds, parts.idle_timeout, move |update| {
+            evented_ingress.push(
+                event_loop
+                    .add_front_ingress(sock, n_feeds, parts.idle_timeout, move |update| {
                         let _ = tx.send(update);
                     })
                     .map_err(transport_err)?,
-                );
-            } else {
-                let receiver = UdpFrontReceiver::from_socket(sock)
-                    .map_err(transport_err)?
-                    .expected_fins(n_feeds)
-                    .idle_timeout(parts.idle_timeout);
-                ingress_stats.push(receiver.stats_handle());
-                handles.push(rcm_sync::thread::spawn(move || {
-                    receiver.run(|update| {
-                        let _ = tx.send(update);
-                    });
-                }));
-            }
+            );
 
             let (backoff_base, backoff_cap) = plan
                 .as_ref()
@@ -601,38 +561,22 @@ impl SystemBuilder {
             let backoff_seed =
                 self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ce as u64);
             let backoff = Backoff::new(backoff_base, backoff_cap, backoff_seed);
-            let severs = plan.as_ref().map(|p| {
-                p.severs
-                    .iter()
-                    .filter(|s| s.ce == ce)
-                    .map(|s| (s.at_send, s.down_for))
-                    .collect::<Vec<_>>()
-            });
-            let back: Box<dyn AlertSink> = if let Some(el) = event_loop.as_mut() {
-                let mut spec = BackLinkSpec::new(parts.ad_addr, ce as u32, backoff)
-                    .codec(parts.back_codec)
-                    .batching(parts.back_batch);
-                if let Some(p) = &plan {
-                    spec = spec
-                        .with_severs(severs.clone().unwrap_or_default())
-                        .queue_cap(p.resend_queue_cap);
-                }
-                let link = el.add_back_link(spec).map_err(transport_err)?;
-                evented_tcp.push(link.stats_handle());
-                Box::new(link)
-            } else {
-                let mut back = TcpBackLink::connect(parts.ad_addr, ce as u32, backoff)
-                    .map_err(transport_err)?
-                    .codec(parts.back_codec)
-                    .batching(parts.back_batch);
-                if let Some(p) = &plan {
-                    back = back
-                        .with_severs(severs.clone().unwrap_or_default())
-                        .queue_cap(p.resend_queue_cap);
-                }
-                tcp_stats.push(back.stats_handle());
-                Box::new(back)
-            };
+            let mut spec = BackLinkSpec::new(parts.ad_addr, ce as u32, backoff)
+                .codec(parts.back_codec)
+                .batching(parts.back_batch);
+            if let Some(p) = &plan {
+                spec = spec
+                    .with_severs(
+                        p.severs
+                            .iter()
+                            .filter(|s| s.ce == ce)
+                            .map(|s| (s.at_send, s.down_for))
+                            .collect(),
+                    )
+                    .queue_cap(p.resend_queue_cap);
+            }
+            let back = event_loop.add_back_link(spec).map_err(transport_err)?;
+            evented_tcp.push(back.stats_handle());
 
             let record = Arc::new(Mutex::new(Vec::new()));
             ingested.push(Arc::clone(&record));
@@ -656,7 +600,7 @@ impl SystemBuilder {
                     CeId::new(ce as u32),
                     conditions,
                     rx,
-                    back,
+                    Box::new(back) as Box<dyn AlertSink>,
                     record,
                     outputs,
                     faults,
@@ -668,12 +612,9 @@ impl SystemBuilder {
         // With every source registered, the loop itself gets a thread.
         // `run` returns once the last primary source retires, which is
         // exactly when every CE finished its back link and the AD saw
-        // every Fin — the same join condition the threaded path has.
-        let engine_counters = event_loop.take().map(|el| {
-            let counters = el.counters();
-            handles.push(rcm_sync::thread::spawn(move || el.run()));
-            counters
-        });
+        // every Fin.
+        let engine_counters = event_loop.counters();
+        handles.push(rcm_sync::thread::spawn(move || event_loop.run()));
 
         // The AD filter thread, fed by the listener thread's channel.
         let arrivals = Arc::new(Mutex::new(Vec::new()));
@@ -725,13 +666,10 @@ impl SystemBuilder {
             shed,
             front_vars,
             front_stats,
-            ingress_stats,
-            tcp_stats,
-            ad_stats,
-            engine_counters,
+            engine_counters: Some(engine_counters),
             evented_ingress,
             evented_tcp,
-            evented_ad,
+            evented_ad: Some(evented_ad),
         })
     }
 }
@@ -748,7 +686,7 @@ pub struct MonitorSystem {
     backlink_stats: Vec<Arc<Mutex<BackLinkStats>>>,
     mode: TransportMode,
     replicas: usize,
-    /// Evaluation workers per replica (0 = inline path).
+    /// Evaluation workers per replica.
     workers: usize,
     /// Run-wide ingest→alert-emit latency histogram.
     latency: Arc<LatencyHistogram>,
@@ -758,12 +696,7 @@ pub struct MonitorSystem {
     front_vars: Vec<VarId>,
     /// Socket-mode sender counters keyed `(feed, ce)`.
     front_stats: Vec<((usize, usize), Arc<Mutex<FrontLinkStats>>)>,
-    ingress_stats: Vec<Arc<Mutex<IngressStats>>>,
-    tcp_stats: Vec<Arc<Mutex<TcpLinkStats>>>,
-    ad_stats: Option<Arc<Mutex<ListenerStats>>>,
-    /// Evented-engine counter blocks (socket mode with the evented
-    /// engine; the threaded vectors above stay empty then, and vice
-    /// versa, so the report merge is a plain concatenation).
+    /// Socket-engine counter blocks (empty / `None` in-process).
     engine_counters: Option<Arc<EngineCounters>>,
     evented_ingress: Vec<Arc<IngressCounters>>,
     evented_tcp: Vec<Arc<BackLinkCounters>>,
@@ -835,14 +768,6 @@ impl MonitorSystem {
                 report.backlink_duplicates += s.resent_duplicates;
                 report.alerts_lost_overflow += s.lost_overflow;
             }
-            for stats in &self.tcp_stats {
-                let s = *stats.lock();
-                report.backlink_severs += s.severs;
-                report.backlink_reconnects += s.reconnects;
-                report.backlink_attempts += s.attempts;
-                report.backlink_duplicates += s.resent_duplicates;
-                report.alerts_lost_overflow += s.lost_overflow;
-            }
             for counters in &self.evented_tcp {
                 let s = counters.snapshot();
                 report.backlink_severs += s.severs;
@@ -906,26 +831,9 @@ impl MonitorSystem {
                     .iter()
                     .map(|((fi, ci), stats)| (*fi, *ci, *stats.lock()))
                     .collect(),
-                // Exactly one engine populated its side, so chaining the
-                // threaded and evented blocks yields one per-link list.
-                ingress: self
-                    .ingress_stats
-                    .iter()
-                    .map(|s| *s.lock())
-                    .chain(self.evented_ingress.iter().map(|c| c.snapshot()))
-                    .collect(),
-                back_links: self
-                    .tcp_stats
-                    .iter()
-                    .map(|s| *s.lock())
-                    .chain(self.evented_tcp.iter().map(|c| c.snapshot()))
-                    .collect(),
-                ad: self
-                    .ad_stats
-                    .as_ref()
-                    .map(|s| *s.lock())
-                    .or_else(|| self.evented_ad.as_ref().map(|c| c.snapshot()))
-                    .unwrap_or_default(),
+                ingress: self.evented_ingress.iter().map(|c| c.snapshot()).collect(),
+                back_links: self.evented_tcp.iter().map(|c| c.snapshot()).collect(),
+                ad: self.evented_ad.as_ref().map(|c| c.snapshot()).unwrap_or_default(),
                 engine: self.engine_counters.as_ref().map(|c| c.snapshot()).unwrap_or_default(),
             },
         };
@@ -1011,8 +919,7 @@ pub struct RunReport {
     /// rode channels or real sockets.
     pub transport: TransportReport,
     /// What the evaluation stage observed: worker count, ring shedding
-    /// and the ingest→alert-emit latency distribution (recorded on
-    /// both the inline and the pipelined path).
+    /// and the ingest→alert-emit latency distribution.
     pub pipeline: PipelineReport,
     /// Aggregation-tree counters when the run was a
     /// [`TreeTopology`](crate::TreeTopology) deployment; `None` for
@@ -1023,8 +930,8 @@ pub struct RunReport {
 /// Evaluation-stage counters for a finished run.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
 pub struct PipelineReport {
-    /// Evaluation workers per replica (0 = the inline single-threaded
-    /// path; the output is identical either way).
+    /// Evaluation workers per replica (0 = evaluated on the CE's own
+    /// thread; the output is identical either way).
     #[serde(default)]
     pub workers: usize,
     /// Updates shed across all replicas because a worker ring was full

@@ -1,11 +1,12 @@
 //! Properties pinning the evaluation pipeline's determinism contract:
 //!
-//! > For any worker count (including 1) the pipelined CE emits a
-//! > byte-identical alert stream — same alerts, same order, same
-//! > `AlertId` numbering — as the single-threaded in-actor evaluator
-//! > fed the same admitted updates; shedding on a full worker ring is
-//! > observationally front-link loss; and fault-plan kill/restarts
-//! > leave per-condition alert numbering dense and ascending.
+//! > For any worker count the pipelined CE emits a byte-identical
+//! > alert stream — same alerts, same order, same `AlertId` numbering
+//! > — as the zero-worker pipeline (the plain single-threaded
+//! > registry) fed the same admitted updates; shedding on a full
+//! > worker ring is observationally front-link loss; and fault-plan
+//! > kill/restarts leave per-condition alert numbering dense and
+//! > ascending.
 //!
 //! Two layers of checks:
 //!
@@ -166,7 +167,7 @@ fn pipelined_emission_matches_inline_for_any_worker_count() {
 #[test]
 fn pipelined_restarts_keep_alert_numbering_intact() {
     let conds = family(6);
-    for workers in [1usize, 4] {
+    for workers in [0usize, 1, 4] {
         let report = build(&conds, workers, values(120))
             .faults(FaultPlan::scripted().kill_ce(0, 30).kill_ce(1, 55).retain_window(256))
             .start()
@@ -214,7 +215,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For arbitrary workloads, drop sets and worker counts, the
-    /// pipelined emission is byte-identical to the inline actor's.
+    /// pipelined emission is byte-identical to the zero-worker run's.
     #[test]
     fn prop_pipelined_matches_inline(
         n_conds in 1u32..12,

@@ -7,10 +7,9 @@
 //! These are the tentpole acceptance tests for the socket transport:
 //! they prove the deployment path is behaviorally identical to the
 //! model the rest of the repo verifies — for every payload codec
-//! (JSON, binary, and a mixed-fleet split), with frame batching on,
-//! and over **both** socket engines: the threaded reference path and
-//! the evented readiness loop are pinned to the same in-process output
-//! at 0% and 20% front-link loss.
+//! (JSON, binary, and a mixed-fleet split), with frame batching on, at
+//! 0% and 20% front-link loss, evaluated on the CE thread or on shard
+//! workers.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,8 +18,7 @@ use rcm_core::condition::{Cmp, Condition, Threshold};
 use rcm_core::{Alert, VarId};
 use rcm_net::Scripted;
 use rcm_runtime::{
-    BatchPolicy, Codec, Engine, FaultPlan, MonitorSystem, RunReport, Topology, TransportMode,
-    VarFeed,
+    BatchPolicy, Codec, FaultPlan, MonitorSystem, RunReport, Topology, TransportMode, VarFeed,
 };
 use rcm_transport::{LossProxy, ProxyStats};
 
@@ -56,12 +54,8 @@ fn run_in_process(plan: FaultPlan, drops: &'static [u64]) -> RunReport {
 
 /// Runs the same system over real sockets, with a [`LossProxy`] per CE
 /// replica replaying the same scripted drop set on the real datagrams.
-fn run_sockets(
-    plan: FaultPlan,
-    drops: &'static [u64],
-    engine: Engine,
-) -> (RunReport, Vec<ProxyStats>) {
-    run_sockets_on(Topology::loopback(2).with_engine(engine), plan, drops)
+fn run_sockets(plan: FaultPlan, drops: &'static [u64]) -> (RunReport, Vec<ProxyStats>) {
+    run_sockets_on(Topology::loopback(2), plan, drops)
 }
 
 /// Like [`run_sockets`] but over a caller-configured topology (codec
@@ -75,7 +69,7 @@ fn run_sockets_on(
 }
 
 /// Like [`run_sockets_on`] with the CE evaluation pipeline enabled at
-/// `workers` shard workers (0 = the inline in-actor evaluator).
+/// `workers` shard workers (0 = evaluated on the CE thread).
 fn run_sockets_workers(
     topology: Topology,
     plan: FaultPlan,
@@ -125,42 +119,36 @@ fn scripted_loss_matches_in_process_output_exactly() {
     // link in both modes.
     const DROPS: &[u64] = &[1, 4, 7, 11];
     let in_process = run_in_process(FaultPlan::scripted(), DROPS);
-    for engine in [Engine::Threaded, Engine::Evented] {
-        let (sockets, proxy_stats) = run_sockets(FaultPlan::scripted(), DROPS, engine);
+    let (sockets, proxy_stats) = run_sockets(FaultPlan::scripted(), DROPS);
 
-        assert_eq!(sockets.transport.mode, TransportMode::Sockets);
-        assert!(!sockets.displayed.is_empty(), "loss must not silence the system");
-        assert_eq!(
-            sockets.displayed,
-            in_process.displayed,
-            "{engine} socket pipeline diverged from the in-process model under 20% loss \
-             (sockets {:?} vs in-process {:?})",
-            displayed_seqnos(&sockets),
-            displayed_seqnos(&in_process),
-        );
+    assert_eq!(sockets.transport.mode, TransportMode::Sockets);
+    assert!(!sockets.displayed.is_empty(), "loss must not silence the system");
+    assert_eq!(
+        sockets.displayed,
+        in_process.displayed,
+        "socket pipeline diverged from the in-process model under 20% loss \
+         (sockets {:?} vs in-process {:?})",
+        displayed_seqnos(&sockets),
+        displayed_seqnos(&in_process),
+    );
 
-        // The loss really happened on the wire, not in a model: each
-        // proxy ate exactly the scripted positions, and each CE ingress
-        // saw only the survivors.
-        for stats in &proxy_stats {
-            assert_eq!(stats.dropped, DROPS.len() as u64);
-        }
-        assert_eq!(sockets.transport.ingress.len(), 2, "{engine}");
-        for ingress in &sockets.transport.ingress {
-            assert_eq!(ingress.delivered, (values().len() - DROPS.len()) as u64);
-            assert_eq!(ingress.decode_errors, 0);
-        }
-        // The legacy per-link view is populated in both modes.
-        assert_eq!(sockets.links.len(), 2);
-        let sent: u64 = sockets.transport.front_links.iter().map(|(_, _, s)| s.frames_sent).sum();
-        assert_eq!(sent, 2 * values().len() as u64);
-        // The engine rollup distinguishes the paths: only the evented
-        // loop records wakeups.
-        match engine {
-            Engine::Evented => assert!(sockets.transport.engine.wakeups > 0, "loop never woke"),
-            Engine::Threaded => assert_eq!(sockets.transport.engine.wakeups, 0),
-        }
+    // The loss really happened on the wire, not in a model: each
+    // proxy ate exactly the scripted positions, and each CE ingress
+    // saw only the survivors.
+    for stats in &proxy_stats {
+        assert_eq!(stats.dropped, DROPS.len() as u64);
     }
+    assert_eq!(sockets.transport.ingress.len(), 2);
+    for ingress in &sockets.transport.ingress {
+        assert_eq!(ingress.delivered, (values().len() - DROPS.len()) as u64);
+        assert_eq!(ingress.decode_errors, 0);
+    }
+    // The legacy per-link view is populated in both modes.
+    assert_eq!(sockets.links.len(), 2);
+    let sent: u64 = sockets.transport.front_links.iter().map(|(_, _, s)| s.frames_sent).sum();
+    assert_eq!(sent, 2 * values().len() as u64);
+    // The engine rollup is live: the readiness loop woke to carry this.
+    assert!(sockets.transport.engine.wakeups > 0, "loop never woke");
 }
 
 /// Acceptance for the codec seam: every codec assignment — all-JSON,
@@ -232,35 +220,32 @@ fn batched_front_links_change_framing_but_not_output() {
 }
 
 /// Tentpole acceptance: the shard-parallel evaluation pipeline is
-/// transport-invariant. A `--workers 4` system over real sockets — on
-/// both socket engines, under 20% scripted front-link loss — displays
-/// the exact same alert sequence as the inline (workers = 0)
-/// in-process actor, and its run report carries the pipeline's worker
-/// count and a populated ingest→emit latency histogram.
+/// transport-invariant. A `--workers 4` system over real sockets, under
+/// 20% scripted front-link loss, displays the exact same alert sequence
+/// as the zero-worker in-process actor, and its run report carries the
+/// pipeline's worker count and a populated ingest→emit latency
+/// histogram.
 #[test]
-fn pipelined_workers_match_in_process_output_on_both_engines() {
+fn pipelined_workers_match_in_process_output_over_sockets() {
     const DROPS: &[u64] = &[1, 4, 7, 11];
     let inline = run_in_process(FaultPlan::scripted(), DROPS);
     assert!(!inline.displayed.is_empty());
-    for engine in [Engine::Threaded, Engine::Evented] {
-        let topology = Topology::loopback(2).with_engine(engine);
-        let (sockets, _) = run_sockets_workers(topology, FaultPlan::scripted(), DROPS, 4);
-        assert_eq!(
-            sockets.displayed,
-            inline.displayed,
-            "{engine}: 4-worker socket pipeline diverged from the inline in-process model \
-             (sockets {:?} vs in-process {:?})",
-            displayed_seqnos(&sockets),
-            displayed_seqnos(&inline),
-        );
-        assert_eq!(sockets.pipeline.workers, 4, "{engine}");
-        assert_eq!(sockets.pipeline.updates_shed, 0, "{engine}: default rings must not shed");
-        assert!(sockets.pipeline.latency.count > 0, "{engine}: histogram never recorded");
-        assert!(
-            sockets.pipeline.latency.p999_ns >= sockets.pipeline.latency.p50_ns,
-            "{engine}: percentiles must be monotone"
-        );
-    }
+    let (sockets, _) = run_sockets_workers(Topology::loopback(2), FaultPlan::scripted(), DROPS, 4);
+    assert_eq!(
+        sockets.displayed,
+        inline.displayed,
+        "4-worker socket pipeline diverged from the zero-worker in-process model \
+         (sockets {:?} vs in-process {:?})",
+        displayed_seqnos(&sockets),
+        displayed_seqnos(&inline),
+    );
+    assert_eq!(sockets.pipeline.workers, 4);
+    assert_eq!(sockets.pipeline.updates_shed, 0, "default rings must not shed");
+    assert!(sockets.pipeline.latency.count > 0, "histogram never recorded");
+    assert!(
+        sockets.pipeline.latency.p999_ns >= sockets.pipeline.latency.p50_ns,
+        "percentiles must be monotone"
+    );
 }
 
 /// Acceptance: severing a CE's TCP back link mid-run loses no alert —
@@ -270,32 +255,30 @@ fn pipelined_workers_match_in_process_output_on_both_engines() {
 fn back_link_sever_reconnects_without_losing_alerts() {
     let plan = || FaultPlan::scripted().sever_back_link(0, 3, Duration::from_millis(30));
     let in_process = run_in_process(plan(), &[]);
-    for engine in [Engine::Threaded, Engine::Evented] {
-        let (sockets, _) = run_sockets(plan(), &[], engine);
+    let (sockets, _) = run_sockets(plan(), &[]);
 
-        assert_eq!(
-            sockets.displayed,
-            in_process.displayed,
-            "{engine} socket pipeline diverged across a back-link severance \
-             (sockets {:?} vs in-process {:?})",
-            displayed_seqnos(&sockets),
-            displayed_seqnos(&in_process),
-        );
-        // Every reading above the threshold is displayed exactly once:
-        // nothing lost to the severance, duplicates filtered.
-        assert_eq!(displayed_seqnos(&sockets), (1..=20).filter(|s| s % 2 == 0).collect::<Vec<_>>());
+    assert_eq!(
+        sockets.displayed,
+        in_process.displayed,
+        "socket pipeline diverged across a back-link severance \
+         (sockets {:?} vs in-process {:?})",
+        displayed_seqnos(&sockets),
+        displayed_seqnos(&in_process),
+    );
+    // Every reading above the threshold is displayed exactly once:
+    // nothing lost to the severance, duplicates filtered.
+    assert_eq!(displayed_seqnos(&sockets), (1..=20).filter(|s| s % 2 == 0).collect::<Vec<_>>());
 
-        // The counters prove a real TCP connection dropped and came
-        // back.
-        assert_eq!(sockets.faults.backlink_severs, 1, "{engine}");
-        assert!(sockets.faults.backlink_reconnects >= 1, "{engine}: sever needs a reconnect");
-        assert_eq!(sockets.faults.alerts_lost_overflow, 0, "{engine}");
-        assert!(
-            sockets.transport.ad.connections >= 3,
-            "{engine}: two initial connections plus at least one reconnect, got {}",
-            sockets.transport.ad.connections
-        );
-        assert_eq!(sockets.transport.back_links.len(), 2);
-        assert_eq!(sockets.transport.back_links[0].severs, 1, "{engine}");
-    }
+    // The counters prove a real TCP connection dropped and came
+    // back.
+    assert_eq!(sockets.faults.backlink_severs, 1);
+    assert!(sockets.faults.backlink_reconnects >= 1, "sever needs a reconnect");
+    assert_eq!(sockets.faults.alerts_lost_overflow, 0);
+    assert!(
+        sockets.transport.ad.connections >= 3,
+        "two initial connections plus at least one reconnect, got {}",
+        sockets.transport.ad.connections
+    );
+    assert_eq!(sockets.transport.back_links.len(), 2);
+    assert_eq!(sockets.transport.back_links[0].severs, 1);
 }

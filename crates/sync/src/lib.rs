@@ -3,7 +3,7 @@
 //! Every lock, channel, thread and clock the threaded runtime
 //! (`rcm-runtime`) uses is imported from this crate, never from
 //! `std::sync`/`std::thread`/`parking_lot`/`crossbeam_channel`
-//! directly (`cargo xtask lint` enforces this). That indirection buys
+//! directly (`cargo xtask analyze` enforces this). That indirection buys
 //! model checking for free:
 //!
 //! * **Default build**: the types below are the production primitives —

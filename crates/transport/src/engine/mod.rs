@@ -1,13 +1,13 @@
 //! The evented socket engine: every front link, back link and alert
 //! listener as an explicit state machine on one readiness loop.
 //!
-//! The threaded transport (`udp.rs` / `tcp.rs`) spends a blocked OS
-//! thread per socket — fine for a handful of links, fatal for the
-//! paper's "numerous update streams" regime where one CE should hold
-//! thousands of idle front links. This module keeps the *semantics* of
-//! those links (same admission gate, same sever/queue/reconnect
-//! machine, same counters) but runs them all on a single
-//! [`EventLoop`] built from `rcm-poll`:
+//! A blocked OS thread per socket (the receiver types in `udp.rs` /
+//! `tcp.rs`) is fine for a handful of links, fatal for the paper's
+//! "numerous update streams" regime where one CE should hold thousands
+//! of idle front links. This module keeps the *semantics* of those
+//! links (same admission gate, same sever/queue/reconnect machine,
+//! same counters) but runs them all on a single [`EventLoop`] built
+//! from `rcm-poll`:
 //!
 //! * readiness comes from a [`rcm_poll::Poller`] (epoll/kqueue/poll);
 //! * every deadline — backoff reconnects, batch `max_delay` flushes,
@@ -21,19 +21,17 @@
 //!   a reconnect timer, a `finish` parks a drain-then-Fin plan with a
 //!   deadline — no thread ever sleeps inside the loop.
 //!
-//! The [`Engine`] selector (threaded is kept as the reference
-//! implementation) threads from `Topology` through the runtime's
-//! `SystemBuilder` and the node binaries' `--engine` flag; the
-//! loopback equivalence suite pins both engines to the in-process
-//! pipeline's output at 0% and 20% loss.
+//! It is the only engine the runtime and the node binaries deploy;
+//! the loopback equivalence suite pins it to the in-process pipeline's
+//! output at 0% and 20% loss.
 //!
-//! Discipline (enforced by `cargo xtask lint`): nothing in this
+//! Discipline (enforced by `cargo xtask analyze`): nothing in this
 //! directory blocks — no blocking `std::net` connects, no
 //! `thread::sleep`, no `write_all`/`read_exact`, and no lock is ever
 //! held across a poll. Cross-thread state is atomic counters and the
 //! submit queue only.
 
-// LOCK ORDER: no locks — engine selection is plain data; handles hold channels.
+// LOCK ORDER: no locks — handles hold channels and atomic counters.
 
 mod back;
 mod counters;
@@ -48,46 +46,6 @@ pub use event_loop::EventLoop;
 // handoff without depending on rcm-poll directly.
 pub use rcm_poll::{SubmitQueue, Wake};
 
-/// Which socket engine carries a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// One blocked OS thread per socket — the reference
-    /// implementation the evented engine is pinned against.
-    Threaded,
-    /// All sockets on one readiness loop (the default): holds 10k+
-    /// idle front links in one process.
-    #[default]
-    Evented,
-}
-
-impl Engine {
-    /// The CLI spelling (`--engine threaded|evented`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::Threaded => "threaded",
-            Engine::Evented => "evented",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(Engine::Threaded),
-            "evented" => Ok(Engine::Evented),
-            other => Err(format!("unknown engine {other:?} (expected threaded|evented)")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::net::{TcpListener, UdpSocket};
@@ -99,16 +57,6 @@ mod tests {
     use super::*;
     use crate::batch::BatchPolicy;
     use crate::udp::UdpFrontLink;
-
-    #[test]
-    fn engine_selector_round_trips_and_defaults_to_evented() {
-        assert_eq!(Engine::default(), Engine::Evented);
-        for engine in [Engine::Threaded, Engine::Evented] {
-            assert_eq!(engine.as_str().parse::<Engine>(), Ok(engine));
-            assert_eq!(engine.to_string(), engine.as_str());
-        }
-        assert!("epoll".parse::<Engine>().is_err());
-    }
 
     fn alert(index: u64) -> Alert {
         Alert::new(
@@ -123,9 +71,8 @@ mod tests {
         Backoff::new(Duration::from_micros(200), Duration::from_millis(5), 11)
     }
 
-    /// An evented ingress fed by the threaded UDP sender (the DM side
-    /// is threaded in both engines) delivers the admitted updates in
-    /// order and retires on the Fin.
+    /// An evented ingress fed by the blocking UDP sender (the DM side)
+    /// delivers the admitted updates in order and retires on the Fin.
     #[test]
     fn front_ingress_round_trips_updates_and_retires_on_fin() {
         let mut el = EventLoop::new().expect("event loop");

@@ -17,13 +17,17 @@
 //!   datagram / many alerts per stream write, flushing on
 //!   count/size/deadline, with delivery semantics identical to
 //!   unbatched sends;
-//! * [`UdpFrontLink`] / [`UdpFrontReceiver`] — updates over UDP, with
-//!   the receiver enforcing the front-link contract by discarding
-//!   reordered and duplicated datagrams via a per-variable seqno
-//!   high-water mark ([`SeqGate`]);
-//! * [`TcpBackLink`] / [`TcpAlertListener`] — alerts over TCP with
-//!   reconnect driven by [`rcm_net::Backoff`] and a bounded resend
-//!   queue, preserving the lossless contract across connection drops;
+//! * [`UdpFrontLink`] — the DM's side of a front link: updates over
+//!   UDP, batched per [`BatchPolicy`], end-of-stream as repeated Fin
+//!   markers;
+//! * [`engine`] — the receiving and alert-carrying side: every CE
+//!   ingress (enforcing the front-link contract by discarding reordered
+//!   and duplicated datagrams via a per-variable seqno high-water mark,
+//!   [`SeqGate`]), every back link (reconnect driven by
+//!   [`rcm_net::Backoff`] and a bounded resend queue, preserving the
+//!   lossless contract across connection drops) and the AD's alert
+//!   listener, as state machines on one `rcm-poll` readiness loop — a
+//!   single CE process holds 10k+ idle front links;
 //! * [`LossProxy`] — a UDP forwarder replaying [`rcm_net`] loss models
 //!   onto real packets, for deterministic loss injection in loopback
 //!   integration tests;
@@ -31,17 +35,16 @@
 //!   DM / CE×n / AD deployment, used by the runtime's `SystemBuilder`
 //!   and the `rcm-dm` / `rcm-ce` / `rcm-ad` node binaries.
 //!
-//! Two engines carry these links. The *threaded* engine — the
-//! original, kept as the reference implementation — spends a blocked
-//! OS thread (blocking socket + short read timeout) per link. The
-//! *evented* engine ([`engine`], the default) runs every socket of a
-//! node as a state machine on one `rcm-poll` readiness loop, so a
-//! single CE process holds 10k+ idle front links; the [`Engine`]
-//! selector threads from [`Topology`] through the runtime and node
-//! binaries, and the loopback equivalence suite pins both engines to
-//! the in-process pipeline's output. All concurrency goes through the
-//! `rcm-sync` shim, same discipline as the runtime, so `cargo xtask
-//! lint` covers this crate too.
+//! [`UdpFrontReceiver`], [`TcpBackLink`] and [`TcpAlertListener`] are
+//! the same three links with a blocked OS thread (blocking socket +
+//! short read timeout) per socket. Nothing in the runtime or the node
+//! binaries can select them any more; `tcp.rs` and the receiver half of
+//! `udp.rs` stay, unchanged, only because the benchmark's two
+//! `transport.threaded.*` hop probes time them, and go once a benchmark
+//! change drops those probes.
+//!
+//! All concurrency goes through the `rcm-sync` shim, same discipline as
+//! the runtime, so `cargo xtask analyze` covers this crate too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +61,7 @@ mod udp;
 pub mod wire;
 
 pub use batch::BatchPolicy;
-pub use engine::{BackLinkSpec, Engine, EventLoop, EventedBackLink};
+pub use engine::{BackLinkSpec, EventLoop, EventedBackLink};
 pub use gate::SeqGate;
 pub use proxy::{LossProxy, ProxyHandle};
 pub use report::{

@@ -22,7 +22,6 @@ use rcm_core::VarRegistry;
 use rcm_sync::time::Duration;
 
 use crate::batch::BatchPolicy;
-use crate::engine::Engine;
 use crate::wire::Codec;
 
 /// An address plan: where each CE listens for updates and where the AD
@@ -37,7 +36,6 @@ pub struct Topology {
     back_codec: Codec,
     front_batch: BatchPolicy,
     back_batch: BatchPolicy,
-    engine: Engine,
 }
 
 impl Topology {
@@ -58,7 +56,6 @@ impl Topology {
             back_codec: Codec::default(),
             front_batch: BatchPolicy::off(),
             back_batch: BatchPolicy::off(),
-            engine: Engine::default(),
         }
     }
 
@@ -78,7 +75,6 @@ impl Topology {
             back_codec: Codec::default(),
             front_batch: BatchPolicy::off(),
             back_batch: BatchPolicy::off(),
-            engine: Engine::default(),
         }
     }
 
@@ -121,19 +117,6 @@ impl Topology {
     pub fn with_back_batching(mut self, policy: BatchPolicy) -> Self {
         self.back_batch = policy;
         self
-    }
-
-    /// Selects which socket engine carries the run (default evented;
-    /// threaded is the reference implementation).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Which socket engine carries the run.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// The front-link (DM → CE) payload codec.
@@ -196,7 +179,6 @@ impl Topology {
             back_codec: self.back_codec,
             front_batch: self.front_batch,
             back_batch: self.back_batch,
-            engine: self.engine,
         })
     }
 }
@@ -218,7 +200,6 @@ pub struct BoundTopology {
     back_codec: Codec,
     front_batch: BatchPolicy,
     back_batch: BatchPolicy,
-    engine: Engine,
 }
 
 impl BoundTopology {
@@ -285,7 +266,6 @@ impl BoundTopology {
             back_codec: self.back_codec,
             front_batch: self.front_batch,
             back_batch: self.back_batch,
-            engine: self.engine,
         }
     }
 }
@@ -314,8 +294,6 @@ pub struct TopologyParts {
     pub front_batch: BatchPolicy,
     /// Alert-batching policy for the back links.
     pub back_batch: BatchPolicy,
-    /// Which socket engine carries the run.
-    pub engine: Engine,
 }
 
 #[cfg(test)]
@@ -396,15 +374,6 @@ mod tests {
         assert_eq!(parts.front_codec, Codec::Binary);
         assert_eq!(parts.front_batch, BatchPolicy::off());
         assert_eq!(parts.back_batch, BatchPolicy::off());
-        assert_eq!(parts.engine, Engine::Evented, "evented is the default engine");
-    }
-
-    #[test]
-    fn engine_selector_threads_through_bind() {
-        let topology = Topology::loopback(1).with_engine(Engine::Threaded);
-        assert_eq!(topology.engine(), Engine::Threaded);
-        let parts = topology.bind().expect("bind topology").into_parts();
-        assert_eq!(parts.engine, Engine::Threaded);
     }
 
     #[test]

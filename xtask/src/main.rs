@@ -30,9 +30,6 @@
 //!    graph is extracted to `TOPOLOGY.json`; bounded handoffs must
 //!    have a shed/backpressure path and be loom-modeled, and the
 //!    committed artifact must not drift.
-//!
-//! `cargo xtask lint` remains as a deprecated alias so stale CI
-//! configs and muscle memory keep working.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -44,10 +41,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") | None => run_analyze(&args[args.len().min(1)..]),
-        Some("lint") => {
-            eprintln!("note: `xtask lint` is deprecated; use `xtask analyze`");
-            run_analyze(&args[1..])
-        }
         Some("assert-chaos") => match args.get(1) {
             Some(path) => chaos::assert_chaos(Path::new(path)),
             None => {

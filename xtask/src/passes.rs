@@ -649,8 +649,7 @@ fn f(a: u64, b: u64) -> u64 { a / OTHER_CRATE_CONST + b }
 
     #[test]
     fn event_loop_scopes_to_the_engine_directory_and_calls_only() {
-        // The threaded reference implementation one level up blocks on
-        // purpose.
+        // The thread-per-socket links one level up block on purpose.
         let threaded = "fn f(s: &mut TcpStream, buf: &[u8]) { s.write_all(buf); }\n";
         assert!(run("crates/transport/src/tcp.rs", threaded).is_empty());
         // A *string* or comment naming a banned call is not a call.
