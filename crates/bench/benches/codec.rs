@@ -1,12 +1,11 @@
-//! Criterion benches for the wire codecs: encode∘decode throughput of
-//! update traffic as JSON frames, binary frames, and binary
-//! `UpdateBatch` frames (the deployment configuration the transport
-//! defaults aim at). Alert frames get the same treatment at a smaller
-//! scale — alerts are rarer but much wider on the wire.
+//! Criterion benches for the wire codec: encode∘decode throughput of
+//! update traffic as one frame per update and as `UpdateBatch` frames
+//! (the deployment configuration the transport defaults aim at). Alert
+//! frames get the same treatment at a smaller scale — alerts are rarer
+//! but much wider on the wire.
 //!
 //! The update workload is shared verbatim with `bench_snapshot`, whose
-//! `codec.speedup_vs_json` ratio lands in `BENCH_rcm.json` and is
-//! floor-gated (≥10×) by `bench_gate`.
+//! `codec` cell lands in `BENCH_rcm.json`.
 
 use std::hint::black_box;
 
@@ -38,22 +37,20 @@ fn bench_update_roundtrip(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec/updates");
     g.throughput(Throughput::Elements(BATCH));
     let mut frame = Vec::with_capacity(4096);
-    for codec in [Codec::Json, Codec::Binary] {
-        g.bench_function(format!("{codec}_per_frame"), |b| {
-            b.iter(|| {
-                let mut delivered = 0u64;
-                for u in &updates {
-                    frame.clear();
-                    wire::encode_into(codec, &Message::Update(*u), &mut frame).expect("encode");
-                    match wire::decode_datagram(black_box(&frame)).expect("decode") {
-                        Message::Update(got) => delivered += u64::from(got.seqno == u.seqno),
-                        _ => unreachable!("update frame"),
-                    }
+    g.bench_function("binary_per_frame", |b| {
+        b.iter(|| {
+            let mut delivered = 0u64;
+            for u in &updates {
+                frame.clear();
+                wire::encode_into(Codec::Binary, &Message::Update(*u), &mut frame).expect("encode");
+                match wire::decode_datagram(black_box(&frame)).expect("decode") {
+                    Message::Update(got) => delivered += u64::from(got.seqno == u.seqno),
+                    _ => unreachable!("update frame"),
                 }
-                delivered
-            })
-        });
-    }
+            }
+            delivered
+        })
+    });
     g.bench_function("binary_batched", |b| {
         b.iter(|| {
             frame.clear();
@@ -72,23 +69,21 @@ fn bench_alert_roundtrip(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec/alerts");
     g.throughput(Throughput::Elements(alerts.len() as u64));
     let mut frame = Vec::with_capacity(8192);
-    for codec in [Codec::Json, Codec::Binary] {
-        g.bench_function(format!("{codec}_per_frame"), |b| {
-            b.iter(|| {
-                let mut delivered = 0usize;
-                for a in &alerts {
-                    frame.clear();
-                    wire::encode_into(codec, &Message::Alert(a.clone()), &mut frame)
-                        .expect("encode");
-                    match wire::decode_datagram(black_box(&frame)).expect("decode") {
-                        Message::Alert(got) => delivered += usize::from(got == *a),
-                        _ => unreachable!("alert frame"),
-                    }
+    g.bench_function("binary_per_frame", |b| {
+        b.iter(|| {
+            let mut delivered = 0usize;
+            for a in &alerts {
+                frame.clear();
+                wire::encode_into(Codec::Binary, &Message::Alert(a.clone()), &mut frame)
+                    .expect("encode");
+                match wire::decode_datagram(black_box(&frame)).expect("decode") {
+                    Message::Alert(got) => delivered += usize::from(got == *a),
+                    _ => unreachable!("alert frame"),
                 }
-                delivered
-            })
-        });
-    }
+            }
+            delivered
+        })
+    });
     g.bench_function("binary_batched", |b| {
         b.iter(|| {
             frame.clear();

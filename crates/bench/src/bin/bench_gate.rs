@@ -36,13 +36,12 @@ const GATED: &[&str] = &[
 /// Machine-relative ratios the *fresh* snapshot must clear outright —
 /// these are the advertised wins, not drift checks, so the committed
 /// snapshot plays no part. `(json pointer, minimum)`.
-const FLOORS: &[(&str, f64)] =
-    &[("/codec/speedup_vs_json", 10.0), ("/pipeline/conds_10k/speedup_4", 2.0)];
+const FLOORS: &[(&str, f64)] = &[("/pipeline/conds_10k/speedup_4", 2.0)];
 
 /// Absolute numbers echoed for the log, never gated.
 const INFORMATIONAL: &[&str] = &[
+    "/codec/binary_ups",
     "/codec/binary_batched_ups",
-    "/codec/json_ups",
     "/fingerprint/inline_ns",
     "/ad3_realistic/interval_offers_per_sec",
     "/ad3_marching/interval_offers_per_sec",

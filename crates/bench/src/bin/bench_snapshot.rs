@@ -340,38 +340,32 @@ fn tree_cell(n_vars: usize, n_updates: usize, iters: u32) -> serde_json::Value {
 }
 
 /// Wire-codec roundtrip throughput over the `codec` criterion bench's
-/// update workload: encode∘decode updates/second as JSON frames,
-/// binary frames, and one binary `UpdateBatch` frame — the deployment
-/// configuration. `speedup_vs_json` (batched binary over per-frame
-/// JSON) is the ratio `bench_gate` floors at 10×.
+/// update workload: encode∘decode updates/second as one frame per
+/// update and as one `UpdateBatch` frame — the deployment
+/// configuration.
 fn codec_cell(iters: u32) -> serde_json::Value {
     const BATCH: u64 = 64;
     let updates: Vec<Update> = (1..=BATCH)
         .map(|s| Update::new(VarId::new((s % 4) as u32), s, s as f64 * 1.5 - 40.0))
         .collect();
 
-    // Every mode reuses one frame buffer, so neither codec pays an
-    // allocation the others skip.
-    let per_frame = |codec: Codec| {
-        let mut frame = Vec::with_capacity(4096);
-        let secs = time(iters, || {
-            let mut delivered = 0u64;
-            for u in &updates {
-                frame.clear();
-                wire::encode_into(codec, &Message::Update(*u), &mut frame).expect("update encodes");
-                match wire::decode_datagram(black_box(&frame)).expect("update decodes") {
-                    Message::Update(got) => delivered += u64::from(got.seqno == u.seqno),
-                    _ => unreachable!("update frame"),
-                }
-            }
-            delivered
-        });
-        BATCH as f64 / secs
-    };
-    let json_ups = per_frame(Codec::Json);
-    let binary_ups = per_frame(Codec::Binary);
-
+    // Both modes reuse one frame buffer, so neither pays an allocation
+    // the other skips.
     let mut frame = Vec::with_capacity(4096);
+    let per_frame_secs = time(iters, || {
+        let mut delivered = 0u64;
+        for u in &updates {
+            frame.clear();
+            wire::encode_into(Codec::Binary, &Message::Update(*u), &mut frame)
+                .expect("update encodes");
+            match wire::decode_datagram(black_box(&frame)).expect("update decodes") {
+                Message::Update(got) => delivered += u64::from(got.seqno == u.seqno),
+                _ => unreachable!("update frame"),
+            }
+        }
+        delivered
+    });
+
     let batched_secs = time(iters, || {
         frame.clear();
         wire::encode_updates_into(Codec::Binary, &updates, &mut frame).expect("batch encodes");
@@ -380,14 +374,11 @@ fn codec_cell(iters: u32) -> serde_json::Value {
             _ => unreachable!("batch frame"),
         }
     });
-    let binary_batched_ups = BATCH as f64 / batched_secs;
 
     json!({
         "updates_per_pass": BATCH,
-        "json_ups": json_ups,
-        "binary_ups": binary_ups,
-        "binary_batched_ups": binary_batched_ups,
-        "speedup_vs_json": binary_batched_ups / json_ups,
+        "binary_ups": BATCH as f64 / per_frame_secs,
+        "binary_batched_ups": BATCH as f64 / batched_secs,
     })
 }
 

@@ -412,7 +412,11 @@ mod tests {
 
     /// Closed-fd reregistration: the kernel dropped the registration
     /// with the fd, so a reregister must surface an error (and a
-    /// register of the dead fd too) — never a panic or silent success.
+    /// register of a dead fd too) — never a panic or silent success.
+    /// A sibling test thread may reopen the closed fd *number* at any
+    /// moment: the reregister still fails (that descriptor is not in
+    /// this poller), but a register would succeed, so the dead-fd
+    /// register uses a number no process can have open.
     #[cfg(target_os = "linux")]
     #[test]
     fn reregistering_a_closed_fd_is_a_reported_error() {
@@ -425,7 +429,7 @@ mod tests {
             // socket drops: fd closes, kernel auto-deregisters
         };
         assert!(poller.reregister(fd, Token(2), Interest::BOTH).is_err());
-        assert!(poller.register(fd, Token(3), Interest::READ).is_err());
+        assert!(poller.register(RawFd::MAX, Token(3), Interest::READ).is_err());
     }
 
     /// EINTR handling: a directed signal interrupts the wait, and the

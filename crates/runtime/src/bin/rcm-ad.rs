@@ -14,11 +14,9 @@
 //! first-mention order. The node exits once `--replicas` distinct Fin
 //! markers arrived (or after `--idle-ms` of silence).
 //!
-//! There is no `--codec` flag here: the listener dispatches on each
-//! frame's version byte, so JSON and binary CEs (batched or not) can
-//! share one AD during a rollout. The accept socket and every CE
-//! connection ride one readiness loop, so an AD holds hundreds of back
-//! links without per-connection reader threads.
+//! Batched and unbatched CEs can share one AD. The accept socket and
+//! every CE connection ride one readiness loop, so an AD holds hundreds
+//! of back links without per-connection reader threads.
 //!
 //! LOCK ORDER: no locks on the main thread — the listener's counters
 //! are atomics, read after the stream ends.

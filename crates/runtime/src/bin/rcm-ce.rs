@@ -16,13 +16,9 @@
 //! The node exits once `--dms` distinct Fin markers arrived (or after
 //! `--idle-ms` of silence as a backstop against lost Fins).
 //!
-//! The UDP ingress auto-detects each frame's codec from its version
-//! byte, so DMs may send JSON or binary (or a mix) without
-//! configuration here. `--codec json|binary` selects what *this* node
-//! emits on its back link (default binary; the AD auto-detects too),
-//! and `--batch N` coalesces up to `N` alerts per stream write
-//! (default 1 — no batching). Every socket of the node rides one
-//! readiness loop, so a CE holds thousands of idle front links.
+//! `--batch N` coalesces up to `N` alerts per stream write (default 1
+//! — no batching). Every socket of the node rides one readiness loop,
+//! so a CE holds thousands of idle front links.
 //!
 //! `--workers N` (default 0 = evaluate on the main thread) shards the
 //! evaluation pipeline: conditions are split `cond_id % N` across
@@ -45,7 +41,7 @@ use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::time::Duration;
 use rcm_sync::Arc;
-use rcm_transport::{BackLinkSpec, BatchPolicy, Codec, EventLoop, EventedBackLink};
+use rcm_transport::{BackLinkSpec, BatchPolicy, EventLoop, EventedBackLink};
 
 struct Options {
     bind: SocketAddr,
@@ -54,7 +50,6 @@ struct Options {
     node: u32,
     dms: usize,
     idle: Duration,
-    codec: Codec,
     batch: BatchPolicy,
     workers: usize,
 }
@@ -63,7 +58,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-ce --bind HOST:PORT --ad HOST:PORT --condition '<expr>' \
          [--condition '<expr>' ...] [--node N] [--dms N] [--idle-ms N] \
-         [--codec json|binary] [--batch N] [--workers N]"
+         [--batch N] [--workers N]"
     );
     ExitCode::FAILURE
 }
@@ -77,7 +72,6 @@ fn parse_args() -> Option<Options> {
         node: 0,
         dms: 1,
         idle: Duration::from_secs(5),
-        codec: Codec::default(),
         batch: BatchPolicy::off(),
         workers: 0,
     };
@@ -98,7 +92,6 @@ fn parse_args() -> Option<Options> {
             "--node" => opts.node = args.next()?.parse().ok()?,
             "--dms" => opts.dms = args.next()?.parse().ok()?,
             "--idle-ms" => opts.idle = Duration::from_millis(args.next()?.parse().ok()?),
-            "--codec" => opts.codec = args.next()?.parse().ok()?,
             "--workers" => opts.workers = args.next()?.parse().ok()?,
             "--batch" => {
                 let n: usize = args.next()?.parse().ok()?;
@@ -179,8 +172,7 @@ fn main() -> ExitCode {
     };
     let backoff =
         Backoff::new(Duration::from_millis(1), Duration::from_millis(100), opts.node as u64);
-    let spec =
-        BackLinkSpec::new(opts.ad, opts.node, backoff).codec(opts.codec).batching(opts.batch);
+    let spec = BackLinkSpec::new(opts.ad, opts.node, backoff).batching(opts.batch);
     let back = match el.add_back_link(spec) {
         Ok(b) => b,
         Err(e) => {

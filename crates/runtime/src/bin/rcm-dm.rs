@@ -13,8 +13,6 @@
 //! ends the stream with repeated Fin markers (`--fin-repeats`) rather
 //! than relying on any single datagram arriving.
 //!
-//! `--codec json|binary` selects the payload encoding (default binary;
-//! CEs auto-detect per frame, so mixed fleets interoperate), and
 //! `--batch N` packs up to `N` updates per datagram (default 1 — no
 //! batching).
 //!
@@ -28,7 +26,7 @@ use std::process::ExitCode;
 
 use rcm_core::{Update, VarId};
 use rcm_sync::time::Duration;
-use rcm_transport::{BatchPolicy, Codec, UdpFrontLink};
+use rcm_transport::{BatchPolicy, UdpFrontLink};
 
 struct Options {
     ce: Vec<SocketAddr>,
@@ -36,14 +34,13 @@ struct Options {
     node: u32,
     period: Duration,
     fin_repeats: usize,
-    codec: Codec,
     batch: BatchPolicy,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-dm --ce HOST:PORT [--ce HOST:PORT ...] [--var N] [--node N] \
-         [--period-us N] [--fin-repeats N] [--codec json|binary] [--batch N]\n\
+         [--period-us N] [--fin-repeats N] [--batch N]\n\
          readings on stdin: one '<value>' per line"
     );
     ExitCode::FAILURE
@@ -56,7 +53,6 @@ fn parse_args() -> Option<Options> {
         node: 0,
         period: Duration::from_micros(500),
         fin_repeats: 16,
-        codec: Codec::default(),
         batch: BatchPolicy::off(),
     };
     let mut args = std::env::args().skip(1);
@@ -67,7 +63,6 @@ fn parse_args() -> Option<Options> {
             "--node" => opts.node = args.next()?.parse().ok()?,
             "--period-us" => opts.period = Duration::from_micros(args.next()?.parse().ok()?),
             "--fin-repeats" => opts.fin_repeats = args.next()?.parse().ok()?,
-            "--codec" => opts.codec = args.next()?.parse().ok()?,
             "--batch" => {
                 let n: usize = args.next()?.parse().ok()?;
                 opts.batch = if n > 1 {
@@ -91,7 +86,7 @@ fn main() -> ExitCode {
     let mut links = Vec::with_capacity(opts.ce.len());
     for addr in &opts.ce {
         match UdpFrontLink::connect(*addr, opts.node) {
-            Ok(link) => links.push(link.codec(opts.codec).batching(opts.batch)),
+            Ok(link) => links.push(link.batching(opts.batch)),
             Err(e) => {
                 eprintln!("error: cannot open front link to {addr}: {e}");
                 return ExitCode::FAILURE;

@@ -561,9 +561,8 @@ impl SystemBuilder {
             let backoff_seed =
                 self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ce as u64);
             let backoff = Backoff::new(backoff_base, backoff_cap, backoff_seed);
-            let mut spec = BackLinkSpec::new(parts.ad_addr, ce as u32, backoff)
-                .codec(parts.back_codec)
-                .batching(parts.back_batch);
+            let mut spec =
+                BackLinkSpec::new(parts.ad_addr, ce as u32, backoff).batching(parts.back_batch);
             if let Some(p) = &plan {
                 spec = spec
                     .with_severs(
@@ -638,7 +637,6 @@ impl SystemBuilder {
             for (ci, target) in parts.dm_targets.iter().enumerate() {
                 let link = UdpFrontLink::connect(*target, fi as u32)
                     .map_err(transport_err)?
-                    .codec(parts.front_codec)
                     .batching(parts.front_batch);
                 front_stats.push(((fi, ci), link.stats_handle()));
                 links.push(Box::new(UdpSender { link, fin_repeats: parts.fin_repeats }));

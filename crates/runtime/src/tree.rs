@@ -46,7 +46,6 @@ use rcm_sync::thread;
 
 use rcm_core::{Alert, CeId, DerivedUpdate, Update, VarId};
 use rcm_transport::wire::{self, Message};
-use rcm_transport::Codec;
 use rcm_tree::{LeafCe, LeafOutput, NodeRef, Relay, RootCe, TreeOptions, TreePlan, TreeStats};
 
 use crate::system::RunReport;
@@ -195,33 +194,19 @@ enum LeafMsg {
 pub struct TreeTopology {
     plan: TreePlan,
     opts: TreeOptions,
-    codec: Codec,
     stream: Vec<Update>,
     faults: Vec<TreeFault>,
 }
 
 impl TreeTopology {
-    /// A tree deployment of `plan` with default options and the binary
-    /// codec on every tier link.
+    /// A tree deployment of `plan` with default options.
     pub fn new(plan: TreePlan) -> Self {
-        TreeTopology {
-            plan,
-            opts: TreeOptions::default(),
-            codec: Codec::Binary,
-            stream: Vec::new(),
-            faults: Vec::new(),
-        }
+        TreeTopology { plan, opts: TreeOptions::default(), stream: Vec::new(), faults: Vec::new() }
     }
 
     /// Sets the deployment knobs (replicas, shards, replay window…).
     pub fn options(mut self, opts: TreeOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Sets the tier-link codec (binary by default).
-    pub fn codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -253,20 +238,19 @@ impl TreeTopology {
 fn replay_window<'a>(
     window: impl Iterator<Item = &'a DerivedUpdate>,
     up: &Sender<NodeMsg>,
-    codec: Codec,
     stats: &mut TreeStats,
 ) {
     for d in window {
         stats.replayed_frames += 1;
-        send_frame(up, codec, d, stats);
+        send_frame(up, d, stats);
     }
 }
 
 /// Encodes one derived update and sends the frame up; a closed uplink
 /// (dead parent) counts the frame as lost in flight.
-fn send_frame(up: &Sender<NodeMsg>, codec: Codec, d: &DerivedUpdate, stats: &mut TreeStats) {
+fn send_frame(up: &Sender<NodeMsg>, d: &DerivedUpdate, stats: &mut TreeStats) {
     let msg = Message::Derived(d.clone());
-    let bytes = wire::encode_with(codec, &msg).expect("derived frames always encode");
+    let bytes = wire::encode(&msg).expect("derived frames always encode");
     stats.wire_frames += 1;
     stats.wire_bytes += bytes.len() as u64;
     if up.send(NodeMsg::Frame(bytes)).is_err() {
@@ -287,7 +271,6 @@ fn leaf_thread(
     mut leaf: LeafCe,
     rx: Receiver<LeafMsg>,
     mut up: Sender<NodeMsg>,
-    codec: Codec,
 ) -> (Vec<Alert>, TreeStats) {
     let mut alerts = Vec::new();
     let mut stats = TreeStats::default();
@@ -303,20 +286,20 @@ fn leaf_thread(
                     if severed {
                         stats.frames_to_dead += 1; // withheld; window replays on restore
                     } else {
-                        send_frame(&up, codec, d, &mut stats);
+                        send_frame(&up, d, &mut stats);
                     }
                 }
             }
             LeafMsg::Reparent(new_up) => {
                 up = new_up;
                 if !leaf.is_dead() {
-                    replay_window(leaf.window().iter(), &up, codec, &mut stats);
+                    replay_window(leaf.window().iter(), &up, &mut stats);
                 }
             }
             LeafMsg::Sever => severed = true,
             LeafMsg::Restore => {
                 severed = false;
-                replay_window(leaf.window().iter(), &up, codec, &mut stats);
+                replay_window(leaf.window().iter(), &up, &mut stats);
             }
             LeafMsg::Kill => leaf.kill(),
         }
@@ -326,12 +309,7 @@ fn leaf_thread(
     (alerts, stats)
 }
 
-fn relay_thread(
-    mut relay: Relay,
-    rx: Receiver<NodeMsg>,
-    mut up: Sender<NodeMsg>,
-    codec: Codec,
-) -> TreeStats {
+fn relay_thread(mut relay: Relay, rx: Receiver<NodeMsg>, mut up: Sender<NodeMsg>) -> TreeStats {
     let mut stats = TreeStats::default();
     let mut severed = false;
     for msg in rx.iter() {
@@ -342,18 +320,18 @@ fn relay_thread(
                     if severed {
                         stats.frames_to_dead += 1;
                     } else {
-                        send_frame(&up, codec, &fwd, &mut stats);
+                        send_frame(&up, &fwd, &mut stats);
                     }
                 }
             }
             NodeMsg::Reparent(new_up) => {
                 up = new_up;
-                replay_window(relay.window().iter(), &up, codec, &mut stats);
+                replay_window(relay.window().iter(), &up, &mut stats);
             }
             NodeMsg::Sever => severed = true,
             NodeMsg::Restore => {
                 severed = false;
-                replay_window(relay.window().iter(), &up, codec, &mut stats);
+                replay_window(relay.window().iter(), &up, &mut stats);
             }
             // Exit without draining: the inbox closes and children's
             // in-flight frames are genuinely lost, as a crash loses
@@ -384,7 +362,6 @@ fn root_thread(mut root: RootCe, rx: Receiver<NodeMsg>) -> (Vec<Alert>, TreeStat
 /// supervisor's live-topology bookkeeping (who is alive, who uplinks
 /// where) used to script faults and drive re-parent passes.
 struct Supervisor {
-    codec: Codec,
     owner: BTreeMap<VarId, usize>,
     stream: Vec<Update>,
     faults: Vec<TreeFault>,
@@ -402,7 +379,7 @@ struct Supervisor {
 
 impl Supervisor {
     fn deploy(topo: TreeTopology) -> Self {
-        let TreeTopology { plan, opts, codec, stream, mut faults } = topo;
+        let TreeTopology { plan, opts, stream, mut faults } = topo;
         assert!(opts.leaf_replicas >= 1, "need at least one replica per leaf");
         assert!(opts.shards_per_leaf >= 1, "need at least one shard per leaf");
         let (leaves_n, tiers, fanout) = (plan.leaves(), plan.relay_tiers(), plan.fanout());
@@ -447,7 +424,7 @@ impl Supervisor {
                 let (tx, rx) = unbounded();
                 let relay = Relay::new(t as u8, n as u32, opts.replay_window);
                 relay_txs[t - 1].push(tx);
-                relay_joins[t - 1].push(thread::spawn(move || relay_thread(relay, rx, up, codec)));
+                relay_joins[t - 1].push(thread::spawn(move || relay_thread(relay, rx, up)));
             }
         }
 
@@ -466,7 +443,7 @@ impl Supervisor {
                 let (tx, rx) = unbounded();
                 let up = up.clone();
                 txs.push(tx);
-                joins.push(thread::spawn(move || leaf_thread(replica, rx, up, codec)));
+                joins.push(thread::spawn(move || leaf_thread(replica, rx, up)));
             }
             leaf_txs.push(txs);
             leaf_joins.push(joins);
@@ -474,7 +451,6 @@ impl Supervisor {
 
         let owner: BTreeMap<VarId, usize> = plan.owned_vars().into_iter().collect();
         Supervisor {
-            codec,
             owner,
             stream,
             faults,

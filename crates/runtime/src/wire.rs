@@ -1,9 +1,5 @@
-//! The frame codec, re-exported from [`rcm_transport::wire`].
-//!
-//! The codec started life in this crate when the runtime was the only
-//! thing serializing messages; once real sockets arrived it moved to
-//! `rcm-transport` so the in-process links, the UDP/TCP links and the
-//! node binaries all share one frame format by construction. This
-//! module keeps the old `rcm_runtime::wire` paths working.
+//! The frame codec, re-exported from [`rcm_transport::wire`]: the
+//! in-process links, the UDP/TCP links and the node binaries all share
+//! one frame format by construction.
 
 pub use rcm_transport::wire::*;

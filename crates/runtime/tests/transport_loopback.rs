@@ -6,8 +6,7 @@
 //!
 //! These are the tentpole acceptance tests for the socket transport:
 //! they prove the deployment path is behaviorally identical to the
-//! model the rest of the repo verifies — for every payload codec
-//! (JSON, binary, and a mixed-fleet split), with frame batching on, at
+//! model the rest of the repo verifies — with frame batching on, at
 //! 0% and 20% front-link loss, evaluated on the CE thread or on shard
 //! workers.
 
@@ -18,7 +17,7 @@ use rcm_core::condition::{Cmp, Condition, Threshold};
 use rcm_core::{Alert, VarId};
 use rcm_net::Scripted;
 use rcm_runtime::{
-    BatchPolicy, Codec, FaultPlan, MonitorSystem, RunReport, Topology, TransportMode, VarFeed,
+    BatchPolicy, FaultPlan, MonitorSystem, RunReport, Topology, TransportMode, VarFeed,
 };
 use rcm_transport::{LossProxy, ProxyStats};
 
@@ -58,8 +57,8 @@ fn run_sockets(plan: FaultPlan, drops: &'static [u64]) -> (RunReport, Vec<ProxyS
     run_sockets_on(Topology::loopback(2), plan, drops)
 }
 
-/// Like [`run_sockets`] but over a caller-configured topology (codec
-/// and batching choices).
+/// Like [`run_sockets`] but over a caller-configured topology
+/// (batching choices).
 fn run_sockets_on(
     topology: Topology,
     plan: FaultPlan,
@@ -109,82 +108,96 @@ fn displayed_seqnos(report: &RunReport) -> Vec<u64> {
         .collect()
 }
 
-/// Acceptance: a 2-replica CE topology over real sockets with 20%
-/// scripted front-link loss produces the exact same filtered alert
-/// sequence as the in-process runtime fed the same workload and drop
-/// set.
+/// Acceptance: a 2-replica CE topology over real sockets, clean and
+/// with 20% scripted front-link loss, produces the exact same filtered
+/// alert sequence as the in-process runtime fed the same workload and
+/// drop set.
 #[test]
 fn scripted_loss_matches_in_process_output_exactly() {
     // 4 of 20 datagrams per front link: 20% loss, same set on every
     // link in both modes.
     const DROPS: &[u64] = &[1, 4, 7, 11];
-    let in_process = run_in_process(FaultPlan::scripted(), DROPS);
-    let (sockets, proxy_stats) = run_sockets(FaultPlan::scripted(), DROPS);
+    for drops in [&[] as &'static [u64], DROPS] {
+        let in_process = run_in_process(FaultPlan::scripted(), drops);
+        let (sockets, proxy_stats) = run_sockets(FaultPlan::scripted(), drops);
 
-    assert_eq!(sockets.transport.mode, TransportMode::Sockets);
-    assert!(!sockets.displayed.is_empty(), "loss must not silence the system");
-    assert_eq!(
-        sockets.displayed,
-        in_process.displayed,
-        "socket pipeline diverged from the in-process model under 20% loss \
-         (sockets {:?} vs in-process {:?})",
-        displayed_seqnos(&sockets),
-        displayed_seqnos(&in_process),
-    );
+        assert_eq!(sockets.transport.mode, TransportMode::Sockets);
+        assert!(!sockets.displayed.is_empty(), "loss must not silence the system");
+        assert_eq!(
+            sockets.displayed,
+            in_process.displayed,
+            "socket pipeline diverged from the in-process model with {} drops \
+             (sockets {:?} vs in-process {:?})",
+            drops.len(),
+            displayed_seqnos(&sockets),
+            displayed_seqnos(&in_process),
+        );
 
-    // The loss really happened on the wire, not in a model: each
-    // proxy ate exactly the scripted positions, and each CE ingress
-    // saw only the survivors.
-    for stats in &proxy_stats {
-        assert_eq!(stats.dropped, DROPS.len() as u64);
+        // The loss really happened on the wire, not in a model: each
+        // proxy ate exactly the scripted positions, and each CE ingress
+        // saw only the survivors.
+        for stats in &proxy_stats {
+            assert_eq!(stats.dropped, drops.len() as u64);
+        }
+        assert_eq!(sockets.transport.ingress.len(), 2);
+        for ingress in &sockets.transport.ingress {
+            assert_eq!(ingress.delivered, (values().len() - drops.len()) as u64);
+        }
+        assert_eq!(sockets.transport.decode_errors(), 0);
+        // The legacy per-link view is populated in both modes.
+        assert_eq!(sockets.links.len(), 2);
+        let sent: u64 = sockets.transport.front_links.iter().map(|(_, _, s)| s.frames_sent).sum();
+        assert_eq!(sent, 2 * values().len() as u64);
+        // The engine rollup is live: the readiness loop woke to carry this.
+        assert!(sockets.transport.engine.wakeups > 0, "loop never woke");
     }
-    assert_eq!(sockets.transport.ingress.len(), 2);
-    for ingress in &sockets.transport.ingress {
-        assert_eq!(ingress.delivered, (values().len() - DROPS.len()) as u64);
-        assert_eq!(ingress.decode_errors, 0);
-    }
-    // The legacy per-link view is populated in both modes.
-    assert_eq!(sockets.links.len(), 2);
-    let sent: u64 = sockets.transport.front_links.iter().map(|(_, _, s)| s.frames_sent).sum();
-    assert_eq!(sent, 2 * values().len() as u64);
-    // The engine rollup is live: the readiness loop woke to carry this.
-    assert!(sockets.transport.engine.wakeups > 0, "loop never woke");
 }
 
-/// Acceptance for the codec seam: every codec assignment — all-JSON,
-/// all-binary, and a mixed fleet (binary front links feeding CEs that
-/// answer a JSON-era AD, and the reverse) — produces the exact same
-/// displayed alert sequence as the in-process model, at 0% and at 20%
-/// scripted loss. Receivers dispatch on each frame's version byte, so
-/// no run needs (or has) receiver-side codec configuration.
+/// Acceptance for the version refusal, live on the evented engine: a
+/// peer still labelling its frames wire version 2 — a datagram at each
+/// CE ingress, a stream at the AD listener — is counted in
+/// `decode_errors` (the stream peer disconnected at its first frame),
+/// and the displayed output is exactly the in-process run's.
 #[test]
-fn every_codec_assignment_matches_in_process_output() {
-    const DROPS: &[u64] = &[1, 4, 7, 11];
-    let clean = run_in_process(FaultPlan::scripted(), &[]);
-    let lossy = run_in_process(FaultPlan::scripted(), DROPS);
-    assert!(!clean.displayed.is_empty());
+fn version_2_peers_are_refused_and_change_nothing() {
+    use rcm_runtime::wire::{self, Message};
+    use std::io::Write;
 
-    for (front, back) in [
-        (Codec::Json, Codec::Json),
-        (Codec::Binary, Codec::Binary),
-        (Codec::Binary, Codec::Json),
-        (Codec::Json, Codec::Binary),
-    ] {
-        for (drops, baseline) in [(&[] as &'static [u64], &clean), (DROPS, &lossy)] {
-            let topology = Topology::loopback(2).with_codecs(front, back);
-            let (sockets, _) = run_sockets_on(topology, FaultPlan::scripted(), drops);
-            assert_eq!(
-                sockets.displayed,
-                baseline.displayed,
-                "codec ({front}, {back}) with {} drops diverged from the in-process model \
-                 (sockets {:?} vs in-process {:?})",
-                drops.len(),
-                displayed_seqnos(&sockets),
-                displayed_seqnos(baseline),
-            );
-            assert_eq!(sockets.transport.decode_errors(), 0, "codec ({front}, {back})");
-        }
+    let v2_labelled = |msg: &Message| {
+        let mut frame = wire::encode(msg).expect("encodes");
+        frame[0] = 2;
+        frame
+    };
+    let baseline = run_in_process(FaultPlan::scripted(), &[]);
+    let bound = Topology::loopback(2).bind().expect("bind topology");
+    // The sockets are bound already, so the stale frames queue ahead of
+    // everything the system itself sends. An update that would fire
+    // the threshold, ahead of the stream's seqnos if it were admitted:
+    let stale = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+    let update = v2_labelled(&Message::Update(rcm_core::Update::new(x(), 1, 99.0)));
+    for addr in bound.ce_addrs() {
+        stale.send_to(&update, addr).expect("send_to");
     }
+    let alert = v2_labelled(&Message::Alert(baseline.displayed[0].clone()));
+    let mut stale_ce = std::net::TcpStream::connect(bound.ad_addr()).expect("connect raw");
+    stale_ce.write_all(&[&alert[..], &alert[..]].concat()).expect("write");
+
+    let sockets = MonitorSystem::builder(threshold())
+        .replicas(2)
+        .feed(VarFeed::new(x(), values()).period(PERIOD))
+        .transport(bound.idle_timeout(Duration::from_secs(10)))
+        .start()
+        .expect("socket system starts")
+        .wait();
+
+    assert_eq!(sockets.displayed, baseline.displayed);
+    for ingress in &sockets.transport.ingress {
+        assert_eq!(ingress.decode_errors, 1);
+        assert_eq!(ingress.delivered, values().len() as u64);
+    }
+    // Two refused frames were written, one was counted: the listener
+    // dropped the stream at the first.
+    assert_eq!(sockets.transport.ad.decode_errors, 1);
 }
 
 /// Acceptance for batching: packing 5 updates per datagram changes the

@@ -13,20 +13,21 @@
 //! where the engine's job is to hold thousands of mostly-quiet links
 //! without a thread or a 64 KiB buffer per socket.
 //!
-//! Every delivered update becomes one alert fanned out on *all* M back
-//! links, so the AD sees each alert M times and its AD-1 filter must
-//! display it **exactly once**. The run fails (nonzero exit) if:
+//! Every delivered update fires its variable's threshold, and the
+//! alert is fanned out on *all* M back links, so the AD sees each alert
+//! M times and its AD-1 filter must display it **exactly once**. The
+//! run fails (nonzero exit) if:
 //!
 //! * any of the A×K emitted alerts is displayed zero or multiple times,
 //! * the listener heard anything other than emitted × M alerts,
 //! * any link surfaced a decode error, or
 //! * the run overshot `--budget-ms` of wall clock.
 //!
-//! `--workers W` routes the CE body through the shard-parallel
-//! evaluation pipeline (one always-firing threshold per active
-//! variable, sharded `cond_id % W`, merged back into stream order
-//! before the fan-out), so the gauntlet also exercises pipelined
-//! evaluation under real sockets; the JSON report then carries the
+//! The CE body is an `EvalPipeline` over one always-firing threshold
+//! per active variable; `--workers W` (default 0 = evaluated on the
+//! main thread) shards it `cond_id % W` and merges the alerts back into
+//! stream order before the fan-out, so the gauntlet also exercises
+//! pipelined evaluation under real sockets. The report carries the
 //! pipeline's shed counter and ingest→emit latency percentiles.
 //!
 //! `--tree DxF` (e.g. `--tree 3x8`: depth 3, fanout 8) swaps the flat
@@ -51,9 +52,7 @@ use std::time::Instant;
 
 use rcm_core::ad::{Ad1, AlertFilter};
 use rcm_core::condition::{Cmp, Condition, Threshold};
-use rcm_core::{
-    Alert, AlertId, CeId, CondId, HistoryFingerprint, LatencyHistogram, SeqNo, Update, VarId,
-};
+use rcm_core::{Alert, CeId, CondId, LatencyHistogram, Update, VarId};
 use rcm_net::Backoff;
 use rcm_runtime::{
     AlertDrain, EvalPipeline, PipelineOptions, TreeOptions, TreePlan, TreeStats, TreeTopology,
@@ -126,8 +125,8 @@ fn parse_args() -> Option<Options> {
     Some(opts)
 }
 
-/// Pipelined CE body's sink: fans every merged alert out on all M back
-/// links (the same fan-out the inline body does) and counts emissions.
+/// The CE body's sink: fans every merged alert out on all M back links
+/// and counts emissions.
 struct FanoutDrain {
     backs: Vec<EventedBackLink>,
     emitted: Arc<AtomicU64>,
@@ -232,12 +231,11 @@ fn main() -> ExitCode {
         link.finish(8);
     }
 
-    // CE body: each delivered update becomes one alert, fanned out on
-    // every back link. The channel closes when the ingress saw all N
-    // Fins (or its idle backstop fired). With `--workers W` the same
-    // body runs through the shard-parallel evaluation pipeline: one
-    // always-firing threshold per active variable, sharded
-    // `cond_id % W` across worker rings and merged back into stream
+    // CE body: each delivered update fires one always-true threshold
+    // per active variable, and the alert is fanned out on every back
+    // link. The channel closes when the ingress saw all N Fins (or its
+    // idle backstop fired). `--workers W` shards the conditions
+    // `cond_id % W` across worker rings and merges back into stream
     // order before the fan-out — fed on the blocking (never-shedding)
     // path, because the gauntlet asserts exactly-once display.
     let latency = Arc::new(LatencyHistogram::new());
@@ -279,24 +277,6 @@ fn main() -> ExitCode {
         }
         emitted = report.displayed.len() as u64;
         tree_stats = Some(report.stats);
-    } else if opts.workers == 0 {
-        let mut count: u64 = 0;
-        while let Ok(update) = update_rx.recv() {
-            let alert = Alert::new(
-                CondId::new(0),
-                HistoryFingerprint::single(update.var, vec![update.seqno]),
-                vec![update],
-                AlertId { ce: CeId::new(0), index: count },
-            );
-            for back in &mut backs {
-                back.send_alert(alert.clone());
-            }
-            count += 1;
-        }
-        for back in &mut backs {
-            back.finish();
-        }
-        emitted = count;
     } else {
         let conds: Vec<Arc<dyn Condition>> = (0..opts.active)
             .map(|i| {
@@ -433,18 +413,16 @@ fn main() -> ExitCode {
                 s.wire_frames
             );
         }
-        if opts.workers > 0 {
-            let snap = latency.snapshot();
-            println!(
-                "  pipeline: {} shed, latency p50 {} ns / p99 {} ns / p999 {} ns \
-                 over {} update(s)",
-                updates_shed.load(Ordering::Relaxed),
-                snap.p50_ns,
-                snap.p99_ns,
-                snap.p999_ns,
-                snap.count
-            );
-        }
+        let snap = latency.snapshot();
+        println!(
+            "  pipeline: {} shed, latency p50 {} ns / p99 {} ns / p999 {} ns \
+             over {} update(s)",
+            updates_shed.load(Ordering::Relaxed),
+            snap.p50_ns,
+            snap.p99_ns,
+            snap.p999_ns,
+            snap.count
+        );
         println!(
             "  emitted {emitted}, displayed {displayed} (exactly-once), \
              listener heard {heard}"

@@ -61,7 +61,6 @@ pub struct BackLinkSpec {
     pub(super) peer: SocketAddr,
     pub(super) node: u32,
     pub(super) backoff: Backoff,
-    pub(super) codec: Codec,
     pub(super) batch: BatchPolicy,
     pub(super) severs: Vec<(u64, Duration)>,
     pub(super) queue_cap: usize,
@@ -70,27 +69,19 @@ pub struct BackLinkSpec {
 }
 
 impl BackLinkSpec {
-    /// A spec with the threaded link's defaults: binary codec, no
-    /// batching, queue cap 1024, unacked tail 8, 10 s finish deadline.
+    /// A spec with the threaded link's defaults: no batching, queue
+    /// cap 1024, unacked tail 8, 10 s finish deadline.
     pub fn new(peer: SocketAddr, node: u32, backoff: Backoff) -> Self {
         BackLinkSpec {
             peer,
             node,
             backoff,
-            codec: Codec::default(),
             batch: BatchPolicy::off(),
             severs: Vec::new(),
             queue_cap: 1024,
             unacked_cap: UNACKED_TAIL,
             blocking_deadline: Duration::from_secs(10),
         }
-    }
-
-    /// Selects the payload codec this link speaks (default binary).
-    #[must_use]
-    pub fn codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
     }
 
     /// Enables frame batching under `policy` (default off).
@@ -246,7 +237,6 @@ pub(super) struct BackSource {
     unacked: VecDeque<Alert>,
     unacked_cap: usize,
     blocking_deadline: Duration,
-    codec: Codec,
     batch: BatchPolicy,
     pending: Vec<Alert>,
     pending_bytes: usize,
@@ -298,7 +288,6 @@ impl BackSource {
             unacked: VecDeque::new(),
             unacked_cap: spec.unacked_cap,
             blocking_deadline: spec.blocking_deadline,
-            codec: spec.codec,
             batch: spec.batch,
             pending: Vec::new(),
             pending_bytes: 0,
@@ -353,10 +342,7 @@ impl BackSource {
             self.counters.dedup_suppressed.fetch_add(1, Ordering::SeqCst);
             return false;
         }
-        let add = match wire::frame_len(self.codec, &Message::Alert(alert.clone())) {
-            Ok(len) => len - wire::HEADER_LEN,
-            Err(_) => 256,
-        };
+        let add = wire::frame_len(&Message::Alert(alert.clone())) - wire::HEADER_LEN;
         if !self.pending.is_empty()
             && (self.batch.expired(self.pending_since)
                 || self.batch.bytes_full(self.pending_bytes + add))
@@ -566,8 +552,10 @@ impl BackSource {
     fn queue_frame(&mut self, alerts: Vec<Alert>, resend: bool) {
         let mut bytes = Vec::new();
         let result = match alerts.as_slice() {
-            [single] => wire::encode_into(self.codec, &Message::Alert(single.clone()), &mut bytes),
-            many => wire::encode_alerts_into(self.codec, many, &mut bytes),
+            [single] => {
+                wire::encode_into(Codec::Binary, &Message::Alert(single.clone()), &mut bytes)
+            }
+            many => wire::encode_alerts_into(Codec::Binary, many, &mut bytes),
         };
         if result.is_err() {
             // Unreachable for well-formed alerts; counted, not
@@ -585,7 +573,7 @@ impl BackSource {
 
     fn queue_control(&mut self, msg: Message) {
         let fin = matches!(msg, Message::Fin { .. });
-        match wire::encode_with(self.codec, &msg) {
+        match wire::encode(&msg) {
             Ok(bytes) => {
                 self.out.push_back(PendingWrite {
                     bytes,

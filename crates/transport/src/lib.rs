@@ -9,10 +9,8 @@
 //! be deployed as separate OS processes:
 //!
 //! * [`wire`] — the shared frame codec (version byte, length prefix,
-//!   checksum, payload) used by every link, in-process or socket. The
-//!   version byte selects the payload [`Codec`] behind the pluggable
-//!   [`wire::SerDes`] seam: version-2 JSON or the default version-3
-//!   compact binary layout, interoperable frame by frame;
+//!   checksum, payload) used by every link, in-process or socket: one
+//!   compact binary payload layout, version 3;
 //! * [`BatchPolicy`] — frame batching: links coalesce many updates per
 //!   datagram / many alerts per stream write, flushing on
 //!   count/size/deadline, with delivery semantics identical to
@@ -41,7 +39,9 @@
 //! binaries can select them any more; `tcp.rs` and the receiver half of
 //! `udp.rs` stay, unchanged, only because the benchmark's two
 //! `transport.threaded.*` hop probes time them, and go once a benchmark
-//! change drops those probes.
+//! change drops those probes. The one-variant [`Codec`] is kept the same
+//! way: the benchmark's replay passes it to the `wire::encode_*_into`
+//! functions.
 //!
 //! All concurrency goes through the `rcm-sync` shim, same discipline as
 //! the runtime, so `cargo xtask analyze` covers this crate too.

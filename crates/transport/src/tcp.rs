@@ -30,8 +30,7 @@
 //! sever/queue/reconnect state machine is unchanged: a buffered batch
 //! spills into the resend queue the moment the link goes down, before
 //! anything newer is queued, so FIFO order and the lossless contract
-//! survive batching. The payload [`Codec`] is per-link configuration;
-//! the listener dispatches on each frame's version byte.
+//! survive batching.
 //!
 //! LOCK ORDER: the only mutexes are the `stats` counter blocks,
 //! leaves — never held across a socket call, a sleep, or a channel
@@ -88,7 +87,6 @@ pub struct TcpBackLink {
     /// How long a blocking flush keeps retrying before declaring the
     /// peer gone and counting the queue as lost.
     blocking_deadline: Duration,
-    codec: Codec,
     batch: BatchPolicy,
     /// Alerts buffered for the next batch frame (only while up; spills
     /// into `queue` the moment the link goes down).
@@ -121,7 +119,7 @@ impl TcpBackLink {
     /// existed is a deployment error, not an outage to ride out.
     pub fn connect(peer: SocketAddr, node: u32, backoff: Backoff) -> io::Result<Self> {
         let mut stream = open_stream(peer, None)?;
-        write_msg(&mut stream, Codec::default(), &Message::Hello { node })?;
+        write_msg(&mut stream, &Message::Hello { node })?;
         Ok(TcpBackLink {
             peer,
             node,
@@ -137,7 +135,6 @@ impl TcpBackLink {
             unacked: VecDeque::new(),
             unacked_cap: UNACKED_TAIL,
             blocking_deadline: Duration::from_secs(10),
-            codec: Codec::default(),
             batch: BatchPolicy::off(),
             pending: Vec::new(),
             pending_bytes: 0,
@@ -145,13 +142,6 @@ impl TcpBackLink {
             frame: Vec::new(),
             stats: Arc::new(Mutex::new(TcpLinkStats::default())),
         })
-    }
-
-    /// Selects the payload codec this link speaks (default binary).
-    #[must_use]
-    pub fn codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
     }
 
     /// Enables frame batching under `policy` (default off: one alert
@@ -250,12 +240,9 @@ impl TcpBackLink {
             self.stats.lock().dedup_suppressed += 1;
             return;
         }
-        let add = match wire::frame_len(self.codec, &Message::Alert(alert.clone())) {
-            // Per-alert payload cost; slightly over for the batch
-            // encoding (which shares one tag), never under for binary.
-            Ok(len) => len - wire::HEADER_LEN,
-            Err(_) => 256,
-        };
+        // Per-alert payload cost; slightly over for the batch encoding
+        // (which shares one tag), never under.
+        let add = wire::frame_len(&Message::Alert(alert.clone())) - wire::HEADER_LEN;
         if !self.pending.is_empty()
             && (self.batch.expired(self.pending_since)
                 || self.batch.bytes_full(self.pending_bytes + add))
@@ -334,9 +321,8 @@ impl TcpBackLink {
             return;
         }
         debug_assert!(self.queue.is_empty(), "reconnect flushes the queue");
-        let codec = self.codec;
         if let Some(stream) = self.stream.as_mut() {
-            let _ = write_msg(stream, codec, &Message::Fin { node: self.node });
+            let _ = write_msg(stream, &Message::Fin { node: self.node });
         }
         self.stream = None;
     }
@@ -354,9 +340,8 @@ impl TcpBackLink {
         if self.down {
             self.try_reconnect(true);
         }
-        let codec = self.codec;
         if let Some(stream) = self.stream.as_mut() {
-            let _ = write_msg(stream, codec, &Message::Fin { node: self.node });
+            let _ = write_msg(stream, &Message::Fin { node: self.node });
         }
         self.stream = None;
     }
@@ -395,9 +380,7 @@ impl TcpBackLink {
             self.stats.lock().attempts += 1;
             if self.floor.is_none_or(|f| Instant::now() >= f) {
                 if let Ok(mut stream) = open_stream(self.peer, Some(RECONNECT_CONNECT_CAP)) {
-                    if write_msg(&mut stream, self.codec, &Message::Hello { node: self.node })
-                        .is_ok()
-                    {
+                    if write_msg(&mut stream, &Message::Hello { node: self.node }).is_ok() {
                         self.stream = Some(stream);
                         self.down = false;
                         self.floor = None;
@@ -429,7 +412,7 @@ impl TcpBackLink {
                 return;
             }
             self.frame.clear();
-            if wire::encode_into(self.codec, &Message::Alert(alert), &mut self.frame).is_err() {
+            if wire::encode_into(Codec::Binary, &Message::Alert(alert), &mut self.frame).is_err() {
                 return;
             }
             let Some(stream) = self.stream.as_mut() else { return };
@@ -468,8 +451,8 @@ impl TcpBackLink {
         true
     }
 
-    /// Encodes `alerts` as one frame in the link's codec (a plain
-    /// `Alert` frame for a lone alert, so unbatched traffic keeps the
+    /// Encodes `alerts` as one frame (a plain `Alert` frame for a lone
+    /// alert, so unbatched traffic keeps the
     /// pre-batching wire format; an `AlertBatch` otherwise) and writes
     /// it to the live stream. Counts `sent`/`frames_sent`/`bytes_sent`
     /// on success; marks the link down on a socket error. The caller
@@ -481,9 +464,9 @@ impl TcpBackLink {
         self.frame.clear();
         let result = match alerts {
             [single] => {
-                wire::encode_into(self.codec, &Message::Alert(single.clone()), &mut self.frame)
+                wire::encode_into(Codec::Binary, &Message::Alert(single.clone()), &mut self.frame)
             }
-            many => wire::encode_alerts_into(self.codec, many, &mut self.frame),
+            many => wire::encode_alerts_into(Codec::Binary, many, &mut self.frame),
         };
         if result.is_err() {
             // Unreachable for well-formed alerts; counted, not
@@ -538,8 +521,8 @@ fn open_stream(peer: SocketAddr, cap: Option<Duration>) -> io::Result<TcpStream>
     Ok(stream)
 }
 
-fn write_msg(stream: &mut TcpStream, codec: Codec, msg: &Message) -> io::Result<()> {
-    let frame = wire::encode_with(codec, msg).map_err(io::Error::other)?;
+fn write_msg(stream: &mut TcpStream, msg: &Message) -> io::Result<()> {
+    let frame = wire::encode(msg).map_err(io::Error::other)?;
     stream.write_all(&frame)
 }
 
@@ -705,9 +688,9 @@ impl TcpAlertListener {
 }
 
 /// Per-connection reader: decodes frames off the stream and relays
-/// them as events (frames of either codec, dispatched per version
-/// byte). Exits on EOF, a fatal decode error (a desynchronized stream
-/// cannot be trusted again), a socket error, or the listener's stop
+/// them as events. Exits on EOF, a fatal decode error (a
+/// desynchronized stream cannot be trusted again), a socket error, or
+/// the listener's stop
 /// flag. Only touches the shared stats for the byte counter — a leaf
 /// lock, per the file's LOCK ORDER note.
 fn reader_loop(
@@ -949,29 +932,6 @@ mod tests {
         assert_eq!(link_stats.severs, 1);
         assert!(link_stats.reconnects >= 1);
         assert_eq!(link_stats.lost_overflow, 0);
-    }
-
-    #[test]
-    fn json_codec_link_interops_with_the_listener() {
-        let listener = TcpAlertListener::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind listener")
-            .idle_timeout(Duration::from_secs(3));
-        let addr = listener.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || {
-            let mut got = Vec::new();
-            let stats = listener.run(|a| got.push(a));
-            (got, stats)
-        });
-        let mut link =
-            TcpBackLink::connect(addr, 0, backoff()).expect("connect").codec(Codec::Json);
-        for i in 1..=3 {
-            link.send_alert(alert(i));
-        }
-        link.finish();
-        let (got, stats) = handle.join().expect("listener thread");
-        assert_eq!(seqnos(&got), vec![1, 2, 3]);
-        assert_eq!(stats.decode_errors, 0);
-        assert_eq!(stats.fins, 1);
     }
 
     #[test]

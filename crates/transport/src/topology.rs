@@ -22,18 +22,15 @@ use rcm_core::VarRegistry;
 use rcm_sync::time::Duration;
 
 use crate::batch::BatchPolicy;
-use crate::wire::Codec;
 
 /// An address plan: where each CE listens for updates and where the AD
-/// listens for alerts — plus the wire configuration (payload codec and
-/// batching policy per link direction) every node derives from it.
+/// listens for alerts — plus the batching policy per link direction
+/// every node derives from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     conditions: Vec<String>,
     ce_update: Vec<SocketAddr>,
     ad_alert: SocketAddr,
-    front_codec: Codec,
-    back_codec: Codec,
     front_batch: BatchPolicy,
     back_batch: BatchPolicy,
 }
@@ -52,8 +49,6 @@ impl Topology {
             conditions: Vec::new(),
             ce_update: vec![any; replicas],
             ad_alert: any,
-            front_codec: Codec::default(),
-            back_codec: Codec::default(),
             front_batch: BatchPolicy::off(),
             back_batch: BatchPolicy::off(),
         }
@@ -71,8 +66,6 @@ impl Topology {
             conditions: Vec::new(),
             ce_update,
             ad_alert,
-            front_codec: Codec::default(),
-            back_codec: Codec::default(),
             front_batch: BatchPolicy::off(),
             back_batch: BatchPolicy::off(),
         }
@@ -82,25 +75,6 @@ impl Topology {
     #[must_use]
     pub fn with_condition(mut self, expr: impl Into<String>) -> Self {
         self.conditions.push(expr.into());
-        self
-    }
-
-    /// Selects one payload codec for both link directions (default
-    /// binary). Receivers always speak both; this sets what the
-    /// senders emit.
-    #[must_use]
-    pub fn with_codec(self, codec: Codec) -> Self {
-        self.with_codecs(codec, codec)
-    }
-
-    /// Selects the payload codec per direction — `front` for DM → CE
-    /// updates, `back` for CE → AD alerts. Mixing codecs is the
-    /// rollout scenario: a binary CE can serve a JSON AD because every
-    /// frame names its codec in the version byte.
-    #[must_use]
-    pub fn with_codecs(mut self, front: Codec, back: Codec) -> Self {
-        self.front_codec = front;
-        self.back_codec = back;
         self
     }
 
@@ -117,16 +91,6 @@ impl Topology {
     pub fn with_back_batching(mut self, policy: BatchPolicy) -> Self {
         self.back_batch = policy;
         self
-    }
-
-    /// The front-link (DM → CE) payload codec.
-    pub fn front_codec(&self) -> Codec {
-        self.front_codec
-    }
-
-    /// The back-link (CE → AD) payload codec.
-    pub fn back_codec(&self) -> Codec {
-        self.back_codec
     }
 
     /// The CE replica count.
@@ -175,8 +139,6 @@ impl Topology {
             ad_addr,
             fin_repeats: 16,
             idle_timeout: Duration::from_secs(5),
-            front_codec: self.front_codec,
-            back_codec: self.back_codec,
             front_batch: self.front_batch,
             back_batch: self.back_batch,
         })
@@ -196,8 +158,6 @@ pub struct BoundTopology {
     ad_addr: SocketAddr,
     fin_repeats: usize,
     idle_timeout: Duration,
-    front_codec: Codec,
-    back_codec: Codec,
     front_batch: BatchPolicy,
     back_batch: BatchPolicy,
 }
@@ -262,8 +222,6 @@ impl BoundTopology {
             ad_addr: self.ad_addr,
             fin_repeats: self.fin_repeats,
             idle_timeout: self.idle_timeout,
-            front_codec: self.front_codec,
-            back_codec: self.back_codec,
             front_batch: self.front_batch,
             back_batch: self.back_batch,
         }
@@ -286,10 +244,6 @@ pub struct TopologyParts {
     pub fin_repeats: usize,
     /// Receiver idle backstop.
     pub idle_timeout: Duration,
-    /// Payload codec the DMs emit on the front links.
-    pub front_codec: Codec,
-    /// Payload codec the CEs emit on the back links.
-    pub back_codec: Codec,
     /// Update-batching policy for the front links.
     pub front_batch: BatchPolicy,
     /// Alert-batching policy for the back links.
@@ -353,25 +307,17 @@ mod tests {
 
     #[test]
     fn wire_config_defaults_and_threads_through_bind() {
-        let topology = Topology::loopback(1);
-        assert_eq!(topology.front_codec(), Codec::Binary);
-        assert_eq!(topology.back_codec(), Codec::Binary);
-
         let parts = Topology::loopback(1)
-            .with_codecs(Codec::Binary, Codec::Json)
             .with_front_batching(BatchPolicy::datagram())
             .with_back_batching(BatchPolicy::stream())
             .bind()
             .expect("bind topology")
             .into_parts();
-        assert_eq!(parts.front_codec, Codec::Binary);
-        assert_eq!(parts.back_codec, Codec::Json);
         assert_eq!(parts.front_batch, BatchPolicy::datagram());
         assert_eq!(parts.back_batch, BatchPolicy::stream());
 
-        // Defaults: binary payloads, no batching.
+        // Defaults: no batching.
         let parts = Topology::loopback(1).bind().expect("bind topology").into_parts();
-        assert_eq!(parts.front_codec, Codec::Binary);
         assert_eq!(parts.front_batch, BatchPolicy::off());
         assert_eq!(parts.back_batch, BatchPolicy::off());
     }

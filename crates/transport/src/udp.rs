@@ -16,9 +16,6 @@
 //! amortizing the header and the syscall; the receiver runs a batch's
 //! updates through the gate in batch order, so delivery is exactly
 //! what individual datagrams arriving in that order would produce.
-//! Both halves speak whichever [`Codec`] each frame's version byte
-//! names, so mixed-codec fleets interoperate; the sender's codec is
-//! configuration.
 //!
 //! LOCK ORDER: the only mutexes are the per-link `stats` counter
 //! blocks, leaves — never held across a socket call.
@@ -55,7 +52,6 @@ fn bind_for(peer: SocketAddr) -> io::Result<UdpSocket> {
 pub struct UdpFrontLink {
     sock: UdpSocket,
     node: u32,
-    codec: Codec,
     batch: BatchPolicy,
     pending: Vec<Update>,
     pending_bytes: usize,
@@ -69,7 +65,6 @@ impl std::fmt::Debug for UdpFrontLink {
         f.debug_struct("UdpFrontLink")
             .field("peer", &self.sock.peer_addr().ok())
             .field("node", &self.node)
-            .field("codec", &self.codec)
             .field("batch", &self.batch)
             .field("pending", &self.pending.len())
             .field("stats", &*self.stats.lock())
@@ -90,7 +85,6 @@ impl UdpFrontLink {
         Ok(UdpFrontLink {
             sock,
             node,
-            codec: Codec::default(),
             batch: BatchPolicy::off(),
             pending: Vec::new(),
             pending_bytes: 0,
@@ -98,13 +92,6 @@ impl UdpFrontLink {
             frame: Vec::new(),
             stats: Arc::new(Mutex::new(FrontLinkStats::default())),
         })
-    }
-
-    /// Selects the payload codec this link speaks (default binary).
-    #[must_use]
-    pub fn codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
     }
 
     /// Enables frame batching under `policy` (default off: one update
@@ -142,12 +129,9 @@ impl UdpFrontLink {
         }
         // Size trigger first, *before* buffering: a batch never grows
         // past the policy's datagram budget.
-        let add = match wire::frame_len(self.codec, &Message::Update(update)) {
-            // Per-update payload cost; slightly over for the batch
-            // encoding (which shares one tag), never under for binary.
-            Ok(len) => len - wire::HEADER_LEN,
-            Err(_) => 64,
-        };
+        // Per-update payload cost; slightly over for the batch encoding
+        // (which shares one tag), never under.
+        let add = wire::frame_len(&Message::Update(update)) - wire::HEADER_LEN;
         if !self.pending.is_empty() && self.batch.bytes_full(self.pending_bytes + add) {
             self.flush();
         }
@@ -193,8 +177,10 @@ impl UdpFrontLink {
     fn send_batch(&mut self, updates: &[Update]) -> bool {
         self.frame.clear();
         let result = match updates {
-            [single] => wire::encode_into(self.codec, &Message::Update(*single), &mut self.frame),
-            many => wire::encode_updates_into(self.codec, many, &mut self.frame),
+            [single] => {
+                wire::encode_into(Codec::Binary, &Message::Update(*single), &mut self.frame)
+            }
+            many => wire::encode_updates_into(Codec::Binary, many, &mut self.frame),
         };
         if result.is_err() {
             // Unreachable for well-formed updates; counted, not
@@ -223,7 +209,7 @@ impl UdpFrontLink {
     pub fn finish(&mut self, repeats: usize) {
         self.flush();
         self.frame.clear();
-        if wire::encode_into(self.codec, &Message::Fin { node: self.node }, &mut self.frame)
+        if wire::encode_into(Codec::Binary, &Message::Fin { node: self.node }, &mut self.frame)
             .is_err()
         {
             return;
@@ -541,32 +527,6 @@ mod tests {
         let s = *stats.lock();
         assert_eq!(s.frames_sent, 3, "each send flushed the previously buffered update");
         assert_eq!(s.updates_sent, 3);
-    }
-
-    #[test]
-    fn receiver_speaks_both_codecs_frame_by_frame() {
-        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind receiver")
-            .idle_timeout(Duration::from_secs(2));
-        let target = rx.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || {
-            let mut got = Vec::new();
-            let stats = rx.run(|u| got.push(u.seqno.get()));
-            (got, stats)
-        });
-        let mut json_tx =
-            UdpFrontLink::connect(target, 0).expect("connect json").codec(Codec::Json);
-        let mut bin_tx = UdpFrontLink::connect(target, 1).expect("connect binary");
-        json_tx.send_update(u(1, 1.0));
-        rcm_sync::thread::sleep(Duration::from_millis(2));
-        bin_tx.send_update(u(2, 2.0));
-        rcm_sync::thread::sleep(Duration::from_millis(2));
-        json_tx.send_update(u(3, 3.0));
-        rcm_sync::thread::sleep(Duration::from_millis(2));
-        json_tx.finish(2);
-        let (got, stats) = handle.join().expect("receiver thread");
-        assert_eq!(got, vec![1, 2, 3], "frames dispatched per version byte, one gate");
-        assert_eq!(stats.decode_errors, 0);
     }
 
     #[test]

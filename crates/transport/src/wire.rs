@@ -10,27 +10,18 @@
 //! +---------+-------------------+---------------------+-----------------+
 //! ```
 //!
-//! The version byte selects the payload codec — it is the negotiation
-//! mechanism, not just a skew check. Two codecs are live behind the
-//! [`SerDes`] seam:
-//!
-//! * version 2 — [`JsonSerDes`]: the original self-describing JSON
-//!   payload, kept for rollout interop and human-readable captures;
-//! * version 3 — [`BinarySerDes`]: a hand-rolled compact layout — one
-//!   tag byte, LEB128 varints for every id/seqno/count, and raw
-//!   little-endian `f64` bits — encoded into a caller-provided buffer
-//!   and decoded straight off the frame with no intermediate
-//!   allocation.
-//!
-//! Receivers dispatch per frame on the version byte, so a binary CE
-//! can serve a JSON AD (and vice versa) during a mixed-codec rollout;
-//! any *other* version byte fails fast on the first byte. The checksum
-//! rejects payload corruption before either parser sees it (UDP's
-//! 16-bit checksum is weak and optional, and a TCP stream that
-//! desynchronizes mid-frame would otherwise feed garbage lengths
-//! forever). The codec is symmetric and self-delimiting: a TCP byte
-//! stream decodes incrementally through a [`FrameBuf`], and a UDP
-//! datagram carries exactly one frame decoded with [`decode_datagram`].
+//! The version byte names the one payload layout this build speaks —
+//! version 3: a hand-rolled compact encoding of one tag byte, LEB128
+//! varints for every id/seqno/count, and raw little-endian `f64` bits,
+//! encoded into a caller-provided buffer and decoded straight off the
+//! frame with no intermediate allocation. Any other version byte fails
+//! fast on the first byte. The checksum rejects payload corruption
+//! before the parser sees it (UDP's 16-bit checksum is weak and
+//! optional, and a TCP stream that desynchronizes mid-frame would
+//! otherwise feed garbage lengths forever). The codec is symmetric and
+//! self-delimiting: a TCP byte stream decodes incrementally through a
+//! [`FrameBuf`], and a UDP datagram carries exactly one frame decoded
+//! with [`decode_datagram`].
 //!
 //! Binary payload layout (`varint` = unsigned LEB128, ≤ 10 bytes):
 //!
@@ -48,18 +39,11 @@
 //!              kind 0 (aggregate): value:f64-le-bits
 //!              kind 1 (verdict):   alert
 //! ```
-//!
-//! This module used to live in `rcm-runtime::wire` (which still
-//! re-exports it); it moved here so the socket transport and the
-//! in-process runtime share one frame format by construction.
-
-use std::io;
 
 use rcm_core::{Alert, AlertId, CeId, CondId, DerivedPayload, DerivedUpdate, SeqNo, Update, VarId};
-use serde::{Deserialize, Serialize};
 
 /// A message on a monitoring link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// A data update (front links).
     Update(Update),
@@ -97,112 +81,11 @@ pub enum Message {
     Derived(DerivedUpdate),
 }
 
-/// How much of an alert's history set is put on the wire.
-///
-/// The paper's §2: "although conceptually we send all histories in an
-/// alert, in practice this is often not necessary. … some systems do
-/// not need this information at all. Others need only the update
-/// sequence numbers contained in the histories. Still others only use
-/// these sequence numbers in a simple equality test, in which case it
-/// may be sufficient to send just a checksum of the histories."
-///
-/// Minimum fidelity per AD algorithm:
-///
-/// | Fidelity | Sufficient for |
-/// |----------|----------------|
-/// | [`Fidelity::Digest`] | AD-1 (equality test only) |
-/// | [`Fidelity::Heads`] | AD-2, AD-5 (per-variable `a.seqno.x` comparisons) |
-/// | [`Fidelity::Seqnos`] | AD-3, AD-4, AD-6 (full history seqnos for the spanning-set test) |
-/// | [`Fidelity::Full`] | displays that show triggering values to the user |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Fidelity {
-    /// Only a 64-bit checksum of the histories.
-    Digest,
-    /// Only the newest seqno per variable.
-    Heads,
-    /// All history seqnos, no values.
-    Seqnos,
-    /// The complete alert including the value snapshot.
-    Full,
-}
-
-/// An alert reduced to a wire fidelity level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum CompactAlert {
-    /// Checksum only.
-    Digest {
-        /// Condition id.
-        cond: rcm_core::CondId,
-        /// Provenance.
-        id: rcm_core::AlertId,
-        /// [`HistoryDigest`](rcm_core::ad::HistoryDigest) value.
-        digest: u64,
-    },
-    /// Newest seqno per variable.
-    Heads {
-        /// Condition id.
-        cond: rcm_core::CondId,
-        /// Provenance.
-        id: rcm_core::AlertId,
-        /// `(variable, a.seqno.var)` pairs, ascending by variable.
-        heads: Vec<(rcm_core::VarId, rcm_core::SeqNo)>,
-    },
-    /// Full history seqnos, values stripped.
-    Seqnos {
-        /// Condition id.
-        cond: rcm_core::CondId,
-        /// Provenance.
-        id: rcm_core::AlertId,
-        /// The complete fingerprint.
-        fingerprint: rcm_core::HistoryFingerprint,
-    },
-    /// The complete alert.
-    Full(Alert),
-}
-
-impl CompactAlert {
-    /// Reduces an alert to the requested fidelity.
-    pub fn of(alert: &Alert, fidelity: Fidelity) -> Self {
-        match fidelity {
-            Fidelity::Digest => CompactAlert::Digest {
-                cond: alert.cond,
-                id: alert.id,
-                digest: rcm_core::ad::HistoryDigest::of(alert).get(),
-            },
-            Fidelity::Heads => CompactAlert::Heads {
-                cond: alert.cond,
-                id: alert.id,
-                heads: alert.fingerprint.iter().map(|(v, seqnos)| (v, seqnos[0])).collect(),
-            },
-            Fidelity::Seqnos => CompactAlert::Seqnos {
-                cond: alert.cond,
-                id: alert.id,
-                fingerprint: alert.fingerprint.clone(),
-            },
-            Fidelity::Full => CompactAlert::Full(alert.clone()),
-        }
-    }
-
-    /// Serialized JSON payload size in bytes at this fidelity,
-    /// measured through the [`SerDes`] seam's counting sink — no
-    /// serialization buffer is allocated.
-    pub fn encoded_len(&self) -> usize {
-        match json_len(self) {
-            Ok(len) => len,
-            // Unreachable for well-formed alerts; a zero length is a
-            // harmless answer for a sizing query on the hot path.
-            Err(_) => 0,
-        }
-    }
-}
-
 /// Errors produced while encoding or decoding frames.
 #[derive(Debug)]
 pub enum WireError {
-    /// The payload was not valid JSON for a [`Message`].
-    Codec(serde_json::Error),
-    /// A binary payload was structurally invalid (bad tag, truncated
-    /// body, overflowing varint, malformed fingerprint, …).
+    /// A payload was structurally invalid (bad tag, truncated body,
+    /// overflowing varint, malformed fingerprint, …).
     Malformed {
         /// What the decoder tripped on.
         context: &'static str,
@@ -212,7 +95,7 @@ pub enum WireError {
         /// Declared payload size.
         declared: usize,
     },
-    /// The frame's version byte names no codec this build speaks.
+    /// The frame's version byte is not [`BINARY_WIRE_VERSION`].
     BadVersion {
         /// The version byte found on the wire.
         found: u8,
@@ -241,17 +124,12 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Codec(e) => write!(f, "payload codec error: {e}"),
             WireError::Malformed { context } => write!(f, "malformed binary payload: {context}"),
             WireError::FrameTooLarge { declared } => {
                 write!(f, "frame of {declared} bytes exceeds the {MAX_FRAME} byte cap")
             }
             WireError::BadVersion { found } => {
-                write!(
-                    f,
-                    "wire version {found} (this build speaks {WIRE_VERSION} and \
-                     {BINARY_WIRE_VERSION})"
-                )
+                write!(f, "wire version {found} (this build speaks {BINARY_WIRE_VERSION})")
             }
             WireError::BadChecksum { declared, computed } => {
                 write!(f, "payload checksum {computed:#010x} != declared {declared:#010x}")
@@ -266,19 +144,9 @@ impl std::fmt::Display for WireError {
     }
 }
 
-impl std::error::Error for WireError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WireError::Codec(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for WireError {}
 
-/// The JSON codec's version byte (the original frame format revision).
-pub const WIRE_VERSION: u8 = 2;
-
-/// The compact binary codec's version byte.
+/// The version byte every frame carries.
 pub const BINARY_WIRE_VERSION: u8 = 3;
 
 /// Bytes before the payload: version, length, checksum.
@@ -290,179 +158,16 @@ pub const HEADER_LEN: usize = 9;
 /// length prefixes.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Which payload codec a link speaks. The runtime-dispatch selector in
-/// front of the [`SerDes`] seam: configuration (topology, node-binary
-/// flags) carries a `Codec`, the seam does the work.
-///
-/// Receivers do not need one — they dispatch on each frame's version
-/// byte, which is what lets mixed-codec fleets interoperate during a
-/// rollout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// The payload codec. There is exactly one and nothing can select
+/// another: the type survives only as the first parameter of
+/// [`encode_into`], [`encode_updates_into`] and [`encode_alerts_into`],
+/// which `benchmark/src/replay.rs` calls with `Codec::Binary` and a PR
+/// outside `benchmark/` may not edit. Delete the parameter and this
+/// type in the PR after a `benchmark` PR stops passing it.
+#[derive(Debug, Clone, Copy)]
 pub enum Codec {
-    /// Version-2 self-describing JSON payloads.
-    Json,
-    /// Version-3 compact binary payloads (the default).
-    #[default]
+    /// Version-3 compact binary payloads.
     Binary,
-}
-
-impl Codec {
-    /// The version byte frames of this codec carry.
-    pub const fn version(self) -> u8 {
-        match self {
-            Codec::Json => JsonSerDes::VERSION,
-            Codec::Binary => BinarySerDes::VERSION,
-        }
-    }
-
-    /// The codec a version byte names, if any.
-    pub const fn from_version(version: u8) -> Option<Codec> {
-        match version {
-            WIRE_VERSION => Some(Codec::Json),
-            BINARY_WIRE_VERSION => Some(Codec::Binary),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling used by the node binaries (`--codec json`).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Codec::Json => "json",
-            Codec::Binary => "binary",
-        }
-    }
-}
-
-impl std::str::FromStr for Codec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "json" => Ok(Codec::Json),
-            "binary" => Ok(Codec::Binary),
-            other => Err(format!("unknown codec {other:?} (expected json or binary)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Codec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The pluggable serializer/deserializer seam. A codec implements this
-/// to plug into the shared framing (version byte, length, checksum):
-/// encoding appends to a caller-provided buffer so steady-state links
-/// reuse one allocation, decoding reads straight off the frame slice,
-/// and sizing is computed without serializing into a buffer at all.
-pub trait SerDes {
-    /// The version byte frames of this codec carry on the wire.
-    const VERSION: u8;
-
-    /// Appends `msg`'s payload encoding (no header) to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Codec-specific serialization failures.
-    fn encode_payload(msg: &Message, out: &mut Vec<u8>) -> Result<(), WireError>;
-
-    /// Appends a borrowed update run as an `UpdateBatch` payload —
-    /// the batching fast path, identical bytes to
-    /// `encode_payload(&Message::UpdateBatch(updates.to_vec()))`
-    /// without taking ownership of the batch.
-    ///
-    /// # Errors
-    ///
-    /// Codec-specific serialization failures.
-    fn encode_update_slice(updates: &[Update], out: &mut Vec<u8>) -> Result<(), WireError>;
-
-    /// Appends a borrowed alert run as an `AlertBatch` payload; see
-    /// [`SerDes::encode_update_slice`].
-    ///
-    /// # Errors
-    ///
-    /// Codec-specific serialization failures.
-    fn encode_alert_slice(alerts: &[Alert], out: &mut Vec<u8>) -> Result<(), WireError>;
-
-    /// Decodes one complete payload.
-    ///
-    /// # Errors
-    ///
-    /// Codec-specific parse failures; must never panic, whatever the
-    /// bytes.
-    fn decode_payload(payload: &[u8]) -> Result<Message, WireError>;
-
-    /// Exact encoded payload size in bytes, computed without
-    /// allocating.
-    ///
-    /// # Errors
-    ///
-    /// Codec-specific serialization failures.
-    fn payload_len(msg: &Message) -> Result<usize, WireError>;
-}
-
-/// An `io::Write` sink that only counts — the allocation-free length
-/// path of the JSON codec.
-struct ByteCount(usize);
-
-impl io::Write for ByteCount {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0 += buf.len();
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Serialized JSON size of any value, streamed into a counting sink.
-fn json_len<T: Serialize + ?Sized>(value: &T) -> Result<usize, WireError> {
-    let mut sink = ByteCount(0);
-    serde_json::to_writer(&mut sink, value).map_err(WireError::Codec)?;
-    Ok(sink.0)
-}
-
-/// Serde mirror of the batch variants over borrowed slices: serializes
-/// byte-identically to the owned [`Message`] variants (same externally
-/// tagged layout, same variant names).
-#[derive(Serialize)]
-enum BorrowedBatch<'a> {
-    UpdateBatch(&'a [Update]),
-    AlertBatch(&'a [Alert]),
-}
-
-/// The version-2 JSON codec: self-describing, interoperable,
-/// human-readable in a capture — and an order of magnitude slower than
-/// [`BinarySerDes`], which is why it is no longer the default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonSerDes;
-
-impl SerDes for JsonSerDes {
-    const VERSION: u8 = WIRE_VERSION;
-
-    fn encode_payload(msg: &Message, out: &mut Vec<u8>) -> Result<(), WireError> {
-        serde_json::to_writer(&mut *out, msg).map_err(WireError::Codec)
-    }
-
-    fn encode_update_slice(updates: &[Update], out: &mut Vec<u8>) -> Result<(), WireError> {
-        serde_json::to_writer(&mut *out, &BorrowedBatch::UpdateBatch(updates))
-            .map_err(WireError::Codec)
-    }
-
-    fn encode_alert_slice(alerts: &[Alert], out: &mut Vec<u8>) -> Result<(), WireError> {
-        serde_json::to_writer(&mut *out, &BorrowedBatch::AlertBatch(alerts))
-            .map_err(WireError::Codec)
-    }
-
-    fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
-        serde_json::from_slice(payload).map_err(WireError::Codec)
-    }
-
-    fn payload_len(msg: &Message) -> Result<usize, WireError> {
-        json_len(msg)
-    }
 }
 
 /// Message tags of the binary payload layout.
@@ -695,105 +400,95 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The version-3 compact binary codec. See the module docs for the
-/// layout; the design point is that the per-message fixed cost is a
-/// handful of varint reads instead of a JSON parse, and encode writes
-/// straight into the caller's frame buffer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinarySerDes;
-
-impl SerDes for BinarySerDes {
-    const VERSION: u8 = BINARY_WIRE_VERSION;
-
-    fn encode_payload(msg: &Message, out: &mut Vec<u8>) -> Result<(), WireError> {
-        match msg {
-            Message::Update(u) => {
-                out.push(tag::UPDATE);
-                put_update(out, u);
-            }
-            Message::Alert(a) => {
-                out.push(tag::ALERT);
-                put_alert(out, a);
-            }
-            Message::Hello { node } => {
-                out.push(tag::HELLO);
-                put_varint(out, u64::from(*node));
-            }
-            Message::Fin { node } => {
-                out.push(tag::FIN);
-                put_varint(out, u64::from(*node));
-            }
-            Message::Derived(derived) => {
-                out.push(tag::DERIVED);
-                put_derived(out, derived);
-            }
-            Message::UpdateBatch(updates) => return Self::encode_update_slice(updates, out),
-            Message::AlertBatch(alerts) => return Self::encode_alert_slice(alerts, out),
-        }
-        Ok(())
-    }
-
-    fn encode_update_slice(updates: &[Update], out: &mut Vec<u8>) -> Result<(), WireError> {
-        out.push(tag::UPDATE_BATCH);
-        put_varint(out, updates.len() as u64);
-        for u in updates {
+fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
+    match msg {
+        Message::Update(u) => {
+            out.push(tag::UPDATE);
             put_update(out, u);
         }
-        Ok(())
-    }
-
-    fn encode_alert_slice(alerts: &[Alert], out: &mut Vec<u8>) -> Result<(), WireError> {
-        out.push(tag::ALERT_BATCH);
-        put_varint(out, alerts.len() as u64);
-        for a in alerts {
+        Message::Alert(a) => {
+            out.push(tag::ALERT);
             put_alert(out, a);
         }
-        Ok(())
-    }
-
-    fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
-        let mut r = Reader::new(payload);
-        let msg = match r.u8()? {
-            tag::UPDATE => Message::Update(r.update()?),
-            tag::ALERT => Message::Alert(r.alert()?),
-            tag::HELLO => Message::Hello { node: r.varint_u32()? },
-            tag::FIN => Message::Fin { node: r.varint_u32()? },
-            tag::UPDATE_BATCH => Message::UpdateBatch(r.update_batch()?),
-            tag::DERIVED => Message::Derived(r.derived()?),
-            tag::ALERT_BATCH => {
-                let count = r.varint()? as usize;
-                if count > r.remaining() / ALERT_WIRE_MIN + 1 {
-                    return Err(WireError::Malformed { context: "batch count exceeds payload" });
-                }
-                let mut alerts = Vec::with_capacity(count);
-                for _ in 0..count {
-                    alerts.push(r.alert()?);
-                }
-                Message::AlertBatch(alerts)
-            }
-            _ => return Err(WireError::Malformed { context: "unknown message tag" }),
-        };
-        if r.remaining() != 0 {
-            return Err(WireError::Malformed { context: "trailing payload bytes" });
+        Message::Hello { node } => {
+            out.push(tag::HELLO);
+            put_varint(out, u64::from(*node));
         }
-        Ok(msg)
+        Message::Fin { node } => {
+            out.push(tag::FIN);
+            put_varint(out, u64::from(*node));
+        }
+        Message::Derived(derived) => {
+            out.push(tag::DERIVED);
+            put_derived(out, derived);
+        }
+        Message::UpdateBatch(updates) => encode_update_slice(updates, out),
+        Message::AlertBatch(alerts) => encode_alert_slice(alerts, out),
     }
+}
 
-    fn payload_len(msg: &Message) -> Result<usize, WireError> {
-        Ok(match msg {
-            Message::Update(u) => 1 + update_wire_len(u),
-            Message::Alert(a) => 1 + alert_wire_len(a),
-            Message::Derived(d) => 1 + derived_wire_len(d),
-            Message::Hello { node } | Message::Fin { node } => 1 + varint_len(u64::from(*node)),
-            Message::UpdateBatch(updates) => {
-                1 + varint_len(updates.len() as u64)
-                    + updates.iter().map(update_wire_len).sum::<usize>()
+/// A borrowed update run as an `UpdateBatch` payload — the batching
+/// fast path, identical bytes to the owned variant.
+fn encode_update_slice(updates: &[Update], out: &mut Vec<u8>) {
+    out.push(tag::UPDATE_BATCH);
+    put_varint(out, updates.len() as u64);
+    for u in updates {
+        put_update(out, u);
+    }
+}
+
+/// A borrowed alert run as an `AlertBatch` payload.
+fn encode_alert_slice(alerts: &[Alert], out: &mut Vec<u8>) {
+    out.push(tag::ALERT_BATCH);
+    put_varint(out, alerts.len() as u64);
+    for a in alerts {
+        put_alert(out, a);
+    }
+}
+
+/// Decodes one complete payload; never panics, whatever the bytes.
+fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
+    let mut r = Reader::new(payload);
+    let msg = match r.u8()? {
+        tag::UPDATE => Message::Update(r.update()?),
+        tag::ALERT => Message::Alert(r.alert()?),
+        tag::HELLO => Message::Hello { node: r.varint_u32()? },
+        tag::FIN => Message::Fin { node: r.varint_u32()? },
+        tag::UPDATE_BATCH => Message::UpdateBatch(r.update_batch()?),
+        tag::DERIVED => Message::Derived(r.derived()?),
+        tag::ALERT_BATCH => {
+            let count = r.varint()? as usize;
+            if count > r.remaining() / ALERT_WIRE_MIN + 1 {
+                return Err(WireError::Malformed { context: "batch count exceeds payload" });
             }
-            Message::AlertBatch(alerts) => {
-                1 + varint_len(alerts.len() as u64)
-                    + alerts.iter().map(alert_wire_len).sum::<usize>()
+            let mut alerts = Vec::with_capacity(count);
+            for _ in 0..count {
+                alerts.push(r.alert()?);
             }
-        })
+            Message::AlertBatch(alerts)
+        }
+        _ => return Err(WireError::Malformed { context: "unknown message tag" }),
+    };
+    if r.remaining() != 0 {
+        return Err(WireError::Malformed { context: "trailing payload bytes" });
+    }
+    Ok(msg)
+}
+
+/// Exact encoded payload size in bytes, computed without allocating.
+fn payload_len(msg: &Message) -> usize {
+    match msg {
+        Message::Update(u) => 1 + update_wire_len(u),
+        Message::Alert(a) => 1 + alert_wire_len(a),
+        Message::Derived(d) => 1 + derived_wire_len(d),
+        Message::Hello { node } | Message::Fin { node } => 1 + varint_len(u64::from(*node)),
+        Message::UpdateBatch(updates) => {
+            1 + varint_len(updates.len() as u64)
+                + updates.iter().map(update_wire_len).sum::<usize>()
+        }
+        Message::AlertBatch(alerts) => {
+            1 + varint_len(alerts.len() as u64) + alerts.iter().map(alert_wire_len).sum::<usize>()
+        }
     }
 }
 
@@ -813,18 +508,11 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 /// leaves room for the length/checksum, runs `encode`, then patches
 /// the header over what it produced. On error `out` is truncated back
 /// to its original length.
-fn frame_with(
-    codec: Codec,
-    out: &mut Vec<u8>,
-    encode: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
-) -> Result<(), WireError> {
+fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
     let start = out.len();
-    out.push(codec.version());
+    out.push(BINARY_WIRE_VERSION);
     out.extend_from_slice(&[0u8; 8]);
-    if let Err(e) = encode(out) {
-        out.truncate(start);
-        return Err(e);
-    }
+    encode(out);
     let payload_start = start + HEADER_LEN;
     let payload_len = out.len() - payload_start;
     if payload_len > MAX_FRAME {
@@ -841,27 +529,15 @@ fn frame_with(
     Ok(())
 }
 
-/// Encodes a message as one framed byte vector in the legacy JSON
-/// codec — kept for tests and captures that want self-describing
-/// frames; production links use [`encode_into`] with a configured
-/// [`Codec`] and a reused buffer.
+/// Encodes a message as one framed byte vector; steady-state links use
+/// [`encode_into`] with a reused buffer instead.
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Codec`] if serialization fails (cannot happen
-/// for well-formed messages; kept fallible for API honesty).
+/// [`WireError::FrameTooLarge`] for a payload over [`MAX_FRAME`].
 pub fn encode(msg: &Message) -> Result<Vec<u8>, WireError> {
-    encode_with(Codec::Json, msg)
-}
-
-/// Encodes a message as one framed byte vector in the given codec.
-///
-/// # Errors
-///
-/// Serialization failures from the selected codec.
-pub fn encode_with(codec: Codec, msg: &Message) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::new();
-    encode_into(codec, msg, &mut out)?;
+    encode_into(Codec::Binary, msg, &mut out)?;
     Ok(out)
 }
 
@@ -870,13 +546,10 @@ pub fn encode_with(codec: Codec, msg: &Message) -> Result<Vec<u8>, WireError> {
 ///
 /// # Errors
 ///
-/// Serialization failures from the selected codec; `out` is left
-/// unchanged on error.
-pub fn encode_into(codec: Codec, msg: &Message, out: &mut Vec<u8>) -> Result<(), WireError> {
-    frame_with(codec, out, |out| match codec {
-        Codec::Json => JsonSerDes::encode_payload(msg, out),
-        Codec::Binary => BinarySerDes::encode_payload(msg, out),
-    })
+/// [`WireError::FrameTooLarge`] for a payload over [`MAX_FRAME`]; `out`
+/// is left unchanged on error.
+pub fn encode_into(_codec: Codec, msg: &Message, out: &mut Vec<u8>) -> Result<(), WireError> {
+    frame_with(out, |out| encode_payload(msg, out))
 }
 
 /// Appends one `UpdateBatch` frame for a borrowed update run —
@@ -885,17 +558,13 @@ pub fn encode_into(codec: Codec, msg: &Message, out: &mut Vec<u8>) -> Result<(),
 ///
 /// # Errors
 ///
-/// Serialization failures from the selected codec; `out` is left
-/// unchanged on error.
+/// As [`encode_into`].
 pub fn encode_updates_into(
-    codec: Codec,
+    _codec: Codec,
     updates: &[Update],
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    frame_with(codec, out, |out| match codec {
-        Codec::Json => JsonSerDes::encode_update_slice(updates, out),
-        Codec::Binary => BinarySerDes::encode_update_slice(updates, out),
-    })
+    frame_with(out, |out| encode_update_slice(updates, out))
 }
 
 /// Appends one `AlertBatch` frame for a borrowed alert run; see
@@ -903,32 +572,20 @@ pub fn encode_updates_into(
 ///
 /// # Errors
 ///
-/// Serialization failures from the selected codec; `out` is left
-/// unchanged on error.
+/// As [`encode_into`].
 pub fn encode_alerts_into(
-    codec: Codec,
+    _codec: Codec,
     alerts: &[Alert],
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    frame_with(codec, out, |out| match codec {
-        Codec::Json => JsonSerDes::encode_alert_slice(alerts, out),
-        Codec::Binary => BinarySerDes::encode_alert_slice(alerts, out),
-    })
+    frame_with(out, |out| encode_alert_slice(alerts, out))
 }
 
-/// The complete frame size (header + payload) `msg` would occupy in
-/// `codec`, computed without encoding — what the batching links use
-/// for their size-triggered flush.
-///
-/// # Errors
-///
-/// Serialization failures from the selected codec.
-pub fn frame_len(codec: Codec, msg: &Message) -> Result<usize, WireError> {
-    let payload = match codec {
-        Codec::Json => JsonSerDes::payload_len(msg)?,
-        Codec::Binary => BinarySerDes::payload_len(msg)?,
-    };
-    Ok(HEADER_LEN + payload)
+/// The complete frame size (header + payload) `msg` would occupy,
+/// computed without encoding — what the batching links use for their
+/// size-triggered flush.
+pub fn frame_len(msg: &Message) -> usize {
+    HEADER_LEN + payload_len(msg)
 }
 
 /// An incremental decode buffer for framed byte streams (the TCP
@@ -989,13 +646,14 @@ impl From<&[u8]> for FrameBuf {
 }
 
 /// Parses one frame header from `bytes`; `Ok(None)` means incomplete.
-/// On success returns the payload codec (dispatched off the version
-/// byte) and the payload length (the payload begins at [`HEADER_LEN`]).
-fn parse_header(bytes: &[u8]) -> Result<Option<(Codec, usize)>, WireError> {
+/// On success returns the payload length (the payload begins at
+/// [`HEADER_LEN`]). A version byte other than [`BINARY_WIRE_VERSION`]
+/// is rejected before any length is read.
+fn parse_header(bytes: &[u8]) -> Result<Option<usize>, WireError> {
     let Some(&version) = bytes.first() else { return Ok(None) };
-    let Some(codec) = Codec::from_version(version) else {
+    if version != BINARY_WIRE_VERSION {
         return Err(WireError::BadVersion { found: version });
-    };
+    }
     if bytes.len() < HEADER_LEN {
         return Ok(None);
     }
@@ -1003,28 +661,24 @@ fn parse_header(bytes: &[u8]) -> Result<Option<(Codec, usize)>, WireError> {
     if declared > MAX_FRAME {
         return Err(WireError::FrameTooLarge { declared });
     }
-    Ok(Some((codec, declared)))
+    Ok(Some(declared))
 }
 
 /// Verifies and deserializes a complete frame's payload.
-fn parse_payload(codec: Codec, header: &[u8], payload: &[u8]) -> Result<Message, WireError> {
+fn parse_payload(header: &[u8], payload: &[u8]) -> Result<Message, WireError> {
     let declared = u32::from_be_bytes([header[5], header[6], header[7], header[8]]);
     let computed = fnv1a(payload);
     if computed != declared {
         return Err(WireError::BadChecksum { declared, computed });
     }
-    match codec {
-        Codec::Json => JsonSerDes::decode_payload(payload),
-        Codec::Binary => BinarySerDes::decode_payload(payload),
-    }
+    decode_payload(payload)
 }
 
 /// Attempts to decode one frame from the front of `buf`.
 ///
 /// Returns `Ok(None)` when the buffer does not yet hold a complete
 /// frame (read more bytes and retry); on success the frame's bytes are
-/// consumed from `buf`. Frames of either codec are accepted, each
-/// dispatched on its own version byte.
+/// consumed from `buf`.
 ///
 /// A decode error is fatal for the stream: the buffer's read position
 /// is left at the bad frame, and a desynchronized or corrupted peer
@@ -1035,31 +689,29 @@ fn parse_payload(codec: Codec, header: &[u8], payload: &[u8]) -> Result<Message,
 /// [`WireError::BadVersion`] for protocol skew,
 /// [`WireError::FrameTooLarge`] for implausible length prefixes,
 /// [`WireError::BadChecksum`] for corrupted payloads and
-/// [`WireError::Codec`] / [`WireError::Malformed`] for undecodable
-/// ones.
+/// [`WireError::Malformed`] for undecodable ones.
 pub fn decode(buf: &mut FrameBuf) -> Result<Option<Message>, WireError> {
-    let Some((codec, declared)) = parse_header(buf.pending())? else { return Ok(None) };
+    let Some(declared) = parse_header(buf.pending())? else { return Ok(None) };
     if buf.len() < HEADER_LEN + declared {
         return Ok(None);
     }
     let (header, rest) = buf.pending().split_at(HEADER_LEN);
     // analyze: allow(hot-path): the guard above returns unless len >= HEADER_LEN + declared
-    let msg = parse_payload(codec, header, &rest[..declared])?;
+    let msg = parse_payload(header, &rest[..declared])?;
     buf.consume(HEADER_LEN + declared);
     Ok(Some(msg))
 }
 
 /// Decodes a datagram that must contain exactly one whole frame — the
 /// UDP side, where the kernel already delimits messages and a partial
-/// or over-full datagram is corruption, not back-pressure. Frames of
-/// either codec are accepted.
+/// or over-full datagram is corruption, not back-pressure.
 ///
 /// # Errors
 ///
 /// Everything [`decode`] can return, plus [`WireError::Truncated`] and
 /// [`WireError::TrailingBytes`] for mis-sized datagrams.
 pub fn decode_datagram(bytes: &[u8]) -> Result<Message, WireError> {
-    let Some((codec, declared)) = parse_header(bytes)? else {
+    let Some(declared) = parse_header(bytes)? else {
         return Err(WireError::Truncated { declared: HEADER_LEN, got: bytes.len() });
     };
     let got = bytes.len() - HEADER_LEN;
@@ -1070,29 +722,19 @@ pub fn decode_datagram(bytes: &[u8]) -> Result<Message, WireError> {
         return Err(WireError::TrailingBytes { extra: got - declared });
     }
     let (header, payload) = bytes.split_at(HEADER_LEN);
-    parse_payload(codec, header, payload)
+    parse_payload(header, payload)
 }
 
-/// Round-trips a message through the binary codec — used by the
-/// in-process links to make every delivered message cross a real
-/// serialization boundary.
+/// Round-trips a message through the codec — used by the in-process
+/// links to make every delivered message cross a real serialization
+/// boundary.
 ///
 /// # Panics
 ///
 /// Panics if the codec disagrees with itself; that is a bug worth
 /// crashing on.
 pub fn roundtrip(msg: &Message) -> Message {
-    roundtrip_with(Codec::Binary, msg)
-}
-
-/// Round-trips a message through the given codec; see [`roundtrip`].
-///
-/// # Panics
-///
-/// Panics if the codec disagrees with itself; that is a bug worth
-/// crashing on.
-pub fn roundtrip_with(codec: Codec, msg: &Message) -> Message {
-    let bytes = match encode_with(codec, msg) {
+    let bytes = match encode(msg) {
         Ok(bytes) => bytes,
         Err(e) => panic!("encoding well-formed message: {e}"),
     };
@@ -1106,8 +748,6 @@ pub fn roundtrip_with(codec: Codec, msg: &Message) -> Message {
 mod tests {
     use super::*;
     use rcm_core::{AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
-
-    const CODECS: [Codec; 2] = [Codec::Json, Codec::Binary];
 
     fn update() -> Update {
         Update::new(VarId::new(3), 17, 3000.5)
@@ -1160,50 +800,31 @@ mod tests {
     }
 
     #[test]
-    fn every_message_roundtrips_in_both_codecs() {
-        for codec in CODECS {
-            for m in sample_messages() {
-                assert_eq!(roundtrip_with(codec, &m), m, "{codec} codec, {m:?}");
-            }
+    fn every_message_roundtrips() {
+        for m in sample_messages() {
+            assert_eq!(roundtrip(&m), m, "{m:?}");
         }
     }
 
     #[test]
     fn alert_roundtrip_preserves_fingerprint_and_provenance() {
-        for codec in CODECS {
-            let m = Message::Alert(alert());
-            let back = roundtrip_with(codec, &m);
-            match (m, back) {
-                (Message::Alert(a), Message::Alert(b)) => {
-                    assert_eq!(a, b); // identity (cond + fingerprint)
-                    assert_eq!(a.id, b.id); // provenance survives too
-                    assert_eq!(a.snapshot[..], b.snapshot[..]); // values exact in both codecs
-                }
-                _ => panic!("variant changed in flight"),
+        let m = Message::Alert(alert());
+        let back = roundtrip(&m);
+        match (m, back) {
+            (Message::Alert(a), Message::Alert(b)) => {
+                assert_eq!(a, b); // identity (cond + fingerprint)
+                assert_eq!(a.id, b.id); // provenance survives too
+                assert_eq!(a.snapshot[..], b.snapshot[..]); // values exact
             }
+            _ => panic!("variant changed in flight"),
         }
     }
 
     #[test]
     fn payload_len_is_exact_without_encoding() {
-        for codec in CODECS {
-            for m in sample_messages() {
-                let frame = encode_with(codec, &m).expect("encodes");
-                assert_eq!(
-                    frame_len(codec, &m).expect("sized"),
-                    frame.len(),
-                    "{codec} codec, {m:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn binary_frames_are_smaller_than_json() {
-        for m in [Message::Update(update()), Message::Alert(alert())] {
-            let json = encode_with(Codec::Json, &m).expect("encodes").len();
-            let binary = encode_with(Codec::Binary, &m).expect("encodes").len();
-            assert!(binary * 3 < json, "binary {binary} vs json {json} for {m:?}");
+        for m in sample_messages() {
+            let frame = encode(&m).expect("encodes");
+            assert_eq!(frame_len(&m), frame.len(), "{m:?}");
         }
     }
 
@@ -1215,8 +836,8 @@ mod tests {
         encode_into(Codec::Binary, &m1, &mut buf).expect("encodes");
         let first = buf.len();
         encode_into(Codec::Binary, &m2, &mut buf).expect("encodes");
-        assert_eq!(&buf[..first], &encode_with(Codec::Binary, &m1).expect("encodes")[..]);
-        assert_eq!(&buf[first..], &encode_with(Codec::Binary, &m2).expect("encodes")[..]);
+        assert_eq!(&buf[..first], &encode(&m1).expect("encodes")[..]);
+        assert_eq!(&buf[first..], &encode(&m2).expect("encodes")[..]);
         // The streaming decoder consumes both appended frames.
         let mut frames = FrameBuf::from(&buf[..]);
         assert_eq!(decode(&mut frames).expect("decodes"), Some(m1));
@@ -1228,38 +849,32 @@ mod tests {
     fn slice_encoders_match_the_owned_batch_variants() {
         let updates: Vec<Update> = (0..4).map(|i| Update::new(VarId::new(0), i + 1, 0.5)).collect();
         let alerts = vec![alert(), alert()];
-        for codec in CODECS {
-            let mut from_slice = Vec::new();
-            encode_updates_into(codec, &updates, &mut from_slice).expect("encodes");
-            let owned =
-                encode_with(codec, &Message::UpdateBatch(updates.clone())).expect("encodes");
-            assert_eq!(from_slice, owned, "{codec} update batch");
-            let mut from_slice = Vec::new();
-            encode_alerts_into(codec, &alerts, &mut from_slice).expect("encodes");
-            let owned = encode_with(codec, &Message::AlertBatch(alerts.clone())).expect("encodes");
-            assert_eq!(from_slice, owned, "{codec} alert batch");
-        }
+        let mut from_slice = Vec::new();
+        encode_updates_into(Codec::Binary, &updates, &mut from_slice).expect("encodes");
+        let owned = encode(&Message::UpdateBatch(updates.clone())).expect("encodes");
+        assert_eq!(from_slice, owned, "update batch");
+        let mut from_slice = Vec::new();
+        encode_alerts_into(Codec::Binary, &alerts, &mut from_slice).expect("encodes");
+        let owned = encode(&Message::AlertBatch(alerts.clone())).expect("encodes");
+        assert_eq!(from_slice, owned, "alert batch");
     }
 
     #[test]
-    fn cross_codec_relabel_is_rejected_not_misparsed() {
-        // A frame whose version byte is rewritten to the *other* codec
-        // passes the checksum (it covers only the payload) but must
-        // fail cleanly in the payload parser — this is what makes the
-        // version byte a safe negotiation mechanism for mixed fleets.
+    fn unknown_version_rejected_on_the_first_byte() {
+        // The checksum covers only the payload, so a well-formed frame
+        // relabelled to any other version — the retired JSON version 2
+        // included — reaches the version check intact and must stop
+        // there: one byte suffices, no length is read.
         for m in sample_messages() {
-            let mut as_binary = encode_with(Codec::Binary, &m).expect("encodes");
-            as_binary[0] = WIRE_VERSION;
-            assert!(
-                matches!(decode_datagram(&as_binary), Err(WireError::Codec(_))),
-                "binary payload misparsed as JSON for {m:?}"
-            );
-            let mut as_json = encode_with(Codec::Json, &m).expect("encodes");
-            as_json[0] = BINARY_WIRE_VERSION;
-            assert!(
-                matches!(decode_datagram(&as_json), Err(WireError::Malformed { .. })),
-                "JSON payload misparsed as binary for {m:?}"
-            );
+            let frame = encode(&m).expect("encodes");
+            for version in [0u8, 1, 2, 4, 9, 255] {
+                let mut relabelled = frame.clone();
+                relabelled[0] = version;
+                let rejected = |r: Result<Option<Message>, WireError>| matches!(r, Err(WireError::BadVersion { found }) if found == version);
+                assert!(rejected(decode_datagram(&relabelled).map(Some)), "v{version} {m:?}");
+                assert!(rejected(decode(&mut FrameBuf::from(&relabelled[..]))), "v{version} {m:?}");
+                assert!(rejected(decode(&mut FrameBuf::from(&relabelled[..1]))), "one byte");
+            }
         }
     }
 
@@ -1267,9 +882,8 @@ mod tests {
     fn streamed_frames_decode_incrementally() {
         let m1 = Message::Update(update());
         let m2 = Message::Alert(alert());
-        // Mixed-codec stream: one JSON frame, one binary frame.
-        let f1 = encode_with(Codec::Json, &m1).expect("update frame encodes");
-        let f2 = encode_with(Codec::Binary, &m2).expect("alert frame encodes");
+        let f1 = encode(&m1).expect("update frame encodes");
+        let f2 = encode(&m2).expect("alert frame encodes");
         let mut buf = FrameBuf::new();
         // Feed byte by byte; decoder must wait for full frames.
         let all: Vec<u8> = f1.iter().chain(f2.iter()).copied().collect();
@@ -1286,36 +900,21 @@ mod tests {
 
     #[test]
     fn oversized_frame_rejected() {
-        for version in [WIRE_VERSION, BINARY_WIRE_VERSION] {
-            let mut raw = vec![version];
-            raw.extend_from_slice(&(MAX_FRAME as u32 + 1).to_be_bytes());
-            raw.extend_from_slice(&[0; 12]);
-            let mut buf = FrameBuf::from(&raw[..]);
-            assert!(matches!(decode(&mut buf), Err(WireError::FrameTooLarge { .. })));
-        }
-    }
-
-    #[test]
-    fn unknown_version_rejected_on_the_first_byte() {
-        // 2 and 3 are live codecs; anything else is skew. One byte
-        // suffices: the reject happens before any length read.
-        let mut frame = encode(&Message::Update(update())).expect("encodes");
-        frame[0] = 9;
-        let mut buf = FrameBuf::from(&frame[..1]);
-        assert!(matches!(decode(&mut buf), Err(WireError::BadVersion { found: 9 })));
-        assert!(matches!(decode_datagram(&frame), Err(WireError::BadVersion { .. })));
+        let mut raw = vec![BINARY_WIRE_VERSION];
+        raw.extend_from_slice(&(MAX_FRAME as u32 + 1).to_be_bytes());
+        raw.extend_from_slice(&[0; 12]);
+        let mut buf = FrameBuf::from(&raw[..]);
+        assert!(matches!(decode(&mut buf), Err(WireError::FrameTooLarge { .. })));
     }
 
     #[test]
     fn flipped_payload_byte_fails_the_checksum() {
-        for codec in CODECS {
-            let mut frame = encode_with(codec, &Message::Alert(alert())).expect("encodes");
-            let last = frame.len() - 1;
-            frame[last] ^= 0x01;
-            let mut buf = FrameBuf::from(&frame[..]);
-            assert!(matches!(decode(&mut buf), Err(WireError::BadChecksum { .. })));
-            assert!(matches!(decode_datagram(&frame), Err(WireError::BadChecksum { .. })));
-        }
+        let mut frame = encode(&Message::Alert(alert())).expect("encodes");
+        let last = frame.len() - 1;
+        frame[last] ^= 0x01;
+        let mut buf = FrameBuf::from(&frame[..]);
+        assert!(matches!(decode(&mut buf), Err(WireError::BadChecksum { .. })));
+        assert!(matches!(decode_datagram(&frame), Err(WireError::BadChecksum { .. })));
     }
 
     fn raw_frame(version: u8, payload: &[u8]) -> Vec<u8> {
@@ -1324,12 +923,6 @@ mod tests {
         raw.extend_from_slice(&fnv1a(payload).to_be_bytes());
         raw.extend_from_slice(payload);
         raw
-    }
-
-    #[test]
-    fn garbage_payload_with_honest_checksum_rejected_by_codec() {
-        let mut buf = FrameBuf::from(&raw_frame(WIRE_VERSION, b"wat")[..]);
-        assert!(matches!(decode(&mut buf), Err(WireError::Codec(_))));
     }
 
     #[test]
@@ -1378,11 +971,10 @@ mod tests {
 
     #[test]
     fn binary_values_survive_exactly_including_nonfinite() {
-        // JSON cannot represent these at all; the binary codec ships
-        // raw bits, so in-process roundtripping is total over f64.
+        // The codec ships raw bits, so roundtripping is total over f64.
         for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, f64::MIN_POSITIVE] {
             let m = Message::Update(Update::new(VarId::new(0), 1, value));
-            match roundtrip_with(Codec::Binary, &m) {
+            match roundtrip(&m) {
                 Message::Update(u) => assert_eq!(u.value.to_bits(), value.to_bits()),
                 other => panic!("unexpected {other:?}"),
             }
@@ -1390,30 +982,15 @@ mod tests {
     }
 
     #[test]
-    fn codec_parses_from_flag_spellings() {
-        assert_eq!("json".parse::<Codec>(), Ok(Codec::Json));
-        assert_eq!("binary".parse::<Codec>(), Ok(Codec::Binary));
-        assert!("msgpack".parse::<Codec>().is_err());
-        assert_eq!(Codec::Json.version(), WIRE_VERSION);
-        assert_eq!(Codec::Binary.version(), BINARY_WIRE_VERSION);
-        assert_eq!(Codec::from_version(WIRE_VERSION), Some(Codec::Json));
-        assert_eq!(Codec::from_version(BINARY_WIRE_VERSION), Some(Codec::Binary));
-        assert_eq!(Codec::from_version(9), None);
-        assert_eq!(Codec::default(), Codec::Binary);
-    }
-
-    #[test]
     fn datagram_must_hold_exactly_one_frame() {
-        for codec in CODECS {
-            let frame = encode_with(codec, &Message::Update(update())).expect("encodes");
-            assert!(matches!(
-                decode_datagram(&frame[..frame.len() - 1]),
-                Err(WireError::Truncated { .. })
-            ));
-            let mut padded = frame.clone();
-            padded.push(0);
-            assert!(matches!(decode_datagram(&padded), Err(WireError::TrailingBytes { extra: 1 })));
-        }
+        let frame = encode(&Message::Update(update())).expect("encodes");
+        assert!(matches!(
+            decode_datagram(&frame[..frame.len() - 1]),
+            Err(WireError::Truncated { .. })
+        ));
+        let mut padded = frame.clone();
+        padded.push(0);
+        assert!(matches!(decode_datagram(&padded), Err(WireError::TrailingBytes { extra: 1 })));
         assert!(matches!(decode_datagram(&[]), Err(WireError::Truncated { .. })));
     }
 
@@ -1421,9 +998,6 @@ mod tests {
     fn short_buffer_returns_none() {
         let mut buf = FrameBuf::new();
         assert!(decode(&mut buf).expect("empty buffer is not an error").is_none());
-        buf.push(&[WIRE_VERSION]);
-        assert!(decode(&mut buf).expect("partial header is not an error").is_none());
-        let mut buf = FrameBuf::new();
         buf.push(&[BINARY_WIRE_VERSION]);
         assert!(decode(&mut buf).expect("partial header is not an error").is_none());
     }
@@ -1438,89 +1012,5 @@ mod tests {
         }
         assert!(buf.is_empty());
         assert!(buf.buf.len() < 8192, "consumed bytes were reclaimed");
-    }
-
-    #[test]
-    fn fidelity_levels_shrink() {
-        let a = alert();
-        let full = CompactAlert::of(&a, Fidelity::Full).encoded_len();
-        let seqnos = CompactAlert::of(&a, Fidelity::Seqnos).encoded_len();
-        let heads = CompactAlert::of(&a, Fidelity::Heads).encoded_len();
-        let digest = CompactAlert::of(&a, Fidelity::Digest).encoded_len();
-        assert!(full > seqnos, "{full} > {seqnos} expected");
-        assert!(seqnos > heads, "{seqnos} > {heads} expected");
-        assert!(seqnos > digest, "{seqnos} > {digest} expected");
-    }
-
-    #[test]
-    fn encoded_len_matches_actual_serialization() {
-        let a = alert();
-        for fidelity in [Fidelity::Digest, Fidelity::Heads, Fidelity::Seqnos, Fidelity::Full] {
-            let c = CompactAlert::of(&a, fidelity);
-            let actual = serde_json::to_vec(&c).expect("compact alert serializes").len();
-            assert_eq!(c.encoded_len(), actual, "{fidelity:?}");
-        }
-    }
-
-    #[test]
-    fn digest_size_is_constant_in_the_degree() {
-        // The paper's checksum point: history payload grows with the
-        // condition degree, the digest does not.
-        let deep = |degree: u64| {
-            let seqnos: Vec<SeqNo> = (0..degree).map(|i| SeqNo::new(100 - i)).collect();
-            Alert::new(
-                CondId::new(1),
-                HistoryFingerprint::single(VarId::new(0), seqnos),
-                vec![],
-                AlertId { ce: CeId::new(0), index: 0 },
-            )
-        };
-        let d2 = deep(2);
-        let d8 = deep(8);
-        assert!(
-            CompactAlert::of(&d8, Fidelity::Seqnos).encoded_len()
-                > CompactAlert::of(&d2, Fidelity::Seqnos).encoded_len()
-        );
-        // Digest length varies only with the decimal rendering of the
-        // checksum, never with the degree.
-        let l2 = CompactAlert::of(&d2, Fidelity::Digest).encoded_len();
-        let l8 = CompactAlert::of(&d8, Fidelity::Digest).encoded_len();
-        assert!(l2.abs_diff(l8) <= 20, "{l2} vs {l8}");
-    }
-
-    #[test]
-    fn heads_keep_the_newest_seqno_per_variable() {
-        let a = alert();
-        match CompactAlert::of(&a, Fidelity::Heads) {
-            CompactAlert::Heads { heads, .. } => {
-                assert_eq!(heads, vec![(VarId::new(3), SeqNo::new(17))]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn digest_matches_core_digest() {
-        let a = alert();
-        match CompactAlert::of(&a, Fidelity::Digest) {
-            CompactAlert::Digest { digest, cond, .. } => {
-                assert_eq!(digest, rcm_core::ad::HistoryDigest::of(&a).get());
-                assert_eq!(cond, a.cond);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn compact_alert_serde_roundtrip() {
-        let a = alert();
-        for fidelity in [Fidelity::Digest, Fidelity::Heads, Fidelity::Seqnos, Fidelity::Full] {
-            let c = CompactAlert::of(&a, fidelity);
-            let json = serde_json::to_string(&c).expect("compact alert serializes");
-            assert_eq!(
-                serde_json::from_str::<CompactAlert>(&json).expect("compact alert parses back"),
-                c
-            );
-        }
     }
 }

@@ -11,19 +11,15 @@
 //!   the AD algorithms are duplicate-indifferent, so the displayed
 //!   alert sequence is bit-identical to the unbatched run.
 //!
-//! Both properties roundtrip the batches through the real wire codec
-//! (binary and JSON), not just through in-memory chunking.
+//! Both properties roundtrip the batches through the real wire codec,
+//! not just through in-memory chunking.
 
 use proptest::prelude::*;
 
 use rcm_core::ad::{Ad1, AlertFilter};
 use rcm_core::{Alert, AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
-use rcm_transport::wire::{decode_datagram, encode_with, Codec, Message};
+use rcm_transport::wire::{decode_datagram, encode, Message};
 use rcm_transport::SeqGate;
-
-fn codec_strategy() -> impl Strategy<Value = Codec> {
-    prop_oneof![Just(Codec::Json), Just(Codec::Binary)]
-}
 
 /// An arbitrary update stream over few variables and a small seqno
 /// range — dense enough that reorders, gaps, and duplicates all occur.
@@ -74,7 +70,6 @@ proptest! {
     fn batched_delivery_admits_exactly_the_unbatched_set(
         updates in update_stream(),
         sizes in proptest::collection::vec(1usize..8, 1..5),
-        codec in codec_strategy(),
     ) {
         // Unbatched: one frame per update.
         let mut solo_gate = SeqGate::new();
@@ -87,8 +82,7 @@ proptest! {
         let mut batch_gate = SeqGate::new();
         let mut batched = Vec::new();
         for chunk in chunk(&updates, &sizes) {
-            let frame =
-                encode_with(codec, &Message::UpdateBatch(chunk)).expect("batch encodes");
+            let frame = encode(&Message::UpdateBatch(chunk)).expect("batch encodes");
             match decode_datagram(&frame).expect("batch decodes") {
                 Message::UpdateBatch(items) => {
                     batched.extend(items.into_iter().filter(|u| batch_gate.admit(u)));
@@ -103,7 +97,6 @@ proptest! {
     fn within_frame_dedup_never_changes_the_displayed_alerts(
         alerts in alert_stream(),
         sizes in proptest::collection::vec(1usize..8, 1..5),
-        codec in codec_strategy(),
     ) {
         // Unbatched: every alert offered to the filter individually.
         let mut solo_ad = Ad1::new();
@@ -123,8 +116,7 @@ proptest! {
                     pending.push(alert);
                 }
             }
-            let frame =
-                encode_with(codec, &Message::AlertBatch(pending)).expect("batch encodes");
+            let frame = encode(&Message::AlertBatch(pending)).expect("batch encodes");
             match decode_datagram(&frame).expect("batch decodes") {
                 Message::AlertBatch(items) => {
                     batched.extend(

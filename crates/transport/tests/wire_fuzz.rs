@@ -1,9 +1,8 @@
-//! Property-based tests of the shared frame codec — now over **both**
-//! payload codecs: every message type survives encode∘decode in JSON
-//! and binary however the stream is fragmented (even with codecs mixed
-//! frame-by-frame), no input — garbage, truncation, single-byte
-//! corruption — ever panics the decoder, and a frame relabeled with
-//! the *other* codec's version byte is rejected rather than misparsed.
+//! Property-based tests of the shared frame codec: every message type
+//! survives encode∘decode however the stream is fragmented, no input —
+//! garbage, truncation, single-byte corruption — ever panics the
+//! decoder, and a frame relabeled with any other version byte is
+//! rejected on that byte rather than misparsed.
 //! The message pool includes tier-link `Derived` frames (synthetic
 //! stream ids in the derived-variable space carrying aggregate samples
 //! or full verdict alerts), so every property above covers the
@@ -16,12 +15,8 @@ use rcm_core::{
     VarId,
 };
 use rcm_transport::wire::{
-    decode, decode_datagram, encode_with, Codec, FrameBuf, Message, WireError,
+    decode, decode_datagram, encode, FrameBuf, Message, WireError, BINARY_WIRE_VERSION,
 };
-
-fn codec_strategy() -> impl Strategy<Value = Codec> {
-    prop_oneof![Just(Codec::Json), Just(Codec::Binary)]
-}
 
 fn update_strategy() -> impl Strategy<Value = Update> {
     (0u32..4, 1u64..1000, -1e6f64..1e6).prop_map(|(v, s, val)| Update::new(VarId::new(v), s, val))
@@ -69,10 +64,8 @@ fn message_strategy() -> impl Strategy<Value = Message> {
 /// Deterministic tier-link sweep — runs everywhere, including
 /// environments where the proptest cases below are CI-only: every
 /// single-byte corruption of a Derived frame (verdict and aggregate)
-/// either errors or decodes to a *different* message, a cross-codec
-/// relabel is rejected, and every truncation is an error. Binary only
-/// — the codec tier links actually ship — with the JSON side covered
-/// by the property cases.
+/// either errors or decodes to a *different* message, a relabel to any
+/// other version byte is rejected, and every truncation is an error.
 #[test]
 fn derived_frame_mutations_never_panic_or_misparse() {
     let alert = Alert::new(
@@ -94,34 +87,27 @@ fn derived_frame_mutations_never_panic_or_misparse() {
         }),
     ];
     for msg in &messages {
-        for codec in [Codec::Binary] {
-            let frame = encode_with(codec, msg).expect("derived frame encodes");
-            assert_eq!(&decode_datagram(&frame).expect("derived frame decodes"), msg);
-            for pos in 0..frame.len() {
-                for xor in [0x01u8, 0x80, 0xff] {
-                    let mut bad = frame.clone();
-                    bad[pos] ^= xor;
-                    // A flip that relabels the frame as JSON hands a
-                    // binary payload to the JSON parser — exercised by
-                    // the property cases; this sweep stays within the
-                    // binary decoder.
-                    if bad[0] == Codec::Json.version() {
-                        continue;
-                    }
-                    if let Ok(got) = decode_datagram(&bad) {
-                        assert_ne!(&got, msg, "corrupted derived frame decoded to the original");
-                    }
+        let frame = encode(msg).expect("derived frame encodes");
+        assert_eq!(&decode_datagram(&frame).expect("derived frame decodes"), msg);
+        for pos in 0..frame.len() {
+            for xor in [0x01u8, 0x80, 0xff] {
+                let mut bad = frame.clone();
+                bad[pos] ^= xor;
+                if let Ok(got) = decode_datagram(&bad) {
+                    assert_ne!(&got, msg, "corrupted derived frame decoded to the original");
                 }
             }
-            for keep in 0..frame.len() {
-                assert!(decode_datagram(&frame[..keep]).is_err(), "truncated frame decoded");
-            }
-            // An unknown version byte must be rejected as such, never
-            // guessed at.
+        }
+        for keep in 0..frame.len() {
+            assert!(decode_datagram(&frame[..keep]).is_err(), "truncated frame decoded");
+        }
+        // Any other version byte must be rejected as such, never
+        // guessed at.
+        for version in (0..=u8::MAX).filter(|&v| v != BINARY_WIRE_VERSION) {
             let mut relabeled = frame.clone();
-            relabeled[0] = 0x7f;
+            relabeled[0] = version;
             match decode_datagram(&relabeled) {
-                Err(WireError::BadVersion { found: 0x7f }) => {}
+                Err(WireError::BadVersion { found }) if found == version => {}
                 Err(e) => panic!("unexpected error class for relabeled derived frame: {e}"),
                 Ok(got) => panic!("relabeled derived frame decoded to {got:?}"),
             }
@@ -143,21 +129,19 @@ proptest! {
     }
 
     #[test]
-    fn every_message_type_roundtrips(msg in message_strategy(), codec in codec_strategy()) {
-        let frame = encode_with(codec, &msg).expect("encodable");
+    fn every_message_type_roundtrips(msg in message_strategy()) {
+        let frame = encode(&msg).expect("encodable");
         prop_assert_eq!(decode_datagram(&frame).expect("decodable"), msg);
     }
 
     #[test]
     fn roundtrip_survives_fragmentation(
-        msgs in proptest::collection::vec((message_strategy(), codec_strategy()), 1..8),
+        msgs in proptest::collection::vec(message_strategy(), 1..8),
         cut in any::<prop::sample::Index>(),
     ) {
-        // Codecs mixed frame-by-frame: the receiver dispatches on each
-        // frame's version byte, never on stream-level configuration.
         let mut stream = Vec::new();
-        for (msg, codec) in &msgs {
-            stream.extend_from_slice(&encode_with(*codec, msg).expect("encodable"));
+        for msg in &msgs {
+            stream.extend_from_slice(&encode(msg).expect("encodable"));
         }
         // Feed the stream in two arbitrary fragments; frame boundaries
         // and fragment boundaries need not line up.
@@ -172,18 +156,16 @@ proptest! {
         while let Some(msg) = decode(&mut buf).expect("well-formed stream") {
             got.push(msg);
         }
-        let want: Vec<Message> = msgs.into_iter().map(|(msg, _)| msg).collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, msgs);
         prop_assert!(buf.is_empty(), "no trailing bytes for complete frames");
     }
 
     #[test]
     fn truncation_never_yields_a_message(
         msg in message_strategy(),
-        codec in codec_strategy(),
         keep in any::<prop::sample::Index>(),
     ) {
-        let frame = encode_with(codec, &msg).expect("encodable");
+        let frame = encode(&msg).expect("encodable");
         let keep = keep.index(frame.len()); // strictly shorter than the frame
         // A truncated datagram is an error, never a decoded message.
         prop_assert!(decode_datagram(&frame[..keep]).is_err());
@@ -200,11 +182,10 @@ proptest! {
     #[test]
     fn corruption_is_detected_or_harmless(
         msg in message_strategy(),
-        codec in codec_strategy(),
         pos in any::<prop::sample::Index>(),
         xor in 1u8..=255,
     ) {
-        let mut frame = encode_with(codec, &msg).expect("encodable");
+        let mut frame = encode(&msg).expect("encodable");
         let pos = pos.index(frame.len());
         frame[pos] ^= xor;
         match decode_datagram(&frame) {
@@ -212,7 +193,7 @@ proptest! {
             // byte, the length, the checksum or the codec...
             Err(_) => {}
             // ...except a flip inside the payload that still parses
-            // (e.g. a digit of a JSON value, or a varint byte). The
+            // (e.g. a varint byte). The
             // framing cannot see it — but the checksum must then have
             // been flipped too, which decode_datagram checks first, so
             // the only survivors are flips the codec maps to a
@@ -222,21 +203,18 @@ proptest! {
     }
 
     #[test]
-    fn cross_version_relabel_is_rejected(msg in message_strategy(), codec in codec_strategy()) {
-        // A frame labeled with the *other* codec's version byte must
-        // fail decoding (the checksum covers the payload only, so the
-        // rejection has to come from the payload parser) — never
-        // silently misparse into some other message.
-        let other = match codec {
-            Codec::Json => Codec::Binary,
-            Codec::Binary => Codec::Json,
-        };
-        let mut frame = encode_with(codec, &msg).expect("encodable");
-        frame[0] = other.version();
-        match decode_datagram(&frame) {
-            Err(WireError::Codec(_) | WireError::Malformed { .. }) => {}
-            Err(e) => prop_assert!(false, "unexpected error class: {e}"),
-            Ok(got) => prop_assert!(false, "relabeled frame decoded to {got:?}"),
+    fn cross_version_relabel_is_rejected(msg in message_strategy()) {
+        // The checksum covers the payload only, so a relabeled frame
+        // is otherwise intact: the rejection has to come from the
+        // version byte itself, for every value but the live one.
+        let mut frame = encode(&msg).expect("encodable");
+        for version in (0..=u8::MAX).filter(|&v| v != BINARY_WIRE_VERSION) {
+            frame[0] = version;
+            match decode_datagram(&frame) {
+                Err(WireError::BadVersion { found }) => prop_assert_eq!(found, version),
+                Err(e) => prop_assert!(false, "unexpected error class: {e}"),
+                Ok(got) => prop_assert!(false, "relabeled frame decoded to {got:?}"),
+            }
         }
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use rcm_core::{Alert, CeId, DerivedUpdate, Update, VarId};
-use rcm_transport::wire::{self, Codec, Message};
+use rcm_transport::wire::{self, Message};
 
 use crate::leaf::{LeafCe, LeafOutput};
 use crate::plan::{TreeOptions, TreePlan};
@@ -205,9 +205,8 @@ impl TreeEval {
     fn wire_roundtrip(&mut self, d: DerivedUpdate) -> DerivedUpdate {
         let msg = Message::Derived(d);
         self.counters.wire_frames += 1;
-        self.counters.wire_bytes +=
-            wire::frame_len(Codec::Binary, &msg).expect("derived frame sizes") as u64;
-        match (wire::roundtrip_with(Codec::Binary, &msg), msg) {
+        self.counters.wire_bytes += wire::frame_len(&msg) as u64;
+        match (wire::roundtrip(&msg), msg) {
             (Message::Derived(back), Message::Derived(sent)) => {
                 assert_eq!(back, sent, "tier-link codec must be lossless");
                 back
