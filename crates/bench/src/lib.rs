@@ -26,9 +26,9 @@
 //! Every binary accepts `--runs N`, `--seed N` and `--json`; all
 //! results are pure functions of the seed.
 //!
-//! The criterion benches (`cargo bench -p rcm-bench`) measure the cost
-//! of this implementation: sequence ops, evaluator and filter
-//! throughput, simulator runs, and a scaled-down table cell.
+//! How fast the implementation runs is not measured here: the
+//! `rcm-e2e` driver under `benchmark/` (declared by `BENCHMARK.json`,
+//! described in `benchmark/README.md`) is the one performance harness.
 
 use std::sync::Arc;
 
@@ -87,114 +87,6 @@ pub fn print_matrix(matrix: &Matrix, json: bool) {
             "cells read claimed/measured (violations/runs); agreement with the paper: {}",
             if matrix.matches_paper() { "FULL" } else { "MISMATCH (see !! cells)" }
         );
-    }
-}
-
-/// Shared workload for the multi-condition throughput benches: the
-/// criterion `throughput` bench, the `bench_snapshot` section and the
-/// `throughput_smoke` CI check all measure exactly this registry load,
-/// so their numbers are comparable.
-///
-/// Every condition is a compiled expression over four of
-/// [`throughput::VARS`] shared variables, summing one window-16
-/// aggregate per variable — the shape where the registry's shared
-/// store pays: each aggregate is one node however many conditions sum
-/// it, and an update to one variable recomputes that one aggregate
-/// once, while [`throughput::EvaluatorLoop`], the reference, keeps a
-/// history per condition and re-sums all four on every arrival.
-pub mod throughput {
-    use rcm_core::condition::expr::CompiledCondition;
-    use rcm_core::condition::Condition;
-    use rcm_core::{Alert, CeId, CondId, Evaluator, Update, VarId, VarRegistry};
-
-    /// Number of distinct variables the conditions draw from.
-    pub const VARS: usize = 8;
-
-    /// Compiles `n` conditions over the shared variable pool; returns
-    /// them with the pool's [`VarId`]s (registration order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload template fails to compile (a bug).
-    pub fn conditions(n: usize) -> (Vec<CompiledCondition>, Vec<VarId>) {
-        let mut reg = VarRegistry::new();
-        let ids: Vec<VarId> = (0..VARS).map(|v| reg.register(&format!("v{v}"))).collect();
-        let conds = (0..n)
-            .map(|i| {
-                let a = format!("v{}", i % VARS);
-                let b = format!("v{}", (i + 1) % VARS);
-                let c = format!("v{}", (i + 3) % VARS);
-                let d = format!("v{}", (i + 5) % VARS);
-                // Thresholds keep alerts rare enough that emission cost
-                // (identical on both sides) does not drown evaluation.
-                let t = 80 + (i % 40) as i64;
-                let jump = 100 + (i % 30) as i64;
-                let src = format!(
-                    "avg_over({a}, 16) + avg_over({b}, 16) \
-                     + avg_over({c}, 16) + avg_over({d}, 16) > {t} \
-                     || {a}[0].value - {a}[-1].value > {jump}"
-                );
-                CompiledCondition::compile(&src, &mut reg).expect("throughput workload compiles")
-            })
-            .collect();
-        (conds, ids)
-    }
-
-    /// A deterministic update stream round-robining the variable pool
-    /// with consecutive per-variable seqnos and hash-derived values in
-    /// `[-100, 100)`.
-    pub fn stream(ids: &[VarId], updates: usize) -> Vec<Update> {
-        (0..updates)
-            .map(|i| {
-                let v = i % ids.len();
-                let seqno = (i / ids.len()) as u64 + 1;
-                let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                let value = ((h >> 16) % 200) as f64 - 100.0;
-                Update::new(ids[v], seqno, value)
-            })
-            .collect()
-    }
-
-    /// The reference a `ConditionRegistry` is measured against, with
-    /// the registry's ingest surface: one independent [`Evaluator`] per
-    /// condition (ids `0, 1, …` like `ConditionRegistry::add`), each
-    /// offered every update for a variable its condition reads, in
-    /// registration order.
-    #[derive(Debug)]
-    pub struct EvaluatorLoop {
-        evaluators: Vec<(Vec<VarId>, Evaluator<CompiledCondition>)>,
-    }
-
-    impl EvaluatorLoop {
-        /// One evaluator per condition, for replica `ce`.
-        pub fn new(ce: CeId, conds: &[CompiledCondition]) -> Self {
-            let evaluators = conds
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    (c.variables(), Evaluator::with_ids(c.clone(), CondId::new(i as u32), ce))
-                })
-                .collect();
-            EvaluatorLoop { evaluators }
-        }
-
-        /// Clears every evaluator's histories; alert numbering continues.
-        pub fn restart(&mut self) {
-            for (_, ev) in &mut self.evaluators {
-                ev.restart();
-            }
-        }
-
-        /// Ingests `updates` in order, appending alerts to `out`.
-        pub fn ingest_batch(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
-            for &u in updates {
-                for (reads, ev) in &mut self.evaluators {
-                    if reads.contains(&u.var) {
-                        out.extend(ev.ingest(u));
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -22,7 +22,7 @@ use super::{AlertFilter, Decision, DiscardReason};
 /// The production implementation is [`VarConsistency`], which stores
 /// both sets as sorted interval runs. [`BTreeConsistency`] retains the
 /// seed's per-seqno `BTreeSet` logic as an executable reference that
-/// tests and benches validate the interval path against.
+/// tests validate the interval path against.
 pub trait ConsistencyState: Default + Clone + fmt::Debug + Send {
     /// The paper's `Conflicts(H)` for one variable's newest-first
     /// history seqnos.
@@ -107,9 +107,8 @@ impl VarConsistency {
 /// Every offer rebuilds the history's seqno set and materializes its
 /// full spanning set, and both `received` and `missed` grow by one tree
 /// node per seqno forever — the costs the interval representation
-/// removes. Retained so property tests and benches can check
-/// [`VarConsistency`] against it decision-for-decision; not for
-/// production use.
+/// removes. Retained so property tests can check [`VarConsistency`]
+/// against it decision-for-decision; not for production use.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BTreeConsistency {
     received: BTreeSet<u64>,

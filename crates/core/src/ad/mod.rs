@@ -38,7 +38,7 @@
 //! default [`VarConsistency`] stores both sets as sorted interval runs
 //! for O(log runs) offers and gap-proportional memory, while
 //! [`BTreeConsistency`] retains the per-seqno reference logic for
-//! validation and benchmarking.
+//! validation.
 //!
 //! All filters implement [`AlertFilter`]; [`apply_filter`] runs one
 //! over a merged arrival sequence.

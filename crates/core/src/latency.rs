@@ -143,7 +143,7 @@ impl LatencyHistogram {
 }
 
 /// Frozen ingest→alert-emit latency percentiles, as carried by
-/// `RunReport`, chaos `--json` and `bench_snapshot`.
+/// `RunReport` and chaos `--json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencySnapshot {
     /// Samples recorded (one per admitted update that completed

@@ -9,9 +9,11 @@
 //! ```
 //!
 //! One reading per line; readings get consecutive sequence numbers in
-//! input order. The front link is UDP — lossy by design — so the node
-//! ends the stream with repeated Fin markers (`--fin-repeats`) rather
-//! than relying on any single datagram arriving.
+//! input order. A line that is not a finite number ends the stream
+//! there: the readings before it are still sent and finished, and the
+//! node exits non-zero. The front link is UDP — lossy by design — so
+//! the node ends the stream with repeated Fin markers (`--fin-repeats`)
+//! rather than relying on any single datagram arriving.
 //!
 //! `--batch N` packs up to `N` updates per datagram (default 1 — no
 //! batching).
@@ -96,15 +98,20 @@ fn main() -> ExitCode {
 
     let var = VarId::new(opts.var);
     let mut seqno: u64 = 0;
+    let mut status = ExitCode::SUCCESS;
     for (lineno, line) in std::io::stdin().lock().lines().enumerate() {
         let Ok(line) = line else { break };
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let Ok(value) = line.parse::<f64>() else {
+        // `f64::from_str` accepts "NaN" and "inf"; a reading is a number.
+        let Some(value) = line.parse::<f64>().ok().filter(|v| v.is_finite()) else {
             eprintln!("error: line {}: bad value '{line}'", lineno + 1);
-            return ExitCode::FAILURE;
+            // Readings accepted so far may still sit in a link's batch:
+            // leave through `finish`, which flushes them and sends Fin.
+            status = ExitCode::FAILURE;
+            break;
         };
         seqno += 1;
         let update = Update::new(var, seqno, value);
@@ -125,5 +132,5 @@ fn main() -> ExitCode {
         "done: {seqno} reading(s) as {sent} frame(s) over {} link(s); {dropped} send error(s)",
         links.len()
     );
-    ExitCode::SUCCESS
+    status
 }

@@ -140,7 +140,7 @@ fn pipelined_emission_matches_inline_for_any_worker_count() {
     // The inline path records latency too.
     assert!(inline.pipeline.latency.count > 0);
 
-    for workers in [1usize, 2, 3, 8] {
+    for workers in [1usize, 2, 3, 4, 8] {
         let piped = build(&conds, workers, values(60))
             .loss(|_, _| Box::new(Scripted::new(DROPS.iter().copied())))
             .start()

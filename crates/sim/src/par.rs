@@ -33,7 +33,7 @@ impl Drop for OverrideGuard {
 /// Runs `f` with the harness thread count forced to `n` on the calling
 /// thread, restoring the previous setting afterwards (also on panic).
 ///
-/// This is how tests and benches compare serial (`n = 1`) and parallel
+/// This is how tests compare serial (`n = 1`) and parallel
 /// executions of the same workload without touching process-global
 /// environment variables.
 ///

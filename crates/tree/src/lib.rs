@@ -60,7 +60,7 @@
 //!
 //! [`TreeEval`] wires all of this into one deterministic in-process
 //! harness (used by the keystone tests, the chaos gauntlet and the
-//! benches); `rcm-runtime` hosts the same pieces on threads and real
+//! benchmark); `rcm-runtime` hosts the same pieces on threads and real
 //! sockets.
 
 // LOCK ORDER: no locks anywhere in this crate — every type is

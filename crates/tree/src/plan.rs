@@ -197,7 +197,8 @@ pub struct TreeOptions {
     pub replay_window: usize,
     /// Round-trip every tier-link hop through the binary wire codec,
     /// asserting fidelity and counting frames/bytes. The keystone test
-    /// runs with this on; benches turn it off to measure logic alone.
+    /// runs with this on; the benchmark leaves it off to time the logic
+    /// alone.
     pub wire_check: bool,
     /// Per-leaf aggregate stream emitted alongside verdicts, if any.
     pub aggregates: Option<crate::leaf::AggregateSpec>,
