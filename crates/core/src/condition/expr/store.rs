@@ -30,16 +30,54 @@
 //! bit-identical to it, including short-circuit `&&`/`||` (a decided
 //! left operand leaves the right one unevaluated and dirty) and `None`
 //! for a read past the held history.
+//!
+//! # Threshold families
+//!
+//! Many conditions over one signal differ only in a literal:
+//! `avg_over(x, 16) - avg_over(y, 16) > T` for a hundred values of `T`.
+//! [`ExprStore::host`] recognises that shape in the expression it is
+//! given — an ordering (`<`, `<=`, `>`, `>=`) between a non-literal
+//! operand, the *signal*, and a literal that is not NaN, in either
+//! operand order, alone or as one operand of a conjunction whose other
+//! operand is the *residual* (the paper's conservative form,
+//! `… > T && consecutive(x)`) — and interns only the signal and the
+//! residual. The condition becomes a `(threshold, tag)` member of the
+//! *family* keyed by (signal node, ordering with the literal moved to
+//! the right, `(ring, degree)` spec, residual node); the comparison and
+//! the conjunction never become nodes, so an update has nothing of
+//! theirs to dirty. Members sort by threshold on the first evaluation
+//! after a registration. [`ExprStore::fired`] then serves the whole
+//! family per update: definedness once, the signal once, one binary
+//! search for the run of thresholds the value is beyond, and the
+//! residual once if that run is not empty — O(log n) for a family no
+//! member of which holds, where evaluating each member's comparison is
+//! O(n). The verdicts are the reference walk's: the search applies the
+//! same IEEE `<` or `<=` to the same two operands (so `-0.0` and `0.0`
+//! tie, and a value equal to a threshold is beyond it only under `<=`
+//! or `>=`), a NaN value is beyond no threshold, and a conjunction
+//! holds exactly when both operands evaluate to `true`, in either
+//! order. Everything else — `==`, `!=`, `||`, two non-literal operands,
+//! a NaN literal — has no sorted form and is evaluated through its root
+//! node as before.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use super::ast::{AggOp, BinOp, Expr, Field, UnOp};
 use super::compiled::{aggregate, binary, unary, Val};
 use crate::alert::{HistoryFingerprint, SeqBuf};
-use crate::history::History;
+use crate::history::{shared_slice, History};
 use crate::update::Update;
 use crate::var::VarId;
+
+#[cfg(test)]
+thread_local! {
+    /// Nodes recomputed and member lists sorted on this thread, for the
+    /// tests that bound the work an update causes.
+    pub(crate) static COMPUTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    pub(crate) static SORTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// One interned expression node. Children are arena indices and precede
 /// their parent. Numeric literals are held as bits, which makes the
@@ -73,13 +111,59 @@ struct Ring {
     readers: Vec<usize>,
 }
 
-/// A hosted condition: its root node and, per variable in ascending
-/// order, the ring and how many of its newest entries are this
-/// condition's history.
+/// A condition's history inside the store: per variable in ascending
+/// order, the ring and how many of its newest entries the condition
+/// holds.
+type Spec = Box<[(usize, usize)]>;
+
+/// A condition hosted on its own: its root node and its spec.
 #[derive(Debug)]
 pub(crate) struct Hosted {
     root: usize,
-    spec: Box<[(usize, usize)]>,
+    spec: Spec,
+}
+
+impl Hosted {
+    pub(crate) fn spec(&self) -> &[(usize, usize)] {
+        &self.spec
+    }
+}
+
+/// What [`ExprStore::host`] made of a condition.
+#[derive(Debug)]
+pub(crate) enum Placed {
+    /// Evaluated on its own, by [`ExprStore::satisfied`].
+    Alone(Hosted),
+    /// One threshold of the family with this id, evaluated with it by
+    /// [`ExprStore::fired`].
+    Member(usize),
+}
+
+/// How a family's signal is compared with a member's threshold: the
+/// source's ordering with the literal as its right operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Bound {
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+/// What the members of a family have in common, and the family's key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Shape {
+    signal: usize,
+    bound: Bound,
+    residual: Option<usize>,
+    spec: Spec,
+}
+
+#[derive(Debug)]
+struct Family {
+    shape: Shape,
+    /// `(threshold, tag)`, ascending by threshold whenever `sorted`.
+    members: Vec<(f64, u32)>,
+    sorted: bool,
 }
 
 /// Shared rings and interned expressions; see the module docs.
@@ -90,6 +174,8 @@ pub(crate) struct ExprStore {
     nodes: Vec<Node>,
     memo: Vec<Memo>,
     interned: HashMap<Node, usize>,
+    families: Vec<Family>,
+    family_of: HashMap<Shape, usize>,
 }
 
 /// Whether the `degree` newest entries of `h` have consecutive seqnos.
@@ -100,26 +186,105 @@ fn consecutive(h: &History, degree: usize) -> bool {
         .all(|(newer, older)| older.seqno.precedes(newer.seqno))
 }
 
+/// A numeric literal. The parser reads `-7` as a negation of `7`.
+fn literal(e: &Expr<VarId>) -> Option<f64> {
+    match e {
+        Expr::Num(n) => Some(*n),
+        Expr::Unary { op: UnOp::Neg, expr } => literal(expr).map(|n| -n),
+        _ => None,
+    }
+}
+
+/// `signal ⋈ threshold`, the literal on the right.
+struct Comparison<'a> {
+    signal: &'a Expr<VarId>,
+    bound: Bound,
+    threshold: f64,
+}
+
+/// `e` as an ordering between one operand that is not a literal and one
+/// that is, and is not NaN.
+fn comparison(e: &Expr<VarId>) -> Option<Comparison<'_>> {
+    let Expr::Binary { op, lhs, rhs } = e else { return None };
+    let (signal, threshold, flipped) = match (literal(lhs), literal(rhs)) {
+        (None, Some(t)) => (&**lhs, t, false),
+        (Some(t), None) => (&**rhs, t, true),
+        _ => return None,
+    };
+    let bound = match (op, flipped) {
+        (BinOp::Lt, false) | (BinOp::Gt, true) => Bound::Lt,
+        (BinOp::Le, false) | (BinOp::Ge, true) => Bound::Le,
+        (BinOp::Gt, false) | (BinOp::Lt, true) => Bound::Gt,
+        (BinOp::Ge, false) | (BinOp::Le, true) => Bound::Ge,
+        _ => return None,
+    };
+    (!threshold.is_nan()).then_some(Comparison { signal, bound, threshold })
+}
+
+/// `e` as a comparison and a residual: a comparison alone, or either
+/// operand of a conjunction with the other as the rest.
+fn indexable(e: &Expr<VarId>) -> Option<(Comparison<'_>, Option<&Expr<VarId>>)> {
+    if let Some(alone) = comparison(e) {
+        return Some((alone, None));
+    }
+    let Expr::Binary { op: BinOp::And, lhs, rhs } = e else { return None };
+    let first = comparison(lhs).map(|c| (c, Some(&**rhs)));
+    first.or_else(|| comparison(rhs).map(|c| (c, Some(&**lhs))))
+}
+
 impl ExprStore {
     /// Interns `expr` for a condition with history spec `spec`
-    /// (`(variable, degree)` pairs).
+    /// (`(variable, degree)` pairs). A threshold (see the module docs)
+    /// joins its family as `tag`, which is what [`ExprStore::fired`]
+    /// reports when it holds.
     ///
     /// `None` when the store cannot stand in for a private history set:
     /// one of the variables already holds history the new condition has
     /// not seen, or `expr` reads outside `spec`. Such a condition is
     /// evaluated privately by the registry.
-    pub(crate) fn host(&mut self, expr: &Expr<VarId>, spec: &[(VarId, usize)]) -> Option<Hosted> {
+    pub(crate) fn host(
+        &mut self,
+        expr: &Expr<VarId>,
+        spec: &[(VarId, usize)],
+        tag: u32,
+    ) -> Option<Placed> {
+        let spec = self.rings_for(spec)?;
+        let reads = &mut Vec::new();
+        let Some((Comparison { signal, bound, threshold }, residual)) = indexable(expr) else {
+            return Some(Placed::Alone(Hosted { root: self.intern(expr, &spec, reads)?, spec }));
+        };
+        let signal = self.intern(signal, &spec, reads)?;
+        let residual = match residual {
+            Some(rest) => Some(self.intern(rest, &spec, reads)?),
+            None => None,
+        };
+        let family = match self.family_of.entry(Shape { signal, bound, residual, spec }) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                let shape = new.key().clone();
+                self.families.push(Family { shape, members: Vec::new(), sorted: true });
+                *new.insert(self.families.len() - 1)
+            }
+        };
+        let joined = self.families.get_mut(family)?;
+        joined.members.push((threshold, tag));
+        joined.sorted = false;
+        Some(Placed::Member(family))
+    }
+
+    /// The store's form of a history spec, its rings created or
+    /// deepened; `None` if one of them already holds history.
+    fn rings_for(&mut self, spec: &[(VarId, usize)]) -> Option<Spec> {
         let unusable = |&(var, degree): &(VarId, usize)| {
             degree == 0 || self.ring_of.get(&var).is_some_and(|&r| !self.history(r).is_empty())
         };
         if spec.iter().any(unusable) {
             return None;
         }
-        let mut spec: Box<[(usize, usize)]> =
+        let mut spec: Spec =
             spec.iter().map(|&(var, degree)| (self.ring_for(var, degree), degree)).collect();
         spec.sort_unstable_by_key(|&(ring, _)| self.history(ring).var());
-        let root = self.intern(expr, &spec, &mut Vec::new())?;
-        Some(Hosted { root, spec })
+        Some(spec)
     }
 
     /// The ring for `var`, created or deepened to hold `degree` entries.
@@ -227,11 +392,58 @@ impl ExprStore {
         true
     }
 
+    /// Whether every variable of `spec` holds `degree` updates.
+    fn defined(&self, spec: &[(usize, usize)]) -> bool {
+        spec.iter().all(|&(ring, degree)| self.history(ring).len() >= degree)
+    }
+
+    /// Whether node `id` evaluates to `true`, not `false` or undefined.
+    fn holds(&mut self, id: usize) -> bool {
+        self.eval(id).and_then(Val::boolean).unwrap_or(false)
+    }
+
     /// Whether the condition holds now: every one of its variables holds
     /// `degree` updates and its expression is boolean-true.
     pub(crate) fn satisfied(&mut self, hosted: &Hosted) -> bool {
-        hosted.spec.iter().all(|&(ring, degree)| self.history(ring).len() >= degree)
-            && self.eval(hosted.root).and_then(Val::boolean).unwrap_or(false)
+        self.defined(&hosted.spec) && self.holds(hosted.root)
+    }
+
+    /// Appends the tags of the members of `family` that hold now, in no
+    /// particular order: those whose threshold the signal is beyond, if
+    /// the family's history is defined and its residual holds.
+    pub(crate) fn fired(&mut self, family: usize, out: &mut Vec<u32>) {
+        let Some(f) = self.families.get_mut(family) else { return };
+        if !f.sorted {
+            // Equal thresholds may land in either order: the caller
+            // orders what fires by tag.
+            f.members.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            f.sorted = true;
+            #[cfg(test)]
+            SORTS.set(SORTS.get() + 1);
+        }
+        let Some(Family { shape, .. }) = self.families.get(family) else { return };
+        let Shape { signal, bound, residual, ref spec } = *shape;
+        if !self.defined(spec) {
+            return;
+        }
+        let Some(value) = self.eval(signal).and_then(Val::num) else { return };
+        if value.is_nan() {
+            return;
+        }
+        let Some(Family { members, .. }) = self.families.get(family) else { return };
+        // `total_cmp` order is `<` order with the two zeros adjacent,
+        // so each predicate is true of a prefix.
+        let run = match bound {
+            Bound::Gt => 0..members.partition_point(|&(t, _)| t < value),
+            Bound::Ge => 0..members.partition_point(|&(t, _)| t <= value),
+            Bound::Lt => members.partition_point(|&(t, _)| t <= value)..members.len(),
+            Bound::Le => members.partition_point(|&(t, _)| t < value)..members.len(),
+        };
+        if run.is_empty() || !residual.is_none_or(|rest| self.holds(rest)) {
+            return;
+        }
+        let Some(Family { members, .. }) = self.families.get(family) else { return };
+        out.extend(members.get(run).into_iter().flatten().map(|&(_, tag)| tag));
     }
 
     fn eval(&mut self, id: usize) -> Option<Val> {
@@ -239,6 +451,8 @@ impl ExprStore {
         if let Memo::Known(v) = self.memo[id] {
             return v;
         }
+        #[cfg(test)]
+        COMPUTED.set(COMPUTED.get() + 1);
         // analyze: allow(hot-path): ids come from `intern`, which only hands out arena indices
         let v = self.compute(self.nodes[id]);
         // analyze: allow(hot-path): same id as the read above
@@ -285,28 +499,34 @@ impl ExprStore {
         }
     }
 
-    /// The condition's history: per variable in ascending order, its
+    /// The spec the members of `family` share.
+    pub(crate) fn family_spec(&self, family: usize) -> &[(usize, usize)] {
+        self.families.get(family).map_or(&[], |f| &f.shape.spec)
+    }
+
+    /// The history `spec` covers: per variable in ascending order, its
     /// `degree` newest updates, newest first.
     fn held<'a>(
         &'a self,
-        hosted: &'a Hosted,
+        spec: &'a [(usize, usize)],
     ) -> impl Iterator<Item = (VarId, impl Iterator<Item = &'a Update>)> {
-        hosted.spec.iter().map(|&(ring, degree)| {
+        spec.iter().map(|&(ring, degree)| {
             let h = self.history(ring);
             (h.var(), h.updates().take(degree))
         })
     }
 
-    /// The alert fingerprint of the condition's current history.
-    pub(crate) fn fingerprint(&self, hosted: &Hosted) -> HistoryFingerprint {
+    /// The alert fingerprint of the history `spec` covers.
+    pub(crate) fn fingerprint(&self, spec: &[(usize, usize)]) -> HistoryFingerprint {
         HistoryFingerprint::from_entries(
-            self.held(hosted).map(|(var, held)| (var, held.map(|u| u.seqno).collect::<SeqBuf>())),
+            self.held(spec).map(|(var, held)| (var, held.map(|u| u.seqno).collect::<SeqBuf>())),
         )
     }
 
-    /// Flat snapshot of the condition's current history.
-    pub(crate) fn snapshot(&self, hosted: &Hosted) -> Vec<Update> {
-        self.held(hosted).flat_map(|(_, held)| held.copied()).collect()
+    /// Flat snapshot of the history `spec` covers.
+    pub(crate) fn snapshot(&self, spec: &[(usize, usize)]) -> Arc<[Update]> {
+        let len = spec.iter().map(|&(ring, degree)| self.history(ring).len().min(degree)).sum();
+        shared_slice(len, self.held(spec).flat_map(|(_, held)| held))
     }
 
     /// Empties every ring (CE restart); nothing memoised survives.
@@ -331,23 +551,52 @@ mod tests {
         CompiledCondition::compile(src, vars).unwrap()
     }
 
-    fn host(store: &mut ExprStore, cond: &CompiledCondition) -> Hosted {
-        store.host(cond.ast(), &cond.history_spec()).expect("hosted")
+    fn host(store: &mut ExprStore, cond: &CompiledCondition, tag: u32) -> Placed {
+        store.host(cond.ast(), &cond.history_spec(), tag).expect("hosted")
+    }
+
+    /// `cond` through its root node whatever its shape: what `host` does
+    /// with an expression that is not a threshold.
+    fn alone(store: &mut ExprStore, cond: &CompiledCondition) -> Hosted {
+        let spec = store.rings_for(&cond.history_spec()).expect("rings are empty");
+        let root = store.intern(cond.ast(), &spec, &mut Vec::new()).expect("reads within spec");
+        Hosted { root, spec }
+    }
+
+    /// Whether the condition `host` placed under `tag` holds now.
+    fn verdict(store: &mut ExprStore, placed: &Placed, tag: u32) -> bool {
+        match placed {
+            Placed::Alone(hosted) => store.satisfied(hosted),
+            Placed::Member(family) => {
+                let mut fired = Vec::new();
+                store.fired(*family, &mut fired);
+                fired.contains(&tag)
+            }
+        }
+    }
+
+    fn spec_of<'a>(store: &'a ExprStore, placed: &'a Placed) -> &'a [(usize, usize)] {
+        match placed {
+            Placed::Alone(hosted) => hosted.spec(),
+            Placed::Member(family) => store.family_spec(*family),
+        }
     }
 
     fn dirty(store: &ExprStore) -> usize {
         store.memo.iter().filter(|m| matches!(m, Memo::Dirty)).count()
     }
 
-    /// One condition alone in a store, driven in lockstep with the
-    /// reference walk over a private history set of the same spec:
-    /// equal values after every push, undefined (`None`) included, and
-    /// again from warm memos.
+    /// One condition in a store twice — through its root node, and as
+    /// `host` places it, in a family if it is a threshold — driven in
+    /// lockstep with the reference walk over a private history set of
+    /// the same spec: equal values after every push, undefined (`None`)
+    /// included, again from warm memos, and equal verdicts both ways.
     fn lockstep(src: &str, updates: &[(&str, u64, f64)]) {
         let mut vars = VarRegistry::new();
         let cond = compile(src, &mut vars);
         let mut store = ExprStore::default();
-        let hosted = host(&mut store, &cond);
+        let hosted = alone(&mut store, &cond);
+        let placed = host(&mut store, &cond, 7);
         let mut h = HistorySet::new(cond.history_spec());
         for &(name, s, v) in updates {
             let u = Update::new(vars.lookup(name).unwrap(), s, v);
@@ -355,20 +604,17 @@ mod tests {
             let want = eval_expr(cond.ast(), &h);
             assert_eq!(store.eval(hosted.root), want, "after ({name},{s},{v}) in {src}");
             assert_eq!(store.eval(hosted.root), want, "warm re-eval in {src}");
-            assert_eq!(
-                store.satisfied(&hosted),
-                h.is_defined() && want == Some(Val::Bool(true)),
-                "verdict after ({name},{s},{v}) in {src}"
-            );
+            let holds = h.is_defined() && want == Some(Val::Bool(true));
+            assert_eq!(store.satisfied(&hosted), holds, "verdict after ({name},{s},{v}) in {src}");
+            assert_eq!(verdict(&mut store, &placed, 7), holds, "as placed, ({name},{s},{v}) {src}");
         }
     }
 
     #[test]
     fn matches_reference_walk_through_definition_boundary() {
-        lockstep(
-            "x[0].value - x[-1].value > 200 && consecutive(x)",
-            &[("x", 1, 400.0), ("x", 3, 720.0), ("x", 4, 950.0), ("x", 2, 0.0)],
-        );
+        let updates = [("x", 1, 400.0), ("x", 3, 720.0), ("x", 4, 950.0), ("x", 2, 0.0)];
+        lockstep("x[0].value - x[-1].value > 200 && consecutive(x)", &updates);
+        lockstep("consecutive(x) && 200 < x[0].value - x[-1].value", &updates);
     }
 
     #[test]
@@ -385,6 +631,10 @@ mod tests {
             "sum_over(x, 3) / -min_over(x, 2) != 1 && !(x[0].value <= x[-2].value)",
             &[("x", 1, 0.1), ("x", 2, 0.2), ("x", 3, 0.3), ("x", 3, 9.0), ("x", 7, 1e300)],
         );
+        lockstep(
+            "-1 >= sum_over(x, 3) / -min_over(x, 2) && !(x[0].value <= x[-2].value)",
+            &[("x", 1, 0.1), ("x", 2, 0.2), ("x", 3, 0.3), ("x", 3, 9.0), ("x", 7, 1e300)],
+        );
     }
 
     #[test]
@@ -393,7 +643,7 @@ mod tests {
         let cond = compile("x[0].value > 10 && x[-1].value > 0", &mut vars);
         let x = vars.lookup("x").unwrap();
         let mut store = ExprStore::default();
-        let hosted = host(&mut store, &cond);
+        let hosted = alone(&mut store, &cond);
         assert!(store.push(Update::new(x, 1, 5.0)));
         // A false left operand decides `&&`; x[-1], not yet held, is
         // never read and its nodes stay dirty.
@@ -411,15 +661,172 @@ mod tests {
         let mut store = ExprStore::default();
         let a = compile("avg_over(x, 16) - avg_over(y, 16) > 1", &mut vars);
         let b = compile("avg_over(x, 16) - avg_over(y, 16) > 2", &mut vars);
-        let (ha, hb) = (host(&mut store, &a), host(&mut store, &b));
+        let (ha, hb) = (alone(&mut store, &a), alone(&mut store, &b));
         // Two aggregates, the difference, two literals, two comparisons.
         assert_eq!(store.nodes.len(), 7);
         assert_ne!(ha.root, hb.root);
-        assert_eq!(host(&mut store, &a).root, ha.root);
+        assert_eq!(alone(&mut store, &a).root, ha.root);
         assert_eq!(store.nodes.len(), 7);
         // Each ring lists a shared node once, however many conditions
         // reach it: its aggregate, the difference, two comparisons.
         assert!(store.rings.iter().all(|r| r.readers.len() == 4));
+    }
+
+    #[test]
+    fn thresholds_on_one_signal_are_one_family_and_no_nodes_of_their_own() {
+        let mut vars = VarRegistry::new();
+        let mut store = ExprStore::default();
+        let sources = [
+            "avg_over(x, 16) - avg_over(y, 16) > 1",
+            "avg_over(x, 16) - avg_over(y, 16) > 2",
+            "-3 < avg_over(x, 16) - avg_over(y, 16)",
+        ];
+        for (tag, src) in sources.iter().enumerate() {
+            let placed = host(&mut store, &compile(src, &mut vars), tag as u32);
+            assert!(matches!(placed, Placed::Member(0)), "{src}: {placed:?}");
+        }
+        // Two aggregates and the difference: no literal, no comparison.
+        assert_eq!(store.nodes.len(), 3);
+        assert!(store.rings.iter().all(|r| r.readers.len() == 2));
+        assert_eq!(store.families.len(), 1);
+        assert_eq!(store.families[0].members.len(), 3);
+        // Another ordering, another residual or another spec is another
+        // family over the same signal node.
+        for src in [
+            "avg_over(x, 16) - avg_over(y, 16) >= 1",
+            "avg_over(x, 16) - avg_over(y, 16) > 1 && consecutive(x)",
+            "avg_over(x, 16) - avg_over(y, 16) > 1 && x[-16].value > 0",
+        ] {
+            let family = store.families.len();
+            let placed = host(&mut store, &compile(src, &mut vars), 9);
+            assert!(matches!(placed, Placed::Member(f) if f == family), "{src}: {placed:?}");
+        }
+        assert!(store.families.iter().all(|f| f.shape.signal == store.families[0].shape.signal));
+    }
+
+    #[test]
+    fn only_orderings_against_a_number_are_thresholds() {
+        let mut vars = VarRegistry::new();
+        let mut store = ExprStore::default();
+        for src in [
+            "x[0].value == 5",
+            "x[0].value != 5",
+            "x[0].value > 5 || x[0].value < 1",
+            "x[0].value > x[-1].value",
+            "x[0].value > 2 + 3",
+            "!(x[0].value > 5)",
+        ] {
+            let placed = host(&mut store, &compile(src, &mut vars), 0);
+            assert!(matches!(placed, Placed::Alone(_)), "{src}: {placed:?}");
+        }
+        // The parser cannot spell NaN; an expression built by hand can
+        // hold one, of either sign, on either side.
+        let x = vars.lookup("x").unwrap();
+        let term = || Box::new(Expr::Term { var: x, index: 0, field: Field::Value });
+        let nan = || Box::new(Expr::Num(f64::NAN));
+        let minus_nan = Box::new(Expr::Unary { op: UnOp::Neg, expr: nan() });
+        let by_hand = [
+            Expr::Binary { op: BinOp::Lt, lhs: term(), rhs: nan() },
+            Expr::Binary { op: BinOp::Ge, lhs: minus_nan, rhs: term() },
+        ];
+        for expr in &by_hand {
+            let placed = store.host(expr, &[(x, 2)], 0).expect("hosted");
+            assert!(matches!(placed, Placed::Alone(_)), "{expr:?}: {placed:?}");
+        }
+        assert!(store.families.is_empty());
+    }
+
+    /// The tags `fired` reports for family 0 after `value` arrives on
+    /// `x`, ascending.
+    fn fired_at(store: &mut ExprStore, x: VarId, seqno: u64, value: f64) -> Vec<u32> {
+        assert!(store.push(Update::new(x, seqno, value)));
+        let mut fired = Vec::new();
+        store.fired(0, &mut fired);
+        fired.sort_unstable();
+        fired
+    }
+
+    #[test]
+    fn a_family_fires_exactly_the_thresholds_the_value_is_beyond() {
+        // Tags are positions in this list; registration order is not
+        // threshold order, and two thresholds are equal.
+        let thresholds = ["5", "-1e999", "0", "5", "-0", "1e999", "-7.5"];
+        let numbers: Vec<f64> =
+            thresholds.iter().map(|t| t.parse().expect("a float literal")).collect();
+        let values = [-1e300, -7.5, -0.0, 0.0, 4.9, 5.0, 1e300, f64::INFINITY, f64::NEG_INFINITY];
+        for symbol in ["<", "<=", ">", ">="] {
+            let holds = |v: f64, t: f64| match symbol {
+                "<" => v < t,
+                "<=" => v <= t,
+                ">" => v > t,
+                _ => v >= t,
+            };
+            let mut vars = VarRegistry::new();
+            let mut store = ExprStore::default();
+            for (tag, t) in thresholds.iter().enumerate() {
+                let cond = compile(&format!("x[0].value {symbol} {t}"), &mut vars);
+                assert!(matches!(host(&mut store, &cond, tag as u32), Placed::Member(0)));
+            }
+            let x = vars.lookup("x").unwrap();
+            for (s, &value) in values.iter().enumerate() {
+                let want: Vec<u32> = (0..numbers.len())
+                    .filter(|&tag| holds(value, numbers[tag]))
+                    .map(|tag| tag as u32)
+                    .collect();
+                let got = fired_at(&mut store, x, s as u64 + 1, value);
+                assert_eq!(got, want, "{value} {symbol} {thresholds:?}");
+            }
+            // A NaN is beyond nothing, whichever way the family looks.
+            let got = fired_at(&mut store, x, 100, f64::NAN);
+            assert!(got.is_empty(), "NaN {symbol} {thresholds:?} fired {got:?}");
+        }
+    }
+
+    #[test]
+    fn a_family_is_held_back_by_definedness_and_by_its_residual() {
+        let mut vars = VarRegistry::new();
+        let mut store = ExprStore::default();
+        // `consecutive(y)` is true of an empty history: only the spec
+        // says `y` must hold an update first.
+        let cond = compile("consecutive(y) && x[0].value > 1", &mut vars);
+        assert!(matches!(host(&mut store, &cond, 0), Placed::Member(0)));
+        let gapless = compile("x[0].value - x[-1].value > 1 && consecutive(x)", &mut vars);
+        assert!(matches!(host(&mut store, &gapless, 1), Placed::Member(1)));
+        let (x, y) = (vars.lookup("x").unwrap(), vars.lookup("y").unwrap());
+        assert_eq!(fired_at(&mut store, x, 1, 5.0), [], "y is undefined");
+        assert!(store.push(Update::new(y, 1, 0.0)));
+        assert_eq!(fired_at(&mut store, x, 2, 9.0), [0]);
+        let mut fired = Vec::new();
+        store.fired(1, &mut fired);
+        assert_eq!(fired, [1], "2 follows 1");
+        assert!(store.push(Update::new(x, 4, 20.0)));
+        fired.clear();
+        store.fired(1, &mut fired);
+        assert_eq!(fired, [], "3 was lost: the rise is there, the residual is not");
+    }
+
+    #[test]
+    fn members_sort_once_per_registration_burst() {
+        // Small under miri, which interprets every comparison.
+        let n: u32 = if cfg!(miri) { 300 } else { 20_000 };
+        let mut vars = VarRegistry::new();
+        let mut store = ExprStore::default();
+        for tag in 0..n {
+            // Descending, so the list is unsorted as registered.
+            let cond = compile(&format!("x[0].value > {}", n - tag), &mut vars);
+            assert!(matches!(host(&mut store, &cond, tag), Placed::Member(0)));
+        }
+        let x = vars.lookup("x").unwrap();
+        let before = SORTS.get();
+        assert_eq!(fired_at(&mut store, x, 1, 2.5), [n - 2, n - 1]);
+        assert_eq!(fired_at(&mut store, x, 2, 1.5), [n - 1]);
+        assert_eq!(SORTS.get() - before, 1, "one sort for the burst, none per update");
+        // A member that joins later costs the next evaluation one more.
+        store.clear();
+        host(&mut store, &compile("x[0].value > 0.5", &mut vars), n);
+        assert_eq!(fired_at(&mut store, x, 1, 1.0), [n]);
+        assert_eq!(fired_at(&mut store, x, 2, 1.0), [n]);
+        assert_eq!(SORTS.get() - before, 2);
     }
 
     #[test]
@@ -428,19 +835,19 @@ mod tests {
         let mut store = ExprStore::default();
         let short = compile("sum_over(x, 2) > 5", &mut vars);
         let long = compile("sum_over(x, 4) > 5", &mut vars);
-        let (hs, hl) = (host(&mut store, &short), host(&mut store, &long));
+        let (hs, hl) = (host(&mut store, &short, 0), host(&mut store, &long, 1));
         assert_eq!(store.rings.len(), 1);
         let x = vars.lookup("x").unwrap();
         for s in 1..=2 {
             store.push(Update::new(x, s, 3.0));
         }
-        assert!(store.satisfied(&hs));
-        assert!(!store.satisfied(&hl), "the longer window is not yet full");
+        assert!(verdict(&mut store, &hs, 0));
+        assert!(!verdict(&mut store, &hl, 1), "the longer window is not yet full");
         for s in 3..=4 {
             store.push(Update::new(x, s, 0.5));
         }
-        assert!(!store.satisfied(&hs)); // 0.5 + 0.5
-        assert!(store.satisfied(&hl)); // 0.5 + 0.5 + 3 + 3
+        assert!(!verdict(&mut store, &hs, 0)); // 0.5 + 0.5
+        assert!(verdict(&mut store, &hl, 1)); // 0.5 + 0.5 + 3 + 3
     }
 
     #[test]
@@ -449,20 +856,22 @@ mod tests {
         let mut store = ExprStore::default();
         let shallow = compile("consecutive(x) && x[0].value > 0", &mut vars);
         let deep = compile("consecutive(x) && x[-1].value > 0", &mut vars);
-        let (hs, hd) = (host(&mut store, &shallow), host(&mut store, &deep));
+        let (hs, hd) = (host(&mut store, &shallow, 0), host(&mut store, &deep, 1));
         let x = vars.lookup("x").unwrap();
         store.push(Update::new(x, 3, 1.0));
         store.push(Update::new(x, 5, 1.0)); // 4 was lost
-        assert!(store.satisfied(&hs), "a degree-1 history has no gap to see");
-        assert!(!store.satisfied(&hd));
+        assert!(verdict(&mut store, &hs, 0), "a degree-1 history has no gap to see");
+        assert!(!verdict(&mut store, &hd, 1));
         // The ring is two deep; the degree-1 condition's alert carries
         // only its own newest entry.
-        assert_eq!(store.fingerprint(&hs).seqnos(x).unwrap(), &[SeqNo::new(5)]);
-        assert_eq!(store.snapshot(&hs), vec![Update::new(x, 5, 1.0)]);
+        let spec = spec_of(&store, &hs);
+        assert_eq!(store.fingerprint(spec).seqnos(x).unwrap(), &[SeqNo::new(5)]);
+        assert_eq!(store.snapshot(spec)[..], [Update::new(x, 5, 1.0)]);
         store.push(Update::new(x, 6, 1.0));
-        assert!(store.satisfied(&hd));
-        assert_eq!(store.fingerprint(&hd).seqnos(x).unwrap(), &[SeqNo::new(6), SeqNo::new(5)]);
-        assert_eq!(store.snapshot(&hd), vec![Update::new(x, 6, 1.0), Update::new(x, 5, 1.0)]);
+        assert!(verdict(&mut store, &hd, 1));
+        let spec = spec_of(&store, &hd);
+        assert_eq!(store.fingerprint(spec).seqnos(x).unwrap(), &[SeqNo::new(6), SeqNo::new(5)]);
+        assert_eq!(store.snapshot(spec)[..], [Update::new(x, 6, 1.0), Update::new(x, 5, 1.0)]);
     }
 
     #[test]
@@ -471,7 +880,7 @@ mod tests {
         let cond = compile("x[0].value > 1 && y[0].value > 1", &mut vars);
         let (x, y) = (vars.lookup("x").unwrap(), vars.lookup("y").unwrap());
         let mut store = ExprStore::default();
-        let hosted = host(&mut store, &cond);
+        let hosted = alone(&mut store, &cond);
         store.push(Update::new(x, 1, 5.0));
         store.push(Update::new(y, 1, 5.0));
         assert!(store.satisfied(&hosted));
@@ -493,14 +902,14 @@ mod tests {
         let cond = compile("x[0].value > 1", &mut vars);
         let x = vars.lookup("x").unwrap();
         let mut store = ExprStore::default();
-        let hosted = host(&mut store, &cond);
+        let placed = host(&mut store, &cond, 0);
         store.push(Update::new(x, 4, 5.0));
-        assert!(store.satisfied(&hosted));
+        assert!(verdict(&mut store, &placed, 0));
         store.clear();
-        assert!(!store.satisfied(&hosted));
+        assert!(!verdict(&mut store, &placed, 0));
         // The stream may restart anywhere after a restart.
         assert!(store.push(Update::new(x, 1, 5.0)));
-        assert!(store.satisfied(&hosted));
+        assert!(verdict(&mut store, &placed, 0));
     }
 
     #[test]
@@ -508,21 +917,25 @@ mod tests {
         let mut vars = VarRegistry::new();
         let mut store = ExprStore::default();
         let first = compile("x[0].value > 1", &mut vars);
-        host(&mut store, &first);
+        host(&mut store, &first, 0);
         let x = vars.lookup("x").unwrap();
         store.push(Update::new(x, 1, 0.0));
-        // x already holds an update a newcomer has not seen.
+        // x already holds an update a newcomer has not seen, be it one
+        // more threshold of a family that is there.
         let late = compile("x[0].value > 2 && y[0].value > 2", &mut vars);
-        assert!(store.host(late.ast(), &late.history_spec()).is_none());
+        assert!(store.host(late.ast(), &late.history_spec(), 1).is_none());
+        let joins = compile("x[0].value > 3", &mut vars);
+        assert!(store.host(joins.ast(), &joins.history_spec(), 1).is_none());
         // After a restart nobody has seen anything.
         store.clear();
-        assert!(store.host(late.ast(), &late.history_spec()).is_some());
+        assert!(store.host(late.ast(), &late.history_spec(), 1).is_some());
+        assert!(matches!(host(&mut store, &joins, 2), Placed::Member(0)));
         // An expression reading past the degrees it is registered with.
         let deep = compile("z[-2].value > 0", &mut vars);
         let z = vars.lookup("z").unwrap();
-        assert!(store.host(deep.ast(), &[(z, 2)]).is_none());
-        assert!(store.host(deep.ast(), &[(x, 3)]).is_none());
-        assert!(store.host(deep.ast(), &[(z, 0)]).is_none());
-        assert!(store.host(deep.ast(), &[(z, 3)]).is_some());
+        assert!(store.host(deep.ast(), &[(z, 2)], 3).is_none());
+        assert!(store.host(deep.ast(), &[(x, 3)], 3).is_none());
+        assert!(store.host(deep.ast(), &[(z, 0)], 3).is_none());
+        assert!(store.host(deep.ast(), &[(z, 3)], 3).is_some());
     }
 }

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::alert::{HistoryFingerprint, SeqBuf};
 use crate::error::{Error, Result};
@@ -153,6 +154,22 @@ impl fmt::Display for History {
     }
 }
 
+/// An alert's snapshot, allocated once: `Arc<[_]>` collects in place
+/// only from an iterator whose length it can trust, which a range is
+/// and a flattened walk over several histories is not. `updates` must
+/// yield at least `len` items.
+pub(crate) fn shared_slice<'a>(
+    len: usize,
+    mut updates: impl Iterator<Item = &'a Update>,
+) -> Arc<[Update]> {
+    (0..len)
+        .map(|_| match updates.next() {
+            Some(u) => *u,
+            None => unreachable!("a history yielded fewer updates than it holds"),
+        })
+        .collect()
+}
+
 /// The set `H` of update histories a condition is defined on: one
 /// [`History`] per variable in the condition's variable set `V`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -236,9 +253,11 @@ impl HistorySet {
         HistoryFingerprint::from_entries(self.histories.iter().map(|(&v, h)| (v, h.seqnos())))
     }
 
-    /// Flat snapshot of all held updates, per variable newest-first.
-    pub fn snapshot(&self) -> Vec<Update> {
-        self.histories.values().flat_map(|h| h.updates().copied()).collect()
+    /// Flat snapshot of all held updates, per variable newest-first,
+    /// in the shared form an [`Alert`](crate::Alert) carries.
+    pub fn snapshot(&self) -> Arc<[Update]> {
+        let len = self.histories.values().map(History::len).sum();
+        shared_slice(len, self.histories.values().flat_map(History::updates))
     }
 
     /// Clears every history (CE restart).

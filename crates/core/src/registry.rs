@@ -3,10 +3,11 @@
 //!
 //! The paper's Condition Evaluator pairs one condition with one
 //! [`Evaluator`](crate::Evaluator). At scale a CE hosts thousands of
-//! conditions, and a naive loop of evaluators pays three times over:
+//! conditions, and a naive loop of evaluators pays four times over:
 //! it offers every update to every condition, keeps a copy of each
-//! variable's history per condition, and re-computes subexpressions
-//! that many conditions have in common. The registry removes all three:
+//! variable's history per condition, re-computes subexpressions that
+//! many conditions have in common, and compares one signal with each
+//! of a hundred thresholds in turn. The registry removes all four:
 //!
 //! * a **variable → condition inverted index**, built from each
 //!   condition's variable set, so an arriving `u(x, s, v)` touches only
@@ -17,7 +18,23 @@
 //!   pushed and stale-checked once, dirties only the nodes that read
 //!   its variable, and a subexpression shared by any number of
 //!   conditions is evaluated once per update. See
-//!   `condition::expr::store` for the interning and invalidation rules.
+//!   `condition::expr::store` for the interning and invalidation rules;
+//! * a **variable → family → firing run index** for the shared
+//!   conditions that are a threshold on a signal: an ordering (`<`,
+//!   `<=`, `>`, `>=`) between a non-literal expression and a literal, in
+//!   either operand order, alone or in conjunction with a residual
+//!   (`… > T && consecutive(x)`). Conditions equal up to the literal
+//!   form one family, its thresholds sorted; an update checks the
+//!   family's definedness once, evaluates the signal once, finds the
+//!   thresholds it is beyond with one binary search, evaluates the
+//!   residual if there are any, and visits only those conditions. An
+//!   update that fires nothing costs a family O(log n), not O(n). The
+//!   shape is read off the expression at registration, never chosen by
+//!   an option. Orderings are indexed because the conditions one value
+//!   satisfies are then a contiguous run of a sorted list; `==`, `!=`,
+//!   `||`, comparisons between two non-literals and NaN literals have
+//!   no such run and are evaluated one by one, as are opaque and late
+//!   conditions.
 //!
 //! Two kinds of condition keep a private [`HistorySet`] and
 //! `Condition::eval`, the only path that can serve them: those that
@@ -42,7 +59,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::alert::{Alert, AlertId, CeId, CondId};
-use crate::condition::expr::store::{ExprStore, Hosted};
+use crate::condition::expr::store::{ExprStore, Hosted, Placed};
 use crate::condition::expr::CompiledCondition;
 use crate::condition::{Condition, ConditionExt, DynCondition};
 use crate::error::Error;
@@ -50,17 +67,30 @@ use crate::history::HistorySet;
 use crate::update::Update;
 use crate::var::VarId;
 
+#[cfg(test)]
+thread_local! {
+    /// Entries visited on this thread — offered an update, or raised
+    /// through their family — for the tests that bound the work an
+    /// update causes.
+    static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Where a hosted condition's histories live and how it is evaluated.
 #[derive(Debug)]
 enum Eval {
-    /// In the registry's shared store.
+    /// In the registry's shared store, on its own.
     Shared(Hosted),
+    /// In the shared store, as one threshold of the family with this
+    /// id. The family is offered the update and counts it; the entry is
+    /// visited only to raise its alert.
+    Member(usize),
     /// In a history set of its own, through `Condition::eval`.
     Private { cond: DynCondition, histories: HistorySet },
 }
 
 /// One hosted condition: its evaluation state plus per-condition
-/// counters mirroring [`Evaluator`](crate::Evaluator)'s.
+/// counters mirroring [`Evaluator`](crate::Evaluator)'s. A family
+/// member keeps only `emitted`; see [`FamilyCounters`].
 #[derive(Debug)]
 struct Entry {
     cond_id: CondId,
@@ -84,7 +114,7 @@ impl Entry {
         ce: CeId,
     ) -> Option<Alert> {
         let accepted = match &mut self.eval {
-            Eval::Shared(_) => shared,
+            Eval::Shared(_) | Eval::Member(_) => shared,
             Eval::Private { histories, .. } => match histories.push(update) {
                 Ok(()) => true,
                 Err(Error::OutOfOrderUpdate { .. }) => false,
@@ -98,25 +128,55 @@ impl Entry {
             return None;
         }
         self.ingested += 1;
+        let holds = match &self.eval {
+            Eval::Shared(hosted) => store.satisfied(hosted),
+            Eval::Member(_) => unreachable!("a family member is routed through its family"),
+            Eval::Private { cond, histories } => histories.is_defined() && cond.eval(histories),
+        };
+        holds.then(|| self.raise(store, ce))
+    }
+
+    /// The alert on the history the condition holds now, under its next
+    /// emission index.
+    fn raise(&mut self, store: &ExprStore, ce: CeId) -> Alert {
         let (fingerprint, snapshot) = match &self.eval {
             Eval::Shared(hosted) => {
-                if !store.satisfied(hosted) {
-                    return None;
-                }
-                (store.fingerprint(hosted), store.snapshot(hosted))
+                (store.fingerprint(hosted.spec()), store.snapshot(hosted.spec()))
             }
-            Eval::Private { cond, histories } => {
-                if !histories.is_defined() || !cond.eval(histories) {
-                    return None;
-                }
-                (histories.fingerprint(), histories.snapshot())
+            Eval::Member(family) => {
+                let spec = store.family_spec(*family);
+                (store.fingerprint(spec), store.snapshot(spec))
             }
+            Eval::Private { histories, .. } => (histories.fingerprint(), histories.snapshot()),
         };
-        let alert =
-            Alert::new(self.cond_id, fingerprint, snapshot, AlertId { ce, index: self.emitted });
+        let id = AlertId { ce, index: self.emitted };
         self.emitted += 1;
-        Some(alert)
+        Alert::new(self.cond_id, fingerprint, snapshot, id)
     }
+}
+
+/// The conditions reading one variable, as an update for it visits them.
+#[derive(Debug, Default)]
+struct Route {
+    /// The threshold families over the variable, by store id.
+    families: Vec<usize>,
+    /// Every other condition: indices into `entries`, ascending
+    /// (registration order).
+    others: Vec<u32>,
+}
+
+/// What a family's members would each have counted, kept once. A member
+/// counts from when it joined — a condition hosted after a `restart()`
+/// can join a family that has been counting for a while — so the sums
+/// over members are `count * members - joined`.
+#[derive(Debug, Default)]
+struct FamilyCounters {
+    members: u64,
+    ingested: u64,
+    dropped_stale: u64,
+    /// `ingested` and `dropped_stale` as they stood at each join, summed.
+    joined_ingested: u64,
+    joined_stale: u64,
 }
 
 /// Aggregate ingestion counters for a registry (sums over all hosted
@@ -157,11 +217,15 @@ pub struct ConditionRegistry {
     entries: Vec<Entry>,
     /// Condition id → index into `entries`.
     slot_of: BTreeMap<CondId, u32>,
-    /// Variable → indices into `entries`, ascending (registration
-    /// order), for conditions mentioning that variable.
-    index: BTreeMap<VarId, Vec<u32>>,
-    /// Histories and expressions of every [`Eval::Shared`] entry.
+    /// Variable → the conditions mentioning that variable.
+    index: BTreeMap<VarId, Route>,
+    /// Histories and expressions of every [`Eval::Shared`] and
+    /// [`Eval::Member`] entry.
     store: ExprStore,
+    /// Per-family counters, by store id.
+    families: Vec<FamilyCounters>,
+    /// Scratch: the slots the current update fired through families.
+    fired: Vec<u32>,
     unrouted: u64,
 }
 
@@ -174,6 +238,8 @@ impl ConditionRegistry {
             slot_of: BTreeMap::new(),
             index: BTreeMap::new(),
             store: ExprStore::default(),
+            families: Vec::new(),
+            fired: Vec::new(),
             unrouted: 0,
         }
     }
@@ -209,11 +275,29 @@ impl ConditionRegistry {
         let taken = self.slot_of.insert(cond_id, slot);
         assert!(taken.is_none(), "condition id {cond_id} already registered");
         let spec = cond.history_spec();
-        for &(var, _) in &spec {
-            self.index.entry(var).or_default().push(slot);
+        let placed = cond.expr().and_then(|expr| self.store.host(expr, &spec, slot));
+        // Updates reach a member through its family, which its first
+        // member lists on the route of each variable, and any other
+        // condition by its slot.
+        let routes = spec.iter().map(|&(var, _)| var);
+        match placed {
+            Some(Placed::Member(family)) if family < self.families.len() => {}
+            Some(Placed::Member(family)) => {
+                self.families.resize_with(family + 1, FamilyCounters::default);
+                routes.for_each(|var| self.index.entry(var).or_default().families.push(family));
+            }
+            _ => routes.for_each(|var| self.index.entry(var).or_default().others.push(slot)),
         }
-        let eval = match cond.expr().and_then(|expr| self.store.host(expr, &spec)) {
-            Some(hosted) => Eval::Shared(hosted),
+        let eval = match placed {
+            Some(Placed::Member(family)) => {
+                // analyze: allow(hot-path): the match above made room for `family`
+                let counters = &mut self.families[family];
+                counters.members += 1;
+                counters.joined_ingested += counters.ingested;
+                counters.joined_stale += counters.dropped_stale;
+                Eval::Member(family)
+            }
+            Some(Placed::Alone(hosted)) => Eval::Shared(hosted),
             None => Eval::Private { histories: HistorySet::new(spec), cond },
         };
         self.entries.push(Entry { cond_id, eval, emitted: 0, ingested: 0, dropped_stale: 0 });
@@ -268,6 +352,10 @@ impl ConditionRegistry {
             s.dropped_stale += e.dropped_stale;
             s.emitted += e.emitted;
         }
+        for f in &self.families {
+            s.ingested += f.ingested * f.members - f.joined_ingested;
+            s.dropped_stale += f.dropped_stale * f.members - f.joined_stale;
+        }
         s
     }
 
@@ -309,14 +397,16 @@ impl ConditionRegistry {
         let index = &self.index;
         let entries = &mut self.entries;
         let store = &mut self.store;
-        let mut cached: Option<(VarId, &[u32])> = None;
+        let families = &mut self.families;
+        let fired = &mut self.fired;
+        let mut cached: Option<(VarId, &Route)> = None;
         for (i, &update) in updates.iter().enumerate() {
-            let routed = match cached {
-                Some((var, slots)) if var == update.var => slots,
+            let route = match cached {
+                Some((var, route)) if var == update.var => route,
                 _ => match index.get(&update.var) {
-                    Some(slots) => {
-                        cached = Some((update.var, slots));
-                        slots
+                    Some(route) => {
+                        cached = Some((update.var, route));
+                        route
                     }
                     None => {
                         self.unrouted += 1;
@@ -325,10 +415,43 @@ impl ConditionRegistry {
                 },
             };
             let shared = store.push(update);
-            for &slot in routed {
-                // analyze: allow(hot-path): slots come from the routing table, which is
-                // analyze: allow(hot-path): rebuilt against this entries vec on registration
-                if let Some(alert) = entries[slot as usize].offer(update, shared, store, ce) {
+            fired.clear();
+            for &family in &route.families {
+                // analyze: allow(hot-path): a route lists a family once `insert` has
+                // analyze: allow(hot-path): made room for its counters
+                let counters = &mut families[family];
+                if shared {
+                    counters.ingested += 1;
+                    store.fired(family, fired);
+                } else {
+                    counters.dropped_stale += 1;
+                }
+            }
+            // Families report their runs in threshold order; alerts
+            // leave in registration order, members and others merged.
+            fired.sort_unstable();
+            let mut hits = fired.iter().peekable();
+            let mut others = route.others.iter().peekable();
+            loop {
+                let (&slot, hit) = match (hits.peek(), others.peek()) {
+                    (Some(hit), Some(other)) if hit < other => (*hit, true),
+                    (Some(hit), None) => (*hit, true),
+                    (_, Some(other)) => (*other, false),
+                    (None, None) => break,
+                };
+                #[cfg(test)]
+                VISITS.set(VISITS.get() + 1);
+                // analyze: allow(hot-path): routes and members' tags hold slots of this
+                // analyze: allow(hot-path): entries vec, which only grows
+                let entry = &mut entries[slot as usize];
+                let alert = if hit {
+                    hits.next();
+                    Some(entry.raise(store, ce))
+                } else {
+                    others.next();
+                    entry.offer(update, shared, store, ce)
+                };
+                if let Some(alert) = alert {
                     emit(i as u64, alert);
                 }
             }
@@ -494,6 +617,7 @@ impl ShardSlices {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::expr::store::COMPUTED;
     use crate::condition::{Cmp, Threshold};
     use crate::evaluator::Evaluator;
     use crate::var::VarRegistry;
@@ -636,6 +760,84 @@ mod tests {
         reg.ingest(Update::new(x, 7, 1.0), &mut out);
         assert_eq!(out[1].id.index, 1);
         assert_eq!(reg.alerts_emitted(c), Some(2));
+    }
+
+    #[test]
+    fn a_family_counts_for_each_member_from_when_it_joined() {
+        let mut vars = VarRegistry::new();
+        let mut reg = ConditionRegistry::new(CeId::new(0));
+        reg.add_compiled(compiled("x[0].value > 0", &mut vars));
+        reg.add_compiled(compiled("x[0].value > 1", &mut vars));
+        let x = vars.lookup("x").unwrap();
+        let mut out = Vec::new();
+        reg.ingest(Update::new(x, 1, 0.5), &mut out);
+        reg.ingest(Update::new(x, 1, 0.5), &mut out); // stale for both
+        let stats = reg.stats();
+        assert_eq!((stats.ingested, stats.dropped_stale, stats.emitted), (2, 2, 1));
+        // Rings are empty after a restart, so a third threshold may join
+        // the family; it has not seen what the other two have.
+        reg.restart();
+        reg.add_compiled(compiled("x[0].value > 2", &mut vars));
+        reg.ingest(Update::new(x, 2, 1.5), &mut out);
+        reg.ingest(Update::new(x, 2, 1.5), &mut out);
+        let stats = reg.stats();
+        assert_eq!((stats.ingested, stats.dropped_stale, stats.emitted), (5, 5, 3));
+    }
+
+    /// Entries visited and nodes computed by the ingestion of `update`.
+    fn cost(reg: &mut ConditionRegistry, update: Update, out: &mut Vec<Alert>) -> (u64, u64) {
+        let before = (VISITS.get(), COMPUTED.get());
+        reg.ingest(update, out);
+        (VISITS.get() - before.0, COMPUTED.get() - before.1)
+    }
+
+    #[test]
+    fn an_update_visits_the_conditions_it_fires_not_those_that_read_it() {
+        let mut vars = VarRegistry::new();
+        let mut reg = ConditionRegistry::new(CeId::new(0));
+        // One family of a thousand thresholds over `x`, and spread
+        // through it three conditions over `x` that no family takes.
+        for i in 0..1000 {
+            if i % 400 == 0 {
+                reg.add_compiled(compiled(&format!("x[0].value != {i}"), &mut vars));
+            }
+            reg.add_compiled(compiled(&format!("x[0].value > {i}"), &mut vars));
+        }
+        let x = vars.lookup("x").unwrap();
+        let mut out = Vec::new();
+        for (seqno, k) in [0u64, 1, 500, 1000].into_iter().enumerate() {
+            // Beyond exactly the `k` lowest thresholds, and no integer.
+            let update = Update::new(x, seqno as u64 + 1, k as f64 - 0.5);
+            out.clear();
+            let (visits, computed) = cost(&mut reg, update, &mut out);
+            assert_eq!(out.len() as u64, k + 3);
+            assert!(out.windows(2).all(|w| w[0].cond < w[1].cond), "registration order");
+            assert_eq!(visits, k + 3, "{k} of 1000 thresholds fire");
+            // The term, and three literals (once) and their comparisons.
+            assert!(computed <= 7, "{computed} nodes for {k} of 1000");
+        }
+    }
+
+    #[test]
+    fn families_of_one_cost_no_more_visits_than_offers() {
+        let mut vars = VarRegistry::new();
+        let mut reg = ConditionRegistry::new(CeId::new(0));
+        for i in 1..=600 {
+            reg.add_compiled(compiled(&format!("x[0].value * {i} > 1000"), &mut vars));
+        }
+        let x = vars.lookup("x").unwrap();
+        let mut out = Vec::new();
+        for (seqno, value) in [0.0, 2.0, 50.0, 1e9].into_iter().enumerate() {
+            out.clear();
+            let (visits, computed) =
+                cost(&mut reg, Update::new(x, seqno as u64 + 1, value), &mut out);
+            // Six hundred offers before the index: now one visit per
+            // alert, and per signal the product only (its literal once).
+            assert_eq!(visits, out.len() as u64);
+            assert!(visits <= 600 && computed <= 1201, "{visits} visits, {computed} nodes");
+        }
+        assert_eq!(out.len(), 600);
+        assert_eq!(reg.stats().ingested, 4 * 600);
     }
 
     #[test]

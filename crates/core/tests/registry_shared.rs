@@ -14,16 +14,21 @@
 //! registry is driven batched, one update at a time and in random
 //! chunks, and through [`ShardSlices`] at 1, 2 and 4 shards.
 //!
+//! Half the fixed shapes are thresholds — `numeric < literal` in every
+//! operator and operand order, alone or in conjunction — which the
+//! registry evaluates a family at a time, from one sorted threshold
+//! list; see [`FIXED`] and [`NEVER`] for what they pin.
+//!
 //! No `proptest`, no `rand`: the generator is an inline SplitMix64, so
 //! this file compiles wherever `rcm-core` does.
 
 use std::sync::Arc;
 
-use rcm_core::condition::expr::CompiledCondition;
-use rcm_core::condition::{Cmp, Condition, Conservative, DynCondition, Threshold};
+use rcm_core::condition::expr::{BinOp, CompiledCondition, Expr, Field, UnOp};
+use rcm_core::condition::{Cmp, Condition, Conservative, DynCondition, Threshold, Triggering};
 use rcm_core::{
-    Alert, CeId, CondId, ConditionRegistry, Evaluator, RegistryStats, ShardSlices, Update, VarId,
-    VarRegistry,
+    Alert, CeId, CondId, ConditionRegistry, Evaluator, HistorySet, RegistryStats, ShardSlices,
+    Update, VarId, VarRegistry,
 };
 
 struct SplitMix64(u64);
@@ -51,7 +56,7 @@ const VARS: [&str; 3] = ["a", "b", "c"];
 
 /// Shapes the sweep must always contain. Thresholds are loose enough
 /// that each fires somewhere in the sweep (asserted below).
-const FIXED: [&str; 12] = [
+const FIXED: [&str; 41] = [
     "a[0].value > 10",
     // The same `consecutive(a)` text under three degrees of `a`: three
     // different reads, which must not share a node.
@@ -72,7 +77,107 @@ const FIXED: [&str; 12] = [
     "max_over(b, 2) >= min_over(c, 3) || b[0].seqno == b[-1].seqno + 1",
     // A decided left operand must leave the right one unread.
     "a[0].value > 1e300 || !(b[-2].value > 0 && false)",
+    // Thresholds from here on. One signal under all four operators and
+    // both operand orders: the stream lands on 10 exactly, where `>` and
+    // `>=` part, and `10 < a` is `a > 10` again, an equal threshold.
+    "a[0].value >= 10",
+    "a[0].value < 10",
+    "a[0].value <= 10",
+    "10 < a[0].value",
+    "10 <= a[0].value",
+    "10 > a[0].value",
+    "10 >= a[0].value",
+    // Zeros of either sign, as thresholds and as values.
+    "a[0].value >= -0",
+    "a[0].value > 0",
+    "a[0].value < 0",
+    "a[0].value <= -0",
+    "-a[0].value >= 0",
+    "-a[0].value < 0",
+    // Infinite thresholds, and an infinite value exactly on one.
+    "a[0].value < 1e999",
+    "a[0].value > -1e999",
+    "a[0].value * 1e300 * 1e300 >= 1e999",
+    "-1e999 >= a[0].value * 1e300 * 1e300",
+    // 0/0 now and then: a NaN is below nothing.
+    "a[0].value / b[0].value <= 1e999",
+    // A conjunction in either order is one threshold and a residual.
+    "a[0].value - a[-1].value > 5 && consecutive(a)",
+    "a[0].value - a[-1].value > -3 && consecutive(a)",
+    "consecutive(a) && a[0].value - a[-1].value > 12",
+    // True of an empty history of `b`, so only definedness holds it back.
+    "consecutive(b) && a[0].value > -100",
+    // Two families and a condition outside both over one variable,
+    // registered so that slot order is not threshold order.
+    "b[0].value > 20",
+    "b[0].value < 5",
+    "b[0].value != 7",
+    "b[0].value > 0",
+    "b[0].value < 15",
+    "b[0].value > -10",
+    "b[0].value < 30",
 ];
+
+/// Shapes no update satisfies: strictly beyond an infinite threshold,
+/// and a signal that is always NaN under each operator.
+const NEVER: [&str; 6] = [
+    "a[0].value * 1e300 * 1e300 > 1e999",
+    "-1e999 > a[0].value * 1e300 * 1e300",
+    "(a[0].value - a[0].value) / (a[0].value - a[0].value) < 5",
+    "(a[0].value - a[0].value) / (a[0].value - a[0].value) <= 5",
+    "(a[0].value - a[0].value) / (a[0].value - a[0].value) > -5",
+    "(a[0].value - a[0].value) / (a[0].value - a[0].value) >= -5",
+];
+
+/// A comparison against a NaN literal, which the parser cannot spell:
+/// never true, and not a threshold any sorted list can hold.
+#[derive(Debug)]
+struct NanBound {
+    var: VarId,
+    ast: Expr<VarId>,
+}
+
+impl NanBound {
+    /// `var[0].value < NaN`, or `-NaN >= var[0].value` when `flipped`.
+    fn new(var: VarId, flipped: bool) -> Self {
+        let term = Box::new(Expr::Term { var, index: 0, field: Field::Value });
+        let nan = Box::new(Expr::Num(f64::NAN));
+        let ast = if flipped {
+            let nan = Box::new(Expr::Unary { op: UnOp::Neg, expr: nan });
+            Expr::Binary { op: BinOp::Ge, lhs: nan, rhs: term }
+        } else {
+            Expr::Binary { op: BinOp::Lt, lhs: term, rhs: nan }
+        };
+        NanBound { var, ast }
+    }
+}
+
+impl Condition for NanBound {
+    fn name(&self) -> String {
+        "NaN bound".to_owned()
+    }
+
+    fn variables(&self) -> Vec<VarId> {
+        vec![self.var]
+    }
+
+    fn degree(&self, var: VarId) -> usize {
+        usize::from(var == self.var)
+    }
+
+    fn triggering(&self) -> Triggering {
+        Triggering::Aggressive
+    }
+
+    /// Every ordering against NaN is false.
+    fn eval(&self, _: &HistorySet) -> bool {
+        false
+    }
+
+    fn expr(&self) -> Option<&Expr<VarId>> {
+        Some(&self.ast)
+    }
+}
 
 fn num_expr(rng: &mut SplitMix64, depth: u32) -> String {
     if depth == 0 || rng.below(3) == 0 {
@@ -157,12 +262,21 @@ enum Step {
     Restart,
 }
 
-/// One seed's script, the ids it gave the [`FIXED`] shapes, and the id
-/// of the compiled condition registered right after the restart.
+/// What a condition in the initial registration order is.
+enum Kind {
+    Fixed(usize),
+    Never,
+    Other,
+}
+
+/// One seed's script, the ids it gave the [`FIXED`] shapes, the
+/// [`NEVER`] shapes and NaN bounds, and the two compiled conditions
+/// registered right after the restart.
 struct Script {
     steps: Vec<Step>,
     fixed: Vec<CondId>,
-    after_restart: CondId,
+    never: Vec<CondId>,
+    after_restart: [CondId; 2],
 }
 
 fn script(seed: u64) -> Script {
@@ -173,24 +287,30 @@ fn script(seed: u64) -> Script {
     let (a, b) = (ids[0], ids[1]);
     let mut next = vec![1u64; ids.len()];
 
-    // Each condition with the FIXED shape it is, if any.
-    let mut conds: Vec<(Option<usize>, DynCondition)> = Vec::new();
+    let mut conds: Vec<(Kind, DynCondition)> = Vec::new();
     for (shape, src) in FIXED.iter().enumerate() {
         let cond = CompiledCondition::compile(src, &mut vars).unwrap();
-        conds.push((Some(shape), Arc::new(cond)));
+        conds.push((Kind::Fixed(shape), Arc::new(cond)));
     }
+    for src in NEVER {
+        let cond = CompiledCondition::compile(src, &mut vars).unwrap();
+        conds.push((Kind::Never, Arc::new(cond)));
+    }
+    conds.push((Kind::Never, Arc::new(NanBound::new(a, false))));
+    conds.push((Kind::Never, Arc::new(NanBound::new(a, true))));
     // Opaque conditions, registered between compiled ones: a wrapper
     // that adds to its inner condition's verdict, and a ready-made type.
     let rise = CompiledCondition::compile("a[0].value - a[-1].value > 5", &mut vars).unwrap();
-    conds.insert(8, (None, Arc::new(Conservative::new(rise))));
-    conds.insert(3, (None, Arc::new(Threshold::new(b, Cmp::Gt, 0.0))));
+    conds.insert(8, (Kind::Other, Arc::new(Conservative::new(rise))));
+    conds.insert(3, (Kind::Other, Arc::new(Threshold::new(b, Cmp::Gt, 0.0))));
     for _ in 0..6 {
         let at = rng.below(conds.len() + 1);
-        conds.insert(at, (None, Arc::new(random_condition(&mut rng, &mut vars))));
+        conds.insert(at, (Kind::Other, Arc::new(random_condition(&mut rng, &mut vars))));
     }
 
     let mut steps: Vec<Step> = Vec::new();
     let mut fixed = vec![CondId::new(0); FIXED.len()];
+    let mut never = Vec::new();
     let mut registered = 0u32;
     let mut insert = |steps: &mut Vec<Step>, cond: DynCondition| {
         let id = CondId::new(registered);
@@ -198,10 +318,12 @@ fn script(seed: u64) -> Script {
         registered += 1;
         id
     };
-    for (shape, cond) in conds {
+    for (kind, cond) in conds {
         let id = insert(&mut steps, cond);
-        if let Some(shape) = shape {
-            fixed[shape] = id;
+        match kind {
+            Kind::Fixed(shape) => fixed[shape] = id,
+            Kind::Never => never.push(id),
+            Kind::Other => {}
         }
     }
     steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
@@ -211,13 +333,16 @@ fn script(seed: u64) -> Script {
     insert(&mut steps, Arc::new(random_condition(&mut rng, &mut vars)));
     steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
     steps.push(Step::Restart);
-    // Right after a restart: nothing holds history, and this one asks
-    // for a deeper `a` than anyone before it.
+    // Right after a restart: nothing holds history. The first asks for
+    // a deeper `a` than anyone before it; the second is one more
+    // threshold on a signal whose others have been counting all along.
     let deep = CompiledCondition::compile("consecutive(a) && min_over(a, 6) > -30", &mut vars);
-    let after_restart = insert(&mut steps, Arc::new(deep.unwrap()));
+    let joins = CompiledCondition::compile("a[0].value > 3", &mut vars);
+    let after_restart =
+        [insert(&mut steps, Arc::new(deep.unwrap())), insert(&mut steps, Arc::new(joins.unwrap()))];
     insert(&mut steps, Arc::new(Threshold::new(a, Cmp::Lt, 0.0)));
     steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
-    Script { steps, fixed, after_restart }
+    Script { steps, fixed, never, after_restart }
 }
 
 /// What every engine under test and the reference offer.
@@ -367,9 +492,9 @@ fn assert_same_alerts(got: &[Alert], want: &[Alert], what: &str) {
 fn registry_matches_independent_evaluators() {
     let ce = CeId::new(5);
     let mut fired = vec![0usize; FIXED.len()];
-    let (mut fired_after_restart, mut stale, mut strays) = (0usize, 0u64, 0u64);
+    let (mut fired_after_restart, mut stale, mut strays) = ([0usize; 2], 0u64, 0u64);
     for seed in 0..30u64 {
-        let Script { steps, fixed, after_restart } = script(seed);
+        let Script { steps, fixed, never, after_restart } = script(seed);
         let (want, want_stats) = run(&mut Evaluators { ce, all: Vec::new(), unrouted: 0 }, &steps);
 
         let feeds = [Feed::Batched, Feed::Stepped, Feed::Chunked(SplitMix64(!seed))];
@@ -392,7 +517,13 @@ fn registry_matches_independent_evaluators() {
         for (shape, id) in fixed.iter().enumerate() {
             fired[shape] += want.iter().filter(|al| al.cond == *id).count();
         }
-        fired_after_restart += want.iter().filter(|al| al.cond == after_restart).count();
+        for (n, id) in fired_after_restart.iter_mut().zip(after_restart) {
+            *n += want.iter().filter(|al| al.cond == id).count();
+        }
+        assert!(
+            !want.iter().any(|al| never.contains(&al.cond)),
+            "seed {seed}: a NEVER shape fired"
+        );
         stale += want_stats.dropped_stale;
         strays += want_stats.unrouted;
     }
@@ -400,7 +531,7 @@ fn registry_matches_independent_evaluators() {
     for (shape, n) in fired.iter().enumerate() {
         assert!(*n > 0, "`{}` never fired", FIXED[shape]);
     }
-    assert!(fired_after_restart > 0 && stale > 0 && strays > 0);
+    assert!(fired_after_restart.iter().all(|&n| n > 0) && stale > 0 && strays > 0);
 }
 
 /// Per-condition alert numbering survives `restart()` for shared and

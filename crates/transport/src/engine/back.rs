@@ -342,7 +342,7 @@ impl BackSource {
             self.counters.dedup_suppressed.fetch_add(1, Ordering::SeqCst);
             return false;
         }
-        let add = wire::frame_len(&Message::Alert(alert.clone())) - wire::HEADER_LEN;
+        let add = wire::alert_frame_len(&alert) - wire::HEADER_LEN;
         if !self.pending.is_empty()
             && (self.batch.expired(self.pending_since)
                 || self.batch.bytes_full(self.pending_bytes + add))

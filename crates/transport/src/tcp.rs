@@ -242,7 +242,7 @@ impl TcpBackLink {
         }
         // Per-alert payload cost; slightly over for the batch encoding
         // (which shares one tag), never under.
-        let add = wire::frame_len(&Message::Alert(alert.clone())) - wire::HEADER_LEN;
+        let add = wire::alert_frame_len(&alert) - wire::HEADER_LEN;
         if !self.pending.is_empty()
             && (self.batch.expired(self.pending_since)
                 || self.batch.bytes_full(self.pending_bytes + add))

@@ -588,6 +588,12 @@ pub fn frame_len(msg: &Message) -> usize {
     HEADER_LEN + payload_len(msg)
 }
 
+/// [`frame_len`] of `Message::Alert(alert)` for an alert the caller
+/// still owns: sizing one must not cost a clone of it.
+pub(crate) fn alert_frame_len(alert: &Alert) -> usize {
+    HEADER_LEN + 1 + alert_wire_len(alert)
+}
+
 /// An incremental decode buffer for framed byte streams (the TCP
 /// side): push received bytes in, pull whole frames out with
 /// [`decode`]. Consumed bytes are reclaimed lazily so a long-lived
@@ -766,6 +772,16 @@ mod tests {
         vec![
             Message::Update(update()),
             Message::Alert(alert()),
+            // Two variables, a deeper history, multi-byte varints.
+            Message::Alert(Alert::new(
+                CondId::new(70_000),
+                HistoryFingerprint::new(vec![
+                    (VarId::new(3), vec![SeqNo::new(300), SeqNo::new(299), SeqNo::new(200)]),
+                    (VarId::new(900), vec![SeqNo::new(1 << 40)]),
+                ]),
+                vec![update(), Update::new(VarId::new(900), 1 << 40, -0.0)],
+                AlertId { ce: CeId::new(300), index: u64::MAX },
+            )),
             Message::Hello { node: 7 },
             Message::Fin { node: 0 },
             Message::UpdateBatch(vec![]),
@@ -825,6 +841,9 @@ mod tests {
         for m in sample_messages() {
             let frame = encode(&m).expect("encodes");
             assert_eq!(frame_len(&m), frame.len(), "{m:?}");
+            if let Message::Alert(alert) = &m {
+                assert_eq!(alert_frame_len(alert), frame.len(), "sized borrowed, {m:?}");
+            }
         }
     }
 
