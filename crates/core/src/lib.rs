@@ -109,6 +109,6 @@ pub use evaluator::{transduce, transduce_merged, Evaluator};
 pub use history::{History, HistorySet};
 pub use inline::InlineVec;
 pub use latency::{LatencyHistogram, LatencySnapshot};
-pub use registry::{ConditionRegistry, RegistryStats, ShardSlices};
+pub use registry::{ConditionRegistry, RegistryStats};
 pub use update::{SeqNo, Update};
 pub use var::{VarId, VarRegistry};

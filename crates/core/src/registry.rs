@@ -52,8 +52,9 @@
 //! registration order across both kinds; registering conditions in
 //! ascending [`CondId`] order (as [`ConditionRegistry::add`] does)
 //! therefore yields ascending-`CondId` emission, which is what the
-//! sharded wrapper in `rcm-sim` relies on to merge shard outputs
-//! bit-identically to an unsharded registry.
+//! runtime's worker pipeline — the one place a condition set is split
+//! over several registries — relies on to merge one update's alerts
+//! back into the order a single registry emits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -258,9 +259,9 @@ impl ConditionRegistry {
         self.add(Arc::new(cond))
     }
 
-    /// Registers a condition under an explicit id (used by sharded
-    /// deployments, where each shard hosts a subset of a global id
-    /// space).
+    /// Registers a condition under an explicit id (used where a
+    /// registry hosts a subset of a global id space: a pipeline worker,
+    /// a tree leaf).
     ///
     /// # Panics
     ///
@@ -368,7 +369,7 @@ impl ConditionRegistry {
     /// unrouted update is stream-level noise, not a per-condition
     /// wiring bug.
     pub fn ingest(&mut self, update: Update, out: &mut Vec<Alert>) {
-        self.ingest_all(std::slice::from_ref(&update), |_, a| out.push(a));
+        self.ingest_all(std::slice::from_ref(&update), out);
     }
 
     /// Ingests a burst of updates in order, appending alerts to `out`.
@@ -378,20 +379,12 @@ impl ConditionRegistry {
     /// the per-call bookkeeping — in particular, consecutive updates
     /// for the same variable reuse one inverted-index lookup.
     pub fn ingest_batch(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
-        self.ingest_all(updates, |_, a| out.push(a));
+        self.ingest_all(updates, out);
     }
 
-    /// Like [`ConditionRegistry::ingest_batch`] but tags each alert
-    /// with the index of the update (within `updates`) that produced
-    /// it. Shards merge on this tag to reconstruct the exact unsharded
-    /// emission order.
-    pub fn ingest_batch_tagged(&mut self, updates: &[Update], out: &mut Vec<(u64, Alert)>) {
-        self.ingest_all(updates, |i, a| out.push((i, a)));
-    }
-
-    /// The single ingestion loop behind every public entry point, so
-    /// batched, one-at-a-time, and tagged ingestion cannot diverge.
-    fn ingest_all(&mut self, updates: &[Update], mut emit: impl FnMut(u64, Alert)) {
+    /// The single ingestion loop behind both public entry points, so
+    /// batched and one-at-a-time ingestion cannot diverge.
+    fn ingest_all(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
         let ce = self.ce;
         // Split borrows: the index is read-only while entries mutate.
         let index = &self.index;
@@ -400,7 +393,7 @@ impl ConditionRegistry {
         let families = &mut self.families;
         let fired = &mut self.fired;
         let mut cached: Option<(VarId, &Route)> = None;
-        for (i, &update) in updates.iter().enumerate() {
+        for &update in updates {
             let route = match cached {
                 Some((var, route)) if var == update.var => route,
                 _ => match index.get(&update.var) {
@@ -451,9 +444,7 @@ impl ConditionRegistry {
                     others.next();
                     entry.offer(update, shared, store, ce)
                 };
-                if let Some(alert) = alert {
-                    emit(i as u64, alert);
-                }
+                out.extend(alert);
             }
         }
     }
@@ -469,148 +460,6 @@ impl ConditionRegistry {
                 histories.clear();
             }
         }
-    }
-}
-
-/// The registry's shard-slice seam: one condition set partitioned over
-/// `n` disjoint per-shard registries by `cond_id % n`, keeping the
-/// *global* id space, plus the deterministic merges that reconstruct
-/// the unsharded emission order.
-///
-/// Two engines build on this seam and must agree exactly:
-/// `rcm_sim::shard::ShardedRegistry` (batch parallelism on the sim's
-/// deterministic thread harness) and the runtime's evaluation pipeline
-/// (streaming shard workers behind SPSC rings). The determinism
-/// argument is the same for both: the unsharded registry emits, per
-/// update, in ascending condition-id order; every shard preserves the
-/// stream order of updates it is fed and tags (or groups) alerts by
-/// producing update, so sorting by `(update index, condition id)` — a
-/// unique key, since a condition emits at most one alert per update —
-/// reconstructs exactly the unsharded stream.
-#[derive(Debug)]
-pub struct ShardSlices {
-    shards: Vec<ConditionRegistry>,
-    conditions: usize,
-}
-
-impl ShardSlices {
-    /// Creates `shards` empty slices for replica `ce`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(ce: CeId, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        ShardSlices {
-            shards: (0..shards).map(|_| ConditionRegistry::new(ce)).collect(),
-            conditions: 0,
-        }
-    }
-
-    /// The shard that owns `cond_id` (`id % shard_count`).
-    pub fn shard_of(&self, cond_id: CondId) -> usize {
-        // analyze: allow(hot-path): the constructor asserts shards >= 1
-        cond_id.index() as usize % self.shards.len()
-    }
-
-    /// Registers a condition under its global id on the owning shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cond_id` is already registered.
-    pub fn insert(&mut self, cond_id: CondId, cond: DynCondition) {
-        let s = self.shard_of(cond_id);
-        // analyze: allow(hot-path): shard_of returns id % len, in range.
-        self.shards[s].insert(cond_id, cond);
-        self.conditions += 1;
-    }
-
-    /// [`ShardSlices::insert`] for a condition not yet behind an `Arc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cond_id` is already registered.
-    pub fn insert_compiled(&mut self, cond_id: CondId, cond: CompiledCondition) {
-        self.insert(cond_id, Arc::new(cond));
-    }
-
-    /// Number of hosted conditions across all shards.
-    pub fn len(&self) -> usize {
-        self.conditions
-    }
-
-    /// Whether no conditions are hosted.
-    pub fn is_empty(&self) -> bool {
-        self.conditions == 0
-    }
-
-    /// Number of shard slices.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to the per-shard registries (for stats).
-    pub fn shards(&self) -> &[ConditionRegistry] {
-        &self.shards
-    }
-
-    /// Mutable access to the per-shard registries, for engines that
-    /// evaluate shards in place (the sim's batch harness).
-    pub fn shards_mut(&mut self) -> &mut [ConditionRegistry] {
-        &mut self.shards
-    }
-
-    /// Surrenders the slices to an engine that gives each shard its own
-    /// worker thread (the runtime's evaluation pipeline). Shard `s`
-    /// owns every condition with `id % shard_count == s`.
-    pub fn into_shards(self) -> Vec<ConditionRegistry> {
-        self.shards
-    }
-
-    /// Crash-restart across every shard: histories are lost,
-    /// per-condition alert numbering survives.
-    pub fn restart(&mut self) {
-        for s in &mut self.shards {
-            s.restart();
-        }
-    }
-
-    /// Aggregate counters summed over shards.
-    ///
-    /// `ingested`, `dropped_stale` and `emitted` match the unsharded
-    /// registry's exactly. `unrouted` does not: each shard counts an
-    /// update unrouted when *its own* conditions ignore the variable,
-    /// so one stream-level stray counts once per shard.
-    pub fn stats(&self) -> RegistryStats {
-        let mut sum = RegistryStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            sum.ingested += st.ingested;
-            sum.dropped_stale += st.dropped_stale;
-            sum.emitted += st.emitted;
-            sum.unrouted += st.unrouted;
-        }
-        sum
-    }
-
-    /// Merges per-shard tagged outputs (from
-    /// [`ConditionRegistry::ingest_batch_tagged`] over the *same* update
-    /// batch) into the exact unsharded emission order, appending to
-    /// `out`.
-    pub fn merge_tagged(parts: impl IntoIterator<Item = Vec<(u64, Alert)>>, out: &mut Vec<Alert>) {
-        let mut merged: Vec<(u64, Alert)> = parts.into_iter().flatten().collect();
-        // A condition emits at most one alert per update, so the key is
-        // unique and `sort_unstable` is deterministic.
-        merged.sort_unstable_by_key(|(i, a)| (*i, a.cond.index()));
-        out.extend(merged.into_iter().map(|(_, a)| a));
-    }
-
-    /// Orders the alerts that one update produced across all shards
-    /// (the streaming sequencer's per-update merge): ascending
-    /// condition id, which is the unsharded registry's emission order
-    /// within an update.
-    pub fn merge_same_update(alerts: &mut [Alert]) {
-        alerts.sort_unstable_by_key(|a| a.cond.index());
     }
 }
 
@@ -868,70 +717,5 @@ mod tests {
         reg.add_compiled(compiled("y[0].value < 0", &mut vars));
         let got: Vec<VarId> = reg.variables().collect();
         assert_eq!(got, vec![vars.lookup("x").unwrap(), vars.lookup("y").unwrap()]);
-    }
-
-    #[test]
-    fn shard_slices_merge_matches_unsharded() {
-        let x = VarId::new(0);
-        let n = 9;
-        let updates: Vec<Update> = (1..=40).map(|s| Update::new(x, s, (s % 10) as f64)).collect();
-
-        let mut plain = ConditionRegistry::new(CeId::new(3));
-        for i in 0..n {
-            plain.insert(CondId::new(i), Arc::new(Threshold::new(x, Cmp::Gt, f64::from(i % 5))));
-        }
-        let mut want = Vec::new();
-        plain.ingest_batch(&updates, &mut want);
-        assert!(!want.is_empty());
-
-        for shard_count in [1usize, 2, 4, 9] {
-            let mut slices = ShardSlices::new(CeId::new(3), shard_count);
-            for i in 0..n {
-                slices
-                    .insert(CondId::new(i), Arc::new(Threshold::new(x, Cmp::Gt, f64::from(i % 5))));
-            }
-            assert_eq!(slices.len(), n as usize);
-            assert_eq!(slices.shard_count(), shard_count);
-            let parts: Vec<Vec<(u64, Alert)>> = slices
-                .shards_mut()
-                .iter_mut()
-                .map(|shard| {
-                    let mut tagged = Vec::new();
-                    shard.ingest_batch_tagged(&updates, &mut tagged);
-                    tagged
-                })
-                .collect();
-            let mut got = Vec::new();
-            ShardSlices::merge_tagged(parts, &mut got);
-            assert_eq!(got, want, "shards = {shard_count}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.id, w.id, "shards = {shard_count}");
-            }
-            let (ps, ss) = (plain.stats(), slices.stats());
-            assert_eq!(ps.emitted, ss.emitted, "shards = {shard_count}");
-        }
-    }
-
-    #[test]
-    fn merge_same_update_restores_cond_order() {
-        let x = VarId::new(0);
-        let mk = |cond: u32| {
-            Alert::new(
-                CondId::new(cond),
-                crate::HistoryFingerprint::single(x, vec![crate::SeqNo::new(1)]),
-                vec![Update::new(x, 1, 0.0)],
-                AlertId { ce: CeId::new(0), index: 0 },
-            )
-        };
-        let mut alerts = vec![mk(5), mk(0), mk(3)];
-        ShardSlices::merge_same_update(&mut alerts);
-        let ids: Vec<u32> = alerts.iter().map(|a| a.cond.index()).collect();
-        assert_eq!(ids, vec![0, 3, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shard_slices_rejected() {
-        let _ = ShardSlices::new(CeId::new(0), 0);
     }
 }

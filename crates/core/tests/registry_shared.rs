@@ -12,7 +12,11 @@
 //! must not read the shared rings) and one registered right after the
 //! restart (the rings are empty, so it may, and it deepens one). The
 //! registry is driven batched, one update at a time and in random
-//! chunks, and through [`ShardSlices`] at 1, 2 and 4 shards.
+//! chunks, and split `cond_id % n` over 1, 2 and 4 registries whose
+//! alerts are merged per update by condition id — the partition and the
+//! merge of the runtime's worker pipeline, the one place that splits a
+//! condition set. A split parts the members of a threshold family, so
+//! each part's family must fire exactly its own (asserted below).
 //!
 //! Half the fixed shapes are thresholds — `numeric < literal` in every
 //! operator and operand order, alone or in conjunction — which the
@@ -22,13 +26,14 @@
 //! No `proptest`, no `rand`: the generator is an inline SplitMix64, so
 //! this file compiles wherever `rcm-core` does.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rcm_core::condition::expr::{BinOp, CompiledCondition, Expr, Field, UnOp};
 use rcm_core::condition::{Cmp, Condition, Conservative, DynCondition, Threshold, Triggering};
 use rcm_core::{
-    Alert, CeId, CondId, ConditionRegistry, Evaluator, HistorySet, RegistryStats, ShardSlices,
-    Update, VarId, VarRegistry,
+    Alert, CeId, CondId, ConditionRegistry, Evaluator, HistorySet, RegistryStats, Update, VarId,
+    VarRegistry,
 };
 
 struct SplitMix64(u64);
@@ -117,6 +122,11 @@ const FIXED: [&str; 41] = [
     "b[0].value > -10",
     "b[0].value < 30",
 ];
+
+/// One threshold family among the [`FIXED`] shapes: one signal, one
+/// operator, no residual. Splitting the condition set puts its members
+/// in different registries.
+const SPLIT_FAMILY: [&str; 3] = ["b[0].value > 20", "b[0].value > 0", "b[0].value > -10"];
 
 /// Shapes no update satisfies: strictly beyond an infinite threshold,
 /// and a signal that is always NaN under each operator.
@@ -434,30 +444,37 @@ impl Engine for Registry {
     }
 }
 
-impl Engine for ShardSlices {
+/// The condition set split `cond_id % n` over `n` registries, each fed
+/// every update; one update's alerts are merged by condition id.
+struct Partitions(Vec<ConditionRegistry>);
+
+impl Engine for Partitions {
     fn insert(&mut self, id: CondId, cond: DynCondition) {
-        ShardSlices::insert(self, id, cond);
+        let n = self.0.len();
+        self.0[id.index() as usize % n].insert(id, cond);
     }
 
     fn ingest(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
-        let parts: Vec<Vec<(u64, Alert)>> = self
-            .shards_mut()
-            .iter_mut()
-            .map(|shard| {
-                let mut tagged = Vec::new();
-                shard.ingest_batch_tagged(updates, &mut tagged);
-                tagged
-            })
-            .collect();
-        ShardSlices::merge_tagged(parts, out);
+        for &u in updates {
+            let from = out.len();
+            self.0.iter_mut().for_each(|part| part.ingest(u, out));
+            out[from..].sort_by_key(|al| al.cond);
+        }
     }
 
     fn restart(&mut self) {
-        ShardSlices::restart(self);
+        self.0.iter_mut().for_each(ConditionRegistry::restart);
     }
 
     fn stats(&self) -> RegistryStats {
-        ShardSlices::stats(self)
+        let mut sum = RegistryStats::default();
+        for s in self.0.iter().map(ConditionRegistry::stats) {
+            sum.ingested += s.ingested;
+            sum.dropped_stale += s.dropped_stale;
+            sum.emitted += s.emitted;
+            sum.unrouted += s.unrouted;
+        }
+        sum
     }
 }
 
@@ -493,6 +510,9 @@ fn registry_matches_independent_evaluators() {
     let ce = CeId::new(5);
     let mut fired = vec![0usize; FIXED.len()];
     let (mut fired_after_restart, mut stale, mut strays) = ([0usize; 2], 0u64, 0u64);
+    // Per partition count, the seeds in which members of `SPLIT_FAMILY`
+    // sat in two partitions and alerts came from both.
+    let mut family_split = [0usize; 3];
     for seed in 0..30u64 {
         let Script { steps, fixed, never, after_restart } = script(seed);
         let (want, want_stats) = run(&mut Evaluators { ce, all: Vec::new(), unrouted: 0 }, &steps);
@@ -504,14 +524,24 @@ fn registry_matches_independent_evaluators() {
             assert_same_alerts(&got, &want, &what);
             assert_eq!(stats, want_stats, "{what}");
         }
-        for shards in [1usize, 2, 4] {
-            let what = format!("seed {seed}, {shards} shards");
-            let (got, stats) = run(&mut ShardSlices::new(ce, shards), &steps);
+        for (w, n) in [1usize, 2, 4].into_iter().enumerate() {
+            let what = format!("seed {seed}, {n} partitions");
+            let parts = (0..n).map(|_| ConditionRegistry::new(ce)).collect();
+            let (got, stats) = run(&mut Partitions(parts), &steps);
             assert_same_alerts(&got, &want, &what);
-            // A stray is unrouted once per shard that ignores it, so
-            // only the per-condition sums compare.
+            // A stray is unrouted once per partition that ignores it,
+            // so only the per-condition sums compare.
             let stats = RegistryStats { unrouted: want_stats.unrouted, ..stats };
             assert_eq!(stats, want_stats, "{what}");
+            // Whether this split parted the family: members that fired,
+            // by partition.
+            let alerting: BTreeSet<usize> = SPLIT_FAMILY
+                .iter()
+                .map(|src| fixed[FIXED.iter().position(|f| f == src).unwrap()])
+                .filter(|id| want.iter().any(|al| al.cond == *id))
+                .map(|id| id.index() as usize % n)
+                .collect();
+            family_split[w] += usize::from(alerting.len() >= 2);
         }
 
         for (shape, id) in fixed.iter().enumerate() {
@@ -532,6 +562,8 @@ fn registry_matches_independent_evaluators() {
         assert!(*n > 0, "`{}` never fired", FIXED[shape]);
     }
     assert!(fired_after_restart.iter().all(|&n| n > 0) && stale > 0 && strays > 0);
+    assert_eq!(family_split[0], 0, "one partition cannot part a family");
+    assert!(family_split[1] > 0 && family_split[2] > 0, "no split parted {SPLIT_FAMILY:?}");
 }
 
 /// Per-condition alert numbering survives `restart()` for shared and

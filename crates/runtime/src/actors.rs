@@ -32,7 +32,6 @@ use rcm_core::{Alert, CeId, LatencyHistogram, Update, VarId};
 
 use crate::faults::{FaultReport, IngestGate, RetainedWindow};
 use crate::pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
-use crate::wire::{roundtrip, Message};
 
 /// One DM → CE path, as the DM body sees it: the in-process
 /// [`FrontLink`](crate::link::FrontLink) (a lossy channel) and the
@@ -162,7 +161,7 @@ impl std::fmt::Debug for CeFaultConfig {
 /// shape plus the run-wide latency/shed ledgers (shared across
 /// replicas, snapshotted into the final report).
 pub(crate) struct CePipeline {
-    /// Worker count, ring capacity and batching.
+    /// Worker count and ring capacity.
     pub options: PipelineOptions,
     /// Ingest→alert-emit latency histogram.
     pub latency: Arc<LatencyHistogram>,
@@ -177,9 +176,9 @@ impl std::fmt::Debug for CePipeline {
 }
 
 /// The pipeline's [`AlertDrain`] for a system replica: each merged
-/// round crosses the wire codec (a real serialization boundary, as in a
-/// deployment), lands in the shared `emitted` record and goes out the
-/// back link, which the drain owns while the pipeline runs.
+/// round lands in the shared `emitted` record and goes out the back
+/// link, which the drain owns while the pipeline runs and which is
+/// where an alert is serialised — once, in either transport mode.
 struct SystemDrain {
     back: Box<dyn AlertSink>,
     emitted: Arc<Mutex<Vec<Alert>>>,
@@ -188,10 +187,6 @@ struct SystemDrain {
 impl AlertDrain for SystemDrain {
     fn alerts(&mut self, alerts: Vec<Alert>) {
         for alert in alerts {
-            let msg = roundtrip(&Message::Alert(alert));
-            let Message::Alert(alert) = msg else {
-                unreachable!("alert survived the codec as a different variant")
-            };
             // LOCK ORDER: leaf record mutex, released before the link.
             self.emitted.lock().push(alert.clone());
             self.back.send_alert(alert);

@@ -25,7 +25,10 @@ use rcm_sync::chan::Sender;
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::{Arc, Mutex};
 
+use rcm_core::Alert;
 use rcm_net::Backoff;
+
+use crate::wire::{roundtrip, Message};
 
 /// Counters for one back link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -241,8 +244,12 @@ impl<T: Clone + Send + 'static> BackLink<T> {
     }
 }
 
-impl crate::actors::AlertSink for BackLink<rcm_core::Alert> {
-    fn send_alert(&mut self, alert: rcm_core::Alert) {
+impl crate::actors::AlertSink for BackLink<Alert> {
+    fn send_alert(&mut self, alert: Alert) {
+        // Cross a real serialization boundary, as the socket link does.
+        let Message::Alert(alert) = roundtrip(&Message::Alert(alert)) else {
+            unreachable!("alert survived the codec as a different variant")
+        };
         self.send(alert);
     }
 
@@ -258,7 +265,9 @@ mod tests {
     use super::*;
     use rcm_sync::chan::unbounded;
 
-    fn link(severs: Vec<(u64, Duration)>) -> (BackLink<u64>, rcm_sync::chan::Receiver<u64>) {
+    fn link<T: Clone + Send + 'static>(
+        severs: Vec<(u64, Duration)>,
+    ) -> (BackLink<T>, rcm_sync::chan::Receiver<T>) {
         let (tx, rx) = unbounded();
         let backoff = Backoff::new(Duration::from_micros(50), Duration::from_millis(2), 7);
         (BackLink::new(tx, backoff).with_severs(severs), rx)
@@ -328,6 +337,26 @@ mod tests {
         l.flush();
         assert_eq!(drain(&rx), vec![3, 4], "kept the newest two");
         assert_eq!(l.stats_handle().lock().lost_overflow, 3);
+    }
+
+    #[test]
+    fn an_alert_sink_serialises_each_alert_it_sends() {
+        use crate::actors::AlertSink;
+        use rcm_core::{AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
+
+        let x = VarId::new(3);
+        let sent = Alert::new(
+            CondId::new(2),
+            HistoryFingerprint::single(x, vec![SeqNo::new(17)]),
+            vec![Update::new(x, 17, 3000.5)],
+            AlertId { ce: CeId::new(1), index: 9 },
+        );
+        let (mut link, rx) = link::<Alert>(vec![]);
+        link.send_alert(sent.clone());
+        let got = rx.try_recv().expect("the alert went through");
+        assert_eq!((&got, got.id, &got.snapshot[..]), (&sent, sent.id, &sent.snapshot[..]));
+        // Decoded from bytes, not handed over: a snapshot of its own.
+        assert!(!Arc::ptr_eq(&got.snapshot, &sent.snapshot));
     }
 
     #[test]

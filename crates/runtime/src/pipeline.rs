@@ -15,16 +15,16 @@
 //!   out to every worker over a bounded [`spsc`](rcm_sync::spsc) ring,
 //!   stamped with a global admission index and an admission timestamp;
 //! * each **shard worker** owns the `cond_id % workers` slice of the
-//!   condition set (rcm-core's [`ShardSlices`] seam — the same
-//!   partition the sim's `ShardedRegistry` uses) in a private
-//!   [`ConditionRegistry`], evaluates every update against its slice in
-//!   admission order, and reports per-update results to the sequencer;
+//!   condition set in a private [`ConditionRegistry`] — this module is
+//!   the only code in the workspace that partitions conditions —
+//!   evaluates every update against its slice in admission order, and
+//!   reports per-update results to the sequencer;
 //! * the **sequencer** reassembles rounds in ascending admission index
 //!   (each worker's stream is already in that order, so one message per
 //!   worker per round suffices), merges each round's alerts in
-//!   ascending condition id ([`ShardSlices::merge_same_update`]), and
-//!   hands them to the [`AlertDrain`] — reconstructing exactly the
-//!   unsharded registry's emission order, alert numbering included.
+//!   ascending condition id, and hands them to the [`AlertDrain`] —
+//!   reconstructing exactly the unsharded registry's emission order,
+//!   alert numbering included.
 //!
 //! **Determinism argument.** The unsharded registry emits, per update,
 //! in ascending condition-id order. Every worker sees the identical
@@ -39,10 +39,10 @@
 //! holds at the same stream position on every shard.
 //!
 //! **Batching.** Workers drain their ring in batches (one lock per
-//! batch instead of one per job) bounded by a
-//! [`BatchPolicy`](rcm_transport::BatchPolicy)'s `max_count` and
-//! `max_delay` triggers — an empty ring always flushes immediately, so
-//! batching adapts to queue depth and never waits for more input.
+//! batch instead of one per job) of at most 64 jobs (`DRAIN_JOBS`), cut
+//! no later than 1 ms after the batch opened (`DRAIN_DELAY`) — an empty
+//! ring always flushes immediately, so batching adapts to queue depth
+//! and never waits for more input.
 //!
 //! **Shedding.** Rings are bounded; when any ring is full the
 //! dispatcher sheds the arrival *before* the ingest gate, so a shed
@@ -65,8 +65,12 @@ use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
 use rcm_core::condition::Condition;
-use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, ShardSlices, Update};
-use rcm_transport::BatchPolicy;
+use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, Update};
+
+/// Most jobs a worker takes from its ring in one drain.
+const DRAIN_JOBS: usize = 64;
+/// A worker stops topping a drain up this long after it opened.
+const DRAIN_DELAY: Duration = Duration::from_millis(1);
 
 /// Where the pipeline delivers each admitted update's merged alerts.
 ///
@@ -98,26 +102,15 @@ pub struct PipelineOptions {
     /// Bounded ring capacity per worker; a full ring sheds arrivals.
     /// Unused with zero workers.
     pub ring_capacity: usize,
-    /// Worker drain batching (`max_count`/`max_delay` apply;
-    /// `max_bytes` is meaningless for in-process jobs and ignored).
-    /// Unused with zero workers.
-    pub batch: BatchPolicy,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
-        PipelineOptions { workers: 0, ring_capacity: 1024, batch: Self::default_batch() }
+        PipelineOptions { workers: 0, ring_capacity: 1024 }
     }
 }
 
 impl PipelineOptions {
-    /// The default worker drain policy: up to 64 jobs per ring drain,
-    /// cut no later than 1ms after the batch opened. Mirrors
-    /// [`BatchPolicy::stream`]'s count/delay triggers.
-    pub fn default_batch() -> BatchPolicy {
-        BatchPolicy { max_count: 64, max_bytes: usize::MAX, max_delay: Duration::from_millis(1) }
-    }
-
     /// Options running `workers` shard workers with the defaults.
     pub fn with_workers(workers: usize) -> Self {
         PipelineOptions { workers, ..Self::default() }
@@ -193,8 +186,7 @@ impl EvalPipeline {
     /// Starts the evaluation stage: with `options.workers == 0` on the
     /// caller's thread, otherwise on that many shard workers plus the
     /// sequencer. Condition `i` gets global id `CondId::new(i)` and
-    /// lives on shard `i % workers`, exactly as the sim's sharded
-    /// engine partitions.
+    /// lives on shard `i % workers`.
     pub fn start(
         ce: CeId,
         conditions: &[Arc<dyn Condition>],
@@ -203,30 +195,28 @@ impl EvalPipeline {
         latency: Arc<LatencyHistogram>,
         shed: Arc<AtomicU64>,
     ) -> EvalPipeline {
-        let conditions =
-            conditions.iter().enumerate().map(|(i, c)| (CondId::new(i as u32), Arc::clone(c)));
-        let stage = if options.workers == 0 {
+        // Shard `s` of `n` hosts the conditions with `i % n == s`, in
+        // ascending `i`, so it emits in ascending condition id.
+        let shard = |s: usize, n: usize| {
             let mut registry = ConditionRegistry::new(ce);
-            for (id, cond) in conditions {
-                registry.insert(id, cond);
+            for (i, cond) in conditions.iter().enumerate().skip(s).step_by(n) {
+                registry.insert(CondId::new(i as u32), Arc::clone(cond));
             }
-            Stage::Inline { registry, drain, latency }
+            registry
+        };
+        let stage = if options.workers == 0 {
+            Stage::Inline { registry: shard(0, 1), drain, latency }
         } else {
-            let mut slices = ShardSlices::new(ce, options.workers);
-            for (id, cond) in conditions {
-                slices.insert(id, cond);
-            }
-            let batch = options.batch;
             let mut rings = Vec::with_capacity(options.workers);
             let mut workers = Vec::with_capacity(options.workers);
             let mut outs: Vec<Receiver<Out>> = Vec::with_capacity(options.workers);
-            for shard in slices.into_shards() {
+            for s in 0..options.workers {
+                let shard = shard(s, options.workers);
                 let (tx, rx) = spsc::ring::<Job>(options.ring_capacity.max(1));
                 let (out_tx, out_rx) = unbounded::<Out>();
                 rings.push(tx);
                 outs.push(out_rx);
-                workers
-                    .push(rcm_sync::thread::spawn(move || worker_body(shard, rx, out_tx, batch)));
+                workers.push(rcm_sync::thread::spawn(move || worker_body(shard, rx, out_tx)));
             }
             let sequencer = rcm_sync::thread::spawn(move || sequencer_body(outs, drain, latency));
             Stage::Sharded { rings, workers, sequencer }
@@ -359,23 +349,16 @@ fn elapsed_nanos(t0: Instant) -> u64 {
 
 /// One shard worker: evaluates every update in admission order against
 /// its registry slice, reporting per-update results upstream. Ring
-/// drains are batched ([`PipelineOptions::batch`]): a deep queue is
-/// paid for with one lock per `max_count` jobs, an empty queue flushes
-/// immediately, and a hot stretch is cut no later than `max_delay`
-/// after the batch opened.
-fn worker_body(
-    mut shard: ConditionRegistry,
-    jobs: spsc::Consumer<Job>,
-    out: Sender<Out>,
-    batch: BatchPolicy,
-) {
+/// drains are batched: a deep queue is paid for with one lock per
+/// `DRAIN_JOBS` jobs, an empty queue flushes immediately, and a hot
+/// stretch is cut no later than `DRAIN_DELAY` after the batch opened.
+fn worker_body(mut shard: ConditionRegistry, jobs: spsc::Consumer<Job>, out: Sender<Out>) {
     let mut buf: Vec<Job> = Vec::new();
     while let Some(first) = jobs.pop() {
         let opened = Instant::now();
         buf.push(first);
-        let cap = batch.max_count.max(1);
-        while buf.len() < cap && !batch.expired(opened) {
-            let want = cap - buf.len();
+        while buf.len() < DRAIN_JOBS && opened.elapsed() < DRAIN_DELAY {
+            let want = DRAIN_JOBS - buf.len();
             if jobs.drain_into(&mut buf, want) == 0 {
                 break; // empty ring: flush what we have, adaptively
             }
@@ -465,7 +448,8 @@ fn sequencer_body(
             return;
         }
         if !merged.is_empty() {
-            ShardSlices::merge_same_update(&mut merged);
+            // One alert per condition per update: the key is unique.
+            merged.sort_unstable_by_key(|a| a.cond.index());
             drain.alerts(std::mem::take(&mut merged));
         }
         if let Some((_, t0)) = round {
@@ -641,7 +625,7 @@ mod tests {
             abandoned: Arc::new(Mutex::new(false)),
         });
         let shed = Arc::new(AtomicU64::new(0));
-        let opts = PipelineOptions { workers: 2, ring_capacity: 1, ..PipelineOptions::default() };
+        let opts = PipelineOptions { workers: 2, ring_capacity: 1 };
         let mut pipe = EvalPipeline::start(
             CeId::new(0),
             &conds,

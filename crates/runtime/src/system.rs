@@ -9,7 +9,7 @@ use std::fmt;
 use std::time::Duration;
 
 use rcm_sync::atomic::{AtomicU64, Ordering};
-use rcm_sync::chan::unbounded;
+use rcm_sync::chan::{unbounded, Receiver};
 use rcm_sync::thread::JoinHandle;
 use rcm_sync::{Arc, Mutex};
 
@@ -273,15 +273,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Worker ring-drain batching policy (default:
-    /// [`PipelineOptions::default_batch`] — up to 64 jobs per drain,
-    /// 1ms max delay). `max_bytes` is ignored for in-process jobs.
-    #[must_use]
-    pub fn eval_batch(mut self, batch: rcm_transport::BatchPolicy) -> Self {
-        self.pipeline.batch = batch;
-        self
-    }
-
     /// Runs the pipeline over real sockets instead of channels: DMs
     /// send updates over UDP to the topology's CE addresses, CEs send
     /// alerts over TCP to its AD listener. The topology's replica count
@@ -328,8 +319,26 @@ impl SystemBuilder {
                 return Err(ConfigError::MissingFeed(v));
             }
         }
+        // One retained window per feed, in feed order (empty when fault
+        // injection is off, so the hot path never touches them).
+        let windows: Vec<RetainedWindow> = match &self.faults {
+            Some(p) => self.feeds.iter().map(|_| RetainedWindow::new(p.retain_window)).collect(),
+            None => Vec::new(),
+        };
+        let mut ces = Replicas {
+            conditions: std::mem::take(&mut self.conditions),
+            options: self.pipeline,
+            seed: self.seed,
+            plan: self.faults.take(),
+            windows,
+            fault_report: Arc::new(Mutex::new(FaultReport::new(self.replicas))),
+            latency: Arc::new(LatencyHistogram::new()),
+            shed: Arc::new(AtomicU64::new(0)),
+            ingested: Vec::new(),
+            emitted: Vec::new(),
+        };
         if let Some(topology) = self.transport.take() {
-            return self.start_sockets(topology, &vars);
+            return self.start_sockets(topology, &vars, ces);
         }
 
         let mut loss =
@@ -338,47 +347,17 @@ impl SystemBuilder {
             Box::new(|_vars: &[VarId]| Box::new(Ad1::new()) as Box<dyn AlertFilter>)
         });
 
-        let plan = self.faults;
-        let fault_report = Arc::new(Mutex::new(FaultReport::new(self.replicas)));
-        // Run-wide evaluation ledgers, shared by every replica.
-        let latency = Arc::new(LatencyHistogram::new());
-        let shed = Arc::new(AtomicU64::new(0));
-        // One retained window per feed, in feed order (empty when fault
-        // injection is off, so the hot path never touches them).
-        let windows: Vec<RetainedWindow> = match &plan {
-            Some(p) => self.feeds.iter().map(|_| RetainedWindow::new(p.retain_window)).collect(),
-            None => Vec::new(),
-        };
-
         // Channels: one update channel per CE, one alert channel for the AD.
         let (alert_tx, alert_rx) = unbounded::<Alert>();
         let mut ce_senders = Vec::with_capacity(self.replicas);
         let mut handles: Vec<JoinHandle<()>> = Vec::new();
-        let mut ingested: Vec<Arc<Mutex<Vec<Update>>>> = Vec::new();
-        let mut emitted: Vec<Arc<Mutex<Vec<Alert>>>> = Vec::new();
         let mut backlink_stats: Vec<Arc<Mutex<BackLinkStats>>> = Vec::new();
 
         for ce in 0..self.replicas {
             let (tx, rx) = unbounded::<Update>();
             ce_senders.push(tx);
-            let record = Arc::new(Mutex::new(Vec::new()));
-            ingested.push(Arc::clone(&record));
-            let outputs = Arc::new(Mutex::new(Vec::new()));
-            emitted.push(Arc::clone(&outputs));
-            let conditions = self.conditions.clone();
-
-            let (backoff_base, backoff_cap) = plan
-                .as_ref()
-                .map_or((Duration::from_micros(200), Duration::from_millis(20)), |p| {
-                    (p.backoff_base, p.backoff_cap)
-                });
-            let backoff_seed =
-                self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ce as u64);
-            let mut back = BackLink::new(
-                alert_tx.clone(),
-                Backoff::new(backoff_base, backoff_cap, backoff_seed),
-            );
-            if let Some(p) = &plan {
+            let mut back = BackLink::new(alert_tx.clone(), ces.backoff(ce));
+            if let Some(p) = &ces.plan {
                 back = back
                     .with_severs(
                         p.severs
@@ -390,31 +369,7 @@ impl SystemBuilder {
                     .queue_cap(p.resend_queue_cap);
             }
             backlink_stats.push(back.stats_handle());
-
-            let faults = plan.as_ref().map(|p| CeFaultConfig {
-                kill_at: p.kills.iter().filter(|k| k.ce == ce).map(|k| k.at_arrival).collect(),
-                max_restarts: p.max_restarts,
-                windows: windows.clone(),
-                report: Arc::clone(&fault_report),
-                ce_index: ce,
-            });
-            let pipeline = CePipeline {
-                options: self.pipeline,
-                latency: Arc::clone(&latency),
-                shed: Arc::clone(&shed),
-            };
-            handles.push(rcm_sync::thread::spawn(move || {
-                ce_body(
-                    CeId::new(ce as u32),
-                    conditions,
-                    rx,
-                    Box::new(back) as Box<dyn AlertSink>,
-                    record,
-                    outputs,
-                    faults,
-                    pipeline,
-                );
-            }));
+            handles.push(ces.spawn(ce, rx, Box::new(back)));
         }
         drop(alert_tx); // AD exits when the last CE back link drops.
 
@@ -437,7 +392,7 @@ impl SystemBuilder {
                 let link_seed = self.seed.wrapping_add((fi as u64) << 32).wrapping_add(ci as u64);
                 let mut link =
                     FrontLink::new(tx.clone(), loss(feed.var, CeId::new(ci as u32)), link_seed);
-                if let Some(p) = &plan {
+                if let Some(p) = &ces.plan {
                     link = link.with_stalls(
                         p.stalls
                             .iter()
@@ -450,7 +405,7 @@ impl SystemBuilder {
                 links.push(Box::new(link));
             }
             let (var, source, period) = (feed.var, feed.source, feed.period);
-            let window = windows.get(fi).cloned();
+            let window = ces.windows.get(fi).cloned();
             handles.push(rcm_sync::thread::spawn(move || {
                 dm_body(var, source, period, links, window);
             }));
@@ -461,16 +416,16 @@ impl SystemBuilder {
             handles,
             arrivals,
             displayed,
-            ingested,
-            emitted,
+            ingested: ces.ingested,
+            emitted: ces.emitted,
             link_reports,
-            fault_report,
+            fault_report: ces.fault_report,
             backlink_stats,
             mode: TransportMode::InProcess,
             replicas: self.replicas,
             workers: self.pipeline.workers,
-            latency,
-            shed,
+            latency: ces.latency,
+            shed: ces.shed,
             front_vars: Vec::new(),
             front_stats: Vec::new(),
             engine_counters: None,
@@ -491,6 +446,7 @@ impl SystemBuilder {
         self,
         topology: BoundTopology,
         vars: &[VarId],
+        mut ces: Replicas,
     ) -> Result<MonitorSystem, ConfigError> {
         if topology.replicas() != self.replicas {
             return Err(ConfigError::TopologyMismatch {
@@ -502,16 +458,6 @@ impl SystemBuilder {
         let filter_factory = self.filter.unwrap_or_else(|| {
             Box::new(|_vars: &[VarId]| Box::new(Ad1::new()) as Box<dyn AlertFilter>)
         });
-
-        let plan = self.faults;
-        let fault_report = Arc::new(Mutex::new(FaultReport::new(self.replicas)));
-        // Run-wide evaluation ledgers, shared by every replica.
-        let latency = Arc::new(LatencyHistogram::new());
-        let shed = Arc::new(AtomicU64::new(0));
-        let windows: Vec<RetainedWindow> = match &plan {
-            Some(p) => self.feeds.iter().map(|_| RetainedWindow::new(p.retain_window)).collect(),
-            None => Vec::new(),
-        };
         let parts = topology.into_parts();
         let n_feeds = self.feeds.len();
 
@@ -541,8 +487,6 @@ impl SystemBuilder {
         // over a channel, and a TCP back link to the AD. The back link
         // connects eagerly, so a dead AD address fails here rather than
         // silently dropping alerts later.
-        let mut ingested: Vec<Arc<Mutex<Vec<Update>>>> = Vec::new();
-        let mut emitted: Vec<Arc<Mutex<Vec<Alert>>>> = Vec::new();
         for (ce, sock) in parts.ce_sockets.into_iter().enumerate() {
             let (tx, rx) = unbounded::<Update>();
             evented_ingress.push(
@@ -553,17 +497,9 @@ impl SystemBuilder {
                     .map_err(transport_err)?,
             );
 
-            let (backoff_base, backoff_cap) = plan
-                .as_ref()
-                .map_or((Duration::from_micros(200), Duration::from_millis(20)), |p| {
-                    (p.backoff_base, p.backoff_cap)
-                });
-            let backoff_seed =
-                self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ce as u64);
-            let backoff = Backoff::new(backoff_base, backoff_cap, backoff_seed);
-            let mut spec =
-                BackLinkSpec::new(parts.ad_addr, ce as u32, backoff).batching(parts.back_batch);
-            if let Some(p) = &plan {
+            let mut spec = BackLinkSpec::new(parts.ad_addr, ce as u32, ces.backoff(ce))
+                .batching(parts.back_batch);
+            if let Some(p) = &ces.plan {
                 spec = spec
                     .with_severs(
                         p.severs
@@ -576,36 +512,7 @@ impl SystemBuilder {
             }
             let back = event_loop.add_back_link(spec).map_err(transport_err)?;
             evented_tcp.push(back.stats_handle());
-
-            let record = Arc::new(Mutex::new(Vec::new()));
-            ingested.push(Arc::clone(&record));
-            let outputs = Arc::new(Mutex::new(Vec::new()));
-            emitted.push(Arc::clone(&outputs));
-            let conditions = self.conditions.clone();
-            let faults = plan.as_ref().map(|p| CeFaultConfig {
-                kill_at: p.kills.iter().filter(|k| k.ce == ce).map(|k| k.at_arrival).collect(),
-                max_restarts: p.max_restarts,
-                windows: windows.clone(),
-                report: Arc::clone(&fault_report),
-                ce_index: ce,
-            });
-            let pipeline = CePipeline {
-                options: self.pipeline,
-                latency: Arc::clone(&latency),
-                shed: Arc::clone(&shed),
-            };
-            handles.push(rcm_sync::thread::spawn(move || {
-                ce_body(
-                    CeId::new(ce as u32),
-                    conditions,
-                    rx,
-                    Box::new(back) as Box<dyn AlertSink>,
-                    record,
-                    outputs,
-                    faults,
-                    pipeline,
-                );
-            }));
+            handles.push(ces.spawn(ce, rx, Box::new(back)));
         }
 
         // With every source registered, the loop itself gets a thread.
@@ -642,7 +549,7 @@ impl SystemBuilder {
                 links.push(Box::new(UdpSender { link, fin_repeats: parts.fin_repeats }));
             }
             let (var, source, period) = (feed.var, feed.source, feed.period);
-            let window = windows.get(fi).cloned();
+            let window = ces.windows.get(fi).cloned();
             handles.push(rcm_sync::thread::spawn(move || {
                 dm_body(var, source, period, links, window);
             }));
@@ -652,22 +559,89 @@ impl SystemBuilder {
             handles,
             arrivals,
             displayed,
-            ingested,
-            emitted,
+            ingested: ces.ingested,
+            emitted: ces.emitted,
             link_reports: Vec::new(),
-            fault_report,
+            fault_report: ces.fault_report,
             backlink_stats: Vec::new(),
             mode: TransportMode::Sockets,
             replicas: self.replicas,
             workers: self.pipeline.workers,
-            latency,
-            shed,
+            latency: ces.latency,
+            shed: ces.shed,
             front_vars,
             front_stats,
             engine_counters: Some(engine_counters),
             evented_ingress,
             evented_tcp,
             evented_ad: Some(evented_ad),
+        })
+    }
+}
+
+/// What the CE replicas of one run share, whichever links carry them.
+/// `start` builds it once; it spawns each replica's supervised body and
+/// keeps the sinks the final report reads.
+struct Replicas {
+    conditions: Vec<Arc<dyn Condition>>,
+    options: PipelineOptions,
+    seed: u64,
+    plan: Option<FaultPlan>,
+    /// Every DM's retained window, in feed order.
+    windows: Vec<RetainedWindow>,
+    fault_report: Arc<Mutex<FaultReport>>,
+    /// Run-wide evaluation ledgers, shared by every replica.
+    latency: Arc<LatencyHistogram>,
+    shed: Arc<AtomicU64>,
+    /// Per replica spawned so far: its `U_i` record and its alerts.
+    ingested: Vec<Arc<Mutex<Vec<Update>>>>,
+    emitted: Vec<Arc<Mutex<Vec<Alert>>>>,
+}
+
+impl Replicas {
+    /// The reconnect schedule of replica `ce`'s back link: the plan's
+    /// bounds (or the defaults), jittered from the run's seed.
+    fn backoff(&self, ce: usize) -> Backoff {
+        let (base, cap) = self
+            .plan
+            .as_ref()
+            .map_or((Duration::from_micros(200), Duration::from_millis(20)), |p| {
+                (p.backoff_base, p.backoff_cap)
+            });
+        Backoff::new(
+            base,
+            cap,
+            self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ce as u64),
+        )
+    }
+
+    /// Spawns replica `ce`'s supervised body between its update channel
+    /// and its back link.
+    fn spawn(
+        &mut self,
+        ce: usize,
+        rx: Receiver<Update>,
+        back: Box<dyn AlertSink>,
+    ) -> JoinHandle<()> {
+        let record = Arc::new(Mutex::new(Vec::new()));
+        self.ingested.push(Arc::clone(&record));
+        let outputs = Arc::new(Mutex::new(Vec::new()));
+        self.emitted.push(Arc::clone(&outputs));
+        let conditions = self.conditions.clone();
+        let faults = self.plan.as_ref().map(|p| CeFaultConfig {
+            kill_at: p.kills.iter().filter(|k| k.ce == ce).map(|k| k.at_arrival).collect(),
+            max_restarts: p.max_restarts,
+            windows: self.windows.clone(),
+            report: Arc::clone(&self.fault_report),
+            ce_index: ce,
+        });
+        let pipeline = CePipeline {
+            options: self.options,
+            latency: Arc::clone(&self.latency),
+            shed: Arc::clone(&self.shed),
+        };
+        rcm_sync::thread::spawn(move || {
+            ce_body(CeId::new(ce as u32), conditions, rx, back, record, outputs, faults, pipeline);
         })
     }
 }

@@ -204,7 +204,7 @@ impl TreeTopology {
         TreeTopology { plan, opts: TreeOptions::default(), stream: Vec::new(), faults: Vec::new() }
     }
 
-    /// Sets the deployment knobs (replicas, shards, replay window…).
+    /// Sets the deployment knobs (replicas, replay window…).
     pub fn options(mut self, opts: TreeOptions) -> Self {
         self.opts = opts;
         self
@@ -227,8 +227,8 @@ impl TreeTopology {
     ///
     /// # Panics
     ///
-    /// Panics if the options are degenerate (zero replicas or shards)
-    /// or a scripted fault names a node outside the topology.
+    /// Panics if the options name zero replicas or a scripted fault
+    /// names a node outside the topology.
     pub fn run(self) -> TreeReport {
         Supervisor::deploy(self).run()
     }
@@ -381,7 +381,6 @@ impl Supervisor {
     fn deploy(topo: TreeTopology) -> Self {
         let TreeTopology { plan, opts, stream, mut faults } = topo;
         assert!(opts.leaf_replicas >= 1, "need at least one replica per leaf");
-        assert!(opts.shards_per_leaf >= 1, "need at least one shard per leaf");
         let (leaves_n, tiers, fanout) = (plan.leaves(), plan.relay_tiers(), plan.fanout());
         faults.sort_by_key(TreeFault::at_update);
 

@@ -691,7 +691,6 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
         ((mix(plan_seed ^ 2) % 3) as usize, 1 + (mix(plan_seed ^ 3) % 3) as usize)
     };
     let replicas = if spec.kill_replica { 2 } else { 1 + (mix(plan_seed ^ 4) % 2) as usize };
-    let shards = 1 + (mix(plan_seed ^ 5) % 4) as usize;
 
     // One single-variable threshold condition per variable; ownership
     // round-robins variables over leaves, so global condition ids
@@ -756,7 +755,6 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
     let opts = TreeOptions {
         root_ce: ROOT_CE,
         leaf_replicas: replicas,
-        shards_per_leaf: shards,
         replay_window: 4096,
         ..TreeOptions::default()
     };

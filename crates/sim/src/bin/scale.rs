@@ -37,8 +37,9 @@
 //! streams up `D-2` relay tiers to a root CE, whose re-stamped alerts
 //! fan out on the back links. The exactly-once assertion is unchanged
 //! and now spans the whole tree: every update must surface at the
-//! root-fed AD exactly once. `--workers W` maps to worker shards
-//! inside each leaf registry.
+//! root-fed AD exactly once. A leaf evaluates on its own thread — no
+//! tree node runs an `EvalPipeline` — so `--tree` with a non-zero
+//! `--workers` is a usage error: exit 1 before a socket is bound.
 //!
 //! `--json` adds the capacity evidence CI archives: peak process FDs
 //! (read from `/proc/self/fd`) and resident-set delta per link, plus
@@ -54,9 +55,7 @@ use rcm_core::ad::{Ad1, AlertFilter};
 use rcm_core::condition::{Cmp, Condition, Threshold};
 use rcm_core::{Alert, CeId, CondId, LatencyHistogram, Update, VarId};
 use rcm_net::Backoff;
-use rcm_runtime::{
-    AlertDrain, EvalPipeline, PipelineOptions, TreeOptions, TreePlan, TreeStats, TreeTopology,
-};
+use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions, TreePlan, TreeStats, TreeTopology};
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::Arc;
 use rcm_transport::{BackLinkSpec, EventLoop, EventedBackLink, UdpFrontLink};
@@ -122,6 +121,11 @@ fn parse_args() -> Option<Options> {
         }
     }
     opts.active = opts.active.min(opts.front);
+    // No tree node runs workers: refuse the pair rather than report a
+    // worker count nothing used.
+    if opts.tree.is_some() && opts.workers > 0 {
+        return None;
+    }
     Some(opts)
 }
 
@@ -261,12 +265,7 @@ fn main() -> ExitCode {
             plan.add_condition(CondId::new(i as u32), Arc::new(Threshold::new(var, Cmp::Gt, 0.0)))
                 .expect("single-variable condition lands on its owning leaf");
         }
-        let tree_opts = TreeOptions {
-            root_ce: CeId::new(0),
-            shards_per_leaf: opts.workers.max(1),
-            ..TreeOptions::default()
-        };
-        let report = TreeTopology::new(plan).options(tree_opts).stream(stream).run();
+        let report = TreeTopology::new(plan).stream(stream).run();
         for alert in &report.displayed {
             for back in &mut backs {
                 back.send_alert(alert.clone());

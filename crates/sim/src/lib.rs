@@ -38,7 +38,6 @@ pub mod multicond;
 pub mod par;
 pub mod report;
 mod scenario;
-pub mod shard;
 mod spec;
 mod workload;
 

@@ -13,20 +13,20 @@
 //! arrival time.
 //!
 //! [`run_hosted`] simulates the alternative *hosted* deployment — one
-//! replicated CE group hosting every condition in a sharded
-//! [`ConditionRegistry`](rcm_core::ConditionRegistry) — where all
-//! conditions on a replica share one subscription and therefore one
-//! loss pattern per variable.
+//! replicated CE group, each replica hosting every condition in one
+//! [`ConditionRegistry`] — where all conditions on a replica share one
+//! subscription and therefore one loss pattern per variable. It is the
+//! layout the runtime's `MonitorSystem::builder_multi` and the `rcm-ce`
+//! node deploy.
 
 use std::sync::Arc;
 
 use rcm_core::condition::{Condition, Triggering};
-use rcm_core::{Alert, CeId, CondId, HistorySet, RegistryStats, Update, VarId};
+use rcm_core::{Alert, CeId, CondId, ConditionRegistry, HistorySet, RegistryStats, Update, VarId};
 
 use crate::engine::{run, RunResult};
 use crate::event::SimTime;
 use crate::scenario::{DelaySpec, LossSpec, Scenario, VarWorkload};
-use crate::shard::ShardedRegistry;
 use crate::workload::ValueSpec;
 
 /// One shared Data Monitor description (rebuildable per condition run).
@@ -200,32 +200,31 @@ pub struct HostedResult {
     /// Per replica: the updates its CE incorporated, in arrival order —
     /// one stream per replica, shared by all hosted conditions.
     pub inputs: Vec<Vec<Update>>,
-    /// Per replica: the alerts its sharded registry emitted over the
-    /// input stream, in emission order (condition `i` carries
+    /// Per replica: the alerts its registry emitted over the input
+    /// stream, in emission order (condition `i` carries
     /// `CondId::new(i)`).
     pub per_replica: Vec<Vec<Alert>>,
     /// Per replica: registry ingestion counters.
     pub stats: Vec<RegistryStats>,
 }
 
-/// Runs a multi-condition scenario in the *hosted* deployment: one
-/// replicated CE group hosts every condition in a sharded
-/// [`ConditionRegistry`](rcm_core::ConditionRegistry), instead of
-/// Appendix D's one CE group per condition ([`run_multi`]).
+/// Runs a multi-condition scenario in the *hosted* deployment: every
+/// replica of one CE group hosts every condition in one
+/// [`ConditionRegistry`], instead of Appendix D's one CE group per
+/// condition ([`run_multi`]).
 ///
 /// The difference is observable: hosted conditions share each replica's
 /// front links (one subscription on the variable union, `link_salt` 0),
 /// so all conditions on a replica see the *same* loss pattern, while
 /// [`run_multi`] gives every condition independent links. Within a
 /// replica the registry is byte-identical to independent per-condition
-/// evaluators fed that replica's stream, for any shard count and any
-/// worker-thread count ([`ShardedRegistry`]'s contract).
+/// evaluators fed that replica's stream.
 ///
 /// # Panics
 ///
-/// Panics if a condition uses a variable with no shared workload, if
-/// `shards` is zero, or propagates the engine's validation panics.
-pub fn run_hosted(scenario: &MultiCondScenario, shards: usize) -> HostedResult {
+/// Panics if a condition uses a variable with no shared workload, or
+/// propagates the engine's validation panics.
+pub fn run_hosted(scenario: &MultiCondScenario) -> HostedResult {
     let mut vars: Vec<VarId> = scenario.workloads.iter().map(|w| w.var).collect();
     vars.sort_unstable();
     vars.dedup();
@@ -265,11 +264,10 @@ pub fn run_hosted(scenario: &MultiCondScenario, shards: usize) -> HostedResult {
     let mut per_replica = Vec::with_capacity(scenario.replicas);
     let mut stats = Vec::with_capacity(scenario.replicas);
     for (ce, stream) in probe_run.inputs.iter().enumerate() {
-        let mut reg = ShardedRegistry::from_conditions(
-            CeId::new(ce as u32),
-            scenario.conditions.iter().map(Arc::clone),
-            shards,
-        );
+        let mut reg = ConditionRegistry::new(CeId::new(ce as u32));
+        for condition in &scenario.conditions {
+            reg.add(Arc::clone(condition));
+        }
         let mut alerts = Vec::new();
         reg.ingest_batch(stream, &mut alerts);
         stats.push(reg.stats());
@@ -366,7 +364,7 @@ mod tests {
     fn hosted_matches_independent_evaluators_per_replica() {
         use rcm_core::{CeId, Evaluator};
         let sc = scenario(21);
-        let r = run_hosted(&sc, 2);
+        let r = run_hosted(&sc);
         assert_eq!(r.inputs.len(), sc.replicas);
         assert_eq!(r.per_replica.len(), sc.replicas);
         assert!(r.per_replica.iter().any(|a| !a.is_empty()), "expected hosted alerts");
@@ -398,23 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn hosted_is_invariant_to_shards_and_threads() {
-        use crate::par::with_threads;
-        let sc = scenario(22);
-        let base = run_hosted(&sc, 1);
-        for shards in [2, 3, 8] {
-            let r = with_threads(if shards == 3 { 2 } else { 4 }, || run_hosted(&sc, shards));
-            assert_eq!(r.inputs, base.inputs, "shards = {shards}");
-            assert_eq!(r.per_replica, base.per_replica, "shards = {shards}");
-        }
-    }
-
-    #[test]
     fn hosted_replicas_share_one_loss_pattern() {
         // All conditions on a replica see the same input stream — the
         // defining difference from `run_multi`'s independent links.
         let sc = scenario(23);
-        let r = run_hosted(&sc, 2);
+        let r = run_hosted(&sc);
         assert_eq!(r.inputs.len(), 2);
         // The shared stream is the only source: per-replica alerts for
         // both conditions reference seqnos from that replica's inputs.
@@ -431,6 +417,6 @@ mod tests {
     fn hosted_missing_workload_rejected() {
         let mut sc = scenario(1);
         sc.conditions.push(Arc::new(Threshold::new(VarId::new(9), Cmp::Gt, 0.0)));
-        run_hosted(&sc, 1);
+        run_hosted(&sc);
     }
 }

@@ -76,61 +76,6 @@ where
     map_indexed_with(harness_threads(), jobs, f)
 }
 
-/// Evaluates `f` over every element of a mutable slice across
-/// [`harness_threads`] worker threads and returns the per-element
-/// results in slice order.
-///
-/// This is the in-place sibling of [`map_indexed`], for workloads that
-/// mutate persistent state per job (e.g. registry shards ingesting a
-/// batch). The slice is split into contiguous chunks, one per worker;
-/// each element is visited exactly once, and the output is bit-identical
-/// to the serial `items.iter_mut().enumerate().map(|(i, t)| f(i, t))`
-/// for any thread count.
-pub fn map_slice_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    map_slice_mut_with(harness_threads(), items, f)
-}
-
-/// [`map_slice_mut`] with an explicit worker-thread count.
-pub fn map_slice_mut_with<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let jobs = items.len();
-    let threads = threads.clamp(1, jobs.max(1));
-    if threads == 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = jobs.div_ceil(threads);
-    let f = &f;
-    let mut out = Vec::with_capacity(jobs);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, part)| {
-                let lo = c * chunk;
-                s.spawn(move || {
-                    part.iter_mut().enumerate().map(|(i, t)| f(lo + i, t)).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
-}
-
 /// [`map_indexed`] with an explicit worker-thread count.
 pub fn map_indexed_with<T, F>(threads: usize, jobs: usize, f: F) -> Vec<T>
 where
@@ -201,28 +146,6 @@ mod tests {
         });
         assert!(caught.is_err());
         assert_ne!(THREAD_OVERRIDE.with(Cell::get), Some(5));
-    }
-
-    #[test]
-    fn slice_map_matches_serial_and_mutates_every_element() {
-        for threads in [1, 2, 3, 7, 8, 16, 200] {
-            let mut items: Vec<u64> = (0..53).collect();
-            let out = map_slice_mut_with(threads, &mut items, |i, t| {
-                *t += 1;
-                *t * i as u64
-            });
-            let want: Vec<u64> = (0..53u64).map(|i| (i + 1) * i).collect();
-            assert_eq!(out, want, "threads = {threads}");
-            assert_eq!(items, (1..54).collect::<Vec<u64>>(), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn slice_map_empty_and_tiny() {
-        let mut empty: Vec<u8> = Vec::new();
-        assert_eq!(map_slice_mut_with(8, &mut empty, |i, _| i), Vec::<usize>::new());
-        let mut one = vec![5u8];
-        assert_eq!(map_slice_mut_with(8, &mut one, |i, t| (i, *t)), vec![(0, 5)]);
     }
 
     #[test]

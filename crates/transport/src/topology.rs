@@ -2,35 +2,30 @@
 //! system, and the eagerly-bound sockets behind it.
 //!
 //! A [`Topology`] is the *spec* — how many CE replicas, which
-//! condition expressions, which addresses. [`Topology::bind`] turns it
-//! into a [`BoundTopology`] by actually binding every socket up front:
-//! with `127.0.0.1:0` everywhere (the [`Topology::loopback`]
-//! constructor) the OS picks ephemeral ports, the bound addresses are
+//! batching per link direction. [`Topology::bind`] turns it into a
+//! [`BoundTopology`] by actually binding every socket up front, each to
+//! `127.0.0.1:0`: the OS picks ephemeral ports, the bound addresses are
 //! captured before any node thread starts, and a test suite can run
 //! many systems in parallel without port collisions.
 //!
 //! The runtime's `SystemBuilder` consumes a [`BoundTopology`] to run
 //! the very same pipeline it normally drives over channels across real
-//! sockets instead; the `rcm-dm` / `rcm-ce` / `rcm-ad` binaries use the
-//! same address conventions with fixed ports.
+//! sockets instead; the `rcm-dm` / `rcm-ce` / `rcm-ad` binaries take
+//! their fixed addresses on the command line (`--bind`, `--ce`, `--ad`).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 
-use rcm_core::condition::expr::CompiledCondition;
-use rcm_core::VarRegistry;
 use rcm_sync::time::Duration;
 
 use crate::batch::BatchPolicy;
 
-/// An address plan: where each CE listens for updates and where the AD
-/// listens for alerts — plus the batching policy per link direction
+/// A loopback plan: how many CEs listen for updates beside the one AD
+/// listening for alerts — plus the batching policy per link direction
 /// every node derives from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    conditions: Vec<String>,
-    ce_update: Vec<SocketAddr>,
-    ad_alert: SocketAddr,
+    replicas: usize,
     front_batch: BatchPolicy,
     back_batch: BatchPolicy,
 }
@@ -44,38 +39,7 @@ impl Topology {
     /// Panics if `replicas` is zero.
     pub fn loopback(replicas: usize) -> Self {
         assert!(replicas > 0, "a topology needs at least one CE replica");
-        let any: SocketAddr = "127.0.0.1:0".parse().expect("literal addr");
-        Topology {
-            conditions: Vec::new(),
-            ce_update: vec![any; replicas],
-            ad_alert: any,
-            front_batch: BatchPolicy::off(),
-            back_batch: BatchPolicy::off(),
-        }
-    }
-
-    /// A plan with explicit addresses (fixed ports for a real
-    /// deployment): one UDP address per CE, one TCP address for the AD.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ce_update` is empty.
-    pub fn with_addrs(ce_update: Vec<SocketAddr>, ad_alert: SocketAddr) -> Self {
-        assert!(!ce_update.is_empty(), "a topology needs at least one CE replica");
-        Topology {
-            conditions: Vec::new(),
-            ce_update,
-            ad_alert,
-            front_batch: BatchPolicy::off(),
-            back_batch: BatchPolicy::off(),
-        }
-    }
-
-    /// Adds a condition expression every CE will evaluate.
-    #[must_use]
-    pub fn with_condition(mut self, expr: impl Into<String>) -> Self {
-        self.conditions.push(expr.into());
-        self
+        Topology { replicas, front_batch: BatchPolicy::off(), back_batch: BatchPolicy::off() }
     }
 
     /// Enables update batching on the DM → CE front links
@@ -95,24 +59,7 @@ impl Topology {
 
     /// The CE replica count.
     pub fn replicas(&self) -> usize {
-        self.ce_update.len()
-    }
-
-    /// The condition expressions, in insertion order.
-    pub fn conditions(&self) -> &[String] {
-        &self.conditions
-    }
-
-    /// Compiles every condition expression against `registry`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first compile error (`rcm_core::Error::Parse`).
-    pub fn compile_conditions(
-        &self,
-        registry: &mut VarRegistry,
-    ) -> Result<Vec<CompiledCondition>, rcm_core::Error> {
-        self.conditions.iter().map(|expr| CompiledCondition::compile(expr, registry)).collect()
+        self.replicas
     }
 
     /// Binds every socket in the plan, capturing the real addresses.
@@ -121,17 +68,17 @@ impl Topology {
     ///
     /// Propagates the first bind failure.
     pub fn bind(self) -> io::Result<BoundTopology> {
-        let mut ce_sockets = Vec::with_capacity(self.ce_update.len());
-        let mut ce_addrs = Vec::with_capacity(self.ce_update.len());
-        for addr in &self.ce_update {
-            let sock = UdpSocket::bind(addr)?;
+        let any = SocketAddr::from(([127, 0, 0, 1], 0));
+        let mut ce_sockets = Vec::with_capacity(self.replicas);
+        let mut ce_addrs = Vec::with_capacity(self.replicas);
+        for _ in 0..self.replicas {
+            let sock = UdpSocket::bind(any)?;
             ce_addrs.push(sock.local_addr()?);
             ce_sockets.push(sock);
         }
-        let listener = TcpListener::bind(self.ad_alert)?;
+        let listener = TcpListener::bind(any)?;
         let ad_addr = listener.local_addr()?;
         Ok(BoundTopology {
-            conditions: self.conditions,
             ce_sockets,
             listener,
             dm_targets: ce_addrs.clone(),
@@ -148,7 +95,6 @@ impl Topology {
 /// A topology with every socket bound and every address real.
 #[derive(Debug)]
 pub struct BoundTopology {
-    conditions: Vec<String>,
     ce_sockets: Vec<UdpSocket>,
     listener: TcpListener,
     ce_addrs: Vec<SocketAddr>,
@@ -171,11 +117,6 @@ impl BoundTopology {
     /// The bound AD alert address.
     pub fn ad_addr(&self) -> SocketAddr {
         self.ad_addr
-    }
-
-    /// The condition expressions carried over from the spec.
-    pub fn conditions(&self) -> &[String] {
-        &self.conditions
     }
 
     /// The CE replica count.
@@ -266,26 +207,6 @@ mod tests {
         assert_eq!(ports.len(), 4, "all sockets distinct");
         // Default routing sends straight to the CE sockets.
         assert_eq!(bound.dm_targets, bound.ce_addrs);
-    }
-
-    #[test]
-    fn conditions_carry_through_and_compile() {
-        let topology = Topology::loopback(2)
-            .with_condition("temp[0].value > 3000")
-            .with_condition("pressure[0].value > 10");
-        let mut registry = VarRegistry::new();
-        let compiled = topology.compile_conditions(&mut registry).expect("valid expressions");
-        assert_eq!(compiled.len(), 2);
-        assert!(registry.lookup("temp").is_some());
-        assert!(registry.lookup("pressure").is_some());
-        let bound = topology.bind().expect("bind topology");
-        assert_eq!(bound.conditions().len(), 2);
-    }
-
-    #[test]
-    fn bad_condition_reports_a_compile_error() {
-        let topology = Topology::loopback(1).with_condition("temp[0].value >");
-        assert!(topology.compile_conditions(&mut VarRegistry::new()).is_err());
     }
 
     #[test]

@@ -91,11 +91,9 @@ impl TreeEval {
     ///
     /// # Panics
     ///
-    /// Panics if `opts.leaf_replicas` or `opts.shards_per_leaf` is
-    /// zero.
+    /// Panics if `opts.leaf_replicas` is zero.
     pub fn build(plan: TreePlan, opts: TreeOptions) -> Self {
         assert!(opts.leaf_replicas >= 1, "need at least one replica per leaf");
-        assert!(opts.shards_per_leaf >= 1, "need at least one shard per leaf");
         let (leaves_n, tiers, fanout) = (plan.leaves(), plan.relay_tiers(), plan.fanout());
 
         // Tier widths: leaves, then each relay tier shrinks by fanout.
@@ -126,7 +124,6 @@ impl TreeEval {
                             leaf as u32,
                             CeId::new((leaf * opts.leaf_replicas + r) as u32 + 1),
                             &plan.leaf_conds[leaf],
-                            opts.shards_per_leaf,
                             opts.replay_window,
                             opts.aggregates,
                         )

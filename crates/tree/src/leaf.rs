@@ -3,7 +3,9 @@
 use serde::{Deserialize, Serialize};
 
 use rcm_core::condition::DynCondition;
-use rcm_core::{Alert, CeId, DerivedEmitter, DerivedPayload, DerivedUpdate, ShardSlices, Update};
+use rcm_core::{
+    Alert, CeId, ConditionRegistry, DerivedEmitter, DerivedPayload, DerivedUpdate, Update,
+};
 use rcm_transport::SeqGate;
 
 use crate::window::ReplayWindow;
@@ -37,9 +39,9 @@ pub struct LeafOutput {
     pub derived: Vec<DerivedUpdate>,
 }
 
-/// One leaf CE replica: a seqno gate in front of a sharded condition
-/// registry, stamping verdict (and optionally aggregate) streams for
-/// its parent tier.
+/// One leaf CE replica: a seqno gate in front of a condition registry,
+/// stamping verdict (and optionally aggregate) streams for its parent
+/// tier.
 ///
 /// Determinism is the load-bearing property: two replicas built from
 /// the same plan and fed the same post-loss input emit identical
@@ -49,7 +51,7 @@ pub struct LeafOutput {
 pub struct LeafCe {
     node: u32,
     gate: SeqGate,
-    slices: ShardSlices,
+    registry: ConditionRegistry,
     verdicts: DerivedEmitter,
     aggregates: Option<AggregateState>,
     window: ReplayWindow,
@@ -65,42 +67,36 @@ impl LeafCe {
     ///
     /// # Panics
     ///
-    /// Panics if `leaf` is out of the plan's range or the options name
-    /// zero shards.
+    /// Panics if `leaf` is out of the plan's range.
     pub fn from_plan(
         plan: &crate::TreePlan,
         leaf: usize,
         ce: CeId,
         opts: &crate::TreeOptions,
     ) -> Self {
-        LeafCe::build(
-            leaf as u32,
-            ce,
-            &plan.leaf_conds[leaf],
-            opts.shards_per_leaf,
-            opts.replay_window,
-            opts.aggregates,
-        )
+        LeafCe::build(leaf as u32, ce, &plan.leaf_conds[leaf], opts.replay_window, opts.aggregates)
     }
 
-    /// Builds leaf `node`'s replica `ce` hosting `conds` over
-    /// `shards` registry slices.
+    /// Builds leaf `node`'s replica `ce` hosting `conds`.
     pub(crate) fn build(
         node: u32,
         ce: CeId,
         conds: &[(rcm_core::CondId, DynCondition)],
-        shards: usize,
         replay_window: usize,
         aggregates: Option<AggregateSpec>,
     ) -> Self {
-        let mut slices = ShardSlices::new(ce, shards);
+        // A registry emits in registration order and a leaf in ascending
+        // condition id, whatever order the plan placed its conditions in.
+        let mut conds = conds.to_vec();
+        conds.sort_by_key(|(id, _)| *id);
+        let mut registry = ConditionRegistry::new(ce);
         for (id, cond) in conds {
-            slices.insert(*id, cond.clone());
+            registry.insert(id, cond);
         }
         LeafCe {
             node,
             gate: SeqGate::new(),
-            slices,
+            registry,
             verdicts: DerivedEmitter::new(verdict_stream(0, node)),
             aggregates: aggregates.map(|spec| AggregateState {
                 emitter: DerivedEmitter::new(aggregate_stream(0, node)),
@@ -119,8 +115,7 @@ impl LeafCe {
         self.node
     }
 
-    /// Offers one raw update: gate, evaluate across shards in the
-    /// unsharded emission order, stamp derived streams.
+    /// Offers one raw update: gate, evaluate, stamp derived streams.
     pub fn ingest(&mut self, update: Update, out: &mut LeafOutput) {
         if self.dead {
             return;
@@ -130,18 +125,11 @@ impl LeafCe {
             return;
         }
         self.admitted += 1;
-        let mut tagged = Vec::new();
-        for shard in self.slices.shards_mut() {
-            shard.ingest_batch_tagged(std::slice::from_ref(&update), &mut tagged);
-        }
-        // One update: every tag is 0, so ordering by condition id alone
-        // reconstructs the unsharded registry's emission order.
-        let mut alerts: Vec<Alert> = tagged.into_iter().map(|(_, a)| a).collect();
-        ShardSlices::merge_same_update(&mut alerts);
+        let first = out.alerts.len();
+        self.registry.ingest(update, &mut out.alerts);
 
-        for alert in alerts {
-            out.alerts.push(alert.clone());
-            let d = self.verdicts.emit(DerivedPayload::Verdict(alert));
+        for alert in &out.alerts[first..] {
+            let d = self.verdicts.emit(DerivedPayload::Verdict(alert.clone()));
             self.window.push(d.clone());
             out.derived.push(d);
             if let Some(agg) = &mut self.aggregates {
@@ -198,7 +186,7 @@ mod tests {
     use rcm_core::{CondId, VarId};
     use std::sync::Arc;
 
-    fn leaf(shards: usize, aggregates: Option<AggregateSpec>) -> LeafCe {
+    fn leaf(aggregates: Option<AggregateSpec>) -> LeafCe {
         let conds = vec![
             (
                 CondId::new(0),
@@ -209,12 +197,12 @@ mod tests {
                 Arc::new(Threshold::new(VarId::new(0), Cmp::Gt, 20.0)) as DynCondition,
             ),
         ];
-        LeafCe::build(3, CeId::new(7), &conds, shards, 8, aggregates)
+        LeafCe::build(3, CeId::new(7), &conds, 8, aggregates)
     }
 
     #[test]
     fn verdicts_follow_cond_order_and_consecutive_seqnos() {
-        let mut l = leaf(2, None);
+        let mut l = leaf(None);
         let mut out = LeafOutput::default();
         l.ingest(Update::new(VarId::new(0), 1, 25.0), &mut out);
         assert_eq!(out.alerts.len(), 2);
@@ -230,7 +218,7 @@ mod tests {
 
     #[test]
     fn gate_discards_duplicates_before_evaluation() {
-        let mut l = leaf(1, None);
+        let mut l = leaf(None);
         let mut out = LeafOutput::default();
         l.ingest(Update::new(VarId::new(0), 1, 25.0), &mut out);
         l.ingest(Update::new(VarId::new(0), 1, 25.0), &mut out);
@@ -241,7 +229,7 @@ mod tests {
 
     #[test]
     fn aggregate_stream_rides_alongside_verdicts() {
-        let mut l = leaf(1, Some(AggregateSpec::MaxValue));
+        let mut l = leaf(Some(AggregateSpec::MaxValue));
         let mut out = LeafOutput::default();
         l.ingest(Update::new(VarId::new(0), 1, 5.0), &mut out);
         l.ingest(Update::new(VarId::new(0), 2, 15.0), &mut out);
@@ -254,7 +242,7 @@ mod tests {
 
     #[test]
     fn killed_replica_goes_silent() {
-        let mut l = leaf(1, None);
+        let mut l = leaf(None);
         l.kill();
         let mut out = LeafOutput::default();
         l.ingest(Update::new(VarId::new(0), 1, 25.0), &mut out);

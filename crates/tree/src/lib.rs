@@ -29,8 +29,8 @@
 //! condition lives on the leaf owning its variables, a two-tier tree
 //! displays **byte-identically** the alert sequence of one flat CE fed
 //! the combined post-loss stream — same fingerprints, snapshots, and
-//! `AlertId` numbering — for *any* leaf count, shard count, replica
-//! count and relay depth, at any front-link loss rate
+//! `AlertId` numbering — for *any* leaf count, replica count and
+//! relay depth, at any front-link loss rate
 //! (`tests/tree_equivalence.rs`). The argument:
 //!
 //! 1. a leaf's registry is observationally identical to the flat

@@ -178,8 +178,8 @@ impl TreePlan {
     }
 }
 
-/// Deployment knobs orthogonal to the topology: replication and
-/// sharding degrees, replay bounds, codec checking, and identity.
+/// Deployment knobs orthogonal to the topology: the replication
+/// degree, replay bounds, codec checking, and identity.
 #[derive(Debug, Clone)]
 pub struct TreeOptions {
     /// The root's `CeId` — the provenance stamped on every displayed
@@ -189,9 +189,6 @@ pub struct TreeOptions {
     /// same admitted input and emit identical derived streams; the
     /// parent's gate admits the first copy of each element.
     pub leaf_replicas: usize,
-    /// Worker shards inside each leaf's registry (≥ 1). Output is
-    /// byte-identical for every shard count.
-    pub shards_per_leaf: usize,
     /// Sender-side replay window per node (elements retained for
     /// re-parent recovery; 0 disables replay).
     pub replay_window: usize,
@@ -209,7 +206,6 @@ impl Default for TreeOptions {
         TreeOptions {
             root_ce: CeId::new(0),
             leaf_replicas: 1,
-            shards_per_leaf: 1,
             replay_window: 64,
             wire_check: false,
             aggregates: None,

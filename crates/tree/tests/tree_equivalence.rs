@@ -1,9 +1,9 @@
 //! Keystone property: an aggregation tree displays **byte-identically**
 //! the alert sequence of one flat CE fed the combined post-loss stream
 //! — same fingerprints, snapshots and `AlertId` numbering — for any
-//! leaf count, relay depth, fanout, shard count and replica count, at
-//! 0% and 20% scripted front-link loss, with every tier-link hop
-//! round-tripped through the binary wire codec.
+//! leaf count, relay depth, fanout and replica count, at 0% and 20%
+//! scripted front-link loss, with every tier-link hop round-tripped
+//! through the binary wire codec.
 //!
 //! The deterministic seed sweep actually executes everywhere (it is
 //! what CI's offline harness runs); the proptest block widens the same
@@ -41,7 +41,6 @@ struct Case {
     relay_tiers: usize,
     fanout: usize,
     replicas: usize,
-    shards: usize,
 }
 
 fn build_case(seed: u64, loss_pct: u64) -> Case {
@@ -50,7 +49,6 @@ fn build_case(seed: u64, loss_pct: u64) -> Case {
     let relay_tiers = (mix(&mut rng) % 3) as usize;
     let fanout = 1 + (mix(&mut rng) % 3) as usize;
     let replicas = 1 + (mix(&mut rng) % 3) as usize;
-    let shards = 1 + (mix(&mut rng) % 4) as usize;
 
     // Disjoint variable shards: each leaf owns 1..=3 variables.
     let mut vars = Vec::new();
@@ -117,7 +115,7 @@ fn build_case(seed: u64, loss_pct: u64) -> Case {
         stream.push(Update::new(vars[vi].0, seqno, value));
     }
 
-    Case { conds, vars, stream, leaves, relay_tiers, fanout, replicas, shards }
+    Case { conds, vars, stream, leaves, relay_tiers, fanout, replicas }
 }
 
 /// The flat reference: one gate, one registry hosting every condition,
@@ -154,7 +152,6 @@ fn run_tree(case: &Case, wire_check: bool) -> (Vec<Alert>, rcm_tree::TreeStats) 
     let opts = TreeOptions {
         root_ce: ROOT_CE,
         leaf_replicas: case.replicas,
-        shards_per_leaf: case.shards,
         wire_check,
         ..TreeOptions::default()
     };
@@ -226,7 +223,6 @@ fn reparented_tree_preserves_per_condition_sequences() {
         let opts = TreeOptions {
             root_ce: ROOT_CE,
             leaf_replicas: case.replicas,
-            shards_per_leaf: case.shards,
             replay_window: 512, // outage shorter than the window: lossless recovery
             wire_check: true,
             ..TreeOptions::default()
