@@ -7,19 +7,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::inline::InlineVec;
 use crate::update::{SeqNo, Update};
 use crate::var::VarId;
-
-/// Inline seqno buffer sized for the paper's histories: degree is 1–3
-/// in every scenario the paper (and our simulator) considers, so the
-/// common case stores the whole list in the fingerprint itself with no
-/// heap allocation. Deeper histories transparently spill to the heap.
-pub type SeqBuf = InlineVec<SeqNo, 3>;
-
-/// Inline entry list for [`HistoryFingerprint`]: conditions mention
-/// 1–3 variables in all paper scenarios.
-type FpEntries = InlineVec<(VarId, SeqBuf), 3>;
 
 /// Identifier of a monitored condition (the paper's `condname`).
 ///
@@ -124,6 +113,48 @@ impl fmt::Display for FingerprintError {
 
 impl std::error::Error for FingerprintError {}
 
+/// Variables a fingerprint holds in place.
+const INLINE_VARS: usize = 4;
+
+/// Seqnos, over all its variables, a fingerprint holds in place.
+const INLINE_SEQNOS: usize = 6;
+
+/// Where a fingerprint's entries live; only [`Entries`] reads it.
+#[derive(Clone)]
+enum Repr {
+    /// In place, for up to [`INLINE_VARS`] variables holding up to
+    /// [`INLINE_SEQNOS`] seqnos between them: the paper's degree-1–3
+    /// histories over one or two variables, and 3 × 2. Entry `i` is
+    /// `vars[i]` with `seqnos[ends[i - 1]..ends[i]]` (from 0 for the
+    /// first). Plain `Copy` arrays, zero past `len` entries, and no
+    /// pointer: the one-byte fields share a word with the enum's tag,
+    /// which is what keeps an [`Alert`] at 112 bytes.
+    Flat {
+        len: u8,
+        ends: [u8; INLINE_VARS],
+        vars: [VarId; INLINE_VARS],
+        seqnos: [SeqNo; INLINE_SEQNOS],
+    },
+    /// Anything larger, in one allocation: `[head, seqno × count]` per
+    /// entry, a head packing the entry's variable and count (see
+    /// [`pack`]) — the words a [`FingerprintBuilder`] gathers, boxed
+    /// as they are.
+    Spilled(Box<[SeqNo]>),
+}
+
+/// A variable and a count below 2^32 in one word, the variable in the
+/// high half, so a `[SeqNo]` can carry its own layout.
+fn pack(var: VarId, n: usize) -> SeqNo {
+    let n = u32::try_from(n).expect("a fingerprint holds fewer than 2^32 seqnos");
+    SeqNo::new(u64::from(var.index()) << 32 | u64::from(n))
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(word: SeqNo) -> (VarId, usize) {
+    (VarId::new((word.get() >> 32) as u32), (word.get() & 0xffff_ffff) as usize)
+}
+
 /// The update histories an alert triggered on, reduced to sequence
 /// numbers: one newest-first seqno list per variable, sorted by variable.
 ///
@@ -133,11 +164,37 @@ impl std::error::Error for FingerprintError {}
 /// seqnos. Values are excluded because an update is a full snapshot —
 /// two CEs receiving update `i_x` necessarily saw the same value, so the
 /// seqnos determine the values.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+///
+/// Up to 4 variables holding up to 6 seqnos between them are stored in
+/// the fingerprint itself; a larger history set is one boxed slice.
+/// Equality, ordering, hashing and both text forms are functions of the
+/// entries alone, whichever way they are stored. Serialized as
+/// `{"entries":[[var,[seqno,…]],…]}`; loading one runs the checks of
+/// [`HistoryFingerprint::try_new`].
+#[derive(Clone, Serialize, Deserialize)]
+#[serde(try_from = "Serialized", into = "Serialized")]
 pub struct HistoryFingerprint {
-    /// `(variable, seqnos newest-first)` entries sorted by variable,
-    /// stored inline (no heap) for up to 3 variables of degree ≤ 3.
-    entries: FpEntries,
+    repr: Repr,
+}
+
+/// The serialized form of a [`HistoryFingerprint`].
+#[derive(Serialize, Deserialize)]
+struct Serialized {
+    entries: Vec<(VarId, Vec<SeqNo>)>,
+}
+
+impl From<HistoryFingerprint> for Serialized {
+    fn from(fp: HistoryFingerprint) -> Self {
+        Serialized { entries: fp.iter().map(|(v, s)| (v, s.to_vec())).collect() }
+    }
+}
+
+impl TryFrom<Serialized> for HistoryFingerprint {
+    type Error = FingerprintError;
+
+    fn try_from(s: Serialized) -> Result<Self, FingerprintError> {
+        HistoryFingerprint::try_new(s.entries)
+    }
 }
 
 impl HistoryFingerprint {
@@ -151,20 +208,20 @@ impl HistoryFingerprint {
     /// Panics if a variable appears twice or a seqno list is empty or not
     /// strictly decreasing (newest first).
     pub fn new(entries: Vec<(VarId, Vec<SeqNo>)>) -> Self {
-        Self::from_entries(entries.into_iter().map(|(v, s)| (v, SeqBuf::from(s))))
+        Self::from_histories(entries)
     }
 
-    /// Builds a fingerprint from `(variable, newest-first seqnos)` pairs
-    /// already in inline-buffer form — the allocation-free construction
-    /// path used by the evaluator's hot loop. Same validation and
-    /// sorting as [`HistoryFingerprint::new`].
+    /// [`HistoryFingerprint::new`] over anything that yields
+    /// `(variable, newest-first seqnos)`: how the evaluators fingerprint
+    /// the histories they hold, with no list in between.
     ///
     /// # Panics
     ///
-    /// Panics if a variable appears twice or a seqno list is empty or not
-    /// strictly decreasing (newest first).
-    pub fn from_entries(entries: impl IntoIterator<Item = (VarId, SeqBuf)>) -> Self {
-        match Self::try_from_entries(entries) {
+    /// As [`HistoryFingerprint::new`].
+    pub(crate) fn from_histories<S: IntoIterator<Item = SeqNo>>(
+        entries: impl IntoIterator<Item = (VarId, S)>,
+    ) -> Self {
+        match Self::try_from_histories(entries) {
             Ok(fp) => fp,
             Err(e) => panic!("{e}"),
         }
@@ -172,83 +229,162 @@ impl HistoryFingerprint {
 
     /// The non-panicking twin of [`HistoryFingerprint::new`]: validates
     /// `(variable, newest-first seqnos)` pairs and reports malformed
-    /// input instead of crashing. This is the construction path for
-    /// fingerprints decoded from untrusted bytes.
+    /// input instead of crashing.
     ///
     /// # Errors
     ///
     /// [`FingerprintError`] when a variable appears twice, a history is
     /// empty, or a seqno list is not strictly decreasing.
     pub fn try_new(entries: Vec<(VarId, Vec<SeqNo>)>) -> Result<Self, FingerprintError> {
-        Self::try_from_entries(entries.into_iter().map(|(v, s)| (v, SeqBuf::from(s))))
+        Self::try_from_histories(entries)
     }
 
-    /// Validating construction from inline-buffer entries; see
-    /// [`HistoryFingerprint::try_new`].
-    ///
-    /// # Errors
-    ///
-    /// [`FingerprintError`] when a variable appears twice, a history is
-    /// empty, or a seqno list is not strictly decreasing.
-    pub fn try_from_entries(
-        entries: impl IntoIterator<Item = (VarId, SeqBuf)>,
+    fn try_from_histories<S: IntoIterator<Item = SeqNo>>(
+        entries: impl IntoIterator<Item = (VarId, S)>,
     ) -> Result<Self, FingerprintError> {
-        let mut entries: FpEntries = entries.into_iter().collect();
-        entries.as_mut_slice().sort_by_key(|(v, _)| *v);
-        for w in entries.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(FingerprintError::DuplicateVariable(w[0].0));
+        let mut builder = FingerprintBuilder::new();
+        for (var, seqnos) in entries {
+            builder.start(var)?;
+            for seqno in seqnos {
+                builder.push(seqno)?;
             }
         }
-        for (v, seqnos) in &entries {
-            if seqnos.is_empty() {
-                return Err(FingerprintError::EmptyHistory(*v));
-            }
-            if !seqnos.windows(2).all(|w| w[0] > w[1]) {
-                return Err(FingerprintError::UnorderedHistory(*v));
-            }
-        }
-        Ok(HistoryFingerprint { entries })
+        builder.finish()
     }
 
     /// Fingerprint over a single variable; `seqnos` newest-first.
     pub fn single(var: VarId, seqnos: Vec<SeqNo>) -> Self {
-        Self::from_entries([(var, SeqBuf::from(seqnos))])
+        Self::from_histories([(var, seqnos)])
     }
 
     /// The paper's `a.seqno.x`: the newest seqno for `var`, i.e. the
     /// seqno of the last `var`-update received when the alert triggered.
+    #[inline]
     pub fn seqno(&self, var: VarId) -> Option<SeqNo> {
-        self.entries.iter().find(|(v, _)| *v == var).and_then(|(_, s)| s.first().copied())
+        self.seqnos(var).and_then(|s| s.first().copied())
     }
 
     /// Newest-first seqnos recorded for `var`.
+    #[inline]
     pub fn seqnos(&self, var: VarId) -> Option<&[SeqNo]> {
-        self.entries.iter().find(|(v, _)| *v == var).map(|(_, s)| s.as_slice())
+        self.iter().find(|(v, _)| *v == var).map(|(_, s)| s)
     }
 
     /// Variables covered by this fingerprint, in ascending order.
     pub fn variables(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.entries.iter().map(|(v, _)| *v)
+        self.iter().map(|(v, _)| v)
     }
 
     /// Iterates over `(variable, newest-first seqnos)` entries.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (VarId, &[SeqNo])> {
-        self.entries.iter().map(|(v, s)| (*v, s.as_slice()))
+        match &self.repr {
+            Repr::Flat { len, ends, vars, seqnos } => {
+                let len = usize::from(*len);
+                Entries::Flat { heads: vars[..len].iter().zip(&ends[..len]), seqnos, start: 0 }
+            }
+            Repr::Spilled(words) => Entries::Spilled(Runs(words)),
+        }
     }
 
     /// Whether the seqnos for every variable are consecutive (no gaps),
     /// i.e. whether a conservative condition could have triggered on
     /// these histories.
     pub fn is_consecutive(&self) -> bool {
-        self.entries.iter().all(|(_, seqnos)| seqnos.windows(2).all(|w| w[1].precedes(w[0])))
+        self.iter().all(|(_, seqnos)| seqnos.windows(2).all(|w| w[1].precedes(w[0])))
+    }
+}
+
+/// A fingerprint's entries in ascending variable order.
+enum Entries<'a> {
+    /// The variables and end offsets left, and where in `seqnos` the
+    /// next entry's begin.
+    Flat {
+        heads: std::iter::Zip<std::slice::Iter<'a, VarId>, std::slice::Iter<'a, u8>>,
+        seqnos: &'a [SeqNo; INLINE_SEQNOS],
+        start: usize,
+    },
+    Spilled(Runs<'a>),
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = (VarId, &'a [SeqNo]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            Entries::Flat { heads, seqnos, start } => {
+                let (&var, &end) = heads.next()?;
+                let held = &seqnos[*start..usize::from(end)];
+                *start = usize::from(end);
+                Some((var, held))
+            }
+            Entries::Spilled(runs) => runs.next(),
+        }
+    }
+}
+
+/// The entries of `[head, seqno × count]` words.
+struct Runs<'a>(&'a [SeqNo]);
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = (VarId, &'a [SeqNo]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let (head, rest) = self.0.split_first()?;
+        let (var, count) = unpack(*head);
+        let (held, rest) = rest.split_at(count);
+        self.0 = rest;
+        Some((var, held))
+    }
+}
+
+impl Default for HistoryFingerprint {
+    fn default() -> Self {
+        HistoryFingerprint { repr: flat(std::iter::empty()) }
+    }
+}
+
+impl PartialEq for HistoryFingerprint {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for HistoryFingerprint {}
+
+impl PartialOrd for HistoryFingerprint {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HistoryFingerprint {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl Hash for HistoryFingerprint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for entry in self.iter() {
+            entry.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for HistoryFingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries: Vec<_> = self.iter().collect();
+        f.debug_struct("HistoryFingerprint").field("entries", &entries).finish()
     }
 }
 
 impl fmt::Display for HistoryFingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (v, seqnos)) in self.entries.iter().enumerate() {
+        for (i, (v, seqnos)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -263,6 +399,180 @@ impl fmt::Display for HistoryFingerprint {
         }
         write!(f, "}}")
     }
+}
+
+/// Words a [`FingerprintBuilder`] keeps on the stack: every history
+/// set that is stored in place fits, heads included.
+const SCRATCH: usize = INLINE_VARS + INLINE_SEQNOS;
+
+/// Assembles a [`HistoryFingerprint`] one seqno at a time:
+/// [`start`](Self::start) a variable, [`push`](Self::push) its seqnos
+/// newest first, repeat, [`finish`](Self::finish). It accepts exactly
+/// the history sets [`HistoryFingerprint::try_new`] accepts (variables
+/// in any order, sorted on `finish`) and allocates nothing for one that
+/// is stored in place — the construction path for an evaluator reading
+/// its rings and for a decoder reading untrusted bytes, neither of
+/// which has the lists `try_new` takes.
+///
+/// ```rust
+/// use rcm_core::{FingerprintBuilder, FingerprintError, HistoryFingerprint, SeqNo, VarId};
+/// let (x, y) = (VarId::new(0), VarId::new(1));
+/// let mut b = FingerprintBuilder::new();
+/// b.start(y)?;
+/// b.push(SeqNo::new(4))?;
+/// b.start(x)?;
+/// b.push(SeqNo::new(7))?;
+/// b.push(SeqNo::new(5))?;
+/// let fp = b.finish()?;
+/// let same = vec![(x, vec![SeqNo::new(7), SeqNo::new(5)]), (y, vec![SeqNo::new(4)])];
+/// assert_eq!(fp, HistoryFingerprint::new(same));
+///
+/// let mut b = FingerprintBuilder::new();
+/// b.start(x)?;
+/// b.push(SeqNo::new(5))?;
+/// assert_eq!(b.push(SeqNo::new(7)), Err(FingerprintError::UnorderedHistory(x)));
+/// # Ok::<(), FingerprintError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FingerprintBuilder {
+    /// `[head, seqno × count]` per entry in arrival order, a head
+    /// packing the entry's variable and count: in `scratch[..len]`
+    /// until that is full, then all of it in `spill`.
+    scratch: [SeqNo; SCRATCH],
+    len: usize,
+    spill: Vec<SeqNo>,
+    /// Where the open entry's head is.
+    head: Option<usize>,
+    vars: usize,
+    /// Whether some variable did not exceed the one before it.
+    unsorted: bool,
+}
+
+impl FingerprintBuilder {
+    /// A builder holding nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn words(&self) -> &[SeqNo] {
+        if self.spill.is_empty() {
+            &self.scratch[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    fn append(&mut self, word: SeqNo) {
+        if self.spill.is_empty() {
+            if let Some(slot) = self.scratch.get_mut(self.len) {
+                *slot = word;
+                self.len += 1;
+                return;
+            }
+            self.spill.reserve(4 * SCRATCH);
+            self.spill.extend_from_slice(&self.scratch);
+        }
+        self.spill.push(word);
+    }
+
+    /// Closes the open entry, if any, and returns its variable.
+    fn close(&mut self) -> Result<Option<VarId>, FingerprintError> {
+        let Some(head) = self.head.take() else { return Ok(None) };
+        match unpack(self.words()[head]) {
+            (var, 0) => Err(FingerprintError::EmptyHistory(var)),
+            (var, _) => Ok(Some(var)),
+        }
+    }
+
+    /// Begins the history of `var`; the seqnos pushed next are its.
+    ///
+    /// # Errors
+    ///
+    /// [`FingerprintError::EmptyHistory`] if the variable before it
+    /// was given no seqno.
+    pub fn start(&mut self, var: VarId) -> Result<(), FingerprintError> {
+        if let Some(prev) = self.close()? {
+            self.unsorted |= var <= prev;
+        }
+        self.head = Some(self.words().len());
+        self.vars += 1;
+        self.append(pack(var, 0));
+        Ok(())
+    }
+
+    /// Adds the next-older seqno of the variable last started.
+    ///
+    /// # Errors
+    ///
+    /// [`FingerprintError::UnorderedHistory`] if `seqno` is not below
+    /// the one pushed before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no variable was started.
+    pub fn push(&mut self, seqno: SeqNo) -> Result<(), FingerprintError> {
+        let head = self.head.expect("`start` names the variable a seqno belongs to");
+        let words = self.words();
+        let (var, count) = unpack(words[head]);
+        if count > 0 && words[words.len() - 1] <= seqno {
+            return Err(FingerprintError::UnorderedHistory(var));
+        }
+        let counted = pack(var, count + 1);
+        if self.spill.is_empty() {
+            self.scratch[head] = counted;
+        } else {
+            self.spill[head] = counted;
+        }
+        self.append(seqno);
+        Ok(())
+    }
+
+    /// The fingerprint of everything started, sorted by variable.
+    ///
+    /// # Errors
+    ///
+    /// [`FingerprintError::EmptyHistory`] if the last variable was
+    /// given no seqno, [`FingerprintError::DuplicateVariable`] if one
+    /// was started twice.
+    pub fn finish(mut self) -> Result<HistoryFingerprint, FingerprintError> {
+        self.close()?;
+        if self.unsorted {
+            // Sorted and free of duplicates, the entries go through a
+            // builder once more, and this time straight through.
+            let mut sorted: Vec<_> = Runs(self.words()).collect();
+            sorted.sort_by_key(|&(var, _)| var);
+            if let Some(w) = sorted.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(FingerprintError::DuplicateVariable(w[0].0));
+            }
+            let sorted = sorted.into_iter().map(|(var, held)| (var, held.iter().copied()));
+            return HistoryFingerprint::try_from_histories(sorted);
+        }
+        let seqnos = self.words().len() - self.vars;
+        let repr = if self.vars <= INLINE_VARS && seqnos <= INLINE_SEQNOS {
+            flat(Runs(self.words()))
+        } else if self.spill.is_empty() {
+            Repr::Spilled(self.words().into())
+        } else {
+            Repr::Spilled(self.spill.into_boxed_slice())
+        };
+        Ok(HistoryFingerprint { repr })
+    }
+}
+
+/// Stores in place entries that ascend by variable and fit.
+fn flat<'a>(entries: impl Iterator<Item = (VarId, &'a [SeqNo])>) -> Repr {
+    let mut ends = [0; INLINE_VARS];
+    let mut vars = [VarId::new(0); INLINE_VARS];
+    let mut seqnos = [SeqNo::new(0); INLINE_SEQNOS];
+    let (mut len, mut end) = (0, 0);
+    for (var, held) in entries {
+        seqnos[end..end + held.len()].copy_from_slice(held);
+        end += held.len();
+        vars[len] = var;
+        ends[len] = end as u8;
+        len += 1;
+    }
+    Repr::Flat { len: len as u8, ends, vars, seqnos }
 }
 
 /// An alert `a(condname, histories)` emitted by a Condition Evaluator.
@@ -467,10 +777,19 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_alert_is_112_bytes() {
+        // A run retains every alert it raised: `alert_storm` holds
+        // 1.7 million of them, so each byte here is 1.7 MB there.
+        assert_eq!(std::mem::size_of::<HistoryFingerprint>(), 72);
+        assert_eq!(std::mem::size_of::<Alert>(), 112);
+    }
+
+    #[test]
     fn serde_wire_format_unchanged_by_inline_storage() {
-        // The inline fingerprint buffers and the Arc'd snapshot must
-        // serialize exactly like the former Vec-backed fields, so
-        // checkpoints and wire frames from older builds stay readable.
+        // The flat fingerprint and the Arc'd snapshot must serialize
+        // exactly like the former Vec-backed fields, so checkpoints
+        // from older builds stay readable.
         let a = Alert::new(
             CondId::SINGLE,
             fp(&[3, 2]),
@@ -483,5 +802,14 @@ mod tests {
         let back: Alert = serde_json::from_value(json).unwrap();
         assert_eq!(back, a);
         assert_eq!(back.snapshot[..], a.snapshot[..]);
+        // Loading goes through `try_new`: a checkpoint cannot smuggle
+        // in a history set no constructor would build.
+        for bad in [
+            serde_json::json!({"entries": [[0, [1]], [0, [2]]]}),
+            serde_json::json!({"entries": [[0, [2, 3]]]}),
+            serde_json::json!({"entries": [[0, []]]}),
+        ] {
+            assert!(serde_json::from_value::<HistoryFingerprint>(bad).is_err());
+        }
     }
 }

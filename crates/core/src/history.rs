@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::alert::{HistoryFingerprint, SeqBuf};
+use crate::alert::HistoryFingerprint;
 use crate::error::{Error, Result};
 use crate::update::{SeqNo, Update};
 use crate::var::VarId;
@@ -119,14 +119,6 @@ impl History {
             .iter()
             .zip(self.buf.iter().skip(1))
             .all(|(newer, older)| older.seqno.precedes(newer.seqno))
-    }
-
-    /// Seqnos newest-first, for building a [`HistoryFingerprint`].
-    ///
-    /// Returns an inline buffer: for degrees up to 3 (every paper
-    /// scenario) this performs no heap allocation.
-    pub fn seqnos(&self) -> SeqBuf {
-        self.buf.iter().map(|u| u.seqno).collect()
     }
 
     /// Updates newest-first.
@@ -250,7 +242,9 @@ impl HistorySet {
     /// triggers alerts on defined history sets.
     pub fn fingerprint(&self) -> HistoryFingerprint {
         assert!(self.is_defined(), "fingerprint of an undefined history set");
-        HistoryFingerprint::from_entries(self.histories.iter().map(|(&v, h)| (v, h.seqnos())))
+        HistoryFingerprint::from_histories(
+            self.histories.iter().map(|(&v, h)| (v, h.updates().map(|u| u.seqno))),
+        )
     }
 
     /// Flat snapshot of all held updates, per variable newest-first,

@@ -75,12 +75,7 @@
 //! assert_eq!(shown.len(), 2);
 //! ```
 
-// `unsafe` is denied crate-wide; the single audited exception is the
-// `inline` module's MaybeUninit small-vector storage (each block
-// carries a SAFETY comment and `cargo xtask analyze` pins the allowlist).
-// Miri runs this crate's test suite in CI to check those blocks.
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -91,14 +86,15 @@ mod derived;
 mod error;
 mod evaluator;
 mod history;
-pub mod inline;
 mod latency;
 mod registry;
 pub mod seq;
 mod update;
 mod var;
 
-pub use alert::{Alert, AlertId, CeId, CondId, FingerprintError, HistoryFingerprint, SeqBuf};
+pub use alert::{
+    Alert, AlertId, CeId, CondId, FingerprintBuilder, FingerprintError, HistoryFingerprint,
+};
 pub use condition::{Condition, ConditionExt, Triggering};
 pub use derived::{
     derived_var, derived_var_parts, is_derived_var, DerivedEmitter, DerivedPayload, DerivedUpdate,
@@ -107,7 +103,6 @@ pub use derived::{
 pub use error::{Error, Result};
 pub use evaluator::{transduce, transduce_merged, Evaluator};
 pub use history::{History, HistorySet};
-pub use inline::InlineVec;
 pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use registry::{ConditionRegistry, RegistryStats};
 pub use update::{SeqNo, Update};

@@ -1,6 +1,6 @@
-//! Raw readiness syscalls — the only unsafe file in the crate (and,
-//! with `rcm-core/src/inline.rs`, one of two in the workspace; both
-//! are pinned by the `cargo xtask analyze` unsafe allowlist).
+//! Raw readiness syscalls — the only unsafe file in the crate, and the
+//! only one in the workspace's `src` directories (pinned by the
+//! `cargo xtask analyze` unsafe allowlist).
 //!
 //! Everything here is a thin, totally-safe-to-call wrapper over a
 //! libc-less `extern "C"` surface: epoll on Linux, kqueue on macOS, a

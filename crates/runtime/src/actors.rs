@@ -42,9 +42,9 @@ pub(crate) trait UpdateSender: Send {
     /// (loss and hangups both report `false`).
     fn send_update(&mut self, update: Update) -> bool;
 
-    /// Signals end-of-stream. Channels signal it by dropping, so the
-    /// default does nothing; socket links send explicit Fin markers.
-    fn finish(&mut self) {}
+    /// Sends one end-of-stream marker. Channels signal the end by
+    /// dropping, so the default sends nothing; socket links send a Fin.
+    fn send_fin(&mut self) {}
 }
 
 /// One CE → AD path, as the CE body sees it: the in-process
@@ -86,14 +86,16 @@ impl std::fmt::Debug for FeedSource {
 
 /// Runs a Data Monitor: emits one update per reading with consecutive
 /// seqnos, multicasting over a front link per replica, pausing `period`
-/// between emissions. When fault injection is on, every emitted update
-/// also lands in the DM's retained window so recovering replicas can
-/// replay recent history.
+/// between emissions, and signing off with `fin_repeats` Fins per link
+/// (0 for in-process links). When fault injection is on, every emitted
+/// update also lands in the DM's retained window so recovering replicas
+/// can replay recent history.
 pub(crate) fn dm_body(
     var: VarId,
     source: FeedSource,
     period: Duration,
     mut links: Vec<Box<dyn UpdateSender>>,
+    fin_repeats: usize,
     window: Option<RetainedWindow>,
 ) {
     let emit = |i: usize, value: f64, links: &mut Vec<Box<dyn UpdateSender>>| {
@@ -126,10 +128,10 @@ pub(crate) fn dm_body(
             }
         }
     }
-    // Explicit end-of-stream for socket links; in-process links signal
-    // it by dropping below.
-    for link in links.iter_mut() {
-        link.finish();
+    // Explicit end-of-stream for socket links, all of them a round at
+    // a time; in-process links signal it by dropping below.
+    if fin_repeats > 0 {
+        rcm_transport::fin_rounds(fin_repeats, || links.iter_mut().for_each(|l| l.send_fin()));
     }
 }
 

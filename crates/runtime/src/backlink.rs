@@ -28,7 +28,7 @@ use rcm_sync::{Arc, Mutex};
 use rcm_core::Alert;
 use rcm_net::Backoff;
 
-use crate::wire::{roundtrip, Message};
+use crate::wire::{roundtrip_in, Message};
 
 /// Counters for one back link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,6 +69,9 @@ pub struct BackLink<T> {
     unacked: VecDeque<T>,
     unacked_cap: usize,
     stats: Arc<Mutex<BackLinkStats>>,
+    /// The frame of the alert in flight (a `BackLink<Alert>` serialises
+    /// what it sends); cleared and reused per alert.
+    frame: Vec<u8>,
 }
 
 impl<T> std::fmt::Debug for BackLink<T> {
@@ -97,6 +100,7 @@ impl<T: Clone + Send + 'static> BackLink<T> {
             unacked: VecDeque::new(),
             unacked_cap: UNACKED_TAIL,
             stats: Arc::new(Mutex::new(BackLinkStats::default())),
+            frame: Vec::new(),
         }
     }
 
@@ -247,7 +251,7 @@ impl<T: Clone + Send + 'static> BackLink<T> {
 impl crate::actors::AlertSink for BackLink<Alert> {
     fn send_alert(&mut self, alert: Alert) {
         // Cross a real serialization boundary, as the socket link does.
-        let Message::Alert(alert) = roundtrip(&Message::Alert(alert)) else {
+        let Message::Alert(alert) = roundtrip_in(&mut self.frame, &Message::Alert(alert)) else {
             unreachable!("alert survived the codec as a different variant")
         };
         self.send(alert);

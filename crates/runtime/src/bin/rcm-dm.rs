@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 use rcm_core::{Update, VarId};
 use rcm_sync::time::Duration;
-use rcm_transport::{BatchPolicy, UdpFrontLink};
+use rcm_transport::{fin_rounds, BatchPolicy, UdpFrontLink};
 
 struct Options {
     ce: Vec<SocketAddr>,
@@ -109,7 +109,7 @@ fn main() -> ExitCode {
         let Some(value) = line.parse::<f64>().ok().filter(|v| v.is_finite()) else {
             eprintln!("error: line {}: bad value '{line}'", lineno + 1);
             // Readings accepted so far may still sit in a link's batch:
-            // leave through `finish`, which flushes them and sends Fin.
+            // leave through the Fin rounds, the first of which flushes them.
             status = ExitCode::FAILURE;
             break;
         };
@@ -122,9 +122,7 @@ fn main() -> ExitCode {
             rcm_sync::thread::sleep(opts.period);
         }
     }
-    for link in &mut links {
-        link.finish(opts.fin_repeats);
-    }
+    fin_rounds(opts.fin_repeats, || links.iter_mut().for_each(UdpFrontLink::send_fin));
 
     let sent: u64 = links.iter().map(|l| l.stats_handle().lock().frames_sent).sum();
     let dropped: u64 = links.iter().map(|l| l.stats_handle().lock().frames_dropped).sum();

@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use rcm_core::Update;
 use rcm_net::LossModel;
 
-use crate::wire::{roundtrip, Message};
+use crate::wire::{roundtrip_in, Message};
 
 /// Counters for one front link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,6 +34,8 @@ pub struct FrontLink {
     loss: Box<dyn LossModel>,
     rng: ChaCha8Rng,
     report: Arc<Mutex<LinkReport>>,
+    /// The frame of the update in flight; cleared and reused per send.
+    frame: Vec<u8>,
     /// Scripted stalls, ascending by send index: `(at_send, stall)`.
     stalls: std::collections::VecDeque<(u64, std::time::Duration)>,
     sends_seen: u64,
@@ -53,6 +55,7 @@ impl FrontLink {
             loss,
             rng: ChaCha8Rng::seed_from_u64(seed),
             report: Arc::new(Mutex::new(LinkReport::default())),
+            frame: Vec::new(),
             stalls: std::collections::VecDeque::new(),
             sends_seen: 0,
         }
@@ -96,7 +99,7 @@ impl FrontLink {
         }
         drop(report);
         // Cross a real serialization boundary.
-        let msg = roundtrip(&Message::Update(update));
+        let msg = roundtrip_in(&mut self.frame, &Message::Update(update));
         let Message::Update(update) = msg else {
             unreachable!("update survived the codec as a different variant")
         };
@@ -108,7 +111,7 @@ impl crate::actors::UpdateSender for FrontLink {
     fn send_update(&mut self, update: Update) -> bool {
         self.send(update)
     }
-    // Default `finish`: dropping the channel sender is the hangup.
+    // Default `send_fin`: dropping the channel sender is the hangup.
 }
 
 #[cfg(test)]

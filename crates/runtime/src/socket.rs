@@ -11,21 +11,16 @@ use rcm_transport::{EventedBackLink, UdpFrontLink};
 
 use crate::actors::{AlertSink, UpdateSender};
 
-/// A DM's UDP front link plus the Fin repeat count it signs off with.
-/// UDP has no hangup, so end-of-stream is an explicit marker — repeated
-/// because the front link is allowed to drop it like any datagram.
-pub(crate) struct UdpSender {
-    pub link: UdpFrontLink,
-    pub fin_repeats: usize,
-}
-
-impl UpdateSender for UdpSender {
+impl UpdateSender for UdpFrontLink {
     fn send_update(&mut self, update: Update) -> bool {
-        self.link.send_update(update)
+        UdpFrontLink::send_update(self, update)
     }
 
-    fn finish(&mut self) {
-        self.link.finish(self.fin_repeats);
+    // UDP has no hangup, so end-of-stream is an explicit marker —
+    // repeated by `dm_body`, because the front link is allowed to drop
+    // it like any datagram.
+    fn send_fin(&mut self) {
+        UdpFrontLink::send_fin(self);
     }
 }
 

@@ -30,7 +30,6 @@ use crate::backlink::{BackLink, BackLinkStats};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
 use crate::link::{FrontLink, LinkReport};
 use crate::pipeline::PipelineOptions;
-use crate::socket::UdpSender;
 
 /// One variable's data feed: where its Data Monitor's readings come
 /// from — a pre-recorded list or a live channel.
@@ -407,7 +406,7 @@ impl SystemBuilder {
             let (var, source, period) = (feed.var, feed.source, feed.period);
             let window = ces.windows.get(fi).cloned();
             handles.push(rcm_sync::thread::spawn(move || {
-                dm_body(var, source, period, links, window);
+                dm_body(var, source, period, links, 0, window);
             }));
         }
         drop(ce_senders); // CEs exit when all DM links drop.
@@ -546,12 +545,12 @@ impl SystemBuilder {
                     .map_err(transport_err)?
                     .batching(parts.front_batch);
                 front_stats.push(((fi, ci), link.stats_handle()));
-                links.push(Box::new(UdpSender { link, fin_repeats: parts.fin_repeats }));
+                links.push(Box::new(link));
             }
             let (var, source, period) = (feed.var, feed.source, feed.period);
-            let window = ces.windows.get(fi).cloned();
+            let (window, fin_repeats) = (ces.windows.get(fi).cloned(), parts.fin_repeats);
             handles.push(rcm_sync::thread::spawn(move || {
-                dm_body(var, source, period, links, window);
+                dm_body(var, source, period, links, fin_repeats, window);
             }));
         }
 

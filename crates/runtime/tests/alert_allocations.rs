@@ -1,0 +1,141 @@
+//! What one alert costs the allocator, counted: raising it, encoding
+//! it, decoding it, and sending an update down an in-process front
+//! link. A binary of its own because the counter is the process's
+//! `#[global_allocator]`; counts are per thread, so the harness's own
+//! threads cannot disturb them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::{Alert, CeId, ConditionRegistry, Update, VarRegistry};
+use rcm_net::Lossless;
+use rcm_runtime::wire::{self, Codec, Message};
+use rcm_runtime::FrontLink;
+
+thread_local! {
+    /// Calls to `alloc`, `alloc_zeroed` and `realloc` on this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the calls that ask it for memory.
+struct Counting;
+
+fn count() {
+    // A thread that is tearing its locals down is not one under test.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller upholds; the counter is a
+// const-initialised thread-local `Cell`, which neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// How many times `work` asked the allocator for memory.
+fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.get();
+    let out = work();
+    (ALLOCATIONS.get() - before, out)
+}
+
+/// `alert_storm`'s condition (benchmark/src/workloads.rs): two
+/// variables, degree 2 each, true of every reading.
+const STORM: &str = "v0[0].value + v0[-1].value + v1[0].value + v1[-1].value > -1";
+
+/// A registry hosting [`STORM`] with both histories defined, and the
+/// alert its next update raises.
+fn storm_alert() -> Alert {
+    let mut vars = VarRegistry::new();
+    let mut registry = ConditionRegistry::new(CeId::new(0));
+    registry.add_compiled(CompiledCondition::compile(STORM, &mut vars).expect("compiles"));
+    let (v0, v1) = (vars.lookup("v0").expect("v0"), vars.lookup("v1").expect("v1"));
+    let mut out = Vec::with_capacity(8);
+    for seqno in 1..=3 {
+        registry.ingest(Update::new(v0, seqno, 1.0), &mut out);
+        registry.ingest(Update::new(v1, seqno, 1.0), &mut out);
+    }
+    assert_eq!(out.len(), 3, "defined since the second v1, one alert per update after it");
+    out.clear();
+
+    let (raised, ()) = allocations(|| registry.ingest(Update::new(v0, 4, 1.0), &mut out));
+    assert_eq!(out.len(), 1);
+    assert_eq!(raised, 1, "raising a 2 x 2 alert allocates its snapshot and nothing else");
+    out.pop().expect("one alert")
+}
+
+#[test]
+fn an_alert_costs_one_allocation_to_raise_none_to_encode_and_one_to_decode() {
+    let alert = storm_alert();
+    assert_eq!(alert.fingerprint.iter().map(|(_, s)| s.len()).collect::<Vec<_>>(), [2, 2]);
+    assert_eq!(alert.snapshot.len(), 4);
+
+    let (cloned, copy) = allocations(|| alert.clone());
+    assert_eq!(cloned, 0, "a clone shares the snapshot and copies the rest in place");
+
+    let msg = Message::Alert(copy);
+    let mut frame = Vec::new();
+    wire::encode_into(Codec::Binary, &msg, &mut frame).expect("encodes");
+    frame.clear();
+    let (encoded, result) = allocations(|| wire::encode_into(Codec::Binary, &msg, &mut frame));
+    result.expect("encodes");
+    assert_eq!(encoded, 0, "encoding into a buffer that has held the frame before");
+
+    let (decoded, back) = allocations(|| wire::decode_datagram(&frame));
+    let Ok(Message::Alert(back)) = back else { panic!("own frame decodes to an alert") };
+    assert_eq!(decoded, 1, "decoding allocates the snapshot and nothing else");
+    assert_eq!((&back, back.id, &back.snapshot[..]), (&alert, alert.id, &alert.snapshot[..]));
+}
+
+#[test]
+fn a_front_link_send_allocates_only_what_its_channel_does() {
+    const SENDS: u64 = 500;
+    let update = |seqno| Update::new(rcm_core::VarId::new(0), seqno, 0.5);
+
+    // What the channel itself asks for over that many messages.
+    let (tx, rx) = rcm_sync::chan::unbounded();
+    tx.send(update(0)).expect("receiver is alive");
+    let (bare, ()) = allocations(|| {
+        for seqno in 1..=SENDS {
+            tx.send(update(seqno)).expect("receiver is alive");
+        }
+    });
+    drop(rx);
+
+    let (tx, rx) = rcm_sync::chan::unbounded();
+    let mut link = FrontLink::new(tx, Box::new(Lossless), 7);
+    assert!(link.send(update(0)), "the first send sizes the link's frame buffer");
+    let (linked, ()) = allocations(|| {
+        for seqno in 1..=SENDS {
+            assert!(link.send(update(seqno)));
+        }
+    });
+    assert_eq!(rx.try_iter().count() as u64, SENDS + 1);
+    assert_eq!(linked, bare, "{SENDS} sends through the codec and the link's own frame buffer");
+}

@@ -58,7 +58,7 @@ use rcm_net::Backoff;
 use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions, TreePlan, TreeStats, TreeTopology};
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::Arc;
-use rcm_transport::{BackLinkSpec, EventLoop, EventedBackLink, UdpFrontLink};
+use rcm_transport::{fin_rounds, BackLinkSpec, EventLoop, EventedBackLink, UdpFrontLink};
 
 use std::time::Duration;
 
@@ -182,9 +182,9 @@ fn main() -> ExitCode {
     let ad_addr = listener.local_addr().expect("AD addr");
 
     // The wall-clock budget is the gauntlet's only backstop: the idle
-    // timeouts must outlast any legitimately quiet phase (at 10k links
-    // the Fin handshake alone is tens of seconds of listener silence),
-    // or the backstop severs a healthy pipeline mid-run.
+    // timeouts must outlast any legitimately quiet phase (the listener
+    // hears nothing while the DM fleet sends and signs off), or the
+    // backstop severs a healthy pipeline mid-run.
     let idle = opts.budget;
     let mut el = EventLoop::new().expect("event loop");
     let engine_counters = el.counters();
@@ -231,9 +231,15 @@ fn main() -> ExitCode {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    for link in &mut fronts {
-        link.finish(8);
-    }
+    // Fin rounds, paced like the updates: every link's Fin lands on the
+    // one CE socket, and a round of them back to back overflows its
+    // receive buffer (seen: 117 of 2,000 links lost all eight Fins).
+    fin_rounds(8, || {
+        for burst in fronts.chunks_mut(100) {
+            burst.iter_mut().for_each(UdpFrontLink::send_fin);
+            std::thread::sleep(Duration::from_micros(500));
+        }
+    });
 
     // CE body: each delivered update fires one always-true threshold
     // per active variable, and the alert is fanned out on every back

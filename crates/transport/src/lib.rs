@@ -70,5 +70,5 @@ pub use report::{
 };
 pub use tcp::{TcpAlertListener, TcpBackLink};
 pub use topology::{BoundTopology, Topology, TopologyParts};
-pub use udp::{UdpFrontLink, UdpFrontReceiver};
+pub use udp::{fin_rounds, UdpFrontLink, UdpFrontReceiver};
 pub use wire::Codec;

@@ -202,23 +202,44 @@ impl UdpFrontLink {
         ok
     }
 
-    /// Signals end-of-stream by flushing any buffered batch and then
-    /// sending the Fin marker `repeats` times (spaced slightly so a
-    /// bursty loss episode cannot eat them all). Fin datagrams are not
-    /// counted as frames.
-    pub fn finish(&mut self, repeats: usize) {
+    /// Flushes any buffered batch and sends one Fin marker. One marker
+    /// may be lost like any datagram: [`fin_rounds`] repeats it. Fin
+    /// datagrams are not counted as frames.
+    pub fn send_fin(&mut self) {
         self.flush();
         self.frame.clear();
         if wire::encode_into(Codec::Binary, &Message::Fin { node: self.node }, &mut self.frame)
-            .is_err()
+            .is_ok()
         {
-            return;
-        }
-        for i in 0..repeats.max(1) {
             let _ = self.sock.send(&self.frame);
-            if i + 1 < repeats {
-                rcm_sync::thread::sleep(Duration::from_micros(500));
-            }
+        }
+    }
+
+    /// Signals end-of-stream on this link alone: [`send_fin`]
+    /// `repeats` times, 500 µs apart. A node with several links ends
+    /// them together, with [`fin_rounds`].
+    ///
+    /// [`send_fin`]: Self::send_fin
+    pub fn finish(&mut self, repeats: usize) {
+        fin_rounds(repeats, || self.send_fin());
+    }
+}
+
+/// The pause between two Fins on one link: far enough apart that a
+/// bursty loss episode cannot eat them all.
+const FIN_SPACING: Duration = Duration::from_micros(500);
+
+/// Signals end-of-stream on all of a node's front links at once: runs
+/// `round` — which sends one Fin on each ([`UdpFrontLink::send_fin`])
+/// — `repeats` times (at least once), pausing 500 µs between rounds.
+/// Every link gets its `repeats` Fins as far apart as if it had
+/// finished alone, and the node sleeps once per round, not once per
+/// link per round.
+pub fn fin_rounds(repeats: usize, mut round: impl FnMut()) {
+    for i in 0..repeats.max(1) {
+        round();
+        if i + 1 < repeats {
+            rcm_sync::thread::sleep(FIN_SPACING);
         }
     }
 }
@@ -386,6 +407,45 @@ mod tests {
         let tx =
             UdpFrontLink::connect(rx.local_addr().expect("bound addr"), 0).expect("connect sender");
         (tx, rx)
+    }
+
+    #[test]
+    fn fin_rounds_end_many_links_in_the_time_of_one() {
+        // 8 links x 16 Fins: 15 pauses in rounds, 120 one link after
+        // another (60 ms of sleeping alone).
+        let receivers: Vec<UdpSocket> =
+            (0..8).map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind")).collect();
+        let mut links: Vec<UdpFrontLink> = receivers
+            .iter()
+            .enumerate()
+            .map(|(i, rx)| {
+                let link = UdpFrontLink::connect(rx.local_addr().expect("bound addr"), i as u32)
+                    .expect("connect sender")
+                    .batching(BatchPolicy::datagram());
+                rx.set_nonblocking(true).expect("nonblocking");
+                link
+            })
+            .collect();
+        for link in &mut links {
+            assert!(link.send_update(u(1, 0.5)), "buffered: the first round must flush it");
+        }
+        let start = Instant::now();
+        fin_rounds(16, || links.iter_mut().for_each(UdpFrontLink::send_fin));
+        let took = start.elapsed();
+        assert!(took >= 15 * FIN_SPACING, "{took:?}: a link's Fins are 500 us apart");
+        assert!(took < Duration::from_millis(30), "{took:?}: one pause per round");
+        let mut buf = [0u8; 64];
+        for (i, rx) in receivers.iter().enumerate() {
+            let (mut updates, mut fins) = (0, 0);
+            while let Ok(n) = rx.recv(&mut buf) {
+                match wire::decode_datagram(&buf[..n]).expect("own frame") {
+                    Message::Update(_) if fins == 0 => updates += 1,
+                    Message::Fin { node } if node == i as u32 => fins += 1,
+                    other => panic!("link {i}: unexpected {other:?}"),
+                }
+            }
+            assert_eq!((updates, fins), (1, 16), "link {i}");
+        }
     }
 
     #[test]

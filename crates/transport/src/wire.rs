@@ -40,7 +40,11 @@
 //!              kind 1 (verdict):   alert
 //! ```
 
-use rcm_core::{Alert, AlertId, CeId, CondId, DerivedPayload, DerivedUpdate, SeqNo, Update, VarId};
+use rcm_core::{
+    Alert, AlertId, CeId, CondId, DerivedPayload, DerivedUpdate, FingerprintBuilder,
+    FingerprintError, SeqNo, Update, VarId,
+};
+use rcm_sync::Arc;
 
 /// A message on a monitoring link.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,6 +194,11 @@ mod derived_kind {
 /// Smallest possible binary encoding of one update (two 1-byte varints
 /// plus the 8 value bytes) — used to bound declared batch counts.
 const UPDATE_WIRE_MIN: usize = 10;
+
+/// The longest alert snapshot decoded without a second allocation:
+/// the paper's degree-1–3 histories over up to two variables, and a
+/// little more.
+const SNAPSHOT_INLINE: usize = 8;
 
 /// Smallest possible binary encoding of one alert (five 1-byte
 /// varints: cond, ce, index, zero history entries, zero snapshot).
@@ -349,11 +358,17 @@ impl<'a> Reader<'a> {
         Ok(Update::new(var, seqno, value))
     }
 
-    fn update_batch(&mut self) -> Result<Vec<Update>, WireError> {
+    /// The declared length of an update run, refused if the payload
+    /// left could not hold it.
+    fn batch_count(&mut self) -> Result<usize, WireError> {
         let count = self.varint()? as usize;
         if count > self.remaining() / UPDATE_WIRE_MIN + 1 {
             return Err(WireError::Malformed { context: "batch count exceeds payload" });
         }
+        Ok(count)
+    }
+
+    fn updates(&mut self, count: usize) -> Result<Vec<Update>, WireError> {
         let mut updates = Vec::with_capacity(count);
         for _ in 0..count {
             updates.push(self.update()?);
@@ -361,30 +376,34 @@ impl<'a> Reader<'a> {
         Ok(updates)
     }
 
+    /// An alert's snapshot. Up to [`SNAPSHOT_INLINE`] updates are read
+    /// onto the stack first, so the shared slice they end up in is the
+    /// only allocation.
+    fn snapshot(&mut self) -> Result<Arc<[Update]>, WireError> {
+        let count = self.batch_count()?;
+        let mut few = [Update::new(VarId::new(0), 0, 0.0); SNAPSHOT_INLINE];
+        let Some(few) = few.get_mut(..count) else { return Ok(self.updates(count)?.into()) };
+        for slot in few.iter_mut() {
+            *slot = self.update()?;
+        }
+        Ok(Arc::from(&*few))
+    }
+
     fn alert(&mut self) -> Result<Alert, WireError> {
         let cond = CondId::new(self.varint_u32()?);
         let ce = CeId::new(self.varint_u32()?);
         let index = self.varint()?;
-        let nvars = self.varint()? as usize;
-        if nvars > self.remaining() / 2 + 1 {
-            return Err(WireError::Malformed { context: "history count exceeds payload" });
-        }
-        let mut entries: Vec<(VarId, Vec<SeqNo>)> = Vec::with_capacity(nvars);
-        for _ in 0..nvars {
-            let var = VarId::new(self.varint_u32()?);
-            let nseq = self.varint()? as usize;
-            if nseq > self.remaining() {
-                return Err(WireError::Malformed { context: "history count exceeds payload" });
+        // Neither count sizes an allocation: the builder grows as
+        // seqnos arrive, and the payload runs out before a lie does.
+        let mut fingerprint = FingerprintBuilder::new();
+        for _ in 0..self.varint()? {
+            fingerprint.start(VarId::new(self.varint_u32()?)).map_err(bad_fingerprint)?;
+            for _ in 0..self.varint()? {
+                fingerprint.push(SeqNo::new(self.varint()?)).map_err(bad_fingerprint)?;
             }
-            let mut seqnos = Vec::with_capacity(nseq);
-            for _ in 0..nseq {
-                seqnos.push(SeqNo::new(self.varint()?));
-            }
-            entries.push((var, seqnos));
         }
-        let fingerprint = rcm_core::HistoryFingerprint::try_new(entries)
-            .map_err(|_| WireError::Malformed { context: "invalid history fingerprint" })?;
-        let snapshot = self.update_batch()?;
+        let fingerprint = fingerprint.finish().map_err(bad_fingerprint)?;
+        let snapshot = self.snapshot()?;
         Ok(Alert::new(cond, fingerprint, snapshot, AlertId { ce, index }))
     }
 
@@ -398,6 +417,10 @@ impl<'a> Reader<'a> {
         };
         Ok(DerivedUpdate { var, seqno, payload })
     }
+}
+
+fn bad_fingerprint(_: FingerprintError) -> WireError {
+    WireError::Malformed { context: "invalid history fingerprint" }
 }
 
 fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
@@ -454,7 +477,10 @@ fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
         tag::ALERT => Message::Alert(r.alert()?),
         tag::HELLO => Message::Hello { node: r.varint_u32()? },
         tag::FIN => Message::Fin { node: r.varint_u32()? },
-        tag::UPDATE_BATCH => Message::UpdateBatch(r.update_batch()?),
+        tag::UPDATE_BATCH => {
+            let count = r.batch_count()?;
+            Message::UpdateBatch(r.updates(count)?)
+        }
         tag::DERIVED => Message::Derived(r.derived()?),
         tag::ALERT_BATCH => {
             let count = r.varint()? as usize;
@@ -740,11 +766,22 @@ pub fn decode_datagram(bytes: &[u8]) -> Result<Message, WireError> {
 /// Panics if the codec disagrees with itself; that is a bug worth
 /// crashing on.
 pub fn roundtrip(msg: &Message) -> Message {
-    let bytes = match encode(msg) {
-        Ok(bytes) => bytes,
-        Err(e) => panic!("encoding well-formed message: {e}"),
-    };
-    match decode_datagram(&bytes) {
+    roundtrip_in(&mut Vec::new(), msg)
+}
+
+/// [`roundtrip`] through a frame buffer the caller keeps: it is
+/// cleared, never freed, so a link that owns one allocates for none of
+/// the frames it sends.
+///
+/// # Panics
+///
+/// As [`roundtrip`].
+pub fn roundtrip_in(frame: &mut Vec<u8>, msg: &Message) -> Message {
+    frame.clear();
+    if let Err(e) = encode_into(Codec::Binary, msg, frame) {
+        panic!("encoding well-formed message: {e}");
+    }
+    match decode_datagram(frame) {
         Ok(msg) => msg,
         Err(e) => panic!("decoding own frame: {e}"),
     }
@@ -942,6 +979,73 @@ mod tests {
         raw.extend_from_slice(&fnv1a(payload).to_be_bytes());
         raw.extend_from_slice(payload);
         raw
+    }
+
+    #[test]
+    fn alerts_of_every_shape_roundtrip() {
+        // 0–5 variables × 1–20 seqnos each: fingerprints held in place
+        // (up to 4 variables, 6 seqnos between them), boxed ones, and
+        // the shapes on either side of both limits. The frame is
+        // spelled out from the lists the fingerprint was built from,
+        // so how a fingerprint stores them cannot move a byte of it.
+        for nvars in 0..=5u32 {
+            for degree in [1u64, 2, 3, 4, 6, 7, 16, 20] {
+                let entries: Vec<(VarId, Vec<SeqNo>)> = (0..nvars)
+                    .map(|v| {
+                        let newest = 300 * u64::from(v) + 100;
+                        (VarId::new(v * 70), (0..degree).map(|i| SeqNo::new(newest - i)).collect())
+                    })
+                    .collect();
+                let snapshot: Vec<Update> = entries
+                    .iter()
+                    .flat_map(|(v, s)| s.iter().map(|s| Update::new(*v, s.get(), 0.5)))
+                    .collect();
+                let id = AlertId { ce: CeId::new(2), index: degree };
+                let mut reversed = entries.clone();
+                reversed.reverse();
+                let sent = Alert::new(
+                    CondId::new(nvars),
+                    HistoryFingerprint::new(reversed),
+                    snapshot.clone(),
+                    id,
+                );
+
+                let mut payload = vec![tag::ALERT];
+                for field in [u64::from(nvars), 2, degree, u64::from(nvars)] {
+                    put_varint(&mut payload, field);
+                }
+                for (var, seqnos) in &entries {
+                    put_varint(&mut payload, u64::from(var.index()));
+                    put_varint(&mut payload, degree);
+                    seqnos.iter().for_each(|s| put_varint(&mut payload, s.get()));
+                }
+                put_varint(&mut payload, snapshot.len() as u64);
+                snapshot.iter().for_each(|u| put_update(&mut payload, u));
+                let frame = encode(&Message::Alert(sent.clone())).expect("encodes");
+                assert_eq!(frame, raw_frame(BINARY_WIRE_VERSION, &payload), "{nvars} x {degree}");
+
+                let Ok(Message::Alert(got)) = decode_datagram(&frame) else {
+                    panic!("{nvars} x {degree} did not come back as an alert")
+                };
+                assert_eq!((&got, got.id, &got.snapshot[..]), (&sent, id, &snapshot[..]));
+                let read: Vec<_> = got.fingerprint.iter().map(|(v, s)| (v, s.to_vec())).collect();
+                assert_eq!(read, entries);
+            }
+        }
+    }
+
+    #[test]
+    fn a_lying_history_count_runs_out_of_payload() {
+        // cond 0, ce 0, index 0, then 2^63 variables (or one variable
+        // of 2^63 seqnos) in a ten-byte payload: refused when the bytes
+        // end, having sized no allocation by the count.
+        let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+        let vars = raw_frame(BINARY_WIRE_VERSION, &[&[tag::ALERT, 0, 0, 0][..], &huge].concat());
+        let seqnos =
+            raw_frame(BINARY_WIRE_VERSION, &[&[tag::ALERT, 0, 0, 0, 1, 7][..], &huge].concat());
+        for raw in [vars, seqnos] {
+            assert!(matches!(decode_datagram(&raw), Err(WireError::Malformed { .. })), "{raw:?}");
+        }
     }
 
     #[test]

@@ -143,14 +143,14 @@ fn seeded_unsafe_outside_allowlist_fails() {
 fn seeded_unsafe_in_allowlisted_file_without_safety_comment_fails() {
     let bad = Tree::new(
         "safety-bad",
-        &[("crates/core/src/inline.rs", "fn f(p: *const u8) -> u8 { unsafe { p.read() } }\n")],
+        &[("crates/poll/src/sys.rs", "fn f(p: *const u8) -> u8 { unsafe { p.read() } }\n")],
     );
     assert_eq!(rules(&bad.violations()), ["unsafe"], "{:?}", bad.violations());
 
     let good = Tree::new(
         "safety-good",
         &[(
-            "crates/core/src/inline.rs",
+            "crates/poll/src/sys.rs",
             "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller upholds validity.\n    unsafe { p.read() }\n}\n",
         )],
     );
