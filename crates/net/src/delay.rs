@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use rand::RngCore;
-
-use crate::Tick;
+use crate::{Rng, Tick};
 
 /// Samples a per-message propagation delay in ticks.
 pub trait DelayModel: fmt::Debug + Send {
     /// Samples the next message's delay.
-    fn sample(&mut self, rng: &mut dyn RngCore) -> Tick;
+    fn sample(&mut self, rng: &mut Rng) -> Tick;
 }
 
 /// Fixed delay for every message.
@@ -26,7 +24,7 @@ impl ConstantDelay {
 }
 
 impl DelayModel for ConstantDelay {
-    fn sample(&mut self, _rng: &mut dyn RngCore) -> Tick {
+    fn sample(&mut self, _rng: &mut Rng) -> Tick {
         self.ticks
     }
 }
@@ -53,7 +51,7 @@ impl UniformDelay {
 }
 
 impl DelayModel for UniformDelay {
-    fn sample(&mut self, rng: &mut dyn RngCore) -> Tick {
+    fn sample(&mut self, rng: &mut Rng) -> Tick {
         let span = self.max - self.min + 1;
         self.min + rng.next_u64() % span
     }
@@ -81,7 +79,7 @@ impl ExponentialDelay {
 }
 
 impl DelayModel for ExponentialDelay {
-    fn sample(&mut self, rng: &mut dyn RngCore) -> Tick {
+    fn sample(&mut self, rng: &mut Rng) -> Tick {
         let u = ((rng.next_u64() >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
         let tail = (-u.ln() * self.mean).round();
         self.base + tail as Tick
@@ -91,11 +89,9 @@ impl DelayModel for ExponentialDelay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
-    fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed)
+    fn rng(seed: u64) -> Rng {
+        Rng::seed_from_u64(seed)
     }
 
     #[test]

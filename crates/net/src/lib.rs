@@ -28,11 +28,13 @@ mod backoff;
 mod delay;
 mod link;
 mod loss;
+mod rng;
 
 pub use backoff::Backoff;
 pub use delay::{ConstantDelay, DelayModel, ExponentialDelay, UniformDelay};
 pub use link::{InOrderGate, LinkStats, LossyLink, ReliableLink, Transmit};
 pub use loss::{Bernoulli, GilbertElliott, LossModel, Lossless, Scripted};
+pub use rng::Rng;
 
 /// Simulated time, in abstract ticks.
 pub type Tick = u64;

@@ -1,11 +1,9 @@
 //! Link types: the lossy in-order front link and the reliable FIFO
 //! back link.
 
-use rand::RngCore;
-
 use crate::delay::DelayModel;
 use crate::loss::LossModel;
-use crate::Tick;
+use crate::{Rng, Tick};
 
 /// Counters maintained by every link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,7 +57,7 @@ impl LossyLink {
     }
 
     /// Hands a message to the link at time `now`.
-    pub fn transmit(&mut self, now: Tick, rng: &mut dyn RngCore) -> Transmit {
+    pub fn transmit(&mut self, now: Tick, rng: &mut Rng) -> Transmit {
         self.stats.sent += 1;
         let tag = self.next_tag;
         self.next_tag += 1;
@@ -140,7 +138,7 @@ impl ReliableLink {
 
     /// Hands a message to the link at time `now`, returning its
     /// arrival time.
-    pub fn transmit(&mut self, now: Tick, rng: &mut dyn RngCore) -> Tick {
+    pub fn transmit(&mut self, now: Tick, rng: &mut Rng) -> Tick {
         self.stats.sent += 1;
         let at = (now + self.delay.sample(rng)).max(self.horizon);
         self.horizon = at;
@@ -163,11 +161,9 @@ impl ReliableLink {
 mod tests {
     use super::*;
     use crate::{Bernoulli, ConstantDelay, Lossless, Scripted, UniformDelay};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
-    fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed)
+    fn rng(seed: u64) -> Rng {
+        Rng::seed_from_u64(seed)
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use rand::RngCore;
+use crate::Rng;
 
 /// Decides, per transmitted message, whether the link drops it.
 ///
@@ -12,7 +12,7 @@ use rand::RngCore;
 /// in, keeping executions replayable.
 pub trait LossModel: fmt::Debug + Send {
     /// Samples whether the next message is dropped.
-    fn drops(&mut self, rng: &mut dyn RngCore) -> bool;
+    fn drops(&mut self, rng: &mut Rng) -> bool;
 
     /// Restores the model's initial state.
     fn reset(&mut self);
@@ -24,7 +24,7 @@ pub trait LossModel: fmt::Debug + Send {
 pub struct Lossless;
 
 impl LossModel for Lossless {
-    fn drops(&mut self, _rng: &mut dyn RngCore) -> bool {
+    fn drops(&mut self, _rng: &mut Rng) -> bool {
         false
     }
 
@@ -55,7 +55,7 @@ impl Bernoulli {
 }
 
 impl LossModel for Bernoulli {
-    fn drops(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn drops(&mut self, rng: &mut Rng) -> bool {
         // Uniform in [0, 1) from 53 random bits.
         let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         u < self.p
@@ -110,13 +110,13 @@ impl GilbertElliott {
         GilbertElliott::new(p_enter_bad, p_leave_bad, 0.0, 1.0)
     }
 
-    fn uniform(rng: &mut dyn RngCore) -> f64 {
+    fn uniform(rng: &mut Rng) -> f64 {
         (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
 impl LossModel for GilbertElliott {
-    fn drops(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn drops(&mut self, rng: &mut Rng) -> bool {
         // State transition first, then loss draw in the new state.
         if self.in_bad {
             if Self::uniform(rng) < self.p_leave_bad {
@@ -152,7 +152,7 @@ impl Scripted {
 }
 
 impl LossModel for Scripted {
-    fn drops(&mut self, _rng: &mut dyn RngCore) -> bool {
+    fn drops(&mut self, _rng: &mut Rng) -> bool {
         let idx = self.sent;
         self.sent += 1;
         self.drop_at.contains(&idx)
@@ -166,11 +166,9 @@ impl LossModel for Scripted {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
-    fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed)
+    fn rng(seed: u64) -> Rng {
+        Rng::seed_from_u64(seed)
     }
 
     #[test]

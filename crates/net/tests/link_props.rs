@@ -1,11 +1,9 @@
 //! Property-based invariants of the link substrate.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use rcm_net::{
-    Bernoulli, ConstantDelay, GilbertElliott, InOrderGate, Lossless, LossyLink, ReliableLink,
+    Bernoulli, ConstantDelay, GilbertElliott, InOrderGate, Lossless, LossyLink, ReliableLink, Rng,
     Transmit, UniformDelay,
 };
 
@@ -19,7 +17,7 @@ proptest! {
         max_delay in 0u64..50,
     ) {
         let mut link = ReliableLink::new(Box::new(UniformDelay::new(0, max_delay)));
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut now = 0;
         let mut prev = 0;
         for gap in sends {
@@ -42,7 +40,7 @@ proptest! {
             Box::new(Bernoulli::new(p)),
             Box::new(ConstantDelay::new(1)),
         );
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut last_tag = None;
         for now in 0..n as u64 {
             if let Transmit::DeliverAt { tag, .. } = link.transmit(now, &mut rng) {
@@ -94,8 +92,8 @@ proptest! {
             };
             let mut a = make();
             let mut b = make();
-            let mut ra = ChaCha8Rng::seed_from_u64(seed);
-            let mut rb = ChaCha8Rng::seed_from_u64(seed);
+            let mut ra = Rng::seed_from_u64(seed);
+            let mut rb = Rng::seed_from_u64(seed);
             for _ in 0..n {
                 prop_assert_eq!(a.drops(&mut ra), b.drops(&mut rb), "{}", model);
             }
@@ -113,7 +111,7 @@ proptest! {
             Box::new(Lossless),
             Box::new(UniformDelay::new(0, 10)),
         );
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut deliveries: Vec<(u64, u64)> = (0..n as u64)
             .filter_map(|now| match link.transmit(now, &mut rng) {
                 Transmit::DeliverAt { at, tag } => Some((at, tag)),

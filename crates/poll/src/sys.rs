@@ -41,10 +41,14 @@ extern "C" {
     fn getsockopt(fd: c_int, level: c_int, name: c_int, value: *mut c_void, len: *mut u32)
         -> c_int;
     fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
-    fn pipe(fds: *mut c_int) -> c_int;
     fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
     fn pthread_self() -> usize;
     fn pthread_kill(thread: usize, sig: c_int) -> c_int;
+}
+
+#[cfg(not(target_os = "linux"))]
+extern "C" {
+    fn pipe(fds: *mut c_int) -> c_int;
 }
 
 #[cfg(target_os = "linux")]

@@ -147,20 +147,21 @@ mod tests {
     fn summary_claim_equivalence_on_random_subsets() {
         // For duplicate-free displayed sequences:
         //   ordered ∧ complete ⟺ display-equivalent.
-        use rand::{Rng, SeedableRng};
         let c = Threshold::new(x(), Cmp::Gt, 50.0);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
+        let mut rng = rcm_net::Rng::seed_from_u64(99);
+        // Uniform in [0, 1) from 53 random bits.
+        let mut unit = move || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         for _ in 0..200 {
-            let uu: Vec<Update> = (1..=8).map(|s| u(s, rng.random_range(0.0..100.0))).collect();
-            let keep1: Vec<Update> = uu.iter().filter(|_| rng.random_bool(0.8)).copied().collect();
-            let keep2: Vec<Update> = uu.iter().filter(|_| rng.random_bool(0.8)).copied().collect();
+            let uu: Vec<Update> = (1..=8).map(|s| u(s, unit() * 100.0)).collect();
+            let keep1: Vec<Update> = uu.iter().filter(|_| unit() < 0.8).copied().collect();
+            let keep2: Vec<Update> = uu.iter().filter(|_| unit() < 0.8).copied().collect();
             let mut alerts: Vec<Alert> = rcm_core::transduce(&c, CeId::new(1), &keep1)
                 .into_iter()
                 .chain(rcm_core::transduce(&c, CeId::new(2), &keep2))
                 .collect();
             // Random permutation as a hypothetical display order.
             for i in (1..alerts.len()).rev() {
-                let j = rng.random_range(0..=i);
+                let j = (unit() * (i + 1) as f64) as usize;
                 alerts.swap(i, j);
             }
             let displayed = apply_filter(&mut Ad1::new(), &alerts);

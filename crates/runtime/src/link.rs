@@ -6,10 +6,8 @@
 use rcm_sync::chan::Sender;
 use rcm_sync::{Arc, Mutex};
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use rcm_core::Update;
-use rcm_net::LossModel;
+use rcm_net::{LossModel, Rng};
 
 use crate::wire::{roundtrip_in, Message};
 
@@ -32,7 +30,7 @@ pub struct LinkReport {
 pub struct FrontLink {
     tx: Sender<Update>,
     loss: Box<dyn LossModel>,
-    rng: ChaCha8Rng,
+    rng: Rng,
     report: Arc<Mutex<LinkReport>>,
     /// The frame of the update in flight; cleared and reused per send.
     frame: Vec<u8>,
@@ -53,7 +51,7 @@ impl FrontLink {
         FrontLink {
             tx,
             loss,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             report: Arc::new(Mutex::new(LinkReport::default())),
             frame: Vec::new(),
             stalls: std::collections::VecDeque::new(),

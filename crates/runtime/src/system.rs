@@ -899,20 +899,17 @@ pub struct RunReport {
 }
 
 /// Evaluation-stage counters for a finished run.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineReport {
     /// Evaluation workers per replica (0 = evaluated on the CE's own
     /// thread; the output is identical either way).
-    #[serde(default)]
     pub workers: usize,
     /// Updates shed across all replicas because a worker ring was full
     /// — semantically front-link loss, covered by the same per-AD
     /// guarantees.
-    #[serde(default)]
     pub updates_shed: u64,
     /// Ingest→alert-emit latency (admission to merged-alerts-emitted),
     /// aggregated over every replica.
-    #[serde(default)]
     pub latency: LatencySnapshot,
 }
 

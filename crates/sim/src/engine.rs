@@ -1,11 +1,8 @@
 //! The simulation engine: wires DMs, CEs and the AD over simulated
 //! links and runs the event loop to completion.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use rcm_core::{Alert, CeId, CondId, Evaluator, Update, VarId};
-use rcm_net::{InOrderGate, LossyLink, ReliableLink, Transmit};
+use rcm_net::{InOrderGate, LossyLink, ReliableLink, Rng, Transmit};
 
 use crate::event::EventQueue;
 use crate::scenario::Scenario;
@@ -115,9 +112,8 @@ pub fn run(scenario: Scenario) -> RunResult {
     // alone, link behaviour also on the salt — so per-condition runs of
     // a multi-condition system (Appendix D) observe identical variables
     // over independent links.
-    let mut values_rng = ChaCha8Rng::seed_from_u64(scenario.seed);
-    let mut rng =
-        ChaCha8Rng::seed_from_u64(scenario.seed ^ scenario.link_salt.rotate_left(17) ^ 0x11a5);
+    let mut values_rng = Rng::seed_from_u64(scenario.seed);
+    let mut rng = Rng::seed_from_u64(scenario.seed ^ scenario.link_salt.rotate_left(17) ^ 0x11a5);
     let mut queue: EventQueue<Ev> = EventQueue::new();
 
     // Component state. Everything reading `&scenario` is built first;

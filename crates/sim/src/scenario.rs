@@ -201,12 +201,11 @@ fn pick<T>(list: &[T], index: usize) -> &T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use rcm_net::Rng;
 
     #[test]
     fn specs_build_models() {
-        let mut r = ChaCha8Rng::seed_from_u64(0);
+        let mut r = Rng::seed_from_u64(0);
         assert!(!LossSpec::Lossless.build().drops(&mut r));
         assert!(LossSpec::Bernoulli(1.0).build().drops(&mut r));
         let mut scripted = LossSpec::Scripted(vec![0]).build();

@@ -9,16 +9,16 @@
 
 use std::fmt;
 
-use rand::RngCore;
+use rcm_net::Rng;
 
 /// Generates the value snapshot for each successive update of one
 /// variable.
 pub trait ValueModel: fmt::Debug + Send {
     /// Produces the next reading.
-    fn next(&mut self, rng: &mut dyn RngCore) -> f64;
+    fn next(&mut self, rng: &mut Rng) -> f64;
 }
 
-fn uniform(rng: &mut dyn RngCore) -> f64 {
+fn uniform(rng: &mut Rng) -> f64 {
     (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -51,7 +51,7 @@ impl RandomWalk {
 }
 
 impl ValueModel for RandomWalk {
-    fn next(&mut self, rng: &mut dyn RngCore) -> f64 {
+    fn next(&mut self, rng: &mut Rng) -> f64 {
         let delta = (uniform(rng) * 2.0 - 1.0) * self.step;
         self.value = (self.value + delta).clamp(self.lo, self.hi);
         self.value
@@ -83,7 +83,7 @@ impl Spikes {
 }
 
 impl ValueModel for Spikes {
-    fn next(&mut self, rng: &mut dyn RngCore) -> f64 {
+    fn next(&mut self, rng: &mut Rng) -> f64 {
         let jitter = (uniform(rng) * 2.0 - 1.0) * self.noise;
         if uniform(rng) < self.spike_p {
             self.base + self.magnitude + jitter
@@ -117,7 +117,7 @@ impl SineNoise {
 }
 
 impl ValueModel for SineNoise {
-    fn next(&mut self, rng: &mut dyn RngCore) -> f64 {
+    fn next(&mut self, rng: &mut Rng) -> f64 {
         let phase = self.t * std::f64::consts::TAU / self.period;
         self.t += 1.0;
         let jitter = (uniform(rng) * 2.0 - 1.0) * self.noise;
@@ -147,7 +147,7 @@ impl Scripted {
 }
 
 impl ValueModel for Scripted {
-    fn next(&mut self, _rng: &mut dyn RngCore) -> f64 {
+    fn next(&mut self, _rng: &mut Rng) -> f64 {
         let v = self.values[self.i % self.values.len()];
         self.i += 1;
         v
@@ -218,11 +218,9 @@ impl ValueSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
-    fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed)
+    fn rng(seed: u64) -> Rng {
+        Rng::seed_from_u64(seed)
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! Every lock, channel, thread and clock the threaded runtime
 //! (`rcm-runtime`) uses is imported from this crate, never from
-//! `std::sync`/`std::thread`/`parking_lot`/`crossbeam_channel`
-//! directly (`cargo xtask analyze` enforces this). That indirection buys
-//! model checking for free:
+//! `std::sync`/`std::thread` directly (`cargo xtask analyze` enforces
+//! this). That indirection buys model checking for free:
 //!
-//! * **Default build**: the types below are the production primitives —
-//!   [`parking_lot::Mutex`], [`crossbeam_channel`] channels,
-//!   [`std::thread`], [`std::time::Instant`]. Zero overhead, zero
-//!   behavior change.
+//! * **Default build**: the types below are the production primitives,
+//!   all of them `std`'s — a [`Mutex`] over `std::sync::Mutex` whose
+//!   `lock` takes over a poisoned lock instead of failing, [`chan`]
+//!   over `std::sync::mpsc` with a count of the messages in flight,
+//!   [`std::thread`], [`std::time::Instant`]. The crate has no
+//!   dependencies.
 //! * **`RUSTFLAGS="--cfg loom"`**: the same paths resolve to the
 //!   bundled deterministic [`model`] checker's instrumented types, and
 //!   a test wrapped in [`model::model`] runs under every thread
@@ -27,24 +28,20 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(not(loom))]
+pub mod chan;
 pub mod model;
+#[cfg(not(loom))]
+mod mutex;
 pub mod spsc;
 
 pub use std::sync::Arc;
 
 #[cfg(not(loom))]
-pub use parking_lot::{Mutex, MutexGuard};
+pub use mutex::{Mutex, MutexGuard};
 
 #[cfg(loom)]
 pub use model::sync::{Mutex, MutexGuard};
-
-/// Unbounded MPSC channels (crossbeam-channel API subset).
-#[cfg(not(loom))]
-pub mod chan {
-    pub use crossbeam_channel::{
-        unbounded, IntoIter, Iter, Receiver, RecvError, SendError, Sender, TryIter, TryRecvError,
-    };
-}
 
 /// Unbounded MPSC channels (model-checked).
 #[cfg(loom)]

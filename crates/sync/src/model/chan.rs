@@ -1,5 +1,5 @@
-//! Model-checked unbounded channel with the crossbeam-channel API
-//! subset the runtime uses.
+//! Model-checked unbounded channel with the API of the production
+//! `chan` module (less `Sender::len`, which no model-checked code reads).
 
 use std::any::Any;
 use std::marker::PhantomData;
@@ -11,7 +11,7 @@ use super::sched::{current, BlockKind, Exec, Object};
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
-// Like crossbeam-channel: Debug without a `T: Debug` bound, so generic
+// Like `std::sync::mpsc`: Debug without a `T: Debug` bound, so generic
 // senders can `.expect()` a send without constraining their payload.
 impl<T> std::fmt::Debug for SendError<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

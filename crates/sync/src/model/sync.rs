@@ -1,4 +1,4 @@
-//! Model-checked `Mutex` (parking_lot-shaped: infallible `lock`).
+//! Model-checked `Mutex` (infallible `lock`, like the production one).
 
 use std::sync::Arc;
 

@@ -18,7 +18,7 @@
 // SubmitQueue (whose single mutex is documented in rcm-poll) plus atomics.
 
 use std::io;
-use std::net::{TcpListener, TcpStream, UdpSocket};
+use std::net::{TcpListener, UdpSocket};
 use std::os::fd::AsRawFd;
 
 use rcm_core::{Alert, Update};

@@ -22,9 +22,7 @@
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rcm_net::LossModel;
+use rcm_net::{LossModel, Rng};
 use rcm_sync::atomic::{AtomicBool, Ordering};
 use rcm_sync::time::Duration;
 use rcm_sync::{Arc, Mutex};
@@ -39,7 +37,7 @@ pub struct LossProxy {
     sock: UdpSocket,
     target: SocketAddr,
     loss: Box<dyn LossModel>,
-    rng: ChaCha8Rng,
+    rng: Rng,
     stats: Arc<Mutex<ProxyStats>>,
     stop: Arc<AtomicBool>,
 }
@@ -70,7 +68,7 @@ impl LossProxy {
             sock,
             target,
             loss,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             stats: Arc::new(Mutex::new(ProxyStats::default())),
             stop: Arc::new(AtomicBool::new(false)),
         })

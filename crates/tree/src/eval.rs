@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use rcm_core::{Alert, CeId, DerivedUpdate, Update, VarId};
 use rcm_transport::wire::{self, Message};
 
@@ -28,8 +26,7 @@ pub enum NodeRef {
 
 /// Counters describing one tree run, mirrored into the runtime's
 /// `RunReport` and the chaos gauntlet's JSON document.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeStats {
     /// Raw updates routed to their owning leaf.
     pub updates_routed: u64,

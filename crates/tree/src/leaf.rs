@@ -1,7 +1,5 @@
 //! Leaf Condition Evaluators: the tier that owns raw variables.
 
-use serde::{Deserialize, Serialize};
-
 use rcm_core::condition::DynCondition;
 use rcm_core::{
     Alert, CeId, ConditionRegistry, DerivedEmitter, DerivedPayload, DerivedUpdate, Update,
@@ -13,7 +11,7 @@ use crate::{aggregate_stream, verdict_stream};
 
 /// The numeric fold a leaf's optional aggregate stream carries, one
 /// element per admitted raw update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregateSpec {
     /// Running count of alerts this leaf has emitted.
     AlertCount,

@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 
 use rcm_core::DerivedUpdate;
-use serde::{Deserialize, Serialize};
 
 /// The last `capacity` derived updates a node put on its uplink, kept
 /// so an orphaned node can replay them through a new parent after
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// elements than the window holds; older losses degrade to ordinary
 /// stream loss, which the downstream tolerates by the paper's
 /// consistency results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayWindow {
     capacity: usize,
     items: VecDeque<DerivedUpdate>,

@@ -1,6 +1,7 @@
 //! The `cargo xtask analyze` driver: walks every `.rs` file under
 //! `crates/`, lexes and parses it once, and feeds the AST to each
-//! analysis pass. Produces the full violation list plus the rendered
+//! analysis pass; the manifest pass then reads every member's
+//! `Cargo.toml`. Produces the full violation list plus the rendered
 //! topology document, so callers (the CLI, the self-tests) decide what
 //! to do with them.
 //!
@@ -24,6 +25,7 @@ use std::path::{Path, PathBuf};
 
 use crate::lexer::{self, Lexed, TokenKind};
 use crate::lock_order;
+use crate::manifest;
 use crate::parser;
 use crate::passes::{self, Violation};
 use crate::topology;
@@ -107,6 +109,7 @@ pub fn analyze_tree(root: &Path) -> Report {
     violations.extend(lock_order::check(&lock_facts));
     let (topo_json, topo_violations) = topology::assemble(topologies, &corpus);
     violations.extend(topo_violations);
+    violations.extend(manifest::manifest_pass(root));
 
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Report { violations, topology: topo_json, files_scanned }

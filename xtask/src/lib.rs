@@ -10,6 +10,7 @@ pub mod chaos;
 pub mod json;
 pub mod lexer;
 pub mod lock_order;
+pub mod manifest;
 pub mod parser;
 pub mod passes;
 pub mod topology;

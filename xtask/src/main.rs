@@ -4,13 +4,12 @@
 //!
 //! The analyzer lexes and parses every source file (xtask/src/lexer.rs,
 //! xtask/src/parser.rs — dependency-free, std only) and runs six pass
-//! families over the ASTs:
+//! families over the ASTs, then a seventh over the manifests:
 //!
-//! 1. **Shim discipline** (`shim`): no `std::sync`, `std::thread`,
-//!    `crossbeam_channel` or `parking_lot` reachable from
-//!    `crates/runtime/src` or `crates/transport/src` — resolved from
-//!    real `use` trees and path expressions, so the whole runtime
-//!    stays model-checkable under `--cfg loom`.
+//! 1. **Shim discipline** (`shim`): no `std::sync` or `std::thread`
+//!    reachable from `crates/runtime/src` or `crates/transport/src` —
+//!    resolved from real `use` trees and path expressions, so the
+//!    whole runtime stays model-checkable under `--cfg loom`.
 //! 2. **Hot-path panic freedom** (`hot-path`): no `.unwrap()` /
 //!    `.expect(` / unchecked slice indexing / unproven division on the
 //!    per-update and per-frame hot paths, with real `#[cfg(test)]`
@@ -30,6 +29,10 @@
 //!    graph is extracted to `TOPOLOGY.json`; bounded handoffs must
 //!    have a shed/backpressure path and be loom-modeled, and the
 //!    committed artifact must not drift.
+//! 7. **Manifests** (`manifest`): every workspace member's
+//!    `[dependencies]`/`[dev-dependencies]` name only `rcm-*` path
+//!    crates and the registry allowlist in xtask/src/manifest.rs, and
+//!    only crates the package's own sources use.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -123,7 +123,7 @@ fn for_each_expr<'a>(file: &'a File, f: &mut impl FnMut(&'a Expr, bool)) {
 // shim discipline
 // ---------------------------------------------------------------------
 
-const SHIM_BANNED: &[&str] = &["std::sync", "std::thread", "crossbeam_channel", "parking_lot"];
+const SHIM_BANNED: &[&str] = &["std::sync", "std::thread"];
 
 fn shim_banned_path(path: &str) -> Option<&'static str> {
     SHIM_BANNED
@@ -137,8 +137,8 @@ fn shim_banned_segs(segs: &[String]) -> Option<&'static str> {
     SHIM_BANNED.iter().find(|&&p| segs.first().is_some_and(|s| s == p) || two == p).copied()
 }
 
-/// No `std::sync`, `std::thread`, `crossbeam_channel` or `parking_lot`
-/// anywhere in the runtime or transport crates (tests included — the
+/// No `std::sync` or `std::thread` anywhere in the runtime or
+/// transport crates (tests included — the
 /// loom job compiles those too): every concurrency primitive must come
 /// through `rcm_sync` so the whole runtime stays model-checkable under
 /// `--cfg loom`. `std::net` is deliberately *not* banned: sockets are
@@ -493,7 +493,7 @@ mod tests {
 
     #[test]
     fn shim_catches_bypass_crates_and_covers_transport() {
-        let bad = "use crossbeam_channel::unbounded;\nuse parking_lot::Mutex;\n";
+        let bad = "use std::sync::mpsc::channel;\nuse std::sync::Mutex;\n";
         assert_eq!(run("crates/transport/src/evil.rs", bad).len(), 2);
     }
 

@@ -348,6 +348,54 @@ fn allow_directive_with_reason_waives_and_reasonless_fails() {
     assert_eq!(rules(&got), ["allow", "hot-path"], "{got:?}");
 }
 
+// ---- manifests -----------------------------------------------------
+
+#[test]
+fn unlisted_registry_crate_fails_even_when_used() {
+    let bad = Tree::new(
+        "manifest-unlisted",
+        &[
+            (
+                "crates/x/Cargo.toml",
+                "[package]\nname = \"x\"\n\n[dependencies]\nrand.workspace = true\n",
+            ),
+            ("crates/x/src/lib.rs", "pub fn f() -> u64 { rand::random() }\n"),
+        ],
+    );
+    let got = bad.violations();
+    assert_eq!(rules(&got), ["manifest"], "{got:?}");
+    assert!(got[0].starts_with("crates/x/Cargo.toml:5:") && got[0].contains("`rand`"), "{got:?}");
+}
+
+#[test]
+fn listed_but_unused_crate_fails_and_a_used_one_passes() {
+    let manifest = "[dependencies]\nrcm-core.workspace = true\n\n[dev-dependencies]\nproptest.workspace = true\n";
+    // Prose is not use: the only mention of proptest is a comment.
+    let bad = Tree::new(
+        "manifest-unused",
+        &[
+            ("crates/x/Cargo.toml", manifest),
+            ("crates/x/src/lib.rs", "//! No proptest here.\npub use rcm_core::Update;\n"),
+        ],
+    );
+    let got = bad.violations();
+    assert_eq!(rules(&got), ["manifest"], "{got:?}");
+    assert!(
+        got[0].starts_with("crates/x/Cargo.toml:5:") && got[0].contains("`proptest`"),
+        "{got:?}"
+    );
+
+    let good = Tree::new(
+        "manifest-used",
+        &[
+            ("crates/x/Cargo.toml", manifest),
+            ("crates/x/src/lib.rs", "pub use rcm_core::Update;\n"),
+            ("crates/x/tests/props.rs", "use proptest::prelude::*;\n"),
+        ],
+    );
+    assert_eq!(good.violations(), Vec::<String>::new());
+}
+
 // ---- the acceptance gate: this repository is clean -------------------
 
 #[test]
