@@ -272,7 +272,7 @@ impl Poller {
                     let left = d.saturating_duration_since(Instant::now());
                     // Round up so we never spin on a sub-millisecond
                     // remainder.
-                    let ms = (left.as_nanos() + 999_999) / 1_000_000;
+                    let ms = left.as_nanos().div_ceil(1_000_000);
                     ms.min(i32::MAX as u128) as i32
                 }
             };

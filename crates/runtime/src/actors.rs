@@ -45,6 +45,13 @@ pub(crate) trait UpdateSender: Send {
     /// Sends one end-of-stream marker. Channels signal the end by
     /// dropping, so the default sends nothing; socket links send a Fin.
     fn send_fin(&mut self) {}
+
+    /// Whether the end of stream has reached the far end, waiting for
+    /// word of it until `until`. A channel's end needs no word, so the
+    /// default is already done; a socket link waits for its Fin's echo.
+    fn fin_echoed(&mut self, _until: Instant) -> bool {
+        true
+    }
 }
 
 /// One CE → AD path, as the CE body sees it: the in-process
@@ -86,8 +93,9 @@ impl std::fmt::Debug for FeedSource {
 
 /// Runs a Data Monitor: emits one update per reading with consecutive
 /// seqnos, multicasting over a front link per replica, pausing `period`
-/// between emissions, and signing off with `fin_repeats` Fins per link
-/// (0 for in-process links). When fault injection is on, every emitted
+/// between emissions, and signing off with at most `fin_repeats` Fins
+/// per link, each link's last the one its peer echoes (0 for in-process
+/// links). When fault injection is on, every emitted
 /// update also lands in the DM's retained window so recovering replicas
 /// can replay recent history.
 pub(crate) fn dm_body(
@@ -129,9 +137,14 @@ pub(crate) fn dm_body(
         }
     }
     // Explicit end-of-stream for socket links, all of them a round at
-    // a time; in-process links signal it by dropping below.
+    // a time until every Fin is echoed; in-process links signal it by
+    // dropping below. `&`, not `&&`: every link's echo is read, not
+    // only those up to the first silent link.
     if fin_repeats > 0 {
-        rcm_transport::fin_rounds(fin_repeats, || links.iter_mut().for_each(|l| l.send_fin()));
+        rcm_transport::fin_rounds(fin_repeats, |until| {
+            links.iter_mut().for_each(|l| l.send_fin());
+            links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
+        });
     }
 }
 

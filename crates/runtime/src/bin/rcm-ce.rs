@@ -13,8 +13,10 @@
 //! UDP ingress enforces the front-link contract (reordered and
 //! duplicated datagrams are dropped); the TCP back link queues and
 //! resends across connection drops, so no alert handed to it is lost.
-//! The node exits once `--dms` distinct Fin markers arrived (or after
-//! `--idle-ms` of silence as a backstop against lost Fins).
+//! The ingress echoes every Fin marker back to its sender, so a DM
+//! stops repeating its Fin (at most its `--fin-repeats`) once one got
+//! through. The node exits once `--dms` distinct Fin markers arrived
+//! (or after `--idle-ms` of silence as a backstop against lost Fins).
 //!
 //! `--batch N` coalesces up to `N` alerts per stream write (default 1
 //! — no batching). Every socket of the node rides one readiness loop,
@@ -58,7 +60,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-ce --bind HOST:PORT --ad HOST:PORT --condition '<expr>' \
          [--condition '<expr>' ...] [--node N] [--dms N] [--idle-ms N] \
-         [--batch N] [--workers N]"
+         [--batch N] [--workers N]\n\
+         exits after --dms distinct DM Fins (each echoed to its DM, which then\n\
+         stops repeating it) or --idle-ms of silence"
     );
     ExitCode::FAILURE
 }

@@ -12,8 +12,9 @@
 //! input order. A line that is not a finite number ends the stream
 //! there: the readings before it are still sent and finished, and the
 //! node exits non-zero. The front link is UDP — lossy by design — so
-//! the node ends the stream with repeated Fin markers (`--fin-repeats`)
-//! rather than relying on any single datagram arriving.
+//! the node ends the stream with a Fin marker that it repeats, 500 µs
+//! apart, until the CE echoes it back: `--fin-repeats N` (default 16)
+//! is the most Fins a link gets, all of them when its CE never echoes.
 //!
 //! `--batch N` packs up to `N` updates per datagram (default 1 — no
 //! batching).
@@ -43,7 +44,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-dm --ce HOST:PORT [--ce HOST:PORT ...] [--var N] [--node N] \
          [--period-us N] [--fin-repeats N] [--batch N]\n\
-         readings on stdin: one '<value>' per line"
+         readings on stdin: one '<value>' per line\n\
+         --fin-repeats N: at most N Fins per link, until the CE echoes one"
     );
     ExitCode::FAILURE
 }
@@ -122,7 +124,12 @@ fn main() -> ExitCode {
             rcm_sync::thread::sleep(opts.period);
         }
     }
-    fin_rounds(opts.fin_repeats, || links.iter_mut().for_each(UdpFrontLink::send_fin));
+    // `&`, not `&&`: every link's echo is read, not only up to the first
+    // silent link.
+    fin_rounds(opts.fin_repeats, |until| {
+        links.iter_mut().for_each(UdpFrontLink::send_fin);
+        links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
+    });
 
     let sent: u64 = links.iter().map(|l| l.stats_handle().lock().frames_sent).sum();
     let dropped: u64 = links.iter().map(|l| l.stats_handle().lock().frames_dropped).sum();

@@ -152,6 +152,9 @@ pub struct EvalPipeline {
 }
 
 /// Where dispatched updates are evaluated.
+// Boxing the large inline registry would add a pointer chase to every
+// dispatch; a pipeline holds one stage.
+#[allow(clippy::large_enum_variant)]
 enum Stage {
     /// `workers == 0`: the registry and the drain live on the
     /// dispatching thread; a dispatch returns once its alerts are out.

@@ -7,6 +7,7 @@
 //! transport links, whose counter mutexes are leaves.
 
 use rcm_core::{Alert, Update};
+use rcm_sync::time::Instant;
 use rcm_transport::{EventedBackLink, UdpFrontLink};
 
 use crate::actors::{AlertSink, UpdateSender};
@@ -17,10 +18,14 @@ impl UpdateSender for UdpFrontLink {
     }
 
     // UDP has no hangup, so end-of-stream is an explicit marker —
-    // repeated by `dm_body`, because the front link is allowed to drop
-    // it like any datagram.
+    // repeated by `dm_body` until the CE echoes it, because the front
+    // link is allowed to drop it (or its echo) like any datagram.
     fn send_fin(&mut self) {
         UdpFrontLink::send_fin(self);
+    }
+
+    fn fin_echoed(&mut self, until: Instant) -> bool {
+        UdpFrontLink::fin_echoed(self, until)
     }
 }
 

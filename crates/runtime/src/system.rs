@@ -536,7 +536,7 @@ impl SystemBuilder {
         // aimed at the topology's routed targets (the CE sockets, or an
         // interposed loss proxy per replica).
         let mut front_vars = Vec::with_capacity(n_feeds);
-        let mut front_stats: Vec<((usize, usize), Arc<Mutex<FrontLinkStats>>)> = Vec::new();
+        let mut front_stats: Vec<KeyedFrontStats> = Vec::new();
         for (fi, feed) in self.feeds.into_iter().enumerate() {
             front_vars.push(feed.var);
             let mut links: Vec<Box<dyn UpdateSender>> = Vec::with_capacity(self.replicas);
@@ -645,6 +645,9 @@ impl Replicas {
     }
 }
 
+/// One socket-mode front link's sender counters, keyed `(feed, ce)`.
+type KeyedFrontStats = ((usize, usize), Arc<Mutex<FrontLinkStats>>);
+
 /// A running monitoring pipeline; join it with [`MonitorSystem::wait`].
 pub struct MonitorSystem {
     handles: Vec<JoinHandle<()>>,
@@ -666,7 +669,7 @@ pub struct MonitorSystem {
     /// Feed index → variable (socket mode; for the `links` report).
     front_vars: Vec<VarId>,
     /// Socket-mode sender counters keyed `(feed, ce)`.
-    front_stats: Vec<((usize, usize), Arc<Mutex<FrontLinkStats>>)>,
+    front_stats: Vec<KeyedFrontStats>,
     /// Socket-engine counter blocks (empty / `None` in-process).
     engine_counters: Option<Arc<EngineCounters>>,
     evented_ingress: Vec<Arc<IngressCounters>>,

@@ -352,11 +352,17 @@ fn root_thread(mut root: RootCe, rx: Receiver<NodeMsg>) -> (Vec<Alert>, TreeStat
             root.ingest(&decode_derived(&bytes), &mut out);
         }
     }
-    let mut stats = TreeStats::default();
-    stats.derived_duplicates = root.duplicates();
-    stats.root_alerts = root.displayed();
+    let stats = TreeStats {
+        derived_duplicates: root.duplicates(),
+        root_alerts: root.displayed(),
+        ..TreeStats::default()
+    };
     (out, stats)
 }
+
+/// A leaf replica's or the root's thread: it hands back its alerts and
+/// its counters.
+type AlertThread = thread::JoinHandle<(Vec<Alert>, TreeStats)>;
 
 /// The deployed tree: thread handles, channel registry, and the
 /// supervisor's live-topology bookkeeping (who is alive, who uplinks
@@ -371,9 +377,9 @@ struct Supervisor {
     leaf_txs: Vec<Vec<Sender<LeafMsg>>>,
     relay_txs: Vec<Vec<Sender<NodeMsg>>>,
     root_tx: Sender<NodeMsg>,
-    leaf_joins: Vec<Vec<thread::JoinHandle<(Vec<Alert>, TreeStats)>>>,
+    leaf_joins: Vec<Vec<AlertThread>>,
     relay_joins: Vec<Vec<thread::JoinHandle<TreeStats>>>,
-    root_join: thread::JoinHandle<(Vec<Alert>, TreeStats)>,
+    root_join: AlertThread,
     stats: TreeStats,
 }
 
@@ -415,8 +421,8 @@ impl Supervisor {
             relay_joins.push(Vec::new());
         }
         for t in (1..=tiers).rev() {
-            for n in 0..width[t] {
-                let up = match parents[t][n] {
+            for (n, &parent) in parents[t].iter().enumerate() {
+                let up = match parent {
                     NodeRef::Root => root_tx.clone(),
                     NodeRef::Relay { tier, idx } => relay_txs[tier - 1][idx].clone(),
                 };
@@ -429,8 +435,8 @@ impl Supervisor {
 
         let mut leaf_txs: Vec<Vec<Sender<LeafMsg>>> = Vec::new();
         let mut leaf_joins = Vec::new();
-        for leaf in 0..leaves_n {
-            let up = match parents[0][leaf] {
+        for (leaf, &parent) in parents[0].iter().enumerate() {
+            let up = match parent {
                 NodeRef::Root => root_tx.clone(),
                 NodeRef::Relay { tier, idx } => relay_txs[tier - 1][idx].clone(),
             };

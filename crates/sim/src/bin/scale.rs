@@ -235,11 +235,15 @@ fn main() -> ExitCode {
     // Fin rounds, paced like the updates: every link's Fin lands on the
     // one CE socket, and a round of them back to back overflows its
     // receive buffer (seen: 117 of 2,000 links lost all eight Fins).
-    fin_rounds(8, || {
-        for burst in fronts.chunks_mut(100) {
-            burst.iter_mut().for_each(UdpFrontLink::send_fin);
+    // A link whose Fin the ingress echoed leaves the bursts.
+    let mut open: Vec<&mut UdpFrontLink> = fronts.iter_mut().collect();
+    fin_rounds(8, |until| {
+        for burst in open.chunks_mut(100) {
+            burst.iter_mut().for_each(|link| link.send_fin());
             std::thread::sleep(Duration::from_micros(500));
         }
+        open.retain_mut(|link| !link.fin_echoed(until));
+        open.is_empty()
     });
 
     // CE body: each delivered update fires one always-true threshold

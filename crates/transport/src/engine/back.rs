@@ -338,7 +338,7 @@ impl BackSource {
             self.enqueue(alert);
             return false;
         }
-        if self.pending.iter().any(|a| *a == alert) {
+        if self.pending.contains(&alert) {
             self.counters.dedup_suppressed.fetch_add(1, Ordering::SeqCst);
             return false;
         }

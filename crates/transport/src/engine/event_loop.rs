@@ -77,6 +77,9 @@ pub(super) struct Core {
 }
 
 /// One slab slot: every socket the loop owns, as a state machine.
+// Boxing the large back-link variant would add a pointer chase to every
+// event on the hot path; the slab holds one slot per socket.
+#[allow(clippy::large_enum_variant)]
 enum Source {
     Front(FrontSource),
     Back(BackSource),
@@ -292,8 +295,7 @@ impl EventLoop {
                 return;
             }
             self.core.counters.wakeups.fetch_add(1, Ordering::SeqCst);
-            for i in 0..events.len() {
-                let ev = events[i];
+            for &ev in &events {
                 if ev.token != WAKE_TOKEN {
                     self.dispatch_event(ev);
                 }

@@ -2,10 +2,11 @@
 //! machine.
 //!
 //! Semantics are pinned to the threaded receiver in `udp.rs`: the
-//! same seqno gate, the same per-datagram counters, the same Fin and
-//! idle-backstop termination — only the blocking `recv` loop becomes
-//! "drain until `WouldBlock` on each readable event" and the idle
-//! backstop becomes a lazily-rescheduled wheel timer.
+//! same seqno gate, the same per-datagram counters, the same Fin echo,
+//! the same Fin and idle-backstop termination — only the blocking
+//! `recv_from` loop becomes "drain until `WouldBlock` on each readable
+//! event" and the idle backstop becomes a lazily-rescheduled wheel
+//! timer.
 
 // LOCK ORDER: no locks — front ingress state is owned by the loop thread.
 
@@ -70,8 +71,8 @@ impl FrontSource {
     pub(super) fn on_readable(&mut self, core: &mut Core) -> bool {
         let mut progressed = false;
         loop {
-            let len = match self.sock.recv(&mut core.buf) {
-                Ok(len) => len,
+            let (len, from) = match self.sock.recv_from(&mut core.buf) {
+                Ok(got) => got,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -93,6 +94,10 @@ impl FrontSource {
                     }
                 }
                 Ok(Message::Fin { node }) => {
+                    // Echo every Fin, a repeat included, so its sender
+                    // can stop repeating. Best effort, like the Fin: the
+                    // socket is nonblocking and an error is ignored.
+                    let _ = self.sock.send_to(&core.buf[..len], from);
                     if self.fins_seen.insert(node) {
                         self.counters.fins.fetch_add(1, Ordering::SeqCst);
                     }

@@ -102,6 +102,18 @@ mod tests {
         assert_eq!(stats.decode_errors, 0);
     }
 
+    #[test]
+    fn front_ingress_echoes_every_fin_and_nothing_else() {
+        let mut el = EventLoop::new().expect("event loop");
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let addr = sock.local_addr().expect("addr");
+        el.add_front_ingress(sock, 2, Duration::from_secs(5), |_| {}).expect("register ingress");
+        let engine = rcm_sync::thread::spawn(move || el.run());
+        crate::udp::tests::assert_every_fin_echoed(addr, || {
+            engine.join().expect("loop thread");
+        });
+    }
+
     /// A full evented round trip on one loop: back link → listener,
     /// with the lossless finish handshake ending both sources.
     #[test]

@@ -16,8 +16,8 @@
 //!   count/size/deadline, with delivery semantics identical to
 //!   unbatched sends;
 //! * [`UdpFrontLink`] — the DM's side of a front link: updates over
-//!   UDP, batched per [`BatchPolicy`], end-of-stream as repeated Fin
-//!   markers;
+//!   UDP, batched per [`BatchPolicy`], end-of-stream as a Fin marker
+//!   repeated until the CE echoes it;
 //! * [`engine`] — the receiving and alert-carrying side: every CE
 //!   ingress (enforcing the front-link contract by discarding reordered
 //!   and duplicated datagrams via a per-variable seqno high-water mark,

@@ -99,14 +99,20 @@ impl LossProxy {
 
     /// The forwarding loop: one thread, so arrival order is preserved
     /// and a scripted model's drop positions line up with send order.
+    /// Only traffic toward the target is forwarded: what the target
+    /// sends back (a CE's Fin echo) is dropped uncounted and never drawn
+    /// against the loss model, so the proxied DMs hear no echo and keep
+    /// their timed Fin rounds, and the echo cannot bounce back to the
+    /// target to be echoed again.
     fn forward_loop(&mut self) {
         let mut buf = [0u8; 65_535];
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return;
             }
-            let len = match self.sock.recv(&mut buf) {
-                Ok(len) => len,
+            let len = match self.sock.recv_from(&mut buf) {
+                Ok((_, from)) if from == self.target => continue,
+                Ok((len, _)) => len,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -217,6 +223,44 @@ mod tests {
         }
         let got = recv_all(&sink, Duration::from_millis(200));
         assert_eq!(got, vec![vec![0], vec![2], vec![4]], "positions 1 and 3 eaten");
+        let stats = proxy.stop();
+        assert_eq!(stats, ProxyStats { forwarded: 3, dropped: 2 });
+    }
+
+    /// A target that echoes everything (as a CE echoes each Fin) must
+    /// not get its echoes forwarded back to it, and they must neither
+    /// be counted nor move the scripted drop positions.
+    #[test]
+    fn echoes_from_the_target_are_not_forwarded_or_counted() {
+        let sink = UdpSocket::bind("127.0.0.1:0").expect("bind sink");
+        let proxy = LossProxy::bind(
+            sink.local_addr().expect("sink addr"),
+            Box::new(Scripted::new([1, 3])),
+            42,
+        )
+        .expect("bind proxy")
+        .spawn()
+        .expect("spawn proxy");
+        sink.set_read_timeout(Some(Duration::from_millis(200))).expect("set timeout");
+        let echoer = rcm_sync::thread::spawn(move || {
+            let mut buf = [0u8; 2048];
+            let mut got = Vec::new();
+            // Bounded: an echo bouncing back through the proxy fails the
+            // test instead of running forever.
+            while got.len() < 10 {
+                let Ok((len, from)) = sink.recv_from(&mut buf) else { break };
+                got.push(buf[..len].to_vec());
+                sink.send_to(&buf[..len], from).expect("echo");
+            }
+            got
+        });
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
+        for i in 0..5u8 {
+            tx.send_to(&[i], proxy.addr()).expect("send");
+            rcm_sync::thread::sleep(Duration::from_millis(1));
+        }
+        let got = echoer.join().expect("echoing target");
+        assert_eq!(got, vec![vec![0], vec![2], vec![4]], "each survivor exactly once");
         let stats = proxy.stop();
         assert_eq!(stats, ProxyStats { forwarded: 3, dropped: 2 });
     }

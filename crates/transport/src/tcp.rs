@@ -219,9 +219,7 @@ impl TcpBackLink {
             if self.down {
                 self.try_reconnect(false);
             }
-            if self.down {
-                self.enqueue(alert);
-            } else if !self.write_alert(alert.clone()) {
+            if self.down || !self.write_alert(alert.clone()) {
                 self.enqueue(alert);
             }
             return;
@@ -236,7 +234,7 @@ impl TcpBackLink {
             self.enqueue(alert);
             return;
         }
-        if self.pending.iter().any(|a| *a == alert) {
+        if self.pending.contains(&alert) {
             self.stats.lock().dedup_suppressed += 1;
             return;
         }

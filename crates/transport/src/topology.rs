@@ -137,8 +137,9 @@ impl BoundTopology {
         self
     }
 
-    /// How many times each DM repeats its end-of-stream marker
-    /// (default 16 — enough to survive heavy scripted loss).
+    /// The most times each DM sends its end-of-stream marker on a link
+    /// (default 16 — enough to survive heavy scripted loss); it stops
+    /// as soon as the CE echoes the marker back.
     #[must_use]
     pub fn fin_repeats(mut self, repeats: usize) -> Self {
         self.fin_repeats = repeats.max(1);
@@ -181,7 +182,7 @@ pub struct TopologyParts {
     pub dm_targets: Vec<SocketAddr>,
     /// The AD listener's address, for the CE back links.
     pub ad_addr: SocketAddr,
-    /// DM end-of-stream repeat count.
+    /// The most end-of-stream markers a DM sends per link.
     pub fin_repeats: usize,
     /// Receiver idle backstop.
     pub idle_timeout: Duration,

@@ -17,6 +17,15 @@
 //! updates through the gate in batch order, so delivery is exactly
 //! what individual datagrams arriving in that order would produce.
 //!
+//! The one datagram that travels back is the end of stream. A DM ends
+//! its stream with a `Fin`, and the receiver echoes every `Fin` it
+//! reads, byte for byte, to its sender. The DM repeats its `Fin` (at
+//! most `repeats` times, 500 µs apart: [`fin_rounds`]) only until that
+//! echo comes back, so on a healthy link teardown is one round trip.
+//! A peer that never echoes — an older CE, a loss proxy, total loss —
+//! gets every repeat, and the receiver's idle backstop still covers a
+//! stream whose every `Fin` was lost.
+//!
 //! LOCK ORDER: the only mutexes are the per-link `stats` counter
 //! blocks, leaves — never held across a socket call.
 
@@ -47,6 +56,18 @@ fn bind_for(peer: SocketAddr) -> io::Result<UdpSocket> {
     UdpSocket::bind(local)
 }
 
+/// Where a front link is in ending its stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ending {
+    /// No Fin out yet: the socket is never read.
+    Streaming,
+    /// A Fin is out and the socket is nonblocking: it is read for the
+    /// peer's echo of that Fin.
+    AwaitingEcho,
+    /// The peer echoed the Fin: nothing more is sent.
+    Echoed,
+}
+
 /// The sending half of a front link: one CE target, one frame per
 /// datagram (one *batch* per datagram under a [`BatchPolicy`]).
 pub struct UdpFrontLink {
@@ -57,6 +78,7 @@ pub struct UdpFrontLink {
     pending_bytes: usize,
     pending_since: Instant,
     frame: Vec<u8>,
+    ending: Ending,
     stats: Arc<Mutex<FrontLinkStats>>,
 }
 
@@ -67,6 +89,7 @@ impl std::fmt::Debug for UdpFrontLink {
             .field("node", &self.node)
             .field("batch", &self.batch)
             .field("pending", &self.pending.len())
+            .field("ending", &self.ending)
             .field("stats", &*self.stats.lock())
             .finish()
     }
@@ -90,6 +113,7 @@ impl UdpFrontLink {
             pending_bytes: 0,
             pending_since: Instant::now(),
             frame: Vec::new(),
+            ending: Ending::Streaming,
             stats: Arc::new(Mutex::new(FrontLinkStats::default())),
         })
     }
@@ -202,11 +226,23 @@ impl UdpFrontLink {
         ok
     }
 
-    /// Flushes any buffered batch and sends one Fin marker. One marker
-    /// may be lost like any datagram: [`fin_rounds`] repeats it. Fin
-    /// datagrams are not counted as frames.
+    /// Flushes any buffered batch and sends one Fin marker, unless the
+    /// peer has already echoed this link's Fin. One marker may be lost
+    /// like any datagram: [`fin_rounds`] repeats it until it comes back.
+    /// Fin datagrams are not counted as frames.
     pub fn send_fin(&mut self) {
         self.flush();
+        match self.ending {
+            Ending::Echoed => return,
+            // From the first Fin on the socket is read for the echo, so
+            // it must not block; a Fin the kernel cannot queue at once
+            // is lost like any datagram. A socket that stays blocking is
+            // never read, and its link gets every repeat.
+            Ending::Streaming if self.sock.set_nonblocking(true).is_ok() => {
+                self.ending = Ending::AwaitingEcho;
+            }
+            Ending::Streaming | Ending::AwaitingEcho => {}
+        }
         self.frame.clear();
         if wire::encode_into(Codec::Binary, &Message::Fin { node: self.node }, &mut self.frame)
             .is_ok()
@@ -215,13 +251,50 @@ impl UdpFrontLink {
         }
     }
 
-    /// Signals end-of-stream on this link alone: [`send_fin`]
-    /// `repeats` times, 500 µs apart. A node with several links ends
-    /// them together, with [`fin_rounds`].
+    /// Whether the peer has echoed this link's Fin. Reads what the peer
+    /// sent until `until`, or only what is already queued once `until`
+    /// has passed, and returns as soon as the echo is read. An echo is
+    /// a datagram that decodes as this link's own `Fin`; anything else
+    /// is read and ignored. Always `false` before the first
+    /// [`send_fin`](Self::send_fin).
+    pub fn fin_echoed(&mut self, until: Instant) -> bool {
+        // A Fin frame is a few bytes; a longer datagram is truncated
+        // here and fails to decode, which is what it should do.
+        let mut buf = [0u8; 64];
+        while self.ending == Ending::AwaitingEcho {
+            match self.sock.recv(&mut buf) {
+                Ok(len) => {
+                    let heard = wire::decode_datagram(&buf[..len]);
+                    if matches!(heard, Ok(Message::Fin { node }) if node == self.node) {
+                        self.ending = Ending::Echoed;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let now = Instant::now();
+                    if now >= until {
+                        break;
+                    }
+                    rcm_sync::thread::sleep((until - now).min(ECHO_POLL));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // A refused or failed read hears no echo: the link keeps
+                // its timed repeats.
+                Err(_) => break,
+            }
+        }
+        self.ending == Ending::Echoed
+    }
+
+    /// Signals end-of-stream on this link alone: [`send_fin`] until the
+    /// peer echoes it, at most `repeats` times, 500 µs apart. A node
+    /// with several links ends them together, with [`fin_rounds`].
     ///
     /// [`send_fin`]: Self::send_fin
     pub fn finish(&mut self, repeats: usize) {
-        fin_rounds(repeats, || self.send_fin());
+        fin_rounds(repeats, |until| {
+            self.send_fin();
+            self.fin_echoed(until)
+        });
     }
 }
 
@@ -229,17 +302,32 @@ impl UdpFrontLink {
 /// bursty loss episode cannot eat them all.
 const FIN_SPACING: Duration = Duration::from_micros(500);
 
-/// Signals end-of-stream on all of a node's front links at once: runs
-/// `round` — which sends one Fin on each ([`UdpFrontLink::send_fin`])
-/// — `repeats` times (at least once), pausing 500 µs between rounds.
-/// Every link gets its `repeats` Fins as far apart as if it had
-/// finished alone, and the node sleeps once per round, not once per
-/// link per round.
-pub fn fin_rounds(repeats: usize, mut round: impl FnMut()) {
-    for i in 0..repeats.max(1) {
-        round();
-        if i + 1 < repeats {
-            rcm_sync::thread::sleep(FIN_SPACING);
+/// How often a link waiting for its echo looks at its socket again. On
+/// loopback the echo is back within about 100 µs of its Fin.
+const ECHO_POLL: Duration = Duration::from_micros(50);
+
+/// Signals end-of-stream on all of a node's front links at once, a
+/// round at a time, at most `repeats` rounds (at least one), each
+/// starting 500 µs after the one before. `round(until)` sends one Fin
+/// on every link whose Fin has not been echoed
+/// ([`UdpFrontLink::send_fin`]), waits for echoes until `until`
+/// ([`UdpFrontLink::fin_echoed`], called on every such link, not only
+/// up to the first silent one) and returns whether every link's Fin
+/// has now been echoed; that ends the rounds. A link whose peer never
+/// echoes gets `repeats` Fins 500 µs apart, as if it had finished
+/// alone, and the node waits once per round, not once per link per
+/// round. The last round waits for nothing: no Fin follows it.
+pub fn fin_rounds(repeats: usize, mut round: impl FnMut(Instant) -> bool) {
+    let repeats = repeats.max(1);
+    for i in 1..=repeats {
+        let start = Instant::now();
+        let until = if i < repeats { start + FIN_SPACING } else { start };
+        if round(until) {
+            return;
+        }
+        let now = Instant::now();
+        if now < until {
+            rcm_sync::thread::sleep(until - now);
         }
     }
 }
@@ -332,8 +420,8 @@ impl UdpFrontReceiver {
         let mut buf = [0u8; 65_535];
         let mut last_activity = Instant::now();
         loop {
-            let len = match self.sock.recv(&mut buf) {
-                Ok(len) => len,
+            let (len, from) = match self.sock.recv_from(&mut buf) {
+                Ok(got) => got,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -375,6 +463,9 @@ impl UdpFrontReceiver {
                     }
                 }
                 Ok(Message::Fin { node }) => {
+                    // Echo every Fin, a repeat included, so its sender
+                    // can stop repeating; best effort, like the Fin.
+                    let _ = self.sock.send_to(&buf[..len], from);
                     if fins_seen.insert(node) {
                         self.stats.lock().fins += 1;
                     }
@@ -392,12 +483,166 @@ impl UdpFrontReceiver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rcm_core::VarId;
 
     fn u(seqno: u64, value: f64) -> Update {
         Update::new(VarId::new(0), seqno, value)
+    }
+
+    /// Plays two DMs at `ingress`, which must expect two Fins: DM 0
+    /// sends an update, a batch and its Fin twice; DM 1 an update and
+    /// the Fin that retires the ingress. Once `retired` has waited for
+    /// the ingress to end, each DM must hold one echo per Fin it sent,
+    /// equal to that Fin byte for byte, and nothing else.
+    pub(crate) fn assert_every_fin_echoed(ingress: SocketAddr, retired: impl FnOnce()) {
+        let dms = [0, 1].map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind DM"));
+        let script = [
+            (0, Message::Update(u(1, 1.0))),
+            (0, Message::UpdateBatch(vec![u(2, 2.0), u(3, 3.0)])),
+            (0, Message::Fin { node: 0 }),
+            (0, Message::Fin { node: 0 }), // a repeat from a node already seen
+            (1, Message::Update(Update::new(VarId::new(1), 1, 1.0))),
+            (1, Message::Fin { node: 1 }), // retires the ingress
+        ];
+        for (dm, msg) in &script {
+            dms[*dm].send_to(&wire::encode(msg).expect("encodes"), ingress).expect("send_to");
+        }
+        retired();
+        let fin = |node| wire::encode(&Message::Fin { node }).expect("encodes");
+        assert_eq!(dms.map(|dm| queued(&dm)), [vec![fin(0), fin(0)], vec![fin(1)]]);
+    }
+
+    /// Every datagram already queued on `sock`, in arrival order.
+    fn queued(sock: &UdpSocket) -> Vec<Vec<u8>> {
+        sock.set_nonblocking(true).expect("nonblocking");
+        let mut buf = [0u8; 64];
+        std::iter::from_fn(|| sock.recv(&mut buf).ok().map(|n| buf[..n].to_vec())).collect()
+    }
+
+    /// Runs `fin_rounds(16, ..)` over one link per entry of `echo`,
+    /// playing the receivers in line: once a round's Fins are out,
+    /// receiver `i` reads its link's Fin and echoes its `n`th when
+    /// `echo[i](n)`. Returns the Fins each receiver read, after checking
+    /// that none came after its echo, and the number of rounds run.
+    fn fin_rounds_against(echo: &[fn(usize) -> bool]) -> (Vec<usize>, usize) {
+        let receivers: Vec<UdpSocket> = echo
+            .iter()
+            .map(|_| {
+                let rx = UdpSocket::bind("127.0.0.1:0").expect("bind");
+                rx.set_read_timeout(Some(Duration::from_secs(1))).expect("read timeout");
+                rx
+            })
+            .collect();
+        let mut links: Vec<UdpFrontLink> = receivers
+            .iter()
+            .enumerate()
+            .map(|(i, rx)| {
+                UdpFrontLink::connect(rx.local_addr().expect("bound addr"), i as u32)
+                    .expect("connect sender")
+            })
+            .collect();
+        let (mut fins, mut echoed, mut rounds) = (vec![0; echo.len()], vec![false; echo.len()], 0);
+        let mut buf = [0u8; 64];
+        fin_rounds(16, |until| {
+            rounds += 1;
+            links.iter_mut().for_each(UdpFrontLink::send_fin);
+            for (i, rx) in receivers.iter().enumerate() {
+                if echoed[i] {
+                    continue;
+                }
+                let (n, from) = rx.recv_from(&mut buf).expect("this round's Fin");
+                let fin = wire::decode_datagram(&buf[..n]).expect("own frame");
+                assert_eq!(fin, Message::Fin { node: i as u32 }, "link {i}");
+                fins[i] += 1;
+                if echo[i](fins[i]) {
+                    rx.send_to(&buf[..n], from).expect("echo");
+                    echoed[i] = true;
+                }
+            }
+            links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
+        });
+        for (i, rx) in receivers.iter().enumerate() {
+            assert_eq!(queued(rx), Vec::<Vec<u8>>::new(), "link {i}: a Fin after its echo");
+        }
+        (fins, rounds)
+    }
+
+    #[test]
+    fn an_echoed_fin_is_sent_once_per_link() {
+        let always: fn(usize) -> bool = |_| true;
+        assert_eq!(fin_rounds_against(&[always; 8]), (vec![1; 8], 1));
+    }
+
+    #[test]
+    fn a_fin_is_repeated_until_it_is_echoed() {
+        assert_eq!(fin_rounds_against(&[|n| n == 3]), (vec![3], 3));
+    }
+
+    /// Link 0 never echoes, so every round waits out its 500 µs; link
+    /// 1's echo is read all the same, and it gets no second Fin.
+    #[test]
+    fn a_silent_link_does_not_hide_an_echo_on_another() {
+        assert_eq!(fin_rounds_against(&[|_| false, |_| true]), (vec![16, 1], 16));
+    }
+
+    /// An echo that comes back after the link began to wait: the link
+    /// waits for it, then returns without waiting out the deadline.
+    #[test]
+    fn fin_echoed_waits_for_a_late_echo() {
+        let rx = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        rx.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        let mut link =
+            UdpFrontLink::connect(rx.local_addr().expect("bound addr"), 3).expect("connect sender");
+        let echoer = rcm_sync::thread::spawn(move || {
+            let mut buf = [0u8; 64];
+            let (n, from) = rx.recv_from(&mut buf).expect("the Fin");
+            rcm_sync::thread::sleep(Duration::from_millis(20));
+            rx.send_to(&buf[..n], from).expect("echo");
+        });
+        let start = Instant::now();
+        link.send_fin();
+        assert!(link.fin_echoed(start + Duration::from_secs(5)), "the echo was waited for");
+        assert!(start.elapsed() < Duration::from_secs(4), "{:?}", start.elapsed());
+        echoer.join().expect("echoing receiver");
+    }
+
+    #[test]
+    fn finish_stops_at_the_first_echo_and_nothing_else() {
+        let fin = |node| wire::encode(&Message::Fin { node }).expect("encodes");
+        let update = wire::encode(&Message::Update(u(1, 1.0))).expect("encodes");
+        let cases = [
+            (vec![fin(7)], 1),
+            // Not an echo: an update, another node's Fin, garbage.
+            (vec![update, fin(8), b"\x00garbage".to_vec()], 16),
+        ];
+        for (sent, fins) in cases {
+            let rx = UdpSocket::bind("127.0.0.1:0").expect("bind");
+            let mut link = UdpFrontLink::connect(rx.local_addr().expect("bound addr"), 7)
+                .expect("connect sender");
+            // The peer's datagrams are queued before the first Fin goes
+            // out, so the count does not hang on how fast a receiver
+            // thread wakes: the link reads them right after that Fin.
+            for datagram in &sent {
+                rx.send_to(datagram, link.local_addr().expect("link addr")).expect("send_to");
+            }
+            link.finish(16);
+            assert_eq!(queued(&rx), vec![fin(7); fins], "after {sent:?}");
+        }
+    }
+
+    #[test]
+    fn receiver_echoes_every_fin_and_nothing_else() {
+        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
+            .expect("bind receiver")
+            .expected_fins(2)
+            .idle_timeout(Duration::from_secs(2));
+        let addr = rx.local_addr().expect("bound addr");
+        let handle = rcm_sync::thread::spawn(move || rx.run(|_| {}));
+        assert_every_fin_echoed(addr, || {
+            handle.join().expect("receiver thread");
+        });
     }
 
     fn pair() -> (UdpFrontLink, UdpFrontReceiver) {
@@ -411,8 +656,8 @@ mod tests {
 
     #[test]
     fn fin_rounds_end_many_links_in_the_time_of_one() {
-        // 8 links x 16 Fins: 15 pauses in rounds, 120 one link after
-        // another (60 ms of sleeping alone).
+        // 8 silent links x 16 Fins: 15 pauses in rounds, 120 one link
+        // after another (60 ms of sleeping alone).
         let receivers: Vec<UdpSocket> =
             (0..8).map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind")).collect();
         let mut links: Vec<UdpFrontLink> = receivers
@@ -430,7 +675,10 @@ mod tests {
             assert!(link.send_update(u(1, 0.5)), "buffered: the first round must flush it");
         }
         let start = Instant::now();
-        fin_rounds(16, || links.iter_mut().for_each(UdpFrontLink::send_fin));
+        fin_rounds(16, |until| {
+            links.iter_mut().for_each(UdpFrontLink::send_fin);
+            links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
+        });
         let took = start.elapsed();
         assert!(took >= 15 * FIN_SPACING, "{took:?}: a link's Fins are 500 us apart");
         assert!(took < Duration::from_millis(30), "{took:?}: one pause per round");

@@ -61,8 +61,11 @@ pub enum Message {
         node: u32,
     },
     /// End-of-stream marker: the sending node has no more messages.
-    /// Repeated a few times on lossy links so the receiver's shutdown
-    /// does not hinge on one datagram surviving.
+    /// On a UDP front link the CE echoes each Fin, byte for byte, to
+    /// its sender, and a DM repeats its Fin (at most a set number of
+    /// times, 500 µs apart) until that echo comes back, so neither
+    /// side's shutdown hinges on one datagram surviving. A TCP back link
+    /// sends it once.
     Fin {
         /// Sender's node index (DM index on front links, CE replica
         /// index on back links).

@@ -100,13 +100,17 @@ fn replicate<C: rcm_core::Condition + Clone>(
     Replicated { inputs, arrivals }
 }
 
+/// A filter with its name and the properties it promises: ordered,
+/// complete, consistent.
+type FilterCase = (&'static str, Box<dyn AlertFilter>, bool, bool, bool);
+
 fn run_matrix<C: rcm_core::Condition + Clone>(cond: &C, seed: u64, loss_pct: u64) {
     let stream = derived_inputs(seed);
     let var = verdict_stream(0, 0);
     let rep = replicate(cond, &stream, seed, loss_pct);
     let ctx = format!("seed {seed}, loss {loss_pct}%");
 
-    let filters: Vec<(&str, Box<dyn AlertFilter>, bool, bool, bool)> = vec![
+    let filters: Vec<FilterCase> = vec![
         ("AD-1", Box::new(Ad1::new()), false, true, true),
         ("AD-2", Box::new(Ad2::new(var)), true, false, false),
         ("AD-3", Box::new(Ad3::new(var)), false, false, true),

@@ -476,7 +476,6 @@ fn find_cycle(graph: &[(String, String, String, usize)]) -> Option<(String, Stri
 
     fn dfs(
         v: usize,
-        nodes: &[&str],
         graph: &[(String, String, String, usize)],
         index: &dyn Fn(&str) -> usize,
         state: &mut [u8],
@@ -496,7 +495,7 @@ fn find_cycle(graph: &[(String, String, String, usize)]) -> Option<(String, Stri
                 return Some((cycle, file.clone(), *line));
             }
             if state[w] == 0 {
-                if let Some(found) = dfs(w, nodes, graph, index, state, stack) {
+                if let Some(found) = dfs(w, graph, index, state, stack) {
                     return Some(found);
                 }
             }
@@ -508,8 +507,7 @@ fn find_cycle(graph: &[(String, String, String, usize)]) -> Option<(String, Stri
 
     for v in 0..n {
         if state[v] == 0 {
-            if let Some((cycle, file, line)) = dfs(v, &nodes, graph, &index, &mut state, &mut stack)
-            {
+            if let Some((cycle, file, line)) = dfs(v, graph, &index, &mut state, &mut stack) {
                 let text = cycle.iter().map(|&i| nodes[i]).collect::<Vec<_>>().join(" -> ");
                 return Some((text, file, line));
             }

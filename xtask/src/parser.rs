@@ -708,8 +708,7 @@ impl<'a> Parser<'a> {
         let mut lhs = self.prefix_expr(no_struct, nest)?;
         // Binary operator fold (flat; precedence is irrelevant to the
         // analyses, association is left).
-        loop {
-            let Some(op) = self.peek() else { break };
+        while let Some(op) = self.peek() {
             if op.kind != TokenKind::Punct {
                 break;
             }
@@ -1356,12 +1355,9 @@ fn soup_parse(tokens: &[Token], nest: usize) -> Vec<Expr> {
     let mut p = Parser { t: tokens, i: 0, gaps: 0, gap_lines: Vec::new(), depth: nest };
     while p.peek().is_some() {
         let before = p.i;
-        match p.expr_bounded(false, nest) {
-            Ok(e) => {
-                parts.push(e);
-                p.eat_punct(",");
-            }
-            Err(()) => {}
+        if let Ok(e) = p.expr_bounded(false, nest) {
+            parts.push(e);
+            p.eat_punct(",");
         }
         if p.i == before {
             p.i += 1;

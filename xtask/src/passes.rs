@@ -164,10 +164,10 @@ pub fn shim_pass(rel: &str, file: &File) -> Vec<Violation> {
         }
     });
     for_each_expr(file, &mut |e, _| match e {
-        Expr::Path { segs, line } | Expr::Macro { segs, line, .. } => {
-            if shim_banned_segs(segs).is_some() {
-                flag(*line, &segs.join("::"));
-            }
+        Expr::Path { segs, line } | Expr::Macro { segs, line, .. }
+            if shim_banned_segs(segs).is_some() =>
+        {
+            flag(*line, &segs.join("::"));
         }
         _ => {}
     });
@@ -311,36 +311,35 @@ pub fn hot_path_pass(rel: &str, file: &File) -> Vec<Violation> {
                     .to_string(),
             });
         }
-        Expr::Index { index, line, .. } if hot && !in_test => {
-            if !index_is_checked(index) {
-                out.push(Violation {
-                    file: rel.to_string(),
-                    line: *line,
-                    rule: "hot-path",
-                    message: format!(
-                        "unchecked index `[{}]` on the hot path; use `.get(…)`, a masked/\
-                             wrapped index, or justify with `// analyze: allow(hot-path): …`",
-                        index.render()
-                    ),
-                });
-            }
+        Expr::Index { index, line, .. } if hot && !in_test && !index_is_checked(index) => {
+            out.push(Violation {
+                file: rel.to_string(),
+                line: *line,
+                rule: "hot-path",
+                message: format!(
+                    "unchecked index `[{}]` on the hot path; use `.get(…)`, a masked/\
+                         wrapped index, or justify with `// analyze: allow(hot-path): …`",
+                    index.render()
+                ),
+            });
         }
         Expr::Binary { op, rhs, line, .. }
-            if hot && !in_test && matches!(op.as_str(), "/" | "%" | "/=" | "%=") =>
+            if hot
+                && !in_test
+                && matches!(op.as_str(), "/" | "%" | "/=" | "%=")
+                && !divisor_is_checked(rhs, &consts) =>
         {
-            if !divisor_is_checked(rhs, &consts) {
-                out.push(Violation {
-                    file: rel.to_string(),
-                    line: *line,
-                    rule: "hot-path",
-                    message: format!(
-                        "division by `{}` on the hot path; prove the divisor non-zero \
-                             (literal, `.max(1)`, float) or justify with `// analyze: \
-                             allow(hot-path): …`",
-                        rhs.render()
-                    ),
-                });
-            }
+            out.push(Violation {
+                file: rel.to_string(),
+                line: *line,
+                rule: "hot-path",
+                message: format!(
+                    "division by `{}` on the hot path; prove the divisor non-zero \
+                         (literal, `.max(1)`, float) or justify with `// analyze: \
+                         allow(hot-path): …`",
+                    rhs.render()
+                ),
+            });
         }
         _ => {}
     });
