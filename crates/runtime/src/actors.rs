@@ -1,6 +1,7 @@
-//! The three actor bodies: Data Monitor, Condition Evaluator and Alert
-//! Displayer threads — plus the CE supervisor that turns injected (or
-//! genuine) panics into bounded restarts with history replay.
+//! The Condition Evaluator and Alert Displayer actor bodies — plus the
+//! CE supervisor that turns injected (or genuine) panics into bounded
+//! restarts with history replay. The Data Monitors run in
+//! [`dm_loop`](crate::dm::dm_loop).
 //!
 //! LOCK ORDER: actor bodies only touch leaf mutexes owned elsewhere
 //! (fault report, record/output/arrival/display sinks). Each is taken
@@ -9,7 +10,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
-use rcm_sync::time::{Duration, Instant};
+use rcm_sync::time::Instant;
 use rcm_sync::Arc;
 
 /// How one supervised CE run ended.
@@ -28,31 +29,10 @@ use rcm_sync::Mutex;
 
 use rcm_core::ad::AlertFilter;
 use rcm_core::condition::Condition;
-use rcm_core::{Alert, CeId, LatencyHistogram, Update, VarId};
+use rcm_core::{Alert, CeId, LatencyHistogram, Update};
 
 use crate::faults::{FaultReport, IngestGate, RetainedWindow};
 use crate::pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
-
-/// One DM → CE path, as the DM body sees it: the in-process
-/// [`FrontLink`](crate::link::FrontLink) (a lossy channel) and the
-/// socket transport's UDP link implement this, so the same actor body
-/// drives either.
-pub(crate) trait UpdateSender: Send {
-    /// Transmits one update; returns whether the link accepted it
-    /// (loss and hangups both report `false`).
-    fn send_update(&mut self, update: Update) -> bool;
-
-    /// Sends one end-of-stream marker. Channels signal the end by
-    /// dropping, so the default sends nothing; socket links send a Fin.
-    fn send_fin(&mut self) {}
-
-    /// Whether the end of stream has reached the far end, waiting for
-    /// word of it until `until`. A channel's end needs no word, so the
-    /// default is already done; a socket link waits for its Fin's echo.
-    fn fin_echoed(&mut self, _until: Instant) -> bool {
-        true
-    }
-}
 
 /// One CE → AD path, as the CE body sees it: the in-process
 /// [`BackLink`](crate::backlink::BackLink) and the socket transport's
@@ -71,81 +51,6 @@ pub(crate) trait AlertSink: Send {
     /// Channels need nothing (dropping the sender suffices); socket
     /// links still owe their listener an end-of-stream marker.
     fn abandon(&mut self) {}
-}
-
-/// Where a Data Monitor's readings come from.
-pub(crate) enum FeedSource {
-    /// A pre-recorded list of readings.
-    Values(Vec<f64>),
-    /// A live channel: the DM emits each pushed reading until the
-    /// sender side hangs up.
-    Channel(Receiver<f64>),
-}
-
-impl std::fmt::Debug for FeedSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FeedSource::Values(v) => f.debug_tuple("Values").field(&v.len()).finish(),
-            FeedSource::Channel(_) => f.debug_tuple("Channel").finish(),
-        }
-    }
-}
-
-/// Runs a Data Monitor: emits one update per reading with consecutive
-/// seqnos, multicasting over a front link per replica, pausing `period`
-/// between emissions, and signing off with at most `fin_repeats` Fins
-/// per link, each link's last the one its peer echoes (0 for in-process
-/// links). When fault injection is on, every emitted
-/// update also lands in the DM's retained window so recovering replicas
-/// can replay recent history.
-pub(crate) fn dm_body(
-    var: VarId,
-    source: FeedSource,
-    period: Duration,
-    mut links: Vec<Box<dyn UpdateSender>>,
-    fin_repeats: usize,
-    window: Option<RetainedWindow>,
-) {
-    let emit = |i: usize, value: f64, links: &mut Vec<Box<dyn UpdateSender>>| {
-        let update = Update::new(var, i as u64 + 1, value);
-        // Retention happens BEFORE the multicast: any update a CE could
-        // have pulled off a channel is then guaranteed to be in the
-        // window when that CE recovers, so a crash can never lose an
-        // update that lossless links delivered. (The converse overlap —
-        // replaying an update whose live copy arrives later — is
-        // harmless: the ingest gate discards the second copy.)
-        if let Some(window) = &window {
-            window.push(update);
-        }
-        for link in links.iter_mut() {
-            link.send_update(update);
-        }
-        if !period.is_zero() {
-            rcm_sync::thread::sleep(period);
-        }
-    };
-    match source {
-        FeedSource::Values(values) => {
-            for (i, value) in values.into_iter().enumerate() {
-                emit(i, value, &mut links);
-            }
-        }
-        FeedSource::Channel(rx) => {
-            for (i, value) in rx.into_iter().enumerate() {
-                emit(i, value, &mut links);
-            }
-        }
-    }
-    // Explicit end-of-stream for socket links, all of them a round at
-    // a time until every Fin is echoed; in-process links signal it by
-    // dropping below. `&`, not `&&`: every link's echo is read, not
-    // only those up to the first silent link.
-    if fin_repeats > 0 {
-        rcm_transport::fin_rounds(fin_repeats, |until| {
-            links.iter_mut().for_each(|l| l.send_fin());
-            links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
-        });
-    }
 }
 
 /// Per-replica fault configuration handed to the supervised CE body.
@@ -228,8 +133,8 @@ impl AlertDrain for SystemDrain {
 /// the pipeline's [`SystemDrain`]. A panic — scripted by the fault plan
 /// or genuine — is caught; within the restart budget the replica
 /// restarts: every condition's histories are wiped (the paper's crash
-/// model), the channel backlog that piled up "while down" is discarded
-/// as loss, and the bounded `H_x` histories are rebuilt by replaying the
+/// model), the rest of the round the crash interrupted and the channel
+/// backlog that piled up "while down" are discarded as loss, and the bounded `H_x` histories are rebuilt by replaying the
 /// DMs' retained windows through the normal ingest path. The
 /// [`IngestGate`] outlives every crash, so the recorded `U_i` stays
 /// strictly ordered per variable no matter how replays and live
@@ -242,16 +147,18 @@ impl AlertDrain for SystemDrain {
 /// cover it). Recovery replays use the rings' blocking path and never
 /// shed.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ce_body(
+pub(crate) fn ce_body<M>(
     ce: CeId,
     conditions: Vec<Arc<dyn Condition>>,
-    rx: Receiver<Update>,
+    rx: Receiver<M>,
     back: Box<dyn AlertSink>,
     ingested: Arc<Mutex<Vec<Update>>>,
     emitted: Arc<Mutex<Vec<Alert>>>,
     faults: Option<CeFaultConfig>,
     pipeline: CePipeline,
-) {
+) where
+    M: IntoIterator<Item = Update> + Send + 'static,
+{
     let drain = Box::new(SystemDrain { back, emitted });
     let mut pipe = EvalPipeline::start(
         ce,
@@ -267,28 +174,39 @@ pub(crate) fn ce_body(
     kill_at.sort_unstable();
     kill_at.reverse(); // pop() yields the earliest threshold
 
+    // The message being taken apart: a whole round in-process, one
+    // update from a socket ingress. It outlives a crash, so the rest of
+    // a round the replica died in is counted as arrived-while-down.
+    let mut message: Option<M::IntoIter> = None;
+
     loop {
-        let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            for update in rx.iter() {
-                arrivals += 1;
-                if kill_at.last().is_some_and(|&k| arrivals >= k) {
-                    kill_at.pop();
-                    return CeExit::Killed;
+        let run = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let Some(update) = message.as_mut().and_then(Iterator::next) else {
+                match rx.recv() {
+                    Ok(next) => {
+                        message = Some(next.into_iter());
+                        continue;
+                    }
+                    Err(_) => return CeExit::EndOfStream,
                 }
-                if pipe.would_shed() {
-                    // All-or-nothing: every shard must see the same
-                    // admitted stream, so a full ring sheds the whole
-                    // arrival — before the gate, like front-link loss.
-                    pipe.count_shed();
-                    continue;
-                }
-                if !gate.admit(&update) {
-                    continue; // duplicate of a replayed update
-                }
-                ingested.lock().push(update);
-                pipe.dispatch(update);
+            };
+            arrivals += 1;
+            if kill_at.last().is_some_and(|&k| arrivals >= k) {
+                kill_at.pop();
+                return CeExit::Killed;
             }
-            CeExit::EndOfStream
+            if pipe.would_shed() {
+                // All-or-nothing: every shard must see the same
+                // admitted stream, so a full ring sheds the whole
+                // arrival — before the gate, like front-link loss.
+                pipe.count_shed();
+                continue;
+            }
+            if !gate.admit(&update) {
+                continue; // duplicate of a replayed update
+            }
+            ingested.lock().push(update);
+            pipe.dispatch(update);
         }));
         let injected = match run {
             Ok(CeExit::EndOfStream) => break, // every DM hung up: done
@@ -326,11 +244,13 @@ pub(crate) fn ce_body(
         // restart marker rides the same FIFO rings as updates, so every
         // shard wipes its histories at the same stream position.
         pipe.restart();
-        // Updates that queued while "down" were never received; they
-        // are loss, exactly like a drop on the front link. Kill
-        // thresholds that pass during the outage simply never fire.
-        let mut discarded = 0u64;
-        while rx.try_recv().is_ok() {
+        // The update the kill fired on, the rest of its message and
+        // whatever queued while "down" were never received; they are
+        // loss, exactly like a drop on the front link. Kill thresholds
+        // that pass during the outage simply never fire.
+        let mut discarded = u64::from(injected);
+        let rest = message.take().into_iter().flatten();
+        for _ in rest.chain(std::iter::from_fn(|| rx.try_recv().ok()).flatten()) {
             arrivals += 1;
             discarded += 1;
         }

@@ -1,0 +1,218 @@
+//! The Data Monitors of one system, on one thread.
+//!
+//! In the paper a DM numbers the readings of one variable and
+//! multicasts each to the R CE replicas. [`dm_loop`] runs every DM of a
+//! [`MonitorSystem`](crate::MonitorSystem) at once: it owns every feed
+//! and every front link, waits on all streaming feeds through one
+//! [`wait_any`] (recorded feeds are paced by their own deadlines), and
+//! after each wake drains a bounded round: one reading per feed per
+//! pass, round-robin, at most [`ROUND`] in all. Where the round goes is
+//! the [`Fanout`]'s business: in-process its surviving updates reach
+//! each replica as one channel message, socket links send each update
+//! as it is numbered.
+//!
+//! LOCK ORDER: the loop takes only leaf mutexes owned elsewhere (a
+//! retained window, a link's counters), each alone and released before
+//! any send.
+
+use rcm_sync::chan::{wait_any, Receiver, Sender, TryRecvError};
+use rcm_sync::time::{Duration, Instant};
+
+use rcm_core::{Update, VarId};
+
+use crate::faults::RetainedWindow;
+use crate::link::FrontHop;
+
+/// Most readings one round takes before it is handed off. It bounds how
+/// long a feed with a backlog can hold back another feed's reading: one
+/// round.
+pub(crate) const ROUND: usize = 64;
+
+/// Where a Data Monitor's readings come from.
+pub(crate) enum FeedSource {
+    /// A pre-recorded list of readings.
+    Values(std::vec::IntoIter<f64>),
+    /// A live channel: the DM emits each pushed reading until the
+    /// sender side hangs up.
+    Channel(Receiver<f64>),
+}
+
+impl std::fmt::Debug for FeedSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FeedSource::Values(v) => f.debug_tuple("Values").field(&v.len()).finish(),
+            FeedSource::Channel(_) => f.debug_tuple("Channel").finish(),
+        }
+    }
+}
+
+/// Where the loop's updates go: a front link per `(feed, replica)`.
+pub(crate) trait Fanout: Send {
+    /// Multicasts feed `feed`'s `update` over that feed's links.
+    fn multicast(&mut self, feed: usize, update: Update);
+
+    /// Ends a round: whatever the links hold back goes out now.
+    fn end_round(&mut self) {}
+
+    /// Ends the stream on every link. Channels signal the end by
+    /// dropping, so the default does nothing.
+    fn finish(&mut self) {}
+}
+
+/// One variable's Data Monitor as the loop runs it.
+pub(crate) struct Dm {
+    /// Index of this feed, in builder order: the fanout's link row.
+    feed: usize,
+    var: VarId,
+    source: FeedSource,
+    /// Pause between emissions of a recorded feed.
+    period: Duration,
+    /// When a recorded feed may emit next.
+    due: Instant,
+    /// Seqno of the last update emitted.
+    seqno: u64,
+    /// The recovery window, when fault injection is on.
+    window: Option<RetainedWindow>,
+    ended: bool,
+}
+
+impl Dm {
+    /// Feed number `feed` of its system.
+    pub(crate) fn new(
+        feed: usize,
+        var: VarId,
+        source: FeedSource,
+        period: Duration,
+        window: Option<RetainedWindow>,
+    ) -> Self {
+        Dm { feed, var, source, period, due: Instant::now(), seqno: 0, window, ended: false }
+    }
+
+    /// The next reading if one is ready at `now`. A source that is done
+    /// marks the feed ended.
+    fn poll(&mut self, now: Instant) -> Option<f64> {
+        let value = match &mut self.source {
+            FeedSource::Values(values) => {
+                if now < self.due {
+                    return None;
+                }
+                self.due = now + self.period;
+                values.next()
+            }
+            FeedSource::Channel(rx) => match rx.try_recv() {
+                Ok(value) => Some(value),
+                Err(TryRecvError::Empty) => return None,
+                Err(TryRecvError::Disconnected) => None,
+            },
+        };
+        self.ended = value.is_none();
+        value
+    }
+
+    /// Numbers `value` with the next seqno and retains it. Retention
+    /// comes BEFORE any hand-off: an update a CE could have received is
+    /// then always in the window when that CE recovers, so a crash can
+    /// never lose an update that lossless links delivered. (The
+    /// converse — replaying an update whose live copy arrives later —
+    /// is harmless: the ingest gate discards the second copy.)
+    fn emit(&mut self, value: f64) -> Update {
+        self.seqno += 1;
+        let update = Update::new(self.var, self.seqno, value);
+        if let Some(window) = &self.window {
+            window.push(update);
+        }
+        update
+    }
+}
+
+/// Runs every Data Monitor of a system until each feed has ended, then
+/// ends the stream on every link.
+pub(crate) fn dm_loop(mut dms: Vec<Dm>, mut out: impl Fanout) {
+    loop {
+        let taken = round(&mut dms, &mut out);
+        if taken > 0 {
+            out.end_round();
+        }
+        dms.retain(|dm| !dm.ended);
+        if dms.is_empty() {
+            break;
+        }
+        if taken < ROUND {
+            wait(&dms);
+        }
+    }
+    out.finish();
+}
+
+/// Drains one round: passes over the feeds, one reading from each that
+/// has one, until a pass finds none or [`ROUND`] readings are taken.
+/// Returns how many were.
+fn round(dms: &mut [Dm], out: &mut impl Fanout) -> usize {
+    let now = Instant::now();
+    let mut taken = 0;
+    loop {
+        let before = taken;
+        for dm in dms.iter_mut().filter(|dm| !dm.ended) {
+            if let Some(value) = dm.poll(now) {
+                out.multicast(dm.feed, dm.emit(value));
+                taken += 1;
+                if taken == ROUND {
+                    return taken;
+                }
+            }
+        }
+        if taken == before {
+            return taken;
+        }
+    }
+}
+
+/// Blocks until a streaming feed has a reading or has hung up, or the
+/// next recorded feed is due.
+fn wait(dms: &[Dm]) {
+    let mut channels = Vec::with_capacity(dms.len());
+    let mut deadline: Option<Instant> = None;
+    for dm in dms {
+        match &dm.source {
+            FeedSource::Channel(rx) => channels.push(rx),
+            FeedSource::Values(_) => deadline = Some(deadline.map_or(dm.due, |d| d.min(dm.due))),
+        }
+    }
+    wait_any(&channels, deadline);
+}
+
+/// The in-process fanout: a [`FrontHop`] per `(feed, replica)` draws
+/// each update's loss and crosses the codec with it, and what survives
+/// a round reaches each replica as one message.
+pub(crate) struct Rounds {
+    /// `hops[feed][replica]`.
+    hops: Vec<Vec<FrontHop>>,
+    /// Per replica: its update channel and the round being collected.
+    replicas: Vec<(Sender<Vec<Update>>, Vec<Update>)>,
+}
+
+impl Rounds {
+    /// A fanout over `hops[feed][replica]` to the replicas' channels.
+    pub(crate) fn new(hops: Vec<Vec<FrontHop>>, senders: Vec<Sender<Vec<Update>>>) -> Self {
+        Rounds { hops, replicas: senders.into_iter().map(|tx| (tx, Vec::new())).collect() }
+    }
+}
+
+impl Fanout for Rounds {
+    fn multicast(&mut self, feed: usize, update: Update) {
+        for (hop, (_, round)) in self.hops[feed].iter_mut().zip(&mut self.replicas) {
+            if hop.pass(&update) {
+                round.push(update);
+            }
+        }
+    }
+
+    fn end_round(&mut self) {
+        for (tx, round) in &mut self.replicas {
+            if !round.is_empty() {
+                // A replica that is gone (abandoned) takes nothing more.
+                let _ = tx.send(std::mem::take(round));
+            }
+        }
+    }
+}

@@ -285,8 +285,10 @@ pub struct FaultReport {
     pub restarts: Vec<u32>,
     /// Replicas that exhausted their restart budget and stayed dead.
     pub replicas_abandoned: u32,
-    /// Updates discarded from a replica's channel backlog at restart
-    /// (arrived while the replica was down).
+    /// Updates a replica received but lost to a crash: the arrival a
+    /// scripted kill fired on, the rest of the round it came in, and the
+    /// channel backlog discarded at restart (arrived while the replica
+    /// was down).
     pub updates_dropped_down: u64,
     /// Updates re-ingested from DM retained windows during recovery.
     pub updates_replayed: u64,

@@ -1,12 +1,14 @@
 //! # rcm-runtime — a deployable actor runtime for condition monitoring
 //!
 //! The simulator (`rcm-sim`) proves properties; this crate actually
-//! *runs* a monitoring pipeline: each Data Monitor, Condition Evaluator
-//! replica and the Alert Displayer is an OS thread, wired with FIFO
-//! channels standing in for the paper's links:
+//! *runs* a monitoring pipeline: one OS thread runs every Data Monitor
+//! of the system, and each Condition Evaluator replica and the Alert
+//! Displayer has its own, wired with FIFO channels standing in for the
+//! paper's links:
 //!
-//! * **front links** are per-`(DM, CE)` channels wrapped in a loss
-//!   model (UDP-like: FIFO but lossy);
+//! * **front links** are per-`(DM, CE)` loss models (UDP-like: FIFO but
+//!   lossy); what survives a DM round reaches each replica as one
+//!   channel message;
 //! * **back links** are [`BackLink`]s (TCP-like: FIFO and lossless,
 //!   surviving scripted severance via backoff-paced reconnect and a
 //!   bounded resend queue).
@@ -26,9 +28,9 @@
 //!
 //! Messages cross links through the length-prefixed [`wire`] codec, so
 //! the pipeline exercises real serialization end to end. Shutdown is by
-//! ownership: when a DM finishes its workload it drops its senders;
-//! when every DM feeding a CE is gone the CE drains and exits; when
-//! every CE is gone the AD finishes filtering and the system joins.
+//! ownership: when every feed has ended the DM loop drops its senders;
+//! the CEs then drain and exit; when every CE is gone the AD finishes
+//! filtering and the system joins.
 //!
 //! The same pipeline also runs over **real sockets**: bind a
 //! [`Topology`] (UDP per front link, TCP per back link — see
@@ -61,6 +63,7 @@
 
 mod actors;
 mod backlink;
+mod dm;
 mod faults;
 mod link;
 pub mod pipeline;

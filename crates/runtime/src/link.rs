@@ -32,6 +32,52 @@ pub struct LinkReport {
 /// the loss model — timing only affects interleavings downstream.
 pub struct FrontLink {
     tx: Sender<Update>,
+    hop: FrontHop,
+}
+
+impl std::fmt::Debug for FrontLink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrontLink").field("report", &*self.hop.report.lock()).finish()
+    }
+}
+
+impl FrontLink {
+    /// Creates the link over an existing channel sender.
+    pub fn new(tx: Sender<Update>, loss: Box<dyn LossModel>, seed: u64) -> Self {
+        FrontLink { tx, hop: FrontHop::new(loss, seed) }
+    }
+
+    /// Scripts delivery stalls as `(at_send, stall)` pairs: the link
+    /// sleeps `stall` just before its `at_send`-th send (0-based count
+    /// of prior sends). Stalls model transient congestion; they reorder
+    /// nothing (the channel stays FIFO), they only perturb timing —
+    /// which is exactly what the chaos harness wants to shake out of
+    /// thread interleavings.
+    #[must_use]
+    pub fn with_stalls(mut self, stalls: Vec<(u64, std::time::Duration)>) -> Self {
+        self.hop = self.hop.with_stalls(stalls);
+        self
+    }
+
+    /// A handle for reading the link's counters after the DM thread
+    /// has taken ownership of the link.
+    pub fn report_handle(&self) -> Arc<Mutex<LinkReport>> {
+        self.hop.report_handle()
+    }
+
+    /// Transmits one update; returns whether it was delivered (the
+    /// receiver may still have hung up, which also counts as not
+    /// delivered).
+    pub fn send(&mut self, update: Update) -> bool {
+        self.hop.pass(&update) && self.tx.send(update).is_ok()
+    }
+}
+
+/// Everything a [`FrontLink`] does to an update except hand it over:
+/// scripted stalls, the seeded loss draw, the counters and the codec
+/// crossing. The system's DM loop keeps one per `(feed, replica)` and
+/// collects what passes into one round per replica.
+pub(crate) struct FrontHop {
     loss: Box<dyn LossModel>,
     rng: Rng,
     report: Arc<Mutex<LinkReport>>,
@@ -42,17 +88,10 @@ pub struct FrontLink {
     sends_seen: u64,
 }
 
-impl std::fmt::Debug for FrontLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontLink").field("report", &*self.report.lock()).finish()
-    }
-}
-
-impl FrontLink {
-    /// Creates the link over an existing channel sender.
-    pub fn new(tx: Sender<Update>, loss: Box<dyn LossModel>, seed: u64) -> Self {
-        FrontLink {
-            tx,
+impl FrontHop {
+    /// A hop drawing its losses from `loss` seeded with `seed`.
+    pub(crate) fn new(loss: Box<dyn LossModel>, seed: u64) -> Self {
+        FrontHop {
             loss,
             rng: Rng::seed_from_u64(seed),
             report: Arc::new(Mutex::new(LinkReport::default())),
@@ -62,29 +101,23 @@ impl FrontLink {
         }
     }
 
-    /// Scripts delivery stalls as `(at_send, stall)` pairs: the link
-    /// sleeps `stall` just before its `at_send`-th send (0-based count
-    /// of prior sends). Stalls model transient congestion; they reorder
-    /// nothing (the channel stays FIFO), they only perturb timing —
-    /// which is exactly what the chaos harness wants to shake out of
-    /// thread interleavings.
+    /// See [`FrontLink::with_stalls`].
     #[must_use]
-    pub fn with_stalls(mut self, mut stalls: Vec<(u64, std::time::Duration)>) -> Self {
+    pub(crate) fn with_stalls(mut self, mut stalls: Vec<(u64, std::time::Duration)>) -> Self {
         stalls.sort_by_key(|&(at, _)| at);
         self.stalls = stalls.into();
         self
     }
 
-    /// A handle for reading the link's counters after the DM thread
-    /// has taken ownership of the link.
-    pub fn report_handle(&self) -> Arc<Mutex<LinkReport>> {
+    /// See [`FrontLink::report_handle`].
+    pub(crate) fn report_handle(&self) -> Arc<Mutex<LinkReport>> {
         Arc::clone(&self.report)
     }
 
-    /// Transmits one update; returns whether it was delivered (the
-    /// receiver may still have hung up, which also counts as not
-    /// delivered).
-    pub fn send(&mut self, update: Update) -> bool {
+    /// Carries one update across the link, up to the hand-over: sleeps
+    /// a stall that is due, counts the send, draws loss, and crosses
+    /// the codec with what survives. Returns whether it survived.
+    pub(crate) fn pass(&mut self, update: &Update) -> bool {
         if let Some(&(at, stall)) = self.stalls.front() {
             if self.sends_seen >= at {
                 self.stalls.pop_front();
@@ -99,16 +132,9 @@ impl FrontLink {
             return false;
         }
         drop(report);
-        cross_in(&mut self.frame, &Message::Update(update));
-        self.tx.send(update).is_ok()
+        cross_in(&mut self.frame, &Message::Update(*update));
+        true
     }
-}
-
-impl crate::actors::UpdateSender for FrontLink {
-    fn send_update(&mut self, update: Update) -> bool {
-        self.send(update)
-    }
-    // Default `send_fin`: dropping the channel sender is the hangup.
 }
 
 #[cfg(test)]

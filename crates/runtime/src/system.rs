@@ -23,19 +23,19 @@ use rcm_transport::{
     TcpLinkStats, TransportMode, TransportReport, UdpFrontLink,
 };
 
-use crate::actors::{
-    ad_body, ce_body, dm_body, AlertSink, CeFaultConfig, CePipeline, UpdateSender,
-};
+use crate::actors::{ad_body, ce_body, AlertSink, CeFaultConfig, CePipeline};
 use crate::backlink::{BackLink, BackLinkStats};
+use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
-use crate::link::{FrontLink, LinkReport};
+use crate::link::{FrontHop, LinkReport};
 use crate::pipeline::PipelineOptions;
+use crate::socket::UdpFanout;
 
 /// One variable's data feed: where its Data Monitor's readings come
 /// from — a pre-recorded list or a live channel.
 pub struct VarFeed {
     var: VarId,
-    source: crate::actors::FeedSource,
+    source: FeedSource,
     period: Duration,
 }
 
@@ -44,7 +44,7 @@ impl VarFeed {
     pub fn new(var: VarId, values: impl Into<Vec<f64>>) -> Self {
         VarFeed {
             var,
-            source: crate::actors::FeedSource::Values(values.into()),
+            source: FeedSource::Values(values.into().into_iter()),
             period: Duration::ZERO,
         }
     }
@@ -74,12 +74,12 @@ impl VarFeed {
     /// ```
     pub fn streaming(var: VarId) -> (Self, rcm_sync::chan::Sender<f64>) {
         let (tx, rx) = unbounded();
-        let feed =
-            VarFeed { var, source: crate::actors::FeedSource::Channel(rx), period: Duration::ZERO };
+        let feed = VarFeed { var, source: FeedSource::Channel(rx), period: Duration::ZERO };
         (feed, tx)
     }
 
-    /// Sets the pause between emissions (default: none).
+    /// Sets the pause between emissions of a recorded feed (default:
+    /// none). A streaming feed emits each reading as it arrives.
     #[must_use]
     pub fn period(mut self, period: Duration) -> Self {
         self.period = period;
@@ -353,7 +353,7 @@ impl SystemBuilder {
         let mut backlink_stats: Vec<Arc<Mutex<BackLinkStats>>> = Vec::new();
 
         for ce in 0..self.replicas {
-            let (tx, rx) = unbounded::<Update>();
+            let (tx, rx) = unbounded::<Vec<Update>>();
             ce_senders.push(tx);
             let mut back = BackLink::new(alert_tx.clone(), ces.backoff(ce));
             if let Some(p) = &ces.plan {
@@ -383,16 +383,16 @@ impl SystemBuilder {
             ad_body(alert_rx, filter, ad_arrivals, ad_displayed, on_alert);
         }));
 
-        // DM threads, one per feed, each with a link per replica.
+        // The DM loop, with a front hop per (feed, replica).
         let mut link_reports = Vec::new();
-        for (fi, feed) in self.feeds.into_iter().enumerate() {
-            let mut links: Vec<Box<dyn UpdateSender>> = Vec::with_capacity(self.replicas);
-            for (ci, tx) in ce_senders.iter().enumerate() {
-                let link_seed = self.seed.wrapping_add((fi as u64) << 32).wrapping_add(ci as u64);
-                let mut link =
-                    FrontLink::new(tx.clone(), loss(feed.var, CeId::new(ci as u32)), link_seed);
+        let mut hops = Vec::with_capacity(self.feeds.len());
+        for (fi, feed) in self.feeds.iter().enumerate() {
+            let mut row = Vec::with_capacity(self.replicas);
+            for ci in 0..self.replicas {
+                let ce = CeId::new(ci as u32);
+                let mut hop = FrontHop::new(loss(feed.var, ce), link_seed(self.seed, fi, ci));
                 if let Some(p) = &ces.plan {
-                    link = link.with_stalls(
+                    hop = hop.with_stalls(
                         p.stalls
                             .iter()
                             .filter(|s| s.feed == fi && s.ce == ci)
@@ -400,16 +400,14 @@ impl SystemBuilder {
                             .collect(),
                     );
                 }
-                link_reports.push(((feed.var, CeId::new(ci as u32)), link.report_handle()));
-                links.push(Box::new(link));
+                link_reports.push(((feed.var, ce), hop.report_handle()));
+                row.push(hop);
             }
-            let (var, source, period) = (feed.var, feed.source, feed.period);
-            let window = ces.windows.get(fi).cloned();
-            handles.push(rcm_sync::thread::spawn(move || {
-                dm_body(var, source, period, links, 0, window);
-            }));
+            hops.push(row);
         }
-        drop(ce_senders); // CEs exit when all DM links drop.
+        // CEs exit when the loop, holding every replica's sender, ends.
+        let dms = dms(self.feeds, &ces.windows);
+        handles.push(spawn_dm_loop(dms, Rounds::new(hops, ce_senders)));
 
         Ok(MonitorSystem {
             handles,
@@ -487,11 +485,11 @@ impl SystemBuilder {
         // connects eagerly, so a dead AD address fails here rather than
         // silently dropping alerts later.
         for (ce, sock) in parts.ce_sockets.into_iter().enumerate() {
-            let (tx, rx) = unbounded::<Update>();
+            let (tx, rx) = unbounded::<[Update; 1]>();
             evented_ingress.push(
                 event_loop
                     .add_front_ingress(sock, n_feeds, parts.idle_timeout, move |update| {
-                        let _ = tx.send(update);
+                        let _ = tx.send([update]);
                     })
                     .map_err(transport_err)?,
             );
@@ -532,27 +530,26 @@ impl SystemBuilder {
             ad_body(alert_rx, filter, ad_arrivals, ad_displayed, on_alert);
         }));
 
-        // DM threads: one UDP socket per (feed, replica) front link,
+        // The DM loop: one UDP socket per (feed, replica) front link,
         // aimed at the topology's routed targets (the CE sockets, or an
         // interposed loss proxy per replica).
         let mut front_vars = Vec::with_capacity(n_feeds);
         let mut front_stats: Vec<KeyedFrontStats> = Vec::new();
-        for (fi, feed) in self.feeds.into_iter().enumerate() {
+        let mut links = Vec::with_capacity(n_feeds);
+        for (fi, feed) in self.feeds.iter().enumerate() {
             front_vars.push(feed.var);
-            let mut links: Vec<Box<dyn UpdateSender>> = Vec::with_capacity(self.replicas);
+            let mut row = Vec::with_capacity(self.replicas);
             for (ci, target) in parts.dm_targets.iter().enumerate() {
                 let link = UdpFrontLink::connect(*target, fi as u32)
                     .map_err(transport_err)?
                     .batching(parts.front_batch);
                 front_stats.push(((fi, ci), link.stats_handle()));
-                links.push(Box::new(link));
+                row.push(link);
             }
-            let (var, source, period) = (feed.var, feed.source, feed.period);
-            let (window, fin_repeats) = (ces.windows.get(fi).cloned(), parts.fin_repeats);
-            handles.push(rcm_sync::thread::spawn(move || {
-                dm_body(var, source, period, links, fin_repeats, window);
-            }));
+            links.push(row);
         }
+        let dms = dms(self.feeds, &ces.windows);
+        handles.push(spawn_dm_loop(dms, UdpFanout { links, fin_repeats: parts.fin_repeats }));
 
         Ok(MonitorSystem {
             handles,
@@ -576,6 +573,26 @@ impl SystemBuilder {
             evented_ad: Some(evented_ad),
         })
     }
+}
+
+/// The seed of front link `(feed, replica)`'s loss draws.
+fn link_seed(seed: u64, feed: usize, replica: usize) -> u64 {
+    seed.wrapping_add((feed as u64) << 32).wrapping_add(replica as u64)
+}
+
+/// One DM per feed, in feed order, each with its retained window (none
+/// when fault injection is off).
+fn dms(feeds: Vec<VarFeed>, windows: &[RetainedWindow]) -> Vec<Dm> {
+    feeds
+        .into_iter()
+        .enumerate()
+        .map(|(fi, feed)| Dm::new(fi, feed.var, feed.source, feed.period, windows.get(fi).cloned()))
+        .collect()
+}
+
+/// Spawns the system's one Data Monitor thread.
+fn spawn_dm_loop(dms: Vec<Dm>, out: impl Fanout + 'static) -> JoinHandle<()> {
+    rcm_sync::thread::spawn(move || dm_loop(dms, out))
 }
 
 /// What the CE replicas of one run share, whichever links carry them.
@@ -615,13 +632,12 @@ impl Replicas {
     }
 
     /// Spawns replica `ce`'s supervised body between its update channel
+    /// (whole rounds in-process, single updates from a socket ingress)
     /// and its back link.
-    fn spawn(
-        &mut self,
-        ce: usize,
-        rx: Receiver<Update>,
-        back: Box<dyn AlertSink>,
-    ) -> JoinHandle<()> {
+    fn spawn<M>(&mut self, ce: usize, rx: Receiver<M>, back: Box<dyn AlertSink>) -> JoinHandle<()>
+    where
+        M: IntoIterator<Item = Update> + Send + 'static,
+    {
         let record = Arc::new(Mutex::new(Vec::new()));
         self.ingested.push(Arc::clone(&record));
         let outputs = Arc::new(Mutex::new(Vec::new()));
@@ -919,6 +935,7 @@ pub struct PipelineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::FrontLink;
     use rcm_core::ad::{Ad2, Ad3};
     use rcm_core::condition::{Cmp, DeltaRise, Threshold};
     use rcm_net::Scripted;
@@ -1110,6 +1127,113 @@ mod tests {
         // |x − y| = 60 > 25 divergence alert (cond 2).
         assert!(report.displayed.iter().any(|a| a.cond == CondId::new(0)));
         assert!(report.displayed.iter().any(|a| a.cond == CondId::new(2)));
+    }
+
+    /// A condition set over `vars` that never alerts: the tests below
+    /// only read what each replica ingested.
+    fn quiet(vars: &[VarId]) -> Vec<Arc<dyn Condition>> {
+        vars.iter()
+            .map(|&v| Arc::new(Threshold::new(v, Cmp::Gt, f64::MAX)) as Arc<dyn Condition>)
+            .collect()
+    }
+
+    /// Per replica, the seqnos it ingested on `var`.
+    fn seqnos_on(report: &RunReport, var: VarId) -> Vec<Vec<u64>> {
+        report
+            .ingested
+            .iter()
+            .map(|u| u.iter().filter(|u| u.var == var).map(|u| u.seqno.get()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn front_link_losses_match_a_lone_link_with_the_same_seed() {
+        // Three feeds multicast to three replicas through one DM loop;
+        // each (feed, replica) link must still drop exactly what a lone
+        // `FrontLink` with its seed drops from the same sequence — the
+        // loss draws are per link, in send order, whatever the rounds.
+        let vars = [VarId::new(0), VarId::new(1), VarId::new(2)];
+        let (n, replicas, seed) = (400u64, 3usize, 41u64);
+        let mut builder = MonitorSystem::builder_multi(quiet(&vars)).replicas(replicas);
+        for (i, &var) in vars.iter().enumerate() {
+            let values: Vec<f64> = (0..n).map(|s| (s * 7 + i as u64) as f64).collect();
+            builder = builder.feed(VarFeed::new(var, values));
+        }
+        let report = builder
+            .loss(|_, _| Box::new(rcm_net::Bernoulli::new(0.3)))
+            .seed(seed)
+            .start()
+            .expect("system starts")
+            .wait();
+        for (fi, &var) in vars.iter().enumerate() {
+            for (ci, got) in seqnos_on(&report, var).iter().enumerate() {
+                let (tx, _rx) = unbounded();
+                let mut lone = FrontLink::new(
+                    tx,
+                    Box::new(rcm_net::Bernoulli::new(0.3)),
+                    link_seed(seed, fi, ci),
+                );
+                let want: Vec<u64> =
+                    (1..=n).filter(|&s| lone.send(Update::new(var, s, 0.0))).collect();
+                assert_eq!(got, &want, "feed {fi} replica {ci}");
+                assert!(want.len() < n as usize, "feed {fi} replica {ci} lost nothing");
+                let (_, r) = report.links[fi * replicas + ci];
+                assert_eq!((r.sent, r.dropped), (n, n - want.len() as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn a_backlog_holds_another_feed_back_one_round_at_most() {
+        // Feed x has 10 000 readings queued when the loop starts, and
+        // its link stalls for a second at its 200th send; feed y has one
+        // reading, which alerts. Rounds are bounded, so y's reading goes
+        // out with the first round and is displayed while x's link is
+        // still stalled, not after x's whole backlog.
+        let (x, y) = (VarId::new(0), VarId::new(1));
+        let (x_feed, x_tx) = VarFeed::streaming(x);
+        let (y_feed, y_tx) = VarFeed::streaming(y);
+        (0..10_000).for_each(|i| x_tx.send(f64::from(i)).expect("feed open"));
+        y_tx.send(1.0).expect("feed open");
+        drop((x_tx, y_tx));
+        let system = MonitorSystem::builder_multi(quiet(&[x]))
+            .monitor(Arc::new(Threshold::new(y, Cmp::Gt, 0.0)))
+            .replicas(1)
+            .feed(x_feed)
+            .feed(y_feed)
+            .faults(FaultPlan::scripted().stall_front_link(0, 0, 200, Duration::from_secs(1)))
+            .start()
+            .expect("system starts");
+        let begun = rcm_sync::time::Instant::now();
+        while system.displayed_so_far().is_empty() {
+            assert!(begun.elapsed() < Duration::from_millis(800), "y's alert waited on x");
+            rcm_sync::thread::sleep(Duration::from_millis(1));
+        }
+        let report = system.wait();
+        assert_eq!(report.ingested[0].len(), 10_001);
+        let at = report.ingested[0].iter().position(|u| u.var == y).expect("y's reading arrived");
+        assert!(at < crate::dm::ROUND, "y's reading came behind {at} of x's");
+    }
+
+    #[test]
+    fn paced_and_streaming_feeds_mix_and_end() {
+        let (x, y) = (VarId::new(0), VarId::new(1));
+        let (y_feed, y_tx) = VarFeed::streaming(y);
+        let system = MonitorSystem::builder_multi(quiet(&[x, y]))
+            .feed(VarFeed::new(x, vec![1.0; 40]).period(Duration::from_micros(300)))
+            .feed(y_feed)
+            .start()
+            .expect("system starts");
+        for i in 0..120 {
+            y_tx.send(f64::from(i)).expect("feed open");
+            if i % 8 == 0 {
+                rcm_sync::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        drop(y_tx);
+        let report = system.wait();
+        assert_eq!(seqnos_on(&report, x), vec![(1..=40).collect::<Vec<u64>>(); 2]);
+        assert_eq!(seqnos_on(&report, y), vec![(1..=120).collect::<Vec<u64>>(); 2]);
     }
 
     #[test]

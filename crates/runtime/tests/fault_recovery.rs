@@ -135,6 +135,38 @@ fn recovery_replays_retained_window() {
 }
 
 #[test]
+fn a_kill_mid_round_counts_the_rest_of_the_round_as_dropped_down() {
+    // A recorded feed with no pause hands each replica its readings in
+    // full rounds of several updates, so arrival 100 falls inside one.
+    // With no window to replay from, every update delivered to the
+    // killed replica is either ingested or counted as lost while down:
+    // the arrival the kill fired on and the rest of its round included.
+    let n = 1_000u64;
+    let system = MonitorSystem::builder(threshold())
+        .replicas(2)
+        .feed(VarFeed::new(x(), (0..n).map(|i| (i % 100) as f64).collect::<Vec<_>>()))
+        .faults(FaultPlan::scripted().kill_ce(0, 100).retain_window(0).max_restarts(3))
+        .start()
+        .unwrap();
+    let report = system.wait();
+
+    assert_eq!(report.faults.kills_injected, 1);
+    assert_eq!(report.faults.restarts[0], 1);
+    assert_eq!(report.faults.updates_replayed, 0);
+    let (_, link) = report.links.iter().find(|(key, _)| *key == (x(), CeId::new(0))).unwrap();
+    let delivered = link.sent - link.dropped;
+    assert_eq!(delivered, n);
+    assert_eq!(
+        report.faults.updates_dropped_down + report.ingested[0].len() as u64,
+        delivered,
+        "dropped while down {} + ingested {}",
+        report.faults.updates_dropped_down,
+        report.ingested[0].len()
+    );
+    assert_eq!(report.ingested[1].len() as u64, n, "the other replica saw everything");
+}
+
+#[test]
 fn multicond_restart_rebuilds_registry_and_keeps_numbering() {
     // A replica hosting several conditions in one registry is killed
     // mid-stream. The retained window must rebuild the registry's

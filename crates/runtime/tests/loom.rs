@@ -18,7 +18,7 @@ use std::time::Duration;
 use rcm_core::{Update, VarId};
 use rcm_net::Backoff;
 use rcm_runtime::{BackLink, IngestGate, RetainedWindow};
-use rcm_sync::chan::{unbounded, Sender};
+use rcm_sync::chan::{unbounded, wait_any, Receiver, Sender, TryRecvError};
 use rcm_sync::model::model;
 use rcm_sync::{spsc, thread, Arc, Mutex};
 use rcm_transport::engine::{SubmitQueue, Wake};
@@ -331,4 +331,78 @@ fn retained_window_snapshots_are_never_torn() {
         let settled: Vec<u64> = window.snapshot().iter().map(|u| u.seqno.get()).collect();
         assert_eq!(settled, vec![3, 4], "final window is the newest suffix");
     });
+}
+
+/// The Data Monitor loop's wake, as `dm_loop` does it: a pass takes one
+/// reading from each live feed with `try_recv`, a feed that reports
+/// `Disconnected` leaves the set, and a pass that took nothing parks in
+/// `wait_any` over the feeds still live. Returns the readings in the
+/// order taken once every feed has hung up, or once `want` readings are
+/// in.
+fn dm_rounds(mut feeds: Vec<Receiver<u64>>, want: usize) -> Vec<u64> {
+    let mut got = Vec::new();
+    while !feeds.is_empty() && got.len() < want {
+        let before = got.len();
+        feeds.retain(|rx| match rx.try_recv() {
+            Ok(reading) => {
+                got.push(reading);
+                true
+            }
+            Err(TryRecvError::Empty) => true,
+            Err(TryRecvError::Disconnected) => false,
+        });
+        if got.len() == before && !feeds.is_empty() {
+            let live: Vec<&Receiver<u64>> = feeds.iter().collect();
+            wait_any(&live, None);
+        }
+    }
+    got
+}
+
+/// A send racing the DM loop's park must always wake it. Both producers
+/// keep their senders open (they return them), so no hang-up can end a
+/// missed wait: a reading stranded behind a lost wake-up parks the loop
+/// forever, which the model reports as a deadlocked schedule.
+#[test]
+fn a_send_racing_the_dm_loop_park_always_wakes_it() {
+    let executions = model(|| {
+        let (a_tx, a) = unbounded::<u64>();
+        let (b_tx, b) = unbounded::<u64>();
+        let pa = thread::spawn(move || {
+            a_tx.send(1).expect("loop alive");
+            a_tx
+        });
+        let pb = thread::spawn(move || {
+            b_tx.send(2).expect("loop alive");
+            b_tx
+        });
+        let mut got = dm_rounds(vec![a, b], 2);
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2], "every reading reached the loop");
+        drop((pa.join(), pb.join()));
+    });
+    assert!(executions > 1, "the sends must race the park, got {executions} schedules");
+}
+
+/// The last sender's drop must always end the DM loop: each producer
+/// sends and hangs up, and the loop runs until every feed is gone. A
+/// hang-up that fails to wake the parked loop is a deadlocked schedule.
+#[test]
+fn the_last_hang_up_always_ends_the_dm_loop() {
+    let executions = model(|| {
+        let (a_tx, a) = unbounded::<u64>();
+        let (b_tx, b) = unbounded::<u64>();
+        let b_tx2 = b_tx.clone();
+        let pa = thread::spawn(move || drop(a_tx));
+        let pb = thread::spawn(move || {
+            b_tx.send(2).expect("loop alive");
+            drop(b_tx);
+            drop(b_tx2);
+        });
+        let got = dm_rounds(vec![a, b], usize::MAX);
+        assert_eq!(got, vec![2], "the reading sent before the hang-up is taken");
+        pa.join().expect("producer exits");
+        pb.join().expect("producer exits");
+    });
+    assert!(executions > 1, "the hang-ups must race the park, got {executions} schedules");
 }

@@ -47,7 +47,8 @@ pub use model::sync::{Mutex, MutexGuard};
 #[cfg(loom)]
 pub mod chan {
     pub use crate::model::chan::{
-        unbounded, IntoIter, Iter, Receiver, RecvError, SendError, Sender, TryIter, TryRecvError,
+        unbounded, wait_any, IntoIter, Iter, Receiver, RecvError, SendError, Sender, TryIter,
+        TryRecvError,
     };
 }
 

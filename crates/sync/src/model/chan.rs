@@ -1,5 +1,6 @@
 //! Model-checked unbounded channel with the API of the production
-//! `chan` module (less `Sender::len`, which no model-checked code reads).
+//! `chan` module (less `Sender::len`, which no model-checked code
+//! reads), [`wait_any`] included.
 
 use std::any::Any;
 use std::marker::PhantomData;
@@ -53,6 +54,42 @@ fn channel_mut(
     match &mut inner.objects[id] {
         Object::Channel { queue, senders, receiver_alive } => (queue, senders, receiver_alive),
         Object::Mutex { .. } => unreachable!("object id points at a mutex"),
+    }
+}
+
+/// Blocks (in model time) until one of `receivers` has a message
+/// waiting or has lost its last sender; returns at once if one already
+/// has. With a `deadline` and nothing ready, the virtual clock jumps to
+/// the deadline instead, as [`sleep`](super::thread::sleep) does: the
+/// model has no timed block. Takes nothing, like the production call.
+pub fn wait_any<T: Send + 'static>(
+    receivers: &[&Receiver<T>],
+    deadline: Option<super::time::Instant>,
+) {
+    let (exec, me) = current();
+    exec.switch_point(me, None);
+    let ids: Vec<usize> = receivers.iter().map(|rx| rx.id).collect();
+    loop {
+        let ready = exec.with_inner(|inner| {
+            let ready = ids.iter().any(|&id| {
+                let (queue, senders, _) = channel_mut(inner, id);
+                !queue.is_empty() || *senders == 0
+            });
+            if !ready {
+                inner.selects[me].clone_from(&ids);
+            }
+            ready
+        });
+        if ready {
+            return;
+        }
+        if let Some(at) = deadline {
+            let now = super::time::Instant::now();
+            exec.advance_clock(at - now);
+            exec.switch_point(me, None);
+            return;
+        }
+        exec.switch_point(me, Some(BlockKind::Select));
     }
 }
 

@@ -36,6 +36,9 @@ pub(crate) enum BlockKind {
     Recv(ObjId),
     /// Waiting for a model thread to finish.
     Join(Tid),
+    /// Waiting on any of the channels in the thread's select set
+    /// (`Inner::selects`); a wake for any of them wakes it.
+    Select,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +84,8 @@ pub(crate) struct Inner {
     abort: bool,
     panic_payload: Option<Box<dyn Any + Send>>,
     join_values: Vec<Option<Box<dyn Any + Send>>>,
+    /// Per thread: the channels it waits on while blocked in `Select`.
+    pub(crate) selects: Vec<Vec<ObjId>>,
 }
 
 impl Inner {
@@ -150,6 +155,7 @@ impl Exec {
                 abort: false,
                 panic_payload: None,
                 join_values: Vec::new(),
+                selects: Vec::new(),
             }),
             cv: Condvar::new(),
             os_handles: Mutex::new(Vec::new()),
@@ -177,10 +183,13 @@ impl Exec {
         g.objects.len() - 1
     }
 
-    /// Wakes every thread blocked for `kind`-equal reasons.
+    /// Wakes every thread blocked for `kind`-equal reasons, and for a
+    /// channel every thread selecting over it.
     pub(crate) fn wake(inner: &mut Inner, kind: BlockKind) {
-        for t in inner.threads.iter_mut() {
-            if *t == ThreadState::Blocked(kind) {
+        for (tid, t) in inner.threads.iter_mut().enumerate() {
+            let selecting = *t == ThreadState::Blocked(BlockKind::Select)
+                && matches!(kind, BlockKind::Recv(id) if inner.selects[tid].contains(&id));
+            if *t == ThreadState::Blocked(kind) || selecting {
                 *t = ThreadState::Runnable;
             }
         }
@@ -281,6 +290,7 @@ impl Exec {
         let mut g = self.lock();
         g.threads.push(ThreadState::Runnable);
         g.join_values.push(None);
+        g.selects.push(Vec::new());
         g.threads.len() - 1
     }
 

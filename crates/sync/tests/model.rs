@@ -11,7 +11,7 @@ use std::sync::Mutex as StdMutex;
 use std::time::Duration;
 
 use rcm_sync::model::atomic::{AtomicU64, Ordering};
-use rcm_sync::model::chan::{unbounded, TryRecvError};
+use rcm_sync::model::chan::{unbounded, wait_any, TryRecvError};
 use rcm_sync::model::sync::Mutex;
 use rcm_sync::model::thread;
 use rcm_sync::model::time::Instant;
@@ -188,6 +188,50 @@ fn blocking_iter_drains_across_threads() {
         let got: Vec<u32> = rx.into_iter().collect();
         assert_eq!(got, vec![0, 1, 2]);
         t.join().expect("join");
+    });
+}
+
+#[test]
+fn wait_any_wakes_for_either_channel_and_for_the_last_hangup() {
+    let executions = model(|| {
+        let (a_tx, a) = unbounded::<u32>();
+        let (b_tx, b) = unbounded::<u32>();
+        let t = thread::spawn(move || {
+            b_tx.send(2).expect("receiver alive");
+            drop(a_tx);
+        });
+        wait_any(&[&a, &b], None);
+        assert!(b.try_recv() == Ok(2) || a.try_recv() == Err(TryRecvError::Disconnected));
+        wait_any(&[&a], None);
+        assert_eq!(a.try_recv(), Err(TryRecvError::Disconnected));
+        t.join().expect("join");
+    });
+    assert!(executions > 1, "the wait must race the sender, got {executions}");
+}
+
+#[test]
+fn wait_any_with_no_sender_ever_is_a_deadlock() {
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        model(|| {
+            let (tx, rx) = unbounded::<u32>();
+            let t = thread::spawn(move || tx);
+            wait_any(&[&rx], None);
+            drop(t.join());
+        });
+    }));
+    let err = result.expect_err("a wait nothing can end must be reported");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("deadlock"), "unexpected panic: {msg}");
+}
+
+#[test]
+fn wait_any_with_a_deadline_advances_the_clock_instead_of_blocking() {
+    model(|| {
+        let (_tx, rx) = unbounded::<u32>();
+        let deadline = Instant::now() + Duration::from_millis(3);
+        wait_any(&[&rx], Some(deadline));
+        assert_eq!(Instant::now(), deadline);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     });
 }
 

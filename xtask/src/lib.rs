@@ -12,4 +12,5 @@ pub mod lock_order;
 pub mod manifest;
 pub mod parser;
 pub mod passes;
+pub mod schedstat;
 pub mod topology;

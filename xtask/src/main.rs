@@ -1,6 +1,8 @@
 //! `cargo xtask analyze` — the repository's AST-level static analyzer —
 //! plus `cargo xtask assert-chaos <report.json>`, the CI-side schema
-//! and invariant check over the chaos gauntlet's JSON report.
+//! and invariant check over the chaos gauntlet's JSON report, and
+//! `cargo xtask schedstat`, per-thread CPU of a running process over an
+//! interval (see `xtask/src/schedstat.rs`).
 //!
 //! The analyzer lexes and parses every source file (xtask/src/lexer.rs,
 //! xtask/src/parser.rs — dependency-free, std only) and runs six pass
@@ -51,8 +53,9 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
+        Some("schedstat") => xtask::schedstat::run(&args[1..]),
         Some(other) => {
-            eprintln!("unknown xtask `{other}`; available: analyze, assert-chaos");
+            eprintln!("unknown xtask `{other}`; available: analyze, assert-chaos, schedstat");
             ExitCode::from(2)
         }
     }
