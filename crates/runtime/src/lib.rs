@@ -69,7 +69,6 @@ mod link;
 pub mod pipeline;
 mod socket;
 mod system;
-mod tree;
 pub mod wire;
 
 pub use backlink::{BackLink, BackLinkStats};
@@ -81,6 +80,4 @@ pub use pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
 pub use rcm_transport::{
     BatchPolicy, BoundTopology, Codec, Topology, TransportMode, TransportReport,
 };
-pub use rcm_tree::{AggregateSpec, TreeError, TreeOptions, TreePlan, TreeStats};
 pub use system::{ConfigError, MonitorSystem, PipelineReport, RunReport, SystemBuilder, VarFeed};
-pub use tree::{TreeFault, TreeReport, TreeTopology};

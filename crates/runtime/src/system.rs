@@ -856,7 +856,6 @@ impl MonitorSystem {
         RunReport {
             faults,
             transport,
-            tree: None,
             pipeline,
             arrivals: Arc::try_unwrap(self.arrivals)
                 .map(Mutex::into_inner)
@@ -911,10 +910,6 @@ pub struct RunReport {
     /// What the evaluation stage observed: worker count, ring shedding
     /// and the ingest→alert-emit latency distribution.
     pub pipeline: PipelineReport,
-    /// Aggregation-tree counters when the run was a
-    /// [`TreeTopology`](crate::TreeTopology) deployment; `None` for
-    /// flat DM→CE→AD runs.
-    pub tree: Option<rcm_tree::TreeStats>,
 }
 
 /// Evaluation-stage counters for a finished run.

@@ -43,9 +43,11 @@
 //! on.
 //!
 //! After the flat sweep, a **tree gauntlet** (`--tree-plans`, default
-//! 10) runs the threaded aggregation-tree runtime under its own fault
-//! classes and checks the root-displayed stream against a flat CE fed
-//! the identical survivor stream:
+//! 10) drives `rcm_tree::TreeEval` under its own fault classes, each
+//! fault a method call at a scripted update index, and checks the
+//! root-displayed stream against a flat CE fed the identical survivor
+//! stream. `TreeEval` is single-threaded, so a seed replays exactly.
+//! The classes:
 //!
 //! | class | topology faults            | asserted                                  |
 //! |-------|----------------------------|-------------------------------------------|
@@ -73,11 +75,9 @@ use rcm_core::{Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_json::obj;
 use rcm_net::{Bernoulli, LossModel, Lossless};
 use rcm_props::{check_complete_single, check_consistent_single, check_ordered};
-use rcm_runtime::{
-    FaultPlan, MonitorSystem, RunReport, Topology, TransportReport, TreeFault, TreeOptions,
-    TreePlan, TreeStats, TreeTopology, VarFeed,
-};
+use rcm_runtime::{FaultPlan, MonitorSystem, RunReport, Topology, TransportReport, VarFeed};
 use rcm_transport::SeqGate;
+use rcm_tree::{TreeEval, TreeOptions, TreePlan, TreeStats};
 
 /// SplitMix64: the harness's only randomness source, so a `(seed,
 /// plans)` pair names one exact gauntlet.
@@ -281,8 +281,7 @@ fn main() -> ExitCode {
 
     let mut tree_outcomes = Vec::with_capacity(tree_plans);
     for index in 0..tree_plans {
-        let outcome =
-            run_tree_plan(index, mix(seed ^ (index as u64).wrapping_mul(0x517c_c1b7_2722_0a95)));
+        let outcome = run_tree_plan(index, tree_plan_seed(seed, index));
         if !json {
             print_tree_outcome(&outcome);
         }
@@ -686,9 +685,14 @@ fn check(
     violations
 }
 
-/// Runs one randomized aggregation-tree plan through the threaded
-/// runtime and checks the root display against a flat CE fed the
-/// identical survivor stream.
+/// The seed of tree plan `index` in the gauntlet seeded `seed`.
+fn tree_plan_seed(seed: u64, index: usize) -> u64 {
+    mix(seed ^ (index as u64).wrapping_mul(0x517c_c1b7_2722_0a95))
+}
+
+/// Runs one randomized aggregation-tree plan through [`TreeEval`] and
+/// checks the root display against a flat CE fed the identical
+/// survivor stream.
 fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
     let class = index % TREE_CLASSES.len();
     let spec = &TREE_CLASSES[class];
@@ -743,36 +747,44 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
         stream.push(Update::new(VarId::new(v as u32), seqno, value));
     }
 
-    let at = stream.len() as u64;
-    let mut faults = Vec::new();
-    if spec.kill_relay {
-        faults.push(TreeFault::KillRelay { tier: 1, idx: 0, at_update: at / 3 });
-        faults.push(TreeFault::Reparent { at_update: 2 * at / 3 });
-    }
-    if spec.sever {
-        faults.push(TreeFault::SeverUplink {
-            tier: 0,
-            idx: 0,
-            replica: 0,
-            at_update: at / 4,
-            down_for: at / 4,
-        });
-    }
-    if spec.kill_replica {
-        faults.push(TreeFault::KillLeafReplica { leaf: 0, replica: 1, at_update: at / 2 });
-    }
-
     // Replay windows sized past the workload: recovery must be
     // complete, so exactly-once at the root is an invariant, not a
-    // best effort.
+    // best effort. Every tier hop crosses the codec, checked.
     let opts = TreeOptions {
         root_ce: ROOT_CE,
         leaf_replicas: replicas,
         replay_window: 4096,
+        wire_check: true,
         ..TreeOptions::default()
     };
-    let report =
-        TreeTopology::new(plan).options(opts).stream(stream.iter().copied()).faults(faults).run();
+    let mut tree = TreeEval::build(plan, opts);
+    // Faults fire before the update at their index: a relay dies at a
+    // third and its orphans are adopted at two thirds; leaf 0's replica
+    // 0 is cut off for the second quarter; replica 1 dies at a half.
+    let mut displayed = Vec::new();
+    let n = stream.len();
+    for (i, &u) in stream.iter().enumerate() {
+        if spec.kill_relay && i == n / 3 {
+            tree.kill_relay(1, 0);
+        }
+        if spec.kill_relay && i == 2 * n / 3 {
+            tree.reparent_orphans(&mut displayed);
+        }
+        if spec.sever && i == n / 4 {
+            tree.sever_leaf(0, 0);
+        }
+        if spec.sever && i == 2 * (n / 4) {
+            tree.restore_leaf(0, 0, &mut displayed);
+        }
+        if spec.kill_replica && i == n / 2 {
+            tree.kill_leaf_replica(0, 1);
+        }
+        tree.ingest(u, &mut displayed);
+    }
+    // A run never ends with an orphaned subtree holding undelivered
+    // verdicts.
+    tree.reparent_orphans(&mut displayed);
+    let stats = tree.stats();
 
     // Flat reference: one gate, one registry, ascending condition ids.
     let mut gate = SeqGate::new();
@@ -790,10 +802,10 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
     let mut violations = Vec::new();
     // Exactly-once: the root displays the flat count, nothing lost to
     // the outage (windows cover it) and nothing duplicated by replay.
-    if report.displayed.len() != want.len() {
+    if displayed.len() != want.len() {
         violations.push(format!(
             "exactly-once violated: root displayed {} alert(s), flat CE displayed {}",
-            report.displayed.len(),
+            displayed.len(),
             want.len()
         ));
     }
@@ -801,7 +813,7 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
     // snapshot and provenance numbering (global interleaving may shift
     // while a subtree is orphaned; per-stream order may not).
     for &(id, ..) in &conds {
-        let got: Vec<&Alert> = report.displayed.iter().filter(|a| a.cond == id).collect();
+        let got: Vec<&Alert> = displayed.iter().filter(|a| a.cond == id).collect();
         let flat: Vec<&Alert> = want.iter().filter(|a| a.cond == id).collect();
         if got.len() != flat.len() {
             violations.push(format!(
@@ -828,26 +840,20 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
     // decider. Tier links are FIFO and each variable lives on one
     // leaf, so this must hold in every class, faults included.
     let var_ids: Vec<VarId> = (0..vars as u32).map(VarId::new).collect();
-    let ordered = check_ordered(&report.displayed, &var_ids);
+    let ordered = check_ordered(&displayed, &var_ids);
     if !ordered.ok {
         violations.push(format!("root display orderedness violated: {:?}", ordered.violation));
     }
     // Fault classes must actually exercise their machinery. Replay and
     // duplicate counters only move when the affected window held
     // verdicts, so those checks are conditioned on alerts existing.
-    if spec.kill_relay && report.stats.reparent_events == 0 {
+    if spec.kill_relay && stats.reparent_events == 0 {
         violations.push("subtree-kill class re-parented nothing".to_string());
     }
-    if (spec.kill_relay || spec.sever)
-        && !report.displayed.is_empty()
-        && report.stats.replayed_frames == 0
-    {
+    if (spec.kill_relay || spec.sever) && !displayed.is_empty() && stats.replayed_frames == 0 {
         violations.push("recovery class replayed no frames".to_string());
     }
-    if replicas > 1
-        && !spec.kill_replica
-        && !report.displayed.is_empty()
-        && report.stats.derived_duplicates == 0
+    if replicas > 1 && !spec.kill_replica && !displayed.is_empty() && stats.derived_duplicates == 0
     {
         violations.push("replicated leaves produced no gated duplicates".to_string());
     }
@@ -860,7 +866,7 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
         relay_tiers,
         fanout,
         replicas,
-        stats: report.stats,
+        stats,
         violations,
     }
 }
@@ -901,5 +907,24 @@ fn print_outcome(o: &PlanOutcome) {
     );
     for v in &o.violations {
         println!("          {v}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A tree seed replays exactly: two runs of each of the first ten
+    /// plans at seed 7 (two per class) report the same counters, and
+    /// none reports a violation.
+    #[test]
+    fn tree_plans_replay_exactly() {
+        for index in 0..10 {
+            let first = run_tree_plan(index, tree_plan_seed(7, index));
+            let second = run_tree_plan(index, tree_plan_seed(7, index));
+            assert_eq!(first.stats, second.stats, "plan {index}");
+            assert!(first.violations.is_empty(), "plan {index}: {:?}", first.violations);
+            assert!(second.violations.is_empty(), "plan {index}: {:?}", second.violations);
+        }
     }
 }

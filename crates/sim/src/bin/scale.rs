@@ -31,14 +31,14 @@
 //! pipeline's shed counter and ingest→emit latency percentiles.
 //!
 //! `--tree DxF` (e.g. `--tree 3x8`: depth 3, fanout 8) swaps the flat
-//! CE body for an aggregation tree: the evented loop still owns every
-//! socket (front ingress, back links, AD listener), but delivered
-//! updates route through `F^(D-1)` leaf CEs that emit derived verdict
-//! streams up `D-2` relay tiers to a root CE, whose re-stamped alerts
-//! fan out on the back links. The exactly-once assertion is unchanged
-//! and now spans the whole tree: every update must surface at the
-//! root-fed AD exactly once. A leaf evaluates on its own thread — no
-//! tree node runs an `EvalPipeline` — so `--tree` with a non-zero
+//! CE body for an aggregation tree (`rcm_tree::TreeEval`): the evented
+//! loop still owns every socket (front ingress, back links, AD
+//! listener), but each delivered update routes through `F^(D-1)` leaf
+//! CEs that emit derived verdict streams up `D-2` relay tiers to a
+//! root CE, whose re-stamped alerts fan out on the back links at once.
+//! The exactly-once assertion is unchanged and now spans the whole
+//! tree: every update must surface at the root-fed AD exactly once. No
+//! tree node runs an `EvalPipeline`, so `--tree` with a non-zero
 //! `--workers` is a usage error: exit 1 before a socket is bound.
 //!
 //! `--json` adds the capacity evidence CI archives: peak process FDs
@@ -56,10 +56,11 @@ use rcm_core::condition::{Cmp, Condition, Threshold};
 use rcm_core::{Alert, CeId, CondId, LatencyHistogram, Update, VarId};
 use rcm_json::obj;
 use rcm_net::Backoff;
-use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions, TreePlan, TreeStats, TreeTopology};
+use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::Arc;
 use rcm_transport::{fin_rounds, BackLinkSpec, EventLoop, EventedBackLink, UdpFrontLink};
+use rcm_tree::{TreeEval, TreeOptions, TreePlan, TreeStats};
 
 use std::time::Duration;
 
@@ -122,8 +123,8 @@ fn parse_args() -> Option<Options> {
         }
     }
     opts.active = opts.active.min(opts.front);
-    // No tree node runs workers: refuse the pair rather than report a
-    // worker count nothing used.
+    // No tree node runs an `EvalPipeline`: refuse the pair rather than
+    // report a worker count nothing used.
     if opts.tree.is_some() && opts.workers > 0 {
         return None;
     }
@@ -255,18 +256,14 @@ fn main() -> ExitCode {
     // path, because the gauntlet asserts exactly-once display.
     let latency = Arc::new(LatencyHistogram::new());
     let updates_shed = Arc::new(AtomicU64::new(0));
-    let emitted: u64;
+    let emitted = Arc::new(AtomicU64::new(0));
+    let mut drain = FanoutDrain { backs, emitted: Arc::clone(&emitted) };
     let mut tree_stats: Option<TreeStats> = None;
     if let Some((depth, fanout)) = opts.tree {
-        // Drain the socket ingress to completion first: the tree
-        // runtime consumes a finite stream, and the property under
-        // test is exactly-once fan-in, not arrival timing. Per-var
-        // seqno order survives the drain because the single ingress
-        // socket delivers each link's datagrams in order.
-        let mut stream = Vec::new();
-        while let Ok(update) = update_rx.recv() {
-            stream.push(update);
-        }
+        // Each delivered update goes through the tree as the ingress
+        // hands it over, and the root's alerts fan out at once. Per-var
+        // seqno order holds because the single ingress socket delivers
+        // each link's datagrams in order.
         let leaves = fanout.pow((depth - 1) as u32).max(1);
         let mut plan =
             TreePlan::new(leaves).with_relay_tiers(depth.saturating_sub(2)).with_fanout(fanout);
@@ -276,25 +273,21 @@ fn main() -> ExitCode {
             plan.add_condition(CondId::new(i as u32), Arc::new(Threshold::new(var, Cmp::Gt, 0.0)))
                 .expect("single-variable condition lands on its owning leaf");
         }
-        let report = TreeTopology::new(plan).stream(stream).run();
-        for alert in &report.displayed {
-            for back in &mut backs {
-                back.send_alert(alert.clone());
-            }
+        let mut tree =
+            TreeEval::build(plan, TreeOptions { wire_check: true, ..TreeOptions::default() });
+        while let Ok(update) = update_rx.recv() {
+            let mut alerts = Vec::new();
+            tree.ingest(update, &mut alerts);
+            drain.alerts(alerts);
         }
-        for back in &mut backs {
-            back.finish();
-        }
-        emitted = report.displayed.len() as u64;
-        tree_stats = Some(report.stats);
+        drain.end_of_stream();
+        tree_stats = Some(tree.stats());
     } else {
         let conds: Vec<Arc<dyn Condition>> = (0..opts.active)
             .map(|i| {
                 Arc::new(Threshold::new(VarId::new(i as u32), Cmp::Gt, 0.0)) as Arc<dyn Condition>
             })
             .collect();
-        let counter = Arc::new(AtomicU64::new(0));
-        let drain = FanoutDrain { backs, emitted: Arc::clone(&counter) };
         let mut pipe = EvalPipeline::start(
             CeId::new(0),
             &conds,
@@ -307,8 +300,8 @@ fn main() -> ExitCode {
             pipe.dispatch_wait(update);
         }
         pipe.finish();
-        emitted = counter.load(Ordering::Relaxed);
     }
+    let emitted = emitted.load(Ordering::Relaxed);
     engine.join().expect("loop thread");
 
     // AD body: AD-1 over the merged stream — every emitted alert must

@@ -24,8 +24,8 @@ pub enum NodeRef {
     Root,
 }
 
-/// Counters describing one tree run, mirrored into the runtime's
-/// `RunReport` and the chaos gauntlet's JSON document.
+/// Counters describing one tree run, as the chaos gauntlet's and the
+/// scale harness's JSON documents report them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeStats {
     /// Raw updates routed to their owning leaf.
@@ -47,7 +47,8 @@ pub struct TreeStats {
     pub reparent_events: u64,
     /// Derived updates replayed from sender windows during re-parents.
     pub replayed_frames: u64,
-    /// Derived updates sent to a dead relay and lost in flight.
+    /// Derived updates sent to a dead relay and lost in flight, or
+    /// withheld by a severed leaf uplink.
     pub frames_to_dead: u64,
     /// Alerts the root displayed.
     pub root_alerts: u64,
@@ -59,23 +60,28 @@ pub struct TreeStats {
 }
 
 /// A whole aggregation tree evaluated synchronously in-process:
-/// deterministic, single-threaded, byte-faithful to what the threaded
-/// runtime deployment computes.
+/// deterministic and single-threaded, so a seed names one exact run.
+/// It is the workspace's only tree runtime.
 ///
 /// Every raw update is routed to the single leaf owning its variable;
 /// each leaf replica evaluates it and the resulting derived updates
 /// climb the relay chain (optionally crossing the binary wire codec,
 /// checked field for field, per hop) to the root.
+/// Faults are method calls made between updates.
 /// [`TreeEval::kill_relay`] and [`TreeEval::reparent_orphans`] model
 /// the failure path: frames sent to a dead relay are lost until the
 /// orphaned children are adopted by a sibling (or an ancestor) and
-/// replay their bounded windows.
+/// replay their bounded windows. [`TreeEval::kill_leaf_replica`]
+/// crashes one replica, and [`TreeEval::sever_leaf`] /
+/// [`TreeEval::restore_leaf`] cut and reconnect one replica's uplink.
 #[derive(Debug)]
 pub struct TreeEval {
     opts: TreeOptions,
     owner: BTreeMap<VarId, usize>,
     /// `[leaf][replica]`.
     leaves: Vec<Vec<LeafCe>>,
+    /// `[leaf][replica]`: whether that replica's uplink is severed.
+    severed: Vec<Vec<bool>>,
     /// `[tier-1][idx]` for interior tiers `1..=relay_tiers`.
     relays: Vec<Vec<Relay>>,
     /// `parents[t][n]`: uplink of node `n` at tier `t` (`0` = leaves).
@@ -142,6 +148,7 @@ impl TreeEval {
         let root = RootCe::build(opts.root_ce, &plan.root_conds);
         let owner: BTreeMap<VarId, usize> = plan.owned_vars().into_iter().collect();
         TreeEval {
+            severed: vec![vec![false; opts.leaf_replicas]; leaves_n],
             opts,
             owner,
             leaves,
@@ -169,7 +176,12 @@ impl TreeEval {
             self.counters.leaf_alerts += lo.alerts.len() as u64;
             batches.push(lo.derived);
         }
-        for batch in batches {
+        for (replica, batch) in batches.into_iter().enumerate() {
+            if self.severed[leaf][replica] {
+                // Withheld: the replica's window replays it on restore.
+                self.counters.frames_to_dead += batch.len() as u64;
+                continue;
+            }
             for d in batch {
                 self.deliver(uplink, d, out);
             }
@@ -232,6 +244,23 @@ impl TreeEval {
         self.leaves[leaf][replica].kill();
     }
 
+    /// Severs one leaf replica's uplink. The replica keeps evaluating
+    /// and filling its window, but its frames are withheld (counted in
+    /// `frames_to_dead`) until [`TreeEval::restore_leaf`].
+    pub fn sever_leaf(&mut self, leaf: usize, replica: usize) {
+        self.severed[leaf][replica] = true;
+    }
+
+    /// Reconnects one leaf replica's uplink and replays its window
+    /// through the leaf's current parent; every gate on the way
+    /// discards what it already admitted.
+    pub fn restore_leaf(&mut self, leaf: usize, replica: usize, out: &mut Vec<Alert>) {
+        self.severed[leaf][replica] = false;
+        let window: Vec<DerivedUpdate> =
+            self.leaves[leaf][replica].window().iter().cloned().collect();
+        self.replay(self.parents[0][leaf], window, out);
+    }
+
     /// Adopts every child whose parent is dead onto the nearest live
     /// sibling of the dead relay (or, with none live, the dead relay's
     /// closest live ancestor), then replays each moved child's window
@@ -261,13 +290,18 @@ impl TreeEval {
                 } else {
                     self.relays[t - 1][n].window().iter().cloned().collect()
                 };
-                self.counters.replayed_frames += window.len() as u64;
-                for d in window {
-                    self.deliver(adopted, d, out);
-                }
+                self.replay(adopted, window, out);
             }
         }
         moved
+    }
+
+    /// Delivers a sender window through `at`, oldest first.
+    fn replay(&mut self, at: NodeRef, window: Vec<DerivedUpdate>, out: &mut Vec<Alert>) {
+        self.counters.replayed_frames += window.len() as u64;
+        for d in window {
+            self.deliver(at, d, out);
+        }
     }
 
     /// New parent for the children of dead relay `(tier, idx)`: the
@@ -443,6 +477,46 @@ mod tests {
         let before = out.len();
         tree.reparent_orphans(&mut out);
         assert_eq!(out.len(), before);
+    }
+
+    /// Feeds `n` firing updates of variable 0 (leaf 0), severing leaf
+    /// 0's replica 0 before update `at`.
+    fn feed_severed(tree: &mut TreeEval, n: u64, at: u64, out: &mut Vec<Alert>) {
+        for s in 1..=n {
+            if s - 1 == at {
+                tree.sever_leaf(0, 0);
+            }
+            tree.ingest(Update::new(VarId::new(0), s, 50.0), out);
+        }
+    }
+
+    #[test]
+    fn severed_uplink_replays_on_restore() {
+        let opts = TreeOptions { replay_window: 256, wire_check: true, ..TreeOptions::default() };
+        let mut tree = TreeEval::build(plan2(), opts);
+        let mut out = Vec::new();
+        feed_severed(&mut tree, 30, 10, &mut out);
+        assert_eq!(out.len(), 10, "nothing crosses a severed uplink");
+        tree.restore_leaf(0, 0, &mut out);
+        assert_eq!(out.len(), 30, "restore replay fills the gap");
+        let indices: Vec<u64> = out.iter().map(|a| a.id.index).collect();
+        assert_eq!(indices, (0..30).collect::<Vec<u64>>());
+        let s = tree.stats();
+        assert_eq!(s.frames_to_dead, 20, "frames were withheld while severed");
+        assert_eq!(s.replayed_frames, 30, "the whole window replays");
+        assert_eq!(s.derived_duplicates, 10, "the root gated what it already had");
+    }
+
+    #[test]
+    fn severing_one_of_two_replicas_loses_nothing() {
+        let opts = TreeOptions { leaf_replicas: 2, ..TreeOptions::default() };
+        let mut tree = TreeEval::build(plan2(), opts);
+        let mut out = Vec::new();
+        feed_severed(&mut tree, 30, 10, &mut out);
+        assert_eq!(out.len(), 30, "the connected replica carries the leaf");
+        assert_eq!(tree.stats().frames_to_dead, 20);
+        tree.restore_leaf(0, 0, &mut out);
+        assert_eq!(out.len(), 30, "the replay is all duplicates");
     }
 
     #[test]

@@ -59,9 +59,9 @@ pub struct LeafCe {
 }
 
 impl LeafCe {
-    /// Builds one replica of leaf `leaf` as a plan describes it — the
-    /// entry point standalone deployments (the threaded runtime, the
-    /// scale harness, tests) share with [`TreeEval`](crate::TreeEval).
+    /// Builds one replica of leaf `leaf` as a plan describes it, as
+    /// [`TreeEval`](crate::TreeEval) builds its own, for tests that
+    /// drive one leaf alone.
     ///
     /// # Panics
     ///

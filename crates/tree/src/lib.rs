@@ -59,9 +59,9 @@
 //! tolerates, consistency-wise, by the paper's §3 results.
 //!
 //! [`TreeEval`] wires all of this into one deterministic in-process
-//! harness (used by the keystone tests, the chaos gauntlet and the
-//! benchmark); `rcm-runtime` hosts the same pieces on threads and real
-//! sockets.
+//! harness, the workspace's only tree runtime: the keystone tests, the
+//! chaos gauntlet, the scale harness and the benchmark all drive it,
+//! and its faults are method calls made between updates.
 
 // LOCK ORDER: no locks anywhere in this crate — every type is
 // single-threaded by construction; concurrency is the runtime's job.

@@ -30,13 +30,6 @@ pub struct RootCe {
 }
 
 impl RootCe {
-    /// Builds the root a plan describes, stamping `opts.root_ce` —
-    /// the standalone counterpart of
-    /// [`LeafCe::from_plan`](crate::LeafCe::from_plan).
-    pub fn from_plan(plan: &crate::TreePlan, opts: &crate::TreeOptions) -> Self {
-        RootCe::build(opts.root_ce, &plan.root_conds)
-    }
-
     /// A root stamping provenance `ce`, hosting `conds` over derived
     /// streams.
     pub(crate) fn build(ce: CeId, conds: &[(CondId, DynCondition)]) -> Self {

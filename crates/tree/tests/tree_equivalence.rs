@@ -127,7 +127,8 @@ fn run_flat(case: &Case) -> Vec<Alert> {
     out
 }
 
-fn run_tree(case: &Case, wire_check: bool) -> (Vec<Alert>, rcm_tree::TreeStats) {
+/// The tree a case describes, every tier hop a checked crossing.
+fn build_tree(case: &Case, replay_window: usize) -> TreeEval {
     let mut plan =
         TreePlan::new(case.leaves).with_relay_tiers(case.relay_tiers).with_fanout(case.fanout);
     for &(var, leaf) in &case.vars {
@@ -141,10 +142,15 @@ fn run_tree(case: &Case, wire_check: bool) -> (Vec<Alert>, rcm_tree::TreeStats) 
     let opts = TreeOptions {
         root_ce: ROOT_CE,
         leaf_replicas: case.replicas,
-        wire_check,
+        replay_window,
+        wire_check: true,
         ..TreeOptions::default()
     };
-    let mut tree = TreeEval::build(plan, opts);
+    TreeEval::build(plan, opts)
+}
+
+fn run_tree(case: &Case) -> (Vec<Alert>, rcm_tree::TreeStats) {
+    let mut tree = build_tree(case, TreeOptions::default().replay_window);
     let mut out = Vec::new();
     for &u in &case.stream {
         tree.ingest(u, &mut out);
@@ -162,12 +168,29 @@ fn assert_byte_identical(got: &[Alert], want: &[Alert], context: &str) {
     }
 }
 
+/// Same multiset as the flat CE and, per condition, the exact flat
+/// sequence (global interleaving may shift while part of the tree is
+/// cut off; per-stream order and exactly-once may not).
+fn assert_per_condition_identical(got: &[Alert], want: &[Alert], seed: u64) {
+    assert_eq!(got.len(), want.len(), "seed {seed}: exactly-once count");
+    let conds: std::collections::BTreeSet<u32> = want.iter().map(|a| a.cond.index()).collect();
+    for cond in conds {
+        let g: Vec<&Alert> = got.iter().filter(|a| a.cond.index() == cond).collect();
+        let w: Vec<&Alert> = want.iter().filter(|a| a.cond.index() == cond).collect();
+        assert_eq!(g.len(), w.len(), "seed {seed}, cond {cond}: count");
+        for (x, y) in g.iter().zip(&w) {
+            assert_eq!(x, y, "seed {seed}, cond {cond}: alert payload");
+            assert_eq!(x.id, y.id, "seed {seed}, cond {cond}: provenance");
+        }
+    }
+}
+
 #[test]
 fn tree_matches_flat_ce_lossless_seed_sweep() {
     for seed in 0..24u64 {
         let case = build_case(seed, 0);
         let want = run_flat(&case);
-        let (got, stats) = run_tree(&case, true);
+        let (got, stats) = run_tree(&case);
         assert_byte_identical(&got, &want, &format!("seed {seed}, 0% loss"));
         assert_eq!(stats.root_alerts as usize, want.len());
         assert_eq!(
@@ -186,14 +209,13 @@ fn tree_matches_flat_ce_under_20pct_loss_seed_sweep() {
     for seed in 0..24u64 {
         let case = build_case(seed, 20);
         let want = run_flat(&case);
-        let (got, _) = run_tree(&case, true);
+        let (got, _) = run_tree(&case);
         assert_byte_identical(&got, &want, &format!("seed {seed}, 20% loss"));
     }
 }
 
 /// Re-parenting mid-stream keeps every per-condition alert sequence
-/// byte-identical to the flat CE (global interleaving may shift while
-/// a subtree is orphaned; per-stream order and exactly-once may not).
+/// byte-identical to the flat CE.
 #[test]
 fn reparented_tree_preserves_per_condition_sequences() {
     for seed in 0..12u64 {
@@ -202,21 +224,8 @@ fn reparented_tree_preserves_per_condition_sequences() {
         case.fanout = 1; // one relay per leaf: killing one orphans one subtree
         let want = run_flat(&case);
 
-        let mut plan = TreePlan::new(case.leaves).with_relay_tiers(1).with_fanout(1);
-        for &(var, leaf) in &case.vars {
-            plan.own(var, leaf);
-        }
-        for &(id, _, var, threshold) in &case.conds {
-            plan.add_condition(id, Arc::new(Threshold::new(var, Cmp::Gt, threshold))).unwrap();
-        }
-        let opts = TreeOptions {
-            root_ce: ROOT_CE,
-            leaf_replicas: case.replicas,
-            replay_window: 512, // outage shorter than the window: lossless recovery
-            wire_check: true,
-            ..TreeOptions::default()
-        };
-        let mut tree = TreeEval::build(plan, opts);
+        // Outage shorter than the window: lossless recovery.
+        let mut tree = build_tree(&case, 512);
         let mut got = Vec::new();
         let third = case.stream.len() / 3;
         for (i, &u) in case.stream.iter().enumerate() {
@@ -230,22 +239,45 @@ fn reparented_tree_preserves_per_condition_sequences() {
         }
         tree.reparent_orphans(&mut got);
 
-        // Same multiset; per condition, the exact flat sequence.
-        assert_eq!(got.len(), want.len(), "seed {seed}: exactly-once count");
-        let conds: std::collections::BTreeSet<u32> = want.iter().map(|a| a.cond.index()).collect();
-        for cond in conds {
-            let g: Vec<&Alert> = got.iter().filter(|a| a.cond.index() == cond).collect();
-            let w: Vec<&Alert> = want.iter().filter(|a| a.cond.index() == cond).collect();
-            assert_eq!(g.len(), w.len(), "seed {seed}, cond {cond}: count");
-            for (x, y) in g.iter().zip(&w) {
-                assert_eq!(x, y, "seed {seed}, cond {cond}: alert payload");
-                assert_eq!(x.id, y.id, "seed {seed}, cond {cond}: provenance");
-            }
-        }
+        assert_per_condition_identical(&got, &want, seed);
         let stats = tree.stats();
         assert!(stats.reparent_events >= 1, "seed {seed}: a subtree was re-parented");
         assert!(stats.replayed_frames > 0, "seed {seed}: windows were replayed");
     }
+}
+
+/// Severing one leaf replica's uplink for the second quarter of the
+/// stream, then restoring it, keeps every per-condition alert sequence
+/// byte-identical to the flat CE: with one replica the restore replay
+/// fills the gap, with more the connected replicas carry the leaf.
+#[test]
+fn severed_leaf_uplink_preserves_per_condition_sequences() {
+    let mut withheld = 0;
+    for seed in 0..12u64 {
+        let case = build_case(seed, 10);
+        let want = run_flat(&case);
+
+        let mut tree = build_tree(&case, 512);
+        let mut got = Vec::new();
+        let mut window = 0;
+        let quarter = case.stream.len() / 4;
+        for (i, &u) in case.stream.iter().enumerate() {
+            if i == quarter {
+                tree.sever_leaf(0, 0);
+            }
+            if i == 2 * quarter {
+                window = tree.leaf(0, 0).window().len() as u64;
+                tree.restore_leaf(0, 0, &mut got);
+            }
+            tree.ingest(u, &mut got);
+        }
+
+        assert_per_condition_identical(&got, &want, seed);
+        let stats = tree.stats();
+        assert_eq!(stats.replayed_frames, window, "seed {seed}: the restore replayed the window");
+        withheld += stats.frames_to_dead;
+    }
+    assert!(withheld > 0, "some seed withheld frames while severed");
 }
 
 /// The same property over drawn seeds and loss rates. Each input is a
@@ -256,7 +288,7 @@ fn tree_matches_flat_ce_any_topology() {
         let (seed, loss_pct) = (rng.below(1_000_000) as u64, *rng.pick(&[0, 20]));
         let case = build_case(seed, loss_pct);
         let want = run_flat(&case);
-        let (got, stats) = run_tree(&case, true);
+        let (got, stats) = run_tree(&case);
         assert_byte_identical(&got, &want, &format!("seed {seed}, {loss_pct}% loss"));
         assert_eq!(stats.root_alerts as usize, want.len());
     });
