@@ -245,9 +245,7 @@ pub(crate) mod testutil {
 
     /// Like [`alert1`] but for an explicit condition id.
     pub fn alert_cond(cond: u32, seqnos: &[u64]) -> Alert {
-        let mut a = alert1(seqnos);
-        a.cond = CondId::new(cond);
-        a
+        alert1(seqnos).with_cond(CondId::new(cond))
     }
 }
 

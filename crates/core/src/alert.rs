@@ -128,7 +128,7 @@ enum Repr {
     /// `vars[i]` with `seqnos[ends[i - 1]..ends[i]]` (from 0 for the
     /// first). Plain `Copy` arrays, zero past `len` entries, and no
     /// pointer: the one-byte fields share a word with the enum's tag,
-    /// which is what keeps an [`Alert`] at 112 bytes.
+    /// which keeps a fingerprint at 72 bytes of an [`AlertBody`]'s 200.
     Flat {
         len: u8,
         ends: [u8; INLINE_VARS],
@@ -577,6 +577,104 @@ fn flat<'a>(entries: impl Iterator<Item = (VarId, &'a [SeqNo])>) -> Repr {
     Repr::Flat { len: len as u8, ends, vars, seqnos }
 }
 
+/// Updates a [`Snapshot`] holds in place.
+const INLINE_UPDATES: usize = 4;
+
+/// The all-zero update that pads an in-place snapshot.
+const PAD: Update = Update { var: VarId::new(0), seqno: SeqNo::new(0), value: 0.0 };
+
+/// Where a snapshot's updates live; only [`Snapshot`]'s `Deref` reads it.
+#[derive(Clone)]
+enum Held {
+    /// In place, for up to [`INLINE_UPDATES`] updates: the paper's
+    /// degree-1–2 histories over one or two variables, `alert_storm`'s
+    /// 2 × 2 among them. `updates[..len]` is the snapshot and the rest
+    /// is [`PAD`], so raising such an alert allocates its body alone.
+    Flat { len: u8, updates: [Update; INLINE_UPDATES] },
+    /// Anything longer, in one shared allocation: a clone is a refcount
+    /// bump.
+    Spilled(Arc<[Update]>),
+}
+
+/// The triggering updates an [`Alert`] carries for display: per
+/// variable in ascending order, newest first.
+///
+/// Up to 4 updates are stored in the snapshot itself, a longer one in
+/// one shared slice. It reads as a `[Update]` (through `Deref`) and
+/// compares element by element, whichever way it is stored.
+///
+/// ```rust
+/// use rcm_core::{Snapshot, Update, VarId};
+/// let x = VarId::new(0);
+/// let held: Vec<Update> = (1..=6).rev().map(|s| Update::new(x, s, 0.5)).collect();
+/// let short = Snapshot::from(&held[..2]);
+/// assert_eq!((short.len(), short[0].seqno.get()), (2, 6));
+/// assert_eq!(Snapshot::from(held.clone())[..], held[..]);
+/// assert!(Snapshot::from(Vec::new()).is_empty());
+/// ```
+#[derive(Clone)]
+pub struct Snapshot {
+    held: Held,
+}
+
+impl Snapshot {
+    /// The first `len` updates of `updates`, which must yield at least
+    /// that many: how an evaluator copies the histories it holds, with
+    /// no list in between.
+    pub(crate) fn gather<'a>(len: usize, mut updates: impl Iterator<Item = &'a Update>) -> Self {
+        let mut next = || match updates.next() {
+            Some(u) => *u,
+            None => unreachable!("a history yielded fewer updates than it holds"),
+        };
+        let held = if len <= INLINE_UPDATES {
+            let mut flat = [PAD; INLINE_UPDATES];
+            flat[..len].iter_mut().for_each(|slot| *slot = next());
+            Held::Flat { len: len as u8, updates: flat }
+        } else {
+            // A range's length is one `Arc<[_]>` trusts, so this is one
+            // allocation.
+            Held::Spilled((0..len).map(|_| next()).collect())
+        };
+        Snapshot { held }
+    }
+}
+
+impl std::ops::Deref for Snapshot {
+    type Target = [Update];
+
+    #[inline]
+    fn deref(&self) -> &[Update] {
+        match &self.held {
+            Held::Flat { len, updates } => &updates[..usize::from(*len)],
+            Held::Spilled(updates) => updates,
+        }
+    }
+}
+
+impl From<&[Update]> for Snapshot {
+    fn from(updates: &[Update]) -> Self {
+        Snapshot::gather(updates.len(), updates.iter())
+    }
+}
+
+impl From<Vec<Update>> for Snapshot {
+    fn from(updates: Vec<Update>) -> Self {
+        Snapshot::from(&updates[..])
+    }
+}
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// An alert `a(condname, histories)` emitted by a Condition Evaluator.
 ///
 /// Identity follows the paper: two alerts are equal iff they are for the
@@ -584,6 +682,11 @@ fn flat<'a>(entries: impl Iterator<Item = (VarId, &'a [SeqNo])>) -> Repr {
 /// ([`HistoryFingerprint`]). Provenance ([`AlertId`]) and the value
 /// snapshot are carried for display and tracing but excluded from
 /// `Eq`/`Hash`, so AD-1's "identical alerts" test is plain `==`.
+///
+/// An alert never changes once raised, so it is a handle on one shared
+/// [`AlertBody`]: the CE's record, the back link, the AD's arrivals and
+/// its display all hold the same block, and a clone is a refcount bump.
+/// Fields read through `Deref`; [`Alert::with_cond`] is the one edit.
 ///
 /// ```rust
 /// use rcm_core::{Alert, AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
@@ -594,32 +697,47 @@ fn flat<'a>(entries: impl Iterator<Item = (VarId, &'a [SeqNo])>) -> Repr {
 /// let b = Alert::new(CondId::SINGLE, fp, vec![], AlertId { ce: CeId::new(1), index: 5 });
 /// assert_eq!(a, b); // same condition + histories => identical
 /// assert_eq!(a.seqno(x), Some(SeqNo::new(3)));
+/// assert!(Alert::ptr_eq(&a, &a.clone()) && !Alert::ptr_eq(&a, &b));
 /// ```
+#[derive(Clone)]
+pub struct Alert(Arc<AlertBody>);
+
+/// What an [`Alert`] holds, in the one block its holders share.
 #[derive(Debug, Clone)]
-pub struct Alert {
+pub struct AlertBody {
     /// Which condition triggered.
     pub cond: CondId,
     /// The update histories the CE used in evaluating the condition.
     pub fingerprint: HistoryFingerprint,
     /// Snapshot of the triggering updates, newest first per variable
-    /// (for display; not part of identity). Shared via `Arc` so cloning
-    /// an alert into an AD `seen` set or fanning it out to several
-    /// displayers bumps a refcount instead of deep-copying the payload.
-    pub snapshot: Arc<[Update]>,
+    /// (for display; not part of identity).
+    pub snapshot: Snapshot,
     /// Provenance (not part of identity).
     pub id: AlertId,
 }
 
 impl Alert {
-    /// Creates an alert; `snapshot` accepts a `Vec<Update>` or an
-    /// already-shared `Arc<[Update]>`.
+    /// Creates an alert; `snapshot` accepts a `Vec<Update>`, a slice or
+    /// a [`Snapshot`].
     pub fn new(
         cond: CondId,
         fingerprint: HistoryFingerprint,
-        snapshot: impl Into<Arc<[Update]>>,
+        snapshot: impl Into<Snapshot>,
         id: AlertId,
     ) -> Self {
-        Alert { cond, fingerprint, snapshot: snapshot.into(), id }
+        Alert(Arc::new(AlertBody { cond, fingerprint, snapshot: snapshot.into(), id }))
+    }
+
+    /// This alert under condition `cond`, everything else kept: in
+    /// place if no other handle shares the body, else in a copy.
+    pub fn with_cond(mut self, cond: CondId) -> Self {
+        Arc::make_mut(&mut self.0).cond = cond;
+        self
+    }
+
+    /// Whether `a` and `b` are handles on the same body.
+    pub fn ptr_eq(a: &Alert, b: &Alert) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
     }
 
     /// The paper's `a.seqno.x` for `var`.
@@ -657,9 +775,19 @@ impl Alert {
     }
 }
 
+impl std::ops::Deref for Alert {
+    type Target = AlertBody;
+
+    #[inline]
+    fn deref(&self) -> &AlertBody {
+        &self.0
+    }
+}
+
 impl PartialEq for Alert {
     fn eq(&self, other: &Self) -> bool {
-        self.cond == other.cond && self.fingerprint == other.fingerprint
+        Alert::ptr_eq(self, other)
+            || (self.cond == other.cond && self.fingerprint == other.fingerprint)
     }
 }
 
@@ -669,6 +797,17 @@ impl Hash for Alert {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.cond.hash(state);
         self.fingerprint.hash(state);
+    }
+}
+
+impl fmt::Debug for Alert {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Alert")
+            .field("cond", &self.cond)
+            .field("fingerprint", &self.fingerprint)
+            .field("snapshot", &self.snapshot)
+            .field("id", &self.id)
+            .finish()
     }
 }
 
@@ -693,8 +832,13 @@ mod tests {
     #[test]
     fn identity_ignores_provenance_and_snapshot() {
         let a = alert(fp(&[3, 2]), 0);
-        let mut b = alert(fp(&[3, 2]), 1);
-        b.snapshot = vec![Update::new(VarId::new(0), 3, 1.0)].into();
+        let snapshot = vec![Update::new(VarId::new(0), 3, 1.0)];
+        let b = Alert::new(
+            CondId::SINGLE,
+            fp(&[3, 2]),
+            snapshot,
+            AlertId { ce: CeId::new(1), index: 4 },
+        );
         assert_eq!(a, b);
         use std::collections::HashSet;
         let set: HashSet<Alert> = [a, b].into_iter().collect();
@@ -778,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn cloned_alerts_share_the_snapshot() {
+    fn cloned_alerts_share_one_body() {
         let a = Alert::new(
             CondId::SINGLE,
             fp(&[3, 2]),
@@ -786,21 +930,35 @@ mod tests {
             AlertId { ce: CeId::new(0), index: 0 },
         );
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.snapshot, &b.snapshot));
+        assert!(Alert::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(&a.snapshot[0], &b.snapshot[0]));
+        // Relabelling a shared alert copies the body; the original and
+        // every other handle on it keep their condition.
+        let c = b.with_cond(CondId::new(3));
+        assert!(!Alert::ptr_eq(&a, &c));
+        assert_eq!((a.cond, c.cond), (CondId::SINGLE, CondId::new(3)));
+        assert_eq!((c.id, &c.fingerprint, &c.snapshot), (a.id, &a.fingerprint, &a.snapshot));
+        // A sole handle is relabelled in place.
+        let at = Arc::as_ptr(&c.0);
+        assert_eq!(Arc::as_ptr(&c.with_cond(CondId::new(4)).0), at);
     }
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn an_alert_is_112_bytes() {
-        // A run retains every alert it raised: `alert_storm` holds
-        // 1.7 million of them, so each byte here is 1.7 MB there.
+    fn an_alert_is_one_pointer() {
+        // A run retains every alert it raised, `alert_storm` 1.7 million
+        // handles on 0.7 million bodies: each handle is a word, and a
+        // body with the 2 × 2 snapshot in place is one 224-byte malloc
+        // chunk (200 bytes plus the two refcounts).
         assert_eq!(std::mem::size_of::<HistoryFingerprint>(), 72);
-        assert_eq!(std::mem::size_of::<Alert>(), 112);
+        assert_eq!(std::mem::size_of::<Snapshot>(), 104);
+        assert_eq!(std::mem::size_of::<AlertBody>(), 200);
+        assert_eq!(std::mem::size_of::<Alert>(), 8);
     }
 
     #[test]
     fn checkpoint_form_is_independent_of_inline_storage() {
-        // The flat fingerprint and the Arc'd snapshot are written as
+        // The flat fingerprint and the in-place snapshot are written as
         // plain lists, whichever way they are stored.
         let a = Alert::new(
             CondId::SINGLE,

@@ -62,12 +62,11 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use super::ast::{AggOp, BinOp, Expr, Field, UnOp};
 use super::compiled::{aggregate, binary, unary, Val};
-use crate::alert::HistoryFingerprint;
-use crate::history::{shared_slice, History};
+use crate::alert::{HistoryFingerprint, Snapshot};
+use crate::history::History;
 use crate::update::Update;
 use crate::var::VarId;
 
@@ -524,9 +523,9 @@ impl ExprStore {
     }
 
     /// Flat snapshot of the history `spec` covers.
-    pub(crate) fn snapshot(&self, spec: &[(usize, usize)]) -> Arc<[Update]> {
+    pub(crate) fn snapshot(&self, spec: &[(usize, usize)]) -> Snapshot {
         let len = spec.iter().map(|&(ring, degree)| self.history(ring).len().min(degree)).sum();
-        shared_slice(len, self.held(spec).flat_map(|(_, held)| held))
+        Snapshot::gather(len, self.held(spec).flat_map(|(_, held)| held))
     }
 
     /// Empties every ring (CE restart); nothing memoised survives.

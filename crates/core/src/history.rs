@@ -2,11 +2,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 use rcm_json::{obj, Json};
 
-use crate::alert::HistoryFingerprint;
+use crate::alert::{HistoryFingerprint, Snapshot};
 use crate::error::{Error, Result};
 use crate::update::{SeqNo, Update};
 use crate::var::VarId;
@@ -177,22 +176,6 @@ impl fmt::Display for History {
     }
 }
 
-/// An alert's snapshot, allocated once: `Arc<[_]>` collects in place
-/// only from an iterator whose length it can trust, which a range is
-/// and a flattened walk over several histories is not. `updates` must
-/// yield at least `len` items.
-pub(crate) fn shared_slice<'a>(
-    len: usize,
-    mut updates: impl Iterator<Item = &'a Update>,
-) -> Arc<[Update]> {
-    (0..len)
-        .map(|_| match updates.next() {
-            Some(u) => *u,
-            None => unreachable!("a history yielded fewer updates than it holds"),
-        })
-        .collect()
-}
-
 /// The set `H` of update histories a condition is defined on: one
 /// [`History`] per variable in the condition's variable set `V`.
 #[derive(Debug, Clone, PartialEq)]
@@ -279,10 +262,10 @@ impl HistorySet {
     }
 
     /// Flat snapshot of all held updates, per variable newest-first,
-    /// in the shared form an [`Alert`](crate::Alert) carries.
-    pub fn snapshot(&self) -> Arc<[Update]> {
+    /// in the form an [`Alert`](crate::Alert) carries.
+    pub fn snapshot(&self) -> Snapshot {
         let len = self.histories.values().map(History::len).sum();
-        shared_slice(len, self.histories.values().flat_map(History::updates))
+        Snapshot::gather(len, self.histories.values().flat_map(History::updates))
     }
 
     /// Clears every history (CE restart).

@@ -95,7 +95,8 @@ mod update;
 mod var;
 
 pub use alert::{
-    Alert, AlertId, CeId, CondId, FingerprintBuilder, FingerprintError, HistoryFingerprint,
+    Alert, AlertBody, AlertId, CeId, CondId, FingerprintBuilder, FingerprintError,
+    HistoryFingerprint, Snapshot,
 };
 pub use condition::{Condition, ConditionExt, Triggering};
 pub use derived::{

@@ -105,10 +105,10 @@ struct SystemDrain {
 }
 
 impl AlertDrain for SystemDrain {
-    fn alerts(&mut self, alerts: Vec<Alert>) {
-        for alert in alerts {
-            // LOCK ORDER: leaf record mutex, released before the link.
-            self.emitted.lock().push(alert.clone());
+    fn round(&mut self, alerts: &mut Vec<Alert>) {
+        // LOCK ORDER: leaf record mutex, released before the link.
+        self.emitted.lock().extend(alerts.iter().cloned());
+        for alert in alerts.drain(..) {
             self.back.send_alert(alert);
         }
     }
@@ -283,8 +283,15 @@ pub(crate) fn ce_body<M>(
     pipe.finish();
 }
 
+/// Most alerts the AD takes on after a blocking receive, from what is
+/// already queued, before it records them.
+const AD_BURST: usize = 64;
+
 /// Runs the Alert Displayer: filters merged alert arrivals until every
-/// replica hangs up.
+/// replica hangs up. Each blocking receive opens a burst of what is
+/// queued behind it; the burst is recorded in `arrivals` under one
+/// lock, offered in order, and what it displayed lands in `displayed`
+/// under one lock.
 pub(crate) fn ad_body(
     rx: Receiver<Alert>,
     mut filter: Box<dyn AlertFilter>,
@@ -292,13 +299,23 @@ pub(crate) fn ad_body(
     displayed: Arc<Mutex<Vec<Alert>>>,
     on_alert: Option<crate::system::AlertCallback>,
 ) {
-    for alert in rx {
-        arrivals.lock().push(alert.clone());
-        if filter.offer(&alert).is_deliver() {
-            if let Some(cb) = &on_alert {
-                cb(&alert);
+    let mut burst = Vec::with_capacity(AD_BURST + 1);
+    let mut shown = Vec::with_capacity(AD_BURST + 1);
+    while let Ok(first) = rx.recv() {
+        burst.push(first);
+        burst.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(AD_BURST));
+        // LOCK ORDER: leaf sink mutexes, each taken alone.
+        arrivals.lock().extend(burst.iter().cloned());
+        for alert in burst.drain(..) {
+            if filter.offer(&alert).is_deliver() {
+                if let Some(cb) = &on_alert {
+                    cb(&alert);
+                }
+                shown.push(alert);
             }
-            displayed.lock().push(alert);
+        }
+        if !shown.is_empty() {
+            displayed.lock().append(&mut shown);
         }
     }
 }

@@ -19,8 +19,8 @@
 //! A `BackLink<Alert>` also serialises what it carries — cross, check,
 //! forward: each alert is encoded and decoded ([`cross_in`]), the copy
 //! is checked field for field (`id` and `snapshot` bits included), and
-//! the original is sent, so the alert the AD receives shares its
-//! snapshot with the one the CE recorded.
+//! the original is sent, so the alert the AD receives is a handle on
+//! the very body the CE recorded.
 //!
 //! LOCK ORDER: the only mutex is the `stats` counter block, a leaf —
 //! it is never held across a channel send, a sleep, or any other lock.
@@ -257,8 +257,7 @@ impl<T: Clone + Send + 'static> BackLink<T> {
 impl crate::actors::AlertSink for BackLink<Alert> {
     fn send_alert(&mut self, alert: Alert) {
         // Cross a real serialization boundary, as the socket link does,
-        // then forward the original: its snapshot stays the one the CE
-        // recorded.
+        // then forward the original: the body the CE recorded.
         let msg = Message::Alert(alert);
         cross_in(&mut self.frame, &msg);
         let Message::Alert(alert) = msg else { unreachable!("built as an alert above") };
@@ -383,8 +382,8 @@ mod tests {
         for sent in sent {
             link.send_alert(sent.clone());
             let got = rx.try_recv().expect("the alert went through");
-            // Forwarded, not decoded: the very snapshot that was sent.
-            assert!(Arc::ptr_eq(&got.snapshot, &sent.snapshot), "{sent:?}");
+            // Forwarded, not decoded: the very body that was sent.
+            assert!(Alert::ptr_eq(&got, &sent), "{sent:?}");
             assert_eq!((&got, got.id), (&sent, sent.id));
             // ...after crossing the codec: the frame it left is the alert's.
             let msg = Message::Alert(sent);

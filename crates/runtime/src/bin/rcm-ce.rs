@@ -122,8 +122,8 @@ struct BackDrain {
 }
 
 impl AlertDrain for BackDrain {
-    fn alerts(&mut self, alerts: Vec<Alert>) {
-        for alert in alerts {
+    fn round(&mut self, alerts: &mut Vec<Alert>) {
+        for alert in alerts.drain(..) {
             self.back.send_alert(alert);
         }
     }

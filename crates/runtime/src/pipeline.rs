@@ -78,10 +78,23 @@ const DRAIN_DELAY: Duration = Duration::from_millis(1);
 /// dispatching thread itself with zero workers), so the CE's back link
 /// (channel or socket) moves in here; `rcm-ce` and the scale gauntlet
 /// provide their own implementations.
+///
+/// The pipeline calls [`round`](Self::round) only. A drain implements
+/// `round`, or `alerts` if it wants each round as a `Vec` of its own;
+/// each forwards to the other, so one of the two must be implemented.
 pub trait AlertDrain: Send {
     /// One admitted update's merged alerts, in ascending condition-id
-    /// order. Never called with an empty batch.
-    fn alerts(&mut self, alerts: Vec<Alert>);
+    /// order. Never called with an empty round. The drain takes the
+    /// alerts out of `alerts`; the caller keeps the buffer, capacity
+    /// and all, and clears it for the next round.
+    fn round(&mut self, alerts: &mut Vec<Alert>) {
+        self.alerts(std::mem::take(alerts));
+    }
+
+    /// [`round`](Self::round) with the alerts handed over.
+    fn alerts(&mut self, mut alerts: Vec<Alert>) {
+        self.round(&mut alerts);
+    }
 
     /// Every DM hung up and every in-flight update was evaluated: the
     /// lossless path's goodbye (flush the back link).
@@ -162,6 +175,8 @@ enum Stage {
         registry: ConditionRegistry,
         drain: Box<dyn AlertDrain>,
         latency: Arc<LatencyHistogram>,
+        /// The round being raised, one buffer for the whole run.
+        alerts: Vec<Alert>,
     },
     /// `workers >= 1`: one ring and one thread per shard, plus the
     /// sequencer (which owns the drain).
@@ -208,7 +223,7 @@ impl EvalPipeline {
             registry
         };
         let stage = if options.workers == 0 {
-            Stage::Inline { registry: shard(0, 1), drain, latency }
+            Stage::Inline { registry: shard(0, 1), drain, latency, alerts: Vec::new() }
         } else {
             let mut rings = Vec::with_capacity(options.workers);
             let mut workers = Vec::with_capacity(options.workers);
@@ -263,11 +278,11 @@ impl EvalPipeline {
         self.next_idx += 1;
         let t0 = Instant::now();
         match &mut self.stage {
-            Stage::Inline { registry, drain, latency } => {
-                let mut alerts = Vec::new();
-                registry.ingest(update, &mut alerts);
+            Stage::Inline { registry, drain, latency, alerts } => {
+                registry.ingest(update, alerts);
                 if !alerts.is_empty() {
-                    drain.alerts(alerts);
+                    drain.round(alerts);
+                    alerts.clear();
                 }
                 latency.record(elapsed_nanos(t0));
             }
@@ -453,7 +468,7 @@ fn sequencer_body(
         if !merged.is_empty() {
             // One alert per condition per update: the key is unique.
             merged.sort_unstable_by_key(|a| a.cond.index());
-            drain.alerts(std::mem::take(&mut merged));
+            drain.round(&mut merged);
         }
         if let Some((_, t0)) = round {
             latency.record(elapsed_nanos(t0));
@@ -475,10 +490,10 @@ mod tests {
     }
 
     impl AlertDrain for VecDrain {
-        fn alerts(&mut self, alerts: Vec<Alert>) {
+        fn round(&mut self, alerts: &mut Vec<Alert>) {
             assert!(!alerts.is_empty(), "drain must not see empty rounds");
             // LOCK ORDER: leaf test sink, taken alone.
-            self.alerts.lock().extend(alerts);
+            self.alerts.lock().append(alerts);
         }
         fn end_of_stream(&mut self) {
             *self.flushed.lock() = true;

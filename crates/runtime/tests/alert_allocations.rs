@@ -1,8 +1,8 @@
 //! What one alert costs the allocator, counted: raising it, encoding
 //! it, decoding it, crossing the codec in process, and sending an
 //! update down an in-process front link — and what a whole in-process
-//! run retains of it: one snapshot, shared by the CE's record, the
-//! AD's arrivals and its display. A binary of its own because the
+//! run retains of it: one body, shared by the CE's record, the AD's
+//! arrivals and its display. A binary of its own because the
 //! counter is the process's `#[global_allocator]`; counts are per
 //! thread, so the harness's own threads cannot disturb them.
 
@@ -91,7 +91,7 @@ fn storm_alert() -> Alert {
 
     let (raised, ()) = allocations(|| registry.ingest(Update::new(v0, 4, 1.0), &mut out));
     assert_eq!(out.len(), 1);
-    assert_eq!(raised, 1, "raising a 2 x 2 alert allocates its snapshot and nothing else");
+    assert_eq!(raised, 1, "raising a 2 x 2 alert allocates its body and nothing else");
     out.pop().expect("one alert")
 }
 
@@ -102,7 +102,7 @@ fn an_alert_costs_one_allocation_to_raise_none_to_encode_and_one_to_decode() {
     assert_eq!(alert.snapshot.len(), 4);
 
     let (cloned, copy) = allocations(|| alert.clone());
-    assert_eq!(cloned, 0, "a clone shares the snapshot and copies the rest in place");
+    assert_eq!(cloned, 0, "a clone shares the body");
 
     let msg = Message::Alert(copy);
     let mut frame = Vec::new();
@@ -114,15 +114,15 @@ fn an_alert_costs_one_allocation_to_raise_none_to_encode_and_one_to_decode() {
 
     let (decoded, back) = allocations(|| wire::decode_datagram(&frame));
     let Ok(Message::Alert(back)) = back else { panic!("own frame decodes to an alert") };
-    assert_eq!(decoded, 1, "decoding allocates the snapshot and nothing else");
+    assert_eq!(decoded, 1, "decoding allocates the body, snapshot in place, and nothing else");
     assert_eq!((&back, back.id, &back.snapshot[..]), (&alert, alert.id, &alert.snapshot[..]));
 
     let (crossed, ()) = allocations(|| wire::cross_in(&mut frame, &msg));
-    assert_eq!(crossed, 1, "crossing in process: the decoded snapshot, checked and dropped");
+    assert_eq!(crossed, 1, "crossing in process: the decoded body, checked and dropped");
 }
 
 #[test]
-fn an_in_process_run_keeps_one_snapshot_per_alert() {
+fn an_in_process_run_keeps_one_body_per_alert() {
     // alert_storm in miniature: STORM over two fed variables, three
     // replicas whose inputs diverge under 10% front loss, AD-6 per
     // condition.
@@ -155,12 +155,12 @@ fn an_in_process_run_keeps_one_snapshot_per_alert() {
         .collect();
     for a in &report.arrivals {
         let sent = emitted[&(a.id.ce.index() as usize, a.cond, a.id)];
-        assert!(Arc::ptr_eq(&a.snapshot, &sent.snapshot), "arrival {} kept a copy", a.id);
+        assert!(Alert::ptr_eq(a, sent), "arrival {} kept a copy", a.id);
     }
     let arrived: HashMap<_, &Alert> = report.arrivals.iter().map(|a| ((a.cond, a.id), a)).collect();
     for d in &report.displayed {
         let arrival = arrived[&(d.cond, d.id)];
-        assert!(Arc::ptr_eq(&d.snapshot, &arrival.snapshot), "displayed {} kept a copy", d.id);
+        assert!(Alert::ptr_eq(d, arrival), "displayed {} kept a copy", d.id);
     }
 }
 

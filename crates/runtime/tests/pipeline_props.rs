@@ -92,11 +92,7 @@ fn assert_consistent_per_cond(conds: &[Arc<dyn Condition>], report: &RunReport) 
             .displayed
             .iter()
             .filter(|a| a.cond == CondId::new(i as u32))
-            .map(|a| {
-                let mut a = a.clone();
-                a.cond = CondId::SINGLE;
-                a
-            })
+            .map(|a| a.clone().with_cond(CondId::SINGLE))
             .collect();
         let consistency = rcm_props::check_consistent_single(cond, &report.ingested, &stream);
         assert!(consistency.ok, "condition {i}: {:?}", consistency.conflict);

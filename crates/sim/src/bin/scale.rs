@@ -139,8 +139,8 @@ struct FanoutDrain {
 }
 
 impl AlertDrain for FanoutDrain {
-    fn alerts(&mut self, alerts: Vec<Alert>) {
-        for alert in alerts {
+    fn round(&mut self, alerts: &mut Vec<Alert>) {
+        for alert in alerts.drain(..) {
             for back in &mut self.backs {
                 back.send_alert(alert.clone());
             }
@@ -275,10 +275,12 @@ fn main() -> ExitCode {
         }
         let mut tree =
             TreeEval::build(plan, TreeOptions { wire_check: true, ..TreeOptions::default() });
+        let mut alerts = Vec::new();
         while let Ok(update) = update_rx.recv() {
-            let mut alerts = Vec::new();
             tree.ingest(update, &mut alerts);
-            drain.alerts(alerts);
+            if !alerts.is_empty() {
+                drain.round(&mut alerts);
+            }
         }
         drain.end_of_stream();
         tree_stats = Some(tree.stats());

@@ -243,9 +243,9 @@ pub fn run(scenario: Scenario) -> RunResult {
         }
     }
 
-    // Materialize the AD's arrival stream; each clone here is an
-    // `Arc` bump on the shared snapshot, and this is the only place in
-    // the run that copies an alert.
+    // Materialize the AD's arrival stream; each clone here is a
+    // refcount bump on the alert's shared body, and this is the only
+    // place in the run that copies an alert handle.
     let arrivals: Vec<Alert> =
         arrival_log.into_iter().map(|(ce, idx)| ce_outputs[ce][idx].clone()).collect();
     RunResult { emitted, inputs, ce_outputs, arrivals, arrival_times, stats }

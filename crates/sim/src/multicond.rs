@@ -86,11 +86,7 @@ impl MultiCondResult {
         displayed
             .iter()
             .filter(|a| a.cond == CondId::new(index))
-            .map(|a| {
-                let mut a = a.clone();
-                a.cond = CondId::SINGLE;
-                a
-            })
+            .map(|a| a.clone().with_cond(CondId::SINGLE))
             .collect()
     }
 }
@@ -142,21 +138,18 @@ pub fn run_multi(scenario: &MultiCondScenario) -> MultiCondResult {
         let mut result = run(single);
         // Tag every alert with the condition's id.
         let cond_id = CondId::new(ci as u32);
-        for alerts in result.ce_outputs.iter_mut() {
-            for a in alerts.iter_mut() {
-                a.cond = cond_id;
-            }
+        for alerts in result.ce_outputs.iter_mut().chain([&mut result.arrivals]) {
+            *alerts = std::mem::take(alerts).into_iter().map(|a| a.with_cond(cond_id)).collect();
         }
-        for (ai, a) in result.arrivals.iter_mut().enumerate() {
-            a.cond = cond_id;
+        for ai in 0..result.arrivals.len() {
             tagged.push((result.arrival_times[ai].1, ci as u32, ai));
         }
         per_condition.push(result);
     }
 
     // Merge by arrival time; equal times break by condition index then
-    // stream position (deterministic). The clone is an `Arc` bump on
-    // the alert's shared snapshot, not a payload copy.
+    // stream position (deterministic). The clone is a refcount bump on
+    // the alert's shared body, not a payload copy.
     tagged.sort_unstable();
     let arrivals = tagged
         .into_iter()

@@ -42,9 +42,8 @@
 
 use rcm_core::{
     Alert, AlertId, CeId, CondId, DerivedPayload, DerivedUpdate, FingerprintBuilder,
-    FingerprintError, SeqNo, Update, VarId,
+    FingerprintError, SeqNo, Snapshot, Update, VarId,
 };
-use rcm_sync::Arc;
 
 /// A message on a monitoring link.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,9 +197,9 @@ mod derived_kind {
 /// plus the 8 value bytes) — used to bound declared batch counts.
 const UPDATE_WIRE_MIN: usize = 10;
 
-/// The longest alert snapshot decoded without a second allocation:
-/// the paper's degree-1–3 histories over up to two variables, and a
-/// little more.
+/// The longest alert snapshot read onto the stack before it is copied
+/// into place: an alert body holds up to four updates itself, and a
+/// snapshot of five to eight is one shared slice.
 const SNAPSHOT_INLINE: usize = 8;
 
 /// Smallest possible binary encoding of one alert (five 1-byte
@@ -380,16 +379,16 @@ impl<'a> Reader<'a> {
     }
 
     /// An alert's snapshot. Up to [`SNAPSHOT_INLINE`] updates are read
-    /// onto the stack first, so the shared slice they end up in is the
-    /// only allocation.
-    fn snapshot(&mut self) -> Result<Arc<[Update]>, WireError> {
+    /// onto the stack first, so a snapshot held in place costs nothing
+    /// and the alert's body is the decode's one allocation.
+    fn snapshot(&mut self) -> Result<Snapshot, WireError> {
         let count = self.batch_count()?;
         let mut few = [Update::new(VarId::new(0), 0, 0.0); SNAPSHOT_INLINE];
         let Some(few) = few.get_mut(..count) else { return Ok(self.updates(count)?.into()) };
         for slot in few.iter_mut() {
             *slot = self.update()?;
         }
-        Ok(Arc::from(&*few))
+        Ok(Snapshot::from(&*few))
     }
 
     fn alert(&mut self) -> Result<Alert, WireError> {
@@ -950,26 +949,27 @@ mod tests {
     /// must name for it.
     fn alert_mutations(sent: &Alert) -> Vec<(&'static str, Alert)> {
         let x = VarId::new(3);
-        let with_snapshot =
-            |snapshot: Vec<Update>| Alert { snapshot: snapshot.into(), ..sent.clone() };
+        let with = |cond, fingerprint, snapshot: &[Update], id| {
+            Alert::new(cond, fingerprint, snapshot, id)
+        };
+        let (fp, id) = (sent.fingerprint.clone(), sent.id);
+        let with_snapshot = |snapshot: Vec<Update>| with(sent.cond, fp.clone(), &snapshot, id);
         let mut nan = sent.snapshot.to_vec();
         nan[1].value = f64::from_bits(nan[1].value.to_bits() ^ 1);
         let mut signed = sent.snapshot.to_vec();
         signed[0].value = -0.0;
+        let changed = HistoryFingerprint::single(x, vec![SeqNo::new(17), SeqNo::new(14)]);
         vec![
-            ("alert.cond", Alert { cond: CondId::new(3), ..sent.clone() }),
+            ("alert.cond", sent.clone().with_cond(CondId::new(3))),
+            ("alert.fingerprint", with(sent.cond, changed, &sent.snapshot, id)),
             (
-                "alert.fingerprint",
-                Alert {
-                    fingerprint: HistoryFingerprint::single(
-                        x,
-                        vec![SeqNo::new(17), SeqNo::new(14)],
-                    ),
-                    ..sent.clone()
-                },
+                "alert.id.ce",
+                with(sent.cond, fp.clone(), &sent.snapshot, AlertId { ce: CeId::new(2), ..id }),
             ),
-            ("alert.id.ce", Alert { id: AlertId { ce: CeId::new(2), ..sent.id }, ..sent.clone() }),
-            ("alert.id.index", Alert { id: AlertId { index: 10, ..sent.id }, ..sent.clone() }),
+            (
+                "alert.id.index",
+                with(sent.cond, fp.clone(), &sent.snapshot, AlertId { index: 10, ..id }),
+            ),
             ("alert.snapshot length", with_snapshot(sent.snapshot[..1].to_vec())),
             ("alert.snapshot", with_snapshot(signed)),
             ("alert.snapshot", with_snapshot(nan)),
@@ -1015,8 +1015,13 @@ mod tests {
         };
         let verdict =
             |alert| DerivedUpdate { payload: DerivedPayload::Verdict(alert), ..sent.clone() };
-        let mut changed_id = awkward_alert();
-        changed_id.id.index += 1;
+        let a = awkward_alert();
+        let changed_id = Alert::new(
+            a.cond,
+            a.fingerprint.clone(),
+            &a.snapshot[..],
+            AlertId { index: a.id.index + 1, ..a.id },
+        );
         let mutations = [
             ("derived.var", DerivedUpdate { var: rcm_core::derived_var(0, 4), ..sent.clone() }),
             ("derived.seqno", DerivedUpdate { seqno: SeqNo::new(5), ..sent.clone() }),
