@@ -166,6 +166,23 @@ pub fn apply_filter<F: AlertFilter + ?Sized>(filter: &mut F, arrivals: &[Alert])
     arrivals.iter().filter(|a| filter.offer(a).is_deliver()).cloned().collect()
 }
 
+/// The filter a node binary names on its command line: `pass`, `ad1`,
+/// `ad2`, `ad3`, `ad4` (these three over exactly one variable), `ad5` or
+/// `ad6`, over `vars`. `None` for an unknown name or a single-variable
+/// filter asked for some other number of variables.
+pub fn by_name(name: &str, vars: &[VarId]) -> Option<Box<dyn AlertFilter>> {
+    Some(match (name, vars) {
+        ("pass", _) => Box::new(PassThrough::new()),
+        ("ad1", _) => Box::new(Ad1::new()),
+        ("ad2", &[var]) => Box::new(Ad2::new(var)),
+        ("ad3", &[var]) => Box::new(Ad3::new(var)),
+        ("ad4", &[var]) => Box::new(Ad4::new(var)),
+        ("ad5", _) => Box::new(Ad5::new(vars.to_vec())),
+        ("ad6", _) => Box::new(Ad6::new(vars.to_vec())),
+        _ => return None,
+    })
+}
+
 /// A `seen` set as a checkpoint list (in no particular order).
 fn alerts_to_json(seen: &HashSet<Alert>) -> Json {
     seen.iter().map(Alert::to_json).collect()
@@ -270,6 +287,23 @@ mod tests {
         let mut f = Ad1::new();
         let out = apply_filter(&mut f, &[alert1(&[1]), alert1(&[1]), alert1(&[2])]);
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn filters_are_found_by_name() {
+        let (x, y) = (VarId::new(0), VarId::new(1));
+        let name = |n, vars: &[VarId]| by_name(n, vars).map(|f| f.name());
+        assert_eq!(name("pass", &[x]), Some(PassThrough::new().name()));
+        for (n, want) in [("ad1", "AD-1"), ("ad2", "AD-2"), ("ad3", "AD-3"), ("ad4", "AD-4")] {
+            assert_eq!(name(n, &[x]), Some(want), "{n}");
+        }
+        for (n, want) in [("ad5", "AD-5"), ("ad6", "AD-6")] {
+            assert_eq!(name(n, &[x, y]), Some(want), "{n}");
+        }
+        for n in ["ad2", "ad3", "ad4"] {
+            assert_eq!(name(n, &[x, y]), None, "{n} over two variables");
+        }
+        assert_eq!(name("ad7", &[x]), None);
     }
 
     #[test]

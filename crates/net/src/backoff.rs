@@ -84,10 +84,10 @@ impl Backoff {
 
     /// The nominal (un-jittered) delay of attempt `i`, for reporting.
     ///
-    /// The exponent is capped *before* the shift: past
-    /// [`Backoff::cap_exponent`] every nominal is `cap` anyway, and an
-    /// uncapped `1u32 << i` debug-panics at `i >= 32` — reachable by a
-    /// link that stays severed through a long soak.
+    /// The exponent is capped *before* the shift: past the smallest
+    /// exponent whose delay reaches `cap` every nominal is `cap` anyway,
+    /// and an uncapped `1u32 << i` debug-panics at `i >= 32` — reachable
+    /// by a link that stays severed through a long soak.
     pub fn nominal(&self, i: u32) -> Duration {
         self.base.saturating_mul(1u32 << i.min(self.cap_exponent())).min(self.cap)
     }

@@ -24,7 +24,7 @@
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
-use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, PassThrough};
+use rcm_core::ad;
 use rcm_core::VarId;
 use rcm_sync::time::Duration;
 use rcm_transport::EventLoop;
@@ -78,23 +78,10 @@ fn parse_args() -> Option<Options> {
     Some(opts)
 }
 
-fn build_filter(name: &str, vars: &[VarId]) -> Option<Box<dyn AlertFilter>> {
-    Some(match name {
-        "pass" => Box::new(PassThrough::new()),
-        "ad1" => Box::new(Ad1::new()),
-        "ad2" if vars.len() == 1 => Box::new(Ad2::new(vars[0])),
-        "ad3" if vars.len() == 1 => Box::new(Ad3::new(vars[0])),
-        "ad4" if vars.len() == 1 => Box::new(Ad4::new(vars[0])),
-        "ad5" => Box::new(Ad5::new(vars.to_vec())),
-        "ad6" => Box::new(Ad6::new(vars.to_vec())),
-        _ => return None,
-    })
-}
-
 fn main() -> ExitCode {
     let Some(opts) = parse_args() else { return usage() };
 
-    let Some(mut filter) = build_filter(&opts.filter, &opts.vars) else {
+    let Some(mut filter) = ad::by_name(&opts.filter, &opts.vars) else {
         eprintln!("error: filter '{}' unavailable for this variable count", opts.filter);
         return ExitCode::FAILURE;
     };

@@ -18,9 +18,9 @@
 //! through. The node exits once `--dms` distinct Fin markers arrived
 //! (or after `--idle-ms` of silence as a backstop against lost Fins).
 //!
-//! `--batch N` coalesces up to `N` alerts per stream write (default 1
-//! — no batching). Every socket of the node rides one readiness loop,
-//! so a CE holds thousands of idle front links.
+//! The back link writes one frame per alert. Every socket of the node
+//! rides one readiness loop, so a CE holds thousands of idle front
+//! links.
 //!
 //! `--workers N` (default 0 = evaluate on the main thread) shards the
 //! evaluation pipeline: conditions are split `cond_id % N` across
@@ -43,7 +43,7 @@ use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::time::Duration;
 use rcm_sync::Arc;
-use rcm_transport::{BackLinkSpec, BatchPolicy, EventLoop, EventedBackLink};
+use rcm_transport::{BackLinkSpec, EventLoop, EventedBackLink};
 
 struct Options {
     bind: SocketAddr,
@@ -52,7 +52,6 @@ struct Options {
     node: u32,
     dms: usize,
     idle: Duration,
-    batch: BatchPolicy,
     workers: usize,
 }
 
@@ -60,7 +59,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-ce --bind HOST:PORT --ad HOST:PORT --condition '<expr>' \
          [--condition '<expr>' ...] [--node N] [--dms N] [--idle-ms N] \
-         [--batch N] [--workers N]\n\
+         [--workers N]\n\
          exits after --dms distinct DM Fins (each echoed to its DM, which then\n\
          stops repeating it) or --idle-ms of silence"
     );
@@ -76,7 +75,6 @@ fn parse_args() -> Option<Options> {
         node: 0,
         dms: 1,
         idle: Duration::from_secs(5),
-        batch: BatchPolicy::off(),
         workers: 0,
     };
     let mut seen_bind = false;
@@ -97,14 +95,6 @@ fn parse_args() -> Option<Options> {
             "--dms" => opts.dms = args.next()?.parse().ok()?,
             "--idle-ms" => opts.idle = Duration::from_millis(args.next()?.parse().ok()?),
             "--workers" => opts.workers = args.next()?.parse().ok()?,
-            "--batch" => {
-                let n: usize = args.next()?.parse().ok()?;
-                opts.batch = if n > 1 {
-                    BatchPolicy { max_count: n, ..BatchPolicy::stream() }
-                } else {
-                    BatchPolicy::off()
-                };
-            }
             _ => return None,
         }
     }
@@ -176,7 +166,7 @@ fn main() -> ExitCode {
     };
     let backoff =
         Backoff::new(Duration::from_millis(1), Duration::from_millis(100), opts.node as u64);
-    let spec = BackLinkSpec::new(opts.ad, opts.node, backoff).batching(opts.batch);
+    let spec = BackLinkSpec::new(opts.ad, opts.node, backoff);
     let back = match el.add_back_link(spec) {
         Ok(b) => b,
         Err(e) => {

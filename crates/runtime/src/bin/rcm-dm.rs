@@ -16,20 +16,26 @@
 //! apart, until the CE echoes it back: `--fin-repeats N` (default 16)
 //! is the most Fins a link gets, all of them when its CE never echoes.
 //!
-//! `--batch N` packs up to `N` updates per datagram (default 1 — no
-//! batching).
+//! Readings go out in rounds, like the in-process DM loop's: a round
+//! ends when the input read so far runs out, or at 64 readings, and is
+//! sent as one datagram per CE while it fits the datagram budget. So
+//! `--period-us 0` packs what arrives together; a paced run (the
+//! default) sends each reading alone, one period apart.
 //!
 //! LOCK ORDER: the only locks are stdin's reader lock (held for the
 //! read loop on the main thread) and the links' leaf stats mutexes,
 //! read one at a time after the stream ends.
 
-use std::io::BufRead;
+use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
 use rcm_core::{Update, VarId};
 use rcm_sync::time::Duration;
-use rcm_transport::{fin_rounds, BatchPolicy, UdpFrontLink};
+use rcm_transport::{fin_rounds, UdpFrontLink};
+
+/// Most readings in one round, as in the in-process DM loop.
+const ROUND: usize = 64;
 
 struct Options {
     ce: Vec<SocketAddr>,
@@ -37,13 +43,12 @@ struct Options {
     node: u32,
     period: Duration,
     fin_repeats: usize,
-    batch: BatchPolicy,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-dm --ce HOST:PORT [--ce HOST:PORT ...] [--var N] [--node N] \
-         [--period-us N] [--fin-repeats N] [--batch N]\n\
+         [--period-us N] [--fin-repeats N]\n\
          readings on stdin: one '<value>' per line\n\
          --fin-repeats N: at most N Fins per link, until the CE echoes one"
     );
@@ -57,7 +62,6 @@ fn parse_args() -> Option<Options> {
         node: 0,
         period: Duration::from_micros(500),
         fin_repeats: 16,
-        batch: BatchPolicy::off(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -67,14 +71,6 @@ fn parse_args() -> Option<Options> {
             "--node" => opts.node = args.next()?.parse().ok()?,
             "--period-us" => opts.period = Duration::from_micros(args.next()?.parse().ok()?),
             "--fin-repeats" => opts.fin_repeats = args.next()?.parse().ok()?,
-            "--batch" => {
-                let n: usize = args.next()?.parse().ok()?;
-                opts.batch = if n > 1 {
-                    BatchPolicy { max_count: n, ..BatchPolicy::datagram() }
-                } else {
-                    BatchPolicy::off()
-                };
-            }
             _ => return None,
         }
     }
@@ -90,7 +86,7 @@ fn main() -> ExitCode {
     let mut links = Vec::with_capacity(opts.ce.len());
     for addr in &opts.ce {
         match UdpFrontLink::connect(*addr, opts.node) {
-            Ok(link) => links.push(link.batching(opts.batch)),
+            Ok(link) => links.push(link),
             Err(e) => {
                 eprintln!("error: cannot open front link to {addr}: {e}");
                 return ExitCode::FAILURE;
@@ -101,29 +97,38 @@ fn main() -> ExitCode {
     let var = VarId::new(opts.var);
     let mut seqno: u64 = 0;
     let mut status = ExitCode::SUCCESS;
-    for (lineno, line) in std::io::stdin().lock().lines().enumerate() {
-        let Ok(line) = line else { break };
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+    let mut round = Vec::with_capacity(ROUND);
+    let mut input = BufReader::new(std::io::stdin().lock());
+    let mut line = String::new();
+    let mut lineno = 0;
+    loop {
+        line.clear();
+        match input.read_line(&mut line) {
+            Ok(n) if n > 0 => lineno += 1,
+            _ => break,
+        }
+        let text = line.trim();
+        if text.is_empty() || text.starts_with('#') {
             continue;
         }
         // `f64::from_str` accepts "NaN" and "inf"; a reading is a number.
-        let Some(value) = line.parse::<f64>().ok().filter(|v| v.is_finite()) else {
-            eprintln!("error: line {}: bad value '{line}'", lineno + 1);
-            // Readings accepted so far may still sit in a link's batch:
-            // leave through the Fin rounds, the first of which flushes them.
+        let Some(value) = text.parse::<f64>().ok().filter(|v| v.is_finite()) else {
+            eprintln!("error: line {lineno}: bad value '{text}'");
+            // The readings before it still go out, ahead of the Fin.
             status = ExitCode::FAILURE;
             break;
         };
         seqno += 1;
-        let update = Update::new(var, seqno, value);
-        for link in &mut links {
-            link.send_update(update);
-        }
-        if !opts.period.is_zero() {
-            rcm_sync::thread::sleep(opts.period);
+        round.push(Update::new(var, seqno, value));
+        let paced = !opts.period.is_zero();
+        if paced || round.len() == ROUND || input.buffer().is_empty() {
+            send_round(&mut links, &mut round);
+            if paced {
+                rcm_sync::thread::sleep(opts.period);
+            }
         }
     }
+    send_round(&mut links, &mut round);
     // `&`, not `&&`: every link's echo is read, not only up to the first
     // silent link.
     fin_rounds(opts.fin_repeats, |until| {
@@ -138,4 +143,12 @@ fn main() -> ExitCode {
         links.len()
     );
     status
+}
+
+/// Sends `round` on every link and empties it.
+fn send_round(links: &mut [UdpFrontLink], round: &mut Vec<Update>) {
+    for link in links.iter_mut() {
+        link.send_updates(round);
+    }
+    round.clear();
 }

@@ -20,10 +20,10 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::process::ExitCode;
 
-use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, PassThrough};
+use rcm_core::ad;
 use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::Condition;
-use rcm_core::{VarId, VarRegistry};
+use rcm_core::VarRegistry;
 use rcm_net::{Bernoulli, LossModel, Lossless};
 use rcm_runtime::{MonitorSystem, VarFeed};
 
@@ -62,19 +62,6 @@ fn parse_args() -> Option<Options> {
         return None;
     }
     Some(opts)
-}
-
-fn build_filter(name: &str, vars: &[VarId]) -> Option<Box<dyn AlertFilter>> {
-    Some(match name {
-        "pass" => Box::new(PassThrough::new()),
-        "ad1" => Box::new(Ad1::new()),
-        "ad2" if vars.len() == 1 => Box::new(Ad2::new(vars[0])),
-        "ad3" if vars.len() == 1 => Box::new(Ad3::new(vars[0])),
-        "ad4" if vars.len() == 1 => Box::new(Ad4::new(vars[0])),
-        "ad5" => Box::new(Ad5::new(vars.to_vec())),
-        "ad6" => Box::new(Ad6::new(vars.to_vec())),
-        _ => return None,
-    })
 }
 
 fn main() -> ExitCode {
@@ -121,7 +108,7 @@ fn main() -> ExitCode {
         .replicas(opts.replicas)
         .seed(opts.seed)
         .filter(move |_| {
-            build_filter(&filter_name, &vars_for_filter).unwrap_or_else(|| {
+            ad::by_name(&filter_name, &vars_for_filter).unwrap_or_else(|| {
                 eprintln!("error: filter '{filter_name}' unavailable for this variable count");
                 std::process::exit(2);
             })

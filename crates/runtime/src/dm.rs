@@ -8,8 +8,9 @@
 //! after each wake drains a bounded round: one reading per feed per
 //! pass, round-robin, at most [`ROUND`] in all. Where the round goes is
 //! the [`Fanout`]'s business: in-process its surviving updates reach
-//! each replica as one channel message, socket links send each update
-//! as it is numbered.
+//! each replica as one channel message, and over sockets each feed's
+//! share of the round reaches each replica as one datagram, while it
+//! fits the datagram budget.
 //!
 //! LOCK ORDER: the loop takes only leaf mutexes owned elsewhere (a
 //! retained window, a link's counters), each alone and released before

@@ -77,7 +77,5 @@ pub use faults::{
 };
 pub use link::{FrontLink, LinkReport};
 pub use pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
-pub use rcm_transport::{
-    BatchPolicy, BoundTopology, Codec, Topology, TransportMode, TransportReport,
-};
+pub use rcm_transport::{BoundTopology, Codec, Topology, TransportMode, TransportReport};
 pub use system::{ConfigError, MonitorSystem, PipelineReport, RunReport, SystemBuilder, VarFeed};

@@ -12,7 +12,7 @@
 //!
 //! * the **dispatcher** (the supervised CE body) admits updates (ingest
 //!   gate, kill/restart/replay protocol) and fans each admitted update
-//!   out to every worker over a bounded [`spsc`](rcm_sync::spsc) ring,
+//!   out to every worker over a bounded [`spsc`] ring,
 //!   stamped with a global admission index and an admission timestamp;
 //! * each **shard worker** owns the `cond_id % workers` slice of the
 //!   condition set in a private [`ConditionRegistry`] — this module is

@@ -12,19 +12,37 @@ use rcm_transport::{fin_rounds, EventedBackLink, UdpFrontLink};
 use crate::actors::AlertSink;
 use crate::dm::Fanout;
 
-/// The DM loop's socket fanout: a UDP link per `(feed, replica)`, each
-/// update sent as it is numbered.
+/// The DM loop's socket fanout: a UDP link per `(feed, replica)`. A
+/// feed's readings are collected over a round and sent at its end, as
+/// one datagram per replica while they fit the datagram budget.
 pub(crate) struct UdpFanout {
     /// `links[feed][replica]`.
-    pub links: Vec<Vec<UdpFrontLink>>,
+    links: Vec<Vec<UdpFrontLink>>,
+    /// `round[feed]`: the feed's readings this round.
+    round: Vec<Vec<Update>>,
     /// Most Fins a silent link is sent.
-    pub fin_repeats: usize,
+    fin_repeats: usize,
+}
+
+impl UdpFanout {
+    /// A fanout over `links[feed][replica]`.
+    pub(crate) fn new(links: Vec<Vec<UdpFrontLink>>, fin_repeats: usize) -> Self {
+        let round = links.iter().map(|_| Vec::new()).collect();
+        UdpFanout { links, round, fin_repeats }
+    }
 }
 
 impl Fanout for UdpFanout {
     fn multicast(&mut self, feed: usize, update: Update) {
-        for link in &mut self.links[feed] {
-            link.send_update(update);
+        self.round[feed].push(update);
+    }
+
+    fn end_round(&mut self) {
+        for (links, round) in self.links.iter_mut().zip(&mut self.round) {
+            for link in links.iter_mut() {
+                link.send_updates(round);
+            }
+            round.clear();
         }
     }
 

@@ -494,8 +494,7 @@ impl SystemBuilder {
                     .map_err(transport_err)?,
             );
 
-            let mut spec = BackLinkSpec::new(parts.ad_addr, ce as u32, ces.backoff(ce))
-                .batching(parts.back_batch);
+            let mut spec = BackLinkSpec::new(parts.ad_addr, ce as u32, ces.backoff(ce));
             if let Some(p) = &ces.plan {
                 spec = spec
                     .with_severs(
@@ -540,16 +539,14 @@ impl SystemBuilder {
             front_vars.push(feed.var);
             let mut row = Vec::with_capacity(self.replicas);
             for (ci, target) in parts.dm_targets.iter().enumerate() {
-                let link = UdpFrontLink::connect(*target, fi as u32)
-                    .map_err(transport_err)?
-                    .batching(parts.front_batch);
+                let link = UdpFrontLink::connect(*target, fi as u32).map_err(transport_err)?;
                 front_stats.push(((fi, ci), link.stats_handle()));
                 row.push(link);
             }
             links.push(row);
         }
         let dms = dms(self.feeds, &ces.windows);
-        handles.push(spawn_dm_loop(dms, UdpFanout { links, fin_repeats: parts.fin_repeats }));
+        handles.push(spawn_dm_loop(dms, UdpFanout::new(links, parts.fin_repeats)));
 
         Ok(MonitorSystem {
             handles,
@@ -784,6 +781,7 @@ impl MonitorSystem {
                             frames_sent: r.sent,
                             frames_dropped: r.dropped,
                             updates_sent: r.sent,
+                            updates_dropped: r.dropped,
                             bytes_sent: 0,
                         };
                         (i / self.replicas, i % self.replicas, front)
@@ -806,7 +804,6 @@ impl MonitorSystem {
                             io_errors: 0,
                             frames_sent: s.sent,
                             bytes_sent: 0,
-                            dedup_suppressed: 0,
                             shed: 0,
                         }
                     })
@@ -839,11 +836,11 @@ impl MonitorSystem {
                 .iter()
                 .map(|((fi, ci), stats)| {
                     let s = *stats.lock();
-                    // The legacy view counts updates, not datagrams —
-                    // with batching on they differ.
+                    // The legacy view counts updates, not datagrams: one
+                    // datagram carries a feed's whole round.
                     (
                         (self.front_vars[*fi], CeId::new(*ci as u32)),
-                        LinkReport { sent: s.updates_sent, dropped: s.frames_dropped },
+                        LinkReport { sent: s.updates_sent, dropped: s.updates_dropped },
                     )
                 })
                 .collect(),
@@ -1229,6 +1226,40 @@ mod tests {
         let report = system.wait();
         assert_eq!(seqnos_on(&report, x), vec![(1..=40).collect::<Vec<u64>>(); 2]);
         assert_eq!(seqnos_on(&report, y), vec![(1..=120).collect::<Vec<u64>>(); 2]);
+    }
+
+    #[test]
+    fn a_refused_round_counts_every_update_it_held() {
+        // Every front link aims at a closed loopback port. Linux reports
+        // the ICMP refusal of one datagram on the link's next send, so
+        // some of the four 64-reading rounds fail to send, each as one
+        // datagram. The `links` view counts their updates, not their
+        // datagrams.
+        let closed = {
+            let sock = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe");
+            sock.local_addr().expect("probe addr")
+        };
+        let bound = rcm_transport::Topology::loopback(2)
+            .bind()
+            .expect("bind topology")
+            .route_front_links(vec![closed; 2])
+            .idle_timeout(Duration::from_millis(200));
+        let n = 4 * crate::dm::ROUND;
+        let report = MonitorSystem::builder(c1())
+            .replicas(2)
+            .feed(VarFeed::new(x(), vec![0.0; n]))
+            .transport(bound)
+            .start()
+            .expect("system starts")
+            .wait();
+        for (i, (_, link)) in report.links.iter().enumerate() {
+            let (_, _, stats) = report.transport.front_links[i];
+            assert_eq!(stats.frames_sent, 4, "link {i}: one datagram a round");
+            assert!(stats.frames_dropped >= 1, "link {i}: no send was refused");
+            assert_eq!(link.sent, n as u64);
+            assert_eq!(link.dropped, stats.frames_dropped * crate::dm::ROUND as u64, "link {i}");
+            assert_eq!(link.dropped, stats.updates_dropped);
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! These are the tentpole acceptance tests for the socket transport:
 //! they prove the deployment path is behaviorally identical to the
-//! model the rest of the repo verifies — with frame batching on, at
-//! 0% and 20% front-link loss, evaluated on the CE thread or on shard
-//! workers.
+//! model the rest of the repo verifies — paced one reading per
+//! datagram or a whole round per datagram, at 0% and 20% front-link
+//! loss, evaluated on the CE thread or on shard workers.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,9 +16,7 @@ use std::time::Duration;
 use rcm_core::condition::{Cmp, Condition, Threshold};
 use rcm_core::{Alert, VarId};
 use rcm_net::Scripted;
-use rcm_runtime::{
-    BatchPolicy, FaultPlan, MonitorSystem, RunReport, Topology, TransportMode, VarFeed,
-};
+use rcm_runtime::{FaultPlan, MonitorSystem, RunReport, Topology, TransportMode, VarFeed};
 use rcm_transport::{LossProxy, ProxyStats};
 
 fn x() -> VarId {
@@ -36,14 +34,19 @@ fn values() -> Vec<f64> {
 }
 
 /// Pace DM emissions so loopback datagrams (and the single-threaded
-/// proxy) preserve send order; scripted drop positions then line up
-/// exactly with the in-process loss model's.
+/// proxy) preserve send order; a paced feed emits one reading per
+/// round, so each datagram is one update and scripted drop positions
+/// line up exactly with the in-process loss model's.
 const PERIOD: Duration = Duration::from_millis(1);
 
 fn run_in_process(plan: FaultPlan, drops: &'static [u64]) -> RunReport {
+    run_in_process_paced(plan, drops, PERIOD)
+}
+
+fn run_in_process_paced(plan: FaultPlan, drops: &'static [u64], period: Duration) -> RunReport {
     MonitorSystem::builder(threshold())
         .replicas(2)
-        .feed(VarFeed::new(x(), values()).period(PERIOD))
+        .feed(VarFeed::new(x(), values()).period(period))
         .loss(move |_, _| Box::new(Scripted::new(drops.iter().copied())))
         .faults(plan)
         .start()
@@ -54,28 +57,19 @@ fn run_in_process(plan: FaultPlan, drops: &'static [u64]) -> RunReport {
 /// Runs the same system over real sockets, with a [`LossProxy`] per CE
 /// replica replaying the same scripted drop set on the real datagrams.
 fn run_sockets(plan: FaultPlan, drops: &'static [u64]) -> (RunReport, Vec<ProxyStats>) {
-    run_sockets_on(Topology::loopback(2), plan, drops)
+    run_sockets_with(plan, drops, 0, PERIOD)
 }
 
-/// Like [`run_sockets`] but over a caller-configured topology
-/// (batching choices).
-fn run_sockets_on(
-    topology: Topology,
-    plan: FaultPlan,
-    drops: &'static [u64],
-) -> (RunReport, Vec<ProxyStats>) {
-    run_sockets_workers(topology, plan, drops, 0)
-}
-
-/// Like [`run_sockets_on`] with the CE evaluation pipeline enabled at
-/// `workers` shard workers (0 = evaluated on the CE thread).
-fn run_sockets_workers(
-    topology: Topology,
+/// Like [`run_sockets`] with the CE evaluation pipeline enabled at
+/// `workers` shard workers (0 = evaluated on the CE thread) and the
+/// feed paced at `period`.
+fn run_sockets_with(
     plan: FaultPlan,
     drops: &'static [u64],
     workers: usize,
+    period: Duration,
 ) -> (RunReport, Vec<ProxyStats>) {
-    let bound = topology.bind().expect("bind topology");
+    let bound = Topology::loopback(2).bind().expect("bind topology");
     let mut proxies = Vec::new();
     let mut targets = Vec::new();
     for addr in bound.ce_addrs() {
@@ -90,7 +84,7 @@ fn run_sockets_workers(
     let report = MonitorSystem::builder(threshold())
         .replicas(2)
         .workers(workers)
-        .feed(VarFeed::new(x(), values()).period(PERIOD))
+        .feed(VarFeed::new(x(), values()).period(period))
         .faults(plan)
         .transport(bound)
         .start()
@@ -200,36 +194,31 @@ fn version_2_peers_are_refused_and_change_nothing() {
     assert_eq!(sockets.transport.ad.decode_errors, 1);
 }
 
-/// Acceptance for batching: packing 5 updates per datagram changes the
-/// datagram count (visible in the new transport counters) but not one
-/// bit of the displayed output.
+/// Acceptance for round framing: an unpaced 20-reading feed is one DM
+/// round, so each front link sends it as one datagram of 20 updates —
+/// and the displayed output is bit for bit the in-process run's.
 #[test]
-fn batched_front_links_change_framing_but_not_output() {
-    let baseline = run_in_process(FaultPlan::scripted(), &[]);
-    let topology = Topology::loopback(2).with_front_batching(BatchPolicy {
-        max_count: 5,
-        max_bytes: 1200,
-        max_delay: Duration::from_secs(10),
-    });
-    let (sockets, _) = run_sockets_on(topology, FaultPlan::scripted(), &[]);
+fn a_round_is_one_datagram_and_output_does_not_change() {
+    let baseline = run_in_process_paced(FaultPlan::scripted(), &[], Duration::ZERO);
+    let (sockets, _) = run_sockets_with(FaultPlan::scripted(), &[], 0, Duration::ZERO);
 
     assert_eq!(
         sockets.displayed,
         baseline.displayed,
-        "batched socket run diverged (sockets {:?} vs in-process {:?})",
+        "round-framed socket run diverged (sockets {:?} vs in-process {:?})",
         displayed_seqnos(&sockets),
         displayed_seqnos(&baseline),
     );
-    // 20 readings at 5 per datagram → exactly 4 datagrams per front
-    // link (the deadline is far away and 5 binary updates fit well
-    // under the size cap), and the rollups see the 5× amortization.
+    assert_eq!(sockets.transport.front_links.len(), 2);
     for (_, _, stats) in &sockets.transport.front_links {
-        assert_eq!(stats.frames_sent, 4, "20 updates at 5 per datagram");
+        assert_eq!(stats.frames_sent, 1, "20 readings, one round, one datagram");
         assert_eq!(stats.updates_sent, 20);
         assert!(stats.bytes_sent > 0);
     }
-    assert!((sockets.transport.updates_per_datagram() - 5.0).abs() < f64::EPSILON);
-    assert!(sockets.transport.bytes_per_frame() > 0.0);
+    assert!((sockets.transport.updates_per_datagram() - 20.0).abs() < f64::EPSILON);
+    for ingress in &sockets.transport.ingress {
+        assert_eq!(ingress.delivered, 20);
+    }
 }
 
 /// Tentpole acceptance: the shard-parallel evaluation pipeline is
@@ -243,7 +232,7 @@ fn pipelined_workers_match_in_process_output_over_sockets() {
     const DROPS: &[u64] = &[1, 4, 7, 11];
     let inline = run_in_process(FaultPlan::scripted(), DROPS);
     assert!(!inline.displayed.is_empty());
-    let (sockets, _) = run_sockets_workers(Topology::loopback(2), FaultPlan::scripted(), DROPS, 4);
+    let (sockets, _) = run_sockets_with(FaultPlan::scripted(), DROPS, 4, PERIOD);
     assert_eq!(
         sockets.displayed,
         inline.displayed,

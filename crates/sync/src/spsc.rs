@@ -2,7 +2,7 @@
 //! pipeline's dispatcher → shard-worker handoff.
 //!
 //! The ring is deliberately built from the shim's own primitives — a
-//! [`Mutex`](crate::Mutex) around the queue state plus unbounded
+//! [`Mutex`] around the queue state plus unbounded
 //! [`chan`](crate::chan) channels carrying wake tokens — so the exact
 //! same source compiles under `--cfg loom` and the handoff protocol is
 //! model-checkable without a parallel "test double" implementation.

@@ -36,12 +36,15 @@ use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
 use super::counters::BackLinkCounters;
-use super::event_loop::{timer_data, Command, Core, KIND_DEADLINE, KIND_FLUSH, KIND_RECONNECT};
-use crate::batch::BatchPolicy;
+use super::event_loop::{timer_data, Command, Core, KIND_DEADLINE, KIND_RECONNECT};
 use crate::wire::{self, Codec, Message};
 
 /// Same tail length as the threaded link.
 const UNACKED_TAIL: usize = 8;
+
+/// How long `finish` keeps retrying a dead peer before counting the
+/// queue as lost — the threaded link's deadline.
+const FINISH_DEADLINE: Duration = Duration::from_secs(10);
 
 /// How long one in-flight reconnect attempt may sit in `Connecting`
 /// before the abort timer kills it — the evented analogue of the
@@ -53,42 +56,24 @@ const CONNECT_CAP: Duration = Duration::from_millis(250);
 /// only so a silently-dropping peer cannot park deployment forever.
 const INITIAL_CONNECT_WAIT: Duration = Duration::from_secs(30);
 
-/// Everything needed to open one evented back link — the same knobs
-/// as `TcpBackLink`'s builder methods, gathered so the link can be
-/// built inside the loop.
+/// Everything needed to open one evented back link, gathered so the
+/// link can be built inside the loop. Like the threaded `TcpBackLink`,
+/// it sends one frame per alert, resends an unacked tail of 8 on
+/// reconnect and gives a dead peer 10 s at `finish`.
 #[derive(Debug, Clone)]
 pub struct BackLinkSpec {
     pub(super) peer: SocketAddr,
     pub(super) node: u32,
     pub(super) backoff: Backoff,
-    pub(super) batch: BatchPolicy,
     pub(super) severs: Vec<(u64, Duration)>,
     pub(super) queue_cap: usize,
-    pub(super) unacked_cap: usize,
-    pub(super) blocking_deadline: Duration,
 }
 
 impl BackLinkSpec {
-    /// A spec with the threaded link's defaults: no batching, queue
-    /// cap 1024, unacked tail 8, 10 s finish deadline.
+    /// A spec with the threaded link's defaults: no severs, queue cap
+    /// 1024.
     pub fn new(peer: SocketAddr, node: u32, backoff: Backoff) -> Self {
-        BackLinkSpec {
-            peer,
-            node,
-            backoff,
-            batch: BatchPolicy::off(),
-            severs: Vec::new(),
-            queue_cap: 1024,
-            unacked_cap: UNACKED_TAIL,
-            blocking_deadline: Duration::from_secs(10),
-        }
-    }
-
-    /// Enables frame batching under `policy` (default off).
-    #[must_use]
-    pub fn batching(mut self, policy: BatchPolicy) -> Self {
-        self.batch = policy;
-        self
+        BackLinkSpec { peer, node, backoff, severs: Vec::new(), queue_cap: 1024 }
     }
 
     /// Scripts severances as `(at_send, down_for)` pairs; sorted
@@ -104,22 +89,6 @@ impl BackLinkSpec {
     #[must_use]
     pub fn queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = cap.max(1);
-        self
-    }
-
-    /// Sets the unacked-tail length resent on reconnect (default 8;
-    /// 0 disables duplicate resends).
-    #[must_use]
-    pub fn unacked_cap(mut self, cap: usize) -> Self {
-        self.unacked_cap = cap;
-        self
-    }
-
-    /// How long `finish` keeps retrying a dead peer before counting
-    /// the queue as lost (default 10 s).
-    #[must_use]
-    pub fn reconnect_deadline(mut self, deadline: Duration) -> Self {
-        self.blocking_deadline = deadline;
         self
     }
 }
@@ -202,10 +171,10 @@ impl EventedBackLink {
 struct PendingWrite {
     bytes: Vec<u8>,
     written: usize,
-    /// The alerts this frame carries (empty for Hello/Fin control
+    /// The alert this frame carries (`None` for Hello/Fin control
     /// frames, which the counters ignore — matching the threaded
     /// link's `write_msg`).
-    alerts: Vec<Alert>,
+    alert: Option<Alert>,
     resend: bool,
     fin: bool,
 }
@@ -235,16 +204,9 @@ pub(super) struct BackSource {
     queue: VecDeque<Alert>,
     queue_cap: usize,
     unacked: VecDeque<Alert>,
-    unacked_cap: usize,
-    blocking_deadline: Duration,
-    batch: BatchPolicy,
-    pending: Vec<Alert>,
-    pending_bytes: usize,
-    pending_since: Instant,
     out: VecDeque<PendingWrite>,
     registered_write: bool,
     reconnect_timer: Option<TimerKey>,
-    flush_timer: Option<TimerKey>,
     deadline_timer: Option<TimerKey>,
     counters: Arc<BackLinkCounters>,
     done_tx: Sender<()>,
@@ -286,16 +248,9 @@ impl BackSource {
             queue: VecDeque::new(),
             queue_cap: spec.queue_cap,
             unacked: VecDeque::new(),
-            unacked_cap: spec.unacked_cap,
-            blocking_deadline: spec.blocking_deadline,
-            batch: spec.batch,
-            pending: Vec::new(),
-            pending_bytes: 0,
-            pending_since: Instant::now(),
             out: VecDeque::new(),
             registered_write: true,
             reconnect_timer: None,
-            flush_timer: None,
             deadline_timer: None,
             counters: Arc::new(BackLinkCounters::default()),
             done_tx,
@@ -322,58 +277,17 @@ impl BackSource {
             }
         }
         self.sends_seen += 1;
-        if self.batch.is_off() {
-            if self.state == LinkState::Up {
-                self.queue_frame(vec![alert], false);
-                self.drain_out(core, id);
-            } else {
-                self.enqueue(alert);
-            }
-            return false;
-        }
-        if self.state != LinkState::Up {
-            // FIFO across the outage: the buffered batch (older) goes
-            // to the queue before this alert does.
-            self.spill_pending(core);
+        if self.state == LinkState::Up {
+            self.queue_frame(alert, false);
+            self.drain_out(core, id);
+        } else {
             self.enqueue(alert);
-            return false;
-        }
-        if self.pending.contains(&alert) {
-            self.counters.dedup_suppressed.fetch_add(1, Ordering::SeqCst);
-            return false;
-        }
-        let add = wire::alert_frame_len(&alert) - wire::HEADER_LEN;
-        if !self.pending.is_empty()
-            && (self.batch.expired(self.pending_since)
-                || self.batch.bytes_full(self.pending_bytes + add))
-        {
-            self.flush_pending(core, id);
-        }
-        if self.state != LinkState::Up {
-            // The flush hit a write error and spilled; keep FIFO.
-            self.enqueue(alert);
-            return false;
-        }
-        if self.pending.is_empty() {
-            self.pending_since = now;
-            self.pending_bytes = wire::HEADER_LEN + 2; // tag + count
-                                                       // The threaded link checks `max_delay` on the next send;
-                                                       // the loop gets an explicit flush deadline instead.
-            self.flush_timer = Some(
-                core.wheel.schedule_at(now + self.batch.max_delay, timer_data(id, KIND_FLUSH)),
-            );
-        }
-        self.pending.push(alert);
-        self.pending_bytes += add;
-        if self.batch.count_full(self.pending.len()) {
-            self.flush_pending(core, id);
         }
         false
     }
 
     pub(super) fn on_finish(&mut self, core: &mut Core, id: usize) -> bool {
         self.finishing = true;
-        self.flush_pending(core, id);
         if self.state == LinkState::Up {
             if !self.fin_queued {
                 self.queue_fin();
@@ -387,11 +301,6 @@ impl BackSource {
     pub(super) fn on_abandon(&mut self, core: &mut Core, id: usize) -> bool {
         // Sanctioned loss: the queue dies with the replica, but the
         // listener still needs the end-of-stream marker.
-        self.pending.clear();
-        self.pending_bytes = 0;
-        if let Some(key) = self.flush_timer.take() {
-            core.wheel.cancel(key);
-        }
         self.queue.clear();
         self.unacked.clear();
         self.finishing = true;
@@ -407,9 +316,8 @@ impl BackSource {
 
     fn arm_finish_deadline(&mut self, core: &mut Core, id: usize) {
         let now = Instant::now();
-        self.deadline_timer = Some(
-            core.wheel.schedule_at(now + self.blocking_deadline, timer_data(id, KIND_DEADLINE)),
-        );
+        self.deadline_timer =
+            Some(core.wheel.schedule_at(now + FINISH_DEADLINE, timer_data(id, KIND_DEADLINE)));
         if self.state == LinkState::Down && self.reconnect_timer.is_none() {
             self.schedule_reconnect(core, id, now);
         }
@@ -451,13 +359,6 @@ impl BackSource {
                     }
                     LinkState::Down => self.attempt_connect(core, id),
                     LinkState::Up => {}
-                }
-                false
-            }
-            KIND_FLUSH => {
-                self.flush_timer = None;
-                if !self.pending.is_empty() {
-                    return self.flush_pending(core, id);
                 }
                 false
             }
@@ -507,7 +408,7 @@ impl BackSource {
         self.queue_control(Message::Hello { node: self.node });
         self.resend_unacked();
         while let Some(alert) = self.queue.pop_front() {
-            self.queue_frame(vec![alert], false);
+            self.queue_frame(alert, false);
         }
         if self.finishing && !self.fin_queued {
             self.queue_fin();
@@ -546,29 +447,26 @@ impl BackSource {
 
     // ---- the write path.
 
-    /// Encodes `alerts` as one frame (plain `Alert` for a lone alert,
-    /// `AlertBatch` otherwise — the threaded wire format) and parks it
-    /// on the out-queue. Counting happens at completion.
-    fn queue_frame(&mut self, alerts: Vec<Alert>, resend: bool) {
+    /// Encodes `alert` as one `Alert` frame (the threaded wire format)
+    /// and parks it on the out-queue. Counting happens at completion.
+    fn queue_frame(&mut self, alert: Alert, resend: bool) {
         let mut bytes = Vec::new();
-        let result = match alerts.as_slice() {
-            [single] => {
-                wire::encode_into(Codec::Binary, &Message::Alert(single.clone()), &mut bytes)
-            }
-            many => wire::encode_alerts_into(Codec::Binary, many, &mut bytes),
-        };
-        if result.is_err() {
+        if wire::encode_into(Codec::Binary, &Message::Alert(alert.clone()), &mut bytes).is_err() {
             // Unreachable for well-formed alerts; counted, not
             // panicked. Duplicates (resends) are simply dropped.
             self.counters.io_errors.fetch_add(1, Ordering::SeqCst);
             if !resend {
-                for alert in alerts {
-                    self.enqueue(alert);
-                }
+                self.enqueue(alert);
             }
             return;
         }
-        self.out.push_back(PendingWrite { bytes, written: 0, alerts, resend, fin: false });
+        self.out.push_back(PendingWrite {
+            bytes,
+            written: 0,
+            alert: Some(alert),
+            resend,
+            fin: false,
+        });
     }
 
     fn queue_control(&mut self, msg: Message) {
@@ -578,7 +476,7 @@ impl BackSource {
                 self.out.push_back(PendingWrite {
                     bytes,
                     written: 0,
-                    alerts: Vec::new(),
+                    alert: None,
                     resend: false,
                     fin,
                 });
@@ -602,7 +500,7 @@ impl BackSource {
         // resend.
         let tail: Vec<Alert> = self.unacked.iter().cloned().collect();
         for alert in tail {
-            self.queue_frame(vec![alert], true);
+            self.queue_frame(alert, true);
         }
     }
 
@@ -645,19 +543,17 @@ impl BackSource {
             self.retire(core);
             return true;
         }
-        if frame.alerts.is_empty() {
+        let Some(alert) = frame.alert else {
             return false; // Hello: uncounted, like write_msg
-        }
+        };
         let len = frame.bytes.len() as u64;
         self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
         self.counters.bytes_sent.fetch_add(len, Ordering::SeqCst);
         if frame.resend {
             self.counters.resent_duplicates.fetch_add(1, Ordering::SeqCst);
         } else {
-            self.counters.sent.fetch_add(frame.alerts.len() as u64, Ordering::SeqCst);
-            for alert in frame.alerts {
-                self.push_unacked(alert);
-            }
+            self.counters.sent.fetch_add(1, Ordering::SeqCst);
+            self.push_unacked(alert);
         }
         false
     }
@@ -696,16 +592,11 @@ impl BackSource {
                 self.fin_queued = false; // the finish plan re-issues it
             }
             if !frame.resend {
-                spilled.extend(frame.alerts);
+                spilled.extend(frame.alert);
             }
         }
         for alert in spilled.into_iter().rev() {
             self.queue.push_front(alert);
-        }
-        // The buffered batch spills behind everything already queued.
-        self.spill_pending(core);
-        if let Some(key) = self.flush_timer.take() {
-            core.wheel.cancel(key);
         }
         self.schedule_reconnect(core, id, Instant::now());
     }
@@ -733,11 +624,7 @@ impl BackSource {
     /// Final cleanup + the caller's acknowledgement.
     fn retire(&mut self, core: &mut Core) {
         self.close_stream(core);
-        for key in
-            [self.reconnect_timer.take(), self.flush_timer.take(), self.deadline_timer.take()]
-                .into_iter()
-                .flatten()
-        {
+        for key in [self.reconnect_timer.take(), self.deadline_timer.take()].into_iter().flatten() {
             core.wheel.cancel(key);
         }
         let _ = self.done_tx.send(());
@@ -759,31 +646,6 @@ impl BackSource {
 
     // ---- queue bookkeeping (same contract as the threaded link).
 
-    fn flush_pending(&mut self, core: &mut Core, id: usize) -> bool {
-        if let Some(key) = self.flush_timer.take() {
-            core.wheel.cancel(key);
-        }
-        if self.pending.is_empty() {
-            return false;
-        }
-        if self.state != LinkState::Up {
-            self.spill_pending(core);
-            return false;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        self.pending_bytes = 0;
-        self.queue_frame(pending, false);
-        self.drain_out(core, id)
-    }
-
-    fn spill_pending(&mut self, _core: &mut Core) {
-        let pending = std::mem::take(&mut self.pending);
-        self.pending_bytes = 0;
-        for alert in pending {
-            self.enqueue(alert);
-        }
-    }
-
     fn enqueue(&mut self, alert: Alert) {
         if self.queue.len() >= self.queue_cap {
             // Strictly non-blocking back-pressure: shed the oldest and
@@ -797,11 +659,9 @@ impl BackSource {
     }
 
     fn push_unacked(&mut self, alert: Alert) {
-        if self.unacked_cap > 0 {
-            if self.unacked.len() == self.unacked_cap {
-                self.unacked.pop_front();
-            }
-            self.unacked.push_back(alert);
+        if self.unacked.len() == UNACKED_TAIL {
+            self.unacked.pop_front();
         }
+        self.unacked.push_back(alert);
     }
 }

@@ -93,8 +93,6 @@ pub struct BackLinkCounters {
     pub frames_sent: AtomicU64,
     /// Wire bytes written, headers included.
     pub bytes_sent: AtomicU64,
-    /// Alerts suppressed by within-frame dedup.
-    pub dedup_suppressed: AtomicU64,
     /// Alerts shed non-blockingly past the queue bound.
     pub shed: AtomicU64,
 }
@@ -121,7 +119,6 @@ impl BackLinkCounters {
             io_errors: self.io_errors.load(Ordering::SeqCst),
             frames_sent: self.frames_sent.load(Ordering::SeqCst),
             bytes_sent: self.bytes_sent.load(Ordering::SeqCst),
-            dedup_suppressed: self.dedup_suppressed.load(Ordering::SeqCst),
             shed: self.shed.load(Ordering::SeqCst),
         }
     }

@@ -11,8 +11,8 @@
 //! behind, which makes a late timer fire or a stale readiness event
 //! for that token a silent no-op instead of a use-after-retire bug.
 //! Timer payloads encode `(slot << 2) | kind`, so one wheel serves
-//! idle backstops, reconnect pacing, batch flush deadlines, and
-//! finish deadlines without per-source timer threads.
+//! idle backstops, reconnect pacing and finish deadlines without
+//! per-source timer threads.
 
 // LOCK ORDER: no locks on the loop thread — cross-thread handoff is the
 // SubmitQueue (whose single mutex is documented in rcm-poll) plus atomics.
@@ -33,8 +33,8 @@ use super::front::FrontSource;
 use super::listener::{ConnSource, ListenerSource};
 
 /// Timer-wheel resolution. Coarser than the OS clock on purpose: every
-/// engine deadline (backoff floors, batch `max_delay`, idle backstops)
-/// is milliseconds-scale, and a coarse tick keeps the wheel's cascade
+/// engine deadline (backoff floors, connect caps, idle backstops) is
+/// milliseconds-scale, and a coarse tick keeps the wheel's cascade
 /// work near zero.
 const TICK: Duration = Duration::from_millis(1);
 
@@ -45,8 +45,7 @@ const BUCKETS: usize = 512;
 /// Timer kinds, packed into the low bits of the wheel's `data` word.
 pub(super) const KIND_IDLE: u64 = 0;
 pub(super) const KIND_RECONNECT: u64 = 1;
-pub(super) const KIND_FLUSH: u64 = 2;
-pub(super) const KIND_DEADLINE: u64 = 3;
+pub(super) const KIND_DEADLINE: u64 = 2;
 
 /// Packs a slab slot and a timer kind into one wheel payload.
 pub(super) fn timer_data(id: usize, kind: u64) -> u64 {
@@ -229,8 +228,8 @@ impl EventLoop {
     /// Adds one CE → AD back link: the evented [`TcpBackLink`]. The
     /// initial connect happens here, on the caller thread, with the
     /// threaded path's deployment-error semantics; everything after
-    /// (severs, reconnects, batching, the lossless drain) runs as a
-    /// state machine on the loop.
+    /// (severs, reconnects, the lossless drain) runs as a state machine
+    /// on the loop.
     ///
     /// [`TcpBackLink`]: crate::TcpBackLink
     ///

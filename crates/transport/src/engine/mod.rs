@@ -55,7 +55,6 @@ mod tests {
     use rcm_sync::time::Duration;
 
     use super::*;
-    use crate::batch::BatchPolicy;
     use crate::udp::UdpFrontLink;
 
     fn alert(index: u64) -> Alert {
@@ -170,45 +169,6 @@ mod tests {
         let got: Vec<Alert> = rx.iter().collect();
         engine.join().expect("loop thread");
         assert_eq!(got.len(), 4);
-    }
-
-    /// With batching on, alerts parked under `max_count` still reach
-    /// the listener via the timer wheel's `max_delay` flush — no
-    /// caller-side flush, no finish needed to move them.
-    #[test]
-    fn batch_max_delay_flush_is_timer_driven() {
-        let mut el = EventLoop::new().expect("event loop");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (tx, rx) = rcm_sync::chan::unbounded();
-        el.add_alert_listener(listener, 1, Duration::from_secs(5), move |a| {
-            let _ = tx.send(a);
-        })
-        .expect("register listener");
-        let spec = BackLinkSpec::new(addr, 0, backoff()).batching(BatchPolicy {
-            max_count: 100,
-            max_bytes: 1 << 20,
-            max_delay: Duration::from_millis(20),
-        });
-        let mut back = el.add_back_link(spec).expect("back link");
-        let link_stats = back.stats_handle();
-        let engine = rcm_sync::thread::spawn(move || el.run());
-
-        for i in 0..3 {
-            back.send_alert(alert(i));
-        }
-        // Well under max_count and no finish yet, so only the 20 ms
-        // deadline can move these — recv blocks until the wheel fires.
-        let first = rx.recv().expect("timer flush delivers");
-        assert_eq!(first.id.index, 0);
-        back.finish();
-        let rest: Vec<Alert> = rx.iter().collect();
-        engine.join().expect("loop thread");
-        assert_eq!(rest.len(), 2);
-        let stats = link_stats.snapshot();
-        assert_eq!(stats.sent, 3);
-        // All three alerts left in one batched frame.
-        assert!(stats.frames_sent <= 3, "got {} frames", stats.frames_sent);
     }
 
     /// Send-after-finish is a caller bug the handle absorbs without

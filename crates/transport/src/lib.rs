@@ -11,12 +11,9 @@
 //! * [`wire`] — the shared frame codec (version byte, length prefix,
 //!   checksum, payload) used by every link, in-process or socket: one
 //!   compact binary payload layout, version 3;
-//! * [`BatchPolicy`] — frame batching: links coalesce many updates per
-//!   datagram / many alerts per stream write, flushing on
-//!   count/size/deadline, with delivery semantics identical to
-//!   unbatched sends;
 //! * [`UdpFrontLink`] — the DM's side of a front link: updates over
-//!   UDP, batched per [`BatchPolicy`], end-of-stream as a Fin marker
+//!   UDP, a round of them per datagram under a fixed 1,200-byte budget
+//!   ([`wire::DATAGRAM_BUDGET`]), end-of-stream as a Fin marker
 //!   repeated until the CE echoes it;
 //! * [`engine`] — the receiving and alert-carrying side: every CE
 //!   ingress (enforcing the front-link contract by discarding reordered
@@ -37,7 +34,7 @@
 //! the same three links with a blocked OS thread (blocking socket +
 //! short read timeout) per socket. Nothing in the runtime or the node
 //! binaries can select them any more; `tcp.rs` and the receiver half of
-//! `udp.rs` stay, unchanged, only because the benchmark's two
+//! `udp.rs` stay only because the benchmark's two
 //! `transport.threaded.*` hop probes time them, and go once a benchmark
 //! change drops those probes. The one-variant [`Codec`] is kept the same
 //! way: the benchmark's replay passes it to the `wire::encode_*_into`
@@ -50,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 pub mod engine;
 mod gate;
 mod proxy;
@@ -60,7 +56,6 @@ mod topology;
 mod udp;
 pub mod wire;
 
-pub use batch::BatchPolicy;
 pub use engine::{BackLinkSpec, EventLoop, EventedBackLink};
 pub use gate::SeqGate;
 pub use proxy::{LossProxy, ProxyHandle};

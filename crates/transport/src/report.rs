@@ -17,15 +17,17 @@ pub enum TransportMode {
 /// Sender-side counters for one DM → CE front link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontLinkStats {
-    /// Frames handed to the socket (or channel). With batching on, one
-    /// frame can carry many updates — compare against `updates_sent`.
+    /// Frames handed to the socket (or channel). On a socket one
+    /// datagram carries a feed's whole round — compare against
+    /// `updates_sent`.
     pub frames_sent: u64,
     /// Frames dropped before delivery (loss model in-process; send
     /// errors on a socket).
     pub frames_dropped: u64,
-    /// Updates handed to the link (equal to `frames_sent` when
-    /// batching is off).
+    /// Updates handed to the link.
     pub updates_sent: u64,
+    /// Updates in the dropped frames: the unit of `updates_sent`.
+    pub updates_dropped: u64,
     /// Wire bytes handed to the socket, headers included.
     pub bytes_sent: u64,
 }
@@ -36,6 +38,7 @@ impl FrontLinkStats {
             ("frames_sent", self.frames_sent.into()),
             ("frames_dropped", self.frames_dropped.into()),
             ("updates_sent", self.updates_sent.into()),
+            ("updates_dropped", self.updates_dropped.into()),
             ("bytes_sent", self.bytes_sent.into()),
         ])
     }
@@ -92,14 +95,11 @@ pub struct TcpLinkStats {
     /// Genuine socket errors (connection refused/reset mid-write) —
     /// distinct from scripted severances.
     pub io_errors: u64,
-    /// Alert-bearing frames written to the stream, duplicate resends
-    /// included. With batching on, one frame can carry many alerts.
+    /// Alert frames written to the stream, one per alert, duplicate
+    /// resends included.
     pub frames_sent: u64,
     /// Wire bytes written to the stream, headers included.
     pub bytes_sent: u64,
-    /// Alerts suppressed by within-frame dedup (safe because ADs are
-    /// duplicate-indifferent; counted in `sends_seen`, not `sent`).
-    pub dedup_suppressed: u64,
     /// Alerts shed because the bounded resend queue was full while the
     /// peer was down (each is also counted in `lost_overflow` — this
     /// counter isolates back-pressure sheds from other overflow paths).
@@ -119,7 +119,6 @@ impl TcpLinkStats {
             ("io_errors", self.io_errors.into()),
             ("frames_sent", self.frames_sent.into()),
             ("bytes_sent", self.bytes_sent.into()),
-            ("dedup_suppressed", self.dedup_suppressed.into()),
             ("shed", self.shed.into()),
         ])
     }
@@ -261,8 +260,9 @@ impl TransportReport {
         self.front_links.iter().map(|(_, _, s)| s.bytes_sent).sum()
     }
 
-    /// Mean updates per front-link datagram — the batching win. `0.0`
-    /// when no frames were sent (or the run predates the counter).
+    /// Mean updates per front-link datagram: how many readings a feed's
+    /// round carries. `0.0` when no frames were sent (or the run
+    /// predates the counter).
     pub fn updates_per_datagram(&self) -> f64 {
         let frames = self.front_frames_sent();
         if frames == 0 {
@@ -299,6 +299,7 @@ mod tests {
                     frames_sent: 10,
                     frames_dropped: 2,
                     updates_sent: 10,
+                    updates_dropped: 2,
                     bytes_sent: 500,
                 },
             )],
@@ -318,11 +319,12 @@ mod tests {
             report.to_json().to_string(),
             concat!(
                 r#"{"mode":"Sockets","front_links":[[0,1,{"frames_sent":10,"frames_dropped":2,"#,
-                r#""updates_sent":10,"bytes_sent":500}]],"ingress":[{"frames_received":8,"#,
+                r#""updates_sent":10,"updates_dropped":2,"bytes_sent":500}]],"#,
+                r#""ingress":[{"frames_received":8,"#,
                 r#""delivered":8,"dropped_stale":0,"decode_errors":0,"fins":0,"bytes_received":0}],"#,
                 r#""back_links":[{"sent":3,"severs":0,"reconnects":1,"attempts":0,"#,
                 r#""resent_duplicates":0,"queued_peak":0,"lost_overflow":0,"io_errors":0,"#,
-                r#""frames_sent":0,"bytes_sent":0,"dedup_suppressed":0,"shed":0}],"#,
+                r#""frames_sent":0,"bytes_sent":0,"shed":0}],"#,
                 r#""ad":{"connections":2,"alerts":3,"decode_errors":0,"fins":1,"bytes_received":120},"#,
                 r#""engine":{"wakeups":40,"timer_fires":6,"spurious_readiness":1}}"#,
             )
@@ -343,6 +345,7 @@ mod tests {
                         frames_sent: 5,
                         frames_dropped: 1,
                         updates_sent: 20,
+                        updates_dropped: 4,
                         bytes_sent: 250,
                     },
                 ),
@@ -353,6 +356,7 @@ mod tests {
                         frames_sent: 5,
                         frames_dropped: 2,
                         updates_sent: 20,
+                        updates_dropped: 8,
                         bytes_sent: 250,
                     },
                 ),

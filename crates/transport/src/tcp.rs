@@ -22,15 +22,9 @@
 //! send; the two share their counters' meaning so `RunReport.faults`
 //! reads the same in both modes.
 //!
-//! With a [`BatchPolicy`] the link coalesces alerts into one
-//! `AlertBatch` frame per stream write (flushed on
-//! count/size/deadline), deduplicating identical alerts *within* a
-//! frame — safe because every AD filter is duplicate-indifferent, and
-//! counted in `dedup_suppressed` so nothing disappears silently. The
-//! sever/queue/reconnect state machine is unchanged: a buffered batch
-//! spills into the resend queue the moment the link goes down, before
-//! anything newer is queued, so FIFO order and the lossless contract
-//! survive batching.
+//! Every alert is its own `Alert` frame and its own stream write: a
+//! back link carries little traffic, and an alert that waits for
+//! company is a late alert.
 //!
 //! LOCK ORDER: the only mutexes are the `stats` counter blocks,
 //! leaves — never held across a socket call, a sleep, or a channel
@@ -47,7 +41,6 @@ use rcm_sync::chan::Sender;
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::{Arc, Mutex};
 
-use crate::batch::BatchPolicy;
 use crate::report::{ListenerStats, TcpLinkStats};
 use crate::wire::{self, Codec, FrameBuf, Message};
 
@@ -57,6 +50,10 @@ const UNACKED_TAIL: usize = 8;
 
 /// Read-timeout tick for listener reader threads.
 const RECV_TICK: Duration = Duration::from_millis(50);
+
+/// How long [`TcpBackLink::finish`] keeps retrying a dead peer before
+/// counting the queue as lost.
+const RECONNECT_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Connect-attempt cap for *reconnects*. A bare `connect` can block
 /// for the OS handshake timeout (minutes against a silently dropping
@@ -84,15 +81,6 @@ pub struct TcpBackLink {
     queue_cap: usize,
     unacked: VecDeque<Alert>,
     unacked_cap: usize,
-    /// How long a blocking flush keeps retrying before declaring the
-    /// peer gone and counting the queue as lost.
-    blocking_deadline: Duration,
-    batch: BatchPolicy,
-    /// Alerts buffered for the next batch frame (only while up; spills
-    /// into `queue` the moment the link goes down).
-    pending: Vec<Alert>,
-    pending_bytes: usize,
-    pending_since: Instant,
     /// Reused frame-encode scratch buffer.
     frame: Vec<u8>,
     stats: Arc<Mutex<TcpLinkStats>>,
@@ -134,22 +122,9 @@ impl TcpBackLink {
             queue_cap: 1024,
             unacked: VecDeque::new(),
             unacked_cap: UNACKED_TAIL,
-            blocking_deadline: Duration::from_secs(10),
-            batch: BatchPolicy::off(),
-            pending: Vec::new(),
-            pending_bytes: 0,
-            pending_since: Instant::now(),
             frame: Vec::new(),
             stats: Arc::new(Mutex::new(TcpLinkStats::default())),
         })
-    }
-
-    /// Enables frame batching under `policy` (default off: one alert
-    /// per stream write).
-    #[must_use]
-    pub fn batching(mut self, policy: BatchPolicy) -> Self {
-        self.batch = policy;
-        self
     }
 
     /// Scripts severances as `(at_send, down_for)` pairs; `at_send`
@@ -178,14 +153,6 @@ impl TcpBackLink {
         self
     }
 
-    /// How long [`finish`](Self::finish) keeps retrying a dead peer
-    /// before counting the queue as lost (default 10 s).
-    #[must_use]
-    pub fn reconnect_deadline(mut self, deadline: Duration) -> Self {
-        self.blocking_deadline = deadline;
-        self
-    }
-
     /// A handle for reading the link's counters after the CE thread
     /// has taken ownership of the link.
     pub fn stats_handle(&self) -> Arc<Mutex<TcpLinkStats>> {
@@ -199,11 +166,7 @@ impl TcpBackLink {
 
     /// Sends one alert: transmitted immediately when connected, queued
     /// when down (a non-blocking reconnect attempt is made first if
-    /// the backoff schedule allows one). With batching on, a connected
-    /// link buffers the alert and flushes the batch on
-    /// count/size/deadline — identical alerts already in the buffer
-    /// are suppressed (`dedup_suppressed`), which is safe because ADs
-    /// are duplicate-indifferent.
+    /// the backoff schedule allows one).
     pub fn send_alert(&mut self, alert: Alert) {
         if let Some(&(at, down_for)) = self.severs.front() {
             if self.sends_seen >= at {
@@ -215,86 +178,10 @@ impl TcpBackLink {
             }
         }
         self.sends_seen += 1;
-        if self.batch.is_off() {
-            if self.down {
-                self.try_reconnect(false);
-            }
-            if self.down || !self.write_alert(alert.clone()) {
-                self.enqueue(alert);
-            }
-            return;
-        }
         if self.down {
             self.try_reconnect(false);
         }
-        if self.down {
-            // FIFO across the outage: the buffered batch (older) goes
-            // to the queue before this alert does.
-            self.spill_pending();
-            self.enqueue(alert);
-            return;
-        }
-        if self.pending.contains(&alert) {
-            self.stats.lock().dedup_suppressed += 1;
-            return;
-        }
-        // Per-alert payload cost; slightly over for the batch encoding
-        // (which shares one tag), never under.
-        let add = wire::alert_frame_len(&alert) - wire::HEADER_LEN;
-        if !self.pending.is_empty()
-            && (self.batch.expired(self.pending_since)
-                || self.batch.bytes_full(self.pending_bytes + add))
-        {
-            self.flush_pending();
-        }
-        if self.down {
-            // The flush hit a write error and spilled; keep FIFO.
-            self.enqueue(alert);
-            return;
-        }
-        if self.pending.is_empty() {
-            self.pending_since = Instant::now();
-            self.pending_bytes = wire::HEADER_LEN + 2; // tag + count
-        }
-        self.pending.push(alert);
-        self.pending_bytes += add;
-        if self.batch.count_full(self.pending.len()) {
-            self.flush_pending();
-        }
-    }
-
-    /// Writes the buffered batch as one frame now. When the link is
-    /// down (or the write fails and marks it down) the batch spills
-    /// into the resend queue instead — never lost, never reordered.
-    pub fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        if self.down {
-            self.spill_pending();
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        self.pending_bytes = 0;
-        if self.write_batch(&pending) {
-            for alert in pending {
-                self.push_unacked(alert);
-            }
-        } else {
-            for alert in pending {
-                self.enqueue(alert);
-            }
-        }
-    }
-
-    /// Moves buffered-but-unwritten alerts into the resend queue,
-    /// oldest first. FIFO holds because alerts are only buffered while
-    /// the link is up — at which point the queue is empty — so the
-    /// spilled batch always predates anything enqueued after it.
-    fn spill_pending(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        self.pending_bytes = 0;
-        for alert in pending {
+        if self.down || !self.write_alert(&alert) {
             self.enqueue(alert);
         }
     }
@@ -306,9 +193,6 @@ impl TcpBackLink {
     /// unreachable past the deadline, the remaining queue is counted
     /// into `lost_overflow` — loss is never silent.
     pub fn finish(&mut self) {
-        // A buffered batch goes first: written if up, spilled to the
-        // queue (and flushed by the blocking reconnect) if not.
-        self.flush_pending();
         if self.down {
             self.try_reconnect(true);
         }
@@ -331,8 +215,6 @@ impl TcpBackLink {
     /// as the in-process abandoned path) but whose listener still
     /// needs the end-of-stream marker to shut down.
     pub fn abandon(&mut self) {
-        self.pending.clear();
-        self.pending_bytes = 0;
         self.queue.clear();
         self.unacked.clear();
         if self.down {
@@ -360,7 +242,7 @@ impl TcpBackLink {
     /// the deadline passes; non-blocking mode makes at most one
     /// attempt and returns.
     fn try_reconnect(&mut self, blocking: bool) {
-        let deadline = Instant::now() + self.blocking_deadline;
+        let deadline = Instant::now() + RECONNECT_DEADLINE;
         loop {
             if !self.down {
                 return;
@@ -430,7 +312,7 @@ impl TcpBackLink {
     /// the failing alert back at the *front* so order is preserved.
     fn flush_queue(&mut self) {
         while let Some(alert) = self.queue.pop_front() {
-            if !self.write_alert(alert.clone()) {
+            if !self.write_alert(&alert) {
                 self.queue.push_front(alert);
                 return;
             }
@@ -441,32 +323,14 @@ impl TcpBackLink {
     /// unacked tail. On a genuine socket error the link marks itself
     /// down (no scripted floor) and reports `false` — the caller
     /// decides where the alert goes.
-    fn write_alert(&mut self, alert: Alert) -> bool {
-        if !self.write_batch(std::slice::from_ref(&alert)) {
-            return false;
-        }
-        self.push_unacked(alert);
-        true
-    }
-
-    /// Encodes `alerts` as one frame (a plain `Alert` frame for a lone
-    /// alert, so unbatched traffic keeps the
-    /// pre-batching wire format; an `AlertBatch` otherwise) and writes
-    /// it to the live stream. Counts `sent`/`frames_sent`/`bytes_sent`
-    /// on success; marks the link down on a socket error. The caller
-    /// owns the unacked-tail bookkeeping.
-    fn write_batch(&mut self, alerts: &[Alert]) -> bool {
+    fn write_alert(&mut self, alert: &Alert) -> bool {
         if self.stream.is_none() {
             return false;
         }
         self.frame.clear();
-        let result = match alerts {
-            [single] => {
-                wire::encode_into(Codec::Binary, &Message::Alert(single.clone()), &mut self.frame)
-            }
-            many => wire::encode_alerts_into(Codec::Binary, many, &mut self.frame),
-        };
-        if result.is_err() {
+        if wire::encode_into(Codec::Binary, &Message::Alert(alert.clone()), &mut self.frame)
+            .is_err()
+        {
             // Unreachable for well-formed alerts; counted, not
             // panicked.
             self.stats.lock().io_errors += 1;
@@ -478,10 +342,13 @@ impl TcpBackLink {
             self.mark_down(None);
             return false;
         }
-        let mut stats = self.stats.lock();
-        stats.sent += alerts.len() as u64;
-        stats.frames_sent += 1;
-        stats.bytes_sent += self.frame.len() as u64;
+        {
+            let mut stats = self.stats.lock();
+            stats.sent += 1;
+            stats.frames_sent += 1;
+            stats.bytes_sent += self.frame.len() as u64;
+        }
+        self.push_unacked(alert.clone());
         true
     }
 
@@ -862,74 +729,6 @@ mod tests {
         let link_stats = *link.stats_handle().lock();
         assert_eq!(link_stats.lost_overflow, 3);
         assert_eq!(link_stats.shed, 3, "every overflow was a non-blocking shed");
-    }
-
-    #[test]
-    fn batched_alerts_coalesce_and_dedup_within_the_frame() {
-        let listener = TcpAlertListener::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind listener")
-            .idle_timeout(Duration::from_secs(3));
-        let addr = listener.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || {
-            let mut got = Vec::new();
-            let stats = listener.run(|a| got.push(a));
-            (got, stats)
-        });
-        let mut link =
-            TcpBackLink::connect(addr, 0, backoff()).expect("connect").batching(BatchPolicy {
-                max_count: 3,
-                max_bytes: 32 * 1024,
-                max_delay: Duration::from_secs(10),
-            });
-        link.send_alert(alert(1));
-        link.send_alert(alert(1)); // identical, same frame → suppressed
-        link.send_alert(alert(2));
-        link.send_alert(alert(3)); // count trigger: flushes [1, 2, 3]
-        link.send_alert(alert(4));
-        link.send_alert(alert(5));
-        link.finish(); // flushes [4, 5]
-        let (got, stats) = handle.join().expect("listener thread");
-        assert_eq!(seqnos(&got), vec![1, 2, 3, 4, 5], "in order, duplicate suppressed");
-        assert_eq!(stats.alerts, 5);
-        assert_eq!(stats.fins, 1);
-        assert!(stats.bytes_received > 0);
-        let link_stats = *link.stats_handle().lock();
-        assert_eq!(link_stats.sent, 5);
-        assert_eq!(link_stats.dedup_suppressed, 1);
-        assert_eq!(link_stats.frames_sent, 2, "two batch frames, Fin not counted");
-        assert!(link_stats.bytes_sent > 0);
-        assert_eq!(link_stats.lost_overflow, 0);
-    }
-
-    #[test]
-    fn batched_link_survives_a_sever_without_loss() {
-        let listener = TcpAlertListener::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind listener")
-            .idle_timeout(Duration::from_secs(5));
-        let addr = listener.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || {
-            let mut got = Vec::new();
-            let stats = listener.run(|a| got.push(a));
-            (got, stats)
-        });
-        let mut link = TcpBackLink::connect(addr, 0, backoff())
-            .expect("connect")
-            .with_severs(vec![(2, Duration::from_millis(40))])
-            .batching(BatchPolicy {
-                max_count: 2,
-                max_bytes: 32 * 1024,
-                max_delay: Duration::from_secs(10),
-            });
-        for i in 1..=6 {
-            link.send_alert(alert(i));
-        }
-        link.finish();
-        let (got, _) = handle.join().expect("listener thread");
-        assert_eq!(dedup(seqnos(&got)), vec![1, 2, 3, 4, 5, 6], "lossless across the sever");
-        let link_stats = *link.stats_handle().lock();
-        assert_eq!(link_stats.severs, 1);
-        assert!(link_stats.reconnects >= 1);
-        assert_eq!(link_stats.lost_overflow, 0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Deployment topology: the address plan for one DM / CE×n / AD
 //! system, and the eagerly-bound sockets behind it.
 //!
-//! A [`Topology`] is the *spec* — how many CE replicas, which
-//! batching per link direction. [`Topology::bind`] turns it into a
-//! [`BoundTopology`] by actually binding every socket up front, each to
-//! `127.0.0.1:0`: the OS picks ephemeral ports, the bound addresses are
-//! captured before any node thread starts, and a test suite can run
-//! many systems in parallel without port collisions.
+//! A [`Topology`] is the *spec* — how many CE replicas.
+//! [`Topology::bind`] turns it into a [`BoundTopology`] by actually
+//! binding every socket up front, each to `127.0.0.1:0`: the OS picks
+//! ephemeral ports, the bound addresses are captured before any node
+//! thread starts, and a test suite can run many systems in parallel
+//! without port collisions.
 //!
 //! The runtime's `SystemBuilder` consumes a [`BoundTopology`] to run
 //! the very same pipeline it normally drives over channels across real
@@ -18,16 +18,16 @@ use std::net::{SocketAddr, TcpListener, UdpSocket};
 
 use rcm_sync::time::Duration;
 
-use crate::batch::BatchPolicy;
+/// How many times, at most, each DM sends its end-of-stream marker on
+/// a link: enough to survive heavy scripted loss. It stops as soon as
+/// the CE echoes the marker back.
+const FIN_REPEATS: usize = 16;
 
 /// A loopback plan: how many CEs listen for updates beside the one AD
-/// listening for alerts — plus the batching policy per link direction
-/// every node derives from it.
+/// listening for alerts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     replicas: usize,
-    front_batch: BatchPolicy,
-    back_batch: BatchPolicy,
 }
 
 impl Topology {
@@ -39,22 +39,7 @@ impl Topology {
     /// Panics if `replicas` is zero.
     pub fn loopback(replicas: usize) -> Self {
         assert!(replicas > 0, "a topology needs at least one CE replica");
-        Topology { replicas, front_batch: BatchPolicy::off(), back_batch: BatchPolicy::off() }
-    }
-
-    /// Enables update batching on the DM → CE front links
-    /// (default off).
-    #[must_use]
-    pub fn with_front_batching(mut self, policy: BatchPolicy) -> Self {
-        self.front_batch = policy;
-        self
-    }
-
-    /// Enables alert batching on the CE → AD back links (default off).
-    #[must_use]
-    pub fn with_back_batching(mut self, policy: BatchPolicy) -> Self {
-        self.back_batch = policy;
-        self
+        Topology { replicas }
     }
 
     /// The CE replica count.
@@ -84,10 +69,7 @@ impl Topology {
             dm_targets: ce_addrs.clone(),
             ce_addrs,
             ad_addr,
-            fin_repeats: 16,
             idle_timeout: Duration::from_secs(5),
-            front_batch: self.front_batch,
-            back_batch: self.back_batch,
         })
     }
 }
@@ -102,10 +84,7 @@ pub struct BoundTopology {
     /// interpose a [`LossProxy`](crate::LossProxy) per replica.
     dm_targets: Vec<SocketAddr>,
     ad_addr: SocketAddr,
-    fin_repeats: usize,
     idle_timeout: Duration,
-    front_batch: BatchPolicy,
-    back_batch: BatchPolicy,
 }
 
 impl BoundTopology {
@@ -137,15 +116,6 @@ impl BoundTopology {
         self
     }
 
-    /// The most times each DM sends its end-of-stream marker on a link
-    /// (default 16 — enough to survive heavy scripted loss); it stops
-    /// as soon as the CE echoes the marker back.
-    #[must_use]
-    pub fn fin_repeats(mut self, repeats: usize) -> Self {
-        self.fin_repeats = repeats.max(1);
-        self
-    }
-
     /// Receiver idle backstop for lost end-of-stream markers
     /// (default 5 s).
     #[must_use]
@@ -162,10 +132,8 @@ impl BoundTopology {
             listener: self.listener,
             dm_targets: self.dm_targets,
             ad_addr: self.ad_addr,
-            fin_repeats: self.fin_repeats,
+            fin_repeats: FIN_REPEATS,
             idle_timeout: self.idle_timeout,
-            front_batch: self.front_batch,
-            back_batch: self.back_batch,
         }
     }
 }
@@ -182,14 +150,11 @@ pub struct TopologyParts {
     pub dm_targets: Vec<SocketAddr>,
     /// The AD listener's address, for the CE back links.
     pub ad_addr: SocketAddr,
-    /// The most end-of-stream markers a DM sends per link.
+    /// The most end-of-stream markers a DM sends per link (16); it
+    /// stops as soon as the CE echoes the marker back.
     pub fin_repeats: usize,
     /// Receiver idle backstop.
     pub idle_timeout: Duration,
-    /// Update-batching policy for the front links.
-    pub front_batch: BatchPolicy,
-    /// Alert-batching policy for the back links.
-    pub back_batch: BatchPolicy,
 }
 
 #[cfg(test)]
@@ -218,30 +183,18 @@ mod tests {
             .bind()
             .expect("bind topology")
             .route_front_links(proxy_addrs.clone())
-            .fin_repeats(4)
             .idle_timeout(Duration::from_secs(1));
         let parts = bound.into_parts();
         assert_eq!(parts.dm_targets, proxy_addrs);
-        assert_eq!(parts.fin_repeats, 4);
         assert_eq!(parts.idle_timeout, Duration::from_secs(1));
         assert_eq!(parts.ce_sockets.len(), 2);
     }
 
     #[test]
     fn wire_config_defaults_and_threads_through_bind() {
-        let parts = Topology::loopback(1)
-            .with_front_batching(BatchPolicy::datagram())
-            .with_back_batching(BatchPolicy::stream())
-            .bind()
-            .expect("bind topology")
-            .into_parts();
-        assert_eq!(parts.front_batch, BatchPolicy::datagram());
-        assert_eq!(parts.back_batch, BatchPolicy::stream());
-
-        // Defaults: no batching.
         let parts = Topology::loopback(1).bind().expect("bind topology").into_parts();
-        assert_eq!(parts.front_batch, BatchPolicy::off());
-        assert_eq!(parts.back_batch, BatchPolicy::off());
+        assert_eq!(parts.fin_repeats, 16);
+        assert_eq!(parts.idle_timeout, Duration::from_secs(5));
     }
 
     #[test]

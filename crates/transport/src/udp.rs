@@ -11,11 +11,12 @@
 //! ([`SeqGate`]) — reordering and duplication become loss, which the
 //! CE already tolerates.
 //!
-//! With a [`BatchPolicy`] the sender coalesces updates into one
-//! `UpdateBatch` frame per datagram (flushed on count/size/deadline),
-//! amortizing the header and the syscall; the receiver runs a batch's
-//! updates through the gate in batch order, so delivery is exactly
-//! what individual datagrams arriving in that order would produce.
+//! [`UdpFrontLink::send_updates`] puts a run of updates — a DM's round
+//! of one feed — in as few `UpdateBatch` datagrams as fit it under
+//! [`wire::DATAGRAM_BUDGET`], sharing the header and the syscall; the
+//! receiver runs a batch's updates through the gate in batch order, so
+//! delivery is exactly what individual datagrams arriving in that order
+//! would produce. A lone update is a plain `Update` frame.
 //!
 //! The one datagram that travels back is the end of stream. A DM ends
 //! its stream with a `Fin`, and the receiver echoes every `Fin` it
@@ -36,7 +37,6 @@ use rcm_core::Update;
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::{Arc, Mutex};
 
-use crate::batch::BatchPolicy;
 use crate::gate::SeqGate;
 use crate::report::{FrontLinkStats, IngressStats};
 use crate::wire::{self, Codec, Message};
@@ -69,14 +69,10 @@ enum Ending {
 }
 
 /// The sending half of a front link: one CE target, one frame per
-/// datagram (one *batch* per datagram under a [`BatchPolicy`]).
+/// datagram.
 pub struct UdpFrontLink {
     sock: UdpSocket,
     node: u32,
-    batch: BatchPolicy,
-    pending: Vec<Update>,
-    pending_bytes: usize,
-    pending_since: Instant,
     frame: Vec<u8>,
     ending: Ending,
     stats: Arc<Mutex<FrontLinkStats>>,
@@ -87,8 +83,6 @@ impl std::fmt::Debug for UdpFrontLink {
         f.debug_struct("UdpFrontLink")
             .field("peer", &self.sock.peer_addr().ok())
             .field("node", &self.node)
-            .field("batch", &self.batch)
-            .field("pending", &self.pending.len())
             .field("ending", &self.ending)
             .field("stats", &*self.stats.lock())
             .finish()
@@ -108,22 +102,10 @@ impl UdpFrontLink {
         Ok(UdpFrontLink {
             sock,
             node,
-            batch: BatchPolicy::off(),
-            pending: Vec::new(),
-            pending_bytes: 0,
-            pending_since: Instant::now(),
             frame: Vec::new(),
             ending: Ending::Streaming,
             stats: Arc::new(Mutex::new(FrontLinkStats::default())),
         })
-    }
-
-    /// Enables frame batching under `policy` (default off: one update
-    /// per datagram).
-    #[must_use]
-    pub fn batching(mut self, policy: BatchPolicy) -> Self {
-        self.batch = policy;
-        self
     }
 
     /// A handle for reading the link's counters after a DM thread has
@@ -141,64 +123,31 @@ impl UdpFrontLink {
         self.sock.local_addr()
     }
 
-    /// Sends one update; returns whether the link accepted it. With
-    /// batching off the update goes out as its own datagram; with
-    /// batching on it is buffered (always accepted) and flushed with
-    /// its batch on count/size/deadline. UDP gives no delivery
-    /// guarantee either way — a `true` here can still be lost in
-    /// flight, which is the point.
+    /// Sends one update as its own datagram; returns whether the socket
+    /// took it. UDP gives no delivery guarantee — a `true` here can
+    /// still be lost in flight, which is the point.
     pub fn send_update(&mut self, update: Update) -> bool {
-        if self.batch.is_off() {
-            return self.send_batch(&[update]);
-        }
-        // Size trigger first, *before* buffering: a batch never grows
-        // past the policy's datagram budget.
-        // Per-update payload cost; slightly over for the batch encoding
-        // (which shares one tag), never under.
-        let add = wire::frame_len(&Message::Update(update)) - wire::HEADER_LEN;
-        if !self.pending.is_empty() && self.batch.bytes_full(self.pending_bytes + add) {
-            self.flush();
-        }
-        if self.pending.is_empty() {
-            self.pending_since = Instant::now();
-            self.pending_bytes = wire::HEADER_LEN + 2; // tag + count
-        } else if self.batch.expired(self.pending_since) {
-            self.flush();
-            self.pending_since = Instant::now();
-            self.pending_bytes = wire::HEADER_LEN + 2;
-        }
-        self.pending.push(update);
-        self.pending_bytes += add;
-        if self.batch.count_full(self.pending.len()) {
-            self.flush();
-        }
-        true
+        self.send_datagram(&[update])
     }
 
-    /// Sends any buffered batch now; returns whether a datagram was
-    /// put on the wire (`false` when nothing was pending or the socket
-    /// refused it).
-    pub fn flush(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return false;
+    /// Sends `updates` in order, in as few datagrams as fit them under
+    /// [`wire::DATAGRAM_BUDGET`] ([`wire::datagram_run`]); returns
+    /// whether the socket took every one.
+    pub fn send_updates(&mut self, mut updates: &[Update]) -> bool {
+        let mut ok = true;
+        while !updates.is_empty() {
+            let (run, rest) = updates.split_at(wire::datagram_run(updates));
+            ok &= self.send_datagram(run);
+            updates = rest;
         }
-        let sent = {
-            // Move the batch out so `send_batch` can borrow `self`;
-            // swapping back afterwards keeps the allocation.
-            let pending = std::mem::take(&mut self.pending);
-            let ok = self.send_batch(&pending);
-            self.pending = pending;
-            ok
-        };
-        self.pending.clear();
-        self.pending_bytes = 0;
-        sent
+        ok
     }
 
     /// Encodes `updates` as one frame (a plain `Update` frame for a
-    /// lone update, so unbatched traffic is byte-identical to the
-    /// pre-batching wire format) and puts it on the socket.
-    fn send_batch(&mut self, updates: &[Update]) -> bool {
+    /// lone update) and puts it on the socket. A datagram the socket
+    /// refuses counts as a dropped frame and as that many dropped
+    /// updates.
+    fn send_datagram(&mut self, updates: &[Update]) -> bool {
         self.frame.clear();
         let result = match updates {
             [single] => {
@@ -206,32 +155,27 @@ impl UdpFrontLink {
             }
             many => wire::encode_updates_into(Codec::Binary, many, &mut self.frame),
         };
-        if result.is_err() {
-            // Unreachable for well-formed updates; counted, not
-            // panicked, because this is the hot path.
-            let mut stats = self.stats.lock();
-            stats.frames_sent += 1;
-            stats.updates_sent += updates.len() as u64;
-            stats.frames_dropped += 1;
-            return false;
-        }
-        let ok = self.sock.send(&self.frame).is_ok();
+        // An encode error is unreachable for well-formed updates;
+        // counted, not panicked, because this is the hot path.
+        let ok = result.is_ok() && self.sock.send(&self.frame).is_ok();
         let mut stats = self.stats.lock();
         stats.frames_sent += 1;
         stats.updates_sent += updates.len() as u64;
-        stats.bytes_sent += self.frame.len() as u64;
+        if result.is_ok() {
+            stats.bytes_sent += self.frame.len() as u64;
+        }
         if !ok {
             stats.frames_dropped += 1;
+            stats.updates_dropped += updates.len() as u64;
         }
         ok
     }
 
-    /// Flushes any buffered batch and sends one Fin marker, unless the
-    /// peer has already echoed this link's Fin. One marker may be lost
-    /// like any datagram: [`fin_rounds`] repeats it until it comes back.
-    /// Fin datagrams are not counted as frames.
+    /// Sends one Fin marker, unless the peer has already echoed this
+    /// link's Fin. One marker may be lost like any datagram:
+    /// [`fin_rounds`] repeats it until it comes back. Fin datagrams are
+    /// not counted as frames.
     pub fn send_fin(&mut self) {
-        self.flush();
         match self.ending {
             Ending::Echoed => return,
             // From the first Fin on the socket is read for the echo, so
@@ -665,14 +609,13 @@ pub(crate) mod tests {
             .enumerate()
             .map(|(i, rx)| {
                 let link = UdpFrontLink::connect(rx.local_addr().expect("bound addr"), i as u32)
-                    .expect("connect sender")
-                    .batching(BatchPolicy::datagram());
+                    .expect("connect sender");
                 rx.set_nonblocking(true).expect("nonblocking");
                 link
             })
             .collect();
         for link in &mut links {
-            assert!(link.send_update(u(1, 0.5)), "buffered: the first round must flush it");
+            assert!(link.send_update(u(1, 0.5)), "loopback takes the update");
         }
         let start = Instant::now();
         fin_rounds(16, |until| {
@@ -788,53 +731,69 @@ pub(crate) mod tests {
         assert_eq!(stats.fins, 0);
     }
 
+    /// A 200-update round: every datagram fits the budget, no fewer
+    /// datagrams could carry the round in order, and a receiver fed
+    /// those datagrams admits all 200 in order.
     #[test]
-    fn batched_updates_coalesce_and_deliver_in_order() {
-        let (tx, rx) = pair();
-        let mut tx = tx.batching(BatchPolicy {
-            max_count: 5,
-            max_bytes: 1200,
-            max_delay: Duration::from_secs(10),
-        });
-        let stats = tx.stats_handle();
+    fn a_round_goes_out_in_the_fewest_datagrams_that_fit() {
+        let wire_side = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let mut tx = UdpFrontLink::connect(wire_side.local_addr().expect("bound addr"), 0)
+            .expect("connect sender");
+        // Seqnos cross 2^14, where a varint grows a byte, so the updates
+        // are not all one size.
+        let round: Vec<Update> = (0..200).map(|i| u(16_300 + i, f64::from(i as u32))).collect();
+        assert!(tx.send_updates(&round));
+        wire_side.set_nonblocking(true).expect("nonblocking");
+        let mut buf = [0u8; 65_535];
+        let datagrams: Vec<Vec<u8>> =
+            std::iter::from_fn(|| wire_side.recv(&mut buf).ok().map(|n| buf[..n].to_vec()))
+                .collect();
+        for d in &datagrams {
+            assert!(d.len() <= wire::DATAGRAM_BUDGET, "{} bytes", d.len());
+        }
+        // The fewest: cut the round by hand, each run the longest whose
+        // frame fits. Fewer datagrams cannot carry the round in order,
+        // so the link must send exactly these runs.
+        let fits = |run: &[Update]| {
+            wire::frame_len(&Message::UpdateBatch(run.to_vec())) <= wire::DATAGRAM_BUDGET
+        };
+        let (mut fewest, mut rest) = (Vec::new(), &round[..]);
+        while !rest.is_empty() {
+            let n = (1..=rest.len()).take_while(|&n| fits(&rest[..n])).last().expect("one fits");
+            rest = &rest[n..];
+            fewest.push(n);
+        }
+        assert!(fewest.len() > 1, "200 updates outgrow one datagram");
+        let runs: Vec<usize> = datagrams
+            .iter()
+            .map(|d| match wire::decode_datagram(d).expect("own frame") {
+                Message::UpdateBatch(run) => run.len(),
+                other => panic!("not a batch: {other:?}"),
+            })
+            .collect();
+        assert_eq!(runs, fewest);
+        let stats = *tx.stats_handle().lock();
+        assert_eq!((stats.frames_sent, stats.updates_sent), (fewest.len() as u64, 200));
+        assert_eq!(stats.bytes_sent, datagrams.iter().map(|d| d.len() as u64).sum::<u64>());
+
+        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
+            .expect("bind receiver")
+            .idle_timeout(Duration::from_secs(2));
+        let target = rx.local_addr().expect("bound addr");
         let handle = rcm_sync::thread::spawn(move || {
             let mut got = Vec::new();
-            let final_stats = rx.run(|u| got.push(u.seqno.get()));
-            (got, final_stats)
+            let stats = rx.run(|u| got.push(u));
+            (got, stats)
         });
-        for s in 1..=20 {
-            assert!(tx.send_update(u(s, s as f64)));
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+        for d in &datagrams {
+            raw.send_to(d, target).expect("send_to");
         }
-        tx.finish(4);
-        let (got, final_stats) = handle.join().expect("receiver thread");
-        assert_eq!(got, (1..=20).collect::<Vec<_>>());
-        assert_eq!(final_stats.delivered, 20);
-        assert_eq!(final_stats.frames_received, 5, "4 batch datagrams + 1 fin");
-        assert!(final_stats.bytes_received > 0);
-        let s = *stats.lock();
-        assert_eq!(s.frames_sent, 4, "count trigger: 20 updates, 5 per datagram");
-        assert_eq!(s.updates_sent, 20);
-        assert!(s.bytes_sent > 0);
-    }
-
-    #[test]
-    fn zero_deadline_flushes_the_previous_batch_on_each_send() {
-        let (tx, rx) = pair();
-        let mut tx =
-            tx.batching(BatchPolicy { max_count: 100, max_bytes: 1200, max_delay: Duration::ZERO });
-        let stats = tx.stats_handle();
-        let handle = rcm_sync::thread::spawn(move || rx.run(|_| {}));
-        for s in 1..=3 {
-            assert!(tx.send_update(u(s, 0.0)));
-        }
-        assert!(tx.flush(), "the last update was still buffered");
-        assert!(!tx.flush(), "nothing left to flush");
-        tx.finish(2);
-        let final_stats = handle.join().expect("receiver thread");
-        assert_eq!(final_stats.delivered, 3);
-        let s = *stats.lock();
-        assert_eq!(s.frames_sent, 3, "each send flushed the previously buffered update");
-        assert_eq!(s.updates_sent, 3);
+        raw.send_to(&wire::encode(&Message::Fin { node: 0 }).expect("encodes"), target)
+            .expect("send_to");
+        let (got, stats) = handle.join().expect("receiver thread");
+        assert_eq!(got, round, "all 200 admitted, in order");
+        assert_eq!(stats.dropped_stale, 0);
     }
 
     #[test]

@@ -70,13 +70,14 @@ pub enum Message {
         /// index on back links).
         node: u32,
     },
-    /// Several updates coalesced into one frame by a batching front
-    /// link. Receivers run each update through the seqno gate in batch
-    /// order, so delivery is indistinguishable from the updates having
-    /// arrived as individual frames.
+    /// Several updates in one datagram: a DM sends each feed's round
+    /// this way. Receivers run each update through the seqno gate in
+    /// batch order, so delivery is indistinguishable from the updates
+    /// having arrived as individual frames.
     UpdateBatch(Vec<Update>),
-    /// Several alerts coalesced into one back-link write. Order within
-    /// the batch is the send order.
+    /// Several alerts in one back-link write. Order within the batch is
+    /// the send order. The back links here send one `Alert` frame per
+    /// alert; receivers accept both.
     AlertBatch(Vec<Alert>),
     /// One derived update on a hierarchical tier link (leaf or
     /// interior CE → parent CE): a synthetic variable id, the
@@ -159,10 +160,15 @@ pub const BINARY_WIRE_VERSION: u8 = 3;
 pub const HEADER_LEN: usize = 9;
 
 /// Maximum accepted payload size; an alert's histories are bounded by
-/// the condition degree and batches are flushed long before this, so
-/// real frames are tiny — the cap exists to fail fast on corrupted
-/// length prefixes.
+/// the condition degree and a datagram by [`DATAGRAM_BUDGET`], so real
+/// frames are tiny — the cap exists to fail fast on corrupted length
+/// prefixes.
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// The most bytes one front-link datagram takes, header included: under
+/// common path MTUs, so a datagram never fragments — losing one IP
+/// fragment would lose the whole datagram, which amplifies loss.
+pub const DATAGRAM_BUDGET: usize = 1200;
 
 /// The payload codec. There is exactly one and nothing can select
 /// another: the type survives only as the first parameter of
@@ -452,8 +458,8 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
     }
 }
 
-/// A borrowed update run as an `UpdateBatch` payload — the batching
-/// fast path, identical bytes to the owned variant.
+/// A borrowed update run as an `UpdateBatch` payload — what a front
+/// link sends, identical bytes to the owned variant.
 fn encode_update_slice(updates: &[Update], out: &mut Vec<u8>) {
     out.push(tag::UPDATE_BATCH);
     put_varint(out, updates.len() as u64);
@@ -610,16 +616,26 @@ pub fn encode_alerts_into(
 }
 
 /// The complete frame size (header + payload) `msg` would occupy,
-/// computed without encoding — what the batching links use for their
-/// size-triggered flush.
+/// computed without encoding.
 pub fn frame_len(msg: &Message) -> usize {
     HEADER_LEN + payload_len(msg)
 }
 
-/// [`frame_len`] of `Message::Alert(alert)` for an alert the caller
-/// still owns: sizing one must not cost a clone of it.
-pub(crate) fn alert_frame_len(alert: &Alert) -> usize {
-    HEADER_LEN + 1 + alert_wire_len(alert)
+/// How many of `updates`, from the front, one front-link datagram
+/// carries: the longest run whose `UpdateBatch` frame fits
+/// [`DATAGRAM_BUDGET`], and never fewer than one. Taking runs from the
+/// front this way sends an in-order stream in the fewest datagrams. A
+/// run of one goes out as a plain `Update` frame, which is smaller
+/// still.
+pub fn datagram_run(updates: &[Update]) -> usize {
+    let mut len = HEADER_LEN + 1; // header + batch tag
+    for (i, update) in updates.iter().enumerate() {
+        len += update_wire_len(update);
+        if len + varint_len(i as u64 + 1) > DATAGRAM_BUDGET {
+            return i.max(1);
+        }
+    }
+    updates.len()
 }
 
 /// An incremental decode buffer for framed byte streams (the TCP
@@ -1095,9 +1111,6 @@ mod tests {
         for m in sample_messages() {
             let frame = encode(&m).expect("encodes");
             assert_eq!(frame_len(&m), frame.len(), "{m:?}");
-            if let Message::Alert(alert) = &m {
-                assert_eq!(alert_frame_len(alert), frame.len(), "sized borrowed, {m:?}");
-            }
         }
     }
 

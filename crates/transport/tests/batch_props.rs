@@ -7,9 +7,10 @@
 //!   therefore everything the CE evaluates — is bit-identical to the
 //!   unbatched run, however the stream is chunked and however lossy,
 //!   reordered, or duplicated it already is.
-//! * Back links: the sender dedups only *within* a pending frame, and
-//!   the AD algorithms are duplicate-indifferent, so the displayed
-//!   alert sequence is bit-identical to the unbatched run.
+//! * Back links: a back link writes one `Alert` frame per alert, but
+//!   receivers still accept an `AlertBatch`, and its alerts reach the
+//!   AD in batch order, so the displayed alert sequence is
+//!   bit-identical to the unbatched run.
 //!
 //! Both properties roundtrip the batches through the real wire codec,
 //! not just through in-memory chunking.
@@ -33,8 +34,8 @@ fn update_stream(rng: &mut Rng, size: usize) -> Vec<Update> {
 }
 
 /// A stream of `0..=size` alerts over a small identity space — (cond,
-/// fingerprint) collisions are common, exercising both within-frame
-/// dedup and the AD's duplicate suppression.
+/// fingerprint) collisions are common, exercising the AD's duplicate
+/// suppression.
 fn alert_stream(rng: &mut Rng, size: usize) -> Vec<Alert> {
     (0..rng.below(size + 1))
         .map(|_| {
@@ -96,28 +97,21 @@ fn batched_delivery_admits_exactly_the_unbatched_set() {
 }
 
 #[test]
-fn within_frame_dedup_never_changes_the_displayed_alerts() {
-    cases("within_frame_dedup_never_changes_the_displayed_alerts", 128, 29, |rng, size| {
+fn alert_batches_never_change_the_displayed_alerts() {
+    cases("alert_batches_never_change_the_displayed_alerts", 128, 29, |rng, size| {
         let (alerts, sizes) = (alert_stream(rng, size), chunk_sizes(rng));
         // Unbatched: every alert offered to the filter individually.
         let mut solo_ad = Ad1::new();
         let solo: Vec<Alert> =
             alerts.iter().filter(|a| solo_ad.offer(a).is_deliver()).cloned().collect();
 
-        // Batched: the stream chunked arbitrarily, each chunk deduped the
-        // way the back link dedups its pending frame (alert identity =
-        // (cond, fingerprint)), roundtripped through the wire, then
-        // offered in order to an identical filter.
+        // Batched: the stream chunked arbitrarily, each chunk
+        // roundtripped through the wire as an AlertBatch, then offered
+        // in order to an identical filter.
         let mut batch_ad = Ad1::new();
         let mut batched = Vec::new();
         for chunk in chunk(&alerts, &sizes) {
-            let mut pending: Vec<Alert> = Vec::new();
-            for alert in chunk {
-                if !pending.contains(&alert) {
-                    pending.push(alert);
-                }
-            }
-            let frame = encode(&Message::AlertBatch(pending)).expect("batch encodes");
+            let frame = encode(&Message::AlertBatch(chunk)).expect("batch encodes");
             match decode_datagram(&frame).expect("batch decodes") {
                 Message::AlertBatch(items) => {
                     batched.extend(items.into_iter().filter(|a| batch_ad.offer(a).is_deliver()));

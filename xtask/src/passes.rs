@@ -72,8 +72,7 @@ pub const HOT_PATH: &[&str] = &[
 /// Transport modules on the wire hot path: the codec runs per frame on
 /// every link, so it counts malformed input and encode failures
 /// instead of panicking.
-pub const TRANSPORT_HOT_PATH: &[&str] =
-    &["crates/transport/src/wire.rs", "crates/transport/src/batch.rs"];
+pub const TRANSPORT_HOT_PATH: &[&str] = &["crates/transport/src/wire.rs"];
 
 /// Evaluation-pipeline modules on the per-update hot path: the worker
 /// rings, the dispatcher/sequencer, and the latency histogram's
