@@ -31,6 +31,7 @@ use rcm_core::ad::AlertFilter;
 use rcm_core::condition::Condition;
 use rcm_core::{Alert, CeId, LatencyHistogram, Update};
 
+use crate::dm::ROUND;
 use crate::faults::{FaultReport, IngestGate, RetainedWindow};
 use crate::pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
 
@@ -78,15 +79,13 @@ impl std::fmt::Debug for CeFaultConfig {
 }
 
 /// Evaluation-stage configuration handed to every CE body: the pipeline
-/// shape plus the run-wide latency/shed ledgers (shared across
-/// replicas, snapshotted into the final report).
+/// shape plus the run-wide latency histogram (shared across replicas,
+/// snapshotted into the final report).
 pub(crate) struct CePipeline {
-    /// Worker count and ring capacity.
+    /// Shard count.
     pub options: PipelineOptions,
     /// Ingest→alert-emit latency histogram.
     pub latency: Arc<LatencyHistogram>,
-    /// Updates shed because a worker ring was full.
-    pub shed: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for CePipeline {
@@ -122,30 +121,60 @@ impl AlertDrain for SystemDrain {
     }
 }
 
+/// Admitted updates waiting to be evaluated as one round, and when the
+/// first of them was admitted (the round's latency clock starts there,
+/// so the time an update waits while its round gathers counts).
+struct Round {
+    updates: Vec<Update>,
+    opened: Instant,
+}
+
+impl Round {
+    fn push(&mut self, update: Update) {
+        if self.updates.is_empty() {
+            self.opened = Instant::now();
+        }
+        self.updates.push(update);
+    }
+
+    /// Records the round in `U_i` under one lock, then evaluates it.
+    fn dispatch(&mut self, pipe: &mut EvalPipeline, ingested: &Mutex<Vec<Update>>) {
+        if self.updates.is_empty() {
+            return;
+        }
+        // LOCK ORDER: leaf record mutex, released before evaluation.
+        ingested.lock().extend_from_slice(&self.updates);
+        pipe.dispatch_round(&self.updates, self.opened);
+        self.updates.clear();
+    }
+}
+
 /// Runs a Condition Evaluator replica under supervision: ingests
 /// updates until every DM feeding it hangs up, forwarding alerts over
 /// the (severable) lossless back link. The replica hosts its whole
 /// condition set in one [`EvalPipeline`] — condition `i` is
 /// `CondId::new(i)`, so a single-condition system emits under
-/// `CondId::SINGLE` — which evaluates on this thread (zero workers) or
-/// on shard workers whose results a sequencer merges back into the
-/// single-threaded emission order; either way the back link lives in
-/// the pipeline's [`SystemDrain`]. A panic — scripted by the fault plan
-/// or genuine — is caught; within the restart budget the replica
-/// restarts: every condition's histories are wiped (the paper's crash
-/// model), the rest of the round the crash interrupted and the channel
-/// backlog that piled up "while down" are discarded as loss, and the bounded `H_x` histories are rebuilt by replaying the
-/// DMs' retained windows through the normal ingest path. The
-/// [`IngestGate`] outlives every crash, so the recorded `U_i` stays
-/// strictly ordered per variable no matter how replays and live
-/// arrivals interleave; per-condition alert numbering survives crashes
-/// too (the registry keeps it across `restart`).
+/// `CondId::SINGLE` — whose shards evaluate each round on this thread
+/// and its helpers and merge back into the single-threaded emission
+/// order; the back link lives in the pipeline's [`SystemDrain`].
 ///
-/// *Shedding*: when a worker ring is full the arrival is dropped before
-/// the ingest gate, so it is indistinguishable from a front-link loss
-/// (it never enters `U_i`, and the paper's per-AD guarantees already
-/// cover it). Recovery replays use the rings' blocking path and never
-/// shed.
+/// Updates are evaluated a round at a time: the updates one message
+/// carried (a whole DM round in-process, one update from a socket
+/// ingress), topped up with the messages already queued behind it
+/// while the round holds fewer than [`ROUND`] admitted updates. The
+/// round goes out before the body blocks on its channel and before a
+/// scripted kill takes effect, so every admitted update is evaluated.
+///
+/// A panic — scripted by the fault plan or genuine — is caught; within
+/// the restart budget the replica restarts: every condition's
+/// histories are wiped (the paper's crash model), the rest of the
+/// message the crash interrupted and the channel backlog that piled up
+/// "while down" are discarded as loss, and the bounded `H_x` histories
+/// are rebuilt by replaying the DMs' retained windows through the
+/// normal ingest path. The [`IngestGate`] outlives every crash, so the
+/// recorded `U_i` stays strictly ordered per variable no matter how
+/// replays and live arrivals interleave; per-condition alert numbering
+/// survives crashes too (the registry keeps it across `restart`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ce_body<M>(
     ce: CeId,
@@ -166,7 +195,7 @@ pub(crate) fn ce_body<M>(
         &pipeline.options,
         drain,
         pipeline.latency,
-        pipeline.shed,
+        Arc::new(AtomicU64::new(0)),
     );
     let mut gate = IngestGate::new();
     let mut arrivals: u64 = 0;
@@ -174,14 +203,21 @@ pub(crate) fn ce_body<M>(
     kill_at.sort_unstable();
     kill_at.reverse(); // pop() yields the earliest threshold
 
-    // The message being taken apart: a whole round in-process, one
-    // update from a socket ingress. It outlives a crash, so the rest of
-    // a round the replica died in is counted as arrived-while-down.
+    // The message being taken apart. It outlives a crash, so the rest
+    // of a message the replica died in is counted as arrived-while-down.
     let mut message: Option<M::IntoIter> = None;
+    let mut round = Round { updates: Vec::with_capacity(ROUND), opened: Instant::now() };
 
     loop {
         let run = panic::catch_unwind(AssertUnwindSafe(|| loop {
             let Some(update) = message.as_mut().and_then(Iterator::next) else {
+                if round.updates.len() < ROUND {
+                    if let Ok(next) = rx.try_recv() {
+                        message = Some(next.into_iter());
+                        continue;
+                    }
+                }
+                round.dispatch(&mut pipe, &ingested);
                 match rx.recv() {
                     Ok(next) => {
                         message = Some(next.into_iter());
@@ -193,20 +229,13 @@ pub(crate) fn ce_body<M>(
             arrivals += 1;
             if kill_at.last().is_some_and(|&k| arrivals >= k) {
                 kill_at.pop();
+                // What was admitted before the kill is evaluated.
+                round.dispatch(&mut pipe, &ingested);
                 return CeExit::Killed;
             }
-            if pipe.would_shed() {
-                // All-or-nothing: every shard must see the same
-                // admitted stream, so a full ring sheds the whole
-                // arrival — before the gate, like front-link loss.
-                pipe.count_shed();
-                continue;
-            }
-            if !gate.admit(&update) {
-                continue; // duplicate of a replayed update
-            }
-            ingested.lock().push(update);
-            pipe.dispatch(update);
+            if gate.admit(&update) {
+                round.push(update);
+            } // else a duplicate of a replayed update
         }));
         let injected = match run {
             Ok(CeExit::EndOfStream) => break, // every DM hung up: done
@@ -218,6 +247,9 @@ pub(crate) fn ce_body<M>(
                 false
             }
         };
+        // A genuine panic inside evaluation leaves its round recorded
+        // and dispatched; it must not go out twice.
+        round.updates.clear();
         let cfg = faults.as_ref().expect("crash handling requires a fault config");
         let recovery_start = Instant::now();
         {
@@ -228,21 +260,18 @@ pub(crate) fn ce_body<M>(
             if report.restarts[cfg.ce_index] >= cfg.max_restarts {
                 report.replicas_abandoned += 1;
                 drop(report);
-                // Budget exhausted: the replica stays dead. In-flight
-                // ring jobs still evaluate (they were admitted), then
-                // the drain closes the back link without flushing —
-                // queued alerts on a dead replica are the one
-                // sanctioned alert loss. Socket links still send their
-                // end-of-stream marker so the AD listener does not wait
-                // on a corpse.
+                // Budget exhausted: the replica stays dead. The drain
+                // closes the back link without flushing — queued alerts
+                // on a dead replica are the one sanctioned alert loss.
+                // Socket links still send their end-of-stream marker so
+                // the AD listener does not wait on a corpse.
                 pipe.abandon();
                 return;
             }
             report.restarts[cfg.ce_index] += 1;
         }
-        // Crash model: histories are gone, alert numbering is not. The
-        // restart marker rides the same FIFO rings as updates, so every
-        // shard wipes its histories at the same stream position.
+        // Crash model: histories are gone, alert numbering is not. Every
+        // shard wipes its histories before the next round.
         pipe.restart();
         // The update the kill fired on, the rest of its message and
         // whatever queued while "down" were never received; they are
@@ -257,29 +286,27 @@ pub(crate) fn ce_body<M>(
         while kill_at.last().is_some_and(|&k| arrivals >= k) {
             kill_at.pop();
         }
-        // Rebuild bounded histories from every DM's retained window.
-        // The gate admits only seqnos beyond the pre-crash cursor, in
-        // the window's (ascending) order, so `U_i` stays ordered and
-        // nothing is double-ingested. Replay takes the blocking path:
-        // retained history is already-admitted input and must not shed.
-        let mut replayed = 0u64;
+        // Rebuild bounded histories from every DM's retained window, as
+        // one round. The gate admits only seqnos beyond the pre-crash
+        // cursor, in the window's (ascending) order, so `U_i` stays
+        // ordered and nothing is double-ingested.
         for window in &cfg.windows {
             for update in window.snapshot() {
                 if gate.admit(&update) {
-                    replayed += 1;
-                    ingested.lock().push(update);
-                    pipe.dispatch_wait(update);
+                    round.push(update);
                 }
             }
         }
+        let replayed = round.updates.len() as u64;
+        round.dispatch(&mut pipe, &ingested);
         let mut report = cfg.report.lock();
         report.updates_dropped_down += discarded;
         report.updates_replayed += replayed;
         report.recovery_latency.push(recovery_start.elapsed());
     }
-    // End of stream: every in-flight update is evaluated, then the drain
-    // flushes the back link — a severed link must come back up and
-    // drain its queue before the replica exits (the lossless contract).
+    // End of stream: the drain flushes the back link — a severed link
+    // must come back up and drain its queue before the replica exits
+    // (the lossless contract).
     pipe.finish();
 }
 

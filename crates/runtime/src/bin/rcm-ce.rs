@@ -22,13 +22,15 @@
 //! rides one readiness loop, so a CE holds thousands of idle front
 //! links.
 //!
-//! `--workers N` (default 0 = evaluate on the main thread) shards the
-//! evaluation pipeline: conditions are split `cond_id % N` across
-//! worker threads fed over bounded SPSC rings, and a sequencer merges
-//! per-shard alerts back into the exact single-threaded emission order
-//! before the back link. A full ring sheds the update for every shard
-//! — observationally a front-link drop. The exit report carries the
-//! shed count and the ingest→emit latency percentiles.
+//! Updates are evaluated a round at a time: the main thread takes one
+//! delivered update plus whatever else is already queued, up to
+//! `ROUND` (64). `--workers N` (default 0) splits the conditions into
+//! `N` shards, `cond_id % N`: shard 0 is evaluated on the main thread
+//! and each other shard on a helper thread, which is handed each round
+//! and joined before the next. The shards' alerts are merged back into
+//! the exact single-threaded emission order before the back link, and
+//! nothing is shed. The exit report carries the ingest→emit latency
+//! percentiles.
 //!
 //! LOCK ORDER: no locks on the main thread — the link counters are
 //! atomics, read after the stream ends.
@@ -39,9 +41,9 @@ use std::process::ExitCode;
 use rcm_core::condition::{expr::CompiledCondition, Condition};
 use rcm_core::{Alert, CeId, LatencyHistogram, VarRegistry};
 use rcm_net::Backoff;
-use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
-use rcm_sync::atomic::{AtomicU64, Ordering};
-use rcm_sync::time::Duration;
+use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions, ROUND};
+use rcm_sync::atomic::AtomicU64;
+use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 use rcm_transport::{BackLinkSpec, EventLoop, EventedBackLink};
 
@@ -60,6 +62,8 @@ fn usage() -> ExitCode {
         "usage: rcm-ce --bind HOST:PORT --ad HOST:PORT --condition '<expr>' \
          [--condition '<expr>' ...] [--node N] [--dms N] [--idle-ms N] \
          [--workers N]\n\
+         --workers N splits the conditions into N shards: shard 0 on the main\n\
+         thread, one helper thread per further shard (0 and 1 spawn none)\n\
          exits after --dms distinct DM Fins (each echoed to its DM, which then\n\
          stops repeating it) or --idle-ms of silence"
     );
@@ -178,39 +182,32 @@ fn main() -> ExitCode {
     let engine = rcm_sync::thread::spawn(move || el.run());
 
     // The ingress gate already dropped reorders and duplicates, so every
-    // delivered update goes straight into evaluation; a full worker ring
-    // sheds the update for every shard (≡ a front-link drop), keeping
-    // this loop wait-free.
+    // delivered update goes straight into evaluation, a round at a time.
     let latency = Arc::new(LatencyHistogram::new());
-    let shed = Arc::new(AtomicU64::new(0));
     let mut pipe = EvalPipeline::start(
         CeId::new(opts.node),
         &conds,
         &PipelineOptions::with_workers(opts.workers),
         Box::new(BackDrain { back }),
         Arc::clone(&latency),
-        Arc::clone(&shed),
+        Arc::new(AtomicU64::new(0)),
     );
-    while let Ok(update) = rx.recv() {
-        if pipe.would_shed() {
-            pipe.count_shed();
-        } else {
-            pipe.dispatch(update);
-        }
+    let mut round = Vec::with_capacity(ROUND);
+    while let Ok(first) = rx.recv() {
+        let admitted = Instant::now();
+        round.push(first);
+        round.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(ROUND - 1));
+        pipe.dispatch_round(&round, admitted);
+        round.clear();
     }
     pipe.finish();
     let _ = engine.join();
 
     let snap = latency.snapshot();
     eprintln!(
-        "pipeline: {} worker(s), {} update(s) shed; ingest→emit latency \
+        "pipeline: {} worker(s); ingest→emit latency \
          p50 {} ns, p99 {} ns, p999 {} ns over {} update(s)",
-        opts.workers,
-        shed.load(Ordering::Relaxed),
-        snap.p50_ns,
-        snap.p99_ns,
-        snap.p999_ns,
-        snap.count
+        opts.workers, snap.p50_ns, snap.p99_ns, snap.p999_ns, snap.count
     );
     let i = ingress.snapshot();
     eprintln!(

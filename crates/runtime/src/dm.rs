@@ -26,8 +26,9 @@ use crate::link::FrontHop;
 
 /// Most readings one round takes before it is handed off. It bounds how
 /// long a feed with a backlog can hold back another feed's reading: one
-/// round.
-pub(crate) const ROUND: usize = 64;
+/// round. A CE stops topping its own evaluation round up with queued
+/// messages once the round holds this many admitted updates.
+pub const ROUND: usize = 64;
 
 /// Where a Data Monitor's readings come from.
 pub(crate) enum FeedSource {

@@ -72,6 +72,7 @@ mod system;
 pub mod wire;
 
 pub use backlink::{BackLink, BackLinkStats};
+pub use dm::ROUND;
 pub use faults::{
     FaultPlan, FaultReport, IngestGate, KillCe, RetainedWindow, SeverBackLink, StallFrontLink,
 };

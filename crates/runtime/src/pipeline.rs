@@ -1,81 +1,68 @@
 //! The CE's evaluation stage: one [`EvalPipeline`] behind every
 //! supervised CE body and every `rcm-ce` node, for any worker count.
 //!
-//! With `workers == 0` the pipeline hosts the [`ConditionRegistry`] on
-//! the caller's thread: no rings, no threads, nothing to shed — each
-//! dispatch is `registry.ingest` → drain → latency record. This is the
-//! plain single-threaded evaluator, and the reference the sharded stage
-//! is pinned against.
+//! **Shards.** `workers` is the shard count: condition `i` lives on
+//! shard `i % max(workers, 1)`, and this module is the only code in the
+//! workspace that partitions conditions. Shard 0 is evaluated on the
+//! caller's thread (the CE's); shards `1..workers` get one helper
+//! thread each. With `workers` 0 or 1 nothing is spawned.
 //!
-//! With `workers >= 1` evaluation is shard-parallel, with the output
-//! byte-for-byte identical:
+//! **Rounds.** The unit of work is a round: the updates one CE wake
+//! admitted, handed over in admission order to
+//! [`EvalPipeline::dispatch_round`], which forks and joins:
 //!
-//! * the **dispatcher** (the supervised CE body) admits updates (ingest
-//!   gate, kill/restart/replay protocol) and fans each admitted update
-//!   out to every worker over a bounded [`spsc`] ring,
-//!   stamped with a global admission index and an admission timestamp;
-//! * each **shard worker** owns the `cond_id % workers` slice of the
-//!   condition set in a private [`ConditionRegistry`] — this module is
-//!   the only code in the workspace that partitions conditions —
-//!   evaluates every update against its slice in admission order, and
-//!   reports per-update results to the sequencer;
-//! * the **sequencer** reassembles rounds in ascending admission index
-//!   (each worker's stream is already in that order, so one message per
-//!   worker per round suffices), merges each round's alerts in
-//!   ascending condition id, and hands them to the [`AlertDrain`] —
-//!   reconstructing exactly the unsharded registry's emission order,
-//!   alert numbering included.
+//! 1. each helper is sent the round over its own channel;
+//! 2. the caller evaluates shard 0;
+//! 3. the caller receives each helper's alerts and per-update counts;
+//! 4. for each update in order, the shards' alerts are merged in
+//!    ascending condition id and handed to the [`AlertDrain`], and the
+//!    update's ingest→emit latency is recorded.
 //!
-//! **Determinism argument.** The unsharded registry emits, per update,
-//! in ascending condition-id order. Every worker sees the identical
-//! admitted update stream in the identical order (rings are FIFO and
-//! the dispatcher sheds all-or-nothing, pre-gate), so each condition's
-//! state evolution — and therefore its alert stream and `AlertId`
-//! numbering — is exactly what the zero-worker stage computes.
-//! Sorting each round by condition id (a unique key: one alert per
-//! condition per update) is then a permutation-free reconstruction of
-//! the unsharded stream. Restart markers flow through the same FIFO
-//! rings, so "histories wiped after update k, replay admitted after"
-//! holds at the same stream position on every shard.
+//! A job's buffers (the round, its alerts, its counts) go to the helper
+//! and come back with the reply, so the steady state allocates nothing.
 //!
-//! **Batching.** Workers drain their ring in batches (one lock per
-//! batch instead of one per job) of at most 64 jobs (`DRAIN_JOBS`), cut
-//! no later than 1 ms after the batch opened (`DRAIN_DELAY`) — an empty
-//! ring always flushes immediately, so batching adapts to queue depth
-//! and never waits for more input.
+//! **One message per channel.** The caller receives every reply before
+//! `dispatch_round` returns, so each helper's job channel and reply
+//! channel hold at most one message at any time. That is why a plain
+//! channel does: nothing can pile up, so there is no ring to bound and
+//! nothing to shed. A restart rides on the next round's job rather than
+//! being a message of its own, which keeps the count at one.
 //!
-//! **Shedding.** Rings are bounded; when any ring is full the
-//! dispatcher sheds the arrival *before* the ingest gate, so a shed
-//! update is indistinguishable from a front-link drop and the paper's
-//! per-AD guarantees already cover it. Control markers use the rings'
-//! blocking path and are never shed.
+//! **Determinism.** The unsharded registry emits, per update, in
+//! ascending condition-id order. Every shard evaluates the identical
+//! admitted updates in the identical order, and a restart wipes every
+//! shard's histories between the same two rounds, so each condition's
+//! state evolution, and therefore its alert stream and `AlertId`
+//! numbering, is exactly what one registry computes. Sorting each
+//! update's alerts by condition id (a unique key: one alert per
+//! condition per update) then reconstructs the unsharded stream, so the
+//! drain sees the same `(update, condition)` order for any worker count.
 //!
-//! LOCK ORDER: this module takes only leaf mutexes — a ring's internal
-//! state lock (see `rcm_sync::spsc`) and the shared `emitted` record
-//! inside the drain implementations, each taken alone and released
-//! before any channel operation.
+//! **Failure.** A helper that panics drops its reply sender, so the
+//! caller's receive fails; the caller joins the helper and re-raises
+//! its payload. A panic on shard 0 is held until every helper has
+//! replied, then re-raised. Either way no job is in flight once
+//! `dispatch_round` returns or unwinds, and a pipeline that lost a
+//! helper panics on every later round instead of waiting on it.
+//!
+//! LOCK ORDER: this module takes no lock itself; the drain
+//! implementations take their leaf `emitted` record alone.
 
-use std::panic::resume_unwind;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use rcm_sync::atomic::{AtomicU64, Ordering};
-use rcm_sync::chan::{unbounded, Receiver, Sender};
-use rcm_sync::spsc;
+use rcm_sync::atomic::AtomicU64;
+use rcm_sync::chan::{unbounded, Receiver, SendError, Sender};
 use rcm_sync::thread::JoinHandle;
-use rcm_sync::time::{Duration, Instant};
+use rcm_sync::time::Instant;
 use rcm_sync::Arc;
 
 use rcm_core::condition::Condition;
 use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, Update};
 
-/// Most jobs a worker takes from its ring in one drain.
-const DRAIN_JOBS: usize = 64;
-/// A worker stops topping a drain up this long after it opened.
-const DRAIN_DELAY: Duration = Duration::from_millis(1);
-
 /// Where the pipeline delivers each admitted update's merged alerts.
 ///
-/// The thread that merges owns the drain (the sequencer, or the
-/// dispatching thread itself with zero workers), so the CE's back link
+/// The dispatching thread owns the drain, so the CE's back link
 /// (channel or socket) moves in here; `rcm-ce` and the scale gauntlet
 /// provide their own implementations.
 ///
@@ -96,7 +83,7 @@ pub trait AlertDrain: Send {
         self.round(&mut alerts);
     }
 
-    /// Every DM hung up and every in-flight update was evaluated: the
+    /// Every DM hung up and every dispatched update was evaluated: the
     /// lossless path's goodbye (flush the back link).
     fn end_of_stream(&mut self);
 
@@ -105,259 +92,228 @@ pub trait AlertDrain: Send {
     fn abandoned(&mut self) {}
 }
 
-/// Pipeline shape knobs, as set on
-/// [`SystemBuilder`](crate::SystemBuilder) or `rcm-ce --workers`.
-#[derive(Debug, Clone, Copy)]
+/// Pipeline shape, as set on [`SystemBuilder`](crate::SystemBuilder)
+/// or `rcm-ce --workers`.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineOptions {
-    /// Shard workers. `0` (the default) evaluates on the dispatching
-    /// thread: no pipeline threads are spawned and nothing is shed.
+    /// Shard count. `0` (the default) and `1` evaluate every condition
+    /// on the dispatching thread; `n >= 2` adds `n - 1` helper threads.
     pub workers: usize,
-    /// Bounded ring capacity per worker; a full ring sheds arrivals.
-    /// Unused with zero workers.
-    pub ring_capacity: usize,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions { workers: 0, ring_capacity: 1024 }
-    }
 }
 
 impl PipelineOptions {
-    /// Options running `workers` shard workers with the defaults.
+    /// Options running `workers` shards.
     pub fn with_workers(workers: usize) -> Self {
-        PipelineOptions { workers, ..Self::default() }
+        PipelineOptions { workers }
     }
 }
 
-/// One dispatched unit on a worker ring.
-enum Job {
-    /// An admitted update, stamped with its global admission index and
-    /// admission instant (the latency clock's zero).
-    Update { idx: u64, t0: Instant, update: Update },
-    /// Crash marker: wipe histories (numbering survives), ack, go on.
-    Restart,
-    /// Budget-exhausted marker: ack and exit without flushing.
-    Abandon,
+/// One shard's share of a round: the alerts it raised, and how many
+/// each update raised. Both are kept reversed, so the next update's
+/// alerts sit at the end where [`Evaluated::take_next`] pops them.
+#[derive(Default)]
+struct Evaluated {
+    alerts: Vec<Alert>,
+    counts: Vec<usize>,
 }
 
-/// One worker → sequencer report.
-enum Out {
-    /// Update `idx` evaluated against this worker's slice.
-    Done {
-        idx: u64,
-        t0: Instant,
-        /// Alerts this shard produced for the update (often empty —
-        /// an empty `Vec` never allocated).
-        alerts: Vec<Alert>,
-    },
-    /// Restart marker passed this worker (keeps rounds aligned).
-    Restarted,
-    /// Abandon marker reached this worker; its stream ends here.
-    Abandoned,
+impl Evaluated {
+    fn evaluate(&mut self, shard: &mut ConditionRegistry, round: &[Update]) {
+        self.alerts.clear();
+        self.counts.clear();
+        for &update in round {
+            let before = self.alerts.len();
+            shard.ingest(update, &mut self.alerts);
+            self.counts.push(self.alerts.len() - before);
+        }
+        self.alerts.reverse();
+        self.counts.reverse();
+    }
+
+    /// Moves the next update's alerts onto `into`.
+    fn take_next(&mut self, into: &mut Vec<Alert>) {
+        let count = self.counts.pop().unwrap_or(0);
+        into.extend(std::iter::from_fn(|| self.alerts.pop()).take(count));
+    }
+}
+
+/// One round for a helper, and its reply: the same buffers, `out`
+/// filled.
+#[derive(Default)]
+struct Job {
+    /// Wipe the shard's histories before this round (the replica
+    /// restarted since the last one).
+    restart: bool,
+    round: Vec<Update>,
+    out: Evaluated,
+}
+
+/// One helper thread and its two channels.
+struct Helper {
+    jobs: Sender<Job>,
+    replies: Receiver<Job>,
+    /// `None` once the thread has been joined.
+    thread: Option<JoinHandle<()>>,
+    /// The job's buffers while they are home (between rounds).
+    job: Job,
+}
+
+impl Helper {
+    /// Joins a helper whose channel failed, returning what it died of.
+    fn lost(&mut self) -> Box<dyn Any + Send> {
+        match self.thread.take().map(JoinHandle::join) {
+            Some(Err(payload)) => payload,
+            _ => Box::new("an evaluation helper has exited"),
+        }
+    }
 }
 
 /// A running evaluation pipeline, owned by the dispatching CE body.
 pub struct EvalPipeline {
-    stage: Stage,
-    next_idx: u64,
-    shed: Arc<AtomicU64>,
-}
-
-/// Where dispatched updates are evaluated.
-// Boxing the large inline registry would add a pointer chase to every
-// dispatch; a pipeline holds one stage.
-#[allow(clippy::large_enum_variant)]
-enum Stage {
-    /// `workers == 0`: the registry and the drain live on the
-    /// dispatching thread; a dispatch returns once its alerts are out.
-    Inline {
-        registry: ConditionRegistry,
-        drain: Box<dyn AlertDrain>,
-        latency: Arc<LatencyHistogram>,
-        /// The round being raised, one buffer for the whole run.
-        alerts: Vec<Alert>,
-    },
-    /// `workers >= 1`: one ring and one thread per shard, plus the
-    /// sequencer (which owns the drain).
-    Sharded {
-        rings: Vec<spsc::Producer<Job>>,
-        workers: Vec<JoinHandle<()>>,
-        sequencer: JoinHandle<()>,
-    },
+    /// Shard 0, evaluated on the dispatching thread.
+    shard: ConditionRegistry,
+    own: Evaluated,
+    helpers: Vec<Helper>,
+    drain: Box<dyn AlertDrain>,
+    latency: Arc<LatencyHistogram>,
+    /// One update's merged alerts, one buffer for the whole run.
+    merged: Vec<Alert>,
 }
 
 impl std::fmt::Debug for EvalPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let workers = match &self.stage {
-            Stage::Inline { .. } => 0,
-            Stage::Sharded { workers, .. } => workers.len(),
-        };
-        f.debug_struct("EvalPipeline")
-            .field("workers", &workers)
-            .field("dispatched", &self.next_idx)
-            .finish()
+        f.debug_struct("EvalPipeline").field("helpers", &self.helpers.len()).finish()
     }
 }
 
 impl EvalPipeline {
-    /// Starts the evaluation stage: with `options.workers == 0` on the
-    /// caller's thread, otherwise on that many shard workers plus the
-    /// sequencer. Condition `i` gets global id `CondId::new(i)` and
-    /// lives on shard `i % workers`.
+    /// Starts the evaluation stage: shard 0 on the caller's thread and
+    /// one helper thread per further shard. Condition `i` gets global
+    /// id `CondId::new(i)` and lives on shard `i % max(workers, 1)`.
+    /// Nothing is ever shed: `_shed` is kept only so that existing
+    /// callers still compile, and is never written.
     pub fn start(
         ce: CeId,
         conditions: &[Arc<dyn Condition>],
         options: &PipelineOptions,
         drain: Box<dyn AlertDrain>,
         latency: Arc<LatencyHistogram>,
-        shed: Arc<AtomicU64>,
+        _shed: Arc<AtomicU64>,
     ) -> EvalPipeline {
-        // Shard `s` of `n` hosts the conditions with `i % n == s`, in
+        let shards = options.workers.max(1);
+        // Shard `s` hosts the conditions with `i % shards == s`, in
         // ascending `i`, so it emits in ascending condition id.
-        let shard = |s: usize, n: usize| {
+        let shard = |s: usize| {
             let mut registry = ConditionRegistry::new(ce);
-            for (i, cond) in conditions.iter().enumerate().skip(s).step_by(n) {
+            for (i, cond) in conditions.iter().enumerate().skip(s).step_by(shards) {
                 registry.insert(CondId::new(i as u32), Arc::clone(cond));
             }
             registry
         };
-        let stage = if options.workers == 0 {
-            Stage::Inline { registry: shard(0, 1), drain, latency, alerts: Vec::new() }
-        } else {
-            let mut rings = Vec::with_capacity(options.workers);
-            let mut workers = Vec::with_capacity(options.workers);
-            let mut outs: Vec<Receiver<Out>> = Vec::with_capacity(options.workers);
-            for s in 0..options.workers {
-                let shard = shard(s, options.workers);
-                let (tx, rx) = spsc::ring::<Job>(options.ring_capacity.max(1));
-                let (out_tx, out_rx) = unbounded::<Out>();
-                rings.push(tx);
-                outs.push(out_rx);
-                workers.push(rcm_sync::thread::spawn(move || worker_body(shard, rx, out_tx)));
-            }
-            let sequencer = rcm_sync::thread::spawn(move || sequencer_body(outs, drain, latency));
-            Stage::Sharded { rings, workers, sequencer }
-        };
-        EvalPipeline { stage, next_idx: 0, shed }
-    }
-
-    /// Whether dispatching one more update right now would overflow a
-    /// ring (never, with zero workers). The dispatcher is the only
-    /// producer, so a `false` answer stays valid until it pushes:
-    /// workers only ever *free* space.
-    pub fn would_shed(&self) -> bool {
-        match &self.stage {
-            Stage::Inline { .. } => false,
-            Stage::Sharded { rings, .. } => rings.iter().any(spsc::Producer::is_full),
+        let mut helpers = Vec::with_capacity(shards - 1);
+        for s in 1..shards {
+            let registry = shard(s);
+            let (jobs, job_rx) = unbounded::<Job>();
+            let (reply_tx, replies) = unbounded::<Job>();
+            let thread = rcm_sync::thread::spawn(move || helper_body(registry, job_rx, reply_tx));
+            helpers.push(Helper { jobs, replies, thread: Some(thread), job: Job::default() });
+        }
+        EvalPipeline {
+            shard: shard(0),
+            own: Evaluated::default(),
+            helpers,
+            drain,
+            latency,
+            merged: Vec::new(),
         }
     }
 
-    /// Records one shed arrival (kept with the pipeline so every
-    /// dispatcher counts into the same run-wide ledger).
-    pub fn count_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Evaluates an admitted update (zero workers) or fans it out to
-    /// every shard. Call only after [`EvalPipeline::would_shed`] said
-    /// there is room — a race-free protocol for the single dispatcher.
-    pub fn dispatch(&mut self, update: Update) {
-        self.dispatch_with(update, false);
-    }
-
-    /// [`EvalPipeline::dispatch`] on the rings' *blocking* path — the
-    /// replay entry: recovery replays are already-admitted history and
-    /// must not shed.
-    pub fn dispatch_wait(&mut self, update: Update) {
-        self.dispatch_with(update, true);
-    }
-
-    fn dispatch_with(&mut self, update: Update, wait: bool) {
-        let idx = self.next_idx;
-        self.next_idx += 1;
-        let t0 = Instant::now();
-        match &mut self.stage {
-            Stage::Inline { registry, drain, latency, alerts } => {
-                registry.ingest(update, alerts);
-                if !alerts.is_empty() {
-                    drain.round(alerts);
-                    alerts.clear();
-                }
-                latency.record(elapsed_nanos(t0));
+    /// Evaluates one round of admitted updates on every shard and
+    /// drains its alerts, update by update, before it returns. Each
+    /// update's latency is measured from `admitted`, the admission of
+    /// the round's first update.
+    pub fn dispatch_round(&mut self, round: &[Update], admitted: Instant) {
+        if round.is_empty() {
+            return;
+        }
+        let mut lost = None;
+        for helper in &mut self.helpers {
+            let mut job = std::mem::take(&mut helper.job);
+            job.round.clear();
+            job.round.extend_from_slice(round);
+            if let Err(SendError(job)) = helper.jobs.send(job) {
+                helper.job = job;
+                let payload = helper.lost();
+                lost.get_or_insert(payload);
             }
-            Stage::Sharded { rings, .. } => {
-                for ring in rings.iter() {
-                    let job = Job::Update { idx, t0, update };
-                    if wait {
-                        let _ = ring.push_wait(job);
-                    } else if ring.push(job).is_err() {
-                        // Unreachable under the would_shed protocol
-                        // (and a dead consumer means the run is tearing
-                        // down anyway); losing a push here would desync
-                        // shard histories, so account it as shed for
-                        // the report's sake.
-                        self.shed.fetch_add(1, Ordering::Relaxed);
-                    }
+        }
+        let own = catch_unwind(AssertUnwindSafe(|| self.own.evaluate(&mut self.shard, round)));
+        for helper in self.helpers.iter_mut().filter(|h| h.thread.is_some()) {
+            match helper.replies.recv() {
+                Ok(job) => helper.job = job,
+                Err(_) => {
+                    let payload = helper.lost();
+                    lost.get_or_insert(payload);
                 }
             }
         }
-    }
-
-    /// Updates dispatched so far (the next admission index).
-    pub fn dispatched(&self) -> u64 {
-        self.next_idx
-    }
-
-    /// The crash marker: every shard wipes its histories at the same
-    /// stream position (delivered blocking — restarts are control flow,
-    /// never shed); alert numbering survives.
-    pub fn restart(&mut self) {
-        match &mut self.stage {
-            Stage::Inline { registry, .. } => registry.restart(),
-            Stage::Sharded { rings, .. } => {
-                for ring in rings.iter() {
-                    let _ = ring.push_wait(Job::Restart);
-                }
-            }
-        }
-    }
-
-    /// End of stream: every in-flight update is evaluated, then the
-    /// drain's `end_of_stream` runs (flushing the back link) and the
-    /// pipeline's threads, if any, are joined.
-    pub fn finish(self) {
-        match self.stage {
-            Stage::Inline { mut drain, .. } => drain.end_of_stream(),
-            Stage::Sharded { rings, workers, sequencer } => {
-                drop(rings); // dropping the producers closes the rings
-                join(workers, sequencer);
-            }
-        }
-    }
-
-    /// Budget exhausted: in-flight updates still evaluate first (they
-    /// were admitted), then the drain's `abandoned` runs instead of the
-    /// flush.
-    pub fn abandon(self) {
-        match self.stage {
-            Stage::Inline { mut drain, .. } => drain.abandoned(),
-            Stage::Sharded { rings, workers, sequencer } => {
-                for ring in &rings {
-                    let _ = ring.push_wait(Job::Abandon);
-                }
-                drop(rings);
-                join(workers, sequencer);
-            }
-        }
-    }
-}
-
-fn join(workers: Vec<JoinHandle<()>>, sequencer: JoinHandle<()>) {
-    for handle in workers.into_iter().chain([sequencer]) {
-        if let Err(payload) = handle.join() {
+        if let Some(payload) = own.err().or(lost) {
             resume_unwind(payload);
         }
+
+        let EvalPipeline { own, helpers, drain, latency, merged, .. } = self;
+        for _ in round {
+            own.take_next(merged);
+            for helper in helpers.iter_mut() {
+                helper.job.out.take_next(merged);
+            }
+            if !merged.is_empty() {
+                // One alert per condition per update: the key is unique.
+                merged.sort_unstable_by_key(|a| a.cond.index());
+                drain.round(merged);
+                merged.clear();
+            }
+            latency.record(elapsed_nanos(admitted));
+        }
+    }
+
+    /// Evaluates one admitted update: a round of one.
+    pub fn dispatch(&mut self, update: Update) {
+        self.dispatch_round(std::slice::from_ref(&update), Instant::now());
+    }
+
+    /// The crash marker: every shard's histories are wiped before the
+    /// next round (shard 0 at once, each helper's with the next job);
+    /// alert numbering survives.
+    pub fn restart(&mut self) {
+        self.shard.restart();
+        for helper in &mut self.helpers {
+            helper.job.restart = true;
+        }
+    }
+
+    /// End of stream: the helpers are joined, then the drain's
+    /// `end_of_stream` runs (flushing the back link).
+    pub fn finish(self) {
+        self.close().end_of_stream();
+    }
+
+    /// Budget exhausted: the helpers are joined, then the drain's
+    /// `abandoned` runs instead of the flush.
+    pub fn abandon(self) {
+        self.close().abandoned();
+    }
+
+    /// Hangs up on every helper and joins it, re-raising a helper's
+    /// panic; returns the drain.
+    fn close(self) -> Box<dyn AlertDrain> {
+        for Helper { jobs, thread, .. } in self.helpers {
+            drop(jobs);
+            if let Some(Err(payload)) = thread.map(JoinHandle::join) {
+                resume_unwind(payload);
+            }
+        }
+        self.drain
     }
 }
 
@@ -365,113 +321,16 @@ fn elapsed_nanos(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One shard worker: evaluates every update in admission order against
-/// its registry slice, reporting per-update results upstream. Ring
-/// drains are batched: a deep queue is paid for with one lock per
-/// `DRAIN_JOBS` jobs, an empty queue flushes immediately, and a hot
-/// stretch is cut no later than `DRAIN_DELAY` after the batch opened.
-fn worker_body(mut shard: ConditionRegistry, jobs: spsc::Consumer<Job>, out: Sender<Out>) {
-    let mut buf: Vec<Job> = Vec::new();
-    while let Some(first) = jobs.pop() {
-        let opened = Instant::now();
-        buf.push(first);
-        while buf.len() < DRAIN_JOBS && opened.elapsed() < DRAIN_DELAY {
-            let want = DRAIN_JOBS - buf.len();
-            if jobs.drain_into(&mut buf, want) == 0 {
-                break; // empty ring: flush what we have, adaptively
-            }
+/// One helper: evaluates each round it is sent against its shard and
+/// sends the job back, until the pipeline hangs up.
+fn helper_body(mut shard: ConditionRegistry, jobs: Receiver<Job>, replies: Sender<Job>) {
+    while let Ok(mut job) = jobs.recv() {
+        if std::mem::take(&mut job.restart) {
+            shard.restart();
         }
-        for job in buf.drain(..) {
-            match job {
-                Job::Update { idx, t0, update } => {
-                    let mut alerts = Vec::new();
-                    shard.ingest(update, &mut alerts);
-                    if out.send(Out::Done { idx, t0, alerts }).is_err() {
-                        return; // sequencer gone: run is tearing down
-                    }
-                }
-                Job::Restart => {
-                    shard.restart();
-                    if out.send(Out::Restarted).is_err() {
-                        return;
-                    }
-                }
-                Job::Abandon => {
-                    let _ = out.send(Out::Abandoned);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// What one worker's stream contributed to the current round.
-enum RoundPull {
-    Done { idx: u64, t0: Instant, alerts: Vec<Alert> },
-    Closed,
-    Abandoned,
-}
-
-/// Pulls the next significant (non-marker) message from one worker.
-fn next_round_pull(rx: &Receiver<Out>) -> RoundPull {
-    loop {
-        match rx.recv() {
-            Ok(Out::Done { idx, t0, alerts }) => return RoundPull::Done { idx, t0, alerts },
-            Ok(Out::Restarted) => continue,
-            Ok(Out::Abandoned) => return RoundPull::Abandoned,
-            Err(_) => return RoundPull::Closed,
-        }
-    }
-}
-
-/// The sequencer: reassembles per-worker result streams into admission
-/// order and the per-update ascending-condition-id merge, then records
-/// the ingest→alert-emit latency for the round.
-///
-/// Lockstep invariant: every worker evaluates the identical job
-/// sequence, so round `k` is each worker's `k`-th `Done` message — no
-/// reorder buffer is needed, and a stream that ends (or abandons) ends
-/// for all workers at the same round.
-fn sequencer_body(
-    outs: Vec<Receiver<Out>>,
-    mut drain: Box<dyn AlertDrain>,
-    latency: Arc<LatencyHistogram>,
-) {
-    let mut merged: Vec<Alert> = Vec::new();
-    loop {
-        merged.clear();
-        let mut round: Option<(u64, Instant)> = None;
-        let mut closed = false;
-        let mut abandoned = false;
-        for rx in &outs {
-            match next_round_pull(rx) {
-                RoundPull::Done { idx, t0, alerts } => {
-                    debug_assert!(
-                        round.is_none() || round.is_some_and(|(r, _)| r == idx),
-                        "workers desynced: round {round:?} saw idx {idx}"
-                    );
-                    round = Some((idx, t0));
-                    merged.extend(alerts);
-                }
-                RoundPull::Closed => closed = true,
-                RoundPull::Abandoned => abandoned = true,
-            }
-        }
-        if abandoned {
-            drain.abandoned();
+        job.out.evaluate(&mut shard, &job.round);
+        if replies.send(job).is_err() {
             return;
-        }
-        if closed {
-            drain.end_of_stream();
-            return;
-        }
-        if !merged.is_empty() {
-            // One alert per condition per update: the key is unique.
-            merged.sort_unstable_by_key(|a| a.cond.index());
-            drain.round(&mut merged);
-        }
-        if let Some((_, t0)) = round {
-            latency.record(elapsed_nanos(t0));
         }
     }
 }
@@ -479,27 +338,44 @@ fn sequencer_body(
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use rcm_core::condition::{Cmp, Threshold};
-    use rcm_core::VarId;
+    use rcm_core::condition::{Cmp, SustainedAbove, Threshold};
+    use rcm_core::{HistorySet, Triggering, VarId};
+    use rcm_sync::atomic::Ordering;
     use rcm_sync::Mutex;
 
-    struct VecDrain {
+    /// What a `VecDrain` saw, read once the pipeline is done.
+    #[derive(Clone, Default)]
+    struct Seen {
         alerts: Arc<Mutex<Vec<Alert>>>,
         flushed: Arc<Mutex<bool>>,
         abandoned: Arc<Mutex<bool>>,
     }
 
+    impl Seen {
+        fn alerts(&self) -> Vec<Alert> {
+            self.alerts.lock().clone()
+        }
+        fn flushed(&self) -> bool {
+            *self.flushed.lock()
+        }
+        fn abandoned(&self) -> bool {
+            *self.abandoned.lock()
+        }
+    }
+
+    struct VecDrain(Seen);
+
     impl AlertDrain for VecDrain {
         fn round(&mut self, alerts: &mut Vec<Alert>) {
             assert!(!alerts.is_empty(), "drain must not see empty rounds");
             // LOCK ORDER: leaf test sink, taken alone.
-            self.alerts.lock().append(alerts);
+            self.0.alerts.lock().append(alerts);
         }
         fn end_of_stream(&mut self) {
-            *self.flushed.lock() = true;
+            *self.0.flushed.lock() = true;
         }
         fn abandoned(&mut self) {
-            *self.abandoned.lock() = true;
+            *self.0.abandoned.lock() = true;
         }
     }
 
@@ -520,39 +396,42 @@ mod tests {
         out
     }
 
+    /// A pipeline over `conds` whose drain records into `seen`.
+    fn start(conds: &[Arc<dyn Condition>], workers: usize, seen: &Seen) -> EvalPipeline {
+        EvalPipeline::start(
+            CeId::new(0),
+            conds,
+            &PipelineOptions::with_workers(workers),
+            Box::new(VecDrain(seen.clone())),
+            Arc::new(LatencyHistogram::new()),
+            Arc::new(AtomicU64::new(0)),
+        )
+    }
+
+    /// Dispatches `updates` in rounds of `round` (a restart before
+    /// update `restart_before`, if any), then finishes.
     fn run_pipeline(
         conds: &[Arc<dyn Condition>],
         updates: &[Update],
         workers: usize,
+        round: usize,
         restart_before: Option<usize>,
-    ) -> (Vec<Alert>, bool, bool) {
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let flushed = Arc::new(Mutex::new(false));
-        let abandoned = Arc::new(Mutex::new(false));
-        let drain = Box::new(VecDrain {
-            alerts: Arc::clone(&got),
-            flushed: Arc::clone(&flushed),
-            abandoned: Arc::clone(&abandoned),
-        });
-        let mut pipe = EvalPipeline::start(
-            CeId::new(0),
-            conds,
-            &PipelineOptions::with_workers(workers),
-            drain,
-            Arc::new(LatencyHistogram::new()),
-            Arc::new(AtomicU64::new(0)),
-        );
-        for (i, &u) in updates.iter().enumerate() {
-            if restart_before == Some(i) {
-                pipe.restart();
-            }
-            pipe.dispatch_wait(u);
+    ) -> Seen {
+        let seen = Seen::default();
+        let mut pipe = start(conds, workers, &seen);
+        let cut = restart_before.unwrap_or(updates.len());
+        let (before, after) = updates.split_at(cut);
+        for chunk in before.chunks(round) {
+            pipe.dispatch_round(chunk, Instant::now());
+        }
+        if restart_before.is_some() {
+            pipe.restart();
+        }
+        for chunk in after.chunks(round) {
+            pipe.dispatch_round(chunk, Instant::now());
         }
         pipe.finish();
-        let alerts = got.lock().clone();
-        let f = *flushed.lock();
-        let a = *abandoned.lock();
-        (alerts, f, a)
+        seen
     }
 
     fn stream(n: u64) -> Vec<Update> {
@@ -567,18 +446,26 @@ mod tests {
         let want = reference(&conds, &updates);
         assert!(!want.is_empty());
         for workers in [0usize, 1, 2, 3, 8] {
-            let (got, flushed, abandoned) = run_pipeline(&conds, &updates, workers, None);
-            assert_eq!(got, want, "workers = {workers}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.id, w.id, "workers = {workers}");
+            for round in [1usize, 7, 64] {
+                let seen = run_pipeline(&conds, &updates, workers, round, None);
+                let got = seen.alerts();
+                assert_eq!(got, want, "workers = {workers}, round = {round}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.id, w.id, "workers = {workers}, round = {round}");
+                }
+                assert!(seen.flushed() && !seen.abandoned());
             }
-            assert!(flushed && !abandoned);
         }
     }
 
     #[test]
     fn restart_marker_wipes_all_shards_at_the_same_position() {
-        let conds = family(7);
+        // Two sustained conditions, on shards 3 and 0 at four workers,
+        // make the wiped histories show in the output.
+        let mut conds = family(7);
+        for _ in 0..2 {
+            conds.push(Arc::new(SustainedAbove::new(VarId::new(0), 0.5, 3)));
+        }
         let updates = stream(40);
         let cut = 23;
         let mut reg = ConditionRegistry::new(CeId::new(0));
@@ -589,9 +476,10 @@ mod tests {
         reg.ingest_batch(&updates[..cut], &mut want);
         reg.restart();
         reg.ingest_batch(&updates[cut..], &mut want);
+        assert_ne!(want, reference(&conds, &updates), "the restart must change the output");
 
         for workers in [0usize, 1, 4] {
-            let (got, ..) = run_pipeline(&conds, &updates, workers, Some(cut));
+            let got = run_pipeline(&conds, &updates, workers, 5, Some(cut)).alerts();
             assert_eq!(got, want, "workers = {workers}");
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.id, w.id, "workers = {workers}");
@@ -605,74 +493,15 @@ mod tests {
         let updates = stream(10);
         let want = reference(&conds, &updates);
         for workers in [0usize, 2] {
-            let got = Arc::new(Mutex::new(Vec::new()));
-            let flushed = Arc::new(Mutex::new(false));
-            let abandoned = Arc::new(Mutex::new(false));
-            let drain = Box::new(VecDrain {
-                alerts: Arc::clone(&got),
-                flushed: Arc::clone(&flushed),
-                abandoned: Arc::clone(&abandoned),
-            });
-            let mut pipe = EvalPipeline::start(
-                CeId::new(0),
-                &conds,
-                &PipelineOptions::with_workers(workers),
-                drain,
-                Arc::new(LatencyHistogram::new()),
-                Arc::new(AtomicU64::new(0)),
-            );
+            let seen = Seen::default();
+            let mut pipe = start(&conds, workers, &seen);
             for &u in &updates {
-                pipe.dispatch_wait(u);
+                pipe.dispatch(u);
             }
             pipe.abandon();
-            assert_eq!(got.lock().clone(), want, "workers = {workers}");
-            assert!(*abandoned.lock(), "workers = {workers}");
-            assert!(!*flushed.lock(), "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn full_rings_shed_all_or_nothing() {
-        let conds = family(2);
-        // Tiny rings, no consumers draining yet: would_shed flips once
-        // a ring fills.
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let drain = Box::new(VecDrain {
-            alerts: Arc::clone(&got),
-            flushed: Arc::new(Mutex::new(false)),
-            abandoned: Arc::new(Mutex::new(false)),
-        });
-        let shed = Arc::new(AtomicU64::new(0));
-        let opts = PipelineOptions { workers: 2, ring_capacity: 1 };
-        let mut pipe = EvalPipeline::start(
-            CeId::new(0),
-            &conds,
-            &opts,
-            drain,
-            Arc::new(LatencyHistogram::new()),
-            Arc::clone(&shed),
-        );
-        let x = VarId::new(0);
-        let mut dispatched = 0u64;
-        for s in 1..=200u64 {
-            if pipe.would_shed() {
-                pipe.count_shed();
-            } else {
-                pipe.dispatch(Update::new(x, s, 50.0));
-                dispatched += 1;
-            }
-        }
-        pipe.finish();
-        let shed = shed.load(Ordering::Relaxed);
-        assert_eq!(shed + dispatched, 200);
-        // Every dispatched update reached *both* conditions: alerts
-        // come in pairs, and both per-condition streams number densely.
-        let alerts = got.lock().clone();
-        assert_eq!(alerts.len() as u64, dispatched * 2);
-        for cond in 0..2u32 {
-            let idxs: Vec<u64> =
-                alerts.iter().filter(|a| a.cond == CondId::new(cond)).map(|a| a.id.index).collect();
-            assert!(idxs.iter().enumerate().all(|(i, &n)| n == i as u64), "{idxs:?}");
+            assert_eq!(seen.alerts(), want, "workers = {workers}");
+            assert!(seen.abandoned(), "workers = {workers}");
+            assert!(!seen.flushed(), "workers = {workers}");
         }
     }
 
@@ -680,28 +509,21 @@ mod tests {
     fn latency_histogram_sees_every_round() {
         let conds = family(1);
         let updates = stream(25);
-        for workers in [0usize, 2] {
+        for workers in [0usize, 1, 2] {
             let latency = Arc::new(LatencyHistogram::new());
-            let drain = Box::new(VecDrain {
-                alerts: Arc::new(Mutex::new(Vec::new())),
-                flushed: Arc::new(Mutex::new(false)),
-                abandoned: Arc::new(Mutex::new(false)),
-            });
             let mut pipe = EvalPipeline::start(
                 CeId::new(0),
                 &conds,
                 &PipelineOptions::with_workers(workers),
-                drain,
+                Box::new(VecDrain(Seen::default())),
                 Arc::clone(&latency),
                 Arc::new(AtomicU64::new(0)),
             );
-            if workers == 0 {
-                // No thread and no ring: nothing that could fill.
-                assert!(format!("{pipe:?}").contains("workers: 0"), "{pipe:?}");
-            }
-            for &u in &updates {
-                pipe.dispatch_wait(u);
-                assert!(workers != 0 || !pipe.would_shed());
+            // Zero and one worker spawn nothing; n workers, n - 1 helpers.
+            let helpers = workers.saturating_sub(1);
+            assert!(format!("{pipe:?}").contains(&format!("helpers: {helpers}")), "{pipe:?}");
+            for chunk in updates.chunks(4) {
+                pipe.dispatch_round(chunk, Instant::now());
             }
             pipe.finish();
             let snap = latency.snapshot();
@@ -709,5 +531,60 @@ mod tests {
             assert!(snap.p99_ns >= snap.p50_ns);
             assert!(snap.max_ns >= snap.p999_ns);
         }
+    }
+
+    /// Panics on its fourth evaluation.
+    #[derive(Debug)]
+    struct Fuse {
+        x: VarId,
+        evals: AtomicU64,
+    }
+
+    impl Condition for Fuse {
+        fn name(&self) -> String {
+            "fuse".to_string()
+        }
+        fn variables(&self) -> Vec<VarId> {
+            vec![self.x]
+        }
+        fn degree(&self, var: VarId) -> usize {
+            usize::from(var == self.x)
+        }
+        fn triggering(&self) -> Triggering {
+            Triggering::Conservative
+        }
+        fn eval(&self, _h: &HistorySet) -> bool {
+            let evals = self.evals.fetch_add(1, Ordering::SeqCst) + 1;
+            assert!(evals < 4, "fuse blew on evaluation {evals}");
+            false
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_shard_surfaces_from_dispatch_round() {
+        // Condition 1 lives on shard 1, a helper thread, at workers(2).
+        let x = VarId::new(0);
+        let conds: Vec<Arc<dyn Condition>> = vec![
+            Arc::new(Threshold::new(x, Cmp::Gt, 0.0)),
+            Arc::new(Fuse { x, evals: AtomicU64::new(0) }),
+        ];
+        let seen = Seen::default();
+        let mut pipe = start(&conds, 2, &seen);
+        let updates = stream(6);
+        pipe.dispatch_round(&updates[..3], Instant::now());
+        assert_eq!(seen.alerts().len(), 3, "the first round is whole");
+        let blown = catch_unwind(AssertUnwindSafe(|| {
+            pipe.dispatch_round(&updates[3..], Instant::now());
+        }));
+        let payload = blown.expect_err("the helper's panic reaches the dispatcher");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("fuse blew"), "{message:?}");
+        assert_eq!(seen.alerts().len(), 3, "a failed round drains nothing");
+        // The lost helper fails every later round instead of hanging,
+        // and the pipeline still closes.
+        let again = catch_unwind(AssertUnwindSafe(|| pipe.dispatch(updates[5])));
+        assert!(again.is_err(), "a pipeline without its helper must not go on");
+        pipe.finish();
+        assert!(seen.flushed());
     }
 }

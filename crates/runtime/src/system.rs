@@ -8,7 +8,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::chan::{unbounded, Receiver};
 use rcm_sync::thread::JoinHandle;
 use rcm_sync::{Arc, Mutex};
@@ -249,26 +248,19 @@ impl SystemBuilder {
         self
     }
 
-    /// Number of evaluation workers per CE replica's
-    /// [`EvalPipeline`](crate::EvalPipeline) (default 0: each replica
-    /// evaluates on its own thread). With `workers >= 1` conditions are
-    /// partitioned `cond_id % workers` across worker threads fed over
-    /// bounded rings, and a sequencer merges per-shard alerts back into
-    /// the exact single-threaded emission order — the output is
-    /// byte-identical for any worker count, but arrivals that find a
-    /// ring full are shed like front-link loss (counted in
-    /// [`RunReport::pipeline`]).
+    /// Number of evaluation shards per CE replica's
+    /// [`EvalPipeline`](crate::EvalPipeline) (default 0). Condition `i`
+    /// lives on shard `i % max(workers, 1)`; shard 0 is evaluated on the
+    /// replica's own thread and every further shard on a helper thread,
+    /// so `workers` 0 and 1 spawn nothing and `workers(n)` spawns
+    /// `n - 1` helpers per replica. Each round of admitted updates is
+    /// handed to every helper and joined before the next one, and the
+    /// shards' alerts are merged back into the single-threaded emission
+    /// order: the output is byte-identical for any worker count, and
+    /// nothing is shed.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.pipeline.workers = workers;
-        self
-    }
-
-    /// Capacity of each worker's bounded ring (default 1024); a full
-    /// ring sheds arrivals. Ignored while `workers == 0`.
-    #[must_use]
-    pub fn ring_capacity(mut self, capacity: usize) -> Self {
-        self.pipeline.ring_capacity = capacity.max(1);
         self
     }
 
@@ -332,7 +324,6 @@ impl SystemBuilder {
             windows,
             fault_report: Arc::new(Mutex::new(FaultReport::new(self.replicas))),
             latency: Arc::new(LatencyHistogram::new()),
-            shed: Arc::new(AtomicU64::new(0)),
             ingested: Vec::new(),
             emitted: Vec::new(),
         };
@@ -422,7 +413,6 @@ impl SystemBuilder {
             replicas: self.replicas,
             workers: self.pipeline.workers,
             latency: ces.latency,
-            shed: ces.shed,
             front_vars: Vec::new(),
             front_stats: Vec::new(),
             engine_counters: None,
@@ -561,7 +551,6 @@ impl SystemBuilder {
             replicas: self.replicas,
             workers: self.pipeline.workers,
             latency: ces.latency,
-            shed: ces.shed,
             front_vars,
             front_stats,
             engine_counters: Some(engine_counters),
@@ -605,7 +594,6 @@ struct Replicas {
     fault_report: Arc<Mutex<FaultReport>>,
     /// Run-wide evaluation ledgers, shared by every replica.
     latency: Arc<LatencyHistogram>,
-    shed: Arc<AtomicU64>,
     /// Per replica spawned so far: its `U_i` record and its alerts.
     ingested: Vec<Arc<Mutex<Vec<Update>>>>,
     emitted: Vec<Arc<Mutex<Vec<Alert>>>>,
@@ -647,11 +635,7 @@ impl Replicas {
             report: Arc::clone(&self.fault_report),
             ce_index: ce,
         });
-        let pipeline = CePipeline {
-            options: self.options,
-            latency: Arc::clone(&self.latency),
-            shed: Arc::clone(&self.shed),
-        };
+        let pipeline = CePipeline { options: self.options, latency: Arc::clone(&self.latency) };
         rcm_sync::thread::spawn(move || {
             ce_body(CeId::new(ce as u32), conditions, rx, back, record, outputs, faults, pipeline);
         })
@@ -673,12 +657,10 @@ pub struct MonitorSystem {
     backlink_stats: Vec<Arc<Mutex<BackLinkStats>>>,
     mode: TransportMode,
     replicas: usize,
-    /// Evaluation workers per replica.
+    /// Evaluation shards per replica (`SystemBuilder::workers`).
     workers: usize,
     /// Run-wide ingest→alert-emit latency histogram.
     latency: Arc<LatencyHistogram>,
-    /// Run-wide count of updates shed on full worker rings.
-    shed: Arc<AtomicU64>,
     /// Feed index → variable (socket mode; for the `links` report).
     front_vars: Vec<VarId>,
     /// Socket-mode sender counters keyed `(feed, ce)`.
@@ -847,7 +829,7 @@ impl MonitorSystem {
         };
         let pipeline = PipelineReport {
             workers: self.workers,
-            updates_shed: self.shed.load(Ordering::Relaxed),
+            updates_shed: 0,
             latency: self.latency.snapshot(),
         };
         RunReport {
@@ -904,23 +886,25 @@ pub struct RunReport {
     /// Per-link transport counters, shaped identically whether the run
     /// rode channels or real sockets.
     pub transport: TransportReport,
-    /// What the evaluation stage observed: worker count, ring shedding
-    /// and the ingest→alert-emit latency distribution.
+    /// What the evaluation stage observed: shard count and the
+    /// ingest→alert-emit latency distribution.
     pub pipeline: PipelineReport,
 }
 
 /// Evaluation-stage counters for a finished run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineReport {
-    /// Evaluation workers per replica (0 = evaluated on the CE's own
-    /// thread; the output is identical either way).
+    /// Evaluation shards per replica, as set with
+    /// [`SystemBuilder::workers`] (0 and 1 evaluate on the CE's own
+    /// thread; the output is identical for any count).
     pub workers: usize,
-    /// Updates shed across all replicas because a worker ring was full
-    /// — semantically front-link loss, covered by the same per-AD
-    /// guarantees.
+    /// Always 0: the evaluation stage never sheds an update. Kept
+    /// because report readers (`rcm-e2e`'s `runtime.pipeline.shed_share`)
+    /// still read it.
     pub updates_shed: u64,
-    /// Ingest→alert-emit latency (admission to merged-alerts-emitted),
-    /// aggregated over every replica.
+    /// Ingest→alert-emit latency, from the admission of an update's
+    /// round to its merged alerts being drained, aggregated over every
+    /// replica.
     pub latency: LatencySnapshot,
 }
 

@@ -15,12 +15,17 @@
 
 use std::time::Duration;
 
-use rcm_core::{Update, VarId};
+use rcm_core::condition::{Cmp, Condition, SustainedAbove, Threshold};
+use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, Update, VarId};
 use rcm_net::Backoff;
-use rcm_runtime::{BackLink, IngestGate, RetainedWindow};
+use rcm_runtime::{
+    AlertDrain, BackLink, EvalPipeline, IngestGate, PipelineOptions, RetainedWindow,
+};
+use rcm_sync::atomic::AtomicU64;
 use rcm_sync::chan::{unbounded, wait_any, Receiver, Sender, TryRecvError};
 use rcm_sync::model::model;
-use rcm_sync::{spsc, thread, Arc, Mutex};
+use rcm_sync::time::Instant;
+use rcm_sync::{thread, Arc, Mutex};
 use rcm_transport::engine::{SubmitQueue, Wake};
 
 fn u(s: u64) -> Update {
@@ -228,79 +233,154 @@ fn submit_wake_handoff_never_strands_a_command() {
     assert!(executions > 1, "the handoff must actually race, got {executions} schedules");
 }
 
-/// The evaluation pipeline's fan-out/merge handoff, exhaustively: the
-/// dispatcher (here the main thread) feeds the same update stream to
-/// two shard workers over capacity-1 SPSC rings on the blocking
-/// (`push_wait`) path; each worker evaluates its own condition slice
-/// (`cond % 2 == shard`) and reports one `(update, alerts)` round per
-/// update; the sequencer pulls one round per worker in lockstep and
-/// merges by condition id. Under **every** interleaving of the two
-/// workers against the dispatcher, the merged stream must be exactly
-/// the single-threaded order — no alert stranded in a ring or an out
-/// channel, none reordered, none duplicated.
+/// The evaluation pipeline's fork-join round, exhaustively, as a model
+/// of `EvalPipeline::dispatch_round`: the CE thread (here the main
+/// thread) evaluates shard 0 itself and one helper thread evaluates
+/// shard 1. Per round the CE sends the helper a job, evaluates its own
+/// shard, receives the helper's reply and merges each update's alerts
+/// by condition id; a restart between the two rounds rides on the
+/// second round's job. Each side counts a message into a channel before
+/// sending it and out after receiving it. Under **every** interleaving
+/// the merged stream must be exactly the single-threaded order, the
+/// restart must land between the rounds on both shards, and no channel
+/// may ever hold more than one message.
 #[test]
-fn spsc_fanout_and_sequencer_merge_never_strand_or_reorder() {
-    const UPDATES: u64 = 2;
-    const SHARDS: u32 = 2;
+fn fork_join_rounds_merge_in_order_with_one_message_per_channel() {
+    /// A shard's "registry": condition `cond` alerts on every update,
+    /// numbered per condition; a restart shows as the `restarted` flag
+    /// on the next alert.
+    fn evaluate(
+        cond: u32,
+        restart: bool,
+        round: &[u64],
+        next: &mut u64,
+    ) -> Vec<(u64, u32, u64, bool)> {
+        round
+            .iter()
+            .enumerate()
+            .map(|(i, &update)| {
+                let alert = (update, cond, *next, restart && i == 0);
+                *next += 1;
+                alert
+            })
+            .collect()
+    }
+    /// Counts a message into a channel; at most one may be in it.
+    fn count_in(queued: &Mutex<usize>, channel: &str) {
+        let mut queued = queued.lock();
+        *queued += 1;
+        let held = *queued;
+        assert_eq!(held, 1, "the {channel} channel would hold {held} messages");
+    }
+
     let executions = model(|| {
-        let mut rings = Vec::new();
-        let mut outs = Vec::new();
-        let mut workers = Vec::new();
-        for shard in 0..SHARDS {
-            let (jobs_tx, jobs_rx) = spsc::ring::<u64>(1);
-            let (out_tx, out_rx) = unbounded::<(u64, Vec<(u64, u32)>)>();
-            rings.push(jobs_tx);
-            outs.push(out_rx);
-            workers.push(thread::spawn(move || {
-                // Drain in batches like the real worker: a blocking pop
-                // opens the batch, `drain_into` opportunistically grabs
-                // what else is already queued.
-                let mut batch = Vec::new();
-                while let Some(first) = jobs_rx.pop() {
-                    batch.push(first);
-                    jobs_rx.drain_into(&mut batch, 1);
-                    for idx in batch.drain(..) {
-                        // This shard's slice of a 2-condition registry.
-                        let alerts: Vec<(u64, u32)> =
-                            (0..SHARDS).filter(|c| c % SHARDS == shard).map(|c| (idx, c)).collect();
-                        out_tx.send((idx, alerts)).expect("sequencer alive");
-                    }
+        let rounds: [&[u64]; 2] = [&[1, 2], &[3]];
+        let jobs_queued = Arc::new(Mutex::new(0));
+        let replies_queued = Arc::new(Mutex::new(0));
+        let (job_tx, job_rx) = unbounded::<(bool, Vec<u64>)>();
+        let (reply_tx, reply_rx) = unbounded::<Vec<(u64, u32, u64, bool)>>();
+        let helper = {
+            let (jobs_queued, replies_queued) =
+                (Arc::clone(&jobs_queued), Arc::clone(&replies_queued));
+            thread::spawn(move || {
+                let mut next = 0;
+                while let Ok((restart, round)) = job_rx.recv() {
+                    *jobs_queued.lock() -= 1;
+                    let alerts = evaluate(1, restart, &round, &mut next);
+                    count_in(&replies_queued, "reply");
+                    reply_tx.send(alerts).expect("CE alive");
                 }
-            }));
-        }
+            })
+        };
 
-        // Dispatcher: every shard sees every update, in stream order.
-        for idx in 1..=UPDATES {
-            for ring in &mut rings {
-                ring.push_wait(idx).expect("worker alive");
-            }
-        }
-        drop(rings); // closes the rings: workers drain and exit
-
-        // Sequencer: lockstep rounds, merge by condition id.
+        let mut next = 0;
         let mut merged = Vec::new();
-        for idx in 1..=UPDATES {
-            let mut round = Vec::new();
-            for out in &outs {
-                let (got_idx, alerts) = out.recv().expect("worker round");
-                assert_eq!(got_idx, idx, "a worker skipped or reordered a round");
-                round.extend(alerts);
+        for (k, round) in rounds.iter().enumerate() {
+            let restart = k == 1;
+            count_in(&jobs_queued, "job");
+            job_tx.send((restart, round.to_vec())).expect("helper alive");
+            let own = evaluate(0, restart, round, &mut next);
+            let theirs = reply_rx.recv().expect("helper replies");
+            *replies_queued.lock() -= 1;
+            for &update in round.iter() {
+                let mut per_update: Vec<_> =
+                    own.iter().chain(&theirs).filter(|a| a.0 == update).copied().collect();
+                per_update.sort_by_key(|a| a.1);
+                merged.extend(per_update);
             }
-            round.sort_by_key(|&(_, cond)| cond);
-            merged.extend(round);
         }
-        for worker in workers {
-            worker.join().expect("worker exits cleanly");
-        }
-        for out in &outs {
-            assert!(out.recv().is_err(), "a worker emitted a stranded extra round");
-        }
+        drop(job_tx);
+        helper.join().expect("helper exits cleanly");
+        assert!(reply_rx.recv().is_err(), "the helper stranded a reply");
 
-        let want: Vec<(u64, u32)> =
-            (1..=UPDATES).flat_map(|idx| (0..SHARDS).map(move |c| (idx, c))).collect();
+        let want = vec![
+            (1, 0, 0, false),
+            (1, 1, 0, false),
+            (2, 0, 1, false),
+            (2, 1, 1, false),
+            (3, 0, 2, true),
+            (3, 1, 2, true),
+        ];
         assert_eq!(merged, want, "merge must reconstruct single-threaded order");
     });
-    assert!(executions > 1, "fan-out must actually race, got {executions} schedules");
+    assert!(executions > 1, "the fork must actually race, got {executions} schedules");
+}
+
+/// The real [`EvalPipeline`] under every schedule: two shards (one
+/// helper thread), two rounds with a restart between them, then
+/// `finish`. The drained stream, ids included, must equal one
+/// single-threaded registry fed the same updates with the same restart,
+/// and the drain must be flushed exactly once, after every round.
+#[test]
+fn the_pipeline_drains_the_single_threaded_stream_under_every_schedule() {
+    struct Collect(Arc<Mutex<Vec<Alert>>>, Arc<Mutex<u32>>);
+    impl AlertDrain for Collect {
+        fn round(&mut self, alerts: &mut Vec<Alert>) {
+            assert_eq!(*self.1.lock(), 0, "a round drained after the flush");
+            self.0.lock().append(alerts);
+        }
+        fn end_of_stream(&mut self) {
+            *self.1.lock() += 1;
+        }
+    }
+
+    let executions = model(|| {
+        let x = VarId::new(0);
+        // Condition 0 on shard 0 (this thread), condition 1 on shard 1
+        // (the helper); the sustained one shows the restart.
+        let conds: Vec<Arc<dyn Condition>> = vec![
+            Arc::new(Threshold::new(x, Cmp::Gt, 0.0)),
+            Arc::new(SustainedAbove::new(x, 0.0, 2)),
+        ];
+        let updates = [u(1), u(2), u(3)];
+        let (got, flushes) = (Arc::new(Mutex::new(Vec::new())), Arc::new(Mutex::new(0)));
+        let mut pipe = EvalPipeline::start(
+            CeId::new(0),
+            &conds,
+            &PipelineOptions::with_workers(2),
+            Box::new(Collect(Arc::clone(&got), Arc::clone(&flushes))),
+            Arc::new(LatencyHistogram::new()),
+            Arc::new(AtomicU64::new(0)),
+        );
+        pipe.dispatch_round(&updates[..2], Instant::now());
+        pipe.restart();
+        pipe.dispatch_round(&updates[2..], Instant::now());
+        pipe.finish();
+
+        let mut registry = ConditionRegistry::new(CeId::new(0));
+        for (i, c) in conds.iter().enumerate() {
+            registry.insert(CondId::new(i as u32), Arc::clone(c));
+        }
+        let mut want = Vec::new();
+        registry.ingest_batch(&updates[..2], &mut want);
+        registry.restart();
+        registry.ingest_batch(&updates[2..], &mut want);
+        let got = got.lock().clone();
+        assert_eq!(got, want);
+        assert!(got.iter().zip(&want).all(|(g, w)| g.id == w.id), "AlertId numbering diverged");
+        assert_eq!(*flushes.lock(), 1, "flushed once");
+    });
+    assert!(executions > 1, "the helper must actually race, got {executions} schedules");
 }
 
 /// Retained-window atomicity: a DM pushes into a capacity-bounded

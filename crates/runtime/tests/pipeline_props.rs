@@ -3,10 +3,9 @@
 //! > For any worker count the pipelined CE emits a byte-identical
 //! > alert stream — same alerts, same order, same `AlertId` numbering
 //! > — as the zero-worker pipeline (the plain single-threaded
-//! > registry) fed the same admitted updates; shedding on a full
-//! > worker ring is observationally front-link loss; and fault-plan
-//! > kill/restarts leave per-condition alert numbering dense and
-//! > ascending.
+//! > registry) fed the same admitted updates; nothing delivered is
+//! > ever shed; and fault-plan kill/restarts leave per-condition alert
+//! > numbering dense and ascending.
 //!
 //! Two layers of checks:
 //!
@@ -14,8 +13,8 @@
 //!   replica's emitted stream must equal a local
 //!   [`ConditionRegistry`] replay of that replica's own recorded
 //!   `U_i` — the transducer identity `E_i = T(U_i)`. This holds under
-//!   loss and under shedding (a shed update never enters `U_i`), so it
-//!   is the bit-exactness oracle that needs no run-to-run determinism.
+//!   loss (a lost update never enters `U_i`), so it is the
+//!   bit-exactness oracle that needs no run-to-run determinism.
 //! * **Cross-run** (valid when the admitted stream is deterministic —
 //!   scripted loss, no kills): a pipelined run's per-replica emission
 //!   must equal the inline (`workers == 0`) run's, byte for byte.
@@ -142,7 +141,7 @@ fn pipelined_emission_matches_inline_for_any_worker_count() {
             .expect("pipelined system starts")
             .wait();
         assert_eq!(piped.pipeline.workers, workers);
-        assert_eq!(piped.pipeline.updates_shed, 0, "default rings must not shed here");
+        assert_eq!(piped.pipeline.updates_shed, 0, "nothing is shed");
         assert_eq!(
             piped.emitted, inline.emitted,
             "workers = {workers}: pipelined emission diverged from the single-threaded actor"
@@ -171,7 +170,7 @@ fn pipelined_restarts_keep_alert_numbering_intact() {
         assert!(report.faults.total_restarts() >= 1, "workers = {workers}: kills must fire");
         assert_numbering_dense(&conds, &report);
         // Every arrival at the AD is accounted to some replica's
-        // emission record — the sequencer loses nothing in a crash.
+        // emission record — the merge loses nothing in a crash.
         assert_eq!(
             report.emitted.iter().map(Vec::len).sum::<usize>(),
             report.arrivals.len(),
@@ -181,29 +180,71 @@ fn pipelined_restarts_keep_alert_numbering_intact() {
     }
 }
 
-/// Satellite 1: forced shedding (capacity-1 rings under a heavy
-/// stream) is observationally front-link loss — shed updates never
-/// enter `U_i`, the transducer identity still holds bit-exactly, the
-/// shed counter surfaces in the report, and the per-AD consistency
-/// guarantee survives.
+/// Every update a replica is delivered is admitted and evaluated,
+/// however heavy the evaluation: the sharded stage has no queue that
+/// could fill, so nothing is shed. Without front-link loss each `U_i`
+/// is the whole stream, and emission is exactly the transducer of it.
 #[test]
-fn forced_shedding_is_front_link_loss() {
-    let conds = family(40); // heavy evaluation → slow workers → full rings
+fn sharded_evaluation_never_sheds() {
+    let conds = family(40);
     let report = build(&conds, 2, values(4000))
-        .ring_capacity(1)
         .filter(|vars| Box::new(rcm_core::ad::Ad3::new(vars[0])))
         .start()
-        .expect("shedding system starts")
+        .expect("sharded system starts")
         .wait();
-    assert!(
-        report.pipeline.updates_shed > 0,
-        "capacity-1 rings under 4000 updates × 40 conditions must shed"
-    );
-    // Shed ≡ loss: everything admitted is in U_i, and emission is
-    // exactly the transducer of U_i — ids included.
+    assert_eq!(report.pipeline.updates_shed, 0);
+    assert_every_update_ingested(&report, 4000);
     assert_emitted_is_replay_of_ingested(&conds, &report);
     assert_numbering_dense(&conds, &report);
     assert_consistent_per_cond(&conds, &report);
+}
+
+/// Each replica's `U_i` is the whole lossless stream, seqnos `1..=n`.
+fn assert_every_update_ingested(report: &RunReport, n: u64) {
+    for (ce, ingested) in report.ingested.iter().enumerate() {
+        let seqnos: Vec<u64> = ingested.iter().map(|u| u.seqno.get()).collect();
+        assert_eq!(seqnos, (1..=n).collect::<Vec<_>>(), "replica {ce} lost a delivered update");
+    }
+}
+
+/// A kill whose threshold falls inside an in-process DM round: the
+/// updates admitted before it are still evaluated, so `U_0` starts with
+/// them and the emitted stream is the transducer of `U_0` with the
+/// restart at that position, ids included.
+#[test]
+fn a_kill_inside_a_round_evaluates_the_admitted_prefix() {
+    // A recorded feed with no pause arrives in rounds of 64 readings, so
+    // arrival 30 falls inside the first one.
+    const KILL_AT: u64 = 30;
+    let conds = family(6);
+    for workers in [0usize, 2] {
+        let report = build(&conds, workers, values(600))
+            .faults(FaultPlan::scripted().kill_ce(0, KILL_AT).retain_window(0).max_restarts(3))
+            .start()
+            .expect("faulted system starts")
+            .wait();
+        assert_eq!(report.faults.kills_injected, 1, "workers = {workers}");
+        let prefix = (KILL_AT - 1) as usize;
+        let ingested = &report.ingested[0];
+        let head: Vec<u64> = ingested.iter().take(prefix).map(|u| u.seqno.get()).collect();
+        assert_eq!(head, (1..KILL_AT).collect::<Vec<_>>(), "workers = {workers}");
+
+        let mut registry = ConditionRegistry::new(CeId::new(0));
+        for (i, c) in conds.iter().enumerate() {
+            registry.insert(CondId::new(i as u32), Arc::clone(c));
+        }
+        let mut want = Vec::new();
+        let (before, after) = ingested.split_at(prefix);
+        registry.ingest_batch(before, &mut want);
+        registry.restart();
+        registry.ingest_batch(after, &mut want);
+        let emitted = &report.emitted[0];
+        assert_eq!(emitted, &want, "workers = {workers}: emitted != T(U_0)");
+        for (g, w) in emitted.iter().zip(&want) {
+            assert_eq!(g.id, w.id, "workers = {workers}: AlertId numbering diverged");
+        }
+        assert_numbering_dense(&conds, &report);
+    }
 }
 
 /// For arbitrary workloads, drop sets and worker counts, the pipelined
@@ -253,20 +294,21 @@ fn prop_restarts_preserve_numbering() {
     });
 }
 
-/// For arbitrary tiny ring capacities, shedding stays observationally
-/// front-link loss: the transducer identity and per-AD consistency hold
-/// whatever was shed.
+/// For arbitrary condition families and shard counts under a heavy
+/// stream, nothing is shed: every delivered update is in `U_i`, the
+/// transducer identity holds bit-exactly, and per-AD consistency holds.
 #[test]
-fn prop_shedding_is_loss() {
-    cases("prop_shedding_is_loss", 12, 15, |rng, size| {
+fn prop_sharded_runs_shed_nothing() {
+    cases("prop_sharded_runs_shed_nothing", 12, 15, |rng, size| {
         let conds = family(8 + rng.below(size + 1) as u32);
-        let (capacity, workers) = (1 + rng.below(3), 1 + rng.below(3));
+        let workers = 1 + rng.below(3);
         let report = build(&conds, workers, values(600))
-            .ring_capacity(capacity)
             .filter(|vars| Box::new(rcm_core::ad::Ad3::new(vars[0])))
             .start()
             .expect("system starts")
             .wait();
+        assert_eq!(report.pipeline.updates_shed, 0);
+        assert_every_update_ingested(&report, 600);
         assert_emitted_is_replay_of_ingested(&conds, &report);
         assert_consistent_per_cond(&conds, &report);
     });

@@ -242,7 +242,7 @@ fn pipelined_workers_match_in_process_output_over_sockets() {
         displayed_seqnos(&inline),
     );
     assert_eq!(sockets.pipeline.workers, 4);
-    assert_eq!(sockets.pipeline.updates_shed, 0, "default rings must not shed");
+    assert_eq!(sockets.pipeline.updates_shed, 0, "nothing is shed");
     assert!(sockets.pipeline.latency.count > 0, "histogram never recorded");
     assert!(
         sockets.pipeline.latency.p999_ns >= sockets.pipeline.latency.p50_ns,

@@ -102,7 +102,6 @@ struct PlanOutcome {
     recovery: Vec<Duration>,
     transport: TransportReport,
     workers: usize,
-    updates_shed: u64,
     latency: rcm_core::LatencySnapshot,
     violations: Vec<String>,
 }
@@ -319,10 +318,10 @@ fn main() -> ExitCode {
         + outcomes.iter().map(|o| o.transport.engine.timer_fires).sum::<u64>();
     let engine_spurious: u64 = socket_transport.engine.spurious_readiness
         + outcomes.iter().map(|o| o.transport.engine.spurious_readiness).sum::<u64>();
-    // Pipeline rollup: shed totals sum; latency percentiles report the
-    // worst (max) over the plans that actually recorded samples.
-    let pipelined_plans = outcomes.iter().filter(|o| o.workers > 0).count();
-    let updates_shed: u64 = outcomes.iter().map(|o| o.updates_shed).sum();
+    // Pipeline rollup: latency percentiles report the worst (max) over
+    // the plans that actually recorded samples. A plan with helper
+    // threads is one with at least two shards.
+    let pipelined_plans = outcomes.iter().filter(|o| o.workers > 1).count();
     let latency_count: u64 = outcomes.iter().map(|o| o.latency.count).sum();
     let latency_p50: u64 = outcomes.iter().map(|o| o.latency.p50_ns).max().unwrap_or(0);
     let latency_p99: u64 = outcomes.iter().map(|o| o.latency.p99_ns).max().unwrap_or(0);
@@ -366,7 +365,6 @@ fn main() -> ExitCode {
             ("engine_timer_fires", engine_timer_fires.into()),
             ("engine_spurious_readiness", engine_spurious.into()),
             ("pipelined_plans", pipelined_plans.into()),
-            ("updates_shed", updates_shed.into()),
             ("latency_count", latency_count.into()),
             ("latency_p50_ns", latency_p50.into()),
             ("latency_p99_ns", latency_p99.into()),
@@ -425,7 +423,6 @@ fn main() -> ExitCode {
                 ("backlink_duplicates", o.duplicates.into()),
                 ("updates_replayed", o.replayed.into()),
                 ("workers", o.workers.into()),
-                ("updates_shed", o.updates_shed.into()),
                 ("latency_p50_ns", o.latency.p50_ns.into()),
                 ("latency_p99_ns", o.latency.p99_ns.into()),
                 ("latency_p999_ns", o.latency.p999_ns.into()),
@@ -462,7 +459,7 @@ fn main() -> ExitCode {
             recovery.len()
         );
         println!(
-            "pipeline: {pipelined_plans} of {plans} plans ran sharded, {updates_shed} shed; \
+            "pipeline: {pipelined_plans} of {plans} plans ran sharded; \
              worst ingest→emit latency p50 {latency_p50} ns / p99 {latency_p99} ns / \
              p999 {latency_p999} ns over {latency_count} update(s)"
         );
@@ -591,11 +588,9 @@ fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
         .retain_window(4096)
         .max_restarts(8);
     let lossy = spec.lossy;
-    // Alternate the CE evaluation strategy across plans: inline
-    // (workers = 0) and the shard-parallel pipeline at 1–3 workers, so
-    // every fault class also runs pipelined. The default rings are far
-    // deeper than any plan's workload, so no plan sheds — class-0
-    // completeness stays sound.
+    // Alternate the CE evaluation strategy across plans: one shard
+    // (workers 0 and 1) and two or three shards with helper threads, so
+    // every fault class also runs sharded.
     let workers = (mix(plan_seed ^ 4) % 4) as usize;
     let mut builder = MonitorSystem::builder(condition.clone())
         .replicas(replicas)
@@ -632,7 +627,6 @@ fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
         recovery: report.faults.recovery_latency.clone(),
         transport: report.transport.clone(),
         workers: report.pipeline.workers,
-        updates_shed: report.pipeline.updates_shed,
         latency: report.pipeline.latency,
         violations,
     }

@@ -24,11 +24,13 @@
 //! * the run overshot `--budget-ms` of wall clock.
 //!
 //! The CE body is an `EvalPipeline` over one always-firing threshold
-//! per active variable; `--workers W` (default 0 = evaluated on the
-//! main thread) shards it `cond_id % W` and merges the alerts back into
-//! stream order before the fan-out, so the gauntlet also exercises
-//! pipelined evaluation under real sockets. The report carries the
-//! pipeline's shed counter and ingest→emit latency percentiles.
+//! per active variable, dispatched one update at a time; `--workers W`
+//! (default 0 = evaluated on the main thread) splits it into `W`
+//! shards, `cond_id % W`, shard 0 on the main thread and one helper
+//! thread per further shard, and merges the alerts back into stream
+//! order before the fan-out, so the gauntlet also exercises sharded
+//! evaluation under real sockets. The report carries the pipeline's
+//! ingest→emit latency percentiles.
 //!
 //! `--tree DxF` (e.g. `--tree 3x8`: depth 3, fanout 8) swaps the flat
 //! CE body for an aggregation tree (`rcm_tree::TreeEval`): the evented
@@ -80,7 +82,9 @@ struct Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: scale [--front N] [--back M] [--active A] [--updates K] \
-         [--budget-ms MS] [--workers W] [--tree DxF] [--json]"
+         [--budget-ms MS] [--workers W] [--tree DxF] [--json]\n\
+         --workers W splits the conditions into W shards: shard 0 on the main\n\
+         thread, one helper thread per further shard (0 and 1 spawn none)"
     );
     ExitCode::FAILURE
 }
@@ -250,12 +254,10 @@ fn main() -> ExitCode {
     // CE body: each delivered update fires one always-true threshold
     // per active variable, and the alert is fanned out on every back
     // link. The channel closes when the ingress saw all N Fins (or its
-    // idle backstop fired). `--workers W` shards the conditions
-    // `cond_id % W` across worker rings and merges back into stream
-    // order before the fan-out — fed on the blocking (never-shedding)
-    // path, because the gauntlet asserts exactly-once display.
+    // idle backstop fired). `--workers W` splits the conditions into
+    // `W` shards, `cond_id % W`, and merges back into stream order
+    // before the fan-out.
     let latency = Arc::new(LatencyHistogram::new());
-    let updates_shed = Arc::new(AtomicU64::new(0));
     let emitted = Arc::new(AtomicU64::new(0));
     let mut drain = FanoutDrain { backs, emitted: Arc::clone(&emitted) };
     let mut tree_stats: Option<TreeStats> = None;
@@ -296,10 +298,10 @@ fn main() -> ExitCode {
             &PipelineOptions::with_workers(opts.workers),
             Box::new(drain),
             Arc::clone(&latency),
-            Arc::clone(&updates_shed),
+            Arc::new(AtomicU64::new(0)),
         );
         while let Ok(update) = update_rx.recv() {
-            pipe.dispatch_wait(update);
+            pipe.dispatch(update);
         }
         pipe.finish();
     }
@@ -394,7 +396,6 @@ fn main() -> ExitCode {
             ("per_link_bytes", per_link_bytes.into()),
             ("shed", shed.into()),
             ("workers", opts.workers.into()),
-            ("updates_shed", updates_shed.load(Ordering::Relaxed).into()),
             ("latency_p50_ns", lat.p50_ns.into()),
             ("latency_p99_ns", lat.p99_ns.into()),
             ("latency_p999_ns", lat.p999_ns.into()),
@@ -424,13 +425,8 @@ fn main() -> ExitCode {
         }
         let snap = latency.snapshot();
         println!(
-            "  pipeline: {} shed, latency p50 {} ns / p99 {} ns / p999 {} ns \
-             over {} update(s)",
-            updates_shed.load(Ordering::Relaxed),
-            snap.p50_ns,
-            snap.p99_ns,
-            snap.p999_ns,
-            snap.count
+            "  pipeline: latency p50 {} ns / p99 {} ns / p999 {} ns over {} update(s)",
+            snap.p50_ns, snap.p99_ns, snap.p999_ns, snap.count
         );
         println!(
             "  emitted {emitted}, displayed {displayed} (exactly-once), \

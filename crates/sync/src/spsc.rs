@@ -1,5 +1,6 @@
-//! Bounded single-producer/single-consumer rings for the evaluation
-//! pipeline's dispatcher → shard-worker handoff.
+//! Bounded single-producer/single-consumer rings. No runtime code uses
+//! them since the evaluation pipeline became fork-join over plain
+//! channels; the benchmark's `sync.spsc.*` probes still time them.
 //!
 //! The ring is deliberately built from the shim's own primitives — a
 //! [`Mutex`] around the queue state plus unbounded
@@ -21,17 +22,15 @@
 //! the same lock. Consequently at most one token is ever in flight per
 //! side, and every `recv` has a matching prior `send` caused by exactly
 //! the state change the sleeper was waiting for — a sleeper can never
-//! strand. `spsc_handoff_never_strands_or_reorders` in
-//! `crates/runtime/tests/loom.rs` checks this exhaustively.
+//! strand. A loom model of the pipeline's ring handoff checked this
+//! exhaustively while the pipeline used the ring; none covers it now.
 //!
 //! ## Shedding
 //!
 //! [`Producer::push`] is the non-blocking entry: a full ring returns
-//! the rejected value to the caller, which the pipeline counts as a
-//! *shed* update — semantically indistinguishable from a front-link
-//! drop, so the paper's per-AD guarantees already cover it.
-//! [`Producer::push_wait`] is the blocking entry reserved for control
-//! messages (restart/abandon markers) that must never be lost.
+//! the rejected value to the caller, which decides what shedding it
+//! means. [`Producer::push_wait`] is the blocking entry for values
+//! that must never be lost.
 
 use std::collections::VecDeque;
 
