@@ -81,11 +81,6 @@ impl DelayedOrdered {
         self.dropped_late
     }
 
-    /// Alerts currently held.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Offers one arriving alert; returns the alerts released *now*,
     /// in display order.
     pub fn offer(&mut self, alert: &Alert) -> Vec<Alert> {
@@ -259,9 +254,8 @@ mod tests {
         let mut d = DelayedOrdered::new(x(), 100, LatePolicy::Drop);
         assert!(d.offer(&alert1(&[3])).is_empty());
         assert!(d.offer(&alert1(&[1])).is_empty());
-        assert_eq!(d.buffered(), 2);
         let out = d.flush();
         assert_eq!(seqs(&out), vec![1, 3]);
-        assert_eq!(d.buffered(), 0);
+        assert!(d.flush().is_empty());
     }
 }

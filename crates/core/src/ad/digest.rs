@@ -76,12 +76,6 @@ impl Ad1Digest {
         Self::default()
     }
 
-    /// Approximate state size in bytes (the paper's motivation for the
-    /// checksum: the AD need not store histories at all).
-    pub fn state_bytes(&self) -> usize {
-        self.seen.len() * std::mem::size_of::<HistoryDigest>()
-    }
-
     /// The filter's state as a checkpoint: the raw digests,
     /// `{"seen":[u64, …]}` (in no particular order).
     pub fn to_json(&self) -> Json {
@@ -172,15 +166,6 @@ mod tests {
         for a in &stream {
             assert_eq!(full.offer(a).is_deliver(), digest.offer(a).is_deliver(), "{a}");
         }
-    }
-
-    #[test]
-    fn state_is_eight_bytes_per_alert() {
-        let mut f = Ad1Digest::new();
-        for s in 1..=100u64 {
-            f.offer(&alert1(&[s]));
-        }
-        assert_eq!(f.state_bytes(), 800);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl<C: Condition> Evaluator<C> {
         &self.cond
     }
 
-    /// This replica's id.
-    pub fn ce_id(&self) -> CeId {
-        self.ce
-    }
-
     /// The current history set.
     pub fn histories(&self) -> &HistorySet {
         &self.histories
@@ -83,6 +78,7 @@ impl<C: Condition> Evaluator<C> {
     }
 
     /// Number of stale (out-of-order or duplicate) updates discarded.
+    // analyze: allow(reach): registry_shared compares the registry's stale count against it
     pub fn stale_dropped(&self) -> u64 {
         self.dropped_stale
     }
@@ -171,6 +167,7 @@ impl<C: Condition> Evaluator<C> {
     ///
     /// A document of any other shape, or histories whose variables and
     /// degrees are not the ones `cond` needs.
+    // analyze: allow(reach): the checkpoint round trip that rcm_core's crate docs document
     pub fn restore(cond: C, state: &Json) -> rcm_json::Result<Self> {
         let histories = HistorySet::from_json(state.field("histories")?)?;
         let shape = |h: &HistorySet| h.iter().map(|h| (h.var(), h.degree())).collect::<Vec<_>>();

@@ -304,16 +304,6 @@ impl ConditionRegistry {
         self.entries.push(Entry { cond_id, eval, emitted: 0, ingested: 0, dropped_stale: 0 });
     }
 
-    /// [`ConditionRegistry::insert`] for a condition not yet behind an
-    /// `Arc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cond_id` is already registered here.
-    pub fn insert_compiled(&mut self, cond_id: CondId, cond: CompiledCondition) {
-        self.insert(cond_id, Arc::new(cond));
-    }
-
     /// Number of hosted conditions.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -322,16 +312,6 @@ impl ConditionRegistry {
     /// Whether no conditions are hosted.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// This registry's replica id (stamped into emitted alerts).
-    pub fn ce_id(&self) -> CeId {
-        self.ce
-    }
-
-    /// The hosted condition ids in registration order.
-    pub fn condition_ids(&self) -> impl Iterator<Item = CondId> + '_ {
-        self.entries.iter().map(|e| e.cond_id)
     }
 
     /// The union of all hosted conditions' variable sets, ascending.

@@ -108,12 +108,6 @@ impl VarRegistry {
     pub fn iter(&self) -> impl Iterator<Item = (VarId, &str)> {
         self.names.iter().enumerate().map(|(i, n)| (VarId::new(i as u32), n.as_str()))
     }
-
-    /// Rebuilds the name-to-id index; needed after deserializing.
-    pub fn rebuild_index(&mut self) {
-        self.by_name =
-            self.names.iter().enumerate().map(|(i, n)| (n.clone(), VarId::new(i as u32))).collect();
-    }
 }
 
 #[cfg(test)]
@@ -153,16 +147,6 @@ mod tests {
         reg.register("y");
         let pairs: Vec<_> = reg.iter().map(|(id, n)| (id.index(), n.to_owned())).collect();
         assert_eq!(pairs, vec![(0, "x".to_owned()), (1, "y".to_owned())]);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut reg = VarRegistry::new();
-        reg.register("x");
-        let mut clone = VarRegistry { names: reg.names.clone(), by_name: HashMap::new() };
-        assert_eq!(clone.lookup("x"), None);
-        clone.rebuild_index();
-        assert_eq!(clone.lookup("x"), Some(VarId::new(0)));
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl Bernoulli {
         assert!((0.0..=1.0).contains(&p), "loss probability must be in [0, 1]");
         Bernoulli { p }
     }
-
-    /// The per-message drop probability.
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
 }
 
 impl LossModel for Bernoulli {

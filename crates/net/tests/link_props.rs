@@ -32,17 +32,22 @@ fn lossy_link_tags_are_strictly_increasing() {
         let p = rng.next_f64();
         let mut link = LossyLink::new(Box::new(Bernoulli::new(p)), Box::new(ConstantDelay::new(1)));
         let mut last_tag = None;
+        let mut dropped = 0;
         for now in 0..n as u64 {
-            if let Transmit::DeliverAt { tag, .. } = link.transmit(now, rng) {
-                if let Some(last) = last_tag {
-                    assert!(tag > last);
+            match link.transmit(now, rng) {
+                Transmit::DeliverAt { tag, .. } => {
+                    if let Some(last) = last_tag {
+                        assert!(tag > last);
+                    }
+                    last_tag = Some(tag);
                 }
-                last_tag = Some(tag);
+                Transmit::Dropped => dropped += 1,
             }
         }
         let stats = link.stats();
         assert_eq!(stats.sent, n as u64);
-        assert_eq!(stats.transmitted() + stats.dropped, n as u64);
+        assert_eq!(stats.dropped, dropped);
+        assert!(stats.dropped <= stats.sent);
     });
 }
 

@@ -40,8 +40,6 @@ impl Interest {
     pub const READ: Interest = Interest { read: true, write: false };
     /// Writable only.
     pub const WRITE: Interest = Interest { read: false, write: true };
-    /// Both directions.
-    pub const BOTH: Interest = Interest { read: true, write: true };
 }
 
 /// One readiness delivery out of [`Poller::wait`].
@@ -428,7 +426,7 @@ mod tests {
             fd
             // socket drops: fd closes, kernel auto-deregisters
         };
-        assert!(poller.reregister(fd, Token(2), Interest::BOTH).is_err());
+        assert!(poller.reregister(fd, Token(2), Interest::WRITE).is_err());
         assert!(poller.register(RawFd::MAX, Token(3), Interest::READ).is_err());
     }
 

@@ -21,7 +21,7 @@
 
 use std::io;
 use std::mem;
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{FromRawFd, RawFd};
 use std::time::Duration;
 
@@ -41,8 +41,11 @@ extern "C" {
     fn getsockopt(fd: c_int, level: c_int, name: c_int, value: *mut c_void, len: *mut u32)
         -> c_int;
     fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
+    #[cfg(test)]
     fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
+    #[cfg(test)]
     fn pthread_self() -> usize;
+    #[cfg(test)]
     fn pthread_kill(thread: usize, sig: c_int) -> c_int;
 }
 
@@ -87,11 +90,11 @@ mod abi {
     pub const O_NONBLOCK: c_int = 0o4000;
     pub const O_CLOEXEC: c_int = 0o2000000;
     pub const EINTR: i32 = 4;
-    pub const EAGAIN: i32 = 11;
     pub const EINPROGRESS: i32 = 115;
     pub const SOL_SOCKET: c_int = 1;
     pub const SO_ERROR: c_int = 4;
     pub const AF_INET6: c_int = 10;
+    #[cfg(test)]
     pub const SIGUSR1: c_int = 10;
 }
 
@@ -101,11 +104,11 @@ mod abi {
     pub const O_NONBLOCK: c_int = 0x0004;
     pub const O_CLOEXEC: c_int = 0x0100_0000;
     pub const EINTR: i32 = 4;
-    pub const EAGAIN: i32 = 35;
     pub const EINPROGRESS: i32 = 36;
     pub const SOL_SOCKET: c_int = 0xffff;
     pub const SO_ERROR: c_int = 0x1007;
     pub const AF_INET6: c_int = 30;
+    #[cfg(test)]
     pub const SIGUSR1: c_int = 30;
 }
 
@@ -117,11 +120,11 @@ mod abi {
     pub const O_NONBLOCK: c_int = 0x0004;
     pub const O_CLOEXEC: c_int = 0x0010_0000;
     pub const EINTR: i32 = 4;
-    pub const EAGAIN: i32 = 35;
     pub const EINPROGRESS: i32 = 36;
     pub const SOL_SOCKET: c_int = 0xffff;
     pub const SO_ERROR: c_int = 0x1007;
     pub const AF_INET6: c_int = 28;
+    #[cfg(test)]
     pub const SIGUSR1: c_int = 30;
 }
 
@@ -202,11 +205,6 @@ fn last_error() -> io::Error {
 /// that readiness waits must retry.
 pub fn is_interrupted(err: &io::Error) -> bool {
     err.raw_os_error() == Some(abi::EINTR)
-}
-
-/// Whether `err` is the non-blocking "try again later" result.
-pub fn is_would_block(err: &io::Error) -> bool {
-    err.raw_os_error() == Some(abi::EAGAIN) || err.kind() == io::ErrorKind::WouldBlock
 }
 
 // ---------------------------------------------------------------------------
@@ -759,22 +757,25 @@ pub fn kqueue_wait_events(
 }
 
 // ---------------------------------------------------------------------------
-// EINTR test support
+// EINTR test support (the poller's tests only)
 // ---------------------------------------------------------------------------
 
+#[cfg(test)]
 extern "C" fn noop_signal_handler(_sig: c_int) {}
 
 /// An opaque handle to the calling thread, targetable by
 /// [`interrupt_thread`].
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct ThreadHandle(usize);
+pub(crate) struct ThreadHandle(usize);
 
 /// Installs a no-op handler for SIGUSR1 so a directed signal
 /// interrupts a blocking wait with EINTR instead of killing the
 /// process. (epoll_wait/poll are never auto-restarted after a signal
 /// handler runs, per signal(7) — which is exactly what the EINTR
 /// negative test needs.)
-pub fn install_interrupt_handler() {
+#[cfg(test)]
+pub(crate) fn install_interrupt_handler() {
     // SAFETY: signal installs a pointer to our no-op extern "C"
     // handler; the handler itself touches no state.
     unsafe {
@@ -783,33 +784,21 @@ pub fn install_interrupt_handler() {
 }
 
 /// The calling thread's handle.
-pub fn current_thread() -> ThreadHandle {
+#[cfg(test)]
+pub(crate) fn current_thread() -> ThreadHandle {
     // SAFETY: pthread_self reads no memory.
     ThreadHandle(unsafe { pthread_self() })
 }
 
 /// Sends SIGUSR1 to exactly `thread` (EINTR lands on the waiter, not
 /// on whichever thread the kernel fancies).
-pub fn interrupt_thread(thread: ThreadHandle) {
+#[cfg(test)]
+pub(crate) fn interrupt_thread(thread: ThreadHandle) {
     // SAFETY: pthread_kill reads no memory; an already-exited thread
     // yields ESRCH, ignored.
     unsafe {
         let _ = pthread_kill(thread.0, abi::SIGUSR1);
     }
-}
-
-// ---------------------------------------------------------------------------
-// misc helpers used by the engine
-// ---------------------------------------------------------------------------
-
-/// Sets a UDP socket non-blocking (convenience over the raw fd call,
-/// so engine code never needs `AsRawFd` gymnastics for setup).
-///
-/// # Errors
-///
-/// Propagates the fcntl failure.
-pub fn udp_set_nonblocking(sock: &UdpSocket) -> io::Result<()> {
-    sock.set_nonblocking(true)
 }
 
 #[cfg(test)]

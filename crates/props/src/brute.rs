@@ -30,6 +30,7 @@ fn explains(cond: &impl Condition, candidate: &[Update], displayed: &[Alert]) ->
 ///
 /// Panics if the merged pool exceeds [`BRUTE_CAP`] updates or spans
 /// more than one variable.
+// analyze: allow(reach): the reference the crossval suite compares the checkers against
 pub fn brute_consistent_single<C: Condition>(
     cond: &C,
     inputs: &[Vec<Update>],
@@ -58,6 +59,7 @@ pub fn brute_consistent_single<C: Condition>(
 /// # Panics
 ///
 /// Panics if the merged pool exceeds [`BRUTE_CAP`] combined updates.
+// analyze: allow(reach): the reference the crossval suite compares the checkers against
 pub fn brute_consistent_multi<C: Condition>(
     cond: &C,
     inputs: &[Vec<Update>],
@@ -101,6 +103,7 @@ pub fn brute_consistent_multi<C: Condition>(
 /// # Panics
 ///
 /// Panics if the merged pool exceeds [`BRUTE_CAP`] combined updates.
+// analyze: allow(reach): the reference the crossval suite compares the checkers against
 pub fn brute_complete_multi<C: Condition>(
     cond: &C,
     inputs: &[Vec<Update>],

@@ -68,13 +68,6 @@ pub struct ProbeReport {
     pub survivors: Vec<usize>,
 }
 
-impl ProbeReport {
-    /// Whether every probed splice violated the property.
-    pub fn all_violate(&self) -> bool {
-        self.survivors.is_empty()
-    }
-}
-
 /// Probes maximality of `filter` with respect to the property decided
 /// by `property_holds`, on one arrival sequence.
 ///
@@ -151,7 +144,7 @@ mod tests {
             |a| seqno_duplicate_free(a, &[x()]) && check_ordered(a, &[x()]).ok,
         );
         assert!(r.probed > 0);
-        assert!(r.all_violate(), "survivors at {:?}", r.survivors);
+        assert!(r.survivors.is_empty(), "survivors at {:?}", r.survivors);
     }
 
     #[test]
@@ -163,7 +156,7 @@ mod tests {
             |a| duplicate_free(a) && check_consistent_single(&c2, &inputs, a).ok,
         );
         assert!(r.probed > 0);
-        assert!(r.all_violate(), "survivors at {:?}", r.survivors);
+        assert!(r.survivors.is_empty(), "survivors at {:?}", r.survivors);
     }
 
     #[test]
@@ -179,7 +172,7 @@ mod tests {
             },
         );
         assert!(r.probed > 0);
-        assert!(r.all_violate(), "survivors at {:?}", r.survivors);
+        assert!(r.survivors.is_empty(), "survivors at {:?}", r.survivors);
     }
 
     #[test]
@@ -213,6 +206,6 @@ mod tests {
         arrivals.truncate(1);
         let r = probe_one_extra(|| Ad2::new(x()), &arrivals, |a| check_ordered(a, &[x()]).ok);
         assert_eq!(r.probed, 0);
-        assert!(r.all_violate());
+        assert!(r.survivors.is_empty());
     }
 }

@@ -142,11 +142,6 @@ impl<T: Clone + Send + 'static> BackLink<T> {
         Arc::clone(&self.stats)
     }
 
-    /// Whether the link is currently severed.
-    pub fn is_down(&self) -> bool {
-        self.down_until.is_some()
-    }
-
     /// Sends one message: transmitted immediately when connected,
     /// queued when severed (a non-blocking reconnect attempt is made
     /// first if the backoff schedule allows one).
@@ -324,9 +319,9 @@ mod tests {
         }
         // Only the pre-sever message is through; the rest are queued.
         assert_eq!(drain(&rx), vec![0]);
-        assert!(l.is_down());
+        assert!(l.down_until.is_some());
         l.flush(); // blocks past the outage
-        assert!(!l.is_down());
+        assert!(l.down_until.is_none());
         assert_eq!(drain(&rx), vec![0, 1, 2, 3, 4, 5], "dup of 0, then the queue in order");
         let stats = *l.stats_handle().lock();
         assert_eq!(stats.lost_overflow, 0);

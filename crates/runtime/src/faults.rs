@@ -171,26 +171,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a scripted back-link severance.
-    #[must_use]
-    pub fn sever_back_link(mut self, ce: usize, at_send: u64, down_for: Duration) -> Self {
-        self.severs.push(SeverBackLink { ce, at_send, down_for });
-        self
-    }
-
-    /// Adds a scripted front-link stall.
-    #[must_use]
-    pub fn stall_front_link(
-        mut self,
-        feed: usize,
-        ce: usize,
-        at_send: u64,
-        stall: Duration,
-    ) -> Self {
-        self.stalls.push(StallFrontLink { feed, ce, at_send, stall });
-        self
-    }
-
     /// Sets the per-replica restart budget.
     #[must_use]
     pub fn max_restarts(mut self, max_restarts: u32) -> Self {
@@ -426,15 +406,11 @@ mod tests {
     fn scripted_builder_accumulates() {
         let plan = FaultPlan::scripted()
             .kill_ce(1, 40)
-            .sever_back_link(0, 2, Duration::from_millis(5))
-            .stall_front_link(0, 1, 10, Duration::from_millis(1))
             .max_restarts(1)
             .retain_window(64)
             .resend_queue_cap(8)
             .backoff(Duration::from_millis(1), Duration::from_millis(4));
         assert_eq!(plan.kills, vec![KillCe { ce: 1, at_arrival: 40 }]);
-        assert_eq!(plan.severs.len(), 1);
-        assert_eq!(plan.stalls.len(), 1);
         assert_eq!(plan.max_restarts, 1);
         assert_eq!(plan.retain_window, 64);
         assert_eq!(plan.resend_queue_cap, 8);

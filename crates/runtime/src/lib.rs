@@ -21,8 +21,8 @@
 //! A replica is not limited to one condition: each CE hosts its whole
 //! condition set in a single [`rcm_core::ConditionRegistry`], routing
 //! every arrival through the registry's variable index. Build a
-//! multi-condition system with [`MonitorSystem::builder_multi`] or
-//! [`SystemBuilder::monitor`]; condition `i` emits under
+//! multi-condition system with [`MonitorSystem::builder_multi`];
+//! condition `i` emits under
 //! `CondId::new(i)` and the AD can demultiplex per condition with
 //! [`rcm_core::ad::PerCondition`].
 //!

@@ -190,17 +190,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Adds another condition to monitor alongside the ones already
-    /// registered. Condition `i` (in registration order, starting from
-    /// the one passed to [`MonitorSystem::builder`]) emits alerts under
-    /// `CondId::new(i)`; every replica hosts the full set in one
-    /// [`rcm_core::ConditionRegistry`], sharing the per-variable feeds.
-    #[must_use]
-    pub fn monitor(mut self, condition: Arc<dyn Condition>) -> Self {
-        self.conditions.push(condition);
-        self
-    }
-
     /// Sets the AD filtering algorithm (default: AD-1).
     #[must_use]
     pub fn filter(
@@ -680,9 +669,8 @@ impl fmt::Debug for MonitorSystem {
 
 impl MonitorSystem {
     /// Starts building a system for `condition` (alerts under
-    /// [`rcm_core::CondId::SINGLE`]). Monitor additional conditions
-    /// with [`SystemBuilder::monitor`] or start from a whole set with
-    /// [`MonitorSystem::builder_multi`].
+    /// [`rcm_core::CondId::SINGLE`]). Start from a whole set with
+    /// [`MonitorSystem::builder_multi`] to monitor several.
     pub fn builder(condition: Arc<dyn Condition>) -> SystemBuilder {
         Self::builder_multi([condition])
     }
@@ -707,12 +695,6 @@ impl MonitorSystem {
             transport: None,
             pipeline: PipelineOptions::default(),
         }
-    }
-
-    /// Alerts displayed so far (snapshot; the pipeline may still be
-    /// running).
-    pub fn displayed_so_far(&self) -> Vec<Alert> {
-        self.displayed.lock().clone()
     }
 
     /// Blocks until every feed is drained and all in-flight messages
@@ -911,10 +893,12 @@ pub struct PipelineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::StallFrontLink;
     use crate::link::FrontLink;
     use rcm_core::ad::{Ad2, Ad3};
     use rcm_core::condition::{Cmp, DeltaRise, Threshold};
     use rcm_net::Scripted;
+    use rcm_sync::atomic::{AtomicBool, Ordering};
 
     fn x() -> VarId {
         VarId::new(0)
@@ -1062,9 +1046,7 @@ mod tests {
             Arc::new(DeltaRise::new(x(), 10.0)),
             Arc::new(rcm_core::condition::AbsDifference::new(x(), y, 25.0)),
         ];
-        let system = MonitorSystem::builder(set[0].clone())
-            .monitor(set[1].clone())
-            .monitor(set[2].clone())
+        let system = MonitorSystem::builder_multi(set.clone())
             .replicas(2)
             .feed(VarFeed::new(x(), vec![40.0, 60.0, 55.0, 80.0, 10.0, 90.0]))
             .feed(VarFeed::new(y, vec![42.0, 58.0, 90.0, 81.0, 12.0, 30.0]))
@@ -1172,16 +1154,21 @@ mod tests {
         (0..10_000).for_each(|i| x_tx.send(f64::from(i)).expect("feed open"));
         y_tx.send(1.0).expect("feed open");
         drop((x_tx, y_tx));
-        let system = MonitorSystem::builder_multi(quiet(&[x]))
-            .monitor(Arc::new(Threshold::new(y, Cmp::Gt, 0.0)))
+        let mut conds = quiet(&[x]);
+        conds.push(Arc::new(Threshold::new(y, Cmp::Gt, 0.0)));
+        let displayed = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&displayed);
+        let stall = StallFrontLink { feed: 0, ce: 0, at_send: 200, stall: Duration::from_secs(1) };
+        let system = MonitorSystem::builder_multi(conds)
             .replicas(1)
             .feed(x_feed)
             .feed(y_feed)
-            .faults(FaultPlan::scripted().stall_front_link(0, 0, 200, Duration::from_secs(1)))
+            .faults(FaultPlan { stalls: vec![stall], ..FaultPlan::default() })
+            .on_alert(move |_| seen.store(true, Ordering::SeqCst))
             .start()
             .expect("system starts");
         let begun = rcm_sync::time::Instant::now();
-        while system.displayed_so_far().is_empty() {
+        while !displayed.load(Ordering::SeqCst) {
             assert!(begun.elapsed() < Duration::from_millis(800), "y's alert waited on x");
             rcm_sync::thread::sleep(Duration::from_millis(1));
         }

@@ -12,7 +12,7 @@ use rcm_core::condition::{Cmp, Condition, DeltaRise, Threshold};
 use rcm_core::{transduce, Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_net::cases;
 use rcm_props::{check_complete_single, check_ordered};
-use rcm_runtime::{FaultPlan, MonitorSystem, VarFeed};
+use rcm_runtime::{FaultPlan, MonitorSystem, SeverBackLink, VarFeed};
 
 fn x() -> VarId {
     VarId::new(0)
@@ -85,17 +85,18 @@ fn severed_back_link_loses_no_alerts() {
     // preserve the lossless contract: nothing dropped, duplicates only.
     let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x(), Cmp::Gt, -1.0));
     let n = 30u64;
-    let system =
-        MonitorSystem::builder(cond)
-            .replicas(2)
-            .feed(VarFeed::new(x(), (0..n).map(|i| i as f64).collect::<Vec<_>>()))
-            .faults(
-                FaultPlan::scripted()
-                    .sever_back_link(0, 5, Duration::from_millis(5))
-                    .sever_back_link(1, 2, Duration::from_millis(1)),
-            )
-            .start()
-            .unwrap();
+    let system = MonitorSystem::builder(cond)
+        .replicas(2)
+        .feed(VarFeed::new(x(), (0..n).map(|i| i as f64).collect::<Vec<_>>()))
+        .faults(FaultPlan {
+            severs: vec![
+                SeverBackLink { ce: 0, at_send: 5, down_for: Duration::from_millis(5) },
+                SeverBackLink { ce: 1, at_send: 2, down_for: Duration::from_millis(1) },
+            ],
+            ..FaultPlan::default()
+        })
+        .start()
+        .unwrap();
     let report = system.wait();
 
     assert_eq!(report.faults.backlink_severs, 2);

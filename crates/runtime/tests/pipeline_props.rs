@@ -56,11 +56,10 @@ fn build(
     workers: usize,
     vals: Vec<f64>,
 ) -> rcm_runtime::SystemBuilder {
-    let mut builder = MonitorSystem::builder(conds[0].clone());
-    for c in &conds[1..] {
-        builder = builder.monitor(Arc::clone(c));
-    }
-    builder.replicas(2).workers(workers).feed(VarFeed::new(x(), vals))
+    MonitorSystem::builder_multi(conds.iter().cloned())
+        .replicas(2)
+        .workers(workers)
+        .feed(VarFeed::new(x(), vals))
 }
 
 /// The transducer identity: each replica's emitted stream equals a

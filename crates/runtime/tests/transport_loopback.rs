@@ -16,7 +16,9 @@ use std::time::Duration;
 use rcm_core::condition::{Cmp, Condition, Threshold};
 use rcm_core::{Alert, VarId};
 use rcm_net::Scripted;
-use rcm_runtime::{FaultPlan, MonitorSystem, RunReport, Topology, TransportMode, VarFeed};
+use rcm_runtime::{
+    FaultPlan, MonitorSystem, RunReport, SeverBackLink, Topology, TransportMode, VarFeed,
+};
 use rcm_transport::{LossProxy, ProxyStats};
 
 fn x() -> VarId {
@@ -255,7 +257,10 @@ fn pipelined_workers_match_in_process_output_over_sockets() {
 /// output still matches the in-process run with the same plan.
 #[test]
 fn back_link_sever_reconnects_without_losing_alerts() {
-    let plan = || FaultPlan::scripted().sever_back_link(0, 3, Duration::from_millis(30));
+    let plan = || FaultPlan {
+        severs: vec![SeverBackLink { ce: 0, at_send: 3, down_for: Duration::from_millis(30) }],
+        ..FaultPlan::default()
+    };
     let in_process = run_in_process(plan(), &[]);
     let (sockets, _) = run_sockets(plan(), &[]);
 

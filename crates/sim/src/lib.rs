@@ -19,7 +19,7 @@
 //! violation count and a replay seed. Cell runs and the table grid
 //! execute on the deterministic parallel harness in [`par`]: the
 //! `Matrix` produced for a base seed is bit-identical for any worker
-//! count (`RCM_THREADS` or [`par::with_threads`] control it).
+//! count (`RCM_THREADS` controls it).
 //!
 //! The [`availability`] module runs the motivating experiment of the
 //! paper's Figure 1: how replication reduces the probability that a

@@ -77,14 +77,6 @@ pub enum Topology {
     MultiVar3,
 }
 
-impl Topology {
-    /// Whether this is a multi-variable topology (Appendix C
-    /// definitions apply).
-    pub fn is_multi(self) -> bool {
-        !matches!(self, Topology::SingleVar)
-    }
-}
-
 /// Which AD algorithm filters the merged alert stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FilterKind {
@@ -378,18 +370,6 @@ pub fn check_run(
     (ordered, complete, consistent)
 }
 
-/// Evaluates one table cell: `runs` randomized executions of the
-/// scenario class under the filter, with property checks on each.
-pub fn evaluate_cell(
-    kind: ScenarioKind,
-    topo: Topology,
-    filter: FilterKind,
-    runs: u64,
-    base_seed: u64,
-) -> PropertyCounts {
-    evaluate_cell_n(kind, topo, filter, runs, base_seed, 2)
-}
-
 /// The per-run seed for run `i` of a cell evaluated with `base_seed`.
 fn run_seed(base_seed: u64, i: u64) -> u64 {
     base_seed.wrapping_add(i.wrapping_mul(0x9e37_79b9))
@@ -439,7 +419,9 @@ fn fold_trials(
     counts
 }
 
-/// [`evaluate_cell`] with an explicit replica count.
+/// Evaluates one table cell: `runs` randomized executions of the
+/// scenario class under the filter with `replicas` CE replicas, with
+/// property checks on each.
 ///
 /// The `runs` trials execute on the deterministic parallel harness
 /// ([`crate::par::map_indexed`]); each trial's seed is a pure function
@@ -551,19 +533,26 @@ mod tests {
 
     #[test]
     fn lossless_single_ad1_has_no_violations() {
-        let c =
-            evaluate_cell(ScenarioKind::Lossless, Topology::SingleVar, FilterKind::Ad1, RUNS, 11);
+        let c = evaluate_cell_n(
+            ScenarioKind::Lossless,
+            Topology::SingleVar,
+            FilterKind::Ad1,
+            RUNS,
+            11,
+            2,
+        );
         assert_eq!((c.unordered, c.incomplete, c.inconsistent), (0, 0, 0), "{c:?}");
     }
 
     #[test]
     fn lossy_aggressive_ad1_finds_all_three_violations() {
-        let c = evaluate_cell(
+        let c = evaluate_cell_n(
             ScenarioKind::LossyAggressive,
             Topology::SingleVar,
             FilterKind::Ad1,
             60,
             22,
+            2,
         );
         assert!(c.unordered > 0, "{c:?}");
         assert!(c.incomplete > 0, "{c:?}");
@@ -574,11 +563,11 @@ mod tests {
     #[test]
     fn ad2_always_ordered_ad3_always_consistent() {
         for kind in ScenarioKind::ALL {
-            let c2 = evaluate_cell(kind, Topology::SingleVar, FilterKind::Ad2, RUNS, 33);
+            let c2 = evaluate_cell_n(kind, Topology::SingleVar, FilterKind::Ad2, RUNS, 33, 2);
             assert_eq!(c2.unordered, 0, "AD-2 unordered under {kind:?}");
-            let c3 = evaluate_cell(kind, Topology::SingleVar, FilterKind::Ad3, RUNS, 44);
+            let c3 = evaluate_cell_n(kind, Topology::SingleVar, FilterKind::Ad3, RUNS, 44, 2);
             assert_eq!(c3.inconsistent, 0, "AD-3 inconsistent under {kind:?}");
-            let c4 = evaluate_cell(kind, Topology::SingleVar, FilterKind::Ad4, RUNS, 55);
+            let c4 = evaluate_cell_n(kind, Topology::SingleVar, FilterKind::Ad4, RUNS, 55, 2);
             assert_eq!(c4.unordered + c4.inconsistent, 0, "AD-4 violated under {kind:?}");
         }
     }
@@ -586,9 +575,9 @@ mod tests {
     #[test]
     fn multi_var_ad5_ordered_ad6_consistent() {
         for kind in ScenarioKind::ALL {
-            let c5 = evaluate_cell(kind, Topology::MultiVar, FilterKind::Ad5, 15, 66);
+            let c5 = evaluate_cell_n(kind, Topology::MultiVar, FilterKind::Ad5, 15, 66, 2);
             assert_eq!(c5.unordered, 0, "AD-5 unordered under {kind:?}");
-            let c6 = evaluate_cell(kind, Topology::MultiVar, FilterKind::Ad6, 15, 77);
+            let c6 = evaluate_cell_n(kind, Topology::MultiVar, FilterKind::Ad6, 15, 77, 2);
             assert_eq!(c6.unordered + c6.inconsistent, 0, "AD-6 violated under {kind:?}");
         }
     }
@@ -596,9 +585,9 @@ mod tests {
     #[test]
     fn three_variable_systems_keep_the_guarantees() {
         for kind in [ScenarioKind::Lossless, ScenarioKind::LossyAggressive] {
-            let c5 = evaluate_cell(kind, Topology::MultiVar3, FilterKind::Ad5, 10, 88);
+            let c5 = evaluate_cell_n(kind, Topology::MultiVar3, FilterKind::Ad5, 10, 88, 2);
             assert_eq!(c5.unordered, 0, "AD-5 unordered under {kind:?} with 3 vars");
-            let c6 = evaluate_cell(kind, Topology::MultiVar3, FilterKind::Ad6, 10, 99);
+            let c6 = evaluate_cell_n(kind, Topology::MultiVar3, FilterKind::Ad6, 10, 99, 2);
             assert_eq!(
                 c6.unordered + c6.inconsistent,
                 0,
@@ -711,12 +700,13 @@ mod tests {
     fn evaluate_cell_is_identical_for_any_thread_count() {
         let cell = |threads| {
             crate::par::with_threads(threads, || {
-                evaluate_cell(
+                evaluate_cell_n(
                     ScenarioKind::LossyAggressive,
                     Topology::SingleVar,
                     FilterKind::Ad1,
                     30,
                     22,
+                    2,
                 )
             })
         };

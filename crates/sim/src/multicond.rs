@@ -10,19 +10,15 @@
 //! (the appendix's observation), which is exactly how it is simulated:
 //! one engine run per condition, sharing the DM value stream (same
 //! seed) over independent links (distinct salts), merged at the AD by
-//! arrival time.
-//!
-//! [`run_hosted`] simulates the alternative *hosted* deployment — one
-//! replicated CE group, each replica hosting every condition in one
-//! [`ConditionRegistry`] — where all conditions on a replica share one
-//! subscription and therefore one loss pattern per variable. It is the
-//! layout the runtime's `MonitorSystem::builder_multi` and the `rcm-ce`
-//! node deploy.
+//! arrival time. The runtime's `MonitorSystem::builder_multi` and the
+//! `rcm-ce` node deploy the other layout instead: one replicated CE
+//! group whose replicas each host every condition in one
+//! `ConditionRegistry`.
 
 use std::sync::Arc;
 
-use rcm_core::condition::{Condition, Triggering};
-use rcm_core::{Alert, CeId, CondId, ConditionRegistry, HistorySet, RegistryStats, Update, VarId};
+use rcm_core::condition::Condition;
+use rcm_core::{Alert, CondId, VarId};
 
 use crate::engine::{run, RunResult};
 use crate::event::SimTime;
@@ -158,117 +154,6 @@ pub fn run_multi(scenario: &MultiCondScenario) -> MultiCondResult {
     MultiCondResult { per_condition, arrivals }
 }
 
-/// The hosted CE group's subscription: a pseudo-condition carrying the
-/// union of the monitored variables. It drives the engine's DM and
-/// front-link machinery to produce per-replica input streams and never
-/// fires itself.
-#[derive(Debug)]
-struct Subscription {
-    vars: Vec<VarId>,
-}
-
-impl Condition for Subscription {
-    fn name(&self) -> String {
-        "hosted-subscription".to_owned()
-    }
-    fn variables(&self) -> Vec<VarId> {
-        self.vars.clone()
-    }
-    fn degree(&self, var: VarId) -> usize {
-        usize::from(self.vars.binary_search(&var).is_ok())
-    }
-    fn triggering(&self) -> Triggering {
-        Triggering::Conservative
-    }
-    fn eval(&self, _h: &HistorySet) -> bool {
-        false
-    }
-}
-
-/// Result of a hosted multi-condition run ([`run_hosted`]).
-#[derive(Debug, Clone)]
-pub struct HostedResult {
-    /// Every update emitted by the shared DMs, in emission order.
-    pub emitted: Vec<Update>,
-    /// Per replica: the updates its CE incorporated, in arrival order —
-    /// one stream per replica, shared by all hosted conditions.
-    pub inputs: Vec<Vec<Update>>,
-    /// Per replica: the alerts its registry emitted over the input
-    /// stream, in emission order (condition `i` carries
-    /// `CondId::new(i)`).
-    pub per_replica: Vec<Vec<Alert>>,
-    /// Per replica: registry ingestion counters.
-    pub stats: Vec<RegistryStats>,
-}
-
-/// Runs a multi-condition scenario in the *hosted* deployment: every
-/// replica of one CE group hosts every condition in one
-/// [`ConditionRegistry`], instead of Appendix D's one CE group per
-/// condition ([`run_multi`]).
-///
-/// The difference is observable: hosted conditions share each replica's
-/// front links (one subscription on the variable union, `link_salt` 0),
-/// so all conditions on a replica see the *same* loss pattern, while
-/// [`run_multi`] gives every condition independent links. Within a
-/// replica the registry is byte-identical to independent per-condition
-/// evaluators fed that replica's stream.
-///
-/// # Panics
-///
-/// Panics if a condition uses a variable with no shared workload, or
-/// propagates the engine's validation panics.
-pub fn run_hosted(scenario: &MultiCondScenario) -> HostedResult {
-    let mut vars: Vec<VarId> = scenario.workloads.iter().map(|w| w.var).collect();
-    vars.sort_unstable();
-    vars.dedup();
-    for (ci, c) in scenario.conditions.iter().enumerate() {
-        for v in c.variables() {
-            assert!(
-                vars.binary_search(&v).is_ok(),
-                "condition {ci} uses variable {v} with no shared workload"
-            );
-        }
-    }
-    let workloads: Vec<VarWorkload> = scenario
-        .workloads
-        .iter()
-        .map(|w| VarWorkload {
-            var: w.var,
-            updates: w.updates,
-            period: w.period,
-            offset: w.offset,
-            model: w.values.build(),
-        })
-        .collect();
-    let probe = Scenario {
-        condition: Arc::new(Subscription { vars }),
-        replicas: scenario.replicas,
-        workloads,
-        front_loss: vec![scenario.front_loss.clone()],
-        front_delay: vec![scenario.front_delay.clone()],
-        back_delay: vec![scenario.back_delay.clone()],
-        outages: vec![],
-        ad_outages: vec![],
-        seed: scenario.seed,
-        link_salt: 0,
-    };
-    let probe_run = run(probe);
-
-    let mut per_replica = Vec::with_capacity(scenario.replicas);
-    let mut stats = Vec::with_capacity(scenario.replicas);
-    for (ce, stream) in probe_run.inputs.iter().enumerate() {
-        let mut reg = ConditionRegistry::new(CeId::new(ce as u32));
-        for condition in &scenario.conditions {
-            reg.add(Arc::clone(condition));
-        }
-        let mut alerts = Vec::new();
-        reg.ingest_batch(stream, &mut alerts);
-        stats.push(reg.stats());
-        per_replica.push(alerts);
-    }
-    HostedResult { emitted: probe_run.emitted, inputs: probe_run.inputs, per_replica, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,65 +236,5 @@ mod tests {
         let mut sc = scenario(1);
         sc.conditions.push(Arc::new(Threshold::new(VarId::new(9), Cmp::Gt, 0.0)));
         run_multi(&sc);
-    }
-
-    #[test]
-    fn hosted_matches_independent_evaluators_per_replica() {
-        use rcm_core::{CeId, Evaluator};
-        let sc = scenario(21);
-        let r = run_hosted(&sc);
-        assert_eq!(r.inputs.len(), sc.replicas);
-        assert_eq!(r.per_replica.len(), sc.replicas);
-        assert!(r.per_replica.iter().any(|a| !a.is_empty()), "expected hosted alerts");
-        for ce in 0..sc.replicas {
-            let mut evs: Vec<Evaluator<Arc<dyn Condition>>> = sc
-                .conditions
-                .iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    Evaluator::with_ids(Arc::clone(c), CondId::new(ci as u32), CeId::new(ce as u32))
-                })
-                .collect();
-            let mut want = Vec::new();
-            for &u in &r.inputs[ce] {
-                for (ci, ev) in evs.iter_mut().enumerate() {
-                    if sc.conditions[ci].variables().contains(&u.var) {
-                        if let Ok(Some(a)) = ev.try_ingest(u) {
-                            want.push(a);
-                        }
-                    }
-                }
-            }
-            assert_eq!(r.per_replica[ce], want);
-            for (g, w) in r.per_replica[ce].iter().zip(&want) {
-                assert_eq!(g.id, w.id);
-                assert_eq!(g.snapshot[..], w.snapshot[..]);
-            }
-        }
-    }
-
-    #[test]
-    fn hosted_replicas_share_one_loss_pattern() {
-        // All conditions on a replica see the same input stream — the
-        // defining difference from `run_multi`'s independent links.
-        let sc = scenario(23);
-        let r = run_hosted(&sc);
-        assert_eq!(r.inputs.len(), 2);
-        // The shared stream is the only source: per-replica alerts for
-        // both conditions reference seqnos from that replica's inputs.
-        for ce in 0..2 {
-            let seqnos: Vec<u64> = r.inputs[ce].iter().map(|u| u.seqno.get()).collect();
-            for a in &r.per_replica[ce] {
-                assert!(seqnos.contains(&a.seqno(x()).unwrap().get()));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no shared workload")]
-    fn hosted_missing_workload_rejected() {
-        let mut sc = scenario(1);
-        sc.conditions.push(Arc::new(Threshold::new(VarId::new(9), Cmp::Gt, 0.0)));
-        run_hosted(&sc);
     }
 }

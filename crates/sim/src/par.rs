@@ -16,14 +16,18 @@
 //! derives per-run RNG seeds from the index, so this holds by
 //! construction).
 
+#[cfg(test)]
 use std::cell::Cell;
 
+#[cfg(test)]
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+#[cfg(test)]
 struct OverrideGuard(Option<usize>);
 
+#[cfg(test)]
 impl Drop for OverrideGuard {
     fn drop(&mut self) {
         THREAD_OVERRIDE.with(|c| c.set(self.0));
@@ -40,16 +44,19 @@ impl Drop for OverrideGuard {
 /// # Panics
 ///
 /// Panics if `n` is zero.
-pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+#[cfg(test)]
+pub(crate) fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     assert!(n >= 1, "thread count must be at least 1");
     let _guard = OverrideGuard(THREAD_OVERRIDE.with(|c| c.replace(Some(n))));
     f()
 }
 
-/// Worker threads [`map_indexed`] will use: the innermost
-/// [`with_threads`] override if inside one, else the `RCM_THREADS`
-/// environment variable, else `std::thread::available_parallelism`.
+/// Worker threads [`map_indexed`] will use: the `RCM_THREADS`
+/// environment variable, else `std::thread::available_parallelism`
+/// (in this crate's tests, the innermost `with_threads` override
+/// first).
 pub fn harness_threads() -> usize {
+    #[cfg(test)]
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n.max(1);
     }

@@ -14,23 +14,21 @@
 //!
 //! ## Wakeup protocol
 //!
-//! A side that must block (the consumer on empty in [`Consumer::pop`],
-//! the producer on full in [`Producer::push_wait`]) sets its
-//! `*_sleeping` flag **while holding the state lock**, releases the
-//! lock, and then blocks on its private wake channel. The peer only
-//! sends a wake token on a flag transition `true → false` made under
-//! the same lock. Consequently at most one token is ever in flight per
-//! side, and every `recv` has a matching prior `send` caused by exactly
-//! the state change the sleeper was waiting for — a sleeper can never
-//! strand. A loom model of the pipeline's ring handoff checked this
-//! exhaustively while the pipeline used the ring; none covers it now.
+//! Only the consumer blocks, on empty in [`Consumer::pop`]. It sets its
+//! `consumer_sleeping` flag **while holding the state lock**, releases
+//! the lock, and then blocks on its private wake channel. The producer
+//! only sends a wake token on a flag transition `true → false` made
+//! under the same lock. Consequently at most one token is ever in
+//! flight, and every `recv` has a matching prior `send` caused by
+//! exactly the state change the sleeper was waiting for — the consumer
+//! can never strand. A loom model of the pipeline's ring handoff
+//! checked this exhaustively while the pipeline used the ring; none
+//! covers it now.
 //!
 //! ## Shedding
 //!
-//! [`Producer::push`] is the non-blocking entry: a full ring returns
-//! the rejected value to the caller, which decides what shedding it
-//! means. [`Producer::push_wait`] is the blocking entry for values
-//! that must never be lost.
+//! [`Producer::push`] never blocks: a full ring returns the rejected
+//! value to the caller, which decides what shedding it means.
 
 use std::collections::VecDeque;
 
@@ -44,8 +42,6 @@ struct Shared<T> {
     state: Mutex<State<T>>,
     /// Wake tokens for a consumer sleeping on "empty".
     consumer_wake: Sender<()>,
-    /// Wake tokens for a producer sleeping on "full" in `push_wait`.
-    producer_wake: Sender<()>,
 }
 
 struct State<T> {
@@ -56,7 +52,6 @@ struct State<T> {
     /// Consumer dropped: pushes report disconnect.
     consumer_gone: bool,
     consumer_sleeping: bool,
-    producer_sleeping: bool,
 }
 
 impl<T> State<T> {
@@ -65,18 +60,12 @@ impl<T> State<T> {
     fn take_consumer_sleep(&mut self) -> bool {
         std::mem::take(&mut self.consumer_sleeping)
     }
-
-    /// Producer-side counterpart of [`State::take_consumer_sleep`].
-    fn take_producer_sleep(&mut self) -> bool {
-        std::mem::take(&mut self.producer_sleeping)
-    }
 }
 
 /// Sending half of a bounded SPSC ring (not `Clone`: *single*
 /// producer).
 pub struct Producer<T> {
     shared: Arc<Shared<T>>,
-    wake: Receiver<()>,
 }
 
 /// Receiving half of a bounded SPSC ring (not `Clone`: *single*
@@ -125,7 +114,6 @@ pub enum TryPopError {
 pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity >= 1, "spsc ring needs capacity >= 1");
     let (consumer_wake, consumer_wake_rx) = crate::chan::unbounded();
-    let (producer_wake, producer_wake_rx) = crate::chan::unbounded();
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             buf: VecDeque::with_capacity(capacity),
@@ -133,15 +121,10 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
             closed: false,
             consumer_gone: false,
             consumer_sleeping: false,
-            producer_sleeping: false,
         }),
         consumer_wake,
-        producer_wake,
     });
-    (
-        Producer { shared: Arc::clone(&shared), wake: producer_wake_rx },
-        Consumer { shared, wake: consumer_wake_rx },
-    )
+    (Producer { shared: Arc::clone(&shared) }, Consumer { shared, wake: consumer_wake_rx })
 }
 
 impl<T> Producer<T> {
@@ -165,67 +148,6 @@ impl<T> Producer<T> {
         }
         Ok(())
     }
-
-    /// Blocking enqueue for control messages: waits for ring space
-    /// rather than shedding. `Err` only when the consumer is gone.
-    pub fn push_wait(&self, value: T) -> Result<(), PushError<T>> {
-        let mut slot = Some(value);
-        loop {
-            let wake = {
-                let mut st = self.shared.state.lock();
-                if st.consumer_gone {
-                    match slot.take() {
-                        Some(v) => return Err(PushError::Disconnected(v)),
-                        None => unreachable!("value consumed only on successful push"),
-                    }
-                }
-                if st.buf.len() >= st.capacity {
-                    st.producer_sleeping = true;
-                    None
-                } else {
-                    match slot.take() {
-                        Some(v) => st.buf.push_back(v),
-                        None => unreachable!("value consumed only on successful push"),
-                    }
-                    Some(st.take_consumer_sleep())
-                }
-            };
-            match wake {
-                Some(wake_consumer) => {
-                    if wake_consumer {
-                        let _ = self.shared.consumer_wake.send(());
-                    }
-                    return Ok(());
-                }
-                None => {
-                    // Sleep until the consumer pops (it wakes us on the
-                    // flag it saw under the lock). A recv error means
-                    // the consumer dropped; the next lap notices
-                    // `consumer_gone` and returns the value.
-                    if self.wake.recv().is_err() {
-                        self.shared.state.lock().producer_sleeping = false;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Whether a `push` right now would shed (advisory; exact for the
-    /// single producer as long as it checks before pushing).
-    pub fn is_full(&self) -> bool {
-        let st = self.shared.state.lock();
-        !st.consumer_gone && st.buf.len() >= st.capacity
-    }
-
-    /// In-flight values currently buffered.
-    pub fn len(&self) -> usize {
-        self.shared.state.lock().buf.len()
-    }
-
-    /// Whether the ring is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Drop for Producer<T> {
@@ -244,66 +166,31 @@ impl<T> Drop for Producer<T> {
 impl<T> Consumer<T> {
     /// Non-blocking dequeue.
     pub fn try_pop(&self) -> Result<T, TryPopError> {
-        let (value, wake) = {
-            let mut st = self.shared.state.lock();
-            match st.buf.pop_front() {
-                Some(v) => (v, st.take_producer_sleep()),
-                None if st.closed => return Err(TryPopError::Disconnected),
-                None => return Err(TryPopError::Empty),
-            }
-        };
-        if wake {
-            let _ = self.shared.producer_wake.send(());
+        let mut st = self.shared.state.lock();
+        match st.buf.pop_front() {
+            Some(v) => Ok(v),
+            None if st.closed => Err(TryPopError::Disconnected),
+            None => Err(TryPopError::Empty),
         }
-        Ok(value)
-    }
-
-    /// Drains up to `max` buffered values into `out` under a single
-    /// lock acquisition — the pipeline's batch amortization. Returns
-    /// how many values were moved (0 when the ring is empty, whether
-    /// or not the producer is still alive).
-    pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let (n, wake) = {
-            let mut st = self.shared.state.lock();
-            let n = st.buf.len().min(max);
-            out.extend(st.buf.drain(..n));
-            (n, if n > 0 { st.take_producer_sleep() } else { false })
-        };
-        if wake {
-            let _ = self.shared.producer_wake.send(());
-        }
-        n
     }
 
     /// Blocking dequeue: `None` means the producer hung up and the ring
     /// is drained (end of stream).
     pub fn pop(&self) -> Option<T> {
         loop {
-            let popped = {
+            {
                 let mut st = self.shared.state.lock();
                 match st.buf.pop_front() {
-                    Some(v) => Some((v, st.take_producer_sleep())),
+                    Some(v) => return Some(v),
                     None if st.closed => return None,
-                    None => {
-                        st.consumer_sleeping = true;
-                        None
-                    }
+                    None => st.consumer_sleeping = true,
                 }
-            };
-            if let Some((value, wake)) = popped {
-                if wake {
-                    let _ = self.shared.producer_wake.send(());
-                }
-                return Some(value);
             }
             // Sleep until the producer pushes or closes; it saw our
             // flag under the lock and owes us exactly one token. A recv
             // error (producer dropped mid-protocol) just re-checks.
-            match self.wake.recv() {
-                Ok(()) => {}
-                Err(_) => {
-                    self.shared.state.lock().consumer_sleeping = false;
-                }
+            if self.wake.recv().is_err() {
+                self.shared.state.lock().consumer_sleeping = false;
             }
         }
     }
@@ -311,15 +198,9 @@ impl<T> Consumer<T> {
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        let wake = {
-            let mut st = self.shared.state.lock();
-            st.consumer_gone = true;
-            st.buf.clear();
-            st.take_producer_sleep()
-        };
-        if wake {
-            let _ = self.shared.producer_wake.send(());
-        }
+        let mut st = self.shared.state.lock();
+        st.consumer_gone = true;
+        st.buf.clear();
     }
 }
 
@@ -346,10 +227,8 @@ mod tests {
         let (tx, rx) = ring::<u32>(2);
         tx.push(1).expect("fits");
         tx.push(2).expect("fits");
-        assert!(tx.is_full());
         assert_eq!(tx.push(3), Err(PushError::Full(3)));
         assert_eq!(rx.try_pop(), Ok(1));
-        assert!(!tx.is_full());
         tx.push(3).expect("space freed");
         assert_eq!(rx.try_pop(), Ok(2));
         assert_eq!(rx.try_pop(), Ok(3));
@@ -371,7 +250,6 @@ mod tests {
         let (tx, rx) = ring::<u32>(4);
         drop(rx);
         assert_eq!(tx.push(1), Err(PushError::Disconnected(1)));
-        assert_eq!(tx.push_wait(2), Err(PushError::Disconnected(2)));
     }
 
     #[test]
@@ -381,20 +259,6 @@ mod tests {
         crate::thread::sleep(std::time::Duration::from_millis(10));
         tx.push(42).expect("fits");
         assert_eq!(h.join().expect("consumer thread"), Some(42));
-    }
-
-    #[test]
-    fn push_wait_blocks_until_space_then_delivers() {
-        let (tx, rx) = ring::<u32>(1);
-        tx.push(1).expect("fits");
-        let h = crate::thread::spawn(move || {
-            tx.push_wait(2).expect("consumer alive");
-        });
-        crate::thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(rx.pop(), Some(1));
-        assert_eq!(rx.pop(), Some(2));
-        h.join().expect("producer thread");
-        assert_eq!(rx.pop(), None);
     }
 
     #[test]
@@ -409,44 +273,16 @@ mod tests {
             got
         });
         for i in 0..N {
-            tx.push_wait(i).expect("consumer alive");
+            let mut value = i;
+            while let Err(PushError::Full(back)) = tx.push(value) {
+                value = back;
+                crate::thread::yield_now();
+            }
         }
         drop(tx);
         let got = h.join().expect("consumer thread");
         assert_eq!(got.len() as u64, N);
         assert!(got.windows(2).all(|w| w[1] == w[0] + 1));
-    }
-
-    #[test]
-    fn drain_into_moves_a_batch_under_one_lock() {
-        let (tx, rx) = ring::<u32>(8);
-        for i in 0..6 {
-            tx.push(i).expect("fits");
-        }
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out, 4), 4);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(rx.drain_into(&mut out, 10), 2);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(rx.drain_into(&mut out, 10), 0);
-        drop(tx);
-        assert_eq!(rx.drain_into(&mut out, 10), 0);
-        assert_eq!(rx.try_pop(), Err(TryPopError::Disconnected));
-    }
-
-    #[test]
-    fn drain_into_frees_a_waiting_producer() {
-        let (tx, rx) = ring::<u32>(2);
-        tx.push(1).expect("fits");
-        tx.push(2).expect("fits");
-        let h = crate::thread::spawn(move || {
-            tx.push_wait(3).expect("consumer alive");
-        });
-        crate::thread::sleep(std::time::Duration::from_millis(10));
-        let mut out = Vec::new();
-        assert!(rx.drain_into(&mut out, 2) == 2);
-        h.join().expect("producer thread");
-        assert_eq!(rx.pop(), Some(3));
     }
 
     #[test]

@@ -185,9 +185,6 @@ impl ConnSource {
                     loop {
                         match wire::decode(&mut self.frames) {
                             Ok(Some(Message::Alert(alert))) => outs.push(ConnOut::Alert(alert)),
-                            Ok(Some(Message::AlertBatch(alerts))) => {
-                                outs.extend(alerts.into_iter().map(ConnOut::Alert));
-                            }
                             Ok(Some(Message::Fin { node })) => outs.push(ConnOut::Fin(node)),
                             Ok(Some(Message::Hello { .. })) => {}
                             Ok(Some(
@@ -225,5 +222,72 @@ impl ConnSource {
 
     pub(super) fn close(&mut self, core: &mut Core) {
         core.poller.deregister(self.stream.as_raw_fd());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    use rcm_core::{Alert, AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
+    use rcm_sync::time::{Duration, Instant};
+
+    use crate::engine::EventLoop;
+    use crate::wire::{self, Message, BINARY_WIRE_VERSION, HEADER_LEN};
+
+    fn alert(index: u64) -> Alert {
+        Alert::new(
+            CondId::new(0),
+            HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(index)]),
+            vec![Update::new(VarId::new(0), index, index as f64)],
+            AlertId { ce: CeId::new(0), index },
+        )
+    }
+
+    /// Tag 5 was `AlertBatch`. A back-link stream carrying one now
+    /// desynchronizes like any unknown tag: the alert before it is
+    /// displayed, the frame counts as one decode error, and the
+    /// connection closes with the alert after it unread.
+    #[test]
+    fn a_retired_alert_batch_frame_closes_the_stream_after_the_alerts_before_it() {
+        let mut el = EventLoop::new().expect("event loop");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (tx, rx) = rcm_sync::chan::unbounded();
+        let idle = Duration::from_millis(500);
+        let counters = el
+            .add_alert_listener(listener, 1, idle, move |a| {
+                let _ = tx.send(a);
+            })
+            .expect("register listener");
+        let engine = rcm_sync::thread::spawn(move || el.run());
+
+        // The retired frame: a batch of one alert, as the old encoder
+        // wrote it.
+        let one = wire::encode(&Message::Alert(alert(2))).expect("encodes");
+        let mut batch = vec![5, 1];
+        batch.extend_from_slice(&one[HEADER_LEN + 1..]);
+        let mut stream_bytes = wire::encode(&Message::Alert(alert(1))).expect("encodes");
+        stream_bytes.extend(wire::raw_frame(BINARY_WIRE_VERSION, &batch));
+        stream_bytes.extend(wire::encode(&Message::Alert(alert(3))).expect("encodes"));
+
+        // Blocking again once the connect is under way: a write waits
+        // for the handshake.
+        let mut stream = rcm_poll::sys::connect_nonblocking(addr).expect("connect");
+        stream.set_nonblocking(false).expect("blocking mode");
+        let begun = Instant::now();
+        assert_eq!(stream.write(&stream_bytes).expect("write"), stream_bytes.len());
+        // The listener hangs up on the desync, well before the idle
+        // backstop would end the loop.
+        let mut buf = [0u8; 1];
+        let _ = std::io::Read::read(&mut stream, &mut buf);
+        assert!(begun.elapsed() < idle / 2, "the connection stayed open");
+        engine.join().expect("loop thread");
+
+        let got: Vec<Alert> = rx.iter().collect();
+        assert_eq!(got.iter().map(|a| a.id.index).collect::<Vec<_>>(), [1]);
+        let stats = counters.snapshot();
+        assert_eq!((stats.alerts, stats.decode_errors, stats.connections), (1, 1, 1));
     }
 }

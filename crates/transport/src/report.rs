@@ -271,17 +271,6 @@ impl TransportReport {
             self.front_updates_sent() as f64 / frames as f64
         }
     }
-
-    /// Mean wire bytes per front-link datagram, headers included.
-    /// `0.0` when no frames were sent.
-    pub fn bytes_per_frame(&self) -> f64 {
-        let frames = self.front_frames_sent();
-        if frames == 0 {
-            0.0
-        } else {
-            self.front_bytes_sent() as f64 / frames as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -376,13 +365,11 @@ mod tests {
         assert_eq!(report.front_updates_sent(), 40);
         assert_eq!(report.front_bytes_sent(), 500);
         assert!((report.updates_per_datagram() - 4.0).abs() < f64::EPSILON);
-        assert!((report.bytes_per_frame() - 50.0).abs() < f64::EPSILON);
     }
 
     #[test]
     fn ratio_rollups_are_zero_without_frames() {
         let report = TransportReport::default();
         assert_eq!(report.updates_per_datagram(), 0.0);
-        assert_eq!(report.bytes_per_frame(), 0.0);
     }
 }

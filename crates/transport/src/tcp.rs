@@ -159,11 +159,6 @@ impl TcpBackLink {
         Arc::clone(&self.stats)
     }
 
-    /// Whether the link is currently disconnected.
-    pub fn is_down(&self) -> bool {
-        self.down
-    }
-
     /// Sends one alert: transmitted immediately when connected, queued
     /// when down (a non-blocking reconnect attempt is made first if
     /// the backoff schedule allows one).
@@ -580,13 +575,6 @@ fn reader_loop(
                         Ok(Some(Message::Alert(alert))) => {
                             if tx.send(Event::Alert(alert)).is_err() {
                                 return;
-                            }
-                        }
-                        Ok(Some(Message::AlertBatch(alerts))) => {
-                            for alert in alerts {
-                                if tx.send(Event::Alert(alert)).is_err() {
-                                    return;
-                                }
                             }
                         }
                         Ok(Some(Message::Fin { node })) => {

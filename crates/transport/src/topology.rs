@@ -110,6 +110,7 @@ impl BoundTopology {
     ///
     /// Panics unless `targets` has exactly one address per replica.
     #[must_use]
+    // analyze: allow(reach): the documented way to put a LossProxy in front of a socket run
     pub fn route_front_links(mut self, targets: Vec<SocketAddr>) -> Self {
         assert_eq!(targets.len(), self.ce_sockets.len(), "one DM target per CE replica");
         self.dm_targets = targets;

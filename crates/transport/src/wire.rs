@@ -28,7 +28,8 @@
 //! ```text
 //! payload   := tag:u8 body
 //! tag       := 0 Update | 1 Alert | 2 Hello | 3 Fin
-//!            | 4 UpdateBatch | 5 AlertBatch | 6 Derived
+//!            | 4 UpdateBatch | 6 Derived
+//!              (5 was AlertBatch: retired, never to be reused)
 //! update    := var:varint seqno:varint value:f64-le-bits
 //! alert     := cond:varint ce:varint index:varint
 //!              nvars:varint { var:varint nseq:varint seqno:varint* }*
@@ -75,10 +76,6 @@ pub enum Message {
     /// batch order, so delivery is indistinguishable from the updates
     /// having arrived as individual frames.
     UpdateBatch(Vec<Update>),
-    /// Several alerts in one back-link write. Order within the batch is
-    /// the send order. The back links here send one `Alert` frame per
-    /// alert; receivers accept both.
-    AlertBatch(Vec<Alert>),
     /// One derived update on a hierarchical tier link (leaf or
     /// interior CE → parent CE): a synthetic variable id, the
     /// emitter's per-stream consecutive seqno, and an aggregate or
@@ -172,8 +169,8 @@ pub const DATAGRAM_BUDGET: usize = 1200;
 
 /// The payload codec. There is exactly one and nothing can select
 /// another: the type survives only as the first parameter of
-/// [`encode_into`], [`encode_updates_into`] and [`encode_alerts_into`],
-/// which `benchmark/src/replay.rs` calls with `Codec::Binary` and a PR
+/// [`encode_into`] and [`encode_updates_into`], which
+/// `benchmark/src/replay.rs` calls with `Codec::Binary` and a PR
 /// outside `benchmark/` may not edit. Delete the parameter and this
 /// type in the PR after a `benchmark` PR stops passing it.
 #[derive(Debug, Clone, Copy)]
@@ -182,14 +179,14 @@ pub enum Codec {
     Binary,
 }
 
-/// Message tags of the binary payload layout.
+/// Message tags of the binary payload layout. Tag 5 (`AlertBatch`) is
+/// retired: it decodes as an unknown tag and must never be reused.
 mod tag {
     pub const UPDATE: u8 = 0;
     pub const ALERT: u8 = 1;
     pub const HELLO: u8 = 2;
     pub const FIN: u8 = 3;
     pub const UPDATE_BATCH: u8 = 4;
-    pub const ALERT_BATCH: u8 = 5;
     pub const DERIVED: u8 = 6;
 }
 
@@ -207,10 +204,6 @@ const UPDATE_WIRE_MIN: usize = 10;
 /// into place: an alert body holds up to four updates itself, and a
 /// snapshot of five to eight is one shared slice.
 const SNAPSHOT_INLINE: usize = 8;
-
-/// Smallest possible binary encoding of one alert (five 1-byte
-/// varints: cond, ce, index, zero history entries, zero snapshot).
-const ALERT_WIRE_MIN: usize = 5;
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -454,7 +447,6 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             put_derived(out, derived);
         }
         Message::UpdateBatch(updates) => encode_update_slice(updates, out),
-        Message::AlertBatch(alerts) => encode_alert_slice(alerts, out),
     }
 }
 
@@ -465,15 +457,6 @@ fn encode_update_slice(updates: &[Update], out: &mut Vec<u8>) {
     put_varint(out, updates.len() as u64);
     for u in updates {
         put_update(out, u);
-    }
-}
-
-/// A borrowed alert run as an `AlertBatch` payload.
-fn encode_alert_slice(alerts: &[Alert], out: &mut Vec<u8>) {
-    out.push(tag::ALERT_BATCH);
-    put_varint(out, alerts.len() as u64);
-    for a in alerts {
-        put_alert(out, a);
     }
 }
 
@@ -490,17 +473,6 @@ fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             Message::UpdateBatch(r.updates(count)?)
         }
         tag::DERIVED => Message::Derived(r.derived()?),
-        tag::ALERT_BATCH => {
-            let count = r.varint()? as usize;
-            if count > r.remaining() / ALERT_WIRE_MIN + 1 {
-                return Err(WireError::Malformed { context: "batch count exceeds payload" });
-            }
-            let mut alerts = Vec::with_capacity(count);
-            for _ in 0..count {
-                alerts.push(r.alert()?);
-            }
-            Message::AlertBatch(alerts)
-        }
         _ => return Err(WireError::Malformed { context: "unknown message tag" }),
     };
     if r.remaining() != 0 {
@@ -520,9 +492,6 @@ fn payload_len(msg: &Message) -> usize {
             1 + varint_len(updates.len() as u64)
                 + updates.iter().map(update_wire_len).sum::<usize>()
         }
-        Message::AlertBatch(alerts) => {
-            1 + varint_len(alerts.len() as u64) + alerts.iter().map(alert_wire_len).sum::<usize>()
-        }
     }
 }
 
@@ -536,6 +505,18 @@ fn fnv1a(bytes: &[u8]) -> u32 {
         hash = hash.wrapping_mul(0x0100_0193);
     }
     hash
+}
+
+/// A frame around any payload bytes, with a correct length and
+/// checksum: how a test hands the decoder a payload the encoder would
+/// never write.
+#[cfg(test)]
+pub(crate) fn raw_frame(version: u8, payload: &[u8]) -> Vec<u8> {
+    let mut raw = vec![version];
+    raw.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    raw.extend_from_slice(&fnv1a(payload).to_be_bytes());
+    raw.extend_from_slice(payload);
+    raw
 }
 
 /// Appends one complete frame to `out`: writes the version byte,
@@ -599,20 +580,6 @@ pub fn encode_updates_into(
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
     frame_with(out, |out| encode_update_slice(updates, out))
-}
-
-/// Appends one `AlertBatch` frame for a borrowed alert run; see
-/// [`encode_updates_into`].
-///
-/// # Errors
-///
-/// As [`encode_into`].
-pub fn encode_alerts_into(
-    _codec: Codec,
-    alerts: &[Alert],
-    out: &mut Vec<u8>,
-) -> Result<(), WireError> {
-    frame_with(out, |out| encode_alert_slice(alerts, out))
 }
 
 /// The complete frame size (header + payload) `msg` would occupy,
@@ -818,7 +785,6 @@ fn first_difference(sent: &Message, back: &Message) -> Option<&'static str> {
         (Message::UpdateBatch(a), Message::UpdateBatch(b)) => {
             runs_difference(a, b, update_difference)
         }
-        (Message::AlertBatch(a), Message::AlertBatch(b)) => runs_difference(a, b, alert_difference),
         (Message::Derived(a), Message::Derived(b)) => derived_difference(a, b),
         _ => Some("message kind"),
     }
@@ -919,7 +885,6 @@ mod tests {
             Message::UpdateBatch(
                 (0..5).map(|i| Update::new(VarId::new(1), i + 1, i as f64)).collect(),
             ),
-            Message::AlertBatch(vec![alert(), alert()]),
             Message::Derived(DerivedUpdate {
                 var: rcm_core::derived_var(0, 3),
                 seqno: SeqNo::new(4),
@@ -1134,15 +1099,10 @@ mod tests {
     #[test]
     fn slice_encoders_match_the_owned_batch_variants() {
         let updates: Vec<Update> = (0..4).map(|i| Update::new(VarId::new(0), i + 1, 0.5)).collect();
-        let alerts = vec![alert(), alert()];
         let mut from_slice = Vec::new();
         encode_updates_into(Codec::Binary, &updates, &mut from_slice).expect("encodes");
         let owned = encode(&Message::UpdateBatch(updates.clone())).expect("encodes");
         assert_eq!(from_slice, owned, "update batch");
-        let mut from_slice = Vec::new();
-        encode_alerts_into(Codec::Binary, &alerts, &mut from_slice).expect("encodes");
-        let owned = encode(&Message::AlertBatch(alerts.clone())).expect("encodes");
-        assert_eq!(from_slice, owned, "alert batch");
     }
 
     #[test]
@@ -1201,14 +1161,6 @@ mod tests {
         let mut buf = FrameBuf::from(&frame[..]);
         assert!(matches!(decode(&mut buf), Err(WireError::BadChecksum { .. })));
         assert!(matches!(decode_datagram(&frame), Err(WireError::BadChecksum { .. })));
-    }
-
-    fn raw_frame(version: u8, payload: &[u8]) -> Vec<u8> {
-        let mut raw = vec![version];
-        raw.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        raw.extend_from_slice(&fnv1a(payload).to_be_bytes());
-        raw.extend_from_slice(payload);
-        raw
     }
 
     #[test]

@@ -15,6 +15,7 @@ use rcm_core::{
 use rcm_net::{cases, Rng};
 use rcm_transport::wire::{
     cross_in, decode, decode_datagram, encode, FrameBuf, Message, WireError, BINARY_WIRE_VERSION,
+    HEADER_LEN,
 };
 
 fn update(rng: &mut Rng) -> Update {
@@ -46,18 +47,46 @@ fn derived(rng: &mut Rng) -> DerivedUpdate {
     DerivedUpdate { var, seqno, payload }
 }
 
-/// One of the seven message types, batches `0..=size` long (at most 7
-/// updates or 3 alerts).
+/// One of the six message types, batches `0..=size` long (at most 7
+/// updates).
 fn message(rng: &mut Rng, size: usize) -> Message {
-    match rng.below(7) {
+    match rng.below(6) {
         0 => Message::Update(update(rng)),
         1 => Message::Alert(alert(rng)),
         2 => Message::UpdateBatch((0..rng.below(size.min(7) + 1)).map(|_| update(rng)).collect()),
-        3 => Message::AlertBatch((0..rng.below(size.min(3) + 1)).map(|_| alert(rng)).collect()),
-        4 => Message::Hello { node: rng.next_u64() as u32 },
-        5 => Message::Fin { node: rng.next_u64() as u32 },
+        3 => Message::Hello { node: rng.next_u64() as u32 },
+        4 => Message::Fin { node: rng.next_u64() as u32 },
         _ => Message::Derived(derived(rng)),
     }
+}
+
+/// The FNV-1a checksum of the frame header, so a hand-built payload
+/// passes the integrity check and reaches the tag dispatch.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
+}
+
+/// Tag 5 was `AlertBatch`, retired: a well-framed payload under it, as
+/// the old encoder wrote one (a count, then that many alerts), is an
+/// unknown tag like any other, whatever it carries.
+#[test]
+fn the_retired_alert_batch_tag_is_rejected() {
+    cases("the_retired_alert_batch_tag_is_rejected", 64, 3, |rng, size| {
+        let count = rng.below(size + 1);
+        let mut payload = vec![5, count as u8];
+        for _ in 0..count {
+            let one = encode(&Message::Alert(alert(rng))).expect("encodable");
+            payload.extend_from_slice(&one[HEADER_LEN + 1..]);
+        }
+        let mut frame = vec![BINARY_WIRE_VERSION];
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+        frame.extend_from_slice(&payload);
+        match decode_datagram(&frame) {
+            Err(WireError::Malformed { context: "unknown message tag" }) => {}
+            other => panic!("tag 5 decoded as {other:?}"),
+        }
+    });
 }
 
 /// Exhaustive tier-link sweep, next to the drawn cases below: every

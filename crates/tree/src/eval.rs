@@ -341,11 +341,6 @@ impl TreeEval {
         self.relays.len()
     }
 
-    /// Width of interior tier `tier` (1-based).
-    pub fn relay_width(&self, tier: usize) -> usize {
-        self.relays[tier - 1].len()
-    }
-
     /// Read access to one leaf replica.
     pub fn leaf(&self, leaf: usize, replica: usize) -> &LeafCe {
         &self.leaves[leaf][replica]
@@ -447,7 +442,7 @@ mod tests {
         };
         let mut tree = TreeEval::build(plan, opts);
         assert_eq!(tree.relay_tiers(), 1);
-        assert_eq!(tree.relay_width(1), 2, "fanout 1 keeps one relay per leaf");
+        assert_eq!(tree.relays[0].len(), 2, "fanout 1 keeps one relay per leaf");
 
         let mut out = Vec::new();
         tree.ingest(Update::new(VarId::new(0), 1, 50.0), &mut out);
@@ -528,7 +523,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         // Kill every relay on both tiers: children fall through to root.
         for tier in 1..=tree.relay_tiers() {
-            for idx in 0..tree.relay_width(tier) {
+            for idx in 0..tree.relays[tier - 1].len() {
                 tree.kill_relay(tier, idx);
             }
         }

@@ -59,22 +59,6 @@ pub struct LeafCe {
 }
 
 impl LeafCe {
-    /// Builds one replica of leaf `leaf` as a plan describes it, as
-    /// [`TreeEval`](crate::TreeEval) builds its own, for tests that
-    /// drive one leaf alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf` is out of the plan's range.
-    pub fn from_plan(
-        plan: &crate::TreePlan,
-        leaf: usize,
-        ce: CeId,
-        opts: &crate::TreeOptions,
-    ) -> Self {
-        LeafCe::build(leaf as u32, ce, &plan.leaf_conds[leaf], opts.replay_window, opts.aggregates)
-    }
-
     /// Builds leaf `node`'s replica `ce` hosting `conds`.
     pub(crate) fn build(
         node: u32,

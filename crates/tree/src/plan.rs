@@ -135,6 +135,7 @@ impl TreePlan {
 
     /// Registers a condition on the **root**, monitoring derived
     /// streams (aggregate or verdict shadows) as its input variables.
+    // analyze: allow(reach): root conditions over aggregate streams, documented in rcm_tree's crate docs
     pub fn add_root_condition(&mut self, id: CondId, cond: DynCondition) -> Result<(), TreeError> {
         if self.assigned.contains(&id) {
             return Err(TreeError::DuplicateCondition { cond: id });
@@ -145,16 +146,6 @@ impl TreePlan {
         self.root_conds.push((id, cond));
         self.assigned.insert(id);
         Ok(())
-    }
-
-    /// [`TreePlan::add_root_condition`] for a condition not yet behind
-    /// an `Arc`.
-    pub fn add_root_compiled(
-        &mut self,
-        id: CondId,
-        cond: CompiledCondition,
-    ) -> Result<(), TreeError> {
-        self.add_root_condition(id, Arc::new(cond))
     }
 
     /// Number of leaf CEs.

@@ -47,11 +47,6 @@ impl RootCe {
         }
     }
 
-    /// The root's replica id.
-    pub fn ce_id(&self) -> CeId {
-        self.ce
-    }
-
     /// Offers one derived update, appending any displayed alerts.
     pub fn ingest(&mut self, d: &DerivedUpdate, out: &mut Vec<Alert>) {
         if !self.gate.admit_derived(d) {

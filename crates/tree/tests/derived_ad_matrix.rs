@@ -23,30 +23,30 @@ use rcm_core::condition::{Cmp, DeltaRise, Threshold};
 use rcm_core::{Alert, CeId, CondId, DerivedUpdate, Evaluator, Update, VarId};
 use rcm_net::{cases, Rng};
 use rcm_props::{check_complete_single, check_consistent_single, check_ordered};
-use rcm_tree::{verdict_stream, LeafCe, TreeOptions, TreePlan};
+use rcm_tree::{verdict_stream, TreeEval, TreeOptions, TreePlan};
 
-/// Runs a leaf over a seeded raw stream and returns its verdict
-/// stream's raw-update shadow — consecutive seqnos stamped by the
-/// leaf's emitter, values all `1.0`.
+/// Runs a one-leaf tree over a seeded raw stream and returns the
+/// leaf's verdict stream's raw-update shadow — consecutive seqnos
+/// stamped by the leaf's emitter, values all `1.0`. The leaf's replay
+/// window holds its whole uplink: 120 readings emit at most 120
+/// verdicts.
 fn derived_inputs(seed: u64) -> Vec<Update> {
     let x = VarId::new(0);
     let mut plan = TreePlan::new(1);
     plan.own(x, 0);
     plan.add_condition(CondId::new(0), Arc::new(Threshold::new(x, Cmp::Gt, 0.0))).unwrap();
-    let opts = TreeOptions::default();
-    let mut leaf = LeafCe::from_plan(&plan, 0, CeId::new(1), &opts);
+    let mut tree = TreeEval::build(plan, TreeOptions { replay_window: 120, ..Default::default() });
 
     let mut rng = Rng::seed_from_u64(seed);
-    let mut derived: Vec<DerivedUpdate> = Vec::new();
     let mut seqno = 0;
+    let mut displayed = Vec::new();
     for _ in 0..120 {
         seqno += 1 + rng.below(2) as u64; // gaps model front-link loss
         let value = rng.below(40) as f64 - 10.0;
-        let mut out = rcm_tree::LeafOutput::default();
-        leaf.ingest(Update::new(x, seqno, value), &mut out);
-        derived.extend(out.derived);
+        tree.ingest(Update::new(x, seqno, value), &mut displayed);
     }
-    let updates: Vec<Update> = derived.iter().map(DerivedUpdate::as_update).collect();
+    let updates: Vec<Update> =
+        tree.leaf(0, 0).window().iter().map(DerivedUpdate::as_update).collect();
     assert!(updates.len() > 20, "seed {seed} produced a trivial stream");
     assert!(updates.iter().all(|u| u.var == verdict_stream(0, 0)));
     updates

@@ -126,7 +126,6 @@ fn streaming_feed_delivers_alerts_live() {
         assert!(std::time::Instant::now() < deadline, "alert never surfaced");
         std::thread::yield_now();
     }
-    assert!(!system.displayed_so_far().is_empty());
 
     tx.send(200.0).unwrap(); // second alert
     drop(tx); // end of stream

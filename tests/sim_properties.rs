@@ -10,7 +10,7 @@
 //! claim unreproduced.
 
 use rcm::sim::montecarlo::{
-    evaluate_cell, paper_expected, FilterKind, PropertyCounts, ScenarioKind, Topology,
+    evaluate_cell_n, paper_expected, FilterKind, PropertyCounts, ScenarioKind, Topology,
 };
 
 const SEED: u64 = 0x5eed;
@@ -55,14 +55,14 @@ fn check_table(topo: Topology, filter: FilterKind, runs: u64) {
     let expected = paper_expected(topo, filter).expect("table defined for this pair");
     for (row, kind) in ScenarioKind::ALL.into_iter().enumerate() {
         let base_seed = SEED ^ (row as u64) << 32;
-        let base = evaluate_cell(kind, topo, filter, runs, base_seed);
+        let base = evaluate_cell_n(kind, topo, filter, runs, base_seed, 2);
         let mut merged = base;
         for extra in 1..=max_extra_batches() {
             if !missing_witness(expected[row], &merged) {
                 break;
             }
             let batch_seed = base_seed.wrapping_add(extra.wrapping_mul(BATCH_STRIDE));
-            merged = merge(merged, evaluate_cell(kind, topo, filter, runs, batch_seed));
+            merged = merge(merged, evaluate_cell_n(kind, topo, filter, runs, batch_seed, 2));
         }
         let cells = [
             ("ordered", expected[row][0], base.unordered, merged.unordered),
@@ -138,12 +138,13 @@ fn violation_seeds_replay() {
     let mut seed = None;
     for extra in 0..=max_extra_batches() {
         let batch_seed = SEED.wrapping_add(extra.wrapping_mul(BATCH_STRIDE));
-        let counts: PropertyCounts = evaluate_cell(
+        let counts: PropertyCounts = evaluate_cell_n(
             ScenarioKind::LossyAggressive,
             Topology::SingleVar,
             FilterKind::Ad1,
             60,
             batch_seed,
+            2,
         );
         seed = counts.first_inconsistent_seed;
         if seed.is_some() {

@@ -1,9 +1,10 @@
 //! The `cargo xtask analyze` driver: walks every `.rs` file under
 //! `crates/`, lexes and parses it once, and feeds the AST to each
-//! analysis pass; the manifest pass then reads every member's
-//! `Cargo.toml`. Produces the full violation list plus the rendered
-//! topology document, so callers (the CLI, the self-tests) decide what
-//! to do with them.
+//! analysis pass; the reach pass then also reads the callers outside
+//! `crates/`, and the manifest pass every member's `Cargo.toml`.
+//! Produces the full violation list plus the rendered topology
+//! document, so callers (the CLI, the self-tests) decide what to do
+//! with them.
 //!
 //! ## Suppressions
 //!
@@ -28,6 +29,7 @@ use crate::lock_order;
 use crate::manifest;
 use crate::parser;
 use crate::passes::{self, Violation};
+use crate::reach;
 use crate::topology;
 
 /// The committed topology artifact, relative to the repo root.
@@ -47,6 +49,8 @@ pub fn analyze_tree(root: &Path) -> Report {
     let mut lock_facts = Vec::new();
     let mut topologies = Vec::new();
     let mut corpus: BTreeSet<String> = BTreeSet::new();
+    let mut pub_defs = Vec::new();
+    let mut uses: BTreeSet<String> = BTreeSet::new();
     let mut files_scanned = 0;
 
     for path in rust_files(&root.join("crates")) {
@@ -101,12 +105,33 @@ pub fn analyze_tree(root: &Path) -> Report {
 
         topologies.push(topology::extract(&rel, &file, &lexed));
 
-        violations.extend(apply_allows(&rel, &lexed, found));
+        let (allows, malformed) = allow_directives(&rel, &lexed);
+        violations.extend(malformed);
+        violations.extend(found.into_iter().filter(|v| !allows.waives(v)));
+        if reach::defines(&rel) {
+            pub_defs.extend(
+                reach::definitions(&rel, &lexed, &file)
+                    .into_iter()
+                    .filter(|d| !allows.waives(&d.violation)),
+            );
+        }
+        if reach::calls(&rel) {
+            reach::collect_uses(&lexed, &file, &mut uses);
+        }
+    }
+    for dir in reach::CALLER_ROOTS {
+        for path in rust_files(&root.join(dir)) {
+            if let Ok(src) = fs::read_to_string(&path) {
+                let lexed = lexer::lex(&src);
+                reach::collect_uses(&lexed, &parser::parse(&lexed), &mut uses);
+            }
+        }
     }
 
     // Cross-file analyses run after the walk: the lock graph and the
     // topology invariants only exist at whole-workspace granularity.
     violations.extend(lock_order::check(&lock_facts));
+    violations.extend(reach::unreached(pub_defs, &uses));
     let (topo_json, topo_violations) = topology::assemble(topologies, &corpus);
     violations.extend(topo_violations);
     violations.extend(manifest::manifest_pass(root));
@@ -136,14 +161,20 @@ pub fn check_topology_drift(root: &Path, extracted: &str) -> Option<Violation> {
     })
 }
 
-/// Filters `found` through the file's `analyze: allow(rule): reason`
-/// directives. A directive waives matching-rule violations on its own
-/// line and the next; a directive without a reason becomes a violation.
-fn apply_allows(rel: &str, lexed: &Lexed, found: Vec<Violation>) -> Vec<Violation> {
-    struct Allow {
-        rule: String,
-        line: usize,
+/// A file's well-formed `analyze: allow(rule): reason` directives.
+struct Allows(Vec<(String, usize)>);
+
+impl Allows {
+    /// A directive waives matching-rule violations on its own line and
+    /// the next.
+    fn waives(&self, v: &Violation) -> bool {
+        self.0.iter().any(|(rule, line)| rule == v.rule && (v.line == *line || v.line == line + 1))
     }
+}
+
+/// Reads the file's allow directives; a malformed one, or one without a
+/// reason, comes back as a violation instead.
+fn allow_directives(rel: &str, lexed: &Lexed) -> (Allows, Vec<Violation>) {
     let mut allows = Vec::new();
     let mut out = Vec::new();
     for c in &lexed.comments {
@@ -169,16 +200,9 @@ fn apply_allows(rel: &str, lexed: &Lexed, found: Vec<Violation>) -> Vec<Violatio
             });
             continue;
         }
-        allows.push(Allow { rule: rest[..close].trim().to_string(), line: c.line });
+        allows.push((rest[..close].trim().to_string(), c.line));
     }
-    for v in found {
-        let waived =
-            allows.iter().any(|a| a.rule == v.rule && (v.line == a.line || v.line == a.line + 1));
-        if !waived {
-            out.push(v);
-        }
-    }
-    out
+    (Allows(allows), out)
 }
 
 /// Recursively collects `.rs` files, sorted for stable output.
@@ -210,7 +234,9 @@ mod tests {
     use crate::lexer::lex;
 
     fn filter(rel: &str, src: &str, found: Vec<Violation>) -> Vec<Violation> {
-        apply_allows(rel, &lex(src), found)
+        let (allows, mut out) = allow_directives(rel, &lex(src));
+        out.extend(found.into_iter().filter(|v| !allows.waives(v)));
+        out
     }
 
     fn v(rule: &'static str, line: usize) -> Violation {

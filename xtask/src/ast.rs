@@ -20,6 +20,10 @@ pub struct File {
     pub gaps: usize,
     /// Source line where each skipped span began, for diagnostics.
     pub gap_lines: Vec<usize>,
+    /// Half-open token index ranges (into [`crate::lexer::Lexed::tokens`])
+    /// of the test-only items, attributes included. Nested test items
+    /// lie inside their parent's range.
+    pub test_spans: Vec<(usize, usize)>,
 }
 
 /// One item. `cfg_test` is true when any attribute on the item (or an

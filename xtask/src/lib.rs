@@ -12,5 +12,6 @@ pub mod lock_order;
 pub mod manifest;
 pub mod parser;
 pub mod passes;
+pub mod reach;
 pub mod schedstat;
 pub mod topology;

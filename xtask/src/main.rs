@@ -5,8 +5,8 @@
 //! interval (see `xtask/src/schedstat.rs`).
 //!
 //! The analyzer lexes and parses every source file (xtask/src/lexer.rs,
-//! xtask/src/parser.rs — dependency-free, std only) and runs six pass
-//! families over the ASTs, then a seventh over the manifests:
+//! xtask/src/parser.rs — dependency-free, std only) and runs seven pass
+//! families over the ASTs, then an eighth over the manifests:
 //!
 //! 1. **Shim discipline** (`shim`): no `std::sync` or `std::thread`
 //!    reachable from `crates/runtime/src` or `crates/transport/src` —
@@ -31,7 +31,11 @@
 //!    graph is extracted to `TOPOLOGY.json`; bounded handoffs must
 //!    have a shed/backpressure path and be loom-modeled, and the
 //!    committed artifact must not drift.
-//! 7. **Manifests** (`manifest`): every workspace member's
+//! 7. **Reach** (`reach`): every plain `pub` fn, method, `const` and
+//!    `static` in a library crate has a caller outside tests — some
+//!    non-test code in the workspace, the `rcm` facade, `examples/` or
+//!    `benchmark/src` names it (see `xtask/src/reach.rs`).
+//! 8. **Manifests** (`manifest`): every workspace member's
 //!    `[dependencies]`/`[dev-dependencies]` name only `rcm-*` path
 //!    crates, no registry crate, and only crates the package's own
 //!    sources use.

@@ -26,9 +26,16 @@ use crate::lexer::{Lexed, Token, TokenKind};
 /// Parses a lexed file. Infallible by construction — syntax the
 /// grammar does not cover is skipped and counted in [`File::gaps`].
 pub fn parse(lexed: &Lexed) -> File {
-    let mut p = Parser { t: &lexed.tokens, i: 0, gaps: 0, gap_lines: Vec::new(), depth: 0 };
+    let mut p = Parser {
+        t: &lexed.tokens,
+        i: 0,
+        gaps: 0,
+        gap_lines: Vec::new(),
+        test_spans: Vec::new(),
+        depth: 0,
+    };
     let items = p.items_until(None);
-    File { items, gaps: p.gaps, gap_lines: p.gap_lines }
+    File { items, gaps: p.gaps, gap_lines: p.gap_lines, test_spans: p.test_spans }
 }
 
 /// Convenience: lex + parse in one step.
@@ -41,6 +48,8 @@ struct Parser<'a> {
     i: usize,
     gaps: usize,
     gap_lines: Vec<usize>,
+    /// Token ranges of test-only items, see [`File::test_spans`].
+    test_spans: Vec<(usize, usize)>,
     /// Brace-nesting depth (blocks and item groups). Expressions carry
     /// their own `nest` budget, but every statement resets it to zero,
     /// so without this counter `{{{…` recurses once per brace.
@@ -258,6 +267,16 @@ impl<'a> Parser<'a> {
     fn item(&mut self) -> Option<Item> {
         let start = self.i;
         let cfg_test = self.attrs();
+        let item = self.item_after_attrs(start, cfg_test);
+        if cfg_test {
+            self.test_spans.push((start, self.i));
+        }
+        item
+    }
+
+    /// [`Parser::item`] past its attributes; `start` is the token the
+    /// attributes began at.
+    fn item_after_attrs(&mut self, start: usize, cfg_test: bool) -> Option<Item> {
         let line = self.line();
         if self.peek().is_none() && self.i > start {
             // File-trailing (inner) attributes: an item-less but valid
@@ -636,8 +655,11 @@ impl<'a> Parser<'a> {
             // `cfg_test` from statement attrs applies to the item; the
             // item() call re-reads attrs (there are none left), so
             // patch the flag in afterwards.
-            let item = self.item()?;
-            return Some(Stmt::Item(patch_cfg(item, cfg_test)));
+            let item = self.item();
+            if cfg_test {
+                self.test_spans.push((saved, self.i));
+            }
+            return Some(Stmt::Item(patch_cfg(item?, cfg_test)));
         }
         if self.i != saved && self.peek().is_none() {
             return None;
@@ -1352,7 +1374,14 @@ fn soup_parse(tokens: &[Token], nest: usize) -> Vec<Expr> {
     let mut parts = Vec::new();
     // Seeding `depth` from `nest` makes the two caps compose: blocks
     // inside nested macro soups share one bounded budget.
-    let mut p = Parser { t: tokens, i: 0, gaps: 0, gap_lines: Vec::new(), depth: nest };
+    let mut p = Parser {
+        t: tokens,
+        i: 0,
+        gaps: 0,
+        gap_lines: Vec::new(),
+        test_spans: Vec::new(),
+        depth: nest,
+    };
     while p.peek().is_some() {
         let before = p.i;
         if let Ok(e) = p.expr_bounded(false, nest) {

@@ -359,7 +359,7 @@ fn unlisted_registry_crate_fails_even_when_used() {
                 "crates/x/Cargo.toml",
                 "[package]\nname = \"x\"\n\n[dependencies]\nrand.workspace = true\n",
             ),
-            ("crates/x/src/lib.rs", "pub fn f() -> u64 { rand::random() }\n"),
+            ("crates/x/src/lib.rs", "fn f() -> u64 { rand::random() }\n"),
         ],
     );
     let got = bad.violations();
@@ -378,7 +378,7 @@ fn serde_is_no_longer_on_the_allowlist() {
             ),
             (
                 "crates/x/src/lib.rs",
-                "#[derive(serde::Serialize)]\npub struct S;\npub fn f() -> String { serde_json::to_string(&S).unwrap() }\n",
+                "#[derive(serde::Serialize)]\npub struct S;\nfn f() -> String { serde_json::to_string(&S).unwrap() }\n",
             ),
         ],
     );
@@ -400,7 +400,7 @@ fn proptest_is_no_longer_on_the_allowlist() {
                 "crates/x/Cargo.toml",
                 "[package]\nname = \"x\"\n\n[dev-dependencies]\nproptest.workspace = true\n",
             ),
-            ("crates/x/src/lib.rs", "pub fn f() {}\n"),
+            ("crates/x/src/lib.rs", "fn f() {}\n"),
             ("crates/x/tests/props.rs", "use proptest::prelude::*;\n"),
         ],
     );
@@ -439,6 +439,86 @@ fn listed_but_unused_crate_fails_and_a_used_one_passes() {
         ],
     );
     assert_eq!(good.violations(), Vec::<String>::new());
+}
+
+// ---- reach: no public item without a caller ---------------------------
+
+/// The names the `reach` pass flags in a tree, sorted.
+fn unreached(tree: &Tree) -> Vec<String> {
+    let mut names: Vec<String> = analyze_tree(&tree.root)
+        .violations
+        .iter()
+        .filter(|v| v.rule == "reach")
+        .map(|v| v.message.split('`').nth(1).expect("name in backticks").to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn reach_flags_pub_items_that_only_tests_docs_or_nobody_name() {
+    let tree = Tree::new(
+        "reach-dead",
+        &[
+            (
+                "crates/x/src/lib.rs",
+                "/// Call [`doc_only`] to see.\n\
+                 pub fn dead() {}\n\
+                 pub fn unit_tested() {}\n\
+                 pub fn integration_tested() {}\n\
+                 pub fn doc_only() {}\n\
+                 #[cfg(test)]\n\
+                 mod tests {\n    #[test]\n    fn t() { super::unit_tested(); }\n}\n",
+            ),
+            // A helper, not a `#[test]`: only the directory keeps it out.
+            ("crates/x/tests/it.rs", "fn setup() { x::integration_tested(); }\n"),
+        ],
+    );
+    assert_eq!(unreached(&tree), ["dead", "doc_only", "integration_tested", "unit_tested"]);
+}
+
+#[test]
+fn reach_counts_binaries_the_benchmark_examples_patterns_and_path_values() {
+    let tree = Tree::new(
+        "reach-used",
+        &[
+            (
+                "crates/x/src/lib.rs",
+                "pub fn for_bin() {}\n\
+                 pub fn for_bench() {}\n\
+                 pub fn for_example() {}\n\
+                 pub const TAG: u8 = 5;\n\
+                 pub struct Link;\n\
+                 impl Link {\n    pub fn send_fin(&self) {}\n}\n",
+            ),
+            (
+                "crates/y/src/lib.rs",
+                "pub fn tag(b: u8) -> bool {\n    match b {\n        x::TAG => true,\n        _ => false,\n    }\n}\n\
+                 pub fn fins(links: &[x::Link]) {\n    links.iter().for_each(x::Link::send_fin);\n}\n",
+            ),
+            ("crates/y/src/bin/tool.rs", "fn main() { x::for_bin(); y::tag(0); y::fins(&[]); }\n"),
+            ("benchmark/src/main.rs", "fn main() { x::for_bench(); }\n"),
+            ("examples/demo.rs", "fn main() { x::for_example(); }\n"),
+        ],
+    );
+    assert_eq!(unreached(&tree), Vec::<String>::new());
+}
+
+#[test]
+fn reach_waivers_need_a_reason() {
+    let tree = Tree::new(
+        "reach-allow",
+        &[(
+            "crates/x/src/lib.rs",
+            "// analyze: allow(reach): the reference the tests compare against\n\
+             pub fn waived() {}\n\
+             // analyze: allow(reach)\n\
+             pub fn unexplained() {}\n",
+        )],
+    );
+    let got = tree.violations();
+    assert_eq!(rules(&got), ["allow", "reach"], "{got:?}");
+    assert_eq!(unreached(&tree), ["unexplained"]);
 }
 
 // ---- the acceptance gate: this repository is clean -------------------
