@@ -1,31 +1,24 @@
-//! The Condition Evaluator and Alert Displayer actor bodies — plus the
-//! CE supervisor that turns injected (or genuine) panics into bounded
-//! restarts with history replay. The Data Monitors run in
-//! [`dm_loop`](crate::dm::dm_loop).
+//! The Condition Evaluator replica and the Alert Displayer body. A
+//! [`Replica`] is a value its caller drives a round at a time:
+//! in-process the DM loop ([`dm_loop`](crate::dm::dm_loop)) owns every
+//! replica and offers each its share of a round, and over sockets
+//! [`ce_body`] drives one on its own thread. The replica's supervisor
+//! turns injected (or genuine) panics into bounded restarts with
+//! history replay.
 //!
-//! LOCK ORDER: actor bodies only touch leaf mutexes owned elsewhere
-//! (fault report, record/output/arrival/display sinks). Each is taken
-//! alone and released before any channel operation; no actor ever
-//! holds two locks, so cross-thread lock cycles are impossible.
+//! LOCK ORDER: a replica and the AD body touch only leaf mutexes owned
+//! elsewhere (fault report, record/output/arrival/display sinks). Each
+//! is taken alone and released before any channel operation or other
+//! lock. In-process the DM loop takes its replicas' leaf locks itself,
+//! each alone as well: no thread ever holds two locks, so cross-thread
+//! lock cycles are impossible.
 
 use std::panic::{self, AssertUnwindSafe};
 
-use rcm_sync::time::Instant;
-use rcm_sync::Arc;
-
-/// How one supervised CE run ended.
-enum CeExit {
-    /// Every DM hung up; the stream is drained.
-    EndOfStream,
-    /// A scripted kill fired (no unwinding: the crash is simulated by
-    /// wiping state exactly as a panic would, without spamming the
-    /// global panic hook on every chaos run).
-    Killed,
-}
-
 use rcm_sync::atomic::AtomicU64;
 use rcm_sync::chan::Receiver;
-use rcm_sync::Mutex;
+use rcm_sync::time::Instant;
+use rcm_sync::{Arc, Mutex};
 
 use rcm_core::ad::AlertFilter;
 use rcm_core::condition::Condition;
@@ -35,7 +28,7 @@ use crate::dm::ROUND;
 use crate::faults::{FaultReport, IngestGate, RetainedWindow};
 use crate::pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
 
-/// One CE → AD path, as the CE body sees it: the in-process
+/// One CE → AD path, as a replica sees it: the in-process
 /// [`BackLink`](crate::backlink::BackLink) and the socket transport's
 /// TCP link implement this.
 pub(crate) trait AlertSink: Send {
@@ -54,9 +47,9 @@ pub(crate) trait AlertSink: Send {
     fn abandon(&mut self) {}
 }
 
-/// Per-replica fault configuration handed to the supervised CE body.
+/// Per-replica fault configuration handed to a supervised [`Replica`].
 pub(crate) struct CeFaultConfig {
-    /// Arrival counts (1-based) at which to kill this replica, sorted.
+    /// Arrival counts (1-based) at which to kill this replica.
     pub kill_at: Vec<u64>,
     /// Restart budget; exceeded ⇒ the replica stays dead.
     pub max_restarts: u32,
@@ -78,7 +71,7 @@ impl std::fmt::Debug for CeFaultConfig {
     }
 }
 
-/// Evaluation-stage configuration handed to every CE body: the pipeline
+/// Evaluation-stage configuration handed to every replica: the pipeline
 /// shape plus the run-wide latency histogram (shared across replicas,
 /// snapshotted into the final report).
 pub(crate) struct CePipeline {
@@ -122,8 +115,7 @@ impl AlertDrain for SystemDrain {
 }
 
 /// Admitted updates waiting to be evaluated as one round, and when the
-/// first of them was admitted (the round's latency clock starts there,
-/// so the time an update waits while its round gathers counts).
+/// first of them was admitted (the round's latency clock starts there).
 struct Round {
     updates: Vec<Update>,
     opened: Instant,
@@ -149,165 +141,244 @@ impl Round {
     }
 }
 
-/// Runs a Condition Evaluator replica under supervision: ingests
-/// updates until every DM feeding it hangs up, forwarding alerts over
-/// the (severable) lossless back link. The replica hosts its whole
-/// condition set in one [`EvalPipeline`] — condition `i` is
-/// `CondId::new(i)`, so a single-condition system emits under
-/// `CondId::SINGLE` — whose shards evaluate each round on this thread
-/// and its helpers and merge back into the single-threaded emission
-/// order; the back link lives in the pipeline's [`SystemDrain`].
+/// How one offered round ended.
+enum Offered {
+    /// Every update was taken and what was admitted is evaluated.
+    Evaluated,
+    /// A scripted kill fired (no unwinding: the crash is simulated by
+    /// wiping state exactly as a panic would, without spamming the
+    /// global panic hook on every chaos run). What was admitted before
+    /// it is evaluated; the rest of the round is left untaken.
+    Killed,
+}
+
+/// What a replica holds while it is alive: everything a crash keeps
+/// (the gate, the arrival count, the kill schedule, alert numbering
+/// inside the pipeline) and the pipeline whose histories it wipes.
+struct Live {
+    pipe: EvalPipeline,
+    gate: IngestGate,
+    round: Round,
+    ingested: Arc<Mutex<Vec<Update>>>,
+    /// Updates offered so far, over the replica's whole life.
+    arrivals: u64,
+    /// Arrival counts at which to kill, descending: `pop` yields the
+    /// earliest.
+    kill_at: Vec<u64>,
+}
+
+impl Live {
+    /// Takes `updates` in order through the gate into the round until a
+    /// scripted kill fires, then evaluates what was admitted.
+    fn take(&mut self, updates: &mut impl Iterator<Item = Update>) -> Offered {
+        for update in updates {
+            self.arrivals += 1;
+            if self.kill_at.last().is_some_and(|&k| self.arrivals >= k) {
+                self.kill_at.pop();
+                self.round.dispatch(&mut self.pipe, &self.ingested);
+                return Offered::Killed;
+            }
+            if self.gate.admit(&update) {
+                self.round.push(update);
+            } // else a duplicate of a replayed update
+        }
+        self.round.dispatch(&mut self.pipe, &self.ingested);
+        Offered::Evaluated
+    }
+
+    /// Counts `lost` more arrivals that a crash discarded; kill
+    /// thresholds they pass never fire.
+    fn skip(&mut self, lost: u64) {
+        self.arrivals += lost;
+        while self.kill_at.last().is_some_and(|&k| self.arrivals >= k) {
+            self.kill_at.pop();
+        }
+    }
+}
+
+/// One supervised Condition Evaluator replica, as a value its caller
+/// drives: [`offer`](Self::offer) hands it a round of updates, and
+/// [`finish`](Self::finish) ends its stream. In-process the DM loop
+/// owns every replica and offers each its share of a round; over
+/// sockets [`ce_body`] drives one on its own thread.
 ///
-/// Updates are evaluated a round at a time: the updates one message
-/// carried (a whole DM round in-process, one update from a socket
-/// ingress), topped up with the messages already queued behind it
-/// while the round holds fewer than [`ROUND`] admitted updates. The
-/// round goes out before the body blocks on its channel and before a
-/// scripted kill takes effect, so every admitted update is evaluated.
+/// The replica hosts its whole condition set in one [`EvalPipeline`]
+/// (condition `i` is `CondId::new(i)`, so a single-condition system
+/// emits under `CondId::SINGLE`), whose shards evaluate each round on
+/// the caller's thread and its helpers and merge back into the
+/// single-threaded emission order; the back link lives in the
+/// pipeline's [`SystemDrain`].
 ///
-/// A panic — scripted by the fault plan or genuine — is caught; within
-/// the restart budget the replica restarts: every condition's
-/// histories are wiped (the paper's crash model), the rest of the
-/// message the crash interrupted and the channel backlog that piled up
-/// "while down" are discarded as loss, and the bounded `H_x` histories
-/// are rebuilt by replaying the DMs' retained windows through the
-/// normal ingest path. The [`IngestGate`] outlives every crash, so the
+/// A panic, scripted by the fault plan or genuine, is caught. The rule
+/// is one for both transports: a kill loses the rest of the round it
+/// fired in and nothing else. Within the restart budget the replica
+/// restarts: every condition's histories are wiped (the paper's crash
+/// model), the arrival the kill fired on and the rest of its round are
+/// counted as lost while down, and the bounded `H_x` histories are
+/// rebuilt by replaying the DMs' retained windows through the normal
+/// ingest path. The [`IngestGate`] outlives every crash, so the
 /// recorded `U_i` stays strictly ordered per variable no matter how
 /// replays and live arrivals interleave; per-condition alert numbering
-/// survives crashes too (the registry keeps it across `restart`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ce_body<M>(
-    ce: CeId,
-    conditions: Vec<Arc<dyn Condition>>,
-    rx: Receiver<M>,
-    back: Box<dyn AlertSink>,
-    ingested: Arc<Mutex<Vec<Update>>>,
-    emitted: Arc<Mutex<Vec<Alert>>>,
+/// survives crashes too (the registry keeps it across `restart`). Past
+/// the budget the replica is abandoned, and every round offered to it
+/// later is counted as lost while down.
+pub(crate) struct Replica {
+    /// `None` once the replica is abandoned.
+    live: Option<Live>,
+    /// `None` for an unsupervised replica, whose panics propagate.
     faults: Option<CeFaultConfig>,
-    pipeline: CePipeline,
-) where
-    M: IntoIterator<Item = Update> + Send + 'static,
-{
-    let drain = Box::new(SystemDrain { back, emitted });
-    let mut pipe = EvalPipeline::start(
-        ce,
-        &conditions,
-        &pipeline.options,
-        drain,
-        pipeline.latency,
-        Arc::new(AtomicU64::new(0)),
-    );
-    let mut gate = IngestGate::new();
-    let mut arrivals: u64 = 0;
-    let mut kill_at: Vec<u64> = faults.as_ref().map(|f| f.kill_at.clone()).unwrap_or_default();
-    kill_at.sort_unstable();
-    kill_at.reverse(); // pop() yields the earliest threshold
+}
 
-    // The message being taken apart. It outlives a crash, so the rest
-    // of a message the replica died in is counted as arrived-while-down.
-    let mut message: Option<M::IntoIter> = None;
-    let mut round = Round { updates: Vec::with_capacity(ROUND), opened: Instant::now() };
+impl Replica {
+    /// Replica `ce` over `conditions`, its alerts recorded in `emitted`
+    /// and sent over `back`, its admitted updates recorded in
+    /// `ingested`. The pipeline's helper threads start here.
+    pub(crate) fn new(
+        ce: CeId,
+        conditions: &[Arc<dyn Condition>],
+        pipeline: CePipeline,
+        back: Box<dyn AlertSink>,
+        ingested: Arc<Mutex<Vec<Update>>>,
+        emitted: Arc<Mutex<Vec<Alert>>>,
+        faults: Option<CeFaultConfig>,
+    ) -> Self {
+        let drain = Box::new(SystemDrain { back, emitted });
+        let pipe = EvalPipeline::start(
+            ce,
+            conditions,
+            &pipeline.options,
+            drain,
+            pipeline.latency,
+            Arc::new(AtomicU64::new(0)),
+        );
+        let mut kill_at: Vec<u64> = faults.as_ref().map(|f| f.kill_at.clone()).unwrap_or_default();
+        kill_at.sort_unstable_by(|a, b| b.cmp(a));
+        let live = Live {
+            pipe,
+            gate: IngestGate::new(),
+            round: Round { updates: Vec::with_capacity(ROUND), opened: Instant::now() },
+            ingested,
+            arrivals: 0,
+            kill_at,
+        };
+        Replica { live: Some(live), faults }
+    }
 
-    loop {
-        let run = panic::catch_unwind(AssertUnwindSafe(|| loop {
-            let Some(update) = message.as_mut().and_then(Iterator::next) else {
-                if round.updates.len() < ROUND {
-                    if let Ok(next) = rx.try_recv() {
-                        message = Some(next.into_iter());
-                        continue;
-                    }
-                }
-                round.dispatch(&mut pipe, &ingested);
-                match rx.recv() {
-                    Ok(next) => {
-                        message = Some(next.into_iter());
-                        continue;
-                    }
-                    Err(_) => return CeExit::EndOfStream,
-                }
-            };
-            arrivals += 1;
-            if kill_at.last().is_some_and(|&k| arrivals >= k) {
-                kill_at.pop();
-                // What was admitted before the kill is evaluated.
-                round.dispatch(&mut pipe, &ingested);
-                return CeExit::Killed;
+    /// Helper threads the replica's pipeline runs.
+    pub(crate) fn helpers(&self) -> usize {
+        self.live.as_ref().map_or(0, |live| live.pipe.helpers())
+    }
+
+    /// Takes every update of `updates`, in order, as one round: admits
+    /// what the gate passes, evaluates it and drains its alerts before
+    /// it returns. A scripted kill inside the round first evaluates
+    /// what was admitted before it. `updates` is left empty, its
+    /// capacity kept for the caller's next round.
+    pub(crate) fn offer(&mut self, updates: &mut Vec<Update>) {
+        let Some(live) = &mut self.live else {
+            // Abandoned: what it is offered is lost while down.
+            if let Some(cfg) = &self.faults {
+                cfg.report.lock().updates_dropped_down += updates.len() as u64;
             }
-            if gate.admit(&update) {
-                round.push(update);
-            } // else a duplicate of a replayed update
-        }));
+            updates.clear();
+            return;
+        };
+        let mut rest = updates.drain(..);
+        let run = panic::catch_unwind(AssertUnwindSafe(|| live.take(&mut rest)));
         let injected = match run {
-            Ok(CeExit::EndOfStream) => break, // every DM hung up: done
-            Ok(CeExit::Killed) => true,
+            Ok(Offered::Evaluated) => return,
+            Ok(Offered::Killed) => true,
             Err(payload) => {
-                if faults.is_none() {
+                if self.faults.is_none() {
                     panic::resume_unwind(payload); // unsupervised replica: die loudly
                 }
                 false
             }
         };
+        // The update the kill fired on and the rest of its round were
+        // never received: loss, exactly like a drop on the front link.
+        let unread = rest.len() as u64;
+        drop(rest);
+        live.skip(unread);
+        self.crashed(injected, u64::from(injected) + unread);
+    }
+
+    /// Crash handling: counts the crash and the updates it lost, then
+    /// restarts within the budget or abandons the replica past it.
+    fn crashed(&mut self, injected: bool, lost: u64) {
+        let (Some(live), Some(cfg)) = (&mut self.live, &self.faults) else {
+            return;
+        };
         // A genuine panic inside evaluation leaves its round recorded
         // and dispatched; it must not go out twice.
-        round.updates.clear();
-        let cfg = faults.as_ref().expect("crash handling requires a fault config");
+        live.round.updates.clear();
         let recovery_start = Instant::now();
         {
             let mut report = cfg.report.lock();
             if injected {
                 report.kills_injected += 1;
             }
-            if report.restarts[cfg.ce_index] >= cfg.max_restarts {
-                report.replicas_abandoned += 1;
-                drop(report);
-                // Budget exhausted: the replica stays dead. The drain
-                // closes the back link without flushing — queued alerts
-                // on a dead replica are the one sanctioned alert loss.
-                // Socket links still send their end-of-stream marker so
-                // the AD listener does not wait on a corpse.
-                pipe.abandon();
-                return;
+            report.updates_dropped_down += lost;
+            match report.restarts.get_mut(cfg.ce_index) {
+                Some(restarts) if *restarts < cfg.max_restarts => *restarts += 1,
+                _ => {
+                    report.replicas_abandoned += 1;
+                    drop(report);
+                    // Budget exhausted: the replica stays dead. The drain
+                    // closes the back link without flushing: queued alerts
+                    // on a dead replica are the one sanctioned alert loss.
+                    // Socket links still send their end-of-stream marker
+                    // so the AD listener does not wait on a corpse.
+                    if let Some(live) = self.live.take() {
+                        live.pipe.abandon();
+                    }
+                    return;
+                }
             }
-            report.restarts[cfg.ce_index] += 1;
         }
         // Crash model: histories are gone, alert numbering is not. Every
         // shard wipes its histories before the next round.
-        pipe.restart();
-        // The update the kill fired on, the rest of its message and
-        // whatever queued while "down" were never received; they are
-        // loss, exactly like a drop on the front link. Kill thresholds
-        // that pass during the outage simply never fire.
-        let mut discarded = u64::from(injected);
-        let rest = message.take().into_iter().flatten();
-        for _ in rest.chain(std::iter::from_fn(|| rx.try_recv().ok()).flatten()) {
-            arrivals += 1;
-            discarded += 1;
-        }
-        while kill_at.last().is_some_and(|&k| arrivals >= k) {
-            kill_at.pop();
-        }
+        live.pipe.restart();
         // Rebuild bounded histories from every DM's retained window, as
         // one round. The gate admits only seqnos beyond the pre-crash
         // cursor, in the window's (ascending) order, so `U_i` stays
         // ordered and nothing is double-ingested.
         for window in &cfg.windows {
             for update in window.snapshot() {
-                if gate.admit(&update) {
-                    round.push(update);
+                if live.gate.admit(&update) {
+                    live.round.push(update);
                 }
             }
         }
-        let replayed = round.updates.len() as u64;
-        round.dispatch(&mut pipe, &ingested);
+        let replayed = live.round.updates.len() as u64;
+        live.round.dispatch(&mut live.pipe, &live.ingested);
         let mut report = cfg.report.lock();
-        report.updates_dropped_down += discarded;
         report.updates_replayed += replayed;
         report.recovery_latency.push(recovery_start.elapsed());
     }
-    // End of stream: the drain flushes the back link — a severed link
-    // must come back up and drain its queue before the replica exits
-    // (the lossless contract).
-    pipe.finish();
+
+    /// End of stream: the drain flushes the back link. A severed link
+    /// must come back up and drain its queue before this returns (the
+    /// lossless contract). An abandoned replica has nothing to finish.
+    pub(crate) fn finish(self) {
+        if let Some(live) = self.live {
+            live.pipe.finish();
+        }
+    }
+}
+
+/// Drives one socket-mode replica on its own thread, because its
+/// updates arrive on the event loop's: takes a received update plus
+/// what is already queued behind it, up to [`ROUND`], offers them as
+/// one round, and finishes the replica once the ingress hangs up.
+pub(crate) fn ce_body(rx: Receiver<Update>, mut replica: Replica) {
+    let mut round = Vec::with_capacity(ROUND);
+    while let Ok(first) = rx.recv() {
+        round.push(first);
+        round.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(ROUND - 1));
+        replica.offer(&mut round);
+    }
+    replica.finish();
 }
 
 /// Most alerts the AD takes on after a blocking receive, from what is

@@ -136,7 +136,7 @@ impl<T: Clone + Send + 'static> BackLink<T> {
         self
     }
 
-    /// A handle for reading the link's counters after the CE thread has
+    /// A handle for reading the link's counters after the replica has
     /// taken ownership of the link.
     pub fn stats_handle(&self) -> Arc<Mutex<BackLinkStats>> {
         Arc::clone(&self.stats)

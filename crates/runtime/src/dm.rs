@@ -7,27 +7,29 @@
 //! [`wait_any`] (recorded feeds are paced by their own deadlines), and
 //! after each wake drains a bounded round: one reading per feed per
 //! pass, round-robin, at most [`ROUND`] in all. Where the round goes is
-//! the [`Fanout`]'s business: in-process its surviving updates reach
-//! each replica as one channel message, and over sockets each feed's
-//! share of the round reaches each replica as one datagram, while it
-//! fits the datagram budget.
+//! the [`Fanout`]'s business: in-process the loop owns the replicas
+//! too, and offers each the round's surviving updates with a call, on
+//! this thread; over sockets each feed's share of the round reaches
+//! each replica as one datagram, while it fits the datagram budget.
 //!
 //! LOCK ORDER: the loop takes only leaf mutexes owned elsewhere (a
-//! retained window, a link's counters), each alone and released before
-//! any send.
+//! retained window, a link's counters and, in-process, its replicas'
+//! records and fault report), each alone and released before any send
+//! or other lock.
 
-use rcm_sync::chan::{wait_any, Receiver, Sender, TryRecvError};
+use rcm_sync::chan::{wait_any, Receiver, TryRecvError};
 use rcm_sync::time::{Duration, Instant};
 
 use rcm_core::{Update, VarId};
 
+use crate::actors::Replica;
 use crate::faults::RetainedWindow;
 use crate::link::FrontHop;
 
 /// Most readings one round takes before it is handed off. It bounds how
 /// long a feed with a backlog can hold back another feed's reading: one
-/// round. A CE stops topping its own evaluation round up with queued
-/// messages once the round holds this many admitted updates.
+/// round. In-process a replica evaluates each DM round as one round;
+/// a socket-mode CE takes at most this many received updates into one.
 pub const ROUND: usize = 64;
 
 /// Where a Data Monitor's readings come from.
@@ -54,11 +56,10 @@ pub(crate) trait Fanout: Send {
     fn multicast(&mut self, feed: usize, update: Update);
 
     /// Ends a round: whatever the links hold back goes out now.
-    fn end_round(&mut self) {}
+    fn end_round(&mut self);
 
-    /// Ends the stream on every link. Channels signal the end by
-    /// dropping, so the default does nothing.
-    fn finish(&mut self) {}
+    /// Ends the stream on every link.
+    fn finish(&mut self);
 }
 
 /// One variable's Data Monitor as the loop runs it.
@@ -185,18 +186,20 @@ fn wait(dms: &[Dm]) {
 
 /// The in-process fanout: a [`FrontHop`] per `(feed, replica)` draws
 /// each update's loss and crosses the codec with it, and what survives
-/// a round reaches each replica as one message.
+/// a round is offered to each replica, which evaluates it before the
+/// call returns.
 pub(crate) struct Rounds {
     /// `hops[feed][replica]`.
     hops: Vec<Vec<FrontHop>>,
-    /// Per replica: its update channel and the round being collected.
-    replicas: Vec<(Sender<Vec<Update>>, Vec<Update>)>,
+    /// Per replica: the replica and the round being collected for it.
+    replicas: Vec<(Replica, Vec<Update>)>,
 }
 
 impl Rounds {
-    /// A fanout over `hops[feed][replica]` to the replicas' channels.
-    pub(crate) fn new(hops: Vec<Vec<FrontHop>>, senders: Vec<Sender<Vec<Update>>>) -> Self {
-        Rounds { hops, replicas: senders.into_iter().map(|tx| (tx, Vec::new())).collect() }
+    /// A fanout over `hops[feed][replica]` to `replicas`.
+    pub(crate) fn new(hops: Vec<Vec<FrontHop>>, replicas: Vec<Replica>) -> Self {
+        let replicas = replicas.into_iter().map(|r| (r, Vec::with_capacity(ROUND))).collect();
+        Rounds { hops, replicas }
     }
 }
 
@@ -210,11 +213,18 @@ impl Fanout for Rounds {
     }
 
     fn end_round(&mut self) {
-        for (tx, round) in &mut self.replicas {
+        for (replica, round) in &mut self.replicas {
             if !round.is_empty() {
-                // A replica that is gone (abandoned) takes nothing more.
-                let _ = tx.send(std::mem::take(round));
+                replica.offer(round);
             }
+        }
+    }
+
+    // Each replica flushes its back link and drops it; the AD ends
+    // after the last.
+    fn finish(&mut self) {
+        for (replica, _) in self.replicas.drain(..) {
+            replica.finish();
         }
     }
 }

@@ -266,9 +266,10 @@ pub struct FaultReport {
     /// Replicas that exhausted their restart budget and stayed dead.
     pub replicas_abandoned: u32,
     /// Updates a replica received but lost to a crash: the arrival a
-    /// scripted kill fired on, the rest of the round it came in, and the
-    /// channel backlog discarded at restart (arrived while the replica
-    /// was down).
+    /// scripted kill fired on and the rest of the round it came in, and,
+    /// once the replica is abandoned past its restart budget, every
+    /// update offered to it after. With it, every update a front link
+    /// delivers to a replica is either ingested or counted here.
     pub updates_dropped_down: u64,
     /// Updates re-ingested from DM retained windows during recovery.
     pub updates_replayed: u64,

@@ -1,17 +1,22 @@
 //! # rcm-runtime — a deployable actor runtime for condition monitoring
 //!
 //! The simulator (`rcm-sim`) proves properties; this crate actually
-//! *runs* a monitoring pipeline: one OS thread runs every Data Monitor
-//! of the system, and each Condition Evaluator replica and the Alert
-//! Displayer has its own, wired with FIFO channels standing in for the
-//! paper's links:
+//! *runs* a monitoring pipeline on two OS threads: one runs every Data
+//! Monitor of the system and, in turn, every Condition Evaluator
+//! replica, and the other is the Alert Displayer. The paper's links
+//! stand between them:
 //!
 //! * **front links** are per-`(DM, CE)` loss models (UDP-like: FIFO but
-//!   lossy); what survives a DM round reaches each replica as one
-//!   channel message;
-//! * **back links** are [`BackLink`]s (TCP-like: FIFO and lossless,
-//!   surviving scripted severance via backoff-paced reconnect and a
-//!   bounded resend queue).
+//!   lossy); what survives a DM round is offered to each replica with a
+//!   call, and the replica evaluates it before the loop moves on;
+//! * **back links** are [`BackLink`]s over a FIFO channel to the AD
+//!   thread (TCP-like: FIFO and lossless, surviving scripted severance
+//!   via backoff-paced reconnect and a bounded resend queue).
+//!
+//! Replicas of one in-process system therefore take turns rather than
+//! run in parallel; [`SystemBuilder::workers`] is the parallelism
+//! inside a replica, and placing replicas on machines of their own is
+//! the node binaries' job.
 //!
 //! Failure is a first-class input: a [`FaultPlan`] can kill CE replicas
 //! (the supervisor restarts them and replays the DMs' retained
@@ -28,16 +33,18 @@
 //!
 //! Messages cross links through the length-prefixed [`wire`] codec, so
 //! the pipeline exercises real serialization end to end. Shutdown is by
-//! ownership: when every feed has ended the DM loop drops its senders;
-//! the CEs then drain and exit; when every CE is gone the AD finishes
-//! filtering and the system joins.
+//! ownership: when every feed has ended the DM loop finishes each
+//! replica (flushing its back link) and drops it; when the last back
+//! link is gone the AD finishes filtering and the system joins.
 //!
 //! The same pipeline also runs over **real sockets**: bind a
 //! [`Topology`] (UDP per front link, TCP per back link — see
 //! `rcm_transport`) and hand it to [`SystemBuilder::transport`], or
 //! deploy the `rcm-dm` / `rcm-ce` / `rcm-ad` binaries as separate
-//! processes. Either way the actor bodies, codec and fault machinery
-//! are identical; only the link layer changes.
+//! processes. Either way the replica, the AD body, the codec and the
+//! fault machinery are identical; only the link layer changes, and
+//! with it one thing more: a socket-mode replica gets a thread of its
+//! own, because its updates arrive on the event loop's.
 //!
 //! ```rust
 //! use rcm_runtime::{MonitorSystem, VarFeed};

@@ -1,14 +1,15 @@
 //! The CE's evaluation stage: one [`EvalPipeline`] behind every
-//! supervised CE body and every `rcm-ce` node, for any worker count.
+//! supervised replica and every `rcm-ce` node, for any worker count.
 //!
 //! **Shards.** `workers` is the shard count: condition `i` lives on
 //! shard `i % max(workers, 1)`, and this module is the only code in the
 //! workspace that partitions conditions. Shard 0 is evaluated on the
-//! caller's thread (the CE's); shards `1..workers` get one helper
-//! thread each. With `workers` 0 or 1 nothing is spawned.
+//! caller's thread (the one driving the replica); shards `1..workers`
+//! get one helper thread each. With `workers` 0 or 1 nothing is
+//! spawned.
 //!
-//! **Rounds.** The unit of work is a round: the updates one CE wake
-//! admitted, handed over in admission order to
+//! **Rounds.** The unit of work is a round: the updates one offer to
+//! the replica admitted, handed over in admission order to
 //! [`EvalPipeline::dispatch_round`], which forks and joins:
 //!
 //! 1. each helper is sent the round over its own channel;
@@ -168,7 +169,8 @@ impl Helper {
     }
 }
 
-/// A running evaluation pipeline, owned by the dispatching CE body.
+/// A running evaluation pipeline, owned by the replica that dispatches
+/// to it.
 pub struct EvalPipeline {
     /// Shard 0, evaluated on the dispatching thread.
     shard: ConditionRegistry,
@@ -280,6 +282,11 @@ impl EvalPipeline {
     /// Evaluates one admitted update: a round of one.
     pub fn dispatch(&mut self, update: Update) {
         self.dispatch_round(std::slice::from_ref(&update), Instant::now());
+    }
+
+    /// Helper threads the pipeline runs: one per shard past the first.
+    pub(crate) fn helpers(&self) -> usize {
+        self.helpers.len()
     }
 
     /// The crash marker: every shard's histories are wiped before the

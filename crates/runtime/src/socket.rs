@@ -1,7 +1,7 @@
 //! Socket-mode adapters: the transport crate's real UDP/TCP links
-//! dressed up as the actor bodies' [`Fanout`] / [`AlertSink`] traits,
-//! so `dm_loop` and `ce_body` drive loopback sockets exactly as they
-//! drive in-process channels.
+//! dressed up as the [`Fanout`] / [`AlertSink`] traits, so `dm_loop`
+//! and a replica drive loopback sockets exactly as they drive
+//! in-process hops and channels.
 //!
 //! LOCK ORDER: no locks here — the adapters delegate straight into the
 //! transport links, whose counter mutexes are leaves.

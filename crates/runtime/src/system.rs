@@ -8,7 +8,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use rcm_sync::chan::{unbounded, Receiver};
+use rcm_sync::chan::unbounded;
 use rcm_sync::thread::JoinHandle;
 use rcm_sync::{Arc, Mutex};
 
@@ -22,7 +22,7 @@ use rcm_transport::{
     TcpLinkStats, TransportMode, TransportReport, UdpFrontLink,
 };
 
-use crate::actors::{ad_body, ce_body, AlertSink, CeFaultConfig, CePipeline};
+use crate::actors::{ad_body, ce_body, AlertSink, CeFaultConfig, CePipeline, Replica};
 use crate::backlink::{BackLink, BackLinkStats};
 use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
@@ -240,13 +240,15 @@ impl SystemBuilder {
     /// Number of evaluation shards per CE replica's
     /// [`EvalPipeline`](crate::EvalPipeline) (default 0). Condition `i`
     /// lives on shard `i % max(workers, 1)`; shard 0 is evaluated on the
-    /// replica's own thread and every further shard on a helper thread,
-    /// so `workers` 0 and 1 spawn nothing and `workers(n)` spawns
-    /// `n - 1` helpers per replica. Each round of admitted updates is
-    /// handed to every helper and joined before the next one, and the
-    /// shards' alerts are merged back into the single-threaded emission
-    /// order: the output is byte-identical for any worker count, and
-    /// nothing is shed.
+    /// thread that drives the replica (the DM loop in-process) and every
+    /// further shard on a helper thread, so `workers` 0 and 1 spawn
+    /// nothing and `workers(n)` spawns `n - 1` helpers per replica. This
+    /// is the only parallelism inside an in-process system: its
+    /// replicas take turns on the DM loop. Each round of admitted
+    /// updates is handed to every helper and joined before the next
+    /// one, and the shards' alerts are merged back into the
+    /// single-threaded emission order: the output is byte-identical for
+    /// any worker count, and nothing is shed.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.pipeline.workers = workers;
@@ -270,7 +272,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Spawns all actor threads and starts the pipeline.
+    /// Builds the replicas, spawns the actor threads and starts the
+    /// pipeline. In-process that is two threads, the DM loop (which
+    /// evaluates every replica) and the AD, plus each replica's
+    /// evaluation helpers; socket mode adds a thread per replica and the
+    /// event loop's.
     ///
     /// # Errors
     ///
@@ -326,15 +332,12 @@ impl SystemBuilder {
             Box::new(|_vars: &[VarId]| Box::new(Ad1::new()) as Box<dyn AlertFilter>)
         });
 
-        // Channels: one update channel per CE, one alert channel for the AD.
+        // The replicas, all on the DM loop, share one alert channel to the AD.
         let (alert_tx, alert_rx) = unbounded::<Alert>();
-        let mut ce_senders = Vec::with_capacity(self.replicas);
-        let mut handles: Vec<JoinHandle<()>> = Vec::new();
+        let mut replicas = Vec::with_capacity(self.replicas);
         let mut backlink_stats: Vec<Arc<Mutex<BackLinkStats>>> = Vec::new();
 
         for ce in 0..self.replicas {
-            let (tx, rx) = unbounded::<Vec<Update>>();
-            ce_senders.push(tx);
             let mut back = BackLink::new(alert_tx.clone(), ces.backoff(ce));
             if let Some(p) = &ces.plan {
                 back = back
@@ -348,9 +351,10 @@ impl SystemBuilder {
                     .queue_cap(p.resend_queue_cap);
             }
             backlink_stats.push(back.stats_handle());
-            handles.push(ces.spawn(ce, rx, Box::new(back)));
+            replicas.push(ces.replica(ce, Box::new(back)));
         }
-        drop(alert_tx); // AD exits when the last CE back link drops.
+        drop(alert_tx); // AD exits when the last replica's back link drops.
+        let helpers = replicas.iter().map(Replica::helpers).sum();
 
         // The AD thread.
         let arrivals = Arc::new(Mutex::new(Vec::new()));
@@ -359,9 +363,9 @@ impl SystemBuilder {
         let ad_arrivals = Arc::clone(&arrivals);
         let ad_displayed = Arc::clone(&displayed);
         let on_alert = self.on_alert;
-        handles.push(rcm_sync::thread::spawn(move || {
+        let mut handles = vec![rcm_sync::thread::spawn(move || {
             ad_body(alert_rx, filter, ad_arrivals, ad_displayed, on_alert);
-        }));
+        })];
 
         // The DM loop, with a front hop per (feed, replica).
         let mut link_reports = Vec::new();
@@ -385,12 +389,14 @@ impl SystemBuilder {
             }
             hops.push(row);
         }
-        // CEs exit when the loop, holding every replica's sender, ends.
+        // The loop owns the replicas: it offers each its share of every
+        // round, and finishes each when the last feed ends.
         let dms = dms(self.feeds, &ces.windows);
-        handles.push(spawn_dm_loop(dms, Rounds::new(hops, ce_senders)));
+        handles.push(spawn_dm_loop(dms, Rounds::new(hops, replicas)));
 
         Ok(MonitorSystem {
             handles,
+            helpers,
             arrivals,
             displayed,
             ingested: ces.ingested,
@@ -459,16 +465,17 @@ impl SystemBuilder {
             )
             .map_err(transport_err)?;
 
-        // CE side: per replica, a UDP ingress feeding the CE thread
-        // over a channel, and a TCP back link to the AD. The back link
-        // connects eagerly, so a dead AD address fails here rather than
-        // silently dropping alerts later.
+        // CE side: per replica, a UDP ingress feeding the replica's
+        // thread over a channel, and a TCP back link to the AD. The back
+        // link connects eagerly, so a dead AD address fails here rather
+        // than silently dropping alerts later.
+        let mut helpers = 0;
         for (ce, sock) in parts.ce_sockets.into_iter().enumerate() {
-            let (tx, rx) = unbounded::<[Update; 1]>();
+            let (tx, rx) = unbounded::<Update>();
             evented_ingress.push(
                 event_loop
                     .add_front_ingress(sock, n_feeds, parts.idle_timeout, move |update| {
-                        let _ = tx.send([update]);
+                        let _ = tx.send(update);
                     })
                     .map_err(transport_err)?,
             );
@@ -487,7 +494,9 @@ impl SystemBuilder {
             }
             let back = event_loop.add_back_link(spec).map_err(transport_err)?;
             evented_tcp.push(back.stats_handle());
-            handles.push(ces.spawn(ce, rx, Box::new(back)));
+            let replica = ces.replica(ce, Box::new(back));
+            helpers += replica.helpers();
+            handles.push(rcm_sync::thread::spawn(move || ce_body(rx, replica)));
         }
 
         // With every source registered, the loop itself gets a thread.
@@ -529,6 +538,7 @@ impl SystemBuilder {
 
         Ok(MonitorSystem {
             handles,
+            helpers,
             arrivals,
             displayed,
             ingested: ces.ingested,
@@ -571,8 +581,8 @@ fn spawn_dm_loop(dms: Vec<Dm>, out: impl Fanout + 'static) -> JoinHandle<()> {
 }
 
 /// What the CE replicas of one run share, whichever links carry them.
-/// `start` builds it once; it spawns each replica's supervised body and
-/// keeps the sinks the final report reads.
+/// `start` builds it once; it builds each replica and keeps the sinks
+/// the final report reads.
 struct Replicas {
     conditions: Vec<Arc<dyn Condition>>,
     options: PipelineOptions,
@@ -583,7 +593,7 @@ struct Replicas {
     fault_report: Arc<Mutex<FaultReport>>,
     /// Run-wide evaluation ledgers, shared by every replica.
     latency: Arc<LatencyHistogram>,
-    /// Per replica spawned so far: its `U_i` record and its alerts.
+    /// Per replica built so far: its `U_i` record and its alerts.
     ingested: Vec<Arc<Mutex<Vec<Update>>>>,
     emitted: Vec<Arc<Mutex<Vec<Alert>>>>,
 }
@@ -605,18 +615,13 @@ impl Replicas {
         )
     }
 
-    /// Spawns replica `ce`'s supervised body between its update channel
-    /// (whole rounds in-process, single updates from a socket ingress)
-    /// and its back link.
-    fn spawn<M>(&mut self, ce: usize, rx: Receiver<M>, back: Box<dyn AlertSink>) -> JoinHandle<()>
-    where
-        M: IntoIterator<Item = Update> + Send + 'static,
-    {
+    /// Replica `ce`, sending its alerts over `back`, with its records
+    /// kept for the report.
+    fn replica(&mut self, ce: usize, back: Box<dyn AlertSink>) -> Replica {
         let record = Arc::new(Mutex::new(Vec::new()));
         self.ingested.push(Arc::clone(&record));
         let outputs = Arc::new(Mutex::new(Vec::new()));
         self.emitted.push(Arc::clone(&outputs));
-        let conditions = self.conditions.clone();
         let faults = self.plan.as_ref().map(|p| CeFaultConfig {
             kill_at: p.kills.iter().filter(|k| k.ce == ce).map(|k| k.at_arrival).collect(),
             max_restarts: p.max_restarts,
@@ -625,9 +630,8 @@ impl Replicas {
             ce_index: ce,
         });
         let pipeline = CePipeline { options: self.options, latency: Arc::clone(&self.latency) };
-        rcm_sync::thread::spawn(move || {
-            ce_body(CeId::new(ce as u32), conditions, rx, back, record, outputs, faults, pipeline);
-        })
+        let id = CeId::new(ce as u32);
+        Replica::new(id, &self.conditions, pipeline, back, record, outputs, faults)
     }
 }
 
@@ -637,6 +641,9 @@ type KeyedFrontStats = ((usize, usize), Arc<Mutex<FrontLinkStats>>);
 /// A running monitoring pipeline; join it with [`MonitorSystem::wait`].
 pub struct MonitorSystem {
     handles: Vec<JoinHandle<()>>,
+    /// Evaluation helper threads, summed over replicas; each replica's
+    /// pipeline joins its own.
+    helpers: usize,
     arrivals: Arc<Mutex<Vec<Alert>>>,
     displayed: Arc<Mutex<Vec<Alert>>>,
     ingested: Vec<Arc<Mutex<Vec<Update>>>>,
@@ -663,7 +670,9 @@ pub struct MonitorSystem {
 
 impl fmt::Debug for MonitorSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MonitorSystem").field("threads", &self.handles.len()).finish()
+        f.debug_struct("MonitorSystem")
+            .field("threads", &(self.handles.len() + self.helpers))
+            .finish()
     }
 }
 
@@ -877,8 +886,8 @@ pub struct RunReport {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineReport {
     /// Evaluation shards per replica, as set with
-    /// [`SystemBuilder::workers`] (0 and 1 evaluate on the CE's own
-    /// thread; the output is identical for any count).
+    /// [`SystemBuilder::workers`] (0 and 1 evaluate on the thread that
+    /// drives the replica; the output is identical for any count).
     pub workers: usize,
     /// Always 0: the evaluation stage never sheds an update. Kept
     /// because report readers (`rcm-e2e`'s `runtime.pipeline.shed_share`)
@@ -894,7 +903,6 @@ pub struct PipelineReport {
 mod tests {
     use super::*;
     use crate::faults::StallFrontLink;
-    use crate::link::FrontLink;
     use rcm_core::ad::{Ad2, Ad3};
     use rcm_core::condition::{Cmp, DeltaRise, Threshold};
     use rcm_net::Scripted;
@@ -1108,7 +1116,7 @@ mod tests {
     fn front_link_losses_match_a_lone_link_with_the_same_seed() {
         // Three feeds multicast to three replicas through one DM loop;
         // each (feed, replica) link must still drop exactly what a lone
-        // `FrontLink` with its seed drops from the same sequence — the
+        // `FrontHop` with its seed drops from the same sequence — the
         // loss draws are per link, in send order, whatever the rounds.
         let vars = [VarId::new(0), VarId::new(1), VarId::new(2)];
         let (n, replicas, seed) = (400u64, 3usize, 41u64);
@@ -1125,20 +1133,56 @@ mod tests {
             .wait();
         for (fi, &var) in vars.iter().enumerate() {
             for (ci, got) in seqnos_on(&report, var).iter().enumerate() {
-                let (tx, _rx) = unbounded();
-                let mut lone = FrontLink::new(
-                    tx,
-                    Box::new(rcm_net::Bernoulli::new(0.3)),
-                    link_seed(seed, fi, ci),
-                );
+                let mut lone =
+                    FrontHop::new(Box::new(rcm_net::Bernoulli::new(0.3)), link_seed(seed, fi, ci));
                 let want: Vec<u64> =
-                    (1..=n).filter(|&s| lone.send(Update::new(var, s, 0.0))).collect();
+                    (1..=n).filter(|&s| lone.pass(&Update::new(var, s, 0.0))).collect();
                 assert_eq!(got, &want, "feed {fi} replica {ci}");
                 assert!(want.len() < n as usize, "feed {fi} replica {ci} lost nothing");
                 let (_, r) = report.links[fi * replicas + ci];
                 assert_eq!((r.sent, r.dropped), (n, n - want.len() as u64));
             }
         }
+    }
+
+    /// The thread count `MonitorSystem`'s `Debug` reports.
+    fn threads(system: &MonitorSystem) -> usize {
+        let shown = format!("{system:?}");
+        let count = shown.split("threads: ").nth(1).expect("Debug names the thread count");
+        count.trim_end_matches(" }").parse().expect("a count")
+    }
+
+    #[test]
+    fn an_in_process_system_runs_two_threads_plus_helpers() {
+        // The DM loop evaluates every replica, so three replicas add no
+        // thread of their own: the loop and the AD, plus `workers - 1`
+        // evaluation helpers per replica.
+        for (workers, want) in [(0, 2), (1, 2), (2, 2 + 3), (4, 2 + 3 * 3)] {
+            let system = MonitorSystem::builder(c1())
+                .replicas(3)
+                .workers(workers)
+                .feed(VarFeed::new(x(), vec![2900.0, 3100.0]))
+                .start()
+                .expect("system starts");
+            assert_eq!(threads(&system), want, "workers({workers})");
+            assert_eq!(system.wait().displayed.len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_socket_system_runs_a_thread_per_replica_plus_three() {
+        // Each replica is driven on its own thread, because its updates
+        // arrive on the event loop's; then the event loop, the AD and
+        // the DM loop.
+        let bound = rcm_transport::Topology::loopback(3).bind().expect("bind topology");
+        let system = MonitorSystem::builder(c1())
+            .replicas(3)
+            .feed(VarFeed::new(x(), vec![2900.0, 3100.0]))
+            .transport(bound)
+            .start()
+            .expect("system starts");
+        assert_eq!(threads(&system), 3 + 3);
+        assert_eq!(system.wait().displayed.len(), 1);
     }
 
     #[test]

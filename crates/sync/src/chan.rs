@@ -161,11 +161,12 @@ impl<T> Receiver<T> {
     ///
     /// A receiver that finds the channel empty yields its CPU once
     /// before it blocks. When its producer shares that CPU and sends a
-    /// burst (a CE sending a round's alerts, a DM loop handing out a
-    /// round), a consumer that blocked at once would be woken by the
-    /// first message, preempt the producer, take that one message and
-    /// block again — two context switches per message. After the yield
-    /// the burst is usually complete and is taken in one wake.
+    /// burst (the replicas on a DM loop sending a round's alerts to the
+    /// AD, a socket ingress forwarding a datagram's updates to its CE),
+    /// a consumer that blocked at once would be woken by the first
+    /// message, preempt the producer, take that one message and block
+    /// again — two context switches per message. After the yield the
+    /// burst is usually complete and is taken in one wake.
     pub fn recv(&self) -> Result<T, RecvError> {
         match self.try_recv() {
             Err(TryRecvError::Empty) => thread::yield_now(),

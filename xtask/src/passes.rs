@@ -75,11 +75,16 @@ pub const HOT_PATH: &[&str] = &[
 pub const TRANSPORT_HOT_PATH: &[&str] = &["crates/transport/src/wire.rs"];
 
 /// Evaluation-pipeline modules on the per-update hot path: the
-/// fork-join round and its merge and the latency histogram's
-/// allocation-free record path run once per admitted update; the SPSC
-/// ring stays panic-free for the probes that still time it.
-pub const PIPELINE_HOT_PATH: &[&str] =
-    &["crates/runtime/src/pipeline.rs", "crates/sync/src/spsc.rs", "crates/core/src/latency.rs"];
+/// replica's gate, kill check and round, the fork-join round and its
+/// merge, and the latency histogram's allocation-free record path run
+/// once per admitted update; the SPSC ring stays panic-free for the
+/// probes that still time it.
+pub const PIPELINE_HOT_PATH: &[&str] = &[
+    "crates/runtime/src/actors.rs",
+    "crates/runtime/src/pipeline.rs",
+    "crates/sync/src/spsc.rs",
+    "crates/core/src/latency.rs",
+];
 
 pub const RUNTIME_SRC: &str = "crates/runtime/src";
 
