@@ -3,18 +3,16 @@
 //!
 //! The paper assumes CE → AD links are in-order and lossless, which a
 //! deployment gets from a connection-oriented transport — and
-//! connections drop. This link models that: a scripted severance takes
-//! it down for a while; sends during the outage go to a bounded FIFO
-//! queue; reconnect attempts are paced by a seeded
-//! [`Backoff`](rcm_net::Backoff) schedule; and on reconnect the link
-//! first *re-sends its unacked tail* (a real transport cannot know
-//! which in-flight messages survived the cut), then flushes the queue
-//! in order. The receiver therefore sees exact duplicates around every
-//! reconnect — which is precisely why every AD algorithm must discard
-//! duplicate offers, and why [`BackLink::flush`] at end-of-stream makes
-//! the lossless contract hold: nothing queued is ever abandoned, and
-//! only a deliberately undersized queue can lose (counted, never
-//! silent).
+//! connections drop. This link models that over a channel: it follows
+//! the [`Outbox`] policy every back link shares (scripted severances,
+//! a bounded FIFO queue while down, the unacked tail re-sent before the
+//! queue on reconnect), paces reconnect attempts by a seeded
+//! [`Backoff`](rcm_net::Backoff) schedule, and on [`BackLink::flush`]
+//! at end-of-stream blocks until the queue is out: nothing queued is
+//! ever abandoned, and only queue overflow can lose (counted, never
+//! silent). The receiver sees exact duplicates around every reconnect —
+//! which is precisely why every AD algorithm must discard duplicate
+//! offers.
 //!
 //! A `BackLink<Alert>` also serialises what it carries — cross, check,
 //! forward: each alert is encoded and decoded ([`cross_in`]), the copy
@@ -22,59 +20,34 @@
 //! the original is sent, so the alert the AD receives is a handle on
 //! the very body the CE recorded.
 //!
-//! LOCK ORDER: the only mutex is the `stats` counter block, a leaf —
-//! it is never held across a channel send, a sleep, or any other lock.
+//! LOCK ORDER: no locks — the counters are atomics.
 
-use std::collections::VecDeque;
-
+use rcm_sync::atomic::Ordering;
 use rcm_sync::chan::Sender;
 use rcm_sync::time::{Duration, Instant};
-use rcm_sync::{Arc, Mutex};
+use rcm_sync::Arc;
 
 use rcm_core::Alert;
 use rcm_net::Backoff;
+use rcm_transport::engine::BackLinkCounters;
+use rcm_transport::Outbox;
 
 use crate::wire::{cross_in, Message};
-
-/// Counters for one back link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackLinkStats {
-    /// Messages transmitted (excluding duplicate resends).
-    pub sent: u64,
-    /// Scripted severances that fired.
-    pub severs: u64,
-    /// Successful reconnects.
-    pub reconnects: u64,
-    /// Reconnect attempts (paced by backoff).
-    pub attempts: u64,
-    /// Duplicate messages re-sent from the unacked tail on reconnect.
-    pub resent_duplicates: u64,
-    /// Peak resend-queue depth while severed.
-    pub queued_peak: u64,
-    /// Messages lost to resend-queue overflow.
-    pub lost_overflow: u64,
-}
-
-/// How many recently-sent messages the link keeps for post-reconnect
-/// resend (the "unacked tail" a real transport would retransmit).
-const UNACKED_TAIL: usize = 8;
 
 /// A TCP-like back link: FIFO and lossless across transient
 /// disconnects, generic over the message type so the severance and
 /// reconnect machinery is testable without a full pipeline.
+///
+/// It counts into the [`BackLinkCounters`] block the socket links
+/// use; a channel has no wire, so `io_errors` and `bytes_sent` stay 0,
+/// and `frames_sent` counts what `sent` counts.
 pub struct BackLink<T> {
     tx: Sender<T>,
-    /// Pending severances, ascending by send index: `(at_send, down_for)`.
-    severs: VecDeque<(u64, Duration)>,
-    sends_seen: u64,
-    down_until: Option<Instant>,
+    down: bool,
     next_attempt: Instant,
     backoff: Backoff,
-    queue: VecDeque<T>,
-    queue_cap: usize,
-    unacked: VecDeque<T>,
-    unacked_cap: usize,
-    stats: Arc<Mutex<BackLinkStats>>,
+    outbox: Outbox<T>,
+    counters: Arc<BackLinkCounters>,
     /// The frame of the alert last sent (a `BackLink<Alert>` serialises
     /// what it sends); cleared and reused per alert.
     frame: Vec<u8>,
@@ -83,9 +56,9 @@ pub struct BackLink<T> {
 impl<T> std::fmt::Debug for BackLink<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackLink")
-            .field("down", &self.down_until.is_some())
-            .field("queued", &self.queue.len())
-            .field("stats", &*self.stats.lock())
+            .field("down", &self.down)
+            .field("outbox", &self.outbox)
+            .field("stats", &self.counters.snapshot())
             .finish()
     }
 }
@@ -94,77 +67,46 @@ impl<T: Clone + Send + 'static> BackLink<T> {
     /// Wraps a channel sender; with no severances scripted the link is
     /// a plain pass-through.
     pub fn new(tx: Sender<T>, backoff: Backoff) -> Self {
+        let counters = Arc::new(BackLinkCounters::default());
         BackLink {
             tx,
-            severs: VecDeque::new(),
-            sends_seen: 0,
-            down_until: None,
+            down: false,
             next_attempt: Instant::now(),
             backoff,
-            queue: VecDeque::new(),
-            queue_cap: 1024,
-            unacked: VecDeque::new(),
-            unacked_cap: UNACKED_TAIL,
-            stats: Arc::new(Mutex::new(BackLinkStats::default())),
+            outbox: Outbox::new(Vec::new(), Arc::clone(&counters)),
+            counters,
             frame: Vec::new(),
         }
     }
 
-    /// Scripts severances as `(at_send, down_for)` pairs; `at_send`
-    /// counts prior send calls, so `(0, d)` severs before the first.
-    /// Pairs are sorted internally.
+    /// Scripts severances as `(at_send, down_for)` pairs; see
+    /// [`Outbox::new`].
     #[must_use]
-    pub fn with_severs(mut self, mut severs: Vec<(u64, Duration)>) -> Self {
-        severs.sort_by_key(|&(at, _)| at);
-        self.severs = severs.into();
-        self
-    }
-
-    /// Bounds the resend queue (default 1024).
-    #[must_use]
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = cap.max(1);
-        self
-    }
-
-    /// Sets the unacked-tail length resent on reconnect (default 8;
-    /// 0 disables duplicate resends).
-    #[must_use]
-    pub fn unacked_cap(mut self, cap: usize) -> Self {
-        self.unacked_cap = cap;
-        self.unacked.truncate(cap);
+    pub fn with_severs(mut self, severs: Vec<(u64, Duration)>) -> Self {
+        self.outbox = Outbox::new(severs, Arc::clone(&self.counters));
         self
     }
 
     /// A handle for reading the link's counters after the replica has
     /// taken ownership of the link.
-    pub fn stats_handle(&self) -> Arc<Mutex<BackLinkStats>> {
-        Arc::clone(&self.stats)
+    pub fn stats_handle(&self) -> Arc<BackLinkCounters> {
+        Arc::clone(&self.counters)
     }
 
     /// Sends one message: transmitted immediately when connected,
     /// queued when severed (a non-blocking reconnect attempt is made
     /// first if the backoff schedule allows one).
     pub fn send(&mut self, msg: T) {
-        if let Some(&(at, down_for)) = self.severs.front() {
-            if self.sends_seen >= at {
-                self.severs.pop_front();
-                let until = Instant::now() + down_for;
-                // A severance landing while already down extends the
-                // outage rather than stacking a second one.
-                self.down_until =
-                    Some(self.down_until.map_or(until, |existing| existing.max(until)));
-                self.next_attempt = Instant::now();
-                self.backoff.reset();
-                self.stats.lock().severs += 1;
-            }
+        if self.outbox.sever_due() {
+            self.down = true;
+            self.next_attempt = Instant::now();
+            self.backoff.reset();
         }
-        self.sends_seen += 1;
-        if self.down_until.is_some() {
+        if self.down {
             self.try_reconnect(false);
         }
-        if self.down_until.is_some() {
-            self.enqueue(msg);
+        if self.down {
+            self.outbox.enqueue(msg);
         } else {
             self.transmit(msg);
         }
@@ -174,17 +116,16 @@ impl<T: Clone + Send + 'static> BackLink<T> {
     /// transmitted. Call at end-of-stream: this is what turns "bounded
     /// queue while severed" into the paper's lossless contract.
     pub fn flush(&mut self) {
-        if self.down_until.is_some() {
+        if self.down {
             self.try_reconnect(true);
         }
-        debug_assert!(self.queue.is_empty(), "reconnect flushes the queue");
+        debug_assert_eq!(self.outbox.queued(), 0, "reconnect flushes the queue");
     }
 
     /// Attempts reconnection, pacing attempts by the backoff schedule.
     /// Blocking mode sleeps between attempts until the link is up;
     /// non-blocking mode makes at most one attempt and returns.
     fn try_reconnect(&mut self, blocking: bool) {
-        let Some(until) = self.down_until else { return };
         loop {
             let now = Instant::now();
             if now < self.next_attempt {
@@ -193,13 +134,21 @@ impl<T: Clone + Send + 'static> BackLink<T> {
                 }
                 rcm_sync::thread::sleep(self.next_attempt - now);
             }
-            self.stats.lock().attempts += 1;
-            if Instant::now() >= until {
-                self.down_until = None;
+            self.counters.attempts.fetch_add(1, Ordering::SeqCst);
+            if !self.outbox.outage_holds(Instant::now()) {
+                self.down = false;
                 self.backoff.reset();
-                self.stats.lock().reconnects += 1;
-                self.resend_unacked();
-                self.flush_queue();
+                self.counters.reconnects.fetch_add(1, Ordering::SeqCst);
+                // The tail's duplicates are exactly the adversarial
+                // input the AD filters must tolerate.
+                for (msg, resend) in self.outbox.replay() {
+                    if resend {
+                        self.counters.resent_duplicates.fetch_add(1, Ordering::SeqCst);
+                        self.tx.send(msg).expect("back link receiver hung up during resend");
+                    } else {
+                        self.transmit(msg);
+                    }
+                }
                 return;
             }
             self.next_attempt = Instant::now() + self.backoff.next_delay();
@@ -209,43 +158,11 @@ impl<T: Clone + Send + 'static> BackLink<T> {
         }
     }
 
-    /// Re-sends the unacked tail: pure duplicates on an in-memory
-    /// channel, exactly the adversarial input the AD filters must
-    /// tolerate.
-    fn resend_unacked(&mut self) {
-        let tail: Vec<T> = self.unacked.iter().cloned().collect();
-        self.stats.lock().resent_duplicates += tail.len() as u64;
-        for msg in tail {
-            self.tx.send(msg).expect("back link receiver hung up during resend");
-        }
-    }
-
-    /// Drains the severed-period queue in FIFO order.
-    fn flush_queue(&mut self) {
-        while let Some(msg) = self.queue.pop_front() {
-            self.transmit(msg);
-        }
-    }
-
     fn transmit(&mut self, msg: T) {
-        if self.unacked_cap > 0 {
-            if self.unacked.len() == self.unacked_cap {
-                self.unacked.pop_front();
-            }
-            self.unacked.push_back(msg.clone());
-        }
-        self.stats.lock().sent += 1;
+        self.outbox.push_unacked(msg.clone());
+        self.counters.sent.fetch_add(1, Ordering::SeqCst);
+        self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
         self.tx.send(msg).expect("back link receiver hung up before the stream ended");
-    }
-
-    fn enqueue(&mut self, msg: T) {
-        let mut stats = self.stats.lock();
-        if self.queue.len() >= self.queue_cap {
-            self.queue.pop_front();
-            stats.lost_overflow += 1;
-        }
-        self.queue.push_back(msg);
-        stats.queued_peak = stats.queued_peak.max(self.queue.len() as u64);
     }
 }
 
@@ -291,7 +208,7 @@ mod tests {
         }
         l.flush();
         assert_eq!(drain(&rx), vec![0, 1, 2, 3, 4]);
-        assert_eq!(l.stats_handle().lock().severs, 0);
+        assert_eq!(l.stats_handle().snapshot().severs, 0);
     }
 
     #[test]
@@ -304,7 +221,7 @@ mod tests {
         l.send(12); // sever fires, instantly reconnects: dup 10,11 then 12
         l.flush();
         assert_eq!(drain(&rx), vec![10, 11, 10, 11, 12]);
-        let stats = *l.stats_handle().lock();
+        let stats = l.stats_handle().snapshot();
         assert_eq!(stats.severs, 1);
         assert_eq!(stats.reconnects, 1);
         assert_eq!(stats.resent_duplicates, 2);
@@ -319,11 +236,11 @@ mod tests {
         }
         // Only the pre-sever message is through; the rest are queued.
         assert_eq!(drain(&rx), vec![0]);
-        assert!(l.down_until.is_some());
+        assert!(l.down);
         l.flush(); // blocks past the outage
-        assert!(l.down_until.is_none());
+        assert!(!l.down);
         assert_eq!(drain(&rx), vec![0, 1, 2, 3, 4, 5], "dup of 0, then the queue in order");
-        let stats = *l.stats_handle().lock();
+        let stats = l.stats_handle().snapshot();
         assert_eq!(stats.lost_overflow, 0);
         assert!(stats.attempts >= 1);
         assert_eq!(stats.queued_peak, 5);
@@ -331,18 +248,18 @@ mod tests {
 
     #[test]
     fn undersized_queue_loses_oldest_and_counts() {
-        let (tx, rx) = unbounded();
-        let backoff = Backoff::new(Duration::from_micros(50), Duration::from_millis(1), 3);
-        let mut l = BackLink::new(tx, backoff)
-            .with_severs(vec![(0, Duration::from_millis(100))])
-            .unacked_cap(0)
-            .queue_cap(2);
-        for m in 0..5 {
+        // Severed before the first send, so the tail is empty: the bound
+        // plus 3 messages lose the 3 oldest.
+        let (mut l, rx) = link(vec![(0, Duration::from_millis(100))]);
+        let n = Outbox::<u64>::QUEUE_CAP as u64 + 3;
+        for m in 0..n {
             l.send(m);
         }
         l.flush();
-        assert_eq!(drain(&rx), vec![3, 4], "kept the newest two");
-        assert_eq!(l.stats_handle().lock().lost_overflow, 3);
+        assert_eq!(drain(&rx), (3..n).collect::<Vec<_>>(), "kept the newest, in order");
+        let stats = l.stats_handle().snapshot();
+        assert_eq!(stats.lost_overflow, 3);
+        assert_eq!(stats.shed, 3, "every overflow is a non-blocking shed, as on the socket links");
     }
 
     #[test]
@@ -400,6 +317,6 @@ mod tests {
         l.flush();
         assert!(start.elapsed() >= Duration::from_millis(100), "outage extended past first window");
         assert_eq!(drain(&rx), vec![1, 2]);
-        assert_eq!(l.stats_handle().lock().severs, 2);
+        assert_eq!(l.stats_handle().snapshot().severs, 2);
     }
 }

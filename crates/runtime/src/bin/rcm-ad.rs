@@ -14,9 +14,9 @@
 //! first-mention order. The node exits once `--replicas` distinct Fin
 //! markers arrived (or after `--idle-ms` of silence).
 //!
-//! Batched and unbatched CEs can share one AD. The accept socket and
-//! every CE connection ride one readiness loop, so an AD holds hundreds
-//! of back links without per-connection reader threads.
+//! The accept socket and every CE connection ride one readiness loop,
+//! so an AD holds hundreds of back links without per-connection reader
+//! threads.
 //!
 //! LOCK ORDER: no locks on the main thread — the listener's counters
 //! are atomics, read after the stream ends.

@@ -17,10 +17,10 @@
 //! is the most Fins a link gets, all of them when its CE never echoes.
 //!
 //! Readings go out in rounds, like the in-process DM loop's: a round
-//! ends when the input read so far runs out, or at 64 readings, and is
-//! sent as one datagram per CE while it fits the datagram budget. So
-//! `--period-us 0` packs what arrives together; a paced run (the
-//! default) sends each reading alone, one period apart.
+//! ends when the input read so far runs out, or at `rcm_runtime::ROUND`
+//! (64) readings, and is sent as one datagram per CE while it fits the
+//! datagram budget. So `--period-us 0` packs what arrives together; a
+//! paced run (the default) sends each reading alone, one period apart.
 //!
 //! LOCK ORDER: the only locks are stdin's reader lock (held for the
 //! read loop on the main thread) and the links' leaf stats mutexes,
@@ -31,11 +31,9 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 
 use rcm_core::{Update, VarId};
+use rcm_runtime::ROUND;
 use rcm_sync::time::Duration;
 use rcm_transport::{fin_rounds, UdpFrontLink};
-
-/// Most readings in one round, as in the in-process DM loop.
-const ROUND: usize = 64;
 
 struct Options {
     ce: Vec<SocketAddr>,

@@ -29,7 +29,8 @@ use crate::link::FrontHop;
 /// Most readings one round takes before it is handed off. It bounds how
 /// long a feed with a backlog can hold back another feed's reading: one
 /// round. In-process a replica evaluates each DM round as one round;
-/// a socket-mode CE takes at most this many received updates into one.
+/// a socket-mode CE takes at most this many received updates into one,
+/// and `rcm-dm` sends at most this many readings as one round.
 pub const ROUND: usize = 64;
 
 /// Where a Data Monitor's readings come from.

@@ -97,10 +97,6 @@ pub struct FaultPlan {
     pub max_restarts: u32,
     /// How many recent updates each DM retains for recovery replay.
     pub retain_window: usize,
-    /// Bound on a severed back link's resend queue; overflow drops the
-    /// oldest queued alert and counts it in
-    /// [`FaultReport::alerts_lost_overflow`].
-    pub resend_queue_cap: usize,
     /// First reconnect backoff delay.
     pub backoff_base: Duration,
     /// Backoff ceiling.
@@ -115,7 +111,6 @@ impl Default for FaultPlan {
             stalls: Vec::new(),
             max_restarts: 3,
             retain_window: 256,
-            resend_queue_cap: 1024,
             backoff_base: Duration::from_micros(200),
             backoff_cap: Duration::from_millis(20),
         }
@@ -182,13 +177,6 @@ impl FaultPlan {
     #[must_use]
     pub fn retain_window(mut self, retain_window: usize) -> Self {
         self.retain_window = retain_window;
-        self
-    }
-
-    /// Sets the severed back link's resend-queue bound.
-    #[must_use]
-    pub fn resend_queue_cap(mut self, cap: usize) -> Self {
-        self.resend_queue_cap = cap;
         self
     }
 
@@ -283,8 +271,11 @@ pub struct FaultReport {
     pub backlink_attempts: u64,
     /// Duplicate alerts re-offered after reconnect (unacked resends).
     pub backlink_duplicates: u64,
-    /// Alerts lost to resend-queue overflow (the only permitted alert
-    /// loss, and only under a deliberately undersized queue).
+    /// Alerts lost to resend-queue overflow — the only permitted alert
+    /// loss: more alerts than
+    /// [`Outbox::QUEUE_CAP`](rcm_transport::Outbox::QUEUE_CAP) sent
+    /// during one outage, or a queue a socket link's `finish` gave up
+    /// on when its peer stayed away past the deadline.
     pub alerts_lost_overflow: u64,
 }
 
@@ -409,11 +400,9 @@ mod tests {
             .kill_ce(1, 40)
             .max_restarts(1)
             .retain_window(64)
-            .resend_queue_cap(8)
             .backoff(Duration::from_millis(1), Duration::from_millis(4));
         assert_eq!(plan.kills, vec![KillCe { ce: 1, at_arrival: 40 }]);
         assert_eq!(plan.max_restarts, 1);
         assert_eq!(plan.retain_window, 64);
-        assert_eq!(plan.resend_queue_cap, 8);
     }
 }

@@ -78,7 +78,7 @@ mod socket;
 mod system;
 pub mod wire;
 
-pub use backlink::{BackLink, BackLinkStats};
+pub use backlink::BackLink;
 pub use dm::ROUND;
 pub use faults::{
     FaultPlan, FaultReport, IngestGate, KillCe, RetainedWindow, SeverBackLink, StallFrontLink,

@@ -3,7 +3,7 @@
 //! ([`cross_in`]), the copy is checked bit for bit against the
 //! original, and the original goes down the channel.
 //!
-//! LOCK ORDER: the only mutex is the `report` counter block, a leaf —
+//! LOCK ORDER: the only mutex is the `stats` counter block, a leaf —
 //! held only to bump counters, never across the channel send.
 
 use rcm_sync::chan::Sender;
@@ -11,10 +11,13 @@ use rcm_sync::{Arc, Mutex};
 
 use rcm_core::Update;
 use rcm_net::{LossModel, Rng};
+use rcm_transport::FrontLinkStats;
 
 use crate::wire::{cross_in, Message};
 
-/// Counters for one front link.
+/// One front link's loss, in updates: the per-link view of
+/// [`RunReport::links`](crate::RunReport::links), read from the link's
+/// [`FrontLinkStats`] in either transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkReport {
     /// Updates handed to the link.
@@ -37,7 +40,7 @@ pub struct FrontLink {
 
 impl std::fmt::Debug for FrontLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontLink").field("report", &*self.hop.report.lock()).finish()
+        f.debug_struct("FrontLink").field("stats", &*self.hop.stats.lock()).finish()
     }
 }
 
@@ -61,7 +64,7 @@ impl FrontLink {
 
     /// A handle for reading the link's counters after the DM thread
     /// has taken ownership of the link.
-    pub fn report_handle(&self) -> Arc<Mutex<LinkReport>> {
+    pub fn report_handle(&self) -> Arc<Mutex<FrontLinkStats>> {
         self.hop.report_handle()
     }
 
@@ -77,10 +80,13 @@ impl FrontLink {
 /// scripted stalls, the seeded loss draw, the counters and the codec
 /// crossing. The system's DM loop keeps one per `(feed, replica)` and
 /// collects what passes into one round per replica.
+///
+/// It counts into the [`FrontLinkStats`] block the socket link uses: a
+/// channel "frame" is one update, and no wire bytes are counted.
 pub(crate) struct FrontHop {
     loss: Box<dyn LossModel>,
     rng: Rng,
-    report: Arc<Mutex<LinkReport>>,
+    stats: Arc<Mutex<FrontLinkStats>>,
     /// The frame of the update in flight; cleared and reused per send.
     frame: Vec<u8>,
     /// Scripted stalls, ascending by send index: `(at_send, stall)`.
@@ -94,7 +100,7 @@ impl FrontHop {
         FrontHop {
             loss,
             rng: Rng::seed_from_u64(seed),
-            report: Arc::new(Mutex::new(LinkReport::default())),
+            stats: Arc::new(Mutex::new(FrontLinkStats::default())),
             frame: Vec::new(),
             stalls: std::collections::VecDeque::new(),
             sends_seen: 0,
@@ -110,8 +116,8 @@ impl FrontHop {
     }
 
     /// See [`FrontLink::report_handle`].
-    pub(crate) fn report_handle(&self) -> Arc<Mutex<LinkReport>> {
-        Arc::clone(&self.report)
+    pub(crate) fn report_handle(&self) -> Arc<Mutex<FrontLinkStats>> {
+        Arc::clone(&self.stats)
     }
 
     /// Carries one update across the link, up to the hand-over: sleeps
@@ -125,13 +131,15 @@ impl FrontHop {
             }
         }
         self.sends_seen += 1;
-        let mut report = self.report.lock();
-        report.sent += 1;
+        let mut stats = self.stats.lock();
+        stats.frames_sent += 1;
+        stats.updates_sent += 1;
         if self.loss.drops(&mut self.rng) {
-            report.dropped += 1;
+            stats.frames_dropped += 1;
+            stats.updates_dropped += 1;
             return false;
         }
-        drop(report);
+        drop(stats);
         cross_in(&mut self.frame, &Message::Update(*update));
         true
     }
@@ -171,7 +179,16 @@ mod tests {
         drop(link);
         let got: Vec<u64> = rx.iter().map(|u| u.seqno.get()).collect();
         assert_eq!(got, vec![1, 3]);
-        assert_eq!(*handle.lock(), LinkReport { sent: 3, dropped: 1 });
+        assert_eq!(
+            *handle.lock(),
+            FrontLinkStats {
+                frames_sent: 3,
+                frames_dropped: 1,
+                updates_sent: 3,
+                updates_dropped: 1,
+                bytes_sent: 0
+            }
+        );
     }
 
     #[test]

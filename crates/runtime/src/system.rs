@@ -8,7 +8,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use rcm_sync::chan::unbounded;
+use rcm_sync::chan::{unbounded, Sender};
 use rcm_sync::thread::JoinHandle;
 use rcm_sync::{Arc, Mutex};
 
@@ -18,12 +18,12 @@ use rcm_core::{Alert, CeId, LatencyHistogram, LatencySnapshot, Update, VarId};
 use rcm_net::{Backoff, LossModel, Lossless};
 use rcm_transport::engine::{BackLinkCounters, EngineCounters, IngressCounters, ListenerCounters};
 use rcm_transport::{
-    BackLinkSpec, BoundTopology, EngineStats, EventLoop, FrontLinkStats, ListenerStats,
-    TcpLinkStats, TransportMode, TransportReport, UdpFrontLink,
+    BackLinkSpec, BoundTopology, EventLoop, FrontLinkStats, TransportMode, TransportReport,
+    UdpFrontLink,
 };
 
 use crate::actors::{ad_body, ce_body, AlertSink, CeFaultConfig, CePipeline, Replica};
-use crate::backlink::{BackLink, BackLinkStats};
+use crate::backlink::BackLink;
 use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
 use crate::link::{FrontHop, LinkReport};
@@ -100,8 +100,6 @@ type FilterFactory = Box<dyn FnOnce(&[VarId]) -> Box<dyn AlertFilter>>;
 type LossFactory = Box<dyn FnMut(VarId, CeId) -> Box<dyn LossModel>>;
 /// Callback invoked on the AD thread for each displayed alert.
 pub(crate) type AlertCallback = Box<dyn Fn(&Alert) + Send>;
-/// Per-link loss counters keyed by `(variable, replica)`.
-type LinkReports = Vec<((VarId, CeId), Arc<Mutex<LinkReport>>)>;
 
 /// Builder for a [`MonitorSystem`].
 pub struct SystemBuilder {
@@ -328,49 +326,24 @@ impl SystemBuilder {
 
         let mut loss =
             self.loss.unwrap_or_else(|| Box::new(|_, _| Box::new(Lossless) as Box<dyn LossModel>));
-        let filter_factory = self.filter.unwrap_or_else(|| {
-            Box::new(|_vars: &[VarId]| Box::new(Ad1::new()) as Box<dyn AlertFilter>)
-        });
 
-        // The replicas, all on the DM loop, share one alert channel to the AD.
-        let (alert_tx, alert_rx) = unbounded::<Alert>();
+        // The replicas, all on the DM loop, share the AD's alert channel.
+        let mut handles = Vec::new();
+        let (alert_tx, ad) = spawn_ad(self.filter, &vars, self.on_alert, &mut handles);
+        let mut counters = LinkCounters::default();
         let mut replicas = Vec::with_capacity(self.replicas);
-        let mut backlink_stats: Vec<Arc<Mutex<BackLinkStats>>> = Vec::new();
-
         for ce in 0..self.replicas {
-            let mut back = BackLink::new(alert_tx.clone(), ces.backoff(ce));
-            if let Some(p) = &ces.plan {
-                back = back
-                    .with_severs(
-                        p.severs
-                            .iter()
-                            .filter(|s| s.ce == ce)
-                            .map(|s| (s.at_send, s.down_for))
-                            .collect(),
-                    )
-                    .queue_cap(p.resend_queue_cap);
-            }
-            backlink_stats.push(back.stats_handle());
+            let back = BackLink::new(alert_tx.clone(), ces.backoff(ce)).with_severs(ces.severs(ce));
+            counters.back.push(back.stats_handle());
             replicas.push(ces.replica(ce, Box::new(back)));
         }
         drop(alert_tx); // AD exits when the last replica's back link drops.
         let helpers = replicas.iter().map(Replica::helpers).sum();
 
-        // The AD thread.
-        let arrivals = Arc::new(Mutex::new(Vec::new()));
-        let displayed = Arc::new(Mutex::new(Vec::new()));
-        let filter = filter_factory(&vars);
-        let ad_arrivals = Arc::clone(&arrivals);
-        let ad_displayed = Arc::clone(&displayed);
-        let on_alert = self.on_alert;
-        let mut handles = vec![rcm_sync::thread::spawn(move || {
-            ad_body(alert_rx, filter, ad_arrivals, ad_displayed, on_alert);
-        })];
-
         // The DM loop, with a front hop per (feed, replica).
-        let mut link_reports = Vec::new();
         let mut hops = Vec::with_capacity(self.feeds.len());
         for (fi, feed) in self.feeds.iter().enumerate() {
+            counters.front_vars.push(feed.var);
             let mut row = Vec::with_capacity(self.replicas);
             for ci in 0..self.replicas {
                 let ce = CeId::new(ci as u32);
@@ -384,7 +357,7 @@ impl SystemBuilder {
                             .collect(),
                     );
                 }
-                link_reports.push(((feed.var, ce), hop.report_handle()));
+                counters.front.push(((fi, ci), hop.report_handle()));
                 row.push(hop);
             }
             hops.push(row);
@@ -394,27 +367,7 @@ impl SystemBuilder {
         let dms = dms(self.feeds, &ces.windows);
         handles.push(spawn_dm_loop(dms, Rounds::new(hops, replicas)));
 
-        Ok(MonitorSystem {
-            handles,
-            helpers,
-            arrivals,
-            displayed,
-            ingested: ces.ingested,
-            emitted: ces.emitted,
-            link_reports,
-            fault_report: ces.fault_report,
-            backlink_stats,
-            mode: TransportMode::InProcess,
-            replicas: self.replicas,
-            workers: self.pipeline.workers,
-            latency: ces.latency,
-            front_vars: Vec::new(),
-            front_stats: Vec::new(),
-            engine_counters: None,
-            evented_ingress: Vec::new(),
-            evented_tcp: Vec::new(),
-            evented_ad: None,
-        })
+        Ok(ces.system(handles, helpers, ad, counters))
     }
 
     /// Socket-mode assembly: the same actor bodies, with every channel
@@ -437,24 +390,20 @@ impl SystemBuilder {
             });
         }
         let transport_err = |e: std::io::Error| ConfigError::Transport(e.to_string());
-        let filter_factory = self.filter.unwrap_or_else(|| {
-            Box::new(|_vars: &[VarId]| Box::new(Ad1::new()) as Box<dyn AlertFilter>)
-        });
         let parts = topology.into_parts();
         let n_feeds = self.feeds.len();
 
         let mut handles: Vec<JoinHandle<()>> = Vec::new();
 
         let mut event_loop = EventLoop::new().map_err(transport_err)?;
-        let mut evented_ingress: Vec<Arc<IngressCounters>> = Vec::new();
-        let mut evented_tcp: Vec<Arc<BackLinkCounters>> = Vec::new();
+        let mut counters = LinkCounters { mode: TransportMode::Sockets, ..LinkCounters::default() };
 
         // AD side: the TCP listener decodes alert frames from every CE
-        // connection and fans them into the same channel the in-process
-        // AD consumes. It hangs up (closing the channel) once every
-        // replica's end-of-stream marker arrived.
-        let (alert_tx, alert_rx) = unbounded::<Alert>();
-        let evented_ad = event_loop
+        // connection and fans them into the AD thread's channel, as the
+        // in-process back links do. It hangs up (closing the channel)
+        // once every replica's end-of-stream marker arrived.
+        let (alert_tx, ad) = spawn_ad(self.filter, vars, self.on_alert, &mut handles);
+        let listener = event_loop
             .add_alert_listener(
                 parts.listener,
                 self.replicas,
@@ -464,6 +413,7 @@ impl SystemBuilder {
                 },
             )
             .map_err(transport_err)?;
+        counters.ad = Some(listener);
 
         // CE side: per replica, a UDP ingress feeding the replica's
         // thread over a channel, and a TCP back link to the AD. The back
@@ -472,7 +422,7 @@ impl SystemBuilder {
         let mut helpers = 0;
         for (ce, sock) in parts.ce_sockets.into_iter().enumerate() {
             let (tx, rx) = unbounded::<Update>();
-            evented_ingress.push(
+            counters.ingress.push(
                 event_loop
                     .add_front_ingress(sock, n_feeds, parts.idle_timeout, move |update| {
                         let _ = tx.send(update);
@@ -480,20 +430,10 @@ impl SystemBuilder {
                     .map_err(transport_err)?,
             );
 
-            let mut spec = BackLinkSpec::new(parts.ad_addr, ce as u32, ces.backoff(ce));
-            if let Some(p) = &ces.plan {
-                spec = spec
-                    .with_severs(
-                        p.severs
-                            .iter()
-                            .filter(|s| s.ce == ce)
-                            .map(|s| (s.at_send, s.down_for))
-                            .collect(),
-                    )
-                    .queue_cap(p.resend_queue_cap);
-            }
+            let spec = BackLinkSpec::new(parts.ad_addr, ce as u32, ces.backoff(ce))
+                .with_severs(ces.severs(ce));
             let back = event_loop.add_back_link(spec).map_err(transport_err)?;
-            evented_tcp.push(back.stats_handle());
+            counters.back.push(back.stats_handle());
             let replica = ces.replica(ce, Box::new(back));
             helpers += replica.helpers();
             handles.push(rcm_sync::thread::spawn(move || ce_body(rx, replica)));
@@ -503,32 +443,19 @@ impl SystemBuilder {
         // `run` returns once the last primary source retires, which is
         // exactly when every CE finished its back link and the AD saw
         // every Fin.
-        let engine_counters = event_loop.counters();
+        counters.engine = Some(event_loop.counters());
         handles.push(rcm_sync::thread::spawn(move || event_loop.run()));
-
-        // The AD filter thread, fed by the listener thread's channel.
-        let arrivals = Arc::new(Mutex::new(Vec::new()));
-        let displayed = Arc::new(Mutex::new(Vec::new()));
-        let filter = filter_factory(vars);
-        let ad_arrivals = Arc::clone(&arrivals);
-        let ad_displayed = Arc::clone(&displayed);
-        let on_alert = self.on_alert;
-        handles.push(rcm_sync::thread::spawn(move || {
-            ad_body(alert_rx, filter, ad_arrivals, ad_displayed, on_alert);
-        }));
 
         // The DM loop: one UDP socket per (feed, replica) front link,
         // aimed at the topology's routed targets (the CE sockets, or an
         // interposed loss proxy per replica).
-        let mut front_vars = Vec::with_capacity(n_feeds);
-        let mut front_stats: Vec<KeyedFrontStats> = Vec::new();
         let mut links = Vec::with_capacity(n_feeds);
         for (fi, feed) in self.feeds.iter().enumerate() {
-            front_vars.push(feed.var);
+            counters.front_vars.push(feed.var);
             let mut row = Vec::with_capacity(self.replicas);
             for (ci, target) in parts.dm_targets.iter().enumerate() {
                 let link = UdpFrontLink::connect(*target, fi as u32).map_err(transport_err)?;
-                front_stats.push(((fi, ci), link.stats_handle()));
+                counters.front.push(((fi, ci), link.stats_handle()));
                 row.push(link);
             }
             links.push(row);
@@ -536,27 +463,7 @@ impl SystemBuilder {
         let dms = dms(self.feeds, &ces.windows);
         handles.push(spawn_dm_loop(dms, UdpFanout::new(links, parts.fin_repeats)));
 
-        Ok(MonitorSystem {
-            handles,
-            helpers,
-            arrivals,
-            displayed,
-            ingested: ces.ingested,
-            emitted: ces.emitted,
-            link_reports: Vec::new(),
-            fault_report: ces.fault_report,
-            backlink_stats: Vec::new(),
-            mode: TransportMode::Sockets,
-            replicas: self.replicas,
-            workers: self.pipeline.workers,
-            latency: ces.latency,
-            front_vars,
-            front_stats,
-            engine_counters: Some(engine_counters),
-            evented_ingress,
-            evented_tcp,
-            evented_ad: Some(evented_ad),
-        })
+        Ok(ces.system(handles, helpers, ad, counters))
     }
 }
 
@@ -580,6 +487,38 @@ fn spawn_dm_loop(dms: Vec<Dm>, out: impl Fanout + 'static) -> JoinHandle<()> {
     rcm_sync::thread::spawn(move || dm_loop(dms, out))
 }
 
+/// The AD's two output records: every arrival, and what it displayed.
+struct AdSinks {
+    arrivals: Arc<Mutex<Vec<Alert>>>,
+    displayed: Arc<Mutex<Vec<Alert>>>,
+}
+
+/// Spawns the AD thread onto `handles`: the builder's filter (AD-1
+/// unless one was set) over every alert sent on the returned channel,
+/// until its last sender is gone.
+fn spawn_ad(
+    filter: Option<FilterFactory>,
+    vars: &[VarId],
+    on_alert: Option<AlertCallback>,
+    handles: &mut Vec<JoinHandle<()>>,
+) -> (Sender<Alert>, AdSinks) {
+    let filter = match filter {
+        Some(factory) => factory(vars),
+        None => Box::new(Ad1::new()),
+    };
+    let sinks = AdSinks {
+        arrivals: Arc::new(Mutex::new(Vec::new())),
+        displayed: Arc::new(Mutex::new(Vec::new())),
+    };
+    let arrivals = Arc::clone(&sinks.arrivals);
+    let displayed = Arc::clone(&sinks.displayed);
+    let (alert_tx, alert_rx) = unbounded::<Alert>();
+    handles.push(rcm_sync::thread::spawn(move || {
+        ad_body(alert_rx, filter, arrivals, displayed, on_alert);
+    }));
+    (alert_tx, sinks)
+}
+
 /// What the CE replicas of one run share, whichever links carry them.
 /// `start` builds it once; it builds each replica and keeps the sinks
 /// the final report reads.
@@ -600,19 +539,22 @@ struct Replicas {
 
 impl Replicas {
     /// The reconnect schedule of replica `ce`'s back link: the plan's
-    /// bounds (or the defaults), jittered from the run's seed.
+    /// bounds (or the default plan's), jittered from the run's seed.
     fn backoff(&self, ce: usize) -> Backoff {
-        let (base, cap) = self
-            .plan
-            .as_ref()
-            .map_or((Duration::from_micros(200), Duration::from_millis(20)), |p| {
-                (p.backoff_base, p.backoff_cap)
-            });
+        let default = FaultPlan::default();
+        let plan = self.plan.as_ref().unwrap_or(&default);
         Backoff::new(
-            base,
-            cap,
+            plan.backoff_base,
+            plan.backoff_cap,
             self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ce as u64),
         )
+    }
+
+    /// Replica `ce`'s scripted back-link severances as `(at_send,
+    /// down_for)` pairs (none without a plan).
+    fn severs(&self, ce: usize) -> Vec<(u64, Duration)> {
+        let severs = self.plan.iter().flat_map(|p| &p.severs);
+        severs.filter(|s| s.ce == ce).map(|s| (s.at_send, s.down_for)).collect()
     }
 
     /// Replica `ce`, sending its alerts over `back`, with its records
@@ -633,10 +575,89 @@ impl Replicas {
         let id = CeId::new(ce as u32);
         Replica::new(id, &self.conditions, pipeline, back, record, outputs, faults)
     }
+
+    /// The running system: its threads, the AD's records, the links'
+    /// counters and the replicas' own records.
+    fn system(
+        self,
+        handles: Vec<JoinHandle<()>>,
+        helpers: usize,
+        ad: AdSinks,
+        links: LinkCounters,
+    ) -> MonitorSystem {
+        MonitorSystem {
+            handles,
+            helpers,
+            ad,
+            ingested: self.ingested,
+            emitted: self.emitted,
+            fault_report: self.fault_report,
+            links,
+            workers: self.options.workers,
+            latency: self.latency,
+        }
+    }
 }
 
-/// One socket-mode front link's sender counters, keyed `(feed, ce)`.
+/// One front link's sender counters, keyed `(feed, ce)`.
 type KeyedFrontStats = ((usize, usize), Arc<Mutex<FrontLinkStats>>);
+
+/// Every counter block of one run's links: one list per kind, the same
+/// in both transports (the socket-only kinds stay empty in-process).
+#[derive(Default)]
+struct LinkCounters {
+    mode: TransportMode,
+    /// Feed index → variable, for the `links` view.
+    front_vars: Vec<VarId>,
+    /// Every front link's sender counters, feed-major.
+    front: Vec<KeyedFrontStats>,
+    /// Every back link's counters, indexed by replica.
+    back: Vec<Arc<BackLinkCounters>>,
+    /// Every CE's UDP ingress, indexed by replica.
+    ingress: Vec<Arc<IngressCounters>>,
+    ad: Option<Arc<ListenerCounters>>,
+    engine: Option<Arc<EngineCounters>>,
+}
+
+impl LinkCounters {
+    fn report(&self) -> TransportReport {
+        TransportReport {
+            mode: self.mode,
+            front_links: self.front.iter().map(|&((fi, ci), ref s)| (fi, ci, *s.lock())).collect(),
+            ingress: self.ingress.iter().map(|c| c.snapshot()).collect(),
+            back_links: self.back.iter().map(|c| c.snapshot()).collect(),
+            ad: self.ad.as_ref().map(|c| c.snapshot()).unwrap_or_default(),
+            engine: self.engine.as_ref().map(|c| c.snapshot()).unwrap_or_default(),
+        }
+    }
+
+    /// The per-link view of `report`'s front links, in updates (a
+    /// socket datagram carries a feed's whole round).
+    fn links(&self, report: &TransportReport) -> Vec<((VarId, CeId), LinkReport)> {
+        let link = |&(fi, ci, s): &(usize, usize, FrontLinkStats)| {
+            let key = (self.front_vars[fi], CeId::new(ci as u32));
+            (key, LinkReport { sent: s.updates_sent, dropped: s.updates_dropped })
+        };
+        report.front_links.iter().map(link).collect()
+    }
+}
+
+/// Folds every back link's counters into the fault ledger.
+fn fold_back_links(faults: &mut FaultReport, report: &TransportReport) {
+    for s in &report.back_links {
+        faults.backlink_severs += s.severs;
+        faults.backlink_reconnects += s.reconnects;
+        faults.backlink_attempts += s.attempts;
+        faults.backlink_duplicates += s.resent_duplicates;
+        faults.alerts_lost_overflow += s.lost_overflow;
+    }
+}
+
+/// A shared record's contents, moved out when the last other handle is
+/// gone (it is, once the threads are joined).
+fn take<T: Clone>(shared: Arc<Mutex<Vec<T>>>) -> Vec<T> {
+    Arc::try_unwrap(shared).map(Mutex::into_inner).unwrap_or_else(|arc| arc.lock().clone())
+}
 
 /// A running monitoring pipeline; join it with [`MonitorSystem::wait`].
 pub struct MonitorSystem {
@@ -644,28 +665,15 @@ pub struct MonitorSystem {
     /// Evaluation helper threads, summed over replicas; each replica's
     /// pipeline joins its own.
     helpers: usize,
-    arrivals: Arc<Mutex<Vec<Alert>>>,
-    displayed: Arc<Mutex<Vec<Alert>>>,
+    ad: AdSinks,
     ingested: Vec<Arc<Mutex<Vec<Update>>>>,
     emitted: Vec<Arc<Mutex<Vec<Alert>>>>,
-    link_reports: LinkReports,
     fault_report: Arc<Mutex<FaultReport>>,
-    backlink_stats: Vec<Arc<Mutex<BackLinkStats>>>,
-    mode: TransportMode,
-    replicas: usize,
+    links: LinkCounters,
     /// Evaluation shards per replica (`SystemBuilder::workers`).
     workers: usize,
     /// Run-wide ingest→alert-emit latency histogram.
     latency: Arc<LatencyHistogram>,
-    /// Feed index → variable (socket mode; for the `links` report).
-    front_vars: Vec<VarId>,
-    /// Socket-mode sender counters keyed `(feed, ce)`.
-    front_stats: Vec<KeyedFrontStats>,
-    /// Socket-engine counter blocks (empty / `None` in-process).
-    engine_counters: Option<Arc<EngineCounters>>,
-    evented_ingress: Vec<Arc<IngressCounters>>,
-    evented_tcp: Vec<Arc<BackLinkCounters>>,
-    evented_ad: Option<Arc<ListenerCounters>>,
 }
 
 impl fmt::Debug for MonitorSystem {
@@ -716,142 +724,24 @@ impl MonitorSystem {
         for h in self.handles {
             h.join().expect("actor thread panicked");
         }
-        let faults = {
-            let mut report = self.fault_report.lock().clone();
-            // Both link kinds fold into the same fault counters, so the
-            // fault ledger reads identically across transports.
-            for stats in &self.backlink_stats {
-                let s = *stats.lock();
-                report.backlink_severs += s.severs;
-                report.backlink_reconnects += s.reconnects;
-                report.backlink_attempts += s.attempts;
-                report.backlink_duplicates += s.resent_duplicates;
-                report.alerts_lost_overflow += s.lost_overflow;
-            }
-            for counters in &self.evented_tcp {
-                let s = counters.snapshot();
-                report.backlink_severs += s.severs;
-                report.backlink_reconnects += s.reconnects;
-                report.backlink_attempts += s.attempts;
-                report.backlink_duplicates += s.resent_duplicates;
-                report.alerts_lost_overflow += s.lost_overflow;
-            }
-            report
-        };
-        let transport = match self.mode {
-            TransportMode::InProcess => TransportReport {
-                mode: TransportMode::InProcess,
-                // Channel links were registered feed-major, replica-minor.
-                front_links: self
-                    .link_reports
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, stats))| {
-                        let r = *stats.lock();
-                        // Channel links carry one update per "frame"
-                        // and no wire bytes.
-                        let front = FrontLinkStats {
-                            frames_sent: r.sent,
-                            frames_dropped: r.dropped,
-                            updates_sent: r.sent,
-                            updates_dropped: r.dropped,
-                            bytes_sent: 0,
-                        };
-                        (i / self.replicas, i % self.replicas, front)
-                    })
-                    .collect(),
-                ingress: Vec::new(),
-                back_links: self
-                    .backlink_stats
-                    .iter()
-                    .map(|stats| {
-                        let s = *stats.lock();
-                        TcpLinkStats {
-                            sent: s.sent,
-                            severs: s.severs,
-                            reconnects: s.reconnects,
-                            attempts: s.attempts,
-                            resent_duplicates: s.resent_duplicates,
-                            queued_peak: s.queued_peak,
-                            lost_overflow: s.lost_overflow,
-                            io_errors: 0,
-                            frames_sent: s.sent,
-                            bytes_sent: 0,
-                            shed: 0,
-                        }
-                    })
-                    .collect(),
-                ad: ListenerStats::default(),
-                engine: EngineStats::default(),
-            },
-            TransportMode::Sockets => TransportReport {
-                mode: TransportMode::Sockets,
-                front_links: self
-                    .front_stats
-                    .iter()
-                    .map(|((fi, ci), stats)| (*fi, *ci, *stats.lock()))
-                    .collect(),
-                ingress: self.evented_ingress.iter().map(|c| c.snapshot()).collect(),
-                back_links: self.evented_tcp.iter().map(|c| c.snapshot()).collect(),
-                ad: self.evented_ad.as_ref().map(|c| c.snapshot()).unwrap_or_default(),
-                engine: self.engine_counters.as_ref().map(|c| c.snapshot()).unwrap_or_default(),
-            },
-        };
-        // Socket mode has no channel-link reports; synthesize the
-        // legacy per-link view from the sender counters so downstream
-        // consumers see one shape.
-        let links: Vec<((VarId, CeId), LinkReport)> = match self.mode {
-            TransportMode::InProcess => {
-                self.link_reports.into_iter().map(|(key, m)| (key, *m.lock())).collect()
-            }
-            TransportMode::Sockets => self
-                .front_stats
-                .iter()
-                .map(|((fi, ci), stats)| {
-                    let s = *stats.lock();
-                    // The legacy view counts updates, not datagrams: one
-                    // datagram carries a feed's whole round.
-                    (
-                        (self.front_vars[*fi], CeId::new(*ci as u32)),
-                        LinkReport { sent: s.updates_sent, dropped: s.updates_dropped },
-                    )
-                })
-                .collect(),
-        };
-        let pipeline = PipelineReport {
-            workers: self.workers,
-            updates_shed: 0,
-            latency: self.latency.snapshot(),
-        };
+        let transport = self.links.report();
+        // Every back link counts into the same block, so the fault
+        // ledger reads identically across transports.
+        let mut faults = self.fault_report.lock().clone();
+        fold_back_links(&mut faults, &transport);
         RunReport {
+            links: self.links.links(&transport),
             faults,
             transport,
-            pipeline,
-            arrivals: Arc::try_unwrap(self.arrivals)
-                .map(Mutex::into_inner)
-                .unwrap_or_else(|arc| arc.lock().clone()),
-            displayed: Arc::try_unwrap(self.displayed)
-                .map(Mutex::into_inner)
-                .unwrap_or_else(|arc| arc.lock().clone()),
-            ingested: self
-                .ingested
-                .into_iter()
-                .map(|m| {
-                    Arc::try_unwrap(m)
-                        .map(Mutex::into_inner)
-                        .unwrap_or_else(|arc| arc.lock().clone())
-                })
-                .collect(),
-            emitted: self
-                .emitted
-                .into_iter()
-                .map(|m| {
-                    Arc::try_unwrap(m)
-                        .map(Mutex::into_inner)
-                        .unwrap_or_else(|arc| arc.lock().clone())
-                })
-                .collect(),
-            links,
+            pipeline: PipelineReport {
+                workers: self.workers,
+                updates_shed: 0,
+                latency: self.latency.snapshot(),
+            },
+            arrivals: take(self.ad.arrivals),
+            displayed: take(self.ad.displayed),
+            ingested: self.ingested.into_iter().map(take).collect(),
+            emitted: self.emitted.into_iter().map(take).collect(),
         }
     }
 }

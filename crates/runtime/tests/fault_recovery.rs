@@ -105,6 +105,32 @@ fn severed_back_link_loses_no_alerts() {
 }
 
 #[test]
+fn an_in_process_queue_overflow_is_counted_as_shed() {
+    // The back link is down from before the first alert for longer than
+    // the run takes to emit them all, and there are more alerts than
+    // the resend queue holds: the overflow drops are sheds, counted
+    // as the socket links count them.
+    let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x(), Cmp::Gt, -1.0));
+    let n = 1100u64;
+    let system = MonitorSystem::builder(cond)
+        .replicas(1)
+        .feed(VarFeed::new(x(), (0..n).map(|i| i as f64).collect::<Vec<_>>()))
+        .faults(FaultPlan {
+            severs: vec![SeverBackLink { ce: 0, at_send: 0, down_for: Duration::from_secs(1) }],
+            ..FaultPlan::default()
+        })
+        .start()
+        .unwrap();
+    let report = system.wait();
+
+    let back = report.transport.back_links[0];
+    assert!(back.lost_overflow > 0, "{back:?}");
+    assert_eq!(back.shed, back.lost_overflow, "{back:?}");
+    assert_eq!(report.faults.alerts_lost_overflow, back.lost_overflow);
+    assert_eq!(report.displayed.len() as u64, n - back.lost_overflow);
+}
+
+#[test]
 fn recovery_replays_retained_window() {
     // Scripted kill mid-stream with a full retained window: replay must
     // rebuild the histories so the run stays complete and ordered —

@@ -113,7 +113,7 @@ fn severed_backlink_is_lossless_and_ordered_under_all_schedules() {
             }
         }
         assert_eq!(firsts, vec![1, 2, 3], "lossless and ordered; got {got:?}");
-        let s = stats.lock();
+        let s = stats.snapshot();
         assert_eq!(s.severs, 1);
         assert_eq!(s.reconnects, 1);
     });

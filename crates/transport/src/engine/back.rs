@@ -1,5 +1,5 @@
-//! The evented CE → AD back link: `TcpBackLink`'s full
-//! sever/queue/reconnect machine with every blocking state made
+//! The evented CE → AD back link: the [`Outbox`] policy every back
+//! link shares, on a nonblocking socket with every blocking state made
 //! explicit.
 //!
 //! Where the threaded link blocks, this one parks state:
@@ -18,7 +18,7 @@
 //! loopback equivalence suite can compare reports across engines.
 //! The caller-side handle, [`EventedBackLink`], never blocks on
 //! `send_alert`: everything past the bound is shed-with-counter, the
-//! same back-pressure contract as the threaded `enqueue`.
+//! back-pressure contract of [`Outbox::enqueue`].
 
 // LOCK ORDER: no locks — back-link state machines are owned by the loop thread.
 
@@ -37,10 +37,8 @@ use rcm_sync::Arc;
 
 use super::counters::BackLinkCounters;
 use super::event_loop::{timer_data, Command, Core, KIND_DEADLINE, KIND_RECONNECT};
+use crate::outbox::Outbox;
 use crate::wire::{self, Codec, Message};
-
-/// Same tail length as the threaded link.
-const UNACKED_TAIL: usize = 8;
 
 /// How long `finish` keeps retrying a dead peer before counting the
 /// queue as lost — the threaded link's deadline.
@@ -58,37 +56,27 @@ const INITIAL_CONNECT_WAIT: Duration = Duration::from_secs(30);
 
 /// Everything needed to open one evented back link, gathered so the
 /// link can be built inside the loop. Like the threaded `TcpBackLink`,
-/// it sends one frame per alert, resends an unacked tail of 8 on
-/// reconnect and gives a dead peer 10 s at `finish`.
+/// it sends one frame per alert, follows the [`Outbox`] policy and
+/// gives a dead peer 10 s at `finish`.
 #[derive(Debug, Clone)]
 pub struct BackLinkSpec {
     pub(super) peer: SocketAddr,
     pub(super) node: u32,
     pub(super) backoff: Backoff,
     pub(super) severs: Vec<(u64, Duration)>,
-    pub(super) queue_cap: usize,
 }
 
 impl BackLinkSpec {
-    /// A spec with the threaded link's defaults: no severs, queue cap
-    /// 1024.
+    /// A spec with no severs scripted.
     pub fn new(peer: SocketAddr, node: u32, backoff: Backoff) -> Self {
-        BackLinkSpec { peer, node, backoff, severs: Vec::new(), queue_cap: 1024 }
+        BackLinkSpec { peer, node, backoff, severs: Vec::new() }
     }
 
-    /// Scripts severances as `(at_send, down_for)` pairs; sorted
-    /// internally, same contract as the threaded link.
+    /// Scripts severances as `(at_send, down_for)` pairs; see
+    /// [`Outbox::new`].
     #[must_use]
-    pub fn with_severs(mut self, mut severs: Vec<(u64, Duration)>) -> Self {
-        severs.sort_by_key(|&(at, _)| at);
+    pub fn with_severs(mut self, severs: Vec<(u64, Duration)>) -> Self {
         self.severs = severs;
-        self
-    }
-
-    /// Bounds the resend queue (default 1024).
-    #[must_use]
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = cap.max(1);
         self
     }
 }
@@ -197,13 +185,8 @@ pub(super) struct BackSource {
     finishing: bool,
     fin_queued: bool,
     deadline_passed: bool,
-    floor: Option<Instant>,
-    severs: VecDeque<(u64, Duration)>,
-    sends_seen: u64,
     backoff: Backoff,
-    queue: VecDeque<Alert>,
-    queue_cap: usize,
-    unacked: VecDeque<Alert>,
+    outbox: Outbox<Alert>,
     out: VecDeque<PendingWrite>,
     registered_write: bool,
     reconnect_timer: Option<TimerKey>,
@@ -233,6 +216,7 @@ impl BackSource {
         // behind Nagle.
         stream.set_nodelay(true)?;
         core.poller.register(fd, Token(id), Interest::WRITE)?;
+        let counters = Arc::new(BackLinkCounters::default());
         let mut source = BackSource {
             peer: spec.peer,
             node: spec.node,
@@ -241,18 +225,13 @@ impl BackSource {
             finishing: false,
             fin_queued: false,
             deadline_passed: false,
-            floor: None,
-            severs: spec.severs.into(),
-            sends_seen: 0,
             backoff: spec.backoff,
-            queue: VecDeque::new(),
-            queue_cap: spec.queue_cap,
-            unacked: VecDeque::new(),
+            outbox: Outbox::new(spec.severs, Arc::clone(&counters)),
             out: VecDeque::new(),
             registered_write: true,
             reconnect_timer: None,
             deadline_timer: None,
-            counters: Arc::new(BackLinkCounters::default()),
+            counters,
             done_tx,
         };
         source.queue_control(Message::Hello { node: spec.node });
@@ -266,22 +245,14 @@ impl BackSource {
     // ---- command handlers (all return `true` when the link retired).
 
     pub(super) fn on_send(&mut self, core: &mut Core, id: usize, alert: Alert) -> bool {
-        let now = Instant::now();
-        if let Some(&(at, down_for)) = self.severs.front() {
-            if self.sends_seen >= at {
-                self.severs.pop_front();
-                self.counters.severs.fetch_add(1, Ordering::SeqCst);
-                // A severance landing while already down extends the
-                // outage rather than stacking a second one.
-                self.mark_down(core, id, Some(now + down_for));
-            }
+        if self.outbox.sever_due() {
+            self.mark_down(core, id);
         }
-        self.sends_seen += 1;
         if self.state == LinkState::Up {
             self.queue_frame(alert, false);
             self.drain_out(core, id);
         } else {
-            self.enqueue(alert);
+            self.outbox.enqueue(alert);
         }
         false
     }
@@ -301,8 +272,7 @@ impl BackSource {
     pub(super) fn on_abandon(&mut self, core: &mut Core, id: usize) -> bool {
         // Sanctioned loss: the queue dies with the replica, but the
         // listener still needs the end-of-stream marker.
-        self.queue.clear();
-        self.unacked.clear();
+        self.outbox.abandon();
         self.finishing = true;
         if self.state == LinkState::Up {
             if !self.fin_queued {
@@ -331,7 +301,7 @@ impl BackSource {
             LinkState::Up => {
                 if ev.error {
                     self.counters.io_errors.fetch_add(1, Ordering::SeqCst);
-                    self.mark_down(core, id, None);
+                    self.mark_down(core, id);
                     return self.after_down(core, id);
                 }
                 if ev.writable {
@@ -396,19 +366,18 @@ impl BackSource {
             return false;
         }
         // Connected: same sequence as the threaded reconnect — Hello,
-        // unacked-tail duplicates, then the queue in FIFO order.
+        // then the outbox's replay (unacked-tail duplicates, then the
+        // queue in FIFO order), one frame each.
         if let Some(stream) = &self.stream {
             let _ = stream.set_nodelay(true);
         }
         self.state = LinkState::Up;
         self.registered_write = true; // still registered for WRITE
-        self.floor = None;
         self.backoff.reset();
         self.counters.reconnects.fetch_add(1, Ordering::SeqCst);
         self.queue_control(Message::Hello { node: self.node });
-        self.resend_unacked();
-        while let Some(alert) = self.queue.pop_front() {
-            self.queue_frame(alert, false);
+        for (alert, resend) in self.outbox.replay() {
+            self.queue_frame(alert, resend);
         }
         if self.finishing && !self.fin_queued {
             self.queue_fin();
@@ -419,7 +388,7 @@ impl BackSource {
     fn attempt_connect(&mut self, core: &mut Core, id: usize) {
         self.counters.attempts.fetch_add(1, Ordering::SeqCst);
         let now = Instant::now();
-        if self.floor.is_some_and(|f| now < f) {
+        if self.outbox.outage_holds(now) {
             let delay = self.backoff.next_delay();
             self.schedule_reconnect(core, id, now + delay);
             return;
@@ -456,7 +425,7 @@ impl BackSource {
             // panicked. Duplicates (resends) are simply dropped.
             self.counters.io_errors.fetch_add(1, Ordering::SeqCst);
             if !resend {
-                self.enqueue(alert);
+                self.outbox.enqueue(alert);
             }
             return;
         }
@@ -494,16 +463,6 @@ impl BackSource {
         self.queue_control(Message::Fin { node: self.node });
     }
 
-    fn resend_unacked(&mut self) {
-        // Pure duplicates, exactly the adversarial input the AD
-        // filters must tolerate; one frame each, like the threaded
-        // resend.
-        let tail: Vec<Alert> = self.unacked.iter().cloned().collect();
-        for alert in tail {
-            self.queue_frame(alert, true);
-        }
-    }
-
     /// Writes as much of the out-queue as the socket takes right now.
     /// Returns `true` when the Fin frame completed and the link
     /// retired (or a failure while finishing past the deadline ended
@@ -527,7 +486,7 @@ impl BackSource {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.counters.io_errors.fetch_add(1, Ordering::SeqCst);
-                    self.mark_down(core, id, None);
+                    self.mark_down(core, id);
                     return self.after_down(core, id);
                 }
             }
@@ -553,7 +512,7 @@ impl BackSource {
             self.counters.resent_duplicates.fetch_add(1, Ordering::SeqCst);
         } else {
             self.counters.sent.fetch_add(1, Ordering::SeqCst);
-            self.push_unacked(alert);
+            self.outbox.push_unacked(alert);
         }
         false
     }
@@ -573,31 +532,19 @@ impl BackSource {
 
     // ---- outage handling.
 
-    fn mark_down(&mut self, core: &mut Core, id: usize, floor: Option<Instant>) {
+    fn mark_down(&mut self, core: &mut Core, id: usize) {
         self.close_stream(core);
         self.state = LinkState::Down;
-        self.floor = match (self.floor, floor) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
         self.backoff.reset();
-        // In-flight frames spill to the queue FRONT in order: they are
-        // older than anything queued after them. (The queue is empty
-        // while up, so in practice this rebuilds FIFO exactly.) A
+        // In-flight frames spill back to the queue front, in order (the
+        // queue is empty while up, so this rebuilds FIFO exactly). A
         // partially-written frame is re-sent whole — the peer's frame
         // buffer discards the torn prefix with the dead connection.
-        let mut spilled: Vec<Alert> = Vec::new();
-        for frame in self.out.drain(..) {
-            if frame.fin {
-                self.fin_queued = false; // the finish plan re-issues it
-            }
-            if !frame.resend {
-                spilled.extend(frame.alert);
-            }
+        let out = std::mem::take(&mut self.out);
+        if out.iter().any(|frame| frame.fin) {
+            self.fin_queued = false; // the finish plan re-issues it
         }
-        for alert in spilled.into_iter().rev() {
-            self.queue.push_front(alert);
-        }
+        self.outbox.requeue(out.into_iter().filter_map(|frame| Some((frame.alert?, frame.resend))));
         self.schedule_reconnect(core, id, Instant::now());
     }
 
@@ -613,11 +560,7 @@ impl BackSource {
     }
 
     fn abort_finish(&mut self, core: &mut Core) {
-        let dropped = self.queue.len() as u64;
-        self.queue.clear();
-        if dropped > 0 {
-            self.counters.lost_overflow.fetch_add(dropped, Ordering::SeqCst);
-        }
+        self.outbox.give_up();
         self.retire(core);
     }
 
@@ -642,26 +585,5 @@ impl BackSource {
             core.wheel.cancel(key);
         }
         self.reconnect_timer = Some(core.wheel.schedule_at(at, timer_data(id, KIND_RECONNECT)));
-    }
-
-    // ---- queue bookkeeping (same contract as the threaded link).
-
-    fn enqueue(&mut self, alert: Alert) {
-        if self.queue.len() >= self.queue_cap {
-            // Strictly non-blocking back-pressure: shed the oldest and
-            // count it, never stall anything on a down peer.
-            self.queue.pop_front();
-            self.counters.lost_overflow.fetch_add(1, Ordering::SeqCst);
-            self.counters.shed.fetch_add(1, Ordering::SeqCst);
-        }
-        self.queue.push_back(alert);
-        self.counters.observe_queue_depth(self.queue.len() as u64);
-    }
-
-    fn push_unacked(&mut self, alert: Alert) {
-        if self.unacked.len() == UNACKED_TAIL {
-            self.unacked.pop_front();
-        }
-        self.unacked.push_back(alert);
     }
 }

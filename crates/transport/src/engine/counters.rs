@@ -1,15 +1,17 @@
-//! Lock-free counter blocks for the evented engine.
+//! Lock-free counter blocks for the evented engine, and the one
+//! counter block every back link counts into.
 //!
-//! The threaded links share their counters through `Arc<Mutex<…>>`
-//! handles; the event loop cannot — this directory bans holding any
-//! lock across the poll, and the loop thread is the only writer
-//! anyway. Each block here is a set of `rcm_sync` atomics written by
-//! the loop and snapshotted (into the exact same report structs the
-//! threaded path fills) by whoever holds the `Arc`.
+//! The event loop cannot share counters through `Arc<Mutex<…>>`
+//! handles — this directory bans holding any lock across the poll, and
+//! the loop thread is the only writer anyway. Each block here is a set
+//! of `rcm_sync` atomics written by one thread and snapshotted into a
+//! plain report struct by whoever holds the `Arc`. [`BackLinkCounters`]
+//! is also what the in-process and threaded back links count into,
+//! through the [`Outbox`](crate::Outbox) they share.
 //!
 //! Peaks (`queued_peak`) use a load-compare-store pair instead of a
-//! fetch-max: the loop thread is the sole writer, so the pair cannot
-//! race, and the shim's model-checker atomics stay minimal.
+//! fetch-max: a link's sending thread is the sole writer, so the pair
+//! cannot race, and the shim's model-checker atomics stay minimal.
 
 // LOCK ORDER: no locks — cross-thread visibility is atomics only.
 
@@ -98,8 +100,8 @@ pub struct BackLinkCounters {
 }
 
 impl BackLinkCounters {
-    /// Raises `queued_peak` to `depth` if higher. Loop-thread only —
-    /// the single writer makes load-then-store race-free.
+    /// Raises `queued_peak` to `depth` if higher. The link's sending
+    /// thread only — the single writer makes load-then-store race-free.
     pub fn observe_queue_depth(&self, depth: u64) {
         if depth > self.queued_peak.load(Ordering::SeqCst) {
             self.queued_peak.store(depth, Ordering::SeqCst);

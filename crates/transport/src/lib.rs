@@ -19,10 +19,13 @@
 //!   ingress (enforcing the front-link contract by discarding reordered
 //!   and duplicated datagrams via a per-variable seqno high-water mark,
 //!   [`SeqGate`]), every back link (reconnect driven by
-//!   [`rcm_net::Backoff`] and a bounded resend queue, preserving the
+//!   [`rcm_net::Backoff`] and the [`Outbox`] policy, preserving the
 //!   lossless contract across connection drops) and the AD's alert
 //!   listener, as state machines on one `rcm-poll` readiness loop — a
 //!   single CE process holds 10k+ idle front links;
+//! * [`Outbox`] — the one resend policy of every back link, socket or
+//!   in-process: scripted severs, a bounded FIFO queue while down, and
+//!   the unacked tail re-sent on reconnect;
 //! * [`LossProxy`] — a UDP forwarder replaying [`rcm_net`] loss models
 //!   onto real packets, for deterministic loss injection in loopback
 //!   integration tests;
@@ -49,6 +52,7 @@
 
 pub mod engine;
 mod gate;
+mod outbox;
 mod proxy;
 mod report;
 mod tcp;
@@ -58,6 +62,7 @@ pub mod wire;
 
 pub use engine::{BackLinkSpec, EventLoop, EventedBackLink};
 pub use gate::SeqGate;
+pub use outbox::Outbox;
 pub use proxy::{LossProxy, ProxyHandle};
 pub use report::{
     EngineStats, FrontLinkStats, IngressStats, ListenerStats, ProxyStats, TcpLinkStats,

@@ -75,7 +75,7 @@ impl IngressStats {
     }
 }
 
-/// Counters for one CE → AD TCP back link.
+/// Counters for one CE → AD back link, in either transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TcpLinkStats {
     /// Alerts transmitted (excluding duplicate resends).
@@ -187,9 +187,11 @@ pub struct ProxyStats {
 
 /// Everything the transport layer observed over one run.
 ///
-/// In-process runs fill `front_links` and `back_links` from the
-/// channel-link counters (so the shape of the report is identical in
-/// both modes) and leave `ingress` empty; socket runs fill all four.
+/// The in-process links count into the same blocks as the socket links,
+/// so `front_links` and `back_links` read alike in both modes: a channel
+/// frame is one update, and a channel carries no wire bytes or socket
+/// errors. In-process runs leave `ingress` empty and `ad` and `engine`
+/// zeroed; socket runs fill all of them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransportReport {
     /// Which transport carried the run.

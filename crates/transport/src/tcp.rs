@@ -4,33 +4,24 @@
 //! The paper justifies a "TCP-like protocol" for back links: alert
 //! traffic is light, the CE buffers alerts anyway, and losing an alert
 //! is far worse than losing an update. A TCP connection gives in-order
-//! bytes while it lives — the machinery here is for when it dies:
-//!
-//! * a scripted severance (for chaos tests) or a genuine socket error
-//!   marks the link down and closes the stream;
-//! * sends while down go to a bounded FIFO queue (overflow drops the
-//!   oldest and is *counted*, never silent);
-//! * reconnect attempts are paced by a seeded
-//!   [`Backoff`](rcm_net::Backoff) schedule;
-//! * on reconnect the link re-sends its unacked tail (a real transport
-//!   cannot know which in-flight frames survived the cut) and then
-//!   drains the queue in order — so the AD sees exact duplicates
-//!   around every reconnect, which is precisely the adversarial input
-//!   every AD algorithm already discards.
-//!
-//! This mirrors the in-process `BackLink` in `rcm-runtime` send for
-//! send; the two share their counters' meaning so `RunReport.faults`
-//! reads the same in both modes.
+//! bytes while it lives; when it dies — a scripted severance or a
+//! genuine socket error — the link closes the stream and follows the
+//! [`Outbox`] policy every back link shares: sends while down wait in
+//! a bounded queue, and a reconnect, paced by a seeded
+//! [`Backoff`](rcm_net::Backoff) schedule, re-sends the unacked tail
+//! and then the queue in order. What is left here is the transport: a
+//! blocking stream, a bounded connect per reconnect attempt, and a
+//! `finish` that blocks until the queue is out.
 //!
 //! Every alert is its own `Alert` frame and its own stream write: a
 //! back link carries little traffic, and an alert that waits for
 //! company is a late alert.
 //!
-//! LOCK ORDER: the only mutexes are the `stats` counter blocks,
-//! leaves — never held across a socket call, a sleep, or a channel
-//! send.
+//! LOCK ORDER: the only mutexes are the listener's `stats` counter
+//! block, a leaf — never held across a socket call, a sleep, or a
+//! channel send. The back link counts into atomics.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
@@ -41,12 +32,10 @@ use rcm_sync::chan::Sender;
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::{Arc, Mutex};
 
-use crate::report::{ListenerStats, TcpLinkStats};
+use crate::engine::BackLinkCounters;
+use crate::outbox::Outbox;
+use crate::report::ListenerStats;
 use crate::wire::{self, Codec, FrameBuf, Message};
-
-/// How many recently-sent alerts the link keeps for post-reconnect
-/// resend (same tail length as the in-process back link).
-const UNACKED_TAIL: usize = 8;
 
 /// Read-timeout tick for listener reader threads.
 const RECV_TICK: Duration = Duration::from_millis(50);
@@ -63,27 +52,19 @@ const RECONNECT_DEADLINE: Duration = Duration::from_secs(10);
 /// never existed is a deployment error worth waiting to discover.
 const RECONNECT_CONNECT_CAP: Duration = Duration::from_millis(250);
 
-/// The sending half of a back link: owns the connection to the AD and
-/// the full sever/queue/reconnect state machine.
+/// The sending half of a back link: owns the connection to the AD, its
+/// reconnects, and the link's [`Outbox`].
 pub struct TcpBackLink {
     peer: SocketAddr,
     node: u32,
     stream: Option<TcpStream>,
     down: bool,
-    /// Earliest instant a scripted outage allows reconnection.
-    floor: Option<Instant>,
-    /// Pending severances, ascending by send index: `(at_send, down_for)`.
-    severs: VecDeque<(u64, Duration)>,
-    sends_seen: u64,
     next_attempt: Instant,
     backoff: Backoff,
-    queue: VecDeque<Alert>,
-    queue_cap: usize,
-    unacked: VecDeque<Alert>,
-    unacked_cap: usize,
+    outbox: Outbox<Alert>,
     /// Reused frame-encode scratch buffer.
     frame: Vec<u8>,
-    stats: Arc<Mutex<TcpLinkStats>>,
+    counters: Arc<BackLinkCounters>,
 }
 
 impl std::fmt::Debug for TcpBackLink {
@@ -91,8 +72,8 @@ impl std::fmt::Debug for TcpBackLink {
         f.debug_struct("TcpBackLink")
             .field("peer", &self.peer)
             .field("down", &self.down)
-            .field("queued", &self.queue.len())
-            .field("stats", &*self.stats.lock())
+            .field("outbox", &self.outbox)
+            .field("stats", &self.counters.snapshot())
             .finish()
     }
 }
@@ -108,76 +89,46 @@ impl TcpBackLink {
     pub fn connect(peer: SocketAddr, node: u32, backoff: Backoff) -> io::Result<Self> {
         let mut stream = open_stream(peer, None)?;
         write_msg(&mut stream, &Message::Hello { node })?;
+        let counters = Arc::new(BackLinkCounters::default());
         Ok(TcpBackLink {
             peer,
             node,
             stream: Some(stream),
             down: false,
-            floor: None,
-            severs: VecDeque::new(),
-            sends_seen: 0,
             next_attempt: Instant::now(),
             backoff,
-            queue: VecDeque::new(),
-            queue_cap: 1024,
-            unacked: VecDeque::new(),
-            unacked_cap: UNACKED_TAIL,
+            outbox: Outbox::new(Vec::new(), Arc::clone(&counters)),
             frame: Vec::new(),
-            stats: Arc::new(Mutex::new(TcpLinkStats::default())),
+            counters,
         })
     }
 
-    /// Scripts severances as `(at_send, down_for)` pairs; `at_send`
-    /// counts prior send calls, so `(0, d)` severs before the first.
-    /// Pairs are sorted internally.
+    /// Scripts severances as `(at_send, down_for)` pairs; see
+    /// [`Outbox::new`].
     #[must_use]
-    pub fn with_severs(mut self, mut severs: Vec<(u64, Duration)>) -> Self {
-        severs.sort_by_key(|&(at, _)| at);
-        self.severs = severs.into();
-        self
-    }
-
-    /// Bounds the resend queue (default 1024).
-    #[must_use]
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = cap.max(1);
-        self
-    }
-
-    /// Sets the unacked-tail length resent on reconnect (default 8;
-    /// 0 disables duplicate resends).
-    #[must_use]
-    pub fn unacked_cap(mut self, cap: usize) -> Self {
-        self.unacked_cap = cap;
-        self.unacked.truncate(cap);
+    pub fn with_severs(mut self, severs: Vec<(u64, Duration)>) -> Self {
+        self.outbox = Outbox::new(severs, Arc::clone(&self.counters));
         self
     }
 
     /// A handle for reading the link's counters after the CE thread
     /// has taken ownership of the link.
-    pub fn stats_handle(&self) -> Arc<Mutex<TcpLinkStats>> {
-        Arc::clone(&self.stats)
+    pub fn stats_handle(&self) -> Arc<BackLinkCounters> {
+        Arc::clone(&self.counters)
     }
 
     /// Sends one alert: transmitted immediately when connected, queued
     /// when down (a non-blocking reconnect attempt is made first if
     /// the backoff schedule allows one).
     pub fn send_alert(&mut self, alert: Alert) {
-        if let Some(&(at, down_for)) = self.severs.front() {
-            if self.sends_seen >= at {
-                self.severs.pop_front();
-                self.stats.lock().severs += 1;
-                // A severance landing while already down extends the
-                // outage rather than stacking a second one.
-                self.mark_down(Some(Instant::now() + down_for));
-            }
+        if self.outbox.sever_due() {
+            self.mark_down();
         }
-        self.sends_seen += 1;
         if self.down {
             self.try_reconnect(false);
         }
-        if self.down || !self.write_alert(&alert) {
-            self.enqueue(alert);
+        if self.down || !self.write_alert(&alert, false) {
+            self.outbox.enqueue(alert);
         }
     }
 
@@ -192,12 +143,10 @@ impl TcpBackLink {
             self.try_reconnect(true);
         }
         if self.down {
-            let dropped = self.queue.len() as u64;
-            self.queue.clear();
-            self.stats.lock().lost_overflow += dropped;
+            self.outbox.give_up();
             return;
         }
-        debug_assert!(self.queue.is_empty(), "reconnect flushes the queue");
+        debug_assert_eq!(self.outbox.queued(), 0, "reconnect flushes the queue");
         if let Some(stream) = self.stream.as_mut() {
             let _ = write_msg(stream, &Message::Fin { node: self.node });
         }
@@ -210,8 +159,7 @@ impl TcpBackLink {
     /// as the in-process abandoned path) but whose listener still
     /// needs the end-of-stream marker to shut down.
     pub fn abandon(&mut self) {
-        self.queue.clear();
-        self.unacked.clear();
+        self.outbox.abandon();
         if self.down {
             self.try_reconnect(true);
         }
@@ -221,13 +169,9 @@ impl TcpBackLink {
         self.stream = None;
     }
 
-    fn mark_down(&mut self, floor: Option<Instant>) {
+    fn mark_down(&mut self) {
         self.stream = None;
         self.down = true;
-        self.floor = match (self.floor, floor) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
         self.next_attempt = Instant::now();
         self.backoff.reset();
     }
@@ -252,19 +196,17 @@ impl TcpBackLink {
                 }
                 rcm_sync::thread::sleep(self.next_attempt - now);
             }
-            self.stats.lock().attempts += 1;
-            if self.floor.is_none_or(|f| Instant::now() >= f) {
+            self.counters.attempts.fetch_add(1, Ordering::SeqCst);
+            if !self.outbox.outage_holds(Instant::now()) {
                 if let Ok(mut stream) = open_stream(self.peer, Some(RECONNECT_CONNECT_CAP)) {
                     if write_msg(&mut stream, &Message::Hello { node: self.node }).is_ok() {
                         self.stream = Some(stream);
                         self.down = false;
-                        self.floor = None;
                         self.backoff.reset();
-                        self.stats.lock().reconnects += 1;
-                        self.resend_unacked();
-                        self.flush_queue();
-                        // resend/flush can mark the link down again on
-                        // a fresh write error; the loop re-checks.
+                        self.counters.reconnects.fetch_add(1, Ordering::SeqCst);
+                        self.replay();
+                        // The replay can mark the link down again on a
+                        // fresh write error; the loop re-checks.
                         continue;
                     }
                 }
@@ -276,49 +218,24 @@ impl TcpBackLink {
         }
     }
 
-    /// Re-sends the unacked tail: pure duplicates, exactly the
-    /// adversarial input the AD filters must tolerate. Each duplicate
-    /// travels as its own frame and is counted in
-    /// `frames_sent`/`bytes_sent` but not `sent`.
-    fn resend_unacked(&mut self) {
-        let tail: Vec<Alert> = self.unacked.iter().cloned().collect();
-        for alert in tail {
-            if self.stream.is_none() {
-                return;
-            }
-            self.frame.clear();
-            if wire::encode_into(Codec::Binary, &Message::Alert(alert), &mut self.frame).is_err() {
-                return;
-            }
-            let Some(stream) = self.stream.as_mut() else { return };
-            if stream.write_all(&self.frame).is_err() {
-                self.stats.lock().io_errors += 1;
-                self.mark_down(None);
-                return;
-            }
-            let mut stats = self.stats.lock();
-            stats.resent_duplicates += 1;
-            stats.frames_sent += 1;
-            stats.bytes_sent += self.frame.len() as u64;
-        }
-    }
-
-    /// Drains the down-period queue in FIFO order; a write error puts
-    /// the failing alert back at the *front* so order is preserved.
-    fn flush_queue(&mut self) {
-        while let Some(alert) = self.queue.pop_front() {
-            if !self.write_alert(&alert) {
-                self.queue.push_front(alert);
+    /// Writes the outbox's replay; on a write error what did not go
+    /// out goes back to the queue front, so order is preserved.
+    fn replay(&mut self) {
+        let mut replay = self.outbox.replay().into_iter();
+        while let Some((alert, resend)) = replay.next() {
+            if !self.write_alert(&alert, resend) {
+                self.outbox.requeue(std::iter::once((alert, resend)).chain(replay));
                 return;
             }
         }
     }
 
-    /// Transmits one alert on the live stream; on success it joins the
-    /// unacked tail. On a genuine socket error the link marks itself
-    /// down (no scripted floor) and reports `false` — the caller
-    /// decides where the alert goes.
-    fn write_alert(&mut self, alert: &Alert) -> bool {
+    /// Transmits one alert on the live stream, as a duplicate from the
+    /// unacked tail when `resend` (counted in `frames_sent` and
+    /// `bytes_sent` but not `sent`); an original joins the tail. On a
+    /// genuine socket error the link marks itself down and reports
+    /// `false` — the caller decides where the alert goes.
+    fn write_alert(&mut self, alert: &Alert, resend: bool) -> bool {
         if self.stream.is_none() {
             return false;
         }
@@ -328,45 +245,24 @@ impl TcpBackLink {
         {
             // Unreachable for well-formed alerts; counted, not
             // panicked.
-            self.stats.lock().io_errors += 1;
+            self.counters.io_errors.fetch_add(1, Ordering::SeqCst);
             return false;
         }
         let Some(stream) = self.stream.as_mut() else { return false };
         if stream.write_all(&self.frame).is_err() {
-            self.stats.lock().io_errors += 1;
-            self.mark_down(None);
+            self.counters.io_errors.fetch_add(1, Ordering::SeqCst);
+            self.mark_down();
             return false;
         }
-        {
-            let mut stats = self.stats.lock();
-            stats.sent += 1;
-            stats.frames_sent += 1;
-            stats.bytes_sent += self.frame.len() as u64;
+        self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
+        self.counters.bytes_sent.fetch_add(self.frame.len() as u64, Ordering::SeqCst);
+        if resend {
+            self.counters.resent_duplicates.fetch_add(1, Ordering::SeqCst);
+        } else {
+            self.counters.sent.fetch_add(1, Ordering::SeqCst);
+            self.outbox.push_unacked(alert.clone());
         }
-        self.push_unacked(alert.clone());
         true
-    }
-
-    fn push_unacked(&mut self, alert: Alert) {
-        if self.unacked_cap > 0 {
-            if self.unacked.len() == self.unacked_cap {
-                self.unacked.pop_front();
-            }
-            self.unacked.push_back(alert);
-        }
-    }
-
-    fn enqueue(&mut self, alert: Alert) {
-        let mut stats = self.stats.lock();
-        if self.queue.len() >= self.queue_cap {
-            // Strictly non-blocking back-pressure: shed the oldest and
-            // count it, never stall the caller on a down peer.
-            self.queue.pop_front();
-            stats.lost_overflow += 1;
-            stats.shed += 1;
-        }
-        self.queue.push_back(alert);
-        stats.queued_peak = stats.queued_peak.max(self.queue.len() as u64);
     }
 }
 
@@ -655,7 +551,7 @@ mod tests {
         assert_eq!(stats.alerts, 5);
         assert_eq!(stats.fins, 1);
         assert_eq!(stats.decode_errors, 0);
-        let link_stats = *link.stats_handle().lock();
+        let link_stats = link.stats_handle().snapshot();
         assert_eq!(link_stats.sent, 5);
         assert_eq!(link_stats.severs, 0);
         assert_eq!(link_stats.io_errors, 0);
@@ -685,7 +581,7 @@ mod tests {
         // the sequence must be complete and in order.
         assert_eq!(dedup(seqnos(&got)), vec![1, 2, 3, 4, 5, 6], "lossless across the sever");
         assert!(stats.connections >= 2, "sever forced a reconnect, got {stats:?}");
-        let link_stats = *link.stats_handle().lock();
+        let link_stats = link.stats_handle().snapshot();
         assert_eq!(link_stats.severs, 1);
         assert!(link_stats.reconnects >= 1);
         assert!(link_stats.attempts >= 1);
@@ -705,18 +601,20 @@ mod tests {
         });
         let mut link = TcpBackLink::connect(addr, 0, backoff())
             .expect("connect")
-            .with_severs(vec![(0, Duration::from_millis(60))])
-            .unacked_cap(0)
-            .queue_cap(2);
-        for i in 1..=5 {
+            .with_severs(vec![(0, Duration::from_millis(200))]);
+        // Severed before the first send: the tail is empty, and the
+        // bound plus 3 alerts overflow the queue by 3.
+        let n = Outbox::<Alert>::QUEUE_CAP as u64 + 3;
+        for i in 1..=n {
             link.send_alert(alert(i));
         }
         link.finish();
         let (got, _) = handle.join().expect("listener thread");
-        assert_eq!(seqnos(&got), vec![4, 5], "kept the newest two");
-        let link_stats = *link.stats_handle().lock();
+        assert_eq!(seqnos(&got), (4..=n).collect::<Vec<_>>(), "kept the newest, in order");
+        let link_stats = link.stats_handle().snapshot();
         assert_eq!(link_stats.lost_overflow, 3);
         assert_eq!(link_stats.shed, 3, "every overflow was a non-blocking shed");
+        assert_eq!(link_stats.queued_peak, Outbox::<Alert>::QUEUE_CAP as u64);
     }
 
     #[test]
