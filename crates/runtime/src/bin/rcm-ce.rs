@@ -25,12 +25,14 @@
 //! Updates are evaluated a round at a time: the main thread takes one
 //! delivered update plus whatever else is already queued, up to
 //! `ROUND` (64). `--workers N` (default 0) splits the conditions into
-//! `N` shards, `cond_id % N`: shard 0 is evaluated on the main thread
-//! and each other shard on a helper thread, which is handed each round
-//! and joined before the next. The shards' alerts are merged back into
-//! the exact single-threaded emission order before the back link, and
-//! nothing is shed. The exit report carries the ingest→emit latency
-//! percentiles.
+//! `N` shards, `cond_id % N`, run on `min(N, cpus)` threads: the main
+//! thread and `min(N, cpus) - 1` helpers, each handed every round and
+//! joined before the next. `cpus` is the CPUs the node may use (its
+//! affinity mask and CPU quota), so a node confined to one CPU spawns
+//! no helper and evaluates every shard itself. The shards' alerts are
+//! merged back into the exact single-threaded emission order before the
+//! back link, and nothing is shed. The exit report carries the helper
+//! count and the ingest→emit latency percentiles.
 //!
 //! LOCK ORDER: no locks on the main thread — the link counters are
 //! atomics, read after the stream ends.
@@ -62,8 +64,8 @@ fn usage() -> ExitCode {
         "usage: rcm-ce --bind HOST:PORT --ad HOST:PORT --condition '<expr>' \
          [--condition '<expr>' ...] [--node N] [--dms N] [--idle-ms N] \
          [--workers N]\n\
-         --workers N splits the conditions into N shards: shard 0 on the main\n\
-         thread, one helper thread per further shard (0 and 1 spawn none)\n\
+         --workers N splits the conditions into N shards, run on the main\n\
+         thread and min(N, CPUs) - 1 helper threads (0 and 1 spawn none)\n\
          exits after --dms distinct DM Fins (each echoed to its DM, which then\n\
          stops repeating it) or --idle-ms of silence"
     );
@@ -200,14 +202,15 @@ fn main() -> ExitCode {
         pipe.dispatch_round(&round, admitted);
         round.clear();
     }
+    let helpers = pipe.helpers();
     pipe.finish();
     let _ = engine.join();
 
     let snap = latency.snapshot();
     eprintln!(
-        "pipeline: {} worker(s); ingest→emit latency \
+        "pipeline: {} worker(s), {} helper(s); ingest→emit latency \
          p50 {} ns, p99 {} ns, p999 {} ns over {} update(s)",
-        opts.workers, snap.p50_ns, snap.p99_ns, snap.p999_ns, snap.count
+        opts.workers, helpers, snap.p50_ns, snap.p99_ns, snap.p999_ns, snap.count
     );
     let i = ingress.snapshot();
     eprintln!(

@@ -3,21 +3,34 @@
 //!
 //! **Shards.** `workers` is the shard count: condition `i` lives on
 //! shard `i % max(workers, 1)`, and this module is the only code in the
-//! workspace that partitions conditions. Shard 0 is evaluated on the
-//! caller's thread (the one driving the replica); shards `1..workers`
-//! get one helper thread each. With `workers` 0 or 1 nothing is
-//! spawned.
+//! workspace that partitions conditions.
+//!
+//! **Threads.** The shards run on `min(workers, cpus)` threads, where
+//! `cpus` is the caller's [`available_parallelism`] (its affinity mask
+//! and CPU quota; no cap when it is unknown). Shard `s` runs on thread
+//! `s % threads`. Thread 0 is the caller's (the one driving the
+//! replica), and every other thread is a helper spawned here. A helper
+//! that cannot run beside its caller only adds a hand-off per round, so
+//! a caller confined to one CPU spawns nothing and evaluates every
+//! shard itself. With `workers` 0 or 1 nothing is spawned and the CPU
+//! count is not read.
+//!
+//! [`available_parallelism`]: rcm_sync::thread::available_parallelism
 //!
 //! **Rounds.** The unit of work is a round: the updates one offer to
 //! the replica admitted, handed over in admission order to
 //! [`EvalPipeline::dispatch_round`], which forks and joins:
 //!
 //! 1. each helper is sent the round over its own channel;
-//! 2. the caller evaluates shard 0;
+//! 2. the caller evaluates its own shards;
 //! 3. the caller receives each helper's alerts and per-update counts;
-//! 4. for each update in order, the shards' alerts are merged in
+//! 4. for each update in order, the threads' alerts are merged in
 //!    ascending condition id and handed to the [`AlertDrain`], and the
 //!    update's ingest→emit latency is recorded.
+//!
+//! A thread holding several shards ingests each update into each of
+//! them in shard order, then counts that update's alerts once, so the
+//! merge sees one run of alerts per thread per update.
 //!
 //! A job's buffers (the round, its alerts, its counts) go to the helper
 //! and come back with the reply, so the steady state allocates nothing.
@@ -41,15 +54,16 @@
 //!
 //! **Failure.** A helper that panics drops its reply sender, so the
 //! caller's receive fails; the caller joins the helper and re-raises
-//! its payload. A panic on shard 0 is held until every helper has
-//! replied, then re-raised. Either way no job is in flight once
-//! `dispatch_round` returns or unwinds, and a pipeline that lost a
+//! its payload. A panic on the caller's shards is held until every
+//! helper has replied, then re-raised. Either way no job is in flight
+//! once `dispatch_round` returns or unwinds, and a pipeline that lost a
 //! helper panics on every later round instead of waiting on it.
 //!
 //! LOCK ORDER: this module takes no lock itself; the drain
 //! implementations take their leaf `emitted` record alone.
 
 use std::any::Any;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use rcm_sync::atomic::AtomicU64;
@@ -98,7 +112,11 @@ pub trait AlertDrain: Send {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineOptions {
     /// Shard count. `0` (the default) and `1` evaluate every condition
-    /// on the dispatching thread; `n >= 2` adds `n - 1` helper threads.
+    /// on the dispatching thread. `n >= 2` runs the `n` shards on
+    /// `min(n, cpus)` threads, the dispatching thread and
+    /// `min(n, cpus) - 1` helpers, where `cpus` is the dispatching
+    /// thread's available parallelism. The output is the same for any
+    /// `n` and any CPU count.
     pub workers: usize,
 }
 
@@ -109,9 +127,10 @@ impl PipelineOptions {
     }
 }
 
-/// One shard's share of a round: the alerts it raised, and how many
-/// each update raised. Both are kept reversed, so the next update's
-/// alerts sit at the end where [`Evaluated::take_next`] pops them.
+/// One thread's share of a round: the alerts its shards raised, and
+/// how many each update raised. Both are kept reversed, so the next
+/// update's alerts sit at the end where [`Evaluated::take_next`] pops
+/// them.
 #[derive(Default)]
 struct Evaluated {
     alerts: Vec<Alert>,
@@ -119,12 +138,14 @@ struct Evaluated {
 }
 
 impl Evaluated {
-    fn evaluate(&mut self, shard: &mut ConditionRegistry, round: &[Update]) {
+    fn evaluate(&mut self, shards: &mut [ConditionRegistry], round: &[Update]) {
         self.alerts.clear();
         self.counts.clear();
         for &update in round {
             let before = self.alerts.len();
-            shard.ingest(update, &mut self.alerts);
+            for shard in shards.iter_mut() {
+                shard.ingest(update, &mut self.alerts);
+            }
             self.counts.push(self.alerts.len() - before);
         }
         self.alerts.reverse();
@@ -142,7 +163,7 @@ impl Evaluated {
 /// filled.
 #[derive(Default)]
 struct Job {
-    /// Wipe the shard's histories before this round (the replica
+    /// Wipe the shards' histories before this round (the replica
     /// restarted since the last one).
     restart: bool,
     round: Vec<Update>,
@@ -172,8 +193,8 @@ impl Helper {
 /// A running evaluation pipeline, owned by the replica that dispatches
 /// to it.
 pub struct EvalPipeline {
-    /// Shard 0, evaluated on the dispatching thread.
-    shard: ConditionRegistry,
+    /// The shards evaluated on the dispatching thread, shard 0 first.
+    shards: Vec<ConditionRegistry>,
     own: Evaluated,
     helpers: Vec<Helper>,
     drain: Box<dyn AlertDrain>,
@@ -189,9 +210,11 @@ impl std::fmt::Debug for EvalPipeline {
 }
 
 impl EvalPipeline {
-    /// Starts the evaluation stage: shard 0 on the caller's thread and
-    /// one helper thread per further shard. Condition `i` gets global
+    /// Starts the evaluation stage: `workers` shards on
+    /// `min(workers, cpus)` threads, the caller's and one helper per
+    /// further thread (see the module docs). Condition `i` gets global
     /// id `CondId::new(i)` and lives on shard `i % max(workers, 1)`.
+    /// The CPU count is read here, once, and only when `workers >= 2`.
     /// Nothing is ever shed: `_shed` is kept only so that existing
     /// callers still compile, and is never written.
     pub fn start(
@@ -202,7 +225,27 @@ impl EvalPipeline {
         latency: Arc<LatencyHistogram>,
         _shed: Arc<AtomicU64>,
     ) -> EvalPipeline {
+        let cpus = if options.workers >= 2 {
+            rcm_sync::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
+        } else {
+            1
+        };
+        EvalPipeline::with_cpus(ce, conditions, options, cpus, drain, latency)
+    }
+
+    /// [`start`](Self::start) with the CPU budget given: the shards run
+    /// on `min(workers, cpus)` threads, and never fewer than one (the
+    /// caller's).
+    pub(crate) fn with_cpus(
+        ce: CeId,
+        conditions: &[Arc<dyn Condition>],
+        options: &PipelineOptions,
+        cpus: usize,
+        drain: Box<dyn AlertDrain>,
+        latency: Arc<LatencyHistogram>,
+    ) -> EvalPipeline {
         let shards = options.workers.max(1);
+        let threads = shards.min(cpus).max(1);
         // Shard `s` hosts the conditions with `i % shards == s`, in
         // ascending `i`, so it emits in ascending condition id.
         let shard = |s: usize| {
@@ -212,16 +255,18 @@ impl EvalPipeline {
             }
             registry
         };
-        let mut helpers = Vec::with_capacity(shards - 1);
-        for s in 1..shards {
-            let registry = shard(s);
+        // Thread `t` holds shards `t, t + threads, …`, in shard order.
+        let held = |t: usize| (t..shards).step_by(threads).map(shard).collect::<Vec<_>>();
+        let mut helpers = Vec::with_capacity(threads - 1);
+        for t in 1..threads {
+            let registries = held(t);
             let (jobs, job_rx) = unbounded::<Job>();
             let (reply_tx, replies) = unbounded::<Job>();
-            let thread = rcm_sync::thread::spawn(move || helper_body(registry, job_rx, reply_tx));
+            let thread = rcm_sync::thread::spawn(move || helper_body(registries, job_rx, reply_tx));
             helpers.push(Helper { jobs, replies, thread: Some(thread), job: Job::default() });
         }
         EvalPipeline {
-            shard: shard(0),
+            shards: held(0),
             own: Evaluated::default(),
             helpers,
             drain,
@@ -249,7 +294,7 @@ impl EvalPipeline {
                 lost.get_or_insert(payload);
             }
         }
-        let own = catch_unwind(AssertUnwindSafe(|| self.own.evaluate(&mut self.shard, round)));
+        let own = catch_unwind(AssertUnwindSafe(|| self.own.evaluate(&mut self.shards, round)));
         for helper in self.helpers.iter_mut().filter(|h| h.thread.is_some()) {
             match helper.replies.recv() {
                 Ok(job) => helper.job = job,
@@ -284,16 +329,16 @@ impl EvalPipeline {
         self.dispatch_round(std::slice::from_ref(&update), Instant::now());
     }
 
-    /// Helper threads the pipeline runs: one per shard past the first.
-    pub(crate) fn helpers(&self) -> usize {
+    /// Helper threads the pipeline runs: `min(workers, cpus) - 1`.
+    pub fn helpers(&self) -> usize {
         self.helpers.len()
     }
 
     /// The crash marker: every shard's histories are wiped before the
-    /// next round (shard 0 at once, each helper's with the next job);
-    /// alert numbering survives.
+    /// next round (the caller's at once, each helper's with the next
+    /// job); alert numbering survives.
     pub fn restart(&mut self) {
-        self.shard.restart();
+        self.shards.iter_mut().for_each(ConditionRegistry::restart);
         for helper in &mut self.helpers {
             helper.job.restart = true;
         }
@@ -328,14 +373,14 @@ fn elapsed_nanos(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One helper: evaluates each round it is sent against its shard and
+/// One helper: evaluates each round it is sent against its shards and
 /// sends the job back, until the pipeline hangs up.
-fn helper_body(mut shard: ConditionRegistry, jobs: Receiver<Job>, replies: Sender<Job>) {
+fn helper_body(mut shards: Vec<ConditionRegistry>, jobs: Receiver<Job>, replies: Sender<Job>) {
     while let Ok(mut job) = jobs.recv() {
         if std::mem::take(&mut job.restart) {
-            shard.restart();
+            shards.iter_mut().for_each(ConditionRegistry::restart);
         }
-        job.out.evaluate(&mut shard, &job.round);
+        job.out.evaluate(&mut shards, &job.round);
         if replies.send(job).is_err() {
             return;
         }
@@ -403,15 +448,25 @@ mod tests {
         out
     }
 
-    /// A pipeline over `conds` whose drain records into `seen`.
-    fn start(conds: &[Arc<dyn Condition>], workers: usize, seen: &Seen) -> EvalPipeline {
-        EvalPipeline::start(
+    /// CPU budgets every equivalence case runs at: one CPU (no helper),
+    /// two, and no cap (a helper per shard past the first).
+    const BUDGETS: [usize; 3] = [1, 2, usize::MAX];
+
+    /// A pipeline over `conds` on a budget of `cpus`, whose drain
+    /// records into `seen`.
+    fn start(
+        conds: &[Arc<dyn Condition>],
+        workers: usize,
+        cpus: usize,
+        seen: &Seen,
+    ) -> EvalPipeline {
+        EvalPipeline::with_cpus(
             CeId::new(0),
             conds,
             &PipelineOptions::with_workers(workers),
+            cpus,
             Box::new(VecDrain(seen.clone())),
             Arc::new(LatencyHistogram::new()),
-            Arc::new(AtomicU64::new(0)),
         )
     }
 
@@ -420,12 +475,12 @@ mod tests {
     fn run_pipeline(
         conds: &[Arc<dyn Condition>],
         updates: &[Update],
-        workers: usize,
+        (workers, cpus): (usize, usize),
         round: usize,
         restart_before: Option<usize>,
     ) -> Seen {
         let seen = Seen::default();
-        let mut pipe = start(conds, workers, &seen);
+        let mut pipe = start(conds, workers, cpus, &seen);
         let cut = restart_before.unwrap_or(updates.len());
         let (before, after) = updates.split_at(cut);
         for chunk in before.chunks(round) {
@@ -452,23 +507,33 @@ mod tests {
         let updates = stream(60);
         let want = reference(&conds, &updates);
         assert!(!want.is_empty());
-        for workers in [0usize, 1, 2, 3, 8] {
-            for round in [1usize, 7, 64] {
-                let seen = run_pipeline(&conds, &updates, workers, round, None);
-                let got = seen.alerts();
-                assert_eq!(got, want, "workers = {workers}, round = {round}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.id, w.id, "workers = {workers}, round = {round}");
+        for workers in 0usize..=8 {
+            for cpus in BUDGETS {
+                for round in [1usize, 7, 64] {
+                    let seen = run_pipeline(&conds, &updates, (workers, cpus), round, None);
+                    let got = seen.alerts();
+                    let case = format!("workers = {workers}, cpus = {cpus}, round = {round}");
+                    assert_eq!(got, want, "{case}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.id, w.id, "{case}");
+                    }
+                    assert!(seen.flushed() && !seen.abandoned(), "{case}");
                 }
-                assert!(seen.flushed() && !seen.abandoned());
             }
         }
     }
 
-    #[test]
-    fn restart_marker_wipes_all_shards_at_the_same_position() {
-        // Two sustained conditions, on shards 3 and 0 at four workers,
-        // make the wiped histories show in the output.
+    /// Conditions whose alerts show a restart (two sustained ones join
+    /// `family(7)`), their stream, the update the restart comes before,
+    /// and what one registry restarted there emits.
+    struct RestartCase {
+        conds: Vec<Arc<dyn Condition>>,
+        updates: Vec<Update>,
+        cut: usize,
+        want: Vec<Alert>,
+    }
+
+    fn restart_case() -> RestartCase {
         let mut conds = family(7);
         for _ in 0..2 {
             conds.push(Arc::new(SustainedAbove::new(VarId::new(0), 0.5, 3)));
@@ -484,13 +549,48 @@ mod tests {
         reg.restart();
         reg.ingest_batch(&updates[cut..], &mut want);
         assert_ne!(want, reference(&conds, &updates), "the restart must change the output");
+        RestartCase { conds, updates, cut, want }
+    }
 
+    #[test]
+    fn restart_marker_wipes_all_shards_at_the_same_position() {
+        // The sustained conditions, 7 and 8, sit on shards 3 and 0 at
+        // four workers: on a helper and on the caller uncapped, both on
+        // the caller at one CPU, split over the two threads at two.
+        let RestartCase { conds, updates, cut, want } = restart_case();
         for workers in [0usize, 1, 4] {
-            let got = run_pipeline(&conds, &updates, workers, 5, Some(cut)).alerts();
-            assert_eq!(got, want, "workers = {workers}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.id, w.id, "workers = {workers}");
+            for cpus in BUDGETS {
+                let got = run_pipeline(&conds, &updates, (workers, cpus), 5, Some(cut)).alerts();
+                assert_eq!(got, want, "workers = {workers}, cpus = {cpus}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.id, w.id, "workers = {workers}, cpus = {cpus}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn one_cpu_spawns_no_helper_and_evaluates_every_shard_itself() {
+        let RestartCase { conds, updates, cut, want } = restart_case();
+        for workers in [2usize, 3, 8] {
+            let pipe = start(&conds, workers, 1, &Seen::default());
+            assert_eq!(pipe.helpers(), 0, "workers = {workers}");
+            pipe.finish();
+            let got = run_pipeline(&conds, &updates, (workers, 1), 5, Some(cut)).alerts();
+            assert_eq!(got, want, "workers = {workers}");
+            assert!(got.iter().zip(&want).all(|(g, w)| g.id == w.id), "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn the_budget_caps_the_helpers_and_never_adds_one() {
+        let conds = family(5);
+        for (workers, cpus, helpers) in
+            [(0, 4, 0), (1, 4, 0), (2, 1, 0), (2, 0, 0), (3, 2, 1), (4, 3, 2), (4, usize::MAX, 3)]
+        {
+            let pipe = start(&conds, workers, cpus, &Seen::default());
+            assert_eq!(pipe.helpers(), helpers, "workers = {workers}, cpus = {cpus}");
+            pipe.finish();
         }
     }
 
@@ -501,7 +601,7 @@ mod tests {
         let want = reference(&conds, &updates);
         for workers in [0usize, 2] {
             let seen = Seen::default();
-            let mut pipe = start(&conds, workers, &seen);
+            let mut pipe = start(&conds, workers, usize::MAX, &seen);
             for &u in &updates {
                 pipe.dispatch(u);
             }
@@ -526,8 +626,11 @@ mod tests {
                 Arc::clone(&latency),
                 Arc::new(AtomicU64::new(0)),
             );
-            // Zero and one worker spawn nothing; n workers, n - 1 helpers.
-            let helpers = workers.saturating_sub(1);
+            // Zero and one worker spawn nothing; n workers on this
+            // host's CPUs, min(n, cpus) - 1 helpers.
+            let cpus =
+                rcm_sync::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
+            let helpers = workers.min(cpus).saturating_sub(1);
             assert!(format!("{pipe:?}").contains(&format!("helpers: {helpers}")), "{pipe:?}");
             for chunk in updates.chunks(4) {
                 pipe.dispatch_round(chunk, Instant::now());
@@ -567,31 +670,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_panic_on_a_helper_shard_surfaces_from_dispatch_round() {
-        // Condition 1 lives on shard 1, a helper thread, at workers(2).
+    /// Runs `workers(2)` on a budget of `cpus` with the `Fuse` on shard
+    /// 1: it blows in the second round, and that panic must reach the
+    /// dispatcher with nothing of the round drained.
+    fn the_fuse_blows_through_dispatch_round(cpus: usize, helpers: usize) {
         let x = VarId::new(0);
         let conds: Vec<Arc<dyn Condition>> = vec![
             Arc::new(Threshold::new(x, Cmp::Gt, 0.0)),
             Arc::new(Fuse { x, evals: AtomicU64::new(0) }),
         ];
         let seen = Seen::default();
-        let mut pipe = start(&conds, 2, &seen);
+        let mut pipe = start(&conds, 2, cpus, &seen);
+        assert_eq!(pipe.helpers(), helpers);
         let updates = stream(6);
         pipe.dispatch_round(&updates[..3], Instant::now());
         assert_eq!(seen.alerts().len(), 3, "the first round is whole");
         let blown = catch_unwind(AssertUnwindSafe(|| {
             pipe.dispatch_round(&updates[3..], Instant::now());
         }));
-        let payload = blown.expect_err("the helper's panic reaches the dispatcher");
+        let payload = blown.expect_err("the shard's panic reaches the dispatcher");
         let message = payload.downcast_ref::<String>().map_or("", String::as_str);
         assert!(message.contains("fuse blew"), "{message:?}");
         assert_eq!(seen.alerts().len(), 3, "a failed round drains nothing");
-        // The lost helper fails every later round instead of hanging,
-        // and the pipeline still closes.
+        // A lost helper fails every later round instead of hanging (and
+        // the blown fuse on the caller's thread blows again); either way
+        // the pipeline still closes.
         let again = catch_unwind(AssertUnwindSafe(|| pipe.dispatch(updates[5])));
-        assert!(again.is_err(), "a pipeline without its helper must not go on");
+        assert!(again.is_err(), "a pipeline whose shard panicked must not go on");
         pipe.finish();
         assert!(seen.flushed());
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_shard_surfaces_from_dispatch_round() {
+        // Two CPUs give shard 1 a helper thread of its own.
+        the_fuse_blows_through_dispatch_round(2, 1);
+    }
+
+    #[test]
+    fn a_panic_on_a_shard_of_the_caller_surfaces_from_dispatch_round() {
+        // One CPU puts shard 1 on the caller's thread.
+        the_fuse_blows_through_dispatch_round(1, 0);
     }
 }

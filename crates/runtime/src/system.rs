@@ -237,16 +237,19 @@ impl SystemBuilder {
 
     /// Number of evaluation shards per CE replica's
     /// [`EvalPipeline`](crate::EvalPipeline) (default 0). Condition `i`
-    /// lives on shard `i % max(workers, 1)`; shard 0 is evaluated on the
-    /// thread that drives the replica (the DM loop in-process) and every
-    /// further shard on a helper thread, so `workers` 0 and 1 spawn
-    /// nothing and `workers(n)` spawns `n - 1` helpers per replica. This
-    /// is the only parallelism inside an in-process system: its
-    /// replicas take turns on the DM loop. Each round of admitted
-    /// updates is handed to every helper and joined before the next
-    /// one, and the shards' alerts are merged back into the
+    /// lives on shard `i % max(workers, 1)`. The shards run on
+    /// `min(workers, cpus)` threads, where `cpus` is the available
+    /// parallelism of the thread calling [`start`](Self::start): the
+    /// thread that drives the replica (the DM loop in-process) and
+    /// `min(workers, cpus) - 1` helpers per replica. So `workers` 0 and
+    /// 1 spawn nothing, and neither does a system started on one CPU.
+    /// The helpers are the only parallelism inside an in-process
+    /// system: its replicas take turns on the DM loop. Each round of
+    /// admitted updates is handed to every helper and joined before the
+    /// next one, and the shards' alerts are merged back into the
     /// single-threaded emission order: the output is byte-identical for
-    /// any worker count, and nothing is shed.
+    /// any worker count and any CPU count, and nothing is shed.
+    /// [`PipelineReport::helpers`] says how many helpers ran.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.pipeline.workers = workers;
@@ -735,6 +738,7 @@ impl MonitorSystem {
             transport,
             pipeline: PipelineReport {
                 workers: self.workers,
+                helpers: self.helpers,
                 updates_shed: 0,
                 latency: self.latency.snapshot(),
             },
@@ -767,8 +771,8 @@ pub struct RunReport {
     /// Per-link transport counters, shaped identically whether the run
     /// rode channels or real sockets.
     pub transport: TransportReport,
-    /// What the evaluation stage observed: shard count and the
-    /// ingest→alert-emit latency distribution.
+    /// What the evaluation stage observed: shard count, helper threads
+    /// and the ingest→alert-emit latency distribution.
     pub pipeline: PipelineReport,
 }
 
@@ -779,6 +783,10 @@ pub struct PipelineReport {
     /// [`SystemBuilder::workers`] (0 and 1 evaluate on the thread that
     /// drives the replica; the output is identical for any count).
     pub workers: usize,
+    /// Evaluation helper threads actually spawned, summed over the
+    /// replicas: `min(workers, cpus) - 1` each, so it depends on the
+    /// CPUs the system was started on.
+    pub helpers: usize,
     /// Always 0: the evaluation stage never sheds an update. Kept
     /// because report readers (`rcm-e2e`'s `runtime.pipeline.shed_share`)
     /// still read it.
@@ -1045,17 +1053,22 @@ mod tests {
     #[test]
     fn an_in_process_system_runs_two_threads_plus_helpers() {
         // The DM loop evaluates every replica, so three replicas add no
-        // thread of their own: the loop and the AD, plus `workers - 1`
-        // evaluation helpers per replica.
-        for (workers, want) in [(0, 2), (1, 2), (2, 2 + 3), (4, 2 + 3 * 3)] {
+        // thread of their own: the loop and the AD, plus
+        // `min(workers, cpus) - 1` evaluation helpers per replica.
+        let cpus = rcm_sync::thread::available_parallelism()
+            .map_or(usize::MAX, std::num::NonZeroUsize::get);
+        for workers in [0, 1, 2, 4] {
+            let helpers = 3 * workers.min(cpus).saturating_sub(1);
             let system = MonitorSystem::builder(c1())
                 .replicas(3)
                 .workers(workers)
                 .feed(VarFeed::new(x(), vec![2900.0, 3100.0]))
                 .start()
                 .expect("system starts");
-            assert_eq!(threads(&system), want, "workers({workers})");
-            assert_eq!(system.wait().displayed.len(), 1);
+            assert_eq!(threads(&system), 2 + helpers, "workers({workers}), {cpus} CPUs");
+            let report = system.wait();
+            assert_eq!(report.pipeline.helpers, helpers, "workers({workers}), {cpus} CPUs");
+            assert_eq!(report.displayed.len(), 1);
         }
     }
 

@@ -26,11 +26,12 @@
 //! The CE body is an `EvalPipeline` over one always-firing threshold
 //! per active variable, dispatched one update at a time; `--workers W`
 //! (default 0 = evaluated on the main thread) splits it into `W`
-//! shards, `cond_id % W`, shard 0 on the main thread and one helper
-//! thread per further shard, and merges the alerts back into stream
-//! order before the fan-out, so the gauntlet also exercises sharded
-//! evaluation under real sockets. The report carries the pipeline's
-//! ingest→emit latency percentiles.
+//! shards, `cond_id % W`, run on the main thread and `min(W, cpus) - 1`
+//! helper threads (`cpus`: the CPUs the process may use), and merges
+//! the alerts back into stream order before the fan-out, so the
+//! gauntlet also exercises sharded evaluation under real sockets. The
+//! report carries the helper count and the pipeline's ingest→emit
+//! latency percentiles.
 //!
 //! `--tree DxF` (e.g. `--tree 3x8`: depth 3, fanout 8) swaps the flat
 //! CE body for an aggregation tree (`rcm_tree::TreeEval`): the evented
@@ -83,8 +84,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: scale [--front N] [--back M] [--active A] [--updates K] \
          [--budget-ms MS] [--workers W] [--tree DxF] [--json]\n\
-         --workers W splits the conditions into W shards: shard 0 on the main\n\
-         thread, one helper thread per further shard (0 and 1 spawn none)"
+         --workers W splits the conditions into W shards, run on the main\n\
+         thread and min(W, CPUs) - 1 helper threads (0 and 1 spawn none)"
     );
     ExitCode::FAILURE
 }
@@ -261,6 +262,7 @@ fn main() -> ExitCode {
     let emitted = Arc::new(AtomicU64::new(0));
     let mut drain = FanoutDrain { backs, emitted: Arc::clone(&emitted) };
     let mut tree_stats: Option<TreeStats> = None;
+    let mut helpers = 0;
     if let Some((depth, fanout)) = opts.tree {
         // Each delivered update goes through the tree as the ingress
         // hands it over, and the root's alerts fan out at once. Per-var
@@ -300,6 +302,7 @@ fn main() -> ExitCode {
             Arc::clone(&latency),
             Arc::new(AtomicU64::new(0)),
         );
+        helpers = pipe.helpers();
         while let Ok(update) = update_rx.recv() {
             pipe.dispatch(update);
         }
@@ -396,6 +399,7 @@ fn main() -> ExitCode {
             ("per_link_bytes", per_link_bytes.into()),
             ("shed", shed.into()),
             ("workers", opts.workers.into()),
+            ("helpers", helpers.into()),
             ("latency_p50_ns", lat.p50_ns.into()),
             ("latency_p99_ns", lat.p99_ns.into()),
             ("latency_p999_ns", lat.p999_ns.into()),
@@ -409,8 +413,9 @@ fn main() -> ExitCode {
         println!("{doc:#}");
     } else {
         println!(
-            "scale: {} front links ({} active × {} updates), {} back links, {} eval worker(s)",
-            opts.front, opts.active, opts.updates, opts.back, opts.workers
+            "scale: {} front links ({} active × {} updates), {} back links, \
+             {} eval worker(s), {} helper(s)",
+            opts.front, opts.active, opts.updates, opts.back, opts.workers, helpers
         );
         if let (Some((depth, fanout)), Some(s)) = (opts.tree, &tree_stats) {
             println!(

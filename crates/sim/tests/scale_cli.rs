@@ -30,3 +30,27 @@ fn tree_with_workers_is_a_usage_error() {
     assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("tree: depth 2 fanout 2"), "stdout: {stdout}");
 }
+
+/// `--json` reports the helper threads that really ran next to the
+/// shard count: `min(workers, cpus) - 1`, where `cpus` is what this
+/// process may use (a child inherits its affinity mask).
+#[test]
+fn the_json_report_counts_the_helpers_that_ran() {
+    let cpus = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get);
+    for workers in [0u64, 2, 3] {
+        let (code, stdout, stderr) = run_scale(&["--workers", &workers.to_string(), "--json"]);
+        assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+        let report = rcm_json::parse(&stdout).expect("--json prints one JSON document");
+        let helpers = (workers as usize).min(cpus).saturating_sub(1) as u64;
+        assert_eq!(
+            report.field("workers").and_then(rcm_json::Json::u64).ok(),
+            Some(workers),
+            "{stdout}"
+        );
+        assert_eq!(
+            report.field("helpers").and_then(rcm_json::Json::u64).ok(),
+            Some(helpers),
+            "{stdout}"
+        );
+    }
+}

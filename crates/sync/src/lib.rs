@@ -20,9 +20,10 @@
 //! The shim surface is deliberately small — exactly what the runtime
 //! needs: `Arc` (always `std::sync::Arc`; reference counting is not
 //! schedule-relevant), an infallible-`lock` `Mutex`, unbounded MPSC
-//! channels ([`chan`]), [`thread`] spawn/join/sleep/yield, [`time`]
-//! instants, sequentially consistent [`atomic`]s, and bounded [`spsc`]
-//! rings (built *from* the other primitives, so they model-check too).
+//! channels ([`chan`]), [`thread`] spawn/join/sleep/yield and the CPU
+//! count, [`time`] instants, sequentially consistent [`atomic`]s, and
+//! bounded [`spsc`] rings (built *from* the other primitives, so they
+//! model-check too).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,16 +53,17 @@ pub mod chan {
     };
 }
 
-/// Thread spawn/join, sleep and yield.
+/// Thread spawn/join, sleep and yield, and the CPU count.
 #[cfg(not(loom))]
 pub mod thread {
-    pub use std::thread::{sleep, spawn, yield_now, JoinHandle};
+    pub use std::thread::{available_parallelism, sleep, spawn, yield_now, JoinHandle};
 }
 
-/// Thread spawn/join, sleep and yield (model-checked).
+/// Thread spawn/join, sleep and yield, and the CPU count
+/// (model-checked).
 #[cfg(loom)]
 pub mod thread {
-    pub use crate::model::thread::{sleep, spawn, yield_now, JoinHandle};
+    pub use crate::model::thread::{available_parallelism, sleep, spawn, yield_now, JoinHandle};
 }
 
 /// Monotonic clock reads.

@@ -1,5 +1,7 @@
-//! Model-checked `thread::{spawn, sleep, yield_now}`.
+//! Model-checked `thread::{spawn, sleep, yield_now}`, and a fixed
+//! `available_parallelism`.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,4 +64,14 @@ pub fn sleep(d: Duration) {
 pub fn yield_now() {
     let (exec, me) = current();
     exec.switch_point(me, None);
+}
+
+/// CPUs a model reports: at least any model's evaluation `workers`, so
+/// a model pipeline spawns every helper its shard count asks for.
+const MODEL_PARALLELISM: NonZeroUsize = NonZeroUsize::new(8).unwrap();
+
+/// [`std::thread::available_parallelism`] under the model: a fixed 8,
+/// whatever the host has. Not a schedule point.
+pub fn available_parallelism() -> std::io::Result<NonZeroUsize> {
+    Ok(MODEL_PARALLELISM)
 }

@@ -7,8 +7,9 @@
 //!    file in the tree *and* on fuzz soup; every loop provably
 //!    consumes tokens and every failure path recovers at the next
 //!    statement/item boundary (counted in [`File::gaps`]).
-//! 2. **Exact scopes** — `#[cfg(test)]`-ness (including
-//!    `cfg(all(test, not(loom)))` and `cfg_attr`), `unsafe` blocks,
+//! 2. **Exact scopes** — `#[cfg(test)]`-ness (any `cfg` predicate
+//!    that requires `test`, such as `cfg(all(test, not(loom)))`, and
+//!    nothing else), `unsafe` blocks,
 //!    use-trees and function bodies are represented faithfully, which
 //!    is what lets the passes stop being text heuristics.
 //! 3. **Prune aggressively** — types, generics and patterns are
@@ -1395,42 +1396,81 @@ fn soup_parse(tokens: &[Token], nest: usize) -> Vec<Expr> {
     parts
 }
 
-/// Scans attribute tokens for an effective `test` cfg: `#[test]`,
-/// `#[cfg(test)]`, `#[cfg(all(test, not(loom)))]`, `#[cfg_attr(test,…)]`
-/// — but *not* `#[cfg(not(test))]`.
+/// Whether an attribute removes its item from every non-test build:
+/// `#[test]`, or a `#[cfg(…)]` whose predicate *requires* `test`
+/// (`cfg(test)`, `cfg(all(test, not(loom)))`). `#[cfg(not(test))]` and
+/// `#[cfg(any(test, loom))]` are compiled without `test`, and
+/// `#[cfg_attr(test, …)]` never removes its item, so none of them
+/// masks it.
 fn attr_is_test(tokens: &[Token]) -> bool {
     let first = tokens.first().filter(|t| t.kind == TokenKind::Ident);
     match first.map(|t| t.text.as_str()) {
         Some("test") => tokens.len() == 1 || tokens.get(1).is_some_and(|t| t.text != "::"),
-        Some("cfg") | Some("cfg_attr") => {
-            // Walk with a stack of enclosing call idents; `test` counts
-            // only when no enclosing call is `not`.
-            let mut stack: Vec<String> = Vec::new();
-            let mut last_ident: Option<&str> = None;
-            for tok in &tokens[1..] {
-                match tok.kind {
-                    TokenKind::Ident => {
-                        if tok.text == "test" && !stack.iter().any(|s| s == "not") {
-                            return true;
-                        }
-                        last_ident = Some(&tok.text);
-                    }
-                    TokenKind::Punct => match tok.text.as_str() {
-                        "(" => {
-                            stack.push(last_ident.unwrap_or("").to_string());
-                            last_ident = None;
-                        }
-                        ")" => {
-                            stack.pop();
-                        }
-                        _ => last_ident = None,
-                    },
-                    _ => last_ident = None,
-                }
-            }
-            false
+        Some("cfg") if tokens.get(1).is_some_and(|t| t.text == "(") => {
+            cfg_predicate(tokens, &mut 2, 0).requires
         }
         _ => false,
+    }
+}
+
+/// What a cfg predicate says about the `test` option.
+#[derive(Debug, Clone, Copy)]
+struct TestCfg {
+    /// The predicate is false whenever `test` is.
+    requires: bool,
+    /// The predicate is true whenever `test` is false.
+    holds_without: bool,
+}
+
+/// Any option but `test`, and any shape this reader does not know:
+/// it says nothing about `test`.
+const OTHER_CFG: TestCfg = TestCfg { requires: false, holds_without: false };
+
+/// Reads one cfg predicate at `tokens[*at]` and moves `*at` past it
+/// (always by at least one token while any remain).
+fn cfg_predicate(tokens: &[Token], at: &mut usize, nest: usize) -> TestCfg {
+    let Some(head) = tokens.get(*at) else { return OTHER_CFG };
+    *at += 1;
+    if nest > 32 {
+        *at = tokens.len();
+        return OTHER_CFG;
+    }
+    let next = tokens.get(*at).map(|t| t.text.as_str());
+    if next == Some("=") {
+        // `feature = "x"`
+        *at += 2;
+        return OTHER_CFG;
+    }
+    if next != Some("(") {
+        return if head.text == "test" {
+            TestCfg { requires: true, holds_without: false }
+        } else {
+            OTHER_CFG
+        };
+    }
+    *at += 1;
+    let mut args = Vec::new();
+    while let Some(tok) = tokens.get(*at) {
+        match tok.text.as_str() {
+            ")" => {
+                *at += 1;
+                break;
+            }
+            "," => *at += 1,
+            _ => args.push(cfg_predicate(tokens, at, nest + 1)),
+        }
+    }
+    match (head.text.as_str(), args.as_slice()) {
+        ("all", _) => TestCfg {
+            requires: args.iter().any(|a| a.requires),
+            holds_without: args.iter().all(|a| a.holds_without),
+        },
+        ("any", _) => TestCfg {
+            requires: args.iter().all(|a| a.requires),
+            holds_without: args.iter().any(|a| a.holds_without),
+        },
+        ("not", [a]) => TestCfg { requires: a.holds_without, holds_without: a.requires },
+        _ => OTHER_CFG,
     }
 }
 
@@ -1517,6 +1557,14 @@ mod tests2 { fn t2() { z.unwrap(); } }
 fn hot2() { w.unwrap(); }
 #[cfg(not(test))]
 fn prod() { v.unwrap(); }
+#[cfg(any(test, loom))]
+fn either() { u.unwrap(); }
+#[cfg_attr(test, allow(dead_code))]
+fn attributed() { t.unwrap(); }
+#[cfg(not(not(test)))]
+fn doubly() { s.unwrap(); }
+#[cfg(any(all(test, loom), all(test, feature = \"x\")))]
+fn both() { r.unwrap(); }
 ";
         let file = parse_ok(src);
         let mut seen = Vec::new();
@@ -1530,6 +1578,10 @@ fn prod() { v.unwrap(); }
         assert_eq!(get("t2"), Some(true));
         assert_eq!(get("hot2"), Some(false), "code *after* a test mod is not test code");
         assert_eq!(get("prod"), Some(false), "cfg(not(test)) is production code");
+        assert_eq!(get("either"), Some(false), "cfg(any(test, loom)) is built under loom");
+        assert_eq!(get("attributed"), Some(false), "cfg_attr(test, …) keeps its item");
+        assert_eq!(get("doubly"), Some(true));
+        assert_eq!(get("both"), Some(true), "every arm of the any requires test");
     }
 
     #[test]

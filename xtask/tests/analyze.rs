@@ -441,6 +441,24 @@ fn listed_but_unused_crate_fails_and_a_used_one_passes() {
     assert_eq!(good.violations(), Vec::<String>::new());
 }
 
+#[test]
+fn only_a_cfg_that_requires_test_exempts_hot_path_code() {
+    // `any(test, loom)` is built under loom, and `cfg_attr(test, …)`
+    // never removes its item: both are production code.
+    let tree = Tree::new(
+        "hot-cfg",
+        &[(
+            "crates/core/src/registry.rs",
+            "#[cfg(any(test, loom))]\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
+             #[cfg_attr(test, allow(dead_code))]\nfn g(v: &[u8], i: usize) -> u8 { v[i] }\n\
+             #[cfg(all(test, not(loom)))]\nfn h(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        )],
+    );
+    let got = tree.violations();
+    assert_eq!(rules(&got), ["hot-path"], "{got:?}");
+    assert_eq!(got.len(), 2, "f's unwrap and g's index fire, h is test code: {got:?}");
+}
+
 // ---- reach: no public item without a caller ---------------------------
 
 /// The names the `reach` pass flags in a tree, sorted.
@@ -475,6 +493,23 @@ fn reach_flags_pub_items_that_only_tests_docs_or_nobody_name() {
         ],
     );
     assert_eq!(unreached(&tree), ["dead", "doc_only", "integration_tested", "unit_tested"]);
+}
+
+#[test]
+fn reach_counts_callers_under_a_cfg_that_does_not_require_test() {
+    let tree = Tree::new(
+        "reach-cfg",
+        &[(
+            "crates/x/src/lib.rs",
+            "pub fn under_loom() {}\n\
+             pub fn under_attribute() {}\n\
+             pub fn under_test() {}\n\
+             #[cfg(any(test, loom))]\nfn a() { under_loom(); }\n\
+             #[cfg_attr(test, allow(dead_code))]\nfn b() { under_attribute(); }\n\
+             #[cfg(all(test, not(loom)))]\nfn c() { under_test(); }\n",
+        )],
+    );
+    assert_eq!(unreached(&tree), ["under_test"]);
 }
 
 #[test]
