@@ -1,100 +1,170 @@
-//! # rcm-bench — experiment harness for the PODC 2001 reproduction
+//! # rcm-bench — the paper record of the PODC 2001 reproduction
 //!
-//! One binary per paper artifact (see DESIGN.md's experiment index):
+//! Every artifact of the paper's evaluation is one row of
+//! [`ARTIFACTS`]: a name, the EXPERIMENTS.md section it owns, its
+//! default run count and a `run(runs, seed)` function that returns a
+//! [`Record`] — the artifact's property matrices, tables and verdicts,
+//! as data. The `rcm-paper` binary runs the rows `--only` selects (all
+//! by default) and shows every record one of three ways: plain text,
+//! `--json`, or `--write FILE`, which rewrites the file's generated
+//! Markdown blocks and leaves its prose alone.
 //!
-//! | Binary | Paper artifact |
-//! |--------|----------------|
-//! | `table1` | Table 1 — single-variable systems under AD-1 |
-//! | `table2` | Table 2 — single-variable systems under AD-2 |
-//! | `table1_ad3` | §4.3 — Table 1 variant under AD-3 |
-//! | `table2_ad4` | §4.4 — Table 2 variant under AD-4 |
-//! | `table3` | Table 3 — multi-variable systems under AD-5 |
-//! | `table3_ad6` | §5.2 — Table 3 variant under AD-6 |
-//! | `thm10` | Theorem 10 — multi-variable AD-1 matrix + worked counterexample |
-//! | `domination` | §4.1, Theorems 6 & 8 — pass-through rates and domination checks |
-//! | `maximality` | Theorems 5, 7 & 9 — one-extra-alert probes |
-//! | `availability` | Figure 1 motivation — missed alerts vs replication |
-//! | `table0_baseline` | no filtering at all — why dedup is the baseline |
-//! | `table3_trivar` | Table 3 with three variables (§5 "easily extended") |
-//! | `replication_sweep` | properties vs replica count (1 = non-replicated) |
-//! | `delayed_display` | §4.2's delayed-displaying alternative, measured |
-//! | `pda_buffering` | §1's powered-off PDA: buffered alerts, late delivery |
-//! | `multi_condition_sim` | Appendix D multi-condition construction |
-//! | `ablation_ad6` | AD-6 without its AD-5 half loses consistency |
-//! | `wire_sizes` | §2's checksum remark — payload bytes per fidelity |
+//! | Artifact | Section | Paper artifact |
+//! |----------|---------|----------------|
+//! | `table1` | T1 | Table 1 — single-variable systems under AD-1 |
+//! | `table2` | T2 | Table 2 — single-variable systems under AD-2 |
+//! | `table1_ad3` | T1′ | §4.3 — Table 1 variant under AD-3 |
+//! | `table2_ad4` | T2′ | §4.4 — Table 2 variant under AD-4 |
+//! | `thm10` | THM10 | Theorem 10 — multi-variable AD-1 matrix + worked counterexample |
+//! | `table3` | T3 | Table 3 — multi-variable systems under AD-5 |
+//! | `table3_ad6` | T3′ | §5.2 — Table 3 variant under AD-6 |
+//! | `table3_trivar` | TRIVAR | Table 3 with three variables (§5 "easily extended") |
+//! | `domination` | DOM | §4.1, Theorems 6 & 8 — pass-through counts and domination checks |
+//! | `maximality` | MAX | Theorems 5, 7 & 9 — one-extra-alert probes |
+//! | `availability` | FIG1 | Figure 1 motivation — missed alerts vs replication |
+//! | `replication_sweep` | REPL | properties vs replica count (1 = non-replicated) |
+//! | `delayed_display` | DELAY | §4.2's delayed-displaying alternative, measured |
+//! | `pda_buffering` | PDA | §1's powered-off PDA: buffered alerts, late delivery |
+//! | `table0_baseline` | BASE | no filtering at all — why dedup is the baseline |
+//! | `ablation_ad6` | ABLATE | AD-6 without its AD-5 half loses consistency |
+//! | `multi_condition_sim` | D | Appendix D multi-condition construction |
+//! | `wire_sizes` | WIRE | §2's checksum remark — payload bytes per fidelity |
 //!
-//! Every binary accepts `--runs N`, `--seed N` and `--json`; all
-//! results are pure functions of the seed.
+//! Every record is a pure function of its runs and seed, for any
+//! Monte-Carlo thread count (`RCM_THREADS`).
 //!
 //! How fast the implementation runs is not measured here: the
 //! `rcm-e2e` driver under `benchmark/` (declared by `BENCHMARK.json`,
 //! described in `benchmark/README.md`) is the one performance harness.
 
+mod experiments;
+mod record;
+mod splice;
+mod theorems;
+mod wire_sizes;
+
 use std::sync::Arc;
 
 use rcm_core::condition::Condition;
 use rcm_core::{Alert, Update};
-use rcm_sim::montecarlo::{build_scenario, ScenarioKind, Topology};
-use rcm_sim::report::Matrix;
+use rcm_sim::montecarlo::FilterKind::{Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, PassThrough};
+use rcm_sim::montecarlo::Topology::{MultiVar, MultiVar3, SingleVar};
+use rcm_sim::montecarlo::{
+    build_scenario, property_matrix, run_seed, FilterKind, ScenarioKind, Topology,
+};
 use rcm_sim::run;
 
-/// Common command-line options for the experiment binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct Cli {
-    /// Monte-Carlo runs per cell / sweep point.
+pub use record::{failures, render_json, render_text, Record};
+
+/// The seed every record in EXPERIMENTS.md is generated with.
+pub const DEFAULT_SEED: u64 = 0x5eed;
+
+/// One paper artifact: a row of [`ARTIFACTS`].
+#[derive(Debug)]
+pub struct Artifact {
+    /// Its `--only` name, JSON key and block marker name.
+    pub name: &'static str,
+    /// The EXPERIMENTS.md section it owns.
+    pub section: &'static str,
+    /// Default runs per cell, scenario or sweep point.
     pub runs: u64,
-    /// Base seed.
-    pub seed: u64,
-    /// Emit machine-readable JSON instead of ASCII tables.
-    pub json: bool,
+    /// Its property matrices, one per `(title, topology, filter)`.
+    matrices: &'static [(&'static str, Topology, FilterKind)],
+    /// Everything else the artifact computes from `(runs, seed)`.
+    more: Option<fn(u64, u64) -> Record>,
 }
 
-impl Cli {
-    /// Parses `--runs N`, `--seed N`, `--json` from `std::env::args`,
-    /// with the given default run count.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse(default_runs: u64) -> Self {
-        let mut cli = Cli { runs: default_runs, seed: 0x5eed, json: false };
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--runs" => {
-                    cli.runs =
-                        args.next().and_then(|v| v.parse().ok()).expect("--runs takes an integer");
-                }
-                "--seed" => {
-                    cli.seed =
-                        args.next().and_then(|v| v.parse().ok()).expect("--seed takes an integer");
-                }
-                "--json" => cli.json = true,
-                other => panic!("unknown argument '{other}' (expected --runs/--seed/--json)"),
-            }
+const fn matrix(
+    name: &'static str,
+    section: &'static str,
+    runs: u64,
+    matrices: &'static [(&'static str, Topology, FilterKind)],
+) -> Artifact {
+    Artifact { name, section, runs, matrices, more: None }
+}
+
+const fn sweep(
+    name: &'static str,
+    section: &'static str,
+    runs: u64,
+    run: fn(u64, u64) -> Record,
+) -> Artifact {
+    Artifact { name, section, runs, matrices: &[], more: Some(run) }
+}
+
+impl Artifact {
+    /// Runs the artifact with `runs` (its default if `None`) from `seed`.
+    pub fn record(&self, runs: Option<u64>, seed: u64) -> Record {
+        let runs = runs.unwrap_or(self.runs);
+        let mut record = Record::default();
+        for &(title, topo, filter) in self.matrices {
+            record.matrix(property_matrix(title, topo, filter, runs, seed));
         }
-        cli
+        if let Some(more) = self.more {
+            record = record.and(more(runs, seed));
+        }
+        Record { name: self.name, section: self.section, runs, seed, ..record }
     }
 }
 
-/// Prints a reproduced matrix and its agreement verdict.
-pub fn print_matrix(matrix: &Matrix, json: bool) {
-    if json {
-        println!("{:#}", matrix.to_json());
-    } else {
-        println!("{}", matrix.render());
-        println!(
-            "cells read claimed/measured (violations/runs); agreement with the paper: {}",
-            if matrix.matches_paper() { "FULL" } else { "MISMATCH (see !! cells)" }
-        );
-    }
+/// Every artifact, in EXPERIMENTS.md's order. The nine with matrices
+/// are the paper's property tables and their variants; THM10 also
+/// replays the paper's counterexample.
+pub const ARTIFACTS: &[Artifact] = &[
+    matrix("table1", "T1", 200, &[("Table 1: single-variable systems", SingleVar, Ad1)]),
+    matrix("table2", "T2", 200, &[("Table 2: single-variable systems", SingleVar, Ad2)]),
+    matrix("table1_ad3", "T1′", 200, &[("Table 1': single-variable systems", SingleVar, Ad3)]),
+    matrix("table2_ad4", "T2′", 200, &[("Table 2': single-variable systems", SingleVar, Ad4)]),
+    Artifact {
+        more: Some(|_, _| theorems::thm10_counterexample()),
+        ..matrix("thm10", "THM10", 100, &[("Theorem 10: multi-variable systems", MultiVar, Ad1)])
+    },
+    matrix("table3", "T3", 100, &[("Table 3: multi-variable systems", MultiVar, Ad5)]),
+    matrix("table3_ad6", "T3′", 100, &[("Table 3': multi-variable systems", MultiVar, Ad6)]),
+    matrix(
+        "table3_trivar",
+        "TRIVAR",
+        60,
+        &[
+            ("Table 3: three-variable systems", MultiVar3, Ad5),
+            ("Table 3': three-variable systems", MultiVar3, Ad6),
+        ],
+    ),
+    sweep("domination", "DOM", 120, theorems::domination),
+    sweep("maximality", "MAX", 150, theorems::maximality),
+    sweep("availability", "FIG1", 40, experiments::availability),
+    sweep("replication_sweep", "REPL", 120, theorems::replication_sweep),
+    sweep("delayed_display", "DELAY", 120, experiments::delayed_display),
+    sweep("pda_buffering", "PDA", 30, experiments::pda_buffering),
+    matrix(
+        "table0_baseline",
+        "BASE",
+        100,
+        &[("Baseline: single-variable systems, no filtering", SingleVar, PassThrough)],
+    ),
+    sweep("ablation_ad6", "ABLATE", 100, theorems::ablation_ad6),
+    sweep("multi_condition_sim", "D", 100, experiments::multi_condition_sim),
+    sweep("wire_sizes", "WIRE", 40, wire_sizes::wire_sizes),
+];
+
+/// Rewrites the generated blocks of `doc` (EXPERIMENTS.md's text) that
+/// `records` own, leaving every other byte as it was.
+///
+/// # Errors
+///
+/// A marker naming no artifact, an artifact marked twice, an unclosed
+/// block, or a record whose artifact has no block in `doc`.
+pub fn write_blocks(doc: &str, records: &[Record]) -> Result<String, String> {
+    let known: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+    let blocks: Vec<(&str, String)> = records.iter().map(|r| (r.name, r.markdown())).collect();
+    splice::splice(doc, &known, &blocks)
 }
 
 /// One simulated execution used by the domination and maximality
 /// experiments: the condition, each replica's received updates, and
 /// the merged alert arrival sequence at the AD.
 #[derive(Debug, Clone)]
-pub struct Execution {
+pub(crate) struct Execution {
     /// The monitored condition.
     pub condition: Arc<dyn Condition>,
     /// Per replica inputs `U_i`.
@@ -104,10 +174,15 @@ pub struct Execution {
 }
 
 /// Generates `n` seeded executions of a scenario class.
-pub fn executions(kind: ScenarioKind, topo: Topology, n: u64, base_seed: u64) -> Vec<Execution> {
+pub(crate) fn executions(
+    kind: ScenarioKind,
+    topo: Topology,
+    n: u64,
+    base_seed: u64,
+) -> Vec<Execution> {
     (0..n)
         .map(|i| {
-            let seed = base_seed.wrapping_add(i.wrapping_mul(0x9e37_79b9));
+            let seed = run_seed(base_seed, i);
             let scenario = build_scenario(kind, topo, seed);
             let condition = scenario.condition.clone();
             let result = run(scenario);

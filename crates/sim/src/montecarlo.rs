@@ -371,7 +371,7 @@ pub fn check_run(
 }
 
 /// The per-run seed for run `i` of a cell evaluated with `base_seed`.
-fn run_seed(base_seed: u64, i: u64) -> u64 {
+pub fn run_seed(base_seed: u64, i: u64) -> u64 {
     base_seed.wrapping_add(i.wrapping_mul(0x9e37_79b9))
 }
 
