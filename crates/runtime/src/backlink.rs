@@ -22,15 +22,14 @@
 //!
 //! LOCK ORDER: no locks — the counters are atomics.
 
-use rcm_sync::atomic::Ordering;
+use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::chan::Sender;
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
 use rcm_core::Alert;
 use rcm_net::Backoff;
-use rcm_transport::engine::BackLinkCounters;
-use rcm_transport::Outbox;
+use rcm_transport::{BackLinkStats, Outbox};
 
 use crate::wire::{cross_in, Message};
 
@@ -38,7 +37,7 @@ use crate::wire::{cross_in, Message};
 /// disconnects, generic over the message type so the severance and
 /// reconnect machinery is testable without a full pipeline.
 ///
-/// It counts into the [`BackLinkCounters`] block the socket links
+/// It counts into the [`BackLinkStats`] block the socket links
 /// use; a channel has no wire, so `io_errors` and `bytes_sent` stay 0,
 /// and `frames_sent` counts what `sent` counts.
 pub struct BackLink<T> {
@@ -47,7 +46,7 @@ pub struct BackLink<T> {
     next_attempt: Instant,
     backoff: Backoff,
     outbox: Outbox<T>,
-    counters: Arc<BackLinkCounters>,
+    counters: Arc<BackLinkStats<AtomicU64>>,
     /// The frame of the alert last sent (a `BackLink<Alert>` serialises
     /// what it sends); cleared and reused per alert.
     frame: Vec<u8>,
@@ -67,7 +66,7 @@ impl<T: Clone + Send + 'static> BackLink<T> {
     /// Wraps a channel sender; with no severances scripted the link is
     /// a plain pass-through.
     pub fn new(tx: Sender<T>, backoff: Backoff) -> Self {
-        let counters = Arc::new(BackLinkCounters::default());
+        let counters = Arc::new(BackLinkStats::default());
         BackLink {
             tx,
             down: false,
@@ -89,7 +88,7 @@ impl<T: Clone + Send + 'static> BackLink<T> {
 
     /// A handle for reading the link's counters after the replica has
     /// taken ownership of the link.
-    pub fn stats_handle(&self) -> Arc<BackLinkCounters> {
+    pub fn counters(&self) -> Arc<BackLinkStats<AtomicU64>> {
         Arc::clone(&self.counters)
     }
 
@@ -208,7 +207,7 @@ mod tests {
         }
         l.flush();
         assert_eq!(drain(&rx), vec![0, 1, 2, 3, 4]);
-        assert_eq!(l.stats_handle().snapshot().severs, 0);
+        assert_eq!(l.counters().snapshot().severs, 0);
     }
 
     #[test]
@@ -221,7 +220,7 @@ mod tests {
         l.send(12); // sever fires, instantly reconnects: dup 10,11 then 12
         l.flush();
         assert_eq!(drain(&rx), vec![10, 11, 10, 11, 12]);
-        let stats = l.stats_handle().snapshot();
+        let stats = l.counters().snapshot();
         assert_eq!(stats.severs, 1);
         assert_eq!(stats.reconnects, 1);
         assert_eq!(stats.resent_duplicates, 2);
@@ -240,7 +239,7 @@ mod tests {
         l.flush(); // blocks past the outage
         assert!(!l.down);
         assert_eq!(drain(&rx), vec![0, 1, 2, 3, 4, 5], "dup of 0, then the queue in order");
-        let stats = l.stats_handle().snapshot();
+        let stats = l.counters().snapshot();
         assert_eq!(stats.lost_overflow, 0);
         assert!(stats.attempts >= 1);
         assert_eq!(stats.queued_peak, 5);
@@ -257,7 +256,7 @@ mod tests {
         }
         l.flush();
         assert_eq!(drain(&rx), (3..n).collect::<Vec<_>>(), "kept the newest, in order");
-        let stats = l.stats_handle().snapshot();
+        let stats = l.counters().snapshot();
         assert_eq!(stats.lost_overflow, 3);
         assert_eq!(stats.shed, 3, "every overflow is a non-blocking shed, as on the socket links");
     }
@@ -317,6 +316,6 @@ mod tests {
         l.flush();
         assert!(start.elapsed() >= Duration::from_millis(100), "outage extended past first window");
         assert_eq!(drain(&rx), vec![1, 2]);
-        assert_eq!(l.stats_handle().snapshot().severs, 2);
+        assert_eq!(l.counters().snapshot().severs, 2);
     }
 }

@@ -180,7 +180,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let back_stats = back.stats_handle();
+    let back_stats = back.counters();
     let engine = rcm_sync::thread::spawn(move || el.run());
 
     // The ingress gate already dropped reorders and duplicates, so every

@@ -22,9 +22,8 @@
 //! datagram budget. So `--period-us 0` packs what arrives together; a
 //! paced run (the default) sends each reading alone, one period apart.
 //!
-//! LOCK ORDER: the only locks are stdin's reader lock (held for the
-//! read loop on the main thread) and the links' leaf stats mutexes,
-//! read one at a time after the stream ends.
+//! LOCK ORDER: the only lock is stdin's reader lock, held for the read
+//! loop on the main thread; the links count into atomics.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -134,8 +133,9 @@ fn main() -> ExitCode {
         links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
     });
 
-    let sent: u64 = links.iter().map(|l| l.stats_handle().lock().frames_sent).sum();
-    let dropped: u64 = links.iter().map(|l| l.stats_handle().lock().frames_dropped).sum();
+    let stats: Vec<_> = links.iter().map(|l| l.counters().snapshot()).collect();
+    let sent: u64 = stats.iter().map(|s| s.frames_sent).sum();
+    let dropped: u64 = stats.iter().map(|s| s.frames_dropped).sum();
     eprintln!(
         "done: {seqno} reading(s) as {sent} frame(s) over {} link(s); {dropped} send error(s)",
         links.len()

@@ -13,9 +13,9 @@
 //! each replica as one datagram, while it fits the datagram budget.
 //!
 //! LOCK ORDER: the loop takes only leaf mutexes owned elsewhere (a
-//! retained window, a link's counters and, in-process, its replicas'
-//! records and fault report), each alone and released before any send
-//! or other lock.
+//! retained window and, in-process, its replicas' records and fault
+//! report), each alone and released before any send or other lock. The
+//! links count into atomics.
 
 use rcm_sync::chan::{wait_any, Receiver, TryRecvError};
 use rcm_sync::time::{Duration, Instant};

@@ -244,7 +244,10 @@ impl RetainedWindow {
 }
 
 /// What the fault layer observed over one run; part of
-/// [`RunReport`](crate::RunReport).
+/// [`RunReport`](crate::RunReport). What a back-link fault did (severs,
+/// reconnects, resent duplicates, alerts lost to queue overflow) is
+/// counted once, in the run's
+/// [`TransportReport::back_links`](rcm_transport::TransportReport::back_links).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultReport {
     /// Scripted kills that actually fired.
@@ -263,20 +266,6 @@ pub struct FaultReport {
     pub updates_replayed: u64,
     /// Wall-clock time from catching each crash to recovery complete.
     pub recovery_latency: Vec<Duration>,
-    /// Back-link severances that fired.
-    pub backlink_severs: u64,
-    /// Successful back-link reconnects.
-    pub backlink_reconnects: u64,
-    /// Reconnect attempts paced by the backoff schedule.
-    pub backlink_attempts: u64,
-    /// Duplicate alerts re-offered after reconnect (unacked resends).
-    pub backlink_duplicates: u64,
-    /// Alerts lost to resend-queue overflow — the only permitted alert
-    /// loss: more alerts than
-    /// [`Outbox::QUEUE_CAP`](rcm_transport::Outbox::QUEUE_CAP) sent
-    /// during one outage, or a queue a socket link's `finish` gave up
-    /// on when its peer stayed away past the deadline.
-    pub alerts_lost_overflow: u64,
 }
 
 impl FaultReport {

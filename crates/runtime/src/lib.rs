@@ -83,7 +83,7 @@ pub use dm::ROUND;
 pub use faults::{
     FaultPlan, FaultReport, IngestGate, KillCe, RetainedWindow, SeverBackLink, StallFrontLink,
 };
-pub use link::{FrontLink, LinkReport};
+pub use link::FrontLink;
 pub use pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
 pub use rcm_transport::{BoundTopology, Codec, Topology, TransportMode, TransportReport};
 pub use system::{ConfigError, MonitorSystem, PipelineReport, RunReport, SystemBuilder, VarFeed};

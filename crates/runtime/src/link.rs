@@ -3,28 +3,17 @@
 //! ([`cross_in`]), the copy is checked bit for bit against the
 //! original, and the original goes down the channel.
 //!
-//! LOCK ORDER: the only mutex is the `stats` counter block, a leaf —
-//! held only to bump counters, never across the channel send.
+//! LOCK ORDER: no locks — the counters are atomics.
 
+use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::chan::Sender;
-use rcm_sync::{Arc, Mutex};
+use rcm_sync::Arc;
 
 use rcm_core::Update;
 use rcm_net::{LossModel, Rng};
 use rcm_transport::FrontLinkStats;
 
 use crate::wire::{cross_in, Message};
-
-/// One front link's loss, in updates: the per-link view of
-/// [`RunReport::links`](crate::RunReport::links), read from the link's
-/// [`FrontLinkStats`] in either transport.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkReport {
-    /// Updates handed to the link.
-    pub sent: u64,
-    /// Updates dropped by the loss model.
-    pub dropped: u64,
-}
 
 /// A UDP-like front link from one DM to one CE replica: FIFO (channels
 /// do not reorder) but lossy. Every delivered update crosses the wire
@@ -40,7 +29,7 @@ pub struct FrontLink {
 
 impl std::fmt::Debug for FrontLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontLink").field("stats", &*self.hop.stats.lock()).finish()
+        f.debug_struct("FrontLink").field("stats", &self.hop.counters.snapshot()).finish()
     }
 }
 
@@ -64,8 +53,8 @@ impl FrontLink {
 
     /// A handle for reading the link's counters after the DM thread
     /// has taken ownership of the link.
-    pub fn report_handle(&self) -> Arc<Mutex<FrontLinkStats>> {
-        self.hop.report_handle()
+    pub fn counters(&self) -> Arc<FrontLinkStats<AtomicU64>> {
+        self.hop.counters()
     }
 
     /// Transmits one update; returns whether it was delivered (the
@@ -86,7 +75,7 @@ impl FrontLink {
 pub(crate) struct FrontHop {
     loss: Box<dyn LossModel>,
     rng: Rng,
-    stats: Arc<Mutex<FrontLinkStats>>,
+    counters: Arc<FrontLinkStats<AtomicU64>>,
     /// The frame of the update in flight; cleared and reused per send.
     frame: Vec<u8>,
     /// Scripted stalls, ascending by send index: `(at_send, stall)`.
@@ -100,7 +89,7 @@ impl FrontHop {
         FrontHop {
             loss,
             rng: Rng::seed_from_u64(seed),
-            stats: Arc::new(Mutex::new(FrontLinkStats::default())),
+            counters: Arc::default(),
             frame: Vec::new(),
             stalls: std::collections::VecDeque::new(),
             sends_seen: 0,
@@ -115,9 +104,9 @@ impl FrontHop {
         self
     }
 
-    /// See [`FrontLink::report_handle`].
-    pub(crate) fn report_handle(&self) -> Arc<Mutex<FrontLinkStats>> {
-        Arc::clone(&self.stats)
+    /// See [`FrontLink::counters`].
+    pub(crate) fn counters(&self) -> Arc<FrontLinkStats<AtomicU64>> {
+        Arc::clone(&self.counters)
     }
 
     /// Carries one update across the link, up to the hand-over: sleeps
@@ -131,15 +120,13 @@ impl FrontHop {
             }
         }
         self.sends_seen += 1;
-        let mut stats = self.stats.lock();
-        stats.frames_sent += 1;
-        stats.updates_sent += 1;
+        self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
+        self.counters.updates_sent.fetch_add(1, Ordering::SeqCst);
         if self.loss.drops(&mut self.rng) {
-            stats.frames_dropped += 1;
-            stats.updates_dropped += 1;
+            self.counters.frames_dropped.fetch_add(1, Ordering::SeqCst);
+            self.counters.updates_dropped.fetch_add(1, Ordering::SeqCst);
             return false;
         }
-        drop(stats);
         cross_in(&mut self.frame, &Message::Update(*update));
         true
     }
@@ -172,7 +159,7 @@ mod tests {
     fn scripted_loss_drops_and_counts() {
         let (tx, rx) = unbounded();
         let mut link = FrontLink::new(tx, Box::new(Scripted::new([1])), 1);
-        let handle = link.report_handle();
+        let counters = link.counters();
         assert!(link.send(u(1)));
         assert!(!link.send(u(2))); // dropped
         assert!(link.send(u(3)));
@@ -180,7 +167,7 @@ mod tests {
         let got: Vec<u64> = rx.iter().map(|u| u.seqno.get()).collect();
         assert_eq!(got, vec![1, 3]);
         assert_eq!(
-            *handle.lock(),
+            counters.snapshot(),
             FrontLinkStats {
                 frames_sent: 3,
                 frames_dropped: 1,

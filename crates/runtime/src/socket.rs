@@ -4,7 +4,7 @@
 //! in-process hops and channels.
 //!
 //! LOCK ORDER: no locks here — the adapters delegate straight into the
-//! transport links, whose counter mutexes are leaves.
+//! transport links, which count into atomics.
 
 use rcm_core::{Alert, Update};
 use rcm_transport::{fin_rounds, EventedBackLink, UdpFrontLink};

@@ -1,7 +1,7 @@
 //! System assembly: builder, running handle and final report.
 //!
 //! LOCK ORDER: every mutex here (fault report, per-replica record and
-//! output sinks, AD arrival/display sinks, link stats) is a leaf —
+//! output sinks, AD arrival/display sinks) is a leaf —
 //! taken alone, released before any send or other acquisition. No two
 //! of these locks are ever held at once, so no ordering is needed.
 
@@ -15,18 +15,18 @@ use rcm_sync::{Arc, Mutex};
 use rcm_core::ad::{Ad1, AlertFilter};
 use rcm_core::condition::Condition;
 use rcm_core::{Alert, CeId, LatencyHistogram, LatencySnapshot, Update, VarId};
-use rcm_net::{Backoff, LossModel, Lossless};
-use rcm_transport::engine::{BackLinkCounters, EngineCounters, IngressCounters, ListenerCounters};
+use rcm_net::{Backoff, LinkStats, LossModel, Lossless};
+use rcm_sync::atomic::AtomicU64;
 use rcm_transport::{
-    BackLinkSpec, BoundTopology, EventLoop, FrontLinkStats, TransportMode, TransportReport,
-    UdpFrontLink,
+    BackLinkSpec, BackLinkStats, BoundTopology, EngineStats, EventLoop, FrontLinkStats,
+    IngressStats, ListenerStats, TransportMode, TransportReport, UdpFrontLink,
 };
 
 use crate::actors::{ad_body, ce_body, AlertSink, CeFaultConfig, CePipeline, Replica};
 use crate::backlink::BackLink;
 use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
-use crate::link::{FrontHop, LinkReport};
+use crate::link::FrontHop;
 use crate::pipeline::PipelineOptions;
 use crate::socket::UdpFanout;
 
@@ -337,7 +337,7 @@ impl SystemBuilder {
         let mut replicas = Vec::with_capacity(self.replicas);
         for ce in 0..self.replicas {
             let back = BackLink::new(alert_tx.clone(), ces.backoff(ce)).with_severs(ces.severs(ce));
-            counters.back.push(back.stats_handle());
+            counters.back.push(back.counters());
             replicas.push(ces.replica(ce, Box::new(back)));
         }
         drop(alert_tx); // AD exits when the last replica's back link drops.
@@ -360,7 +360,7 @@ impl SystemBuilder {
                             .collect(),
                     );
                 }
-                counters.front.push(((fi, ci), hop.report_handle()));
+                counters.front.push(((fi, ci), hop.counters()));
                 row.push(hop);
             }
             hops.push(row);
@@ -436,7 +436,7 @@ impl SystemBuilder {
             let spec = BackLinkSpec::new(parts.ad_addr, ce as u32, ces.backoff(ce))
                 .with_severs(ces.severs(ce));
             let back = event_loop.add_back_link(spec).map_err(transport_err)?;
-            counters.back.push(back.stats_handle());
+            counters.back.push(back.counters());
             let replica = ces.replica(ce, Box::new(back));
             helpers += replica.helpers();
             handles.push(rcm_sync::thread::spawn(move || ce_body(rx, replica)));
@@ -458,7 +458,7 @@ impl SystemBuilder {
             let mut row = Vec::with_capacity(self.replicas);
             for (ci, target) in parts.dm_targets.iter().enumerate() {
                 let link = UdpFrontLink::connect(*target, fi as u32).map_err(transport_err)?;
-                counters.front.push(((fi, ci), link.stats_handle()));
+                counters.front.push(((fi, ci), link.counters()));
                 row.push(link);
             }
             links.push(row);
@@ -603,7 +603,7 @@ impl Replicas {
 }
 
 /// One front link's sender counters, keyed `(feed, ce)`.
-type KeyedFrontStats = ((usize, usize), Arc<Mutex<FrontLinkStats>>);
+type KeyedFrontStats = ((usize, usize), Arc<FrontLinkStats<AtomicU64>>);
 
 /// Every counter block of one run's links: one list per kind, the same
 /// in both transports (the socket-only kinds stay empty in-process).
@@ -615,18 +615,18 @@ struct LinkCounters {
     /// Every front link's sender counters, feed-major.
     front: Vec<KeyedFrontStats>,
     /// Every back link's counters, indexed by replica.
-    back: Vec<Arc<BackLinkCounters>>,
+    back: Vec<Arc<BackLinkStats<AtomicU64>>>,
     /// Every CE's UDP ingress, indexed by replica.
-    ingress: Vec<Arc<IngressCounters>>,
-    ad: Option<Arc<ListenerCounters>>,
-    engine: Option<Arc<EngineCounters>>,
+    ingress: Vec<Arc<IngressStats<AtomicU64>>>,
+    ad: Option<Arc<ListenerStats<AtomicU64>>>,
+    engine: Option<Arc<EngineStats<AtomicU64>>>,
 }
 
 impl LinkCounters {
     fn report(&self) -> TransportReport {
         TransportReport {
             mode: self.mode,
-            front_links: self.front.iter().map(|&((fi, ci), ref s)| (fi, ci, *s.lock())).collect(),
+            front_links: self.front.iter().map(|((fi, ci), c)| (*fi, *ci, c.snapshot())).collect(),
             ingress: self.ingress.iter().map(|c| c.snapshot()).collect(),
             back_links: self.back.iter().map(|c| c.snapshot()).collect(),
             ad: self.ad.as_ref().map(|c| c.snapshot()).unwrap_or_default(),
@@ -636,23 +636,12 @@ impl LinkCounters {
 
     /// The per-link view of `report`'s front links, in updates (a
     /// socket datagram carries a feed's whole round).
-    fn links(&self, report: &TransportReport) -> Vec<((VarId, CeId), LinkReport)> {
+    fn links(&self, report: &TransportReport) -> Vec<((VarId, CeId), LinkStats)> {
         let link = |&(fi, ci, s): &(usize, usize, FrontLinkStats)| {
             let key = (self.front_vars[fi], CeId::new(ci as u32));
-            (key, LinkReport { sent: s.updates_sent, dropped: s.updates_dropped })
+            (key, LinkStats { sent: s.updates_sent, dropped: s.updates_dropped })
         };
         report.front_links.iter().map(link).collect()
-    }
-}
-
-/// Folds every back link's counters into the fault ledger.
-fn fold_back_links(faults: &mut FaultReport, report: &TransportReport) {
-    for s in &report.back_links {
-        faults.backlink_severs += s.severs;
-        faults.backlink_reconnects += s.reconnects;
-        faults.backlink_attempts += s.attempts;
-        faults.backlink_duplicates += s.resent_duplicates;
-        faults.alerts_lost_overflow += s.lost_overflow;
     }
 }
 
@@ -728,13 +717,9 @@ impl MonitorSystem {
             h.join().expect("actor thread panicked");
         }
         let transport = self.links.report();
-        // Every back link counts into the same block, so the fault
-        // ledger reads identically across transports.
-        let mut faults = self.fault_report.lock().clone();
-        fold_back_links(&mut faults, &transport);
         RunReport {
             links: self.links.links(&transport),
-            faults,
+            faults: self.fault_report.lock().clone(),
             transport,
             pipeline: PipelineReport {
                 workers: self.workers,
@@ -763,8 +748,9 @@ pub struct RunReport {
     /// Per replica: alerts emitted over its back link, in emission
     /// order (pre-merge, pre-filter).
     pub emitted: Vec<Vec<Alert>>,
-    /// Per front link `(variable, replica)`: loss counters.
-    pub links: Vec<((VarId, CeId), LinkReport)>,
+    /// Per front link `(variable, replica)`: loss counters, in updates
+    /// (a socket datagram carries a feed's whole round).
+    pub links: Vec<((VarId, CeId), LinkStats)>,
     /// What the fault layer observed (all zeros without a
     /// [`FaultPlan`]).
     pub faults: FaultReport,
@@ -913,8 +899,9 @@ mod tests {
         let report = system.wait();
         assert_eq!(report.displayed.len(), 2);
         assert_eq!(report.faults.total_restarts(), 0);
-        assert_eq!(report.faults.backlink_severs, 0);
-        assert_eq!(report.faults.alerts_lost_overflow, 0);
+        for back in &report.transport.back_links {
+            assert_eq!((back.severs, back.lost_overflow), (0, 0), "{back:?}");
+        }
         // Every arrival at the AD is accounted to some replica's
         // emission record.
         assert_eq!(report.emitted.iter().map(Vec::len).sum::<usize>(), report.arrivals.len());

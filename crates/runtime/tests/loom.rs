@@ -99,7 +99,7 @@ fn severed_backlink_is_lossless_and_ordered_under_all_schedules() {
                 link.send(m);
             }
             link.flush();
-            link.stats_handle()
+            link.counters()
         });
 
         let got: Vec<u64> = rx.into_iter().collect();

@@ -96,8 +96,6 @@ struct PlanOutcome {
     replicas: usize,
     kills: u32,
     restarts: u32,
-    severs: u64,
-    duplicates: u64,
     replayed: u64,
     recovery: Vec<Duration>,
     transport: TransportReport,
@@ -302,8 +300,8 @@ fn main() -> ExitCode {
     };
     let kills: u32 = outcomes.iter().map(|o| o.kills).sum();
     let restarts: u32 = outcomes.iter().map(|o| o.restarts).sum();
-    let severs: u64 = outcomes.iter().map(|o| o.severs).sum();
-    let duplicates: u64 = outcomes.iter().map(|o| o.duplicates).sum();
+    let severs: u64 = outcomes.iter().map(|o| o.transport.severs()).sum();
+    let duplicates: u64 = outcomes.iter().map(|o| o.transport.resent_duplicates()).sum();
     let replayed: u64 = outcomes.iter().map(|o| o.replayed).sum();
     let frames_dropped: u64 = outcomes.iter().map(|o| o.transport.front_frames_dropped()).sum();
     let reconnects: u64 = outcomes.iter().map(|o| o.transport.reconnects()).sum();
@@ -419,8 +417,8 @@ fn main() -> ExitCode {
                 ("replicas", o.replicas.into()),
                 ("kills", o.kills.into()),
                 ("restarts", o.restarts.into()),
-                ("backlink_severs", o.severs.into()),
-                ("backlink_duplicates", o.duplicates.into()),
+                ("backlink_severs", o.transport.severs().into()),
+                ("backlink_duplicates", o.transport.resent_duplicates().into()),
                 ("updates_replayed", o.replayed.into()),
                 ("workers", o.workers.into()),
                 ("latency_p50_ns", o.latency.p50_ns.into()),
@@ -621,8 +619,6 @@ fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
         replicas,
         kills: report.faults.kills_injected,
         restarts: report.faults.total_restarts(),
-        severs: report.faults.backlink_severs,
-        duplicates: report.faults.backlink_duplicates,
         replayed: report.faults.updates_replayed,
         recovery: report.faults.recovery_latency.clone(),
         transport: report.transport.clone(),
@@ -643,11 +639,9 @@ fn check(
     let mut violations = Vec::new();
     // The lossless back-link contract: severance may queue and
     // duplicate, never drop. This holds in every class.
-    if report.faults.alerts_lost_overflow != 0 {
-        violations.push(format!(
-            "{} alerts lost to resend-queue overflow",
-            report.faults.alerts_lost_overflow
-        ));
+    let lost = report.transport.lost_overflow();
+    if lost != 0 {
+        violations.push(format!("{lost} alerts lost to resend-queue overflow"));
     }
     if report.faults.replicas_abandoned != 0 {
         violations.push(format!(
@@ -896,8 +890,8 @@ fn print_outcome(o: &PlanOutcome) {
         o.replicas,
         o.kills,
         o.restarts,
-        o.severs,
-        o.duplicates,
+        o.transport.severs(),
+        o.transport.resent_duplicates(),
     );
     for v in &o.violations {
         println!("          {v}");

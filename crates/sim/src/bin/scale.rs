@@ -214,7 +214,7 @@ fn main() -> ExitCode {
         let back = el
             .add_back_link(BackLinkSpec::new(ad_addr, j as u32, backoff))
             .expect("back link connects");
-        back_stats.push(back.stats_handle());
+        back_stats.push(back.counters());
         backs.push(back);
     }
     let engine = rcm_sync::thread::spawn(move || el.run());

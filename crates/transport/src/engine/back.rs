@@ -30,14 +30,14 @@ use std::os::fd::AsRawFd;
 use rcm_core::Alert;
 use rcm_net::Backoff;
 use rcm_poll::{sys, Event, Interest, SubmitQueue, TimerKey, Token, Waker};
-use rcm_sync::atomic::Ordering;
+use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::chan::{Receiver, Sender};
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
-use super::counters::BackLinkCounters;
 use super::event_loop::{timer_data, Command, Core, KIND_DEADLINE, KIND_RECONNECT};
 use crate::outbox::Outbox;
+use crate::report::BackLinkStats;
 use crate::wire::{self, Codec, Message};
 
 /// How long `finish` keeps retrying a dead peer before counting the
@@ -91,7 +91,7 @@ pub struct EventedBackLink {
     commands: SubmitQueue<Command>,
     waker: Waker,
     done_rx: Receiver<()>,
-    counters: Arc<BackLinkCounters>,
+    counters: Arc<BackLinkStats<AtomicU64>>,
     finished: bool,
 }
 
@@ -110,7 +110,7 @@ impl EventedBackLink {
         commands: SubmitQueue<Command>,
         waker: Waker,
         done_rx: Receiver<()>,
-        counters: Arc<BackLinkCounters>,
+        counters: Arc<BackLinkStats<AtomicU64>>,
     ) -> Self {
         EventedBackLink { id, commands, waker, done_rx, counters, finished: false }
     }
@@ -149,7 +149,7 @@ impl EventedBackLink {
     }
 
     /// A handle for reading the link's counters.
-    pub fn stats_handle(&self) -> Arc<BackLinkCounters> {
+    pub fn counters(&self) -> Arc<BackLinkStats<AtomicU64>> {
         Arc::clone(&self.counters)
     }
 }
@@ -191,7 +191,7 @@ pub(super) struct BackSource {
     registered_write: bool,
     reconnect_timer: Option<TimerKey>,
     deadline_timer: Option<TimerKey>,
-    counters: Arc<BackLinkCounters>,
+    counters: Arc<BackLinkStats<AtomicU64>>,
     done_tx: Sender<()>,
 }
 
@@ -216,7 +216,7 @@ impl BackSource {
         // behind Nagle.
         stream.set_nodelay(true)?;
         core.poller.register(fd, Token(id), Interest::WRITE)?;
-        let counters = Arc::new(BackLinkCounters::default());
+        let counters = Arc::new(BackLinkStats::default());
         let mut source = BackSource {
             peer: spec.peer,
             node: spec.node,
@@ -238,7 +238,7 @@ impl BackSource {
         Ok(source)
     }
 
-    pub(super) fn counters(&self) -> Arc<BackLinkCounters> {
+    pub(super) fn counters(&self) -> Arc<BackLinkStats<AtomicU64>> {
         Arc::clone(&self.counters)
     }
 

@@ -23,14 +23,15 @@ use std::os::fd::AsRawFd;
 
 use rcm_core::{Alert, Update};
 use rcm_poll::{Event, Interest, Poller, SubmitQueue, TimerWheel, Token, WAKE_TOKEN};
-use rcm_sync::atomic::Ordering;
+use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
 use super::back::{BackLinkSpec, BackSource, EventedBackLink};
-use super::counters::{EngineCounters, IngressCounters, ListenerCounters};
 use super::front::FrontSource;
 use super::listener::{ConnSource, ListenerSource};
+use crate::receive::{AlertFold, Ingress, StreamEvent};
+use crate::report::{EngineStats, IngressStats, ListenerStats};
 
 /// Timer-wheel resolution. Coarser than the OS clock on purpose: every
 /// engine deadline (backoff floors, connect caps, idle backstops) is
@@ -71,7 +72,7 @@ pub(super) enum Command {
 pub(super) struct Core {
     pub poller: Poller,
     pub wheel: TimerWheel,
-    pub counters: Arc<EngineCounters>,
+    pub counters: Arc<EngineStats<AtomicU64>>,
     pub buf: Box<[u8]>,
 }
 
@@ -138,7 +139,7 @@ impl EventLoop {
             core: Core {
                 poller,
                 wheel: TimerWheel::new(Instant::now(), TICK, BUCKETS),
-                counters: Arc::new(EngineCounters::default()),
+                counters: Arc::default(),
                 buf: vec![0u8; 65_535].into_boxed_slice(),
             },
             commands: SubmitQueue::new(),
@@ -149,7 +150,7 @@ impl EventLoop {
 
     /// The loop-level counters (wakeups, timer fires, spurious
     /// readiness), readable while the loop runs.
-    pub fn counters(&self) -> Arc<EngineCounters> {
+    pub fn counters(&self) -> Arc<EngineStats<AtomicU64>> {
         Arc::clone(&self.core.counters)
     }
 
@@ -174,15 +175,15 @@ impl EventLoop {
         expected_fins: usize,
         idle_timeout: Duration,
         deliver: impl FnMut(Update) + Send + 'static,
-    ) -> io::Result<Arc<IngressCounters>> {
+    ) -> io::Result<Arc<IngressStats<AtomicU64>>> {
         sock.set_nonblocking(true)?;
         let id = self.alloc();
         self.core.poller.register(sock.as_raw_fd(), Token(id), Interest::READ)?;
         let now = Instant::now();
         let timer = self.core.wheel.schedule_at(now + idle_timeout, timer_data(id, KIND_IDLE));
-        let source =
-            FrontSource::new(sock, expected_fins, idle_timeout, Box::new(deliver), timer, now);
-        let counters = source.counters();
+        let counters = Arc::default();
+        let ingress = Ingress::new(expected_fins, Arc::clone(&counters));
+        let source = FrontSource::new(sock, ingress, idle_timeout, Box::new(deliver), timer, now);
         self.sources[id] = Some(Source::Front(source));
         self.active += 1;
         Ok(counters)
@@ -205,21 +206,16 @@ impl EventLoop {
         expected_fins: usize,
         idle_timeout: Duration,
         deliver: impl FnMut(Alert) + Send + 'static,
-    ) -> io::Result<Arc<ListenerCounters>> {
+    ) -> io::Result<Arc<ListenerStats<AtomicU64>>> {
         listener.set_nonblocking(true)?;
         let id = self.alloc();
         self.core.poller.register(listener.as_raw_fd(), Token(id), Interest::READ)?;
         let now = Instant::now();
         let timer = self.core.wheel.schedule_at(now + idle_timeout, timer_data(id, KIND_IDLE));
-        let source = ListenerSource::new(
-            listener,
-            expected_fins,
-            idle_timeout,
-            Box::new(deliver),
-            timer,
-            now,
-        );
-        let counters = source.counters();
+        let counters = Arc::default();
+        let fold = AlertFold::new(expected_fins, Arc::clone(&counters));
+        let source =
+            ListenerSource::new(listener, fold, idle_timeout, Box::new(deliver), timer, now);
         self.sources[id] = Some(Source::Listener(source));
         self.active += 1;
         Ok(counters)
@@ -383,20 +379,19 @@ impl EventLoop {
             }
             Source::Listener(mut listener) => {
                 let accepted = listener.accept_ready(&mut self.core);
-                for stream in accepted {
+                for (stream, reader) in accepted {
                     let cid = self.alloc();
                     let fd = stream.as_raw_fd();
                     if self.core.poller.register(fd, Token(cid), Interest::READ).is_ok() {
                         listener.track_conn(cid);
-                        self.sources[cid] =
-                            Some(Source::Conn(ConnSource::new(stream, id, listener.counters())));
+                        self.sources[cid] = Some(Source::Conn(ConnSource::new(stream, reader, id)));
                     }
                 }
                 self.sources[id] = Some(Source::Listener(listener));
             }
             Source::Conn(mut conn) => {
                 let lid = conn.listener_id();
-                let (outs, closed) = conn.on_readable(&mut self.core);
+                let (events, closed) = conn.on_readable(&mut self.core);
                 if closed {
                     conn.close(&mut self.core);
                 } else {
@@ -404,13 +399,13 @@ impl EventLoop {
                 }
                 // Routed only after the conn slot is settled, so the
                 // listener (a different slot) can be borrowed freely.
-                self.route_conn_outs(lid, outs);
+                self.route_conn_events(lid, events);
             }
         }
     }
 
-    fn route_conn_outs(&mut self, lid: usize, outs: Vec<super::listener::ConnOut>) {
-        if outs.is_empty() {
+    fn route_conn_events(&mut self, lid: usize, events: Vec<StreamEvent>) {
+        if events.is_empty() {
             return;
         }
         let Some(slot) = self.sources.get_mut(lid) else { return };
@@ -422,7 +417,7 @@ impl EventLoop {
             }
         };
         let mut listener = listener;
-        if listener.handle_outs(outs) {
+        if listener.handle_events(events) {
             self.finish_listener(listener);
         } else {
             self.sources[lid] = Some(Source::Listener(listener));

@@ -1,17 +1,17 @@
-//! The evented AD listener: `TcpAlertListener`'s contract without the
-//! per-connection reader threads.
+//! The evented AD listener: the alert-stream contract ([`AlertStream`],
+//! [`AlertFold`]) without the per-connection reader threads.
 //!
-//! The threaded listener spawns one reader thread per accepted back
-//! link and funnels events through a channel. Here each accepted
-//! connection is its own [`ConnSource`] slot on the loop; a conn's
-//! readable handler returns its decoded events as plain values and
-//! the loop routes them to the owning [`ListenerSource`] *after* the
-//! conn slot is settled — two slots are never borrowed at once, so no
-//! shared state (and no lock) connects them.
+//! The threaded listener in `tcp.rs` spawns one reader thread per
+//! accepted back link and funnels each read's events through a channel.
+//! Here each accepted connection is its own [`ConnSource`] slot on the
+//! loop; a conn's readable handler returns the events of its reads as
+//! plain values, and the loop hands them to the owning
+//! [`ListenerSource`] *after* the conn slot is settled — two slots are
+//! never borrowed at once, so no shared state (and no lock) connects
+//! them.
 
 // LOCK ORDER: no locks — the acceptor owns its sockets; results travel by channel.
 
-use std::collections::HashSet;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -20,26 +20,15 @@ use rcm_core::Alert;
 use rcm_poll::TimerKey;
 use rcm_sync::atomic::Ordering;
 use rcm_sync::time::{Duration, Instant};
-use rcm_sync::Arc;
 
-use super::counters::ListenerCounters;
 use super::event_loop::{timer_data, Core, KIND_IDLE};
-use crate::wire::{self, FrameBuf, Message};
-
-/// What one conn's readable round produced, for the listener to fold.
-pub(super) enum ConnOut {
-    Alert(Alert),
-    Fin(u32),
-    DecodeError,
-}
+use crate::receive::{AlertFold, AlertStream, StreamEvent};
 
 /// The accept socket plus the listener-level termination state.
 pub(super) struct ListenerSource {
     listener: TcpListener,
     deliver: Box<dyn FnMut(Alert) + Send>,
-    counters: Arc<ListenerCounters>,
-    fins: HashSet<u32>,
-    expected_fins: usize,
+    fold: AlertFold,
     idle_timeout: Duration,
     last_activity: Instant,
     idle_timer: TimerKey,
@@ -50,7 +39,7 @@ pub(super) struct ListenerSource {
 impl ListenerSource {
     pub(super) fn new(
         listener: TcpListener,
-        expected_fins: usize,
+        fold: AlertFold,
         idle_timeout: Duration,
         deliver: Box<dyn FnMut(Alert) + Send>,
         idle_timer: TimerKey,
@@ -59,18 +48,12 @@ impl ListenerSource {
         ListenerSource {
             listener,
             deliver,
-            counters: Arc::new(ListenerCounters::default()),
-            fins: HashSet::new(),
-            expected_fins,
+            fold,
             idle_timeout,
             last_activity: now,
             idle_timer,
             conns: Vec::new(),
         }
-    }
-
-    pub(super) fn counters(&self) -> Arc<ListenerCounters> {
-        Arc::clone(&self.counters)
     }
 
     pub(super) fn track_conn(&mut self, id: usize) {
@@ -82,16 +65,17 @@ impl ListenerSource {
     }
 
     /// Accepts everything pending and returns the new streams, already
-    /// non-blocking; the loop gives each a slot and registers it.
-    pub(super) fn accept_ready(&mut self, core: &mut Core) -> Vec<TcpStream> {
+    /// non-blocking, each with its read side; the loop gives each a
+    /// slot and registers it.
+    pub(super) fn accept_ready(&mut self, core: &mut Core) -> Vec<(TcpStream, AlertStream)> {
         let mut accepted = Vec::new();
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     self.last_activity = Instant::now();
-                    self.counters.connections.fetch_add(1, Ordering::SeqCst);
+                    let reader = self.fold.accepted();
                     if stream.set_nonblocking(true).is_ok() {
-                        accepted.push(stream);
+                        accepted.push((stream, reader));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -107,25 +91,10 @@ impl ListenerSource {
 
     /// Folds one conn's events in. Returns `true` when every expected
     /// Fin has arrived and the listener should retire.
-    pub(super) fn handle_outs(&mut self, outs: Vec<ConnOut>) -> bool {
+    pub(super) fn handle_events(&mut self, events: Vec<StreamEvent>) -> bool {
         self.last_activity = Instant::now();
-        for out in outs {
-            match out {
-                ConnOut::Alert(alert) => {
-                    self.counters.alerts.fetch_add(1, Ordering::SeqCst);
-                    (self.deliver)(alert);
-                }
-                ConnOut::Fin(node) => {
-                    if self.fins.insert(node) {
-                        self.counters.fins.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                ConnOut::DecodeError => {
-                    self.counters.decode_errors.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
-        self.fins.len() >= self.expected_fins
+        self.fold.fold(events, &mut self.deliver);
+        self.fold.done()
     }
 
     /// Idle-backstop fire, lazily rescheduled like the front's.
@@ -147,32 +116,30 @@ impl ListenerSource {
     }
 }
 
-/// One accepted back-link connection: a stream plus its frame
-/// reassembly buffer.
+/// One accepted back-link connection: a stream plus its read side.
 pub(super) struct ConnSource {
     stream: TcpStream,
-    frames: FrameBuf,
+    reader: AlertStream,
     listener: usize,
-    counters: Arc<ListenerCounters>,
 }
 
 impl ConnSource {
-    pub(super) fn new(stream: TcpStream, listener: usize, counters: Arc<ListenerCounters>) -> Self {
-        ConnSource { stream, frames: FrameBuf::new(), listener, counters }
+    pub(super) fn new(stream: TcpStream, reader: AlertStream, listener: usize) -> Self {
+        ConnSource { stream, reader, listener }
     }
 
     pub(super) fn listener_id(&self) -> usize {
         self.listener
     }
 
-    /// Reads and decodes everything available. Returns the decoded
-    /// events and whether the connection is finished (EOF, socket
-    /// error, or a fatal decode desync).
-    pub(super) fn on_readable(&mut self, core: &mut Core) -> (Vec<ConnOut>, bool) {
-        let mut outs = Vec::new();
+    /// Reads everything available. Returns the events of the frames
+    /// read and whether the connection is finished (EOF, socket error,
+    /// or a desynchronized stream).
+    pub(super) fn on_readable(&mut self, core: &mut Core) -> (Vec<StreamEvent>, bool) {
+        let mut events = Vec::new();
         let mut progressed = false;
         let mut closed = false;
-        'read: loop {
+        loop {
             match self.stream.read(&mut core.buf) {
                 Ok(0) => {
                     closed = true;
@@ -180,30 +147,9 @@ impl ConnSource {
                 }
                 Ok(n) => {
                     progressed = true;
-                    self.counters.bytes_received.fetch_add(n as u64, Ordering::SeqCst);
-                    self.frames.push(&core.buf[..n]);
-                    loop {
-                        match wire::decode(&mut self.frames) {
-                            Ok(Some(Message::Alert(alert))) => outs.push(ConnOut::Alert(alert)),
-                            Ok(Some(Message::Fin { node })) => outs.push(ConnOut::Fin(node)),
-                            Ok(Some(Message::Hello { .. })) => {}
-                            Ok(Some(
-                                Message::Update(_) | Message::UpdateBatch(_) | Message::Derived(_),
-                            )) => {
-                                // An update (raw or derived) on a back
-                                // link is protocol abuse; count it,
-                                // keep the stream.
-                                outs.push(ConnOut::DecodeError);
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                // A desynchronized stream cannot be
-                                // trusted again.
-                                outs.push(ConnOut::DecodeError);
-                                closed = true;
-                                break 'read;
-                            }
-                        }
+                    if !self.reader.read(&core.buf[..n], &mut events) {
+                        closed = true;
+                        break;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -217,7 +163,7 @@ impl ConnSource {
         if !progressed && !closed {
             core.counters.spurious_readiness.fetch_add(1, Ordering::SeqCst);
         }
-        (outs, closed)
+        (events, closed)
     }
 
     pub(super) fn close(&mut self, core: &mut Core) {

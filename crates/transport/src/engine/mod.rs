@@ -4,9 +4,10 @@
 //! A blocked OS thread per socket (the receiver types in `udp.rs` /
 //! `tcp.rs`) is fine for a handful of links, fatal for the paper's
 //! "numerous update streams" regime where one CE should hold thousands
-//! of idle front links. This module keeps the *semantics* of those
-//! links (same admission gate, same sever/queue/reconnect machine,
-//! same counters) but runs them all on a single [`EventLoop`] built
+//! of idle front links. This module runs the same contracts as those
+//! links — the same receive cores (`receive.rs`: the ingress and the
+//! alert stream), the same [`Outbox`](crate::Outbox) and the same
+//! counter blocks — but runs them all on a single [`EventLoop`] built
 //! from `rcm-poll`:
 //!
 //! * readiness comes from a [`rcm_poll::Poller`] (epoll/kqueue/poll);
@@ -34,13 +35,11 @@
 // LOCK ORDER: no locks — handles hold channels and atomic counters.
 
 mod back;
-mod counters;
 mod event_loop;
 mod front;
 mod listener;
 
 pub use back::{BackLinkSpec, EventedBackLink};
-pub use counters::{BackLinkCounters, EngineCounters, IngressCounters, ListenerCounters};
 pub use event_loop::EventLoop;
 // Re-exported so the runtime's loom suite can exhaust the submit/wake
 // handoff without depending on rcm-poll directly.
@@ -127,7 +126,7 @@ mod tests {
             })
             .expect("register listener");
         let mut back = el.add_back_link(BackLinkSpec::new(addr, 0, backoff())).expect("back link");
-        let link_stats = back.stats_handle();
+        let link_stats = back.counters();
         let engine = rcm_sync::thread::spawn(move || el.run());
 
         for i in 0..10 {

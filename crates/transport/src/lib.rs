@@ -54,6 +54,7 @@ pub mod engine;
 mod gate;
 mod outbox;
 mod proxy;
+mod receive;
 mod report;
 mod tcp;
 mod topology;
@@ -65,7 +66,7 @@ pub use gate::SeqGate;
 pub use outbox::Outbox;
 pub use proxy::{LossProxy, ProxyHandle};
 pub use report::{
-    EngineStats, FrontLinkStats, IngressStats, ListenerStats, ProxyStats, TcpLinkStats,
+    BackLinkStats, EngineStats, FrontLinkStats, IngressStats, ListenerStats, ProxyStats,
     TransportMode, TransportReport,
 };
 pub use tcp::{TcpAlertListener, TcpBackLink};

@@ -19,7 +19,7 @@
 //!
 //! An [`Outbox`] holds that state and counts the policy's counters
 //! (`severs`, `queued_peak`, `lost_overflow`, `shed`) into the link's
-//! [`BackLinkCounters`]. The links — the in-process `BackLink` of
+//! [`BackLinkStats`] block. The links — the in-process `BackLink` of
 //! `rcm-runtime`, [`TcpBackLink`](crate::TcpBackLink) and the evented
 //! back link — keep only how to send, reconnect and finish, and count
 //! their wire counters into the same block at their own moment.
@@ -28,11 +28,11 @@
 
 use std::collections::VecDeque;
 
-use rcm_sync::atomic::Ordering;
+use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
-use crate::engine::BackLinkCounters;
+use crate::report::BackLinkStats;
 
 /// One back link's sever schedule, resend queue and unacked tail,
 /// generic over the message so the policy is testable without sockets.
@@ -44,7 +44,7 @@ pub struct Outbox<T> {
     floor: Option<Instant>,
     queue: VecDeque<T>,
     unacked: VecDeque<T>,
-    counters: Arc<BackLinkCounters>,
+    counters: Arc<BackLinkStats<AtomicU64>>,
 }
 
 impl<T> std::fmt::Debug for Outbox<T> {
@@ -67,7 +67,7 @@ impl<T: Clone> Outbox<T> {
     /// An outbox scripting `severs` as `(at_send, down_for)` pairs
     /// (`at_send` counts prior sends, so `(0, d)` severs before the
     /// first; the pairs are sorted here), counting into `counters`.
-    pub fn new(mut severs: Vec<(u64, Duration)>, counters: Arc<BackLinkCounters>) -> Self {
+    pub fn new(mut severs: Vec<(u64, Duration)>, counters: Arc<BackLinkStats<AtomicU64>>) -> Self {
         severs.sort_by_key(|&(at, _)| at);
         Outbox {
             severs: severs.into(),
@@ -174,7 +174,7 @@ mod tests {
     use super::*;
 
     fn outbox(severs: Vec<(u64, Duration)>) -> Outbox<u64> {
-        Outbox::new(severs, Arc::new(BackLinkCounters::default()))
+        Outbox::new(severs, Arc::default())
     }
 
     fn ms(n: u64) -> Duration {

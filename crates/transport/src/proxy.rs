@@ -16,16 +16,15 @@
 //! [`Bernoulli`]: rcm_net::Bernoulli
 //! [`GilbertElliott`]: rcm_net::GilbertElliott
 //!
-//! LOCK ORDER: the only mutex is the `stats` counter block, a leaf —
-//! never held across a socket call.
+//! LOCK ORDER: no locks — the counters are atomics.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 
 use rcm_net::{LossModel, Rng};
-use rcm_sync::atomic::{AtomicBool, Ordering};
+use rcm_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use rcm_sync::time::Duration;
-use rcm_sync::{Arc, Mutex};
+use rcm_sync::Arc;
 
 use crate::report::ProxyStats;
 
@@ -38,7 +37,7 @@ pub struct LossProxy {
     target: SocketAddr,
     loss: Box<dyn LossModel>,
     rng: Rng,
-    stats: Arc<Mutex<ProxyStats>>,
+    counters: Arc<ProxyStats<AtomicU64>>,
     stop: Arc<AtomicBool>,
 }
 
@@ -48,7 +47,7 @@ impl std::fmt::Debug for LossProxy {
             .field("local", &self.sock.local_addr().ok())
             .field("target", &self.target)
             .field("loss", &self.loss)
-            .field("stats", &*self.stats.lock())
+            .field("stats", &self.counters.snapshot())
             .finish()
     }
 }
@@ -69,7 +68,7 @@ impl LossProxy {
             target,
             loss,
             rng: Rng::seed_from_u64(seed),
-            stats: Arc::new(Mutex::new(ProxyStats::default())),
+            counters: Arc::default(),
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -91,10 +90,10 @@ impl LossProxy {
     /// Propagates the address query failure.
     pub fn spawn(mut self) -> io::Result<ProxyHandle> {
         let addr = self.local_addr()?;
-        let stats = Arc::clone(&self.stats);
+        let counters = Arc::clone(&self.counters);
         let stop = Arc::clone(&self.stop);
         let handle = rcm_sync::thread::spawn(move || self.forward_loop());
-        Ok(ProxyHandle { addr, stats, stop, handle: Some(handle) })
+        Ok(ProxyHandle { addr, counters, stop, handle: Some(handle) })
     }
 
     /// The forwarding loop: one thread, so arrival order is preserved
@@ -103,7 +102,8 @@ impl LossProxy {
     /// sends back (a CE's Fin echo) is dropped uncounted and never drawn
     /// against the loss model, so the proxied DMs hear no echo and keep
     /// their timed Fin rounds, and the echo cannot bounce back to the
-    /// target to be echoed again.
+    /// target to be echoed again. A datagram the socket refuses to send
+    /// counts as dropped, not forwarded.
     fn forward_loop(&mut self) {
         let mut buf = [0u8; 65_535];
         loop {
@@ -121,12 +121,10 @@ impl LossProxy {
                 }
                 Err(_) => return,
             };
-            if self.loss.drops(&mut self.rng) {
-                self.stats.lock().dropped += 1;
-            } else {
-                let _ = self.sock.send_to(&buf[..len], self.target);
-                self.stats.lock().forwarded += 1;
-            }
+            let forwarded = !self.loss.drops(&mut self.rng)
+                && self.sock.send_to(&buf[..len], self.target).is_ok();
+            let counter = if forwarded { &self.counters.forwarded } else { &self.counters.dropped };
+            counter.fetch_add(1, Ordering::SeqCst);
         }
     }
 }
@@ -135,7 +133,7 @@ impl LossProxy {
 #[derive(Debug)]
 pub struct ProxyHandle {
     addr: SocketAddr,
-    stats: Arc<Mutex<ProxyStats>>,
+    counters: Arc<ProxyStats<AtomicU64>>,
     stop: Arc<AtomicBool>,
     handle: Option<rcm_sync::thread::JoinHandle<()>>,
 }
@@ -148,7 +146,7 @@ impl ProxyHandle {
 
     /// A live view of the proxy's counters.
     pub fn stats(&self) -> ProxyStats {
-        *self.stats.lock()
+        self.counters.snapshot()
     }
 
     /// Stops the forwarding thread and returns the final counters.
@@ -157,7 +155,7 @@ impl ProxyHandle {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
-        *self.stats.lock()
+        self.counters.snapshot()
     }
 }
 
@@ -263,5 +261,27 @@ mod tests {
         assert_eq!(got, vec![vec![0], vec![2], vec![4]], "each survivor exactly once");
         let stats = proxy.stop();
         assert_eq!(stats, ProxyStats { forwarded: 3, dropped: 2 });
+    }
+
+    /// An IPv4 socket cannot send to an IPv6 address (the send fails
+    /// with `EAFNOSUPPORT`): every datagram is refused on the way out,
+    /// and each counts as dropped.
+    #[test]
+    fn a_datagram_the_socket_refuses_counts_as_dropped() {
+        let unreachable: SocketAddr = "[::1]:9".parse().expect("literal addr");
+        let proxy = LossProxy::bind(unreachable, Box::new(Lossless), 0)
+            .expect("bind proxy")
+            .spawn()
+            .expect("spawn proxy");
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
+        for i in 0..3u8 {
+            tx.send_to(&[i], proxy.addr()).expect("send");
+        }
+        let deadline = rcm_sync::time::Instant::now() + Duration::from_secs(5);
+        while proxy.stats().forwarded + proxy.stats().dropped < 3 {
+            assert!(rcm_sync::time::Instant::now() < deadline, "{:?}", proxy.stats());
+            rcm_sync::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(proxy.stop(), ProxyStats { forwarded: 0, dropped: 3 });
     }
 }

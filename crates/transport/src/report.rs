@@ -1,8 +1,19 @@
 //! Per-link transport counters, aggregated into a [`TransportReport`]
 //! that lands in the runtime's `RunReport` (and from there in the chaos
 //! binary's `--json` output).
+//!
+//! Each counter block is one struct, generic over its cell. A link
+//! counts into the block with [`AtomicU64`] cells, behind an `Arc` that
+//! whoever reads it holds: one thread writes a block, any thread may
+//! read it while the link runs, and no lock is ever taken. `snapshot()`
+//! reads the live block into the same struct with `u64` cells (the
+//! default), which is what reports, tests and `--json` use. A field and
+//! its doc comment are written once, for both forms.
+
+// LOCK ORDER: no locks — cross-thread visibility is atomics only.
 
 use rcm_json::{obj, Json};
+use rcm_sync::atomic::{AtomicU64, Ordering};
 
 /// Which transport carried the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -16,20 +27,33 @@ pub enum TransportMode {
 
 /// Sender-side counters for one DM → CE front link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrontLinkStats {
+pub struct FrontLinkStats<C = u64> {
     /// Frames handed to the socket (or channel). On a socket one
     /// datagram carries a feed's whole round — compare against
     /// `updates_sent`.
-    pub frames_sent: u64,
+    pub frames_sent: C,
     /// Frames dropped before delivery (loss model in-process; send
     /// errors on a socket).
-    pub frames_dropped: u64,
+    pub frames_dropped: C,
     /// Updates handed to the link.
-    pub updates_sent: u64,
+    pub updates_sent: C,
     /// Updates in the dropped frames: the unit of `updates_sent`.
-    pub updates_dropped: u64,
+    pub updates_dropped: C,
     /// Wire bytes handed to the socket, headers included.
-    pub bytes_sent: u64,
+    pub bytes_sent: C,
+}
+
+impl FrontLinkStats<AtomicU64> {
+    /// The counters as they stand.
+    pub fn snapshot(&self) -> FrontLinkStats {
+        FrontLinkStats {
+            frames_sent: load(&self.frames_sent),
+            frames_dropped: load(&self.frames_dropped),
+            updates_sent: load(&self.updates_sent),
+            updates_dropped: load(&self.updates_dropped),
+            bytes_sent: load(&self.bytes_sent),
+        }
+    }
 }
 
 impl FrontLinkStats {
@@ -46,20 +70,35 @@ impl FrontLinkStats {
 
 /// Receiver-side counters for one CE's UDP ingress.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngressStats {
+pub struct IngressStats<C = u64> {
     /// Datagrams received from the socket.
-    pub frames_received: u64,
+    pub frames_received: C,
     /// Updates admitted by the seqno gate and delivered downstream.
-    pub delivered: u64,
+    pub delivered: C,
     /// Updates discarded as reordered/duplicated (seqno not above the
     /// variable's high-water mark).
-    pub dropped_stale: u64,
-    /// Datagrams that failed to decode (bad version, checksum, codec).
-    pub decode_errors: u64,
+    pub dropped_stale: C,
+    /// Datagrams that failed to decode (bad version, checksum, codec),
+    /// or decoded as a message that does not belong on a front link.
+    pub decode_errors: C,
     /// Distinct end-of-stream markers seen.
-    pub fins: u64,
+    pub fins: C,
     /// Wire bytes received from the socket, headers included.
-    pub bytes_received: u64,
+    pub bytes_received: C,
+}
+
+impl IngressStats<AtomicU64> {
+    /// The counters as they stand.
+    pub fn snapshot(&self) -> IngressStats {
+        IngressStats {
+            frames_received: load(&self.frames_received),
+            delivered: load(&self.delivered),
+            dropped_stale: load(&self.dropped_stale),
+            decode_errors: load(&self.decode_errors),
+            fins: load(&self.fins),
+            bytes_received: load(&self.bytes_received),
+        }
+    }
 }
 
 impl IngressStats {
@@ -77,36 +116,68 @@ impl IngressStats {
 
 /// Counters for one CE → AD back link, in either transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TcpLinkStats {
+pub struct BackLinkStats<C = u64> {
     /// Alerts transmitted (excluding duplicate resends).
-    pub sent: u64,
+    pub sent: C,
     /// Scripted severances that fired.
-    pub severs: u64,
+    pub severs: C,
     /// Successful reconnects (the initial connect is not one).
-    pub reconnects: u64,
+    pub reconnects: C,
     /// Connect attempts paced by the backoff schedule.
-    pub attempts: u64,
+    pub attempts: C,
     /// Duplicate alerts re-sent from the unacked tail on reconnect.
-    pub resent_duplicates: u64,
+    pub resent_duplicates: C,
     /// Peak resend-queue depth while disconnected.
-    pub queued_peak: u64,
-    /// Alerts lost to resend-queue overflow.
-    pub lost_overflow: u64,
+    pub queued_peak: C,
+    /// Alerts lost to resend-queue overflow — the only permitted alert
+    /// loss: more alerts than [`Outbox::QUEUE_CAP`](crate::Outbox::QUEUE_CAP)
+    /// sent during one outage, or a queue a socket link's `finish` gave
+    /// up on when its peer stayed away past the deadline.
+    pub lost_overflow: C,
     /// Genuine socket errors (connection refused/reset mid-write) —
     /// distinct from scripted severances.
-    pub io_errors: u64,
+    pub io_errors: C,
     /// Alert frames written to the stream, one per alert, duplicate
     /// resends included.
-    pub frames_sent: u64,
+    pub frames_sent: C,
     /// Wire bytes written to the stream, headers included.
-    pub bytes_sent: u64,
+    pub bytes_sent: C,
     /// Alerts shed because the bounded resend queue was full while the
     /// peer was down (each is also counted in `lost_overflow` — this
     /// counter isolates back-pressure sheds from other overflow paths).
-    pub shed: u64,
+    pub shed: C,
 }
 
-impl TcpLinkStats {
+impl BackLinkStats<AtomicU64> {
+    /// Raises `queued_peak` to `depth` if higher. A load-compare-store
+    /// pair, not a fetch-max: the link's sending thread is the one
+    /// writer, so the pair cannot race, and the model checker's atomics
+    /// stay minimal.
+    pub fn observe_queue_depth(&self, depth: u64) {
+        if depth > load(&self.queued_peak) {
+            self.queued_peak.store(depth, Ordering::SeqCst);
+        }
+    }
+
+    /// The counters as they stand.
+    pub fn snapshot(&self) -> BackLinkStats {
+        BackLinkStats {
+            sent: load(&self.sent),
+            severs: load(&self.severs),
+            reconnects: load(&self.reconnects),
+            attempts: load(&self.attempts),
+            resent_duplicates: load(&self.resent_duplicates),
+            queued_peak: load(&self.queued_peak),
+            lost_overflow: load(&self.lost_overflow),
+            io_errors: load(&self.io_errors),
+            frames_sent: load(&self.frames_sent),
+            bytes_sent: load(&self.bytes_sent),
+            shed: load(&self.shed),
+        }
+    }
+}
+
+impl BackLinkStats {
     fn to_json(self) -> Json {
         obj([
             ("sent", self.sent.into()),
@@ -126,17 +197,31 @@ impl TcpLinkStats {
 
 /// Counters for the AD-side TCP listener.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ListenerStats {
+pub struct ListenerStats<C = u64> {
     /// Connections accepted (reconnects count again).
-    pub connections: u64,
+    pub connections: C,
     /// Alert frames received across all connections.
-    pub alerts: u64,
-    /// Frames that failed to decode.
-    pub decode_errors: u64,
+    pub alerts: C,
+    /// Frames that failed to decode, or decoded as an update, which
+    /// does not belong on a back link.
+    pub decode_errors: C,
     /// Distinct end-of-stream markers seen.
-    pub fins: u64,
+    pub fins: C,
     /// Wire bytes received across all connections, headers included.
-    pub bytes_received: u64,
+    pub bytes_received: C,
+}
+
+impl ListenerStats<AtomicU64> {
+    /// The counters as they stand.
+    pub fn snapshot(&self) -> ListenerStats {
+        ListenerStats {
+            connections: load(&self.connections),
+            alerts: load(&self.alerts),
+            decode_errors: load(&self.decode_errors),
+            fins: load(&self.fins),
+            bytes_received: load(&self.bytes_received),
+        }
+    }
 }
 
 impl ListenerStats {
@@ -151,18 +236,29 @@ impl ListenerStats {
     }
 }
 
-/// Event-loop counters from the evented engine (all zero on the
-/// threaded path and in-process runs).
+/// Event-loop counters from the evented engine (all zero in-process,
+/// where no loop runs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
+pub struct EngineStats<C = u64> {
     /// Times the loop's readiness wait returned (readiness, timer
     /// deadline, or an explicit wake).
-    pub wakeups: u64,
+    pub wakeups: C,
     /// Timer-wheel deadlines that fired.
-    pub timer_fires: u64,
+    pub timer_fires: C,
     /// Readable wakeups that yielded zero bytes/frames — the kernel
     /// said "ready", the read said `WouldBlock`.
-    pub spurious_readiness: u64,
+    pub spurious_readiness: C,
+}
+
+impl EngineStats<AtomicU64> {
+    /// The counters as they stand.
+    pub fn snapshot(&self) -> EngineStats {
+        EngineStats {
+            wakeups: load(&self.wakeups),
+            timer_fires: load(&self.timer_fires),
+            spurious_readiness: load(&self.spurious_readiness),
+        }
+    }
 }
 
 impl EngineStats {
@@ -178,11 +274,24 @@ impl EngineStats {
 
 /// Counters for one [`LossProxy`](crate::LossProxy).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProxyStats {
+pub struct ProxyStats<C = u64> {
     /// Datagrams forwarded to the target.
-    pub forwarded: u64,
-    /// Datagrams eaten by the loss model.
-    pub dropped: u64,
+    pub forwarded: C,
+    /// Datagrams eaten by the loss model, or refused by the socket on
+    /// the way to the target.
+    pub dropped: C,
+}
+
+impl ProxyStats<AtomicU64> {
+    /// The counters as they stand.
+    pub fn snapshot(&self) -> ProxyStats {
+        ProxyStats { forwarded: load(&self.forwarded), dropped: load(&self.dropped) }
+    }
+}
+
+/// One counter's value.
+fn load(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::SeqCst)
 }
 
 /// Everything the transport layer observed over one run.
@@ -203,10 +312,10 @@ pub struct TransportReport {
     /// replica.
     pub ingress: Vec<IngressStats>,
     /// Per-CE back-link counters, indexed by replica.
-    pub back_links: Vec<TcpLinkStats>,
+    pub back_links: Vec<BackLinkStats>,
     /// AD-side listener counters (zeroed in-process).
     pub ad: ListenerStats,
-    /// Event-loop counters (zeroed on the threaded path).
+    /// Event-loop counters (zeroed in-process).
     pub engine: EngineStats,
 }
 
@@ -237,9 +346,24 @@ impl TransportReport {
         self.front_links.iter().map(|(_, _, s)| s.frames_dropped).sum()
     }
 
+    /// Total scripted back-link severances that fired.
+    pub fn severs(&self) -> u64 {
+        self.back_links.iter().map(|s| s.severs).sum()
+    }
+
     /// Total successful back-link reconnects.
     pub fn reconnects(&self) -> u64 {
         self.back_links.iter().map(|s| s.reconnects).sum()
+    }
+
+    /// Total duplicate alerts re-sent from back links' unacked tails.
+    pub fn resent_duplicates(&self) -> u64 {
+        self.back_links.iter().map(|s| s.resent_duplicates).sum()
+    }
+
+    /// Total alerts lost to back-link resend-queue overflow.
+    pub fn lost_overflow(&self) -> u64 {
+        self.back_links.iter().map(|s| s.lost_overflow).sum()
     }
 
     /// Total decode errors seen anywhere (ingress + listener).
@@ -263,8 +387,7 @@ impl TransportReport {
     }
 
     /// Mean updates per front-link datagram: how many readings a feed's
-    /// round carries. `0.0` when no frames were sent (or the run
-    /// predates the counter).
+    /// round carries. `0.0` when no frames were sent.
     pub fn updates_per_datagram(&self) -> f64 {
         let frames = self.front_frames_sent();
         if frames == 0 {
@@ -295,7 +418,7 @@ mod tests {
                 },
             )],
             ingress: vec![IngressStats { frames_received: 8, delivered: 8, ..Default::default() }],
-            back_links: vec![TcpLinkStats { sent: 3, reconnects: 1, ..Default::default() }],
+            back_links: vec![BackLinkStats { sent: 3, reconnects: 1, ..Default::default() }],
             ad: ListenerStats {
                 connections: 2,
                 alerts: 3,
@@ -354,19 +477,132 @@ mod tests {
             ],
             ingress: vec![IngressStats { decode_errors: 1, ..Default::default() }],
             back_links: vec![
-                TcpLinkStats { reconnects: 1, ..Default::default() },
-                TcpLinkStats { reconnects: 2, ..Default::default() },
+                BackLinkStats { reconnects: 1, severs: 1, lost_overflow: 3, ..Default::default() },
+                BackLinkStats {
+                    reconnects: 2,
+                    severs: 2,
+                    resent_duplicates: 5,
+                    ..Default::default()
+                },
             ],
             ad: ListenerStats { decode_errors: 1, ..Default::default() },
             engine: EngineStats::default(),
         };
         assert_eq!(report.front_frames_dropped(), 3);
         assert_eq!(report.reconnects(), 3);
+        assert_eq!(report.severs(), 3);
+        assert_eq!(report.resent_duplicates(), 5);
+        assert_eq!(report.lost_overflow(), 3);
         assert_eq!(report.decode_errors(), 2);
         assert_eq!(report.front_frames_sent(), 10);
         assert_eq!(report.front_updates_sent(), 40);
         assert_eq!(report.front_bytes_sent(), 500);
         assert!((report.updates_per_datagram() - 4.0).abs() < f64::EPSILON);
+    }
+
+    /// Each live block is built field by field, so a field added to a
+    /// block and missed by its `snapshot` fails to compile here, and one
+    /// read from the wrong cell fails the comparison.
+    #[test]
+    fn snapshots_mirror_the_atomic_blocks() {
+        let n = AtomicU64::new;
+        let front = FrontLinkStats {
+            frames_sent: n(1),
+            frames_dropped: n(2),
+            updates_sent: n(3),
+            updates_dropped: n(4),
+            bytes_sent: n(5),
+        };
+        assert_eq!(
+            front.snapshot(),
+            FrontLinkStats {
+                frames_sent: 1,
+                frames_dropped: 2,
+                updates_sent: 3,
+                updates_dropped: 4,
+                bytes_sent: 5
+            }
+        );
+
+        let ingress = IngressStats {
+            frames_received: n(1),
+            delivered: n(2),
+            dropped_stale: n(3),
+            decode_errors: n(4),
+            fins: n(5),
+            bytes_received: n(6),
+        };
+        assert_eq!(
+            ingress.snapshot(),
+            IngressStats {
+                frames_received: 1,
+                delivered: 2,
+                dropped_stale: 3,
+                decode_errors: 4,
+                fins: 5,
+                bytes_received: 6
+            }
+        );
+
+        let back = BackLinkStats {
+            sent: n(1),
+            severs: n(2),
+            reconnects: n(3),
+            attempts: n(4),
+            resent_duplicates: n(5),
+            queued_peak: n(6),
+            lost_overflow: n(7),
+            io_errors: n(8),
+            frames_sent: n(9),
+            bytes_sent: n(10),
+            shed: n(11),
+        };
+        back.observe_queue_depth(4); // lower: the peak sticks
+        assert_eq!(
+            back.snapshot(),
+            BackLinkStats {
+                sent: 1,
+                severs: 2,
+                reconnects: 3,
+                attempts: 4,
+                resent_duplicates: 5,
+                queued_peak: 6,
+                lost_overflow: 7,
+                io_errors: 8,
+                frames_sent: 9,
+                bytes_sent: 10,
+                shed: 11
+            }
+        );
+        back.observe_queue_depth(12);
+        assert_eq!(back.snapshot().queued_peak, 12);
+
+        let listener = ListenerStats {
+            connections: n(1),
+            alerts: n(2),
+            decode_errors: n(3),
+            fins: n(4),
+            bytes_received: n(5),
+        };
+        assert_eq!(
+            listener.snapshot(),
+            ListenerStats {
+                connections: 1,
+                alerts: 2,
+                decode_errors: 3,
+                fins: 4,
+                bytes_received: 5
+            }
+        );
+
+        let engine = EngineStats { wakeups: n(1), timer_fires: n(2), spurious_readiness: n(3) };
+        assert_eq!(
+            engine.snapshot(),
+            EngineStats { wakeups: 1, timer_fires: 2, spurious_readiness: 3 }
+        );
+
+        let proxy = ProxyStats { forwarded: n(1), dropped: n(2) };
+        assert_eq!(proxy.snapshot(), ProxyStats { forwarded: 1, dropped: 2 });
     }
 
     #[test]

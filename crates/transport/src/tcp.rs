@@ -17,25 +17,22 @@
 //! back link carries little traffic, and an alert that waits for
 //! company is a late alert.
 //!
-//! LOCK ORDER: the only mutexes are the listener's `stats` counter
-//! block, a leaf — never held across a socket call, a sleep, or a
-//! channel send. The back link counts into atomics.
+//! LOCK ORDER: no locks — both ends count into atomics.
 
-use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
 use rcm_core::Alert;
 use rcm_net::Backoff;
-use rcm_sync::atomic::{AtomicBool, Ordering};
+use rcm_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use rcm_sync::chan::Sender;
 use rcm_sync::time::{Duration, Instant};
-use rcm_sync::{Arc, Mutex};
+use rcm_sync::Arc;
 
-use crate::engine::BackLinkCounters;
 use crate::outbox::Outbox;
-use crate::report::ListenerStats;
-use crate::wire::{self, Codec, FrameBuf, Message};
+use crate::receive::{AlertFold, AlertStream, StreamEvent};
+use crate::report::{BackLinkStats, ListenerStats};
+use crate::wire::{self, Codec, Message};
 
 /// Read-timeout tick for listener reader threads.
 const RECV_TICK: Duration = Duration::from_millis(50);
@@ -64,7 +61,7 @@ pub struct TcpBackLink {
     outbox: Outbox<Alert>,
     /// Reused frame-encode scratch buffer.
     frame: Vec<u8>,
-    counters: Arc<BackLinkCounters>,
+    counters: Arc<BackLinkStats<AtomicU64>>,
 }
 
 impl std::fmt::Debug for TcpBackLink {
@@ -89,7 +86,7 @@ impl TcpBackLink {
     pub fn connect(peer: SocketAddr, node: u32, backoff: Backoff) -> io::Result<Self> {
         let mut stream = open_stream(peer, None)?;
         write_msg(&mut stream, &Message::Hello { node })?;
-        let counters = Arc::new(BackLinkCounters::default());
+        let counters = Arc::new(BackLinkStats::default());
         Ok(TcpBackLink {
             peer,
             node,
@@ -113,7 +110,7 @@ impl TcpBackLink {
 
     /// A handle for reading the link's counters after the CE thread
     /// has taken ownership of the link.
-    pub fn stats_handle(&self) -> Arc<BackLinkCounters> {
+    pub fn counters(&self) -> Arc<BackLinkStats<AtomicU64>> {
         Arc::clone(&self.counters)
     }
 
@@ -282,20 +279,15 @@ fn write_msg(stream: &mut TcpStream, msg: &Message) -> io::Result<()> {
     stream.write_all(&frame)
 }
 
-/// What a reader thread saw on its connection, relayed to the
-/// listener's run loop so the caller's `deliver` closure never needs
-/// to be `Send`.
-enum Event {
-    Alert(Alert),
-    Fin(u32),
-    DecodeError,
-}
-
 /// The AD side: accepts back-link connections (including reconnects)
-/// and hands every alert frame to a caller closure.
+/// and hands every alert frame to a caller closure. A reader thread per
+/// connection frames its stream and relays the events to the run loop,
+/// which folds them on the caller's thread, so `deliver` never needs to
+/// be `Send`; both halves are the alert-stream contract the evented
+/// listener runs too (`receive.rs`).
 pub struct TcpAlertListener {
     listener: TcpListener,
-    stats: Arc<Mutex<ListenerStats>>,
+    counters: Arc<ListenerStats<AtomicU64>>,
     expected_fins: usize,
     idle_timeout: Duration,
 }
@@ -305,7 +297,7 @@ impl std::fmt::Debug for TcpAlertListener {
         f.debug_struct("TcpAlertListener")
             .field("local", &self.listener.local_addr().ok())
             .field("expected_fins", &self.expected_fins)
-            .field("stats", &*self.stats.lock())
+            .field("stats", &self.counters.snapshot())
             .finish()
     }
 }
@@ -331,7 +323,7 @@ impl TcpAlertListener {
         listener.set_nonblocking(true)?;
         Ok(TcpAlertListener {
             listener,
-            stats: Arc::new(Mutex::new(ListenerStats::default())),
+            counters: Arc::default(),
             expected_fins: 1,
             idle_timeout: Duration::from_secs(10),
         })
@@ -364,32 +356,31 @@ impl TcpAlertListener {
 
     /// A handle for reading the listener's counters while `run` owns
     /// the listener.
-    pub fn stats_handle(&self) -> Arc<Mutex<ListenerStats>> {
-        Arc::clone(&self.stats)
+    pub fn counters(&self) -> Arc<ListenerStats<AtomicU64>> {
+        Arc::clone(&self.counters)
     }
 
     /// Accepts and reads until every expected Fin arrived (or the idle
     /// backstop fires), delivering each alert to `deliver` in arrival
     /// order per connection. Returns the final counters.
     pub fn run(self, mut deliver: impl FnMut(Alert)) -> ListenerStats {
+        let mut fold = AlertFold::new(self.expected_fins, Arc::clone(&self.counters));
         let (tx, rx) = rcm_sync::chan::unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         let mut readers: Vec<rcm_sync::thread::JoinHandle<()>> = Vec::new();
-        let mut fins: HashSet<u32> = HashSet::new();
         let mut last_activity = Instant::now();
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     last_activity = Instant::now();
-                    self.stats.lock().connections += 1;
+                    let reader = fold.accepted();
                     if stream.set_nonblocking(false).is_ok()
                         && stream.set_read_timeout(Some(RECV_TICK)).is_ok()
                     {
                         let tx = tx.clone();
                         let stop = Arc::clone(&stop);
-                        let stats = Arc::clone(&self.stats);
                         readers.push(rcm_sync::thread::spawn(move || {
-                            reader_loop(stream, &tx, &stop, &stats);
+                            reader_loop(stream, reader, &tx, &stop);
                         }));
                     }
                 }
@@ -397,14 +388,14 @@ impl TcpAlertListener {
                 Err(_) => break,
             }
             let mut idle = true;
-            while let Ok(event) = rx.try_recv() {
+            while let Ok(events) = rx.try_recv() {
                 idle = false;
-                self.handle(event, &mut fins, &mut deliver);
+                fold.fold(events, &mut deliver);
             }
             if !idle {
                 last_activity = Instant::now();
             }
-            if fins.len() >= self.expected_fins {
+            if fold.done() {
                 break;
             }
             if last_activity.elapsed() >= self.idle_timeout {
@@ -421,41 +412,22 @@ impl TcpAlertListener {
         }
         // Alerts that raced in while we were deciding to stop still
         // count — nothing received is ever dropped on the floor.
-        while let Ok(event) = rx.try_recv() {
-            self.handle(event, &mut fins, &mut deliver);
+        while let Ok(events) = rx.try_recv() {
+            fold.fold(events, &mut deliver);
         }
-        *self.stats.lock()
-    }
-
-    fn handle(&self, event: Event, fins: &mut HashSet<u32>, deliver: &mut impl FnMut(Alert)) {
-        match event {
-            Event::Alert(alert) => {
-                self.stats.lock().alerts += 1;
-                deliver(alert);
-            }
-            Event::Fin(node) => {
-                if fins.insert(node) {
-                    self.stats.lock().fins += 1;
-                }
-            }
-            Event::DecodeError => self.stats.lock().decode_errors += 1,
-        }
+        self.counters.snapshot()
     }
 }
 
-/// Per-connection reader: decodes frames off the stream and relays
-/// them as events. Exits on EOF, a fatal decode error (a
-/// desynchronized stream cannot be trusted again), a socket error, or
-/// the listener's stop
-/// flag. Only touches the shared stats for the byte counter — a leaf
-/// lock, per the file's LOCK ORDER note.
+/// Per-connection reader: relays the events of each read to the
+/// listener's run loop. Exits on EOF, a desynchronized stream, a
+/// socket error, a closed run loop, or the listener's stop flag.
 fn reader_loop(
     mut stream: TcpStream,
-    tx: &Sender<Event>,
+    mut reader: AlertStream,
+    tx: &Sender<Vec<StreamEvent>>,
     stop: &AtomicBool,
-    stats: &Mutex<ListenerStats>,
 ) {
-    let mut frames = FrameBuf::new();
     let mut buf = [0u8; 8192];
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -464,33 +436,10 @@ fn reader_loop(
         match stream.read(&mut buf) {
             Ok(0) => return,
             Ok(n) => {
-                stats.lock().bytes_received += n as u64;
-                frames.push(&buf[..n]);
-                loop {
-                    match wire::decode(&mut frames) {
-                        Ok(Some(Message::Alert(alert))) => {
-                            if tx.send(Event::Alert(alert)).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(Some(Message::Fin { node })) => {
-                            let _ = tx.send(Event::Fin(node));
-                        }
-                        Ok(Some(Message::Hello { .. })) => {}
-                        Ok(Some(
-                            Message::Update(_) | Message::UpdateBatch(_) | Message::Derived(_),
-                        )) => {
-                            // An update (raw or derived) on a back
-                            // link is protocol abuse; count it, keep
-                            // the stream.
-                            let _ = tx.send(Event::DecodeError);
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            let _ = tx.send(Event::DecodeError);
-                            return;
-                        }
-                    }
+                let mut events = Vec::new();
+                let open = reader.read(&buf[..n], &mut events);
+                if (!events.is_empty() && tx.send(events).is_err()) || !open {
+                    return;
                 }
             }
             Err(e)
@@ -503,6 +452,8 @@ fn reader_loop(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use rcm_core::{AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
 
@@ -551,7 +502,7 @@ mod tests {
         assert_eq!(stats.alerts, 5);
         assert_eq!(stats.fins, 1);
         assert_eq!(stats.decode_errors, 0);
-        let link_stats = link.stats_handle().snapshot();
+        let link_stats = link.counters().snapshot();
         assert_eq!(link_stats.sent, 5);
         assert_eq!(link_stats.severs, 0);
         assert_eq!(link_stats.io_errors, 0);
@@ -581,7 +532,7 @@ mod tests {
         // the sequence must be complete and in order.
         assert_eq!(dedup(seqnos(&got)), vec![1, 2, 3, 4, 5, 6], "lossless across the sever");
         assert!(stats.connections >= 2, "sever forced a reconnect, got {stats:?}");
-        let link_stats = link.stats_handle().snapshot();
+        let link_stats = link.counters().snapshot();
         assert_eq!(link_stats.severs, 1);
         assert!(link_stats.reconnects >= 1);
         assert!(link_stats.attempts >= 1);
@@ -611,7 +562,7 @@ mod tests {
         link.finish();
         let (got, _) = handle.join().expect("listener thread");
         assert_eq!(seqnos(&got), (4..=n).collect::<Vec<_>>(), "kept the newest, in order");
-        let link_stats = link.stats_handle().snapshot();
+        let link_stats = link.counters().snapshot();
         assert_eq!(link_stats.lost_overflow, 3);
         assert_eq!(link_stats.shed, 3, "every overflow was a non-blocking shed");
         assert_eq!(link_stats.queued_peak, Outbox::<Alert>::QUEUE_CAP as u64);
@@ -662,7 +613,7 @@ mod tests {
             .expect("bind listener")
             .idle_timeout(Duration::from_millis(400));
         let addr = listener.local_addr().expect("bound addr");
-        let stats_handle = listener.stats_handle();
+        let counters = listener.counters();
         let handle = rcm_sync::thread::spawn(move || listener.run(|_| {}));
         let mut raw = TcpStream::connect(addr).expect("connect raw");
         raw.write_all(b"\xffnot a frame at all").expect("write garbage");
@@ -670,7 +621,7 @@ mod tests {
         let stats = handle.join().expect("listener thread");
         assert_eq!(stats.decode_errors, 1);
         assert_eq!(stats.alerts, 0);
-        assert_eq!(stats_handle.lock().decode_errors, 1);
+        assert_eq!(counters.snapshot().decode_errors, 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! literally what this module does: the sender puts one frame per
 //! datagram on the wire, and [`UdpFrontReceiver`] discards anything
 //! whose seqno does not advance its variable's high-water mark
-//! ([`SeqGate`]) — reordering and duplication become loss, which the
+//! ([`SeqGate`](crate::SeqGate)) — reordering and duplication become loss, which the
 //! CE already tolerates.
 //!
 //! [`UdpFrontLink::send_updates`] puts a run of updates — a DM's round
@@ -27,17 +27,17 @@
 //! gets every repeat, and the receiver's idle backstop still covers a
 //! stream whose every `Fin` was lost.
 //!
-//! LOCK ORDER: the only mutexes are the per-link `stats` counter
-//! blocks, leaves — never held across a socket call.
+//! LOCK ORDER: no locks — both halves count into atomics.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 
 use rcm_core::Update;
+use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::time::{Duration, Instant};
-use rcm_sync::{Arc, Mutex};
+use rcm_sync::Arc;
 
-use crate::gate::SeqGate;
+use crate::receive::{Heard, Ingress};
 use crate::report::{FrontLinkStats, IngressStats};
 use crate::wire::{self, Codec, Message};
 
@@ -75,7 +75,7 @@ pub struct UdpFrontLink {
     node: u32,
     frame: Vec<u8>,
     ending: Ending,
-    stats: Arc<Mutex<FrontLinkStats>>,
+    counters: Arc<FrontLinkStats<AtomicU64>>,
 }
 
 impl std::fmt::Debug for UdpFrontLink {
@@ -84,7 +84,7 @@ impl std::fmt::Debug for UdpFrontLink {
             .field("peer", &self.sock.peer_addr().ok())
             .field("node", &self.node)
             .field("ending", &self.ending)
-            .field("stats", &*self.stats.lock())
+            .field("stats", &self.counters.snapshot())
             .finish()
     }
 }
@@ -104,14 +104,14 @@ impl UdpFrontLink {
             node,
             frame: Vec::new(),
             ending: Ending::Streaming,
-            stats: Arc::new(Mutex::new(FrontLinkStats::default())),
+            counters: Arc::default(),
         })
     }
 
     /// A handle for reading the link's counters after a DM thread has
     /// taken ownership of the link.
-    pub fn stats_handle(&self) -> Arc<Mutex<FrontLinkStats>> {
-        Arc::clone(&self.stats)
+    pub fn counters(&self) -> Arc<FrontLinkStats<AtomicU64>> {
+        Arc::clone(&self.counters)
     }
 
     /// The local socket address.
@@ -158,15 +158,15 @@ impl UdpFrontLink {
         // An encode error is unreachable for well-formed updates;
         // counted, not panicked, because this is the hot path.
         let ok = result.is_ok() && self.sock.send(&self.frame).is_ok();
-        let mut stats = self.stats.lock();
-        stats.frames_sent += 1;
-        stats.updates_sent += updates.len() as u64;
+        let n = updates.len() as u64;
+        self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
+        self.counters.updates_sent.fetch_add(n, Ordering::SeqCst);
         if result.is_ok() {
-            stats.bytes_sent += self.frame.len() as u64;
+            self.counters.bytes_sent.fetch_add(self.frame.len() as u64, Ordering::SeqCst);
         }
         if !ok {
-            stats.frames_dropped += 1;
-            stats.updates_dropped += updates.len() as u64;
+            self.counters.frames_dropped.fetch_add(1, Ordering::SeqCst);
+            self.counters.updates_dropped.fetch_add(n, Ordering::SeqCst);
         }
         ok
     }
@@ -277,12 +277,12 @@ pub fn fin_rounds(repeats: usize, mut round: impl FnMut(Instant) -> bool) {
 }
 
 /// The receiving half: owns the CE's UDP socket, enforces the
-/// front-link contract, and hands admitted updates to a caller
+/// front-link contract (the ingress core in `receive.rs`, which the
+/// evented ingress runs too), and hands admitted updates to a caller
 /// closure.
 pub struct UdpFrontReceiver {
     sock: UdpSocket,
-    gate: SeqGate,
-    stats: Arc<Mutex<IngressStats>>,
+    counters: Arc<IngressStats<AtomicU64>>,
     expected_fins: usize,
     idle_timeout: Duration,
 }
@@ -292,7 +292,7 @@ impl std::fmt::Debug for UdpFrontReceiver {
         f.debug_struct("UdpFrontReceiver")
             .field("local", &self.sock.local_addr().ok())
             .field("expected_fins", &self.expected_fins)
-            .field("stats", &*self.stats.lock())
+            .field("stats", &self.counters.snapshot())
             .finish()
     }
 }
@@ -318,8 +318,7 @@ impl UdpFrontReceiver {
         sock.set_read_timeout(Some(RECV_TICK))?;
         Ok(UdpFrontReceiver {
             sock,
-            gate: SeqGate::new(),
-            stats: Arc::new(Mutex::new(IngressStats::default())),
+            counters: Arc::default(),
             expected_fins: 1,
             idle_timeout: Duration::from_secs(5),
         })
@@ -352,15 +351,15 @@ impl UdpFrontReceiver {
 
     /// A handle for reading the ingress counters while `run` owns the
     /// receiver.
-    pub fn stats_handle(&self) -> Arc<Mutex<IngressStats>> {
-        Arc::clone(&self.stats)
+    pub fn counters(&self) -> Arc<IngressStats<AtomicU64>> {
+        Arc::clone(&self.counters)
     }
 
     /// Receives until every expected Fin arrived (or the idle backstop
     /// fires), delivering each admitted update to `deliver` in arrival
     /// order. Returns the final counters.
-    pub fn run(mut self, mut deliver: impl FnMut(Update)) -> IngressStats {
-        let mut fins_seen = std::collections::HashSet::new();
+    pub fn run(self, mut deliver: impl FnMut(Update)) -> IngressStats {
+        let mut ingress = Ingress::new(self.expected_fins, Arc::clone(&self.counters));
         let mut buf = [0u8; 65_535];
         let mut last_activity = Instant::now();
         loop {
@@ -378,51 +377,16 @@ impl UdpFrontReceiver {
                 Err(_) => break,
             };
             last_activity = Instant::now();
-            {
-                let mut stats = self.stats.lock();
-                stats.frames_received += 1;
-                stats.bytes_received += len as u64;
-            }
-            match wire::decode_datagram(&buf[..len]) {
-                Ok(Message::Update(update)) => {
-                    if self.gate.admit(&update) {
-                        self.stats.lock().delivered += 1;
-                        deliver(update);
-                    } else {
-                        self.stats.lock().dropped_stale += 1;
-                    }
+            if let Heard::Fin { last } = ingress.datagram(&buf[..len], &mut deliver) {
+                // Echo every Fin, a repeat included, so its sender can
+                // stop repeating; best effort, like the Fin.
+                let _ = self.sock.send_to(&buf[..len], from);
+                if last {
+                    break;
                 }
-                // A batch is delivered exactly as if its updates had
-                // arrived as individual datagrams in batch order — the
-                // gate is the same per-variable high-water mark either
-                // way.
-                Ok(Message::UpdateBatch(updates)) => {
-                    for update in updates {
-                        if self.gate.admit(&update) {
-                            self.stats.lock().delivered += 1;
-                            deliver(update);
-                        } else {
-                            self.stats.lock().dropped_stale += 1;
-                        }
-                    }
-                }
-                Ok(Message::Fin { node }) => {
-                    // Echo every Fin, a repeat included, so its sender
-                    // can stop repeating; best effort, like the Fin.
-                    let _ = self.sock.send_to(&buf[..len], from);
-                    if fins_seen.insert(node) {
-                        self.stats.lock().fins += 1;
-                    }
-                    if fins_seen.len() >= self.expected_fins {
-                        break;
-                    }
-                }
-                // An alert or hello on a front link is protocol abuse;
-                // count it with the undecodable garbage.
-                Ok(_) | Err(_) => self.stats.lock().decode_errors += 1,
             }
         }
-        *self.stats.lock()
+        self.counters.snapshot()
     }
 }
 
@@ -642,7 +606,7 @@ pub(crate) mod tests {
     #[test]
     fn updates_flow_end_to_end_in_order() {
         let (mut tx, rx) = pair();
-        let stats = rx.stats_handle();
+        let stats = rx.counters();
         let handle = rcm_sync::thread::spawn(move || {
             let mut got = Vec::new();
             let final_stats = rx.run(|u| got.push(u.seqno.get()));
@@ -657,8 +621,8 @@ pub(crate) mod tests {
         assert_eq!(final_stats.delivered, 5);
         assert_eq!(final_stats.fins, 1);
         assert_eq!(final_stats.decode_errors, 0);
-        assert_eq!(stats.lock().delivered, 5);
-        assert_eq!(tx.stats_handle().lock().frames_sent, 5);
+        assert_eq!(stats.snapshot().delivered, 5);
+        assert_eq!(tx.counters().snapshot().frames_sent, 5);
     }
 
     /// Craft raw datagrams out of order on a bare socket: the gate
@@ -772,7 +736,7 @@ pub(crate) mod tests {
             })
             .collect();
         assert_eq!(runs, fewest);
-        let stats = *tx.stats_handle().lock();
+        let stats = tx.counters().snapshot();
         assert_eq!((stats.frames_sent, stats.updates_sent), (fewest.len() as u64, 200));
         assert_eq!(stats.bytes_sent, datagrams.iter().map(|d| d.len() as u64).sum::<u64>());
 

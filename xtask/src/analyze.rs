@@ -51,6 +51,11 @@ pub fn analyze_tree(root: &Path) -> Report {
     let mut corpus: BTreeSet<String> = BTreeSet::new();
     let mut pub_defs = Vec::new();
     let mut uses: BTreeSet<String> = BTreeSet::new();
+    // Per caller file under `crates/`: the names it uses, and the
+    // modules it declares out of line. Which files only tests compile
+    // is known once every declaration is.
+    let mut file_uses: Vec<(String, BTreeSet<String>)> = Vec::new();
+    let mut mod_decls: Vec<(String, String, bool)> = Vec::new();
     let mut files_scanned = 0;
 
     for path in rust_files(&root.join("crates")) {
@@ -116,7 +121,19 @@ pub fn analyze_tree(root: &Path) -> Report {
             );
         }
         if reach::calls(&rel) {
-            reach::collect_uses(&lexed, &file, &mut uses);
+            let mut used = BTreeSet::new();
+            reach::collect_uses(&lexed, &file, &mut used);
+            let mods = reach::out_of_line_mods(&rel, &file);
+            mod_decls.extend(mods.into_iter().map(|(path, test)| (rel.clone(), path, test)));
+            file_uses.push((rel, used));
+        }
+    }
+    let callers: BTreeSet<String> = file_uses.iter().map(|(rel, _)| rel.clone()).collect();
+    let test_files = reach::test_files(&mod_decls, &callers);
+    pub_defs.retain(|d: &reach::Def| !test_files.contains(&d.violation.file));
+    for (rel, used) in file_uses {
+        if !test_files.contains(&rel) {
+            uses.extend(used);
         }
     }
     for dir in reach::CALLER_ROOTS {

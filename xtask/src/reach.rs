@@ -12,7 +12,9 @@
 //! Dead items whose names are common (`new`, `len`) slip through.
 //! These do not count as callers: the definition itself, comments and
 //! doc comments (the lexer keeps them apart), `#[cfg(test)]` and
-//! `#[test]` scopes, and `tests/` directories. Every other file does:
+//! `#[test]` scopes, files that only an out-of-line `#[cfg(test)] mod
+//! NAME;` pulls in (and the modules those declare in turn), and
+//! `tests/` directories. Every other file does:
 //! every crate's `src`, `src/bin` included, the `rcm` facade (`src/`),
 //! `examples/` and `benchmark/src`.
 //!
@@ -21,7 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::ast::File;
+use crate::ast::{File, Item};
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::passes::Violation;
 
@@ -46,6 +48,55 @@ pub fn calls(rel: &str) -> bool {
 /// `pub` items must have callers: a crate's `src` outside `src/bin`.
 pub fn defines(rel: &str) -> bool {
     calls(rel) && rel.split('/').nth(3) != Some("bin")
+}
+
+/// The modules `file` (at `rel`) declares out of line (`mod NAME;`),
+/// each as the path it lives at without its extension (`PATH.rs` or
+/// `PATH/mod.rs`) and whether the declaration is test-only.
+pub fn out_of_line_mods(rel: &str, file: &File) -> Vec<(String, bool)> {
+    let (dir, name) = rel.rsplit_once('/').unwrap_or(("", rel));
+    let stem = name.trim_end_matches(".rs");
+    // A crate root or a `mod.rs` declares its modules beside it; any
+    // other file in a directory named after it.
+    let root = ["lib", "main", "mod"].contains(&stem) || dir.ends_with("/src/bin");
+    let base = if root { dir.to_string() } else { format!("{dir}/{stem}") };
+    let mut out = Vec::new();
+    collect_mods(&file.items, &base, &mut out);
+    out
+}
+
+fn collect_mods(items: &[Item], dir: &str, out: &mut Vec<(String, bool)>) {
+    for item in items {
+        if let Item::Mod { name, items, cfg_test, .. } = item {
+            let path = format!("{dir}/{name}");
+            match items {
+                None => out.push((path, *cfg_test)),
+                Some(items) => collect_mods(items, &path, out),
+            }
+        }
+    }
+}
+
+/// The files of `files` that only tests compile: every module a
+/// test-only out-of-line `mod` declares, and every module those declare
+/// in turn. `decls` holds `(declaring file, module path, test-only)`,
+/// as [`out_of_line_mods`] gives them.
+pub fn test_files(decls: &[(String, String, bool)], files: &BTreeSet<String>) -> BTreeSet<String> {
+    let resolve = |path: &str| {
+        [format!("{path}.rs"), format!("{path}/mod.rs")].into_iter().find(|f| files.contains(f))
+    };
+    let mut test = BTreeSet::new();
+    loop {
+        let before = test.len();
+        for (parent, path, cfg_test) in decls {
+            if *cfg_test || test.contains(parent) {
+                test.extend(resolve(path));
+            }
+        }
+        if test.len() == before {
+            return test;
+        }
+    }
 }
 
 /// Marks the tokens of `file`'s test-only items.

@@ -512,6 +512,52 @@ fn reach_counts_callers_under_a_cfg_that_does_not_require_test() {
     assert_eq!(unreached(&tree), ["under_test"]);
 }
 
+/// A file that only a `#[cfg(test)] mod NAME;` pulls in is test code,
+/// and so is every module it declares in turn: none of them is a
+/// caller, and none defines an item that must have one. A `mod NAME;`
+/// outside a test scope still pulls in a caller.
+#[test]
+fn reach_ignores_files_only_an_out_of_line_test_module_pulls_in() {
+    let tree = Tree::new(
+        "reach-test-mod",
+        &[
+            (
+                "crates/x/src/lib.rs",
+                "pub fn only_tested() {}
+                 pub fn called() {}
+                 mod inner;
+                 #[cfg(test)]
+mod tests;
+",
+            ),
+            (
+                "crates/x/src/tests.rs",
+                "fn helper() { super::only_tested(); }
+mod deeper;
+",
+            ),
+            (
+                "crates/x/src/tests/deeper.rs",
+                "pub fn test_helper() { only_tested(); }
+",
+            ),
+            (
+                "crates/x/src/inner.rs",
+                "fn f() { super::called(); }
+#[cfg(test)]
+mod checks;
+",
+            ),
+            (
+                "crates/x/src/inner/checks/mod.rs",
+                "pub fn assert_ok() { only_tested(); }
+",
+            ),
+        ],
+    );
+    assert_eq!(unreached(&tree), ["only_tested"]);
+}
+
 #[test]
 fn reach_counts_binaries_the_benchmark_examples_patterns_and_path_values() {
     let tree = Tree::new(
