@@ -16,11 +16,13 @@
 //! apart, until the CE echoes it back: `--fin-repeats N` (default 16)
 //! is the most Fins a link gets, all of them when its CE never echoes.
 //!
-//! Readings go out in rounds, like the in-process DM loop's: a round
-//! ends when the input read so far runs out, or at `rcm_runtime::ROUND`
-//! (64) readings, and is sent as one datagram per CE while it fits the
-//! datagram budget. So `--period-us 0` packs what arrives together; a
-//! paced run (the default) sends each reading alone, one period apart.
+//! Readings go out in rounds, like the DM loop's: a round ends when the
+//! input read so far runs out, or at `rcm_runtime::ROUND` (64)
+//! readings, and is sent as one datagram per CE while it fits the
+//! datagram budget, through the same `RoundSender` a socket-mode
+//! system's DM loop sends with. So `--period-us 0` packs what arrives
+//! together; a paced run (the default) sends each reading alone, one
+//! period apart.
 //!
 //! LOCK ORDER: the only lock is stdin's reader lock, held for the read
 //! loop on the main thread; the links count into atomics.
@@ -32,7 +34,7 @@ use std::process::ExitCode;
 use rcm_core::{Update, VarId};
 use rcm_runtime::ROUND;
 use rcm_sync::time::Duration;
-use rcm_transport::{fin_rounds, UdpFrontLink};
+use rcm_transport::{RoundSender, UdpFrontLink};
 
 struct Options {
     ce: Vec<SocketAddr>,
@@ -91,10 +93,11 @@ fn main() -> ExitCode {
         }
     }
 
+    let n_links = links.len();
+    let mut sender = RoundSender::new(links, 1, opts.fin_repeats);
     let var = VarId::new(opts.var);
     let mut seqno: u64 = 0;
     let mut status = ExitCode::SUCCESS;
-    let mut round = Vec::with_capacity(ROUND);
     let mut input = BufReader::new(std::io::stdin().lock());
     let mut line = String::new();
     let mut lineno = 0;
@@ -116,37 +119,23 @@ fn main() -> ExitCode {
             break;
         };
         seqno += 1;
-        round.push(Update::new(var, seqno, value));
+        sender.push(0, Update::new(var, seqno, value));
         let paced = !opts.period.is_zero();
-        if paced || round.len() == ROUND || input.buffer().is_empty() {
-            send_round(&mut links, &mut round);
+        if paced || sender.pending() == ROUND || input.buffer().is_empty() {
+            sender.send_round();
             if paced {
                 rcm_sync::thread::sleep(opts.period);
             }
         }
     }
-    send_round(&mut links, &mut round);
-    // `&`, not `&&`: every link's echo is read, not only up to the first
-    // silent link.
-    fin_rounds(opts.fin_repeats, |until| {
-        links.iter_mut().for_each(UdpFrontLink::send_fin);
-        links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
-    });
+    sender.send_round();
+    sender.finish();
 
-    let stats: Vec<_> = links.iter().map(|l| l.counters().snapshot()).collect();
+    let stats: Vec<_> = (0..n_links).map(|ce| sender.counters(0, ce).snapshot()).collect();
     let sent: u64 = stats.iter().map(|s| s.frames_sent).sum();
     let dropped: u64 = stats.iter().map(|s| s.frames_dropped).sum();
     eprintln!(
-        "done: {seqno} reading(s) as {sent} frame(s) over {} link(s); {dropped} send error(s)",
-        links.len()
+        "done: {seqno} reading(s) as {sent} frame(s) over {n_links} link(s); {dropped} send error(s)"
     );
     status
-}
-
-/// Sends `round` on every link and empties it.
-fn send_round(links: &mut [UdpFrontLink], round: &mut Vec<Update>) {
-    for link in links.iter_mut() {
-        link.send_updates(round);
-    }
-    round.clear();
 }

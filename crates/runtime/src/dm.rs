@@ -9,8 +9,10 @@
 //! pass, round-robin, at most [`ROUND`] in all. Where the round goes is
 //! the [`Fanout`]'s business: in-process the loop owns the replicas
 //! too, and offers each the round's surviving updates with a call, on
-//! this thread; over sockets each feed's share of the round reaches
-//! each replica as one datagram, while it fits the datagram budget.
+//! this thread; over sockets the loop is one DM node with one link per
+//! replica, and the whole round, every feed's readings in round order,
+//! reaches each replica as one datagram while it fits the datagram
+//! budget.
 //!
 //! LOCK ORDER: the loop takes only leaf mutexes owned elsewhere (a
 //! retained window and, in-process, its replicas' records and fault
@@ -51,7 +53,8 @@ impl std::fmt::Debug for FeedSource {
     }
 }
 
-/// Where the loop's updates go: a front link per `(feed, replica)`.
+/// Where the loop's updates go: the paper's front link per `(feed,
+/// replica)`, however the fanout carries them.
 pub(crate) trait Fanout: Send {
     /// Multicasts feed `feed`'s `update` over that feed's links.
     fn multicast(&mut self, feed: usize, update: Update);

@@ -7,56 +7,29 @@
 //! transport links, which count into atomics.
 
 use rcm_core::{Alert, Update};
-use rcm_transport::{fin_rounds, EventedBackLink, UdpFrontLink};
+use rcm_transport::{EventedBackLink, RoundSender};
 
 use crate::actors::AlertSink;
 use crate::dm::Fanout;
 
-/// The DM loop's socket fanout: a UDP link per `(feed, replica)`. A
-/// feed's readings are collected over a round and sent at its end, as
-/// one datagram per replica while they fit the datagram budget.
-pub(crate) struct UdpFanout {
-    /// `links[feed][replica]`.
-    links: Vec<Vec<UdpFrontLink>>,
-    /// `round[feed]`: the feed's readings this round.
-    round: Vec<Vec<Update>>,
-    /// Most Fins a silent link is sent.
-    fin_repeats: usize,
-}
-
-impl UdpFanout {
-    /// A fanout over `links[feed][replica]`.
-    pub(crate) fn new(links: Vec<Vec<UdpFrontLink>>, fin_repeats: usize) -> Self {
-        let round = links.iter().map(|_| Vec::new()).collect();
-        UdpFanout { links, round, fin_repeats }
-    }
-}
-
-impl Fanout for UdpFanout {
+/// The DM loop's socket fanout: the system's DMs as one node, with one
+/// UDP link per replica. Each round, every feed's readings of it, goes
+/// to each replica as one datagram while it fits the datagram budget;
+/// the sender keeps the `(feed, replica)` ledger.
+impl Fanout for RoundSender {
     fn multicast(&mut self, feed: usize, update: Update) {
-        self.round[feed].push(update);
+        self.push(feed, update);
     }
 
     fn end_round(&mut self) {
-        for (links, round) in self.links.iter_mut().zip(&mut self.round) {
-            for link in links.iter_mut() {
-                link.send_updates(round);
-            }
-            round.clear();
-        }
+        self.send_round();
     }
 
     // UDP has no hangup, so end-of-stream is an explicit marker on every
     // link, a round at a time until each is echoed, because the front
     // link is allowed to drop a Fin (or its echo) like any datagram.
-    // `&`, not `&&`: every link's echo is read, not only those up to the
-    // first silent link.
     fn finish(&mut self) {
-        let links = &mut self.links;
-        fin_rounds(self.fin_repeats, |until| {
-            links.iter_mut().flatten().for_each(UdpFrontLink::send_fin);
-            links.iter_mut().flatten().fold(true, |all, l| l.fin_echoed(until) & all)
-        });
+        RoundSender::finish(self);
     }
 }
 

@@ -19,7 +19,7 @@ use rcm_net::{Backoff, LinkStats, LossModel, Lossless};
 use rcm_sync::atomic::AtomicU64;
 use rcm_transport::{
     BackLinkSpec, BackLinkStats, BoundTopology, EngineStats, EventLoop, FrontLinkStats,
-    IngressStats, ListenerStats, TransportMode, TransportReport, UdpFrontLink,
+    IngressStats, ListenerStats, RoundSender, TransportMode, TransportReport, UdpFrontLink,
 };
 
 use crate::actors::{ad_body, ce_body, AlertSink, CeFaultConfig, CePipeline, Replica};
@@ -28,7 +28,6 @@ use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
 use crate::link::FrontHop;
 use crate::pipeline::PipelineOptions;
-use crate::socket::UdpFanout;
 
 /// One variable's data feed: where its Data Monitor's readings come
 /// from — a pre-recorded list or a live channel.
@@ -374,12 +373,12 @@ impl SystemBuilder {
     }
 
     /// Socket-mode assembly: the same actor bodies, with every channel
-    /// link swapped for a real socket from the bound topology. DMs own
-    /// one UDP socket per replica; every CE's UDP ingress (enforcing the
-    /// front-link contract through the shared seqno gate) and
-    /// reconnecting TCP back link, and the AD's TCP listener fanning
-    /// frames into the ordinary `ad_body`, are state machines on one
-    /// readiness loop.
+    /// link swapped for a real socket from the bound topology. The DM
+    /// loop owns one UDP socket per replica; every CE's UDP ingress
+    /// (enforcing the front-link contract through the shared seqno
+    /// gate) and reconnecting TCP back link, and the AD's TCP listener
+    /// fanning frames into the ordinary `ad_body`, are state machines on
+    /// one readiness loop.
     fn start_sockets(
         self,
         topology: BoundTopology,
@@ -394,7 +393,6 @@ impl SystemBuilder {
         }
         let transport_err = |e: std::io::Error| ConfigError::Transport(e.to_string());
         let parts = topology.into_parts();
-        let n_feeds = self.feeds.len();
 
         let mut handles: Vec<JoinHandle<()>> = Vec::new();
 
@@ -419,15 +417,16 @@ impl SystemBuilder {
         counters.ad = Some(listener);
 
         // CE side: per replica, a UDP ingress feeding the replica's
-        // thread over a channel, and a TCP back link to the AD. The back
-        // link connects eagerly, so a dead AD address fails here rather
-        // than silently dropping alerts later.
+        // thread over a channel, and a TCP back link to the AD. The
+        // ingress hears one DM node, so one Fin ends it. The back link
+        // connects eagerly, so a dead AD address fails here rather than
+        // silently dropping alerts later.
         let mut helpers = 0;
         for (ce, sock) in parts.ce_sockets.into_iter().enumerate() {
             let (tx, rx) = unbounded::<Update>();
             counters.ingress.push(
                 event_loop
-                    .add_front_ingress(sock, n_feeds, parts.idle_timeout, move |update| {
+                    .add_front_ingress(sock, 1, parts.idle_timeout, move |update| {
                         let _ = tx.send(update);
                     })
                     .map_err(transport_err)?,
@@ -449,22 +448,22 @@ impl SystemBuilder {
         counters.engine = Some(event_loop.counters());
         handles.push(rcm_sync::thread::spawn(move || event_loop.run()));
 
-        // The DM loop: one UDP socket per (feed, replica) front link,
+        // The DM loop: one node, DM 0, with one UDP socket per replica,
         // aimed at the topology's routed targets (the CE sockets, or an
-        // interposed loss proxy per replica).
-        let mut links = Vec::with_capacity(n_feeds);
+        // interposed loss proxy per replica). Each round goes to each
+        // replica as one datagram; the sender keeps the ledger of every
+        // (feed, replica) front link.
+        let links = parts.dm_targets.iter().map(|target| UdpFrontLink::connect(*target, 0));
+        let links = links.collect::<Result<Vec<_>, _>>().map_err(transport_err)?;
+        let sender = RoundSender::new(links, self.feeds.len(), parts.fin_repeats);
         for (fi, feed) in self.feeds.iter().enumerate() {
             counters.front_vars.push(feed.var);
-            let mut row = Vec::with_capacity(self.replicas);
-            for (ci, target) in parts.dm_targets.iter().enumerate() {
-                let link = UdpFrontLink::connect(*target, fi as u32).map_err(transport_err)?;
-                counters.front.push(((fi, ci), link.counters()));
-                row.push(link);
+            for ci in 0..self.replicas {
+                counters.front.push(((fi, ci), sender.counters(fi, ci)));
             }
-            links.push(row);
         }
         let dms = dms(self.feeds, &ces.windows);
-        handles.push(spawn_dm_loop(dms, UdpFanout::new(links, parts.fin_repeats)));
+        handles.push(spawn_dm_loop(dms, sender));
 
         Ok(ces.system(handles, helpers, ad, counters))
     }
@@ -634,8 +633,9 @@ impl LinkCounters {
         }
     }
 
-    /// The per-link view of `report`'s front links, in updates (a
-    /// socket datagram carries a feed's whole round).
+    /// The per-link view of `report`'s front links: one row per
+    /// `(feed, replica)`, in that feed's updates, however many feeds'
+    /// updates a socket datagram carried.
     fn links(&self, report: &TransportReport) -> Vec<((VarId, CeId), LinkStats)> {
         let link = |&(fi, ci, s): &(usize, usize, FrontLinkStats)| {
             let key = (self.front_vars[fi], CeId::new(ci as u32));
@@ -748,8 +748,9 @@ pub struct RunReport {
     /// Per replica: alerts emitted over its back link, in emission
     /// order (pre-merge, pre-filter).
     pub emitted: Vec<Vec<Alert>>,
-    /// Per front link `(variable, replica)`: loss counters, in updates
-    /// (a socket datagram carries a feed's whole round).
+    /// Per front link `(variable, replica)`: loss counters, in that
+    /// variable's updates (a socket datagram carries a whole round of
+    /// every variable, and each of its updates counts on its own row).
     pub links: Vec<((VarId, CeId), LinkStats)>,
     /// What the fault layer observed (all zeros without a
     /// [`FaultPlan`]).
@@ -1165,6 +1166,56 @@ mod tests {
             assert_eq!(link.dropped, stats.frames_dropped * crate::dm::ROUND as u64, "link {i}");
             assert_eq!(link.dropped, stats.updates_dropped);
         }
+    }
+
+    #[test]
+    fn a_refused_two_feed_round_charges_each_feed_its_own_updates() {
+        // As above, with two feeds of 2 * ROUND readings each: four
+        // rounds, each one datagram per replica holding half a round of
+        // each feed. A refused datagram costs each feed's row its own
+        // half, and the datagram counts once, on the row of the feed
+        // that opens it.
+        let y = VarId::new(1);
+        let closed = {
+            let sock = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe");
+            sock.local_addr().expect("probe addr")
+        };
+        let bound = rcm_transport::Topology::loopback(2)
+            .bind()
+            .expect("bind topology")
+            .route_front_links(vec![closed; 2])
+            .idle_timeout(Duration::from_millis(200));
+        let n = 2 * crate::dm::ROUND;
+        let cond: Arc<dyn Condition> =
+            Arc::new(rcm_core::condition::AbsDifference::new(x(), y, 100.0));
+        let report = MonitorSystem::builder(cond)
+            .replicas(2)
+            .feed(VarFeed::new(x(), vec![0.0; n]))
+            .feed(VarFeed::new(y, vec![0.0; n]))
+            .transport(bound)
+            .start()
+            .expect("system starts")
+            .wait();
+        let rows = &report.transport.front_links;
+        assert_eq!(rows.len(), 4);
+        let mut refused = [0; 2];
+        for &(feed, ce, stats) in rows {
+            assert_eq!(stats.frames_sent, if feed == 0 { 4 } else { 0 }, "({feed}, {ce})");
+            refused[ce] += stats.frames_dropped;
+        }
+        assert!(refused.iter().all(|&r| r >= 1), "no send was refused: {refused:?}");
+        let half = crate::dm::ROUND as u64 / 2;
+        for (i, ((var, ce), link)) in report.links.iter().enumerate() {
+            let (feed, ci, stats) = rows[i];
+            assert_eq!((*var, ce.index() as usize), ([x(), y][feed], ci));
+            assert_eq!(link.sent, n as u64);
+            assert_eq!(link.dropped, refused[ci] * half, "row ({feed}, {ci})");
+            assert_eq!(link.dropped, stats.updates_dropped);
+        }
+        let dropped: u64 = report.links.iter().map(|(_, l)| l.dropped).sum();
+        let held: u64 = rows.iter().map(|(_, _, s)| s.updates_dropped).sum();
+        assert_eq!(dropped, held);
+        assert_eq!(dropped, (refused[0] + refused[1]) * crate::dm::ROUND as u64);
     }
 
     #[test]

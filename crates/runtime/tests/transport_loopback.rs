@@ -17,7 +17,8 @@ use rcm_core::condition::{Cmp, Condition, Threshold};
 use rcm_core::{Alert, VarId};
 use rcm_net::Scripted;
 use rcm_runtime::{
-    FaultPlan, MonitorSystem, RunReport, SeverBackLink, Topology, TransportMode, VarFeed,
+    BoundTopology, FaultPlan, MonitorSystem, RunReport, SeverBackLink, Topology, TransportMode,
+    VarFeed,
 };
 use rcm_transport::{LossProxy, ProxyStats};
 
@@ -220,6 +221,51 @@ fn a_round_is_one_datagram_and_output_does_not_change() {
     assert!((sockets.transport.updates_per_datagram() - 20.0).abs() < f64::EPSILON);
     for ingress in &sockets.transport.ingress {
         assert_eq!(ingress.delivered, 20);
+    }
+}
+
+/// Four unpaced feeds of 32 readings are two rounds of 64. Each goes to
+/// each replica as one datagram holding every feed's readings of it,
+/// each `(variable, replica)` row still counts its own feed's 32
+/// updates, and the displayed stream is the in-process one.
+#[test]
+fn a_multi_feed_round_is_one_datagram_per_replica() {
+    const FEEDS: u32 = 4;
+    const READINGS: usize = 32;
+    let vars: Vec<VarId> = (0..FEEDS).map(VarId::new).collect();
+    let run = |bound: Option<BoundTopology>| {
+        let conditions =
+            vars.iter().map(|&v| Arc::new(Threshold::new(v, Cmp::Gt, 50.0)) as Arc<dyn Condition>);
+        let mut builder = MonitorSystem::builder_multi(conditions).replicas(2);
+        for (f, &var) in vars.iter().enumerate() {
+            let values = (0..READINGS).map(|i| if (i + f) % 3 == 0 { 60.0 } else { 40.0 });
+            builder = builder.feed(VarFeed::new(var, values.collect::<Vec<_>>()));
+        }
+        if let Some(bound) = bound {
+            builder = builder.transport(bound);
+        }
+        builder.start().expect("system starts").wait()
+    };
+    let baseline = run(None);
+    let bound = Topology::loopback(2).bind().expect("bind topology");
+    let sockets = run(Some(bound.idle_timeout(Duration::from_secs(10))));
+
+    assert!(!baseline.displayed.is_empty());
+    assert_eq!(sockets.displayed, baseline.displayed, "multi-feed socket run diverged");
+    let rounds = (FEEDS as usize * READINGS / rcm_runtime::ROUND) as u64;
+    for ce in 0..2 {
+        let rows = sockets.transport.front_links.iter().filter(|(_, c, _)| *c == ce);
+        let datagrams: u64 = rows.map(|(_, _, stats)| stats.frames_sent).sum();
+        assert_eq!(datagrams, rounds, "replica {ce}: one datagram a round");
+    }
+    let per_round = rcm_runtime::ROUND as f64;
+    assert!((sockets.transport.updates_per_datagram() - per_round).abs() < f64::EPSILON);
+    assert_eq!(sockets.links.len(), FEEDS as usize * 2);
+    for ((var, ce), link) in &sockets.links {
+        assert_eq!((link.sent, link.dropped), (READINGS as u64, 0), "row ({var:?}, {ce:?})");
+    }
+    for ingress in &sockets.transport.ingress {
+        assert_eq!(ingress.delivered, FEEDS as u64 * READINGS as u64);
     }
 }
 

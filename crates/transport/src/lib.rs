@@ -12,9 +12,10 @@
 //!   checksum, payload) used by every link, in-process or socket: one
 //!   compact binary payload layout, version 3;
 //! * [`UdpFrontLink`] — the DM's side of a front link: updates over
-//!   UDP, a round of them per datagram under a fixed 1,200-byte budget
-//!   ([`wire::DATAGRAM_BUDGET`]), end-of-stream as a Fin marker
-//!   repeated until the CE echoes it;
+//!   UDP, end-of-stream as a Fin marker repeated until the CE echoes it;
+//!   a DM node's [`RoundSender`] holds one per CE and sends each round,
+//!   every feed's readings of it, as one datagram per CE under a fixed
+//!   1,200-byte budget ([`wire::DATAGRAM_BUDGET`]);
 //! * [`engine`] — the receiving and alert-carrying side: every CE
 //!   ingress (enforcing the front-link contract by discarding reordered
 //!   and duplicated datagrams via a per-variable seqno high-water mark,
@@ -71,5 +72,5 @@ pub use report::{
 };
 pub use tcp::{TcpAlertListener, TcpBackLink};
 pub use topology::{BoundTopology, Topology, TopologyParts};
-pub use udp::{fin_rounds, UdpFrontLink, UdpFrontReceiver};
+pub use udp::{fin_rounds, RoundSender, UdpFrontLink, UdpFrontReceiver};
 pub use wire::Codec;

@@ -29,8 +29,9 @@ pub enum TransportMode {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontLinkStats<C = u64> {
     /// Frames handed to the socket (or channel). On a socket one
-    /// datagram carries a feed's whole round — compare against
-    /// `updates_sent`.
+    /// datagram carries a whole DM round, every feed's readings of it,
+    /// and counts once, on the row of the feed that opens it — compare
+    /// the sum against `updates_sent`.
     pub frames_sent: C,
     /// Frames dropped before delivery (loss model in-process; send
     /// errors on a socket).
@@ -305,8 +306,13 @@ fn load(cell: &AtomicU64) -> u64 {
 pub struct TransportReport {
     /// Which transport carried the run.
     pub mode: TransportMode,
-    /// Sender-side front-link counters as `(feed, ce, stats)`, in
-    /// builder feed order.
+    /// Sender-side front-link counters as `(feed, ce, stats)`: one row
+    /// per paper front link, feed-major in builder feed order. A row's
+    /// `updates_sent` and `updates_dropped` are that feed's updates to
+    /// that CE. In-process a frame is one update. Over sockets one
+    /// datagram per CE carries a whole round of every feed, and counts
+    /// its frame and bytes on the row of the feed whose update opens it,
+    /// so a CE's rows sum to the datagrams its link sent.
     pub front_links: Vec<(usize, usize, FrontLinkStats)>,
     /// Per-CE UDP ingress counters (socket mode only), indexed by
     /// replica.
@@ -386,8 +392,8 @@ impl TransportReport {
         self.front_links.iter().map(|(_, _, s)| s.bytes_sent).sum()
     }
 
-    /// Mean updates per front-link datagram: how many readings a feed's
-    /// round carries. `0.0` when no frames were sent.
+    /// Mean updates per front-link datagram: how many readings a round
+    /// carries. `0.0` when no frames were sent.
     pub fn updates_per_datagram(&self) -> f64 {
         let frames = self.front_frames_sent();
         if frames == 0 {

@@ -11,12 +11,14 @@
 //! ([`SeqGate`](crate::SeqGate)) — reordering and duplication become loss, which the
 //! CE already tolerates.
 //!
-//! [`UdpFrontLink::send_updates`] puts a run of updates — a DM's round
-//! of one feed — in as few `UpdateBatch` datagrams as fit it under
-//! [`wire::DATAGRAM_BUDGET`], sharing the header and the syscall; the
-//! receiver runs a batch's updates through the gate in batch order, so
-//! delivery is exactly what individual datagrams arriving in that order
-//! would produce. A lone update is a plain `Update` frame.
+//! A DM node sends through a [`RoundSender`]: one link per CE, and each
+//! round — every feed's readings of it, in round order — goes to each CE
+//! in as few `UpdateBatch` datagrams as fit it under
+//! [`wire::DATAGRAM_BUDGET`], sharing the header and the syscall. The
+//! receiver runs a batch's updates through the gate in batch order (one
+//! high-water mark per variable), so delivery is exactly what
+//! individual datagrams arriving in that order would produce. A lone
+//! update is a plain `Update` frame.
 //!
 //! The one datagram that travels back is the end of stream. A DM ends
 //! its stream with a `Fin`, and the receiver echoes every `Fin` it
@@ -69,7 +71,8 @@ enum Ending {
 }
 
 /// The sending half of a front link: one CE target, one frame per
-/// datagram.
+/// datagram. A node with several CEs sends rounds through a
+/// [`RoundSender`].
 pub struct UdpFrontLink {
     sock: UdpSocket,
     node: u32,
@@ -123,31 +126,27 @@ impl UdpFrontLink {
         self.sock.local_addr()
     }
 
-    /// Sends one update as its own datagram; returns whether the socket
+    /// Sends one update as its own datagram and counts it into the
+    /// link's [`counters`](Self::counters); returns whether the socket
     /// took it. UDP gives no delivery guarantee — a `true` here can
     /// still be lost in flight, which is the point.
     pub fn send_update(&mut self, update: Update) -> bool {
-        self.send_datagram(&[update])
-    }
-
-    /// Sends `updates` in order, in as few datagrams as fit them under
-    /// [`wire::DATAGRAM_BUDGET`] ([`wire::datagram_run`]); returns
-    /// whether the socket took every one.
-    pub fn send_updates(&mut self, mut updates: &[Update]) -> bool {
-        let mut ok = true;
-        while !updates.is_empty() {
-            let (run, rest) = updates.split_at(wire::datagram_run(updates));
-            ok &= self.send_datagram(run);
-            updates = rest;
+        let sent = self.send_datagram(&[update]);
+        let counters = &self.counters;
+        counters.frames_sent.fetch_add(1, Ordering::SeqCst);
+        counters.updates_sent.fetch_add(1, Ordering::SeqCst);
+        counters.bytes_sent.fetch_add(sent.bytes, Ordering::SeqCst);
+        if !sent.taken {
+            counters.frames_dropped.fetch_add(1, Ordering::SeqCst);
+            counters.updates_dropped.fetch_add(1, Ordering::SeqCst);
         }
-        ok
+        sent.taken
     }
 
     /// Encodes `updates` as one frame (a plain `Update` frame for a
-    /// lone update) and puts it on the socket. A datagram the socket
-    /// refuses counts as a dropped frame and as that many dropped
-    /// updates.
-    fn send_datagram(&mut self, updates: &[Update]) -> bool {
+    /// lone update) and puts it on the socket. Counts nothing: the
+    /// caller counts where its ledger is.
+    fn send_datagram(&mut self, updates: &[Update]) -> Datagram {
         self.frame.clear();
         let result = match updates {
             [single] => {
@@ -157,18 +156,10 @@ impl UdpFrontLink {
         };
         // An encode error is unreachable for well-formed updates;
         // counted, not panicked, because this is the hot path.
-        let ok = result.is_ok() && self.sock.send(&self.frame).is_ok();
-        let n = updates.len() as u64;
-        self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
-        self.counters.updates_sent.fetch_add(n, Ordering::SeqCst);
-        if result.is_ok() {
-            self.counters.bytes_sent.fetch_add(self.frame.len() as u64, Ordering::SeqCst);
+        Datagram {
+            bytes: if result.is_ok() { self.frame.len() as u64 } else { 0 },
+            taken: result.is_ok() && self.sock.send(&self.frame).is_ok(),
         }
-        if !ok {
-            self.counters.frames_dropped.fetch_add(1, Ordering::SeqCst);
-            self.counters.updates_dropped.fetch_add(n, Ordering::SeqCst);
-        }
-        ok
     }
 
     /// Sends one Fin marker, unless the peer has already echoed this
@@ -239,6 +230,144 @@ impl UdpFrontLink {
             self.send_fin();
             self.fin_echoed(until)
         });
+    }
+}
+
+/// One datagram a front link sent: its wire bytes (0 when it failed to
+/// encode) and whether the socket took it.
+#[derive(Debug, Clone, Copy)]
+struct Datagram {
+    bytes: u64,
+    taken: bool,
+}
+
+/// A DM node's sending side: one [`UdpFrontLink`] per CE replica and the
+/// round it is collecting. [`push`](Self::push) adds a feed's update to
+/// the round; [`send_round`](Self::send_round) multicasts the whole
+/// round, every feed's updates in the order pushed, to every CE, in as
+/// few `UpdateBatch` datagrams as fit [`wire::DATAGRAM_BUDGET`]
+/// ([`wire::datagram_run`]): one per CE while the round fits.
+/// [`finish`](Self::finish) ends every link together ([`fin_rounds`]).
+/// `rcm-dm` (one feed) and a socket-mode system's DM loop (every feed
+/// of the system) both send this way.
+///
+/// The sender keeps a ledger per `(feed, ce)`, the paper's front link:
+/// [`counters`](Self::counters) counts the feed's updates handed to that
+/// CE's link and those lost in datagrams the socket refused. A datagram
+/// may carry several feeds' updates; its frame and bytes count on the
+/// row of the feed whose update opens it, so one CE's rows sum to the
+/// datagrams and bytes its link really sent. Each count is stored once:
+/// the links' own [`UdpFrontLink::counters`] stay zero.
+#[derive(Debug)]
+pub struct RoundSender {
+    links: Vec<UdpFrontLink>,
+    round: Vec<Update>,
+    /// `feeds[i]`: the feed `round[i]` is charged to.
+    feeds: Vec<usize>,
+    /// `pushed[feed]`: the feed's updates in this round, added to its
+    /// rows once a round rather than once an update.
+    pushed: Vec<u64>,
+    /// `ledger[feed][ce]`.
+    ledger: Vec<Vec<Arc<FrontLinkStats<AtomicU64>>>>,
+    /// Most Fins a silent link is sent.
+    fin_repeats: usize,
+}
+
+impl RoundSender {
+    /// A sender over `links`, one per CE, for feeds `0..feeds`; each
+    /// link gets at most `fin_repeats` Fins.
+    pub fn new(links: Vec<UdpFrontLink>, feeds: usize, fin_repeats: usize) -> Self {
+        let row = || links.iter().map(|_| Arc::default()).collect();
+        RoundSender {
+            ledger: (0..feeds).map(|_| row()).collect(),
+            links,
+            round: Vec::new(),
+            feeds: Vec::new(),
+            pushed: vec![0; feeds],
+            fin_repeats,
+        }
+    }
+
+    /// The ledger of front link `(feed, ce)`, readable while the sender
+    /// runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `feed` and `ce` are in range.
+    pub fn counters(&self, feed: usize, ce: usize) -> Arc<FrontLinkStats<AtomicU64>> {
+        Arc::clone(&self.ledger[feed][ce])
+    }
+
+    /// Updates in the round so far.
+    pub fn pending(&self) -> usize {
+        self.round.len()
+    }
+
+    /// Adds `update` to the round, charged to `feed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `feed` is one of the sender's feeds.
+    pub fn push(&mut self, feed: usize, update: Update) {
+        self.pushed[feed] += 1;
+        self.round.push(update);
+        self.feeds.push(feed);
+    }
+
+    /// Sends the round to every CE and starts the next one.
+    pub fn send_round(&mut self) {
+        let RoundSender { links, round, feeds, pushed, ledger, .. } = self;
+        for (ce, link) in links.iter_mut().enumerate() {
+            for (row, &n) in ledger.iter().zip(pushed.iter()) {
+                if n > 0 {
+                    row[ce].updates_sent.fetch_add(n, Ordering::SeqCst);
+                }
+            }
+            let mut start = 0;
+            while start < round.len() {
+                let end = start + wire::datagram_run(&round[start..]);
+                let sent = link.send_datagram(&round[start..end]);
+                charge(ledger, ce, &feeds[start..end], sent);
+                start = end;
+            }
+        }
+        round.clear();
+        feeds.clear();
+        pushed.fill(0);
+    }
+
+    /// Ends the stream on every link: one Fin per round on each link
+    /// whose Fin is not yet echoed, until every link's is.
+    // `&`, not `&&`: every link's echo is read, not only those up to the
+    // first silent link.
+    pub fn finish(&mut self) {
+        let links = &mut self.links;
+        fin_rounds(self.fin_repeats, |until| {
+            links.iter_mut().for_each(UdpFrontLink::send_fin);
+            links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
+        });
+    }
+}
+
+/// Counts one datagram CE `ce`'s link sent into the ledger; `feeds`
+/// names the feed of each update it carried. The frame and its bytes
+/// count once, on the row of the feed whose update opens it; a refused
+/// datagram costs each feed its own updates.
+fn charge(
+    ledger: &[Vec<Arc<FrontLinkStats<AtomicU64>>>],
+    ce: usize,
+    feeds: &[usize],
+    sent: Datagram,
+) {
+    let Some(&opener) = feeds.first() else { return };
+    let row = &ledger[opener][ce];
+    row.frames_sent.fetch_add(1, Ordering::SeqCst);
+    row.bytes_sent.fetch_add(sent.bytes, Ordering::SeqCst);
+    if !sent.taken {
+        row.frames_dropped.fetch_add(1, Ordering::SeqCst);
+        for &feed in feeds {
+            ledger[feed][ce].updates_dropped.fetch_add(1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -701,12 +830,15 @@ pub(crate) mod tests {
     #[test]
     fn a_round_goes_out_in_the_fewest_datagrams_that_fit() {
         let wire_side = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        let mut tx = UdpFrontLink::connect(wire_side.local_addr().expect("bound addr"), 0)
+        let link = UdpFrontLink::connect(wire_side.local_addr().expect("bound addr"), 0)
             .expect("connect sender");
+        let mut tx = RoundSender::new(vec![link], 1, 1);
         // Seqnos cross 2^14, where a varint grows a byte, so the updates
         // are not all one size.
         let round: Vec<Update> = (0..200).map(|i| u(16_300 + i, f64::from(i as u32))).collect();
-        assert!(tx.send_updates(&round));
+        round.iter().for_each(|&update| tx.push(0, update));
+        tx.send_round();
+        assert_eq!(tx.pending(), 0);
         wire_side.set_nonblocking(true).expect("nonblocking");
         let mut buf = [0u8; 65_535];
         let datagrams: Vec<Vec<u8>> =
@@ -736,8 +868,9 @@ pub(crate) mod tests {
             })
             .collect();
         assert_eq!(runs, fewest);
-        let stats = tx.counters().snapshot();
+        let stats = tx.counters(0, 0).snapshot();
         assert_eq!((stats.frames_sent, stats.updates_sent), (fewest.len() as u64, 200));
+        assert_eq!((stats.frames_dropped, stats.updates_dropped), (0, 0));
         assert_eq!(stats.bytes_sent, datagrams.iter().map(|d| d.len() as u64).sum::<u64>());
 
         let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
@@ -758,6 +891,37 @@ pub(crate) mod tests {
         let (got, stats) = handle.join().expect("receiver thread");
         assert_eq!(got, round, "all 200 admitted, in order");
         assert_eq!(stats.dropped_stale, 0);
+    }
+
+    /// Two feeds' round to two CEs: each CE gets the whole round, in
+    /// push order, as one datagram. Each `(feed, ce)` row counts its own
+    /// feed's updates; the datagram and its bytes count once, on the row
+    /// of the feed that opens it.
+    #[test]
+    fn a_round_of_two_feeds_is_one_datagram_per_ce() {
+        let ces = [0, 1].map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind CE"));
+        let links = ces
+            .iter()
+            .map(|ce| UdpFrontLink::connect(ce.local_addr().expect("addr"), 0).expect("connect"))
+            .collect();
+        let mut tx = RoundSender::new(links, 2, 1);
+        let y = |seqno| Update::new(VarId::new(1), seqno, 0.5);
+        let round = [(1, y(1)), (0, u(1, 1.0)), (1, y(2)), (0, u(2, 2.0)), (1, y(3))];
+        round.iter().for_each(|&(feed, update)| tx.push(feed, update));
+        tx.send_round();
+        let updates: Vec<Update> = round.iter().map(|&(_, update)| update).collect();
+        for (ce, sock) in ces.iter().enumerate() {
+            sock.set_nonblocking(true).expect("nonblocking");
+            let mut buf = [0u8; 2048];
+            let n = sock.recv(&mut buf).expect("one datagram");
+            let got = wire::decode_datagram(&buf[..n]).expect("own frame");
+            assert_eq!(got, Message::UpdateBatch(updates.clone()), "CE {ce}");
+            assert!(sock.recv(&mut buf).is_err(), "CE {ce}: a second datagram");
+            let (x_row, y_row) = (tx.counters(0, ce).snapshot(), tx.counters(1, ce).snapshot());
+            let opener = FrontLinkStats { updates_sent: 3, ..Default::default() };
+            assert_eq!(y_row, FrontLinkStats { frames_sent: 1, bytes_sent: n as u64, ..opener });
+            assert_eq!(x_row, FrontLinkStats { updates_sent: 2, ..Default::default() });
+        }
     }
 
     #[test]

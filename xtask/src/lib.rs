@@ -4,6 +4,7 @@
 //! `std` alone so the analyzer can run in hermetic environments (no
 //! registry access) and stays fast enough to gate CI.
 
+pub mod ab;
 pub mod analyze;
 pub mod ast;
 pub mod chaos;

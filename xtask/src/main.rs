@@ -2,7 +2,9 @@
 //! plus `cargo xtask assert-chaos <report.json>`, the CI-side schema
 //! and invariant check over the chaos gauntlet's JSON report, and
 //! `cargo xtask schedstat`, per-thread CPU of a running process over an
-//! interval (see `xtask/src/schedstat.rs`).
+//! interval (see `xtask/src/schedstat.rs`), and `cargo xtask ab`, the
+//! alternating parent/change pairs of a performance claim (see
+//! `xtask/src/ab.rs`).
 //!
 //! The analyzer lexes and parses every source file (xtask/src/lexer.rs,
 //! xtask/src/parser.rs — dependency-free, std only) and runs seven pass
@@ -58,8 +60,9 @@ fn main() -> ExitCode {
             }
         },
         Some("schedstat") => xtask::schedstat::run(&args[1..]),
+        Some("ab") => xtask::ab::run(&args[1..], &repo_root()),
         Some(other) => {
-            eprintln!("unknown xtask `{other}`; available: analyze, assert-chaos, schedstat");
+            eprintln!("unknown xtask `{other}`; available: analyze, ab, assert-chaos, schedstat");
             ExitCode::from(2)
         }
     }
@@ -85,15 +88,9 @@ fn run_analyze(args: &[String]) -> ExitCode {
             }
         }
     }
-    // xtask lives at <repo>/xtask, so the repo root is one level up;
     // `--root` exists for the self-tests and the tamper-rejection CI
     // step, which analyze synthetic trees.
-    let root = root.unwrap_or_else(|| {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .expect("xtask sits inside the repository")
-            .to_path_buf()
-    });
+    let root = root.unwrap_or_else(repo_root);
 
     let mut report = analyze::analyze_tree(&root);
     if write_topology {
@@ -116,4 +113,12 @@ fn run_analyze(args: &[String]) -> ExitCode {
         eprintln!("xtask analyze: {} violation(s)", report.violations.len());
         ExitCode::FAILURE
     }
+}
+
+/// The repository root: xtask lives at `<repo>/xtask`, one level down.
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("xtask sits inside the repository")
+        .to_path_buf()
 }
