@@ -3,11 +3,11 @@
 //! The paper's update `u(varname, seqno, value)` is what a Data
 //! Monitor observes. An aggregation tree of Condition Evaluators
 //! (`rcm-tree`) needs a second stream kind flowing *upward*: each leaf
-//! CE, besides feeding its own Alert Displayer, summarizes what it saw
-//! for its parent. A [`DerivedUpdate`] is that summary — shaped
-//! deliberately like a raw update so every per-tier mechanism built
-//! for updates (seqno gates, retained-window replay, property
-//! checkers) applies unchanged:
+//! CE, besides feeding its own Alert Displayer, passes its verdicts to
+//! its parent. A [`DerivedUpdate`] is one verdict on that stream —
+//! keyed deliberately like a raw update so every per-tier mechanism
+//! built for updates (seqno gates, retained-window replay) applies
+//! unchanged:
 //!
 //! * a **synthetic variable id** ([`derived_var`]) names the emitting
 //!   stream — one id per `(tier, node)` pair, carved out of the top of
@@ -18,12 +18,9 @@
 //!   (`1, 2, 3, …`, no gaps at the source), so the receiving tier's
 //!   `SeqGate` admission, duplicate suppression, and replay-window
 //!   recovery work verbatim;
-//! * a [`DerivedPayload`] — either the leaf's full triggered
-//!   [`Alert`] (a *verdict*, lossless fidelity: the root can renumber
-//!   and display it byte-identically to a flat CE) or a numeric
-//!   *aggregate* (a fold the parent monitors as an ordinary input
-//!   variable, El-Hokayem & Falcone's decentralized-specification
-//!   recipe).
+//! * the leaf's full triggered [`Alert`], its *verdict*: lossless
+//!   fidelity, so the root can renumber its provenance and display it
+//!   byte-identically to a flat CE fed the combined stream.
 //!
 //! Because replicated leaves fed the same post-loss input are
 //! deterministic, every replica of a leaf emits the *same* derived
@@ -34,10 +31,8 @@
 
 use std::fmt;
 
-use rcm_json::{obj, Json};
-
 use crate::alert::Alert;
-use crate::update::{SeqNo, Update};
+use crate::update::SeqNo;
 use crate::var::VarId;
 
 /// Base of the synthetic derived-variable id space. Real variables are
@@ -68,41 +63,6 @@ pub fn is_derived_var(var: VarId) -> bool {
     var.index() >= DERIVED_VAR_BASE
 }
 
-/// The tier and node a derived variable id names, or `None` for a raw
-/// variable.
-pub fn derived_var_parts(var: VarId) -> Option<(u8, u32)> {
-    if !is_derived_var(var) {
-        return None;
-    }
-    let rel = var.index() - DERIVED_VAR_BASE;
-    let tier = rel >> NODE_BITS;
-    u8::try_from(tier).ok().map(|t| (t, rel & ((1 << NODE_BITS) - 1)))
-}
-
-/// What one derived update carries upward.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DerivedPayload {
-    /// A numeric aggregate the parent treats as an ordinary input
-    /// value (count, max, rate, …) — genuine hierarchical aggregation.
-    Aggregate(f64),
-    /// A full leaf alert. Lossless fidelity: the root can renumber its
-    /// provenance and display it byte-identically to a flat CE fed the
-    /// combined stream.
-    Verdict(Alert),
-}
-
-impl DerivedPayload {
-    /// The numeric value a parent condition over this stream sees: the
-    /// aggregate itself, or `1.0` for a verdict (the "condition fired"
-    /// indicator variable).
-    pub fn value(&self) -> f64 {
-        match self {
-            DerivedPayload::Aggregate(v) => *v,
-            DerivedPayload::Verdict(_) => 1.0,
-        }
-    }
-}
-
 /// One element of a derived-update stream on a tier link.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivedUpdate {
@@ -111,28 +71,13 @@ pub struct DerivedUpdate {
     /// Per-stream consecutive sequence number (`1, 2, 3, …` at the
     /// emitting node), the same contract a DM keeps per variable.
     pub seqno: SeqNo,
-    /// The aggregate or verdict carried.
-    pub payload: DerivedPayload,
-}
-
-impl DerivedUpdate {
-    /// The raw-update shadow of this derived update: same variable and
-    /// seqno, value from [`DerivedPayload::value`]. This is what lets a
-    /// parent CE monitor a derived stream with the ordinary condition
-    /// machinery (histories, gates, AD property checkers) untouched.
-    pub fn as_update(&self) -> Update {
-        Update::new(self.var, self.seqno.get(), self.payload.value())
-    }
+    /// The verdict carried: the alert the emitting leaf raised.
+    pub verdict: Alert,
 }
 
 impl fmt::Display for DerivedUpdate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.payload {
-            DerivedPayload::Aggregate(v) => {
-                write!(f, "d{}({})={v}", self.var, self.seqno)
-            }
-            DerivedPayload::Verdict(a) => write!(f, "d{}({})={a}", self.var, self.seqno),
-        }
+        write!(f, "d{}({})={}", self.var, self.seqno, self.verdict)
     }
 }
 
@@ -169,31 +114,11 @@ impl DerivedEmitter {
         self.next - 1
     }
 
-    /// The emitter as a checkpoint: `{"var":…,"next":…}`.
-    pub fn to_json(&self) -> Json {
-        obj([("var", self.var.index().into()), ("next", self.next.into())])
-    }
-
-    /// Restores an emitter from [`DerivedEmitter::to_json`]'s output;
-    /// its next emission carries the seqno the original's would have.
-    ///
-    /// # Errors
-    ///
-    /// A document of any other shape, or a next seqno of 0 (the first
-    /// emission is 1).
-    pub fn from_json(j: &Json) -> rcm_json::Result<Self> {
-        let next = j.field("next")?.u64()?;
-        if next == 0 {
-            return Err(rcm_json::Error::new("a derived stream's seqnos start at 1"));
-        }
-        Ok(DerivedEmitter { var: VarId::new(j.field("var")?.u32()?), next })
-    }
-
-    /// Wraps `payload` as the stream's next derived update.
-    pub fn emit(&mut self, payload: DerivedPayload) -> DerivedUpdate {
+    /// Wraps `verdict` as the stream's next derived update.
+    pub fn emit(&mut self, verdict: Alert) -> DerivedUpdate {
         let seqno = SeqNo::new(self.next);
         self.next += 1;
-        DerivedUpdate { var: self.var, seqno, payload }
+        DerivedUpdate { var: self.var, seqno, verdict }
     }
 }
 
@@ -206,9 +131,8 @@ mod tests {
     fn derived_ids_partition_the_var_space() {
         let v = derived_var(2, 5);
         assert!(is_derived_var(v));
-        assert_eq!(derived_var_parts(v), Some((2, 5)));
+        assert_eq!(v.index(), DERIVED_VAR_BASE + (2 << NODE_BITS) + 5);
         assert!(!is_derived_var(VarId::new(123_456)));
-        assert_eq!(derived_var_parts(VarId::new(0)), None);
         // Distinct (tier, node) pairs never collide.
         assert_ne!(derived_var(0, 1), derived_var(1, 0));
         assert_ne!(derived_var(0, 1), derived_var(0, 2));
@@ -220,53 +144,27 @@ mod tests {
         let _ = derived_var(0, 1 << 16);
     }
 
+    fn verdict(seqno: u64) -> Alert {
+        Alert::new(
+            CondId::new(0),
+            HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(seqno)]),
+            vec![],
+            AlertId { ce: CeId::new(0), index: seqno - 1 },
+        )
+    }
+
     #[test]
     fn emitter_stamps_consecutive_seqnos() {
         let mut em = DerivedEmitter::new(derived_var(0, 3));
         assert_eq!(em.emitted(), 0);
-        let a = em.emit(DerivedPayload::Aggregate(1.5));
-        let b = em.emit(DerivedPayload::Aggregate(2.5));
+        let a = em.emit(verdict(1));
+        let b = em.emit(verdict(2));
         assert_eq!(a.seqno, SeqNo::new(1));
         assert_eq!(b.seqno, SeqNo::new(2));
         assert!(a.seqno.precedes(b.seqno));
         assert_eq!(em.emitted(), 2);
         assert_eq!(em.next_seqno(), SeqNo::new(3));
         assert_eq!(a.var, derived_var(0, 3));
-    }
-
-    #[test]
-    fn as_update_preserves_the_gate_key() {
-        let mut em = DerivedEmitter::new(derived_var(1, 0));
-        let d = em.emit(DerivedPayload::Aggregate(42.0));
-        let u = d.as_update();
-        assert_eq!((u.var, u.seqno), (d.var, d.seqno));
-        assert_eq!(u.value, 42.0);
-        let alert = Alert::new(
-            CondId::new(0),
-            HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(1)]),
-            vec![],
-            AlertId { ce: CeId::new(0), index: 0 },
-        );
-        let v = em.emit(DerivedPayload::Verdict(alert)).as_update();
-        assert_eq!(v.value, 1.0);
-        assert_eq!(v.seqno, SeqNo::new(2));
-    }
-
-    #[test]
-    fn emitter_checkpoint_roundtrip() {
-        // Derived updates themselves travel only over the binary wire
-        // codec; the emitter's counter is what a checkpoint keeps.
-        let mut em = DerivedEmitter::new(derived_var(0, 7));
-        em.emit(DerivedPayload::Aggregate(-3.25));
-        let json = rcm_json::parse(&em.to_json().to_string()).unwrap();
-        let mut back = DerivedEmitter::from_json(&json).unwrap();
-        assert_eq!(back.var(), em.var());
-        assert_eq!(back.next_seqno(), em.next_seqno());
-        assert_eq!(
-            back.emit(DerivedPayload::Aggregate(1.0)),
-            em.emit(DerivedPayload::Aggregate(1.0))
-        );
-        let zero = rcm_json::parse(r#"{"var":0,"next":0}"#).unwrap();
-        assert!(DerivedEmitter::from_json(&zero).is_err());
+        assert_eq!(b.verdict, verdict(2));
     }
 }

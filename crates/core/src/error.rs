@@ -33,10 +33,6 @@ pub enum Error {
     },
     /// A condition expression failed to parse.
     Parse(crate::condition::expr::ParseError),
-    /// A condition declared a degree of zero for some variable.
-    ZeroDegree(VarId),
-    /// A condition declared an empty variable set.
-    EmptyVariableSet,
 }
 
 impl fmt::Display for Error {
@@ -50,10 +46,6 @@ impl fmt::Display for Error {
                 "out-of-order update for variable {var}: got seqno {got}, newest is {newest}"
             ),
             Error::Parse(e) => write!(f, "condition expression parse error: {e}"),
-            Error::ZeroDegree(v) => {
-                write!(f, "condition declares degree 0 for variable {v}")
-            }
-            Error::EmptyVariableSet => write!(f, "condition has an empty variable set"),
         }
     }
 }

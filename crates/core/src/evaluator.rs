@@ -1,8 +1,6 @@
 //! The Condition Evaluator: the paper's `T` transducer from update
 //! sequences to alert sequences.
 
-use rcm_json::{obj, Json};
-
 use crate::alert::{Alert, AlertId, CeId, CondId};
 use crate::condition::{Condition, ConditionExt};
 use crate::error::{Error, Result};
@@ -144,46 +142,6 @@ impl<C: Condition> Evaluator<C> {
     pub fn restart(&mut self) {
         self.histories.clear();
     }
-
-    /// The evaluator's state as a checkpoint — its ids, histories and
-    /// three counters, not its condition:
-    /// `{"cond_id":…,"ce":…,"histories":[…],"emitted":…,"ingested":…,"dropped_stale":…}`.
-    pub fn to_json(&self) -> Json {
-        obj([
-            ("cond_id", self.cond_id.index().into()),
-            ("ce", self.ce.index().into()),
-            ("histories", self.histories.to_json()),
-            ("emitted", self.emitted.into()),
-            ("ingested", self.ingested.into()),
-            ("dropped_stale", self.dropped_stale.into()),
-        ])
-    }
-
-    /// A warm restart: an evaluator of `cond` resuming from
-    /// [`Evaluator::to_json`]'s output with its histories intact and
-    /// its alert numbering continued.
-    ///
-    /// # Errors
-    ///
-    /// A document of any other shape, or histories whose variables and
-    /// degrees are not the ones `cond` needs.
-    // analyze: allow(reach): the checkpoint round trip that rcm_core's crate docs document
-    pub fn restore(cond: C, state: &Json) -> rcm_json::Result<Self> {
-        let histories = HistorySet::from_json(state.field("histories")?)?;
-        let shape = |h: &HistorySet| h.iter().map(|h| (h.var(), h.degree())).collect::<Vec<_>>();
-        if shape(&histories) != shape(&HistorySet::new(cond.history_spec())) {
-            return Err(rcm_json::Error::new("checkpointed histories do not fit the condition"));
-        }
-        Ok(Evaluator {
-            cond,
-            cond_id: CondId::new(state.field("cond_id")?.u32()?),
-            ce: CeId::new(state.field("ce")?.u32()?),
-            histories,
-            emitted: state.field("emitted")?.u64()?,
-            ingested: state.field("ingested")?.u64()?,
-            dropped_stale: state.field("dropped_stale")?.u64()?,
-        })
-    }
 }
 
 /// The paper's `T`: runs `updates` through a fresh evaluator and
@@ -221,6 +179,7 @@ pub fn transduce<C: Condition>(cond: &C, ce: CeId, updates: &[Update]) -> Vec<Al
 /// Panics if the updates span more than one variable (multi-variable
 /// systems need an interleaving, not a union — see the paper's
 /// Appendix C and the `rcm-props` crate).
+// analyze: allow(reach): evaluator_props checks Lemma 3 with it, and an integration test sees no #[cfg(test)] item
 pub fn transduce_merged<C: Condition>(
     cond: &C,
     ce: CeId,

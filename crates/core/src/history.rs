@@ -3,8 +3,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use rcm_json::{obj, Json};
-
 use crate::alert::{HistoryFingerprint, Snapshot};
 use crate::error::{Error, Result};
 use crate::update::{SeqNo, Update};
@@ -132,35 +130,6 @@ impl History {
     pub fn clear(&mut self) {
         self.buf.clear();
     }
-
-    /// `{"var":…,"degree":…,"updates":[update, …]}`, newest first.
-    fn to_json(&self) -> Json {
-        obj([
-            ("var", self.var.index().into()),
-            ("degree", self.degree.into()),
-            ("updates", self.buf.iter().map(|u| u.to_json()).collect()),
-        ])
-    }
-
-    /// Inverse of [`History::to_json`]: the updates are pushed oldest
-    /// first, so a checkpoint holding more than `degree` of them, one
-    /// for another variable or one out of order is refused.
-    fn from_json(j: &Json) -> rcm_json::Result<Self> {
-        let var = VarId::new(j.field("var")?.u32()?);
-        let degree = j.field("degree")?.usize()?;
-        let updates = j.field("updates")?.arr()?;
-        if degree == 0 || updates.len() > degree {
-            return Err(rcm_json::Error::new(format!(
-                "history of {var}: {} updates for degree {degree}",
-                updates.len()
-            )));
-        }
-        let mut h = History::new(var, degree);
-        for u in updates.iter().rev() {
-            h.push(Update::from_json(u)?).map_err(|e| rcm_json::Error::new(e.to_string()))?;
-        }
-        Ok(h)
-    }
 }
 
 impl fmt::Display for History {
@@ -273,25 +242,6 @@ impl HistorySet {
         for h in self.histories.values_mut() {
             h.clear();
         }
-    }
-
-    /// `[history, …]` in variable order, as an evaluator checkpoint
-    /// carries it.
-    pub(crate) fn to_json(&self) -> Json {
-        self.histories.values().map(History::to_json).collect()
-    }
-
-    /// Inverse of [`HistorySet::to_json`].
-    pub(crate) fn from_json(j: &Json) -> rcm_json::Result<Self> {
-        let mut histories = BTreeMap::new();
-        for h in j.arr()? {
-            let h = History::from_json(h)?;
-            let var = h.var;
-            if histories.insert(var, h).is_some() {
-                return Err(rcm_json::Error::new(format!("variable {var} listed twice")));
-            }
-        }
-        Ok(HistorySet { histories })
     }
 }
 

@@ -34,11 +34,10 @@
 //! * checksummed duplicate removal ([`ad::Ad1Digest`], the paper's §2
 //!   remark), the §4.2 "delayed displaying" alternative
 //!   ([`ad::DelayedOrdered`]), and the AD-6 ablation [`ad::Ad3Multi`];
-//! * **durable state**: every paper filter and the [`Evaluator`]
-//!   checkpoint to JSON (`to_json`, then `from_json` or
-//!   [`Evaluator::restore`] with the condition), so displayers and
-//!   evaluators can restart without forgetting what they promised the
-//!   user;
+//! * **durable state**: every paper filter checkpoints to JSON
+//!   (`to_json`, then `from_json`), so a displayer can restart without
+//!   forgetting what it promised the user. A CE keeps no checkpoint: a
+//!   crashed CE rebuilds its histories from what the DM still holds;
 //! * a **multi-condition engine** ([`ConditionRegistry`]): N conditions
 //!   hosted over one update stream behind a variable→condition inverted
 //!   index, with one history per variable and every subexpression that
@@ -99,10 +98,7 @@ pub use alert::{
     HistoryFingerprint, Snapshot,
 };
 pub use condition::{Condition, ConditionExt, Triggering};
-pub use derived::{
-    derived_var, derived_var_parts, is_derived_var, DerivedEmitter, DerivedPayload, DerivedUpdate,
-    DERIVED_VAR_BASE,
-};
+pub use derived::{derived_var, is_derived_var, DerivedEmitter, DerivedUpdate, DERIVED_VAR_BASE};
 pub use error::{Error, Result};
 pub use evaluator::{transduce, transduce_merged, Evaluator};
 pub use history::{History, HistorySet};

@@ -2,10 +2,9 @@
 //!
 //! The multi-variable definitions of completeness and consistency (paper
 //! Appendix C) quantify over *interleavings* `U_V` of the per-variable
-//! update sequences. [`interleavings`] enumerates them all, which the
-//! property checkers use as an exhaustive oracle on small traces, and
-//! [`merge_by_schedule`] materializes a single interleaving from a
-//! left/right choice mask.
+//! update sequences. [`merge_by_schedule`] materializes a single
+//! interleaving from a left/right choice mask; this module's tests
+//! enumerate them all.
 
 /// Merges `left` and `right` into one sequence according to `schedule`:
 /// `true` takes the next element of `left`, `false` of `right`.
@@ -18,6 +17,7 @@
 /// let merged = merge_by_schedule(&[1, 2], &[10, 20], &[false, true, true]);
 /// assert_eq!(merged, vec![10, 1, 2, 20]);
 /// ```
+// analyze: allow(reach): rcm-props' crossval suite builds Theorem 10's interleavings with it
 pub fn merge_by_schedule<T: Clone>(left: &[T], right: &[T], schedule: &[bool]) -> Vec<T> {
     let mut out = Vec::with_capacity(left.len() + right.len());
     let (mut i, mut j) = (0, 0);
@@ -41,68 +41,58 @@ pub fn merge_by_schedule<T: Clone>(left: &[T], right: &[T], schedule: &[bool]) -
     out
 }
 
-/// Iterator over every order-preserving interleaving of two sequences.
-///
-/// Produces `C(n+m, n)` sequences; callers are expected to keep inputs
-/// small (the property checkers cap trace lengths before enumerating).
-#[derive(Debug)]
-pub struct Interleavings<T> {
-    left: Vec<T>,
-    right: Vec<T>,
-    // Bitmask over n+m positions: bit set = take from `left`. Only masks
-    // with exactly `left.len()` set bits are yielded.
-    mask: u64,
-    done: bool,
-}
-
-/// Enumerates all order-preserving interleavings of `left` and `right`.
-///
-/// # Panics
-///
-/// Panics if the combined length exceeds 63 elements (the enumeration
-/// would not terminate in any reasonable time long before that anyway).
-///
-/// ```rust
-/// use rcm_core::seq::interleavings;
-/// let all: Vec<Vec<u32>> = interleavings(&[1, 2], &[9]).collect();
-/// assert_eq!(all.len(), 3); // C(3,2)
-/// assert!(all.contains(&vec![1, 2, 9]));
-/// assert!(all.contains(&vec![1, 9, 2]));
-/// assert!(all.contains(&vec![9, 1, 2]));
-/// ```
-pub fn interleavings<T: Clone>(left: &[T], right: &[T]) -> Interleavings<T> {
-    let total = left.len() + right.len();
-    assert!(total <= 63, "interleaving enumeration capped at 63 combined elements");
-    Interleavings { left: left.to_vec(), right: right.to_vec(), mask: 0, done: false }
-}
-
-impl<T: Clone> Iterator for Interleavings<T> {
-    type Item = Vec<T>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let total = self.left.len() + self.right.len();
-        let limit: u64 = 1u64 << total;
-        while !self.done {
-            let mask = self.mask;
-            if self.mask + 1 == limit || total == 0 {
-                self.done = true;
-            } else {
-                self.mask += 1;
-            }
-            if mask.count_ones() as usize == self.left.len() {
-                let schedule: Vec<bool> = (0..total).map(|b| mask >> b & 1 == 1).collect();
-                return Some(merge_by_schedule(&self.left, &self.right, &schedule));
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seq::{is_subsequence, phi};
     use rcm_net::cases;
+
+    /// Iterator over every order-preserving interleaving of two sequences.
+    ///
+    /// Produces `C(n+m, n)` sequences, so the tests keep inputs small.
+    #[derive(Debug)]
+    struct Interleavings<T> {
+        left: Vec<T>,
+        right: Vec<T>,
+        // Bitmask over n+m positions: bit set = take from `left`. Only masks
+        // with exactly `left.len()` set bits are yielded.
+        mask: u64,
+        done: bool,
+    }
+
+    /// Enumerates all order-preserving interleavings of `left` and `right`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the combined length exceeds 63 elements (the enumeration
+    /// would not terminate in any reasonable time long before that anyway).
+    fn interleavings<T: Clone>(left: &[T], right: &[T]) -> Interleavings<T> {
+        let total = left.len() + right.len();
+        assert!(total <= 63, "interleaving enumeration capped at 63 combined elements");
+        Interleavings { left: left.to_vec(), right: right.to_vec(), mask: 0, done: false }
+    }
+
+    impl<T: Clone> Iterator for Interleavings<T> {
+        type Item = Vec<T>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            let total = self.left.len() + self.right.len();
+            let limit: u64 = 1u64 << total;
+            while !self.done {
+                let mask = self.mask;
+                if self.mask + 1 == limit || total == 0 {
+                    self.done = true;
+                } else {
+                    self.mask += 1;
+                }
+                if mask.count_ones() as usize == self.left.len() {
+                    let schedule: Vec<bool> = (0..total).map(|b| mask >> b & 1 == 1).collect();
+                    return Some(merge_by_schedule(&self.left, &self.right, &schedule));
+                }
+            }
+            None
+        }
+    }
 
     #[test]
     fn counts_match_binomial() {

@@ -5,20 +5,20 @@
 //!
 //! * a sequence is **ordered** if its elements appear in non-decreasing
 //!   order ([`is_ordered`]);
-//! * `ΦS` is the unordered **set** of a sequence's elements ([`phi`]);
+//! * `ΦS` is the unordered **set** of a sequence's elements;
 //! * `S1 ⊑ S2` is the **subsequence** relation ([`is_subsequence`]);
 //! * `S1 ⊔ S2` is the **ordered union** of two ordered sequences, with
 //!   duplicates removed ([`ordered_union`]);
 //! * `Π_x U` projects the seqnos of `x`-updates out of a mixed update
-//!   sequence ([`project_updates`]), and `Π_x A` the `a.seqno.x` values
-//!   out of an alert sequence ([`project_alerts`]);
+//!   sequence, and `Π_x A` the `a.seqno.x` values out of an alert
+//!   sequence ([`project_alerts`]);
 //! * `SpanningSet(s)` is the set of consecutive integers between the
 //!   smallest and largest elements of `s` ([`spanning_set`]), used by
 //!   Algorithm AD-3.
 //!
-//! [`interleavings`] enumerates all order-preserving merges of two
-//! sequences; the property checkers use it as a brute-force oracle for
-//! the multi-variable definitions (paper Appendix C).
+//! [`merge_by_schedule`] builds one order-preserving merge of two
+//! sequences, an interleaving `U_V` of the multi-variable definitions
+//! (paper Appendix C).
 //!
 //! [`IntervalSet`] is the runtime counterpart of these set operations:
 //! a seqno set stored as sorted inclusive runs, used by the AD-3/AD-6
@@ -30,10 +30,9 @@ mod intervals;
 mod ops;
 mod project;
 
-pub use interleave::{interleavings, merge_by_schedule, Interleavings};
+pub use interleave::merge_by_schedule;
 pub use intervals::IntervalSet;
-pub use ops::{
-    inversions, is_ordered, is_strictly_ordered, is_subsequence, ordered_union, phi, spanning_gaps,
-    spanning_set,
-};
-pub use project::{alerts_ordered, is_ordered_wrt, project_alerts, project_updates};
+pub use ops::{inversions, is_ordered, is_subsequence, ordered_union, spanning_gaps, spanning_set};
+#[cfg(test)]
+pub(crate) use ops::{is_strictly_ordered, phi};
+pub use project::project_alerts;

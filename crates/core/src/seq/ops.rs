@@ -21,18 +21,14 @@ pub fn is_ordered<T: PartialOrd>(seq: &[T]) -> bool {
 /// Update sequences delivered over an in-order link are strictly ordered
 /// (a link never delivers the same seqno twice); alert sequences are
 /// merely ordered, since two alerts may share `a.seqno.x`.
-pub fn is_strictly_ordered<T: PartialOrd>(seq: &[T]) -> bool {
+#[cfg(test)]
+pub(crate) fn is_strictly_ordered<T: PartialOrd>(seq: &[T]) -> bool {
     seq.windows(2).all(|w| w[0] < w[1])
 }
 
 /// The paper's `ΦS`: the set of elements of sequence `S`.
-///
-/// ```rust
-/// use rcm_core::seq::phi;
-/// let s = phi(&[2u64, 1, 2, 6]);
-/// assert_eq!(s.into_iter().collect::<Vec<_>>(), vec![1, 2, 6]);
-/// ```
-pub fn phi<T: Ord + Clone>(seq: &[T]) -> BTreeSet<T> {
+#[cfg(test)]
+pub(crate) fn phi<T: Ord + Clone>(seq: &[T]) -> BTreeSet<T> {
     seq.iter().cloned().collect()
 }
 

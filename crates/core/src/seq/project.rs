@@ -1,30 +1,9 @@
-//! Projections `Π_x` from mixed update/alert sequences to per-variable
-//! seqno sequences.
+//! Projections `Π_x` from alert sequences to per-variable seqno
+//! sequences.
 
 use crate::alert::Alert;
-use crate::update::{SeqNo, Update};
+use crate::update::SeqNo;
 use crate::var::VarId;
-
-use super::ops::is_ordered;
-
-/// The paper's `Π_x U`: the sequence of seqnos of `var`-updates in `U`,
-/// in their order of appearance.
-///
-/// ```rust
-/// use rcm_core::seq::project_updates;
-/// use rcm_core::{Update, VarId, SeqNo};
-/// let x = VarId::new(0);
-/// let y = VarId::new(1);
-/// let u = vec![
-///     Update::new(x, 2, 0.0), Update::new(y, 6, 0.0),
-///     Update::new(y, 1, 0.0), Update::new(x, 3, 0.0),
-/// ];
-/// assert_eq!(project_updates(&u, x), vec![SeqNo::new(2), SeqNo::new(3)]);
-/// assert_eq!(project_updates(&u, y), vec![SeqNo::new(6), SeqNo::new(1)]);
-/// ```
-pub fn project_updates(updates: &[Update], var: VarId) -> Vec<SeqNo> {
-    updates.iter().filter(|u| u.var == var).map(|u| u.seqno).collect()
-}
 
 /// The paper's `Π_x A`: the sequence `⟨a.seqno.x | a ∈ A⟩`.
 ///
@@ -34,22 +13,30 @@ pub fn project_alerts(alerts: &[Alert], var: VarId) -> Vec<SeqNo> {
     alerts.iter().filter_map(|a| a.seqno(var)).collect()
 }
 
-/// Whether the alert sequence is ordered with respect to `var`
-/// (`Π_var A` is non-decreasing).
-pub fn is_ordered_wrt(alerts: &[Alert], var: VarId) -> bool {
-    is_ordered(&project_alerts(alerts, var))
-}
-
-/// Whether the alert sequence is ordered with respect to *every*
-/// variable in `vars` — the paper's "A is ordered".
-pub fn alerts_ordered(alerts: &[Alert], vars: &[VarId]) -> bool {
-    vars.iter().all(|&v| is_ordered_wrt(alerts, v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alert::{AlertId, CeId, CondId, HistoryFingerprint};
+    use crate::seq::is_ordered;
+    use crate::update::Update;
+
+    /// The paper's `Π_x U`: the sequence of seqnos of `var`-updates in `U`,
+    /// in their order of appearance.
+    fn project_updates(updates: &[Update], var: VarId) -> Vec<SeqNo> {
+        updates.iter().filter(|u| u.var == var).map(|u| u.seqno).collect()
+    }
+
+    /// Whether the alert sequence is ordered with respect to `var`
+    /// (`Π_var A` is non-decreasing).
+    fn is_ordered_wrt(alerts: &[Alert], var: VarId) -> bool {
+        is_ordered(&project_alerts(alerts, var))
+    }
+
+    /// Whether the alert sequence is ordered with respect to *every*
+    /// variable in `vars` — the paper's "A is ordered".
+    fn alerts_ordered(alerts: &[Alert], vars: &[VarId]) -> bool {
+        vars.iter().all(|&v| is_ordered_wrt(alerts, v))
+    }
 
     fn alert2(x_seq: u64, y_seq: u64) -> Alert {
         let x = VarId::new(0);

@@ -76,6 +76,7 @@ impl Rng {
 /// case, its seed, the smallest size that failed and that run's own
 /// message. `check(&mut Rng::seed_from_u64(seed), size)` replays it.
 #[track_caller]
+// analyze: allow(reach): the seeded property suites under every crate's tests/ run through it
 pub fn cases(name: &str, n: u32, max_size: usize, mut check: impl FnMut(&mut Rng, usize)) {
     // FNV-1a: the same name gives the same seeds on every platform.
     let base = name

@@ -80,7 +80,7 @@ pub fn check_equivalent_multi<C: Condition>(
     );
     let mut best: Option<(usize, usize)> = None; // (divergence pos, ref len)
     let mut found = false;
-    crate::multi::enumerate_merges_pub(&lists, &mut |candidate| {
+    crate::multi::enumerate_merges(&lists, &mut |candidate| {
         let reference = transduce(cond, CeId::new(u32::MAX), candidate);
         let divergence =
             reference.iter().zip(displayed.iter()).position(|(a, b)| a != b).or_else(|| {

@@ -30,6 +30,7 @@
 
 pub mod brute;
 pub mod domination;
+#[cfg(test)]
 mod equivalence;
 pub mod maximality;
 mod multi;
@@ -37,7 +38,6 @@ mod ordered;
 mod single;
 mod util;
 
-pub use equivalence::{check_equivalent_multi, check_equivalent_single, EquivalenceReport};
 pub use multi::{check_complete_multi, check_consistent_multi, MULTI_ENUM_CAP};
 pub use ordered::{check_ordered, OrderedReport};
 pub use single::{check_complete_single, check_consistent_single};

@@ -68,13 +68,6 @@ pub fn check_complete_multi<C: Condition>(
 /// Enumerates every order-preserving merge of `lists`, invoking the
 /// visitor on each; the visitor returns `true` to stop early. Returns
 /// whether the enumeration was stopped.
-pub(crate) fn enumerate_merges_pub(
-    lists: &[Vec<Update>],
-    visit: &mut impl FnMut(&[Update]) -> bool,
-) -> bool {
-    enumerate_merges(lists, visit)
-}
-
 pub(crate) fn enumerate_merges(
     lists: &[Vec<Update>],
     visit: &mut impl FnMut(&[Update]) -> bool,
@@ -257,9 +250,9 @@ pub fn check_consistent_multi<C: Condition>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check_ordered;
     use rcm_core::ad::{apply_filter, Ad1, Ad5};
     use rcm_core::condition::AbsDifference;
-    use rcm_core::seq::alerts_ordered;
 
     fn x() -> VarId {
         VarId::new(0)
@@ -305,7 +298,7 @@ mod tests {
         let arrivals: Vec<Alert> = a1.iter().chain(a2.iter()).cloned().collect();
         let a = apply_filter(&mut Ad1::new(), &arrivals);
         assert_eq!(a.len(), 2);
-        assert!(!alerts_ordered(&a, &[x(), y()]));
+        assert!(!check_ordered(&a, &[x(), y()]).ok);
         let cons = check_consistent_multi(&cm, &[u1, u2], &a);
         assert!(!cons.ok);
         assert!(cons.conflict.unwrap().contains("cycle"));
@@ -327,7 +320,7 @@ mod tests {
         let arrivals: Vec<Alert> = a1.iter().chain(a2.iter()).cloned().collect();
         let a = apply_filter(&mut Ad5::new([x(), y()]), &arrivals);
         assert_eq!(a.len(), 1);
-        assert!(alerts_ordered(&a, &[x(), y()]));
+        assert!(check_ordered(&a, &[x(), y()]).ok);
         assert!(check_consistent_multi(&cm, &[u1, u2], &a).ok);
     }
 

@@ -25,11 +25,11 @@
 //! Updates are evaluated a round at a time: the main thread takes one
 //! delivered update plus whatever else is already queued, up to
 //! `ROUND` (64). `--workers N` (default 0) splits the conditions into
-//! `N` shards, `cond_id % N`, run on `min(N, cpus)` threads: the main
-//! thread and `min(N, cpus) - 1` helpers, each handed every round and
-//! joined before the next. `cpus` is the CPUs the node may use (its
-//! affinity mask and CPU quota), so a node confined to one CPU spawns
-//! no helper and evaluates every shard itself. The shards' alerts are
+//! `T = min(N, cpus)` shards, `cond_id % T`, one per thread: the main
+//! thread and `T - 1` helpers, each handed every round and joined
+//! before the next. `cpus` is the CPUs the node may use (its affinity
+//! mask and CPU quota), so a node confined to one CPU spawns no helper
+//! and evaluates every condition in one shard. The shards' alerts are
 //! merged back into the exact single-threaded emission order before the
 //! back link, and nothing is shed. The exit report carries the helper
 //! count and the ingest→emit latency percentiles.
@@ -64,8 +64,8 @@ fn usage() -> ExitCode {
         "usage: rcm-ce --bind HOST:PORT --ad HOST:PORT --condition '<expr>' \
          [--condition '<expr>' ...] [--node N] [--dms N] [--idle-ms N] \
          [--workers N]\n\
-         --workers N splits the conditions into N shards, run on the main\n\
-         thread and min(N, CPUs) - 1 helper threads (0 and 1 spawn none)\n\
+         --workers N splits the conditions into min(N, CPUs) shards, one on\n\
+         the main thread and one per helper thread (0 and 1 spawn none)\n\
          exits after --dms distinct DM Fins (each echoed to its DM, which then\n\
          stops repeating it) or --idle-ms of silence"
     );

@@ -97,10 +97,6 @@ pub struct FaultPlan {
     pub max_restarts: u32,
     /// How many recent updates each DM retains for recovery replay.
     pub retain_window: usize,
-    /// First reconnect backoff delay.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
 }
 
 impl Default for FaultPlan {
@@ -111,8 +107,6 @@ impl Default for FaultPlan {
             stalls: Vec::new(),
             max_restarts: 3,
             retain_window: 256,
-            backoff_base: Duration::from_micros(200),
-            backoff_cap: Duration::from_millis(20),
         }
     }
 }
@@ -177,20 +171,6 @@ impl FaultPlan {
     #[must_use]
     pub fn retain_window(mut self, retain_window: usize) -> Self {
         self.retain_window = retain_window;
-        self
-    }
-
-    /// Sets the reconnect backoff schedule parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is zero or `cap < base` (see
-    /// [`rcm_net::Backoff::new`]).
-    #[must_use]
-    pub fn backoff(mut self, base: Duration, cap: Duration) -> Self {
-        assert!(!base.is_zero() && cap >= base, "invalid backoff parameters");
-        self.backoff_base = base;
-        self.backoff_cap = cap;
         self
     }
 }
@@ -385,11 +365,7 @@ mod tests {
 
     #[test]
     fn scripted_builder_accumulates() {
-        let plan = FaultPlan::scripted()
-            .kill_ce(1, 40)
-            .max_restarts(1)
-            .retain_window(64)
-            .backoff(Duration::from_millis(1), Duration::from_millis(4));
+        let plan = FaultPlan::scripted().kill_ce(1, 40).max_restarts(1).retain_window(64);
         assert_eq!(plan.kills, vec![KillCe { ce: 1, at_arrival: 40 }]);
         assert_eq!(plan.max_restarts, 1);
         assert_eq!(plan.retain_window, 64);

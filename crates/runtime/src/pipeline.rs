@@ -1,19 +1,18 @@
 //! The CE's evaluation stage: one [`EvalPipeline`] behind every
 //! supervised replica and every `rcm-ce` node, for any worker count.
 //!
-//! **Shards.** `workers` is the shard count: condition `i` lives on
-//! shard `i % max(workers, 1)`, and this module is the only code in the
-//! workspace that partitions conditions.
-//!
-//! **Threads.** The shards run on `min(workers, cpus)` threads, where
-//! `cpus` is the caller's [`available_parallelism`] (its affinity mask
-//! and CPU quota; no cap when it is unknown). Shard `s` runs on thread
-//! `s % threads`. Thread 0 is the caller's (the one driving the
-//! replica), and every other thread is a helper spawned here. A helper
-//! that cannot run beside its caller only adds a hand-off per round, so
-//! a caller confined to one CPU spawns nothing and evaluates every
-//! shard itself. With `workers` 0 or 1 nothing is spawned and the CPU
-//! count is not read.
+//! **Shards are threads.** The conditions are evaluated on
+//! `threads = min(max(workers, 1), cpus)` threads, where `cpus` is the
+//! caller's [`available_parallelism`] (its affinity mask and CPU quota;
+//! no cap when it is unknown). Condition `i` lives on thread
+//! `i % threads`, in that thread's one [`ConditionRegistry`], and this
+//! module is the only code in the workspace that partitions
+//! conditions. Thread 0 is the caller's (the one driving the replica),
+//! and every other thread is a helper spawned here. A helper that
+//! cannot run beside its caller only adds a hand-off per round, so a
+//! caller confined to one CPU spawns nothing and evaluates every
+//! condition in one registry. With `workers` 0 or 1 nothing is spawned
+//! and the CPU count is not read.
 //!
 //! [`available_parallelism`]: rcm_sync::thread::available_parallelism
 //!
@@ -22,15 +21,11 @@
 //! [`EvalPipeline::dispatch_round`], which forks and joins:
 //!
 //! 1. each helper is sent the round over its own channel;
-//! 2. the caller evaluates its own shards;
+//! 2. the caller evaluates its own shard;
 //! 3. the caller receives each helper's alerts and per-update counts;
 //! 4. for each update in order, the threads' alerts are merged in
 //!    ascending condition id and handed to the [`AlertDrain`], and the
 //!    update's ingest→emit latency is recorded.
-//!
-//! A thread holding several shards ingests each update into each of
-//! them in shard order, then counts that update's alerts once, so the
-//! merge sees one run of alerts per thread per update.
 //!
 //! A job's buffers (the round, its alerts, its counts) go to the helper
 //! and come back with the reply, so the steady state allocates nothing.
@@ -54,7 +49,7 @@
 //!
 //! **Failure.** A helper that panics drops its reply sender, so the
 //! caller's receive fails; the caller joins the helper and re-raises
-//! its payload. A panic on the caller's shards is held until every
+//! its payload. A panic on the caller's shard is held until every
 //! helper has replied, then re-raised. Either way no job is in flight
 //! once `dispatch_round` returns or unwinds, and a pipeline that lost a
 //! helper panics on every later round instead of waiting on it.
@@ -111,24 +106,24 @@ pub trait AlertDrain: Send {
 /// or `rcm-ce --workers`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineOptions {
-    /// Shard count. `0` (the default) and `1` evaluate every condition
-    /// on the dispatching thread. `n >= 2` runs the `n` shards on
-    /// `min(n, cpus)` threads, the dispatching thread and
-    /// `min(n, cpus) - 1` helpers, where `cpus` is the dispatching
-    /// thread's available parallelism. The output is the same for any
-    /// `n` and any CPU count.
+    /// The most threads evaluating. `0` (the default) and `1` evaluate
+    /// every condition on the dispatching thread. `n >= 2` splits the
+    /// conditions into `min(n, cpus)` shards, one per thread: the
+    /// dispatching thread and `min(n, cpus) - 1` helpers, where `cpus`
+    /// is the dispatching thread's available parallelism. The output is
+    /// the same for any `n` and any CPU count.
     pub workers: usize,
 }
 
 impl PipelineOptions {
-    /// Options running `workers` shards.
+    /// Options running at most `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         PipelineOptions { workers }
     }
 }
 
-/// One thread's share of a round: the alerts its shards raised, and
-/// how many each update raised. Both are kept reversed, so the next
+/// One thread's share of a round: the alerts its shard raised, and how
+/// many each update raised. Both are kept reversed, so the next
 /// update's alerts sit at the end where [`Evaluated::take_next`] pops
 /// them.
 #[derive(Default)]
@@ -138,14 +133,12 @@ struct Evaluated {
 }
 
 impl Evaluated {
-    fn evaluate(&mut self, shards: &mut [ConditionRegistry], round: &[Update]) {
+    fn evaluate(&mut self, shard: &mut ConditionRegistry, round: &[Update]) {
         self.alerts.clear();
         self.counts.clear();
         for &update in round {
             let before = self.alerts.len();
-            for shard in shards.iter_mut() {
-                shard.ingest(update, &mut self.alerts);
-            }
+            shard.ingest(update, &mut self.alerts);
             self.counts.push(self.alerts.len() - before);
         }
         self.alerts.reverse();
@@ -163,7 +156,7 @@ impl Evaluated {
 /// filled.
 #[derive(Default)]
 struct Job {
-    /// Wipe the shards' histories before this round (the replica
+    /// Wipe the shard's histories before this round (the replica
     /// restarted since the last one).
     restart: bool,
     round: Vec<Update>,
@@ -193,8 +186,8 @@ impl Helper {
 /// A running evaluation pipeline, owned by the replica that dispatches
 /// to it.
 pub struct EvalPipeline {
-    /// The shards evaluated on the dispatching thread, shard 0 first.
-    shards: Vec<ConditionRegistry>,
+    /// The shard evaluated on the dispatching thread, shard 0.
+    shard: ConditionRegistry,
     own: Evaluated,
     helpers: Vec<Helper>,
     drain: Box<dyn AlertDrain>,
@@ -210,10 +203,10 @@ impl std::fmt::Debug for EvalPipeline {
 }
 
 impl EvalPipeline {
-    /// Starts the evaluation stage: `workers` shards on
-    /// `min(workers, cpus)` threads, the caller's and one helper per
-    /// further thread (see the module docs). Condition `i` gets global
-    /// id `CondId::new(i)` and lives on shard `i % max(workers, 1)`.
+    /// Starts the evaluation stage: one shard on each of
+    /// `min(max(workers, 1), cpus)` threads, the caller's and one helper
+    /// per further thread (see the module docs). Condition `i` gets
+    /// global id `CondId::new(i)` and lives on shard `i % threads`.
     /// The CPU count is read here, once, and only when `workers >= 2`.
     /// Nothing is ever shed: `_shed` is kept only so that existing
     /// callers still compile, and is never written.
@@ -233,9 +226,9 @@ impl EvalPipeline {
         EvalPipeline::with_cpus(ce, conditions, options, cpus, drain, latency)
     }
 
-    /// [`start`](Self::start) with the CPU budget given: the shards run
-    /// on `min(workers, cpus)` threads, and never fewer than one (the
-    /// caller's).
+    /// [`start`](Self::start) with the CPU budget given:
+    /// `min(workers, cpus)` shards, one per thread, and never fewer than
+    /// one (the caller's).
     pub(crate) fn with_cpus(
         ce: CeId,
         conditions: &[Arc<dyn Condition>],
@@ -244,29 +237,26 @@ impl EvalPipeline {
         drain: Box<dyn AlertDrain>,
         latency: Arc<LatencyHistogram>,
     ) -> EvalPipeline {
-        let shards = options.workers.max(1);
-        let threads = shards.min(cpus).max(1);
-        // Shard `s` hosts the conditions with `i % shards == s`, in
+        let threads = options.workers.max(1).min(cpus).max(1);
+        // Shard `t` hosts the conditions with `i % threads == t`, in
         // ascending `i`, so it emits in ascending condition id.
-        let shard = |s: usize| {
+        let shard = |t: usize| {
             let mut registry = ConditionRegistry::new(ce);
-            for (i, cond) in conditions.iter().enumerate().skip(s).step_by(shards) {
+            for (i, cond) in conditions.iter().enumerate().skip(t).step_by(threads) {
                 registry.insert(CondId::new(i as u32), Arc::clone(cond));
             }
             registry
         };
-        // Thread `t` holds shards `t, t + threads, …`, in shard order.
-        let held = |t: usize| (t..shards).step_by(threads).map(shard).collect::<Vec<_>>();
         let mut helpers = Vec::with_capacity(threads - 1);
         for t in 1..threads {
-            let registries = held(t);
+            let registry = shard(t);
             let (jobs, job_rx) = unbounded::<Job>();
             let (reply_tx, replies) = unbounded::<Job>();
-            let thread = rcm_sync::thread::spawn(move || helper_body(registries, job_rx, reply_tx));
+            let thread = rcm_sync::thread::spawn(move || helper_body(registry, job_rx, reply_tx));
             helpers.push(Helper { jobs, replies, thread: Some(thread), job: Job::default() });
         }
         EvalPipeline {
-            shards: held(0),
+            shard: shard(0),
             own: Evaluated::default(),
             helpers,
             drain,
@@ -294,7 +284,7 @@ impl EvalPipeline {
                 lost.get_or_insert(payload);
             }
         }
-        let own = catch_unwind(AssertUnwindSafe(|| self.own.evaluate(&mut self.shards, round)));
+        let own = catch_unwind(AssertUnwindSafe(|| self.own.evaluate(&mut self.shard, round)));
         for helper in self.helpers.iter_mut().filter(|h| h.thread.is_some()) {
             match helper.replies.recv() {
                 Ok(job) => helper.job = job,
@@ -338,7 +328,7 @@ impl EvalPipeline {
     /// next round (the caller's at once, each helper's with the next
     /// job); alert numbering survives.
     pub fn restart(&mut self) {
-        self.shards.iter_mut().for_each(ConditionRegistry::restart);
+        self.shard.restart();
         for helper in &mut self.helpers {
             helper.job.restart = true;
         }
@@ -373,14 +363,14 @@ fn elapsed_nanos(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One helper: evaluates each round it is sent against its shards and
+/// One helper: evaluates each round it is sent against its shard and
 /// sends the job back, until the pipeline hangs up.
-fn helper_body(mut shards: Vec<ConditionRegistry>, jobs: Receiver<Job>, replies: Sender<Job>) {
+fn helper_body(mut shard: ConditionRegistry, jobs: Receiver<Job>, replies: Sender<Job>) {
     while let Ok(mut job) = jobs.recv() {
         if std::mem::take(&mut job.restart) {
-            shards.iter_mut().for_each(ConditionRegistry::restart);
+            shard.restart();
         }
-        job.out.evaluate(&mut shards, &job.round);
+        job.out.evaluate(&mut shard, &job.round);
         if replies.send(job).is_err() {
             return;
         }
@@ -555,8 +545,8 @@ mod tests {
     #[test]
     fn restart_marker_wipes_all_shards_at_the_same_position() {
         // The sustained conditions, 7 and 8, sit on shards 3 and 0 at
-        // four workers: on a helper and on the caller uncapped, both on
-        // the caller at one CPU, split over the two threads at two.
+        // four workers uncapped (a helper and the caller), on shards 1
+        // and 0 at two CPUs, and both on the caller at one.
         let RestartCase { conds, updates, cut, want } = restart_case();
         for workers in [0usize, 1, 4] {
             for cpus in BUDGETS {
@@ -670,8 +660,9 @@ mod tests {
         }
     }
 
-    /// Runs `workers(2)` on a budget of `cpus` with the `Fuse` on shard
-    /// 1: it blows in the second round, and that panic must reach the
+    /// Runs `workers(2)` on a budget of `cpus` with the `Fuse` as
+    /// condition 1 (a helper's at two CPUs, the caller's at one): it
+    /// blows in the second round, and that panic must reach the
     /// dispatcher with nothing of the round drained.
     fn the_fuse_blows_through_dispatch_round(cpus: usize, helpers: usize) {
         let x = VarId::new(0);
@@ -709,7 +700,7 @@ mod tests {
 
     #[test]
     fn a_panic_on_a_shard_of_the_caller_surfaces_from_dispatch_round() {
-        // One CPU puts shard 1 on the caller's thread.
+        // One CPU puts the fuse in the caller's one shard.
         the_fuse_blows_through_dispatch_round(1, 0);
     }
 }

@@ -234,14 +234,14 @@ impl SystemBuilder {
         self
     }
 
-    /// Number of evaluation shards per CE replica's
-    /// [`EvalPipeline`](crate::EvalPipeline) (default 0). Condition `i`
-    /// lives on shard `i % max(workers, 1)`. The shards run on
-    /// `min(workers, cpus)` threads, where `cpus` is the available
-    /// parallelism of the thread calling [`start`](Self::start): the
-    /// thread that drives the replica (the DM loop in-process) and
-    /// `min(workers, cpus) - 1` helpers per replica. So `workers` 0 and
-    /// 1 spawn nothing, and neither does a system started on one CPU.
+    /// The most evaluation threads per CE replica's
+    /// [`EvalPipeline`](crate::EvalPipeline) (default 0). A replica
+    /// runs `T = min(max(workers, 1), cpus)` threads, where `cpus` is the
+    /// available parallelism of the thread calling
+    /// [`start`](Self::start): the thread that drives the replica (the
+    /// DM loop in-process) and `T - 1` helpers. Condition `i` lives on
+    /// thread `i % T`, one shard per thread. So `workers` 0 and 1 spawn
+    /// nothing, and neither does a system started on one CPU.
     /// The helpers are the only parallelism inside an in-process
     /// system: its replicas take turns on the DM loop. Each round of
     /// admitted updates is handed to every helper and joined before the
@@ -539,17 +539,17 @@ struct Replicas {
     emitted: Vec<Arc<Mutex<Vec<Alert>>>>,
 }
 
+/// First reconnect delay of a replica's back link.
+const BACKOFF_BASE: Duration = Duration::from_micros(200);
+/// Ceiling of a replica's back-link reconnect delays.
+const BACKOFF_CAP: Duration = Duration::from_millis(20);
+
 impl Replicas {
-    /// The reconnect schedule of replica `ce`'s back link: the plan's
-    /// bounds (or the default plan's), jittered from the run's seed.
+    /// The reconnect schedule of replica `ce`'s back link:
+    /// [`BACKOFF_BASE`] to [`BACKOFF_CAP`], jittered from the run's seed.
     fn backoff(&self, ce: usize) -> Backoff {
-        let default = FaultPlan::default();
-        let plan = self.plan.as_ref().unwrap_or(&default);
-        Backoff::new(
-            plan.backoff_base,
-            plan.backoff_cap,
-            self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ce as u64),
-        )
+        let seed = self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ce as u64);
+        Backoff::new(BACKOFF_BASE, BACKOFF_CAP, seed)
     }
 
     /// Replica `ce`'s scripted back-link severances as `(at_send,
@@ -662,7 +662,7 @@ pub struct MonitorSystem {
     emitted: Vec<Arc<Mutex<Vec<Alert>>>>,
     fault_report: Arc<Mutex<FaultReport>>,
     links: LinkCounters,
-    /// Evaluation shards per replica (`SystemBuilder::workers`).
+    /// The most evaluation threads per replica (`SystemBuilder::workers`).
     workers: usize,
     /// Run-wide ingest→alert-emit latency histogram.
     latency: Arc<LatencyHistogram>,
@@ -758,7 +758,7 @@ pub struct RunReport {
     /// Per-link transport counters, shaped identically whether the run
     /// rode channels or real sockets.
     pub transport: TransportReport,
-    /// What the evaluation stage observed: shard count, helper threads
+    /// What the evaluation stage observed: the worker setting, helper threads
     /// and the ingest→alert-emit latency distribution.
     pub pipeline: PipelineReport,
 }
@@ -766,9 +766,10 @@ pub struct RunReport {
 /// Evaluation-stage counters for a finished run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineReport {
-    /// Evaluation shards per replica, as set with
+    /// The most evaluation threads per replica, as set with
     /// [`SystemBuilder::workers`] (0 and 1 evaluate on the thread that
-    /// drives the replica; the output is identical for any count).
+    /// drives the replica; the output is identical for any count). Each
+    /// replica runs `min(workers, cpus)` shards, one per thread.
     pub workers: usize,
     /// Evaluation helper threads actually spawned, summed over the
     /// replicas: `min(workers, cpus) - 1` each, so it depends on the
@@ -853,7 +854,7 @@ mod tests {
             .iter()
             .map(|a| a.seqno(x()).expect("alert carries seqno for x").get())
             .collect();
-        assert!(rcm_core::seq::is_strictly_ordered(&seqs));
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "strictly ordered: {seqs:?}");
         assert!(!report.displayed.is_empty());
     }
 
@@ -1232,6 +1233,6 @@ mod tests {
             .expect("system starts");
         let report = system.wait();
         // The displayed sequence is ordered in both variables.
-        assert!(rcm_core::seq::alerts_ordered(&report.displayed, &[x(), y]));
+        assert!(rcm_props::check_ordered(&report.displayed, &[x(), y]).ok);
     }
 }

@@ -743,7 +743,6 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
         leaf_replicas: replicas,
         replay_window: 4096,
         wire_check: true,
-        ..TreeOptions::default()
     };
     let mut tree = TreeEval::build(plan, opts);
     // Faults fire before the update at their index: a relay dies at a

@@ -25,9 +25,10 @@
 //!
 //! The CE body is an `EvalPipeline` over one always-firing threshold
 //! per active variable, dispatched one update at a time; `--workers W`
-//! (default 0 = evaluated on the main thread) splits it into `W`
-//! shards, `cond_id % W`, run on the main thread and `min(W, cpus) - 1`
-//! helper threads (`cpus`: the CPUs the process may use), and merges
+//! (default 0 = evaluated on the main thread) splits it into
+//! `T = min(W, cpus)` shards, `cond_id % T`, one on the main thread and
+//! one on each of `T - 1` helper threads (`cpus`: the CPUs the process
+//! may use), and merges
 //! the alerts back into stream order before the fan-out, so the
 //! gauntlet also exercises sharded evaluation under real sockets. The
 //! report carries the helper count and the pipeline's ingest→emit
@@ -84,8 +85,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: scale [--front N] [--back M] [--active A] [--updates K] \
          [--budget-ms MS] [--workers W] [--tree DxF] [--json]\n\
-         --workers W splits the conditions into W shards, run on the main\n\
-         thread and min(W, CPUs) - 1 helper threads (0 and 1 spawn none)"
+         --workers W splits the conditions into min(W, CPUs) shards, one on\n\
+         the main thread and one per helper thread (0 and 1 spawn none)"
     );
     ExitCode::FAILURE
 }
@@ -256,8 +257,8 @@ fn main() -> ExitCode {
     // per active variable, and the alert is fanned out on every back
     // link. The channel closes when the ingress saw all N Fins (or its
     // idle backstop fired). `--workers W` splits the conditions into
-    // `W` shards, `cond_id % W`, and merges back into stream order
-    // before the fan-out.
+    // `min(W, cpus)` shards, one per thread, and merges back into stream
+    // order before the fan-out.
     let latency = Arc::new(LatencyHistogram::new());
     let emitted = Arc::new(AtomicU64::new(0));
     let mut drain = FanoutDrain { backs, emitted: Arc::clone(&emitted) };
@@ -328,7 +329,6 @@ fn main() -> ExitCode {
     let ad_stats = ad.snapshot();
     let engine_stats = engine_counters.snapshot();
     let lost_overflow: u64 = back_stats.iter().map(|s| s.snapshot().lost_overflow).sum();
-    let shed: u64 = back_stats.iter().map(|s| s.snapshot().shed).sum();
     let per_link_bytes = if opts.front == 0 {
         0
     } else {
@@ -397,7 +397,7 @@ fn main() -> ExitCode {
             ("peak_fds", peak_fds.into()),
             ("rss_delta_bytes", rss_after_links.saturating_sub(rss_before).into()),
             ("per_link_bytes", per_link_bytes.into()),
-            ("shed", shed.into()),
+            ("lost_overflow", lost_overflow.into()),
             ("workers", opts.workers.into()),
             ("helpers", helpers.into()),
             ("latency_p50_ns", lat.p50_ns.into()),

@@ -81,13 +81,18 @@ mod tests {
 
     #[test]
     fn derived_streams_share_the_admission_contract() {
-        use rcm_core::{derived_var, DerivedPayload};
+        use rcm_core::{derived_var, Alert, AlertId, CeId, CondId, HistoryFingerprint};
         let mut gate = SeqGate::new();
         let var = derived_var(0, 2);
         let d = |seqno| DerivedUpdate {
             var,
             seqno: SeqNo::new(seqno),
-            payload: DerivedPayload::Aggregate(0.0),
+            verdict: Alert::new(
+                CondId::new(0),
+                HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(1)]),
+                vec![],
+                AlertId { ce: CeId::new(0), index: 0 },
+            ),
         };
         assert!(gate.admit_derived(&d(1)));
         assert!(!gate.admit_derived(&d(1)), "replica duplicate discarded");

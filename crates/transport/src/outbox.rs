@@ -18,7 +18,7 @@
 //!   adversarial input every AD algorithm already discards.
 //!
 //! An [`Outbox`] holds that state and counts the policy's counters
-//! (`severs`, `queued_peak`, `lost_overflow`, `shed`) into the link's
+//! (`severs`, `queued_peak`, `lost_overflow`) into the link's
 //! [`BackLinkStats`] block. The links — the in-process `BackLink` of
 //! `rcm-runtime`, [`TcpBackLink`](crate::TcpBackLink) and the evented
 //! back link — keep only how to send, reconnect and finish, and count
@@ -109,7 +109,6 @@ impl<T: Clone> Outbox<T> {
         if self.queue.len() >= Self::QUEUE_CAP {
             self.queue.pop_front();
             self.counters.lost_overflow.fetch_add(1, Ordering::SeqCst);
-            self.counters.shed.fetch_add(1, Ordering::SeqCst);
         }
         self.queue.push_back(msg);
         self.counters.observe_queue_depth(self.queue.len() as u64);
@@ -211,7 +210,7 @@ mod tests {
         let sent: Vec<(u64, bool)> = out.replay();
         assert_eq!(sent, (3..cap + 3).map(|m| (m, false)).collect::<Vec<_>>());
         let stats = out.counters.snapshot();
-        assert_eq!((stats.lost_overflow, stats.shed, stats.queued_peak), (3, 3, cap));
+        assert_eq!((stats.lost_overflow, stats.queued_peak), (3, cap));
     }
 
     #[test]

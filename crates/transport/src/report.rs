@@ -143,10 +143,6 @@ pub struct BackLinkStats<C = u64> {
     pub frames_sent: C,
     /// Wire bytes written to the stream, headers included.
     pub bytes_sent: C,
-    /// Alerts shed because the bounded resend queue was full while the
-    /// peer was down (each is also counted in `lost_overflow` — this
-    /// counter isolates back-pressure sheds from other overflow paths).
-    pub shed: C,
 }
 
 impl BackLinkStats<AtomicU64> {
@@ -173,7 +169,6 @@ impl BackLinkStats<AtomicU64> {
             io_errors: load(&self.io_errors),
             frames_sent: load(&self.frames_sent),
             bytes_sent: load(&self.bytes_sent),
-            shed: load(&self.shed),
         }
     }
 }
@@ -191,7 +186,6 @@ impl BackLinkStats {
             ("io_errors", self.io_errors.into()),
             ("frames_sent", self.frames_sent.into()),
             ("bytes_sent", self.bytes_sent.into()),
-            ("shed", self.shed.into()),
         ])
     }
 }
@@ -444,7 +438,7 @@ mod tests {
                 r#""delivered":8,"dropped_stale":0,"decode_errors":0,"fins":0,"bytes_received":0}],"#,
                 r#""back_links":[{"sent":3,"severs":0,"reconnects":1,"attempts":0,"#,
                 r#""resent_duplicates":0,"queued_peak":0,"lost_overflow":0,"io_errors":0,"#,
-                r#""frames_sent":0,"bytes_sent":0,"shed":0}],"#,
+                r#""frames_sent":0,"bytes_sent":0}],"#,
                 r#""ad":{"connections":2,"alerts":3,"decode_errors":0,"fins":1,"bytes_received":120},"#,
                 r#""engine":{"wakeups":40,"timer_fires":6,"spurious_readiness":1}}"#,
             )
@@ -561,7 +555,6 @@ mod tests {
             io_errors: n(8),
             frames_sent: n(9),
             bytes_sent: n(10),
-            shed: n(11),
         };
         back.observe_queue_depth(4); // lower: the peak sticks
         assert_eq!(
@@ -577,7 +570,6 @@ mod tests {
                 io_errors: 8,
                 frames_sent: 9,
                 bytes_sent: 10,
-                shed: 11
             }
         );
         back.observe_queue_depth(12);

@@ -36,14 +36,14 @@
 //!              nsnap:varint update*
 //! hello/fin := node:varint
 //! batches   := count:varint item*
-//! derived   := var:varint seqno:varint kind:u8 body
-//!              kind 0 (aggregate): value:f64-le-bits
-//!              kind 1 (verdict):   alert
+//! derived   := var:varint seqno:varint kind:u8 alert
+//!              kind 1 (verdict) is the only kind
+//!              (0 was aggregate: retired, never to be reused)
 //! ```
 
 use rcm_core::{
-    Alert, AlertId, CeId, CondId, DerivedPayload, DerivedUpdate, FingerprintBuilder,
-    FingerprintError, SeqNo, Snapshot, Update, VarId,
+    Alert, AlertId, CeId, CondId, DerivedUpdate, FingerprintBuilder, FingerprintError, SeqNo,
+    Snapshot, Update, VarId,
 };
 
 /// A message on a monitoring link.
@@ -190,11 +190,9 @@ mod tag {
     pub const DERIVED: u8 = 6;
 }
 
-/// Payload-kind bytes inside a [`tag::DERIVED`] body.
-mod derived_kind {
-    pub const AGGREGATE: u8 = 0;
-    pub const VERDICT: u8 = 1;
-}
+/// The payload-kind byte of a [`tag::DERIVED`] body: a verdict. Kind 0
+/// (aggregate) is retired and decodes as malformed.
+const DERIVED_VERDICT: u8 = 1;
 
 /// Smallest possible binary encoding of one update (two 1-byte varints
 /// plus the 8 value bytes) — used to bound declared batch counts.
@@ -257,24 +255,15 @@ fn put_alert(out: &mut Vec<u8>, alert: &Alert) {
 fn put_derived(out: &mut Vec<u8>, derived: &DerivedUpdate) {
     put_varint(out, u64::from(derived.var.index()));
     put_varint(out, derived.seqno.get());
-    match &derived.payload {
-        DerivedPayload::Aggregate(value) => {
-            out.push(derived_kind::AGGREGATE);
-            out.extend_from_slice(&value.to_bits().to_le_bytes());
-        }
-        DerivedPayload::Verdict(alert) => {
-            out.push(derived_kind::VERDICT);
-            put_alert(out, alert);
-        }
-    }
+    out.push(DERIVED_VERDICT);
+    put_alert(out, &derived.verdict);
 }
 
 fn derived_wire_len(derived: &DerivedUpdate) -> usize {
-    let body = match &derived.payload {
-        DerivedPayload::Aggregate(_) => 8,
-        DerivedPayload::Verdict(alert) => alert_wire_len(alert),
-    };
-    varint_len(u64::from(derived.var.index())) + varint_len(derived.seqno.get()) + 1 + body
+    varint_len(u64::from(derived.var.index()))
+        + varint_len(derived.seqno.get())
+        + 1
+        + alert_wire_len(&derived.verdict)
 }
 
 fn alert_wire_len(alert: &Alert) -> usize {
@@ -411,12 +400,10 @@ impl<'a> Reader<'a> {
     fn derived(&mut self) -> Result<DerivedUpdate, WireError> {
         let var = VarId::new(self.varint_u32()?);
         let seqno = SeqNo::new(self.varint()?);
-        let payload = match self.u8()? {
-            derived_kind::AGGREGATE => DerivedPayload::Aggregate(self.f64()?),
-            derived_kind::VERDICT => DerivedPayload::Verdict(self.alert()?),
-            _ => return Err(WireError::Malformed { context: "unknown derived payload kind" }),
-        };
-        Ok(DerivedUpdate { var, seqno, payload })
+        if self.u8()? != DERIVED_VERDICT {
+            return Err(WireError::Malformed { context: "unknown derived payload kind" });
+        }
+        Ok(DerivedUpdate { var, seqno, verdict: self.alert()? })
     }
 }
 
@@ -838,13 +825,7 @@ fn derived_difference(a: &DerivedUpdate, b: &DerivedUpdate) -> Option<&'static s
     if a.seqno != b.seqno {
         return Some("derived.seqno");
     }
-    match (&a.payload, &b.payload) {
-        (DerivedPayload::Aggregate(a), DerivedPayload::Aggregate(b)) => {
-            (a.to_bits() != b.to_bits()).then_some("derived.payload")
-        }
-        (DerivedPayload::Verdict(a), DerivedPayload::Verdict(b)) => alert_difference(a, b),
-        _ => Some("derived.payload"),
-    }
+    alert_difference(&a.verdict, &b.verdict)
 }
 
 #[cfg(test)]
@@ -886,14 +867,9 @@ mod tests {
                 (0..5).map(|i| Update::new(VarId::new(1), i + 1, i as f64)).collect(),
             ),
             Message::Derived(DerivedUpdate {
-                var: rcm_core::derived_var(0, 3),
-                seqno: SeqNo::new(4),
-                payload: DerivedPayload::Aggregate(12.75),
-            }),
-            Message::Derived(DerivedUpdate {
                 var: rcm_core::derived_var(1, 0),
                 seqno: SeqNo::new(1),
-                payload: DerivedPayload::Verdict(alert()),
+                verdict: alert(),
             }),
         ]
     }
@@ -992,10 +968,9 @@ mod tests {
         let sent = DerivedUpdate {
             var: rcm_core::derived_var(0, 3),
             seqno: SeqNo::new(4),
-            payload: DerivedPayload::Aggregate(12.75),
+            verdict: alert(),
         };
-        let verdict =
-            |alert| DerivedUpdate { payload: DerivedPayload::Verdict(alert), ..sent.clone() };
+        let verdict = |verdict| DerivedUpdate { verdict, ..sent.clone() };
         let a = awkward_alert();
         let changed_id = Alert::new(
             a.cond,
@@ -1006,14 +981,7 @@ mod tests {
         let mutations = [
             ("derived.var", DerivedUpdate { var: rcm_core::derived_var(0, 4), ..sent.clone() }),
             ("derived.seqno", DerivedUpdate { seqno: SeqNo::new(5), ..sent.clone() }),
-            (
-                "derived.payload",
-                DerivedUpdate {
-                    payload: DerivedPayload::Aggregate(f64::from_bits(12.75f64.to_bits() ^ 1)),
-                    ..sent.clone()
-                },
-            ),
-            ("derived.payload", verdict(awkward_alert())),
+            ("alert.snapshot length", verdict(awkward_alert())),
         ];
         for (field, back) in mutations {
             let back = Message::Derived(back);
@@ -1042,14 +1010,12 @@ mod tests {
             AlertId { ce: CeId::new(0), index: 0 },
         );
         let mut frame = Vec::new();
-        let mut messages = vec![Message::UpdateBatch(snapshot), Message::Alert(alert)];
+        let mut messages = vec![Message::UpdateBatch(snapshot), Message::Alert(alert.clone())];
         messages.extend(values.iter().map(|&v| Message::Update(Update::new(x, 1, v))));
-        messages.extend(values.iter().map(|&v| {
-            Message::Derived(DerivedUpdate {
-                var: rcm_core::derived_var(0, 0),
-                seqno: SeqNo::new(1),
-                payload: DerivedPayload::Aggregate(v),
-            })
+        messages.push(Message::Derived(DerivedUpdate {
+            var: rcm_core::derived_var(0, 0),
+            seqno: SeqNo::new(1),
+            verdict: alert,
         }));
         for m in messages {
             assert_eq!(first_difference(&m, &m.clone()), None, "{m:?}");
@@ -1252,6 +1218,12 @@ mod tests {
         let bad_kind = raw_frame(BINARY_WIRE_VERSION, &[tag::DERIVED, 1, 1, 7]);
         // derived aggregate truncated mid-f64 (var 1, seqno 1, kind 0, 3 of 8 bytes)
         let short_agg = raw_frame(BINARY_WIRE_VERSION, &[tag::DERIVED, 1, 1, 0, 9, 9, 9]);
+        // a well-formed aggregate of the retired kind 0 (var 1, seqno 1,
+        // kind 0, the 8 bytes of 12.75)
+        let retired_agg = raw_frame(
+            BINARY_WIRE_VERSION,
+            &[&[tag::DERIVED, 1, 1, 0][..], &12.75f64.to_bits().to_le_bytes()].concat(),
+        );
         // derived verdict whose inner alert carries a bad fingerprint
         let bad_verdict =
             raw_frame(BINARY_WIRE_VERSION, &[tag::DERIVED, 1, 1, 1, 0, 0, 0, 1, 0, 2, 2, 3, 0]);
@@ -1264,6 +1236,7 @@ mod tests {
             &overflow,
             &bad_kind,
             &short_agg,
+            &retired_agg,
             &bad_verdict,
         ] {
             assert!(

@@ -4,13 +4,12 @@
 //! decoder, and a frame relabeled with any other version byte is
 //! rejected on that byte rather than misparsed.
 //! The message pool includes tier-link `Derived` frames (synthetic
-//! stream ids in the derived-variable space carrying aggregate samples
-//! or full verdict alerts), so every property above covers the
+//! stream ids in the derived-variable space carrying full verdict
+//! alerts), so every property above covers the
 //! aggregation tree's uplink traffic too.
 
 use rcm_core::{
-    Alert, AlertId, CeId, CondId, DerivedPayload, DerivedUpdate, HistoryFingerprint, SeqNo, Update,
-    VarId,
+    Alert, AlertId, CeId, CondId, DerivedUpdate, HistoryFingerprint, SeqNo, Update, VarId,
 };
 use rcm_net::{cases, Rng};
 use rcm_transport::wire::{
@@ -34,17 +33,11 @@ fn alert(rng: &mut Rng) -> Alert {
 }
 
 /// Tier-link frames: a synthetic stream id in the derived space, a
-/// per-stream seqno, and either an aggregate sample or a full verdict
-/// (the leaf's alert riding upward).
+/// per-stream seqno, and a verdict (the leaf's alert riding upward).
 fn derived(rng: &mut Rng) -> DerivedUpdate {
     let var = rcm_core::derived_var(rng.below(3) as u8, rng.below(8) as u32);
     let seqno = SeqNo::new(1 + rng.below(999) as u64);
-    let payload = if rng.below(2) == 0 {
-        DerivedPayload::Aggregate(rng.next_f64() * 2e6 - 1e6)
-    } else {
-        DerivedPayload::Verdict(alert(rng))
-    };
-    DerivedUpdate { var, seqno, payload }
+    DerivedUpdate { var, seqno, verdict: alert(rng) }
 }
 
 /// One of the six message types, batches `0..=size` long (at most 7
@@ -90,8 +83,7 @@ fn the_retired_alert_batch_tag_is_rejected() {
 }
 
 /// Exhaustive tier-link sweep, next to the drawn cases below: every
-/// single-byte corruption of a Derived frame (verdict and aggregate)
-/// either errors or decodes to a *different* message, a relabel to any
+/// single-byte corruption of a Derived frame either errors or decodes to a *different* message, a relabel to any
 /// other version byte is rejected, and every truncation is an error.
 #[test]
 fn derived_frame_mutations_never_panic_or_misparse() {
@@ -101,18 +93,11 @@ fn derived_frame_mutations_never_panic_or_misparse() {
         vec![Update::new(VarId::new(1), 9, 4.5)],
         AlertId { ce: CeId::new(3), index: 7 },
     );
-    let messages = [
-        Message::Derived(DerivedUpdate {
-            var: rcm_core::derived_var(1, 4),
-            seqno: SeqNo::new(11),
-            payload: DerivedPayload::Verdict(alert),
-        }),
-        Message::Derived(DerivedUpdate {
-            var: rcm_core::derived_var(2, 0),
-            seqno: SeqNo::new(1),
-            payload: DerivedPayload::Aggregate(-12.75),
-        }),
-    ];
+    let messages = [Message::Derived(DerivedUpdate {
+        var: rcm_core::derived_var(1, 4),
+        seqno: SeqNo::new(11),
+        verdict: alert,
+    })];
     for msg in &messages {
         let frame = encode(msg).expect("derived frame encodes");
         assert_eq!(&decode_datagram(&frame).expect("derived frame decodes"), msg);

@@ -32,19 +32,10 @@ pub enum TreeError {
         /// The rejected condition.
         cond: CondId,
     },
-    /// The condition id is already assigned (leaf or root).
+    /// The condition id is already assigned.
     DuplicateCondition {
         /// The clashing id.
         cond: CondId,
-    },
-    /// A root condition mentions a raw (non-derived) variable. Root
-    /// conditions monitor derived streams only; raw variables belong
-    /// to the leaf tier.
-    RootConditionOnRawVariable {
-        /// The rejected condition.
-        cond: CondId,
-        /// The offending raw variable.
-        var: VarId,
     },
 }
 
@@ -62,9 +53,6 @@ impl fmt::Display for TreeError {
             }
             TreeError::DuplicateCondition { cond } => {
                 write!(f, "condition id {cond} is already assigned")
-            }
-            TreeError::RootConditionOnRawVariable { cond, var } => {
-                write!(f, "root condition {cond} mentions raw variable {var}")
             }
         }
     }

@@ -132,7 +132,6 @@ impl TreeEval {
                             CeId::new((leaf * opts.leaf_replicas + r) as u32 + 1),
                             &plan.leaf_conds[leaf],
                             opts.replay_window,
-                            opts.aggregates,
                         )
                     })
                     .collect()
@@ -145,7 +144,7 @@ impl TreeEval {
             })
             .collect();
 
-        let root = RootCe::build(opts.root_ce, &plan.root_conds);
+        let root = RootCe::new(opts.root_ce);
         let owner: BTreeMap<VarId, usize> = plan.owned_vars().into_iter().collect();
         TreeEval {
             severed: vec![vec![false; opts.leaf_replicas]; leaves_n],

@@ -1,30 +1,11 @@
 //! Leaf Condition Evaluators: the tier that owns raw variables.
 
 use rcm_core::condition::DynCondition;
-use rcm_core::{
-    Alert, CeId, ConditionRegistry, DerivedEmitter, DerivedPayload, DerivedUpdate, Update,
-};
+use rcm_core::{Alert, CeId, ConditionRegistry, DerivedEmitter, DerivedUpdate, Update};
 use rcm_transport::SeqGate;
 
+use crate::verdict_stream;
 use crate::window::ReplayWindow;
-use crate::{aggregate_stream, verdict_stream};
-
-/// The numeric fold a leaf's optional aggregate stream carries, one
-/// element per admitted raw update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateSpec {
-    /// Running count of alerts this leaf has emitted.
-    AlertCount,
-    /// Running maximum of the raw values this leaf has admitted.
-    MaxValue,
-}
-
-#[derive(Debug)]
-struct AggregateState {
-    emitter: DerivedEmitter,
-    spec: AggregateSpec,
-    value: f64,
-}
 
 /// What one admitted raw update produced at a leaf.
 #[derive(Debug, Default)]
@@ -33,13 +14,12 @@ pub struct LeafOutput {
     /// with the leaf replica's `CeId`).
     pub alerts: Vec<Alert>,
     /// Derived updates for the uplink, in emission order: one verdict
-    /// per alert, then the aggregate element if configured.
+    /// per alert.
     pub derived: Vec<DerivedUpdate>,
 }
 
 /// One leaf CE replica: a seqno gate in front of a condition registry,
-/// stamping verdict (and optionally aggregate) streams for its parent
-/// tier.
+/// stamping a verdict stream for its parent tier.
 ///
 /// Determinism is the load-bearing property: two replicas built from
 /// the same plan and fed the same post-loss input emit identical
@@ -51,7 +31,6 @@ pub struct LeafCe {
     gate: SeqGate,
     registry: ConditionRegistry,
     verdicts: DerivedEmitter,
-    aggregates: Option<AggregateState>,
     window: ReplayWindow,
     dead: bool,
     admitted: u64,
@@ -65,7 +44,6 @@ impl LeafCe {
         ce: CeId,
         conds: &[(rcm_core::CondId, DynCondition)],
         replay_window: usize,
-        aggregates: Option<AggregateSpec>,
     ) -> Self {
         // A registry emits in registration order and a leaf in ascending
         // condition id, whatever order the plan placed its conditions in.
@@ -80,11 +58,6 @@ impl LeafCe {
             gate: SeqGate::new(),
             registry,
             verdicts: DerivedEmitter::new(verdict_stream(0, node)),
-            aggregates: aggregates.map(|spec| AggregateState {
-                emitter: DerivedEmitter::new(aggregate_stream(0, node)),
-                spec,
-                value: 0.0,
-            }),
             window: ReplayWindow::new(replay_window),
             dead: false,
             admitted: 0,
@@ -97,7 +70,7 @@ impl LeafCe {
         self.node
     }
 
-    /// Offers one raw update: gate, evaluate, stamp derived streams.
+    /// Offers one raw update: gate, evaluate, stamp the verdicts.
     pub fn ingest(&mut self, update: Update, out: &mut LeafOutput) {
         if self.dead {
             return;
@@ -111,20 +84,7 @@ impl LeafCe {
         self.registry.ingest(update, &mut out.alerts);
 
         for alert in &out.alerts[first..] {
-            let d = self.verdicts.emit(DerivedPayload::Verdict(alert.clone()));
-            self.window.push(d.clone());
-            out.derived.push(d);
-            if let Some(agg) = &mut self.aggregates {
-                if agg.spec == AggregateSpec::AlertCount {
-                    agg.value += 1.0;
-                }
-            }
-        }
-        if let Some(agg) = &mut self.aggregates {
-            if agg.spec == AggregateSpec::MaxValue {
-                agg.value = agg.value.max(update.value);
-            }
-            let d = agg.emitter.emit(DerivedPayload::Aggregate(agg.value));
+            let d = self.verdicts.emit(alert.clone());
             self.window.push(d.clone());
             out.derived.push(d);
         }
@@ -155,9 +115,9 @@ impl LeafCe {
         self.dropped_by_gate
     }
 
-    /// Derived updates emitted so far (verdicts plus aggregates).
+    /// Verdicts emitted so far.
     pub fn derived_emitted(&self) -> u64 {
-        self.verdicts.emitted() + self.aggregates.as_ref().map_or(0, |a| a.emitter.emitted())
+        self.verdicts.emitted()
     }
 }
 
@@ -168,7 +128,7 @@ mod tests {
     use rcm_core::{CondId, VarId};
     use std::sync::Arc;
 
-    fn leaf(aggregates: Option<AggregateSpec>) -> LeafCe {
+    fn leaf() -> LeafCe {
         let conds = vec![
             (
                 CondId::new(0),
@@ -179,12 +139,12 @@ mod tests {
                 Arc::new(Threshold::new(VarId::new(0), Cmp::Gt, 20.0)) as DynCondition,
             ),
         ];
-        LeafCe::build(3, CeId::new(7), &conds, 8, aggregates)
+        LeafCe::build(3, CeId::new(7), &conds, 8)
     }
 
     #[test]
     fn verdicts_follow_cond_order_and_consecutive_seqnos() {
-        let mut l = leaf(None);
+        let mut l = leaf();
         let mut out = LeafOutput::default();
         l.ingest(Update::new(VarId::new(0), 1, 25.0), &mut out);
         assert_eq!(out.alerts.len(), 2);
@@ -200,7 +160,7 @@ mod tests {
 
     #[test]
     fn gate_discards_duplicates_before_evaluation() {
-        let mut l = leaf(None);
+        let mut l = leaf();
         let mut out = LeafOutput::default();
         l.ingest(Update::new(VarId::new(0), 1, 25.0), &mut out);
         l.ingest(Update::new(VarId::new(0), 1, 25.0), &mut out);
@@ -210,21 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_stream_rides_alongside_verdicts() {
-        let mut l = leaf(Some(AggregateSpec::MaxValue));
-        let mut out = LeafOutput::default();
-        l.ingest(Update::new(VarId::new(0), 1, 5.0), &mut out);
-        l.ingest(Update::new(VarId::new(0), 2, 15.0), &mut out);
-        let aggs: Vec<&DerivedUpdate> =
-            out.derived.iter().filter(|d| d.var == aggregate_stream(0, 3)).collect();
-        assert_eq!(aggs.len(), 2, "one aggregate element per admitted update");
-        assert_eq!(aggs[1].payload, DerivedPayload::Aggregate(15.0));
-        assert_eq!(aggs[1].seqno.get(), 2);
-    }
-
-    #[test]
     fn killed_replica_goes_silent() {
-        let mut l = leaf(None);
+        let mut l = leaf();
         l.kill();
         let mut out = LeafOutput::default();
         l.ingest(Update::new(VarId::new(0), 1, 25.0), &mut out);

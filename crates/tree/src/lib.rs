@@ -9,19 +9,16 @@
 //!   Each hosts the conditions whose variables it owns (a
 //!   [`ConditionRegistry`](rcm_core::ConditionRegistry) behind a
 //!   [`SeqGate`](rcm_transport::SeqGate)), feeds its own Alert
-//!   Displayer, and *additionally* emits
-//!   [`DerivedUpdate`](rcm_core::DerivedUpdate)s upward: a per-leaf
-//!   verdict stream (its alerts, losslessly) and optionally an
-//!   aggregate stream (a numeric fold its parent can monitor like any
-//!   other variable).
+//!   Displayer, and *additionally* emits its alerts upward, losslessly,
+//!   as a per-leaf verdict stream of
+//!   [`DerivedUpdate`](rcm_core::DerivedUpdate)s.
 //! * **Interior tiers** ([`Relay`]) ingest derived streams through the
 //!   same `(variable, seqno)` admission contract as raw DM streams and
 //!   forward admitted elements verbatim — preserving each stream's
 //!   key, which is what lets a subtree be re-parented onto a sibling
 //!   or grandparent without renumbering anything.
-//! * **The root** ([`RootCe`]) gates once more, renumbers verdict
-//!   provenance into its own `AlertId` space, and evaluates root
-//!   conditions over aggregate streams.
+//! * **The root** ([`RootCe`]) gates once more and renumbers verdict
+//!   provenance into its own `AlertId` space.
 //!
 //! ## The equivalence the keystone test pins
 //!
@@ -80,7 +77,7 @@ mod window;
 
 pub use error::TreeError;
 pub use eval::{NodeRef, TreeEval, TreeStats};
-pub use leaf::{AggregateSpec, LeafCe, LeafOutput};
+pub use leaf::{LeafCe, LeafOutput};
 pub use plan::{TreeOptions, TreePlan};
 pub use relay::Relay;
 pub use root::RootCe;
@@ -88,29 +85,32 @@ pub use window::ReplayWindow;
 
 use rcm_core::{derived_var, VarId};
 
-/// The synthetic variable id of the **verdict** stream of node `node`
-/// on tier `tier` (tier 0 = leaves). Even node field.
+/// The synthetic variable id of the verdict stream of node `node` on
+/// tier `tier` (tier 0 = leaves).
 pub fn verdict_stream(tier: u8, node: u32) -> VarId {
-    derived_var(tier, node * 2)
-}
-
-/// The synthetic variable id of the **aggregate** stream of node
-/// `node` on tier `tier`. Odd node field, so a node's two streams are
-/// distinct `(variable, seqno)` spaces.
-pub fn aggregate_stream(tier: u8, node: u32) -> VarId {
-    derived_var(tier, node * 2 + 1)
+    derived_var(tier, node)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcm_core::{Alert, AlertId, CeId, CondId, HistoryFingerprint, SeqNo};
+
+    /// A leaf's verdict on update `seqno` of variable 0.
+    pub(crate) fn verdict(seqno: u64) -> Alert {
+        Alert::new(
+            CondId::new(0),
+            HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(seqno)]),
+            vec![],
+            AlertId { ce: CeId::new(1), index: seqno - 1 },
+        )
+    }
 
     #[test]
     fn stream_ids_are_distinct_per_node() {
-        assert_ne!(verdict_stream(0, 0), aggregate_stream(0, 0));
-        assert_ne!(verdict_stream(0, 1), aggregate_stream(0, 0));
+        assert_ne!(verdict_stream(0, 0), verdict_stream(0, 1));
         assert_ne!(verdict_stream(1, 0), verdict_stream(0, 0));
         assert!(rcm_core::is_derived_var(verdict_stream(0, 5)));
-        assert!(rcm_core::is_derived_var(aggregate_stream(2, 5)));
+        assert!(rcm_core::is_derived_var(verdict_stream(2, 5)));
     }
 }

@@ -25,7 +25,6 @@ pub struct TreePlan {
     fanout: usize,
     owner: BTreeMap<VarId, usize>,
     pub(crate) leaf_conds: Vec<Vec<(CondId, DynCondition)>>,
-    pub(crate) root_conds: Vec<(CondId, DynCondition)>,
     assigned: BTreeSet<CondId>,
 }
 
@@ -35,18 +34,17 @@ impl TreePlan {
     ///
     /// # Panics
     ///
-    /// Panics if `leaves` is zero or exceeds the 15-bit per-tier node
-    /// budget (each node owns two derived streams in a 16-bit field).
+    /// Panics if `leaves` is zero or exceeds the 16-bit per-tier node
+    /// field of a derived stream id.
     pub fn new(leaves: usize) -> Self {
         assert!(leaves >= 1, "a tree needs at least one leaf");
-        assert!(leaves < (1 << 15), "leaf count {leaves} exceeds the per-tier node budget");
+        assert!(leaves < (1 << 16), "leaf count {leaves} exceeds the per-tier node budget");
         TreePlan {
             leaves,
             relay_tiers: 0,
             fanout: 2,
             owner: BTreeMap::new(),
             leaf_conds: vec![Vec::new(); leaves],
-            root_conds: Vec::new(),
             assigned: BTreeSet::new(),
         }
     }
@@ -133,21 +131,6 @@ impl TreePlan {
         self.add_condition(id, Arc::new(cond))
     }
 
-    /// Registers a condition on the **root**, monitoring derived
-    /// streams (aggregate or verdict shadows) as its input variables.
-    // analyze: allow(reach): root conditions over aggregate streams, documented in rcm_tree's crate docs
-    pub fn add_root_condition(&mut self, id: CondId, cond: DynCondition) -> Result<(), TreeError> {
-        if self.assigned.contains(&id) {
-            return Err(TreeError::DuplicateCondition { cond: id });
-        }
-        if let Some(&var) = cond.variables().iter().find(|v| !is_derived_var(**v)) {
-            return Err(TreeError::RootConditionOnRawVariable { cond: id, var });
-        }
-        self.root_conds.push((id, cond));
-        self.assigned.insert(id);
-        Ok(())
-    }
-
     /// Number of leaf CEs.
     pub fn leaves(&self) -> usize {
         self.leaves
@@ -163,7 +146,7 @@ impl TreePlan {
         self.fanout
     }
 
-    /// Total conditions placed (leaves plus root).
+    /// Total conditions placed.
     pub fn conditions(&self) -> usize {
         self.assigned.len()
     }
@@ -188,8 +171,6 @@ pub struct TreeOptions {
     /// runs with this on; the benchmark leaves it off to time the logic
     /// alone.
     pub wire_check: bool,
-    /// Per-leaf aggregate stream emitted alongside verdicts, if any.
-    pub aggregates: Option<crate::leaf::AggregateSpec>,
 }
 
 impl Default for TreeOptions {
@@ -199,7 +180,6 @@ impl Default for TreeOptions {
             leaf_replicas: 1,
             replay_window: 64,
             wire_check: false,
-            aggregates: None,
         }
     }
 }
@@ -243,26 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_ids_rejected_across_tiers() {
-        let mut plan = TreePlan::new(1);
-        plan.own(VarId::new(0), 0);
+    fn duplicate_ids_rejected_across_leaves() {
+        let mut plan = TreePlan::new(2);
+        plan.own(VarId::new(0), 0).own(VarId::new(1), 1);
         plan.add_condition(CondId::new(3), thresh(0)).unwrap();
-        let err = plan
-            .add_root_condition(
-                CondId::new(3),
-                Arc::new(Threshold::new(crate::aggregate_stream(0, 0), Cmp::Gt, 1.0)),
-            )
-            .unwrap_err();
+        let err = plan.add_condition(CondId::new(3), thresh(1)).unwrap_err();
         assert_eq!(err, TreeError::DuplicateCondition { cond: CondId::new(3) });
-    }
-
-    #[test]
-    fn root_conditions_must_watch_derived_streams() {
-        let mut plan = TreePlan::new(1);
-        let err = plan.add_root_condition(CondId::new(0), thresh(5)).unwrap_err();
-        assert_eq!(
-            err,
-            TreeError::RootConditionOnRawVariable { cond: CondId::new(0), var: VarId::new(5) }
-        );
+        assert_eq!(plan.conditions(), 1);
     }
 }

@@ -92,13 +92,14 @@ impl Relay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcm_core::{derived_var, DerivedEmitter, DerivedPayload};
+    use crate::tests::verdict;
+    use rcm_core::{derived_var, DerivedEmitter};
 
     #[test]
     fn forwards_verbatim_once_per_element() {
         let mut em = DerivedEmitter::new(derived_var(0, 0));
         let mut relay = Relay::new(1, 0, 4);
-        let d = em.emit(DerivedPayload::Aggregate(7.0));
+        let d = em.emit(verdict(1));
         let fwd = relay.ingest(&d).expect("first copy admitted");
         assert_eq!(fwd, d, "forwarded element is byte-identical");
         assert!(relay.ingest(&d).is_none(), "replica copy dropped");
@@ -112,7 +113,7 @@ mod tests {
         let mut em = DerivedEmitter::new(derived_var(0, 1));
         let mut relay = Relay::new(1, 2, 4);
         relay.kill();
-        assert!(relay.ingest(&em.emit(DerivedPayload::Aggregate(0.0))).is_none());
+        assert!(relay.ingest(&em.emit(verdict(1))).is_none());
         assert_eq!((relay.forwarded(), relay.duplicates()), (0, 0));
     }
 }

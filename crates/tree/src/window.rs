@@ -64,14 +64,15 @@ impl ReplayWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcm_core::{derived_var, DerivedEmitter, DerivedPayload};
+    use crate::tests::verdict;
+    use rcm_core::{derived_var, DerivedEmitter};
 
     #[test]
     fn retains_last_capacity_in_order() {
         let mut em = DerivedEmitter::new(derived_var(0, 0));
         let mut w = ReplayWindow::new(3);
-        for i in 0..5 {
-            w.push(em.emit(DerivedPayload::Aggregate(f64::from(i))));
+        for i in 1..=5 {
+            w.push(em.emit(verdict(i)));
         }
         assert_eq!(w.len(), 3);
         assert_eq!(w.capacity(), 3);
@@ -83,7 +84,7 @@ mod tests {
     fn zero_capacity_disables_replay() {
         let mut em = DerivedEmitter::new(derived_var(0, 0));
         let mut w = ReplayWindow::new(0);
-        w.push(em.emit(DerivedPayload::Aggregate(1.0)));
+        w.push(em.emit(verdict(1)));
         assert!(w.is_empty());
     }
 }

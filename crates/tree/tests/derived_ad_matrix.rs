@@ -1,6 +1,6 @@
 //! The full AD-1…AD-6 property matrix **over a derived-update
-//! stream**: a leaf CE's verdicts, shadowed into raw updates
-//! ([`DerivedUpdate::as_update`]), become the input variable of a
+//! stream**: a leaf CE's verdicts, shadowed into raw updates (same
+//! variable and seqno, value `1.0`), become the input variable of a
 //! replicated parent tier whose Alert Displayer runs each of the
 //! paper's six filtering algorithms. The paper's per-algorithm
 //! guarantees must hold unchanged — derived streams keep the exact
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter};
 use rcm_core::condition::{Cmp, DeltaRise, Threshold};
-use rcm_core::{Alert, CeId, CondId, DerivedUpdate, Evaluator, Update, VarId};
+use rcm_core::{Alert, CeId, CondId, Evaluator, Update, VarId};
 use rcm_net::{cases, Rng};
 use rcm_props::{check_complete_single, check_consistent_single, check_ordered};
 use rcm_tree::{verdict_stream, TreeEval, TreeOptions, TreePlan};
@@ -46,7 +46,7 @@ fn derived_inputs(seed: u64) -> Vec<Update> {
         tree.ingest(Update::new(x, seqno, value), &mut displayed);
     }
     let updates: Vec<Update> =
-        tree.leaf(0, 0).window().iter().map(DerivedUpdate::as_update).collect();
+        tree.leaf(0, 0).window().iter().map(|d| Update::new(d.var, d.seqno.get(), 1.0)).collect();
     assert!(updates.len() > 20, "seed {seed} produced a trivial stream");
     assert!(updates.iter().all(|u| u.var == verdict_stream(0, 0)));
     updates

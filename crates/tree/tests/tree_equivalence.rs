@@ -144,7 +144,6 @@ fn build_tree(case: &Case, replay_window: usize) -> TreeEval {
         leaf_replicas: case.replicas,
         replay_window,
         wire_check: true,
-        ..TreeOptions::default()
     };
     TreeEval::build(plan, opts)
 }

@@ -7,10 +7,12 @@
 //! `src/bin` excepted) when no non-test code names it anywhere.
 //!
 //! A *name* is an identifier token, so the match is by name alone: a
-//! const in a `match` pattern, a fn passed as a path value and a
-//! `pub use` re-export all count, and a used item is never flagged.
-//! Dead items whose names are common (`new`, `len`) slip through.
-//! These do not count as callers: the definition itself, comments and
+//! const in a `match` pattern and a fn passed as a path value both
+//! count, and a used item is never flagged. Dead items whose names are
+//! common (`new`, `len`) slip through.
+//! These do not count as callers: the definition itself, a `pub use`
+//! re-export (of any `pub` visibility: it passes a name on, it calls
+//! nothing), comments and
 //! doc comments (the lexer keeps them apart), `#[cfg(test)]` and
 //! `#[test]` scopes, files that only an out-of-line `#[cfg(test)] mod
 //! NAME;` pulls in (and the modules those declare in turn), and
@@ -181,11 +183,41 @@ pub fn definitions(rel: &str, lexed: &Lexed, file: &File) -> Vec<Def> {
     out
 }
 
+/// Marks the tokens of every `pub use` item (`pub(crate) use` and the
+/// like included), from the `pub` to the closing `;`.
+fn mask_reexports(tokens: &[Token], mask: &mut [bool]) {
+    let mut i = 0;
+    while i < tokens.len() {
+        let start = i;
+        i += 1;
+        if !is_ident(tokens.get(start), "pub") {
+            continue;
+        }
+        let mut j = start + 1;
+        if is_punct(tokens.get(j), "(") {
+            while j < tokens.len() && !is_punct(tokens.get(j), ")") {
+                j += 1;
+            }
+            j += 1;
+        }
+        if !is_ident(tokens.get(j), "use") {
+            continue;
+        }
+        while j < tokens.len() && !is_punct(tokens.get(j), ";") {
+            j += 1;
+        }
+        mask[start..(j + 1).min(tokens.len())].fill(true);
+        i = j + 1;
+    }
+}
+
 /// Adds every identifier that `file`'s non-test code names to `uses`.
-/// Defining names (`fn NAME`, `const NAME:`) are not uses.
+/// Defining names (`fn NAME`, `const NAME:`) and re-exports are not
+/// uses.
 pub fn collect_uses(lexed: &Lexed, file: &File, uses: &mut BTreeSet<String>) {
     let tokens = &lexed.tokens;
-    let mask = test_mask(lexed, file);
+    let mut mask = test_mask(lexed, file);
+    mask_reexports(tokens, &mut mask);
     let mut defining = vec![false; tokens.len()];
     for i in 0..tokens.len() {
         if let Some(k) = defined_name(tokens, i) {

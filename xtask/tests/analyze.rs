@@ -558,6 +558,41 @@ mod checks;
     assert_eq!(unreached(&tree), ["only_tested"]);
 }
 
+/// A `pub use` passes a name on and calls nothing: an item that only
+/// its crate root re-exports (under any `pub` visibility) is flagged.
+#[test]
+fn reach_flags_items_that_only_a_re_export_names() {
+    let tree = Tree::new(
+        "reach-reexport",
+        &[
+            (
+                "crates/x/src/lib.rs",
+                "mod m;\npub use m::{listed, Listed};\npub(crate) use m::crate_only;\n",
+            ),
+            (
+                "crates/x/src/m.rs",
+                "pub fn listed() {}\npub struct Listed;\npub fn crate_only() {}\n",
+            ),
+        ],
+    );
+    assert_eq!(unreached(&tree), ["crate_only", "listed"]);
+}
+
+/// The fixed twin: the same re-exports, and a caller for each item.
+#[test]
+fn reach_counts_a_caller_beside_the_re_export() {
+    let tree = Tree::new(
+        "reach-reexport-called",
+        &[
+            ("crates/x/src/lib.rs", "mod m;\npub use m::{listed, Listed};\npub(crate) use m::crate_only;\nfn f() { crate_only(); }\n"),
+            ("crates/x/src/m.rs", "pub fn listed() {}\npub struct Listed;\npub fn crate_only() {}\n"),
+            ("crates/y/src/lib.rs", "pub fn g() { x::listed(); }\n"),
+            ("crates/y/src/bin/tool.rs", "fn main() { y::g(); }\n"),
+        ],
+    );
+    assert_eq!(unreached(&tree), Vec::<String>::new());
+}
+
 #[test]
 fn reach_counts_binaries_the_benchmark_examples_patterns_and_path_values() {
     let tree = Tree::new(
