@@ -236,7 +236,7 @@ mod tests {
         Alert::new(
             CondId::new(2),
             HistoryFingerprint::single(VarId::new(3), vec![SeqNo::new(17), SeqNo::new(15)]),
-            vec![Update::new(VarId::new(3), 17, 3000.5)],
+            vec![Update::new(VarId::new(3), 17, 3000.5), Update::new(VarId::new(3), 15, 2999.5)],
             AlertId { ce: CeId::new(1), index: 9 },
         )
     }
@@ -267,7 +267,7 @@ mod tests {
             ),
             (
                 Fidelity::Full,
-                r#"{"Full":{"cond":2,"fingerprint":{"entries":[[3,[17,15]]]},"snapshot":[{"var":3,"seqno":17,"value":3000.5}],"id":{"ce":1,"index":9}}}"#
+                r#"{"Full":{"cond":2,"fingerprint":{"entries":[[3,[17,15]]]},"snapshot":[{"var":3,"seqno":17,"value":3000.5},{"var":3,"seqno":15,"value":2999.5}],"id":{"ce":1,"index":9}}}"#
                     .to_owned(),
             ),
         ] {

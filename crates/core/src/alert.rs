@@ -128,7 +128,7 @@ enum Repr {
     /// `vars[i]` with `seqnos[ends[i - 1]..ends[i]]` (from 0 for the
     /// first). Plain `Copy` arrays, zero past `len` entries, and no
     /// pointer: the one-byte fields share a word with the enum's tag,
-    /// which keeps a fingerprint at 72 bytes of an [`AlertBody`]'s 200.
+    /// which keeps a fingerprint at 72 bytes of an [`AlertBody`]'s 152.
     Flat {
         len: u8,
         ends: [u8; INLINE_VARS],
@@ -287,6 +287,18 @@ impl HistoryFingerprint {
             }
             Repr::Spilled(words) => Entries::Spilled(Runs(words)),
         }
+    }
+
+    /// Every `(variable, seqno)` pair in the order an alert's
+    /// [`Snapshot`] keeps their values: variables ascending, newest
+    /// first.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (VarId, SeqNo)> + '_ {
+        self.iter().flat_map(|(var, seqnos)| seqnos.iter().map(move |&seqno| (var, seqno)))
+    }
+
+    /// The seqnos over all variables: the length of a full snapshot.
+    pub(crate) fn seqno_count(&self) -> usize {
+        self.iter().map(|(_, seqnos)| seqnos.len()).sum()
     }
 
     /// Whether the seqnos for every variable are consecutive (no gaps),
@@ -577,89 +589,177 @@ fn flat<'a>(entries: impl Iterator<Item = (VarId, &'a [SeqNo])>) -> Repr {
     Repr::Flat { len: len as u8, ends, vars, seqnos }
 }
 
-/// Updates a [`Snapshot`] holds in place.
-const INLINE_UPDATES: usize = 4;
+/// Values a [`Snapshot`] holds in place: one per seqno of a fingerprint
+/// stored in place.
+const INLINE_VALUES: usize = INLINE_SEQNOS;
 
-/// The all-zero update that pads an in-place snapshot.
-const PAD: Update = Update { var: VarId::new(0), seqno: SeqNo::new(0), value: 0.0 };
-
-/// Where a snapshot's updates live; only [`Snapshot`]'s `Deref` reads it.
+/// Where a snapshot's values live; only [`Snapshot`]'s `Deref` reads it.
 #[derive(Clone)]
-enum Held {
-    /// In place, for up to [`INLINE_UPDATES`] updates: the paper's
-    /// degree-1–2 histories over one or two variables, `alert_storm`'s
-    /// 2 × 2 among them. `updates[..len]` is the snapshot and the rest
-    /// is [`PAD`], so raising such an alert allocates its body alone.
-    Flat { len: u8, updates: [Update; INLINE_UPDATES] },
-    /// Anything longer, in one shared allocation: a clone is a refcount
-    /// bump.
-    Spilled(Arc<[Update]>),
+enum Values {
+    /// In place, for up to [`INLINE_VALUES`] values: every history set
+    /// whose fingerprint holds its seqnos in place, `alert_storm`'s
+    /// 2 × 2 among them. `values[..len]` is the snapshot and the rest
+    /// is zero, so raising such an alert allocates its body alone.
+    Flat { len: u8, values: [f64; INLINE_VALUES] },
+    /// Anything longer, in one allocation of exactly its length.
+    Spilled(Box<[f64]>),
 }
 
-/// The triggering updates an [`Alert`] carries for display: per
-/// variable in ascending order, newest first.
+/// Why a list of updates is not the snapshot of a fingerprint.
 ///
-/// Up to 4 updates are stored in the snapshot itself, a longer one in
-/// one shared slice. It reads as a `[Update]` (through `Deref`) and
-/// compares element by element, whichever way it is stored.
-///
-/// ```rust
-/// use rcm_core::{Snapshot, Update, VarId};
-/// let x = VarId::new(0);
-/// let held: Vec<Update> = (1..=6).rev().map(|s| Update::new(x, s, 0.5)).collect();
-/// let short = Snapshot::from(&held[..2]);
-/// assert_eq!((short.len(), short[0].seqno.get()), (2, 6));
-/// assert_eq!(Snapshot::from(held.clone())[..], held[..]);
-/// assert!(Snapshot::from(Vec::new()).is_empty());
-/// ```
-#[derive(Clone)]
-pub struct Snapshot {
-    held: Held,
+/// Returned by [`Snapshot::read`] and [`IntoSnapshot::into_snapshot`];
+/// [`Alert::new`] panics with it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SnapshotError {
+    /// Neither no update nor one per seqno of the fingerprint.
+    Length {
+        /// The fingerprint's seqnos, over all its variables.
+        expected: usize,
+        /// The updates given.
+        found: usize,
+    },
+    /// An update in the place of another of the fingerprint's.
+    Update {
+        /// The variable and seqno the fingerprint has at that place.
+        expected: (VarId, SeqNo),
+        /// The variable and seqno given there.
+        found: (VarId, SeqNo),
+    },
 }
 
-impl Snapshot {
-    /// The first `len` updates of `updates`, which must yield at least
-    /// that many: how an evaluator copies the histories it holds, with
-    /// no list in between.
-    pub(crate) fn gather<'a>(len: usize, mut updates: impl Iterator<Item = &'a Update>) -> Self {
-        let mut next = || match updates.next() {
-            Some(u) => *u,
-            None => unreachable!("a history yielded fewer updates than it holds"),
-        };
-        let held = if len <= INLINE_UPDATES {
-            let mut flat = [PAD; INLINE_UPDATES];
-            flat[..len].iter_mut().for_each(|slot| *slot = next());
-            Held::Flat { len: len as u8, updates: flat }
-        } else {
-            // A range's length is one `Arc<[_]>` trusts, so this is one
-            // allocation.
-            Held::Spilled((0..len).map(|_| next()).collect())
-        };
-        Snapshot { held }
-    }
-}
-
-impl std::ops::Deref for Snapshot {
-    type Target = [Update];
-
-    #[inline]
-    fn deref(&self) -> &[Update] {
-        match &self.held {
-            Held::Flat { len, updates } => &updates[..usize::from(*len)],
-            Held::Spilled(updates) => updates,
+impl fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SnapshotError::Length { expected, found } => {
+                write!(f, "a snapshot of {found} updates for a fingerprint of {expected}")
+            }
+            SnapshotError::Update { expected: (var, seqno), found: (v, s) } => {
+                write!(f, "snapshot update {s}{v} where the fingerprint has {seqno}{var}")
+            }
         }
     }
 }
 
-impl From<&[Update]> for Snapshot {
-    fn from(updates: &[Update]) -> Self {
-        Snapshot::gather(updates.len(), updates.iter())
+impl std::error::Error for SnapshotError {}
+
+impl From<SnapshotError> for rcm_json::Error {
+    fn from(e: SnapshotError) -> Self {
+        rcm_json::Error::new(e.to_string())
     }
 }
 
-impl From<Vec<Update>> for Snapshot {
-    fn from(updates: Vec<Update>) -> Self {
-        Snapshot::from(&updates[..])
+/// The values of the updates an [`Alert`] triggered on, for display:
+/// none, or one per seqno of its fingerprint in the fingerprint's
+/// order — variables ascending, newest first.
+///
+/// An update is a full snapshot of its variable, so its variable and
+/// seqno, which the fingerprint already holds, fix its value: the
+/// snapshot keeps the values alone and [`AlertBody::updates`] puts
+/// each back beside its seqno. Up to 6 values are stored in the
+/// snapshot itself, a longer run in one boxed slice. It reads as a
+/// `[f64]` (through `Deref`) and compares value by value, whichever way
+/// it is stored.
+///
+/// ```rust
+/// use rcm_core::{HistoryFingerprint, IntoSnapshot, SeqNo, Snapshot, SnapshotError, Update, VarId};
+/// let x = VarId::new(0);
+/// let fp = HistoryFingerprint::single(x, vec![SeqNo::new(6), SeqNo::new(5)]);
+/// let held = [Update::new(x, 6, 0.5), Update::new(x, 5, 1.5)];
+/// assert_eq!(held[..].into_snapshot(&fp)?[..], [0.5, 1.5]);
+/// assert!(held[..1].into_snapshot(&fp).is_err());
+/// assert!(Snapshot::default().is_empty());
+/// # Ok::<(), SnapshotError>(())
+/// ```
+#[derive(Clone)]
+pub struct Snapshot {
+    values: Values,
+}
+
+impl Snapshot {
+    /// The snapshot of `fingerprint` that `updates` spell out: none, or
+    /// exactly the fingerprint's updates in its order. The form for a
+    /// reader of untrusted input, which yields its updates (or its own
+    /// error) one at a time, with no list in between.
+    ///
+    /// # Errors
+    ///
+    /// The first error `updates` yields, or a [`SnapshotError`] when
+    /// they are neither none nor the fingerprint's.
+    pub fn read<E: From<SnapshotError>>(
+        fingerprint: &HistoryFingerprint,
+        updates: impl ExactSizeIterator<Item = Result<Update, E>>,
+    ) -> Result<Self, E> {
+        let (expected, found) = (fingerprint.seqno_count(), updates.len());
+        if found == 0 {
+            return Ok(Snapshot::default());
+        }
+        if found != expected {
+            return Err(SnapshotError::Length { expected, found }.into());
+        }
+        let mut pairs = fingerprint.pairs().zip(updates);
+        Snapshot::fill(expected, || {
+            let Some(((var, seqno), update)) = pairs.next() else {
+                return Err(SnapshotError::Length { expected, found }.into());
+            };
+            let update = update?;
+            if (update.var, update.seqno) != (var, seqno) {
+                let found = (update.var, update.seqno);
+                return Err(SnapshotError::Update { expected: (var, seqno), found }.into());
+            }
+            Ok(update.value)
+        })
+    }
+
+    /// The first `len` of `values`, which must yield at least that
+    /// many: how an evaluator copies the histories it holds, with no
+    /// list in between.
+    pub(crate) fn gather(len: usize, mut values: impl Iterator<Item = f64>) -> Self {
+        let next = || match values.next() {
+            Some(value) => Ok::<_, std::convert::Infallible>(value),
+            None => unreachable!("a history yielded fewer updates than it holds"),
+        };
+        match Snapshot::fill(len, next) {
+            Ok(snapshot) => snapshot,
+            Err(never) => match never {},
+        }
+    }
+
+    /// `len` values from `next`, in place when they fit, else in one
+    /// allocation of exactly `len`.
+    fn fill<E>(len: usize, mut next: impl FnMut() -> Result<f64, E>) -> Result<Self, E> {
+        let values = if len <= INLINE_VALUES {
+            let mut flat = [0.0; INLINE_VALUES];
+            for slot in &mut flat[..len] {
+                *slot = next()?;
+            }
+            Values::Flat { len: len as u8, values: flat }
+        } else {
+            let mut boxed = vec![0.0; len].into_boxed_slice();
+            for slot in boxed.iter_mut() {
+                *slot = next()?;
+            }
+            Values::Spilled(boxed)
+        };
+        Ok(Snapshot { values })
+    }
+}
+
+impl Default for Snapshot {
+    /// The snapshot of no update, which every fingerprint accepts.
+    fn default() -> Self {
+        Snapshot { values: Values::Flat { len: 0, values: [0.0; INLINE_VALUES] } }
+    }
+}
+
+impl std::ops::Deref for Snapshot {
+    type Target = [f64];
+
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        match &self.values {
+            Values::Flat { len, values } => &values[..usize::from(*len)],
+            Values::Spilled(values) => values,
+        }
     }
 }
 
@@ -672,6 +772,42 @@ impl PartialEq for Snapshot {
 impl fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The triggering updates as [`Alert::new`] takes them: a list of
+/// [`Update`]s, each checked against the fingerprint, or a [`Snapshot`]
+/// already in the fingerprint's order, checked for its length.
+pub trait IntoSnapshot {
+    /// The snapshot these updates make beside `fingerprint`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] unless they are none or exactly the
+    /// fingerprint's updates.
+    fn into_snapshot(self, fingerprint: &HistoryFingerprint) -> Result<Snapshot, SnapshotError>;
+}
+
+impl IntoSnapshot for &[Update] {
+    fn into_snapshot(self, fingerprint: &HistoryFingerprint) -> Result<Snapshot, SnapshotError> {
+        Snapshot::read(fingerprint, self.iter().map(|&u| Ok(u)))
+    }
+}
+
+impl IntoSnapshot for Vec<Update> {
+    fn into_snapshot(self, fingerprint: &HistoryFingerprint) -> Result<Snapshot, SnapshotError> {
+        self[..].into_snapshot(fingerprint)
+    }
+}
+
+impl IntoSnapshot for Snapshot {
+    fn into_snapshot(self, fingerprint: &HistoryFingerprint) -> Result<Snapshot, SnapshotError> {
+        let (expected, found) = (fingerprint.seqno_count(), self.len());
+        if found == 0 || found == expected {
+            Ok(self)
+        } else {
+            Err(SnapshotError::Length { expected, found })
+        }
     }
 }
 
@@ -692,12 +828,14 @@ impl fmt::Debug for Snapshot {
 /// use rcm_core::{Alert, AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
 /// let x = VarId::new(0);
 /// let fp = HistoryFingerprint::single(x, vec![SeqNo::new(3), SeqNo::new(2)]);
-/// let a = Alert::new(CondId::SINGLE, fp.clone(), vec![Update::new(x, 3, 52.0)],
+/// let held = vec![Update::new(x, 3, 52.0), Update::new(x, 2, 51.5)];
+/// let a = Alert::new(CondId::SINGLE, fp.clone(), held.clone(),
 ///                    AlertId { ce: CeId::new(0), index: 0 });
 /// let b = Alert::new(CondId::SINGLE, fp, vec![], AlertId { ce: CeId::new(1), index: 5 });
 /// assert_eq!(a, b); // same condition + histories => identical
 /// assert_eq!(a.seqno(x), Some(SeqNo::new(3)));
 /// assert!(Alert::ptr_eq(&a, &a.clone()) && !Alert::ptr_eq(&a, &b));
+/// assert_eq!((a.updates().collect::<Vec<_>>(), b.updates().count()), (held, 0));
 /// ```
 #[derive(Clone)]
 pub struct Alert(Arc<AlertBody>);
@@ -709,23 +847,42 @@ pub struct AlertBody {
     pub cond: CondId,
     /// The update histories the CE used in evaluating the condition.
     pub fingerprint: HistoryFingerprint,
-    /// Snapshot of the triggering updates, newest first per variable
-    /// (for display; not part of identity).
+    /// The values of the triggering updates, in the fingerprint's order,
+    /// or none (for display; not part of identity).
     pub snapshot: Snapshot,
     /// Provenance (not part of identity).
     pub id: AlertId,
 }
 
+impl AlertBody {
+    /// The triggering updates, per variable in ascending order, newest
+    /// first: the fingerprint's seqnos beside the snapshot's values.
+    /// Nothing when the snapshot is empty.
+    pub fn updates(&self) -> impl Iterator<Item = Update> + '_ {
+        let pairs = self.fingerprint.pairs().zip(self.snapshot.iter());
+        pairs.map(|((var, seqno), &value)| Update::new(var, seqno, value))
+    }
+}
+
 impl Alert {
     /// Creates an alert; `snapshot` accepts a `Vec<Update>`, a slice or
-    /// a [`Snapshot`].
+    /// a [`Snapshot`] (see [`IntoSnapshot`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `snapshot` is empty or exactly the fingerprint's
+    /// updates, in its order.
     pub fn new(
         cond: CondId,
         fingerprint: HistoryFingerprint,
-        snapshot: impl Into<Snapshot>,
+        snapshot: impl IntoSnapshot,
         id: AlertId,
     ) -> Self {
-        Alert(Arc::new(AlertBody { cond, fingerprint, snapshot: snapshot.into(), id }))
+        let snapshot = match snapshot.into_snapshot(&fingerprint) {
+            Ok(snapshot) => snapshot,
+            Err(e) => panic!("{e}"),
+        };
+        Alert(Arc::new(AlertBody { cond, fingerprint, snapshot, id }))
     }
 
     /// This alert under condition `cond`, everything else kept: in
@@ -751,7 +908,7 @@ impl Alert {
         obj([
             ("cond", self.cond.index().into()),
             ("fingerprint", self.fingerprint.to_json()),
-            ("snapshot", self.snapshot.iter().map(|u| u.to_json()).collect()),
+            ("snapshot", self.updates().map(Update::to_json).collect()),
             ("id", obj([("ce", self.id.ce.index().into()), ("index", self.id.index.into())])),
         ])
     }
@@ -760,15 +917,17 @@ impl Alert {
     ///
     /// # Errors
     ///
-    /// A missing or mistyped field, or a fingerprint
-    /// [`HistoryFingerprint::try_new`] refuses.
+    /// A missing or mistyped field, a fingerprint
+    /// [`HistoryFingerprint::try_new`] refuses, or a snapshot that is
+    /// neither empty nor the fingerprint's updates.
     pub fn from_json(j: &Json) -> rcm_json::Result<Self> {
-        let snapshot: Vec<Update> =
-            j.field("snapshot")?.arr()?.iter().map(Update::from_json).collect::<Result<_, _>>()?;
+        let fingerprint = HistoryFingerprint::from_json(j.field("fingerprint")?)?;
+        let updates = j.field("snapshot")?.arr()?.iter().map(Update::from_json);
+        let snapshot = Snapshot::read(&fingerprint, updates)?;
         let id = j.field("id")?;
         Ok(Alert::new(
             CondId::new(j.field("cond")?.u32()?),
-            HistoryFingerprint::from_json(j.field("fingerprint")?)?,
+            fingerprint,
             snapshot,
             AlertId { ce: CeId::new(id.field("ce")?.u32()?), index: id.field("index")?.u64()? },
         ))
@@ -832,7 +991,7 @@ mod tests {
     #[test]
     fn identity_ignores_provenance_and_snapshot() {
         let a = alert(fp(&[3, 2]), 0);
-        let snapshot = vec![Update::new(VarId::new(0), 3, 1.0)];
+        let snapshot = vec![Update::new(VarId::new(0), 3, 1.0), Update::new(VarId::new(0), 2, 0.5)];
         let b = Alert::new(
             CondId::SINGLE,
             fp(&[3, 2]),
@@ -926,7 +1085,7 @@ mod tests {
         let a = Alert::new(
             CondId::SINGLE,
             fp(&[3, 2]),
-            vec![Update::new(VarId::new(0), 3, 52.0)],
+            vec![Update::new(VarId::new(0), 3, 52.0), Update::new(VarId::new(0), 2, 51.0)],
             AlertId { ce: CeId::new(0), index: 0 },
         );
         let b = a.clone();
@@ -944,15 +1103,65 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_is_none_or_the_fingerprints_updates_in_its_order() {
+        let (x, y) = (VarId::new(0), VarId::new(4));
+        let fingerprint = HistoryFingerprint::new(vec![
+            (y, vec![SeqNo::new(9)]),
+            (x, vec![SeqNo::new(7), SeqNo::new(5)]),
+        ]);
+        let held = [Update::new(x, 7, 1.0), Update::new(x, 5, 2.0), Update::new(y, 9, 3.0)];
+        let a = Alert::new(
+            CondId::SINGLE,
+            fingerprint.clone(),
+            &held[..],
+            AlertId { ce: CeId::new(0), index: 0 },
+        );
+        assert_eq!(a.snapshot[..], [1.0, 2.0, 3.0]);
+        assert_eq!(a.updates().collect::<Vec<_>>(), held);
+        let check = |updates: &[Update]| updates.into_snapshot(&fingerprint);
+        assert_eq!(check(&[]).map(|s| s.len()), Ok(0));
+        assert_eq!(check(&held[..2]), Err(SnapshotError::Length { expected: 3, found: 2 }));
+        let swapped = [held[1], held[0], held[2]];
+        let expected = (x, SeqNo::new(7));
+        assert_eq!(
+            check(&swapped),
+            Err(SnapshotError::Update { expected, found: (x, SeqNo::new(5)) })
+        );
+        // A snapshot moves between alerts on its length alone.
+        assert!(a.snapshot.clone().into_snapshot(&fingerprint).is_ok());
+        assert!(a.snapshot.clone().into_snapshot(&fp(&[3, 2])).is_err());
+        // Past six values the snapshot is one exact allocation; the
+        // updates read back the same.
+        let deep = fp(&[9, 8, 7, 6, 5, 4, 3]);
+        let run: Vec<Update> = (3..=9).rev().map(|s| Update::new(x, s, s as f64)).collect();
+        let b =
+            Alert::new(CondId::SINGLE, deep, run.clone(), AlertId { ce: CeId::new(0), index: 1 });
+        assert_eq!(b.updates().collect::<Vec<_>>(), run);
+    }
+
+    #[test]
+    #[should_panic(expected = "a snapshot of 1 updates for a fingerprint of 2")]
+    fn a_partial_snapshot_is_refused() {
+        let x = VarId::new(0);
+        Alert::new(
+            CondId::SINGLE,
+            fp(&[3, 2]),
+            vec![Update::new(x, 3, 1.0)],
+            AlertId { ce: CeId::new(0), index: 0 },
+        );
+    }
+
+    #[test]
     #[cfg(target_pointer_width = "64")]
     fn an_alert_is_one_pointer() {
         // A run retains every alert it raised, `alert_storm` 1.7 million
         // handles on 0.7 million bodies: each handle is a word, and a
-        // body with the 2 × 2 snapshot in place is one 224-byte malloc
-        // chunk (200 bytes plus the two refcounts).
+        // body with the 2 × 2 snapshot in place is one 176-byte malloc
+        // chunk (152 bytes plus the two refcounts). The snapshot holds
+        // values alone: six in place, as many as the fingerprint's seqnos.
         assert_eq!(std::mem::size_of::<HistoryFingerprint>(), 72);
-        assert_eq!(std::mem::size_of::<Snapshot>(), 104);
-        assert_eq!(std::mem::size_of::<AlertBody>(), 200);
+        assert_eq!(std::mem::size_of::<Snapshot>(), 56);
+        assert_eq!(std::mem::size_of::<AlertBody>(), 152);
         assert_eq!(std::mem::size_of::<Alert>(), 8);
     }
 
@@ -963,18 +1172,34 @@ mod tests {
         let a = Alert::new(
             CondId::SINGLE,
             fp(&[3, 2]),
-            vec![Update::new(VarId::new(0), 3, 52.0)],
+            vec![Update::new(VarId::new(0), 3, 52.0), Update::new(VarId::new(0), 2, 51.0)],
             AlertId { ce: CeId::new(0), index: 7 },
         );
         let json = rcm_json::parse(&a.to_json().to_string()).unwrap();
         assert_eq!(
             json.to_string(),
-            r#"{"cond":0,"fingerprint":{"entries":[[0,[3,2]]]},"snapshot":[{"var":0,"seqno":3,"value":52.0}],"id":{"ce":0,"index":7}}"#
+            r#"{"cond":0,"fingerprint":{"entries":[[0,[3,2]]]},"snapshot":[{"var":0,"seqno":3,"value":52.0},{"var":0,"seqno":2,"value":51.0}],"id":{"ce":0,"index":7}}"#
         );
         let back = Alert::from_json(&json).unwrap();
         assert_eq!(back, a);
         assert_eq!(back.snapshot[..], a.snapshot[..]);
         assert_eq!(back.id, a.id);
+        // A snapshot that is neither empty nor the fingerprint's updates
+        // is refused, not loaded beside histories it contradicts.
+        let with_snapshot = |snapshot: &str| {
+            let text = format!(
+                r#"{{"cond":0,"fingerprint":{{"entries":[[0,[3,2]]]}},"snapshot":[{snapshot}],"id":{{"ce":0,"index":7}}}}"#
+            );
+            Alert::from_json(&rcm_json::parse(&text).unwrap())
+        };
+        assert!(with_snapshot("").unwrap().snapshot.is_empty());
+        for bad in [
+            r#"{"var":0,"seqno":3,"value":52.0},{"var":0,"seqno":1,"value":51.0}"#,
+            r#"{"var":0,"seqno":3,"value":52.0}"#,
+            r#"{"var":0,"seqno":3,"value":52.0},{"var":1,"seqno":2,"value":51.0}"#,
+        ] {
+            assert!(with_snapshot(bad).is_err(), "{bad}");
+        }
         // A spilled fingerprint (five variables) reads back too.
         let wide = HistoryFingerprint::new(
             (0..5).map(|v| (VarId::new(v), vec![SeqNo::new(9), SeqNo::new(4)])).collect(),

@@ -525,7 +525,7 @@ impl ExprStore {
     /// Flat snapshot of the history `spec` covers.
     pub(crate) fn snapshot(&self, spec: &[(usize, usize)]) -> Snapshot {
         let len = spec.iter().map(|&(ring, degree)| self.history(ring).len().min(degree)).sum();
-        Snapshot::gather(len, self.held(spec).flat_map(|(_, held)| held))
+        Snapshot::gather(len, self.held(spec).flat_map(|(_, held)| held).map(|u| u.value))
     }
 
     /// Empties every ring (CE restart); nothing memoised survives.
@@ -856,20 +856,20 @@ mod tests {
         let deep = compile("consecutive(x) && x[-1].value > 0", &mut vars);
         let (hs, hd) = (host(&mut store, &shallow, 0), host(&mut store, &deep, 1));
         let x = vars.lookup("x").unwrap();
-        store.push(Update::new(x, 3, 1.0));
-        store.push(Update::new(x, 5, 1.0)); // 4 was lost
+        store.push(Update::new(x, 3, 3.0));
+        store.push(Update::new(x, 5, 5.0)); // 4 was lost
         assert!(verdict(&mut store, &hs, 0), "a degree-1 history has no gap to see");
         assert!(!verdict(&mut store, &hd, 1));
         // The ring is two deep; the degree-1 condition's alert carries
         // only its own newest entry.
         let spec = spec_of(&store, &hs);
         assert_eq!(store.fingerprint(spec).seqnos(x).unwrap(), &[SeqNo::new(5)]);
-        assert_eq!(store.snapshot(spec)[..], [Update::new(x, 5, 1.0)]);
-        store.push(Update::new(x, 6, 1.0));
+        assert_eq!(store.snapshot(spec)[..], [5.0]);
+        store.push(Update::new(x, 6, 6.0));
         assert!(verdict(&mut store, &hd, 1));
         let spec = spec_of(&store, &hd);
         assert_eq!(store.fingerprint(spec).seqnos(x).unwrap(), &[SeqNo::new(6), SeqNo::new(5)]);
-        assert_eq!(store.snapshot(spec)[..], [Update::new(x, 6, 1.0), Update::new(x, 5, 1.0)]);
+        assert_eq!(store.snapshot(spec)[..], [6.0, 5.0]);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::condition::{Condition, ConditionExt};
 use crate::error::{Error, Result};
 use crate::history::HistorySet;
 use crate::update::Update;
-use crate::var::VarId;
 
 /// A Condition Evaluator replica.
 ///
@@ -166,70 +165,12 @@ pub fn transduce<C: Condition>(cond: &C, ce: CeId, updates: &[Update]) -> Vec<Al
     updates.iter().filter_map(|&u| ev.ingest(u)).collect()
 }
 
-/// `T(U1 ⊔ U2)` for a **single-variable** system: merges the two
-/// replicas' received update sequences with the ordered union and runs
-/// `T` over the result — the behaviour of the paper's corresponding
-/// non-replicated system `N` given the combined inputs.
-///
-/// When the same seqno appears in both inputs the first occurrence is
-/// kept; updates are full snapshots, so both carry the same value.
-///
-/// # Panics
-///
-/// Panics if the updates span more than one variable (multi-variable
-/// systems need an interleaving, not a union — see the paper's
-/// Appendix C and the `rcm-props` crate).
-// analyze: allow(reach): evaluator_props checks Lemma 3 with it, and an integration test sees no #[cfg(test)] item
-pub fn transduce_merged<C: Condition>(
-    cond: &C,
-    ce: CeId,
-    u1: &[Update],
-    u2: &[Update],
-) -> Vec<Alert> {
-    let mut var: Option<VarId> = None;
-    for u in u1.iter().chain(u2) {
-        match var {
-            None => var = Some(u.var),
-            Some(v) => {
-                assert!(v == u.var, "transduce_merged is single-variable; found {v} and {}", u.var)
-            }
-        }
-    }
-    let mut merged: Vec<Update> = Vec::with_capacity(u1.len() + u2.len());
-    let (mut i, mut j) = (0, 0);
-    while i < u1.len() || j < u2.len() {
-        let next = match (u1.get(i), u2.get(j)) {
-            (Some(a), Some(b)) => {
-                if a.seqno <= b.seqno {
-                    i += 1;
-                    *a
-                } else {
-                    j += 1;
-                    *b
-                }
-            }
-            (Some(a), None) => {
-                i += 1;
-                *a
-            }
-            (None, Some(b)) => {
-                j += 1;
-                *b
-            }
-            (None, None) => unreachable!(),
-        };
-        if merged.last().map(|u: &Update| u.seqno) != Some(next.seqno) {
-            merged.push(next);
-        }
-    }
-    transduce(cond, ce, &merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::{Cmp, Conservative, DeltaRise, Threshold};
+    use crate::condition::{Cmp, DeltaRise, Threshold};
     use crate::update::SeqNo;
+    use crate::var::VarId;
 
     fn x() -> VarId {
         VarId::new(0)
@@ -304,35 +245,6 @@ mod tests {
         assert!(ev.histories().history(x()).unwrap().is_empty());
         let a1 = ev.ingest(u(5, 1.0)).unwrap();
         assert_eq!(a1.id.index, 1);
-    }
-
-    #[test]
-    fn transduce_merged_matches_union() {
-        // Theorem 3's counterexample inputs: U1 = ⟨1(1000), 2(1500)⟩,
-        // U2 = ⟨3(2000), 4(2500)⟩ under c3.
-        let c3 = Conservative::new(DeltaRise::new(x(), 200.0));
-        let u1 = vec![u(1, 1000.0), u(2, 1500.0)];
-        let u2 = vec![u(3, 2000.0), u(4, 2500.0)];
-        let merged = transduce_merged(&c3, CeId::new(0), &u1, &u2);
-        // T(⟨1,2,3,4⟩) = ⟨2,3,4⟩ (each adjacent rise is 500 > 200).
-        let seqs: Vec<u64> = merged.iter().map(|a| a.seqno(x()).unwrap().get()).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn transduce_merged_dedups_common_seqnos() {
-        let c = Threshold::new(x(), Cmp::Gt, 0.0);
-        let u1 = vec![u(1, 1.0), u(2, 1.0)];
-        let u2 = vec![u(2, 1.0), u(3, 1.0)];
-        let merged = transduce_merged(&c, CeId::new(0), &u1, &u2);
-        assert_eq!(merged.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "single-variable")]
-    fn transduce_merged_rejects_multi_var() {
-        let c = Threshold::new(x(), Cmp::Gt, 0.0);
-        transduce_merged(&c, CeId::new(0), &[u(1, 1.0)], &[Update::new(VarId::new(1), 1, 1.0)]);
     }
 
     #[test]

@@ -234,7 +234,7 @@ impl HistorySet {
     /// in the form an [`Alert`](crate::Alert) carries.
     pub fn snapshot(&self) -> Snapshot {
         let len = self.histories.values().map(History::len).sum();
-        Snapshot::gather(len, self.histories.values().flat_map(History::updates))
+        Snapshot::gather(len, self.histories.values().flat_map(History::updates).map(|u| u.value))
     }
 
     /// Clears every history (CE restart).

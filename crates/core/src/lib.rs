@@ -95,12 +95,12 @@ mod var;
 
 pub use alert::{
     Alert, AlertBody, AlertId, CeId, CondId, FingerprintBuilder, FingerprintError,
-    HistoryFingerprint, Snapshot,
+    HistoryFingerprint, IntoSnapshot, Snapshot, SnapshotError,
 };
 pub use condition::{Condition, ConditionExt, Triggering};
 pub use derived::{derived_var, is_derived_var, DerivedEmitter, DerivedUpdate, DERIVED_VAR_BASE};
 pub use error::{Error, Result};
-pub use evaluator::{transduce, transduce_merged, Evaluator};
+pub use evaluator::{transduce, Evaluator};
 pub use history::{History, HistorySet};
 pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use registry::{ConditionRegistry, RegistryStats};

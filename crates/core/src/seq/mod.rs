@@ -16,23 +16,20 @@
 //!   smallest and largest elements of `s` ([`spanning_set`]), used by
 //!   Algorithm AD-3.
 //!
-//! [`merge_by_schedule`] builds one order-preserving merge of two
-//! sequences, an interleaving `U_V` of the multi-variable definitions
-//! (paper Appendix C).
+//! The interleavings `U_V` of the multi-variable definitions (paper
+//! Appendix C) are enumerated where they are checked, by `rcm-props`.
 //!
 //! [`IntervalSet`] is the runtime counterpart of these set operations:
 //! a seqno set stored as sorted inclusive runs, used by the AD-3/AD-6
 //! consistency bookkeeping so long-running monitors don't accumulate
 //! one tree node per update ever seen.
 
-mod interleave;
 mod intervals;
 mod ops;
 mod project;
 
-pub use interleave::merge_by_schedule;
 pub use intervals::IntervalSet;
-pub use ops::{inversions, is_ordered, is_subsequence, ordered_union, spanning_gaps, spanning_set};
 #[cfg(test)]
-pub(crate) use ops::{is_strictly_ordered, phi};
+pub(crate) use ops::is_strictly_ordered;
+pub use ops::{inversions, is_ordered, is_subsequence, ordered_union, spanning_gaps, spanning_set};
 pub use project::project_alerts;

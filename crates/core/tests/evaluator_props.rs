@@ -3,8 +3,9 @@
 
 use rcm_core::condition::{Cmp, Conservative, DeltaRise, Threshold};
 use rcm_core::seq::{is_ordered, ordered_union, project_alerts};
-use rcm_core::{transduce, transduce_merged, CeId, Condition, ConditionExt, Update, VarId};
+use rcm_core::{transduce, CeId, Condition, ConditionExt, Update, VarId};
 use rcm_net::{cases, Rng};
+use rcm_props::merge_all_single;
 
 fn x() -> VarId {
     VarId::new(0)
@@ -97,7 +98,7 @@ fn lemma_3_non_historical_t_commutes_with_union() {
         let c1 = Threshold::new(x(), Cmp::Gt, 50.0);
         let u1 = stream(&values, &mask1);
         let u2 = stream(&values, &mask2);
-        let merged = transduce_merged(&c1, CeId::new(0), &u1, &u2);
+        let merged = transduce(&c1, CeId::new(0), &merge_all_single(&[u1.clone(), u2.clone()]));
         let a1 = transduce(&c1, CeId::new(1), &u1);
         let a2 = transduce(&c1, CeId::new(2), &u2);
         let lhs: std::collections::HashSet<_> = merged.iter().collect();
@@ -112,14 +113,30 @@ fn lemma_3_non_historical_t_commutes_with_union() {
     });
 }
 
+/// The paper's Theorem-3 inputs: U1 = ⟨1(1000), 2(1500)⟩ and
+/// U2 = ⟨3(2000), 4(2500)⟩, under c3.
+fn theorem_3_inputs() -> (Conservative<DeltaRise>, Vec<Update>, Vec<Update>) {
+    let c3 = Conservative::new(DeltaRise::new(x(), 200.0));
+    let u1 = vec![Update::new(x(), 1, 1000.0), Update::new(x(), 2, 1500.0)];
+    let u2 = vec![Update::new(x(), 3, 2000.0), Update::new(x(), 4, 2500.0)];
+    (c3, u1, u2)
+}
+
+#[test]
+fn t_of_the_union_of_theorem_3s_inputs_alerts_on_2_3_4() {
+    let (c3, u1, u2) = theorem_3_inputs();
+    let merged = transduce(&c3, CeId::new(0), &merge_all_single(&[u1, u2]));
+    // T(⟨1,2,3,4⟩) = ⟨2,3,4⟩: each adjacent rise is 500 > 200.
+    let seqs: Vec<u64> = merged.iter().map(|a| a.seqno(x()).unwrap().get()).collect();
+    assert_eq!(seqs, vec![2, 3, 4]);
+}
+
 #[test]
 fn lemma_3_fails_for_historical_conditions_sometimes() {
     // Sanity anchor: the commuting property is specifically
     // non-historical. The paper's Theorem-3 inputs break it for c3.
-    let c3 = Conservative::new(DeltaRise::new(x(), 200.0));
-    let u1 = vec![Update::new(x(), 1, 1000.0), Update::new(x(), 2, 1500.0)];
-    let u2 = vec![Update::new(x(), 3, 2000.0), Update::new(x(), 4, 2500.0)];
-    let merged = transduce_merged(&c3, CeId::new(0), &u1, &u2);
+    let (c3, u1, u2) = theorem_3_inputs();
+    let merged = transduce(&c3, CeId::new(0), &merge_all_single(&[u1.clone(), u2.clone()]));
     let separate =
         transduce(&c3, CeId::new(1), &u1).len() + transduce(&c3, CeId::new(2), &u2).len();
     assert!(merged.len() > separate); // alert@3 exists only merged

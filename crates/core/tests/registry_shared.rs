@@ -478,7 +478,7 @@ fn assert_same_alerts(got: &[Alert], want: &[Alert], what: &str) {
         assert_eq!(g, w, "{what}: alert {i}");
         assert_eq!(g.id, w.id, "{what}: alert {i} id");
         assert_eq!(g.snapshot.len(), w.snapshot.len(), "{what}: alert {i} snapshot");
-        for (gu, wu) in g.snapshot.iter().zip(w.snapshot.iter()) {
+        for (gu, wu) in g.updates().zip(w.updates()) {
             assert_eq!((gu.var, gu.seqno), (wu.var, wu.seqno), "{what}: alert {i} snapshot");
             assert_eq!(gu.value.to_bits(), wu.value.to_bits(), "{what}: alert {i} snapshot");
         }

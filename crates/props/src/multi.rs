@@ -402,6 +402,71 @@ mod tests {
         assert_eq!(n, 3); // C(3,1)
     }
 
+    /// Every merge of two lists: what [`enumerate_merges`] visits.
+    fn merges_of_two(left: &[Update], right: &[Update]) -> Vec<Vec<Update>> {
+        let mut all = Vec::new();
+        enumerate_merges(&[left.to_vec(), right.to_vec()], &mut |m| {
+            all.push(m.to_vec());
+            false
+        });
+        all
+    }
+
+    #[test]
+    fn two_lists_merge_in_binomially_many_ways() {
+        let count = |n: u64, m: u64| {
+            let left: Vec<Update> = (1..=n).map(|s| ux(s, 0.0)).collect();
+            let right: Vec<Update> = (1..=m).map(|s| uy(s, 0.0)).collect();
+            merges_of_two(&left, &right).len()
+        };
+        assert_eq!(count(0, 0), 1); // the empty merge
+        assert_eq!(count(1, 0), 1);
+        assert_eq!(count(2, 2), 6);
+        assert_eq!(count(3, 3), 20);
+        assert_eq!(count(4, 2), 15);
+    }
+
+    #[test]
+    fn two_lists_with_an_empty_side_merge_one_way() {
+        assert_eq!(merges_of_two(&[], &[uy(1, 0.0), uy(2, 0.0)]), [[uy(1, 0.0), uy(2, 0.0)]]);
+        assert_eq!(merges_of_two(&[], &[]), [Vec::<Update>::new()]);
+    }
+
+    /// Two lists of 0..=`size` updates, of `x` and of `y`.
+    fn two_lists(rng: &mut rcm_net::Rng, size: usize) -> (Vec<Update>, Vec<Update>) {
+        let mut draw = |var: VarId| -> Vec<Update> {
+            (0..rng.below(size + 1) as u64)
+                .map(|s| Update::new(var, s + 1, rng.next_f64()))
+                .collect()
+        };
+        (draw(x()), draw(y()))
+    }
+
+    #[test]
+    fn every_merge_of_two_lists_keeps_both_orders() {
+        rcm_net::cases("every_merge_of_two_lists_keeps_both_orders", 256, 4, |rng, size| {
+            let (left, right) = two_lists(rng, size);
+            for merged in merges_of_two(&left, &right) {
+                assert_eq!(merged.len(), left.len() + right.len());
+                assert!(rcm_core::seq::is_subsequence(&left, &merged));
+                assert!(rcm_core::seq::is_subsequence(&right, &merged));
+            }
+        });
+    }
+
+    #[test]
+    fn merges_of_two_lists_are_distinct() {
+        rcm_net::cases("merges_of_two_lists_are_distinct", 256, 4, |rng, size| {
+            let (left, right) = two_lists(rng, size);
+            let all = merges_of_two(&left, &right);
+            let keys: BTreeSet<Vec<(u32, u64)>> = all
+                .iter()
+                .map(|m| m.iter().map(|u| (u.var.index(), u.seqno.get())).collect())
+                .collect();
+            assert_eq!(keys.len(), all.len());
+        });
+    }
+
     #[test]
     #[should_panic(expected = "capped")]
     fn completeness_cap_enforced() {

@@ -3,7 +3,6 @@
 //! literally enumerate the paper's definitions.
 
 use rcm_core::condition::{AbsDifference, Cmp, Conservative, DeltaRise, Threshold};
-use rcm_core::seq::merge_by_schedule;
 use rcm_core::{transduce, Alert, CeId, Condition, Update, VarId};
 use rcm_net::{cases, Rng};
 use rcm_props::brute::{brute_complete_multi, brute_consistent_multi, brute_consistent_single};
@@ -14,6 +13,46 @@ fn x() -> VarId {
 }
 fn y() -> VarId {
     VarId::new(1)
+}
+
+/// Merges `left` and `right` into one sequence according to `schedule`:
+/// `true` takes the next element of `left`, `false` of `right`, and a
+/// side that has run out gives way to the other. What the schedule
+/// leaves of either is appended in order.
+fn merge_by_schedule(left: &[Update], right: &[Update], schedule: &[bool]) -> Vec<Update> {
+    let mut out = Vec::with_capacity(left.len() + right.len());
+    let (mut i, mut j) = (0, 0);
+    for &take_left in schedule {
+        if (take_left || j == right.len()) && i < left.len() {
+            out.push(left[i]);
+            i += 1;
+        } else if j < right.len() {
+            out.push(right[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&left[i..]);
+    out.extend_from_slice(&right[j..]);
+    out
+}
+
+#[test]
+fn merge_by_schedule_takes_the_side_the_schedule_names() {
+    let (a, c) = (Update::new(x(), 1, 0.0), Update::new(x(), 2, 0.0));
+    let (b, d) = (Update::new(y(), 1, 0.0), Update::new(y(), 2, 0.0));
+    assert_eq!(merge_by_schedule(&[a, c], &[b, d], &[false, true, true]), vec![b, a, c, d]);
+}
+
+#[test]
+fn merge_by_schedule_appends_what_the_schedule_leaves() {
+    let (a, b) = (Update::new(x(), 1, 0.0), Update::new(y(), 1, 0.0));
+    let c = Update::new(x(), 2, 0.0);
+    assert_eq!(merge_by_schedule(&[a], &[b], &[]), vec![a, b]);
+    assert_eq!(merge_by_schedule(&[a], &[b], &[true]), vec![a, b]);
+    assert_eq!(merge_by_schedule(&[], &[], &[true, false]), vec![]);
+    // The schedule asks for the right side, which is empty: the left
+    // gives way.
+    assert_eq!(merge_by_schedule(&[a, c], &[], &[false, false]), vec![a, c]);
 }
 
 /// Applies a loss mask to a full update stream (in-order, lossy link).

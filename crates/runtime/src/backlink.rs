@@ -283,10 +283,21 @@ mod tests {
             // 2 x 16 seqnos: spilled out of the fingerprint's in-place form.
             alert(
                 HistoryFingerprint::new(vec![(x, newest_first(40)), (y, newest_first(90))]),
-                vec![Update::new(x, 40, 1.0), Update::new(y, 90, 2.0)],
+                (25..=40)
+                    .rev()
+                    .map(|s| Update::new(x, s, 1.0))
+                    .chain((75..=90).rev().map(|s| Update::new(y, s, 2.0)))
+                    .collect(),
             ),
             alert(one(), vec![]),
-            alert(one(), odd_values.iter().map(|&v| Update::new(x, 17, v)).collect()),
+            alert(
+                HistoryFingerprint::single(x, (14..=17).rev().map(SeqNo::new).collect()),
+                odd_values
+                    .iter()
+                    .zip((14..=17).rev())
+                    .map(|(&v, s)| Update::new(x, s, v))
+                    .collect(),
+            ),
         ];
         let (mut link, rx) = link::<Alert>(vec![]);
         for sent in sent {

@@ -91,7 +91,7 @@ fn main() -> ExitCode {
             displayed += 1;
             let heads: Vec<String> =
                 alert.fingerprint.iter().map(|(v, seqnos)| format!("{v}@{}", seqnos[0])).collect();
-            let value = alert.snapshot.first().map(|u| u.value);
+            let value = alert.updates().next().map(|u| u.value);
             println!("ALERT {} (reading {:?}) [from {}]", heads.join(", "), value, alert.id.ce);
         }
     };

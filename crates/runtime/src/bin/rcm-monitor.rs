@@ -121,7 +121,7 @@ fn main() -> ExitCode {
                     format!("{}@{}", registry_for_cb.name(v).unwrap_or("?"), seqnos[0])
                 })
                 .collect();
-            let value = alert.snapshot.first().map(|u| u.value);
+            let value = alert.updates().next().map(|u| u.value);
             println!("ALERT {} (reading {:?}) [from {}]", heads.join(", "), value, alert.id.ce);
         });
     for (name, values) in feeds {

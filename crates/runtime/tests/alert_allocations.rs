@@ -1,4 +1,5 @@
-//! What one alert costs the allocator, counted: raising it, encoding
+//! What one alert costs the allocator, counted in calls and in the
+//! bytes they ask for: raising it, encoding
 //! it, decoding it, crossing the codec in process, and sending an
 //! update down an in-process front link — and what a whole in-process
 //! run retains of it: one body, shared by the CE's record, the AD's
@@ -19,16 +20,39 @@ use rcm_runtime::wire::{self, Codec, Message};
 use rcm_runtime::{FrontLink, MonitorSystem, VarFeed};
 
 thread_local! {
-    /// Calls to `alloc`, `alloc_zeroed` and `realloc` on this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// What this thread asked the allocator for, and gave back.
+    static ASKED: Cell<Asked> = const { Cell::new(Asked { calls: 0, bytes: 0, frees: 0, freed: 0 }) };
+}
+
+/// What a stretch of work asked the allocator for: calls to `alloc`,
+/// `alloc_zeroed` and `realloc` and the bytes they asked for (a
+/// `realloc` its new size); calls to `dealloc` and the bytes they
+/// returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Asked {
+    calls: u64,
+    bytes: u64,
+    frees: u64,
+    freed: u64,
 }
 
 /// The system allocator, counting the calls that ask it for memory.
 struct Counting;
 
-fn count() {
+/// Adds one call of `size` bytes: an ask, or a return if `freed`.
+fn count(size: usize, freed: bool) {
     // A thread that is tearing its locals down is not one under test.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ASKED.try_with(|n| {
+        let mut asked = n.get();
+        let (calls, bytes) = if freed {
+            (&mut asked.frees, &mut asked.freed)
+        } else {
+            (&mut asked.calls, &mut asked.bytes)
+        };
+        *calls += 1;
+        *bytes += size as u64;
+        n.set(asked);
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -37,24 +61,25 @@ fn count() {
 // unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size(), false);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size(), false);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size, false);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(layout.size(), true);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -63,12 +88,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// How many times `work` asked the allocator for memory.
-fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.get();
+/// What `work` asked the allocator for.
+fn allocations<T>(work: impl FnOnce() -> T) -> (Asked, T) {
+    let before = ASKED.get();
     let out = work();
-    (ALLOCATIONS.get() - before, out)
+    let after = ASKED.get();
+    let asked = Asked {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+        frees: after.frees - before.frees,
+        freed: after.freed - before.freed,
+    };
+    (asked, out)
 }
+
+/// The block an alert's body takes: two refcounts and the body, which
+/// holds a 2 × 2 history set's seqnos and values in place.
+const BODY_BLOCK: u64 = 16 + std::mem::size_of::<rcm_core::AlertBody>() as u64;
 
 /// `alert_storm`'s condition (benchmark/src/workloads.rs): two
 /// variables, degree 2 each, true of every reading.
@@ -91,8 +127,42 @@ fn storm_alert() -> Alert {
 
     let (raised, ()) = allocations(|| registry.ingest(Update::new(v0, 4, 1.0), &mut out));
     assert_eq!(out.len(), 1);
-    assert_eq!(raised, 1, "raising a 2 x 2 alert allocates its body and nothing else");
+    assert_eq!(raised.calls, 1, "raising a 2 x 2 alert allocates its body and nothing else");
+    assert!(raised.bytes <= 168, "the body's block is {} bytes", raised.bytes);
+    assert_eq!(raised.bytes, BODY_BLOCK);
     out.pop().expect("one alert")
+}
+
+/// `eval_fanout`'s condition shape (benchmark/src/workloads.rs): two
+/// variables, a window of 16 each, here true of every reading.
+const FANOUT: &str = "avg_over(v0, 16) - avg_over(v1, 16) > -1000";
+
+#[test]
+fn a_two_by_sixteen_alert_asks_for_its_body_seqnos_and_values_alone() {
+    let mut vars = VarRegistry::new();
+    let mut registry = ConditionRegistry::new(CeId::new(0));
+    registry.add_compiled(CompiledCondition::compile(FANOUT, &mut vars).expect("compiles"));
+    let (v0, v1) = (vars.lookup("v0").expect("v0"), vars.lookup("v1").expect("v1"));
+    let mut out = Vec::with_capacity(64);
+    for seqno in 1..=16 {
+        registry.ingest(Update::new(v0, seqno, 1.0), &mut out);
+        registry.ingest(Update::new(v1, seqno, 1.0), &mut out);
+    }
+    assert_eq!(out.len(), 1, "defined from the sixteenth v1 on");
+    out.clear();
+
+    let (raised, ()) = allocations(|| registry.ingest(Update::new(v0, 17, 1.0), &mut out));
+    let alert = out.pop().expect("one alert");
+    assert_eq!(alert.fingerprint.iter().map(|(_, s)| s.len()).collect::<Vec<_>>(), [16, 16]);
+    assert_eq!(alert.snapshot.len(), 32);
+    // What the alert holds is what its last handle gives back: the
+    // body, the fingerprint's 2 heads and 32 seqnos, the 32 values —
+    // 168 + 272 + 256 bytes in three blocks.
+    let (dropped, ()) = allocations(|| drop(alert));
+    assert_eq!(dropped.frees, 3, "{dropped:?}");
+    assert!(dropped.freed <= 700, "{dropped:?}");
+    assert_eq!(dropped.freed, BODY_BLOCK + 34 * 8 + 32 * 8);
+    assert!(raised.bytes >= dropped.freed, "{raised:?}");
 }
 
 #[test]
@@ -102,7 +172,7 @@ fn an_alert_costs_one_allocation_to_raise_none_to_encode_and_one_to_decode() {
     assert_eq!(alert.snapshot.len(), 4);
 
     let (cloned, copy) = allocations(|| alert.clone());
-    assert_eq!(cloned, 0, "a clone shares the body");
+    assert_eq!(cloned.calls, 0, "a clone shares the body");
 
     let msg = Message::Alert(copy);
     let mut frame = Vec::new();
@@ -110,15 +180,23 @@ fn an_alert_costs_one_allocation_to_raise_none_to_encode_and_one_to_decode() {
     frame.clear();
     let (encoded, result) = allocations(|| wire::encode_into(Codec::Binary, &msg, &mut frame));
     result.expect("encodes");
-    assert_eq!(encoded, 0, "encoding into a buffer that has held the frame before");
+    assert_eq!(encoded.calls, 0, "encoding into a buffer that has held the frame before");
 
     let (decoded, back) = allocations(|| wire::decode_datagram(&frame));
     let Ok(Message::Alert(back)) = back else { panic!("own frame decodes to an alert") };
-    assert_eq!(decoded, 1, "decoding allocates the body, snapshot in place, and nothing else");
-    assert_eq!((&back, back.id, &back.snapshot[..]), (&alert, alert.id, &alert.snapshot[..]));
+    let body = (1, BODY_BLOCK);
+    let decoded = (decoded.calls, decoded.bytes);
+    assert_eq!(decoded, body, "decoding allocates the body, snapshot in place, and nothing else");
+    assert_eq!((&back, back.id), (&alert, alert.id));
+    assert!(back.updates().eq(alert.updates()));
 
     let (crossed, ()) = allocations(|| wire::cross_in(&mut frame, &msg));
-    assert_eq!(crossed, 1, "crossing in process: the decoded body, checked and dropped");
+    let crossed = (crossed.calls, crossed.bytes, crossed.frees);
+    assert_eq!(
+        crossed,
+        (1, BODY_BLOCK, 1),
+        "crossing in process: the decoded body, checked and dropped"
+    );
 }
 
 #[test]
@@ -188,5 +266,5 @@ fn a_front_link_send_allocates_only_what_its_channel_does() {
         }
     });
     assert_eq!(rx.try_iter().count() as u64, SENDS + 1);
-    assert_eq!(linked, bare, "{SENDS} sends through the codec and the link's own frame buffer");
+    assert_eq!(linked.calls, bare.calls, "{SENDS} sends through the codec and the link's frame");
 }

@@ -166,8 +166,7 @@ fn main() -> ExitCode {
                 format!("{name}@{}", seqnos[0])
             })
             .collect();
-        let values: Vec<String> =
-            a.snapshot.iter().take(2).map(|u| format!("{}", u.value)).collect();
+        let values: Vec<String> = a.snapshot.iter().take(2).map(|v| format!("{v}")).collect();
         println!("  {} (values: {})", heads.join(", "), values.join(", "));
     }
     let fmt = |o: Option<bool>| match o {

@@ -34,6 +34,8 @@
 //! alert     := cond:varint ce:varint index:varint
 //!              nvars:varint { var:varint nseq:varint seqno:varint* }*
 //!              nsnap:varint update*
+//!              (nsnap is 0, or one update per seqno of the fingerprint
+//!              in its order: variables ascending, newest first)
 //! hello/fin := node:varint
 //! batches   := count:varint item*
 //! derived   := var:varint seqno:varint kind:u8 alert
@@ -43,7 +45,7 @@
 
 use rcm_core::{
     Alert, AlertId, CeId, CondId, DerivedUpdate, FingerprintBuilder, FingerprintError, SeqNo,
-    Snapshot, Update, VarId,
+    Snapshot, SnapshotError, Update, VarId,
 };
 
 /// A message on a monitoring link.
@@ -198,11 +200,6 @@ const DERIVED_VERDICT: u8 = 1;
 /// plus the 8 value bytes) — used to bound declared batch counts.
 const UPDATE_WIRE_MIN: usize = 10;
 
-/// The longest alert snapshot read onto the stack before it is copied
-/// into place: an alert body holds up to four updates itself, and a
-/// snapshot of five to eight is one shared slice.
-const SNAPSHOT_INLINE: usize = 8;
-
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -247,8 +244,8 @@ fn put_alert(out: &mut Vec<u8>, alert: &Alert) {
         }
     }
     put_varint(out, alert.snapshot.len() as u64);
-    for update in alert.snapshot.iter() {
-        put_update(out, update);
+    for update in alert.updates() {
+        put_update(out, &update);
     }
 }
 
@@ -278,8 +275,8 @@ fn alert_wire_len(alert: &Alert) -> usize {
             len += varint_len(s.get());
         }
     }
-    for update in alert.snapshot.iter() {
-        len += update_wire_len(update);
+    for update in alert.updates() {
+        len += update_wire_len(&update);
     }
     len
 }
@@ -366,19 +363,6 @@ impl<'a> Reader<'a> {
         Ok(updates)
     }
 
-    /// An alert's snapshot. Up to [`SNAPSHOT_INLINE`] updates are read
-    /// onto the stack first, so a snapshot held in place costs nothing
-    /// and the alert's body is the decode's one allocation.
-    fn snapshot(&mut self) -> Result<Snapshot, WireError> {
-        let count = self.batch_count()?;
-        let mut few = [Update::new(VarId::new(0), 0, 0.0); SNAPSHOT_INLINE];
-        let Some(few) = few.get_mut(..count) else { return Ok(self.updates(count)?.into()) };
-        for slot in few.iter_mut() {
-            *slot = self.update()?;
-        }
-        Ok(Snapshot::from(&*few))
-    }
-
     fn alert(&mut self) -> Result<Alert, WireError> {
         let cond = CondId::new(self.varint_u32()?);
         let ce = CeId::new(self.varint_u32()?);
@@ -393,7 +377,11 @@ impl<'a> Reader<'a> {
             }
         }
         let fingerprint = fingerprint.finish().map_err(bad_fingerprint)?;
-        let snapshot = self.snapshot()?;
+        // None, or exactly the fingerprint's updates in its order, each
+        // checked as it is read. Only the values are kept, in the body
+        // itself up to six: the body is the decode's one allocation.
+        let count = self.batch_count()?;
+        let snapshot = Snapshot::read(&fingerprint, (0..count).map(|_| self.update()))?;
         Ok(Alert::new(cond, fingerprint, snapshot, AlertId { ce, index }))
     }
 
@@ -409,6 +397,12 @@ impl<'a> Reader<'a> {
 
 fn bad_fingerprint(_: FingerprintError) -> WireError {
     WireError::Malformed { context: "invalid history fingerprint" }
+}
+
+impl From<SnapshotError> for WireError {
+    fn from(_: SnapshotError) -> Self {
+        WireError::Malformed { context: "snapshot differs from its fingerprint" }
+    }
 }
 
 fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
@@ -811,7 +805,7 @@ fn alert_difference(a: &Alert, b: &Alert) -> Option<&'static str> {
         Some("alert.id.index")
     } else if a.snapshot.len() != b.snapshot.len() {
         Some("alert.snapshot length")
-    } else if runs_difference(&a.snapshot, &b.snapshot, update_difference).is_some() {
+    } else if a.updates().zip(b.updates()).any(|(a, b)| update_difference(&a, &b).is_some()) {
         Some("alert.snapshot")
     } else {
         None
@@ -841,7 +835,7 @@ mod tests {
         Alert::new(
             CondId::new(2),
             HistoryFingerprint::single(VarId::new(3), vec![SeqNo::new(17), SeqNo::new(15)]),
-            vec![update()],
+            vec![update(), Update::new(VarId::new(3), 15, 2999.5)],
             AlertId { ce: CeId::new(1), index: 9 },
         )
     }
@@ -857,7 +851,12 @@ mod tests {
                     (VarId::new(3), vec![SeqNo::new(300), SeqNo::new(299), SeqNo::new(200)]),
                     (VarId::new(900), vec![SeqNo::new(1 << 40)]),
                 ]),
-                vec![update(), Update::new(VarId::new(900), 1 << 40, -0.0)],
+                vec![
+                    Update::new(VarId::new(3), 300, 3000.5),
+                    Update::new(VarId::new(3), 299, f64::NAN),
+                    Update::new(VarId::new(3), 200, 1e300),
+                    Update::new(VarId::new(900), 1 << 40, -0.0),
+                ],
                 AlertId { ce: CeId::new(300), index: u64::MAX },
             )),
             Message::Hello { node: 7 },
@@ -906,28 +905,20 @@ mod tests {
     /// must name for it.
     fn alert_mutations(sent: &Alert) -> Vec<(&'static str, Alert)> {
         let x = VarId::new(3);
-        let with = |cond, fingerprint, snapshot: &[Update], id| {
-            Alert::new(cond, fingerprint, snapshot, id)
-        };
+        let with = |cond, fingerprint, id| Alert::new(cond, fingerprint, sent.snapshot.clone(), id);
         let (fp, id) = (sent.fingerprint.clone(), sent.id);
-        let with_snapshot = |snapshot: Vec<Update>| with(sent.cond, fp.clone(), &snapshot, id);
-        let mut nan = sent.snapshot.to_vec();
+        let with_snapshot = |snapshot: Vec<Update>| Alert::new(sent.cond, fp.clone(), snapshot, id);
+        let mut nan: Vec<Update> = sent.updates().collect();
         nan[1].value = f64::from_bits(nan[1].value.to_bits() ^ 1);
-        let mut signed = sent.snapshot.to_vec();
+        let mut signed: Vec<Update> = sent.updates().collect();
         signed[0].value = -0.0;
         let changed = HistoryFingerprint::single(x, vec![SeqNo::new(17), SeqNo::new(14)]);
         vec![
             ("alert.cond", sent.clone().with_cond(CondId::new(3))),
-            ("alert.fingerprint", with(sent.cond, changed, &sent.snapshot, id)),
-            (
-                "alert.id.ce",
-                with(sent.cond, fp.clone(), &sent.snapshot, AlertId { ce: CeId::new(2), ..id }),
-            ),
-            (
-                "alert.id.index",
-                with(sent.cond, fp.clone(), &sent.snapshot, AlertId { index: 10, ..id }),
-            ),
-            ("alert.snapshot length", with_snapshot(sent.snapshot[..1].to_vec())),
+            ("alert.fingerprint", with(sent.cond, changed, id)),
+            ("alert.id.ce", with(sent.cond, fp.clone(), AlertId { ce: CeId::new(2), ..id })),
+            ("alert.id.index", with(sent.cond, fp.clone(), AlertId { index: 10, ..id })),
+            ("alert.snapshot length", with_snapshot(vec![])),
             ("alert.snapshot", with_snapshot(signed)),
             ("alert.snapshot", with_snapshot(nan)),
         ]
@@ -975,13 +966,13 @@ mod tests {
         let changed_id = Alert::new(
             a.cond,
             a.fingerprint.clone(),
-            &a.snapshot[..],
+            a.snapshot.clone(),
             AlertId { index: a.id.index + 1, ..a.id },
         );
         let mutations = [
             ("derived.var", DerivedUpdate { var: rcm_core::derived_var(0, 4), ..sent.clone() }),
             ("derived.seqno", DerivedUpdate { seqno: SeqNo::new(5), ..sent.clone() }),
-            ("alert.snapshot length", verdict(awkward_alert())),
+            ("alert.snapshot", verdict(awkward_alert())),
         ];
         for (field, back) in mutations {
             let back = Message::Derived(back);
@@ -1005,7 +996,7 @@ mod tests {
             values.iter().enumerate().map(|(i, &v)| Update::new(x, 9 - i as u64, v)).collect();
         let alert = Alert::new(
             CondId::new(0),
-            HistoryFingerprint::single(x, vec![SeqNo::new(9)]),
+            HistoryFingerprint::single(x, (4..=9).rev().map(SeqNo::new).collect()),
             snapshot.clone(),
             AlertId { ce: CeId::new(0), index: 0 },
         );
@@ -1175,7 +1166,8 @@ mod tests {
                 let Ok(Message::Alert(got)) = decode_datagram(&frame) else {
                     panic!("{nvars} x {degree} did not come back as an alert")
                 };
-                assert_eq!((&got, got.id, &got.snapshot[..]), (&sent, id, &snapshot[..]));
+                assert_eq!((&got, got.id), (&sent, id));
+                assert_eq!(got.updates().collect::<Vec<_>>(), snapshot);
                 let read: Vec<_> = got.fingerprint.iter().map(|(v, s)| (v, s.to_vec())).collect();
                 assert_eq!(read, entries);
             }
@@ -1193,6 +1185,42 @@ mod tests {
             raw_frame(BINARY_WIRE_VERSION, &[&[tag::ALERT, 0, 0, 0, 1, 7][..], &huge].concat());
         for raw in [vars, seqnos] {
             assert!(matches!(decode_datagram(&raw), Err(WireError::Malformed { .. })), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_that_contradicts_its_fingerprint_is_malformed() {
+        // cond 0, ce 0, index 0, one variable 0 with seqnos 2 then 1,
+        // then the snapshot: its count and its updates.
+        let frame = |snapshot: &[Update]| {
+            let mut payload = vec![tag::ALERT, 0, 0, 0, 1, 0, 2, 2, 1];
+            put_varint(&mut payload, snapshot.len() as u64);
+            snapshot.iter().for_each(|u| put_update(&mut payload, u));
+            raw_frame(BINARY_WIRE_VERSION, &payload)
+        };
+        let (x, y) = (VarId::new(0), VarId::new(1));
+        let full = [Update::new(x, 2, 20.0), Update::new(x, 1, 10.0)];
+        let Ok(Message::Alert(a)) = decode_datagram(&frame(&full)) else { panic!("full") };
+        assert_eq!(a.updates().collect::<Vec<_>>(), full);
+        let Ok(Message::Alert(a)) = decode_datagram(&frame(&[])) else { panic!("empty") };
+        assert!(a.snapshot.is_empty());
+        // One seqno off: the AD would display a value beside histories
+        // it does not belong to.
+        for bad in [
+            vec![Update::new(x, 2, 20.0), Update::new(x, 0, 10.0)],
+            vec![Update::new(x, 1, 10.0), Update::new(x, 2, 20.0)],
+            vec![Update::new(x, 2, 20.0), Update::new(y, 1, 10.0)],
+            vec![Update::new(x, 2, 20.0)],
+            vec![full[0], full[1], full[1]],
+        ] {
+            assert!(
+                matches!(
+                    decode_datagram(&frame(&bad)),
+                    Err(WireError::Malformed { context: "snapshot differs from its fingerprint" })
+                ),
+                "{bad:?} decoded as {:?}",
+                decode_datagram(&frame(&bad))
+            );
         }
     }
 

@@ -27,7 +27,7 @@ fn alert(rng: &mut Rng) -> Alert {
     Alert::new(
         CondId::new(ce),
         HistoryFingerprint::single(VarId::new(v), vec![SeqNo::new(s), SeqNo::new(s - 1)]),
-        vec![Update::new(VarId::new(v), s, 1.0)],
+        vec![Update::new(VarId::new(v), s, 1.0), Update::new(VarId::new(v), s - 1, 0.5)],
         AlertId { ce: CeId::new(ce), index: rng.next_u64() },
     )
 }
@@ -90,7 +90,7 @@ fn derived_frame_mutations_never_panic_or_misparse() {
     let alert = Alert::new(
         CondId::new(2),
         HistoryFingerprint::single(VarId::new(1), vec![SeqNo::new(9), SeqNo::new(8)]),
-        vec![Update::new(VarId::new(1), 9, 4.5)],
+        vec![Update::new(VarId::new(1), 9, 4.5), Update::new(VarId::new(1), 8, 4.25)],
         AlertId { ce: CeId::new(3), index: 7 },
     );
     let messages = [Message::Derived(DerivedUpdate {

@@ -2,7 +2,14 @@
 //! the alternating-pair protocol that every performance claim in
 //! EXPERIMENTS.md rests on, as one command.
 //!
-//! Both binaries are builds of the benchmark binary, `rcm-e2e`. For each
+//! Both binaries are builds of the benchmark binary, `rcm-e2e`.
+//! `--parent-rev <rev>` stands for `--parent`: the command resolves the
+//! commit (an unknown rev fails before anything is built), writes its
+//! files with `git archive` into a directory of its own under the
+//! system's temporary directory, and builds that checkout's `rcm-e2e`
+//! there, offline (see [`ParentBuild`]). Without `--change`, the change
+//! side is this checkout's `rcm-e2e`, built offline as the benchmark
+//! builds it. For each
 //! seed from A to B, both included, it runs each binary once as a fresh
 //! process (`--workload W --seed S --trace 0`, so each run lasts the
 //! benchmark's own run length), the parent first on odd seeds and the
@@ -155,6 +162,96 @@ pub fn summarize(metric: &str, pairs: &[Pair]) -> Option<Summary> {
         lower: both.iter().filter(|&&(p, c)| c < p).count(),
         pairs: both.len(),
     })
+}
+
+/// The full id of the commit `rev` names in the repository at `root`.
+pub fn resolve_rev(root: &Path, rev: &str) -> Result<String, String> {
+    let output = Command::new("git")
+        .arg("-C")
+        .arg(root)
+        .args(["rev-parse", "--verify", "--quiet", &format!("{rev}^{{commit}}")])
+        .output()
+        .map_err(|e| format!("cannot start git: {e}"))?;
+    let id = String::from_utf8_lossy(&output.stdout).trim().to_string();
+    if !output.status.success() || id.is_empty() {
+        return Err(format!("`{rev}` names no commit in {}", root.display()));
+    }
+    Ok(id)
+}
+
+/// Where `--parent-rev` builds the parent: one directory per commit
+/// under the temporary directory, holding the commit's files in
+/// `checkout/` and their build in `target/`. Kept after the run, so the
+/// next run against the same commit only re-exports and relinks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParentBuild {
+    pub checkout: PathBuf,
+    pub target: PathBuf,
+}
+
+impl ParentBuild {
+    /// The layout for `commit` under `tmp`.
+    pub fn at(tmp: &Path, commit: &str) -> Self {
+        let dir = tmp.join(format!("rcm-ab-{}", &commit[..commit.len().min(12)]));
+        ParentBuild { checkout: dir.join("checkout"), target: dir.join("target") }
+    }
+
+    /// The benchmark binary the build leaves.
+    pub fn binary(&self) -> PathBuf {
+        self.target.join("release").join("rcm-e2e")
+    }
+
+    /// Writes the files of `commit` in the repository at `root` into
+    /// `checkout/`, through `git archive` (the repository's own
+    /// working tree and metadata are not touched).
+    pub fn export(&self, root: &Path, commit: &str) -> Result<(), String> {
+        std::fs::create_dir_all(&self.checkout)
+            .map_err(|e| format!("{}: {e}", self.checkout.display()))?;
+        let mut archive = Command::new("git")
+            .arg("-C")
+            .arg(root)
+            .args(["archive", "--format=tar", commit])
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("cannot start git archive: {e}"))?;
+        let tar = archive.stdout.take().ok_or("git archive has no output")?;
+        let unpacked = Command::new("tar")
+            .arg("-x")
+            .arg("-C")
+            .arg(&self.checkout)
+            .stdin(tar)
+            .status()
+            .map_err(|e| format!("cannot start tar: {e}"))?;
+        let archived = archive.wait().map_err(|e| format!("git archive: {e}"))?;
+        if !archived.success() || !unpacked.success() {
+            return Err(format!("exporting {commit}: git archive {archived}, tar {unpacked}"));
+        }
+        Ok(())
+    }
+
+    /// Exports `commit` and builds its `rcm-e2e`; the binary's path.
+    fn build(&self, root: &Path, commit: &str) -> Result<PathBuf, String> {
+        self.export(root, commit)?;
+        build_benchmark(&self.checkout, Some(&self.target))?;
+        Ok(self.binary())
+    }
+}
+
+/// Builds the `rcm-e2e` of the checkout at `root` offline, as the
+/// benchmark builds it, into `target` (else the benchmark's own).
+fn build_benchmark(root: &Path, target: Option<&Path>) -> Result<(), String> {
+    let manifest = root.join("benchmark").join("Cargo.toml");
+    eprintln!("ab: building {}", manifest.display());
+    let mut cargo = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()));
+    cargo.args(["build", "--release", "--offline", "--quiet", "--manifest-path"]).arg(&manifest);
+    if let Some(target) = target {
+        cargo.env("CARGO_TARGET_DIR", target);
+    }
+    let status = cargo.status().map_err(|e| format!("cannot start cargo: {e}"))?;
+    if !status.success() {
+        return Err(format!("building {} ended with {status}", manifest.display()));
+    }
+    Ok(())
 }
 
 /// What to run.
@@ -310,16 +407,40 @@ fn end_to_end(root: &Path) -> Result<(Vec<String>, Option<f64>), String> {
     Ok((names, doc.get("run_seconds").and_then(Json::as_f64)))
 }
 
-const USAGE: &str = "usage: cargo xtask ab --parent <bin> --change <bin> --workload W --seeds A..B";
+const USAGE: &str = "usage: cargo xtask ab (--parent <bin> | --parent-rev <rev>) \
+                     [--change <bin>] --workload W --seeds A..B";
 
-/// Reads the command line into a plan.
-pub fn parse_args(args: &[String]) -> Result<Plan, String> {
+/// The parent side as the command line names it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Parent {
+    /// A built `rcm-e2e`.
+    Bin(PathBuf),
+    /// A commit whose `rcm-e2e` is to be built.
+    Rev(String),
+}
+
+/// The command line, read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    pub parent: Parent,
+    /// A built `rcm-e2e`; `None` builds this checkout's.
+    pub change: Option<PathBuf>,
+    pub workload: String,
+    pub seeds: RangeInclusive<u64>,
+}
+
+/// Reads the command line.
+pub fn parse_args(args: &[String]) -> Result<Args, String> {
     let (mut parent, mut change, mut workload, mut seeds) = (None, None, None, None);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or(format!("`{flag}` needs a value"))?;
         match flag.as_str() {
-            "--parent" => parent = Some(PathBuf::from(value)),
+            "--parent" | "--parent-rev" if parent.is_some() => {
+                return Err("give one of --parent and --parent-rev".into());
+            }
+            "--parent" => parent = Some(Parent::Bin(PathBuf::from(value))),
+            "--parent-rev" => parent = Some(Parent::Rev(value.clone())),
             "--change" => change = Some(PathBuf::from(value)),
             "--workload" => workload = Some(value.clone()),
             "--seeds" => {
@@ -336,17 +457,41 @@ pub fn parse_args(args: &[String]) -> Result<Plan, String> {
         }
     }
     match (parent, change, workload, seeds) {
-        (Some(parent), Some(change), Some(workload), Some(seeds)) => {
-            Ok(Plan { parent, change, workload, seeds })
+        (Some(Parent::Bin(_)), None, _, _) => Err("--parent needs --change".into()),
+        (Some(parent), change, Some(workload), Some(seeds)) => {
+            Ok(Args { parent, change, workload, seeds })
         }
-        _ => Err("--parent, --change, --workload and --seeds are required".into()),
+        _ => Err("--parent or --parent-rev, --workload and --seeds are required".into()),
     }
+}
+
+/// The binaries `args` name, building what they name by commit or
+/// leave to this checkout at `root`. A rev that names no commit fails
+/// before anything is built.
+fn binaries(args: &Args, root: &Path) -> Result<(PathBuf, PathBuf), String> {
+    let parent = match &args.parent {
+        Parent::Bin(bin) => bin.clone(),
+        Parent::Rev(rev) => {
+            let commit = resolve_rev(root, rev)?;
+            let build = ParentBuild::at(&std::env::temp_dir(), &commit);
+            eprintln!("ab: parent {rev} = {commit}, built under {}", build.target.display());
+            build.build(root, &commit)?
+        }
+    };
+    let change = match &args.change {
+        Some(bin) => bin.clone(),
+        None => {
+            build_benchmark(root, None)?;
+            root.join("benchmark").join("target").join("release").join("rcm-e2e")
+        }
+    };
+    Ok((parent, change))
 }
 
 /// Runs the command; `root` holds `BENCHMARK.json`.
 pub fn run(args: &[String], root: &Path) -> ExitCode {
-    let plan = match parse_args(args) {
-        Ok(plan) => plan,
+    let args = match parse_args(args) {
+        Ok(args) => args,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
             return ExitCode::from(2);
@@ -354,6 +499,13 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
     };
     let (metrics, run_seconds) = match end_to_end(root) {
         Ok(found) => found,
+        Err(e) => {
+            eprintln!("ab: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let plan = match binaries(&args, root) {
+        Ok((parent, change)) => Plan { parent, change, workload: args.workload, seeds: args.seeds },
         Err(e) => {
             eprintln!("ab: {e}");
             return ExitCode::from(2);
@@ -456,13 +608,84 @@ mod tests {
             .split(' ')
             .map(String::from)
             .collect();
-        let plan = parse_args(&args).unwrap();
-        assert_eq!(plan.seeds, 41..=50);
-        for bad in ["--seeds 5..4", "--seeds 5", "--parent", "--seconds 5"] {
+        let parsed = parse_args(&args).unwrap();
+        assert_eq!(parsed.seeds, 41..=50);
+        assert_eq!(
+            (parsed.parent, parsed.change),
+            (Parent::Bin("p".into()), Some(PathBuf::from("c")))
+        );
+        for bad in ["--seeds 5..4", "--seeds 5", "--parent", "--seconds 5", "--parent-rev HEAD"] {
             let args: Vec<String> =
                 args.iter().cloned().chain(bad.split(' ').map(String::from)).collect();
             assert!(parse_args(&args).is_err(), "{bad}");
         }
+        let by_rev: Vec<String> =
+            "--parent-rev HEAD~1 --workload w --seeds 1..2".split(' ').map(String::from).collect();
+        let parsed = parse_args(&by_rev).unwrap();
+        assert_eq!((parsed.parent, parsed.change), (Parent::Rev("HEAD~1".into()), None));
+        assert!(parse_args(&by_rev[2..]).is_err(), "a parent is required");
+        let without_change: Vec<String> = by_rev.iter().skip(2).cloned().collect();
+        let bin_only = [vec!["--parent".to_string(), "p".to_string()], without_change].concat();
+        assert!(parse_args(&bin_only).is_err(), "--parent needs --change");
+    }
+
+    /// A repository of two commits in a fresh directory, each writing
+    /// `benchmark/Cargo.toml`; the commits' ids, oldest first.
+    fn two_commit_repo(dir: &Path) -> [String; 2] {
+        let git = |args: &[&str]| {
+            let out = Command::new("git")
+                .arg("-C")
+                .arg(dir)
+                .args(["-c", "user.name=ab", "-c", "user.email=ab@example.org"])
+                .args(args)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "git {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        };
+        std::fs::create_dir_all(dir.join("benchmark")).unwrap();
+        git(&["init", "-q"]);
+        let mut ids = Vec::new();
+        for text in ["first", "second"] {
+            std::fs::write(dir.join("benchmark").join("Cargo.toml"), text).unwrap();
+            git(&["add", "-A"]);
+            git(&["commit", "-q", "-m", text]);
+            ids.push(resolve_rev(dir, "HEAD").unwrap());
+        }
+        [ids[0].clone(), ids[1].clone()]
+    }
+
+    #[test]
+    fn a_parent_rev_resolves_to_a_commit_and_exports_into_its_own_directory() {
+        let dir = std::env::temp_dir().join(format!("xtask-ab-rev-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let repo = dir.join("repo");
+        let [first, second] = two_commit_repo(&repo);
+        assert_eq!(first.len(), 40);
+        assert!(first.bytes().all(|b| b.is_ascii_hexdigit()), "{first}");
+        assert_eq!(resolve_rev(&repo, "HEAD~1").unwrap(), first);
+        assert_eq!(resolve_rev(&repo, &second[..10]).unwrap(), second);
+        for unknown in ["no-such-rev", "HEAD~2", "0000000000000000000000000000000000000000"] {
+            let err = resolve_rev(&repo, unknown).unwrap_err();
+            assert!(err.contains(unknown), "{err}");
+        }
+
+        let tmp = dir.join("tmp");
+        let build = ParentBuild::at(&tmp, &first);
+        let own = tmp.join(format!("rcm-ab-{}", &first[..12]));
+        assert_eq!(
+            build,
+            ParentBuild { checkout: own.join("checkout"), target: own.join("target") }
+        );
+        assert_eq!(build.binary(), own.join("target").join("release").join("rcm-e2e"));
+        assert_ne!(ParentBuild::at(&tmp, &second), build, "one directory per commit");
+
+        // The commit's files, not the working tree's.
+        std::fs::write(repo.join("benchmark").join("Cargo.toml"), "edited").unwrap();
+        build.export(&repo, &first).unwrap();
+        let manifest = build.checkout.join("benchmark").join("Cargo.toml");
+        assert_eq!(std::fs::read_to_string(&manifest).unwrap(), "first");
+        assert!(!build.checkout.join(".git").exists());
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     /// Two fake `rcm-e2e` builds, shell scripts in a temporary directory:
