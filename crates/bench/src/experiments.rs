@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad4, DelayedOrdered, LatePolicy, PerCondition};
-use rcm_core::condition::{Cmp, Condition, Conservative, DeltaRise, Threshold};
+use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::seq::{inversions, project_alerts};
 use rcm_core::VarId;
 use rcm_json::Json;
@@ -142,7 +142,7 @@ pub(crate) fn pda_buffering(runs: u64, seed: u64) -> Record {
                 .map(|k| (k * cycle, (k * cycle + down).min(horizon + down)))
                 .collect();
             let scenario = Scenario {
-                condition: Arc::new(Threshold::new(x, Cmp::Gt, 500.0)),
+                condition: Arc::new(cond::threshold(x, Cmp::Gt, 500.0)),
                 replicas: 2,
                 workloads: vec![VarWorkload {
                     var: x,
@@ -191,10 +191,10 @@ pub(crate) fn multi_condition_sim(runs: u64, seed: u64) -> Record {
         col("inconsistent", "inconsistent"),
     ];
     let x = VarId::new(0);
-    let conditions: Vec<Arc<dyn Condition>> = vec![
-        Arc::new(Threshold::new(x, Cmp::Gt, 115.0)),
-        Arc::new(DeltaRise::new(x, 15.0)),
-        Arc::new(Conservative::new(DeltaRise::new(x, 12.0))),
+    let conditions = vec![
+        Arc::new(cond::threshold(x, Cmp::Gt, 115.0)),
+        Arc::new(cond::delta_rise(x, 15.0)),
+        Arc::new(cond::conservative(cond::delta_rise(x, 12.0))),
     ];
     // Per condition: [shown, unordered, incomplete, inconsistent].
     let mut tallies = vec![[0u64; 4]; conditions.len()];

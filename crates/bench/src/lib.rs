@@ -45,7 +45,7 @@ mod wire_sizes;
 
 use std::sync::Arc;
 
-use rcm_core::condition::Condition;
+use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::{Alert, Update};
 use rcm_sim::montecarlo::FilterKind::{Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, PassThrough};
 use rcm_sim::montecarlo::Topology::{MultiVar, MultiVar3, SingleVar};
@@ -166,7 +166,7 @@ pub fn write_blocks(doc: &str, records: &[Record]) -> Result<String, String> {
 #[derive(Debug, Clone)]
 pub(crate) struct Execution {
     /// The monitored condition.
-    pub condition: Arc<dyn Condition>,
+    pub condition: Arc<CompiledCondition>,
     /// Per replica inputs `U_i`.
     pub inputs: Vec<Vec<Update>>,
     /// Merged alert arrivals, pre-filtering.

@@ -3,7 +3,7 @@
 //! & 9), the replica-count sweep and the AD-6 ablation.
 
 use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad3Multi, Ad4, Ad5, Ad6, AlertFilter};
-use rcm_core::condition::AbsDifference;
+use rcm_core::condition::cond;
 use rcm_core::{transduce, Alert, CeId, Update, VarId};
 use rcm_json::Json;
 use rcm_props::domination::{check_domination, DominationReport};
@@ -20,7 +20,7 @@ use crate::record::{col, Col, Record, Table};
 pub(crate) fn thm10_counterexample() -> Record {
     let x = VarId::new(0);
     let y = VarId::new(1);
-    let cm = AbsDifference::new(x, y, 100.0);
+    let cm = cond::abs_difference(x, y, 100.0);
     let ux = |s, v| Update::new(x, s, v);
     let uy = |s, v| Update::new(y, s, v);
     let u1 = vec![ux(1, 1000.0), ux(2, 1200.0), uy(1, 1050.0), uy(2, 1150.0)];

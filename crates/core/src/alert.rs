@@ -187,20 +187,24 @@ impl HistoryFingerprint {
     /// Panics if a variable appears twice or a seqno list is empty or not
     /// strictly decreasing (newest first).
     pub fn new(entries: Vec<(VarId, Vec<SeqNo>)>) -> Self {
-        Self::from_histories(entries)
+        Self::from_histories(words(&entries), entries)
     }
 
     /// [`HistoryFingerprint::new`] over anything that yields
     /// `(variable, newest-first seqnos)`: how the evaluators fingerprint
-    /// the histories they hold, with no list in between.
+    /// the histories they hold, with no list in between. `words` is the
+    /// number of variables plus seqnos, so that a fingerprint too large
+    /// to store in place is gathered in one block of exactly its size;
+    /// 0 if unknown.
     ///
     /// # Panics
     ///
     /// As [`HistoryFingerprint::new`].
     pub(crate) fn from_histories<S: IntoIterator<Item = SeqNo>>(
+        words: usize,
         entries: impl IntoIterator<Item = (VarId, S)>,
     ) -> Self {
-        match Self::try_from_histories(entries) {
+        match Self::try_from_histories(words, entries) {
             Ok(fp) => fp,
             Err(e) => panic!("{e}"),
         }
@@ -215,7 +219,7 @@ impl HistoryFingerprint {
     /// [`FingerprintError`] when a variable appears twice, a history is
     /// empty, or a seqno list is not strictly decreasing.
     pub fn try_new(entries: Vec<(VarId, Vec<SeqNo>)>) -> Result<Self, FingerprintError> {
-        Self::try_from_histories(entries)
+        Self::try_from_histories(words(&entries), entries)
     }
 
     /// `{"entries":[[var,[seqno,…]],…]}`, newest seqno first.
@@ -242,9 +246,10 @@ impl HistoryFingerprint {
     }
 
     fn try_from_histories<S: IntoIterator<Item = SeqNo>>(
+        words: usize,
         entries: impl IntoIterator<Item = (VarId, S)>,
     ) -> Result<Self, FingerprintError> {
-        let mut builder = FingerprintBuilder::new();
+        let mut builder = FingerprintBuilder { words, ..FingerprintBuilder::default() };
         for (var, seqnos) in entries {
             builder.start(var)?;
             for seqno in seqnos {
@@ -256,7 +261,7 @@ impl HistoryFingerprint {
 
     /// Fingerprint over a single variable; `seqnos` newest-first.
     pub fn single(var: VarId, seqnos: Vec<SeqNo>) -> Self {
-        Self::from_histories([(var, seqnos)])
+        Self::from_histories(1 + seqnos.len(), [(var, seqnos)])
     }
 
     /// The paper's `a.seqno.x`: the newest seqno for `var`, i.e. the
@@ -419,6 +424,12 @@ impl fmt::Display for HistoryFingerprint {
 /// set that is stored in place fits, heads included.
 const SCRATCH: usize = INLINE_VARS + INLINE_SEQNOS;
 
+/// The words of `entries` gathered as a spilled fingerprint holds them:
+/// a head per variable and its seqnos.
+fn words(entries: &[(VarId, Vec<SeqNo>)]) -> usize {
+    entries.iter().map(|(_, seqnos)| 1 + seqnos.len()).sum()
+}
+
 /// Assembles a [`HistoryFingerprint`] one seqno at a time:
 /// [`start`](Self::start) a variable, [`push`](Self::push) its seqnos
 /// newest first, repeat, [`finish`](Self::finish). It accepts exactly
@@ -458,6 +469,9 @@ pub struct FingerprintBuilder {
     /// Where the open entry's head is.
     head: Option<usize>,
     vars: usize,
+    /// The words the finished set will hold, if known (else 0): the
+    /// spill is then sized once, exactly.
+    words: usize,
     /// Whether some variable did not exceed the one before it.
     unsorted: bool,
 }
@@ -483,7 +497,11 @@ impl FingerprintBuilder {
                 self.len += 1;
                 return;
             }
-            self.spill.reserve(4 * SCRATCH);
+            if self.words > SCRATCH {
+                self.spill.reserve_exact(self.words);
+            } else {
+                self.spill.reserve(4 * SCRATCH);
+            }
             self.spill.extend_from_slice(&self.scratch);
         }
         self.spill.push(word);
@@ -558,8 +576,9 @@ impl FingerprintBuilder {
             if let Some(w) = sorted.windows(2).find(|w| w[0].0 == w[1].0) {
                 return Err(FingerprintError::DuplicateVariable(w[0].0));
             }
+            let words = self.words().len();
             let sorted = sorted.into_iter().map(|(var, held)| (var, held.iter().copied()));
-            return HistoryFingerprint::try_from_histories(sorted);
+            return HistoryFingerprint::try_from_histories(words, sorted);
         }
         let seqnos = self.words().len() - self.vars;
         let repr = if self.vars <= INLINE_VARS && seqnos <= INLINE_SEQNOS {

@@ -1,172 +1,63 @@
-//! Boolean combinators over conditions.
+//! Boolean operators over conditions: `a & b`, `a | b` and `!a` build
+//! the conjunction, disjunction and negation as one expression.
 //!
 //! The paper's Appendix D reduces two co-located conditions `A` and `B`
-//! to the single combined condition `C = A ∨ B`; [`Or`] implements that
-//! construction. [`And`] and [`Not`] round out the algebra.
-//!
-//! The `triggering()` classification of a combinator is derived
-//! soundly from its children:
-//!
-//! * a **non-historical** combination is conservative vacuously;
-//! * `And` is conservative iff every variable of the combined set is
-//!   covered by some conservative child that mentions it (that child
-//!   goes false on a gap, taking the conjunction with it);
-//! * `Or` is conservative iff all children are conservative *and*
-//!   mention the full combined variable set (a gap must silence every
-//!   disjunct);
-//! * `Not` of a historical condition is aggressive (negating a
-//!   gap-silenced condition yields true on gaps).
+//! to the single combined condition `C = A ∨ B`, which is `a | b`.
+//! The triggering class of the result is derived from its expression
+//! like any other condition's: a conjunction is conservative when every
+//! historical variable is guarded by a conservative operand, a
+//! disjunction when both operands guard it, and the negation of a
+//! historical condition is aggressive (negating a gap-silenced
+//! condition makes it true on gaps).
 
-use crate::history::HistorySet;
-use crate::seq::ordered_union;
-use crate::var::VarId;
+use std::ops::{BitAnd, BitOr, Not};
 
-use super::{Condition, ConditionExt, Triggering};
+use super::expr::{BinOp, CompiledCondition, Expr, UnOp};
 
-/// Conjunction of two conditions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct And<A, B> {
-    a: A,
-    b: B,
+/// `op` over two conditions, named after theirs.
+fn join(lhs: CompiledCondition, op: BinOp, rhs: CompiledCondition) -> CompiledCondition {
+    let ((l_name, lhs), (r_name, rhs)) = (lhs.into_parts(), rhs.into_parts());
+    let name = format!("({l_name}) {} ({r_name})", op.symbol());
+    CompiledCondition::built(name, Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) })
 }
 
-impl<A: Condition, B: Condition> And<A, B> {
-    /// Creates `a && b`.
-    pub fn new(a: A, b: B) -> Self {
-        And { a, b }
+/// `a & b` holds when both hold.
+impl BitAnd for CompiledCondition {
+    type Output = CompiledCondition;
+
+    fn bitand(self, rhs: Self) -> Self {
+        join(self, BinOp::And, rhs)
     }
 }
 
-fn union_vars(a: &impl Condition, b: &impl Condition) -> Vec<VarId> {
-    ordered_union(&a.variables(), &b.variables())
-}
+/// `a | b` holds when either holds.
+impl BitOr for CompiledCondition {
+    type Output = CompiledCondition;
 
-impl<A: Condition, B: Condition> Condition for And<A, B> {
-    fn name(&self) -> String {
-        format!("({}) && ({})", self.a.name(), self.b.name())
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        union_vars(&self.a, &self.b)
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        self.a.degree(var).max(self.b.degree(var))
-    }
-
-    fn triggering(&self) -> Triggering {
-        if self.is_non_historical() {
-            return Triggering::Conservative;
-        }
-        let conservative = self.variables().into_iter().all(|v| {
-            (self.a.triggering() == Triggering::Conservative && self.a.degree(v) > 0)
-                || (self.b.triggering() == Triggering::Conservative && self.b.degree(v) > 0)
-        });
-        if conservative {
-            Triggering::Conservative
-        } else {
-            Triggering::Aggressive
-        }
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        self.a.eval(h) && self.b.eval(h)
+    fn bitor(self, rhs: Self) -> Self {
+        join(self, BinOp::Or, rhs)
     }
 }
 
-/// Disjunction of two conditions (Appendix D's `C = A ∨ B`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Or<A, B> {
-    a: A,
-    b: B,
-}
+/// `!a` holds when `a` does not.
+impl Not for CompiledCondition {
+    type Output = CompiledCondition;
 
-impl<A: Condition, B: Condition> Or<A, B> {
-    /// Creates `a || b`.
-    pub fn new(a: A, b: B) -> Self {
-        Or { a, b }
-    }
-}
-
-impl<A: Condition, B: Condition> Condition for Or<A, B> {
-    fn name(&self) -> String {
-        format!("({}) || ({})", self.a.name(), self.b.name())
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        union_vars(&self.a, &self.b)
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        self.a.degree(var).max(self.b.degree(var))
-    }
-
-    fn triggering(&self) -> Triggering {
-        if self.is_non_historical() {
-            return Triggering::Conservative;
-        }
-        let all = self.variables();
-        let covers_all = |c: &dyn Condition| all.iter().all(|&v| c.degree(v) > 0);
-        if self.a.triggering() == Triggering::Conservative
-            && self.b.triggering() == Triggering::Conservative
-            && covers_all(&self.a)
-            && covers_all(&self.b)
-        {
-            Triggering::Conservative
-        } else {
-            Triggering::Aggressive
-        }
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        self.a.eval(h) || self.b.eval(h)
-    }
-}
-
-/// Negation of a condition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Not<C> {
-    inner: C,
-}
-
-impl<C: Condition> Not<C> {
-    /// Creates `!inner`.
-    pub fn new(inner: C) -> Self {
-        Not { inner }
-    }
-}
-
-impl<C: Condition> Condition for Not<C> {
-    fn name(&self) -> String {
-        format!("!({})", self.inner.name())
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        self.inner.variables()
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        self.inner.degree(var)
-    }
-
-    fn triggering(&self) -> Triggering {
-        if self.is_non_historical() {
-            Triggering::Conservative
-        } else {
-            Triggering::Aggressive
-        }
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        !self.inner.eval(h)
+    fn not(self) -> Self {
+        let (name, expr) = self.into_parts();
+        let expr = Expr::Unary { op: UnOp::Not, expr: Box::new(expr) };
+        CompiledCondition::built(format!("!({name})"), expr)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::condition::{Cmp, Conservative, DeltaRise, Threshold};
+    use crate::condition::cond::{conservative, delta_rise, threshold, Cmp};
+    use crate::condition::expr::{BinOp, CompiledCondition, Expr, Field};
+    use crate::condition::{Condition, Triggering};
+    use crate::history::HistorySet;
     use crate::update::Update;
+    use crate::var::VarId;
 
     fn x() -> VarId {
         VarId::new(0)
@@ -175,23 +66,28 @@ mod tests {
         VarId::new(1)
     }
 
+    fn hist1(vals: &[(u64, f64)]) -> HistorySet {
+        let mut h = HistorySet::new([(x(), 1)]);
+        for &(s, v) in vals {
+            h.push(Update::new(x(), s, v)).unwrap();
+        }
+        h
+    }
+
     #[test]
     fn and_or_not_eval() {
-        let hot = Threshold::new(x(), Cmp::Gt, 100.0);
-        let cold = Threshold::new(x(), Cmp::Lt, 0.0);
-        let mut h = HistorySet::new([(x(), 1)]);
-        h.push(Update::new(x(), 1, 150.0)).unwrap();
-        assert!(Or::new(hot.clone(), cold.clone()).eval(&h));
-        assert!(!And::new(hot.clone(), cold.clone()).eval(&h));
-        assert!(!Not::new(hot).eval(&h));
-        assert!(Not::new(cold).eval(&h));
+        let hot = threshold(x(), Cmp::Gt, 100.0);
+        let cold = threshold(x(), Cmp::Lt, 0.0);
+        let h = hist1(&[(1, 150.0)]);
+        assert!((hot.clone() | cold.clone()).eval(&h));
+        assert!(!(hot.clone() & cold.clone()).eval(&h));
+        assert!(!(!hot).eval(&h));
+        assert!((!cold).eval(&h));
     }
 
     #[test]
     fn variable_sets_union_and_degrees_max() {
-        let a = Threshold::new(x(), Cmp::Gt, 1.0);
-        let b = DeltaRise::new(y(), 5.0);
-        let c = And::new(a, b);
+        let c = threshold(x(), Cmp::Gt, 1.0) & delta_rise(y(), 5.0);
         assert_eq!(c.variables(), vec![x(), y()]);
         assert_eq!(c.degree(x()), 1);
         assert_eq!(c.degree(y()), 2);
@@ -203,9 +99,12 @@ mod tests {
         // A: "x hotter than y", B: "y hotter than x"; C = A ∨ B.
         // Both raise from 2000 to 2100; interleaving decides which fires,
         // but C fires whenever either does.
-        let a = AbsGt::new(x(), y());
-        let b = AbsGt::new(y(), x());
-        let c = Or::new(a, b);
+        let value = |var| Box::new(Expr::Term { var, index: 0, field: Field::Value });
+        let hotter = |l: VarId, r: VarId| {
+            let ast = Expr::Binary { op: BinOp::Gt, lhs: value(l), rhs: value(r) };
+            CompiledCondition::from_expr(format!("{l} > {r}"), ast).unwrap()
+        };
+        let c = hotter(x(), y()) | hotter(y(), x());
         let mut h = HistorySet::new([(x(), 1), (y(), 1)]);
         h.push(Update::new(x(), 1, 2000.0)).unwrap();
         h.push(Update::new(y(), 1, 2000.0)).unwrap();
@@ -216,68 +115,32 @@ mod tests {
         assert!(!c.eval(&h)); // equal again
     }
 
-    /// "left's current value exceeds right's" helper for the Appendix D test.
-    #[derive(Debug, Clone, PartialEq)]
-    struct AbsGt {
-        l: VarId,
-        r: VarId,
-    }
-
-    impl AbsGt {
-        fn new(l: VarId, r: VarId) -> Self {
-            AbsGt { l, r }
-        }
-    }
-
-    impl Condition for AbsGt {
-        fn name(&self) -> String {
-            format!("{} > {}", self.l, self.r)
-        }
-        fn variables(&self) -> Vec<VarId> {
-            let mut v = vec![self.l, self.r];
-            v.sort_unstable();
-            v
-        }
-        fn degree(&self, var: VarId) -> usize {
-            usize::from(var == self.l || var == self.r)
-        }
-        fn triggering(&self) -> Triggering {
-            Triggering::Conservative
-        }
-        fn eval(&self, h: &HistorySet) -> bool {
-            match (h.value(self.l, 0), h.value(self.r, 0)) {
-                (Some(a), Some(b)) => a > b,
-                _ => false,
-            }
-        }
-    }
-
     #[test]
     fn triggering_classification() {
-        let cons = Conservative::new(DeltaRise::new(x(), 1.0));
-        let aggr = DeltaRise::new(x(), 1.0);
+        let cons = conservative(delta_rise(x(), 1.0));
+        let aggr = delta_rise(x(), 1.0);
         // And with a conservative child covering the only variable.
-        assert_eq!(And::new(cons.clone(), aggr.clone()).triggering(), Triggering::Conservative);
+        assert_eq!((cons.clone() & aggr.clone()).triggering(), Triggering::Conservative);
         // Or of conservative+aggressive over the same variable: aggressive.
-        assert_eq!(Or::new(cons.clone(), aggr.clone()).triggering(), Triggering::Aggressive);
+        assert_eq!((cons.clone() | aggr).triggering(), Triggering::Aggressive);
         // Or of two conservatives over the same variable set: conservative.
-        assert_eq!(Or::new(cons.clone(), cons.clone()).triggering(), Triggering::Conservative);
+        assert_eq!((cons.clone() | cons.clone()).triggering(), Triggering::Conservative);
         // Or of conservatives over different variables: a gap in x silences
         // only the x disjunct → aggressive.
-        let cons_y = Conservative::new(DeltaRise::new(y(), 1.0));
-        assert_eq!(Or::new(cons.clone(), cons_y).triggering(), Triggering::Aggressive);
+        let cons_y = conservative(delta_rise(y(), 1.0));
+        assert_eq!((cons.clone() | cons_y).triggering(), Triggering::Aggressive);
         // Not of a historical condition: aggressive.
-        assert_eq!(Not::new(cons).triggering(), Triggering::Aggressive);
+        assert_eq!((!cons).triggering(), Triggering::Aggressive);
         // Non-historical combinations are conservative vacuously.
-        let t = Threshold::new(x(), Cmp::Gt, 1.0);
-        assert_eq!(Not::new(t.clone()).triggering(), Triggering::Conservative);
-        assert_eq!(And::new(t.clone(), t).triggering(), Triggering::Conservative);
+        let t = threshold(x(), Cmp::Gt, 1.0);
+        assert_eq!((!t.clone()).triggering(), Triggering::Conservative);
+        assert_eq!((t.clone() & t).triggering(), Triggering::Conservative);
     }
 
     #[test]
     fn names_nest() {
-        let t = Threshold::new(x(), Cmp::Gt, 1.0);
-        let n = Not::new(Or::new(t.clone(), t));
-        assert!(n.name().starts_with("!(("));
+        let t = threshold(x(), Cmp::Gt, 1.0);
+        assert_eq!((!(t.clone() | t.clone())).name(), "!((v0[0].value > 1) || (v0[0].value > 1))");
+        assert_eq!((t.clone() & t).name(), "(v0[0].value > 1) && (v0[0].value > 1)");
     }
 }

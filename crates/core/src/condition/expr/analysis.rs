@@ -25,12 +25,13 @@ impl std::fmt::Display for Ty {
     }
 }
 
-/// Result of analysing an expression over variable names.
+/// Result of analysing an expression over variables of type `V`
+/// (names as parsed, [`VarId`](crate::VarId)s once resolved).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExprInfo {
+pub struct ExprInfo<V> {
     /// Per-variable degree: max history index used + 1, and at least 1
     /// for variables appearing only in `consecutive(...)`.
-    pub degrees: BTreeMap<String, usize>,
+    pub degrees: BTreeMap<V, usize>,
     /// Derived triggering classification (see below).
     pub triggering: Triggering,
 }
@@ -42,7 +43,8 @@ pub struct ExprInfo {
 /// expression is classified [`Triggering::Conservative`] iff it is
 /// non-historical, or every variable of degree ≥ 2 is guarded by a
 /// `consecutive(var)` conjunct at the top level (so any seqno gap
-/// forces the whole expression false). Expressions that happen to be
+/// forces the whole expression false). A disjunction guards what both
+/// of its operands guard. Expressions that happen to be
 /// semantically conservative through other means are classified
 /// aggressive — a safe over-approximation for the AD algorithms, which
 /// never rely on a condition being aggressive.
@@ -52,12 +54,12 @@ pub struct ExprInfo {
 /// Returns a [`ParseError`] describing the first type mismatch, or a
 /// root expression that is not boolean, or an expression mentioning no
 /// variables.
-pub fn analyze(expr: &Expr<String>) -> Result<ExprInfo, ParseError> {
+pub fn analyze<V: Ord + Clone>(expr: &Expr<V>) -> Result<ExprInfo<V>, ParseError> {
     let ty = type_of(expr)?;
     if ty != Ty::Bool {
         return Err(err(format!("condition must be boolean, found {ty}")));
     }
-    let mut degrees: BTreeMap<String, usize> = BTreeMap::new();
+    let mut degrees: BTreeMap<V, usize> = BTreeMap::new();
     expr.visit(&mut |node| match node {
         Expr::Term { var, index, .. } => {
             let need = index.unsigned_abs() as usize + 1;
@@ -77,7 +79,7 @@ pub fn analyze(expr: &Expr<String>) -> Result<ExprInfo, ParseError> {
         return Err(err("condition mentions no variables".to_owned()));
     }
 
-    let guarded = top_level_consecutive_guards(expr);
+    let guarded = guards(expr);
     let conservative =
         degrees.iter().all(|(var, &degree)| degree <= 1 || guarded.iter().any(|g| g == var));
     let triggering = if conservative { Triggering::Conservative } else { Triggering::Aggressive };
@@ -89,7 +91,7 @@ fn err(message: String) -> ParseError {
 }
 
 /// Computes the type of an expression, verifying operand types.
-pub fn type_of(expr: &Expr<String>) -> Result<Ty, ParseError> {
+pub fn type_of<V>(expr: &Expr<V>) -> Result<Ty, ParseError> {
     match expr {
         Expr::Num(_) => Ok(Ty::Num),
         Expr::Bool(_) => Ok(Ty::Bool),
@@ -144,22 +146,22 @@ fn expect_both(op: BinOp, lt: Ty, rt: Ty, want: Ty) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Variables guarded by a `consecutive(...)` conjunct reachable through
-/// top-level `&&` only.
-fn top_level_consecutive_guards(expr: &Expr<String>) -> Vec<String> {
-    let mut out = Vec::new();
-    collect_guards(expr, &mut out);
-    out
-}
-
-fn collect_guards(expr: &Expr<String>, out: &mut Vec<String>) {
+/// Variables a seqno gap in which forces `expr` false: those of a
+/// `consecutive(...)` conjunct reachable through top-level `&&`, and
+/// of a `||` those both operands guard.
+fn guards<V: Clone + PartialEq>(expr: &Expr<V>) -> Vec<V> {
     match expr {
-        Expr::Consecutive(v) => out.push(v.clone()),
+        Expr::Consecutive(v) => vec![v.clone()],
         Expr::Binary { op: BinOp::And, lhs, rhs } => {
-            collect_guards(lhs, out);
-            collect_guards(rhs, out);
+            let mut out = guards(lhs);
+            out.extend(guards(rhs));
+            out
         }
-        _ => {}
+        Expr::Binary { op: BinOp::Or, lhs, rhs } => {
+            let rhs = guards(rhs);
+            guards(lhs).into_iter().filter(|v| rhs.contains(v)).collect()
+        }
+        _ => Vec::new(),
     }
 }
 
@@ -168,7 +170,7 @@ mod tests {
     use super::*;
     use crate::condition::expr::parse;
 
-    fn info(src: &str) -> ExprInfo {
+    fn info(src: &str) -> ExprInfo<String> {
         analyze(&parse(src).unwrap()).unwrap()
     }
 
@@ -205,6 +207,14 @@ mod tests {
         // consecutive(x) under || does not force false on gaps.
         let i = info("x[0].value - x[-1].value > 200 || consecutive(x)");
         assert_eq!(i.triggering, Triggering::Aggressive);
+    }
+
+    #[test]
+    fn a_disjunction_guards_what_both_operands_guard() {
+        let both = info("x[0].value > x[-1].value && consecutive(x) || consecutive(x)");
+        assert_eq!(both.triggering, Triggering::Conservative);
+        let one = info("x[0].value > x[-1].value && consecutive(x) || x[0].value > 1");
+        assert_eq!(one.triggering, Triggering::Aggressive);
     }
 
     #[test]

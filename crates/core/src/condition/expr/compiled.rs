@@ -10,70 +10,84 @@ use crate::error::Result;
 use crate::history::{History, HistorySet};
 use crate::var::{VarId, VarRegistry};
 
-/// A parsed, type-checked, name-resolved condition ready for a
-/// Condition Evaluator.
+/// A type-checked, name-resolved condition expression: the one
+/// [`Condition`] a Condition Evaluator runs.
 ///
-/// Produced by [`CompiledCondition::compile`]; implements
-/// [`Condition`], so it plugs directly into
-/// [`Evaluator`](crate::Evaluator):
+/// Built from text by [`CompiledCondition::compile`], from a resolved
+/// syntax tree by [`CompiledCondition::from_expr`], or by the
+/// constructors in [`cond`](crate::condition::cond); `&`, `|` and `!`
+/// combine conditions into new ones. Its variable set, degrees and
+/// triggering class are derived from the expression.
 ///
 /// ```rust
 /// use rcm_core::condition::expr::CompiledCondition;
-/// use rcm_core::condition::{Condition, Triggering, ConditionExt};
-/// use rcm_core::{Evaluator, Update, VarRegistry};
+/// use rcm_core::condition::ConditionExt;
+/// use rcm_core::{transduce, CeId, Update, VarRegistry};
 ///
 /// let mut reg = VarRegistry::new();
 /// let cond = CompiledCondition::compile("temp[0].value > 3000", &mut reg)?;
 /// assert!(cond.is_non_historical());
 ///
 /// let temp = reg.lookup("temp").unwrap();
-/// let mut ce = Evaluator::new(cond);
-/// assert!(ce.ingest(Update::new(temp, 1, 2900.0)).is_none());
-/// assert!(ce.ingest(Update::new(temp, 2, 3100.0)).is_some());
+/// let updates = [Update::new(temp, 1, 2900.0), Update::new(temp, 2, 3100.0)];
+/// assert_eq!(transduce(&cond, CeId::new(0), &updates).len(), 1);
 /// # Ok::<(), rcm_core::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledCondition {
-    source: String,
+    name: String,
     ast: Expr<VarId>,
     degrees: BTreeMap<VarId, usize>,
     triggering: Triggering,
 }
 
 impl CompiledCondition {
-    /// Parses, type-checks and resolves `source`. Variable names are
-    /// registered in `registry` (reusing existing ids for known names).
+    /// Parses, type-checks and resolves `source`, which is also the
+    /// condition's name. Variable names are registered in `registry`
+    /// (reusing existing ids for known names).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Parse`](crate::Error::Parse) on lexical,
     /// syntactic or type errors, and on conditions that mention no
-    /// variables.
+    /// variables; no name is registered then.
     pub fn compile(source: &str, registry: &mut VarRegistry) -> Result<Self> {
         let ast = parse(source)?;
-        let info = analyze(&ast)?;
+        analyze(&ast)?;
         let ast = ast.map_vars(&mut |name: String| registry.register(&name));
-        let degrees = info
-            .degrees
-            .into_iter()
-            .map(|(name, d)| (registry.lookup(&name).expect("registered above"), d))
-            .collect();
+        Self::from_expr(source, ast)
+    }
+
+    /// Type-checks a resolved syntax tree and derives its variable set,
+    /// degrees and triggering class; `name` is what alerts and reports
+    /// print for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledCondition::compile`], for a tree that is not
+    /// boolean, mixes types or mentions no variable.
+    pub fn from_expr(name: impl Into<String>, ast: Expr<VarId>) -> Result<Self> {
+        let info = analyze(&ast)?;
         Ok(CompiledCondition {
-            source: source.to_owned(),
+            name: name.into(),
             ast,
-            degrees,
+            degrees: info.degrees,
             triggering: info.triggering,
         })
     }
 
-    /// The original source text.
-    pub fn source(&self) -> &str {
-        &self.source
+    /// [`CompiledCondition::from_expr`] for a tree built of conditions
+    /// and well-typed parts, which cannot fail.
+    pub(crate) fn built(name: String, ast: Expr<VarId>) -> Self {
+        match Self::from_expr(name, ast) {
+            Ok(cond) => cond,
+            Err(e) => unreachable!("a condition built from conditions type-checks: {e}"),
+        }
     }
 
-    /// The resolved syntax tree.
-    pub fn ast(&self) -> &Expr<VarId> {
-        &self.ast
+    /// The name and the expression, for building a condition of it.
+    pub(crate) fn into_parts(self) -> (String, Expr<VarId>) {
+        (self.name, self.ast)
     }
 }
 
@@ -184,7 +198,7 @@ pub(crate) fn eval_expr(e: &Expr<VarId>, h: &HistorySet) -> Option<Val> {
 
 impl Condition for CompiledCondition {
     fn name(&self) -> String {
-        self.source.clone()
+        self.name.clone()
     }
 
     fn variables(&self) -> Vec<VarId> {
@@ -203,8 +217,8 @@ impl Condition for CompiledCondition {
         eval_expr(&self.ast, h).and_then(Val::boolean).unwrap_or(false)
     }
 
-    fn expr(&self) -> Option<&Expr<VarId>> {
-        Some(&self.ast)
+    fn expr(&self) -> &Expr<VarId> {
+        &self.ast
     }
 }
 
@@ -319,9 +333,23 @@ mod tests {
     #[test]
     fn source_and_ast_accessible() {
         let (c, _) = setup("x[0].value > 3000");
-        assert_eq!(c.source(), "x[0].value > 3000");
-        assert!(matches!(c.ast(), Expr::Binary { op: BinOp::Gt, .. }));
+        assert!(matches!(c.expr(), Expr::Binary { op: BinOp::Gt, .. }));
         assert_eq!(c.name(), "x[0].value > 3000");
+    }
+
+    #[test]
+    fn a_resolved_tree_compiles_and_a_badly_typed_one_does_not() {
+        let x = VarId::new(3);
+        let term = || Box::new(Expr::Term { var: x, index: -1, field: Field::Value });
+        let rise = Expr::Binary { op: BinOp::Gt, lhs: term(), rhs: Box::new(Expr::Num(1.0)) };
+        let c = CompiledCondition::from_expr("rise", rise).unwrap();
+        assert_eq!((c.name(), c.history_spec()), ("rise".to_owned(), vec![(x, 2)]));
+        assert!(CompiledCondition::from_expr(
+            "sum",
+            Expr::Binary { op: BinOp::Add, lhs: term(), rhs: term() }
+        )
+        .is_err());
+        assert!(CompiledCondition::from_expr("lit", Expr::Bool(true)).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! degree any hosted condition asks of that variable. A condition of a
 //! smaller degree reads only its own `degree` newest entries — for its
 //! definedness, its `consecutive(x)`, its fingerprint and its snapshot
-//! — which is exactly what a private history of that degree would
+//! — which is exactly what a history of its own of that degree would
 //! hold, because every hosted condition has seen the variable's whole
 //! stream since the ring was last empty ([`ExprStore::host`] refuses a
 //! condition otherwise).
@@ -237,10 +237,10 @@ impl ExprStore {
     /// joins its family as `tag`, which is what [`ExprStore::fired`]
     /// reports when it holds.
     ///
-    /// `None` when the store cannot stand in for a private history set:
-    /// one of the variables already holds history the new condition has
-    /// not seen, or `expr` reads outside `spec`. Such a condition is
-    /// evaluated privately by the registry.
+    /// `None`, with nothing of the condition taken, when one of the
+    /// variables already holds history the new condition has not seen;
+    /// the registry refuses such a condition. Also `None` when `expr`
+    /// reads outside `spec`, which no `CompiledCondition` does.
     pub(crate) fn host(
         &mut self,
         expr: &Expr<VarId>,
@@ -515,16 +515,22 @@ impl ExprStore {
         })
     }
 
+    /// Updates the history `spec` covers holds.
+    fn held_len(&self, spec: &[(usize, usize)]) -> usize {
+        spec.iter().map(|&(ring, degree)| self.history(ring).len().min(degree)).sum()
+    }
+
     /// The alert fingerprint of the history `spec` covers.
     pub(crate) fn fingerprint(&self, spec: &[(usize, usize)]) -> HistoryFingerprint {
         HistoryFingerprint::from_histories(
+            spec.len() + self.held_len(spec),
             self.held(spec).map(|(var, held)| (var, held.map(|u| u.seqno))),
         )
     }
 
     /// Flat snapshot of the history `spec` covers.
     pub(crate) fn snapshot(&self, spec: &[(usize, usize)]) -> Snapshot {
-        let len = spec.iter().map(|&(ring, degree)| self.history(ring).len().min(degree)).sum();
+        let len = self.held_len(spec);
         Snapshot::gather(len, self.held(spec).flat_map(|(_, held)| held).map(|u| u.value))
     }
 
@@ -541,7 +547,7 @@ impl ExprStore {
 mod tests {
     use super::super::compiled::{eval_expr, CompiledCondition};
     use super::*;
-    use crate::condition::ConditionExt;
+    use crate::condition::{Condition, ConditionExt};
     use crate::history::HistorySet;
     use crate::update::SeqNo;
     use crate::var::VarRegistry;
@@ -551,14 +557,14 @@ mod tests {
     }
 
     fn host(store: &mut ExprStore, cond: &CompiledCondition, tag: u32) -> Placed {
-        store.host(cond.ast(), &cond.history_spec(), tag).expect("hosted")
+        store.host(cond.expr(), &cond.history_spec(), tag).expect("hosted")
     }
 
     /// `cond` through its root node whatever its shape: what `host` does
     /// with an expression that is not a threshold.
     fn alone(store: &mut ExprStore, cond: &CompiledCondition) -> Hosted {
         let spec = store.rings_for(&cond.history_spec()).expect("rings are empty");
-        let root = store.intern(cond.ast(), &spec, &mut Vec::new()).expect("reads within spec");
+        let root = store.intern(cond.expr(), &spec, &mut Vec::new()).expect("reads within spec");
         Hosted { root, spec }
     }
 
@@ -600,7 +606,7 @@ mod tests {
         for &(name, s, v) in updates {
             let u = Update::new(vars.lookup(name).unwrap(), s, v);
             assert_eq!(store.push(u), h.push(u).is_ok(), "stale check on {u:?}");
-            let want = eval_expr(cond.ast(), &h);
+            let want = eval_expr(cond.expr(), &h);
             assert_eq!(store.eval(hosted.root), want, "after ({name},{s},{v}) in {src}");
             assert_eq!(store.eval(hosted.root), want, "warm re-eval in {src}");
             let holds = h.is_defined() && want == Some(Val::Bool(true));
@@ -921,19 +927,19 @@ mod tests {
         // x already holds an update a newcomer has not seen, be it one
         // more threshold of a family that is there.
         let late = compile("x[0].value > 2 && y[0].value > 2", &mut vars);
-        assert!(store.host(late.ast(), &late.history_spec(), 1).is_none());
+        assert!(store.host(late.expr(), &late.history_spec(), 1).is_none());
         let joins = compile("x[0].value > 3", &mut vars);
-        assert!(store.host(joins.ast(), &joins.history_spec(), 1).is_none());
+        assert!(store.host(joins.expr(), &joins.history_spec(), 1).is_none());
         // After a restart nobody has seen anything.
         store.clear();
-        assert!(store.host(late.ast(), &late.history_spec(), 1).is_some());
+        assert!(store.host(late.expr(), &late.history_spec(), 1).is_some());
         assert!(matches!(host(&mut store, &joins, 2), Placed::Member(0)));
         // An expression reading past the degrees it is registered with.
         let deep = compile("z[-2].value > 0", &mut vars);
         let z = vars.lookup("z").unwrap();
-        assert!(store.host(deep.ast(), &[(z, 2)], 3).is_none());
-        assert!(store.host(deep.ast(), &[(x, 3)], 3).is_none());
-        assert!(store.host(deep.ast(), &[(z, 0)], 3).is_none());
-        assert!(store.host(deep.ast(), &[(z, 3)], 3).is_some());
+        assert!(store.host(deep.expr(), &[(z, 2)], 3).is_none());
+        assert!(store.host(deep.expr(), &[(x, 3)], 3).is_none());
+        assert!(store.host(deep.expr(), &[(z, 0)], 3).is_none());
+        assert!(store.host(deep.expr(), &[(z, 3)], 3).is_some());
     }
 }

@@ -2,25 +2,23 @@
 //!
 //! A condition `c` is an expression defined on values of real-world
 //! variables, evaluated against the set `H` of update histories held by
-//! a Condition Evaluator (paper §2). The paper's taxonomy is captured
-//! here:
+//! a Condition Evaluator (paper §2). Here every condition is one: a
+//! [`CompiledCondition`](expr::CompiledCondition), written as text in
+//! the **expression language** of [`expr`], built by the ready-made
+//! constructors of [`cond`], or combined from others with `&`, `|`
+//! and `!`. The paper's taxonomy is derived from the expression:
 //!
 //! * the **variable set** `V` and the per-variable **degree** (how many
-//!   past updates of each variable the condition reads) come from the
-//!   [`Condition`] trait;
+//!   past updates of each variable the condition reads);
 //! * a condition is **non-historical** if it is of degree 1 with respect
 //!   to every variable, otherwise **historical**
 //!   ([`ConditionExt::is_historical`]);
 //! * a historical condition is either **conservative** (always false
 //!   when the history's seqnos are not consecutive, i.e. it detects
-//!   update loss) or **aggressive** ([`Triggering`]). The
-//!   [`Conservative`] wrapper turns any condition into its conservative
-//!   variant — e.g. the paper's `c3` is `Conservative(c2)`.
-//!
-//! Ready-made conditions from the paper are re-exported here
-//! ([`Threshold`] is `c1`, [`DeltaRise`] is `c2`, [`AbsDifference`] is
-//! the two-variable `cm`), boolean combinators in [`combinators`], and a
-//! parsed condition **expression language** in [`expr`]:
+//!   update loss) or **aggressive** ([`Triggering`]).
+//!   [`cond::conservative`] guards a condition with `consecutive(x)`
+//!   for each of its variables — e.g. the paper's `c3` is
+//!   `conservative(delta_rise(x, 200.0))`, which is also:
 //!
 //! ```rust
 //! use rcm_core::condition::expr::CompiledCondition;
@@ -35,23 +33,47 @@
 //! # Ok::<(), rcm_core::Error>(())
 //! ```
 //!
+//! A Condition Evaluator evaluates conditions in one place, the shared
+//! store of a [`ConditionRegistry`](crate::ConditionRegistry);
+//! [`Condition::eval`] over a [`HistorySet`] is the from-scratch
+//! reference it is checked against.
+//!
 //! The paper excludes conditions of infinite degree, conditions needing
 //! extra CE state (high watermarks), and conditions mentioning wall-clock
-//! time; this framework cannot express them by construction (a
-//! [`Condition`] sees only a bounded [`HistorySet`]).
+//! time; this framework cannot express them by construction (an
+//! expression reads only a bounded window of each history).
 
-pub mod combinators;
+mod combinators;
 mod conservative;
 pub mod expr;
-mod func;
 mod standard;
 
-pub use combinators::{And, Not, Or};
-pub use conservative::Conservative;
-pub use func::FnCondition;
-pub use standard::{
-    AbsDifference, Band, Cmp, CrossesLevel, DeltaRise, SharpDrop, SustainedAbove, Threshold,
-};
+pub use standard::Cmp;
+
+/// Ready-made conditions, including every concrete condition used in
+/// the paper's examples, each built as an expression.
+///
+/// Every constructor returns a [`CompiledCondition`](expr::CompiledCondition)
+/// named as the condition prints in reports (`v0[0].value > 3000`,
+/// `conservative(v0[0].value - v0[-1].value > 12)`), so a ready-made
+/// condition is evaluated, classified and shared exactly like one
+/// written as text. Conditions combine with `&`, `|` and `!`.
+///
+/// ```rust
+/// use rcm_core::condition::{cond, Cmp, Condition, Triggering};
+/// let x = rcm_core::VarId::new(0);
+/// // The paper's Appendix D: two co-located conditions as one.
+/// let c = cond::threshold(x, Cmp::Gt, 3000.0) | cond::delta_rise(x, 200.0);
+/// assert_eq!(c.name(), "(v0[0].value > 3000) || (v0[0].value - v0[-1].value > 200)");
+/// assert_eq!(c.triggering(), Triggering::Aggressive);
+/// ```
+pub mod cond {
+    pub use super::conservative::conservative;
+    pub use super::standard::{
+        abs_difference, crosses_level, delta_rise, outside_band, sharp_drop, sustained_above,
+        threshold, Cmp,
+    };
+}
 
 use std::fmt;
 use std::sync::Arc;
@@ -80,16 +102,12 @@ impl fmt::Display for Triggering {
     }
 }
 
-/// A boolean condition over update histories.
+/// A boolean condition over update histories: in this crate, a
+/// [`CompiledCondition`](expr::CompiledCondition).
 ///
-/// Implementations must be deterministic pure functions of the history
+/// A condition must be a deterministic pure function of the history
 /// set: the paper's framework (and all six AD algorithms) relies on two
 /// CEs with equal histories producing equal alert decisions.
-///
-/// The evaluator guarantees `eval` is called only when every history in
-/// the set is defined (holds `degree` updates); implementations should
-/// still return `false` rather than panic on unexpectedly short
-/// histories.
 pub trait Condition: fmt::Debug + Send + Sync {
     /// Human-readable name used in alert displays and reports.
     fn name(&self) -> String;
@@ -110,25 +128,22 @@ pub trait Condition: fmt::Debug + Send + Sync {
     /// single-update history has no gaps to detect).
     fn triggering(&self) -> Triggering;
 
-    /// Evaluates the condition against the given histories.
+    /// Evaluates the condition from scratch against the given
+    /// histories; `false` while one of them holds fewer than `degree`
+    /// updates.
     fn eval(&self, h: &HistorySet) -> bool;
 
-    /// The expression this condition is, if it is exactly one: `eval`
-    /// must equal the expression's value on every history set. A
-    /// [`ConditionRegistry`](crate::ConditionRegistry) evaluates such
-    /// conditions together, computing a subexpression several of them
-    /// share once per update, instead of calling `eval` on each.
-    /// Wrappers that add to their inner condition's verdict
-    /// ([`Conservative`], the combinators) keep the default.
-    fn expr(&self) -> Option<&Expr<VarId>> {
-        None
-    }
+    /// The expression this condition is: `eval` equals its value on
+    /// every history set. A [`ConditionRegistry`](crate::ConditionRegistry)
+    /// evaluates the expressions of all its conditions together,
+    /// computing a subexpression several of them share once per update.
+    fn expr(&self) -> &Expr<VarId>;
 }
 
 /// Extension helpers derived from the [`Condition`] trait.
 pub trait ConditionExt: Condition {
-    /// `(variable, degree)` pairs suitable for building the evaluator's
-    /// [`HistorySet`].
+    /// `(variable, degree)` pairs: the [`HistorySet`] the condition
+    /// reads.
     fn history_spec(&self) -> Vec<(VarId, usize)> {
         self.variables().into_iter().map(|v| (v, self.degree(v))).collect()
     }
@@ -148,35 +163,8 @@ pub trait ConditionExt: Condition {
 
 impl<C: Condition + ?Sized> ConditionExt for C {}
 
-macro_rules! forward_condition {
-    ($($ptr:ty),+) => {$(
-        impl<C: Condition + ?Sized> Condition for $ptr {
-            fn name(&self) -> String {
-                (**self).name()
-            }
-            fn variables(&self) -> Vec<VarId> {
-                (**self).variables()
-            }
-            fn degree(&self, var: VarId) -> usize {
-                (**self).degree(var)
-            }
-            fn triggering(&self) -> Triggering {
-                (**self).triggering()
-            }
-            fn eval(&self, h: &HistorySet) -> bool {
-                (**self).eval(h)
-            }
-            fn expr(&self) -> Option<&Expr<VarId>> {
-                (**self).expr()
-            }
-        }
-    )+};
-}
-
-forward_condition!(&C, Box<C>, Arc<C>);
-
-/// Type-erased, shareable condition handle used throughout the
-/// simulator and runtime.
+/// Type-erased, shareable condition handle: what a
+/// [`ConditionRegistry`](crate::ConditionRegistry) and the runtime take.
 pub type DynCondition = Arc<dyn Condition>;
 
 #[cfg(test)]
@@ -187,10 +175,10 @@ mod tests {
     #[test]
     fn ext_classifies_historicity() {
         let x = VarId::new(0);
-        let c1 = Threshold::new(x, Cmp::Gt, 3000.0);
+        let c1 = cond::threshold(x, Cmp::Gt, 3000.0);
         assert!(c1.is_non_historical());
         assert!(!c1.is_historical());
-        let c2 = DeltaRise::new(x, 200.0);
+        let c2 = cond::delta_rise(x, 200.0);
         assert!(c2.is_historical());
         assert_eq!(c2.history_spec(), vec![(x, 2)]);
     }
@@ -198,17 +186,18 @@ mod tests {
     #[test]
     fn trait_objects_forward() {
         let x = VarId::new(0);
-        let c: DynCondition = Arc::new(Threshold::new(x, Cmp::Gt, 10.0));
+        let c: DynCondition = Arc::new(cond::threshold(x, Cmp::Gt, 10.0));
         assert_eq!(c.variables(), vec![x]);
         assert_eq!(c.degree(x), 1);
         assert_eq!(c.triggering(), Triggering::Conservative);
-        let mut h = HistorySet::new([(x, 1)]);
+        let mut h = HistorySet::new(c.history_spec());
         h.push(Update::new(x, 1, 11.0)).unwrap();
         assert!(c.eval(&h));
-        let boxed: Box<dyn Condition> = Box::new(Threshold::new(x, Cmp::Gt, 10.0));
+        let boxed: Box<dyn Condition> = Box::new(cond::threshold(x, Cmp::Gt, 10.0));
         assert!(boxed.eval(&h));
         let borrowed: &dyn Condition = &*boxed;
         assert!(borrowed.eval(&h));
+        assert_eq!(borrowed.expr(), c.expr());
     }
 
     #[test]

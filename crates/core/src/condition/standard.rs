@@ -1,12 +1,11 @@
 //! Ready-made conditions, including every concrete condition used in
-//! the paper's examples.
+//! the paper's examples, each built as an expression (see
+//! [`cond`](super::cond)).
 
-use crate::history::HistorySet;
+use super::expr::{BinOp, CompiledCondition, Expr, Field};
 use crate::var::VarId;
 
-use super::{Condition, Triggering};
-
-/// Comparison operator for [`Threshold`] and friends.
+/// Comparison operator for [`threshold`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cmp {
     /// `<`
@@ -24,41 +23,36 @@ pub enum Cmp {
 }
 
 impl Cmp {
-    /// Applies the comparison to two values.
-    pub fn apply(self, lhs: f64, rhs: f64) -> bool {
+    fn op(self) -> BinOp {
         match self {
-            Cmp::Lt => lhs < rhs,
-            Cmp::Le => lhs <= rhs,
-            Cmp::Gt => lhs > rhs,
-            Cmp::Ge => lhs >= rhs,
-            Cmp::Eq => lhs == rhs,
-            Cmp::Ne => lhs != rhs,
-        }
-    }
-
-    /// Source-level symbol (`<`, `<=`, …).
-    pub fn symbol(self) -> &'static str {
-        match self {
-            Cmp::Lt => "<",
-            Cmp::Le => "<=",
-            Cmp::Gt => ">",
-            Cmp::Ge => ">=",
-            Cmp::Eq => "==",
-            Cmp::Ne => "!=",
+            Cmp::Lt => BinOp::Lt,
+            Cmp::Le => BinOp::Le,
+            Cmp::Gt => BinOp::Gt,
+            Cmp::Ge => BinOp::Ge,
+            Cmp::Eq => BinOp::Eq,
+            Cmp::Ne => BinOp::Ne,
         }
     }
 }
 
+/// `var[-back].value`.
+fn value(var: VarId, back: i64) -> Expr<VarId> {
+    Expr::Term { var, index: -back, field: Field::Value }
+}
+
+fn bin(op: BinOp, lhs: Expr<VarId>, rhs: Expr<VarId>) -> Expr<VarId> {
+    Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
+}
+
 /// The paper's `c1` family: "current value compares against a limit",
-/// e.g. *reactor temperature is over 3000 degrees*.
-///
-/// Non-historical: degree 1 in its single variable.
+/// `var[0].value <cmp> limit`, e.g. *reactor temperature is over 3000
+/// degrees*. Non-historical.
 ///
 /// ```rust
-/// use rcm_core::condition::{Threshold, Cmp, Condition};
+/// use rcm_core::condition::{cond, Cmp, Condition};
 /// use rcm_core::{HistorySet, Update, VarId};
 /// let x = VarId::new(0);
-/// let c1 = Threshold::new(x, Cmp::Gt, 3000.0);
+/// let c1 = cond::threshold(x, Cmp::Gt, 3000.0);
 /// let mut h = HistorySet::new([(x, 1)]);
 /// h.push(Update::new(x, 1, 2900.0))?;
 /// assert!(!c1.eval(&h));
@@ -66,354 +60,106 @@ impl Cmp {
 /// assert!(c1.eval(&h));
 /// # Ok::<(), rcm_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Threshold {
-    var: VarId,
-    cmp: Cmp,
-    limit: f64,
-}
-
-impl Threshold {
-    /// Creates a threshold condition `H_var[0].value <cmp> limit`.
-    pub fn new(var: VarId, cmp: Cmp, limit: f64) -> Self {
-        Threshold { var, cmp, limit }
-    }
-}
-
-impl Condition for Threshold {
-    fn name(&self) -> String {
-        format!("{}[0].value {} {}", self.var, self.cmp.symbol(), self.limit)
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        vec![self.var]
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        usize::from(var == self.var)
-    }
-
-    fn triggering(&self) -> Triggering {
-        // Non-historical: conservative vacuously.
-        Triggering::Conservative
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        h.value(self.var, 0).is_some_and(|v| self.cmp.apply(v, self.limit))
-    }
+pub fn threshold(var: VarId, cmp: Cmp, limit: f64) -> CompiledCondition {
+    let name = format!("{var}[0].value {} {limit}", cmp.op().symbol());
+    CompiledCondition::built(name, bin(cmp.op(), value(var, 0), Expr::Num(limit)))
 }
 
 /// The paper's `c2`: *value has risen by more than `delta` since the
-/// last reading **received*** — `H_x[0].value − H_x[-1].value > delta`.
+/// last reading **received***, `var[0].value - var[-1].value > delta`.
 ///
-/// Historical of degree 2 and **aggressively** triggered: it does not
-/// check that the two readings are consecutive, so after a lost update
-/// it compares against an older value. Use
-/// [`Conservative`](super::Conservative)`::new(DeltaRise::new(..))` for
+/// Historical of degree 2 and **aggressively** triggered: after a lost
+/// update it compares against an older value. [`conservative`] of it is
 /// the paper's `c3` (rise since the last reading *taken at the DM*).
 ///
-/// Negative `delta` thresholds detect drops (evaluate the rise of the
-/// negated series instead: wrap values upstream or use the expression
-/// language for asymmetric cases).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaRise {
-    var: VarId,
-    delta: f64,
-}
-
-impl DeltaRise {
-    /// Creates the condition `H_var[0].value − H_var[-1].value > delta`.
-    pub fn new(var: VarId, delta: f64) -> Self {
-        DeltaRise { var, delta }
-    }
-}
-
-impl Condition for DeltaRise {
-    fn name(&self) -> String {
-        format!("{v}[0].value - {v}[-1].value > {}", self.delta, v = self.var)
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        vec![self.var]
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        if var == self.var {
-            2
-        } else {
-            0
-        }
-    }
-
-    fn triggering(&self) -> Triggering {
-        Triggering::Aggressive
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        match (h.value(self.var, 0), h.value(self.var, 1)) {
-            (Some(cur), Some(prev)) => cur - prev > self.delta,
-            _ => false,
-        }
-    }
+/// [`conservative`]: super::cond::conservative
+pub fn delta_rise(var: VarId, delta: f64) -> CompiledCondition {
+    let name = format!("{var}[0].value - {var}[-1].value > {delta}");
+    let rise = bin(BinOp::Sub, value(var, 0), value(var, 1));
+    CompiledCondition::built(name, bin(BinOp::Gt, rise, Expr::Num(delta)))
 }
 
 /// The paper's `cm` (§5, Theorem 10): *the absolute difference between
-/// two variables exceeds a limit* —
-/// `|H_x[0].value − H_y[0].value| > limit`.
-///
+/// two variables exceeds a limit*, `|x[0].value - y[0].value| > limit`.
 /// Non-historical in both variables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AbsDifference {
-    x: VarId,
-    y: VarId,
-    limit: f64,
+///
+/// # Panics
+///
+/// Panics if `x == y`; a one-variable difference is always zero.
+pub fn abs_difference(x: VarId, y: VarId, limit: f64) -> CompiledCondition {
+    assert!(x != y, "abs_difference requires two distinct variables");
+    let name = format!("|{x}[0].value - {y}[0].value| > {limit}");
+    let gap = Expr::Abs(Box::new(bin(BinOp::Sub, value(x, 0), value(y, 0))));
+    CompiledCondition::built(name, bin(BinOp::Gt, gap, Expr::Num(limit)))
 }
 
-impl AbsDifference {
-    /// Creates the condition `|H_x[0].value − H_y[0].value| > limit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x == y`; a one-variable difference is always zero.
-    pub fn new(x: VarId, y: VarId, limit: f64) -> Self {
-        assert!(x != y, "AbsDifference requires two distinct variables");
-        AbsDifference { x, y, limit }
-    }
-}
-
-impl Condition for AbsDifference {
-    fn name(&self) -> String {
-        format!("|{}[0].value - {}[0].value| > {}", self.x, self.y, self.limit)
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        let mut v = vec![self.x, self.y];
-        v.sort_unstable();
-        v
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        usize::from(var == self.x || var == self.y)
-    }
-
-    fn triggering(&self) -> Triggering {
-        Triggering::Conservative
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        match (h.value(self.x, 0), h.value(self.y, 0)) {
-            (Some(a), Some(b)) => (a - b).abs() > self.limit,
-            _ => false,
-        }
-    }
-}
-
-/// *Value is outside the closed band `[lo, hi]`* — a two-sided
-/// threshold, non-historical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Band {
-    var: VarId,
-    lo: f64,
-    hi: f64,
-}
-
-impl Band {
-    /// Creates the condition `H_var[0].value < lo || H_var[0].value > hi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn outside(var: VarId, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "band bounds must satisfy lo <= hi");
-        Band { var, lo, hi }
-    }
-}
-
-impl Condition for Band {
-    fn name(&self) -> String {
-        format!("{v}[0].value outside [{}, {}]", self.lo, self.hi, v = self.var)
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        vec![self.var]
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        usize::from(var == self.var)
-    }
-
-    fn triggering(&self) -> Triggering {
-        Triggering::Conservative
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        h.value(self.var, 0).is_some_and(|v| v < self.lo || v > self.hi)
-    }
+/// *Value is outside the closed band `[lo, hi]`*, a two-sided
+/// threshold: `var[0].value < lo || var[0].value > hi`.
+///
+/// # Panics
+///
+/// Panics unless `lo <= hi`.
+pub fn outside_band(var: VarId, lo: f64, hi: f64) -> CompiledCondition {
+    assert!(lo <= hi, "band bounds must satisfy lo <= hi");
+    let name = format!("{var}[0].value outside [{lo}, {hi}]");
+    let below = bin(BinOp::Lt, value(var, 0), Expr::Num(lo));
+    let above = bin(BinOp::Gt, value(var, 0), Expr::Num(hi));
+    CompiledCondition::built(name, bin(BinOp::Or, below, above))
 }
 
 /// *Value crossed a level from below between the previous and current
-/// reading received* — `H[-1].value < level && H[0].value >= level`.
+/// reading received*: `var[-1].value < level && var[0].value >= level`.
+/// Historical of degree 2, aggressively triggered.
+pub fn crosses_level(var: VarId, level: f64) -> CompiledCondition {
+    let name = format!("{var} crosses {level} upward");
+    let was_below = bin(BinOp::Lt, value(var, 1), Expr::Num(level));
+    let is_at = bin(BinOp::Ge, value(var, 0), Expr::Num(level));
+    CompiledCondition::built(name, bin(BinOp::And, was_below, is_at))
+}
+
+/// The introduction's stock example: *sharp price drop*, a relative drop
+/// of more than `fraction` (0.2 = twenty percent) between two quotes
+/// received in a row, from a positive quote.
 ///
-/// Historical of degree 2, aggressively triggered (wrap in
-/// [`Conservative`](super::Conservative) to require adjacent readings).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossesLevel {
-    var: VarId,
-    level: f64,
-}
-
-impl CrossesLevel {
-    /// Creates the upward level-crossing condition.
-    pub fn new(var: VarId, level: f64) -> Self {
-        CrossesLevel { var, level }
-    }
-}
-
-impl Condition for CrossesLevel {
-    fn name(&self) -> String {
-        format!("{v} crosses {} upward", self.level, v = self.var)
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        vec![self.var]
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        if var == self.var {
-            2
-        } else {
-            0
-        }
-    }
-
-    fn triggering(&self) -> Triggering {
-        Triggering::Aggressive
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        match (h.value(self.var, 0), h.value(self.var, 1)) {
-            (Some(cur), Some(prev)) => prev < self.level && cur >= self.level,
-            _ => false,
-        }
-    }
-}
-
-/// The introduction's stock example: *sharp price drop*, defined as a
-/// greater-than-`fraction` relative drop between two quotes received in
-/// a row — `(H[-1].value − H[0].value) / H[-1].value > fraction`.
+/// Historical of degree 2, aggressively triggered: exactly the
+/// behaviour behind the paper's §1 "two drops instead of one" confusion
+/// when replicas miss different quotes.
 ///
-/// Historical of degree 2, aggressively triggered — exactly the
-/// behaviour that produces the paper's §1 "two drops instead of one"
-/// confusion when replicas miss different quotes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharpDrop {
-    var: VarId,
-    fraction: f64,
-}
-
-impl SharpDrop {
-    /// Creates a sharp-drop condition; `fraction` is relative (0.2 =
-    /// twenty percent).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction < 1`.
-    pub fn new(var: VarId, fraction: f64) -> Self {
-        assert!(fraction > 0.0 && fraction < 1.0, "drop fraction must be strictly between 0 and 1");
-        SharpDrop { var, fraction }
-    }
-}
-
-impl Condition for SharpDrop {
-    fn name(&self) -> String {
-        format!("{v} drops more than {}%", self.fraction * 100.0, v = self.var)
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        vec![self.var]
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        if var == self.var {
-            2
-        } else {
-            0
-        }
-    }
-
-    fn triggering(&self) -> Triggering {
-        Triggering::Aggressive
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        match (h.value(self.var, 0), h.value(self.var, 1)) {
-            (Some(cur), Some(prev)) if prev > 0.0 => (prev - cur) / prev > self.fraction,
-            _ => false,
-        }
-    }
-}
-
-/// *Value has stayed above a level for the last `k` readings received*
-/// — the debounced alarm every real deployment wants (a single noisy
-/// reading does not page anyone).
+/// # Panics
 ///
-/// Historical of degree `k`, aggressively triggered: after loss it
-/// judges the last `k` readings it *received*. Wrap in
-/// [`Conservative`](super::Conservative) to demand `k` *consecutive*
-/// readings instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SustainedAbove {
-    var: VarId,
-    level: f64,
-    window: usize,
+/// Panics unless `0 < fraction < 1`.
+pub fn sharp_drop(var: VarId, fraction: f64) -> CompiledCondition {
+    assert!(fraction > 0.0 && fraction < 1.0, "drop fraction must be strictly between 0 and 1");
+    let name = format!("{var} drops more than {}%", fraction * 100.0);
+    let positive = bin(BinOp::Gt, value(var, 1), Expr::Num(0.0));
+    let drop = bin(BinOp::Sub, value(var, 1), value(var, 0));
+    let relative = bin(BinOp::Gt, bin(BinOp::Div, drop, value(var, 1)), Expr::Num(fraction));
+    CompiledCondition::built(name, bin(BinOp::And, positive, relative))
 }
 
-impl SustainedAbove {
-    /// Creates the condition: every one of the last `window` readings
-    /// exceeds `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(var: VarId, level: f64, window: usize) -> Self {
-        assert!(window >= 1, "window must be at least 1");
-        SustainedAbove { var, level, window }
-    }
-}
-
-impl Condition for SustainedAbove {
-    fn name(&self) -> String {
-        format!("{v} above {} for {} readings", self.level, self.window, v = self.var)
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        vec![self.var]
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        if var == self.var {
-            self.window
-        } else {
-            0
-        }
-    }
-
-    fn triggering(&self) -> Triggering {
-        if self.window == 1 {
-            Triggering::Conservative // non-historical
-        } else {
-            Triggering::Aggressive
-        }
-    }
-
-    fn eval(&self, h: &HistorySet) -> bool {
-        (0..self.window).all(|i| h.value(self.var, i).is_some_and(|v| v > self.level))
-    }
+/// *Value has stayed above a level for the last `window` readings
+/// received*: the debounced alarm (a single noisy reading does not page
+/// anyone). Historical of degree `window` and aggressively triggered
+/// for a window above 1; [`conservative`] of it demands `window`
+/// *consecutive* readings instead.
+///
+/// [`conservative`]: super::cond::conservative
+///
+/// # Panics
+///
+/// Panics if `window` is zero.
+pub fn sustained_above(var: VarId, level: f64, window: usize) -> CompiledCondition {
+    assert!(window >= 1, "window must be at least 1");
+    let name = format!("{var} above {level} for {window} readings");
+    let above = |back: usize| bin(BinOp::Gt, value(var, back as i64), Expr::Num(level));
+    let all = (1..window).fold(above(0), |all, back| bin(BinOp::And, all, above(back)));
+    CompiledCondition::built(name, all)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::{Condition, ConditionExt, Triggering};
     use crate::history::HistorySet;
     use crate::update::Update;
 
@@ -424,45 +170,47 @@ mod tests {
         VarId::new(1)
     }
 
-    fn hist1(vals: &[(u64, f64)]) -> HistorySet {
-        let mut h = HistorySet::new([(x(), 1)]);
+    fn hist(degree: usize, vals: &[(u64, f64)]) -> HistorySet {
+        let mut h = HistorySet::new([(x(), degree)]);
         for &(s, v) in vals {
             h.push(Update::new(x(), s, v)).unwrap();
         }
         h
     }
 
+    fn hist1(vals: &[(u64, f64)]) -> HistorySet {
+        hist(1, vals)
+    }
+
     fn hist2(vals: &[(u64, f64)]) -> HistorySet {
-        let mut h = HistorySet::new([(x(), 2)]);
-        for &(s, v) in vals {
-            h.push(Update::new(x(), s, v)).unwrap();
-        }
-        h
+        hist(2, vals)
     }
 
     #[test]
     fn cmp_all_operators() {
-        assert!(Cmp::Lt.apply(1.0, 2.0) && !Cmp::Lt.apply(2.0, 2.0));
-        assert!(Cmp::Le.apply(2.0, 2.0) && !Cmp::Le.apply(3.0, 2.0));
-        assert!(Cmp::Gt.apply(3.0, 2.0) && !Cmp::Gt.apply(2.0, 2.0));
-        assert!(Cmp::Ge.apply(2.0, 2.0) && !Cmp::Ge.apply(1.0, 2.0));
-        assert!(Cmp::Eq.apply(2.0, 2.0) && !Cmp::Eq.apply(1.0, 2.0));
-        assert!(Cmp::Ne.apply(1.0, 2.0) && !Cmp::Ne.apply(2.0, 2.0));
+        let at = |cmp, v| threshold(x(), cmp, 2.0).eval(&hist1(&[(1, v)]));
+        assert!(at(Cmp::Lt, 1.0) && !at(Cmp::Lt, 2.0));
+        assert!(at(Cmp::Le, 2.0) && !at(Cmp::Le, 3.0));
+        assert!(at(Cmp::Gt, 3.0) && !at(Cmp::Gt, 2.0));
+        assert!(at(Cmp::Ge, 2.0) && !at(Cmp::Ge, 1.0));
+        assert!(at(Cmp::Eq, 2.0) && !at(Cmp::Eq, 1.0));
+        assert!(at(Cmp::Ne, 1.0) && !at(Cmp::Ne, 2.0));
     }
 
     #[test]
     fn threshold_matches_c1() {
-        let c1 = Threshold::new(x(), Cmp::Gt, 3000.0);
+        let c1 = threshold(x(), Cmp::Gt, 3000.0);
         assert!(!c1.eval(&hist1(&[(1, 2900.0)])));
         assert!(c1.eval(&hist1(&[(1, 2900.0), (2, 3100.0)])));
         assert_eq!(c1.degree(x()), 1);
         assert_eq!(c1.degree(y()), 0);
+        assert_eq!(c1.triggering(), Triggering::Conservative);
     }
 
     #[test]
     fn delta_rise_matches_c2() {
         // c2 from the proof of Theorem 4: U = ⟨1(400), 2(700), 3(720)⟩.
-        let c2 = DeltaRise::new(x(), 200.0);
+        let c2 = delta_rise(x(), 200.0);
         // CE1 sees 1,2: 700-400 = 300 > 200 → alert.
         assert!(c2.eval(&hist2(&[(1, 400.0), (2, 700.0)])));
         // CE1 then 2,3: 720-700 = 20 → no alert.
@@ -470,18 +218,19 @@ mod tests {
         // CE2 sees 1,3 (missed 2): 720-400 = 320 > 200 → aggressive alert.
         assert!(c2.eval(&hist2(&[(1, 400.0), (3, 720.0)])));
         assert_eq!(c2.triggering(), Triggering::Aggressive);
+        assert_eq!(c2.history_spec(), vec![(x(), 2)]);
     }
 
     #[test]
     fn delta_rise_undefined_history_is_false() {
-        let c2 = DeltaRise::new(x(), 200.0);
+        let c2 = delta_rise(x(), 200.0);
         assert!(!c2.eval(&hist2(&[(1, 1000.0)])));
     }
 
     #[test]
     fn abs_difference_matches_cm() {
         // Theorem 10: |x - y| > 100 over 1x(1000), 2x(1200), 1y(1050), 2y(1150).
-        let cm = AbsDifference::new(x(), y(), 100.0);
+        let cm = abs_difference(x(), y(), 100.0);
         let mut h = HistorySet::new([(x(), 1), (y(), 1)]);
         h.push(Update::new(x(), 1, 1000.0)).unwrap();
         h.push(Update::new(y(), 1, 1050.0)).unwrap();
@@ -491,17 +240,18 @@ mod tests {
         h.push(Update::new(y(), 2, 1150.0)).unwrap();
         assert!(!cm.eval(&h)); // |1200-1150| = 50
         assert_eq!(cm.variables(), vec![x(), y()]);
+        assert_eq!(abs_difference(y(), x(), 100.0).variables(), vec![x(), y()]);
     }
 
     #[test]
     #[should_panic(expected = "distinct variables")]
     fn abs_difference_rejects_same_var() {
-        AbsDifference::new(x(), x(), 1.0);
+        abs_difference(x(), x(), 1.0);
     }
 
     #[test]
     fn band_outside() {
-        let b = Band::outside(x(), 10.0, 20.0);
+        let b = outside_band(x(), 10.0, 20.0);
         assert!(b.eval(&hist1(&[(1, 9.0)])));
         assert!(!b.eval(&hist1(&[(1, 10.0)])));
         assert!(!b.eval(&hist1(&[(1, 15.0)])));
@@ -512,37 +262,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "lo <= hi")]
     fn band_rejects_inverted_bounds() {
-        Band::outside(x(), 5.0, 1.0);
+        outside_band(x(), 5.0, 1.0);
     }
 
     #[test]
     fn crosses_level_only_on_upward_crossing() {
-        let c = CrossesLevel::new(x(), 100.0);
+        let c = crosses_level(x(), 100.0);
         assert!(c.eval(&hist2(&[(1, 90.0), (2, 105.0)])));
         assert!(!c.eval(&hist2(&[(1, 105.0), (2, 110.0)]))); // already above
         assert!(!c.eval(&hist2(&[(1, 105.0), (2, 90.0)]))); // downward
         assert!(c.eval(&hist2(&[(1, 90.0), (2, 100.0)]))); // lands exactly on level
+        assert_eq!(c.triggering(), Triggering::Aggressive);
     }
 
     #[test]
     fn sharp_drop_matches_intro_example() {
         // §1: quotes 100, 50 → >20% drop alert at CE1; CE2 misses the 50
         // and alerts on 100 → 52 instead.
-        let c = SharpDrop::new(x(), 0.2);
+        let c = sharp_drop(x(), 0.2);
         assert!(c.eval(&hist2(&[(1, 100.0), (2, 50.0)])));
         assert!(!c.eval(&hist2(&[(1, 100.0), (2, 50.0), (3, 52.0)]))); // 50→52 rises
         assert!(c.eval(&hist2(&[(1, 100.0), (3, 52.0)]))); // aggressive: 100→52
+        assert!(!c.eval(&hist2(&[(1, -100.0), (2, -150.0)]))); // from a non-positive quote
     }
 
     #[test]
     #[should_panic(expected = "between 0 and 1")]
     fn sharp_drop_rejects_bad_fraction() {
-        SharpDrop::new(x(), 1.5);
+        sharp_drop(x(), 1.5);
     }
 
     #[test]
     fn sustained_above_debounces() {
-        let c = SustainedAbove::new(x(), 100.0, 3);
+        let c = sustained_above(x(), 100.0, 3);
         let mut h = HistorySet::new([(x(), 3)]);
         h.push(Update::new(x(), 1, 150.0)).unwrap();
         h.push(Update::new(x(), 2, 90.0)).unwrap(); // dip
@@ -557,7 +309,7 @@ mod tests {
 
     #[test]
     fn sustained_above_window_one_is_threshold() {
-        let c = SustainedAbove::new(x(), 10.0, 1);
+        let c = sustained_above(x(), 10.0, 1);
         assert!(c.eval(&hist1(&[(1, 11.0)])));
         assert!(!c.eval(&hist1(&[(1, 9.0)])));
         assert_eq!(c.triggering(), Triggering::Conservative);
@@ -566,14 +318,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be at least 1")]
     fn sustained_above_rejects_zero_window() {
-        SustainedAbove::new(x(), 1.0, 0);
+        sustained_above(x(), 1.0, 0);
     }
 
     #[test]
     fn names_are_descriptive() {
-        assert!(Threshold::new(x(), Cmp::Gt, 3000.0).name().contains("> 3000"));
-        assert!(DeltaRise::new(x(), 200.0).name().contains("200"));
-        assert!(AbsDifference::new(x(), y(), 100.0).name().contains("100"));
-        assert!(SharpDrop::new(x(), 0.2).name().contains("20%"));
+        let names = [
+            threshold(x(), Cmp::Gt, 3000.0).name(),
+            delta_rise(x(), 200.0).name(),
+            abs_difference(x(), y(), 100.0).name(),
+            outside_band(x(), 80.0, 120.0).name(),
+            crosses_level(x(), 100.0).name(),
+            sharp_drop(x(), 0.2).name(),
+            sustained_above(x(), 100.0, 3).name(),
+        ];
+        assert_eq!(
+            names,
+            [
+                "v0[0].value > 3000",
+                "v0[0].value - v0[-1].value > 200",
+                "|v0[0].value - v1[0].value| > 100",
+                "v0[0].value outside [80, 120]",
+                "v0 crosses 100 upward",
+                "v0 drops more than 20%",
+                "v0 above 100 for 3 readings",
+            ]
+        );
     }
 }

@@ -83,7 +83,7 @@ impl fmt::Display for DerivedUpdate {
 
 /// Stamps a node's derived stream with consecutive seqnos — the tree
 /// tier's equivalent of a DM's per-variable counter. Restart keeps the
-/// counter (like `Evaluator::restart` keeps alert numbering), so a
+/// counter (like `ConditionRegistry::restart` keeps alert numbering), so a
 /// recovered node never reuses a seqno its parent may already have
 /// admitted.
 #[derive(Debug, Clone)]

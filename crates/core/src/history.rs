@@ -95,8 +95,12 @@ impl History {
                 });
             }
         }
+        // Room first: the buffer is allocated for `degree` entries, and
+        // pushing into a full one would grow it.
+        if self.buf.len() == self.degree {
+            self.buf.pop_back();
+        }
         self.buf.push_front(update);
-        self.buf.truncate(self.degree);
         Ok(())
     }
 
@@ -104,11 +108,6 @@ impl History {
     /// `H[-1]`, and so on. `None` if fewer than `i + 1` updates held.
     pub fn get(&self, i: usize) -> Option<&Update> {
         self.buf.get(i)
-    }
-
-    /// The most recent update, `H[0]`.
-    pub fn newest(&self) -> Option<&Update> {
-        self.buf.front()
     }
 
     /// Whether the held seqnos are consecutive (no update in the span
@@ -146,7 +145,10 @@ impl fmt::Display for History {
 }
 
 /// The set `H` of update histories a condition is defined on: one
-/// [`History`] per variable in the condition's variable set `V`.
+/// [`History`] per variable in the condition's variable set `V`. It is
+/// what [`Condition::eval`](crate::Condition::eval), the from-scratch
+/// reference, reads; a [`ConditionRegistry`](crate::ConditionRegistry)
+/// keeps one shared history per variable instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistorySet {
     histories: BTreeMap<VarId, History>,
@@ -192,18 +194,9 @@ impl HistorySet {
     }
 
     /// Whether every history's seqnos are consecutive.
-    pub fn is_consecutive(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_consecutive(&self) -> bool {
         self.histories.values().all(History::is_consecutive)
-    }
-
-    /// Variables tracked, in ascending order.
-    pub fn variables(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.histories.keys().copied()
-    }
-
-    /// Iterates over the histories in ascending variable order.
-    pub fn iter(&self) -> impl Iterator<Item = &History> {
-        self.histories.values()
     }
 
     /// Convenience accessor: the value of `H_var[-i]`, i.e. `get(i)` on
@@ -221,11 +214,13 @@ impl HistorySet {
     ///
     /// # Panics
     ///
-    /// Panics if some history is not yet defined — the evaluator only
-    /// triggers alerts on defined history sets.
+    /// Panics if some history is not yet defined — a condition raises
+    /// alerts only on defined history sets.
     pub fn fingerprint(&self) -> HistoryFingerprint {
         assert!(self.is_defined(), "fingerprint of an undefined history set");
+        let words = self.histories.values().map(|h| 1 + h.len()).sum();
         HistoryFingerprint::from_histories(
+            words,
             self.histories.iter().map(|(&v, h)| (v, h.updates().map(|u| u.seqno))),
         )
     }

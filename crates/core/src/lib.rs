@@ -11,9 +11,10 @@
 //! * **Data Monitors (DM)** emit [`Update`]s — `u(varname, seqno, value)`
 //!   tuples with per-variable consecutive sequence numbers.
 //! * **Condition Evaluators (CE)** keep bounded per-variable
-//!   [`History`] windows, re-evaluate a boolean [`Condition`] on every
-//!   arrival, and emit [`Alert`]s. The [`Evaluator`] type implements the
-//!   paper's `T` transducer mapping update sequences to alert sequences.
+//!   [`History`] windows, re-evaluate boolean [`Condition`]s on every
+//!   arrival, and emit [`Alert`]s. A [`ConditionRegistry`] is one CE;
+//!   [`transduce`] is the paper's `T` transducer mapping update
+//!   sequences to alert sequences.
 //! * **Alert Displayers (AD)** merge the alert streams of replicated CEs
 //!   through a filtering algorithm. The six algorithms from the paper's
 //!   Appendix A live in [`ad`]: exact-duplicate removal ([`ad::Ad1`]),
@@ -27,10 +28,11 @@
 //! Beyond the paper's core algorithms, the crate provides the variants
 //! and tooling a deployment needs:
 //!
-//! * conditions as **text** via the expression language
-//!   ([`condition::expr::CompiledCondition`]), as **closures**
-//!   ([`condition::FnCondition`]), and ready-made types including the
-//!   debounced [`condition::SustainedAbove`];
+//! * every condition is an **expression**
+//!   ([`condition::expr::CompiledCondition`]): written as text, built by
+//!   the ready-made constructors of [`condition::cond`] (including the
+//!   debounced [`condition::cond::sustained_above`]), or combined with
+//!   `&`, `|` and `!`;
 //! * checksummed duplicate removal ([`ad::Ad1Digest`], the paper's §2
 //!   remark), the §4.2 "delayed displaying" alternative
 //!   ([`ad::DelayedOrdered`]), and the AD-6 ablation [`ad::Ad3Multi`];
@@ -41,37 +43,32 @@
 //! * a **multi-condition engine** ([`ConditionRegistry`]): N conditions
 //!   hosted over one update stream behind a variable→condition inverted
 //!   index, with one history per variable and every subexpression that
-//!   compiled conditions share evaluated once per update.
+//!   conditions share evaluated once per update.
 //!
 //! ## Quick example
 //!
 //! ```rust
-//! use rcm_core::{Evaluator, Update, VarId};
-//! use rcm_core::condition::{Threshold, Cmp};
+//! use rcm_core::{transduce, CeId, Update, VarId};
+//! use rcm_core::condition::{cond, Cmp};
 //! use rcm_core::ad::{Ad1, AlertFilter};
 //!
 //! let x = VarId::new(0);
 //! // c1: "reactor temperature is over 3000 degrees"
-//! let c1 = Threshold::new(x, Cmp::Gt, 3000.0);
+//! let c1 = cond::threshold(x, Cmp::Gt, 3000.0);
 //!
 //! // Two replicated CEs; CE2 misses update 2.
-//! let mut ce1 = Evaluator::new(c1.clone());
-//! let mut ce2 = Evaluator::new(c1);
 //! let u = |s, v| Update::new(x, s, v);
+//! let a = transduce(&c1, CeId::new(1), &[u(1, 2900.0), u(2, 3100.0), u(3, 3200.0)]);
+//! let b = transduce(&c1, CeId::new(2), &[u(1, 2900.0), u(3, 3200.0)]);
+//! assert_eq!((a.len(), b.len()), (2, 1)); // no alert on 2900
 //!
-//! let a1 = ce1.ingest(u(1, 2900.0)); // no alert
-//! let a2 = ce1.ingest(u(2, 3100.0)).unwrap();
-//! let a3 = ce1.ingest(u(3, 3200.0)).unwrap();
-//! let b1 = ce2.ingest(u(1, 2900.0));
-//! let b3 = ce2.ingest(u(3, 3200.0)).unwrap();
-//! assert!(a1.is_none() && b1.is_none());
-//!
-//! // The AD removes the exact duplicate (a3 and b3 triggered on the
+//! // The AD removes the exact duplicate (a[1] and b[0] triggered on the
 //! // same update history), so the user sees two alerts, not three.
 //! let mut ad = Ad1::new();
-//! let shown: Vec<_> = [a2, a3, b3]
-//!     .into_iter()
-//!     .filter(|a| ad.offer(a).is_deliver())
+//! let shown: Vec<_> = a
+//!     .iter()
+//!     .chain(&b)
+//!     .filter(|alert| ad.offer(alert).is_deliver())
 //!     .collect();
 //! assert_eq!(shown.len(), 2);
 //! ```
@@ -100,7 +97,7 @@ pub use alert::{
 pub use condition::{Condition, ConditionExt, Triggering};
 pub use derived::{derived_var, is_derived_var, DerivedEmitter, DerivedUpdate, DERIVED_VAR_BASE};
 pub use error::{Error, Result};
-pub use evaluator::{transduce, Evaluator};
+pub use evaluator::transduce;
 pub use history::{History, HistorySet};
 pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use registry::{ConditionRegistry, RegistryStats};

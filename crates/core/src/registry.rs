@@ -1,28 +1,27 @@
-//! The multi-condition engine: one [`ConditionRegistry`] hosts many
-//! conditions over a single update stream.
+//! The Condition Evaluator: one [`ConditionRegistry`] hosts any number
+//! of conditions over a single update stream (the paper's `T` on a
+//! registry of one is [`transduce`](crate::transduce)).
 //!
-//! The paper's Condition Evaluator pairs one condition with one
-//! [`Evaluator`](crate::Evaluator). At scale a CE hosts thousands of
-//! conditions, and a naive loop of evaluators pays four times over:
-//! it offers every update to every condition, keeps a copy of each
-//! variable's history per condition, re-computes subexpressions that
-//! many conditions have in common, and compares one signal with each
-//! of a hundred thresholds in turn. The registry removes all four:
+//! At scale a CE hosts thousands of conditions, and a naive loop of
+//! one evaluator per condition pays four times over: it offers every
+//! update to every condition, keeps a copy of each variable's history
+//! per condition, re-computes subexpressions that many conditions have
+//! in common, and compares one signal with each of a hundred thresholds
+//! in turn. The registry removes all four:
 //!
 //! * a **variable → condition inverted index**, built from each
 //!   condition's variable set, so an arriving `u(x, s, v)` touches only
 //!   the conditions that mention `x`;
 //! * **one history ring per variable and one expression DAG** for every
-//!   condition that exposes its expression through
-//!   [`Condition::expr`] (a [`CompiledCondition`] does): the update is
-//!   pushed and stale-checked once, dirties only the nodes that read
-//!   its variable, and a subexpression shared by any number of
-//!   conditions is evaluated once per update. See
-//!   `condition::expr::store` for the interning and invalidation rules;
-//! * a **variable → family → firing run index** for the shared
-//!   conditions that are a threshold on a signal: an ordering (`<`,
-//!   `<=`, `>`, `>=`) between a non-literal expression and a literal, in
-//!   either operand order, alone or in conjunction with a residual
+//!   condition, built from [`Condition::expr`]: the update is pushed
+//!   and stale-checked once, dirties only the nodes that read its
+//!   variable, and a subexpression shared by any number of conditions
+//!   is evaluated once per update. See `condition::expr::store` for the
+//!   interning and invalidation rules;
+//! * a **variable → family → firing run index** for the conditions
+//!   that are a threshold on a signal: an ordering (`<`, `<=`, `>`,
+//!   `>=`) between a non-literal expression and a literal, in either
+//!   operand order, alone or in conjunction with a residual
 //!   (`… > T && consecutive(x)`). Conditions equal up to the literal
 //!   form one family, its thresholds sorted; an update checks the
 //!   family's definedness once, evaluates the signal once, finds the
@@ -33,38 +32,34 @@
 //!   an option. Orderings are indexed because the conditions one value
 //!   satisfies are then a contiguous run of a sorted list; `==`, `!=`,
 //!   `||`, comparisons between two non-literals and NaN literals have
-//!   no such run and are evaluated one by one, as are opaque and late
-//!   conditions.
+//!   no such run and are evaluated one by one.
 //!
-//! Two kinds of condition keep a private [`HistorySet`] and
-//! `Condition::eval`, the only path that can serve them: those that
-//! expose no expression (closures, the ready-made types, combinators,
-//! `Conservative<_>`), and those registered after one of their
-//! variables already holds history — they have not seen what the shared
-//! ring holds, so it is not their history.
+//! The paper's CE keeps one history per variable (§2), and every
+//! condition reads it from the start of the stream: a condition is
+//! registered before any of its variables holds history, or after a
+//! [`ConditionRegistry::restart`] has emptied them, and
+//! [`ConditionRegistry::insert`] refuses it otherwise.
 //!
 //! Per condition the registry is *observationally identical* to an
-//! independent [`Evaluator`](crate::Evaluator) fed the projection of
-//! the stream onto that condition's variables — same alerts, same
+//! independent history set of the condition's own, fed the projection
+//! of the stream onto its variables and evaluated from scratch with
+//! [`Condition::eval`] after each accepted update — same alerts, same
 //! fingerprints and snapshots, same per-condition `AlertId` numbering,
 //! same stale handling (`tests/registry_shared.rs` pins this
 //! byte-for-byte). Per update, alerts are emitted in ascending
-//! registration order across both kinds; registering conditions in
-//! ascending [`CondId`] order (as [`ConditionRegistry::add`] does)
-//! therefore yields ascending-`CondId` emission, which is what the
-//! runtime's worker pipeline — the one place a condition set is split
-//! over several registries — relies on to merge one update's alerts
-//! back into the order a single registry emits.
+//! registration order; registering conditions in ascending [`CondId`]
+//! order (as [`ConditionRegistry::add_compiled`] does) therefore yields
+//! ascending-`CondId` emission, which is what the runtime's worker
+//! pipeline — the one place a condition set is split over several
+//! registries — relies on to merge one update's alerts back into the
+//! order a single registry emits.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::alert::{Alert, AlertId, CeId, CondId};
 use crate::condition::expr::store::{ExprStore, Hosted, Placed};
 use crate::condition::expr::CompiledCondition;
 use crate::condition::{Condition, ConditionExt, DynCondition};
-use crate::error::Error;
-use crate::history::HistorySet;
 use crate::update::Update;
 use crate::var::VarId;
 
@@ -76,22 +71,19 @@ thread_local! {
     static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Where a hosted condition's histories live and how it is evaluated.
+/// How a hosted condition is evaluated in the registry's store.
 #[derive(Debug)]
 enum Eval {
-    /// In the registry's shared store, on its own.
-    Shared(Hosted),
-    /// In the shared store, as one threshold of the family with this
-    /// id. The family is offered the update and counts it; the entry is
-    /// visited only to raise its alert.
+    /// On its own.
+    Alone(Hosted),
+    /// As one threshold of the family with this id. The family is
+    /// offered the update and counts it; the entry is visited only to
+    /// raise its alert.
     Member(usize),
-    /// In a history set of its own, through `Condition::eval`.
-    Private { cond: DynCondition, histories: HistorySet },
 }
 
-/// One hosted condition: its evaluation state plus per-condition
-/// counters mirroring [`Evaluator`](crate::Evaluator)'s. A family
-/// member keeps only `emitted`; see [`FamilyCounters`].
+/// One hosted condition: how it is evaluated plus its own counters. A
+/// family member keeps only `emitted`; see [`FamilyCounters`].
 #[derive(Debug)]
 struct Entry {
     cond_id: CondId,
@@ -102,37 +94,19 @@ struct Entry {
 }
 
 impl Entry {
-    /// Offers one update to this condition; mirrors
-    /// `Evaluator::try_ingest` exactly: push → stale drop → count →
-    /// defined && eval → alert with the per-condition emission index.
-    /// `shared` is what the store said of the update, which it takes
-    /// once on behalf of every shared entry.
-    fn offer(
-        &mut self,
-        update: Update,
-        shared: bool,
-        store: &mut ExprStore,
-        ce: CeId,
-    ) -> Option<Alert> {
-        let accepted = match &mut self.eval {
-            Eval::Shared(_) | Eval::Member(_) => shared,
-            Eval::Private { histories, .. } => match histories.push(update) {
-                Ok(()) => true,
-                Err(Error::OutOfOrderUpdate { .. }) => false,
-                // The inverted index routes only subscribed variables,
-                // so `UnknownVariable` cannot happen here.
-                Err(e) => unreachable!("registry routed an unsubscribed update: {e}"),
-            },
-        };
+    /// Offers one update to a condition hosted on its own: stale drop →
+    /// count → defined && holds → alert with the per-condition emission
+    /// index. `accepted` is what the store said of the update, which it
+    /// takes once on behalf of every entry.
+    fn offer(&mut self, accepted: bool, store: &mut ExprStore, ce: CeId) -> Option<Alert> {
         if !accepted {
             self.dropped_stale += 1;
             return None;
         }
         self.ingested += 1;
         let holds = match &self.eval {
-            Eval::Shared(hosted) => store.satisfied(hosted),
+            Eval::Alone(hosted) => store.satisfied(hosted),
             Eval::Member(_) => unreachable!("a family member is routed through its family"),
-            Eval::Private { cond, histories } => histories.is_defined() && cond.eval(histories),
         };
         holds.then(|| self.raise(store, ce))
     }
@@ -140,16 +114,11 @@ impl Entry {
     /// The alert on the history the condition holds now, under its next
     /// emission index.
     fn raise(&mut self, store: &ExprStore, ce: CeId) -> Alert {
-        let (fingerprint, snapshot) = match &self.eval {
-            Eval::Shared(hosted) => {
-                (store.fingerprint(hosted.spec()), store.snapshot(hosted.spec()))
-            }
-            Eval::Member(family) => {
-                let spec = store.family_spec(*family);
-                (store.fingerprint(spec), store.snapshot(spec))
-            }
-            Eval::Private { histories, .. } => (histories.fingerprint(), histories.snapshot()),
+        let spec = match &self.eval {
+            Eval::Alone(hosted) => hosted.spec(),
+            Eval::Member(family) => store.family_spec(*family),
         };
+        let (fingerprint, snapshot) = (store.fingerprint(spec), store.snapshot(spec));
         let id = AlertId { ce, index: self.emitted };
         self.emitted += 1;
         Alert::new(self.cond_id, fingerprint, snapshot, id)
@@ -220,8 +189,7 @@ pub struct ConditionRegistry {
     slot_of: BTreeMap<CondId, u32>,
     /// Variable → the conditions mentioning that variable.
     index: BTreeMap<VarId, Route>,
-    /// Histories and expressions of every [`Eval::Shared`] and
-    /// [`Eval::Member`] entry.
+    /// Histories and expressions of every entry.
     store: ExprStore,
     /// Per-family counters, by store id.
     families: Vec<FamilyCounters>,
@@ -247,16 +215,14 @@ impl ConditionRegistry {
 
     /// Registers a condition under the next sequential [`CondId`]
     /// (`0, 1, 2, …` — matching registration order) and returns it.
-    pub fn add(&mut self, cond: DynCondition) -> CondId {
-        let id = CondId::new(self.entries.len() as u32);
-        self.insert(id, cond);
-        id
-    }
-
-    /// [`ConditionRegistry::add`] for a condition not yet behind an
-    /// `Arc`.
+    ///
+    /// # Panics
+    ///
+    /// As [`ConditionRegistry::insert`].
     pub fn add_compiled(&mut self, cond: CompiledCondition) -> CondId {
-        self.add(Arc::new(cond))
+        let id = CondId::new(self.entries.len() as u32);
+        self.host(id, &cond);
+        id
     }
 
     /// Registers a condition under an explicit id (used where a
@@ -265,32 +231,43 @@ impl ConditionRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `cond_id` is already registered here.
+    /// Panics if `cond_id` is already registered here, or if one of the
+    /// condition's variables already holds history: the condition has
+    /// not seen the updates the shared history holds, so it is not its
+    /// history. Register every condition before the first update, or
+    /// after a [`ConditionRegistry::restart`].
     pub fn insert(&mut self, cond_id: CondId, cond: DynCondition) {
+        self.host(cond_id, &*cond);
+    }
+
+    pub(crate) fn host(&mut self, cond_id: CondId, cond: &dyn Condition) {
         assert!(
             u32::try_from(self.entries.len()).is_ok(),
             "condition table full: {} entries",
             self.entries.len()
         );
         let slot = self.entries.len() as u32;
-        let taken = self.slot_of.insert(cond_id, slot);
-        assert!(taken.is_none(), "condition id {cond_id} already registered");
+        assert!(!self.slot_of.contains_key(&cond_id), "condition id {cond_id} already registered");
         let spec = cond.history_spec();
-        let placed = cond.expr().and_then(|expr| self.store.host(expr, &spec, slot));
+        // The store takes nothing of a condition it refuses.
+        let Some(placed) = self.store.host(cond.expr(), &spec, slot) else {
+            panic!("condition {cond_id} registered after one of its variables holds history")
+        };
+        self.slot_of.insert(cond_id, slot);
         // Updates reach a member through its family, which its first
         // member lists on the route of each variable, and any other
         // condition by its slot.
         let routes = spec.iter().map(|&(var, _)| var);
         match placed {
-            Some(Placed::Member(family)) if family < self.families.len() => {}
-            Some(Placed::Member(family)) => {
+            Placed::Member(family) if family < self.families.len() => {}
+            Placed::Member(family) => {
                 self.families.resize_with(family + 1, FamilyCounters::default);
                 routes.for_each(|var| self.index.entry(var).or_default().families.push(family));
             }
             _ => routes.for_each(|var| self.index.entry(var).or_default().others.push(slot)),
         }
         let eval = match placed {
-            Some(Placed::Member(family)) => {
+            Placed::Member(family) => {
                 // analyze: allow(hot-path): the match above made room for `family`
                 let counters = &mut self.families[family];
                 counters.members += 1;
@@ -298,8 +275,7 @@ impl ConditionRegistry {
                 counters.joined_stale += counters.dropped_stale;
                 Eval::Member(family)
             }
-            Some(Placed::Alone(hosted)) => Eval::Shared(hosted),
-            None => Eval::Private { histories: HistorySet::new(spec), cond },
+            Placed::Alone(hosted) => Eval::Alone(hosted),
         };
         self.entries.push(Entry { cond_id, eval, emitted: 0, ingested: 0, dropped_stale: 0 });
     }
@@ -422,24 +398,19 @@ impl ConditionRegistry {
                     Some(entry.raise(store, ce))
                 } else {
                     others.next();
-                    entry.offer(update, shared, store, ce)
+                    entry.offer(shared, store, ce)
                 };
                 out.extend(alert);
             }
         }
     }
 
-    /// Simulates a crash-restart of the hosting CE: every condition's
-    /// in-memory histories are lost; alert numbering continues, per
-    /// condition, exactly like
-    /// [`Evaluator::restart`](crate::Evaluator::restart).
+    /// Simulates a crash-restart of the hosting CE: the in-memory
+    /// histories are lost; alert numbering continues, per condition (the
+    /// paper's back links are lossless and stateful, so a restarted CE
+    /// does not reuse alert positions).
     pub fn restart(&mut self) {
         self.store.clear();
-        for e in &mut self.entries {
-            if let Eval::Private { histories, .. } = &mut e.eval {
-                histories.clear();
-            }
-        }
     }
 }
 
@@ -447,9 +418,10 @@ impl ConditionRegistry {
 mod tests {
     use super::*;
     use crate::condition::expr::store::COMPUTED;
-    use crate::condition::{Cmp, Threshold};
-    use crate::evaluator::Evaluator;
+    use crate::condition::{cond, Cmp};
+    use crate::history::HistorySet;
     use crate::var::VarRegistry;
+    use std::sync::Arc;
 
     fn compiled(src: &str, vars: &mut VarRegistry) -> CompiledCondition {
         CompiledCondition::compile(src, vars).unwrap()
@@ -501,6 +473,28 @@ mod tests {
         assert_eq!(out.iter().map(|al| al.cond).collect::<Vec<_>>(), vec![a, b]);
     }
 
+    /// What a CE holding `cond`'s own histories emits over `stream`, as
+    /// `(position in the stream, alert)`: every accepted update of its
+    /// variables is followed by a from-scratch evaluation.
+    fn independent(
+        cond: &CompiledCondition,
+        id: CondId,
+        ce: CeId,
+        stream: &[Update],
+    ) -> Vec<(usize, Alert)> {
+        let mut h = HistorySet::new(cond.history_spec());
+        let mut emitted = 0;
+        let mut out = Vec::new();
+        for (at, &u) in stream.iter().enumerate() {
+            if h.push(u).is_ok() && h.is_defined() && cond.eval(&h) {
+                let alert_id = AlertId { ce, index: emitted };
+                out.push((at, Alert::new(id, h.fingerprint(), h.snapshot(), alert_id)));
+                emitted += 1;
+            }
+        }
+        out
+    }
+
     #[test]
     fn matches_independent_evaluators() {
         let mut vars = VarRegistry::new();
@@ -512,11 +506,6 @@ mod tests {
         for c in &conds {
             reg.add_compiled(c.clone());
         }
-        let mut evs: Vec<Evaluator<CompiledCondition>> = conds
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Evaluator::with_ids(c.clone(), CondId::new(i as u32), CeId::new(3)))
-            .collect();
 
         let (x, y) = (vars.lookup("x").unwrap(), vars.lookup("y").unwrap());
         let stream = [
@@ -531,21 +520,18 @@ mod tests {
         let mut got = Vec::new();
         reg.ingest_batch(&stream, &mut got);
 
-        let mut want = Vec::new();
-        for &u in &stream {
-            for (ci, ev) in evs.iter_mut().enumerate() {
-                if conds[ci].variables().contains(&u.var) {
-                    if let Ok(Some(a)) = ev.try_ingest(u) {
-                        want.push(a);
-                    }
-                }
-            }
-        }
+        let mut want: Vec<(usize, Alert)> = conds
+            .iter()
+            .enumerate()
+            .flat_map(|(i, c)| independent(c, CondId::new(i as u32), CeId::new(3), &stream))
+            .collect();
+        want.sort_by_key(|&(at, ref a)| (at, a.cond));
+        let want: Vec<Alert> = want.into_iter().map(|(_, a)| a).collect();
         assert_eq!(got, want);
         // Byte-identical provenance, not just paper identity.
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.id, w.id);
-            assert_eq!(g.snapshot[..], w.snapshot[..]);
+            assert!(g.updates().eq(w.updates()));
         }
     }
 
@@ -670,23 +656,12 @@ mod tests {
     }
 
     #[test]
-    fn non_compiled_conditions_fall_back_to_full_eval() {
-        let x = VarId::new(0);
-        let mut reg = ConditionRegistry::new(CeId::new(0));
-        let id = reg.add(Arc::new(Threshold::new(x, Cmp::Gt, 10.0)));
-        let mut out = Vec::new();
-        reg.ingest(Update::new(x, 1, 11.0), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].cond, id);
-    }
-
-    #[test]
     #[should_panic(expected = "already registered")]
     fn duplicate_cond_id_rejected() {
         let x = VarId::new(0);
         let mut reg = ConditionRegistry::new(CeId::new(0));
-        reg.insert(CondId::new(5), Arc::new(Threshold::new(x, Cmp::Gt, 0.0)));
-        reg.insert(CondId::new(5), Arc::new(Threshold::new(x, Cmp::Gt, 1.0)));
+        reg.insert(CondId::new(5), Arc::new(cond::threshold(x, Cmp::Gt, 0.0)));
+        reg.insert(CondId::new(5), Arc::new(cond::threshold(x, Cmp::Gt, 1.0)));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * `ΦS` is the unordered **set** of a sequence's elements;
 //! * `S1 ⊑ S2` is the **subsequence** relation ([`is_subsequence`]);
 //! * `S1 ⊔ S2` is the **ordered union** of two ordered sequences, with
-//!   duplicates removed ([`ordered_union`]);
+//!   duplicates removed (`rcm_props::merge_all_single` over update
+//!   sequences);
 //! * `Π_x U` projects the seqnos of `x`-updates out of a mixed update
 //!   sequence, and `Π_x A` the `a.seqno.x` values out of an alert
 //!   sequence ([`project_alerts`]);
@@ -31,5 +32,5 @@ mod project;
 pub use intervals::IntervalSet;
 #[cfg(test)]
 pub(crate) use ops::is_strictly_ordered;
-pub use ops::{inversions, is_ordered, is_subsequence, ordered_union, spanning_gaps, spanning_set};
+pub use ops::{inversions, is_ordered, is_subsequence, spanning_gaps, spanning_set};
 pub use project::project_alerts;

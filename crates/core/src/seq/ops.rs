@@ -46,7 +46,9 @@ pub fn is_subsequence<T: PartialEq>(sub: &[T], sup: &[T]) -> bool {
     sub.iter().all(|s| it.any(|t| t == s))
 }
 
-/// The paper's `S1 ⊔ S2`: the ordered union of two ordered sequences.
+/// The paper's `S1 ⊔ S2`: the ordered union of two ordered sequences,
+/// the reference the laws below are checked on (`rcm_props::merge_all_single`
+/// is `⊔` over update sequences).
 ///
 /// The result is the ordered sequence whose element set is
 /// `ΦS1 ∪ ΦS2`; duplicates (both across and within inputs) are removed.
@@ -55,12 +57,8 @@ pub fn is_subsequence<T: PartialEq>(sub: &[T], sup: &[T]) -> bool {
 ///
 /// Panics (in debug builds) if either input is not ordered — the paper
 /// defines `⊔` only for ordered sequences.
-///
-/// ```rust
-/// use rcm_core::seq::ordered_union;
-/// assert_eq!(ordered_union(&[1u64, 4, 8], &[2, 4, 5]), vec![1, 2, 4, 5, 8]);
-/// ```
-pub fn ordered_union<T: Ord + Clone>(s1: &[T], s2: &[T]) -> Vec<T> {
+#[cfg(test)]
+pub(crate) fn ordered_union<T: Ord + Clone>(s1: &[T], s2: &[T]) -> Vec<T> {
     debug_assert!(is_ordered(s1), "left operand of ⊔ must be ordered");
     debug_assert!(is_ordered(s2), "right operand of ⊔ must be ordered");
     let mut out: Vec<T> = Vec::with_capacity(s1.len() + s2.len());

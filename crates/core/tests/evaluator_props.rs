@@ -1,8 +1,9 @@
 //! Seeded property tests of the Condition Evaluator (`T`) — including
 //! mechanized versions of the paper's Lemma 3 and Corollary 2.
 
-use rcm_core::condition::{Cmp, Conservative, DeltaRise, Threshold};
-use rcm_core::seq::{is_ordered, ordered_union, project_alerts};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::condition::{cond, Cmp};
+use rcm_core::seq::{is_ordered, project_alerts};
 use rcm_core::{transduce, CeId, Condition, ConditionExt, Update, VarId};
 use rcm_net::{cases, Rng};
 use rcm_props::merge_all_single;
@@ -39,7 +40,7 @@ fn t_is_deterministic() {
     cases("t_is_deterministic", 256, 29, |rng, size| {
         let (values, mask) = draw(rng, size, 100.0);
         let u = stream(&values, &mask);
-        let c2 = DeltaRise::new(x(), 10.0);
+        let c2 = cond::delta_rise(x(), 10.0);
         assert_eq!(transduce(&c2, CeId::new(0), &u), transduce(&c2, CeId::new(1), &u));
     });
 }
@@ -81,7 +82,7 @@ fn conservative_alerts_always_have_consecutive_histories() {
     cases("conservative_alerts_always_have_consecutive_histories", 256, 29, |rng, size| {
         let (values, mask) = draw(rng, size, 1000.0);
         let u = stream(&values, &mask);
-        let c3 = Conservative::new(DeltaRise::new(x(), 10.0));
+        let c3 = cond::conservative(cond::delta_rise(x(), 10.0));
         for alert in transduce(&c3, CeId::new(0), &u) {
             assert!(alert.fingerprint.is_consecutive());
         }
@@ -95,7 +96,7 @@ fn lemma_3_non_historical_t_commutes_with_union() {
         // ΦT(U1 ⊔ U2) = ΦT(U1) ∪ ΦT(U2).
         let (values, mask1) = draw(rng, size, 100.0);
         let mask2 = mask(rng, size);
-        let c1 = Threshold::new(x(), Cmp::Gt, 50.0);
+        let c1 = cond::threshold(x(), Cmp::Gt, 50.0);
         let u1 = stream(&values, &mask1);
         let u2 = stream(&values, &mask2);
         let merged = transduce(&c1, CeId::new(0), &merge_all_single(&[u1.clone(), u2.clone()]));
@@ -105,18 +106,20 @@ fn lemma_3_non_historical_t_commutes_with_union() {
         let rhs: std::collections::HashSet<_> = a1.iter().chain(a2.iter()).collect();
         assert_eq!(lhs, rhs);
         // And the sequence-level form: Π of the merged run is the
-        // ordered union of the two projections.
+        // ordered union of the two projections — ordered, and holding
+        // exactly their seqnos.
         let pm: Vec<u64> = project_alerts(&merged, x()).iter().map(|s| s.get()).collect();
         let p1: Vec<u64> = project_alerts(&a1, x()).iter().map(|s| s.get()).collect();
         let p2: Vec<u64> = project_alerts(&a2, x()).iter().map(|s| s.get()).collect();
-        assert_eq!(pm, ordered_union(&p1, &p2));
+        let union: std::collections::BTreeSet<u64> = p1.into_iter().chain(p2).collect();
+        assert_eq!(pm, union.into_iter().collect::<Vec<_>>());
     });
 }
 
 /// The paper's Theorem-3 inputs: U1 = ⟨1(1000), 2(1500)⟩ and
 /// U2 = ⟨3(2000), 4(2500)⟩, under c3.
-fn theorem_3_inputs() -> (Conservative<DeltaRise>, Vec<Update>, Vec<Update>) {
-    let c3 = Conservative::new(DeltaRise::new(x(), 200.0));
+fn theorem_3_inputs() -> (CompiledCondition, Vec<Update>, Vec<Update>) {
+    let c3 = cond::conservative(cond::delta_rise(x(), 200.0));
     let u1 = vec![Update::new(x(), 1, 1000.0), Update::new(x(), 2, 1500.0)];
     let u2 = vec![Update::new(x(), 3, 2000.0), Update::new(x(), 4, 2500.0)];
     (c3, u1, u2)
@@ -142,11 +145,11 @@ fn lemma_3_fails_for_historical_conditions_sometimes() {
     assert!(merged.len() > separate); // alert@3 exists only merged
 }
 
-fn conditions() -> Vec<Box<dyn Condition>> {
+fn conditions() -> Vec<CompiledCondition> {
     vec![
-        Box::new(Threshold::new(x(), Cmp::Gt, 50.0)),
-        Box::new(DeltaRise::new(x(), 10.0)),
-        Box::new(Conservative::new(DeltaRise::new(x(), 10.0))),
+        cond::threshold(x(), Cmp::Gt, 50.0),
+        cond::delta_rise(x(), 10.0),
+        cond::conservative(cond::delta_rise(x(), 10.0)),
     ]
 }
 

@@ -1,13 +1,13 @@
 //! Seeded equivalence pin for the multi-condition engine: a
 //! [`ConditionRegistry`] hosting one compiled condition — the shared
 //! store with nothing to share — raises an alert exactly when a
-//! from-scratch expression walk over a private [`HistorySet`] is true,
+//! from-scratch expression walk over a [`HistorySet`] of its own is true,
 //! for random well-typed expressions × random update streams, including
 //! seqno gaps, stale duplicates, undefined histories and
 //! `consecutive(...)` guards. (The store's own unit tests compare node
 //! values, `None` included, in lockstep with the same walk.)
 //!
-//! The registry against a loop of independent `Evaluator`s, over many
+//! The registry against independent history-set folds, over many
 //! conditions, batched, stepped, chunked, partitioned and restarted, is
 //! `registry_shared.rs`.
 
@@ -140,7 +140,7 @@ fn shared_store_matches_full_eval() {
             let want = h.push(u).is_ok() && h.is_defined() && cond.eval(&h);
             out.clear();
             reg.ingest(u, &mut out);
-            assert_eq!(!out.is_empty(), want, "diverged on {} after {u:?}", cond.source());
+            assert_eq!(!out.is_empty(), want, "diverged on {} after {u:?}", cond.name());
         }
     });
 }

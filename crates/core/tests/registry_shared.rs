@@ -1,16 +1,16 @@
-//! Seeded sweep: a [`ConditionRegistry`] — whose compiled conditions
-//! share one history ring per variable and one expression DAG — against
-//! a loop of independent [`Evaluator`]s, each with a history set and a
-//! full expression walk of its own.
+//! Seeded sweep: a [`ConditionRegistry`] — whose conditions share one
+//! history ring per variable and one expression DAG — against
+//! independent folds, one per condition, each with a [`HistorySet`] of
+//! its own and a from-scratch `Condition::eval` after every accepted
+//! update.
 //!
 //! Equal means: the same alerts in the same order with the same
 //! `AlertId`s, fingerprints and snapshot bits, and the same
 //! [`RegistryStats`]. Every script mixes seqno gaps, stale duplicates,
-//! strays for a variable nobody reads, a `restart()`, an opaque
-//! condition in the middle of the registration order, a condition
-//! registered mid-stream (its variables already hold history, so it
-//! must not read the shared rings) and one registered right after the
-//! restart (the rings are empty, so it may, and it deepens one). The
+//! strays for a variable nobody reads, a `restart()`, ready-made
+//! conditions in the middle of the registration order, and conditions
+//! registered right after the restart (the rings are empty, so they
+//! may join, and one deepens a ring). The
 //! registry is driven batched, one update at a time and in random
 //! chunks, and split `cond_id % n` over 1, 2 and 4 registries whose
 //! alerts are merged per update by condition id — the partition and the
@@ -30,9 +30,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rcm_core::condition::expr::{BinOp, CompiledCondition, Expr, Field, UnOp};
-use rcm_core::condition::{Cmp, Condition, Conservative, DynCondition, Threshold, Triggering};
+use rcm_core::condition::{cond, Cmp, ConditionExt, DynCondition};
 use rcm_core::{
-    Alert, CeId, CondId, ConditionRegistry, Evaluator, HistorySet, RegistryStats, Update, VarId,
+    Alert, AlertId, CeId, CondId, ConditionRegistry, HistorySet, RegistryStats, Update, VarId,
     VarRegistry,
 };
 use rcm_net::Rng;
@@ -121,53 +121,18 @@ const NEVER: [&str; 6] = [
 ];
 
 /// A comparison against a NaN literal, which the parser cannot spell:
-/// never true, and not a threshold any sorted list can hold.
-#[derive(Debug)]
-struct NanBound {
-    var: VarId,
-    ast: Expr<VarId>,
-}
-
-impl NanBound {
-    /// `var[0].value < NaN`, or `-NaN >= var[0].value` when `flipped`.
-    fn new(var: VarId, flipped: bool) -> Self {
-        let term = Box::new(Expr::Term { var, index: 0, field: Field::Value });
-        let nan = Box::new(Expr::Num(f64::NAN));
-        let ast = if flipped {
-            let nan = Box::new(Expr::Unary { op: UnOp::Neg, expr: nan });
-            Expr::Binary { op: BinOp::Ge, lhs: nan, rhs: term }
-        } else {
-            Expr::Binary { op: BinOp::Lt, lhs: term, rhs: nan }
-        };
-        NanBound { var, ast }
-    }
-}
-
-impl Condition for NanBound {
-    fn name(&self) -> String {
-        "NaN bound".to_owned()
-    }
-
-    fn variables(&self) -> Vec<VarId> {
-        vec![self.var]
-    }
-
-    fn degree(&self, var: VarId) -> usize {
-        usize::from(var == self.var)
-    }
-
-    fn triggering(&self) -> Triggering {
-        Triggering::Aggressive
-    }
-
-    /// Every ordering against NaN is false.
-    fn eval(&self, _: &HistorySet) -> bool {
-        false
-    }
-
-    fn expr(&self) -> Option<&Expr<VarId>> {
-        Some(&self.ast)
-    }
+/// `var[0].value < NaN`, or `-NaN >= var[0].value` when `flipped`.
+/// Never true, and not a threshold any sorted list can hold.
+fn nan_bound(var: VarId, flipped: bool) -> CompiledCondition {
+    let term = Box::new(Expr::Term { var, index: 0, field: Field::Value });
+    let nan = Box::new(Expr::Num(f64::NAN));
+    let ast = if flipped {
+        let nan = Box::new(Expr::Unary { op: UnOp::Neg, expr: nan });
+        Expr::Binary { op: BinOp::Ge, lhs: nan, rhs: term }
+    } else {
+        Expr::Binary { op: BinOp::Lt, lhs: term, rhs: nan }
+    };
+    CompiledCondition::from_expr("NaN bound", ast).unwrap()
 }
 
 fn num_expr(rng: &mut Rng, depth: u32) -> String {
@@ -287,13 +252,13 @@ fn script(seed: u64) -> Script {
         let cond = CompiledCondition::compile(src, &mut vars).unwrap();
         conds.push((Kind::Never, Arc::new(cond)));
     }
-    conds.push((Kind::Never, Arc::new(NanBound::new(a, false))));
-    conds.push((Kind::Never, Arc::new(NanBound::new(a, true))));
-    // Opaque conditions, registered between compiled ones: a wrapper
-    // that adds to its inner condition's verdict, and a ready-made type.
+    conds.push((Kind::Never, Arc::new(nan_bound(a, false))));
+    conds.push((Kind::Never, Arc::new(nan_bound(a, true))));
+    // Ready-made conditions, registered between compiled ones: a
+    // conservative guard over a compiled condition, and a threshold.
     let rise = CompiledCondition::compile("a[0].value - a[-1].value > 5", &mut vars).unwrap();
-    conds.insert(8, (Kind::Other, Arc::new(Conservative::new(rise))));
-    conds.insert(3, (Kind::Other, Arc::new(Threshold::new(b, Cmp::Gt, 0.0))));
+    conds.insert(8, (Kind::Other, Arc::new(cond::conservative(rise))));
+    conds.insert(3, (Kind::Other, Arc::new(cond::threshold(b, Cmp::Gt, 0.0))));
     for _ in 0..6 {
         let at = rng.below(conds.len() + 1);
         conds.insert(at, (Kind::Other, Arc::new(random_condition(&mut rng, &mut vars))));
@@ -318,10 +283,6 @@ fn script(seed: u64) -> Script {
         }
     }
     steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
-    // Mid-stream: `a` and `b` hold history these two have not seen.
-    let late = CompiledCondition::compile("avg_over(a, 3) - avg_over(b, 3) > -7", &mut vars);
-    insert(&mut steps, Arc::new(late.unwrap()));
-    insert(&mut steps, Arc::new(random_condition(&mut rng, &mut vars)));
     steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
     steps.push(Step::Restart);
     // Right after a restart: nothing holds history. The first asks for
@@ -331,7 +292,7 @@ fn script(seed: u64) -> Script {
     let joins = CompiledCondition::compile("a[0].value > 3", &mut vars);
     let after_restart =
         [insert(&mut steps, Arc::new(deep.unwrap())), insert(&mut steps, Arc::new(joins.unwrap()))];
-    insert(&mut steps, Arc::new(Threshold::new(a, Cmp::Lt, 0.0)));
+    insert(&mut steps, Arc::new(cond::threshold(a, Cmp::Lt, 0.0)));
     steps.push(Step::Ingest(stretch(&mut rng, &ids, &mut next)));
     Script { steps, fixed, never, after_restart }
 }
@@ -344,26 +305,57 @@ trait Engine {
     fn stats(&self) -> RegistryStats;
 }
 
-/// The reference: one evaluator per condition, offered every update for
-/// a variable its condition reads, in registration order.
-struct Evaluators {
+/// One condition's reference: a history set of its own and its
+/// counters.
+struct Fold {
+    id: CondId,
+    cond: DynCondition,
+    histories: HistorySet,
+    emitted: u64,
+    ingested: u64,
+    dropped_stale: u64,
+}
+
+impl Fold {
+    /// Push → stale drop → count → defined && eval → alert with the
+    /// condition's next emission index.
+    fn offer(&mut self, u: Update, ce: CeId) -> Option<Alert> {
+        if self.histories.push(u).is_err() {
+            self.dropped_stale += 1;
+            return None;
+        }
+        self.ingested += 1;
+        if !self.histories.is_defined() || !self.cond.eval(&self.histories) {
+            return None;
+        }
+        let (fingerprint, snapshot) = (self.histories.fingerprint(), self.histories.snapshot());
+        let alert = Alert::new(self.id, fingerprint, snapshot, AlertId { ce, index: self.emitted });
+        self.emitted += 1;
+        Some(alert)
+    }
+}
+
+/// The reference: one fold per condition, offered every update for a
+/// variable its condition reads, in registration order.
+struct Folds {
     ce: CeId,
-    all: Vec<(Vec<VarId>, Evaluator<DynCondition>)>,
+    all: Vec<Fold>,
     unrouted: u64,
 }
 
-impl Engine for Evaluators {
+impl Engine for Folds {
     fn insert(&mut self, id: CondId, cond: DynCondition) {
-        self.all.push((cond.variables(), Evaluator::with_ids(cond, id, self.ce)));
+        let histories = HistorySet::new(cond.history_spec());
+        self.all.push(Fold { id, cond, histories, emitted: 0, ingested: 0, dropped_stale: 0 });
     }
 
     fn ingest(&mut self, updates: &[Update], out: &mut Vec<Alert>) {
         for &u in updates {
             let mut routed = false;
-            for (reads, ev) in &mut self.all {
-                if reads.contains(&u.var) {
+            for fold in &mut self.all {
+                if fold.cond.degree(u.var) > 0 {
                     routed = true;
-                    out.extend(ev.try_ingest(u).expect("routed by variable set"));
+                    out.extend(fold.offer(u, self.ce));
                 }
             }
             self.unrouted += u64::from(!routed);
@@ -371,17 +363,17 @@ impl Engine for Evaluators {
     }
 
     fn restart(&mut self) {
-        for (_, ev) in &mut self.all {
-            ev.restart();
+        for fold in &mut self.all {
+            fold.histories.clear();
         }
     }
 
     fn stats(&self) -> RegistryStats {
         let mut s = RegistryStats { unrouted: self.unrouted, ..RegistryStats::default() };
-        for (_, ev) in &self.all {
-            s.ingested += ev.updates_ingested();
-            s.dropped_stale += ev.stale_dropped();
-            s.emitted += ev.alerts_emitted();
+        for fold in &self.all {
+            s.ingested += fold.ingested;
+            s.dropped_stale += fold.dropped_stale;
+            s.emitted += fold.emitted;
         }
         s
     }
@@ -496,7 +488,7 @@ fn registry_matches_independent_evaluators() {
     let mut family_split = [0usize; 3];
     for seed in 0..30u64 {
         let Script { steps, fixed, never, after_restart } = script(seed);
-        let (want, want_stats) = run(&mut Evaluators { ce, all: Vec::new(), unrouted: 0 }, &steps);
+        let (want, want_stats) = run(&mut Folds { ce, all: Vec::new(), unrouted: 0 }, &steps);
 
         let feeds = [Feed::Batched, Feed::Stepped, Feed::Chunked(Rng::seed_from_u64(!seed))];
         for (f, feed) in feeds.into_iter().enumerate() {
@@ -547,8 +539,9 @@ fn registry_matches_independent_evaluators() {
     assert!(family_split[1] > 0 && family_split[2] > 0, "no split parted {SPLIT_FAMILY:?}");
 }
 
-/// Per-condition alert numbering survives `restart()` for shared and
-/// private entries alike, and a stale update counts once per subscriber.
+/// Per-condition alert numbering survives `restart()` for family
+/// members and conditions on their own alike, and a stale update counts
+/// once per subscriber.
 #[test]
 fn numbering_and_stale_counts_are_per_condition() {
     let mut vars = VarRegistry::new();
@@ -556,7 +549,7 @@ fn numbering_and_stale_counts_are_per_condition() {
     let mut reg = ConditionRegistry::new(CeId::new(0));
     let shared = reg.add_compiled(CompiledCondition::compile("x[0].value > 0", &mut vars).unwrap());
     let also = reg.add_compiled(CompiledCondition::compile("x[0].value > 1", &mut vars).unwrap());
-    let opaque = reg.add(Arc::new(Threshold::new(x, Cmp::Gt, 0.0)));
+    let built = reg.add_compiled(cond::threshold(x, Cmp::Gt, 0.0));
     let mut out = Vec::new();
     reg.ingest(Update::new(x, 1, 1.0), &mut out);
     reg.ingest(Update::new(x, 1, 1.0), &mut out); // stale for all three
@@ -567,8 +560,50 @@ fn numbering_and_stale_counts_are_per_condition() {
     reg.restart();
     reg.ingest(Update::new(x, 1, 2.0), &mut out);
     let ids: Vec<(CondId, u64)> = out.iter().map(|al| (al.cond, al.id.index)).collect();
-    assert_eq!(ids, vec![(shared, 0), (opaque, 0), (shared, 1), (also, 0), (opaque, 1)]);
+    assert_eq!(ids, vec![(shared, 0), (built, 0), (shared, 1), (also, 0), (built, 1)]);
     assert_eq!(reg.alerts_emitted(shared), Some(2));
     assert_eq!(reg.alerts_emitted(also), Some(1));
     assert_eq!(reg.alerts_emitted(CondId::new(9)), None);
+}
+
+/// A condition registered after one of its variables holds history is
+/// refused, and the refusal leaves the registry as it was; after a
+/// `restart()` the same condition joins, here as one more threshold of
+/// a family that has been counting all along.
+#[test]
+fn a_late_registration_is_refused_and_one_after_a_restart_joins() {
+    let mut vars = VarRegistry::new();
+    let mut compile = |src: &str| CompiledCondition::compile(src, &mut vars).unwrap();
+    let (first, late) = (compile("x[0].value > 0"), compile("x[0].value > 1"));
+    let (over_y, over_xy) = (compile("y[0].value > 0"), compile("x[0].value + y[0].value > 0"));
+    let x = vars.lookup("x").unwrap();
+    let mut reg = ConditionRegistry::new(CeId::new(0));
+    let first = reg.add_compiled(first);
+    let mut out = Vec::new();
+    reg.ingest(Update::new(x, 1, 2.0), &mut out);
+    for refused in [&late, &over_xy] {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.add_compiled(refused.clone());
+        }))
+        .expect_err("x holds history the newcomer has not seen");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("holds history"), "{message:?}");
+    }
+    assert_eq!(reg.len(), 1);
+    // `y` holds nothing yet, so a condition over it alone may join.
+    let y_only = reg.add_compiled(over_y);
+    assert_eq!(y_only, CondId::new(1));
+
+    reg.restart();
+    let joined = reg.add_compiled(late);
+    assert_eq!(joined, CondId::new(2));
+    reg.ingest(Update::new(x, 2, 2.0), &mut out);
+    reg.ingest(Update::new(x, 2, 2.0), &mut out); // stale for both members
+    let fired: Vec<(CondId, u64)> = out.iter().map(|al| (al.cond, al.id.index)).collect();
+    assert_eq!(fired, vec![(first, 0), (first, 1), (joined, 0)]);
+    // `first` counted 2 accepted and 1 stale, `joined` 1 and 1.
+    assert_eq!(
+        reg.stats(),
+        RegistryStats { ingested: 3, dropped_stale: 2, emitted: 3, unrouted: 0 }
+    );
 }

@@ -9,16 +9,17 @@
 
 use std::collections::HashSet;
 
-use rcm_core::{transduce, Alert, CeId, Condition, Update};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::{Alert, Update};
 
 use crate::multi::enumerate_merges;
-use crate::util::{merge_all_single, merge_per_var};
+use crate::util::{merge_all_single, merge_per_var, Replay};
 
 /// Maximum pool size accepted by the subset-enumerating oracles.
 pub const BRUTE_CAP: usize = 16;
 
-fn explains(cond: &impl Condition, candidate: &[Update], displayed: &[Alert]) -> bool {
-    let reference = transduce(cond, CeId::new(u32::MAX), candidate);
+fn explains(replay: &mut Replay, candidate: &[Update], displayed: &[Alert]) -> bool {
+    let reference = replay.run(candidate);
     let set: HashSet<&Alert> = reference.iter().collect();
     displayed.iter().all(|a| set.contains(a))
 }
@@ -31,8 +32,8 @@ fn explains(cond: &impl Condition, candidate: &[Update], displayed: &[Alert]) ->
 /// Panics if the merged pool exceeds [`BRUTE_CAP`] updates or spans
 /// more than one variable.
 // analyze: allow(reach): the reference the crossval suite compares the checkers against
-pub fn brute_consistent_single<C: Condition>(
-    cond: &C,
+pub fn brute_consistent_single(
+    cond: &CompiledCondition,
     inputs: &[Vec<Update>],
     displayed: &[Alert],
 ) -> bool {
@@ -43,10 +44,11 @@ pub fn brute_consistent_single<C: Condition>(
     }
     // Iterate subsets from largest to smallest is unnecessary; any hit
     // suffices.
+    let mut replay = Replay::new(cond);
     for mask in 0..(1u32 << pool.len()) {
         let candidate: Vec<Update> =
             pool.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1).map(|(_, u)| *u).collect();
-        if explains(cond, &candidate, displayed) {
+        if explains(&mut replay, &candidate, displayed) {
             return true;
         }
     }
@@ -60,8 +62,8 @@ pub fn brute_consistent_single<C: Condition>(
 ///
 /// Panics if the merged pool exceeds [`BRUTE_CAP`] combined updates.
 // analyze: allow(reach): the reference the crossval suite compares the checkers against
-pub fn brute_consistent_multi<C: Condition>(
-    cond: &C,
+pub fn brute_consistent_multi(
+    cond: &CompiledCondition,
     inputs: &[Vec<Update>],
     displayed: &[Alert],
 ) -> bool {
@@ -75,6 +77,7 @@ pub fn brute_consistent_multi<C: Condition>(
     // Enumerate per-variable subsets via one global mask over the
     // concatenation, then every interleaving of the kept updates.
     let flat_lens: Vec<usize> = lists.iter().map(Vec::len).collect();
+    let mut replay = Replay::new(cond);
     for mask in 0..(1u32 << total) {
         let mut offset = 0;
         let mut kept: Vec<Vec<Update>> = Vec::with_capacity(lists.len());
@@ -88,7 +91,8 @@ pub fn brute_consistent_multi<C: Condition>(
             );
             offset += flat_lens[li];
         }
-        let hit = enumerate_merges(&kept, &mut |candidate| explains(cond, candidate, displayed));
+        let hit =
+            enumerate_merges(&kept, &mut |candidate| explains(&mut replay, candidate, displayed));
         if hit {
             return true;
         }
@@ -104,8 +108,8 @@ pub fn brute_consistent_multi<C: Condition>(
 ///
 /// Panics if the merged pool exceeds [`BRUTE_CAP`] combined updates.
 // analyze: allow(reach): the reference the crossval suite compares the checkers against
-pub fn brute_complete_multi<C: Condition>(
-    cond: &C,
+pub fn brute_complete_multi(
+    cond: &CompiledCondition,
     inputs: &[Vec<Update>],
     displayed: &[Alert],
 ) -> bool {
@@ -114,8 +118,9 @@ pub fn brute_complete_multi<C: Condition>(
     let total: usize = lists.iter().map(Vec::len).sum();
     assert!(total <= BRUTE_CAP, "brute-force oracle capped at {BRUTE_CAP} updates");
     let displayed_set: HashSet<&Alert> = displayed.iter().collect();
+    let mut replay = Replay::new(cond);
     enumerate_merges(&lists, &mut |candidate| {
-        let reference = transduce(cond, CeId::new(u32::MAX), candidate);
+        let reference = replay.run(candidate);
         let set: HashSet<&Alert> = reference.iter().collect();
         set == displayed_set
     })
@@ -124,8 +129,8 @@ pub fn brute_complete_multi<C: Condition>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcm_core::condition::{AbsDifference, DeltaRise};
-    use rcm_core::VarId;
+    use rcm_core::condition::cond;
+    use rcm_core::{transduce, CeId, VarId};
 
     fn x() -> VarId {
         VarId::new(0)
@@ -140,7 +145,7 @@ mod tests {
 
     #[test]
     fn brute_matches_theorem_4_counterexample() {
-        let c2 = DeltaRise::new(x(), 200.0);
+        let c2 = cond::delta_rise(x(), 200.0);
         let u1 = vec![u(1, 400.0), u(2, 700.0), u(3, 720.0)];
         let u2 = vec![u(1, 400.0), u(3, 720.0)];
         let a1 = transduce(&c2, CeId::new(1), &u1);
@@ -154,7 +159,7 @@ mod tests {
 
     #[test]
     fn brute_multi_matches_theorem_10() {
-        let cm = AbsDifference::new(x(), y(), 100.0);
+        let cm = cond::abs_difference(x(), y(), 100.0);
         let ux = |s, v| Update::new(x(), s, v);
         let uy = |s, v| Update::new(y(), s, v);
         let u1 = vec![ux(1, 1000.0), ux(2, 1200.0), uy(1, 1050.0), uy(2, 1150.0)];
@@ -169,16 +174,16 @@ mod tests {
 
     #[test]
     fn empty_displayed_is_trivially_consistent() {
-        let c2 = DeltaRise::new(x(), 200.0);
+        let c2 = cond::delta_rise(x(), 200.0);
         assert!(brute_consistent_single(&c2, &[vec![u(1, 0.0)]], &[]));
-        let cm = AbsDifference::new(x(), y(), 100.0);
+        let cm = cond::abs_difference(x(), y(), 100.0);
         assert!(brute_consistent_multi(&cm, &[vec![u(1, 0.0)]], &[]));
     }
 
     #[test]
     #[should_panic(expected = "capped")]
     fn cap_enforced() {
-        let c2 = DeltaRise::new(x(), 200.0);
+        let c2 = cond::delta_rise(x(), 200.0);
         let long: Vec<Update> = (1..=BRUTE_CAP as u64 + 1).map(|s| u(s, 0.0)).collect();
         brute_consistent_single(&c2, &[long], &[]);
     }

@@ -10,9 +10,10 @@
 //! equivalence: ordered ∧ complete ⟺ display-equivalent, for
 //! duplicate-free displays.
 
-use rcm_core::{transduce, Alert, CeId, Condition, Update};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::{transduce, Alert, CeId, Update};
 
-use crate::util::merge_all_single;
+use crate::util::{merge_all_single, Replay};
 
 /// Outcome of a display-equivalence check.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,8 +33,8 @@ pub struct EquivalenceReport {
 /// # Panics
 ///
 /// Panics if the inputs span more than one variable.
-pub fn check_equivalent_single<C: Condition>(
-    cond: &C,
+pub fn check_equivalent_single(
+    cond: &CompiledCondition,
     inputs: &[Vec<Update>],
     displayed: &[Alert],
 ) -> EquivalenceReport {
@@ -65,8 +66,8 @@ pub fn check_equivalent_single<C: Condition>(
 /// # Panics
 ///
 /// Panics if the combined update count exceeds the cap.
-pub fn check_equivalent_multi<C: Condition>(
-    cond: &C,
+pub fn check_equivalent_multi(
+    cond: &CompiledCondition,
     inputs: &[Vec<Update>],
     displayed: &[Alert],
 ) -> EquivalenceReport {
@@ -80,8 +81,9 @@ pub fn check_equivalent_multi<C: Condition>(
     );
     let mut best: Option<(usize, usize)> = None; // (divergence pos, ref len)
     let mut found = false;
+    let mut replay = Replay::new(cond);
     crate::multi::enumerate_merges(&lists, &mut |candidate| {
-        let reference = transduce(cond, CeId::new(u32::MAX), candidate);
+        let reference = replay.run(candidate);
         let divergence =
             reference.iter().zip(displayed.iter()).position(|(a, b)| a != b).or_else(|| {
                 if reference.len() != displayed.len() {
@@ -117,7 +119,7 @@ mod tests {
     use crate::maximality::duplicate_free;
     use crate::{check_complete_single, check_ordered};
     use rcm_core::ad::{apply_filter, Ad1};
-    use rcm_core::condition::{Cmp, DeltaRise, Threshold};
+    use rcm_core::condition::{cond, Cmp};
     use rcm_core::VarId;
 
     fn x() -> VarId {
@@ -131,7 +133,7 @@ mod tests {
     #[test]
     fn lossless_ad1_is_display_equivalent() {
         // Theorem 1 + the §3.1 summary: ordered and complete ⇒ exactly N.
-        let c = DeltaRise::new(x(), 5.0);
+        let c = cond::delta_rise(x(), 5.0);
         let uu: Vec<Update> = (1..=10).map(|s| u(s, (s as f64) * 10.0)).collect();
         let a1 = rcm_core::transduce(&c, CeId::new(1), &uu);
         let a2 = rcm_core::transduce(&c, CeId::new(2), &uu);
@@ -147,7 +149,7 @@ mod tests {
     fn summary_claim_equivalence_on_random_subsets() {
         // For duplicate-free displayed sequences:
         //   ordered ∧ complete ⟺ display-equivalent.
-        let c = Threshold::new(x(), Cmp::Gt, 50.0);
+        let c = cond::threshold(x(), Cmp::Gt, 50.0);
         let mut rng = rcm_net::Rng::seed_from_u64(99);
         for _ in 0..200 {
             let uu: Vec<Update> = (1..=8).map(|s| u(s, rng.next_f64() * 100.0)).collect();
@@ -174,7 +176,7 @@ mod tests {
 
     #[test]
     fn divergence_position_reported() {
-        let c = Threshold::new(x(), Cmp::Gt, 0.0);
+        let c = cond::threshold(x(), Cmp::Gt, 0.0);
         let uu = vec![u(1, 1.0), u(2, 1.0)];
         let alerts = rcm_core::transduce(&c, CeId::new(1), &uu);
         // Reversed order: diverges at position 0.
@@ -191,15 +193,15 @@ mod tests {
 
     #[test]
     fn empty_against_empty_is_equivalent() {
-        let c = Threshold::new(x(), Cmp::Gt, 0.0);
+        let c = cond::threshold(x(), Cmp::Gt, 0.0);
         assert!(check_equivalent_single(&c, &[vec![]], &[]).ok);
     }
 
     #[test]
     fn multi_var_equivalence_on_theorem_10_traces() {
-        use rcm_core::condition::AbsDifference;
+        use rcm_core::condition::cond;
         let y = rcm_core::VarId::new(1);
-        let cm = AbsDifference::new(x(), y, 100.0);
+        let cm = cond::abs_difference(x(), y, 100.0);
         let ux = |s, v| Update::new(x(), s, v);
         let uy = |s, v| Update::new(y, s, v);
         let u1 = vec![ux(1, 1000.0), ux(2, 1200.0), uy(1, 1050.0), uy(2, 1150.0)];
@@ -219,9 +221,9 @@ mod tests {
 
     #[test]
     fn multi_var_equivalence_empty_case() {
-        use rcm_core::condition::AbsDifference;
+        use rcm_core::condition::cond;
         let y = rcm_core::VarId::new(1);
-        let cm = AbsDifference::new(x(), y, 1e12); // never satisfied
+        let cm = cond::abs_difference(x(), y, 1e12); // never satisfied
         let u = vec![Update::new(x(), 1, 1.0), Update::new(y, 1, 2.0)];
         assert!(check_equivalent_multi(&cm, &[u], &[]).ok);
     }

@@ -113,7 +113,8 @@ mod tests {
     use crate::check_ordered;
     use crate::single::check_consistent_single;
     use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4};
-    use rcm_core::condition::DeltaRise;
+    use rcm_core::condition::cond;
+    use rcm_core::condition::expr::CompiledCondition;
     use rcm_core::{transduce, CeId, Update, VarId};
 
     fn x() -> VarId {
@@ -125,8 +126,8 @@ mod tests {
     }
 
     /// Theorem 4's scenario: c2 aggressive, CE2 misses update 2.
-    fn conflicting_arrivals() -> (DeltaRise, Vec<Vec<Update>>, Vec<Alert>) {
-        let c2 = DeltaRise::new(x(), 200.0);
+    fn conflicting_arrivals() -> (CompiledCondition, Vec<Vec<Update>>, Vec<Alert>) {
+        let c2 = cond::delta_rise(x(), 200.0);
         let u1 = vec![u(1, 400.0), u(2, 700.0), u(3, 720.0)];
         let u2 = vec![u(1, 400.0), u(3, 720.0)];
         let a1 = transduce(&c2, CeId::new(1), &u1);
@@ -190,7 +191,7 @@ mod tests {
         // not break orderedness when the stream is monotone — evidence
         // that "maximal" is about the property, not about dropping less.
         let mk = |s: u64| {
-            transduce(&DeltaRise::new(x(), -1e18), CeId::new(0), &[u(s - 1, 0.0), u(s, 0.0)])
+            transduce(&cond::delta_rise(x(), -1e18), CeId::new(0), &[u(s - 1, 0.0), u(s, 0.0)])
                 .remove(0)
         };
         let a1 = mk(2);

@@ -3,10 +3,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
+use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::seq::spanning_gaps;
-use rcm_core::{transduce, Alert, CeId, Condition, Update, VarId};
+use rcm_core::{transduce, Alert, CeId, Update, VarId};
 
-use crate::util::{merge_per_var, CompleteReport, ConsistentReport};
+use crate::util::{merge_per_var, CompleteReport, ConsistentReport, Replay};
 
 /// Maximum combined update count the interleaving-enumerating
 /// completeness checker accepts (the enumeration is exponential).
@@ -23,8 +24,8 @@ pub const MULTI_ENUM_CAP: usize = 18;
 /// # Panics
 ///
 /// Panics if the combined update count exceeds [`MULTI_ENUM_CAP`].
-pub fn check_complete_multi<C: Condition>(
-    cond: &C,
+pub fn check_complete_multi(
+    cond: &CompiledCondition,
     inputs: &[Vec<Update>],
     displayed: &[Alert],
 ) -> CompleteReport {
@@ -41,8 +42,9 @@ pub fn check_complete_multi<C: Condition>(
     // the failure report.
     let mut best: Option<(usize, Vec<Alert>)> = None;
     let mut found = false;
+    let mut replay = Replay::new(cond);
     enumerate_merges(&lists, &mut |candidate| {
-        let expected = transduce(cond, CeId::new(u32::MAX), candidate);
+        let expected = replay.run(candidate);
         let expected_set: HashSet<&Alert> = expected.iter().collect();
         let missing = expected.iter().filter(|a| !displayed_set.contains(*a)).count();
         let extraneous = displayed.iter().filter(|a| !expected_set.contains(a)).count();
@@ -120,8 +122,8 @@ fn dfs(
 /// 3. `A` is consistent iff the graph is acyclic. On success the
 ///    topological order materializes a witness interleaving, which is
 ///    verified by running `T` over it.
-pub fn check_consistent_multi<C: Condition>(
-    cond: &C,
+pub fn check_consistent_multi(
+    cond: &CompiledCondition,
     inputs: &[Vec<Update>],
     displayed: &[Alert],
 ) -> ConsistentReport {
@@ -252,7 +254,7 @@ mod tests {
     use super::*;
     use crate::check_ordered;
     use rcm_core::ad::{apply_filter, Ad1, Ad5};
-    use rcm_core::condition::AbsDifference;
+    use rcm_core::condition::cond;
 
     fn x() -> VarId {
         VarId::new(0)
@@ -270,8 +272,8 @@ mod tests {
 
     /// The Theorem 10 scenario: lossless links, cm = |x−y| > 100,
     /// different interleavings at the two CEs.
-    fn theorem_10() -> (AbsDifference, Vec<Update>, Vec<Update>, Vec<Alert>, Vec<Alert>) {
-        let cm = AbsDifference::new(x(), y(), 100.0);
+    fn theorem_10() -> (CompiledCondition, Vec<Update>, Vec<Update>, Vec<Alert>, Vec<Alert>) {
+        let cm = cond::abs_difference(x(), y(), 100.0);
         let u1 = vec![ux(1, 1000.0), ux(2, 1200.0), uy(1, 1050.0), uy(2, 1150.0)];
         let u2 = vec![uy(1, 1050.0), uy(2, 1150.0), ux(1, 1000.0), ux(2, 1200.0)];
         let a1 = transduce(&cm, CeId::new(1), &u1);
@@ -326,35 +328,18 @@ mod tests {
 
     /// Lemma 6's synthetic condition: satisfied by exactly the update
     /// pairs (8x, 2y), (8x, 3y), (8x, 4y).
-    #[derive(Debug)]
-    struct Lemma6Cond;
-
-    impl Condition for Lemma6Cond {
-        fn name(&self) -> String {
-            "lemma-6".into()
-        }
-        fn variables(&self) -> Vec<VarId> {
-            vec![x(), y()]
-        }
-        fn degree(&self, var: VarId) -> usize {
-            usize::from(var == x() || var == y())
-        }
-        fn triggering(&self) -> rcm_core::Triggering {
-            rcm_core::Triggering::Conservative
-        }
-        fn eval(&self, h: &rcm_core::HistorySet) -> bool {
-            let (Some(sx), Some(sy)) = (h.seqno(x(), 0), h.seqno(y(), 0)) else {
-                return false;
-            };
-            sx.get() == 8 && (2..=4).contains(&sy.get())
-        }
+    fn lemma_6_cond() -> CompiledCondition {
+        let mut vars = rcm_core::VarRegistry::new();
+        assert_eq!((vars.register("x"), vars.register("y")), (x(), y()));
+        let src = "x[0].seqno == 8 && y[0].seqno >= 2 && y[0].seqno <= 4";
+        CompiledCondition::compile(src, &mut vars).unwrap()
     }
 
     #[test]
     fn lemma_6_incompleteness() {
         // CE1 sees ⟨8x, 2y, 9x, 3y, 4y⟩ → a(8x, 2y);
         // CE2 sees ⟨2y, 3y, 7x, 4y, 8x⟩ → a(8x, 4y).
-        let c = Lemma6Cond;
+        let c = lemma_6_cond();
         let u1 = vec![ux(8, 0.0), uy(2, 0.0), ux(9, 0.0), uy(3, 0.0), uy(4, 0.0)];
         let u2 = vec![uy(2, 0.0), uy(3, 0.0), ux(7, 0.0), uy(4, 0.0), ux(8, 0.0)];
         let a1 = transduce(&c, CeId::new(1), &u1);
@@ -386,7 +371,7 @@ mod tests {
 
     #[test]
     fn empty_execution_consistent_and_complete() {
-        let cm = AbsDifference::new(x(), y(), 100.0);
+        let cm = cond::abs_difference(x(), y(), 100.0);
         assert!(check_consistent_multi(&cm, &[vec![], vec![]], &[]).ok);
         assert!(check_complete_multi(&cm, &[vec![], vec![]], &[]).ok);
     }
@@ -470,7 +455,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capped")]
     fn completeness_cap_enforced() {
-        let cm = AbsDifference::new(x(), y(), 100.0);
+        let cm = cond::abs_difference(x(), y(), 100.0);
         let long: Vec<Update> = (1..=MULTI_ENUM_CAP as u64 + 1).map(|s| ux(s, 0.0)).collect();
         check_complete_multi(&cm, &[long], &[]);
     }
@@ -478,7 +463,7 @@ mod tests {
     #[test]
     fn per_var_conflict_detected_before_graph() {
         // Two alerts with clashing x histories (received vs missed).
-        let cm = AbsDifference::new(x(), y(), 100.0);
+        let cm = cond::abs_difference(x(), y(), 100.0);
         let mk = |xs: Vec<u64>, ys: Vec<u64>| {
             Alert::new(
                 rcm_core::CondId::SINGLE,

@@ -2,7 +2,31 @@
 
 use std::collections::BTreeMap;
 
-use rcm_core::{Alert, Update, VarId};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::{Alert, CeId, ConditionRegistry, Update, VarId};
+
+/// The paper's `T` over many candidate sequences of one condition: one
+/// Condition Evaluator, restarted before each candidate, so a candidate
+/// costs its updates rather than an evaluator's construction. Alert
+/// numbering runs on across candidates; the checkers compare alerts by
+/// identity (condition and fingerprint), which ignores it.
+pub(crate) struct Replay(ConditionRegistry);
+
+impl Replay {
+    pub(crate) fn new(cond: &CompiledCondition) -> Self {
+        let mut ce = ConditionRegistry::new(CeId::new(u32::MAX));
+        ce.add_compiled(cond.clone());
+        Replay(ce)
+    }
+
+    /// `T(updates)`.
+    pub(crate) fn run(&mut self, updates: &[Update]) -> Vec<Alert> {
+        self.0.restart();
+        let mut alerts = Vec::new();
+        self.0.ingest_batch(updates, &mut alerts);
+        alerts
+    }
+}
 
 /// Outcome of a completeness check.
 #[derive(Debug, Clone, PartialEq)]

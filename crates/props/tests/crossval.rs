@@ -2,8 +2,9 @@
 //! completeness checkers must agree with the brute-force oracles that
 //! literally enumerate the paper's definitions.
 
-use rcm_core::condition::{AbsDifference, Cmp, Conservative, DeltaRise, Threshold};
-use rcm_core::{transduce, Alert, CeId, Condition, Update, VarId};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::condition::{cond, Cmp};
+use rcm_core::{transduce, Alert, CeId, Update, VarId};
 use rcm_net::{cases, Rng};
 use rcm_props::brute::{brute_complete_multi, brute_consistent_multi, brute_consistent_single};
 use rcm_props::{check_complete_multi, check_consistent_multi, check_consistent_single};
@@ -77,8 +78,8 @@ fn single_var_updates(values: &[f64]) -> Vec<Update> {
     values.iter().enumerate().map(|(i, &v)| Update::new(x(), i as u64 + 1, v)).collect()
 }
 
-fn run_single<C: Condition>(
-    cond: &C,
+fn run_single(
+    cond: &CompiledCondition,
     values: &[f64],
     keep1: &[bool],
     keep2: &[bool],
@@ -115,7 +116,7 @@ fn single_case(rng: &mut Rng, lo: usize, size: usize) -> (Vec<f64>, [Vec<bool>; 
 fn single_var_consistency_matches_brute_force_c2() {
     cases("single_var_consistency_matches_brute_force_c2", 128, 4, |rng, size| {
         let (values, [keep1, keep2, pick]) = single_case(rng, 2, size);
-        let c2 = DeltaRise::new(x(), 200.0);
+        let c2 = cond::delta_rise(x(), 200.0);
         let (inputs, displayed) = run_single(&c2, &values, &keep1, &keep2, &pick);
         let fast = check_consistent_single(&c2, &inputs, &displayed).ok;
         let slow = brute_consistent_single(&c2, &inputs, &displayed);
@@ -127,7 +128,7 @@ fn single_var_consistency_matches_brute_force_c2() {
 fn single_var_consistency_matches_brute_force_c3() {
     cases("single_var_consistency_matches_brute_force_c3", 128, 4, |rng, size| {
         let (values, [keep1, keep2, pick]) = single_case(rng, 2, size);
-        let c3 = Conservative::new(DeltaRise::new(x(), 200.0));
+        let c3 = cond::conservative(cond::delta_rise(x(), 200.0));
         let (inputs, displayed) = run_single(&c3, &values, &keep1, &keep2, &pick);
         let fast = check_consistent_single(&c3, &inputs, &displayed).ok;
         let slow = brute_consistent_single(&c3, &inputs, &displayed);
@@ -139,7 +140,7 @@ fn single_var_consistency_matches_brute_force_c3() {
 fn single_var_consistency_matches_brute_force_c1() {
     cases("single_var_consistency_matches_brute_force_c1", 128, 5, |rng, size| {
         let (values, [keep1, keep2, pick]) = single_case(rng, 1, size);
-        let c1 = Threshold::new(x(), Cmp::Gt, 500.0);
+        let c1 = cond::threshold(x(), Cmp::Gt, 500.0);
         let (inputs, displayed) = run_single(&c1, &values, &keep1, &keep2, &pick);
         let fast = check_consistent_single(&c1, &inputs, &displayed).ok;
         let slow = brute_consistent_single(&c1, &inputs, &displayed);
@@ -152,7 +153,7 @@ fn multi_var_checkers_match_brute_force() {
     cases("multi_var_checkers_match_brute_force", 128, 2, |rng, size| {
         let (xvals, yvals) = (values(rng, 1, size, 400.0), values(rng, 1, size, 400.0));
         let (sched1, sched2, pick) = (flips(rng, 8), flips(rng, 8), flips(rng, 6));
-        let cm = AbsDifference::new(x(), y(), 100.0);
+        let cm = cond::abs_difference(x(), y(), 100.0);
         let xs: Vec<Update> =
             xvals.iter().enumerate().map(|(i, &v)| Update::new(x(), i as u64 + 1, v)).collect();
         let ys: Vec<Update> =
@@ -180,12 +181,12 @@ fn multi_var_checkers_match_brute_force() {
 #[test]
 fn three_var_checkers_match_brute_force() {
     cases("three_var_checkers_match_brute_force", 128, 1, |rng, size| {
-        use rcm_core::condition::Or;
+        use rcm_core::condition::cond;
         let z = VarId::new(2);
         let (xvals, yvals, zvals) =
             (values(rng, 1, size, 400.0), values(rng, 1, size, 400.0), values(rng, 1, size, 400.0));
         let (sched1, sched2, pick) = (flips(rng, 9), flips(rng, 9), flips(rng, 6));
-        let cm = Or::new(AbsDifference::new(x(), y(), 100.0), AbsDifference::new(y(), z, 100.0));
+        let cm = cond::abs_difference(x(), y(), 100.0) | cond::abs_difference(y(), z, 100.0);
         let mk = |var: VarId, vals: &[f64]| -> Vec<Update> {
             vals.iter().enumerate().map(|(i, &v)| Update::new(var, i as u64 + 1, v)).collect()
         };
@@ -221,7 +222,7 @@ fn consistency_witness_always_verifies() {
         use rcm_core::ad::{apply_filter, Ad3};
         let values = values(rng, 2, size, 1000.0);
         let (keep1, keep2) = (flips(rng, 7), flips(rng, 7));
-        let c2 = DeltaRise::new(x(), 200.0);
+        let c2 = cond::delta_rise(x(), 200.0);
         let full = single_var_updates(&values);
         let u1 = lossy(&full, &keep1);
         let u2 = lossy(&full, &keep2);

@@ -48,13 +48,13 @@
 //!
 //! ```rust
 //! use rcm_runtime::{MonitorSystem, VarFeed};
-//! use rcm_core::condition::{Threshold, Cmp};
+//! use rcm_core::condition::{cond, Cmp};
 //! use rcm_core::ad::Ad1;
 //! use rcm_core::VarId;
 //! use std::sync::Arc;
 //!
 //! let x = VarId::new(0);
-//! let system = MonitorSystem::builder(Arc::new(Threshold::new(x, Cmp::Gt, 3000.0)))
+//! let system = MonitorSystem::builder(Arc::new(cond::threshold(x, Cmp::Gt, 3000.0)))
 //!     .replicas(2)
 //!     .feed(VarFeed::new(x, vec![2900.0, 3100.0, 3200.0]))
 //!     .filter(|_vars| Box::new(Ad1::new()))

@@ -137,6 +137,8 @@ impl Evaluated {
         self.alerts.clear();
         self.counts.clear();
         for &update in round {
+            #[cfg(test)]
+            blow_fuse(shard, update);
             let before = self.alerts.len();
             shard.ingest(update, &mut self.alerts);
             self.counts.push(self.alerts.len() - before);
@@ -149,6 +151,20 @@ impl Evaluated {
     fn take_next(&mut self, into: &mut Vec<Alert>) {
         let count = self.counts.pop().unwrap_or(0);
         into.extend(std::iter::from_fn(|| self.alerts.pop()).take(count));
+    }
+}
+
+/// A variable that, in a test build, makes the shard hosting a
+/// condition over it panic on each of its updates: no expression can
+/// panic, and the tests check that a shard's panic surfaces from
+/// `dispatch_round`.
+#[cfg(test)]
+const FUSE: rcm_core::VarId = rcm_core::VarId::new(0xF05E);
+
+#[cfg(test)]
+fn blow_fuse(shard: &ConditionRegistry, update: Update) {
+    if update.var == FUSE && shard.variables().any(|var| var == FUSE) {
+        panic!("fuse blew on {update}");
     }
 }
 
@@ -380,9 +396,8 @@ fn helper_body(mut shard: ConditionRegistry, jobs: Receiver<Job>, replies: Sende
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use rcm_core::condition::{Cmp, SustainedAbove, Threshold};
-    use rcm_core::{HistorySet, Triggering, VarId};
-    use rcm_sync::atomic::Ordering;
+    use rcm_core::condition::{cond, Cmp};
+    use rcm_core::VarId;
     use rcm_sync::Mutex;
 
     /// What a `VecDrain` saw, read once the pipeline is done.
@@ -424,7 +439,7 @@ mod tests {
     fn family(n: u32) -> Vec<Arc<dyn Condition>> {
         let x = VarId::new(0);
         (0..n)
-            .map(|i| Arc::new(Threshold::new(x, Cmp::Gt, f64::from(i % 7))) as Arc<dyn Condition>)
+            .map(|i| Arc::new(cond::threshold(x, Cmp::Gt, f64::from(i % 7))) as Arc<dyn Condition>)
             .collect()
     }
 
@@ -526,7 +541,7 @@ mod tests {
     fn restart_case() -> RestartCase {
         let mut conds = family(7);
         for _ in 0..2 {
-            conds.push(Arc::new(SustainedAbove::new(VarId::new(0), 0.5, 3)));
+            conds.push(Arc::new(cond::sustained_above(VarId::new(0), 0.5, 3)));
         }
         let updates = stream(40);
         let cut = 23;
@@ -633,51 +648,27 @@ mod tests {
         }
     }
 
-    /// Panics on its fourth evaluation.
-    #[derive(Debug)]
-    struct Fuse {
-        x: VarId,
-        evals: AtomicU64,
-    }
-
-    impl Condition for Fuse {
-        fn name(&self) -> String {
-            "fuse".to_string()
-        }
-        fn variables(&self) -> Vec<VarId> {
-            vec![self.x]
-        }
-        fn degree(&self, var: VarId) -> usize {
-            usize::from(var == self.x)
-        }
-        fn triggering(&self) -> Triggering {
-            Triggering::Conservative
-        }
-        fn eval(&self, _h: &HistorySet) -> bool {
-            let evals = self.evals.fetch_add(1, Ordering::SeqCst) + 1;
-            assert!(evals < 4, "fuse blew on evaluation {evals}");
-            false
-        }
-    }
-
-    /// Runs `workers(2)` on a budget of `cpus` with the `Fuse` as
-    /// condition 1 (a helper's at two CPUs, the caller's at one): it
-    /// blows in the second round, and that panic must reach the
-    /// dispatcher with nothing of the round drained.
+    /// Runs `workers(2)` on a budget of `cpus` with a condition over
+    /// [`FUSE`] as condition 1 (a helper's at two CPUs, the caller's at
+    /// one): it blows in the second round, and that panic must reach
+    /// the dispatcher with nothing of the round drained.
     fn the_fuse_blows_through_dispatch_round(cpus: usize, helpers: usize) {
         let x = VarId::new(0);
         let conds: Vec<Arc<dyn Condition>> = vec![
-            Arc::new(Threshold::new(x, Cmp::Gt, 0.0)),
-            Arc::new(Fuse { x, evals: AtomicU64::new(0) }),
+            Arc::new(cond::threshold(x, Cmp::Gt, 0.0)),
+            Arc::new(cond::threshold(FUSE, Cmp::Gt, 0.0)),
         ];
         let seen = Seen::default();
         let mut pipe = start(&conds, 2, cpus, &seen);
         assert_eq!(pipe.helpers(), helpers);
-        let updates = stream(6);
+        let updates = stream(5);
         pipe.dispatch_round(&updates[..3], Instant::now());
         assert_eq!(seen.alerts().len(), 3, "the first round is whole");
         let blown = catch_unwind(AssertUnwindSafe(|| {
-            pipe.dispatch_round(&updates[3..], Instant::now());
+            pipe.dispatch_round(
+                &[updates[3], Update::new(FUSE, 1, 1.0), updates[4]],
+                Instant::now(),
+            );
         }));
         let payload = blown.expect_err("the shard's panic reaches the dispatcher");
         let message = payload.downcast_ref::<String>().map_or("", String::as_str);
@@ -686,7 +677,7 @@ mod tests {
         // A lost helper fails every later round instead of hanging (and
         // the blown fuse on the caller's thread blows again); either way
         // the pipeline still closes.
-        let again = catch_unwind(AssertUnwindSafe(|| pipe.dispatch(updates[5])));
+        let again = catch_unwind(AssertUnwindSafe(|| pipe.dispatch(Update::new(FUSE, 2, 1.0))));
         assert!(again.is_err(), "a pipeline whose shard panicked must not go on");
         pipe.finish();
         assert!(seen.flushed());

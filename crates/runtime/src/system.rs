@@ -53,13 +53,13 @@ impl VarFeed {
     ///
     /// ```rust
     /// use rcm_runtime::{MonitorSystem, VarFeed};
-    /// use rcm_core::condition::{Threshold, Cmp};
+    /// use rcm_core::condition::{cond, Cmp};
     /// use rcm_core::VarId;
     /// use std::sync::Arc;
     ///
     /// let x = VarId::new(0);
     /// let (feed, tx) = VarFeed::streaming(x);
-    /// let system = MonitorSystem::builder(Arc::new(Threshold::new(x, Cmp::Gt, 100.0)))
+    /// let system = MonitorSystem::builder(Arc::new(cond::threshold(x, Cmp::Gt, 100.0)))
     ///     .replicas(2)
     ///     .feed(feed)
     ///     .start()?;
@@ -790,7 +790,7 @@ mod tests {
     use super::*;
     use crate::faults::StallFrontLink;
     use rcm_core::ad::{Ad2, Ad3};
-    use rcm_core::condition::{Cmp, DeltaRise, Threshold};
+    use rcm_core::condition::{cond, Cmp};
     use rcm_net::Scripted;
     use rcm_sync::atomic::{AtomicBool, Ordering};
 
@@ -799,7 +799,7 @@ mod tests {
     }
 
     fn c1() -> Arc<dyn Condition> {
-        Arc::new(Threshold::new(x(), Cmp::Gt, 3000.0))
+        Arc::new(cond::threshold(x(), Cmp::Gt, 3000.0))
     }
 
     #[test]
@@ -860,7 +860,7 @@ mod tests {
 
     #[test]
     fn ad3_output_consistent_under_heavy_loss() {
-        let cond: Arc<dyn Condition> = Arc::new(DeltaRise::new(x(), 5.0));
+        let cond = Arc::new(cond::delta_rise(x(), 5.0));
         let values: Vec<f64> = (0..80).map(|i| f64::from(i % 2) * 20.0 + f64::from(i)).collect();
         let system = MonitorSystem::builder(cond.clone())
             .replicas(2)
@@ -937,9 +937,9 @@ mod tests {
 
         let y = VarId::new(1);
         let set: Vec<Arc<dyn Condition>> = vec![
-            Arc::new(Threshold::new(x(), Cmp::Gt, 50.0)),
-            Arc::new(DeltaRise::new(x(), 10.0)),
-            Arc::new(rcm_core::condition::AbsDifference::new(x(), y, 25.0)),
+            Arc::new(cond::threshold(x(), Cmp::Gt, 50.0)),
+            Arc::new(cond::delta_rise(x(), 10.0)),
+            Arc::new(rcm_core::condition::cond::abs_difference(x(), y, 25.0)),
         ];
         let system = MonitorSystem::builder_multi(set.clone())
             .replicas(2)
@@ -956,8 +956,8 @@ mod tests {
         // order rather than assuming one).
         for (ce, emitted) in report.emitted.iter().enumerate() {
             let mut registry = ConditionRegistry::new(CeId::new(ce as u32));
-            for c in &set {
-                registry.add(Arc::clone(c));
+            for (i, c) in set.iter().enumerate() {
+                registry.insert(CondId::new(i as u32), Arc::clone(c));
             }
             let mut want = Vec::new();
             registry.ingest_batch(&report.ingested[ce], &mut want);
@@ -986,7 +986,7 @@ mod tests {
     /// only read what each replica ingested.
     fn quiet(vars: &[VarId]) -> Vec<Arc<dyn Condition>> {
         vars.iter()
-            .map(|&v| Arc::new(Threshold::new(v, Cmp::Gt, f64::MAX)) as Arc<dyn Condition>)
+            .map(|&v| Arc::new(cond::threshold(v, Cmp::Gt, f64::MAX)) as Arc<dyn Condition>)
             .collect()
     }
 
@@ -1091,7 +1091,7 @@ mod tests {
         y_tx.send(1.0).expect("feed open");
         drop((x_tx, y_tx));
         let mut conds = quiet(&[x]);
-        conds.push(Arc::new(Threshold::new(y, Cmp::Gt, 0.0)));
+        conds.push(Arc::new(cond::threshold(y, Cmp::Gt, 0.0)));
         let displayed = Arc::new(AtomicBool::new(false));
         let seen = Arc::clone(&displayed);
         let stall = StallFrontLink { feed: 0, ce: 0, at_send: 200, stall: Duration::from_secs(1) };
@@ -1188,7 +1188,7 @@ mod tests {
             .idle_timeout(Duration::from_millis(200));
         let n = 2 * crate::dm::ROUND;
         let cond: Arc<dyn Condition> =
-            Arc::new(rcm_core::condition::AbsDifference::new(x(), y, 100.0));
+            Arc::new(rcm_core::condition::cond::abs_difference(x(), y, 100.0));
         let report = MonitorSystem::builder(cond)
             .replicas(2)
             .feed(VarFeed::new(x(), vec![0.0; n]))
@@ -1223,7 +1223,7 @@ mod tests {
     fn multi_var_system_runs() {
         let y = VarId::new(1);
         let cond: Arc<dyn Condition> =
-            Arc::new(rcm_core::condition::AbsDifference::new(x(), y, 100.0));
+            Arc::new(rcm_core::condition::cond::abs_difference(x(), y, 100.0));
         let system = MonitorSystem::builder(cond)
             .replicas(2)
             .feed(VarFeed::new(x(), vec![1000.0, 1200.0]))

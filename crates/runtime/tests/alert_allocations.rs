@@ -162,7 +162,11 @@ fn a_two_by_sixteen_alert_asks_for_its_body_seqnos_and_values_alone() {
     assert_eq!(dropped.frees, 3, "{dropped:?}");
     assert!(dropped.freed <= 700, "{dropped:?}");
     assert_eq!(dropped.freed, BODY_BLOCK + 34 * 8 + 32 * 8);
-    assert!(raised.bytes >= dropped.freed, "{raised:?}");
+    // And raising it asked for exactly those three blocks: the spilled
+    // fingerprint is sized once from its word count, and the full `v0`
+    // ring drops its oldest update before taking the new one instead
+    // of growing.
+    assert_eq!((raised.calls, raised.bytes), (3, dropped.freed), "{raised:?}");
 }
 
 #[test]

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter};
-use rcm_core::condition::{Cmp, Condition, DeltaRise, Threshold};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{transduce, Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_net::cases;
 use rcm_props::{check_complete_single, check_ordered};
@@ -18,8 +19,8 @@ fn x() -> VarId {
     VarId::new(0)
 }
 
-fn threshold() -> Arc<dyn Condition> {
-    Arc::new(Threshold::new(x(), Cmp::Gt, 50.0))
+fn threshold() -> Arc<CompiledCondition> {
+    Arc::new(cond::threshold(x(), Cmp::Gt, 50.0))
 }
 
 #[test]
@@ -78,7 +79,7 @@ fn restart_budget_is_a_hard_bound() {
 fn severed_back_link_loses_no_alerts() {
     // Both back links are severed mid-stream; reconnect + resend must
     // preserve the lossless contract: nothing dropped, duplicates only.
-    let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x(), Cmp::Gt, -1.0));
+    let cond: Arc<dyn Condition> = Arc::new(cond::threshold(x(), Cmp::Gt, -1.0));
     let n = 30u64;
     let system = MonitorSystem::builder(cond)
         .replicas(2)
@@ -110,7 +111,7 @@ fn an_in_process_queue_overflow_is_counted_as_shed() {
     // the run takes to emit them all, and there are more alerts than
     // the resend queue holds: the overflow drops are sheds, counted
     // as the socket links count them.
-    let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x(), Cmp::Gt, -1.0));
+    let cond: Arc<dyn Condition> = Arc::new(cond::threshold(x(), Cmp::Gt, -1.0));
     let n = 1100u64;
     let system = MonitorSystem::builder(cond)
         .replicas(1)
@@ -201,9 +202,9 @@ fn an_in_process_run_with_kills_and_loss_replays_exactly() {
     // wall clock, so the plan has none.)
     let y = VarId::new(1);
     let set: Vec<Arc<dyn Condition>> = vec![
-        Arc::new(Threshold::new(x(), Cmp::Gt, 50.0)),
-        Arc::new(DeltaRise::new(x(), 10.0)),
-        Arc::new(rcm_core::condition::AbsDifference::new(x(), y, 30.0)),
+        Arc::new(cond::threshold(x(), Cmp::Gt, 50.0)),
+        Arc::new(cond::delta_rise(x(), 10.0)),
+        Arc::new(rcm_core::condition::cond::abs_difference(x(), y, 30.0)),
     ];
     let xs: Vec<f64> = (0..400).map(|i| f64::from((i * 37) % 100)).collect();
     let ys: Vec<f64> = (0..300).map(|i| f64::from((i * 53) % 100)).collect();
@@ -255,9 +256,9 @@ fn multicond_restart_rebuilds_registry_and_keeps_numbering() {
     // misses the one delta that spans the wipe), and per-condition
     // alert numbering must keep ascending across the restart.
     let set: Vec<Arc<dyn Condition>> = vec![
-        Arc::new(Threshold::new(x(), Cmp::Gt, 50.0)),
-        Arc::new(DeltaRise::new(x(), 10.0)),
-        Arc::new(Threshold::new(x(), Cmp::Lt, 20.0)),
+        Arc::new(cond::threshold(x(), Cmp::Gt, 50.0)),
+        Arc::new(cond::delta_rise(x(), 10.0)),
+        Arc::new(cond::threshold(x(), Cmp::Lt, 20.0)),
     ];
     let values: Vec<f64> = (0..30).map(|i| f64::from((i * 13) % 100)).collect();
     let system = MonitorSystem::builder_multi(set.clone())
@@ -282,8 +283,8 @@ fn multicond_restart_rebuilds_registry_and_keeps_numbering() {
     // after exactly 11 updates.
     for (ce, emitted) in report.emitted.iter().enumerate() {
         let mut registry = ConditionRegistry::new(CeId::new(ce as u32));
-        for c in &set {
-            registry.add(Arc::clone(c));
+        for (i, c) in set.iter().enumerate() {
+            registry.insert(CondId::new(i as u32), Arc::clone(c));
         }
         let mut want = Vec::new();
         let mut buf = Vec::new();
@@ -354,11 +355,11 @@ fn check_duplicate_indifference(
     dups: &[(usize, usize)],
     use_delta: bool,
 ) {
-    let cond: Arc<dyn Condition> = if use_delta {
-        Arc::new(DeltaRise::new(x(), 5.0))
+    let cond = Arc::new(if use_delta {
+        cond::delta_rise(x(), 5.0)
     } else {
-        Arc::new(Threshold::new(x(), Cmp::Gt, 50.0))
-    };
+        cond::threshold(x(), Cmp::Gt, 50.0)
+    });
     let u1: Vec<Update> =
         values.iter().enumerate().map(|(i, &v)| Update::new(x(), i as u64 + 1, v)).collect();
     let u2: Vec<Update> = u1

@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use rcm_core::condition::{Cmp, Condition, SustainedAbove, Threshold};
+use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, Update, VarId};
 use rcm_net::Backoff;
 use rcm_runtime::{
@@ -349,8 +349,8 @@ fn the_pipeline_drains_the_single_threaded_stream_under_every_schedule() {
         // Condition 0 on shard 0 (this thread), condition 1 on shard 1
         // (the helper); the sustained one shows the restart.
         let conds: Vec<Arc<dyn Condition>> = vec![
-            Arc::new(Threshold::new(x, Cmp::Gt, 0.0)),
-            Arc::new(SustainedAbove::new(x, 0.0, 2)),
+            Arc::new(cond::threshold(x, Cmp::Gt, 0.0)),
+            Arc::new(cond::sustained_above(x, 0.0, 2)),
         ];
         let updates = [u(1), u(2), u(3)];
         let (got, flushes) = (Arc::new(Mutex::new(Vec::new())), Arc::new(Mutex::new(0)));

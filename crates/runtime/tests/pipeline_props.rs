@@ -22,7 +22,8 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use rcm_core::condition::{Cmp, Condition, SustainedAbove, Threshold};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{CeId, CondId, ConditionRegistry, VarId};
 use rcm_net::{cases, Scripted};
 use rcm_runtime::{FaultPlan, MonitorSystem, RunReport, VarFeed};
@@ -34,15 +35,14 @@ fn x() -> VarId {
 /// A mixed family: thresholds at staggered levels plus a debounced
 /// sustained condition, so restarts visibly change behavior (wiped
 /// debounce state) and most updates fire at least one condition.
-fn family(n: u32) -> Vec<Arc<dyn Condition>> {
+fn family(n: u32) -> Vec<Arc<CompiledCondition>> {
     (0..n)
         .map(|i| {
-            if i % 4 == 3 {
-                Arc::new(SustainedAbove::new(x(), f64::from(i), 2)) as Arc<dyn Condition>
+            Arc::new(if i % 4 == 3 {
+                cond::sustained_above(x(), f64::from(i), 2)
             } else {
-                Arc::new(Threshold::new(x(), Cmp::Gt, f64::from((i * 7) % 50)))
-                    as Arc<dyn Condition>
-            }
+                cond::threshold(x(), Cmp::Gt, f64::from((i * 7) % 50))
+            })
         })
         .collect()
 }
@@ -52,11 +52,11 @@ fn values(n: u64) -> Vec<f64> {
 }
 
 fn build(
-    conds: &[Arc<dyn Condition>],
+    conds: &[Arc<CompiledCondition>],
     workers: usize,
     vals: Vec<f64>,
 ) -> rcm_runtime::SystemBuilder {
-    MonitorSystem::builder_multi(conds.iter().cloned())
+    MonitorSystem::builder_multi(conds.iter().map(|c| Arc::clone(c) as Arc<dyn Condition>))
         .replicas(2)
         .workers(workers)
         .feed(VarFeed::new(x(), vals))
@@ -64,11 +64,11 @@ fn build(
 
 /// The transducer identity: each replica's emitted stream equals a
 /// local registry replay of its own recorded `U_i`, ids included.
-fn assert_emitted_is_replay_of_ingested(conds: &[Arc<dyn Condition>], report: &RunReport) {
+fn assert_emitted_is_replay_of_ingested(conds: &[Arc<CompiledCondition>], report: &RunReport) {
     for (ce, emitted) in report.emitted.iter().enumerate() {
         let mut registry = ConditionRegistry::new(CeId::new(ce as u32));
         for (i, c) in conds.iter().enumerate() {
-            registry.insert(CondId::new(i as u32), Arc::clone(c));
+            registry.insert(CondId::new(i as u32), c.clone());
         }
         let mut want = Vec::new();
         registry.ingest_batch(&report.ingested[ce], &mut want);
@@ -82,7 +82,7 @@ fn assert_emitted_is_replay_of_ingested(conds: &[Arc<dyn Condition>], report: &R
 /// The paper's consistency property, checked per hosted condition:
 /// the displayed alerts of condition `i` must be explainable by some
 /// sub-stream of the union of the replicas' received updates.
-fn assert_consistent_per_cond(conds: &[Arc<dyn Condition>], report: &RunReport) {
+fn assert_consistent_per_cond(conds: &[Arc<CompiledCondition>], report: &RunReport) {
     for (i, cond) in conds.iter().enumerate() {
         // Relabel to `CondId::SINGLE` so the alerts compare equal
         // against the checker's single-condition reference transducer.
@@ -100,7 +100,7 @@ fn assert_consistent_per_cond(conds: &[Arc<dyn Condition>], report: &RunReport) 
 /// Per-condition provenance numbering is dense and ascending per
 /// replica — the "alert numbering intact" oracle that stays valid
 /// across kill/restart races.
-fn assert_numbering_dense(conds: &[Arc<dyn Condition>], report: &RunReport) {
+fn assert_numbering_dense(conds: &[Arc<CompiledCondition>], report: &RunReport) {
     for (ce, emitted) in report.emitted.iter().enumerate() {
         for cond in 0..conds.len() as u32 {
             let idxs: Vec<u64> = emitted
@@ -230,7 +230,7 @@ fn a_kill_inside_a_round_evaluates_the_admitted_prefix() {
 
         let mut registry = ConditionRegistry::new(CeId::new(0));
         for (i, c) in conds.iter().enumerate() {
-            registry.insert(CondId::new(i as u32), Arc::clone(c));
+            registry.insert(CondId::new(i as u32), c.clone());
         }
         let mut want = Vec::new();
         let (before, after) = ingested.split_at(prefix);

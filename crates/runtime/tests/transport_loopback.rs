@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rcm_core::condition::{Cmp, Condition, Threshold};
+use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, VarId};
 use rcm_net::Scripted;
 use rcm_runtime::{
@@ -27,7 +27,7 @@ fn x() -> VarId {
 }
 
 fn threshold() -> Arc<dyn Condition> {
-    Arc::new(Threshold::new(x(), Cmp::Gt, 50.0))
+    Arc::new(cond::threshold(x(), Cmp::Gt, 50.0))
 }
 
 /// Workload: 20 readings, every odd one above the threshold → 10
@@ -235,7 +235,7 @@ fn a_multi_feed_round_is_one_datagram_per_replica() {
     let vars: Vec<VarId> = (0..FEEDS).map(VarId::new).collect();
     let run = |bound: Option<BoundTopology>| {
         let conditions =
-            vars.iter().map(|&v| Arc::new(Threshold::new(v, Cmp::Gt, 50.0)) as Arc<dyn Condition>);
+            vars.iter().map(|&v| Arc::new(cond::threshold(v, Cmp::Gt, 50.0)) as Arc<dyn Condition>);
         let mut builder = MonitorSystem::builder_multi(conditions).replicas(2);
         for (f, &var) in vars.iter().enumerate() {
             let values = (0..READINGS).map(|i| if (i + f) % 3 == 0 { 60.0 } else { 40.0 });

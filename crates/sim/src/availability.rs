@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use rcm_core::ad::{apply_filter, Ad1};
-use rcm_core::condition::{Cmp, Threshold};
+use rcm_core::condition::{cond, Cmp};
 use rcm_core::{transduce, Alert, CeId, VarId};
 
 use crate::engine::run;
@@ -91,7 +91,7 @@ fn outages_for(ce: usize, downtime: f64, horizon: u64, seed: u64) -> Vec<Outage>
 /// alert triggered by update `i`).
 pub fn measure(config: AvailabilityConfig) -> AvailabilityPoint {
     let x = VarId::new(0);
-    let condition = Arc::new(Threshold::new(x, Cmp::Gt, 500.0));
+    let condition = Arc::new(cond::threshold(x, Cmp::Gt, 500.0));
     let mut true_alerts = 0u64;
     let mut delivered = 0u64;
     for i in 0..config.runs {
@@ -121,7 +121,7 @@ pub fn measure(config: AvailabilityConfig) -> AvailabilityPoint {
         };
         let result = run(scenario);
         // Ground truth: T over the full emitted stream.
-        let truth = transduce(&*condition, CeId::new(u32::MAX), &result.emitted);
+        let truth = transduce(&condition, CeId::new(u32::MAX), &result.emitted);
         let displayed = apply_filter(&mut Ad1::new(), &result.arrivals);
         let shown: HashSet<&Alert> = displayed.iter().collect();
         true_alerts += truth.len() as u64;

@@ -70,7 +70,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4, AlertFilter};
-use rcm_core::condition::{Cmp, Condition, DeltaRise, Threshold};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_json::obj;
 use rcm_net::{Bernoulli, LossModel, Lossless};
@@ -485,7 +486,7 @@ fn main() -> ExitCode {
 /// replica carry the run: every alert it emitted must be displayed.
 fn availability_check() -> Vec<String> {
     let x = VarId::new(0);
-    let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x, Cmp::Gt, 50.0));
+    let cond: Arc<dyn Condition> = Arc::new(cond::threshold(x, Cmp::Gt, 50.0));
     let system = MonitorSystem::builder(cond)
         .replicas(2)
         .feed(VarFeed::new(x, vec![60.0, 40.0, 70.0, 55.0, 30.0, 80.0]))
@@ -520,7 +521,7 @@ fn availability_check() -> Vec<String> {
 /// carried it (nonzero wakeups).
 fn socket_smoke() -> (TransportReport, Vec<String>) {
     let x = VarId::new(0);
-    let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x, Cmp::Gt, 50.0));
+    let cond: Arc<dyn Condition> = Arc::new(cond::threshold(x, Cmp::Gt, 50.0));
     let values: Vec<f64> =
         (0..40).map(|i| if i % 2 == 1 { 60.0 + f64::from(i) } else { 40.0 }).collect();
     let in_process = MonitorSystem::builder(cond.clone())
@@ -573,11 +574,11 @@ fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
         })
         .collect();
 
-    let condition: Arc<dyn Condition> = if spec.name.starts_with("threshold") {
-        Arc::new(Threshold::new(x, Cmp::Gt, 50.0))
+    let condition = Arc::new(if spec.name.starts_with("threshold") {
+        cond::threshold(x, Cmp::Gt, 50.0)
     } else {
-        Arc::new(DeltaRise::new(x, 5.0))
-    };
+        cond::delta_rise(x, 5.0)
+    });
 
     // A retained window larger than the workload plus a generous
     // restart budget: recovery replays the full history, which is what
@@ -632,7 +633,7 @@ fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
 /// class must uphold.
 fn check(
     spec: &ClassSpec,
-    condition: &Arc<dyn Condition>,
+    condition: &CompiledCondition,
     report: &RunReport,
     x: VarId,
 ) -> Vec<String> {
@@ -710,7 +711,7 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
         conds.push((CondId::new(v as u32), var, threshold));
     }
     for &(id, var, threshold) in &conds {
-        plan.add_condition(id, Arc::new(Threshold::new(var, Cmp::Gt, threshold)))
+        plan.add_condition(id, Arc::new(cond::threshold(var, Cmp::Gt, threshold)))
             .expect("single-variable condition lands on its owning leaf");
     }
 
@@ -777,7 +778,7 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
     let mut gate = SeqGate::new();
     let mut reg = ConditionRegistry::new(ROOT_CE);
     for &(id, var, threshold) in &conds {
-        reg.insert(id, Arc::new(Threshold::new(var, Cmp::Gt, threshold)));
+        reg.insert(id, Arc::new(cond::threshold(var, Cmp::Gt, threshold)));
     }
     let mut want: Vec<Alert> = Vec::new();
     for &u in &stream {

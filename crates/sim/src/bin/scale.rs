@@ -56,7 +56,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rcm_core::ad::{Ad1, AlertFilter};
-use rcm_core::condition::{Cmp, Condition, Threshold};
+use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, CeId, CondId, LatencyHistogram, Update, VarId};
 use rcm_json::obj;
 use rcm_net::Backoff;
@@ -275,7 +275,7 @@ fn main() -> ExitCode {
         for i in 0..opts.active {
             let var = VarId::new(i as u32);
             plan.own(var, i % leaves);
-            plan.add_condition(CondId::new(i as u32), Arc::new(Threshold::new(var, Cmp::Gt, 0.0)))
+            plan.add_condition(CondId::new(i as u32), Arc::new(cond::threshold(var, Cmp::Gt, 0.0)))
                 .expect("single-variable condition lands on its owning leaf");
         }
         let mut tree =
@@ -292,7 +292,7 @@ fn main() -> ExitCode {
     } else {
         let conds: Vec<Arc<dyn Condition>> = (0..opts.active)
             .map(|i| {
-                Arc::new(Threshold::new(VarId::new(i as u32), Cmp::Gt, 0.0)) as Arc<dyn Condition>
+                Arc::new(cond::threshold(VarId::new(i as u32), Cmp::Gt, 0.0)) as Arc<dyn Condition>
             })
             .collect();
         let mut pipe = EvalPipeline::start(

@@ -1,7 +1,7 @@
 //! The simulation engine: wires DMs, CEs and the AD over simulated
 //! links and runs the event loop to completion.
 
-use rcm_core::{Alert, CeId, CondId, Evaluator, Update, VarId};
+use rcm_core::{Alert, CeId, CondId, Condition, ConditionRegistry, Update, VarId};
 use rcm_net::{InOrderGate, LossyLink, ReliableLink, Rng, Transmit};
 
 use crate::event::EventQueue;
@@ -117,7 +117,7 @@ pub fn run(scenario: Scenario) -> RunResult {
     let mut queue: EventQueue<Ev> = EventQueue::new();
 
     // Component state. Everything reading `&scenario` is built first;
-    // the owned fields (condition, workloads, AD outages) are then
+    // the owned fields (workloads, AD outages) are then
     // moved out rather than cloned.
     let mut front_links: Vec<LossyLink> = (0..n_var * n_ce)
         .map(|i| {
@@ -133,13 +133,14 @@ pub fn run(scenario: Scenario) -> RunResult {
         (0..n_ce).map(|c| ReliableLink::new(scenario.back_delay_for(c).build())).collect();
     let mut down = vec![false; n_ce];
 
-    // Replica evaluators share the scenario's condition by borrow (a
-    // `&dyn Condition` is itself a `Condition`) — no per-replica
-    // refcount traffic, no clone.
-    let condition = scenario.condition;
-    let cond: &dyn rcm_core::Condition = &*condition;
-    let mut evaluators: Vec<Evaluator<&dyn rcm_core::Condition>> = (0..n_ce)
-        .map(|ce| Evaluator::with_ids(cond, CondId::SINGLE, CeId::new(ce as u32)))
+    // Each replica is the deployed Condition Evaluator: a registry
+    // hosting the scenario's one condition.
+    let mut replicas: Vec<ConditionRegistry> = (0..n_ce)
+        .map(|ce| {
+            let mut registry = ConditionRegistry::new(CeId::new(ce as u32));
+            registry.insert(CondId::SINGLE, scenario.condition.clone());
+            registry
+        })
         .collect();
 
     // Workload state.
@@ -210,15 +211,12 @@ pub fn run(scenario: Scenario) -> RunResult {
                     stats.updates_reordered += 1;
                     continue;
                 }
-                let maybe_alert = evaluators[ce]
-                    .try_ingest(update)
-                    .expect("update routed to evaluator lacking its variable");
+                let raised = ce_outputs[ce].len();
+                replicas[ce].ingest(update, &mut ce_outputs[ce]);
                 inputs[ce].push(update);
                 stats.updates_ingested += 1;
-                if let Some(alert) = maybe_alert {
+                for idx in raised..ce_outputs[ce].len() {
                     stats.alerts_emitted += 1;
-                    let idx = ce_outputs[ce].len();
-                    ce_outputs[ce].push(alert);
                     let at = back_links[ce].transmit(now, &mut rng);
                     queue.schedule(at, Ev::DeliverAlert { ce, idx, sent_at: now });
                 }
@@ -237,7 +235,7 @@ pub fn run(scenario: Scenario) -> RunResult {
             }
             Ev::CrashStart { ce } => {
                 down[ce] = true;
-                evaluators[ce].restart();
+                replicas[ce].restart();
             }
             Ev::CrashEnd { ce } => down[ce] = false,
         }
@@ -256,7 +254,7 @@ mod tests {
     use super::*;
     use crate::scenario::{DelaySpec, LossSpec, Outage, VarWorkload};
     use crate::workload::Scripted;
-    use rcm_core::condition::{Cmp, Threshold};
+    use rcm_core::condition::{cond, Cmp};
     use std::sync::Arc;
 
     fn x() -> VarId {
@@ -265,7 +263,7 @@ mod tests {
 
     fn base_scenario(seed: u64) -> Scenario {
         Scenario {
-            condition: Arc::new(Threshold::new(x(), Cmp::Gt, 3000.0)),
+            condition: Arc::new(cond::threshold(x(), Cmp::Gt, 3000.0)),
             replicas: 2,
             workloads: vec![VarWorkload {
                 var: x(),

@@ -17,9 +17,8 @@
 use std::sync::Arc;
 
 use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, PassThrough};
-use rcm_core::condition::{
-    Band, Cmp, Condition, Conservative, CrossesLevel, DeltaRise, Or, Threshold,
-};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, Update, VarId};
 use rcm_props::{
     check_complete_multi, check_complete_single, check_consistent_multi, check_consistent_single,
@@ -156,23 +155,30 @@ pub(crate) fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn single_condition(kind: ScenarioKind, seed: u64) -> Arc<dyn Condition> {
+fn single_condition(kind: ScenarioKind, seed: u64) -> CompiledCondition {
     let pick = mix(seed) % 3;
-    let non_historical: Arc<dyn Condition> = match pick {
-        0 => Arc::new(Threshold::new(x(), Cmp::Gt, 100.0)),
-        1 => Arc::new(Threshold::new(x(), Cmp::Lt, 90.0)),
-        _ => Arc::new(Band::outside(x(), 80.0, 120.0)),
+    let non_historical = match pick {
+        0 => cond::threshold(x(), Cmp::Gt, 100.0),
+        1 => cond::threshold(x(), Cmp::Lt, 90.0),
+        _ => cond::outside_band(x(), 80.0, 120.0),
     };
-    let aggressive: Arc<dyn Condition> = match pick {
-        0 => Arc::new(DeltaRise::new(x(), 10.0)),
-        1 => Arc::new(DeltaRise::new(x(), 20.0)),
-        _ => Arc::new(CrossesLevel::new(x(), 100.0)),
+    let aggressive = match pick {
+        0 => cond::delta_rise(x(), 10.0),
+        1 => cond::delta_rise(x(), 20.0),
+        _ => cond::crosses_level(x(), 100.0),
     };
-    let conservative: Arc<dyn Condition> = match pick {
-        0 => Arc::new(Conservative::new(DeltaRise::new(x(), 10.0))),
-        1 => Arc::new(Conservative::new(DeltaRise::new(x(), 20.0))),
-        _ => Arc::new(Conservative::new(CrossesLevel::new(x(), 100.0))),
-    };
+    let conservative = cond::conservative(aggressive.clone());
+    pick_kind(kind, seed, non_historical, conservative, aggressive)
+}
+
+/// The condition of `kind`; a lossless run rotates over the three.
+fn pick_kind(
+    kind: ScenarioKind,
+    seed: u64,
+    non_historical: CompiledCondition,
+    conservative: CompiledCondition,
+    aggressive: CompiledCondition,
+) -> CompiledCondition {
     match kind {
         ScenarioKind::Lossless => match mix(seed ^ 0xabcd) % 3 {
             0 => non_historical,
@@ -185,54 +191,24 @@ fn single_condition(kind: ScenarioKind, seed: u64) -> Arc<dyn Condition> {
     }
 }
 
-fn multi_condition(kind: ScenarioKind, seed: u64) -> Arc<dyn Condition> {
+fn multi_condition(kind: ScenarioKind, seed: u64) -> CompiledCondition {
     let theta = if mix(seed).is_multiple_of(2) { 5.0 } else { 20.0 };
     let delta = if mix(seed ^ 0x11).is_multiple_of(2) { 8.0 } else { 15.0 };
-    let non_historical: Arc<dyn Condition> =
-        Arc::new(rcm_core::condition::AbsDifference::new(x(), y(), theta));
-    let aggressive: Arc<dyn Condition> =
-        Arc::new(Or::new(DeltaRise::new(x(), delta), DeltaRise::new(y(), delta)));
-    let conservative: Arc<dyn Condition> = Arc::new(Conservative::new(Or::new(
-        DeltaRise::new(x(), delta),
-        DeltaRise::new(y(), delta),
-    )));
-    match kind {
-        ScenarioKind::Lossless => match mix(seed ^ 0xabcd) % 3 {
-            0 => non_historical,
-            1 => conservative,
-            _ => aggressive,
-        },
-        ScenarioKind::LossyNonHistorical => non_historical,
-        ScenarioKind::LossyConservative => conservative,
-        ScenarioKind::LossyAggressive => aggressive,
-    }
+    let non_historical = cond::abs_difference(x(), y(), theta);
+    let aggressive = cond::delta_rise(x(), delta) | cond::delta_rise(y(), delta);
+    let conservative = cond::conservative(aggressive.clone());
+    pick_kind(kind, seed, non_historical, conservative, aggressive)
 }
 
-fn multi_condition3(kind: ScenarioKind, seed: u64) -> Arc<dyn Condition> {
+fn multi_condition3(kind: ScenarioKind, seed: u64) -> CompiledCondition {
     let theta = if mix(seed).is_multiple_of(2) { 5.0 } else { 20.0 };
     let delta = if mix(seed ^ 0x11).is_multiple_of(2) { 8.0 } else { 15.0 };
-    let non_historical: Arc<dyn Condition> = Arc::new(Or::new(
-        rcm_core::condition::AbsDifference::new(x(), y(), theta),
-        rcm_core::condition::AbsDifference::new(y(), z(), theta),
-    ));
-    let aggressive: Arc<dyn Condition> = Arc::new(Or::new(
-        Or::new(DeltaRise::new(x(), delta), DeltaRise::new(y(), delta)),
-        DeltaRise::new(z(), delta),
-    ));
-    let conservative: Arc<dyn Condition> = Arc::new(Conservative::new(Or::new(
-        Or::new(DeltaRise::new(x(), delta), DeltaRise::new(y(), delta)),
-        DeltaRise::new(z(), delta),
-    )));
-    match kind {
-        ScenarioKind::Lossless => match mix(seed ^ 0xabcd) % 3 {
-            0 => non_historical,
-            1 => conservative,
-            _ => aggressive,
-        },
-        ScenarioKind::LossyNonHistorical => non_historical,
-        ScenarioKind::LossyConservative => conservative,
-        ScenarioKind::LossyAggressive => aggressive,
-    }
+    let non_historical =
+        cond::abs_difference(x(), y(), theta) | cond::abs_difference(y(), z(), theta);
+    let aggressive =
+        cond::delta_rise(x(), delta) | cond::delta_rise(y(), delta) | cond::delta_rise(z(), delta);
+    let conservative = cond::conservative(aggressive.clone());
+    pick_kind(kind, seed, non_historical, conservative, aggressive)
 }
 
 fn loss_spec(kind: ScenarioKind, seed: u64, link: u64) -> LossSpec {
@@ -266,11 +242,11 @@ pub fn build_scenario_n(
     seed: u64,
     replicas: usize,
 ) -> Scenario {
-    let condition: Arc<dyn Condition> = match topo {
+    let condition = Arc::new(match topo {
         Topology::SingleVar => single_condition(kind, seed),
         Topology::MultiVar => multi_condition(kind, seed),
         Topology::MultiVar3 => multi_condition3(kind, seed),
-    };
+    });
     let vars = condition.variables();
     let (updates, period) = match topo {
         Topology::SingleVar => (24u64, 10u64),
@@ -350,7 +326,7 @@ pub struct PropertyCounts {
 /// output; returns `(ordered, complete, consistent)`.
 pub fn check_run(
     topo: Topology,
-    condition: &Arc<dyn Condition>,
+    condition: &CompiledCondition,
     result: &RunResult,
     displayed: &[Alert],
 ) -> (bool, bool, bool) {

@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::Condition;
 use rcm_core::{Alert, CondId, VarId};
 
@@ -45,7 +46,7 @@ pub struct SharedWorkload {
 #[derive(Debug)]
 pub struct MultiCondScenario {
     /// The monitored conditions; index `i` becomes `CondId::new(i)`.
-    pub conditions: Vec<Arc<dyn Condition>>,
+    pub conditions: Vec<Arc<CompiledCondition>>,
     /// Replicas per condition.
     pub replicas: usize,
     /// Shared Data Monitors. Every variable used by any condition must
@@ -158,7 +159,7 @@ pub fn run_multi(scenario: &MultiCondScenario) -> MultiCondResult {
 mod tests {
     use super::*;
     use rcm_core::ad::{apply_filter, Ad4, PerCondition};
-    use rcm_core::condition::{Cmp, DeltaRise, Threshold};
+    use rcm_core::condition::{cond, Cmp};
     use rcm_props::{check_consistent_single, check_ordered};
 
     fn x() -> VarId {
@@ -168,8 +169,8 @@ mod tests {
     fn scenario(seed: u64) -> MultiCondScenario {
         MultiCondScenario {
             conditions: vec![
-                Arc::new(Threshold::new(x(), Cmp::Gt, 110.0)),
-                Arc::new(DeltaRise::new(x(), 15.0)),
+                Arc::new(cond::threshold(x(), Cmp::Gt, 110.0)),
+                Arc::new(cond::delta_rise(x(), 15.0)),
             ],
             replicas: 2,
             workloads: vec![SharedWorkload {
@@ -234,7 +235,7 @@ mod tests {
     #[should_panic(expected = "no shared workload")]
     fn missing_workload_rejected() {
         let mut sc = scenario(1);
-        sc.conditions.push(Arc::new(Threshold::new(VarId::new(9), Cmp::Gt, 0.0)));
+        sc.conditions.push(Arc::new(cond::threshold(VarId::new(9), Cmp::Gt, 0.0)));
         run_multi(&sc);
     }
 }

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::Condition;
 use rcm_core::VarId;
 use rcm_json::Json;
@@ -173,7 +174,7 @@ impl Outage {
 /// given (so a single entry configures every link uniformly).
 pub struct Scenario {
     /// The monitored condition.
-    pub condition: Arc<dyn Condition>,
+    pub condition: Arc<CompiledCondition>,
     /// Number of Condition Evaluator replicas (1 = the paper's
     /// non-replicated system).
     pub replicas: usize,
@@ -267,7 +268,7 @@ mod tests {
     #[test]
     fn spec_indexing_falls_back_to_last() {
         let sc = Scenario {
-            condition: Arc::new(rcm_core::condition::Threshold::new(
+            condition: Arc::new(rcm_core::condition::cond::threshold(
                 VarId::new(0),
                 rcm_core::condition::Cmp::Gt,
                 0.0,

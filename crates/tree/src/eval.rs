@@ -379,7 +379,7 @@ impl TreeEval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcm_core::condition::{Cmp, Threshold};
+    use rcm_core::condition::{cond, Cmp};
     use rcm_core::CondId;
     use std::sync::Arc;
 
@@ -392,7 +392,7 @@ mod tests {
         for c in 0..4u32 {
             plan.add_condition(
                 CondId::new(c),
-                Arc::new(Threshold::new(VarId::new(c), Cmp::Gt, 10.0)),
+                Arc::new(cond::threshold(VarId::new(c), Cmp::Gt, 10.0)),
             )
             .unwrap();
         }

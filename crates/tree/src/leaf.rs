@@ -124,7 +124,7 @@ impl LeafCe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcm_core::condition::{Cmp, Threshold};
+    use rcm_core::condition::{cond, Cmp};
     use rcm_core::{CondId, VarId};
     use std::sync::Arc;
 
@@ -132,11 +132,11 @@ mod tests {
         let conds = vec![
             (
                 CondId::new(0),
-                Arc::new(Threshold::new(VarId::new(0), Cmp::Gt, 10.0)) as DynCondition,
+                Arc::new(cond::threshold(VarId::new(0), Cmp::Gt, 10.0)) as DynCondition,
             ),
             (
                 CondId::new(1),
-                Arc::new(Threshold::new(VarId::new(0), Cmp::Gt, 20.0)) as DynCondition,
+                Arc::new(cond::threshold(VarId::new(0), Cmp::Gt, 20.0)) as DynCondition,
             ),
         ];
         LeafCe::build(3, CeId::new(7), &conds, 8)

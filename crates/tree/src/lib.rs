@@ -31,8 +31,9 @@
 //! (`tests/tree_equivalence.rs`). The argument:
 //!
 //! 1. a leaf's registry is observationally identical to the flat
-//!    registry restricted to its conditions (both mirror independent
-//!    `Evaluator`s fed the projection of the stream);
+//!    registry restricted to its conditions (both mirror, per
+//!    condition, a history set of its own fed the projection of the
+//!    stream);
 //! 2. per update, alerts form one contiguous ascending-`CondId` run
 //!    emitted by the single owning leaf — exactly the flat registry's
 //!    emission order, so no cross-leaf merge exists to get wrong;

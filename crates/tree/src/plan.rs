@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rcm_core::condition::expr::CompiledCondition;
-use rcm_core::condition::{Condition, DynCondition};
+use rcm_core::condition::DynCondition;
 use rcm_core::{is_derived_var, CeId, CondId, VarId};
 
 use crate::error::TreeError;
@@ -187,11 +187,11 @@ impl Default for TreeOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcm_core::condition::{Cmp, Threshold};
+    use rcm_core::condition::{cond, Cmp};
     use std::sync::Arc;
 
     fn thresh(var: u32) -> DynCondition {
-        Arc::new(Threshold::new(VarId::new(var), Cmp::Gt, 0.0))
+        Arc::new(cond::threshold(VarId::new(var), Cmp::Gt, 0.0))
     }
 
     #[test]

@@ -19,8 +19,9 @@
 use std::sync::Arc;
 
 use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter};
-use rcm_core::condition::{Cmp, DeltaRise, Threshold};
-use rcm_core::{Alert, CeId, CondId, Evaluator, Update, VarId};
+use rcm_core::condition::expr::CompiledCondition;
+use rcm_core::condition::{cond, Cmp};
+use rcm_core::{transduce, Alert, CeId, CondId, Update, VarId};
 use rcm_net::{cases, Rng};
 use rcm_props::{check_complete_single, check_consistent_single, check_ordered};
 use rcm_tree::{verdict_stream, TreeEval, TreeOptions, TreePlan};
@@ -34,7 +35,7 @@ fn derived_inputs(seed: u64) -> Vec<Update> {
     let x = VarId::new(0);
     let mut plan = TreePlan::new(1);
     plan.own(x, 0);
-    plan.add_condition(CondId::new(0), Arc::new(Threshold::new(x, Cmp::Gt, 0.0))).unwrap();
+    plan.add_condition(CondId::new(0), Arc::new(cond::threshold(x, Cmp::Gt, 0.0))).unwrap();
     let mut tree = TreeEval::build(plan, TreeOptions { replay_window: 120, ..Default::default() });
 
     let mut rng = Rng::seed_from_u64(seed);
@@ -60,30 +61,15 @@ struct Replicated {
     arrivals: Vec<Alert>,
 }
 
-fn replicate<C: rcm_core::Condition + Clone>(
-    cond: &C,
-    stream: &[Update],
-    seed: u64,
-    loss_pct: u64,
-) -> Replicated {
+fn replicate(cond: &CompiledCondition, stream: &[Update], seed: u64, loss_pct: u64) -> Replicated {
     let mut rng = Rng::seed_from_u64(seed ^ 0xDEAD_BEEF);
     let mut inputs = Vec::new();
     let mut alert_streams: Vec<Vec<Alert>> = Vec::new();
     for replica in 0..2u32 {
-        let mut ev = Evaluator::with_ids(cond.clone(), CondId::SINGLE, CeId::new(replica));
-        let mut received = Vec::new();
-        let mut alerts = Vec::new();
-        for &u in stream {
-            if (rng.below(100) as u64) < loss_pct {
-                continue;
-            }
-            received.push(u);
-            if let Ok(Some(a)) = ev.try_ingest(u) {
-                alerts.push(a);
-            }
-        }
+        let received: Vec<Update> =
+            stream.iter().copied().filter(|_| rng.below(100) as u64 >= loss_pct).collect();
+        alert_streams.push(transduce(cond, CeId::new(replica), &received));
         inputs.push(received);
-        alert_streams.push(alerts);
     }
     let mut arrivals = Vec::new();
     let (a, b) = (alert_streams.remove(0), alert_streams.remove(0));
@@ -104,7 +90,7 @@ fn replicate<C: rcm_core::Condition + Clone>(
 /// complete, consistent.
 type FilterCase = (&'static str, Box<dyn AlertFilter>, bool, bool, bool);
 
-fn run_matrix<C: rcm_core::Condition + Clone>(cond: &C, seed: u64, loss_pct: u64) {
+fn run_matrix(cond: &CompiledCondition, seed: u64, loss_pct: u64) {
     let stream = derived_inputs(seed);
     let var = verdict_stream(0, 0);
     let rep = replicate(cond, &stream, seed, loss_pct);
@@ -139,7 +125,7 @@ fn run_matrix<C: rcm_core::Condition + Clone>(cond: &C, seed: u64, loss_pct: u64
 fn matrix_holds_on_lossless_tier_links() {
     let var = verdict_stream(0, 0);
     for seed in 0..8u64 {
-        run_matrix(&Threshold::new(var, Cmp::Gt, 0.5), seed, 0);
+        run_matrix(&cond::threshold(var, Cmp::Gt, 0.5), seed, 0);
     }
 }
 
@@ -150,7 +136,7 @@ fn matrix_holds_on_lossless_tier_links() {
 fn history_condition_over_derived_stream() {
     let var = verdict_stream(0, 0);
     for seed in 0..8u64 {
-        let cond = DeltaRise::new(var, -0.5); // any consecutive pair fires
+        let cond = cond::delta_rise(var, -0.5); // any consecutive pair fires
         let stream = derived_inputs(seed);
         let rep = replicate(&cond, &stream, seed, 20);
         let ctx = format!("seed {seed}");
@@ -174,6 +160,6 @@ fn history_condition_over_derived_stream() {
 fn matrix_holds_for_any_seed() {
     cases("matrix_holds_for_any_seed", 32 + 8, 0, |rng, _| {
         let (seed, loss_pct) = (rng.below(1_000_000) as u64, *rng.pick(&[0, 20, 50]));
-        run_matrix(&Threshold::new(verdict_stream(0, 0), Cmp::Gt, 0.5), seed, loss_pct);
+        run_matrix(&cond::threshold(verdict_stream(0, 0), Cmp::Gt, 0.5), seed, loss_pct);
     });
 }

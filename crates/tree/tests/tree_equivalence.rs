@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use rcm_core::condition::{Cmp, Threshold};
+use rcm_core::condition::{cond, Cmp};
 use rcm_core::{Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_net::{cases, Rng};
 use rcm_transport::SeqGate;
@@ -116,7 +116,7 @@ fn run_flat(case: &Case) -> Vec<Alert> {
     let mut sorted = case.conds.clone();
     sorted.sort_by_key(|(id, ..)| id.index());
     for (id, _, var, threshold) in sorted {
-        reg.insert(id, Arc::new(Threshold::new(var, Cmp::Gt, threshold)));
+        reg.insert(id, Arc::new(cond::threshold(var, Cmp::Gt, threshold)));
     }
     let mut out = Vec::new();
     for &u in &case.stream {
@@ -136,7 +136,7 @@ fn build_tree(case: &Case, replay_window: usize) -> TreeEval {
     }
     for &(id, leaf, var, threshold) in &case.conds {
         let placed =
-            plan.add_condition(id, Arc::new(Threshold::new(var, Cmp::Gt, threshold))).unwrap();
+            plan.add_condition(id, Arc::new(cond::threshold(var, Cmp::Gt, threshold))).unwrap();
         assert_eq!(placed, leaf, "placement follows ownership");
     }
     let opts = TreeOptions {

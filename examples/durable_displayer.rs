@@ -9,14 +9,14 @@
 //! ```
 
 use rcm::core::ad::{Ad3, AlertFilter};
-use rcm::core::condition::DeltaRise;
+use rcm::core::condition::cond;
 use rcm::core::{transduce, Alert, CeId, Update, VarId};
 
 fn main() {
     let x = VarId::new(0);
     // Aggressive delta condition — the one whose replicated alerts can
     // genuinely conflict (Theorem 4).
-    let c2 = DeltaRise::new(x, 200.0);
+    let c2 = cond::delta_rise(x, 200.0);
 
     // Theorem 4's trace: CE1 saw everything, CE2 missed update 2.
     let u = vec![Update::new(x, 1, 400.0), Update::new(x, 2, 700.0), Update::new(x, 3, 720.0)];

@@ -6,8 +6,8 @@
 //! ```
 
 use rcm::core::condition::expr::CompiledCondition;
-use rcm::core::condition::{Condition, ConditionExt, Triggering};
-use rcm::core::{Evaluator, Update, VarRegistry};
+use rcm::core::condition::{cond, Condition, ConditionExt, Triggering};
+use rcm::core::{transduce, CeId, Update, VarRegistry};
 
 fn main() {
     let mut registry = VarRegistry::new();
@@ -55,16 +55,25 @@ fn main() {
     )
     .expect("checked above");
     let load = registry.lookup("load").expect("registered");
-    let mut ce = Evaluator::new(cond);
     let readings = [50.0, 62.0, 58.0, 71.0, 69.0, 66.0, 84.0, 80.0, 91.0];
-    let mut fired = Vec::new();
-    for (i, &v) in readings.iter().enumerate() {
-        if ce.ingest(Update::new(load, i as u64 + 1, v)).is_some() {
-            fired.push((i + 1, v));
-        }
-    }
+    let updates: Vec<Update> =
+        readings.iter().enumerate().map(|(i, &v)| Update::new(load, i as u64 + 1, v)).collect();
+    let fired: Vec<(u64, f64)> = transduce(&cond, CeId::new(0), &updates)
+        .iter()
+        .flat_map(|alert| alert.updates().take(1))
+        .map(|u| (u.seqno.get(), u.value))
+        .collect();
     for (seq, v) in &fired {
         println!("  new local maximum at reading {seq}: {v}");
     }
     assert_eq!(fired, vec![(4, 71.0), (7, 84.0), (9, 91.0)]);
+
+    // The ready-made constructors build the same kind of expression:
+    // the debounced alarm, three readings in a row above 60.
+    let debounced = cond::sustained_above(load, 60.0, 3);
+    let alerts = transduce(&debounced, CeId::new(0), &updates);
+    let at: Vec<u64> =
+        alerts.iter().filter_map(|alert| alert.seqno(load)).map(|s| s.get()).collect();
+    println!("\n{} ({}): readings {at:?}", debounced.name(), debounced.triggering());
+    assert_eq!(at, vec![6, 7, 8, 9]);
 }

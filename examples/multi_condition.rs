@@ -14,45 +14,19 @@
 //! cargo run --example multi_condition
 //! ```
 
+use std::sync::Arc;
+
 use rcm::core::ad::{apply_filter, Ad5, PerCondition};
-use rcm::core::condition::{Condition, Or, Triggering};
-use rcm::core::{Alert, CeId, CondId, Evaluator, HistorySet, Update, VarId};
-
-/// Condition "left reactor is strictly hotter than right".
-#[derive(Debug, Clone)]
-struct Hotter {
-    left: VarId,
-    right: VarId,
-}
-
-impl Condition for Hotter {
-    fn name(&self) -> String {
-        format!("{} hotter than {}", self.left, self.right)
-    }
-    fn variables(&self) -> Vec<VarId> {
-        let mut v = vec![self.left, self.right];
-        v.sort_unstable();
-        v
-    }
-    fn degree(&self, var: VarId) -> usize {
-        usize::from(var == self.left || var == self.right)
-    }
-    fn triggering(&self) -> Triggering {
-        Triggering::Conservative
-    }
-    fn eval(&self, h: &HistorySet) -> bool {
-        match (h.value(self.left, 0), h.value(self.right, 0)) {
-            (Some(l), Some(r)) => l > r,
-            _ => false,
-        }
-    }
-}
+use rcm::core::condition::expr::CompiledCondition;
+use rcm::core::condition::Condition;
+use rcm::core::{Alert, CeId, CondId, ConditionRegistry, Update, VarRegistry};
 
 fn main() {
-    let x = VarId::new(0);
-    let y = VarId::new(1);
-    let cond_a = Hotter { left: x, right: y };
-    let cond_b = Hotter { left: y, right: x };
+    let mut vars = VarRegistry::new();
+    let (x, y) = (vars.register("x"), vars.register("y"));
+    // "Reactor x is hotter than y", and the other way round.
+    let cond_a = CompiledCondition::compile("x[0].value > y[0].value", &mut vars).unwrap();
+    let cond_b = CompiledCondition::compile("y[0].value > x[0].value", &mut vars).unwrap();
 
     // Example 4's trace: both reactors at 2000, then both rise to 2100 —
     // but A's CE sees the x change first while B's CE sees y first.
@@ -93,7 +67,7 @@ fn main() {
     assert_eq!(demux.streams(), 2);
 
     // --- Co-located CEs: C = A ∨ B (Fig. D-8) -----------------------
-    let combined = Or::new(cond_a.clone(), cond_b.clone());
+    let combined = cond_a.clone() | cond_b.clone();
     // A co-located CE sees ONE interleaving, so the disjunction cannot
     // paint the conflicting picture: at any instant only one of A, B
     // can hold.
@@ -111,7 +85,11 @@ fn main() {
     );
 }
 
-fn run_ce<C: Condition>(cond: &C, cond_id: CondId, ce: CeId, updates: &[Update]) -> Vec<Alert> {
-    let mut ev = Evaluator::with_ids(cond, cond_id, ce);
-    updates.iter().filter_map(|&u| ev.ingest(u)).collect()
+/// One CE hosting `cond` as `cond_id`, fed `updates`.
+fn run_ce(cond: &CompiledCondition, cond_id: CondId, ce: CeId, updates: &[Update]) -> Vec<Alert> {
+    let mut registry = ConditionRegistry::new(ce);
+    registry.insert(cond_id, Arc::new(cond.clone()));
+    let mut alerts = Vec::new();
+    registry.ingest_batch(updates, &mut alerts);
+    alerts
 }

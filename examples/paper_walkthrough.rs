@@ -6,7 +6,7 @@
 //! ```
 
 use rcm::core::ad::{Ad1, Ad2, Ad3, AlertFilter};
-use rcm::core::condition::{Cmp, Threshold};
+use rcm::core::condition::{cond, Cmp};
 use rcm::core::{transduce, Alert, CeId, Update, VarId};
 
 fn main() {
@@ -28,7 +28,7 @@ fn offer(filter: &mut dyn AlertFilter, alert: &Alert) -> &'static str {
 fn example_1() {
     println!("=== Example 1: duplicate elimination under loss (AD-1) ===");
     let x = VarId::new(0);
-    let c1 = Threshold::new(x, Cmp::Gt, 3000.0);
+    let c1 = cond::threshold(x, Cmp::Gt, 3000.0);
     let u = vec![Update::new(x, 1, 2900.0), Update::new(x, 2, 3100.0), Update::new(x, 3, 3200.0)];
     let u1 = u.clone();
     let u2 = vec![u[0], u[2]];
@@ -55,7 +55,7 @@ fn example_1() {
 fn example_2() {
     println!("=== Example 2: AD-2 drops a late alert (incompleteness) ===");
     let x = VarId::new(0);
-    let c1 = Threshold::new(x, Cmp::Gt, 3000.0);
+    let c1 = cond::threshold(x, Cmp::Gt, 3000.0);
     let u1 = vec![Update::new(x, 1, 3100.0)];
     let u2 = vec![Update::new(x, 2, 3200.0)];
     let a1 = transduce(&c1, CeId::new(1), &u1);
@@ -73,7 +73,7 @@ fn example_3() {
     let x = VarId::new(0);
     // A degree-2 condition that always fires once defined, so the
     // histories are exactly the paper's ⟨3x, 1x⟩ and ⟨3x, 2x⟩.
-    let always = rcm::core::condition::DeltaRise::new(x, f64::NEG_INFINITY);
+    let always = rcm::core::condition::cond::delta_rise(x, f64::NEG_INFINITY);
     let u1 = vec![Update::new(x, 1, 0.0), Update::new(x, 3, 0.0)]; // CE1 missed 2x
     let u2 = vec![Update::new(x, 2, 0.0), Update::new(x, 3, 0.0)]; // CE2 missed 1x
     let a1 = transduce(&always, CeId::new(1), &u1);

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use rcm::core::ad::Ad1;
-use rcm::core::condition::{Cmp, Threshold};
+use rcm::core::condition::{cond, Cmp};
 use rcm::core::VarId;
 use rcm::runtime::{MonitorSystem, VarFeed};
 
@@ -17,7 +17,7 @@ fn main() {
     let temp = VarId::new(0);
 
     // c1 from the paper: "reactor temperature is over 3000 degrees".
-    let condition = Arc::new(Threshold::new(temp, Cmp::Gt, 3000.0));
+    let condition = Arc::new(cond::threshold(temp, Cmp::Gt, 3000.0));
 
     // Two replicated CEs, exact-duplicate removal at the Alert
     // Displayer, and a scripted set of readings (Example 1's trace).

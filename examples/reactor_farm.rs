@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use rcm::core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, AlertFilter};
 use rcm::core::condition::expr::CompiledCondition;
-use rcm::core::VarRegistry;
+use rcm::core::{Condition, VarRegistry};
 use rcm::props::{check_complete_single, check_consistent_single, check_ordered};
 use rcm::sim::{run, DelaySpec, LossSpec, RandomWalk, Scenario, VarWorkload};
 
@@ -27,7 +27,7 @@ fn main() {
     .expect("valid condition source");
     let temp = registry.lookup("core_temp").expect("registered by compile");
 
-    println!("condition: {}", c3.source());
+    println!("condition: {}", c3.name());
     println!();
 
     let scenario = Scenario {

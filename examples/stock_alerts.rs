@@ -15,13 +15,13 @@
 //! ```
 
 use rcm::core::ad::{apply_filter, Ad1, Ad3, Ad4, AlertFilter};
-use rcm::core::condition::SharpDrop;
+use rcm::core::condition::cond;
 use rcm::core::{transduce, Alert, CeId, Update, VarId};
 use rcm::props::{check_consistent_single, check_ordered};
 
 fn main() {
     let stock = VarId::new(0);
-    let condition = SharpDrop::new(stock, 0.2);
+    let condition = cond::sharp_drop(stock, 0.2);
 
     // The DM (a stock trading center) sends three quotes.
     let quotes = vec![

@@ -4,8 +4,8 @@
 //! implementation of *Replicated condition monitoring* (Huang &
 //! Garcia-Molina, PODC 2001):
 //!
-//! * [`core`] — data model, condition framework, Condition Evaluator
-//!   and the six Alert Displayer filtering algorithms;
+//! * [`core`] — data model, condition expressions, the Condition
+//!   Evaluator and the six Alert Displayer filtering algorithms;
 //! * [`props`] — exact checkers for the paper's three correctness
 //!   properties (orderedness, completeness, consistency) plus
 //!   domination and maximality probes;
@@ -39,7 +39,7 @@ pub use rcm_tree as tree;
 /// # use std::sync::Arc;
 ///
 /// let x = VarId::new(0);
-/// let system = MonitorSystem::builder(Arc::new(Threshold::new(x, Cmp::Gt, 100.0)))
+/// let system = MonitorSystem::builder(Arc::new(cond::threshold(x, Cmp::Gt, 100.0)))
 ///     .replicas(2)
 ///     .feed(VarFeed::new(x, vec![90.0, 120.0]))
 ///     .filter(|vars| Box::new(Ad4::new(vars[0])))
@@ -50,12 +50,9 @@ pub use rcm_tree as tree;
 pub mod prelude {
     pub use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, PerCondition};
     pub use rcm_core::condition::expr::CompiledCondition;
-    pub use rcm_core::condition::{
-        AbsDifference, Band, Cmp, Condition, ConditionExt, Conservative, DeltaRise, FnCondition,
-        SustainedAbove, Threshold, Triggering,
-    };
+    pub use rcm_core::condition::{cond, Cmp, Condition, ConditionExt, Triggering};
     pub use rcm_core::{
-        transduce, Alert, CeId, CondId, Evaluator, SeqNo, Update, VarId, VarRegistry,
+        transduce, Alert, CeId, CondId, ConditionRegistry, SeqNo, Update, VarId, VarRegistry,
     };
     pub use rcm_runtime::{MonitorSystem, VarFeed};
     pub use rcm_sim::{run, Scenario, ScenarioSpec};

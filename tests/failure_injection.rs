@@ -4,6 +4,7 @@
 //! the analysis must survive it.
 
 use rcm::core::ad::apply_filter;
+use rcm::core::Condition;
 use rcm::props::{check_consistent_single, check_ordered};
 use rcm::sim::montecarlo::{build_scenario, FilterKind, ScenarioKind, Topology};
 use rcm::sim::{run, Outage};

@@ -1,17 +1,23 @@
 //! Integration tests for multi-condition systems (paper Appendix D):
 //! per-condition demultiplexing and the disjunction reduction.
 
+use std::sync::Arc;
+
 use rcm::core::ad::{apply_filter, Ad3, AlertFilter, PerCondition};
-use rcm::core::condition::{Cmp, Condition, DeltaRise, Or, Threshold};
-use rcm::core::{Alert, CeId, CondId, Evaluator, Update, VarId};
+use rcm::core::condition::expr::CompiledCondition;
+use rcm::core::condition::{cond, Cmp};
+use rcm::core::{Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 
 fn x() -> VarId {
     VarId::new(0)
 }
 
-fn run_ce<C: Condition>(cond: &C, cond_id: CondId, ce: u32, updates: &[Update]) -> Vec<Alert> {
-    let mut ev = Evaluator::with_ids(cond, cond_id, CeId::new(ce));
-    updates.iter().filter_map(|&u| ev.ingest(u)).collect()
+fn run_ce(cond: &CompiledCondition, cond_id: CondId, ce: u32, updates: &[Update]) -> Vec<Alert> {
+    let mut registry = ConditionRegistry::new(CeId::new(ce));
+    registry.insert(cond_id, Arc::new(cond.clone()));
+    let mut alerts = Vec::new();
+    registry.ingest_batch(updates, &mut alerts);
+    alerts
 }
 
 /// Fig. D-7(c): separate CEs per condition, replicated; the AD runs one
@@ -19,8 +25,8 @@ fn run_ce<C: Condition>(cond: &C, cond_id: CondId, ce: u32, updates: &[Update]) 
 /// a condition but never across conditions.
 #[test]
 fn per_condition_filters_are_isolated() {
-    let hot = DeltaRise::new(x(), 200.0); // condition A, aggressive
-    let warm = DeltaRise::new(x(), 100.0); // condition B, aggressive
+    let hot = cond::delta_rise(x(), 200.0); // condition A, aggressive
+    let warm = cond::delta_rise(x(), 100.0); // condition B, aggressive
 
     let u_full =
         vec![Update::new(x(), 1, 400.0), Update::new(x(), 2, 700.0), Update::new(x(), 3, 720.0)];
@@ -51,9 +57,9 @@ fn per_condition_filters_are_isolated() {
 /// evaluation per update stream gives one coherent alert stream.
 #[test]
 fn colocated_conditions_reduce_to_disjunction() {
-    let a = Threshold::new(x(), Cmp::Gt, 100.0);
-    let b = Threshold::new(x(), Cmp::Lt, 0.0);
-    let c = Or::new(a.clone(), b.clone());
+    let a = cond::threshold(x(), Cmp::Gt, 100.0);
+    let b = cond::threshold(x(), Cmp::Lt, 0.0);
+    let c = a.clone() | b.clone();
     let updates = vec![
         Update::new(x(), 1, 50.0),  // neither
         Update::new(x(), 2, 150.0), // A
@@ -74,7 +80,7 @@ fn colocated_conditions_reduce_to_disjunction() {
 #[test]
 fn same_history_different_condition_is_not_a_duplicate() {
     use rcm::core::ad::Ad1;
-    let a = Threshold::new(x(), Cmp::Gt, 0.0);
+    let a = cond::threshold(x(), Cmp::Gt, 0.0);
     let updates = vec![Update::new(x(), 1, 5.0)];
     let alert_a = run_ce(&a, CondId::new(0), 0, &updates).remove(0);
     let alert_b = run_ce(&a, CondId::new(1), 0, &updates).remove(0);

@@ -2,7 +2,7 @@
 //! proofs (Appendix B), end to end through the public API.
 
 use rcm::core::ad::{apply_filter, Ad1, Ad2, Ad5};
-use rcm::core::condition::{AbsDifference, Cmp, Conservative, DeltaRise, Threshold};
+use rcm::core::condition::{cond, Cmp};
 use rcm::core::{transduce, Alert, CeId, SeqNo, Update, VarId};
 use rcm::props::{
     check_complete_multi, check_complete_single, check_consistent_multi, check_consistent_single,
@@ -24,7 +24,7 @@ fn u(s: u64, v: f64) -> Update {
 /// not ordered under AD-1.
 #[test]
 fn theorem_2_unordered_counterexample() {
-    let c1 = Threshold::new(x(), Cmp::Gt, 3000.0);
+    let c1 = cond::threshold(x(), Cmp::Gt, 3000.0);
     let u1 = vec![u(1, 3100.0), u(2, 3500.0)];
     let u2 = vec![u(2, 3500.0)];
     let a1 = transduce(&c1, CeId::new(1), &u1);
@@ -43,7 +43,7 @@ fn theorem_2_unordered_counterexample() {
 /// neither ordered nor complete.
 #[test]
 fn theorem_3_incomplete_counterexample() {
-    let c3 = Conservative::new(DeltaRise::new(x(), 200.0));
+    let c3 = cond::conservative(cond::delta_rise(x(), 200.0));
     let u1 = vec![u(1, 1000.0), u(2, 1500.0)];
     let u2 = vec![u(3, 2000.0), u(4, 2500.0)];
     let a1 = transduce(&c3, CeId::new(1), &u1);
@@ -64,7 +64,7 @@ fn theorem_3_incomplete_counterexample() {
 /// Theorem 4's counterexample: aggressive + lossy is inconsistent.
 #[test]
 fn theorem_4_inconsistent_counterexample() {
-    let c2 = DeltaRise::new(x(), 200.0);
+    let c2 = cond::delta_rise(x(), 200.0);
     let uu = vec![u(1, 400.0), u(2, 700.0), u(3, 720.0)];
     let u1 = uu.clone();
     let u2 = vec![uu[0], uu[2]];
@@ -89,7 +89,7 @@ fn theorem_4_inconsistent_counterexample() {
 /// completeness, and AD-1 strictly dominates it.
 #[test]
 fn theorem_6_ad1_strictly_dominates_ad2() {
-    let c1 = Threshold::new(x(), Cmp::Gt, 3000.0);
+    let c1 = cond::threshold(x(), Cmp::Gt, 3000.0);
     let u1 = vec![u(1, 3100.0)];
     let u2 = vec![u(2, 3200.0)];
     let a1 = transduce(&c1, CeId::new(1), &u1);
@@ -103,7 +103,7 @@ fn theorem_6_ad1_strictly_dominates_ad2() {
 /// Theorem 10's counterexample, end to end.
 #[test]
 fn theorem_10_multi_var_counterexample() {
-    let cm = AbsDifference::new(x(), y(), 100.0);
+    let cm = cond::abs_difference(x(), y(), 100.0);
     let ux = |s, v| Update::new(x(), s, v);
     let uy = |s, v| Update::new(y(), s, v);
     let u1 = vec![ux(1, 1000.0), ux(2, 1200.0), uy(1, 1050.0), uy(2, 1150.0)];
@@ -132,7 +132,7 @@ fn theorem_10_multi_var_counterexample() {
 #[test]
 fn drop_all_is_trivially_correct_and_dominated() {
     use rcm::core::ad::DropAll;
-    let c2 = DeltaRise::new(x(), 200.0);
+    let c2 = cond::delta_rise(x(), 200.0);
     let uu = vec![u(1, 400.0), u(2, 700.0), u(3, 720.0)];
     let a = transduce(&c2, CeId::new(1), &uu);
     let arrivals: Vec<Alert> = a.clone();

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rcm::core::ad::{Ad1, Ad2, Ad3, Ad4};
 use rcm::core::condition::expr::CompiledCondition;
-use rcm::core::condition::{Cmp, Condition, DeltaRise, Threshold};
+use rcm::core::condition::{cond, Cmp};
 use rcm::core::{VarId, VarRegistry};
 use rcm::net::{Bernoulli, Lossless};
 use rcm::props::{check_complete_single, check_consistent_single, check_ordered};
@@ -21,7 +21,7 @@ fn sawtooth(n: usize) -> Vec<f64> {
 
 #[test]
 fn lossless_runtime_is_complete_and_consistent() {
-    let cond: Arc<dyn Condition> = Arc::new(DeltaRise::new(x(), 25.0));
+    let cond = Arc::new(cond::delta_rise(x(), 25.0));
     let system = MonitorSystem::builder(cond.clone())
         .replicas(3)
         .feed(VarFeed::new(x(), sawtooth(60)))
@@ -37,7 +37,7 @@ fn lossless_runtime_is_complete_and_consistent() {
 #[test]
 fn ad2_runtime_output_is_always_ordered() {
     for seed in 0..5u64 {
-        let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x(), Cmp::Gt, 20.0));
+        let cond = Arc::new(cond::threshold(x(), Cmp::Gt, 20.0));
         let system = MonitorSystem::builder(cond)
             .replicas(3)
             .feed(VarFeed::new(x(), sawtooth(80)))
@@ -55,7 +55,7 @@ fn ad2_runtime_output_is_always_ordered() {
 fn ad3_and_ad4_runtime_output_is_always_consistent() {
     for seed in 0..5u64 {
         for ad4 in [false, true] {
-            let cond: Arc<dyn Condition> = Arc::new(DeltaRise::new(x(), 25.0));
+            let cond = Arc::new(cond::delta_rise(x(), 25.0));
             let system =
                 MonitorSystem::builder(cond.clone())
                     .replicas(2)
@@ -90,7 +90,7 @@ fn compiled_expression_runs_through_the_runtime() {
     )
     .expect("valid source");
     let price = registry.lookup("price").expect("registered");
-    let cond: Arc<dyn Condition> = Arc::new(cond);
+    let cond = Arc::new(cond);
     let system = MonitorSystem::builder(cond.clone())
         .replicas(2)
         .feed(VarFeed::new(price, sawtooth(40)))
@@ -105,7 +105,7 @@ fn compiled_expression_runs_through_the_runtime() {
 #[test]
 fn streaming_feed_delivers_alerts_live() {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x(), Cmp::Gt, 100.0));
+    let cond = Arc::new(cond::threshold(x(), Cmp::Gt, 100.0));
     let (feed, tx) = rcm::runtime::VarFeed::streaming(x());
     let seen = Arc::new(AtomicUsize::new(0));
     let seen2 = Arc::clone(&seen);
@@ -137,7 +137,7 @@ fn streaming_feed_delivers_alerts_live() {
 #[test]
 fn replication_survives_a_totally_deaf_replica() {
     // One replica's link drops everything: the system still alerts.
-    let cond: Arc<dyn Condition> = Arc::new(Threshold::new(x(), Cmp::Gt, 50.0));
+    let cond = Arc::new(cond::threshold(x(), Cmp::Gt, 50.0));
     let system = MonitorSystem::builder(cond)
         .replicas(2)
         .feed(VarFeed::new(x(), vec![10.0, 60.0, 70.0]))

@@ -9,6 +9,7 @@
 //! extra seed batches (4× total budget) before declaring the paper's
 //! claim unreproduced.
 
+use rcm::core::Condition;
 use rcm::sim::montecarlo::{
     evaluate_cell_n, paper_expected, FilterKind, PropertyCounts, ScenarioKind, Topology,
 };

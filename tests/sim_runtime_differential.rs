@@ -8,7 +8,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rcm::core::condition::{Cmp, Condition, Conservative, DeltaRise, Threshold};
+use rcm::core::condition::expr::CompiledCondition;
+use rcm::core::condition::{cond, Cmp, Condition};
 use rcm::core::{Alert, CeId, SeqNo, VarId};
 use rcm::net::Scripted as ScriptedLoss;
 use rcm::runtime::{MonitorSystem, VarFeed};
@@ -25,7 +26,7 @@ fn values() -> Vec<f64> {
     vec![400.0, 700.0, 720.0, 1000.0, 980.0, 1300.0, 1290.0, 1600.0, 1580.0, 1900.0]
 }
 
-fn run_sim(cond: Arc<dyn Condition>) -> (Vec<Vec<u64>>, Vec<Vec<Alert>>) {
+fn run_sim(cond: Arc<CompiledCondition>) -> (Vec<Vec<u64>>, Vec<Vec<Alert>>) {
     let scenario = Scenario {
         condition: cond,
         replicas: 2,
@@ -74,9 +75,10 @@ fn run_runtime(cond: Arc<dyn Condition>) -> (Vec<Vec<u64>>, Vec<Vec<Alert>>) {
     (inputs, per_ce.into_values().collect())
 }
 
-fn compare(cond_sim: Arc<dyn Condition>, cond_rt: Arc<dyn Condition>) {
-    let (sim_inputs, sim_alerts) = run_sim(cond_sim);
-    let (rt_inputs, rt_alerts) = run_runtime(cond_rt);
+fn compare(cond: CompiledCondition) {
+    let cond = Arc::new(cond);
+    let (sim_inputs, sim_alerts) = run_sim(Arc::clone(&cond));
+    let (rt_inputs, rt_alerts) = run_runtime(cond);
     assert_eq!(sim_inputs, rt_inputs, "replicas received different updates");
     assert_eq!(sim_alerts.len(), rt_alerts.len());
     for (ce, (s, r)) in sim_alerts.iter().zip(&rt_alerts).enumerate() {
@@ -90,28 +92,22 @@ fn compare(cond_sim: Arc<dyn Condition>, cond_rt: Arc<dyn Condition>) {
 
 #[test]
 fn threshold_condition_agrees_across_substrates() {
-    compare(
-        Arc::new(Threshold::new(x(), Cmp::Gt, 900.0)),
-        Arc::new(Threshold::new(x(), Cmp::Gt, 900.0)),
-    );
+    compare(cond::threshold(x(), Cmp::Gt, 900.0));
 }
 
 #[test]
 fn aggressive_delta_agrees_across_substrates() {
-    compare(Arc::new(DeltaRise::new(x(), 200.0)), Arc::new(DeltaRise::new(x(), 200.0)));
+    compare(cond::delta_rise(x(), 200.0));
 }
 
 #[test]
 fn conservative_delta_agrees_across_substrates() {
-    compare(
-        Arc::new(Conservative::new(DeltaRise::new(x(), 200.0))),
-        Arc::new(Conservative::new(DeltaRise::new(x(), 200.0))),
-    );
+    compare(cond::conservative(cond::delta_rise(x(), 200.0)));
 }
 
 #[test]
 fn the_scripts_actually_drop_something() {
-    let (inputs, _) = run_sim(Arc::new(Threshold::new(x(), Cmp::Gt, 900.0)));
+    let (inputs, _) = run_sim(Arc::new(cond::threshold(x(), Cmp::Gt, 900.0)));
     assert_eq!(inputs[0].len(), values().len() - DROPS[0].len());
     assert_eq!(inputs[1].len(), values().len() - DROPS[1].len());
     assert!(!inputs[0].contains(&3)); // 0-based position 2 = seqno 3
