@@ -9,7 +9,7 @@ use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::seq::{inversions, project_alerts};
 use rcm_core::VarId;
 use rcm_json::Json;
-use rcm_props::{check_complete_single, check_consistent_single, check_ordered};
+use rcm_props::{check_complete_single, check_consistent_multi, check_ordered};
 use rcm_sim::availability::{sweep, AvailabilityPoint};
 use rcm_sim::montecarlo::{run_seed, ScenarioKind, Topology};
 use rcm_sim::multicond::{run_multi, MultiCondResult, MultiCondScenario, SharedWorkload};
@@ -222,7 +222,7 @@ pub(crate) fn multi_condition_sim(runs: u64, seed: u64) -> Record {
             t[0] += stream.len() as u64;
             t[1] += u64::from(!check_ordered(&stream, &[x]).ok);
             t[2] += u64::from(!check_complete_single(cond, inputs, &stream).ok);
-            t[3] += u64::from(!check_consistent_single(cond, inputs, &stream).ok);
+            t[3] += u64::from(!check_consistent_multi(cond, inputs, &stream).ok);
         }
     }
     let mut t = Table::new("streams", "Per-condition AD-4 streams", COLS);

@@ -2,13 +2,13 @@
 //! §4.1 domination results (Theorems 6 & 8), maximality (Theorems 5, 7
 //! & 9), the replica-count sweep and the AD-6 ablation.
 
-use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad3Multi, Ad4, Ad5, Ad6, AlertFilter};
+use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter};
 use rcm_core::condition::cond;
 use rcm_core::{transduce, Alert, CeId, Update, VarId};
 use rcm_json::Json;
 use rcm_props::domination::{check_domination, DominationReport};
 use rcm_props::maximality::{duplicate_free, probe_one_extra, seqno_duplicate_free};
-use rcm_props::{check_consistent_multi, check_consistent_single, check_ordered};
+use rcm_props::{check_consistent_multi, check_ordered};
 use rcm_sim::montecarlo::{evaluate_cell_n, FilterKind, ScenarioKind, Topology};
 
 use crate::executions;
@@ -117,7 +117,7 @@ pub(crate) fn domination(runs: u64, seed: u64) -> Record {
                 total,
                 pass_count(&workloads, || Box::new(Ad1::new())),
                 pass_count(&workloads, || Box::new(Ad2::new(x))),
-                pass_count(&workloads, || Box::new(Ad3::new(x))),
+                pass_count(&workloads, || Box::new(Ad3::new([x]))),
                 pass_count(&workloads, || Box::new(Ad4::new(x))),
             ],
         );
@@ -128,13 +128,13 @@ pub(crate) fn domination(runs: u64, seed: u64) -> Record {
         // state can diverge from AD-4's.
         let theorems = [
             check_domination(Ad1::new, || Ad2::new(x), &workloads),
-            check_domination(Ad1::new, || Ad3::new(x), &workloads),
+            check_domination(Ad1::new, || Ad3::new([x]), &workloads),
             check_domination(Ad1::new, || Ad4::new(x), &workloads),
         ];
         single_ok &= theorems.iter().all(|r| r.holds);
         let observed = [
             check_domination(|| Ad2::new(x), || Ad4::new(x), &workloads),
-            check_domination(|| Ad3::new(x), || Ad4::new(x), &workloads),
+            check_domination(|| Ad3::new([x]), || Ad4::new(x), &workloads),
         ];
         let words = theorems.iter().chain(&observed).map(domination_word);
         single.row(kind.label(), words);
@@ -178,11 +178,11 @@ pub(crate) fn maximality(runs: u64, seed: u64) -> Record {
             // remove duplicates (the AD's baseline duty), and at AD-2's
             // abstraction an alert IS its sequence numbers.
             let ordered = |a: &[Alert]| seqno_duplicate_free(a, &[x]) && check_ordered(a, &[x]).ok;
-            let consistent = |a: &[Alert]| check_consistent_single(&e.condition, &e.inputs, a).ok;
+            let consistent = |a: &[Alert]| check_consistent_multi(&e.condition, &e.inputs, a).ok;
             let reports = [
                 probe_one_extra(|| Ad2::new(x), &e.arrivals, ordered),
                 probe_one_extra(
-                    || Ad3::new(x),
+                    || Ad3::new([x]),
                     &e.arrivals,
                     |a| duplicate_free(a) && consistent(a),
                 ),
@@ -250,8 +250,9 @@ pub(crate) fn replication_sweep(runs: u64, seed: u64) -> Record {
 }
 
 /// Is AD-6's AD-5 (orderedness) half needed for multi-variable
-/// consistency? Without it (`Ad3Multi`), Theorem 10-style interleaving
-/// cycles that per-variable bookkeeping cannot see get through.
+/// consistency? Without it (`Ad3` over both variables), Theorem
+/// 10-style interleaving cycles that per-variable bookkeeping cannot
+/// see get through.
 pub(crate) fn ablation_ad6(runs: u64, seed: u64) -> Record {
     const COLS: &[Col] = &[
         col("scenario", "Scenario"),
@@ -268,12 +269,10 @@ pub(crate) fn ablation_ad6(runs: u64, seed: u64) -> Record {
         // [AD-6 shown, AD-6 inconsistent, ablated shown, ablated inconsistent]
         let mut row = [0u64; 4];
         for e in executions(kind, Topology::MultiVar, runs, seed) {
-            for (i, mut filter) in [
-                Box::new(Ad6::new([x, y])) as Box<dyn AlertFilter>,
-                Box::new(Ad3Multi::new([x, y])),
-            ]
-            .into_iter()
-            .enumerate()
+            for (i, mut filter) in
+                [Box::new(Ad6::new([x, y])) as Box<dyn AlertFilter>, Box::new(Ad3::new([x, y]))]
+                    .into_iter()
+                    .enumerate()
             {
                 let shown = apply_filter(&mut *filter, &e.arrivals);
                 row[2 * i] += shown.len() as u64;

@@ -1,25 +1,15 @@
 //! Algorithm AD-2: orderedness for single-variable systems (paper
-//! Fig. A-2).
+//! Fig. A-2), which is AD-5 over one variable.
 
-use rcm_json::{obj, Json};
-
-use crate::alert::Alert;
-use crate::update::SeqNo;
 use crate::var::VarId;
 
-use super::{watermark_from_json, AlertFilter, Decision, DiscardReason};
+use super::ad5::Ad5;
 
-/// Algorithm AD-2: discards any alert that arrives out of order,
-/// guaranteeing the displayed sequence is ordered in *all* systems —
-/// lossy or lossless links, conservative or aggressive conditions
-/// (Table 2).
-///
-/// The filter keeps the highest displayed `a.seqno.x` and discards any
-/// alert whose seqno is less than (*out of order*) or equal to
-/// (*duplicate*) it. Theorem 5 proves AD-2 is **maximally ordered**: no
-/// orderedness-guaranteeing filter passes strictly more alerts.
-/// Theorem 6 records the price: `AD-1 > AD-2` — orderedness is bought
-/// by dropping alerts a plain deduplicator would display.
+/// Algorithm AD-2: [`Ad5`] over the system's one variable, named
+/// "AD-2". It discards any alert whose seqno is below (*out of order*)
+/// or equal to (*duplicate*) the highest displayed one, so the output
+/// is ordered in all systems (Table 2). Theorem 5 proves it **maximally
+/// ordered**; Theorem 6 records the price, `AD-1 > AD-2`.
 ///
 /// ```rust
 /// use rcm_core::ad::{Ad2, AlertFilter};
@@ -29,78 +19,20 @@ use super::{watermark_from_json, AlertFilter, Decision, DiscardReason};
 /// #     HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(s)]), vec![],
 /// #     AlertId { ce: CeId::new(0), index: 0 });
 /// let mut ad = Ad2::new(VarId::new(0));
+/// assert_eq!(ad.name(), "AD-2");
 /// assert!(ad.offer(&mk(2)).is_deliver());
 /// assert!(!ad.offer(&mk(1)).is_deliver()); // Example 2: late alert dropped
 /// assert!(ad.offer(&mk(3)).is_deliver());
 /// ```
-#[derive(Debug, Clone)]
-pub struct Ad2 {
-    pub(super) var: VarId,
-    last: Option<SeqNo>,
-}
+#[derive(Debug)]
+pub enum Ad2 {}
 
 impl Ad2 {
-    /// Creates the filter for the system's single variable.
-    pub fn new(var: VarId) -> Self {
-        Ad2 { var, last: None }
-    }
-
-    /// The highest displayed seqno, if any alert was displayed.
-    pub fn last(&self) -> Option<SeqNo> {
-        self.last
-    }
-
-    /// The filter's state as a checkpoint: `{"var":…,"last":seqno|null}`.
-    pub fn to_json(&self) -> Json {
-        obj([("var", self.var.index().into()), ("last", self.last.map(SeqNo::get).into())])
-    }
-
-    /// Restores a filter from [`Ad2::to_json`]'s output.
-    ///
-    /// # Errors
-    ///
-    /// A document of any other shape.
-    pub fn from_json(j: &Json) -> rcm_json::Result<Self> {
-        let last = watermark_from_json(j.field("last")?)?;
-        Ok(Ad2 { var: VarId::new(j.field("var")?.u32()?), last })
-    }
-
-    /// Decision without committing state (used by AD-4).
-    pub(crate) fn check(&self, alert: &Alert) -> Decision {
-        let Some(seq) = alert.seqno(self.var) else {
-            // An alert not mentioning the variable cannot be ordered
-            // against anything; single-variable systems never produce
-            // one, so treat it as conflicting rather than guess.
-            return Decision::Discard(DiscardReason::Conflict);
-        };
-        match self.last {
-            Some(last) if seq < last => Decision::Discard(DiscardReason::OutOfOrder),
-            Some(last) if seq == last => Decision::Discard(DiscardReason::Duplicate),
-            _ => Decision::Deliver,
-        }
-    }
-
-    /// Records a delivered alert (used by AD-4).
-    pub(crate) fn commit(&mut self, alert: &Alert) {
-        self.last = alert.seqno(self.var);
-    }
-}
-
-impl AlertFilter for Ad2 {
-    fn name(&self) -> &'static str {
-        "AD-2"
-    }
-
-    fn offer(&mut self, alert: &Alert) -> Decision {
-        let d = self.check(alert);
-        if d.is_deliver() {
-            self.commit(alert);
-        }
-        d
-    }
-
-    fn reset(&mut self) {
-        self.last = None;
+    /// `Ad5::new([var])`.
+    // AD-2 is AD-5 over one variable, so there is no AD-2 value to return.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(var: VarId) -> Ad5 {
+        Ad5::new([var])
     }
 }
 
@@ -108,8 +40,10 @@ impl AlertFilter for Ad2 {
 mod tests {
     use super::*;
     use crate::ad::testutil::alert1;
+    use crate::ad::{AlertFilter, Decision, DiscardReason};
+    use crate::update::SeqNo;
 
-    fn ad() -> Ad2 {
+    fn ad() -> Ad5 {
         Ad2::new(VarId::new(0))
     }
 
@@ -134,7 +68,7 @@ mod tests {
         // different histories; AD-2 still drops the second (seqno <= last).
         let mut f = ad();
         assert!(f.offer(&alert1(&[3, 2])).is_deliver());
-        assert!(!f.offer(&alert1(&[3, 1])).is_deliver());
+        assert_eq!(f.offer(&alert1(&[3, 1])), Decision::Discard(DiscardReason::Duplicate));
     }
 
     #[test]
@@ -143,13 +77,13 @@ mod tests {
         for s in 1..=10u64 {
             assert!(f.offer(&alert1(&[s])).is_deliver());
         }
-        assert_eq!(f.last(), Some(SeqNo::new(10)));
+        assert_eq!(f.watermark(VarId::new(0)), Some(SeqNo::new(10)));
     }
 
     #[test]
     fn alert_missing_variable_is_rejected() {
         let mut f = Ad2::new(VarId::new(9));
-        assert!(!f.offer(&alert1(&[1])).is_deliver());
+        assert_eq!(f.offer(&alert1(&[1])), Decision::Discard(DiscardReason::Conflict));
     }
 
     #[test]

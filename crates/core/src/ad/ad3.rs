@@ -1,7 +1,7 @@
-//! Algorithm AD-3: consistency for single-variable systems (paper
-//! Fig. A-3).
+//! Algorithm AD-3: consistency over a variable set (paper Fig. A-3,
+//! and the multi-variable version AD-6 is built from, §5.2).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 use rcm_json::{obj, Json};
@@ -11,10 +11,11 @@ use crate::seq::{spanning_gaps, spanning_set, IntervalSet};
 use crate::update::SeqNo;
 use crate::var::VarId;
 
-use super::{alerts_from_json, alerts_to_json, AlertFilter, Decision, DiscardReason};
+use super::{alerts_from_json, alerts_to_json, per_var_from_json, per_var_to_json, var_map};
+use super::{AlertFilter, Decision, DiscardReason};
 
-/// Per-variable received/missed bookkeeping strategy shared by AD-3,
-/// AD-4, AD-6 and the [`Ad3Multi`](super::Ad3Multi) ablation.
+/// Per-variable received/missed bookkeeping strategy shared by AD-3
+/// and AD-6.
 ///
 /// Displaying an alert asserts that every seqno in its history was
 /// *received* by the hypothetical single CE `U'`, and every seqno in a
@@ -154,48 +155,105 @@ impl ConsistencyState for BTreeConsistency {
     }
 }
 
+/// One received/missed pair per variable: the paper's `Conflicts(H)`
+/// and `UpdateState(H)` over a variable set, shared by AD-3 and AD-6.
+#[derive(Debug, Clone)]
+pub(super) struct PerVar<W>(BTreeMap<VarId, W>);
+
+impl<W: ConsistencyState> PerVar<W> {
+    /// # Panics
+    ///
+    /// Panics if `vars` is empty or contains duplicates.
+    pub(super) fn new(vars: impl IntoIterator<Item = VarId>) -> Self {
+        PerVar(var_map(vars, W::default))
+    }
+
+    pub(super) fn vars(&self) -> impl Iterator<Item = &VarId> {
+        self.0.keys()
+    }
+
+    /// Whether displaying `alert` would need some update both received
+    /// and missed; an alert lacking a variable conflicts.
+    pub(super) fn conflicts(&self, alert: &Alert) -> bool {
+        self.0.iter().any(|(&var, state)| match alert.fingerprint.seqnos(var) {
+            Some(seqnos) => state.conflicts(seqnos),
+            None => true,
+        })
+    }
+
+    pub(super) fn record(&mut self, alert: &Alert) {
+        for (&var, state) in self.0.iter_mut() {
+            if let Some(seqnos) = alert.fingerprint.seqnos(var) {
+                state.record(seqnos);
+            }
+        }
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.0.values_mut().for_each(W::clear);
+    }
+}
+
+impl PerVar<VarConsistency> {
+    /// `[[var,{"received":…,"missed":…}], …]`, in variable order.
+    pub(super) fn to_json(&self) -> Json {
+        per_var_to_json(&self.0, VarConsistency::to_json)
+    }
+
+    pub(super) fn from_json(j: &Json) -> rcm_json::Result<Self> {
+        per_var_from_json(j, VarConsistency::from_json).map(PerVar)
+    }
+}
+
 /// Algorithm AD-3: guarantees **consistency** in all single-variable
 /// systems by refusing to display two alerts that require some update
 /// to be in a conflicting received/missed state.
 ///
-/// For every displayed alert the filter records the history's seqnos in
-/// a `Received` set and the gaps of the history's span in a `Missed`
-/// set; an arriving alert whose history contains a `Missed` seqno, or
-/// whose span-gaps contain a `Received` seqno, is discarded
-/// (`Conflicts` in Fig. A-3). The `Received` set is itself the witness
-/// `U' ⊑ U1 ⊔ U2` of the consistency definition — the proof of
-/// Theorem 7 shows `ΦA ⊆ ΦT(Received)` and that AD-3 is **maximally
-/// consistent**.
+/// For every displayed alert the filter records, per variable, the
+/// history's seqnos in a `Received` set and the gaps of the history's
+/// span in a `Missed` set; an arriving alert whose history contains a
+/// `Missed` seqno, or whose span-gaps contain a `Received` seqno, is
+/// discarded (`Conflicts` in Fig. A-3), as is an alert lacking a
+/// variable. The `Received` set is itself the witness `U' ⊑ U1 ⊔ U2`
+/// of the consistency definition — the proof of Theorem 7 shows
+/// `ΦA ⊆ ΦT(Received)` and that AD-3 is **maximally consistent**.
 ///
 /// Exact duplicates are also removed. The paper's Fig. A-3 pseudo-code
 /// leaves the duplicate test implicit, but Theorem 8 (`AD-1 > AD-3`,
 /// "AD-3 filters out at least all the alerts filtered by AD-1")
 /// requires it, so this implementation includes it.
 ///
+/// Over several variables ("AD-3/multi") it is AD-6 with its AD-5 half
+/// removed, an ablation: it keeps each variable consistent on its own
+/// but not the set. Theorem 10's `a(2x,1y)` and `a(1x,2y)` have no
+/// per-variable conflict, yet no arrival order triggers both (the first
+/// needs `2x` before `2y`, the second `2y` before `2x`); the proof of
+/// Lemma 5 shows it is the orderedness of AD-5's output that excludes
+/// such interleaving cycles.
+///
 /// The bookkeeping strategy is pluggable: `Ad3` defaults to the
 /// interval-backed [`VarConsistency`]; `Ad3::<BTreeConsistency>::with_state`
 /// builds the reference variant.
 #[derive(Debug, Clone)]
 pub struct Ad3<W = VarConsistency> {
-    pub(super) var: VarId,
-    state: W,
+    consistency: PerVar<W>,
     seen: HashSet<Alert>,
 }
 
 impl Ad3 {
-    /// Creates the filter for the system's single variable.
-    pub fn new(var: VarId) -> Self {
-        Self::with_state(var)
+    /// Creates the filter for the condition's variable set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars` is empty or contains duplicates.
+    pub fn new(vars: impl IntoIterator<Item = VarId>) -> Self {
+        Self::with_state(vars)
     }
 
     /// The filter's state as a checkpoint:
-    /// `{"var":…,"state":{"received":…,"missed":…},"seen":[alert, …]}`.
+    /// `{"consistency":[[var,{"received":…,"missed":…}], …],"seen":[alert, …]}`.
     pub fn to_json(&self) -> Json {
-        obj([
-            ("var", self.var.index().into()),
-            ("state", self.state.to_json()),
-            ("seen", alerts_to_json(&self.seen)),
-        ])
+        obj([("consistency", self.consistency.to_json()), ("seen", alerts_to_json(&self.seen))])
     }
 
     /// Restores a filter from [`Ad3::to_json`]'s output, `Received` and
@@ -204,11 +262,11 @@ impl Ad3 {
     ///
     /// # Errors
     ///
-    /// A document of any other shape.
+    /// A document of any other shape, an empty variable set or a
+    /// variable listed twice.
     pub fn from_json(j: &Json) -> rcm_json::Result<Self> {
         Ok(Ad3 {
-            var: VarId::new(j.field("var")?.u32()?),
-            state: VarConsistency::from_json(j.field("state")?)?,
+            consistency: PerVar::from_json(j.field("consistency")?)?,
             seen: alerts_from_json(j.field("seen")?)?,
         })
     }
@@ -216,58 +274,46 @@ impl Ad3 {
 
 impl<W: ConsistencyState> Ad3<W> {
     /// Creates the filter with an explicit bookkeeping strategy, e.g.
-    /// `Ad3::<BTreeConsistency>::with_state(x)` for the reference.
-    pub fn with_state(var: VarId) -> Self {
-        Ad3 { var, state: W::default(), seen: HashSet::new() }
+    /// `Ad3::<BTreeConsistency>::with_state([x])` for the reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars` is empty or contains duplicates.
+    pub fn with_state(vars: impl IntoIterator<Item = VarId>) -> Self {
+        Ad3 { consistency: PerVar::new(vars), seen: HashSet::new() }
     }
 
-    /// The committed `Received` set: the witness `U'` for consistency,
-    /// as ascending seqnos. Borrows from the filter instead of
-    /// materializing a `Vec`, so checkers can poll it per alert for
-    /// free.
-    pub fn received(&self) -> impl Iterator<Item = SeqNo> + '_ {
-        self.state.received().map(SeqNo::new)
-    }
-
-    /// Decision without committing state (used by AD-4).
-    pub(crate) fn check(&self, alert: &Alert) -> Decision {
-        if self.seen.contains(alert) {
-            return Decision::Discard(DiscardReason::Duplicate);
-        }
-        let Some(seqnos) = alert.fingerprint.seqnos(self.var) else {
-            return Decision::Discard(DiscardReason::Conflict);
-        };
-        if self.state.conflicts(seqnos) {
-            Decision::Discard(DiscardReason::Conflict)
-        } else {
-            Decision::Deliver
-        }
-    }
-
-    /// Records a delivered alert (used by AD-4).
-    pub(crate) fn commit(&mut self, alert: &Alert) {
-        if let Some(seqnos) = alert.fingerprint.seqnos(self.var) {
-            self.state.record(seqnos);
-        }
-        self.seen.insert(alert.clone());
+    /// The committed `Received` set of `var`: the witness `U'` for
+    /// consistency, as ascending seqnos (none for a variable the filter
+    /// does not watch).
+    pub fn received(&self, var: VarId) -> impl Iterator<Item = SeqNo> + '_ {
+        self.consistency.0.get(&var).into_iter().flat_map(|s| s.received().map(SeqNo::new))
     }
 }
 
 impl<W: ConsistencyState> AlertFilter for Ad3<W> {
     fn name(&self) -> &'static str {
-        "AD-3"
+        if self.consistency.0.len() == 1 {
+            "AD-3"
+        } else {
+            "AD-3/multi"
+        }
     }
 
     fn offer(&mut self, alert: &Alert) -> Decision {
-        let d = self.check(alert);
-        if d.is_deliver() {
-            self.commit(alert);
+        if self.seen.contains(alert) {
+            return Decision::Discard(DiscardReason::Duplicate);
         }
-        d
+        if self.consistency.conflicts(alert) {
+            return Decision::Discard(DiscardReason::Conflict);
+        }
+        self.consistency.record(alert);
+        self.seen.insert(alert.clone());
+        Decision::Deliver
     }
 
     fn reset(&mut self) {
-        self.state.clear();
+        self.consistency.clear();
         self.seen.clear();
     }
 }
@@ -277,8 +323,15 @@ mod tests {
     use super::*;
     use crate::ad::testutil::alert1;
 
+    fn x() -> VarId {
+        VarId::new(0)
+    }
+    fn y() -> VarId {
+        VarId::new(1)
+    }
+
     fn ad() -> Ad3 {
-        Ad3::new(VarId::new(0))
+        Ad3::new([x()])
     }
 
     #[test]
@@ -328,14 +381,15 @@ mod tests {
         let mut f = ad();
         f.offer(&alert1(&[3, 1]));
         f.offer(&alert1(&[5, 4]));
-        let w: Vec<u64> = f.received().map(|s| s.get()).collect();
+        let w: Vec<u64> = f.received(x()).map(|s| s.get()).collect();
         assert_eq!(w, vec![1, 3, 4, 5]);
+        assert_eq!(f.received(y()).count(), 0, "a variable the filter does not watch");
     }
 
     #[test]
     fn missing_variable_conflicts() {
-        let mut f = Ad3::new(VarId::new(9));
-        assert!(!f.offer(&alert1(&[1])).is_deliver());
+        let mut f = Ad3::new([VarId::new(9)]);
+        assert_eq!(f.offer(&alert1(&[1])), Decision::Discard(DiscardReason::Conflict));
     }
 
     #[test]
@@ -365,13 +419,13 @@ mod tests {
     #[test]
     fn reference_variant_agrees_on_the_paper_examples() {
         let mut fast = ad();
-        let mut reference = Ad3::<BTreeConsistency>::with_state(VarId::new(0));
+        let mut reference = Ad3::<BTreeConsistency>::with_state([x()]);
         for h in [&[3u64, 1][..], &[3, 2], &[2, 1], &[4, 3], &[3, 1], &[7, 4]] {
             let a = alert1(h);
             assert_eq!(fast.offer(&a), reference.offer(&a), "history {h:?}");
         }
-        let f: Vec<u64> = fast.received().map(|s| s.get()).collect();
-        let r: Vec<u64> = reference.received().map(|s| s.get()).collect();
+        let f: Vec<u64> = fast.received(x()).map(|s| s.get()).collect();
+        let r: Vec<u64> = reference.received(x()).map(|s| s.get()).collect();
         assert_eq!(f, r);
     }
 
@@ -382,6 +436,6 @@ mod tests {
         for s in 1..=100u64 {
             f.offer(&alert1(&[s + 1, s]));
         }
-        assert_eq!(f.state.num_runs(), (1, 0));
+        assert_eq!(f.consistency.0[&x()].num_runs(), (1, 0));
     }
 }

@@ -1,142 +1,13 @@
-//! The multi-variable version of AD-3 on its own — an ablation of
-//! AD-6.
-//!
-//! The paper builds AD-6 by combining AD-5 (orderedness) with "the
-//! multi-variable version of Algorithm AD-3" (per-variable
-//! `Received`/`Missed` bookkeeping). A natural question is whether the
-//! AD-3 half alone would already guarantee consistency, making the
-//! AD-5 half a pure orderedness add-on.
-//!
-//! **It would not.** Multi-variable inconsistency has a second source
-//! that per-variable bookkeeping cannot see: *interleaving cycles*.
-//! Theorem 10's counterexample — `a(2x,1y)` and `a(1x,2y)` with
-//! degree-1 histories — has no per-variable conflict at all (no gaps,
-//! nothing missed), yet no single sequence of arrivals can trigger
-//! both alerts: the first needs `2x` before `2y`, the second `2y`
-//! before `2x`. The proof of Lemma 5 shows it is exactly the
-//! *orderedness* of AD-5's output that excludes such cycles; with the
-//! AD-5 half removed the cycles come back.
-//!
-//! [`Ad3Multi`] implements the ablated filter so the gap is
-//! measurable — see the `ablation_ad6` experiment binary.
-
-use std::collections::{BTreeMap, HashSet};
-
-use rcm_json::{obj, Json};
-
-use crate::alert::Alert;
-use crate::var::VarId;
-
-use super::ad3::{ConsistencyState, VarConsistency};
-use super::{alerts_from_json, alerts_to_json, per_var_from_json, per_var_to_json};
-use super::{AlertFilter, Decision, DiscardReason};
-
-/// Per-variable consistency filtering only (AD-6 without its AD-5
-/// half). Guarantees that no two displayed alerts make conflicting
-/// received/missed claims about any single variable — but does **not**
-/// guarantee multi-variable consistency, because interleaving cycles
-/// pass through untouched.
-///
-/// Like [`super::Ad3`], the per-variable bookkeeping is pluggable via
-/// the `W` parameter; the default is the interval-backed
-/// [`VarConsistency`].
-#[derive(Debug, Clone)]
-pub struct Ad3Multi<W = VarConsistency> {
-    consistency: BTreeMap<VarId, W>,
-    seen: HashSet<Alert>,
-}
-
-impl Ad3Multi {
-    /// Creates the filter for the condition's variable set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vars` is empty or contains duplicates.
-    pub fn new(vars: impl IntoIterator<Item = VarId>) -> Self {
-        Self::with_state(vars)
-    }
-
-    /// The filter's state as a checkpoint:
-    /// `{"consistency":[[var,{"received":…,"missed":…}], …],"seen":[alert, …]}`.
-    pub fn to_json(&self) -> Json {
-        obj([
-            ("consistency", per_var_to_json(&self.consistency, VarConsistency::to_json)),
-            ("seen", alerts_to_json(&self.seen)),
-        ])
-    }
-
-    /// Restores a filter from [`Ad3Multi::to_json`]'s output.
-    ///
-    /// # Errors
-    ///
-    /// A document of any other shape, an empty variable set or a
-    /// variable listed twice.
-    pub fn from_json(j: &Json) -> rcm_json::Result<Self> {
-        Ok(Ad3Multi {
-            consistency: per_var_from_json(j.field("consistency")?, VarConsistency::from_json)?,
-            seen: alerts_from_json(j.field("seen")?)?,
-        })
-    }
-}
-
-impl<W: ConsistencyState> Ad3Multi<W> {
-    /// Creates the filter with an explicit bookkeeping strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vars` is empty or contains duplicates.
-    pub fn with_state(vars: impl IntoIterator<Item = VarId>) -> Self {
-        let mut consistency = BTreeMap::new();
-        for v in vars {
-            let prev = consistency.insert(v, W::default());
-            assert!(prev.is_none(), "duplicate variable {v} in variable set");
-        }
-        assert!(!consistency.is_empty(), "needs at least one variable");
-        Ad3Multi { consistency, seen: HashSet::new() }
-    }
-}
-
-impl<W: ConsistencyState> AlertFilter for Ad3Multi<W> {
-    fn name(&self) -> &'static str {
-        "AD-3/multi"
-    }
-
-    fn offer(&mut self, alert: &Alert) -> Decision {
-        if self.seen.contains(alert) {
-            return Decision::Discard(DiscardReason::Duplicate);
-        }
-        let conflicts =
-            self.consistency.iter().any(|(&var, state)| match alert.fingerprint.seqnos(var) {
-                Some(seqnos) => state.conflicts(seqnos),
-                None => true,
-            });
-        if conflicts {
-            return Decision::Discard(DiscardReason::Conflict);
-        }
-        for (&var, state) in self.consistency.iter_mut() {
-            if let Some(seqnos) = alert.fingerprint.seqnos(var) {
-                state.record(seqnos);
-            }
-        }
-        self.seen.insert(alert.clone());
-        Decision::Deliver
-    }
-
-    fn reset(&mut self) {
-        for state in self.consistency.values_mut() {
-            state.clear();
-        }
-        self.seen.clear();
-    }
-}
+//! Tests of [`Ad3`](super::Ad3) over several variables ("AD-3/multi"),
+//! the ablation of AD-6 that Theorem 10's interleaving cycles pass.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::ad::testutil::alert2;
-    use crate::ad::Ad6;
-    use crate::alert::{AlertId, CeId, CondId, HistoryFingerprint};
+    use crate::ad::{Ad3, Ad6, AlertFilter, Decision, DiscardReason};
+    use crate::alert::{Alert, AlertId, CeId, CondId, HistoryFingerprint};
     use crate::update::SeqNo;
+    use crate::var::VarId;
 
     fn x() -> VarId {
         VarId::new(0)
@@ -158,7 +29,7 @@ mod tests {
                 AlertId { ce: CeId::new(0), index: 0 },
             )
         };
-        let mut f = Ad3Multi::new([x(), y()]);
+        let mut f = Ad3::new([x(), y()]);
         assert!(f.offer(&alert22(&[3, 1], &[1])).is_deliver()); // x: Missed = {2}
         assert_eq!(f.offer(&alert22(&[4, 3, 2], &[2])), Decision::Discard(DiscardReason::Conflict));
     }
@@ -168,7 +39,7 @@ mod tests {
         // The ablation's defining failure: both Theorem-10 alerts pass
         // (no per-variable conflict), though together they are
         // inconsistent. AD-6 (with the AD-5 half) drops the second.
-        let mut ablated = Ad3Multi::new([x(), y()]);
+        let mut ablated = Ad3::new([x(), y()]);
         assert!(ablated.offer(&alert2(2, 1)).is_deliver());
         assert!(ablated.offer(&alert2(1, 2)).is_deliver(), "cycle undetected by design");
 
@@ -179,14 +50,14 @@ mod tests {
 
     #[test]
     fn duplicates_removed() {
-        let mut f = Ad3Multi::new([x(), y()]);
+        let mut f = Ad3::new([x(), y()]);
         assert!(f.offer(&alert2(1, 1)).is_deliver());
         assert_eq!(f.offer(&alert2(1, 1)), Decision::Discard(DiscardReason::Duplicate));
     }
 
     #[test]
     fn reset_clears() {
-        let mut f = Ad3Multi::new([x(), y()]);
+        let mut f = Ad3::new([x(), y()]);
         f.offer(&alert2(3, 1));
         f.reset();
         assert!(f.offer(&alert2(1, 1)).is_deliver());
@@ -195,6 +66,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one variable")]
     fn empty_vars_rejected() {
-        Ad3Multi::new(Vec::<VarId>::new());
+        Ad3::new(Vec::<VarId>::new());
     }
 }

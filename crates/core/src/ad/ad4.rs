@@ -1,91 +1,23 @@
-//! Algorithm AD-4: orderedness and consistency combined (paper
-//! Fig. A-4).
+//! Algorithm AD-4: orderedness and consistency for single-variable
+//! systems (paper Fig. A-4), which is AD-6 over one variable.
 
-use rcm_json::{obj, Json};
-
-use crate::alert::Alert;
 use crate::var::VarId;
 
-use super::ad2::Ad2;
-use super::ad3::{Ad3, ConsistencyState, VarConsistency};
-use super::{AlertFilter, Decision};
+use super::ad6::Ad6;
 
-/// Algorithm AD-4: discards any alert that would be discarded by either
-/// [`Ad2`] or [`Ad3`], guaranteeing both orderedness and consistency in
-/// every single-variable system (Theorem 9: maximally "ordered and
-/// consistent").
-///
-/// System properties under AD-4 match Table 2 except that the
-/// aggressive-triggering row is also consistent.
-///
-/// Like [`Ad3`], the consistency bookkeeping is pluggable via the `W`
-/// parameter; the default is the interval-backed [`VarConsistency`].
-#[derive(Debug, Clone)]
-pub struct Ad4<W = VarConsistency> {
-    ordered: Ad2,
-    consistent: Ad3<W>,
-}
+/// Algorithm AD-4: [`Ad6`] over the system's one variable, named
+/// "AD-4". It discards any alert AD-2 or AD-3 would discard, so every
+/// single-variable system is ordered and consistent (Theorem 9:
+/// maximally so).
+#[derive(Debug)]
+pub enum Ad4 {}
 
 impl Ad4 {
-    /// Creates the filter for the system's single variable.
-    pub fn new(var: VarId) -> Self {
-        Self::with_state(var)
-    }
-
-    /// The filter's state as a checkpoint: its AD-2 and AD-3 halves,
-    /// `{"ordered":…,"consistent":…}`.
-    pub fn to_json(&self) -> Json {
-        obj([("ordered", self.ordered.to_json()), ("consistent", self.consistent.to_json())])
-    }
-
-    /// Restores a filter from [`Ad4::to_json`]'s output.
-    ///
-    /// # Errors
-    ///
-    /// A document of any other shape, or halves watching different
-    /// variables.
-    pub fn from_json(j: &Json) -> rcm_json::Result<Self> {
-        let ordered = Ad2::from_json(j.field("ordered")?)?;
-        let consistent = Ad3::from_json(j.field("consistent")?)?;
-        if ordered.var != consistent.var {
-            return Err(rcm_json::Error::new("AD-4's halves watch different variables"));
-        }
-        Ok(Ad4 { ordered, consistent })
-    }
-}
-
-impl<W: ConsistencyState> Ad4<W> {
-    /// Creates the filter with an explicit bookkeeping strategy for the
-    /// AD-3 half.
-    pub fn with_state(var: VarId) -> Self {
-        Ad4 { ordered: Ad2::new(var), consistent: Ad3::with_state(var) }
-    }
-}
-
-impl<W: ConsistencyState> AlertFilter for Ad4<W> {
-    fn name(&self) -> &'static str {
-        "AD-4"
-    }
-
-    fn offer(&mut self, alert: &Alert) -> Decision {
-        // Check both components before committing either, so a discard
-        // by one leaves the other's state untouched.
-        let d2 = self.ordered.check(alert);
-        if !d2.is_deliver() {
-            return d2;
-        }
-        let d3 = self.consistent.check(alert);
-        if !d3.is_deliver() {
-            return d3;
-        }
-        self.ordered.commit(alert);
-        self.consistent.commit(alert);
-        Decision::Deliver
-    }
-
-    fn reset(&mut self) {
-        self.ordered.reset();
-        self.consistent.reset();
+    /// `Ad6::new([var])`.
+    // AD-4 is AD-6 over one variable, so there is no AD-4 value to return.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(var: VarId) -> Ad6 {
+        Ad6::new([var])
     }
 }
 
@@ -93,9 +25,9 @@ impl<W: ConsistencyState> AlertFilter for Ad4<W> {
 mod tests {
     use super::*;
     use crate::ad::testutil::alert1;
-    use crate::ad::DiscardReason;
+    use crate::ad::{AlertFilter, Decision, DiscardReason};
 
-    fn ad() -> Ad4 {
+    fn ad() -> Ad6 {
         Ad4::new(VarId::new(0))
     }
 
@@ -125,8 +57,9 @@ mod tests {
     fn rejected_alert_does_not_pollute_state() {
         let mut f = ad();
         assert!(f.offer(&alert1(&[3, 1])).is_deliver()); // Missed = {2}
-                                                         // Dropped by AD-2 (out of order); its history must NOT be recorded
-                                                         // by the AD-3 half…
+
+        // Dropped as out of order; its history must NOT be recorded by
+        // the consistency half…
         assert!(!f.offer(&alert1(&[2, 1])).is_deliver());
         // …so an alert consistent with the FIRST alert still passes even
         // though it would conflict with the rejected one.

@@ -1,5 +1,4 @@
-//! Algorithm AD-5: orderedness for multi-variable systems (paper
-//! Fig. A-5).
+//! Algorithm AD-5: orderedness over a variable set (paper Fig. A-5).
 
 use std::collections::BTreeMap;
 
@@ -9,25 +8,25 @@ use crate::alert::Alert;
 use crate::update::SeqNo;
 use crate::var::VarId;
 
-use super::{per_var_from_json, per_var_to_json, watermark_from_json};
+use super::{per_var_from_json, per_var_to_json, var_map, watermark_from_json};
 use super::{AlertFilter, Decision, DiscardReason};
 
-/// Algorithm AD-5: the multi-variable generalization of [`Ad2`]
-/// (paper §5.1).
+/// Algorithm AD-5: the multi-variable generalization of AD-2
+/// (paper §5.1), and AD-2 itself over one variable ([`Ad2`](super::Ad2)).
 ///
 /// For every displayed alert the filter records its seqno with respect
 /// to each variable; an arriving alert is discarded if any of its
 /// seqnos would *decrease* a recorded watermark (displaying it would
 /// produce an output unordered in that variable), or if **all** its
-/// seqnos equal the watermarks (a duplicate).
+/// seqnos equal the watermarks (a duplicate). An alert that lacks a
+/// variable cannot be ordered against anything and is discarded as
+/// conflicting.
 ///
-/// Lemma 4 proves the output is ordered; Lemma 5 shows AD-5 also makes
+/// Lemma 4 proves the output ordered; Lemma 5 shows AD-5 also makes
 /// most systems consistent (all but aggressively triggered historical
 /// conditions); Lemma 6 shows multi-variable systems under AD-5 remain
 /// incomplete (Table 3). The paper's pseudo-code is for two variables;
 /// this implementation generalizes to any number.
-///
-/// [`Ad2`]: super::Ad2
 #[derive(Debug, Clone)]
 pub struct Ad5 {
     pub(super) last: BTreeMap<VarId, Option<SeqNo>>,
@@ -40,13 +39,7 @@ impl Ad5 {
     ///
     /// Panics if `vars` is empty or contains duplicates.
     pub fn new(vars: impl IntoIterator<Item = VarId>) -> Self {
-        let mut last = BTreeMap::new();
-        for v in vars {
-            let prev = last.insert(v, None);
-            assert!(prev.is_none(), "duplicate variable {v} in AD-5 variable set");
-        }
-        assert!(!last.is_empty(), "AD-5 needs at least one variable");
-        Ad5 { last }
+        Ad5 { last: var_map(vars, || None) }
     }
 
     /// The recorded watermark for `var`.
@@ -71,7 +64,7 @@ impl Ad5 {
     }
 
     /// Decision without committing state (used by AD-6).
-    pub(crate) fn check(&self, alert: &Alert) -> Decision {
+    pub(super) fn check(&self, alert: &Alert) -> Decision {
         let mut all_equal = true;
         for (&var, &last) in &self.last {
             let Some(seq) = alert.seqno(var) else {
@@ -91,7 +84,7 @@ impl Ad5 {
     }
 
     /// Records a delivered alert (used by AD-6).
-    pub(crate) fn commit(&mut self, alert: &Alert) {
+    pub(super) fn commit(&mut self, alert: &Alert) {
         for (&var, last) in self.last.iter_mut() {
             *last = alert.seqno(var);
         }
@@ -100,7 +93,11 @@ impl Ad5 {
 
 impl AlertFilter for Ad5 {
     fn name(&self) -> &'static str {
-        "AD-5"
+        if self.last.len() == 1 {
+            "AD-2"
+        } else {
+            "AD-5"
+        }
     }
 
     fn offer(&mut self, alert: &Alert) -> Decision {

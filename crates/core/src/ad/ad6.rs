@@ -1,22 +1,27 @@
-//! Algorithm AD-6: orderedness and consistency for multi-variable
-//! systems (paper Fig. A-6).
-
-use std::collections::BTreeMap;
+//! Algorithm AD-6: orderedness and consistency over a variable set
+//! (paper Fig. A-6).
 
 use rcm_json::{obj, Json};
 
 use crate::alert::Alert;
 use crate::var::VarId;
 
-use super::ad3::{ConsistencyState, VarConsistency};
+use super::ad3::{ConsistencyState, PerVar, VarConsistency};
 use super::ad5::Ad5;
-use super::{per_var_from_json, per_var_to_json, AlertFilter, Decision, DiscardReason};
+use super::{AlertFilter, Decision, DiscardReason};
 
-/// Algorithm AD-6: combines [`Ad5`] (multi-variable orderedness) with
-/// the multi-variable version of AD-3 (one `Received`/`Missed` pair per
-/// variable), enforcing both orderedness and consistency (paper §5.2).
+/// Algorithm AD-6: combines [`Ad5`] (orderedness) with the
+/// multi-variable version of AD-3 (one `Received`/`Missed` pair per
+/// variable), enforcing both orderedness and consistency (paper §5.2);
+/// over one variable it is AD-4 ([`Ad4`](super::Ad4)).
 ///
-/// System properties match Table 3 except that the
+/// An alert is displayed only if neither half would discard it; the
+/// ordered half decides first, and a discard by either leaves both
+/// halves' state untouched. No `seen` set is needed: an alert equal to
+/// a displayed one has every seqno at or below the watermarks, so the
+/// ordered half discards it first.
+///
+/// System properties match Tables 2 and 3 except that the
 /// aggressive-triggering row is also consistent.
 ///
 /// Like [`super::Ad3`], the per-variable bookkeeping is pluggable via
@@ -25,7 +30,7 @@ use super::{per_var_from_json, per_var_to_json, AlertFilter, Decision, DiscardRe
 #[derive(Debug, Clone)]
 pub struct Ad6<W = VarConsistency> {
     ordered: Ad5,
-    consistency: BTreeMap<VarId, W>,
+    consistency: PerVar<W>,
 }
 
 impl Ad6 {
@@ -33,7 +38,7 @@ impl Ad6 {
     ///
     /// # Panics
     ///
-    /// Panics if `vars` is empty or contains duplicates (via [`Ad5`]).
+    /// Panics if `vars` is empty or contains duplicates.
     pub fn new(vars: impl IntoIterator<Item = VarId>) -> Self {
         Self::with_state(vars)
     }
@@ -42,10 +47,7 @@ impl Ad6 {
     /// `Received`/`Missed` pair per variable,
     /// `{"ordered":…,"consistency":[[var,{"received":…,"missed":…}], …]}`.
     pub fn to_json(&self) -> Json {
-        obj([
-            ("ordered", self.ordered.to_json()),
-            ("consistency", per_var_to_json(&self.consistency, VarConsistency::to_json)),
-        ])
+        obj([("ordered", self.ordered.to_json()), ("consistency", self.consistency.to_json())])
     }
 
     /// Restores a filter from [`Ad6::to_json`]'s output.
@@ -56,8 +58,8 @@ impl Ad6 {
     /// variable sets.
     pub fn from_json(j: &Json) -> rcm_json::Result<Self> {
         let ordered = Ad5::from_json(j.field("ordered")?)?;
-        let consistency = per_var_from_json(j.field("consistency")?, VarConsistency::from_json)?;
-        if !ordered.last.keys().eq(consistency.keys()) {
+        let consistency = PerVar::from_json(j.field("consistency")?)?;
+        if !ordered.last.keys().eq(consistency.vars()) {
             return Err(rcm_json::Error::new("AD-6's halves watch different variables"));
         }
         Ok(Ad6 { ordered, consistency })
@@ -70,27 +72,21 @@ impl<W: ConsistencyState> Ad6<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `vars` is empty or contains duplicates (via [`Ad5`]).
+    /// Panics if `vars` is empty or contains duplicates.
     pub fn with_state(vars: impl IntoIterator<Item = VarId>) -> Self {
-        let vars: Vec<VarId> = vars.into_iter().collect();
-        let ordered = Ad5::new(vars.iter().copied());
-        let consistency = vars.into_iter().map(|v| (v, W::default())).collect();
+        let ordered = Ad5::new(vars);
+        let consistency = PerVar::new(ordered.last.keys().copied());
         Ad6 { ordered, consistency }
-    }
-
-    fn conflicts(&self, alert: &Alert) -> bool {
-        self.consistency.iter().any(|(&var, state)| {
-            match alert.fingerprint.seqnos(var) {
-                Some(seqnos) => state.conflicts(seqnos),
-                None => true, // alert missing a tracked variable
-            }
-        })
     }
 }
 
 impl<W: ConsistencyState> AlertFilter for Ad6<W> {
     fn name(&self) -> &'static str {
-        "AD-6"
+        if self.ordered.last.len() == 1 {
+            "AD-4"
+        } else {
+            "AD-6"
+        }
     }
 
     fn offer(&mut self, alert: &Alert) -> Decision {
@@ -98,23 +94,17 @@ impl<W: ConsistencyState> AlertFilter for Ad6<W> {
         if !d5.is_deliver() {
             return d5;
         }
-        if self.conflicts(alert) {
+        if self.consistency.conflicts(alert) {
             return Decision::Discard(DiscardReason::Conflict);
         }
         self.ordered.commit(alert);
-        for (&var, state) in self.consistency.iter_mut() {
-            if let Some(seqnos) = alert.fingerprint.seqnos(var) {
-                state.record(seqnos);
-            }
-        }
+        self.consistency.record(alert);
         Decision::Deliver
     }
 
     fn reset(&mut self) {
         self.ordered.reset();
-        for state in self.consistency.values_mut() {
-            state.clear();
-        }
+        self.consistency.clear();
     }
 }
 

@@ -9,7 +9,7 @@
 //! longer guaranteed unless system delays are bounded.
 //!
 //! [`DelayedOrdered`] implements the idea so the trade-off can be
-//! *measured* (see the `delayed_display` experiment binary): alerts are
+//! *measured* (`rcm-paper --only delayed_display`): alerts are
 //! buffered and released in seqno order; an alert is held for at most
 //! `max_hold` subsequent arrivals. What happens to an alert that
 //! arrives *too* late (below the release watermark) is the

@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn streams_are_independent() {
-        let mut ad = PerCondition::new(|_c| Ad3::new(VarId::new(0)));
+        let mut ad = PerCondition::new(|_c| Ad3::new([VarId::new(0)]));
         // Condition 0 commits "2 missed"; condition 1 may still claim 2
         // received — the streams never interact (Appendix D).
         assert!(ad.offer(&alert_cond(0, &[3, 1])).is_deliver());

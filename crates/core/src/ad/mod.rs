@@ -9,11 +9,16 @@
 //! | Algorithm | Guarantees | Paper |
 //! |-----------|------------|-------|
 //! | [`Ad1`] | removes exact duplicates only | Fig. A-1 |
-//! | [`Ad2`] | orderedness, single variable (maximal, Thm 5) | Fig. A-2 |
-//! | [`Ad3`] | consistency, single variable (maximal, Thm 7) | Fig. A-3 |
-//! | [`Ad4`] | orderedness ∧ consistency (maximal, Thm 9) | Fig. A-4 |
-//! | [`Ad5`] | orderedness, multi-variable | Fig. A-5 |
-//! | [`Ad6`] | orderedness ∧ consistency, multi-variable | Fig. A-6 |
+//! | [`Ad5`] | orderedness; over one variable AD-2 (maximal, Thm 5) | Figs. A-5, A-2 |
+//! | [`Ad3`] | consistency, single variable (maximal, Thm 7); per variable only over several | Fig. A-3 |
+//! | [`Ad6`] | orderedness ∧ consistency; over one variable AD-4 (maximal, Thm 9) | Figs. A-6, A-4 |
+//!
+//! Each guarantee has one filter over a variable set, and the paper's
+//! single-variable algorithms are those filters over one variable:
+//! [`Ad2::new`]`(x)` is `Ad5::new([x])`, [`Ad4::new`]`(x)` is
+//! `Ad6::new([x])`, and `Ad3::new([x])` is AD-3. [`AlertFilter::name`]
+//! follows the variable count ("AD-2"/"AD-5", "AD-3"/"AD-3/multi",
+//! "AD-4"/"AD-6").
 //!
 //! [`PassThrough`] (no filtering) and [`DropAll`] (the trivially
 //! ordered-and-consistent filter from §4.1 that displays nothing)
@@ -26,16 +31,16 @@
 //!   paper's §2 wire-size remark);
 //! * [`DelayedOrdered`] — the §4.2 "delayed displaying" alternative,
 //!   implemented so its trade-off can be measured;
-//! * [`Ad3Multi`] — AD-6 with its AD-5 half removed, an ablation
-//!   showing per-variable consistency bookkeeping alone cannot exclude
-//!   Theorem 10's interleaving cycles.
+//! * [`Ad3`] over several variables — AD-6 with its AD-5 half removed,
+//!   an ablation showing per-variable consistency bookkeeping alone
+//!   cannot exclude Theorem 10's interleaving cycles.
 //!
-//! Every paper filter (and [`Ad1Digest`], [`Ad3Multi`]) checkpoints on
-//! its default bookkeeping: `to_json` writes its state as an
+//! Every paper filter (and [`Ad1Digest`]) checkpoints on its default
+//! bookkeeping: `to_json` writes its state as an
 //! [`rcm_json::Json`] and `from_json` reads it back, so a displayer can
 //! restart without forgetting what it promised the user.
 //!
-//! The consistency filters (AD-3, AD-4, AD-6, the ablation) are generic
+//! The consistency filters ([`Ad3`], [`Ad6`]) are generic
 //! over their received/missed bookkeeping ([`ConsistencyState`]): the
 //! default [`VarConsistency`] stores both sets as sorted interval runs
 //! for O(log runs) offers and gap-proportional memory, while
@@ -60,7 +65,6 @@ mod reference;
 pub use ad1::Ad1;
 pub use ad2::Ad2;
 pub use ad3::{Ad3, BTreeConsistency, ConsistencyState, VarConsistency};
-pub use ad3multi::Ad3Multi;
 pub use ad4::Ad4;
 pub use ad5::Ad5;
 pub use ad6::Ad6;
@@ -175,7 +179,7 @@ pub fn by_name(name: &str, vars: &[VarId]) -> Option<Box<dyn AlertFilter>> {
         ("pass", _) => Box::new(PassThrough::new()),
         ("ad1", _) => Box::new(Ad1::new()),
         ("ad2", &[var]) => Box::new(Ad2::new(var)),
-        ("ad3", &[var]) => Box::new(Ad3::new(var)),
+        ("ad3", &[var]) => Box::new(Ad3::new([var])),
         ("ad4", &[var]) => Box::new(Ad4::new(var)),
         ("ad5", _) => Box::new(Ad5::new(vars.to_vec())),
         ("ad6", _) => Box::new(Ad6::new(vars.to_vec())),
@@ -192,13 +196,28 @@ fn alerts_from_json(j: &Json) -> rcm_json::Result<HashSet<Alert>> {
     j.arr()?.iter().map(Alert::from_json).collect()
 }
 
-/// An AD-2/AD-5 watermark: a seqno, or `null` before the first
-/// delivery.
+/// An AD-5 watermark: a seqno, or `null` before the first delivery.
 fn watermark_from_json(j: &Json) -> rcm_json::Result<Option<SeqNo>> {
     match j {
         Json::Null => Ok(None),
         s => s.u64().map(|n| Some(SeqNo::new(n))),
     }
+}
+
+/// One `init()` per variable of `vars`, as the filters over a variable
+/// set hold their state.
+///
+/// # Panics
+///
+/// Panics if `vars` is empty or contains duplicates.
+fn var_map<T>(vars: impl IntoIterator<Item = VarId>, init: impl Fn() -> T) -> BTreeMap<VarId, T> {
+    let mut map = BTreeMap::new();
+    for v in vars {
+        let prev = map.insert(v, init());
+        assert!(prev.is_none(), "duplicate variable {v} in a filter's variable set");
+    }
+    assert!(!map.is_empty(), "a filter needs at least one variable");
+    map
 }
 
 /// Per-variable state as `[[var, state], …]`, in variable order.
@@ -303,6 +322,11 @@ mod tests {
         for n in ["ad2", "ad3", "ad4"] {
             assert_eq!(name(n, &[x, y]), None, "{n} over two variables");
         }
+        // The name follows the variable count, not the constructor.
+        assert_eq!(Ad5::new([x]).name(), "AD-2");
+        assert_eq!(Ad6::new([x]).name(), "AD-4");
+        assert_eq!(Ad3::new([x]).name(), "AD-3");
+        assert_eq!(Ad3::new([x, y]).name(), "AD-3/multi");
         assert_eq!(name("ad7", &[x]), None);
     }
 

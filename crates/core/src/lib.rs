@@ -17,9 +17,11 @@
 //!   sequences to alert sequences.
 //! * **Alert Displayers (AD)** merge the alert streams of replicated CEs
 //!   through a filtering algorithm. The six algorithms from the paper's
-//!   Appendix A live in [`ad`]: exact-duplicate removal ([`ad::Ad1`]),
-//!   orderedness ([`ad::Ad2`], [`ad::Ad5`]), consistency ([`ad::Ad3`]),
-//!   and their combinations ([`ad::Ad4`], [`ad::Ad6`]).
+//!   Appendix A live in [`ad`], one filter per guarantee over a variable
+//!   set: exact-duplicate removal ([`ad::Ad1`]), orderedness
+//!   ([`ad::Ad5`]; AD-2 is [`ad::Ad2::new`], AD-5 over one variable),
+//!   consistency ([`ad::Ad3`]), and both ([`ad::Ad6`]; AD-4 is
+//!   [`ad::Ad4::new`]).
 //!
 //! The sequence mathematics of the paper's §2.2 (ordered sequences,
 //! subsequence tests, ordered union `⊔`, projections `Π_x`, spanning
@@ -35,7 +37,8 @@
 //!   `&`, `|` and `!`;
 //! * checksummed duplicate removal ([`ad::Ad1Digest`], the paper's §2
 //!   remark), the §4.2 "delayed displaying" alternative
-//!   ([`ad::DelayedOrdered`]), and the AD-6 ablation [`ad::Ad3Multi`];
+//!   ([`ad::DelayedOrdered`]), and the AD-6 ablation ([`ad::Ad3`] over
+//!   several variables);
 //! * **durable state**: every paper filter checkpoints to JSON
 //!   (`to_json`, then `from_json`), so a displayer can restart without
 //!   forgetting what it promised the user. A CE keeps no checkpoint: a

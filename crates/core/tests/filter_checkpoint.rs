@@ -3,7 +3,7 @@
 //! where it left off — the paper's AD never forgets what it displayed,
 //! which the consistency guarantees depend on.
 
-use rcm_core::ad::{Ad1, Ad1Digest, Ad2, Ad3, Ad3Multi, Ad4, Ad5, Ad6, AlertFilter, Decision};
+use rcm_core::ad::{Ad1, Ad1Digest, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, Decision};
 use rcm_core::{Alert, AlertId, CeId, CondId, HistoryFingerprint, SeqNo, VarId};
 use rcm_json::Json;
 
@@ -85,9 +85,9 @@ fn all_single_var_filters_checkpoint() {
         &first,
         &second,
     );
-    checkpoint_roundtrip(Ad2::new(x()), Ad2::to_json, Ad2::from_json, &first, &second);
-    checkpoint_roundtrip(Ad3::new(x()), Ad3::to_json, Ad3::from_json, &first, &second);
-    checkpoint_roundtrip(Ad4::new(x()), Ad4::to_json, Ad4::from_json, &first, &second);
+    checkpoint_roundtrip(Ad2::new(x()), Ad5::to_json, Ad5::from_json, &first, &second);
+    checkpoint_roundtrip(Ad3::new([x()]), Ad3::to_json, Ad3::from_json, &first, &second);
+    checkpoint_roundtrip(Ad4::new(x()), Ad6::to_json, Ad6::from_json, &first, &second);
 }
 
 #[test]
@@ -97,13 +97,7 @@ fn multi_var_filters_checkpoint() {
     let vars = [x(), y()];
     checkpoint_roundtrip(Ad5::new(vars), Ad5::to_json, Ad5::from_json, &first, &second);
     checkpoint_roundtrip(Ad6::new(vars), Ad6::to_json, Ad6::from_json, &first, &second);
-    checkpoint_roundtrip(
-        Ad3Multi::new(vars),
-        Ad3Multi::to_json,
-        Ad3Multi::from_json,
-        &first,
-        &second,
-    );
+    checkpoint_roundtrip(Ad3::new(vars), Ad3::to_json, Ad3::from_json, &first, &second);
 }
 
 #[test]
@@ -114,15 +108,15 @@ fn malformed_snapshots_are_refused() {
         r#"{"seen":[{"cond":0,"fingerprint":{"entries":[[0,[2,3]]]},"snapshot":[],"id":{"ce":0,"index":0}}]}"#,
     );
     assert!(Ad1::from_json(&smuggled).is_err());
-    assert!(Ad2::from_json(&bad(r#"{"var":0}"#)).is_err());
-    assert!(Ad2::from_json(&bad(r#"{"var":0,"last":-1}"#)).is_err());
+    assert!(Ad5::from_json(&bad(r#"{"var":0}"#)).is_err());
+    assert!(Ad5::from_json(&bad(r#"{"last":[[0,-1]]}"#)).is_err());
     assert!(Ad5::from_json(&bad(r#"{"last":[]}"#)).is_err(), "no variables");
     assert!(Ad5::from_json(&bad(r#"{"last":[[0,null],[0,1]]}"#)).is_err(), "x twice");
     // Halves that disagree on what they watch.
     let mut ad4 = Ad4::new(x()).to_json();
     let Json::Obj(pairs) = &mut ad4 else { unreachable!() };
     pairs[0].1 = Ad2::new(y()).to_json();
-    assert!(Ad4::from_json(&ad4).is_err());
+    assert!(Ad6::from_json(&ad4).is_err());
     let mut ad6 = Ad6::new([x(), y()]).to_json();
     let Json::Obj(pairs) = &mut ad6 else { unreachable!() };
     pairs[0].1 = Ad5::new([x()]).to_json();
@@ -133,7 +127,7 @@ fn malformed_snapshots_are_refused() {
 fn restored_ad3_remembers_missed_set() {
     // The crucial case: consistency depends on remembering what was
     // declared missed *before* the restart.
-    let mut ad = Ad3::new(x());
+    let mut ad = Ad3::new([x()]);
     assert!(ad.offer(&alert(&[3, 1])).is_deliver()); // Missed = {2}
     let snapshot = ad.to_json().to_string();
     let mut restored = Ad3::from_json(&rcm_json::parse(&snapshot).unwrap()).unwrap();
@@ -141,7 +135,7 @@ fn restored_ad3_remembers_missed_set() {
         !restored.offer(&alert(&[3, 2])).is_deliver(),
         "restart must not forget that update 2 was missed"
     );
-    let witness: Vec<u64> = restored.received().map(|s| s.get()).collect();
+    let witness: Vec<u64> = restored.received(x()).map(|s| s.get()).collect();
     assert_eq!(witness, vec![1, 3]);
 }
 
@@ -150,5 +144,20 @@ fn snapshot_is_plain_json() {
     let mut ad = Ad2::new(x());
     ad.offer(&alert(&[5]));
     let snapshot = ad.to_json().to_string();
-    assert_eq!(snapshot, r#"{"var":0,"last":5}"#, "watermark visible");
+    assert_eq!(snapshot, r#"{"last":[[0,5]]}"#, "watermark visible");
+}
+
+#[test]
+fn ad4_checkpoint_does_not_grow_with_the_run() {
+    // A gap-free run is one received run and no missed one; nothing in
+    // the state is per displayed alert.
+    let mut ad = Ad4::new(x());
+    for s in 1..=10_000 {
+        assert!(ad.offer(&alert(&[s + 1, s])).is_deliver());
+    }
+    let want = concat!(
+        r#"{"ordered":{"last":[[0,10001]]},"#,
+        r#""consistency":[[0,{"received":{"runs":[[1,10001]]},"missed":{"runs":[]}}]]}"#
+    );
+    assert_eq!(ad.to_json().to_string(), want);
 }

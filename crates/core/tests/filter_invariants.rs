@@ -109,7 +109,7 @@ fn every_output_is_a_subsequence_of_arrivals() {
         let filters: Vec<Box<dyn AlertFilter>> = vec![
             Box::new(Ad1::new()),
             Box::new(Ad2::new(x())),
-            Box::new(Ad3::new(x())),
+            Box::new(Ad3::new([x()])),
             Box::new(Ad4::new(x())),
         ];
         for mut f in filters {
@@ -127,7 +127,7 @@ fn ad1_dominates_everything_on_random_streams() {
         let base = apply_filter(&mut Ad1::new(), &stream);
         for mut f in [
             Box::new(Ad2::new(x())) as Box<dyn AlertFilter>,
-            Box::new(Ad3::new(x())),
+            Box::new(Ad3::new([x()])),
             Box::new(Ad4::new(x())),
         ] {
             let out = apply_filter(&mut *f, &stream);
@@ -144,7 +144,7 @@ fn ad4_output_within_both_parents_invariants() {
         let stream = alerts1(rng, 0, size);
         let out = apply_filter(&mut Ad4::new(x()), &stream);
         assert!(ordered(&out, x()));
-        let replay = apply_filter(&mut Ad3::new(x()), &out);
+        let replay = apply_filter(&mut Ad3::new([x()]), &out);
         assert_eq!(replay.len(), out.len());
     });
 }
@@ -183,7 +183,7 @@ fn all_filters() -> Vec<Box<dyn AlertFilter>> {
         Box::new(Ad1::new()),
         Box::new(Ad1Digest::new()),
         Box::new(Ad2::new(x())),
-        Box::new(Ad3::new(x())),
+        Box::new(Ad3::new([x()])),
         Box::new(Ad4::new(x())),
         Box::new(Ad5::new([x()])),
         Box::new(Ad6::new([x()])),

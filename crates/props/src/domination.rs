@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn ad1_strictly_dominates_ad3() {
         // Theorem 8.
-        let r = check_domination(Ad1::new, || Ad3::new(VarId::new(0)), &workloads());
+        let r = check_domination(Ad1::new, || Ad3::new([VarId::new(0)]), &workloads());
         assert!(r.holds && r.strict);
     }
 
@@ -124,8 +124,11 @@ mod tests {
         let r =
             check_domination(|| Ad2::new(VarId::new(0)), || Ad4::new(VarId::new(0)), &workloads());
         assert!(r.holds);
-        let r =
-            check_domination(|| Ad3::new(VarId::new(0)), || Ad4::new(VarId::new(0)), &workloads());
+        let r = check_domination(
+            || Ad3::new([VarId::new(0)]),
+            || Ad4::new(VarId::new(0)),
+            &workloads(),
+        );
         assert!(r.holds);
     }
 

@@ -10,15 +10,17 @@
 //!   [`check_complete_single`]) or `ΦA = ΦT(U_V)` for some interleaving
 //!   `U_V` of the per-variable ordered unions (multi-variable,
 //!   [`check_complete_multi`]);
-//! * **Consistency** — `∃ U' ⊑ U1 ⊔ U2` with `ΦA ⊆ ΦT(U')`
-//!   ([`check_consistent_single`], [`check_consistent_multi`]).
+//! * **Consistency** — `∃ U' ⊑ U1 ⊔ U2` with `ΦA ⊆ ΦT(U')`, one
+//!   checker for any number of variables ([`check_consistent_multi`]).
 //!
-//! The single-variable consistency checker uses the `Received`/`Missed`
-//! construction from the proof of Theorem 7; the multi-variable one
-//! adds the precedence-graph acyclicity argument of Lemma 5. Both are
-//! cross-validated in the test suite against the brute-force oracles in
-//! [`brute`], which literally enumerate `U' ⊑ U1 ⊔ U2` (and, for
-//! multi-variable systems, all interleavings).
+//! The consistency checker uses the `Received`/`Missed` construction
+//! from the proof of Theorem 7 per variable, and adds the
+//! precedence-graph acyclicity argument of Lemma 5 across variables
+//! (over one variable the graph is the witness stream, with no cycle).
+//! The checkers are cross-validated in the test suite against the
+//! brute-force oracles in [`brute`], which literally enumerate
+//! `U' ⊑ U1 ⊔ U2` (and, for multi-variable systems, all
+//! interleavings).
 //!
 //! The crate also implements the paper's §4.1 *domination* relation
 //! between AD algorithms ([`domination`]) and an empirical probe for
@@ -40,5 +42,5 @@ mod util;
 
 pub use multi::{check_complete_multi, check_consistent_multi, MULTI_ENUM_CAP};
 pub use ordered::{check_ordered, OrderedReport};
-pub use single::{check_complete_single, check_consistent_single};
+pub use single::check_complete_single;
 pub use util::{merge_all_single, merge_per_var, CompleteReport, ConsistentReport};

@@ -110,8 +110,7 @@ pub fn probe_one_extra<F: AlertFilter>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check_ordered;
-    use crate::single::check_consistent_single;
+    use crate::{check_consistent_multi, check_ordered};
     use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4};
     use rcm_core::condition::cond;
     use rcm_core::condition::expr::CompiledCondition;
@@ -152,9 +151,9 @@ mod tests {
     fn ad3_probe_confirms_theorem_7() {
         let (c2, inputs, arrivals) = conflicting_arrivals();
         let r = probe_one_extra(
-            || Ad3::new(x()),
+            || Ad3::new([x()]),
             &arrivals,
-            |a| duplicate_free(a) && check_consistent_single(&c2, &inputs, a).ok,
+            |a| duplicate_free(a) && check_consistent_multi(&c2, &inputs, a).ok,
         );
         assert!(r.probed > 0);
         assert!(r.survivors.is_empty(), "survivors at {:?}", r.survivors);
@@ -169,7 +168,7 @@ mod tests {
             |a| {
                 seqno_duplicate_free(a, &[x()])
                     && check_ordered(a, &[x()]).ok
-                    && check_consistent_single(&c2, &inputs, a).ok
+                    && check_consistent_multi(&c2, &inputs, a).ok
             },
         );
         assert!(r.probed > 0);

@@ -1,5 +1,5 @@
-//! Completeness and consistency checkers for multi-variable systems
-//! (paper §5 and Appendix C).
+//! Completeness checking for multi-variable systems and the
+//! consistency checker for any variable count (paper §5 and Appendix C).
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -105,8 +105,11 @@ fn dfs(
     false
 }
 
-/// Checks multi-variable **consistency** (Appendix C): does some
-/// `U' ⊑ U_V` (for some interleaving `U_V`) satisfy `ΦA ⊆ ΦT(U')`?
+/// Checks **consistency** (Appendix C), over any number of variables:
+/// does some `U' ⊑ U_V` (for some interleaving `U_V`) satisfy
+/// `ΦA ⊆ ΦT(U')`? Over one variable `U_V` is `U1 ⊔ U2 ⊔ …`, step 1 is
+/// the proof of Theorem 7, and the witness is the received updates in
+/// seqno order.
 ///
 /// Decision procedure (following the proof of Lemma 5):
 ///

@@ -1,12 +1,13 @@
-//! Completeness and consistency checkers for single-variable systems.
+//! The completeness checker for single-variable systems. Consistency
+//! has one checker for any variable count,
+//! [`check_consistent_multi`](crate::check_consistent_multi).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use rcm_core::condition::expr::CompiledCondition;
-use rcm_core::seq::spanning_gaps;
 use rcm_core::{transduce, Alert, CeId, Update};
 
-use crate::util::{merge_all_single, CompleteReport, ConsistentReport};
+use crate::util::{merge_all_single, CompleteReport};
 
 /// Checks the paper's **completeness** property for a single-variable
 /// system: `ΦA = ΦT(U1 ⊔ U2 ⊔ …)` where `inputs[i]` is the update
@@ -36,81 +37,10 @@ pub fn check_complete_single(
     CompleteReport::from_sets(missing, extraneous)
 }
 
-/// Checks the paper's **consistency** property for a single-variable
-/// system: does some `U' ⊑ U1 ⊔ U2 ⊔ …` exist with `ΦA ⊆ ΦT(U')`?
-///
-/// The decision procedure is the `Received`/`Missed` construction from
-/// the proof of Theorem 7: every displayed alert requires its history
-/// seqnos *received* and its history-span gaps *missed*; `A` is
-/// consistent iff no seqno is required in both states. On success the
-/// witness `U'` (the received updates) is returned and additionally
-/// *verified* by running `T` over it — the crate's tests cross-validate
-/// the whole procedure against the brute-force enumeration oracle.
-///
-/// # Panics
-///
-/// Panics if the inputs span more than one variable.
-pub fn check_consistent_single(
-    cond: &CompiledCondition,
-    inputs: &[Vec<Update>],
-    displayed: &[Alert],
-) -> ConsistentReport {
-    let pool = merge_all_single(inputs);
-    let var = match pool.first() {
-        Some(u) => u.var,
-        None => {
-            return if displayed.is_empty() {
-                ConsistentReport::consistent(vec![])
-            } else {
-                ConsistentReport::inconsistent(
-                    "alerts displayed although no replica received any update".into(),
-                )
-            };
-        }
-    };
-
-    let mut received: BTreeSet<u64> = BTreeSet::new();
-    let mut missed: BTreeSet<u64> = BTreeSet::new();
-    for alert in displayed {
-        let Some(seqnos) = alert.fingerprint.seqnos(var) else {
-            return ConsistentReport::inconsistent(format!(
-                "alert {alert} does not mention variable {var}"
-            ));
-        };
-        let hx: BTreeSet<u64> = seqnos.iter().map(|s| s.get()).collect();
-        missed.extend(spanning_gaps(&hx));
-        received.extend(hx);
-    }
-    if let Some(&clash) = received.intersection(&missed).next() {
-        return ConsistentReport::inconsistent(format!(
-            "update {clash} of {var} must be both received and missed by U'"
-        ));
-    }
-
-    // Witness: the received updates, materialized from the pool.
-    let witness: Vec<Update> =
-        pool.iter().filter(|u| received.contains(&u.seqno.get())).copied().collect();
-    if witness.len() != received.len() {
-        return ConsistentReport::inconsistent(format!(
-            "some displayed alert references a seqno of {var} no replica ever received"
-        ));
-    }
-    // Belt and braces: verify ΦA ⊆ ΦT(U').
-    let reference = transduce(cond, CeId::new(u32::MAX), &witness);
-    let reference_set: HashSet<&Alert> = reference.iter().collect();
-    for alert in displayed {
-        if !reference_set.contains(alert) {
-            return ConsistentReport::inconsistent(format!(
-                "alert {alert} not generated by T over the received-set witness"
-            ));
-        }
-    }
-    ConsistentReport::consistent(witness)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check_consistent_multi;
     use rcm_core::ad::{apply_filter, Ad1, AlertFilter};
     use rcm_core::condition::{cond, Cmp};
     use rcm_core::{SeqNo, VarId};
@@ -164,7 +94,7 @@ mod tests {
         assert_eq!(comp.missing.len(), 1);
         assert_eq!(comp.missing[0].seqno(x()), Some(SeqNo::new(3)));
         // …but consistent (Theorem 3).
-        let cons = check_consistent_single(&c3, &[u1, u2], &a);
+        let cons = check_consistent_multi(&c3, &[u1, u2], &a);
         assert!(cons.ok, "{:?}", cons.conflict);
     }
 
@@ -176,7 +106,7 @@ mod tests {
         let u2 = vec![u(1, 400.0), u(3, 720.0)];
         let a = run(&c2, &u1, &u2, &mut Ad1::new(), &[0, 1]);
         assert_eq!(a.len(), 2); // alert@2 from CE1, alert@3 from CE2
-        let cons = check_consistent_single(&c2, &[u1, u2], &a);
+        let cons = check_consistent_multi(&c2, &[u1, u2], &a);
         assert!(!cons.ok);
         // Update 2 is the pivot: alert@2 needs it received, alert@3 needs
         // it missed.
@@ -191,7 +121,7 @@ mod tests {
         let a = run(&c2, &uu, &uu, &mut Ad1::new(), &[0, 2, 1, 3]);
         let comp = check_complete_single(&c2, &[uu.clone(), uu.clone()], &a);
         assert!(comp.ok);
-        let cons = check_consistent_single(&c2, &[uu.clone(), uu], &a);
+        let cons = check_consistent_multi(&c2, &[uu.clone(), uu], &a);
         assert!(cons.ok);
     }
 
@@ -199,7 +129,7 @@ mod tests {
     fn empty_execution_is_consistent_and_complete() {
         let c1 = cond::threshold(x(), Cmp::Gt, 0.0);
         assert!(check_complete_single(&c1, &[vec![], vec![]], &[]).ok);
-        assert!(check_consistent_single(&c1, &[vec![], vec![]], &[]).ok);
+        assert!(check_consistent_multi(&c1, &[vec![], vec![]], &[]).ok);
     }
 
     #[test]
@@ -208,7 +138,7 @@ mod tests {
         let u1 = vec![u(1, 400.0), u(2, 700.0)];
         let u2 = vec![u(1, 400.0), u(2, 700.0), u(3, 1000.0)];
         let a = run(&c2, &u1, &u2, &mut Ad1::new(), &[0, 1, 2]);
-        let cons = check_consistent_single(&c2, &[u1.clone(), u2.clone()], &a);
+        let cons = check_consistent_multi(&c2, &[u1.clone(), u2.clone()], &a);
         assert!(cons.ok);
         let witness = cons.witness.unwrap();
         let pool = merge_all_single(&[u1, u2]);
@@ -221,7 +151,7 @@ mod tests {
     fn alert_with_unknown_seqno_is_inconsistent() {
         let c1 = cond::threshold(x(), Cmp::Gt, 0.0);
         let ghost = transduce(&c1, CeId::new(0), &[u(9, 1.0)]);
-        let cons = check_consistent_single(&c1, &[vec![u(1, 1.0)]], &ghost);
+        let cons = check_consistent_multi(&c1, &[vec![u(1, 1.0)]], &ghost);
         assert!(!cons.ok);
         assert!(cons.conflict.unwrap().contains("ever received"));
     }

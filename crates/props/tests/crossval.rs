@@ -7,7 +7,7 @@ use rcm_core::condition::{cond, Cmp};
 use rcm_core::{transduce, Alert, CeId, Update, VarId};
 use rcm_net::{cases, Rng};
 use rcm_props::brute::{brute_complete_multi, brute_consistent_multi, brute_consistent_single};
-use rcm_props::{check_complete_multi, check_consistent_multi, check_consistent_single};
+use rcm_props::{check_complete_multi, check_consistent_multi};
 
 fn x() -> VarId {
     VarId::new(0)
@@ -118,7 +118,7 @@ fn single_var_consistency_matches_brute_force_c2() {
         let (values, [keep1, keep2, pick]) = single_case(rng, 2, size);
         let c2 = cond::delta_rise(x(), 200.0);
         let (inputs, displayed) = run_single(&c2, &values, &keep1, &keep2, &pick);
-        let fast = check_consistent_single(&c2, &inputs, &displayed).ok;
+        let fast = check_consistent_multi(&c2, &inputs, &displayed).ok;
         let slow = brute_consistent_single(&c2, &inputs, &displayed);
         assert_eq!(fast, slow, "displayed = {displayed:?}");
     });
@@ -130,7 +130,7 @@ fn single_var_consistency_matches_brute_force_c3() {
         let (values, [keep1, keep2, pick]) = single_case(rng, 2, size);
         let c3 = cond::conservative(cond::delta_rise(x(), 200.0));
         let (inputs, displayed) = run_single(&c3, &values, &keep1, &keep2, &pick);
-        let fast = check_consistent_single(&c3, &inputs, &displayed).ok;
+        let fast = check_consistent_multi(&c3, &inputs, &displayed).ok;
         let slow = brute_consistent_single(&c3, &inputs, &displayed);
         assert_eq!(fast, slow);
     });
@@ -142,7 +142,7 @@ fn single_var_consistency_matches_brute_force_c1() {
         let (values, [keep1, keep2, pick]) = single_case(rng, 1, size);
         let c1 = cond::threshold(x(), Cmp::Gt, 500.0);
         let (inputs, displayed) = run_single(&c1, &values, &keep1, &keep2, &pick);
-        let fast = check_consistent_single(&c1, &inputs, &displayed).ok;
+        let fast = check_consistent_multi(&c1, &inputs, &displayed).ok;
         let slow = brute_consistent_single(&c1, &inputs, &displayed);
         assert_eq!(fast, slow);
     });
@@ -229,8 +229,8 @@ fn consistency_witness_always_verifies() {
         let a1 = transduce(&c2, CeId::new(1), &u1);
         let a2 = transduce(&c2, CeId::new(2), &u2);
         let arrivals: Vec<Alert> = a1.into_iter().chain(a2).collect();
-        let displayed = apply_filter(&mut Ad3::new(x()), &arrivals);
-        let rep = check_consistent_single(&c2, &[u1, u2], &displayed);
+        let displayed = apply_filter(&mut Ad3::new([x()]), &arrivals);
+        let rep = check_consistent_multi(&c2, &[u1, u2], &displayed);
         assert!(rep.ok, "AD-3 output inconsistent: {:?}", rep.conflict);
         assert!(rep.witness.is_some());
     });

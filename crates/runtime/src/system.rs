@@ -867,11 +867,11 @@ mod tests {
             .feed(VarFeed::new(x(), values))
             .loss(|_, _| Box::new(rcm_net::Bernoulli::new(0.3)))
             .seed(99)
-            .filter(|vars| Box::new(Ad3::new(vars[0])))
+            .filter(|vars| Box::new(Ad3::new([vars[0]])))
             .start()
             .expect("system starts");
         let report = system.wait();
-        let check = rcm_props::check_consistent_single(&cond, &report.ingested, &report.displayed);
+        let check = rcm_props::check_consistent_multi(&cond, &report.ingested, &report.displayed);
         assert!(check.ok, "{:?}", check.conflict);
     }
 

@@ -335,7 +335,7 @@ fn all_filters() -> Vec<Box<dyn AlertFilter>> {
     vec![
         Box::new(Ad1::new()),
         Box::new(Ad2::new(x())),
-        Box::new(Ad3::new(x())),
+        Box::new(Ad3::new([x()])),
         Box::new(Ad4::new(x())),
         Box::new(Ad5::new([x()])),
         Box::new(Ad6::new([x()])),

@@ -92,7 +92,7 @@ fn assert_consistent_per_cond(conds: &[Arc<CompiledCondition>], report: &RunRepo
             .filter(|a| a.cond == CondId::new(i as u32))
             .map(|a| a.clone().with_cond(CondId::SINGLE))
             .collect();
-        let consistency = rcm_props::check_consistent_single(cond, &report.ingested, &stream);
+        let consistency = rcm_props::check_consistent_multi(cond, &report.ingested, &stream);
         assert!(consistency.ok, "condition {i}: {:?}", consistency.conflict);
     }
 }
@@ -187,7 +187,7 @@ fn pipelined_restarts_keep_alert_numbering_intact() {
 fn sharded_evaluation_never_sheds() {
     let conds = family(40);
     let report = build(&conds, 2, values(4000))
-        .filter(|vars| Box::new(rcm_core::ad::Ad3::new(vars[0])))
+        .filter(|vars| Box::new(rcm_core::ad::Ad3::new([vars[0]])))
         .start()
         .expect("sharded system starts")
         .wait();
@@ -302,7 +302,7 @@ fn prop_sharded_runs_shed_nothing() {
         let conds = family(8 + rng.below(size + 1) as u32);
         let workers = 1 + rng.below(3);
         let report = build(&conds, workers, values(600))
-            .filter(|vars| Box::new(rcm_core::ad::Ad3::new(vars[0])))
+            .filter(|vars| Box::new(rcm_core::ad::Ad3::new([vars[0]])))
             .start()
             .expect("system starts")
             .wait();

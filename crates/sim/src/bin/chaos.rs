@@ -75,7 +75,7 @@ use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_json::obj;
 use rcm_net::{Bernoulli, LossModel, Lossless};
-use rcm_props::{check_complete_single, check_consistent_single, check_ordered};
+use rcm_props::{check_complete_single, check_consistent_multi, check_ordered};
 use rcm_runtime::{FaultPlan, MonitorSystem, RunReport, Topology, TransportReport, VarFeed};
 use rcm_transport::SeqGate;
 use rcm_tree::{TreeEval, TreeOptions, TreePlan, TreeStats};
@@ -607,7 +607,7 @@ fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
     builder = match class {
         0 | 1 => builder.filter(|_| Box::new(Ad1::new()) as Box<dyn AlertFilter>),
         2 => builder.filter(|vars| Box::new(Ad2::new(vars[0])) as Box<dyn AlertFilter>),
-        3 => builder.filter(|vars| Box::new(Ad3::new(vars[0])) as Box<dyn AlertFilter>),
+        3 => builder.filter(|vars| Box::new(Ad3::new([vars[0]])) as Box<dyn AlertFilter>),
         _ => builder.filter(|vars| Box::new(Ad4::new(vars[0])) as Box<dyn AlertFilter>),
     };
     let report = builder.start().expect("chaos plan config is valid").wait();
@@ -666,7 +666,7 @@ fn check(
         }
     }
     if spec.assert_consistent {
-        let consistent = check_consistent_single(condition, &report.ingested, &report.displayed);
+        let consistent = check_consistent_multi(condition, &report.ingested, &report.displayed);
         if !consistent.ok {
             violations.push(format!("consistency violated: {:?}", consistent.conflict));
         }

@@ -17,7 +17,7 @@ use rcm_core::ad::apply_filter;
 use rcm_core::condition::Condition;
 use rcm_core::Alert;
 use rcm_json::obj;
-use rcm_props::{check_complete_single, check_consistent_single, check_ordered};
+use rcm_props::{check_complete_single, check_consistent_multi, check_ordered};
 use rcm_sim::montecarlo::FilterKind;
 use rcm_sim::{run, ScenarioSpec};
 
@@ -96,27 +96,16 @@ fn main() -> ExitCode {
     let displayed = apply_filter(&mut *ad, &result.arrivals);
 
     let ordered = check_ordered(&displayed, &vars).ok;
-    let (complete, consistent) = if vars.len() == 1 {
-        (
-            Some(check_complete_single(&condition, &result.inputs, &displayed).ok),
-            Some(check_consistent_single(&condition, &result.inputs, &displayed).ok),
-        )
+    // Multi-variable completeness enumeration can be exponential on
+    // big traces; it is reported only when the trace is small.
+    let complete = if vars.len() == 1 {
+        Some(check_complete_single(&condition, &result.inputs, &displayed).ok)
     } else {
-        // Multi-variable completeness enumeration can be exponential on
-        // big traces; report orderedness only unless the trace is small.
         let total: usize = rcm_props::merge_per_var(&result.inputs).values().map(Vec::len).sum();
-        if total <= rcm_props::MULTI_ENUM_CAP {
-            (
-                Some(rcm_props::check_complete_multi(&condition, &result.inputs, &displayed).ok),
-                Some(rcm_props::check_consistent_multi(&condition, &result.inputs, &displayed).ok),
-            )
-        } else {
-            (
-                None,
-                Some(rcm_props::check_consistent_multi(&condition, &result.inputs, &displayed).ok),
-            )
-        }
+        (total <= rcm_props::MULTI_ENUM_CAP)
+            .then(|| rcm_props::check_complete_multi(&condition, &result.inputs, &displayed).ok)
     };
+    let consistent = check_consistent_multi(&condition, &result.inputs, &displayed).ok;
 
     if json {
         let stats = obj([
@@ -177,6 +166,6 @@ fn main() -> ExitCode {
     println!("\nproperties of this execution:");
     println!("  ordered:    {}", if ordered { "yes" } else { "NO" });
     println!("  complete:   {}", fmt(complete));
-    println!("  consistent: {}", fmt(consistent));
+    println!("  consistent: {}", fmt(Some(consistent)));
     ExitCode::SUCCESS
 }

@@ -21,8 +21,7 @@ use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, Update, VarId};
 use rcm_props::{
-    check_complete_multi, check_complete_single, check_consistent_multi, check_consistent_single,
-    check_ordered,
+    check_complete_multi, check_complete_single, check_consistent_multi, check_ordered,
 };
 
 use crate::engine::{run, RunResult};
@@ -125,7 +124,7 @@ impl FilterKind {
             }
             FilterKind::Ad3 => {
                 assert_eq!(vars.len(), 1, "AD-3 is single-variable");
-                Box::new(Ad3::new(vars[0]))
+                Box::new(Ad3::new([vars[0]]))
             }
             FilterKind::Ad4 => {
                 assert_eq!(vars.len(), 1, "AD-4 is single-variable");
@@ -333,17 +332,13 @@ pub fn check_run(
     let vars = condition.variables();
     let ordered = check_ordered(displayed, &vars).ok;
     let inputs: Vec<Vec<Update>> = result.inputs.clone();
-    let (complete, consistent) = match topo {
-        Topology::SingleVar => (
-            check_complete_single(condition, &inputs, displayed).ok,
-            check_consistent_single(condition, &inputs, displayed).ok,
-        ),
-        Topology::MultiVar | Topology::MultiVar3 => (
-            check_complete_multi(condition, &inputs, displayed).ok,
-            check_consistent_multi(condition, &inputs, displayed).ok,
-        ),
+    let complete = match topo {
+        Topology::SingleVar => check_complete_single(condition, &inputs, displayed).ok,
+        Topology::MultiVar | Topology::MultiVar3 => {
+            check_complete_multi(condition, &inputs, displayed).ok
+        }
     };
-    (ordered, complete, consistent)
+    (ordered, complete, check_consistent_multi(condition, &inputs, displayed).ok)
 }
 
 /// The per-run seed for run `i` of a cell evaluated with `base_seed`.

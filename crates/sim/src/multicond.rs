@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use rcm_core::ad::{apply_filter, Ad4, PerCondition};
     use rcm_core::condition::{cond, Cmp};
-    use rcm_props::{check_consistent_single, check_ordered};
+    use rcm_props::{check_consistent_multi, check_ordered};
 
     fn x() -> VarId {
         VarId::new(0)
@@ -218,7 +218,7 @@ mod tests {
             for (ci, cond) in sc.conditions.iter().enumerate() {
                 let stream = MultiCondResult::stream_of(&displayed, ci as u32);
                 assert!(check_ordered(&stream, &[x()]).ok, "seed {seed} condition {ci} unordered");
-                let cons = check_consistent_single(cond, &r.per_condition[ci].inputs, &stream);
+                let cons = check_consistent_multi(cond, &r.per_condition[ci].inputs, &stream);
                 assert!(cons.ok, "seed {seed} condition {ci}: {:?}", cons.conflict);
             }
         }

@@ -23,7 +23,7 @@ use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{cond, Cmp};
 use rcm_core::{transduce, Alert, CeId, CondId, Update, VarId};
 use rcm_net::{cases, Rng};
-use rcm_props::{check_complete_single, check_consistent_single, check_ordered};
+use rcm_props::{check_complete_single, check_consistent_multi, check_ordered};
 use rcm_tree::{verdict_stream, TreeEval, TreeOptions, TreePlan};
 
 /// Runs a one-leaf tree over a seeded raw stream and returns the
@@ -99,7 +99,7 @@ fn run_matrix(cond: &CompiledCondition, seed: u64, loss_pct: u64) {
     let filters: Vec<FilterCase> = vec![
         ("AD-1", Box::new(Ad1::new()), false, true, true),
         ("AD-2", Box::new(Ad2::new(var)), true, false, false),
-        ("AD-3", Box::new(Ad3::new(var)), false, false, true),
+        ("AD-3", Box::new(Ad3::new([var])), false, false, true),
         ("AD-4", Box::new(Ad4::new(var)), true, false, true),
         ("AD-5", Box::new(Ad5::new([var])), true, false, false),
         ("AD-6", Box::new(Ad6::new([var])), false, false, true),
@@ -115,7 +115,7 @@ fn run_matrix(cond: &CompiledCondition, seed: u64, loss_pct: u64) {
             assert!(r.ok, "{ctx}: {name} completeness violated: {r:?}");
         }
         if consistent {
-            let r = check_consistent_single(cond, &rep.inputs, &displayed);
+            let r = check_consistent_multi(cond, &rep.inputs, &displayed);
             assert!(r.ok, "{ctx}: {name} consistency violated: {r:?}");
         }
     }
@@ -141,15 +141,15 @@ fn history_condition_over_derived_stream() {
         let rep = replicate(&cond, &stream, seed, 20);
         let ctx = format!("seed {seed}");
 
-        let mut ad3 = Ad3::new(var);
+        let mut ad3 = Ad3::new([var]);
         let displayed = apply_filter(&mut ad3, &rep.arrivals);
-        let r = check_consistent_single(&cond, &rep.inputs, &displayed);
+        let r = check_consistent_multi(&cond, &rep.inputs, &displayed);
         assert!(r.ok, "{ctx}: AD-3 consistency violated: {r:?}");
 
         let mut ad4 = Ad4::new(var);
         let displayed = apply_filter(&mut ad4, &rep.arrivals);
         assert!(check_ordered(&displayed, &[var]).ok, "{ctx}: AD-4 orderedness");
-        let r = check_consistent_single(&cond, &rep.inputs, &displayed);
+        let r = check_consistent_multi(&cond, &rep.inputs, &displayed);
         assert!(r.ok, "{ctx}: AD-4 consistency violated: {r:?}");
     }
 }

@@ -23,7 +23,7 @@ fn main() {
     let a1 = transduce(&c2, CeId::new(1), &u); // alert on 2 (H = ⟨2,1⟩)
     let a2 = transduce(&c2, CeId::new(2), &[u[0], u[2]]); // alert on 3 (H = ⟨3,1⟩)
 
-    let mut ad = Ad3::new(x);
+    let mut ad = Ad3::new([x]);
     show(&mut ad, &a1[0]);
 
     // --- the display process restarts -------------------------------
@@ -44,7 +44,7 @@ fn main() {
          Received/Missed memory survived the restart, so the user's view \
          stayed consistent. A fresh (forgetful) Ad3 would have shown both:"
     );
-    let mut forgetful = Ad3::new(x);
+    let mut forgetful = Ad3::new([x]);
     show(&mut forgetful, &a2[0]);
 }
 

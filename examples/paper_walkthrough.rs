@@ -81,7 +81,7 @@ fn example_3() {
     let alert_a1 = a1.last().expect("CE1 alerts at 3x");
     let alert_a2 = a2.last().expect("CE2 alerts at 3x");
 
-    let mut ad = Ad3::new(x);
+    let mut ad = Ad3::new([x]);
     println!("  arrival a1 with H = ⟨3x, 1x⟩ → {}", offer(&mut ad, alert_a1));
     println!("    Received = {{1, 3}}, Missed = {{2}}");
     println!("  arrival a2 with H = ⟨3x, 2x⟩ → {} (2 is in Missed)", offer(&mut ad, alert_a2));

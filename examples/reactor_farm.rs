@@ -15,7 +15,7 @@ use std::sync::Arc;
 use rcm::core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, AlertFilter};
 use rcm::core::condition::expr::CompiledCondition;
 use rcm::core::{Condition, VarRegistry};
-use rcm::props::{check_complete_single, check_consistent_single, check_ordered};
+use rcm::props::{check_complete_single, check_consistent_multi, check_ordered};
 use rcm::sim::{run, DelaySpec, LossSpec, RandomWalk, Scenario, VarWorkload};
 
 fn main() {
@@ -68,13 +68,13 @@ fn main() {
     for (name, mut filter) in [
         ("AD-1", Box::new(Ad1::new()) as Box<dyn AlertFilter>),
         ("AD-2", Box::new(Ad2::new(temp))),
-        ("AD-3", Box::new(Ad3::new(temp))),
+        ("AD-3", Box::new(Ad3::new([temp]))),
         ("AD-4", Box::new(Ad4::new(temp))),
     ] {
         let shown = apply_filter(&mut *filter, &result.arrivals);
         let ordered = check_ordered(&shown, &[temp]).ok;
         let complete = check_complete_single(&c3, &result.inputs, &shown).ok;
-        let consistent = check_consistent_single(&c3, &result.inputs, &shown).ok;
+        let consistent = check_consistent_multi(&c3, &result.inputs, &shown).ok;
         println!(
             "{:<6} {:>7}   {:>7} {:>8} {:>10}",
             name,

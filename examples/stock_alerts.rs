@@ -17,7 +17,7 @@
 use rcm::core::ad::{apply_filter, Ad1, Ad3, Ad4, AlertFilter};
 use rcm::core::condition::cond;
 use rcm::core::{transduce, Alert, CeId, Update, VarId};
-use rcm::props::{check_consistent_single, check_ordered};
+use rcm::props::{check_consistent_multi, check_ordered};
 
 fn main() {
     let stock = VarId::new(0);
@@ -45,11 +45,11 @@ fn main() {
 
     for (name, mut filter) in [
         ("AD-1", Box::new(Ad1::new()) as Box<dyn AlertFilter>),
-        ("AD-3", Box::new(Ad3::new(stock))),
+        ("AD-3", Box::new(Ad3::new([stock]))),
         ("AD-4", Box::new(Ad4::new(stock))),
     ] {
         let shown = apply_filter(&mut *filter, &arrivals);
-        let consistent = check_consistent_single(&condition, &[u1.clone(), u2.clone()], &shown);
+        let consistent = check_consistent_multi(&condition, &[u1.clone(), u2.clone()], &shown);
         let ordered = check_ordered(&shown, &[stock]);
         println!(
             "{name}: investor sees {} drop alert(s) {} — ordered: {}, consistent: {}",

@@ -5,7 +5,7 @@
 
 use rcm::core::ad::apply_filter;
 use rcm::core::Condition;
-use rcm::props::{check_consistent_single, check_ordered};
+use rcm::props::{check_consistent_multi, check_ordered};
 use rcm::sim::montecarlo::{build_scenario, FilterKind, ScenarioKind, Topology};
 use rcm::sim::{run, Outage};
 
@@ -23,7 +23,7 @@ fn ce_crashes_do_not_break_ad4_guarantees() {
         let mut filter = FilterKind::Ad4.build(&vars);
         let displayed = apply_filter(&mut *filter, &result.arrivals);
         assert!(check_ordered(&displayed, &vars).ok, "seed {seed}: AD-4 unordered under crashes");
-        let cons = check_consistent_single(&condition, &result.inputs, &displayed);
+        let cons = check_consistent_multi(&condition, &result.inputs, &displayed);
         assert!(cons.ok, "seed {seed}: AD-4 inconsistent under crashes: {:?}", cons.conflict);
     }
 }

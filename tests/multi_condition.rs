@@ -40,7 +40,7 @@ fn per_condition_filters_are_isolated() {
 
     let arrivals: Vec<Alert> =
         a_rep1.iter().chain(a_rep2.iter()).chain(b_rep.iter()).cloned().collect();
-    let mut ad = PerCondition::new(|_c| Ad3::new(x()));
+    let mut ad = PerCondition::new(|_c| Ad3::new([x()]));
     let shown = apply_filter(&mut ad, &arrivals);
 
     // Within condition A, the second replica's aggressive alert

@@ -5,8 +5,7 @@ use rcm::core::ad::{apply_filter, Ad1, Ad2, Ad5};
 use rcm::core::condition::{cond, Cmp};
 use rcm::core::{transduce, Alert, CeId, SeqNo, Update, VarId};
 use rcm::props::{
-    check_complete_multi, check_complete_single, check_consistent_multi, check_consistent_single,
-    check_ordered,
+    check_complete_multi, check_complete_single, check_consistent_multi, check_ordered,
 };
 
 fn x() -> VarId {
@@ -58,7 +57,7 @@ fn theorem_3_incomplete_counterexample() {
     assert!(!comp.ok);
     // T(U1 ⊔ U2) = ⟨2, 3, 4⟩: the alert at 3 is missing.
     assert!(comp.missing.iter().any(|a| a.seqno(x()) == Some(SeqNo::new(3))));
-    assert!(check_consistent_single(&c3, &[u1, u2], &shown).ok);
+    assert!(check_consistent_multi(&c3, &[u1, u2], &shown).ok);
 }
 
 /// Theorem 4's counterexample: aggressive + lossy is inconsistent.
@@ -75,7 +74,7 @@ fn theorem_4_inconsistent_counterexample() {
     let arrivals: Vec<Alert> = a1.iter().chain(a2.iter()).cloned().collect();
     let shown = apply_filter(&mut Ad1::new(), &arrivals);
     assert_eq!(shown.len(), 2);
-    let cons = check_consistent_single(&c2, &[u1, u2], &shown);
+    let cons = check_consistent_multi(&c2, &[u1, u2], &shown);
     assert!(!cons.ok);
     // The brute-force oracle agrees: no U' explains both alerts.
     assert!(!rcm::props::brute::brute_consistent_single(
@@ -139,7 +138,7 @@ fn drop_all_is_trivially_correct_and_dominated() {
     let shown = apply_filter(&mut DropAll::new(), &arrivals);
     assert!(shown.is_empty());
     assert!(check_ordered(&shown, &[x()]).ok);
-    assert!(check_consistent_single(&c2, &[uu], &shown).ok);
+    assert!(check_consistent_multi(&c2, &[uu], &shown).ok);
     let report = rcm::props::domination::check_domination(Ad1::new, DropAll::new, &[arrivals]);
     assert!(report.holds && report.strict);
 }

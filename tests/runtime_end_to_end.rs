@@ -8,7 +8,7 @@ use rcm::core::condition::expr::CompiledCondition;
 use rcm::core::condition::{cond, Cmp};
 use rcm::core::{VarId, VarRegistry};
 use rcm::net::{Bernoulli, Lossless};
-use rcm::props::{check_complete_single, check_consistent_single, check_ordered};
+use rcm::props::{check_complete_single, check_consistent_multi, check_ordered};
 use rcm::runtime::{MonitorSystem, VarFeed};
 
 fn x() -> VarId {
@@ -31,7 +31,7 @@ fn lossless_runtime_is_complete_and_consistent() {
     let report = system.wait();
     assert!(!report.displayed.is_empty());
     assert!(check_complete_single(&cond, &report.ingested, &report.displayed).ok);
-    assert!(check_consistent_single(&cond, &report.ingested, &report.displayed).ok);
+    assert!(check_consistent_multi(&cond, &report.ingested, &report.displayed).ok);
 }
 
 #[test]
@@ -56,23 +56,22 @@ fn ad3_and_ad4_runtime_output_is_always_consistent() {
     for seed in 0..5u64 {
         for ad4 in [false, true] {
             let cond = Arc::new(cond::delta_rise(x(), 25.0));
-            let system =
-                MonitorSystem::builder(cond.clone())
-                    .replicas(2)
-                    .feed(VarFeed::new(x(), sawtooth(80)))
-                    .loss(|_, _| Box::new(Bernoulli::new(0.3)))
-                    .seed(seed)
-                    .filter(move |vars| {
-                        if ad4 {
-                            Box::new(Ad4::new(vars[0]))
-                        } else {
-                            Box::new(Ad3::new(vars[0]))
-                        }
-                    })
-                    .start()
-                    .expect("valid configuration");
+            let system = MonitorSystem::builder(cond.clone())
+                .replicas(2)
+                .feed(VarFeed::new(x(), sawtooth(80)))
+                .loss(|_, _| Box::new(Bernoulli::new(0.3)))
+                .seed(seed)
+                .filter(move |vars| {
+                    if ad4 {
+                        Box::new(Ad4::new(vars[0]))
+                    } else {
+                        Box::new(Ad3::new([vars[0]]))
+                    }
+                })
+                .start()
+                .expect("valid configuration");
             let report = system.wait();
-            let cons = check_consistent_single(&cond, &report.ingested, &report.displayed);
+            let cons = check_consistent_multi(&cond, &report.ingested, &report.displayed);
             assert!(cons.ok, "seed {seed} ad4={ad4}: {:?}", cons.conflict);
             if ad4 {
                 assert!(check_ordered(&report.displayed, &[x()]).ok);
@@ -99,7 +98,7 @@ fn compiled_expression_runs_through_the_runtime() {
         .expect("valid configuration");
     let report = system.wait();
     assert!(!report.displayed.is_empty());
-    assert!(check_consistent_single(&cond, &report.ingested, &report.displayed).ok);
+    assert!(check_consistent_multi(&cond, &report.ingested, &report.displayed).ok);
 }
 
 #[test]

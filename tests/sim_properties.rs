@@ -130,7 +130,7 @@ fn table_3_variant_ad6_matches_paper() {
 #[test]
 fn violation_seeds_replay() {
     use rcm::core::ad::apply_filter;
-    use rcm::props::check_consistent_single;
+    use rcm::props::check_consistent_multi;
     use rcm::sim::montecarlo::build_scenario;
     use rcm::sim::run;
 
@@ -159,6 +159,6 @@ fn violation_seeds_replay() {
     let result = run(scenario);
     let mut filter = FilterKind::Ad1.build(&vars);
     let shown = apply_filter(&mut *filter, &result.arrivals);
-    let cons = check_consistent_single(&condition, &result.inputs, &shown);
+    let cons = check_consistent_multi(&condition, &result.inputs, &shown);
     assert!(!cons.ok, "replaying the reported seed must reproduce the violation");
 }
