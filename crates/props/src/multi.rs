@@ -154,10 +154,11 @@ pub fn check_consistent_multi(
             received.entry(*var).or_default().extend(hx);
         }
     }
+    let empty = BTreeSet::new();
     for var in &vars {
-        let r = received.get(var).cloned().unwrap_or_default();
-        let m = missed.get(var).cloned().unwrap_or_default();
-        if let Some(&clash) = r.intersection(&m).next() {
+        let r = received.get(var).unwrap_or(&empty);
+        let m = missed.get(var).unwrap_or(&empty);
+        if let Some(&clash) = r.intersection(m).next() {
             return ConsistentReport::inconsistent(format!(
                 "update {clash} of {var} must be both received and missed by U'"
             ));
@@ -167,7 +168,7 @@ pub fn check_consistent_multi(
     // Step 2: witness streams and node indexing.
     let mut witness: BTreeMap<VarId, Vec<Update>> = BTreeMap::new();
     for var in &vars {
-        let want = received.get(var).cloned().unwrap_or_default();
+        let want = received.get(var).unwrap_or(&empty);
         let have: Vec<Update> = pool
             .get(var)
             .map(|us| us.iter().filter(|u| want.contains(&u.seqno.get())).copied().collect())

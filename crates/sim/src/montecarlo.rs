@@ -19,7 +19,7 @@ use std::sync::Arc;
 use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, PassThrough};
 use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{cond, Cmp, Condition};
-use rcm_core::{Alert, Update, VarId};
+use rcm_core::{Alert, VarId};
 use rcm_props::{
     check_complete_multi, check_complete_single, check_consistent_multi, check_ordered,
 };
@@ -331,14 +331,14 @@ pub fn check_run(
 ) -> (bool, bool, bool) {
     let vars = condition.variables();
     let ordered = check_ordered(displayed, &vars).ok;
-    let inputs: Vec<Vec<Update>> = result.inputs.clone();
+    let inputs = &result.inputs;
     let complete = match topo {
-        Topology::SingleVar => check_complete_single(condition, &inputs, displayed).ok,
+        Topology::SingleVar => check_complete_single(condition, inputs, displayed).ok,
         Topology::MultiVar | Topology::MultiVar3 => {
-            check_complete_multi(condition, &inputs, displayed).ok
+            check_complete_multi(condition, inputs, displayed).ok
         }
     };
-    (ordered, complete, check_consistent_multi(condition, &inputs, displayed).ok)
+    (ordered, complete, check_consistent_multi(condition, inputs, displayed).ok)
 }
 
 /// The per-run seed for run `i` of a cell evaluated with `base_seed`.

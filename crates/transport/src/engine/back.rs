@@ -1,24 +1,29 @@
-//! The evented CE → AD back link: the [`Outbox`] policy every back
-//! link shares, on a nonblocking socket with every blocking state made
-//! explicit.
+//! The CE → AD back link: the paper's "TCP-like" link, lossless across
+//! drops. A TCP connection gives in-order bytes while it lives; when it
+//! dies — a scripted severance or a genuine socket error — the link
+//! follows the [`Outbox`] policy every back link shares: sends while
+//! down wait in a bounded queue, and a reconnect, paced by a seeded
+//! [`Backoff`] schedule, re-sends the unacked tail and then the queue in
+//! order. Every alert is its own `Alert` frame: a back link carries
+//! little traffic, and an alert that waits for company is a late alert.
 //!
-//! Where the threaded link blocks, this one parks state:
+//! The socket is nonblocking, and every state a blocking link would sit
+//! in is explicit:
 //!
 //! * a partial write parks the frame's remainder as a
 //!   [`PendingWrite`] continuation and waits for writability;
-//! * a down link parks a reconnect timer paced by the same seeded
-//!   [`Backoff`] schedule (and a connect attempt in flight is its own
-//!   `Connecting` state, aborted by a capped timer — the evented
-//!   analogue of `RECONNECT_CONNECT_CAP`);
+//! * a down link parks a reconnect timer paced by the backoff schedule,
+//!   and a connect attempt in flight is its own `Connecting` state,
+//!   aborted by a timer after `CONNECT_CAP`;
 //! * `finish` parks a drain-then-Fin plan with a deadline timer, so a
 //!   dead peer costs a counted queue loss, never a hung thread.
 //!
-//! Counter timing matches the threaded link at frame *completion*
-//! (the threaded `write_all` either fully succeeds or fails), so the
-//! loopback equivalence suite can compare reports across engines.
-//! The caller-side handle, [`EventedBackLink`], never blocks on
-//! `send_alert`: everything past the bound is shed-with-counter, the
-//! back-pressure contract of [`Outbox::enqueue`].
+//! A frame counts (`frames_sent`, `bytes_sent`, `sent` or
+//! `resent_duplicates`) when its last byte is written, never for a
+//! partial write. The caller-side handle, [`EventedBackLink`], never
+//! blocks on `send_alert`: everything past the bound is
+//! shed-with-counter, the back-pressure contract of
+//! [`Outbox::enqueue`].
 
 // LOCK ORDER: no locks — back-link state machines are owned by the loop thread.
 
@@ -41,23 +46,24 @@ use crate::report::BackLinkStats;
 use crate::wire::{self, Codec, Message};
 
 /// How long `finish` keeps retrying a dead peer before counting the
-/// queue as lost — the threaded link's deadline.
+/// queue as lost.
 const FINISH_DEADLINE: Duration = Duration::from_secs(10);
 
 /// How long one in-flight reconnect attempt may sit in `Connecting`
-/// before the abort timer kills it — the evented analogue of the
-/// threaded path's `RECONNECT_CONNECT_CAP`.
+/// before the abort timer kills it: a connect to a silently dropping
+/// peer would otherwise wait out the OS handshake timeout.
 const CONNECT_CAP: Duration = Duration::from_millis(250);
 
-/// The initial connect keeps the threaded deployment-error semantics:
-/// it happens on the caller thread and is worth waiting for. Bounded
-/// only so a silently-dropping peer cannot park deployment forever.
+/// The initial connect happens on the caller thread and is worth
+/// waiting for: a back link that never existed is a deployment error.
+/// Bounded only so a silently-dropping peer cannot park deployment
+/// forever.
 const INITIAL_CONNECT_WAIT: Duration = Duration::from_secs(30);
 
 /// Everything needed to open one evented back link, gathered so the
-/// link can be built inside the loop. Like the threaded `TcpBackLink`,
-/// it sends one frame per alert, follows the [`Outbox`] policy and
-/// gives a dead peer 10 s at `finish`.
+/// link can be built inside the loop. The link sends one frame per
+/// alert, follows the [`Outbox`] policy and gives a dead peer 10 s at
+/// `finish`.
 #[derive(Debug, Clone)]
 pub struct BackLinkSpec {
     pub(super) peer: SocketAddr,
@@ -84,8 +90,7 @@ impl BackLinkSpec {
 /// The caller-side handle to one evented back link. Lives on the CE
 /// thread; every method is a non-blocking submit to the loop except
 /// `finish`/`abandon`, which wait for the state machine's
-/// acknowledgement (the evented analogue of the threaded link's
-/// blocking drain).
+/// acknowledgement.
 pub struct EventedBackLink {
     id: usize,
     commands: SubmitQueue<Command>,
@@ -125,8 +130,10 @@ impl EventedBackLink {
     }
 
     /// Asks the loop to drain losslessly, send Fin, and close; waits
-    /// for the acknowledgement. Same lossless contract (and same
-    /// deadline-bounded loss accounting) as the threaded `finish`.
+    /// for the acknowledgement. This is what turns "bounded queue while
+    /// down" into the paper's lossless contract: if the peer stays
+    /// unreachable past the 10 s deadline, what is still queued is
+    /// counted into `lost_overflow` — loss is never silent.
     pub fn finish(&mut self) {
         if self.finished {
             return;
@@ -160,8 +167,7 @@ struct PendingWrite {
     bytes: Vec<u8>,
     written: usize,
     /// The alert this frame carries (`None` for Hello/Fin control
-    /// frames, which the counters ignore — matching the threaded
-    /// link's `write_msg`).
+    /// frames, which the counters ignore).
     alert: Option<Alert>,
     resend: bool,
     fin: bool,
@@ -197,9 +203,8 @@ pub(super) struct BackSource {
 
 impl BackSource {
     /// Opens the link: the initial connect on the caller thread (a
-    /// failure here is a deployment error, like the threaded
-    /// `connect`), then registers the live stream with the loop and
-    /// queues the Hello preamble.
+    /// failure here is a deployment error), then registers the live
+    /// stream with the loop and queues the Hello preamble.
     pub(super) fn open(
         spec: BackLinkSpec,
         core: &mut Core,
@@ -365,9 +370,8 @@ impl BackSource {
             self.schedule_reconnect(core, id, Instant::now() + delay);
             return false;
         }
-        // Connected: same sequence as the threaded reconnect — Hello,
-        // then the outbox's replay (unacked-tail duplicates, then the
-        // queue in FIFO order), one frame each.
+        // Connected: Hello, then the outbox's replay (unacked-tail
+        // duplicates, then the queue in FIFO order), one frame each.
         if let Some(stream) = &self.stream {
             let _ = stream.set_nodelay(true);
         }
@@ -416,8 +420,8 @@ impl BackSource {
 
     // ---- the write path.
 
-    /// Encodes `alert` as one `Alert` frame (the threaded wire format)
-    /// and parks it on the out-queue. Counting happens at completion.
+    /// Encodes `alert` as one `Alert` frame and parks it on the
+    /// out-queue. Counting happens at completion.
     fn queue_frame(&mut self, alert: Alert, resend: bool) {
         let mut bytes = Vec::new();
         if wire::encode_into(Codec::Binary, &Message::Alert(alert.clone()), &mut bytes).is_err() {
@@ -495,15 +499,14 @@ impl BackSource {
         false
     }
 
-    /// Completion bookkeeping for one fully-written frame — the moment
-    /// the threaded link's `write_all` would have returned `Ok`.
+    /// Completion bookkeeping for one fully-written frame.
     fn complete_frame(&mut self, core: &mut Core, frame: PendingWrite) -> bool {
         if frame.fin {
             self.retire(core);
             return true;
         }
         let Some(alert) = frame.alert else {
-            return false; // Hello: uncounted, like write_msg
+            return false; // Hello: uncounted
         };
         let len = frame.bytes.len() as u64;
         self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);

@@ -80,10 +80,10 @@ pub(super) struct Core {
 // Boxing the large back-link variant would add a pointer chase to every
 // event on the hot path; the slab holds one slot per socket.
 #[allow(clippy::large_enum_variant)]
-enum Source {
-    Front(FrontSource),
+enum Source<'d> {
+    Front(FrontSource<'d>),
     Back(BackSource),
-    Listener(ListenerSource),
+    Listener(ListenerSource<'d>),
     Conn(ConnSource),
 }
 
@@ -93,18 +93,20 @@ enum Source {
 /// Build it on the caller thread (registration happens eagerly, so
 /// bind/connect errors surface as `io::Result` right here), then hand
 /// the loop to a thread via [`run`](Self::run). Handles returned by
-/// `add_*` stay valid after the move.
-pub struct EventLoop {
+/// `add_*` stay valid after the move. `'d` bounds the `deliver`
+/// closures the loop holds: `'static` for a loop handed to a thread of
+/// its own, shorter for one run on the thread that built it.
+pub struct EventLoop<'d> {
     core: Core,
     commands: SubmitQueue<Command>,
-    sources: Vec<Option<Source>>,
+    sources: Vec<Option<Source<'d>>>,
     /// Primary sources (fronts, listeners, back links) still running.
     /// Conn sources ride on their listener and are not counted — the
     /// loop exits when the last primary source retires.
     active: usize,
 }
 
-impl std::fmt::Debug for EventLoop {
+impl std::fmt::Debug for EventLoop<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLoop")
             .field("sources", &self.sources.len())
@@ -113,7 +115,7 @@ impl std::fmt::Debug for EventLoop {
     }
 }
 
-impl EventLoop {
+impl<'d> EventLoop<'d> {
     /// A loop on the platform's best readiness backend (epoll on
     /// Linux, kqueue on macOS, `poll(2)` elsewhere).
     ///
@@ -159,12 +161,13 @@ impl EventLoop {
         self.sources.len() - 1
     }
 
-    /// Adds one CE UDP ingress: the evented [`UdpFrontReceiver`]. The
-    /// socket is made non-blocking and every admitted update is handed
-    /// to `deliver` on the loop thread, in arrival order, until every
-    /// expected Fin arrived or the idle backstop fires.
-    ///
-    /// [`UdpFrontReceiver`]: crate::UdpFrontReceiver
+    /// Adds one CE UDP ingress, the receiving end of the front link.
+    /// The socket is made non-blocking; an update is admitted only if
+    /// its seqno advances its variable's high-water mark (reordering and
+    /// duplication become loss), and every admitted update is handed to
+    /// `deliver` on the loop thread, in arrival order. Every Fin is
+    /// echoed to its sender. The ingress retires once `expected_fins`
+    /// distinct Fins arrived, or after `idle_timeout` with no datagram.
     ///
     /// # Errors
     ///
@@ -174,7 +177,7 @@ impl EventLoop {
         sock: UdpSocket,
         expected_fins: usize,
         idle_timeout: Duration,
-        deliver: impl FnMut(Update) + Send + 'static,
+        deliver: impl FnMut(Update) + Send + 'd,
     ) -> io::Result<Arc<IngressStats<AtomicU64>>> {
         sock.set_nonblocking(true)?;
         let id = self.alloc();
@@ -189,13 +192,13 @@ impl EventLoop {
         Ok(counters)
     }
 
-    /// Adds the AD-side alert listener: the evented
-    /// [`TcpAlertListener`]. Accepted connections become their own
-    /// sources; every decoded alert is handed to `deliver` on the loop
-    /// thread until every expected Fin arrived or the idle backstop
-    /// fires.
-    ///
-    /// [`TcpAlertListener`]: crate::TcpAlertListener
+    /// Adds the AD-side alert listener, the receiving end of every
+    /// back link. Accepted connections (reconnects included) become
+    /// their own sources; each connection's alerts are handed to
+    /// `deliver` on the loop thread in the order sent, and a connection
+    /// whose stream cannot be framed is closed. The listener retires
+    /// once `expected_fins` distinct Fins arrived, or after
+    /// `idle_timeout` with no connection or frame.
     ///
     /// # Errors
     ///
@@ -205,7 +208,7 @@ impl EventLoop {
         listener: TcpListener,
         expected_fins: usize,
         idle_timeout: Duration,
-        deliver: impl FnMut(Alert) + Send + 'static,
+        deliver: impl FnMut(Alert) + Send + 'd,
     ) -> io::Result<Arc<ListenerStats<AtomicU64>>> {
         listener.set_nonblocking(true)?;
         let id = self.alloc();
@@ -221,13 +224,9 @@ impl EventLoop {
         Ok(counters)
     }
 
-    /// Adds one CE → AD back link: the evented [`TcpBackLink`]. The
-    /// initial connect happens here, on the caller thread, with the
-    /// threaded path's deployment-error semantics; everything after
-    /// (severs, reconnects, the lossless drain) runs as a state machine
-    /// on the loop.
-    ///
-    /// [`TcpBackLink`]: crate::TcpBackLink
+    /// Adds one CE → AD back link. The initial connect happens here,
+    /// on the caller thread; everything after (severs, reconnects, the
+    /// lossless drain) runs as a state machine on the loop.
     ///
     /// # Errors
     ///
@@ -428,7 +427,7 @@ impl EventLoop {
     /// connection that rode on it. Dropping the listener drops the
     /// caller's `deliver` closure, which is what ends the downstream
     /// (the AD body sees its channel close).
-    fn finish_listener(&mut self, mut listener: ListenerSource) {
+    fn finish_listener(&mut self, mut listener: ListenerSource<'d>) {
         listener.shutdown(&mut self.core);
         for cid in listener.take_conns() {
             match self.sources.get_mut(cid).and_then(Option::take) {

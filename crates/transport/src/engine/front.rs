@@ -1,11 +1,9 @@
-//! The evented CE ingress: the front-link contract ([`Ingress`]) on
-//! the loop.
+//! The CE ingress: the front-link contract ([`Ingress`]: the seqno
+//! gate, the counters, the Fin echo and Fin termination) on the loop.
 //!
-//! The threaded receiver in `udp.rs` runs the same [`Ingress`]: the
-//! same seqno gate, counters, Fin echo and Fin termination. Only the
-//! socket loop differs: the blocking `recv_from` loop becomes "drain
-//! until `WouldBlock` on each readable event", and the idle backstop
-//! becomes a lazily-rescheduled wheel timer.
+//! The socket loop around it drains the socket until `WouldBlock` on
+//! each readable event, echoing every Fin to its sender, and the idle
+//! backstop is a lazily-rescheduled wheel timer.
 
 // LOCK ORDER: no locks — front ingress state is owned by the loop thread.
 
@@ -22,21 +20,21 @@ use super::event_loop::{timer_data, Core, KIND_IDLE};
 use crate::receive::{Heard, Ingress};
 
 /// One CE UDP ingress on the loop.
-pub(super) struct FrontSource {
+pub(super) struct FrontSource<'d> {
     sock: UdpSocket,
     ingress: Ingress,
-    deliver: Box<dyn FnMut(Update) + Send>,
+    deliver: Box<dyn FnMut(Update) + Send + 'd>,
     idle_timeout: Duration,
     last_activity: Instant,
     idle_timer: TimerKey,
 }
 
-impl FrontSource {
+impl<'d> FrontSource<'d> {
     pub(super) fn new(
         sock: UdpSocket,
         ingress: Ingress,
         idle_timeout: Duration,
-        deliver: Box<dyn FnMut(Update) + Send>,
+        deliver: Box<dyn FnMut(Update) + Send + 'd>,
         idle_timer: TimerKey,
         now: Instant,
     ) -> Self {

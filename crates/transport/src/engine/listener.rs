@@ -1,14 +1,11 @@
-//! The evented AD listener: the alert-stream contract ([`AlertStream`],
-//! [`AlertFold`]) without the per-connection reader threads.
+//! The AD listener: the alert-stream contract ([`AlertStream`],
+//! [`AlertFold`]) on the loop.
 //!
-//! The threaded listener in `tcp.rs` spawns one reader thread per
-//! accepted back link and funnels each read's events through a channel.
-//! Here each accepted connection is its own [`ConnSource`] slot on the
-//! loop; a conn's readable handler returns the events of its reads as
-//! plain values, and the loop hands them to the owning
-//! [`ListenerSource`] *after* the conn slot is settled — two slots are
-//! never borrowed at once, so no shared state (and no lock) connects
-//! them.
+//! Each accepted connection is its own [`ConnSource`] slot on the loop;
+//! a conn's readable handler returns the events of its reads as plain
+//! values, and the loop hands them to the owning [`ListenerSource`]
+//! *after* the conn slot is settled — two slots are never borrowed at
+//! once, so no shared state (and no lock) connects them.
 
 // LOCK ORDER: no locks — the acceptor owns its sockets; results travel by channel.
 
@@ -25,9 +22,9 @@ use super::event_loop::{timer_data, Core, KIND_IDLE};
 use crate::receive::{AlertFold, AlertStream, StreamEvent};
 
 /// The accept socket plus the listener-level termination state.
-pub(super) struct ListenerSource {
+pub(super) struct ListenerSource<'d> {
     listener: TcpListener,
-    deliver: Box<dyn FnMut(Alert) + Send>,
+    deliver: Box<dyn FnMut(Alert) + Send + 'd>,
     fold: AlertFold,
     idle_timeout: Duration,
     last_activity: Instant,
@@ -36,12 +33,12 @@ pub(super) struct ListenerSource {
     conns: Vec<usize>,
 }
 
-impl ListenerSource {
+impl<'d> ListenerSource<'d> {
     pub(super) fn new(
         listener: TcpListener,
         fold: AlertFold,
         idle_timeout: Duration,
-        deliver: Box<dyn FnMut(Alert) + Send>,
+        deliver: Box<dyn FnMut(Alert) + Send + 'd>,
         idle_timer: TimerKey,
         now: Instant,
     ) -> Self {

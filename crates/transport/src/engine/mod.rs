@@ -1,19 +1,17 @@
 //! The evented socket engine: every front link, back link and alert
 //! listener as an explicit state machine on one readiness loop.
 //!
-//! A blocked OS thread per socket (the receiver types in `udp.rs` /
-//! `tcp.rs`) is fine for a handful of links, fatal for the paper's
-//! "numerous update streams" regime where one CE should hold thousands
-//! of idle front links. This module runs the same contracts as those
-//! links — the same receive cores (`receive.rs`: the ingress and the
-//! alert stream), the same [`Outbox`](crate::Outbox) and the same
-//! counter blocks — but runs them all on a single [`EventLoop`] built
-//! from `rcm-poll`:
+//! A blocked OS thread per socket is fine for a handful of links, fatal
+//! for the paper's "numerous update streams" regime where one CE should
+//! hold thousands of idle front links. This module runs every link's
+//! contract — the receive cores (`receive.rs`: the ingress and the
+//! alert stream), the [`Outbox`](crate::Outbox) and the counter blocks
+//! — on a single [`EventLoop`] built from `rcm-poll`:
 //!
 //! * readiness comes from a [`rcm_poll::Poller`] (epoll/kqueue/poll);
-//! * every deadline — backoff reconnects, batch `max_delay` flushes,
-//!   finish deadlines, idle backstops — is a [`rcm_poll::TimerWheel`]
-//!   entry, not a sleeping thread;
+//! * every deadline — backoff reconnects, connect caps, finish
+//!   deadlines, idle backstops — is a [`rcm_poll::TimerWheel`] entry,
+//!   not a sleeping thread;
 //! * caller threads (CE bodies, node mains) talk to the loop through a
 //!   [`SubmitQueue`] whose sleep/wake handoff is model-checked in
 //!   `crates/runtime/tests/loom.rs`;
@@ -22,9 +20,9 @@
 //!   a reconnect timer, a `finish` parks a drain-then-Fin plan with a
 //!   deadline — no thread ever sleeps inside the loop.
 //!
-//! It is the only engine the runtime and the node binaries deploy;
-//! the loopback equivalence suite pins it to the in-process pipeline's
-//! output at 0% and 20% loss.
+//! It is the crate's only socket engine; the loopback equivalence
+//! suite pins it to the in-process pipeline's output at 0% and 20%
+//! loss.
 //!
 //! Discipline (enforced by `cargo xtask analyze`): nothing in this
 //! directory blocks — no blocking `std::net` connects, no
@@ -69,8 +67,8 @@ mod tests {
         Backoff::new(Duration::from_micros(200), Duration::from_millis(5), 11)
     }
 
-    /// An evented ingress fed by the blocking UDP sender (the DM side)
-    /// delivers the admitted updates in order and retires on the Fin.
+    /// An ingress fed by the DM-side UDP sender delivers the admitted
+    /// updates in order and retires on the Fin.
     #[test]
     fn front_ingress_round_trips_updates_and_retires_on_fin() {
         let mut el = EventLoop::new().expect("event loop");
@@ -168,6 +166,49 @@ mod tests {
         let got: Vec<Alert> = rx.iter().collect();
         engine.join().expect("loop thread");
         assert_eq!(got.len(), 4);
+    }
+
+    /// A back link that never existed is a deployment error, reported
+    /// by `add_back_link` on the caller's thread.
+    #[test]
+    fn connect_to_dead_port_is_a_deployment_error() {
+        // Bind-then-drop guarantees an unused port.
+        let addr = {
+            let sock = TcpListener::bind("127.0.0.1:0").expect("bind probe");
+            sock.local_addr().expect("probe addr")
+        };
+        let mut el = EventLoop::new().expect("event loop");
+        assert!(el.add_back_link(BackLinkSpec::new(addr, 0, backoff())).is_err());
+    }
+
+    /// A link severed with an alert queued, then abandoned: the queue is
+    /// sanctioned loss, but the listener still gets the link's Fin.
+    #[test]
+    fn abandon_closes_with_a_fin_but_drops_the_queue() {
+        let mut el = EventLoop::new().expect("event loop");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (tx, rx) = rcm_sync::chan::unbounded();
+        let ad = el
+            .add_alert_listener(listener, 1, Duration::from_secs(5), move |a| {
+                let _ = tx.send(a);
+            })
+            .expect("register listener");
+        let spec =
+            BackLinkSpec::new(addr, 0, backoff()).with_severs(vec![(1, Duration::from_millis(30))]);
+        let mut back = el.add_back_link(spec).expect("back link");
+        let link_stats = back.counters();
+        let engine = rcm_sync::thread::spawn(move || el.run());
+
+        back.send_alert(alert(1));
+        back.send_alert(alert(2)); // severed: queued
+        back.abandon();
+        let got: Vec<u64> = rx.iter().map(|a| a.id.index).collect();
+        engine.join().expect("loop thread");
+        assert_eq!(got, vec![1], "the queued alert was sanctioned loss");
+        assert_eq!(ad.snapshot().fins, 1, "the listener still got its end-of-stream marker");
+        let sent = link_stats.snapshot();
+        assert_eq!((sent.sent, sent.severs, sent.lost_overflow), (1, 1, 0));
     }
 
     /// Send-after-finish is a caller bug the handle absorbs without

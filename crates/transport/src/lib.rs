@@ -34,15 +34,14 @@
 //!   DM / CE×n / AD deployment, used by the runtime's `SystemBuilder`
 //!   and the `rcm-dm` / `rcm-ce` / `rcm-ad` node binaries.
 //!
-//! [`UdpFrontReceiver`], [`TcpBackLink`] and [`TcpAlertListener`] are
-//! the same three links with a blocked OS thread (blocking socket +
-//! short read timeout) per socket. Nothing in the runtime or the node
-//! binaries can select them any more; `tcp.rs` and the receiver half of
-//! `udp.rs` stay only because the benchmark's two
-//! `transport.threaded.*` hop probes time them, and go once a benchmark
-//! change drops those probes. The one-variant [`Codec`] is kept the same
-//! way: the benchmark's replay passes it to the `wire::encode_*_into`
-//! functions.
+//! [`UdpFrontReceiver`], [`TcpAlertListener`] and [`TcpBackLink`] are
+//! three names over the [`EventLoop`], each one registration on it and
+//! nothing else. No workspace code outside their tests calls them; they
+//! stay only because the benchmark's two `transport.threaded.*` hop
+//! probes do, and go with those probes (ROADMAP item 1). The
+//! one-variant [`Codec`]
+//! is kept the same way: the benchmark's replay passes it to the
+//! `wire::encode_*_into` functions.
 //!
 //! All concurrency goes through the `rcm-sync` shim, same discipline as
 //! the runtime, so `cargo xtask analyze` covers this crate too.
@@ -54,10 +53,10 @@
 pub mod engine;
 mod gate;
 mod outbox;
+mod probe_shims;
 mod proxy;
 mod receive;
 mod report;
-mod tcp;
 mod topology;
 mod udp;
 pub mod wire;
@@ -65,12 +64,12 @@ pub mod wire;
 pub use engine::{BackLinkSpec, EventLoop, EventedBackLink};
 pub use gate::SeqGate;
 pub use outbox::Outbox;
+pub use probe_shims::{TcpAlertListener, TcpBackLink, UdpFrontReceiver};
 pub use proxy::{LossProxy, ProxyHandle};
 pub use report::{
     BackLinkStats, EngineStats, FrontLinkStats, IngressStats, ListenerStats, ProxyStats,
     TransportMode, TransportReport,
 };
-pub use tcp::{TcpAlertListener, TcpBackLink};
 pub use topology::{BoundTopology, Topology, TopologyParts};
-pub use udp::{fin_rounds, RoundSender, UdpFrontLink, UdpFrontReceiver};
+pub use udp::{fin_rounds, RoundSender, UdpFrontLink};
 pub use wire::Codec;

@@ -19,10 +19,11 @@
 //!
 //! An [`Outbox`] holds that state and counts the policy's counters
 //! (`severs`, `queued_peak`, `lost_overflow`) into the link's
-//! [`BackLinkStats`] block. The links — the in-process `BackLink` of
-//! `rcm-runtime`, [`TcpBackLink`](crate::TcpBackLink) and the evented
-//! back link — keep only how to send, reconnect and finish, and count
-//! their wire counters into the same block at their own moment.
+//! [`BackLinkStats`] block. The two links — the in-process `BackLink`
+//! of `rcm-runtime` and the socket back link on the
+//! [`EventLoop`](crate::EventLoop) — keep only how to send, reconnect
+//! and finish, and count their wire counters into the same block at
+//! their own moment.
 //!
 //! LOCK ORDER: no locks — the counters are atomics.
 

@@ -1,4 +1,4 @@
-//! The receive side of both link types, written once for both engines.
+//! The receive side of both link types, written once for the engine.
 //!
 //! The paper's system has two link types, each with one receiver
 //! contract. The front link is lossy and in order: its receiver admits
@@ -9,14 +9,11 @@
 //!
 //! [`Ingress`] is the first contract and [`AlertStream`] with
 //! [`AlertFold`] the second, as plain state fed one datagram or one
-//! read at a time. The threaded receivers
-//! ([`UdpFrontReceiver`](crate::UdpFrontReceiver),
-//! [`TcpAlertListener`](crate::TcpAlertListener)) and the evented
-//! sources in `engine/` keep only their socket loops around them — a
-//! blocking read with a timeout in one, a drain until `WouldBlock` plus
-//! a wheel timer in the other — so the two engines cannot drift apart.
-//! [`Outbox`](crate::Outbox) is the same thing for the back link's send
-//! side.
+//! read at a time. The engine's ingress and listener sources in
+//! `engine/` keep only their socket loop around them: a drain until
+//! `WouldBlock` on each readable event, plus a wheel timer for the idle
+//! backstop. [`Outbox`](crate::Outbox) is the same thing for the back
+//! link's send side.
 
 // LOCK ORDER: no locks — the counters are atomics.
 
@@ -192,8 +189,8 @@ impl AlertFold {
     }
 }
 
-/// The threaded and the evented receivers, played the same hostile
-/// input: both must deliver the same sequence and count the same.
+/// The engine's receivers, played hostile input: each must deliver
+/// exactly the expected sequence and count exactly.
 #[cfg(test)]
 mod tests {
     use std::io::{Read, Write};
@@ -205,7 +202,6 @@ mod tests {
     use crate::engine::EventLoop;
     use crate::report::{IngressStats, ListenerStats};
     use crate::wire::{self, Message};
-    use crate::{TcpAlertListener, UdpFrontReceiver};
 
     use super::*;
 
@@ -245,9 +241,9 @@ mod tests {
         ]
     }
 
-    /// Queues the hostile datagrams on `target` before any receiver
-    /// reads it, so both engines read the same queue; returns the socket
-    /// they came from.
+    /// Queues the hostile datagrams on `target` before the ingress reads
+    /// it, so it reads them in one known order; returns the socket they
+    /// came from.
     fn queue_hostile_datagrams(target: SocketAddr) -> UdpSocket {
         let dm = UdpSocket::bind("127.0.0.1:0").expect("bind DM");
         for datagram in hostile_datagrams() {
@@ -264,30 +260,16 @@ mod tests {
     }
 
     #[test]
-    fn threaded_and_evented_ingress_agree_on_a_hostile_script() {
-        let threaded = {
-            let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-                .expect("bind receiver")
-                .expected_fins(2)
-                .idle_timeout(IDLE);
-            let dm = queue_hostile_datagrams(rx.local_addr().expect("bound addr"));
-            let mut got = Vec::new();
-            let stats = rx.run(|update| got.push(update));
-            (got, stats, echoes(&dm))
-        };
-        let evented = {
-            let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
-            let dm = queue_hostile_datagrams(sock.local_addr().expect("bound addr"));
-            let mut el = EventLoop::new().expect("event loop");
-            let (tx, rx) = rcm_sync::chan::unbounded();
-            let counters = el
-                .add_front_ingress(sock, 2, IDLE, move |update| {
-                    let _ = tx.send(update);
-                })
-                .expect("register ingress");
-            el.run();
-            (rx.iter().collect::<Vec<_>>(), counters.snapshot(), echoes(&dm))
-        };
+    fn the_ingress_delivers_and_counts_a_hostile_script_exactly() {
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let dm = queue_hostile_datagrams(sock.local_addr().expect("bound addr"));
+        let mut got = Vec::new();
+        let mut el = EventLoop::new().expect("event loop");
+        let counters = el
+            .add_front_ingress(sock, 2, IDLE, |update| got.push(update))
+            .expect("register ingress");
+        el.run();
+        let heard = (got, counters.snapshot(), echoes(&dm));
 
         let want = vec![u(0, 1), u(0, 2), u(1, 1), u(0, 3), u(1, 2)];
         let fin = |node| encode(&Message::Fin { node });
@@ -300,8 +282,7 @@ mod tests {
             fins: 2,
             bytes_received: bytes,
         };
-        assert_eq!(threaded, (want, stats, vec![fin(0), fin(0), fin(1)]));
-        assert_eq!(evented, threaded);
+        assert_eq!(heard, (want, stats, vec![fin(0), fin(0), fin(1)]));
     }
 
     /// Plays the hostile stream at the listener at `addr`, which must
@@ -328,46 +309,28 @@ mod tests {
     }
 
     #[test]
-    fn threaded_and_evented_listeners_agree_on_a_hostile_stream() {
-        let threaded = {
-            let listener = TcpAlertListener::bind("127.0.0.1:0".parse().expect("literal addr"))
-                .expect("bind listener")
-                .expected_fins(2)
-                .idle_timeout(IDLE);
-            let addr = listener.local_addr().expect("bound addr");
-            let ad = rcm_sync::thread::spawn(move || {
-                let mut got = Vec::new();
-                let stats = listener.run(|alert| got.push(alert));
-                (got, stats)
-            });
-            let bytes = play_hostile_stream(addr);
-            let (got, stats) = ad.join().expect("listener thread");
-            (got, stats, bytes)
-        };
-        let evented = {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().expect("addr");
-            let mut el = EventLoop::new().expect("event loop");
-            let (tx, rx) = rcm_sync::chan::unbounded();
-            let counters = el
-                .add_alert_listener(listener, 2, IDLE, move |alert| {
-                    let _ = tx.send(alert);
-                })
-                .expect("register listener");
-            let engine = rcm_sync::thread::spawn(move || el.run());
-            let bytes = play_hostile_stream(addr);
-            engine.join().expect("loop thread");
-            (rx.iter().collect::<Vec<_>>(), counters.snapshot(), bytes)
-        };
+    fn the_listener_delivers_and_counts_a_hostile_stream_exactly() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut el = EventLoop::new().expect("event loop");
+        let (tx, rx) = rcm_sync::chan::unbounded();
+        let counters = el
+            .add_alert_listener(listener, 2, IDLE, move |alert| {
+                let _ = tx.send(alert);
+            })
+            .expect("register listener");
+        let engine = rcm_sync::thread::spawn(move || el.run());
+        let bytes = play_hostile_stream(addr);
+        engine.join().expect("loop thread");
+        let heard = (rx.iter().collect::<Vec<_>>(), counters.snapshot(), bytes);
 
         let stats = ListenerStats {
             connections: 2,
             alerts: 1,
             decode_errors: 2,
             fins: 2,
-            bytes_received: threaded.2,
+            bytes_received: bytes,
         };
-        assert_eq!(threaded, (vec![alert(1)], stats, threaded.2));
-        assert_eq!(evented, threaded);
+        assert_eq!(heard, (vec![alert(1)], stats, bytes));
     }
 }

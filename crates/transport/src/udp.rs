@@ -5,11 +5,12 @@
 //! stream is loss-tolerant, and in-order delivery can be recovered
 //! cheaply by "tagging all messages with a sequence number and letting
 //! the receiver discard messages that arrive out of order". That is
-//! literally what this module does: the sender puts one frame per
-//! datagram on the wire, and [`UdpFrontReceiver`] discards anything
-//! whose seqno does not advance its variable's high-water mark
-//! ([`SeqGate`](crate::SeqGate)) — reordering and duplication become loss, which the
-//! CE already tolerates.
+//! literally what the front link does: this module's sender puts one
+//! frame per datagram on the wire, and the CE's ingress
+//! ([`EventLoop::add_front_ingress`](crate::EventLoop::add_front_ingress))
+//! discards anything whose seqno does not advance its variable's
+//! high-water mark ([`SeqGate`](crate::SeqGate)) — reordering and
+//! duplication become loss, which the CE already tolerates.
 //!
 //! A DM node sends through a [`RoundSender`]: one link per CE, and each
 //! round — every feed's readings of it, in round order — goes to each CE
@@ -29,7 +30,7 @@
 //! gets every repeat, and the receiver's idle backstop still covers a
 //! stream whose every `Fin` was lost.
 //!
-//! LOCK ORDER: no locks — both halves count into atomics.
+//! LOCK ORDER: no locks — the links count into atomics.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -39,13 +40,8 @@ use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
-use crate::receive::{Heard, Ingress};
-use crate::report::{FrontLinkStats, IngressStats};
+use crate::report::FrontLinkStats;
 use crate::wire::{self, Codec, Message};
-
-/// How often the receiver wakes from `recv` to check its idle
-/// deadline.
-const RECV_TICK: Duration = Duration::from_millis(20);
 
 /// Binds an ephemeral socket suitable for talking to `peer`: loopback
 /// peers get a loopback bind so the traffic never leaves the host.
@@ -405,124 +401,13 @@ pub fn fin_rounds(repeats: usize, mut round: impl FnMut(Instant) -> bool) {
     }
 }
 
-/// The receiving half: owns the CE's UDP socket, enforces the
-/// front-link contract (the ingress core in `receive.rs`, which the
-/// evented ingress runs too), and hands admitted updates to a caller
-/// closure.
-pub struct UdpFrontReceiver {
-    sock: UdpSocket,
-    counters: Arc<IngressStats<AtomicU64>>,
-    expected_fins: usize,
-    idle_timeout: Duration,
-}
-
-impl std::fmt::Debug for UdpFrontReceiver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UdpFrontReceiver")
-            .field("local", &self.sock.local_addr().ok())
-            .field("expected_fins", &self.expected_fins)
-            .field("stats", &self.counters.snapshot())
-            .finish()
-    }
-}
-
-impl UdpFrontReceiver {
-    /// Binds a fresh socket (use `127.0.0.1:0` in tests for an
-    /// ephemeral parallel-safe port).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind failures.
-    pub fn bind(addr: SocketAddr) -> io::Result<Self> {
-        Self::from_socket(UdpSocket::bind(addr)?)
-    }
-
-    /// Wraps an already-bound socket (the topology binder uses this to
-    /// reserve ports before any node starts).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the read-timeout configuration failure.
-    pub fn from_socket(sock: UdpSocket) -> io::Result<Self> {
-        sock.set_read_timeout(Some(RECV_TICK))?;
-        Ok(UdpFrontReceiver {
-            sock,
-            counters: Arc::default(),
-            expected_fins: 1,
-            idle_timeout: Duration::from_secs(5),
-        })
-    }
-
-    /// How many distinct DM end-of-stream markers terminate the run
-    /// (one per feed; default 1).
-    #[must_use]
-    pub fn expected_fins(mut self, fins: usize) -> Self {
-        self.expected_fins = fins;
-        self
-    }
-
-    /// Backstop: stop anyway after this long with no datagrams at all,
-    /// in case every Fin was lost (default 5 s).
-    #[must_use]
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.idle_timeout = timeout;
-        self
-    }
-
-    /// The bound address (query this after an ephemeral-port bind).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket query failure.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.sock.local_addr()
-    }
-
-    /// A handle for reading the ingress counters while `run` owns the
-    /// receiver.
-    pub fn counters(&self) -> Arc<IngressStats<AtomicU64>> {
-        Arc::clone(&self.counters)
-    }
-
-    /// Receives until every expected Fin arrived (or the idle backstop
-    /// fires), delivering each admitted update to `deliver` in arrival
-    /// order. Returns the final counters.
-    pub fn run(self, mut deliver: impl FnMut(Update)) -> IngressStats {
-        let mut ingress = Ingress::new(self.expected_fins, Arc::clone(&self.counters));
-        let mut buf = [0u8; 65_535];
-        let mut last_activity = Instant::now();
-        loop {
-            let (len, from) = match self.sock.recv_from(&mut buf) {
-                Ok(got) => got,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if last_activity.elapsed() >= self.idle_timeout {
-                        break;
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            };
-            last_activity = Instant::now();
-            if let Heard::Fin { last } = ingress.datagram(&buf[..len], &mut deliver) {
-                // Echo every Fin, a repeat included, so its sender can
-                // stop repeating; best effort, like the Fin.
-                let _ = self.sock.send_to(&buf[..len], from);
-                if last {
-                    break;
-                }
-            }
-        }
-        self.counters.snapshot()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::engine::EventLoop;
+    use crate::report::IngressStats;
     use rcm_core::VarId;
+    use rcm_sync::thread::JoinHandle;
 
     fn u(seqno: u64, value: f64) -> Update {
         Update::new(VarId::new(0), seqno, value)
@@ -669,26 +554,29 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn receiver_echoes_every_fin_and_nothing_else() {
-        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind receiver")
-            .expected_fins(2)
-            .idle_timeout(Duration::from_secs(2));
-        let addr = rx.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || rx.run(|_| {}));
-        assert_every_fin_echoed(addr, || {
-            handle.join().expect("receiver thread");
-        });
+    /// Runs an evented CE ingress on `sock` on a thread of its own;
+    /// joining it gives the updates it delivered, in order, and its final
+    /// counters.
+    fn ingress(
+        sock: UdpSocket,
+        expected_fins: usize,
+        idle: Duration,
+    ) -> JoinHandle<(Vec<Update>, IngressStats)> {
+        rcm_sync::thread::spawn(move || {
+            let mut got = Vec::new();
+            let mut el = EventLoop::new().expect("event loop");
+            let counters = el
+                .add_front_ingress(sock, expected_fins, idle, |u| got.push(u))
+                .expect("register ingress");
+            el.run();
+            (got, counters.snapshot())
+        })
     }
 
-    fn pair() -> (UdpFrontLink, UdpFrontReceiver) {
-        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind receiver")
-            .idle_timeout(Duration::from_secs(2));
-        let tx =
-            UdpFrontLink::connect(rx.local_addr().expect("bound addr"), 0).expect("connect sender");
-        (tx, rx)
+    fn bind() -> (UdpSocket, SocketAddr) {
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let addr = sock.local_addr().expect("bound addr");
+        (sock, addr)
     }
 
     #[test]
@@ -734,23 +622,18 @@ pub(crate) mod tests {
 
     #[test]
     fn updates_flow_end_to_end_in_order() {
-        let (mut tx, rx) = pair();
-        let stats = rx.counters();
-        let handle = rcm_sync::thread::spawn(move || {
-            let mut got = Vec::new();
-            let final_stats = rx.run(|u| got.push(u.seqno.get()));
-            (got, final_stats)
-        });
+        let (sock, addr) = bind();
+        let handle = ingress(sock, 1, Duration::from_secs(2));
+        let mut tx = UdpFrontLink::connect(addr, 0).expect("connect sender");
         for s in 1..=5 {
             assert!(tx.send_update(u(s, s as f64)));
         }
         tx.finish(4);
-        let (got, final_stats) = handle.join().expect("receiver thread");
-        assert_eq!(got, vec![1, 2, 3, 4, 5]);
-        assert_eq!(final_stats.delivered, 5);
-        assert_eq!(final_stats.fins, 1);
-        assert_eq!(final_stats.decode_errors, 0);
-        assert_eq!(stats.snapshot().delivered, 5);
+        let (got, stats) = handle.join().expect("ingress thread");
+        assert_eq!(got.iter().map(|u| u.seqno.get()).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(stats.delivered, 5);
+        assert_eq!(stats.fins, 1);
+        assert_eq!(stats.decode_errors, 0);
         assert_eq!(tx.counters().snapshot().frames_sent, 5);
     }
 
@@ -758,15 +641,8 @@ pub(crate) mod tests {
     /// must turn the reorder and the duplicate into drops.
     #[test]
     fn receiver_discards_reordered_and_duplicated_datagrams() {
-        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind receiver")
-            .idle_timeout(Duration::from_secs(2));
-        let target = rx.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || {
-            let mut got = Vec::new();
-            let stats = rx.run(|u| got.push(u.seqno.get()));
-            (got, stats)
-        });
+        let (sock, target) = bind();
+        let handle = ingress(sock, 1, Duration::from_secs(2));
         let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
         let send = |msg: &Message| {
             let frame = wire::encode(msg).expect("encodes");
@@ -781,7 +657,8 @@ pub(crate) mod tests {
         send(&Message::Update(u(3, 3.0))); // duplicate → discarded
         send(&Message::Update(u(4, 4.0)));
         send(&Message::Fin { node: 0 });
-        let (got, stats) = handle.join().expect("receiver thread");
+        let (got, stats) = handle.join().expect("ingress thread");
+        let got: Vec<u64> = got.iter().map(|u| u.seqno.get()).collect();
         assert_eq!(got, vec![1, 3, 4], "stream stayed in order; reorder became loss");
         assert_eq!(stats.dropped_stale, 2);
         assert_eq!(stats.frames_received, 6);
@@ -789,11 +666,8 @@ pub(crate) mod tests {
 
     #[test]
     fn corrupt_datagrams_count_as_decode_errors_and_never_panic() {
-        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind receiver")
-            .idle_timeout(Duration::from_secs(2));
-        let target = rx.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || rx.run(|_| {}));
+        let (sock, target) = bind();
+        let handle = ingress(sock, 1, Duration::from_secs(2));
         let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
         let mut corrupted = wire::encode(&Message::Update(u(1, 1.0))).expect("encodes");
         let last = corrupted.len() - 1;
@@ -808,18 +682,16 @@ pub(crate) mod tests {
         rcm_sync::thread::sleep(Duration::from_millis(2));
         raw.send_to(&wire::encode(&Message::Fin { node: 0 }).expect("encodes"), target)
             .expect("send_to");
-        let stats = handle.join().expect("receiver thread");
+        let (_, stats) = handle.join().expect("ingress thread");
         assert_eq!(stats.decode_errors, 3);
         assert_eq!(stats.delivered, 0);
     }
 
     #[test]
     fn idle_timeout_is_a_backstop_when_every_fin_is_lost() {
-        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind receiver")
-            .idle_timeout(Duration::from_millis(150));
+        let (sock, _) = bind();
         let start = Instant::now();
-        let stats = rx.run(|_| {});
+        let (_, stats) = ingress(sock, 1, Duration::from_millis(150)).join().expect("ingress");
         assert!(start.elapsed() >= Duration::from_millis(150));
         assert_eq!(stats.fins, 0);
     }
@@ -873,22 +745,15 @@ pub(crate) mod tests {
         assert_eq!((stats.frames_dropped, stats.updates_dropped), (0, 0));
         assert_eq!(stats.bytes_sent, datagrams.iter().map(|d| d.len() as u64).sum::<u64>());
 
-        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind receiver")
-            .idle_timeout(Duration::from_secs(2));
-        let target = rx.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || {
-            let mut got = Vec::new();
-            let stats = rx.run(|u| got.push(u));
-            (got, stats)
-        });
+        let (sock, target) = bind();
+        let handle = ingress(sock, 1, Duration::from_secs(2));
         let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
         for d in &datagrams {
             raw.send_to(d, target).expect("send_to");
         }
         raw.send_to(&wire::encode(&Message::Fin { node: 0 }).expect("encodes"), target)
             .expect("send_to");
-        let (got, stats) = handle.join().expect("receiver thread");
+        let (got, stats) = handle.join().expect("ingress thread");
         assert_eq!(got, round, "all 200 admitted, in order");
         assert_eq!(stats.dropped_stale, 0);
     }
@@ -926,18 +791,14 @@ pub(crate) mod tests {
 
     #[test]
     fn two_feeds_terminate_on_two_distinct_fins() {
-        let rx = UdpFrontReceiver::bind("127.0.0.1:0".parse().expect("literal addr"))
-            .expect("bind receiver")
-            .expected_fins(2)
-            .idle_timeout(Duration::from_secs(2));
-        let target = rx.local_addr().expect("bound addr");
-        let handle = rcm_sync::thread::spawn(move || rx.run(|_| {}));
+        let (sock, target) = bind();
+        let handle = ingress(sock, 2, Duration::from_secs(2));
         let mut a = UdpFrontLink::connect(target, 0).expect("connect a");
         let mut b = UdpFrontLink::connect(target, 1).expect("connect b");
         a.finish(3); // repeated Fins from one node count once
         rcm_sync::thread::sleep(Duration::from_millis(10));
         b.finish(3);
-        let stats = handle.join().expect("receiver thread");
+        let (_, stats) = handle.join().expect("ingress thread");
         assert_eq!(stats.fins, 2);
     }
 }

@@ -656,9 +656,10 @@ fn f(a: u64, b: u64) -> u64 { a / OTHER_CRATE_CONST + b }
 
     #[test]
     fn event_loop_scopes_to_the_engine_directory_and_calls_only() {
-        // The thread-per-socket links one level up block on purpose.
-        let threaded = "fn f(s: &mut TcpStream, buf: &[u8]) { s.write_all(buf); }\n";
-        assert!(run("crates/transport/src/tcp.rs", threaded).is_empty());
+        // Code one level up may block: the DM's front link sleeps
+        // between Fin rounds on the caller's thread.
+        let outside = "fn f(s: &mut TcpStream, buf: &[u8]) { s.write_all(buf); }\n";
+        assert!(run("crates/transport/src/udp.rs", outside).is_empty());
         // A *string* or comment naming a banned call is not a call.
         let prose = "// write_all would block here\nfn f() { let _ = \"thread::sleep\"; }\n";
         assert!(run("crates/transport/src/engine/fine.rs", prose).is_empty());

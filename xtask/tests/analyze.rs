@@ -176,7 +176,7 @@ fn blocking_calls_outside_the_engine_directory_are_legal() {
     let good = Tree::new(
         "loop-good",
         &[(
-            "crates/transport/src/tcp.rs",
+            "crates/transport/src/udp.rs",
             "fn f(s: &mut std::net::TcpStream, buf: &[u8]) { s.write_all(buf).ok(); }\n",
         )],
     );
