@@ -9,7 +9,7 @@ use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::seq::{inversions, project_alerts};
 use rcm_core::VarId;
 use rcm_json::Json;
-use rcm_props::{check_complete_single, check_consistent_multi, check_ordered};
+use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
 use rcm_sim::availability::{sweep, AvailabilityPoint};
 use rcm_sim::montecarlo::{run_seed, ScenarioKind, Topology};
 use rcm_sim::multicond::{run_multi, MultiCondResult, MultiCondScenario, SharedWorkload};
@@ -221,7 +221,7 @@ pub(crate) fn multi_condition_sim(runs: u64, seed: u64) -> Record {
             let inputs = &result.per_condition[ci].inputs;
             t[0] += stream.len() as u64;
             t[1] += u64::from(!check_ordered(&stream, &[x]).ok);
-            t[2] += u64::from(!check_complete_single(cond, inputs, &stream).ok);
+            t[2] += u64::from(!check_complete_multi(cond, inputs, &stream).ok);
             t[3] += u64::from(!check_consistent_multi(cond, inputs, &stream).ok);
         }
     }

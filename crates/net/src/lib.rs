@@ -32,7 +32,7 @@ mod rng;
 
 pub use backoff::Backoff;
 pub use delay::{ConstantDelay, DelayModel, ExponentialDelay, UniformDelay};
-pub use link::{InOrderGate, LinkStats, LossyLink, ReliableLink, Transmit};
+pub use link::{LinkStats, LossyLink, ReliableLink, Transmit};
 pub use loss::{Bernoulli, GilbertElliott, LossModel, Lossless, Scripted};
 pub use rng::{cases, Rng};
 

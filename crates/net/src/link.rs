@@ -19,47 +19,39 @@ pub struct LinkStats {
 pub enum Transmit {
     /// The message was lost in transit.
     Dropped,
-    /// The message will arrive at the given absolute tick, carrying the
-    /// given link-level sequence tag (for the receiver's
-    /// [`InOrderGate`]).
+    /// The message will arrive at the given absolute tick.
     DeliverAt {
         /// Absolute arrival time.
         at: Tick,
-        /// Link-level sequence tag (independent of update seqnos).
-        tag: u64,
     },
 }
 
 /// A UDP-like front link: per-message loss and delay; delivery order is
 /// whatever the delays produce, and the receiver is expected to discard
-/// overtaken messages via an [`InOrderGate`] (the paper's "tag all
-/// messages with a sequence number and let the receiver discard
-/// messages that arrive out of order").
+/// overtaken messages by their seqnos (the paper's "tag all messages
+/// with a sequence number and let the receiver discard messages that
+/// arrive out of order" — `rcm_transport::SeqGate`).
 #[derive(Debug)]
 pub struct LossyLink {
     loss: Box<dyn LossModel>,
     delay: Box<dyn DelayModel>,
-    next_tag: u64,
     stats: LinkStats,
 }
 
 impl LossyLink {
     /// Creates the link from a loss and a delay model.
     pub fn new(loss: Box<dyn LossModel>, delay: Box<dyn DelayModel>) -> Self {
-        LossyLink { loss, delay, next_tag: 0, stats: LinkStats::default() }
+        LossyLink { loss, delay, stats: LinkStats::default() }
     }
 
     /// Hands a message to the link at time `now`.
     pub fn transmit(&mut self, now: Tick, rng: &mut Rng) -> Transmit {
         self.stats.sent += 1;
-        let tag = self.next_tag;
-        self.next_tag += 1;
         if self.loss.drops(rng) {
             self.stats.dropped += 1;
             return Transmit::Dropped;
         }
-        let at = now + self.delay.sample(rng);
-        Transmit::DeliverAt { at, tag }
+        Transmit::DeliverAt { at: now + self.delay.sample(rng) }
     }
 
     /// Link counters.
@@ -67,49 +59,10 @@ impl LossyLink {
         self.stats
     }
 
-    /// Restores the link's initial state (loss model, tags, counters).
+    /// Restores the link's initial state (loss model, counters).
     pub fn reset(&mut self) {
         self.loss.reset();
-        self.next_tag = 0;
         self.stats = LinkStats::default();
-    }
-}
-
-/// Receiver-side in-order enforcement for a [`LossyLink`]: accepts a
-/// message iff its link tag is newer than everything accepted so far.
-///
-/// Messages overtaken in flight are discarded, converting reordering
-/// into loss — exactly the paper's cheap ordered-delivery mechanism.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InOrderGate {
-    last: Option<u64>,
-    discarded: u64,
-}
-
-impl InOrderGate {
-    /// Creates the gate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether a message with `tag` should be accepted; updates the
-    /// watermark when it is.
-    pub fn accept(&mut self, tag: u64) -> bool {
-        match self.last {
-            Some(last) if tag <= last => {
-                self.discarded += 1;
-                false
-            }
-            _ => {
-                self.last = Some(tag);
-                true
-            }
-        }
-    }
-
-    /// Messages discarded for arriving out of order.
-    pub fn discarded(&self) -> u64 {
-        self.discarded
     }
 }
 
@@ -165,10 +118,7 @@ mod tests {
         let mut r = rng(0);
         for now in 0..10 {
             match link.transmit(now, &mut r) {
-                Transmit::DeliverAt { at, tag } => {
-                    assert_eq!(at, now + 3);
-                    assert_eq!(tag, now);
-                }
+                Transmit::DeliverAt { at } => assert_eq!(at, now + 3),
                 Transmit::Dropped => panic!("lossless link dropped"),
             }
         }
@@ -187,17 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_discards_overtaken_messages() {
-        let mut gate = InOrderGate::new();
-        assert!(gate.accept(0));
-        assert!(gate.accept(2)); // 1 still in flight
-        assert!(!gate.accept(1)); // overtaken → discarded
-        assert!(!gate.accept(2)); // duplicate tag
-        assert!(gate.accept(3));
-        assert_eq!(gate.discarded(), 2);
-    }
-
-    #[test]
     fn reliable_link_is_fifo_under_random_delays() {
         let mut link = ReliableLink::new(Box::new(UniformDelay::new(0, 20)));
         let mut r = rng(7);
@@ -213,18 +152,20 @@ mod tests {
 
     #[test]
     fn lossy_link_reset_restores_tags_and_counters() {
+        // A send's tag is its index on the link, `stats().sent` just
+        // before it (the seqno the sender stamps plays that role).
         let mut link =
             LossyLink::new(Box::new(Bernoulli::new(1.0)), Box::new(ConstantDelay::new(0)));
         let mut r = rng(1);
         let _ = link.transmit(0, &mut r);
         link.reset();
         assert_eq!(link.stats(), LinkStats::default());
-        match LossyLink::new(Box::new(Lossless), Box::new(ConstantDelay::new(0)))
-            .transmit(5, &mut r)
-        {
-            Transmit::DeliverAt { tag, .. } => assert_eq!(tag, 0),
-            Transmit::Dropped => panic!(),
-        }
+        let mut link = LossyLink::new(Box::new(Lossless), Box::new(ConstantDelay::new(0)));
+        let _ = link.transmit(5, &mut r);
+        link.reset();
+        assert_eq!(link.stats().sent, 0, "the next send is tag 0 again");
+        assert_eq!(link.transmit(6, &mut r), Transmit::DeliverAt { at: 6 });
+        assert_eq!(link.stats(), LinkStats { sent: 1, dropped: 0 });
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! engine's correctness depends on is either model-checked or a thin
 //! audited syscall wrapper.
 //!
-//! * [`Poller`] / [`Waker`] — epoll on Linux, kqueue on macOS, a
-//!   portable `poll(2)` fallback selectable everywhere
-//!   ([`Poller::with_poll_fallback`]) so the backend-independent
-//!   plumbing is testable on any host. EINTR is retried internally
-//!   with the timeout recomputed; a [`Waker`] firing surfaces as one
-//!   [`WAKE_TOKEN`] event.
+//! * [`Poller`] / [`Waker`] — `poll(2)`, the one readiness backend,
+//!   so every platform and every test runs the same code; the
+//!   `pollfd` array lives in the poller, so a wait allocates nothing.
+//!   EINTR is retried internally with the timeout recomputed; a
+//!   [`Waker`] firing surfaces as one [`WAKE_TOKEN`] event, and an fd
+//!   closed while still registered as an `error` event.
 //! * [`TimerWheel`] — a hashed wheel fed explicit `now` instants
 //!   (through the `rcm-sync` clock shim), driving Backoff reconnects,
 //!   batch `max_delay` flushes and finish deadlines without a thread

@@ -1,10 +1,18 @@
-//! The readiness facade: one type, three backends — epoll on Linux,
-//! kqueue on macOS, portable `poll(2)` everywhere (and on demand, for
-//! tests that want the fallback exercised on any host).
+//! The readiness facade: one [`Poller`] over `poll(2)`, the same code
+//! on every platform.
 //!
-//! A [`Poller`] owns the platform readiness object plus a self-pipe;
-//! [`Waker`] handles (clonable, thread-safe, fd-backed) write one
-//! byte to interrupt a wait from any thread, which is how the
+//! `poll(2)` scans every registered fd on each wait, but a node's loop
+//! watches few of them: a CE's one ingress socket, the AD's one
+//! connection per replica, the listener and the waker — 8 fds in the
+//! benchmark's socket workload, about 200 in the CI scale run. At 8 fds
+//! a wait costs what one on a kernel-kept interest set does; at 200 a
+//! ready wait costs about 8 µs more and a woken one about 40 µs more,
+//! on runs that wake the loop a few hundred times (ROADMAP item 10 has
+//! the measurements).
+//!
+//! A [`Poller`] owns the `pollfd` array plus a self-pipe; [`Waker`]
+//! handles (clonable, thread-safe, fd-backed) write one byte to
+//! interrupt a wait from any thread, which is how the
 //! [`SubmitQueue`](crate::SubmitQueue) handoff turns into a syscall.
 //! EINTR is retried here, with the timeout recomputed, so callers
 //! never see a spurious early return from a signal.
@@ -16,7 +24,7 @@ use std::os::fd::RawFd;
 use std::time::{Duration, Instant};
 
 use crate::submit::Wake;
-use crate::sys;
+use crate::sys::{self, PollFd};
 
 /// Identifies a registration; returned in every [`Event`]. The
 /// all-ones value is reserved for the poller's own waker.
@@ -51,19 +59,9 @@ pub struct Event {
     pub readable: bool,
     /// A write will not block.
     pub writable: bool,
-    /// Error/hangup condition (delivered regardless of interest).
+    /// Error/hangup condition, or an fd closed while still registered
+    /// (delivered regardless of interest).
     pub error: bool,
-}
-
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll { epfd: RawFd },
-    #[cfg(target_os = "macos")]
-    Kqueue { kq: RawFd },
-    /// Portable fallback: interest list rebuilt into a pollfd array
-    /// per wait. O(n) per call, which is fine as a fallback and ideal
-    /// for exercising the backend-independent plumbing in tests.
-    Fallback { registered: Vec<(RawFd, u64, Interest)> },
 }
 
 /// A clonable, fd-backed handle that interrupts [`Poller::wait`] from
@@ -92,76 +90,38 @@ impl Wake for Waker {
 
 /// The readiness multiplexer. Single consumer: exactly one thread
 /// calls [`wait`](Self::wait); any thread may use a [`Waker`].
+///
+/// The interest list is the `pollfd` array itself: `fds[i]` is watched
+/// under `tokens[i]`, and entry 0 is the wake pipe's read end. Only
+/// `register`, `reregister` and `deregister` change the two arrays, so
+/// a wait allocates nothing.
+#[derive(Debug)]
 pub struct Poller {
-    backend: Backend,
-    wake_read: RawFd,
+    fds: Vec<PollFd>,
+    tokens: Vec<Token>,
     waker: Waker,
-}
-
-impl std::fmt::Debug for Poller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match &self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { .. } => "epoll",
-            #[cfg(target_os = "macos")]
-            Backend::Kqueue { .. } => "kqueue",
-            Backend::Fallback { .. } => "poll",
-        };
-        f.debug_struct("Poller").field("backend", &backend).finish()
-    }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => sys::close_fd(*epfd),
-            #[cfg(target_os = "macos")]
-            Backend::Kqueue { kq } => sys::close_fd(*kq),
-            Backend::Fallback { .. } => {}
-        }
-        sys::close_fd(self.wake_read);
+        sys::close_fd(self.fds[0].fd());
     }
 }
 
 impl Poller {
-    /// The platform-default backend (epoll on Linux, kqueue on macOS,
-    /// `poll(2)` elsewhere).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend/self-pipe creation failures.
-    pub fn new() -> io::Result<Self> {
-        #[cfg(target_os = "linux")]
-        {
-            Self::from_backend(Backend::Epoll { epfd: sys::epoll_create()? })
-        }
-        #[cfg(target_os = "macos")]
-        {
-            Self::from_backend(Backend::Kqueue { kq: sys::kqueue_create()? })
-        }
-        #[cfg(not(any(target_os = "linux", target_os = "macos")))]
-        {
-            Self::with_poll_fallback()
-        }
-    }
-
-    /// Forces the portable `poll(2)` backend — every platform has it,
-    /// so tests can pin it down even where epoll/kqueue exist.
+    /// A poller with nothing registered but its own waker.
     ///
     /// # Errors
     ///
     /// Propagates self-pipe creation failures.
-    pub fn with_poll_fallback() -> io::Result<Self> {
-        Self::from_backend(Backend::Fallback { registered: Vec::new() })
-    }
-
-    fn from_backend(backend: Backend) -> io::Result<Self> {
+    pub fn new() -> io::Result<Self> {
         let (wake_read, wake_write) = sys::wake_pipe()?;
         let waker = Waker { inner: std::sync::Arc::new(WakeFd { fd: wake_write }) };
-        let mut poller = Poller { backend, wake_read, waker };
-        poller.backend_register(wake_read, u64::MAX, Interest::READ)?;
-        Ok(poller)
+        Ok(Poller {
+            fds: vec![PollFd::new(wake_read, true, false)],
+            tokens: vec![WAKE_TOKEN],
+            waker,
+        })
     }
 
     /// A handle that interrupts this poller's waits; clone freely.
@@ -173,89 +133,66 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Propagates registration failures (closed fds included — a
-    /// closed fd is an error, never UB).
+    /// A closed fd, an fd already registered, or the waker's token.
     pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        if token == WAKE_TOKEN {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "token reserved for waker"));
+        Self::check(fd, token)?;
+        if self.position(fd).is_some() {
+            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd registered"));
         }
-        self.backend_register(fd, token.0 as u64, interest)
-    }
-
-    fn backend_register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                sys::epoll_add(*epfd, fd, token, interest.read, interest.write)
-            }
-            #[cfg(target_os = "macos")]
-            Backend::Kqueue { kq } => {
-                sys::kqueue_register(*kq, fd, token, interest.read, interest.write)
-            }
-            Backend::Fallback { registered } => {
-                if registered.iter().any(|&(f, _, _)| f == fd) {
-                    return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd registered"));
-                }
-                registered.push((fd, token, interest));
-                Ok(())
-            }
-        }
+        self.fds.push(PollFd::new(fd, interest.read, interest.write));
+        self.tokens.push(token);
+        Ok(())
     }
 
     /// Changes an existing registration's token and/or interest.
     ///
     /// # Errors
     ///
-    /// Propagates modification failures; a closed (hence deregistered)
-    /// fd reports an error rather than silently re-registering.
+    /// A closed fd, an fd not registered, or the waker's token.
     pub fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        Self::check(fd, token)?;
+        let i = self
+            .position(fd)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
+        self.fds[i].set_interest(interest.read, interest.write);
+        self.tokens[i] = token;
+        Ok(())
+    }
+
+    /// Stops watching `fd`; a no-op if it is not registered.
+    ///
+    /// Deregister an fd *before* closing it. `poll(2)` keeps watching
+    /// the number: a closed fd left registered reports an `error`
+    /// event on every wait, and an fd that later reuses the number is
+    /// watched under the old token.
+    pub fn deregister(&mut self, fd: RawFd) {
+        if let Some(i) = self.position(fd) {
+            self.fds.swap_remove(i);
+            self.tokens.swap_remove(i);
+        }
+    }
+
+    fn check(fd: RawFd, token: Token) -> io::Result<()> {
         if token == WAKE_TOKEN {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "token reserved for waker"));
         }
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                sys::epoll_modify(*epfd, fd, token.0 as u64, interest.read, interest.write)
-            }
-            #[cfg(target_os = "macos")]
-            Backend::Kqueue { kq } => {
-                sys::kqueue_register(*kq, fd, token.0 as u64, interest.read, interest.write)
-            }
-            Backend::Fallback { registered } => {
-                match registered.iter_mut().find(|&&mut (f, _, _)| f == fd) {
-                    Some(entry) => {
-                        entry.1 = token.0 as u64;
-                        entry.2 = interest;
-                        Ok(())
-                    }
-                    None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-                }
-            }
-        }
+        sys::check_open(fd)
     }
 
-    /// Stops watching `fd`. Harmless on an already-closed fd (the
-    /// kernel dropped the registration with the fd).
-    pub fn deregister(&mut self, fd: RawFd) {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let _ = sys::epoll_remove(*epfd, fd);
-            }
-            #[cfg(target_os = "macos")]
-            Backend::Kqueue { kq } => sys::kqueue_remove(*kq, fd),
-            Backend::Fallback { registered } => registered.retain(|&(f, _, _)| f != fd),
-        }
+    /// Where `fd` sits in the arrays; never the wake pipe's entry 0.
+    fn position(&self, fd: RawFd) -> Option<usize> {
+        self.fds.iter().skip(1).position(|pfd| pfd.fd() == fd).map(|i| i + 1)
     }
 
     /// Blocks until readiness, a wake, or the timeout; `None` waits
-    /// forever. Replaces the contents of `events`. A [`Waker`] firing
-    /// shows up as one event carrying [`WAKE_TOKEN`] (the self-pipe
-    /// is drained here). EINTR retries with the timeout recomputed.
+    /// forever. Replaces the contents of `events`, in registration
+    /// order. A [`Waker`] firing shows up as one event carrying
+    /// [`WAKE_TOKEN`] (the self-pipe is drained here). EINTR retries
+    /// with the timeout recomputed.
     ///
     /// # Errors
     ///
-    /// Propagates backend failures other than EINTR.
+    /// Propagates `poll(2)` failures other than EINTR.
     pub fn wait(
         &mut self,
         events: &mut Vec<Event>,
@@ -274,73 +211,32 @@ impl Poller {
                     ms.min(i32::MAX as u128) as i32
                 }
             };
-            let mut raw: Vec<sys::RawEvent> = Vec::new();
-            let result = match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
-                    sys::epoll_wait_events(*epfd, &mut raw, 1024, timeout_ms)
-                }
-                #[cfg(target_os = "macos")]
-                Backend::Kqueue { kq } => sys::kqueue_wait_events(*kq, &mut raw, 1024, timeout_ms),
-                Backend::Fallback { registered } => {
-                    let mut entries: Vec<sys::PollEntry> = registered
-                        .iter()
-                        .map(|&(fd, _, interest)| {
-                            sys::PollEntry::new(fd, interest.read, interest.write)
-                        })
-                        .collect();
-                    match sys::poll_entries(&mut entries, timeout_ms) {
-                        Ok(_) => {
-                            for (entry, &(_, token, _)) in entries.iter().zip(registered.iter()) {
-                                if entry.readable || entry.writable || entry.error {
-                                    raw.push(sys::RawEvent {
-                                        token,
-                                        readable: entry.readable,
-                                        writable: entry.writable,
-                                        error: entry.error,
-                                    });
-                                }
-                            }
-                            Ok(raw.len())
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-            };
-            match result {
-                Ok(_) => {
-                    for ev in &raw {
-                        if ev.token == u64::MAX {
-                            sys::drain_fd(self.wake_read);
-                            events.push(Event {
-                                token: WAKE_TOKEN,
-                                readable: false,
-                                writable: false,
-                                error: false,
-                            });
-                        } else {
-                            events.push(Event {
-                                token: Token(ev.token as usize),
-                                readable: ev.readable,
-                                writable: ev.writable,
-                                error: ev.error,
-                            });
-                        }
-                    }
-                    return Ok(events.len());
-                }
+            match sys::poll_fds(&mut self.fds, timeout_ms) {
+                Ok(0) => return Ok(0),
+                Ok(_) => break,
                 Err(e) if sys::is_interrupted(&e) => {
                     // A signal cut the wait short; the deadline math at
                     // the top of the loop absorbs the elapsed time.
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return Ok(0);
-                        }
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Ok(0);
                     }
                 }
                 Err(e) => return Err(e),
             }
         }
+        for (pfd, &token) in self.fds.iter().zip(&self.tokens) {
+            let (readable, writable, error) = (pfd.readable(), pfd.writable(), pfd.error());
+            if !(readable || writable || error) {
+                continue;
+            }
+            if token == WAKE_TOKEN {
+                sys::drain_fd(pfd.fd());
+                events.push(Event { token, readable: false, writable: false, error: false });
+            } else {
+                events.push(Event { token, readable, writable, error });
+            }
+        }
+        Ok(events.len())
     }
 }
 
@@ -350,28 +246,44 @@ mod tests {
     use std::net::UdpSocket;
     use std::os::fd::AsRawFd;
 
-    fn backends() -> Vec<Poller> {
-        vec![
-            Poller::new().expect("platform poller"),
-            Poller::with_poll_fallback().expect("fallback"),
-        ]
-    }
-
     #[test]
     fn readiness_is_delivered_with_the_registered_token() {
-        for mut poller in backends() {
-            let rx = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
-            let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
-            poller.register(rx.as_raw_fd(), Token(5), Interest::READ).expect("register");
-            let mut events = Vec::new();
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
-            assert_eq!(n, 0, "{poller:?}: nothing ready yet");
-            tx.send_to(b"x", rx.local_addr().expect("addr")).expect("send");
-            let n = poller.wait(&mut events, Some(Duration::from_secs(2))).expect("wait");
-            assert_eq!(n, 1, "{poller:?}");
-            assert_eq!(events[0].token, Token(5));
-            assert!(events[0].readable);
-        }
+        let mut poller = Poller::new().expect("poller");
+        let rx = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
+        poller.register(rx.as_raw_fd(), Token(5), Interest::READ).expect("register");
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
+        assert_eq!(n, 0, "nothing ready yet");
+        tx.send_to(b"x", rx.local_addr().expect("addr")).expect("send");
+        let n = poller.wait(&mut events, Some(Duration::from_secs(2))).expect("wait");
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, Token(5));
+        assert!(events[0].readable);
+    }
+
+    /// Reregistering rebinds the token and the interest; deregistering
+    /// one fd leaves the others watched under their own tokens.
+    #[test]
+    fn reregister_rebinds_and_deregister_stops_one_fd() {
+        let mut poller = Poller::new().expect("poller");
+        let a = UdpSocket::bind("127.0.0.1:0").expect("bind a");
+        let b = UdpSocket::bind("127.0.0.1:0").expect("bind b");
+        poller.register(a.as_raw_fd(), Token(1), Interest::READ).expect("register a");
+        poller.register(b.as_raw_fd(), Token(2), Interest::READ).expect("register b");
+        assert!(poller.register(a.as_raw_fd(), Token(3), Interest::READ).is_err(), "twice");
+        let mut events = Vec::new();
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).expect("wait"), 0);
+        poller.reregister(a.as_raw_fd(), Token(7), Interest::WRITE).expect("reregister");
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).expect("wait"), 1);
+        assert_eq!(events[0].token, Token(7), "reregister rebinds the token");
+        assert!(events[0].writable && !events[0].readable);
+        poller.reregister(b.as_raw_fd(), Token(2), Interest::WRITE).expect("reregister b");
+        poller.deregister(a.as_raw_fd());
+        poller.deregister(a.as_raw_fd()); // not registered: a no-op
+        assert!(poller.reregister(a.as_raw_fd(), Token(7), Interest::READ).is_err());
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).expect("wait"), 1);
+        assert_eq!(events[0].token, Token(2));
     }
 
     /// A wake with nothing submitted is the poller-level "spurious
@@ -379,17 +291,16 @@ mod tests {
     /// the next wait times out cleanly (the pipe was drained).
     #[test]
     fn spurious_wake_returns_once_then_the_pipe_is_clean() {
-        for mut poller in backends() {
-            let waker = poller.waker();
-            waker.wake();
-            waker.wake(); // coalesces: still one wake event
-            let mut events = Vec::new();
-            let n = poller.wait(&mut events, Some(Duration::from_secs(2))).expect("wait");
-            assert_eq!(n, 1, "{poller:?}");
-            assert_eq!(events[0].token, WAKE_TOKEN);
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
-            assert_eq!(n, 0, "{poller:?}: drained, no residual readiness");
-        }
+        let mut poller = Poller::new().expect("poller");
+        let waker = poller.waker();
+        waker.wake();
+        waker.wake(); // coalesces: still one wake event
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_secs(2))).expect("wait");
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, WAKE_TOKEN);
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
+        assert_eq!(n, 0, "drained, no residual readiness");
     }
 
     #[test]
@@ -408,39 +319,57 @@ mod tests {
         handle.join().expect("waker thread");
     }
 
-    /// Closed-fd reregistration: the kernel dropped the registration
-    /// with the fd, so a reregister must surface an error (and a
-    /// register of a dead fd too) — never a panic or silent success.
-    /// A sibling test thread may reopen the closed fd *number* at any
-    /// moment: the reregister still fails (that descriptor is not in
-    /// this poller), but a register would succeed, so the dead-fd
-    /// register uses a number no process can have open.
-    #[cfg(target_os = "linux")]
+    /// A registered socket duplicated to a number no other thread is
+    /// handed (see [`sys::dup_at_least`]), so closing it leaves that
+    /// number closed for the rest of the test.
+    fn high_fd(poller: &mut Poller, token: Token) -> RawFd {
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let fd = sys::dup_at_least(sock.as_raw_fd(), 128);
+        poller.register(fd, token, Interest::READ).expect("register live fd");
+        fd
+    }
+
+    /// Closed fds: a reregister of one that was closed while
+    /// registered, and a register of one that was never open, are
+    /// reported errors — never a panic or a silent success.
     #[test]
     fn reregistering_a_closed_fd_is_a_reported_error() {
         let mut poller = Poller::new().expect("poller");
-        let fd = {
-            let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
-            let fd = sock.as_raw_fd();
-            poller.register(fd, Token(1), Interest::READ).expect("register live fd");
-            fd
-            // socket drops: fd closes, kernel auto-deregisters
-        };
+        let fd = high_fd(&mut poller, Token(1));
+        sys::close_fd(fd);
         assert!(poller.reregister(fd, Token(2), Interest::WRITE).is_err());
         assert!(poller.register(RawFd::MAX, Token(3), Interest::READ).is_err());
+        assert!(poller.register(fd, Token(4), Interest::READ).is_err());
+    }
+
+    /// An fd closed without deregistering is reported at once as an
+    /// error on its token, so a caller looping on `wait` learns of it
+    /// instead of spinning through empty wakeups until the timeout.
+    #[test]
+    fn a_closed_fd_left_registered_is_an_error_event() {
+        let mut poller = Poller::new().expect("poller");
+        let fd = high_fd(&mut poller, Token(9));
+        sys::close_fd(fd);
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(200))).expect("wait");
+        assert_eq!(n, 1, "the closed fd is reported, not silently skipped");
+        assert_eq!(events[0].token, Token(9));
+        assert!(events[0].error && !events[0].readable && !events[0].writable);
+        poller.deregister(fd);
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
+        assert_eq!(n, 0, "deregistered: nothing left to report");
     }
 
     /// EINTR handling: a directed signal interrupts the wait, and the
     /// poller retries instead of returning early or erroring.
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_signal_mid_wait_is_retried_not_surfaced() {
-        crate::sys::install_interrupt_handler();
+        sys::install_interrupt_handler();
         let mut poller = Poller::new().expect("poller");
-        let target = crate::sys::current_thread();
+        let target = sys::current_thread();
         let interrupter = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(40));
-            crate::sys::interrupt_thread(target);
+            sys::interrupt_thread(target);
         });
         let mut events = Vec::new();
         let started = Instant::now();
@@ -453,25 +382,6 @@ mod tests {
             "EINTR retried with the timeout recomputed, not returned early: {:?}",
             started.elapsed()
         );
-        interrupter.join().expect("interrupter thread");
-    }
-
-    /// Same EINTR discipline on the portable fallback backend.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn fallback_backend_retries_eintr_too() {
-        crate::sys::install_interrupt_handler();
-        let mut poller = Poller::with_poll_fallback().expect("poller");
-        let target = crate::sys::current_thread();
-        let interrupter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(40));
-            crate::sys::interrupt_thread(target);
-        });
-        let mut events = Vec::new();
-        let started = Instant::now();
-        let n = poller.wait(&mut events, Some(Duration::from_millis(250))).expect("wait");
-        assert_eq!(n, 0);
-        assert!(started.elapsed() >= Duration::from_millis(200));
         interrupter.join().expect("interrupter thread");
     }
 }

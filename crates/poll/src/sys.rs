@@ -3,13 +3,14 @@
 //! `cargo xtask analyze` unsafe allowlist).
 //!
 //! Everything here is a thin, totally-safe-to-call wrapper over a
-//! libc-less `extern "C"` surface: epoll on Linux, kqueue on macOS, a
-//! portable `poll(2)` fallback, non-blocking `connect(2)` (std offers
-//! no way to start a TCP connect without blocking), and the self-pipe
-//! the event loop uses as its waker. No function in this file blocks
-//! except [`poll_entries`]/backend waits, which take an explicit
+//! libc-less `extern "C"` surface: `poll(2)`, the one readiness
+//! backend on every platform; an `fcntl(2)` liveness check for the fds
+//! it is asked to watch; non-blocking `connect(2)` (std offers no way
+//! to start a TCP connect without blocking); and the self-pipe the
+//! event loop uses as its waker. No function in this file blocks
+//! except [`poll_fds`] and [`await_writable`], which take an explicit
 //! timeout. Callers never see a raw pointer: inputs and outputs are
-//! plain values, slices and `Vec`s.
+//! plain values and slices.
 //!
 //! The deliberate constraint is *dependency-free*: no `libc` crate, so
 //! the numeric constants and struct layouts below are transcribed from
@@ -56,29 +57,14 @@ extern "C" {
 
 #[cfg(target_os = "linux")]
 extern "C" {
-    fn epoll_create1(flags: c_int) -> c_int;
-    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
-}
-
-#[cfg(target_os = "macos")]
-extern "C" {
-    fn kqueue() -> c_int;
-    fn kevent(
-        kq: c_int,
-        changelist: *const KEvent,
-        nchanges: c_int,
-        eventlist: *mut KEvent,
-        nevents: c_int,
-        timeout: *const Timespec,
-    ) -> c_int;
 }
 
 // ---------------------------------------------------------------------------
 // ABI constants (transcribed; see module docs)
 // ---------------------------------------------------------------------------
 
+const F_GETFD: c_int = 1;
 const F_GETFL: c_int = 3;
 const F_SETFL: c_int = 4;
 const SOCK_STREAM: c_int = 1;
@@ -114,8 +100,7 @@ mod abi {
 
 #[cfg(all(unix, not(any(target_os = "linux", target_os = "macos"))))]
 mod abi {
-    // Conservative defaults shared by the BSDs; the poll(2) fallback
-    // backend is the only one compiled on these targets.
+    // Conservative defaults shared by the BSDs.
     use core::ffi::c_int;
     pub const O_NONBLOCK: c_int = 0x0004;
     pub const O_CLOEXEC: c_int = 0x0010_0000;
@@ -132,65 +117,51 @@ const POLLIN: i16 = 0x1;
 const POLLOUT: i16 = 0x4;
 const POLLERR: i16 = 0x8;
 const POLLHUP: i16 = 0x10;
+const POLLNVAL: i16 = 0x20;
 
+/// `struct pollfd`: one fd, the directions it is watched for, and what
+/// the last [`poll_fds`] call reported for it.
 #[repr(C)]
-struct PollFd {
+#[derive(Debug, Clone, Copy)]
+pub struct PollFd {
     fd: c_int,
     events: i16,
     revents: i16,
 }
 
-#[cfg(target_os = "linux")]
-mod epoll_abi {
-    use core::ffi::c_int;
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-}
+impl PollFd {
+    /// Watches `fd` for the given directions; nothing reported yet.
+    pub fn new(fd: RawFd, read: bool, write: bool) -> Self {
+        let mut pfd = PollFd { fd, events: 0, revents: 0 };
+        pfd.set_interest(read, write);
+        pfd
+    }
 
-/// `struct epoll_event`: packed on x86_64 only, matching the kernel
-/// UAPI's `EPOLL_PACKED` attribute.
-#[cfg(target_os = "linux")]
-#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-#[derive(Clone, Copy)]
-struct EpollEvent {
-    events: u32,
-    data: u64,
-}
+    /// The watched fd.
+    pub fn fd(&self) -> RawFd {
+        self.fd
+    }
 
-#[cfg(target_os = "macos")]
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct KEvent {
-    ident: usize,
-    filter: i16,
-    flags: u16,
-    fflags: u32,
-    data: isize,
-    udata: *mut c_void,
-}
+    /// Replaces the watched directions.
+    pub fn set_interest(&mut self, read: bool, write: bool) {
+        self.events = if read { POLLIN } else { 0 } | if write { POLLOUT } else { 0 };
+    }
 
-#[cfg(target_os = "macos")]
-#[repr(C)]
-struct Timespec {
-    tv_sec: isize,
-    tv_nsec: isize,
-}
+    /// A read will not block (data, or a hangup that reads as EOF).
+    pub fn readable(&self) -> bool {
+        self.revents & (POLLIN | POLLHUP) != 0
+    }
 
-#[cfg(target_os = "macos")]
-mod kqueue_abi {
-    pub const EVFILT_READ: i16 = -1;
-    pub const EVFILT_WRITE: i16 = -2;
-    pub const EV_ADD: u16 = 0x0001;
-    pub const EV_DELETE: u16 = 0x0002;
-    pub const EV_EOF: u16 = 0x8000;
-    pub const EV_ERROR: u16 = 0x4000;
+    /// A write will not block.
+    pub fn writable(&self) -> bool {
+        self.revents & POLLOUT != 0
+    }
+
+    /// Error, hangup, or an fd that was closed while watched
+    /// (`POLLNVAL`); reported whatever the interest.
+    pub fn error(&self) -> bool {
+        self.revents & (POLLERR | POLLHUP | POLLNVAL) != 0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -221,6 +192,20 @@ pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     }
     let rc = unsafe { fcntl(fd, F_SETFL, flags | abi::O_NONBLOCK) };
     if rc < 0 {
+        return Err(last_error());
+    }
+    Ok(())
+}
+
+/// Whether `fd` is an open descriptor (`fcntl(F_GETFD)`).
+///
+/// # Errors
+///
+/// `EBADF` for a closed or out-of-range fd.
+pub fn check_open(fd: RawFd) -> io::Result<()> {
+    // SAFETY: fcntl(F_GETFD) reads no memory; an invalid fd yields
+    // EBADF, reported as an error.
+    if unsafe { fcntl(fd, F_GETFD, 0) } < 0 {
         return Err(last_error());
     }
     Ok(())
@@ -430,334 +415,40 @@ pub fn await_writable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
     loop {
         let remaining = deadline.saturating_duration_since(std::time::Instant::now());
         let ms = remaining.as_millis().min(c_int::MAX as u128) as c_int;
-        let mut pfd = PollFd { fd, events: POLLOUT, revents: 0 };
-        // SAFETY: poll reads/writes exactly one PollFd from our stack.
-        let rc = unsafe { poll(&mut pfd, 1, ms) };
-        if rc < 0 {
-            let err = last_error();
-            if is_interrupted(&err) && std::time::Instant::now() < deadline {
-                continue;
-            }
-            return Err(err);
+        let mut pfd = PollFd::new(fd, false, true);
+        match poll_fds(std::slice::from_mut(&mut pfd), ms) {
+            Err(err) if is_interrupted(&err) && std::time::Instant::now() < deadline => continue,
+            Err(err) => return Err(err),
+            Ok(ready) => return Ok(ready > 0 && (pfd.writable() || pfd.error())),
         }
-        return Ok(rc > 0 && pfd.revents & (POLLOUT | POLLERR | POLLHUP) != 0);
     }
 }
 
 // ---------------------------------------------------------------------------
-// portable poll(2) backend
+// poll(2)
 // ---------------------------------------------------------------------------
 
-/// One fd's interest and outcome in a [`poll_entries`] call.
-#[derive(Debug, Clone, Copy)]
-pub struct PollEntry {
-    /// The fd to watch.
-    pub fd: RawFd,
-    /// Watch for readability.
-    pub want_read: bool,
-    /// Watch for writability.
-    pub want_write: bool,
-    /// Out: readable (or hung up — a read will not block).
-    pub readable: bool,
-    /// Out: writable.
-    pub writable: bool,
-    /// Out: error/hangup condition.
-    pub error: bool,
-}
-
-impl PollEntry {
-    /// A fresh entry with no outcome bits set.
-    pub fn new(fd: RawFd, want_read: bool, want_write: bool) -> Self {
-        PollEntry { fd, want_read, want_write, readable: false, writable: false, error: false }
-    }
-}
-
-/// `poll(2)` over `entries`; fills each entry's outcome bits and
-/// returns how many fds are ready. `timeout_ms < 0` waits forever.
-/// EINTR is *not* retried here — the caller (the Poller, which owns
-/// the retry-with-recomputed-timeout policy) sees
+/// `poll(2)` over `fds`: fills each entry's outcome and returns how
+/// many fds are ready. `timeout_ms < 0` waits forever. EINTR is *not*
+/// retried here — the caller (the Poller, which owns the
+/// retry-with-recomputed-timeout policy) sees
 /// `io::ErrorKind::Interrupted`.
 ///
 /// # Errors
 ///
 /// Propagates the raw poll failure, including EINTR.
-pub fn poll_entries(entries: &mut [PollEntry], timeout_ms: c_int) -> io::Result<usize> {
-    let mut fds: Vec<PollFd> = entries
-        .iter()
-        .map(|e| PollFd {
-            fd: e.fd,
-            events: if e.want_read { POLLIN } else { 0 } | if e.want_write { POLLOUT } else { 0 },
-            revents: 0,
-        })
-        .collect();
+pub fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
     // SAFETY: poll reads/writes exactly fds.len() PollFd records in
-    // the Vec's buffer, which outlives the call.
+    // the slice, which outlives the call.
     let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_uint, timeout_ms) };
     if rc < 0 {
         return Err(last_error());
     }
-    for (entry, pfd) in entries.iter_mut().zip(&fds) {
-        entry.readable = pfd.revents & (POLLIN | POLLHUP) != 0;
-        entry.writable = pfd.revents & POLLOUT != 0;
-        entry.error = pfd.revents & (POLLERR | POLLHUP) != 0;
-    }
     Ok(rc as usize)
 }
 
 // ---------------------------------------------------------------------------
-// epoll backend (Linux)
-// ---------------------------------------------------------------------------
-
-/// One readiness event out of a backend wait.
-#[derive(Debug, Clone, Copy)]
-pub struct RawEvent {
-    /// The registration's token.
-    pub token: u64,
-    /// A read will not block.
-    pub readable: bool,
-    /// A write will not block.
-    pub writable: bool,
-    /// Error or hangup (delivered regardless of interest).
-    pub error: bool,
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_interest(read: bool, write: bool) -> u32 {
-    let mut events = 0u32;
-    if read {
-        events |= epoll_abi::EPOLLIN;
-    }
-    if write {
-        events |= epoll_abi::EPOLLOUT;
-    }
-    events
-}
-
-/// Creates an epoll instance (close-on-exec).
-///
-/// # Errors
-///
-/// Propagates the creation failure.
-#[cfg(target_os = "linux")]
-pub fn epoll_create() -> io::Result<RawFd> {
-    // SAFETY: epoll_create1 reads no memory.
-    let fd = unsafe { epoll_create1(epoll_abi::EPOLL_CLOEXEC) };
-    if fd < 0 {
-        return Err(last_error());
-    }
-    Ok(fd)
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_ctl_op(epfd: RawFd, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-    let mut ev = EpollEvent { events, data: token };
-    // SAFETY: epoll_ctl reads one EpollEvent from our stack (ignored
-    // for DEL); invalid fds yield EBADF/ENOENT, reported as errors.
-    let rc = unsafe { epoll_ctl(epfd, op, fd, &mut ev) };
-    if rc < 0 {
-        return Err(last_error());
-    }
-    Ok(())
-}
-
-/// Registers `fd` with the epoll set.
-///
-/// # Errors
-///
-/// Propagates the registration failure (e.g. a closed fd).
-#[cfg(target_os = "linux")]
-pub fn epoll_add(epfd: RawFd, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-    epoll_ctl_op(epfd, epoll_abi::EPOLL_CTL_ADD, fd, token, epoll_interest(read, write))
-}
-
-/// Changes an existing registration's interest set.
-///
-/// # Errors
-///
-/// Propagates the modification failure (e.g. a closed fd).
-#[cfg(target_os = "linux")]
-pub fn epoll_modify(epfd: RawFd, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-    epoll_ctl_op(epfd, epoll_abi::EPOLL_CTL_MOD, fd, token, epoll_interest(read, write))
-}
-
-/// Removes `fd` from the epoll set.
-///
-/// # Errors
-///
-/// Propagates the removal failure (already-closed fds are fine to
-/// ignore at the call site).
-#[cfg(target_os = "linux")]
-pub fn epoll_remove(epfd: RawFd, fd: RawFd) -> io::Result<()> {
-    epoll_ctl_op(epfd, epoll_abi::EPOLL_CTL_DEL, fd, 0, 0)
-}
-
-/// Waits for events on the epoll set; appends to `out` and returns
-/// the count. `timeout_ms < 0` waits forever. EINTR is surfaced as
-/// `io::ErrorKind::Interrupted` for the caller's retry policy.
-///
-/// # Errors
-///
-/// Propagates the raw wait failure, including EINTR.
-#[cfg(target_os = "linux")]
-pub fn epoll_wait_events(
-    epfd: RawFd,
-    out: &mut Vec<RawEvent>,
-    capacity: usize,
-    timeout_ms: c_int,
-) -> io::Result<usize> {
-    let capacity = capacity.max(1);
-    let mut raw: Vec<EpollEvent> = vec![EpollEvent { events: 0, data: 0 }; capacity];
-    // SAFETY: epoll_wait writes at most `capacity` EpollEvent records
-    // into the Vec's buffer, which outlives the call; the return value
-    // bounds how many we read back.
-    let rc = unsafe { epoll_wait(epfd, raw.as_mut_ptr(), capacity as c_int, timeout_ms) };
-    if rc < 0 {
-        return Err(last_error());
-    }
-    for ev in raw.iter().take(rc as usize) {
-        let events = ev.events;
-        let data = ev.data;
-        out.push(RawEvent {
-            token: data,
-            readable: events & (epoll_abi::EPOLLIN | epoll_abi::EPOLLHUP) != 0,
-            writable: events & epoll_abi::EPOLLOUT != 0,
-            error: events & (epoll_abi::EPOLLERR | epoll_abi::EPOLLHUP) != 0,
-        });
-    }
-    Ok(rc as usize)
-}
-
-// ---------------------------------------------------------------------------
-// kqueue backend (macOS)
-// ---------------------------------------------------------------------------
-
-/// Creates a kqueue instance.
-///
-/// # Errors
-///
-/// Propagates the creation failure.
-#[cfg(target_os = "macos")]
-pub fn kqueue_create() -> io::Result<RawFd> {
-    // SAFETY: kqueue reads no memory.
-    let fd = unsafe { kqueue() };
-    if fd < 0 {
-        return Err(last_error());
-    }
-    Ok(fd)
-}
-
-#[cfg(target_os = "macos")]
-fn kevent_change(kq: RawFd, fd: RawFd, filter: i16, flags: u16, token: u64) -> io::Result<()> {
-    let change = KEvent {
-        ident: fd as usize,
-        filter,
-        flags,
-        fflags: 0,
-        data: 0,
-        udata: token as *mut c_void,
-    };
-    // SAFETY: kevent reads one KEvent from our stack; no eventlist.
-    let rc = unsafe { kevent(kq, &change, 1, std::ptr::null_mut(), 0, std::ptr::null()) };
-    if rc < 0 {
-        return Err(last_error());
-    }
-    Ok(())
-}
-
-/// (Re)registers `fd`'s read/write filters; kqueue treats ADD of an
-/// existing filter as modify, so add and modify share this call.
-///
-/// # Errors
-///
-/// Propagates the registration failure (e.g. a closed fd).
-#[cfg(target_os = "macos")]
-pub fn kqueue_register(
-    kq: RawFd,
-    fd: RawFd,
-    token: u64,
-    read: bool,
-    write: bool,
-) -> io::Result<()> {
-    use kqueue_abi::*;
-    if read {
-        kevent_change(kq, fd, EVFILT_READ, EV_ADD, token)?;
-    } else {
-        let _ = kevent_change(kq, fd, EVFILT_READ, EV_DELETE, token);
-    }
-    if write {
-        kevent_change(kq, fd, EVFILT_WRITE, EV_ADD, token)?;
-    } else {
-        let _ = kevent_change(kq, fd, EVFILT_WRITE, EV_DELETE, token);
-    }
-    Ok(())
-}
-
-/// Removes both filters for `fd` (best effort — closing an fd already
-/// removed its filters).
-#[cfg(target_os = "macos")]
-pub fn kqueue_remove(kq: RawFd, fd: RawFd) {
-    use kqueue_abi::*;
-    let _ = kevent_change(kq, fd, EVFILT_READ, EV_DELETE, 0);
-    let _ = kevent_change(kq, fd, EVFILT_WRITE, EV_DELETE, 0);
-}
-
-/// Waits for events on the kqueue; appends to `out` and returns the
-/// count. `timeout_ms < 0` waits forever. EINTR surfaces as
-/// `io::ErrorKind::Interrupted`.
-///
-/// # Errors
-///
-/// Propagates the raw wait failure, including EINTR.
-#[cfg(target_os = "macos")]
-pub fn kqueue_wait_events(
-    kq: RawFd,
-    out: &mut Vec<RawEvent>,
-    capacity: usize,
-    timeout_ms: c_int,
-) -> io::Result<usize> {
-    use kqueue_abi::*;
-    let capacity = capacity.max(1);
-    let mut raw: Vec<KEvent> = vec![
-        KEvent {
-            ident: 0,
-            filter: 0,
-            flags: 0,
-            fflags: 0,
-            data: 0,
-            udata: std::ptr::null_mut()
-        };
-        capacity
-    ];
-    let ts;
-    let ts_ptr = if timeout_ms < 0 {
-        std::ptr::null()
-    } else {
-        ts = Timespec {
-            tv_sec: (timeout_ms / 1000) as isize,
-            tv_nsec: (timeout_ms % 1000) as isize * 1_000_000,
-        };
-        &ts as *const Timespec
-    };
-    // SAFETY: kevent writes at most `capacity` KEvent records into the
-    // Vec's buffer; the return value bounds how many we read back.
-    let rc =
-        unsafe { kevent(kq, std::ptr::null(), 0, raw.as_mut_ptr(), capacity as c_int, ts_ptr) };
-    if rc < 0 {
-        return Err(last_error());
-    }
-    for ev in raw.iter().take(rc as usize) {
-        out.push(RawEvent {
-            token: ev.udata as u64,
-            readable: ev.filter == EVFILT_READ,
-            writable: ev.filter == EVFILT_WRITE,
-            error: ev.flags & (EV_EOF | EV_ERROR) != 0,
-        });
-    }
-    Ok(rc as usize)
-}
-
-// ---------------------------------------------------------------------------
-// EINTR test support (the poller's tests only)
+// test support: signals and fd numbers (the crate's tests only)
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
@@ -771,7 +462,7 @@ pub(crate) struct ThreadHandle(usize);
 
 /// Installs a no-op handler for SIGUSR1 so a directed signal
 /// interrupts a blocking wait with EINTR instead of killing the
-/// process. (epoll_wait/poll are never auto-restarted after a signal
+/// process. (poll is never auto-restarted after a signal
 /// handler runs, per signal(7) — which is exactly what the EINTR
 /// negative test needs.)
 #[cfg(test)]
@@ -788,6 +479,19 @@ pub(crate) fn install_interrupt_handler() {
 pub(crate) fn current_thread() -> ThreadHandle {
     // SAFETY: pthread_self reads no memory.
     ThreadHandle(unsafe { pthread_self() })
+}
+
+/// A duplicate of `fd` numbered `min` or above. Fresh fds take the
+/// lowest free number, so while the process holds fewer than `min`
+/// fds no other thread is handed this number, open or closed — a test
+/// can close it and know it stays closed.
+#[cfg(test)]
+pub(crate) fn dup_at_least(fd: RawFd, min: RawFd) -> RawFd {
+    const F_DUPFD: c_int = 0;
+    // SAFETY: fcntl(F_DUPFD) reads no memory.
+    let dup = unsafe { fcntl(fd, F_DUPFD, min) };
+    assert!(dup >= min, "F_DUPFD: {}", last_error());
+    dup
 }
 
 /// Sends SIGUSR1 to exactly `thread` (EINTR lands on the waiter, not
@@ -859,50 +563,14 @@ mod tests {
         use std::os::fd::AsRawFd;
         let rx = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
         let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
-        let mut entries = [PollEntry::new(rx.as_raw_fd(), true, false)];
-        let ready = poll_entries(&mut entries, 0).expect("poll");
+        let mut fds = [PollFd::new(rx.as_raw_fd(), true, false)];
+        let ready = poll_fds(&mut fds, 0).expect("poll");
         assert_eq!(ready, 0, "nothing sent yet");
-        assert!(!entries[0].readable);
+        assert!(!fds[0].readable());
         tx.send_to(b"x", rx.local_addr().expect("addr")).expect("send");
-        let ready = poll_entries(&mut entries, 2_000).expect("poll");
+        let ready = poll_fds(&mut fds, 2_000).expect("poll");
         assert_eq!(ready, 1);
-        assert!(entries[0].readable);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_lifecycle_add_modify_wait_remove() {
-        use std::os::fd::AsRawFd;
-        let ep = epoll_create().expect("epoll_create");
-        let rx = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
-        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
-        epoll_add(ep, rx.as_raw_fd(), 7, true, false).expect("add");
-        let mut out = Vec::new();
-        assert_eq!(epoll_wait_events(ep, &mut out, 8, 0).expect("wait"), 0);
-        tx.send_to(b"x", rx.local_addr().expect("addr")).expect("send");
-        out.clear();
-        assert_eq!(epoll_wait_events(ep, &mut out, 8, 2_000).expect("wait"), 1);
-        assert_eq!(out[0].token, 7);
-        assert!(out[0].readable);
-        epoll_modify(ep, rx.as_raw_fd(), 9, true, true).expect("modify");
-        out.clear();
-        assert_eq!(epoll_wait_events(ep, &mut out, 8, 0).expect("wait"), 1);
-        assert_eq!(out[0].token, 9, "modify rebinds the token");
-        epoll_remove(ep, rx.as_raw_fd()).expect("remove");
-        close_fd(ep);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_registration_of_a_closed_fd_is_an_error_not_a_crash() {
-        let ep = epoll_create().expect("epoll_create");
-        let dead_fd = {
-            let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
-            use std::os::fd::AsRawFd;
-            sock.as_raw_fd()
-            // socket drops here, closing the fd
-        };
-        assert!(epoll_add(ep, dead_fd, 1, true, false).is_err());
-        close_fd(ep);
+        assert!(fds[0].readable());
+        assert!(!fds[0].writable() && !fds[0].error());
     }
 }

@@ -117,7 +117,7 @@ pub fn check_equivalent_multi(
 mod tests {
     use super::*;
     use crate::maximality::duplicate_free;
-    use crate::{check_complete_single, check_ordered};
+    use crate::{check_complete_multi, check_ordered};
     use rcm_core::ad::{apply_filter, Ad1};
     use rcm_core::condition::{cond, Cmp};
     use rcm_core::VarId;
@@ -168,7 +168,7 @@ mod tests {
             assert!(duplicate_free(&displayed));
             let inputs = vec![keep1, keep2];
             let lhs = check_ordered(&displayed, &[x()]).ok
-                && check_complete_single(&c, &inputs, &displayed).ok;
+                && check_complete_multi(&c, &inputs, &displayed).ok;
             let rhs = check_equivalent_single(&c, &inputs, &displayed).ok;
             assert_eq!(lhs, rhs, "summary claim violated for {displayed:?}");
         }

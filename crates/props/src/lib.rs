@@ -6,10 +6,10 @@
 //!
 //! * **Orderedness** — the displayed alert sequence `A` is ordered with
 //!   respect to every variable ([`check_ordered`]);
-//! * **Completeness** — `ΦA = ΦT(U1 ⊔ U2)` (single variable,
-//!   [`check_complete_single`]) or `ΦA = ΦT(U_V)` for some interleaving
-//!   `U_V` of the per-variable ordered unions (multi-variable,
-//!   [`check_complete_multi`]);
+//! * **Completeness** — `ΦA = ΦT(U_V)` for some interleaving `U_V` of
+//!   the per-variable ordered unions, one checker for any number of
+//!   variables ([`check_complete_multi`]); over one variable `U_V` is
+//!   `U1 ⊔ U2`, and the check is `ΦA = ΦT(U1 ⊔ U2)`;
 //! * **Consistency** — `∃ U' ⊑ U1 ⊔ U2` with `ΦA ⊆ ΦT(U')`, one
 //!   checker for any number of variables ([`check_consistent_multi`]).
 //!
@@ -37,10 +37,10 @@ mod equivalence;
 pub mod maximality;
 mod multi;
 mod ordered;
+#[cfg(test)]
 mod single;
 mod util;
 
 pub use multi::{check_complete_multi, check_consistent_multi, MULTI_ENUM_CAP};
 pub use ordered::{check_ordered, OrderedReport};
-pub use single::check_complete_single;
 pub use util::{merge_all_single, merge_per_var, CompleteReport, ConsistentReport};

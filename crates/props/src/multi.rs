@@ -1,5 +1,5 @@
-//! Completeness checking for multi-variable systems and the
-//! consistency checker for any variable count (paper §5 and Appendix C).
+//! The completeness and consistency checkers, each for any variable
+//! count (paper §3.1, §5 and Appendix C).
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -9,21 +9,27 @@ use rcm_core::{transduce, Alert, CeId, Update, VarId};
 
 use crate::util::{merge_per_var, CompleteReport, ConsistentReport, Replay};
 
-/// Maximum combined update count the interleaving-enumerating
-/// completeness checker accepts (the enumeration is exponential).
+/// Maximum combined update count the completeness checker accepts when
+/// it must enumerate interleavings of two or more variables (the
+/// enumeration is exponential).
 pub const MULTI_ENUM_CAP: usize = 18;
 
-/// Checks multi-variable **completeness** (Appendix C): does some
+/// Checks **completeness**, over any number of variables: does some
 /// interleaving `U_V` of the per-variable ordered unions satisfy
-/// `ΦA = ΦT(U_V)`?
+/// `ΦA = ΦT(U_V)` (Appendix C)? Over one variable the only `U_V` is
+/// `U1 ⊔ U2 ⊔ …`, and the check is `ΦA = ΦT(U1 ⊔ U2 ⊔ …)` (§3.1): the
+/// reference is the paper's corresponding non-replicated system `N`
+/// run over the ordered union of all replica inputs.
 ///
-/// The checker enumerates interleavings exhaustively, so it is exact
-/// but exponential; inputs are capped at [`MULTI_ENUM_CAP`] combined
-/// updates.
+/// Over two or more variables the checker enumerates interleavings
+/// exhaustively, so it is exact but exponential; such inputs are
+/// capped at [`MULTI_ENUM_CAP`] combined updates. One variable replays
+/// its one union, at any length.
 ///
 /// # Panics
 ///
-/// Panics if the combined update count exceeds [`MULTI_ENUM_CAP`].
+/// Panics if the inputs span two or more variables and the combined
+/// update count exceeds [`MULTI_ENUM_CAP`].
 pub fn check_complete_multi(
     cond: &CompiledCondition,
     inputs: &[Vec<Update>],
@@ -33,7 +39,7 @@ pub fn check_complete_multi(
     let lists: Vec<Vec<Update>> = merged.into_values().collect();
     let total: usize = lists.iter().map(Vec::len).sum();
     assert!(
-        total <= MULTI_ENUM_CAP,
+        lists.len() < 2 || total <= MULTI_ENUM_CAP,
         "completeness enumeration capped at {MULTI_ENUM_CAP} combined updates, got {total}"
     );
     let displayed_set: HashSet<&Alert> = displayed.iter().collect();
@@ -43,7 +49,7 @@ pub fn check_complete_multi(
     let mut best: Option<(usize, Vec<Alert>)> = None;
     let mut found = false;
     let mut replay = Replay::new(cond);
-    enumerate_merges(&lists, &mut |candidate| {
+    let mut visit = |candidate: &[Update]| {
         let expected = replay.run(candidate);
         let expected_set: HashSet<&Alert> = expected.iter().collect();
         let missing = expected.iter().filter(|a| !displayed_set.contains(*a)).count();
@@ -56,7 +62,12 @@ pub fn check_complete_multi(
             found = true;
         }
         found // stop once a witness interleaving is found
-    });
+    };
+    if let [only] = &lists[..] {
+        visit(only);
+    } else {
+        enumerate_merges(&lists, &mut visit);
+    }
     if found {
         return CompleteReport::from_sets(vec![], vec![]);
     }
@@ -460,8 +471,23 @@ mod tests {
     #[should_panic(expected = "capped")]
     fn completeness_cap_enforced() {
         let cm = cond::abs_difference(x(), y(), 100.0);
-        let long: Vec<Update> = (1..=MULTI_ENUM_CAP as u64 + 1).map(|s| ux(s, 0.0)).collect();
-        check_complete_multi(&cm, &[long], &[]);
+        let long: Vec<Update> = (1..=MULTI_ENUM_CAP as u64).map(|s| ux(s, 0.0)).collect();
+        check_complete_multi(&cm, &[long, vec![uy(1, 0.0)]], &[]);
+    }
+
+    /// One variable has one interleaving: its union is replayed once,
+    /// however long, and a lost alert is still reported.
+    #[test]
+    fn one_variable_is_replayed_past_the_cap() {
+        let c = cond::delta_rise(x(), 1.0);
+        let u1: Vec<Update> = (1..=500).map(|s| ux(s, s as f64 * 2.0)).collect();
+        let u2: Vec<Update> = u1.iter().copied().filter(|u| u.seqno.get() % 3 != 0).collect();
+        let mut shown = transduce(&c, CeId::new(1), &u1);
+        assert!(check_complete_multi(&c, &[u1.clone(), u2.clone()], &shown).ok);
+        let lost = shown.remove(7);
+        let report = check_complete_multi(&c, &[u1, u2], &shown);
+        assert!(!report.ok);
+        assert_eq!(report.missing, vec![lost]);
     }
 
     #[test]

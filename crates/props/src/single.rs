@@ -1,49 +1,14 @@
-//! The completeness checker for single-variable systems. Consistency
-//! has one checker for any variable count,
-//! [`check_consistent_multi`](crate::check_consistent_multi).
+//! The paper's single-variable theorems, checked through the one
+//! completeness checker and the one consistency checker, which take
+//! any variable count.
 
-use std::collections::HashSet;
-
-use rcm_core::condition::expr::CompiledCondition;
-use rcm_core::{transduce, Alert, CeId, Update};
-
-use crate::util::{merge_all_single, CompleteReport};
-
-/// Checks the paper's **completeness** property for a single-variable
-/// system: `ΦA = ΦT(U1 ⊔ U2 ⊔ …)` where `inputs[i]` is the update
-/// sequence received by replica `i` and `displayed` is the final alert
-/// sequence `A`.
-///
-/// The reference alert set is computed by running a fresh Condition
-/// Evaluator (the paper's corresponding non-replicated system `N`) over
-/// the ordered union of all replica inputs.
-///
-/// # Panics
-///
-/// Panics if the inputs span more than one variable; use
-/// [`check_complete_multi`](crate::check_complete_multi) for
-/// multi-variable conditions.
-pub fn check_complete_single(
-    cond: &CompiledCondition,
-    inputs: &[Vec<Update>],
-    displayed: &[Alert],
-) -> CompleteReport {
-    let merged = merge_all_single(inputs);
-    let expected = transduce(cond, CeId::new(u32::MAX), &merged);
-    let expected_set: HashSet<&Alert> = expected.iter().collect();
-    let displayed_set: HashSet<&Alert> = displayed.iter().collect();
-    let missing = expected.iter().filter(|a| !displayed_set.contains(*a)).cloned().collect();
-    let extraneous = displayed.iter().filter(|a| !expected_set.contains(*a)).cloned().collect();
-    CompleteReport::from_sets(missing, extraneous)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::check_consistent_multi;
+    use crate::util::merge_all_single;
+    use crate::{check_complete_multi, check_consistent_multi};
     use rcm_core::ad::{apply_filter, Ad1, AlertFilter};
+    use rcm_core::condition::expr::CompiledCondition;
     use rcm_core::condition::{cond, Cmp};
-    use rcm_core::{SeqNo, VarId};
+    use rcm_core::{transduce, Alert, CeId, SeqNo, Update, VarId};
 
     fn x() -> VarId {
         VarId::new(0)
@@ -77,7 +42,7 @@ mod tests {
         let u2 = vec![u(2, 3500.0)];
         // CE1 produces alerts on 1,2; CE2 on 2. Arrival: CE2's first.
         let a = run(&c1, &u1, &u2, &mut Ad1::new(), &[2, 0, 1]);
-        let comp = check_complete_single(&c1, &[u1, u2], &a);
+        let comp = check_complete_multi(&c1, &[u1, u2], &a);
         assert!(comp.ok, "missing={:?} extra={:?}", comp.missing, comp.extraneous);
     }
 
@@ -89,7 +54,7 @@ mod tests {
         let u2 = vec![u(3, 2000.0), u(4, 2500.0)];
         let a = run(&c3, &u1, &u2, &mut Ad1::new(), &[0, 1]);
         // A = ⟨alert@2, alert@4⟩; T(U1⊔U2) = ⟨2,3,4⟩ → incomplete.
-        let comp = check_complete_single(&c3, &[u1.clone(), u2.clone()], &a);
+        let comp = check_complete_multi(&c3, &[u1.clone(), u2.clone()], &a);
         assert!(!comp.ok);
         assert_eq!(comp.missing.len(), 1);
         assert_eq!(comp.missing[0].seqno(x()), Some(SeqNo::new(3)));
@@ -119,7 +84,7 @@ mod tests {
         let c2 = cond::delta_rise(x(), 200.0);
         let uu = vec![u(1, 400.0), u(2, 700.0), u(3, 1000.0)];
         let a = run(&c2, &uu, &uu, &mut Ad1::new(), &[0, 2, 1, 3]);
-        let comp = check_complete_single(&c2, &[uu.clone(), uu.clone()], &a);
+        let comp = check_complete_multi(&c2, &[uu.clone(), uu.clone()], &a);
         assert!(comp.ok);
         let cons = check_consistent_multi(&c2, &[uu.clone(), uu], &a);
         assert!(cons.ok);
@@ -128,7 +93,7 @@ mod tests {
     #[test]
     fn empty_execution_is_consistent_and_complete() {
         let c1 = cond::threshold(x(), Cmp::Gt, 0.0);
-        assert!(check_complete_single(&c1, &[vec![], vec![]], &[]).ok);
+        assert!(check_complete_multi(&c1, &[vec![], vec![]], &[]).ok);
         assert!(check_consistent_multi(&c1, &[vec![], vec![]], &[]).ok);
     }
 

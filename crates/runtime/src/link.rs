@@ -194,6 +194,24 @@ mod tests {
     }
 
     #[test]
+    fn gate_discards_overtaken_messages() {
+        // The channel is FIFO, so the sender stages what a datagram
+        // link can do: 2 arrives after 3 (overtaken) and 3 twice
+        // (duplicated). The receiver's gate turns both into loss.
+        let (tx, rx) = unbounded();
+        let mut link = FrontLink::new(tx, Box::new(Lossless), 1);
+        for s in [1, 3, 2, 3, 4] {
+            assert!(link.send(u(s)));
+        }
+        drop(link);
+        let mut gate = crate::IngestGate::new();
+        let (admitted, discarded): (Vec<u64>, Vec<u64>) =
+            rx.iter().map(|up| up.seqno.get()).partition(|&s| gate.admit(&u(s)));
+        assert_eq!(admitted, vec![1, 3, 4]);
+        assert_eq!(discarded, vec![2, 3]);
+    }
+
+    #[test]
     fn hung_up_receiver_reports_undelivered() {
         let (tx, rx) = unbounded();
         drop(rx);

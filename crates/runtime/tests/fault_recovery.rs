@@ -12,7 +12,7 @@ use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{transduce, Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_net::cases;
-use rcm_props::{check_complete_single, check_ordered};
+use rcm_props::{check_complete_multi, check_ordered};
 use rcm_runtime::{FaultPlan, MonitorSystem, SeverBackLink, VarFeed};
 
 fn x() -> VarId {
@@ -150,7 +150,7 @@ fn recovery_replays_retained_window() {
     // Replay restored the killed replica's `U_i` to the full sequence.
     assert_eq!(report.ingested[0].len(), 30);
     assert_eq!(report.ingested[1].len(), 30);
-    let complete = check_complete_single(&threshold(), &report.ingested, &report.displayed);
+    let complete = check_complete_multi(&threshold(), &report.ingested, &report.displayed);
     assert!(complete.ok, "missing={:?} extraneous={:?}", complete.missing, complete.extraneous);
     assert!(check_ordered(&report.displayed, &[x()]).ok);
 }

@@ -75,7 +75,7 @@ use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_json::obj;
 use rcm_net::{Bernoulli, LossModel, Lossless};
-use rcm_props::{check_complete_single, check_consistent_multi, check_ordered};
+use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
 use rcm_runtime::{FaultPlan, MonitorSystem, RunReport, Topology, TransportReport, VarFeed};
 use rcm_transport::SeqGate;
 use rcm_tree::{TreeEval, TreeOptions, TreePlan, TreeStats};
@@ -657,7 +657,7 @@ fn check(
         }
     }
     if spec.assert_complete {
-        let complete = check_complete_single(condition, &report.ingested, &report.displayed);
+        let complete = check_complete_multi(condition, &report.ingested, &report.displayed);
         if !complete.ok {
             violations.push(format!(
                 "completeness violated: missing {:?}, extraneous {:?}",

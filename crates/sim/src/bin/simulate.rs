@@ -17,7 +17,7 @@ use rcm_core::ad::apply_filter;
 use rcm_core::condition::Condition;
 use rcm_core::Alert;
 use rcm_json::obj;
-use rcm_props::{check_complete_single, check_consistent_multi, check_ordered};
+use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
 use rcm_sim::montecarlo::FilterKind;
 use rcm_sim::{run, ScenarioSpec};
 
@@ -96,15 +96,12 @@ fn main() -> ExitCode {
     let displayed = apply_filter(&mut *ad, &result.arrivals);
 
     let ordered = check_ordered(&displayed, &vars).ok;
-    // Multi-variable completeness enumeration can be exponential on
-    // big traces; it is reported only when the trace is small.
-    let complete = if vars.len() == 1 {
-        Some(check_complete_single(&condition, &result.inputs, &displayed).ok)
-    } else {
-        let total: usize = rcm_props::merge_per_var(&result.inputs).values().map(Vec::len).sum();
-        (total <= rcm_props::MULTI_ENUM_CAP)
-            .then(|| rcm_props::check_complete_multi(&condition, &result.inputs, &displayed).ok)
-    };
+    // Completeness over two or more variables enumerates interleavings,
+    // exponential on big traces; it is reported only when the trace is
+    // small.
+    let total: usize = rcm_props::merge_per_var(&result.inputs).values().map(Vec::len).sum();
+    let complete = (vars.len() < 2 || total <= rcm_props::MULTI_ENUM_CAP)
+        .then(|| check_complete_multi(&condition, &result.inputs, &displayed).ok);
     let consistent = check_consistent_multi(&condition, &result.inputs, &displayed).ok;
 
     if json {

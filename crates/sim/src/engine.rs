@@ -2,7 +2,8 @@
 //! links and runs the event loop to completion.
 
 use rcm_core::{Alert, CeId, CondId, Condition, ConditionRegistry, Update, VarId};
-use rcm_net::{InOrderGate, LossyLink, ReliableLink, Rng, Transmit};
+use rcm_net::{LossyLink, ReliableLink, Rng, Transmit};
+use rcm_transport::SeqGate;
 
 use crate::event::EventQueue;
 use crate::scenario::Scenario;
@@ -14,7 +15,7 @@ pub struct RunStats {
     pub updates_emitted: u64,
     /// Updates dropped by front-link loss models.
     pub updates_lost: u64,
-    /// Updates discarded by receiver in-order gates (overtaken in
+    /// Updates discarded by the replicas' seqno gates (overtaken in
     /// flight).
     pub updates_reordered: u64,
     /// Updates that arrived while their replica was down.
@@ -65,8 +66,6 @@ enum Ev {
     },
     DeliverUpdate {
         ce: usize,
-        var_index: usize,
-        tag: u64,
         update: Update,
     },
     /// Alerts travel by reference: `(ce, idx)` names the alert already
@@ -93,15 +92,20 @@ enum Ev {
 /// # Panics
 ///
 /// Panics if the scenario is malformed: zero replicas, a workload for
-/// a variable outside the condition's variable set, or empty spec
-/// lists.
+/// a variable outside the condition's variable set, two workloads for
+/// one variable, or empty spec lists.
 pub fn run(scenario: Scenario) -> RunResult {
     assert!(scenario.replicas >= 1, "need at least one replica");
     let vars: Vec<VarId> = scenario.condition.variables();
-    for w in &scenario.workloads {
+    for (i, w) in scenario.workloads.iter().enumerate() {
         assert!(
             vars.contains(&w.var),
             "workload variable {} not in the condition's variable set",
+            w.var
+        );
+        assert!(
+            scenario.workloads[..i].iter().all(|v| v.var != w.var),
+            "two workloads for variable {}",
             w.var
         );
     }
@@ -128,7 +132,11 @@ pub fn run(scenario: Scenario) -> RunResult {
             )
         })
         .collect();
-    let mut gates: Vec<InOrderGate> = vec![InOrderGate::new(); n_var * n_ce];
+    // One seqno gate per replica, as a deployed CE has: the k-th send
+    // on a front link carries its variable's k-th update (each emit
+    // sends once per replica), so admitting only seqnos that advance
+    // turns overtaking in flight into loss.
+    let mut gates: Vec<SeqGate> = vec![SeqGate::new(); n_ce];
     let mut back_links: Vec<ReliableLink> =
         (0..n_ce).map(|c| ReliableLink::new(scenario.back_delay_for(c).build())).collect();
     let mut down = vec![false; n_ce];
@@ -196,18 +204,18 @@ pub fn run(scenario: Scenario) -> RunResult {
                     let link = &mut front_links[var_index * n_ce + ce];
                     match link.transmit(now, &mut rng) {
                         Transmit::Dropped => stats.updates_lost += 1,
-                        Transmit::DeliverAt { at, tag } => {
-                            queue.schedule(at, Ev::DeliverUpdate { ce, var_index, tag, update })
+                        Transmit::DeliverAt { at } => {
+                            queue.schedule(at, Ev::DeliverUpdate { ce, update })
                         }
                     }
                 }
             }
-            Ev::DeliverUpdate { ce, var_index, tag, update } => {
+            Ev::DeliverUpdate { ce, update } => {
                 if down[ce] {
                     stats.updates_missed_down += 1;
                     continue;
                 }
-                if !gates[var_index * n_ce + ce].accept(tag) {
+                if !gates[ce].admit(&update) {
                     stats.updates_reordered += 1;
                     continue;
                 }
@@ -361,6 +369,18 @@ mod tests {
             let seqs: Vec<u64> = input.iter().map(|u| u.seqno.get()).collect();
             assert!(seqs.windows(2).all(|w| w[0] < w[1]), "strictly ordered: {seqs:?}");
         }
+        // Every send is ingested or discarded, never both.
+        let s = &r.stats;
+        assert_eq!(s.updates_ingested + s.updates_reordered, 2 * 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "two workloads")]
+    fn two_workloads_for_one_variable_rejected() {
+        let mut sc = base_scenario(4);
+        let twin = VarWorkload { model: Box::new(Scripted::new(vec![1.0])), ..sc.workloads[0] };
+        sc.workloads.push(twin);
+        run(sc);
     }
 
     #[test]

@@ -20,9 +20,7 @@ use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, Pass
 use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, VarId};
-use rcm_props::{
-    check_complete_multi, check_complete_single, check_consistent_multi, check_ordered,
-};
+use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
 
 use crate::engine::{run, RunResult};
 use crate::report::{Matrix, MatrixCell, MatrixRow};
@@ -324,7 +322,6 @@ pub struct PropertyCounts {
 /// Runs one simulation and checks all three properties of the filtered
 /// output; returns `(ordered, complete, consistent)`.
 pub fn check_run(
-    topo: Topology,
     condition: &CompiledCondition,
     result: &RunResult,
     displayed: &[Alert],
@@ -332,12 +329,7 @@ pub fn check_run(
     let vars = condition.variables();
     let ordered = check_ordered(displayed, &vars).ok;
     let inputs = &result.inputs;
-    let complete = match topo {
-        Topology::SingleVar => check_complete_single(condition, inputs, displayed).ok,
-        Topology::MultiVar | Topology::MultiVar3 => {
-            check_complete_multi(condition, inputs, displayed).ok
-        }
-    };
+    let complete = check_complete_multi(condition, inputs, displayed).ok;
     (ordered, complete, check_consistent_multi(condition, inputs, displayed).ok)
 }
 
@@ -362,7 +354,7 @@ fn run_property_trial(
     let result = run(scenario);
     let mut filt = filter.build(&vars);
     let displayed = apply_filter(&mut *filt, &result.arrivals);
-    check_run(topo, &condition, &result, &displayed)
+    check_run(&condition, &result, &displayed)
 }
 
 /// Folds per-run trial outcomes into counters, in run order — the fold

@@ -116,28 +116,14 @@ impl std::fmt::Debug for EventLoop<'_> {
 }
 
 impl<'d> EventLoop<'d> {
-    /// A loop on the platform's best readiness backend (epoll on
-    /// Linux, kqueue on macOS, `poll(2)` elsewhere).
+    /// A loop on a fresh [`Poller`] (`poll(2)`, on every platform).
     ///
     /// # Errors
     ///
     /// Propagates poller-construction failure (fd exhaustion).
     pub fn new() -> io::Result<Self> {
-        Ok(Self::from_poller(Poller::new()?))
-    }
-
-    /// A loop pinned to the portable `poll(2)` backend — the
-    /// equivalence suite runs both to keep the fallback honest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates poller-construction failure (fd exhaustion).
-    pub fn with_poll_fallback() -> io::Result<Self> {
-        Ok(Self::from_poller(Poller::with_poll_fallback()?))
-    }
-
-    fn from_poller(poller: Poller) -> Self {
-        EventLoop {
+        let poller = Poller::new()?;
+        Ok(EventLoop {
             core: Core {
                 poller,
                 wheel: TimerWheel::new(Instant::now(), TICK, BUCKETS),
@@ -147,7 +133,7 @@ impl<'d> EventLoop<'d> {
             commands: SubmitQueue::new(),
             sources: Vec::new(),
             active: 0,
-        }
+        })
     }
 
     /// The loop-level counters (wakeups, timer fires, spurious

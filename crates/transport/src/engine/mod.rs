@@ -8,7 +8,7 @@
 //! alert stream), the [`Outbox`](crate::Outbox) and the counter blocks
 //! — on a single [`EventLoop`] built from `rcm-poll`:
 //!
-//! * readiness comes from a [`rcm_poll::Poller`] (epoll/kqueue/poll);
+//! * readiness comes from a [`rcm_poll::Poller`] (`poll(2)`);
 //! * every deadline — backoff reconnects, connect caps, finish
 //!   deadlines, idle backstops — is a [`rcm_poll::TimerWheel`] entry,
 //!   not a sleeping thread;
@@ -143,29 +143,6 @@ mod tests {
         assert_eq!(heard.alerts, 10);
         assert_eq!(heard.fins, 1);
         assert_eq!(heard.connections, 1);
-    }
-
-    /// The same round trip pinned to the portable `poll(2)` backend.
-    #[test]
-    fn poll_fallback_backend_round_trips_too() {
-        let mut el = EventLoop::with_poll_fallback().expect("event loop");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (tx, rx) = rcm_sync::chan::unbounded();
-        el.add_alert_listener(listener, 1, Duration::from_secs(5), move |a| {
-            let _ = tx.send(a);
-        })
-        .expect("register listener");
-        let mut back = el.add_back_link(BackLinkSpec::new(addr, 0, backoff())).expect("back link");
-        let engine = rcm_sync::thread::spawn(move || el.run());
-
-        for i in 0..4 {
-            back.send_alert(alert(i));
-        }
-        back.finish();
-        let got: Vec<Alert> = rx.iter().collect();
-        engine.join().expect("loop thread");
-        assert_eq!(got.len(), 4);
     }
 
     /// A back link that never existed is a deployment error, reported

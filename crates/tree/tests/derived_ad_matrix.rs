@@ -23,7 +23,7 @@ use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{cond, Cmp};
 use rcm_core::{transduce, Alert, CeId, CondId, Update, VarId};
 use rcm_net::{cases, Rng};
-use rcm_props::{check_complete_single, check_consistent_multi, check_ordered};
+use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
 use rcm_tree::{verdict_stream, TreeEval, TreeOptions, TreePlan};
 
 /// Runs a one-leaf tree over a seeded raw stream and returns the
@@ -111,7 +111,7 @@ fn run_matrix(cond: &CompiledCondition, seed: u64, loss_pct: u64) {
             assert!(r.ok, "{ctx}: {name} orderedness violated: {:?}", r.violation);
         }
         if complete {
-            let r = check_complete_single(cond, &rep.inputs, &displayed);
+            let r = check_complete_multi(cond, &rep.inputs, &displayed);
             assert!(r.ok, "{ctx}: {name} completeness violated: {r:?}");
         }
         if consistent {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use rcm::core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, AlertFilter};
 use rcm::core::condition::expr::CompiledCondition;
 use rcm::core::{Condition, VarRegistry};
-use rcm::props::{check_complete_single, check_consistent_multi, check_ordered};
+use rcm::props::{check_complete_multi, check_consistent_multi, check_ordered};
 use rcm::sim::{run, DelaySpec, LossSpec, RandomWalk, Scenario, VarWorkload};
 
 fn main() {
@@ -73,7 +73,7 @@ fn main() {
     ] {
         let shown = apply_filter(&mut *filter, &result.arrivals);
         let ordered = check_ordered(&shown, &[temp]).ok;
-        let complete = check_complete_single(&c3, &result.inputs, &shown).ok;
+        let complete = check_complete_multi(&c3, &result.inputs, &shown).ok;
         let consistent = check_consistent_multi(&c3, &result.inputs, &shown).ok;
         println!(
             "{:<6} {:>7}   {:>7} {:>8} {:>10}",

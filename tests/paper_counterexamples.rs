@@ -4,9 +4,7 @@
 use rcm::core::ad::{apply_filter, Ad1, Ad2, Ad5};
 use rcm::core::condition::{cond, Cmp};
 use rcm::core::{transduce, Alert, CeId, SeqNo, Update, VarId};
-use rcm::props::{
-    check_complete_multi, check_complete_single, check_consistent_multi, check_ordered,
-};
+use rcm::props::{check_complete_multi, check_consistent_multi, check_ordered};
 
 fn x() -> VarId {
     VarId::new(0)
@@ -35,7 +33,7 @@ fn theorem_2_unordered_counterexample() {
     let seqs: Vec<u64> = shown.iter().map(|a| a.seqno(x()).unwrap().get()).collect();
     assert_eq!(seqs, vec![2, 1]);
     assert!(!check_ordered(&shown, &[x()]).ok);
-    assert!(check_complete_single(&c1, &[u1, u2], &shown).ok);
+    assert!(check_complete_multi(&c1, &[u1, u2], &shown).ok);
 }
 
 /// Theorem 3's counterexample: conservative + lossy is consistent but
@@ -53,7 +51,7 @@ fn theorem_3_incomplete_counterexample() {
     let arrivals: Vec<Alert> = a2.iter().chain(a1.iter()).cloned().collect();
     let shown = apply_filter(&mut Ad1::new(), &arrivals);
     assert!(!check_ordered(&shown, &[x()]).ok);
-    let comp = check_complete_single(&c3, &[u1.clone(), u2.clone()], &shown);
+    let comp = check_complete_multi(&c3, &[u1.clone(), u2.clone()], &shown);
     assert!(!comp.ok);
     // T(U1 ⊔ U2) = ⟨2, 3, 4⟩: the alert at 3 is missing.
     assert!(comp.missing.iter().any(|a| a.seqno(x()) == Some(SeqNo::new(3))));

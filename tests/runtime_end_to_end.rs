@@ -8,7 +8,7 @@ use rcm::core::condition::expr::CompiledCondition;
 use rcm::core::condition::{cond, Cmp};
 use rcm::core::{VarId, VarRegistry};
 use rcm::net::{Bernoulli, Lossless};
-use rcm::props::{check_complete_single, check_consistent_multi, check_ordered};
+use rcm::props::{check_complete_multi, check_consistent_multi, check_ordered};
 use rcm::runtime::{MonitorSystem, VarFeed};
 
 fn x() -> VarId {
@@ -30,7 +30,7 @@ fn lossless_runtime_is_complete_and_consistent() {
         .expect("valid configuration");
     let report = system.wait();
     assert!(!report.displayed.is_empty());
-    assert!(check_complete_single(&cond, &report.ingested, &report.displayed).ok);
+    assert!(check_complete_multi(&cond, &report.ingested, &report.displayed).ok);
     assert!(check_consistent_multi(&cond, &report.ingested, &report.displayed).ok);
 }
 
