@@ -1,17 +1,18 @@
 //! The Condition Evaluator replica and the Alert Displayer body. A
 //! [`Replica`] is a value its caller drives a round at a time:
 //! in-process the DM loop ([`dm_loop`](crate::dm::dm_loop)) owns every
-//! replica and offers each its share of a round, and over sockets
-//! [`ce_body`] drives one on its own thread. The replica's supervisor
-//! turns injected (or genuine) panics into bounded restarts with
-//! history replay.
+//! replica and offers each its share of a round, and over sockets the
+//! event loop offers one each datagram its ingress admits
+//! ([`on_ingress`]). The replica's supervisor turns injected (or
+//! genuine) panics into bounded restarts with history replay.
 //!
 //! LOCK ORDER: a replica and the AD body touch only leaf mutexes owned
 //! elsewhere (fault report, record/output/arrival/display sinks). Each
 //! is taken alone and released before any channel operation or other
-//! lock. In-process the DM loop takes its replicas' leaf locks itself,
-//! each alone as well: no thread ever holds two locks, so cross-thread
-//! lock cycles are impossible.
+//! lock. The thread driving the replicas (the DM loop in-process, the
+//! event loop over sockets) takes their leaf locks itself, each alone
+//! as well: no thread ever holds two locks, so cross-thread lock cycles
+//! are impossible.
 
 use std::panic::{self, AssertUnwindSafe};
 
@@ -36,8 +37,10 @@ pub(crate) trait AlertSink: Send {
     /// the lossless contract).
     fn send_alert(&mut self, alert: Alert);
 
-    /// Blocks until the link is up and everything queued is out —
-    /// called once at end-of-stream.
+    /// Ends the stream losslessly — called once at end-of-stream. The
+    /// in-process link blocks until it is up and everything queued is
+    /// out; the socket link hands the drain to its event loop, which
+    /// runs until it is done.
     fn flush(&mut self);
 
     /// Closes without flushing: the path for a replica abandoned past
@@ -200,7 +203,7 @@ impl Live {
 /// drives: [`offer`](Self::offer) hands it a round of updates, and
 /// [`finish`](Self::finish) ends its stream. In-process the DM loop
 /// owns every replica and offers each its share of a round; over
-/// sockets [`ce_body`] drives one on its own thread.
+/// sockets its ingress's `deliver` owns it ([`on_ingress`]).
 ///
 /// The replica hosts its whole condition set in one [`EvalPipeline`]
 /// (condition `i` is `CondId::new(i)`, so a single-condition system
@@ -358,8 +361,9 @@ impl Replica {
     }
 
     /// End of stream: the drain flushes the back link. A severed link
-    /// must come back up and drain its queue before this returns (the
-    /// lossless contract). An abandoned replica has nothing to finish.
+    /// must come back up and drain its queue (the lossless contract):
+    /// in-process before this returns, over sockets before the event
+    /// loop does. An abandoned replica has nothing to finish.
     pub(crate) fn finish(self) {
         if let Some(live) = self.live {
             live.pipe.finish();
@@ -367,18 +371,33 @@ impl Replica {
     }
 }
 
-/// Drives one socket-mode replica on its own thread, because its
-/// updates arrive on the event loop's: takes a received update plus
-/// what is already queued behind it, up to [`ROUND`], offers them as
-/// one round, and finishes the replica once the ingress hangs up.
-pub(crate) fn ce_body(rx: Receiver<Update>, mut replica: Replica) {
-    let mut round = Vec::with_capacity(ROUND);
-    while let Ok(first) = rx.recv() {
-        round.push(first);
-        round.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(ROUND - 1));
-        replica.offer(&mut round);
+/// A socket-mode replica as its CE ingress's `deliver`: each datagram's
+/// admitted updates are offered as one round, on the event loop's
+/// thread, as the datagram is read. The ingress drops the callback when
+/// it retires (its Fin, or its idle backstop), and the drop finishes
+/// the replica: its back link's drain is submitted to the same loop,
+/// which runs until the drain is done.
+pub(crate) fn on_ingress(replica: Replica) -> impl FnMut(&mut Vec<Update>) + Send {
+    let mut replica = FinishOnDrop(Some(replica));
+    move |round| {
+        if let Some(replica) = &mut replica.0 {
+            replica.offer(round);
+        }
     }
-    replica.finish();
+}
+
+/// Finishes its replica when dropped, unless the thread is unwinding:
+/// a replica whose panic propagates is never finished, on any thread.
+struct FinishOnDrop(Option<Replica>);
+
+impl Drop for FinishOnDrop {
+    fn drop(&mut self) {
+        if let Some(replica) = self.0.take() {
+            if !rcm_sync::thread::panicking() {
+                replica.finish();
+            }
+        }
+    }
 }
 
 /// Most alerts the AD takes on after a blocking receive, from what is

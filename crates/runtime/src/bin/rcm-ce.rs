@@ -19,20 +19,22 @@
 //! (or after `--idle-ms` of silence as a backstop against lost Fins).
 //!
 //! The back link writes one frame per alert. Every socket of the node
-//! rides one readiness loop, so a CE holds thousands of idle front
-//! links.
+//! rides one readiness loop, run on the main thread, so a CE holds
+//! thousands of idle front links.
 //!
-//! Updates are evaluated a round at a time: the main thread takes one
-//! delivered update plus whatever else is already queued, up to
-//! `ROUND` (64). `--workers N` (default 0) splits the conditions into
+//! Updates are evaluated on that loop, a round at a time: each
+//! datagram's admitted updates are one round, evaluated as the datagram
+//! is read. `--workers N` (default 0) splits the conditions into
 //! `T = min(N, cpus)` shards, `cond_id % T`, one per thread: the main
 //! thread and `T - 1` helpers, each handed every round and joined
 //! before the next. `cpus` is the CPUs the node may use (its affinity
 //! mask and CPU quota), so a node confined to one CPU spawns no helper
 //! and evaluates every condition in one shard. The shards' alerts are
 //! merged back into the exact single-threaded emission order before the
-//! back link, and nothing is shed. The exit report carries the helper
-//! count and the ingest→emit latency percentiles.
+//! back link, and nothing is shed. When the ingress retires, the
+//! pipeline finishes and the back link drains on the same loop; the
+//! loop returns once the drain is done. The exit report carries the
+//! helper count and the ingest→emit latency percentiles.
 //!
 //! LOCK ORDER: no locks on the main thread — the link counters are
 //! atomics, read after the stream ends.
@@ -41,9 +43,9 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 
 use rcm_core::condition::{expr::CompiledCondition, Condition};
-use rcm_core::{Alert, CeId, LatencyHistogram, VarRegistry};
+use rcm_core::{Alert, CeId, LatencyHistogram, Update, VarRegistry};
 use rcm_net::Backoff;
-use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions, ROUND};
+use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
 use rcm_sync::atomic::AtomicU64;
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
@@ -111,8 +113,9 @@ fn parse_args() -> Option<Options> {
 }
 
 /// Routes the pipeline's merged alert stream onto the back link;
-/// `end_of_stream` flushes and retires the link so every queued alert
-/// is on the wire before the node reports.
+/// `end_of_stream` hands the link its lossless drain and Fin, which the
+/// loop finishes before it returns, so every queued alert is on the
+/// wire before the node reports.
 struct BackDrain {
     back: EventedBackLink,
 }
@@ -128,9 +131,32 @@ impl AlertDrain for BackDrain {
     }
 }
 
-/// Ingress and back link are state machines on one readiness loop;
-/// evaluation is dispatched from this thread, fed by a channel that
-/// closes when the ingress retires (all Fins, or the idle backstop).
+/// The pipeline as the ingress's `deliver`: evaluates each datagram's
+/// round as it is read, and finishes when the ingress drops it on
+/// retiring (all Fins, or the idle backstop). A panic propagating
+/// through the loop finishes nothing.
+struct Evaluate(Option<EvalPipeline>);
+
+impl Evaluate {
+    fn round(&mut self, round: &[Update]) {
+        if let Some(pipe) = &mut self.0 {
+            pipe.dispatch_round(round, Instant::now());
+        }
+    }
+}
+
+impl Drop for Evaluate {
+    fn drop(&mut self) {
+        if let Some(pipe) = self.0.take() {
+            if !rcm_sync::thread::panicking() {
+                pipe.finish();
+            }
+        }
+    }
+}
+
+/// Ingress and back link are state machines on one readiness loop, run
+/// on this thread; evaluation runs inside the ingress's `deliver`.
 fn main() -> ExitCode {
     let Some(opts) = parse_args() else { return usage() };
 
@@ -160,16 +186,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (tx, rx) = rcm_sync::chan::unbounded();
-    let ingress = match el.add_front_ingress(sock, opts.dms, opts.idle, move |update| {
-        let _ = tx.send(update);
-    }) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot register ingress: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let backoff =
         Backoff::new(Duration::from_millis(1), Duration::from_millis(100), opts.node as u64);
     let spec = BackLinkSpec::new(opts.ad, opts.node, backoff);
@@ -181,12 +197,11 @@ fn main() -> ExitCode {
         }
     };
     let back_stats = back.counters();
-    let engine = rcm_sync::thread::spawn(move || el.run());
 
     // The ingress gate already dropped reorders and duplicates, so every
-    // delivered update goes straight into evaluation, a round at a time.
+    // delivered round goes straight into evaluation.
     let latency = Arc::new(LatencyHistogram::new());
-    let mut pipe = EvalPipeline::start(
+    let pipe = EvalPipeline::start(
         CeId::new(opts.node),
         &conds,
         &PipelineOptions::with_workers(opts.workers),
@@ -194,17 +209,18 @@ fn main() -> ExitCode {
         Arc::clone(&latency),
         Arc::new(AtomicU64::new(0)),
     );
-    let mut round = Vec::with_capacity(ROUND);
-    while let Ok(first) = rx.recv() {
-        let admitted = Instant::now();
-        round.push(first);
-        round.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(ROUND - 1));
-        pipe.dispatch_round(&round, admitted);
-        round.clear();
-    }
     let helpers = pipe.helpers();
-    pipe.finish();
-    let _ = engine.join();
+    let mut evaluate = Evaluate(Some(pipe));
+    let ingress = match el.add_front_ingress(sock, opts.dms, opts.idle, move |round| {
+        evaluate.round(round);
+    }) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: cannot register ingress: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    el.run();
 
     let snap = latency.snapshot();
     eprintln!(

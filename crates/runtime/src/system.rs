@@ -22,7 +22,7 @@ use rcm_transport::{
     IngressStats, ListenerStats, RoundSender, TransportMode, TransportReport, UdpFrontLink,
 };
 
-use crate::actors::{ad_body, ce_body, AlertSink, CeFaultConfig, CePipeline, Replica};
+use crate::actors::{ad_body, on_ingress, AlertSink, CeFaultConfig, CePipeline, Replica};
 use crate::backlink::BackLink;
 use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
@@ -275,8 +275,8 @@ impl SystemBuilder {
     /// Builds the replicas, spawns the actor threads and starts the
     /// pipeline. In-process that is two threads, the DM loop (which
     /// evaluates every replica) and the AD, plus each replica's
-    /// evaluation helpers; socket mode adds a thread per replica and the
-    /// event loop's.
+    /// evaluation helpers; socket mode adds the event loop's thread,
+    /// which evaluates every replica instead, for any replica count.
     ///
     /// # Errors
     ///
@@ -378,7 +378,8 @@ impl SystemBuilder {
     /// (enforcing the front-link contract through the shared seqno
     /// gate) and reconnecting TCP back link, and the AD's TCP listener
     /// fanning frames into the ordinary `ad_body`, are state machines on
-    /// one readiness loop.
+    /// one readiness loop. Each replica is evaluated by its ingress, on
+    /// that loop, a datagram's admitted updates at a time.
     fn start_sockets(
         self,
         topology: BoundTopology,
@@ -416,35 +417,28 @@ impl SystemBuilder {
             .map_err(transport_err)?;
         counters.ad = Some(listener);
 
-        // CE side: per replica, a UDP ingress feeding the replica's
-        // thread over a channel, and a TCP back link to the AD. The
-        // ingress hears one DM node, so one Fin ends it. The back link
-        // connects eagerly, so a dead AD address fails here rather than
-        // silently dropping alerts later.
+        // CE side: per replica, a TCP back link to the AD and a UDP
+        // ingress that evaluates the replica. The back link connects
+        // eagerly, so a dead AD address fails here rather than silently
+        // dropping alerts later. The ingress hears one DM node, so one
+        // Fin ends it, and ending it finishes the replica.
         let mut helpers = 0;
         for (ce, sock) in parts.ce_sockets.into_iter().enumerate() {
-            let (tx, rx) = unbounded::<Update>();
-            counters.ingress.push(
-                event_loop
-                    .add_front_ingress(sock, 1, parts.idle_timeout, move |update| {
-                        let _ = tx.send(update);
-                    })
-                    .map_err(transport_err)?,
-            );
-
             let spec = BackLinkSpec::new(parts.ad_addr, ce as u32, ces.backoff(ce))
                 .with_severs(ces.severs(ce));
             let back = event_loop.add_back_link(spec).map_err(transport_err)?;
             counters.back.push(back.counters());
             let replica = ces.replica(ce, Box::new(back));
             helpers += replica.helpers();
-            handles.push(rcm_sync::thread::spawn(move || ce_body(rx, replica)));
+            let ingress =
+                event_loop.add_front_ingress(sock, 1, parts.idle_timeout, on_ingress(replica));
+            counters.ingress.push(ingress.map_err(transport_err)?);
         }
 
         // With every source registered, the loop itself gets a thread.
         // `run` returns once the last primary source retires, which is
-        // exactly when every CE finished its back link and the AD saw
-        // every Fin.
+        // exactly when every replica's back link drained (the end of
+        // its ingress finished it) and the AD saw every Fin.
         counters.engine = Some(event_loop.counters());
         handles.push(rcm_sync::thread::spawn(move || event_loop.run()));
 
@@ -1062,19 +1056,21 @@ mod tests {
     }
 
     #[test]
-    fn a_socket_system_runs_a_thread_per_replica_plus_three() {
-        // Each replica is driven on its own thread, because its updates
-        // arrive on the event loop's; then the event loop, the AD and
+    fn a_socket_system_runs_three_threads_for_any_replica_count() {
+        // The event loop evaluates every replica as its datagrams
+        // arrive, so replicas add no thread: the event loop, the AD and
         // the DM loop.
-        let bound = rcm_transport::Topology::loopback(3).bind().expect("bind topology");
-        let system = MonitorSystem::builder(c1())
-            .replicas(3)
-            .feed(VarFeed::new(x(), vec![2900.0, 3100.0]))
-            .transport(bound)
-            .start()
-            .expect("system starts");
-        assert_eq!(threads(&system), 3 + 3);
-        assert_eq!(system.wait().displayed.len(), 1);
+        for replicas in [1, 3] {
+            let bound = rcm_transport::Topology::loopback(replicas).bind().expect("bind topology");
+            let system = MonitorSystem::builder(c1())
+                .replicas(replicas)
+                .feed(VarFeed::new(x(), vec![2900.0, 3100.0]))
+                .transport(bound)
+                .start()
+                .expect("system starts");
+            assert_eq!(threads(&system), 3, "{replicas} replica(s)");
+            assert_eq!(system.wait().displayed.len(), 1);
+        }
     }
 
     #[test]

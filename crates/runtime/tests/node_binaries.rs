@@ -1,12 +1,13 @@
 //! Process-level tests of the node binaries: the real executable, its
 //! real stdin and exit status, and real datagrams on a loopback socket.
 
-use std::io::Write;
-use std::net::UdpSocket;
+use std::io::{Read, Write};
+use std::net::{TcpListener, UdpSocket};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use rcm_transport::wire::{self, Message};
+use rcm_core::{Alert, AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
+use rcm_transport::wire::{self, FrameBuf, Message};
 
 /// Runs `rcm-dm --period-us 0` against a socket this test
 /// owns, feeding it `stdin`; returns whether it exited successfully,
@@ -95,4 +96,82 @@ fn dm_sends_a_reading_before_more_input_arrives() {
         Message::Update(u) => assert_eq!(u64::from(u.seqno), 1),
         other => panic!("expected the first reading, got {other:?}"),
     }
+}
+
+/// `rcm-ce` end to end, with the test playing both of its peers: the DM
+/// over UDP (three rounds, one datagram each; a stale datagram, which
+/// the ingress gate drops; then the Fin, repeated until echoed) and, on
+/// a `TcpListener`, the AD. The back link must carry exactly the Hello,
+/// the three alerts in order with their ids, and the Fin; the node must
+/// exit 0 and count what it did on its exit line.
+#[test]
+fn ce_evaluates_each_round_and_ends_its_back_link_with_a_fin() {
+    // A port nothing listens on: bind, read it, drop the socket.
+    let ce_addr = UdpSocket::bind("127.0.0.1:0").expect("bind").local_addr().expect("addr");
+    let ad = TcpListener::bind("127.0.0.1:0").expect("bind the stand-in AD");
+    let ad_addr = ad.local_addr().expect("AD addr");
+
+    let ce = Command::new(env!("CARGO_BIN_EXE_rcm-ce"))
+        .args(["--bind", &ce_addr.to_string(), "--ad", &ad_addr.to_string()])
+        .args(["--node", "3", "--condition", "x[0].value > 50", "--idle-ms", "20000"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rcm-ce");
+    // The node binds its UDP socket before it connects its back link, so
+    // once the connection is in, datagrams sent to it queue.
+    let (mut back, _) = ad.accept().expect("rcm-ce connects its back link");
+    back.set_read_timeout(Some(Duration::from_secs(20))).expect("set read timeout");
+
+    let x = |seqno: u64, value: f64| Update::new(VarId::new(0), seqno, value);
+    let dm = UdpSocket::bind("127.0.0.1:0").expect("bind the DM socket");
+    dm.set_read_timeout(Some(Duration::from_millis(200))).expect("set read timeout");
+    let script = [
+        Message::UpdateBatch(vec![x(1, 40.0), x(2, 60.0)]),
+        Message::Update(x(3, 70.0)),
+        Message::UpdateBatch(vec![x(4, 45.0), x(5, 80.0)]),
+        Message::Update(x(3, 99.0)), // stale: would alert if admitted
+    ];
+    for msg in &script {
+        dm.send_to(&wire::encode(msg).expect("encodes"), ce_addr).expect("send_to");
+    }
+    let fin = wire::encode(&Message::Fin { node: 0 }).expect("encodes");
+    let mut echo = [0u8; 64];
+    let echoed = (0..50).any(|_| {
+        dm.send_to(&fin, ce_addr).expect("send_to");
+        dm.recv(&mut echo).is_ok_and(|n| echo[..n] == fin[..])
+    });
+    assert!(echoed, "rcm-ce never echoed the Fin");
+
+    let mut bytes = Vec::new();
+    back.read_to_end(&mut bytes).expect("the back link closes after its Fin");
+    let mut frames = FrameBuf::new();
+    frames.push(&bytes);
+    let heard: Vec<Message> =
+        std::iter::from_fn(|| wire::decode(&mut frames).expect("well-formed frames")).collect();
+
+    let alert = |index: u64, seqno: u64, value: f64| {
+        Message::Alert(Alert::new(
+            CondId::SINGLE,
+            HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(seqno)]),
+            vec![x(seqno, value)],
+            AlertId { ce: CeId::new(3), index },
+        ))
+    };
+    let want = vec![
+        Message::Hello { node: 3 },
+        alert(0, 2, 60.0),
+        alert(1, 3, 70.0),
+        alert(2, 5, 80.0),
+        Message::Fin { node: 3 },
+    ];
+    assert_eq!(heard, want);
+
+    let out = ce.wait_with_output().expect("rcm-ce exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit status {:?}; stderr: {stderr}", out.status);
+    let done = stderr.lines().last().unwrap_or_default();
+    assert_eq!(
+        done, "done: 5 update(s) evaluated (1 stale dropped, 0 decode error(s)); 3 alert(s) sent",
+        "stderr: {stderr}"
+    );
 }

@@ -8,7 +8,8 @@
 //! they prove the deployment path is behaviorally identical to the
 //! model the rest of the repo verifies — paced one reading per
 //! datagram or a whole round per datagram, at 0% and 20% front-link
-//! loss, evaluated on the CE thread or on shard workers.
+//! loss, evaluated on the event loop or on shard workers, and with
+//! replicas killed within and past their restart budget.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,8 +65,8 @@ fn run_sockets(plan: FaultPlan, drops: &'static [u64]) -> (RunReport, Vec<ProxyS
 }
 
 /// Like [`run_sockets`] with the CE evaluation pipeline enabled at
-/// `workers` shard workers (0 = evaluated on the CE thread) and the
-/// feed paced at `period`.
+/// `workers` shard workers (0 = evaluated on the event loop's thread)
+/// and the feed paced at `period`.
 fn run_sockets_with(
     plan: FaultPlan,
     drops: &'static [u64],
@@ -333,4 +334,48 @@ fn back_link_sever_reconnects_without_losing_alerts() {
         "two initial connections plus at least one reconnect, got {}",
         sockets.transport.ad.connections
     );
+}
+
+/// What a run's supervisor did: kills injected, restarts per replica,
+/// replicas abandoned and updates lost while down.
+fn fault_counts(report: &RunReport) -> (u32, Vec<u32>, u32, u64) {
+    let f = &report.faults;
+    (f.kills_injected, f.restarts.clone(), f.replicas_abandoned, f.updates_dropped_down)
+}
+
+/// Acceptance for supervision on the event loop: a socket run with
+/// replica kills displays what the in-process run with the same plan
+/// displays, with the same restarts and abandonments. Within the budget
+/// both replicas die on the same alerting reading and replica 0 dies
+/// again later; past it, replica 0's second kill exhausts a budget of
+/// one and the replica is abandoned, its back link closed with a Fin
+/// from the loop, and the run still ends.
+#[test]
+fn replica_kills_over_sockets_match_in_process_within_and_past_the_budget() {
+    let within = FaultPlan::scripted().kill_ce(0, 4).kill_ce(1, 4).kill_ce(0, 12).max_restarts(3);
+    let past = FaultPlan::scripted().kill_ce(0, 4).kill_ce(0, 9).max_restarts(1);
+    for (name, plan, restarts, abandoned) in
+        [("within", within, [2, 1], 0), ("past", past, [1, 0], 1)]
+    {
+        let in_process = run_in_process(plan.clone(), &[]);
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(run_sockets(plan, &[]).0);
+        });
+        let sockets = done
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("{name} the budget: the socket run did not end: {e}"));
+
+        assert_eq!(
+            sockets.displayed,
+            in_process.displayed,
+            "{name} the budget: sockets {:?} vs in-process {:?}",
+            displayed_seqnos(&sockets),
+            displayed_seqnos(&in_process),
+        );
+        assert_eq!(fault_counts(&sockets), fault_counts(&in_process), "{name} the budget");
+        assert_eq!(sockets.faults.restarts, restarts, "{name} the budget");
+        assert_eq!(sockets.faults.replicas_abandoned, abandoned, "{name} the budget");
+        assert_eq!(sockets.transport.ad.fins, 2, "{name} the budget: every replica said Fin");
+    }
 }

@@ -18,6 +18,9 @@
 //! M times and its AD-1 filter must display it **exactly once**. The
 //! run fails (nonzero exit) if:
 //!
+//! * the CE emitted other than A×K alerts (the message says where the
+//!   updates went: what the ingress delivered and dropped as stale, and
+//!   what the kernel dropped at the CE socket),
 //! * any of the A×K emitted alerts is displayed zero or multiple times,
 //! * the listener heard anything other than emitted × M alerts,
 //! * any link surfaced a decode error, or
@@ -48,10 +51,14 @@
 //! `--json` adds the capacity evidence CI archives: peak process FDs
 //! (read from `/proc/self/fd`) and resident-set delta per link, plus
 //! the engine's wakeup/timer/spurious counters and (in tree mode) the
-//! tree's routing/forwarding counters. CI runs 2,000 front links in
+//! tree's routing/forwarding counters. It also carries the ingress's
+//! `delivered` and `dropped_stale` and the CE socket's `kernel_drops`
+//! (its `/proc/net/udp` row's `drops`; `null` where that cannot be
+//! read). CI runs 2,000 front links in
 //! the PR gauntlet (`scale-smoke`) plus a `tree-scale-smoke` at
 //! `--tree 3x4`; the 10k-link and `--tree 3x8` soaks are nightly.
 
+use std::net::UdpSocket;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -165,6 +172,24 @@ fn open_fds() -> u64 {
     std::fs::read_dir("/proc/self/fd").map(|d| d.count() as u64).unwrap_or(0)
 }
 
+/// Datagrams the kernel dropped on arrival at `sock` (a full receive
+/// buffer): the `drops` column of the socket's `/proc/net/udp` row,
+/// found by its inode. `None` where that cannot be read.
+fn kernel_drops(sock: &UdpSocket) -> Option<u64> {
+    use std::os::fd::AsRawFd;
+    use std::os::unix::fs::MetadataExt;
+    let inode = std::fs::metadata(format!("/proc/self/fd/{}", sock.as_raw_fd())).ok()?.ino();
+    let table = std::fs::read_to_string("/proc/net/udp").ok()?;
+    table.lines().skip(1).find_map(|row| {
+        // sl local rem st queues tr retrnsmt uid timeout inode ref pointer drops
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        if cols.get(9)?.parse::<u64>().ok()? != inode {
+            return None;
+        }
+        cols.get(12)?.parse().ok()
+    })
+}
+
 /// Resident set size in bytes (Linux; 0 elsewhere).
 fn rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return 0 };
@@ -184,8 +209,11 @@ fn main() -> ExitCode {
 
     // The node under test: one loop holding the CE ingress, the AD
     // listener, and every back link.
-    let ce_sock = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind CE socket");
+    let ce_sock = UdpSocket::bind("127.0.0.1:0").expect("bind CE socket");
     let ce_addr = ce_sock.local_addr().expect("CE addr");
+    // Keeps the socket, and so its kernel drop count, alive after the
+    // ingress retires and closes its own descriptor.
+    let ce_sock_watch = ce_sock.try_clone().expect("duplicate CE socket");
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind AD listener");
     let ad_addr = listener.local_addr().expect("AD addr");
 
@@ -198,8 +226,10 @@ fn main() -> ExitCode {
     let engine_counters = el.counters();
     let (update_tx, update_rx) = rcm_sync::chan::unbounded();
     let ingress = el
-        .add_front_ingress(ce_sock, opts.front, idle, move |u| {
-            let _ = update_tx.send(u);
+        .add_front_ingress(ce_sock, opts.front, idle, move |round| {
+            for u in round.drain(..) {
+                let _ = update_tx.send(u);
+            }
         })
         .expect("register ingress");
     let (alert_tx, alert_rx) = rcm_sync::chan::unbounded();
@@ -335,10 +365,16 @@ fn main() -> ExitCode {
         rss_after_links.saturating_sub(rss_before) / opts.front as u64
     };
 
+    let kernel_drops = kernel_drops(&ce_sock_watch);
     let expected_emitted = opts.active as u64 * opts.updates;
     let mut violations: Vec<String> = Vec::new();
     if emitted != expected_emitted {
-        violations.push(format!("emitted {emitted} alerts, expected {expected_emitted}"));
+        let kernel = kernel_drops.map_or("unknown".to_string(), |d| d.to_string());
+        violations.push(format!(
+            "emitted {emitted} alerts, expected {expected_emitted} (ingress delivered {}, \
+             dropped {} stale; the kernel dropped {kernel} datagrams at the CE socket)",
+            ingress_stats.delivered, ingress_stats.dropped_stale
+        ));
     }
     if displayed != emitted {
         violations.push(format!("displayed {displayed} of {emitted} alerts — not exactly-once"));
@@ -393,6 +429,9 @@ fn main() -> ExitCode {
             ("displayed", displayed.into()),
             ("listener_alerts", heard.into()),
             ("fins_seen", ingress_stats.fins.into()),
+            ("delivered", ingress_stats.delivered.into()),
+            ("dropped_stale", ingress_stats.dropped_stale.into()),
+            ("kernel_drops", kernel_drops.into()),
             ("connections", ad_stats.connections.into()),
             ("peak_fds", peak_fds.into()),
             ("rss_delta_bytes", rss_after_links.saturating_sub(rss_before).into()),

@@ -54,3 +54,18 @@ fn the_json_report_counts_the_helpers_that_ran() {
         );
     }
 }
+
+/// `--json` says where the updates went: the ingress's `delivered` (2
+/// active links × 2 updates) and `dropped_stale`, and the CE socket's
+/// kernel drops, a count where `/proc/net/udp` is readable and `null`
+/// where it is not.
+#[test]
+fn the_json_report_says_where_the_updates_went() {
+    let (code, stdout, stderr) = run_scale(&["--json"]);
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+    let report = rcm_json::parse(&stdout).expect("--json prints one JSON document");
+    let count = |key| report.field(key).and_then(rcm_json::Json::u64).ok();
+    assert_eq!((count("delivered"), count("dropped_stale")), (Some(4), Some(0)), "{stdout}");
+    let kernel = report.field("kernel_drops").expect("the key is always there");
+    assert!(matches!(kernel, rcm_json::Json::Null | rcm_json::Json::Int(_)), "{stdout}");
+}

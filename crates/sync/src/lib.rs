@@ -53,17 +53,20 @@ pub mod chan {
     };
 }
 
-/// Thread spawn/join, sleep and yield, and the CPU count.
+/// Thread spawn/join, sleep and yield, the CPU count, and whether the
+/// current thread is unwinding.
 #[cfg(not(loom))]
 pub mod thread {
-    pub use std::thread::{available_parallelism, sleep, spawn, yield_now, JoinHandle};
+    pub use std::thread::{available_parallelism, panicking, sleep, spawn, yield_now, JoinHandle};
 }
 
-/// Thread spawn/join, sleep and yield, and the CPU count
-/// (model-checked).
+/// Thread spawn/join, sleep and yield, the CPU count, and whether the
+/// current thread is unwinding (model-checked).
 #[cfg(loom)]
 pub mod thread {
-    pub use crate::model::thread::{available_parallelism, sleep, spawn, yield_now, JoinHandle};
+    pub use crate::model::thread::{
+        available_parallelism, panicking, sleep, spawn, yield_now, JoinHandle,
+    };
 }
 
 /// Monotonic clock reads.

@@ -1,11 +1,15 @@
-//! Model-checked `thread::{spawn, sleep, yield_now}`, and a fixed
-//! `available_parallelism`.
+//! Model-checked `thread::{spawn, sleep, yield_now}`, a fixed
+//! `available_parallelism`, and std's `panicking`.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
 use super::sched::{current, BlockKind, Exec};
+
+/// Whether the current thread is unwinding: a model thread is a real
+/// thread, so std's answer holds. Not a schedule point.
+pub use std::thread::panicking;
 
 /// Handle to a model thread; `join` blocks (in model time) until it
 /// finishes. A panic in any model thread aborts the whole execution,

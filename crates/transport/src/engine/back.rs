@@ -36,7 +36,6 @@ use rcm_core::Alert;
 use rcm_net::Backoff;
 use rcm_poll::{sys, Event, Interest, SubmitQueue, TimerKey, Token, Waker};
 use rcm_sync::atomic::{AtomicU64, Ordering};
-use rcm_sync::chan::{Receiver, Sender};
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
@@ -87,15 +86,16 @@ impl BackLinkSpec {
     }
 }
 
-/// The caller-side handle to one evented back link. Lives on the CE
-/// thread; every method is a non-blocking submit to the loop except
-/// `finish`/`abandon`, which wait for the state machine's
-/// acknowledgement.
+/// The caller-side handle to one evented back link. Every method is a
+/// non-blocking submit to the loop, so the handle works the same from
+/// the loop's own thread (a CE evaluated inside an ingress's
+/// `deliver`) as from any other. A caller that needs a finished link's
+/// drain complete joins the loop's thread: the loop runs until the
+/// link retires.
 pub struct EventedBackLink {
     id: usize,
     commands: SubmitQueue<Command>,
     waker: Waker,
-    done_rx: Receiver<()>,
     counters: Arc<BackLinkStats<AtomicU64>>,
     finished: bool,
 }
@@ -114,10 +114,9 @@ impl EventedBackLink {
         id: usize,
         commands: SubmitQueue<Command>,
         waker: Waker,
-        done_rx: Receiver<()>,
         counters: Arc<BackLinkStats<AtomicU64>>,
     ) -> Self {
-        EventedBackLink { id, commands, waker, done_rx, counters, finished: false }
+        EventedBackLink { id, commands, waker, counters, finished: false }
     }
 
     /// Hands one alert to the loop. Never blocks: a down peer costs a
@@ -129,30 +128,27 @@ impl EventedBackLink {
         self.commands.submit(Command::Send { id: self.id, alert }, &self.waker);
     }
 
-    /// Asks the loop to drain losslessly, send Fin, and close; waits
-    /// for the acknowledgement. This is what turns "bounded queue while
-    /// down" into the paper's lossless contract: if the peer stays
-    /// unreachable past the 10 s deadline, what is still queued is
-    /// counted into `lost_overflow` — loss is never silent.
+    /// Asks the loop to drain losslessly, send Fin, and close. This is
+    /// what turns "bounded queue while down" into the paper's lossless
+    /// contract: if the peer stays unreachable past the 10 s deadline,
+    /// what is still queued is counted into `lost_overflow` — loss is
+    /// never silent. The loop keeps running until the drain ends.
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
         self.commands.submit(Command::Finish { id: self.id }, &self.waker);
-        // A loop that died early drops the sender; either way we stop.
-        let _ = self.done_rx.recv();
     }
 
     /// Drops everything queued, best-effort Fin, close — the
-    /// abandoned-replica path. Waits for the acknowledgement.
+    /// abandoned-replica path.
     pub fn abandon(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
         self.commands.submit(Command::Abandon { id: self.id }, &self.waker);
-        let _ = self.done_rx.recv();
     }
 
     /// A handle for reading the link's counters.
@@ -198,19 +194,13 @@ pub(super) struct BackSource {
     reconnect_timer: Option<TimerKey>,
     deadline_timer: Option<TimerKey>,
     counters: Arc<BackLinkStats<AtomicU64>>,
-    done_tx: Sender<()>,
 }
 
 impl BackSource {
     /// Opens the link: the initial connect on the caller thread (a
     /// failure here is a deployment error), then registers the live
     /// stream with the loop and queues the Hello preamble.
-    pub(super) fn open(
-        spec: BackLinkSpec,
-        core: &mut Core,
-        id: usize,
-        done_tx: Sender<()>,
-    ) -> io::Result<Self> {
+    pub(super) fn open(spec: BackLinkSpec, core: &mut Core, id: usize) -> io::Result<Self> {
         let stream = sys::connect_nonblocking(spec.peer)?;
         let fd = stream.as_raw_fd();
         if !sys::await_writable(fd, INITIAL_CONNECT_WAIT)? {
@@ -237,7 +227,6 @@ impl BackSource {
             reconnect_timer: None,
             deadline_timer: None,
             counters,
-            done_tx,
         };
         source.queue_control(Message::Hello { node: spec.node });
         Ok(source)
@@ -567,13 +556,12 @@ impl BackSource {
         self.retire(core);
     }
 
-    /// Final cleanup + the caller's acknowledgement.
+    /// Final cleanup: the stream and every pending timer.
     fn retire(&mut self, core: &mut Core) {
         self.close_stream(core);
         for key in [self.reconnect_timer.take(), self.deadline_timer.take()].into_iter().flatten() {
             core.wheel.cancel(key);
         }
-        let _ = self.done_tx.send(());
     }
 
     fn close_stream(&mut self, core: &mut Core) {

@@ -53,15 +53,15 @@ pub(super) fn timer_data(id: usize, kind: u64) -> u64 {
     ((id as u64) << 2) | kind
 }
 
-/// What caller threads may ask of the loop. Every variant is
-/// fire-and-forget except that `Finish`/`Abandon` are acknowledged on
-/// the link's done channel once the state machine retires.
+/// What caller threads (and `deliver` callbacks on the loop itself)
+/// may ask of the loop. Every variant is fire-and-forget: a finished
+/// link is seen to retire by the loop's `run` returning.
 pub(super) enum Command {
     /// Transmit (or queue) one alert on back link `id`.
     Send { id: usize, alert: Alert },
-    /// Drain link `id` losslessly, send Fin, then acknowledge.
+    /// Drain link `id` losslessly, send Fin, then retire.
     Finish { id: usize },
-    /// Drop link `id`'s queue, best-effort Fin, then acknowledge.
+    /// Drop link `id`'s queue, best-effort Fin, then retire.
     Abandon { id: usize },
 }
 
@@ -150,10 +150,14 @@ impl<'d> EventLoop<'d> {
     /// Adds one CE UDP ingress, the receiving end of the front link.
     /// The socket is made non-blocking; an update is admitted only if
     /// its seqno advances its variable's high-water mark (reordering and
-    /// duplication become loss), and every admitted update is handed to
-    /// `deliver` on the loop thread, in arrival order. Every Fin is
-    /// echoed to its sender. The ingress retires once `expected_fins`
-    /// distinct Fins arrived, or after `idle_timeout` with no datagram.
+    /// duplication become loss). Each datagram's admitted updates are
+    /// one round: `deliver` gets it on the loop thread, once per
+    /// datagram that admitted any, in arrival order, and may take the
+    /// updates out (the ingress clears what is left). Every Fin is
+    /// echoed to its sender and delivers nothing. The ingress retires
+    /// once `expected_fins` distinct Fins arrived, or after
+    /// `idle_timeout` with no datagram, and drops `deliver` then: the
+    /// drop is the end of the stream.
     ///
     /// # Errors
     ///
@@ -163,7 +167,7 @@ impl<'d> EventLoop<'d> {
         sock: UdpSocket,
         expected_fins: usize,
         idle_timeout: Duration,
-        deliver: impl FnMut(Update) + Send + 'd,
+        deliver: impl FnMut(&mut Vec<Update>) + Send + 'd,
     ) -> io::Result<Arc<IngressStats<AtomicU64>>> {
         sock.set_nonblocking(true)?;
         let id = self.alloc();
@@ -220,25 +224,21 @@ impl<'d> EventLoop<'d> {
     /// existed is a deployment error, not an outage to ride out.
     pub fn add_back_link(&mut self, spec: BackLinkSpec) -> io::Result<EventedBackLink> {
         let id = self.alloc();
-        let (done_tx, done_rx) = rcm_sync::chan::unbounded();
-        let source = BackSource::open(spec, &mut self.core, id, done_tx)?;
+        let source = BackSource::open(spec, &mut self.core, id)?;
         let counters = source.counters();
         self.sources[id] = Some(Source::Back(source));
         self.active += 1;
-        Ok(EventedBackLink::new(
-            id,
-            self.commands.clone(),
-            self.core.poller.waker(),
-            done_rx,
-            counters,
-        ))
+        Ok(EventedBackLink::new(id, self.commands.clone(), self.core.poller.waker(), counters))
     }
 
     /// Runs until every primary source has retired: fronts and
     /// listeners when their Fins (or idle backstops) arrive, back
     /// links when their owner finishes or abandons them. Call from a
-    /// dedicated thread; the handles returned by `add_*` remain the
-    /// caller-side API.
+    /// thread of its own, or from the thread that built the loop; the
+    /// handles returned by `add_*` remain the caller-side API, usable
+    /// from any thread and from a `deliver` on this one. A `deliver`
+    /// may compute and wait on threads it forks, but never on a socket
+    /// or on another source of this loop.
     pub fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         let mut fired: Vec<u64> = Vec::new();
@@ -270,8 +270,8 @@ impl<'d> EventLoop<'d> {
             self.commands.wake_done();
             if waited.is_err() {
                 // A broken poller cannot make progress; bail rather
-                // than spin. Dropping the sources closes every socket
-                // and unblocks finish() callers via their channels.
+                // than spin. Dropping the sources closes every socket,
+                // and a caller joining this thread stops waiting.
                 return;
             }
             self.core.counters.wakeups.fetch_add(1, Ordering::SeqCst);
@@ -290,8 +290,8 @@ impl<'d> EventLoop<'d> {
         };
         let Some(slot) = self.sources.get_mut(id) else { return };
         // A command for a retired link (send-after-finish) is dropped;
-        // the handle's own `finished` flag keeps finish/abandon from
-        // waiting on an acknowledgement that cannot come.
+        // the handle's own `finished` flag keeps a second finish/abandon
+        // from being submitted at all.
         let Some(source) = slot.take() else { return };
         let Source::Back(mut back) = source else {
             *slot = Some(source);

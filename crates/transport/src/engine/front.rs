@@ -2,8 +2,10 @@
 //! gate, the counters, the Fin echo and Fin termination) on the loop.
 //!
 //! The socket loop around it drains the socket until `WouldBlock` on
-//! each readable event, echoing every Fin to its sender, and the idle
-//! backstop is a lazily-rescheduled wheel timer.
+//! each readable event, echoing every Fin to its sender, and hands each
+//! datagram's admitted updates to `deliver` as one round. The idle
+//! backstop is a lazily-rescheduled wheel timer. A retired ingress is
+//! dropped with its `deliver`, which is how its owner hears the end.
 
 // LOCK ORDER: no locks — front ingress state is owned by the loop thread.
 
@@ -19,11 +21,16 @@ use rcm_sync::time::{Duration, Instant};
 use super::event_loop::{timer_data, Core, KIND_IDLE};
 use crate::receive::{Heard, Ingress};
 
+/// The callback a CE ingress hands each datagram's round to.
+pub(super) type Deliver<'d> = Box<dyn FnMut(&mut Vec<Update>) + Send + 'd>;
+
 /// One CE UDP ingress on the loop.
 pub(super) struct FrontSource<'d> {
     sock: UdpSocket,
     ingress: Ingress,
-    deliver: Box<dyn FnMut(Update) + Send + 'd>,
+    /// The admitted updates of the datagram being handled.
+    round: Vec<Update>,
+    deliver: Deliver<'d>,
     idle_timeout: Duration,
     last_activity: Instant,
     idle_timer: TimerKey,
@@ -34,11 +41,12 @@ impl<'d> FrontSource<'d> {
         sock: UdpSocket,
         ingress: Ingress,
         idle_timeout: Duration,
-        deliver: Box<dyn FnMut(Update) + Send + 'd>,
+        deliver: Deliver<'d>,
         idle_timer: TimerKey,
         now: Instant,
     ) -> Self {
-        FrontSource { sock, ingress, deliver, idle_timeout, last_activity: now, idle_timer }
+        let round = Vec::new();
+        FrontSource { sock, ingress, round, deliver, idle_timeout, last_activity: now, idle_timer }
     }
 
     /// Drains the socket. Returns `true` when the ingress is done
@@ -58,14 +66,20 @@ impl<'d> FrontSource<'d> {
             };
             progressed = true;
             self.last_activity = Instant::now();
-            if let Heard::Fin { last } = self.ingress.datagram(&core.buf[..len], &mut self.deliver)
-            {
-                // Best effort, like the Fin: the socket is nonblocking
-                // and an error is ignored.
-                let _ = self.sock.send_to(&core.buf[..len], from);
-                if last {
-                    self.retire(core);
-                    return true;
+            match self.ingress.datagram(&core.buf[..len], &mut self.round) {
+                Heard::Data if !self.round.is_empty() => {
+                    (self.deliver)(&mut self.round);
+                    self.round.clear();
+                }
+                Heard::Data => {}
+                Heard::Fin { last } => {
+                    // Best effort, like the Fin: the socket is
+                    // nonblocking and an error is ignored.
+                    let _ = self.sock.send_to(&core.buf[..len], from);
+                    if last {
+                        self.retire(core);
+                        return true;
+                    }
                 }
             }
         }

@@ -12,9 +12,13 @@
 //! * every deadline — backoff reconnects, connect caps, finish
 //!   deadlines, idle backstops — is a [`rcm_poll::TimerWheel`] entry,
 //!   not a sleeping thread;
-//! * caller threads (CE bodies, node mains) talk to the loop through a
-//!   [`SubmitQueue`] whose sleep/wake handoff is model-checked in
-//!   `crates/runtime/tests/loom.rs`;
+//! * a CE ingress hands each datagram's admitted updates to its
+//!   `deliver` as one round, on the loop thread, so a CE can evaluate
+//!   right there, with no thread or channel of its own;
+//! * other threads (a DM fleet, an in-process CE body) talk to the loop
+//!   through a [`SubmitQueue`] whose sleep/wake handoff is
+//!   model-checked in `crates/runtime/tests/loom.rs`; a back-link
+//!   handle submits through it from any thread, the loop's included;
 //! * blocking states become explicit machine states: a partial write
 //!   parks the frame's remainder as a continuation, a down link parks
 //!   a reconnect timer, a `finish` parks a drain-then-Fin plan with a
@@ -28,9 +32,13 @@
 //! directory blocks — no blocking `std::net` connects, no
 //! `thread::sleep`, no `write_all`/`read_exact`, and no lock is ever
 //! held across a poll. Cross-thread state is atomic counters and the
-//! submit queue only.
+//! submit queue only. A `deliver` callback runs on the loop thread, so
+//! the same holds for it with one allowance: it may run a CE's
+//! evaluation, which is compute and the fork-join waits of that
+//! evaluation's own helper threads — never a wait on a socket, on a
+//! back link's drain, or on anything else the loop must do first.
 
-// LOCK ORDER: no locks — handles hold channels and atomic counters.
+// LOCK ORDER: no locks — handles hold the submit queue and atomic counters.
 
 mod back;
 mod event_loop;
@@ -76,8 +84,10 @@ mod tests {
         let addr = sock.local_addr().expect("addr");
         let (tx, rx) = rcm_sync::chan::unbounded();
         let counters = el
-            .add_front_ingress(sock, 1, Duration::from_secs(5), move |u| {
-                let _ = tx.send(u);
+            .add_front_ingress(sock, 1, Duration::from_secs(5), move |round| {
+                round.drain(..).for_each(|u| {
+                    let _ = tx.send(u);
+                });
             })
             .expect("register ingress");
         let engine = rcm_sync::thread::spawn(move || el.run());
@@ -108,6 +118,95 @@ mod tests {
         crate::udp::tests::assert_every_fin_echoed(addr, || {
             engine.join().expect("loop thread");
         });
+    }
+
+    fn u(var: u32, seqno: u64) -> Update {
+        Update::new(VarId::new(var), seqno, seqno as f64)
+    }
+
+    fn datagram(msg: &crate::wire::Message) -> Vec<u8> {
+        crate::wire::encode(msg).expect("encodes")
+    }
+
+    /// Sends on drop, so a test sees when the loop drops a `deliver`.
+    struct DropSignal(rcm_sync::chan::Sender<()>);
+
+    impl Drop for DropSignal {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    /// The round contract: each datagram that admits anything is one
+    /// call with exactly the updates it admitted, in datagram order; a
+    /// datagram the gate refuses whole, garbage and a Fin give none.
+    #[test]
+    fn each_datagram_is_one_round_of_exactly_its_admitted_updates() {
+        use crate::wire::Message;
+
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let addr = sock.local_addr().expect("addr");
+        let dm = UdpSocket::bind("127.0.0.1:0").expect("bind DM");
+        let script = [
+            datagram(&Message::UpdateBatch(vec![u(0, 1), u(1, 1), u(0, 2)])),
+            datagram(&Message::UpdateBatch(vec![u(0, 2), u(1, 1)])), // all stale
+            datagram(&Message::Update(u(0, 1))),                     // stale
+            b"\x00garbage".to_vec(),
+            datagram(&Message::UpdateBatch(vec![u(1, 1), u(1, 2), u(0, 3)])), // one stale
+            datagram(&Message::Update(u(1, 3))),
+            datagram(&Message::Fin { node: 0 }),
+        ];
+        // Queued before the loop reads, so they are read in this order.
+        for d in &script {
+            dm.send_to(d, addr).expect("send_to");
+        }
+        let mut rounds: Vec<Vec<Update>> = Vec::new();
+        let mut el = EventLoop::new().expect("event loop");
+        let counters = el
+            .add_front_ingress(sock, 1, Duration::from_secs(5), |round| rounds.push(round.clone()))
+            .expect("register ingress");
+        el.run();
+        assert_eq!(
+            rounds,
+            vec![vec![u(0, 1), u(1, 1), u(0, 2)], vec![u(1, 2), u(0, 3)], vec![u(1, 3)]]
+        );
+        let stats = counters.snapshot();
+        assert_eq!((stats.delivered, stats.dropped_stale, stats.fins), (6, 4, 1));
+    }
+
+    /// The ingress drops its `deliver` when it retires, on its last Fin
+    /// or on its idle backstop, while the loop still runs other sources:
+    /// the drop is the end of the stream for whoever owns the callback.
+    #[test]
+    fn a_retired_ingress_drops_its_deliver_while_the_loop_runs_on() {
+        let mut el = EventLoop::new().expect("event loop");
+        let (dropped_tx, dropped) = rcm_sync::chan::unbounded();
+        let mut add = |fins: usize, idle: Duration| {
+            let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+            let addr = sock.local_addr().expect("addr");
+            let signal = DropSignal(dropped_tx.clone());
+            el.add_front_ingress(sock, fins, idle, move |_| {
+                let _ = &signal;
+            })
+            .expect("register ingress");
+            addr
+        };
+        let on_fin = add(1, Duration::from_secs(30));
+        let _on_idle = add(1, Duration::from_millis(50));
+        // Keeps the loop running until the test ends it with a Fin.
+        let keeper = add(1, Duration::from_secs(30));
+        drop(dropped_tx);
+        let engine = rcm_sync::thread::spawn(move || el.run());
+
+        // A drop that waited for the loop's end would come only when the
+        // keeper idles out, 30 s on, with the loop finished.
+        dropped.recv().expect("the idle ingress drops its deliver");
+        UdpFrontLink::connect(on_fin, 0).expect("connect").finish(3);
+        dropped.recv().expect("the finished ingress drops its deliver");
+        assert!(!engine.is_finished(), "both drops came while the loop still ran");
+        UdpFrontLink::connect(keeper, 0).expect("connect").finish(3);
+        dropped.recv().expect("the last ingress drops its deliver");
+        engine.join().expect("loop thread");
     }
 
     /// A full evented round trip on one loop: back link → listener,

@@ -53,10 +53,11 @@ impl UdpFrontReceiver {
     /// Runs the ingress to its end, handing each admitted update to
     /// `deliver`; returns the final counters (zero if the loop cannot
     /// start).
-    pub fn run(self, deliver: impl FnMut(Update) + Send) -> IngressStats {
+    pub fn run(self, mut deliver: impl FnMut(Update) + Send) -> IngressStats {
         let Ok(mut el) = EventLoop::new() else { return IngressStats::default() };
+        let each = move |round: &mut Vec<Update>| round.drain(..).for_each(&mut deliver);
         let Ok(counters) =
-            el.add_front_ingress(self.sock, self.expected_fins, self.idle_timeout, deliver)
+            el.add_front_ingress(self.sock, self.expected_fins, self.idle_timeout, each)
         else {
             return IngressStats::default();
         };

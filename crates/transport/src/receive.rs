@@ -58,19 +58,19 @@ impl Ingress {
         Ingress { gate: SeqGate::new(), fins: HashSet::new(), expected_fins, counters }
     }
 
-    /// Handles one datagram. Every admitted update goes to `deliver` in
-    /// arrival order; a batch is delivered exactly as if its updates had
-    /// arrived one datagram each, in batch order. An alert or hello on a
+    /// Handles one datagram. Every update it admits is appended to
+    /// `round`, in datagram order: a batch is admitted exactly as if its
+    /// updates had arrived one datagram each. An alert or hello on a
     /// front link is protocol abuse, counted with the undecodable
     /// garbage.
-    pub(crate) fn datagram(&mut self, datagram: &[u8], deliver: &mut impl FnMut(Update)) -> Heard {
+    pub(crate) fn datagram(&mut self, datagram: &[u8], round: &mut Vec<Update>) -> Heard {
         self.counters.frames_received.fetch_add(1, Ordering::SeqCst);
         self.counters.bytes_received.fetch_add(datagram.len() as u64, Ordering::SeqCst);
         match wire::decode_datagram(datagram) {
-            Ok(Message::Update(update)) => self.admit(update, deliver),
+            Ok(Message::Update(update)) => self.admit(update, round),
             Ok(Message::UpdateBatch(updates)) => {
                 for update in updates {
-                    self.admit(update, deliver);
+                    self.admit(update, round);
                 }
             }
             Ok(Message::Fin { node }) => {
@@ -86,10 +86,10 @@ impl Ingress {
         Heard::Data
     }
 
-    fn admit(&mut self, update: Update, deliver: &mut impl FnMut(Update)) {
+    fn admit(&mut self, update: Update, round: &mut Vec<Update>) {
         if self.gate.admit(&update) {
             self.counters.delivered.fetch_add(1, Ordering::SeqCst);
-            deliver(update);
+            round.push(update);
         } else {
             self.counters.dropped_stale.fetch_add(1, Ordering::SeqCst);
         }
@@ -266,7 +266,7 @@ mod tests {
         let mut got = Vec::new();
         let mut el = EventLoop::new().expect("event loop");
         let counters = el
-            .add_front_ingress(sock, 2, IDLE, |update| got.push(update))
+            .add_front_ingress(sock, 2, IDLE, |round| got.append(round))
             .expect("register ingress");
         el.run();
         let heard = (got, counters.snapshot(), echoes(&dm));

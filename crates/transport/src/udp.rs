@@ -17,9 +17,9 @@
 //! in as few `UpdateBatch` datagrams as fit it under
 //! [`wire::DATAGRAM_BUDGET`], sharing the header and the syscall. The
 //! receiver runs a batch's updates through the gate in batch order (one
-//! high-water mark per variable), so delivery is exactly what
-//! individual datagrams arriving in that order would produce. A lone
-//! update is a plain `Update` frame.
+//! high-water mark per variable), so it admits exactly what individual
+//! datagrams arriving in that order would, and hands what it admitted
+//! on as one round. A lone update is a plain `Update` frame.
 //!
 //! The one datagram that travels back is the end of stream. A DM ends
 //! its stream with a `Fin`, and the receiver echoes every `Fin` it
@@ -566,7 +566,7 @@ pub(crate) mod tests {
             let mut got = Vec::new();
             let mut el = EventLoop::new().expect("event loop");
             let counters = el
-                .add_front_ingress(sock, expected_fins, idle, |u| got.push(u))
+                .add_front_ingress(sock, expected_fins, idle, |round| got.append(round))
                 .expect("register ingress");
             el.run();
             (got, counters.snapshot())
