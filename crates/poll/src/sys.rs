@@ -6,8 +6,9 @@
 //! libc-less `extern "C"` surface: `poll(2)`, the one readiness
 //! backend on every platform; an `fcntl(2)` liveness check for the fds
 //! it is asked to watch; non-blocking `connect(2)` (std offers no way
-//! to start a TCP connect without blocking); and the self-pipe the
-//! event loop uses as its waker. No function in this file blocks
+//! to start a TCP connect without blocking); a socket's kernel receive
+//! buffer (`SO_RCVBUF`, which std neither sets nor reads); and the
+//! self-pipe the event loop uses as its waker. No function in this file blocks
 //! except [`poll_fds`] and [`await_writable`], which take an explicit
 //! timeout. Callers never see a raw pointer: inputs and outputs are
 //! plain values and slices.
@@ -41,6 +42,7 @@ extern "C" {
     fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
     fn getsockopt(fd: c_int, level: c_int, name: c_int, value: *mut c_void, len: *mut u32)
         -> c_int;
+    fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
     fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
     #[cfg(test)]
     fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
@@ -79,6 +81,7 @@ mod abi {
     pub const EINPROGRESS: i32 = 115;
     pub const SOL_SOCKET: c_int = 1;
     pub const SO_ERROR: c_int = 4;
+    pub const SO_RCVBUF: c_int = 8;
     pub const AF_INET6: c_int = 10;
     #[cfg(test)]
     pub const SIGUSR1: c_int = 10;
@@ -93,6 +96,7 @@ mod abi {
     pub const EINPROGRESS: i32 = 36;
     pub const SOL_SOCKET: c_int = 0xffff;
     pub const SO_ERROR: c_int = 0x1007;
+    pub const SO_RCVBUF: c_int = 0x1002;
     pub const AF_INET6: c_int = 30;
     #[cfg(test)]
     pub const SIGUSR1: c_int = 30;
@@ -108,6 +112,7 @@ mod abi {
     pub const EINPROGRESS: i32 = 36;
     pub const SOL_SOCKET: c_int = 0xffff;
     pub const SO_ERROR: c_int = 0x1007;
+    pub const SO_RCVBUF: c_int = 0x1002;
     pub const AF_INET6: c_int = 28;
     #[cfg(test)]
     pub const SIGUSR1: c_int = 30;
@@ -403,6 +408,57 @@ pub fn take_socket_error(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
+// ---------------------------------------------------------------------------
+// socket receive buffer
+// ---------------------------------------------------------------------------
+
+/// Asks the kernel for a receive buffer of `bytes` on socket `fd`
+/// (`SO_RCVBUF`). The kernel decides what it grants: Linux caps the
+/// request at `net.core.rmem_max` and doubles it for its own
+/// bookkeeping. Read the outcome back with [`receive_buffer`].
+///
+/// # Errors
+///
+/// Propagates the `setsockopt` failure (`EBADF`, `ENOTSOCK`).
+pub fn set_receive_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+    let value = bytes.min(c_int::MAX as usize) as c_int;
+    // SAFETY: setsockopt reads exactly `size_of::<c_int>()` bytes from
+    // `value`, which lives until the call returns.
+    let rc = unsafe {
+        setsockopt(
+            fd,
+            abi::SOL_SOCKET,
+            abi::SO_RCVBUF,
+            (&value as *const c_int).cast(),
+            mem::size_of::<c_int>() as u32,
+        )
+    };
+    if rc < 0 {
+        return Err(last_error());
+    }
+    Ok(())
+}
+
+/// The kernel receive buffer of socket `fd`, in bytes (`SO_RCVBUF`):
+/// what queued datagrams may occupy before the kernel drops arrivals.
+///
+/// # Errors
+///
+/// Propagates the `getsockopt` failure (`EBADF`, `ENOTSOCK`).
+pub fn receive_buffer(fd: RawFd) -> io::Result<usize> {
+    let mut value: c_int = 0;
+    let mut len: u32 = mem::size_of::<c_int>() as u32;
+    // SAFETY: getsockopt writes at most `len` bytes into `value`, which
+    // is sized exactly for it.
+    let rc = unsafe {
+        getsockopt(fd, abi::SOL_SOCKET, abi::SO_RCVBUF, (&mut value as *mut c_int).cast(), &mut len)
+    };
+    if rc < 0 {
+        return Err(last_error());
+    }
+    Ok(value.max(0) as usize)
+}
+
 /// Waits up to `timeout` for `fd` to become writable (one-fd
 /// `poll(2)`, EINTR retried). Used for the bounded *setup-time*
 /// connect — the event loop itself never calls this.
@@ -556,6 +612,24 @@ mod tests {
                 assert!(take_socket_error(fd).is_err(), "SO_ERROR holds the refusal");
             }
         }
+    }
+
+    #[test]
+    fn a_receive_buffer_request_is_granted_and_read_back() {
+        use std::os::fd::AsRawFd;
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let fd = sock.as_raw_fd();
+        let default = receive_buffer(fd).expect("read the default");
+        assert!(default > 0);
+        // Linux grants twice the request capped at `rmem_max`, which no
+        // host sets below half its default.
+        set_receive_buffer(fd, 2 * default).expect("set");
+        let granted = receive_buffer(fd).expect("read back");
+        assert!(granted >= default, "granted {granted} < default {default}");
+        let closed = dup_at_least(fd, 160);
+        close_fd(closed);
+        assert!(receive_buffer(closed).is_err(), "a closed fd is an error");
+        assert!(set_receive_buffer(closed, default).is_err(), "a closed fd is an error");
     }
 
     #[test]

@@ -1,23 +1,24 @@
-//! The Condition Evaluator replica and the Alert Displayer body. A
-//! [`Replica`] is a value its caller drives a round at a time:
+//! The Condition Evaluator replica and the Alert Displayer, each a
+//! value its caller drives. A [`Replica`] takes a round at a time:
 //! in-process the DM loop ([`dm_loop`](crate::dm::dm_loop)) owns every
 //! replica and offers each its share of a round, and over sockets the
 //! event loop offers one each datagram its ingress admits
 //! ([`on_ingress`]). The replica's supervisor turns injected (or
-//! genuine) panics into bounded restarts with history replay.
+//! genuine) panics into bounded restarts with history replay. The
+//! [`Ad`] takes a burst of alerts at a time, on the thread that
+//! received them: the DM loop in-process, the event loop over sockets.
 //!
-//! LOCK ORDER: a replica and the AD body touch only leaf mutexes owned
+//! LOCK ORDER: a replica and the AD touch only leaf mutexes owned
 //! elsewhere (fault report, record/output/arrival/display sinks). Each
 //! is taken alone and released before any channel operation or other
-//! lock. The thread driving the replicas (the DM loop in-process, the
-//! event loop over sockets) takes their leaf locks itself, each alone
-//! as well: no thread ever holds two locks, so cross-thread lock cycles
+//! lock. The thread driving them (the DM loop in-process, the event
+//! loop over sockets) takes their leaf locks itself, each alone as
+//! well: no thread ever holds two locks, so cross-thread lock cycles
 //! are impossible.
 
 use std::panic::{self, AssertUnwindSafe};
 
 use rcm_sync::atomic::AtomicU64;
-use rcm_sync::chan::Receiver;
 use rcm_sync::time::Instant;
 use rcm_sync::{Arc, Mutex};
 
@@ -28,6 +29,7 @@ use rcm_core::{Alert, CeId, LatencyHistogram, Update};
 use crate::dm::ROUND;
 use crate::faults::{FaultReport, IngestGate, RetainedWindow};
 use crate::pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
+use crate::system::AlertCallback;
 
 /// One CE → AD path, as a replica sees it: the in-process
 /// [`BackLink`](crate::backlink::BackLink) and the socket transport's
@@ -400,39 +402,53 @@ impl Drop for FinishOnDrop {
     }
 }
 
-/// Most alerts the AD takes on after a blocking receive, from what is
-/// already queued, before it records them.
-const AD_BURST: usize = 64;
-
-/// Runs the Alert Displayer: filters merged alert arrivals until every
-/// replica hangs up. Each blocking receive opens a burst of what is
-/// queued behind it; the burst is recorded in `arrivals` under one
-/// lock, offered in order, and what it displayed lands in `displayed`
-/// under one lock.
-pub(crate) fn ad_body(
-    rx: Receiver<Alert>,
-    mut filter: Box<dyn AlertFilter>,
+/// The Alert Displayer, as a value that does no I/O: it is offered
+/// each burst of merged alert arrivals on the thread that received
+/// them — in-process the DM loop, after each round's offers; over
+/// sockets the event loop, inside the alert listener's `deliver`. A
+/// burst is recorded in `arrivals` under one lock, offered to the
+/// filter in order, and what it displayed lands in `displayed` under
+/// one lock. `on_alert` runs on the same thread, once per displayed
+/// alert.
+pub(crate) struct Ad {
+    filter: Box<dyn AlertFilter>,
     arrivals: Arc<Mutex<Vec<Alert>>>,
     displayed: Arc<Mutex<Vec<Alert>>>,
-    on_alert: Option<crate::system::AlertCallback>,
-) {
-    let mut burst = Vec::with_capacity(AD_BURST + 1);
-    let mut shown = Vec::with_capacity(AD_BURST + 1);
-    while let Ok(first) = rx.recv() {
-        burst.push(first);
-        burst.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(AD_BURST));
+    on_alert: Option<AlertCallback>,
+    /// What the burst being offered displayed; its capacity is reused.
+    shown: Vec<Alert>,
+}
+
+impl Ad {
+    /// An AD running `filter`, recording into `arrivals` and
+    /// `displayed`.
+    pub(crate) fn new(
+        filter: Box<dyn AlertFilter>,
+        arrivals: Arc<Mutex<Vec<Alert>>>,
+        displayed: Arc<Mutex<Vec<Alert>>>,
+        on_alert: Option<AlertCallback>,
+    ) -> Self {
+        Ad { filter, arrivals, displayed, on_alert, shown: Vec::new() }
+    }
+
+    /// Takes every alert of `burst`, in order, leaving it empty with its
+    /// capacity kept for the caller's next burst.
+    pub(crate) fn offer(&mut self, burst: &mut Vec<Alert>) {
+        if burst.is_empty() {
+            return;
+        }
         // LOCK ORDER: leaf sink mutexes, each taken alone.
-        arrivals.lock().extend(burst.iter().cloned());
+        self.arrivals.lock().extend(burst.iter().cloned());
         for alert in burst.drain(..) {
-            if filter.offer(&alert).is_deliver() {
-                if let Some(cb) = &on_alert {
+            if self.filter.offer(&alert).is_deliver() {
+                if let Some(cb) = &self.on_alert {
                     cb(&alert);
                 }
-                shown.push(alert);
+                self.shown.push(alert);
             }
         }
-        if !shown.is_empty() {
-            displayed.lock().append(&mut shown);
+        if !self.shown.is_empty() {
+            self.displayed.lock().append(&mut self.shown);
         }
     }
 }

@@ -14,12 +14,17 @@
 //! first-mention order. The node exits once `--replicas` distinct Fin
 //! markers arrived (or after `--idle-ms` of silence).
 //!
-//! The accept socket and every CE connection ride one readiness loop,
-//! so an AD holds hundreds of back links without per-connection reader
-//! threads.
+//! `--bind HOST:0` binds an ephemeral port; the first line of stderr is
+//! always `listening on HOST:PORT`, the address actually bound.
 //!
-//! LOCK ORDER: no locks on the main thread — the listener's counters
-//! are atomics, read after the stream ends.
+//! The accept socket and every CE connection ride one readiness loop,
+//! run on the main thread, so an AD holds hundreds of back links
+//! without per-connection reader threads. The node has no other
+//! thread: the filter runs inside the listener's `deliver`, and each
+//! alert is filtered, and printed if displayed, as it is read.
+//!
+//! LOCK ORDER: no locks — the listener's counters are atomics, read
+//! after the stream ends.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -81,12 +86,37 @@ fn parse_args() -> Option<Options> {
 fn main() -> ExitCode {
     let Some(opts) = parse_args() else { return usage() };
 
+    // Declared before the loop, which borrows both from its `deliver`.
+    let mut displayed: u64 = 0;
     let Some(mut filter) = ad::by_name(&opts.filter, &opts.vars) else {
         eprintln!("error: filter '{}' unavailable for this variable count", opts.filter);
         return ExitCode::FAILURE;
     };
-    let mut displayed: u64 = 0;
-    let mut display = |alert: rcm_core::Alert| {
+    let sock = match std::net::TcpListener::bind(opts.bind) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: cannot bind {}: {e}", opts.bind);
+            return ExitCode::FAILURE;
+        }
+    };
+    match sock.local_addr() {
+        Ok(addr) => eprintln!("listening on {addr}"),
+        Err(e) => {
+            eprintln!("error: cannot read the bound address: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    let mut el = match EventLoop::new() {
+        Ok(el) => el,
+        Err(e) => {
+            eprintln!("error: cannot create event loop: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // The accept socket and every CE connection share one readiness
+    // loop, run below on this thread; each alert is filtered as the
+    // listener reads it.
+    let display = |alert: rcm_core::Alert| {
         if filter.offer(&alert).is_deliver() {
             displayed += 1;
             let heads: Vec<String> =
@@ -95,39 +125,14 @@ fn main() -> ExitCode {
             println!("ALERT {} (reading {:?}) [from {}]", heads.join(", "), value, alert.id.ce);
         }
     };
-
-    // The accept socket and every CE connection share one readiness
-    // loop on a side thread; filtering stays here, fed by a channel
-    // that closes when the listener retires.
-    let sock = match std::net::TcpListener::bind(opts.bind) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", opts.bind);
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut el = match EventLoop::new() {
-        Ok(el) => el,
-        Err(e) => {
-            eprintln!("error: cannot create event loop: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (tx, rx) = rcm_sync::chan::unbounded();
-    let counters = match el.add_alert_listener(sock, opts.replicas, opts.idle, move |alert| {
-        let _ = tx.send(alert);
-    }) {
+    let counters = match el.add_alert_listener(sock, opts.replicas, opts.idle, display) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: cannot register listener: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let engine = rcm_sync::thread::spawn(move || el.run());
-    while let Ok(alert) = rx.recv() {
-        display(alert);
-    }
-    let _ = engine.join();
+    el.run();
     let stats = counters.snapshot();
 
     eprintln!(

@@ -20,7 +20,11 @@
 //!
 //! The back link writes one frame per alert. Every socket of the node
 //! rides one readiness loop, run on the main thread, so a CE holds
-//! thousands of idle front links.
+//! thousands of idle front links. The UDP socket's kernel receive
+//! buffer is sized for `--dms` links (one DM keeps the kernel's
+//! default, and the kernel caps the size); the first line of stderr
+//! names the bound address and the size granted, as `listening on
+//! HOST:PORT; receive buffer N B`.
 //!
 //! Updates are evaluated on that loop, a round at a time: each
 //! datagram's admitted updates are one round, evaluated as the datagram
@@ -49,7 +53,7 @@ use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
 use rcm_sync::atomic::AtomicU64;
 use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
-use rcm_transport::{BackLinkSpec, EventLoop, EventedBackLink};
+use rcm_transport::{size_receive_buffer, BackLinkSpec, EventLoop, EventedBackLink};
 
 struct Options {
     bind: SocketAddr,
@@ -179,6 +183,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Registering the ingress below asks for the same size again, a no-op.
+    match (sock.local_addr(), size_receive_buffer(&sock, opts.dms)) {
+        (Ok(addr), Ok(bytes)) => eprintln!("listening on {addr}; receive buffer {bytes} B"),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: cannot configure {}: {e}", opts.bind);
+            return ExitCode::FAILURE;
+        }
+    }
     let mut el = match EventLoop::new() {
         Ok(el) => el,
         Err(e) => {

@@ -8,23 +8,24 @@
 //! after each wake drains a bounded round: one reading per feed per
 //! pass, round-robin, at most [`ROUND`] in all. Where the round goes is
 //! the [`Fanout`]'s business: in-process the loop owns the replicas
-//! too, and offers each the round's surviving updates with a call, on
-//! this thread; over sockets the loop is one DM node with one link per
+//! and the AD too, offers each replica the round's surviving updates
+//! with a call, on this thread, and then offers the AD the alerts they
+//! raised; over sockets the loop is one DM node with one link per
 //! replica, and the whole round, every feed's readings in round order,
 //! reaches each replica as one datagram while it fits the datagram
 //! budget.
 //!
 //! LOCK ORDER: the loop takes only leaf mutexes owned elsewhere (a
 //! retained window and, in-process, its replicas' records and fault
-//! report), each alone and released before any send or other lock. The
-//! links count into atomics.
+//! report and the AD's sinks), each alone and released before any send
+//! or other lock. The links count into atomics.
 
 use rcm_sync::chan::{wait_any, Receiver, TryRecvError};
 use rcm_sync::time::{Duration, Instant};
 
-use rcm_core::{Update, VarId};
+use rcm_core::{Alert, Update, VarId};
 
-use crate::actors::Replica;
+use crate::actors::{Ad, Replica};
 use crate::faults::RetainedWindow;
 use crate::link::FrontHop;
 
@@ -191,19 +192,38 @@ fn wait(dms: &[Dm]) {
 /// The in-process fanout: a [`FrontHop`] per `(feed, replica)` draws
 /// each update's loss and crosses the codec with it, and what survives
 /// a round is offered to each replica, which evaluates it before the
-/// call returns.
+/// call returns. The fanout also runs the AD: after each round's offers
+/// it drains the back links' channel and offers what arrived to the
+/// [`Ad`] as one burst, on this thread.
 pub(crate) struct Rounds {
     /// `hops[feed][replica]`.
     hops: Vec<Vec<FrontHop>>,
     /// Per replica: the replica and the round being collected for it.
     replicas: Vec<(Replica, Vec<Update>)>,
+    ad: Ad,
+    /// The receiving end of every replica's back link.
+    alerts: Receiver<Alert>,
+    /// The burst being offered to the AD; its capacity is reused.
+    burst: Vec<Alert>,
 }
 
 impl Rounds {
-    /// A fanout over `hops[feed][replica]` to `replicas`.
-    pub(crate) fn new(hops: Vec<Vec<FrontHop>>, replicas: Vec<Replica>) -> Self {
+    /// A fanout over `hops[feed][replica]` to `replicas`, whose back
+    /// links all send on `alerts`' channel, displaying through `ad`.
+    pub(crate) fn new(
+        hops: Vec<Vec<FrontHop>>,
+        replicas: Vec<Replica>,
+        ad: Ad,
+        alerts: Receiver<Alert>,
+    ) -> Self {
         let replicas = replicas.into_iter().map(|r| (r, Vec::with_capacity(ROUND))).collect();
-        Rounds { hops, replicas }
+        Rounds { hops, replicas, ad, alerts, burst: Vec::new() }
+    }
+
+    /// Offers the AD every alert the back links have delivered so far.
+    fn display(&mut self) {
+        self.burst.extend(self.alerts.try_iter());
+        self.ad.offer(&mut self.burst);
     }
 }
 
@@ -222,13 +242,15 @@ impl Fanout for Rounds {
                 replica.offer(round);
             }
         }
+        self.display();
     }
 
-    // Each replica flushes its back link and drops it; the AD ends
-    // after the last.
+    // Each replica flushes its back link and drops it; what the flushes
+    // delivered is the AD's last burst.
     fn finish(&mut self) {
         for (replica, _) in self.replicas.drain(..) {
             replica.finish();
         }
+        self.display();
     }
 }

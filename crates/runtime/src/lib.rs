@@ -1,17 +1,18 @@
 //! # rcm-runtime — a deployable actor runtime for condition monitoring
 //!
 //! The simulator (`rcm-sim`) proves properties; this crate actually
-//! *runs* a monitoring pipeline on two OS threads: one runs every Data
-//! Monitor of the system and, in turn, every Condition Evaluator
-//! replica, and the other is the Alert Displayer. The paper's links
-//! stand between them:
+//! *runs* a monitoring pipeline, in-process on one OS thread: it runs
+//! every Data Monitor of the system and, in turn, every Condition
+//! Evaluator replica and the Alert Displayer. The paper's links stand
+//! between them:
 //!
 //! * **front links** are per-`(DM, CE)` loss models (UDP-like: FIFO but
 //!   lossy); what survives a DM round is offered to each replica with a
 //!   call, and the replica evaluates it before the loop moves on;
-//! * **back links** are [`BackLink`]s over a FIFO channel to the AD
-//!   thread (TCP-like: FIFO and lossless, surviving scripted severance
-//!   via backoff-paced reconnect and a bounded resend queue).
+//! * **back links** are [`BackLink`]s over one FIFO channel (TCP-like:
+//!   FIFO and lossless, surviving scripted severance via backoff-paced
+//!   reconnect and a bounded resend queue), which the loop drains into
+//!   the AD after each round.
 //!
 //! Replicas of one in-process system therefore take turns rather than
 //! run in parallel; [`SystemBuilder::workers`] is the parallelism
@@ -34,17 +35,18 @@
 //! Messages cross links through the length-prefixed [`wire`] codec, so
 //! the pipeline exercises real serialization end to end. Shutdown is by
 //! ownership: when every feed has ended the DM loop finishes each
-//! replica (flushing its back link) and drops it; when the last back
-//! link is gone the AD finishes filtering and the system joins.
+//! replica (flushing its back link) and drops it, offers the AD what
+//! the flushes delivered, and ends; the system joins it.
 //!
 //! The same pipeline also runs over **real sockets**: bind a
 //! [`Topology`] (UDP per front link, TCP per back link — see
 //! `rcm_transport`) and hand it to [`SystemBuilder::transport`], or
 //! deploy the `rcm-dm` / `rcm-ce` / `rcm-ad` binaries as separate
-//! processes. Either way the replica, the AD body, the codec and the
-//! fault machinery are identical; only the link layer changes, and
-//! with it one thing more: a socket-mode replica gets a thread of its
-//! own, because its updates arrive on the event loop's.
+//! processes. Either way the replica, the AD, the codec and the fault
+//! machinery are identical; only the link layer changes, and with it
+//! the thread that drives the roles: over sockets the event loop gets a
+//! thread of its own, and every replica and the AD run on it, each as
+//! its datagrams or alerts arrive. The DM loop is the other thread.
 //!
 //! ```rust
 //! use rcm_runtime::{MonitorSystem, VarFeed};

@@ -8,7 +8,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use rcm_sync::chan::{unbounded, Sender};
+use rcm_sync::chan::unbounded;
 use rcm_sync::thread::JoinHandle;
 use rcm_sync::{Arc, Mutex};
 
@@ -22,7 +22,7 @@ use rcm_transport::{
     IngressStats, ListenerStats, RoundSender, TransportMode, TransportReport, UdpFrontLink,
 };
 
-use crate::actors::{ad_body, on_ingress, AlertSink, CeFaultConfig, CePipeline, Replica};
+use crate::actors::{on_ingress, Ad, AlertSink, CeFaultConfig, CePipeline, Replica};
 use crate::backlink::BackLink;
 use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
@@ -97,7 +97,8 @@ impl fmt::Debug for VarFeed {
 
 type FilterFactory = Box<dyn FnOnce(&[VarId]) -> Box<dyn AlertFilter>>;
 type LossFactory = Box<dyn FnMut(VarId, CeId) -> Box<dyn LossModel>>;
-/// Callback invoked on the AD thread for each displayed alert.
+/// Callback invoked for each displayed alert, on the thread that
+/// receives alerts (see [`SystemBuilder::on_alert`]).
 pub(crate) type AlertCallback = Box<dyn Fn(&Alert) + Send>;
 
 /// Builder for a [`MonitorSystem`].
@@ -214,8 +215,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Registers a callback invoked (on the AD thread) for every
-    /// displayed alert.
+    /// Registers a callback invoked for every displayed alert, in
+    /// display order. It runs on the thread that receives the alerts and
+    /// runs the AD: the DM loop in-process, the event loop over sockets.
+    /// It must not block: while it runs, no reading is evaluated and no
+    /// socket is served. Taking a leaf lock is fine.
     #[must_use]
     pub fn on_alert(mut self, cb: impl Fn(&Alert) + Send + 'static) -> Self {
         self.on_alert = Some(Box::new(cb));
@@ -273,10 +277,11 @@ impl SystemBuilder {
     }
 
     /// Builds the replicas, spawns the actor threads and starts the
-    /// pipeline. In-process that is two threads, the DM loop (which
-    /// evaluates every replica) and the AD, plus each replica's
+    /// pipeline. In-process that is one thread, the DM loop, which
+    /// evaluates every replica and runs the AD, plus each replica's
     /// evaluation helpers; socket mode adds the event loop's thread,
-    /// which evaluates every replica instead, for any replica count.
+    /// which evaluates every replica and runs the AD instead, for any
+    /// replica count.
     ///
     /// # Errors
     ///
@@ -329,9 +334,10 @@ impl SystemBuilder {
         let mut loss =
             self.loss.unwrap_or_else(|| Box::new(|_, _| Box::new(Lossless) as Box<dyn LossModel>));
 
-        // The replicas, all on the DM loop, share the AD's alert channel.
-        let mut handles = Vec::new();
-        let (alert_tx, ad) = spawn_ad(self.filter, &vars, self.on_alert, &mut handles);
+        // The replicas' back links share one channel, which the DM loop
+        // drains into the AD after each round.
+        let (ad, sinks) = ad(self.filter, &vars, self.on_alert);
+        let (alert_tx, alert_rx) = unbounded::<Alert>();
         let mut counters = LinkCounters::default();
         let mut replicas = Vec::with_capacity(self.replicas);
         for ce in 0..self.replicas {
@@ -339,7 +345,7 @@ impl SystemBuilder {
             counters.back.push(back.counters());
             replicas.push(ces.replica(ce, Box::new(back)));
         }
-        drop(alert_tx); // AD exits when the last replica's back link drops.
+        drop(alert_tx); // The replicas' back links hold every sender.
         let helpers = replicas.iter().map(Replica::helpers).sum();
 
         // The DM loop, with a front hop per (feed, replica).
@@ -364,22 +370,24 @@ impl SystemBuilder {
             }
             hops.push(row);
         }
-        // The loop owns the replicas: it offers each its share of every
-        // round, and finishes each when the last feed ends.
+        // The loop owns the replicas and the AD: it offers each replica
+        // its share of every round and the AD what they raised, and
+        // finishes each replica when the last feed ends.
         let dms = dms(self.feeds, &ces.windows);
-        handles.push(spawn_dm_loop(dms, Rounds::new(hops, replicas)));
+        let handles = vec![spawn_dm_loop(dms, Rounds::new(hops, replicas, ad, alert_rx))];
 
-        Ok(ces.system(handles, helpers, ad, counters))
+        Ok(ces.system(handles, helpers, sinks, counters))
     }
 
-    /// Socket-mode assembly: the same actor bodies, with every channel
-    /// link swapped for a real socket from the bound topology. The DM
-    /// loop owns one UDP socket per replica; every CE's UDP ingress
-    /// (enforcing the front-link contract through the shared seqno
-    /// gate) and reconnecting TCP back link, and the AD's TCP listener
-    /// fanning frames into the ordinary `ad_body`, are state machines on
-    /// one readiness loop. Each replica is evaluated by its ingress, on
-    /// that loop, a datagram's admitted updates at a time.
+    /// Socket-mode assembly: the same replicas and AD, with every
+    /// channel link swapped for a real socket from the bound topology.
+    /// The DM loop owns one UDP socket per replica; every CE's UDP
+    /// ingress (enforcing the front-link contract through the shared
+    /// seqno gate) and reconnecting TCP back link, and the AD's TCP
+    /// listener, are state machines on one readiness loop. Each replica
+    /// is evaluated by its ingress, on that loop, a datagram's admitted
+    /// updates at a time, and the AD filters each alert inside the
+    /// listener's `deliver`, on the same loop, as it is read.
     fn start_sockets(
         self,
         topology: BoundTopology,
@@ -395,23 +403,22 @@ impl SystemBuilder {
         let transport_err = |e: std::io::Error| ConfigError::Transport(e.to_string());
         let parts = topology.into_parts();
 
-        let mut handles: Vec<JoinHandle<()>> = Vec::new();
-
         let mut event_loop = EventLoop::new().map_err(transport_err)?;
         let mut counters = LinkCounters { mode: TransportMode::Sockets, ..LinkCounters::default() };
 
         // AD side: the TCP listener decodes alert frames from every CE
-        // connection and fans them into the AD thread's channel, as the
-        // in-process back links do. It hangs up (closing the channel)
+        // connection and hands each to the AD as it is read. It retires
         // once every replica's end-of-stream marker arrived.
-        let (alert_tx, ad) = spawn_ad(self.filter, vars, self.on_alert, &mut handles);
+        let (mut ad, sinks) = ad(self.filter, vars, self.on_alert);
+        let mut burst = Vec::with_capacity(1);
         let listener = event_loop
             .add_alert_listener(
                 parts.listener,
                 self.replicas,
                 parts.idle_timeout * 2,
                 move |alert| {
-                    let _ = alert_tx.send(alert);
+                    burst.push(alert);
+                    ad.offer(&mut burst);
                 },
             )
             .map_err(transport_err)?;
@@ -440,7 +447,7 @@ impl SystemBuilder {
         // exactly when every replica's back link drained (the end of
         // its ingress finished it) and the AD saw every Fin.
         counters.engine = Some(event_loop.counters());
-        handles.push(rcm_sync::thread::spawn(move || event_loop.run()));
+        let mut handles = vec![rcm_sync::thread::spawn(move || event_loop.run())];
 
         // The DM loop: one node, DM 0, with one UDP socket per replica,
         // aimed at the topology's routed targets (the CE sockets, or an
@@ -459,7 +466,7 @@ impl SystemBuilder {
         let dms = dms(self.feeds, &ces.windows);
         handles.push(spawn_dm_loop(dms, sender));
 
-        Ok(ces.system(handles, helpers, ad, counters))
+        Ok(ces.system(handles, helpers, sinks, counters))
     }
 }
 
@@ -489,15 +496,14 @@ struct AdSinks {
     displayed: Arc<Mutex<Vec<Alert>>>,
 }
 
-/// Spawns the AD thread onto `handles`: the builder's filter (AD-1
-/// unless one was set) over every alert sent on the returned channel,
-/// until its last sender is gone.
-fn spawn_ad(
+/// The system's AD: the builder's filter (AD-1 unless one was set),
+/// recording into the returned sinks. The thread that receives the
+/// alerts runs it.
+fn ad(
     filter: Option<FilterFactory>,
     vars: &[VarId],
     on_alert: Option<AlertCallback>,
-    handles: &mut Vec<JoinHandle<()>>,
-) -> (Sender<Alert>, AdSinks) {
+) -> (Ad, AdSinks) {
     let filter = match filter {
         Some(factory) => factory(vars),
         None => Box::new(Ad1::new()),
@@ -506,13 +512,8 @@ fn spawn_ad(
         arrivals: Arc::new(Mutex::new(Vec::new())),
         displayed: Arc::new(Mutex::new(Vec::new())),
     };
-    let arrivals = Arc::clone(&sinks.arrivals);
-    let displayed = Arc::clone(&sinks.displayed);
-    let (alert_tx, alert_rx) = unbounded::<Alert>();
-    handles.push(rcm_sync::thread::spawn(move || {
-        ad_body(alert_rx, filter, arrivals, displayed, on_alert);
-    }));
-    (alert_tx, sinks)
+    let ad = Ad::new(filter, Arc::clone(&sinks.arrivals), Arc::clone(&sinks.displayed), on_alert);
+    (ad, sinks)
 }
 
 /// What the CE replicas of one run share, whichever links carry them.
@@ -1034,9 +1035,9 @@ mod tests {
     }
 
     #[test]
-    fn an_in_process_system_runs_two_threads_plus_helpers() {
-        // The DM loop evaluates every replica, so three replicas add no
-        // thread of their own: the loop and the AD, plus
+    fn an_in_process_system_runs_one_thread_plus_helpers() {
+        // The DM loop evaluates every replica and runs the AD, so three
+        // replicas add no thread of their own: the loop, plus
         // `min(workers, cpus) - 1` evaluation helpers per replica.
         let cpus = rcm_sync::thread::available_parallelism()
             .map_or(usize::MAX, std::num::NonZeroUsize::get);
@@ -1048,7 +1049,7 @@ mod tests {
                 .feed(VarFeed::new(x(), vec![2900.0, 3100.0]))
                 .start()
                 .expect("system starts");
-            assert_eq!(threads(&system), 2 + helpers, "workers({workers}), {cpus} CPUs");
+            assert_eq!(threads(&system), 1 + helpers, "workers({workers}), {cpus} CPUs");
             let report = system.wait();
             assert_eq!(report.pipeline.helpers, helpers, "workers({workers}), {cpus} CPUs");
             assert_eq!(report.displayed.len(), 1);
@@ -1056,10 +1057,10 @@ mod tests {
     }
 
     #[test]
-    fn a_socket_system_runs_three_threads_for_any_replica_count() {
+    fn a_socket_system_runs_two_threads_for_any_replica_count() {
         // The event loop evaluates every replica as its datagrams
-        // arrive, so replicas add no thread: the event loop, the AD and
-        // the DM loop.
+        // arrive and runs the AD as its alerts arrive, so neither adds a
+        // thread: the event loop and the DM loop.
         for replicas in [1, 3] {
             let bound = rcm_transport::Topology::loopback(replicas).bind().expect("bind topology");
             let system = MonitorSystem::builder(c1())
@@ -1068,7 +1069,7 @@ mod tests {
                 .transport(bound)
                 .start()
                 .expect("system starts");
-            assert_eq!(threads(&system), 3, "{replicas} replica(s)");
+            assert_eq!(threads(&system), 2, "{replicas} replica(s)");
             assert_eq!(system.wait().displayed.len(), 1);
         }
     }

@@ -1,8 +1,8 @@
 //! Process-level tests of the node binaries: the real executable, its
 //! real stdin and exit status, and real datagrams on a loopback socket.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, UdpSocket};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
@@ -103,7 +103,8 @@ fn dm_sends_a_reading_before_more_input_arrives() {
 /// the ingress gate drops; then the Fin, repeated until echoed) and, on
 /// a `TcpListener`, the AD. The back link must carry exactly the Hello,
 /// the three alerts in order with their ids, and the Fin; the node must
-/// exit 0 and count what it did on its exit line.
+/// name its address and receive buffer on its start line, exit 0 and
+/// count what it did on its exit line.
 #[test]
 fn ce_evaluates_each_round_and_ends_its_back_link_with_a_fin() {
     // A port nothing listens on: bind, read it, drop the socket.
@@ -169,9 +170,84 @@ fn ce_evaluates_each_round_and_ends_its_back_link_with_a_fin() {
     let out = ce.wait_with_output().expect("rcm-ce exits");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "exit status {:?}; stderr: {stderr}", out.status);
+    let start = stderr.lines().next().unwrap_or_default();
+    let granted = start
+        .strip_prefix(&format!("listening on {ce_addr}; receive buffer "))
+        .and_then(|rest| rest.strip_suffix(" B"))
+        .and_then(|bytes| bytes.parse::<u64>().ok());
+    assert!(granted.is_some_and(|b| b > 0), "start line: {start:?}");
     let done = stderr.lines().last().unwrap_or_default();
     assert_eq!(
         done, "done: 5 update(s) evaluated (1 stale dropped, 0 decode error(s)); 3 alert(s) sent",
         "stderr: {stderr}"
+    );
+}
+
+/// `rcm-ad` end to end, with the test playing both CE replicas over
+/// TCP: each connects, sends its Hello, its alert frames and its Fin.
+/// CE 1 repeats one of CE 0's alerts (the same fingerprint, under its
+/// own id), which AD-1 must suppress. The node binds an ephemeral port
+/// and names it on stderr's first line; it prints each displayed alert
+/// once, as it reads it, counts what it heard on its exit line and
+/// exits 0 once both Fins are in.
+#[test]
+fn ad_displays_each_alert_once_and_suppresses_a_replicas_duplicate() {
+    let mut ad = Command::new(env!("CARGO_BIN_EXE_rcm-ad"))
+        .args(["--bind", "127.0.0.1:0", "--replicas", "2", "--filter", "ad1"])
+        .args(["--idle-ms", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rcm-ad");
+    let mut stderr = BufReader::new(ad.stderr.take().expect("piped stderr"));
+    let mut first = String::new();
+    stderr.read_line(&mut first).expect("rcm-ad reports its address");
+    let addr: SocketAddr = first
+        .trim_end()
+        .strip_prefix("listening on ")
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("first stderr line names the bound address: {first:?}"));
+    assert_ne!(addr.port(), 0, "the bound port, not the requested one");
+    let mut shown = BufReader::new(ad.stdout.take().expect("piped stdout")).lines();
+    let mut next_shown = || shown.next().map(|line| line.expect("utf-8 line"));
+
+    let alert = |ce: u32, index: u64, seqno: u64, value: f64| {
+        Message::Alert(Alert::new(
+            CondId::SINGLE,
+            HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(seqno)]),
+            vec![Update::new(VarId::new(0), seqno, value)],
+            AlertId { ce: CeId::new(ce), index },
+        ))
+    };
+    let replica = |node: u32, alerts: Vec<Message>| {
+        let mut bytes = wire::encode(&Message::Hello { node }).expect("encodes");
+        for msg in alerts.iter().chain([&Message::Fin { node }]) {
+            bytes.extend(wire::encode(msg).expect("encodes"));
+        }
+        let mut stream = TcpStream::connect(addr).expect("connect to rcm-ad");
+        stream.write_all(&bytes).expect("write the replica's stream");
+    };
+
+    // CE 0's two alerts are displayed before CE 1 connects, so the
+    // display order is fixed.
+    replica(0, vec![alert(0, 0, 2, 60.0), alert(0, 1, 3, 70.0)]);
+    let mut lines: Vec<String> = (0..2).map_while(|_| next_shown()).collect();
+    replica(1, vec![alert(1, 0, 3, 70.0), alert(1, 1, 5, 80.0)]);
+    lines.extend(std::iter::from_fn(next_shown));
+    assert_eq!(
+        lines,
+        [
+            "ALERT v0@2 (reading Some(60.0)) [from CE0]",
+            "ALERT v0@3 (reading Some(70.0)) [from CE0]",
+            "ALERT v0@5 (reading Some(80.0)) [from CE1]",
+        ]
+    );
+
+    let status = ad.wait().expect("rcm-ad exits");
+    let rest: Vec<String> = stderr.lines().map(|line| line.expect("utf-8 line")).collect();
+    assert!(status.success(), "exit status {status:?}; stderr: {rest:?}");
+    assert_eq!(
+        rest,
+        ["done: 3 alert(s) displayed of 4 arriving over 2 connection(s); 0 decode error(s)"]
     );
 }

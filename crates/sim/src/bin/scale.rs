@@ -52,9 +52,11 @@
 //! (read from `/proc/self/fd`) and resident-set delta per link, plus
 //! the engine's wakeup/timer/spurious counters and (in tree mode) the
 //! tree's routing/forwarding counters. It also carries the ingress's
-//! `delivered` and `dropped_stale` and the CE socket's `kernel_drops`
+//! `delivered` and `dropped_stale`, the CE socket's `kernel_drops`
 //! (its `/proc/net/udp` row's `drops`; `null` where that cannot be
-//! read). CI runs 2,000 front links in
+//! read) and `receive_buffer_bytes`, the kernel receive buffer the
+//! ingress was granted for its N links (the size is asked for, not
+//! configured, and the kernel caps it). CI runs 2,000 front links in
 //! the PR gauntlet (`scale-smoke`) plus a `tree-scale-smoke` at
 //! `--tree 3x4`; the 10k-link and `--tree 3x8` soaks are nightly.
 
@@ -70,7 +72,9 @@ use rcm_net::Backoff;
 use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::Arc;
-use rcm_transport::{fin_rounds, BackLinkSpec, EventLoop, EventedBackLink, UdpFrontLink};
+use rcm_transport::{
+    fin_rounds, size_receive_buffer, BackLinkSpec, EventLoop, EventedBackLink, UdpFrontLink,
+};
 use rcm_tree::{TreeEval, TreeOptions, TreePlan, TreeStats};
 
 use std::time::Duration;
@@ -214,6 +218,8 @@ fn main() -> ExitCode {
     // Keeps the socket, and so its kernel drop count, alive after the
     // ingress retires and closes its own descriptor.
     let ce_sock_watch = ce_sock.try_clone().expect("duplicate CE socket");
+    // What registering the ingress asks for, learned up front.
+    let receive_buffer = size_receive_buffer(&ce_sock, opts.front).expect("size CE socket");
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind AD listener");
     let ad_addr = listener.local_addr().expect("AD addr");
 
@@ -432,6 +438,7 @@ fn main() -> ExitCode {
             ("delivered", ingress_stats.delivered.into()),
             ("dropped_stale", ingress_stats.dropped_stale.into()),
             ("kernel_drops", kernel_drops.into()),
+            ("receive_buffer_bytes", receive_buffer.into()),
             ("connections", ad_stats.connections.into()),
             ("peak_fds", peak_fds.into()),
             ("rss_delta_bytes", rss_after_links.saturating_sub(rss_before).into()),
@@ -474,7 +481,7 @@ fn main() -> ExitCode {
         );
         println!(
             "  emitted {emitted}, displayed {displayed} (exactly-once), \
-             listener heard {heard}"
+             listener heard {heard}; CE receive buffer {receive_buffer} B"
         );
         println!(
             "  peak fds {peak_fds}, ~{per_link_bytes} B/link resident, \

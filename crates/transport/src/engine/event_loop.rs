@@ -4,8 +4,10 @@
 //! Ownership discipline: every socket lives inside exactly one
 //! [`Source`] slot, and every slot is touched only by the loop thread.
 //! Caller threads reach the loop exclusively through the
-//! [`SubmitQueue`] + [`Waker`] pair, so no lock is ever shared between
-//! a caller and the loop (and none is ever held across the poll).
+//! [`SubmitQueue`] + [`Waker`] pair, so the loop's own state shares no
+//! lock with a caller, and none is ever held across the poll. The
+//! `deliver` callbacks are their owners' code: they may take their
+//! owners' leaf locks, each alone, and release them before returning.
 //!
 //! The slab never reuses slots: a finished source leaves `None`
 //! behind, which makes a late timer fire or a stale readiness event
@@ -14,8 +16,12 @@
 //! idle backstops, reconnect pacing and finish deadlines without
 //! per-source timer threads.
 
-// LOCK ORDER: no locks on the loop thread — cross-thread handoff is the
-// SubmitQueue (whose single mutex is documented in rcm-poll) plus atomics.
+// LOCK ORDER: the loop's own state takes no lock — cross-thread handoff
+// is the SubmitQueue (whose single mutex is documented in rcm-poll) plus
+// atomics. The `deliver` callbacks run on the loop thread and may take
+// leaf locks of their owners (a replica's records, the AD's sinks), each
+// alone and released before the callback returns; the loop holds none
+// while it calls them.
 
 use std::io;
 use std::net::{TcpListener, UdpSocket};
@@ -28,7 +34,7 @@ use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
 use super::back::{BackLinkSpec, BackSource, EventedBackLink};
-use super::front::FrontSource;
+use super::front::{size_receive_buffer, FrontSource};
 use super::listener::{ConnSource, ListenerSource};
 use crate::receive::{AlertFold, Ingress, StreamEvent};
 use crate::report::{EngineStats, IngressStats, ListenerStats};
@@ -157,7 +163,9 @@ impl<'d> EventLoop<'d> {
     /// echoed to its sender and delivers nothing. The ingress retires
     /// once `expected_fins` distinct Fins arrived, or after
     /// `idle_timeout` with no datagram, and drops `deliver` then: the
-    /// drop is the end of the stream.
+    /// drop is the end of the stream. Each of the `expected_fins` links
+    /// gets room in the socket's kernel receive buffer
+    /// ([`size_receive_buffer`](crate::size_receive_buffer)).
     ///
     /// # Errors
     ///
@@ -170,6 +178,7 @@ impl<'d> EventLoop<'d> {
         deliver: impl FnMut(&mut Vec<Update>) + Send + 'd,
     ) -> io::Result<Arc<IngressStats<AtomicU64>>> {
         sock.set_nonblocking(true)?;
+        size_receive_buffer(&sock, expected_fins)?;
         let id = self.alloc();
         self.core.poller.register(sock.as_raw_fd(), Token(id), Interest::READ)?;
         let now = Instant::now();
@@ -411,8 +420,7 @@ impl<'d> EventLoop<'d> {
 
     /// Retires a listener: closes the accept socket, then closes every
     /// connection that rode on it. Dropping the listener drops the
-    /// caller's `deliver` closure, which is what ends the downstream
-    /// (the AD body sees its channel close).
+    /// caller's `deliver` closure, which is what ends the downstream.
     fn finish_listener(&mut self, mut listener: ListenerSource<'d>) {
         listener.shutdown(&mut self.core);
         for cid in listener.take_conns() {

@@ -6,6 +6,12 @@
 //! datagram's admitted updates to `deliver` as one round. The idle
 //! backstop is a lazily-rescheduled wheel timer. A retired ingress is
 //! dropped with its `deliver`, which is how its owner hears the end.
+//!
+//! What arrives while the loop is busy elsewhere (evaluating a round,
+//! filtering alerts) waits in the socket's kernel receive buffer, and
+//! what does not fit is dropped by the kernel, unseen by the ingress.
+//! [`size_receive_buffer`] sizes that buffer for the links the ingress
+//! hears.
 
 // LOCK ORDER: no locks — front ingress state is owned by the loop thread.
 
@@ -20,6 +26,38 @@ use rcm_sync::time::{Duration, Instant};
 
 use super::event_loop::{timer_data, Core, KIND_IDLE};
 use crate::receive::{Heard, Ingress};
+
+/// Datagrams one front link may have queued at an ingress whose loop is
+/// busy: a DM sends a datagram per round without waiting, and repeats
+/// its Fin up to 16 times until the echo comes back.
+const IN_FLIGHT: usize = 16;
+
+/// What a receive buffer is charged for one small datagram, rounded
+/// up: on Linux a default 212,992-byte buffer queues 256 of them.
+const DATAGRAM_CHARGE: usize = 1024;
+
+/// Sizes `sock`'s kernel receive buffer for an ingress that hears
+/// `links` front links: room for 16 small datagrams (1 KiB each) from
+/// each. It asks only for more than the socket already has, so a
+/// buffer never shrinks and a one-link ingress keeps the kernel's
+/// default; the kernel caps the request at its own limit
+/// (`net.core.rmem_max` on Linux). Returns the size the socket holds
+/// afterwards, in bytes.
+/// [`EventLoop::add_front_ingress`](super::EventLoop::add_front_ingress)
+/// sizes every ingress this way; calling this first, to learn the
+/// size, changes nothing.
+///
+/// # Errors
+///
+/// Propagates the `getsockopt`/`setsockopt` failure.
+pub fn size_receive_buffer(sock: &UdpSocket, links: usize) -> io::Result<usize> {
+    let fd = sock.as_raw_fd();
+    let want = links.saturating_mul(IN_FLIGHT * DATAGRAM_CHARGE);
+    if want > rcm_poll::sys::receive_buffer(fd)? {
+        rcm_poll::sys::set_receive_buffer(fd, want)?;
+    }
+    rcm_poll::sys::receive_buffer(fd)
+}
 
 /// The callback a CE ingress hands each datagram's round to.
 pub(super) type Deliver<'d> = Box<dyn FnMut(&mut Vec<Update>) + Send + 'd>;

@@ -33,8 +33,9 @@
 //! `thread::sleep`, no `write_all`/`read_exact`, and no lock is ever
 //! held across a poll. Cross-thread state is atomic counters and the
 //! submit queue only. A `deliver` callback runs on the loop thread, so
-//! the same holds for it with one allowance: it may run a CE's
-//! evaluation, which is compute and the fork-join waits of that
+//! the same holds for it with two allowances: it may run a CE's
+//! evaluation or an AD's filter, which is compute, leaf locks of their
+//! owners' records (each taken alone) and the fork-join waits of the
 //! evaluation's own helper threads — never a wait on a socket, on a
 //! back link's drain, or on anything else the loop must do first.
 
@@ -47,6 +48,7 @@ mod listener;
 
 pub use back::{BackLinkSpec, EventedBackLink};
 pub use event_loop::EventLoop;
+pub use front::size_receive_buffer;
 // Re-exported so the runtime's loom suite can exhaust the submit/wake
 // handoff without depending on rcm-poll directly.
 pub use rcm_poll::{SubmitQueue, Wake};

@@ -61,7 +61,7 @@ mod topology;
 mod udp;
 pub mod wire;
 
-pub use engine::{BackLinkSpec, EventLoop, EventedBackLink};
+pub use engine::{size_receive_buffer, BackLinkSpec, EventLoop, EventedBackLink};
 pub use gate::SeqGate;
 pub use outbox::Outbox;
 pub use probe_shims::{TcpAlertListener, TcpBackLink, UdpFrontReceiver};

@@ -285,6 +285,58 @@ mod tests {
         assert_eq!(heard, (want, stats, vec![fin(0), fin(0), fin(1)]));
     }
 
+    /// An ingress hearing 64 links gets a receive buffer sized for them.
+    /// A burst of 300 single-update datagrams arrives while `deliver` is
+    /// parked on the first: more than the 256 small datagrams a default
+    /// Linux buffer holds, and fewer than the 512 that twice the default
+    /// holds, the least a host whose `rmem_max` is its default grants.
+    /// Every update is still admitted, and then 64 Fins end the run.
+    #[test]
+    fn a_burst_past_a_default_buffer_arrives_while_deliver_is_parked_and_is_admitted() {
+        use std::os::fd::AsRawFd;
+        const LINKS: u32 = 64;
+        const BURST: u64 = 300;
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let target = sock.local_addr().expect("bound addr");
+        let fd = sock.as_raw_fd();
+        let default = rcm_poll::sys::receive_buffer(fd).expect("default size");
+
+        let (parked_tx, parked) = rcm_sync::chan::unbounded::<()>();
+        let (resume, resumed) = rcm_sync::chan::unbounded::<()>();
+        let dm = rcm_sync::thread::spawn(move || {
+            let dm = UdpSocket::bind("127.0.0.1:0").expect("bind DM");
+            let send = |msg: &Message| {
+                dm.send_to(&encode(msg), target).expect("send_to");
+            };
+            send(&Message::Update(u(0, 1)));
+            parked.recv().expect("deliver parks on the first round");
+            (2..=BURST).for_each(|seqno| send(&Message::Update(u(0, seqno))));
+            resume.send(()).expect("the loop waits");
+            (0..LINKS).for_each(|node| send(&Message::Fin { node }));
+        });
+        let mut got = Vec::new();
+        let admitted = &mut got;
+        let mut el = EventLoop::new().expect("event loop");
+        let counters = el
+            .add_front_ingress(sock, LINKS as usize, IDLE, move |round| {
+                if admitted.is_empty() {
+                    parked_tx.send(()).expect("the DM waits");
+                    resumed.recv().expect("the DM resumes the loop");
+                }
+                admitted.append(round);
+            })
+            .expect("register ingress");
+        // The loop owns the socket, open until it runs.
+        let granted = rcm_poll::sys::receive_buffer(fd).expect("granted size");
+        assert!(granted > default, "granted {granted} B, default {default} B");
+        el.run();
+        dm.join().expect("DM thread");
+
+        assert_eq!(got, (1..=BURST).map(|seqno| u(0, seqno)).collect::<Vec<_>>());
+        let stats = counters.snapshot();
+        assert_eq!((stats.delivered, stats.fins), (BURST, u64::from(LINKS)));
+    }
+
     /// Plays the hostile stream at the listener at `addr`, which must
     /// expect two Fins: CE 0 sends an alert, its Fin twice, an update
     /// and garbage, and waits for the listener to hang up on the
