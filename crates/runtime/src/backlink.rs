@@ -1,18 +1,18 @@
-//! The lossless back link, made honest: severance, reconnect with
-//! capped backoff, and a bounded resend queue.
+//! The lossless back link, made honest: severance, reconnect and a
+//! bounded resend queue.
 //!
 //! The paper assumes CE → AD links are in-order and lossless, which a
 //! deployment gets from a connection-oriented transport — and
 //! connections drop. This link models that over a channel: it follows
-//! the [`Outbox`] policy every back link shares (scripted severances,
-//! a bounded FIFO queue while down, the unacked tail re-sent before the
-//! queue on reconnect), paces reconnect attempts by a seeded
-//! [`Backoff`](rcm_net::Backoff) schedule, and on [`BackLink::flush`]
-//! at end-of-stream blocks until the queue is out: nothing queued is
-//! ever abandoned, and only queue overflow can lose (counted, never
-//! silent). The receiver sees exact duplicates around every reconnect —
-//! which is precisely why every AD algorithm must discard duplicate
-//! offers.
+//! the [`Outbox`] policy every back link shares (scripted severances
+//! that last a number of sends, a bounded FIFO queue while down, the
+//! unacked tail re-sent before the queue on reconnect). The first send
+//! past an outage reconnects, and [`BackLink::flush`] at end-of-stream
+//! reconnects at once: nothing queued is ever abandoned, and only queue
+//! overflow can lose (counted, never silent). No clock is read, so what
+//! the link delivers is a function of what it was sent. The receiver
+//! sees exact duplicates around every reconnect — which is precisely
+//! why every AD algorithm must discard duplicate offers.
 //!
 //! A `BackLink<Alert>` also serialises what it carries — cross, check,
 //! forward: each alert is encoded and decoded ([`cross_in`]), the copy
@@ -24,7 +24,6 @@
 
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::chan::Sender;
-use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
 use rcm_core::Alert;
@@ -39,12 +38,11 @@ use crate::wire::{cross_in, Message};
 ///
 /// It counts into the [`BackLinkStats`] block the socket links
 /// use; a channel has no wire, so `io_errors` and `bytes_sent` stay 0,
-/// and `frames_sent` counts what `sent` counts.
+/// `frames_sent` counts what `sent` counts, and every reconnect
+/// attempt succeeds.
 pub struct BackLink<T> {
     tx: Sender<T>,
     down: bool,
-    next_attempt: Instant,
-    backoff: Backoff,
     outbox: Outbox<T>,
     counters: Arc<BackLinkStats<AtomicU64>>,
     /// The frame of the alert last sent (a `BackLink<Alert>` serialises
@@ -64,24 +62,24 @@ impl<T> std::fmt::Debug for BackLink<T> {
 
 impl<T: Clone + Send + 'static> BackLink<T> {
     /// Wraps a channel sender; with no severances scripted the link is
-    /// a plain pass-through.
-    pub fn new(tx: Sender<T>, backoff: Backoff) -> Self {
+    /// a plain pass-through. A channel reconnects at once, so nothing
+    /// paces it: `_backoff` is kept only so that existing callers still
+    /// compile, and is never read.
+    pub fn new(tx: Sender<T>, _backoff: Backoff) -> Self {
         let counters = Arc::new(BackLinkStats::default());
         BackLink {
             tx,
             down: false,
-            next_attempt: Instant::now(),
-            backoff,
             outbox: Outbox::new(Vec::new(), Arc::clone(&counters)),
             counters,
             frame: Vec::new(),
         }
     }
 
-    /// Scripts severances as `(at_send, down_for)` pairs; see
+    /// Scripts severances as `(at_send, down_sends)` pairs; see
     /// [`Outbox::new`].
     #[must_use]
-    pub fn with_severs(mut self, severs: Vec<(u64, Duration)>) -> Self {
+    pub fn with_severs(mut self, severs: Vec<(u64, u64)>) -> Self {
         self.outbox = Outbox::new(severs, Arc::clone(&self.counters));
         self
     }
@@ -93,16 +91,14 @@ impl<T: Clone + Send + 'static> BackLink<T> {
     }
 
     /// Sends one message: transmitted immediately when connected,
-    /// queued when severed (a non-blocking reconnect attempt is made
-    /// first if the backoff schedule allows one).
+    /// queued while a scripted outage holds. The first send past an
+    /// outage reconnects first.
     pub fn send(&mut self, msg: T) {
         if self.outbox.sever_due() {
             self.down = true;
-            self.next_attempt = Instant::now();
-            self.backoff.reset();
         }
-        if self.down {
-            self.try_reconnect(false);
+        if self.down && !self.outbox.outage_holds() {
+            self.reconnect();
         }
         if self.down {
             self.outbox.enqueue(msg);
@@ -111,48 +107,29 @@ impl<T: Clone + Send + 'static> BackLink<T> {
         }
     }
 
-    /// Blocks until the link is up and everything queued has been
-    /// transmitted. Call at end-of-stream: this is what turns "bounded
-    /// queue while severed" into the paper's lossless contract.
+    /// Ends any outage and transmits everything queued. Call at
+    /// end-of-stream: this is what turns "bounded queue while severed"
+    /// into the paper's lossless contract.
     pub fn flush(&mut self) {
         if self.down {
-            self.try_reconnect(true);
+            self.reconnect();
         }
-        debug_assert_eq!(self.outbox.queued(), 0, "reconnect flushes the queue");
     }
 
-    /// Attempts reconnection, pacing attempts by the backoff schedule.
-    /// Blocking mode sleeps between attempts until the link is up;
-    /// non-blocking mode makes at most one attempt and returns.
-    fn try_reconnect(&mut self, blocking: bool) {
-        loop {
-            let now = Instant::now();
-            if now < self.next_attempt {
-                if !blocking {
-                    return;
-                }
-                rcm_sync::thread::sleep(self.next_attempt - now);
-            }
-            self.counters.attempts.fetch_add(1, Ordering::SeqCst);
-            if !self.outbox.outage_holds(Instant::now()) {
-                self.down = false;
-                self.backoff.reset();
-                self.counters.reconnects.fetch_add(1, Ordering::SeqCst);
-                // The tail's duplicates are exactly the adversarial
-                // input the AD filters must tolerate.
-                for (msg, resend) in self.outbox.replay() {
-                    if resend {
-                        self.counters.resent_duplicates.fetch_add(1, Ordering::SeqCst);
-                        self.tx.send(msg).expect("back link receiver hung up during resend");
-                    } else {
-                        self.transmit(msg);
-                    }
-                }
-                return;
-            }
-            self.next_attempt = Instant::now() + self.backoff.next_delay();
-            if !blocking {
-                return;
+    /// Reconnects: the unacked tail goes out again as duplicates, then
+    /// the queue in order.
+    fn reconnect(&mut self) {
+        self.down = false;
+        self.counters.attempts.fetch_add(1, Ordering::SeqCst);
+        self.counters.reconnects.fetch_add(1, Ordering::SeqCst);
+        // The tail's duplicates are exactly the adversarial input the
+        // AD filters must tolerate.
+        for (msg, resend) in self.outbox.replay() {
+            if resend {
+                self.counters.resent_duplicates.fetch_add(1, Ordering::SeqCst);
+                self.tx.send(msg).expect("back link receiver hung up during resend");
+            } else {
+                self.transmit(msg);
             }
         }
     }
@@ -188,10 +165,14 @@ mod tests {
     use rcm_sync::chan::unbounded;
 
     fn link<T: Clone + Send + 'static>(
-        severs: Vec<(u64, Duration)>,
+        severs: Vec<(u64, u64)>,
     ) -> (BackLink<T>, rcm_sync::chan::Receiver<T>) {
         let (tx, rx) = unbounded();
-        let backoff = Backoff::new(Duration::from_micros(50), Duration::from_millis(2), 7);
+        let backoff = Backoff::new(
+            rcm_sync::time::Duration::from_micros(50),
+            rcm_sync::time::Duration::from_millis(2),
+            7,
+        );
         (BackLink::new(tx, backoff).with_severs(severs), rx)
     }
 
@@ -212,9 +193,8 @@ mod tests {
 
     #[test]
     fn instant_recovery_resends_unacked_tail_then_message() {
-        // down_for = 0: the first reconnect attempt succeeds, so the
-        // whole sequence is deterministic.
-        let (mut l, rx) = link(vec![(2, Duration::ZERO)]);
+        // down_sends = 0: the severed send itself reconnects.
+        let (mut l, rx) = link(vec![(2, 0)]);
         l.send(10);
         l.send(11);
         l.send(12); // sever fires, instantly reconnects: dup 10,11 then 12
@@ -229,28 +209,43 @@ mod tests {
 
     #[test]
     fn outage_queues_then_flush_delivers_everything_in_order() {
-        let (mut l, rx) = link(vec![(1, Duration::from_millis(150))]);
+        // Severed before send 1 for 10 sends: the outage outlasts the
+        // stream, so the flush ends it.
+        let (mut l, rx) = link(vec![(1, 10)]);
         for m in 0..6 {
             l.send(m);
         }
         // Only the pre-sever message is through; the rest are queued.
         assert_eq!(drain(&rx), vec![0]);
         assert!(l.down);
-        l.flush(); // blocks past the outage
+        l.flush();
         assert!(!l.down);
         assert_eq!(drain(&rx), vec![0, 1, 2, 3, 4, 5], "dup of 0, then the queue in order");
         let stats = l.counters().snapshot();
-        assert_eq!(stats.lost_overflow, 0);
-        assert!(stats.attempts >= 1);
+        assert_eq!((stats.lost_overflow, stats.attempts, stats.reconnects), (0, 1, 1));
         assert_eq!(stats.queued_peak, 5);
+    }
+
+    #[test]
+    fn an_outage_ends_at_the_send_after_its_last() {
+        // Sends 1 and 2 are held; send 3 reconnects: dup of 0, the
+        // queue, then 3 itself.
+        let (mut l, rx) = link(vec![(1, 2)]);
+        for m in 0..3 {
+            l.send(m);
+        }
+        assert_eq!(drain(&rx), vec![0]);
+        l.send(3);
+        assert_eq!(drain(&rx), vec![0, 1, 2, 3]);
+        assert!(!l.down);
     }
 
     #[test]
     fn undersized_queue_loses_oldest_and_counts() {
         // Severed before the first send, so the tail is empty: the bound
         // plus 3 messages lose the 3 oldest.
-        let (mut l, rx) = link(vec![(0, Duration::from_millis(100))]);
         let n = Outbox::<u64>::QUEUE_CAP as u64 + 3;
+        let (mut l, rx) = link(vec![(0, n)]);
         for m in 0..n {
             l.send(m);
         }
@@ -318,14 +313,17 @@ mod tests {
 
     #[test]
     fn overlapping_severs_extend_the_outage() {
-        let (mut l, rx) =
-            link(vec![(0, Duration::from_millis(60)), (1, Duration::from_millis(120))]);
-        let start = Instant::now();
-        l.send(1);
-        l.send(2); // second sever while down: extends
-        l.flush();
-        assert!(start.elapsed() >= Duration::from_millis(100), "outage extended past first window");
-        assert_eq!(drain(&rx), vec![1, 2]);
-        assert_eq!(l.counters().snapshot().severs, 2);
+        // (0, 2) holds sends 0 and 1; (1, 3), landing during it, holds
+        // sends 1 to 3; the shorter (2, 1) shortens nothing. Send 4
+        // reconnects.
+        let (mut l, rx) = link(vec![(0, 2), (1, 3), (2, 1)]);
+        for m in 0..4 {
+            l.send(m);
+        }
+        assert!(l.down && drain(&rx).is_empty(), "held through send 3");
+        l.send(4);
+        assert_eq!(drain(&rx), vec![0, 1, 2, 3, 4]);
+        let stats = l.counters().snapshot();
+        assert_eq!((stats.severs, stats.reconnects), (3, 1));
     }
 }

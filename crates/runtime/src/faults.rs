@@ -1,14 +1,15 @@
-//! Fault injection and recovery bookkeeping for the threaded runtime.
+//! Fault injection and recovery bookkeeping for the runtime.
 //!
 //! The paper's availability argument (§4) is that replicating the CE
 //! masks crashes — but the happy-path runtime never crashed anything,
 //! so the claim went untested. A [`FaultPlan`] makes failure an input:
-//! it can kill a CE replica after its N-th arrival, sever a back link
-//! for a while, or stall a front link, all scripted or derived from a
-//! seed. The runtime's supervisor then has to *earn* the availability
-//! number: restart the replica, rebuild its bounded histories from the
-//! DM's retained window, and resume without ever violating the
-//! orderedness of the replica's recorded input sequence `U_i`.
+//! it can kill a CE replica at its N-th arrival or sever a back link
+//! for a number of sends, scripted or derived from a seed. Faults count
+//! events, never time, so an in-process run replays a plan exactly. The
+//! runtime's supervisor then has to *earn* the availability number:
+//! restart the replica, rebuild its bounded histories from the DM's
+//! retained window, and resume without ever violating the orderedness
+//! of the replica's recorded input sequence `U_i`.
 //!
 //! Recovery invariants (what may be lost, what must never be):
 //!
@@ -53,30 +54,17 @@ pub struct KillCe {
 }
 
 /// Sever replica `ce`'s back link just before its `at_send`-th alert
-/// transmission (0-based count of prior sends), restoring it after
-/// `down_for`.
+/// send (0-based count of prior sends): that send and the next
+/// `down_sends − 1` are queued, and the send after them reconnects.
+/// The end of the stream ends any outage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeverBackLink {
     /// Replica index.
     pub ce: usize,
-    /// Number of successful sends before the link drops.
+    /// Number of sends before the link drops.
     pub at_send: u64,
-    /// How long the link stays down.
-    pub down_for: Duration,
-}
-
-/// Stall the `(feed, ce)` front link for `stall` just before its
-/// `at_send`-th transmission (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallFrontLink {
-    /// Feed (DM) index, in builder `feed()` order.
-    pub feed: usize,
-    /// Replica index.
-    pub ce: usize,
-    /// Number of prior sends before the stall.
-    pub at_send: u64,
-    /// How long the link stalls.
-    pub stall: Duration,
+    /// How many sends the link stays down for (0 reconnects at once).
+    pub down_sends: u64,
 }
 
 /// A complete fault schedule plus the recovery parameters, threaded
@@ -91,8 +79,6 @@ pub struct FaultPlan {
     pub kills: Vec<KillCe>,
     /// Scripted back-link severances.
     pub severs: Vec<SeverBackLink>,
-    /// Scripted front-link stalls.
-    pub stalls: Vec<StallFrontLink>,
     /// Restart budget per replica; a replica that exceeds it stays dead.
     pub max_restarts: u32,
     /// How many recent updates each DM retains for recovery replay.
@@ -101,13 +87,7 @@ pub struct FaultPlan {
 
 impl Default for FaultPlan {
     fn default() -> Self {
-        FaultPlan {
-            kills: Vec::new(),
-            severs: Vec::new(),
-            stalls: Vec::new(),
-            max_restarts: 3,
-            retain_window: 256,
-        }
+        FaultPlan { kills: Vec::new(), severs: Vec::new(), max_restarts: 3, retain_window: 256 }
     }
 }
 
@@ -117,14 +97,16 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Derives a randomized plan from a seed: up to two kills, two
-    /// back-link severances and two front-link stalls, spread over
-    /// `replicas` CEs, `feeds` DMs and an update horizon.
+    /// Derives a randomized plan from a seed: up to two kills and two
+    /// back-link severances, spread over `replicas` CEs and an update
+    /// horizon. Each sever lasts `0..=horizon` sends, so some outages
+    /// end mid-stream and some outlast it.
     ///
-    /// The same `(seed, replicas, feeds, horizon)` always yields the
-    /// same plan, so chaos runs replay exactly.
-    pub fn random(seed: u64, replicas: usize, feeds: usize, horizon: u64) -> Self {
-        assert!(replicas > 0 && feeds > 0 && horizon > 0, "fault plan needs a real topology");
+    /// The same `(seed, replicas, horizon)` always yields the same
+    /// plan, and every fault counts events, so an in-process run with
+    /// it on recorded feeds replays exactly.
+    pub fn random(seed: u64, replicas: usize, horizon: u64) -> Self {
+        assert!(replicas > 0 && horizon > 0, "fault plan needs a real topology");
         let mut plan = FaultPlan::default();
         let mut state = mix(seed ^ 0xfau64.wrapping_shl(56));
         let mut draw = |modulus: u64| {
@@ -139,15 +121,7 @@ impl FaultPlan {
             plan.severs.push(SeverBackLink {
                 ce: draw(replicas as u64) as usize,
                 at_send: draw(8),
-                down_for: Duration::from_micros(draw(15_000)),
-            });
-        }
-        for _ in 0..draw(3) {
-            plan.stalls.push(StallFrontLink {
-                feed: draw(feeds as u64) as usize,
-                ce: draw(replicas as u64) as usize,
-                at_send: draw(horizon),
-                stall: Duration::from_micros(draw(3_000)),
+                down_sends: draw(horizon + 1),
             });
         }
         plan
@@ -340,24 +314,21 @@ mod tests {
     #[test]
     fn random_plans_are_reproducible_and_in_range() {
         for seed in 0..50u64 {
-            let a = FaultPlan::random(seed, 3, 2, 100);
-            let b = FaultPlan::random(seed, 3, 2, 100);
+            let a = FaultPlan::random(seed, 3, 100);
+            let b = FaultPlan::random(seed, 3, 100);
             assert_eq!(a, b, "seed {seed}");
             for k in &a.kills {
                 assert!(k.ce < 3 && (1..=100).contains(&k.at_arrival));
             }
             for s in &a.severs {
-                assert!(s.ce < 3);
-            }
-            for s in &a.stalls {
-                assert!(s.feed < 2 && s.ce < 3 && s.at_send < 100);
+                assert!(s.ce < 3 && s.at_send < 8 && s.down_sends <= 100);
             }
         }
     }
 
     #[test]
     fn random_plans_vary_with_the_seed() {
-        let plans: Vec<FaultPlan> = (0..20).map(|s| FaultPlan::random(s, 4, 3, 200)).collect();
+        let plans: Vec<FaultPlan> = (0..20).map(|s| FaultPlan::random(s, 4, 200)).collect();
         assert!(plans.windows(2).any(|w| w[0] != w[1]));
         // At least one plan actually injects something.
         assert!(plans.iter().any(|p| !p.kills.is_empty() || !p.severs.is_empty()));

@@ -10,9 +10,9 @@
 //!   lossy); what survives a DM round is offered to each replica with a
 //!   call, and the replica evaluates it before the loop moves on;
 //! * **back links** are [`BackLink`]s over one FIFO channel (TCP-like:
-//!   FIFO and lossless, surviving scripted severance via backoff-paced
-//!   reconnect and a bounded resend queue), which the loop drains into
-//!   the AD after each round.
+//!   FIFO and lossless, surviving a scripted severance of a number of
+//!   sends via a bounded resend queue and a reconnect that re-sends the
+//!   unacked tail), which the loop drains into the AD after each round.
 //!
 //! Replicas of one in-process system therefore take turns rather than
 //! run in parallel; [`SystemBuilder::workers`] is the parallelism
@@ -21,8 +21,10 @@
 //!
 //! Failure is a first-class input: a [`FaultPlan`] can kill CE replicas
 //! (the supervisor restarts them and replays the DMs' retained
-//! windows), sever back links, and stall front links — see
-//! [`SystemBuilder::faults`].
+//! windows) and sever back links — see [`SystemBuilder::faults`].
+//! Every scripted fault counts events (arrivals, sends), never time,
+//! so an in-process run on recorded feeds replays from its builder
+//! and seed.
 //!
 //! A replica is not limited to one condition: each CE hosts its whole
 //! condition set in a single [`rcm_core::ConditionRegistry`], routing
@@ -82,9 +84,7 @@ pub mod wire;
 
 pub use backlink::BackLink;
 pub use dm::ROUND;
-pub use faults::{
-    FaultPlan, FaultReport, IngestGate, KillCe, RetainedWindow, SeverBackLink, StallFrontLink,
-};
+pub use faults::{FaultPlan, FaultReport, IngestGate, KillCe, RetainedWindow, SeverBackLink};
 pub use link::FrontLink;
 pub use pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
 pub use rcm_transport::{BoundTopology, Codec, Topology, TransportMode, TransportReport};

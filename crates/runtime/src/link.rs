@@ -39,18 +39,6 @@ impl FrontLink {
         FrontLink { tx, hop: FrontHop::new(loss, seed) }
     }
 
-    /// Scripts delivery stalls as `(at_send, stall)` pairs: the link
-    /// sleeps `stall` just before its `at_send`-th send (0-based count
-    /// of prior sends). Stalls model transient congestion; they reorder
-    /// nothing (the channel stays FIFO), they only perturb timing —
-    /// which is exactly what the chaos harness wants to shake out of
-    /// thread interleavings.
-    #[must_use]
-    pub fn with_stalls(mut self, stalls: Vec<(u64, std::time::Duration)>) -> Self {
-        self.hop = self.hop.with_stalls(stalls);
-        self
-    }
-
     /// A handle for reading the link's counters after the DM thread
     /// has taken ownership of the link.
     pub fn counters(&self) -> Arc<FrontLinkStats<AtomicU64>> {
@@ -66,8 +54,7 @@ impl FrontLink {
 }
 
 /// Everything a [`FrontLink`] does to an update except hand it over:
-/// scripted stalls, the seeded loss draw, the counters and the codec
-/// crossing. The system's DM loop keeps one per `(feed, replica)` and
+/// the seeded loss draw, the counters and the codec crossing. The system's DM loop keeps one per `(feed, replica)` and
 /// collects what passes into one round per replica.
 ///
 /// It counts into the [`FrontLinkStats`] block the socket link uses: a
@@ -78,9 +65,6 @@ pub(crate) struct FrontHop {
     counters: Arc<FrontLinkStats<AtomicU64>>,
     /// The frame of the update in flight; cleared and reused per send.
     frame: Vec<u8>,
-    /// Scripted stalls, ascending by send index: `(at_send, stall)`.
-    stalls: std::collections::VecDeque<(u64, std::time::Duration)>,
-    sends_seen: u64,
 }
 
 impl FrontHop {
@@ -91,17 +75,7 @@ impl FrontHop {
             rng: Rng::seed_from_u64(seed),
             counters: Arc::default(),
             frame: Vec::new(),
-            stalls: std::collections::VecDeque::new(),
-            sends_seen: 0,
         }
-    }
-
-    /// See [`FrontLink::with_stalls`].
-    #[must_use]
-    pub(crate) fn with_stalls(mut self, mut stalls: Vec<(u64, std::time::Duration)>) -> Self {
-        stalls.sort_by_key(|&(at, _)| at);
-        self.stalls = stalls.into();
-        self
     }
 
     /// See [`FrontLink::counters`].
@@ -109,17 +83,10 @@ impl FrontHop {
         Arc::clone(&self.counters)
     }
 
-    /// Carries one update across the link, up to the hand-over: sleeps
-    /// a stall that is due, counts the send, draws loss, and crosses
-    /// the codec with what survives. Returns whether it survived.
+    /// Carries one update across the link, up to the hand-over: counts
+    /// the send, draws loss, and crosses the codec with what survives.
+    /// Returns whether it survived.
     pub(crate) fn pass(&mut self, update: &Update) -> bool {
-        if let Some(&(at, stall)) = self.stalls.front() {
-            if self.sends_seen >= at {
-                self.stalls.pop_front();
-                rcm_sync::thread::sleep(stall);
-            }
-        }
-        self.sends_seen += 1;
         self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
         self.counters.updates_sent.fetch_add(1, Ordering::SeqCst);
         if self.loss.drops(&mut self.rng) {
@@ -176,21 +143,6 @@ mod tests {
                 bytes_sent: 0
             }
         );
-    }
-
-    #[test]
-    fn stalls_delay_but_never_reorder() {
-        let (tx, rx) = unbounded();
-        let mut link = FrontLink::new(tx, Box::new(Lossless), 1)
-            .with_stalls(vec![(1, std::time::Duration::from_millis(30))]);
-        let start = rcm_sync::time::Instant::now();
-        for s in 1..=3 {
-            assert!(link.send(u(s)));
-        }
-        assert!(start.elapsed() >= std::time::Duration::from_millis(30));
-        drop(link);
-        let got: Vec<u64> = rx.iter().map(|u| u.seqno.get()).collect();
-        assert_eq!(got, vec![1, 2, 3]);
     }
 
     #[test]

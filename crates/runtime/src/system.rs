@@ -229,9 +229,13 @@ impl SystemBuilder {
     /// Injects a fault schedule and enables supervision: scripted CE
     /// kills are caught and the replica restarted (within the plan's
     /// budget) with its histories replayed from the DMs' retained
-    /// windows; back links honor the plan's severances and reconnect
-    /// with capped backoff. Without this call the runtime is the
-    /// happy-path pipeline: panics propagate and links never drop.
+    /// windows; back links honor the plan's severances, which last a
+    /// number of sends. In-process the first send past an outage
+    /// reconnects; over sockets reconnect attempts are also paced by a
+    /// capped backoff. No fault reads the clock, so an in-process run on
+    /// recorded feeds replays from its builder and seed. Without this
+    /// call the runtime is the happy-path pipeline: panics propagate
+    /// and links never drop.
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -264,10 +268,9 @@ impl SystemBuilder {
     /// alerts over TCP to its AD listener. The topology's replica count
     /// must match [`SystemBuilder::replicas`].
     ///
-    /// Loss models ([`SystemBuilder::loss`]) and front-link stalls are
-    /// in-process constructs and are ignored in socket mode — impair a
-    /// socket run by routing front links through a
-    /// [`LossProxy`](rcm_transport::LossProxy) instead
+    /// Loss models ([`SystemBuilder::loss`]) are an in-process construct
+    /// and are ignored in socket mode — impair a socket run by routing
+    /// front links through a [`LossProxy`](rcm_transport::LossProxy) instead
     /// ([`BoundTopology::route_front_links`]). Back-link severances and
     /// CE kills from the [`FaultPlan`] apply in both modes.
     #[must_use]
@@ -355,16 +358,7 @@ impl SystemBuilder {
             let mut row = Vec::with_capacity(self.replicas);
             for ci in 0..self.replicas {
                 let ce = CeId::new(ci as u32);
-                let mut hop = FrontHop::new(loss(feed.var, ce), link_seed(self.seed, fi, ci));
-                if let Some(p) = &ces.plan {
-                    hop = hop.with_stalls(
-                        p.stalls
-                            .iter()
-                            .filter(|s| s.feed == fi && s.ce == ci)
-                            .map(|s| (s.at_send, s.stall))
-                            .collect(),
-                    );
-                }
+                let hop = FrontHop::new(loss(feed.var, ce), link_seed(self.seed, fi, ci));
                 counters.front.push(((fi, ci), hop.counters()));
                 row.push(hop);
             }
@@ -548,10 +542,10 @@ impl Replicas {
     }
 
     /// Replica `ce`'s scripted back-link severances as `(at_send,
-    /// down_for)` pairs (none without a plan).
-    fn severs(&self, ce: usize) -> Vec<(u64, Duration)> {
+    /// down_sends)` pairs (none without a plan).
+    fn severs(&self, ce: usize) -> Vec<(u64, u64)> {
         let severs = self.plan.iter().flat_map(|p| &p.severs);
-        severs.filter(|s| s.ce == ce).map(|s| (s.at_send, s.down_for)).collect()
+        severs.filter(|s| s.ce == ce).map(|s| (s.at_send, s.down_sends)).collect()
     }
 
     /// Replica `ce`, sending its alerts over `back`, with its records
@@ -783,11 +777,9 @@ pub struct PipelineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::StallFrontLink;
     use rcm_core::ad::{Ad2, Ad3};
     use rcm_core::condition::{cond, Cmp};
     use rcm_net::Scripted;
-    use rcm_sync::atomic::{AtomicBool, Ordering};
 
     fn x() -> VarId {
         VarId::new(0)
@@ -1076,39 +1068,37 @@ mod tests {
 
     #[test]
     fn a_backlog_holds_another_feed_back_one_round_at_most() {
-        // Feed x has 10 000 readings queued when the loop starts, and
-        // its link stalls for a second at its 200th send; feed y has one
-        // reading, which alerts. Rounds are bounded, so y's reading goes
-        // out with the first round and is displayed while x's link is
-        // still stalled, not after x's whole backlog.
+        // Feed x has 10 000 readings queued when the loop starts, each
+        // of which alerts; feed y has one reading, which alerts too.
+        // Rounds are bounded, so y's reading goes out with the first
+        // round and its alert is displayed among the first round's, not
+        // after x's whole backlog.
         let (x, y) = (VarId::new(0), VarId::new(1));
         let (x_feed, x_tx) = VarFeed::streaming(x);
         let (y_feed, y_tx) = VarFeed::streaming(y);
         (0..10_000).for_each(|i| x_tx.send(f64::from(i)).expect("feed open"));
         y_tx.send(1.0).expect("feed open");
         drop((x_tx, y_tx));
-        let mut conds = quiet(&[x]);
-        conds.push(Arc::new(cond::threshold(y, Cmp::Gt, 0.0)));
-        let displayed = Arc::new(AtomicBool::new(false));
-        let seen = Arc::clone(&displayed);
-        let stall = StallFrontLink { feed: 0, ce: 0, at_send: 200, stall: Duration::from_secs(1) };
-        let system = MonitorSystem::builder_multi(conds)
+        let conds: Vec<Arc<dyn Condition>> = vec![
+            Arc::new(cond::threshold(x, Cmp::Gt, -1.0)),
+            Arc::new(cond::threshold(y, Cmp::Gt, 0.0)),
+        ];
+        let report = MonitorSystem::builder_multi(conds)
             .replicas(1)
             .feed(x_feed)
             .feed(y_feed)
-            .faults(FaultPlan { stalls: vec![stall], ..FaultPlan::default() })
-            .on_alert(move |_| seen.store(true, Ordering::SeqCst))
             .start()
-            .expect("system starts");
-        let begun = rcm_sync::time::Instant::now();
-        while !displayed.load(Ordering::SeqCst) {
-            assert!(begun.elapsed() < Duration::from_millis(800), "y's alert waited on x");
-            rcm_sync::thread::sleep(Duration::from_millis(1));
-        }
-        let report = system.wait();
+            .expect("system starts")
+            .wait();
         assert_eq!(report.ingested[0].len(), 10_001);
+        assert_eq!(report.displayed.len(), 10_001);
         let at = report.ingested[0].iter().position(|u| u.var == y).expect("y's reading arrived");
         assert!(at < crate::dm::ROUND, "y's reading came behind {at} of x's");
+        let shown = report.displayed.iter().position(|a| a.cond.index() == 1);
+        assert!(
+            shown.is_some_and(|shown| shown < crate::dm::ROUND),
+            "y's alert was displayed at {shown:?}, behind x's backlog"
+        );
     }
 
     #[test]

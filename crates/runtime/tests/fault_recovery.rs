@@ -86,8 +86,8 @@ fn severed_back_link_loses_no_alerts() {
         .feed(VarFeed::new(x(), (0..n).map(|i| i as f64).collect::<Vec<_>>()))
         .faults(FaultPlan {
             severs: vec![
-                SeverBackLink { ce: 0, at_send: 5, down_for: Duration::from_millis(5) },
-                SeverBackLink { ce: 1, at_send: 2, down_for: Duration::from_millis(1) },
+                SeverBackLink { ce: 0, at_send: 5, down_sends: 5 },
+                SeverBackLink { ce: 1, at_send: 2, down_sends: 1 },
             ],
             ..FaultPlan::default()
         })
@@ -107,17 +107,17 @@ fn severed_back_link_loses_no_alerts() {
 
 #[test]
 fn an_in_process_queue_overflow_is_counted_as_shed() {
-    // The back link is down from before the first alert for longer than
-    // the run takes to emit them all, and there are more alerts than
-    // the resend queue holds: the overflow drops are sheds, counted
-    // as the socket links count them.
+    // The back link is down from before the first alert for more sends
+    // than the run emits, and there are more alerts than the resend
+    // queue holds: the overflow drops are sheds, counted as the socket
+    // links count them. The end of the stream ends the outage.
     let cond: Arc<dyn Condition> = Arc::new(cond::threshold(x(), Cmp::Gt, -1.0));
     let n = 1100u64;
     let system = MonitorSystem::builder(cond)
         .replicas(1)
         .feed(VarFeed::new(x(), (0..n).map(|i| i as f64).collect::<Vec<_>>()))
         .faults(FaultPlan {
-            severs: vec![SeverBackLink { ce: 0, at_send: 0, down_for: Duration::from_secs(1) }],
+            severs: vec![SeverBackLink { ce: 0, at_send: 0, down_sends: 2 * n }],
             ..FaultPlan::default()
         })
         .start()
@@ -198,8 +198,8 @@ fn a_kill_mid_round_counts_the_rest_of_the_round_as_dropped_down() {
 fn an_in_process_run_with_kills_and_loss_replays_exactly() {
     // Every replica runs on the DM loop and every feed is recorded, so
     // a seed fixes the rounds, the loss draws, the kills, the replays
-    // and the order alerts reach the AD in. (Severs are timed by the
-    // wall clock, so the plan has none.)
+    // and the order alerts reach the AD in. Severs count sends, so they
+    // replay too: one ends mid-stream, one outlasts the stream.
     let y = VarId::new(1);
     let set: Vec<Arc<dyn Condition>> = vec![
         Arc::new(cond::threshold(x(), Cmp::Gt, 50.0)),
@@ -216,13 +216,17 @@ fn an_in_process_run_with_kills_and_loss_replays_exactly() {
             .loss(|_, _| Box::new(rcm_net::Bernoulli::new(0.2)))
             .seed(17)
             .filter(|vars| Box::new(Ad6::new(vars.to_vec())))
-            .faults(
-                FaultPlan::scripted()
+            .faults(FaultPlan {
+                severs: vec![
+                    SeverBackLink { ce: 1, at_send: 10, down_sends: 40 },
+                    SeverBackLink { ce: 2, at_send: 3, down_sends: 100_000 },
+                ],
+                ..FaultPlan::scripted()
                     .kill_ce(0, 90)
                     .kill_ce(2, 300)
                     .retain_window(32)
-                    .max_restarts(3),
-            )
+                    .max_restarts(3)
+            })
             .start()
             .unwrap()
             .wait()
@@ -231,6 +235,8 @@ fn an_in_process_run_with_kills_and_loss_replays_exactly() {
 
     assert_eq!(a.faults.kills_injected, 2);
     assert!(a.faults.updates_replayed > 0, "the window replayed nothing");
+    assert_eq!(a.transport.severs(), 2);
+    assert_eq!(a.transport.back_links, b.transport.back_links);
     let ids = |alerts: &[Alert]| alerts.iter().map(|a| a.id).collect::<Vec<_>>();
     assert_eq!(a.arrivals, b.arrivals);
     assert_eq!(ids(&a.arrivals), ids(&b.arrivals));

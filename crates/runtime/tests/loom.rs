@@ -93,8 +93,8 @@ fn severed_backlink_is_lossless_and_ordered_under_all_schedules() {
         let (tx, rx) = unbounded::<u64>();
         let ce = thread::spawn(move || {
             let backoff = Backoff::new(Duration::from_micros(50), Duration::from_millis(2), 7);
-            let mut link =
-                BackLink::new(tx, backoff).with_severs(vec![(1, Duration::from_micros(200))]);
+            // Send 2 is held; send 3 reconnects.
+            let mut link = BackLink::new(tx, backoff).with_severs(vec![(1, 1)]);
             for m in 1..=3 {
                 link.send(m);
             }

@@ -305,7 +305,7 @@ fn pipelined_workers_match_in_process_output_over_sockets() {
 #[test]
 fn back_link_sever_reconnects_without_losing_alerts() {
     let plan = || FaultPlan {
-        severs: vec![SeverBackLink { ce: 0, at_send: 3, down_for: Duration::from_millis(30) }],
+        severs: vec![SeverBackLink { ce: 0, at_send: 3, down_sends: 5 }],
         ..FaultPlan::default()
     };
     let in_process = run_in_process(plan(), &[]);

@@ -1,16 +1,20 @@
-//! `chaos` — randomized fault-injection gauntlet for the threaded runtime.
+//! `chaos` — randomized fault-injection gauntlet for the runtime.
 //!
 //! ```text
 //! cargo run --release -p rcm-sim --bin chaos -- [--plans N] [--seed S] [--json]
 //! ```
 //!
 //! Unlike the discrete-event simulator (which *enumerates* adversarial
-//! schedules), this harness runs the real `rcm-runtime` pipeline — OS
-//! threads, channels, the wire codec — under randomized [`FaultPlan`]s:
-//! CE replicas are killed and restarted with history replay, back links
-//! are severed and must reconnect losslessly, front links stall and
-//! (in the lossy classes) drop. After every run the displayed sequence
-//! is checked against the exact property deciders in `rcm-props`.
+//! schedules), this harness runs the real `rcm-runtime` pipeline — the
+//! DM loop, the replicas' evaluation helpers, the back links' channel,
+//! the wire codec — under randomized [`FaultPlan`]s: CE replicas are
+//! killed at an arrival and restarted with history replay, back links
+//! are severed for a number of sends and must reconnect losslessly, and
+//! front links (in the lossy classes) drop. After every run the
+//! displayed sequence is checked against the exact property deciders in
+//! `rcm-props`. Every fault counts events and an in-process run reads no
+//! clock, so a flat plan replays from its seed: the same displayed
+//! stream and the same kill, restart, replay and back-link counters.
 //!
 //! Each plan draws one of five classes, asserting only the properties
 //! that provably hold for its configuration:
@@ -72,7 +76,7 @@ use std::time::Duration;
 use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4, AlertFilter};
 use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{cond, Cmp, Condition};
-use rcm_core::{Alert, CeId, CondId, ConditionRegistry, Update, VarId};
+use rcm_core::{Alert, AlertId, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_json::obj;
 use rcm_net::{Bernoulli, LossModel, Lossless};
 use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
@@ -102,6 +106,8 @@ struct PlanOutcome {
     transport: TransportReport,
     workers: usize,
     latency: rcm_core::LatencySnapshot,
+    /// The displayed stream, as `(condition, alert id)`.
+    displayed: Vec<(CondId, AlertId)>,
     violations: Vec<String>,
 }
 
@@ -270,7 +276,7 @@ fn main() -> ExitCode {
 
     let mut outcomes = Vec::with_capacity(plans);
     for index in 0..plans {
-        let outcome = run_plan(index, mix(seed ^ (index as u64).wrapping_mul(0x9e37_79b9)));
+        let outcome = run_plan(index, plan_seed(seed, index));
         if !json {
             print_outcome(&outcome);
         }
@@ -556,6 +562,11 @@ fn socket_smoke() -> (TransportReport, Vec<String>) {
     (sockets.transport, violations)
 }
 
+/// The seed of flat plan `index` in the gauntlet seeded `seed`.
+fn plan_seed(seed: u64, index: usize) -> u64 {
+    mix(seed ^ (index as u64).wrapping_mul(0x9e37_79b9))
+}
+
 /// Runs one randomized plan and checks its class's properties.
 fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
     let class = index % CLASSES.len();
@@ -583,9 +594,8 @@ fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
     // A retained window larger than the workload plus a generous
     // restart budget: recovery replays the full history, which is what
     // makes the class-0 completeness assertion sound.
-    let plan = FaultPlan::random(plan_seed, replicas, 1, updates as u64)
-        .retain_window(4096)
-        .max_restarts(8);
+    let plan =
+        FaultPlan::random(plan_seed, replicas, updates as u64).retain_window(4096).max_restarts(8);
     let lossy = spec.lossy;
     // Alternate the CE evaluation strategy across plans: one shard
     // (workers 0 and 1) and two or three shards with helper threads, so
@@ -625,6 +635,7 @@ fn run_plan(index: usize, plan_seed: u64) -> PlanOutcome {
         transport: report.transport.clone(),
         workers: report.pipeline.workers,
         latency: report.pipeline.latency,
+        displayed: report.displayed.iter().map(|a| (a.cond, a.id)).collect(),
         violations,
     }
 }
@@ -883,7 +894,7 @@ fn print_outcome(o: &PlanOutcome) {
     let verdict = if o.violations.is_empty() { "ok" } else { "VIOLATION" };
     println!(
         "plan {:>3}  {:<24} updates={:<3} replicas={} kills={} restarts={} \
-         severs={} dups={}  {verdict}",
+         severs={} dups={} displayed={}  {verdict}",
         o.index,
         CLASSES[o.class].name,
         o.updates,
@@ -892,6 +903,7 @@ fn print_outcome(o: &PlanOutcome) {
         o.restarts,
         o.transport.severs(),
         o.transport.resent_duplicates(),
+        o.displayed.len(),
     );
     for v in &o.violations {
         println!("          {v}");
@@ -901,6 +913,27 @@ fn print_outcome(o: &PlanOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A flat seed replays exactly: two runs of each of the first ten
+    /// plans at seed 7 (two per class) display the same stream and
+    /// report the same kills, restarts, replays and back-link counters,
+    /// reconnect attempts included, and none reports a violation.
+    #[test]
+    fn flat_plans_replay_exactly() {
+        for index in 0..10 {
+            let first = run_plan(index, plan_seed(7, index));
+            let second = run_plan(index, plan_seed(7, index));
+            assert_eq!(first.displayed, second.displayed, "plan {index}");
+            assert_eq!(
+                (first.kills, first.restarts, first.replayed),
+                (second.kills, second.restarts, second.replayed),
+                "plan {index}"
+            );
+            assert_eq!(first.transport.back_links, second.transport.back_links, "plan {index}");
+            assert!(first.violations.is_empty(), "plan {index}: {:?}", first.violations);
+            assert!(second.violations.is_empty(), "plan {index}: {:?}", second.violations);
+        }
+    }
 
     /// A tree seed replays exactly: two runs of each of the first ten
     /// plans at seed 7 (two per class) report the same counters, and

@@ -26,12 +26,17 @@
 //! * any link surfaced a decode error, or
 //! * the run overshot `--budget-ms` of wall clock.
 //!
+//! The node runs as a deployed `rcm-ce` and `rcm-ad` do: the CE body
+//! runs inside the ingress's `deliver` and the AD-1 filter inside the
+//! listener's `deliver`, both on the loop's thread, as each datagram
+//! or alert is read. The main thread only drives the DM fleet.
+//!
 //! The CE body is an `EvalPipeline` over one always-firing threshold
 //! per active variable, dispatched one update at a time; `--workers W`
-//! (default 0 = evaluated on the main thread) splits it into
-//! `T = min(W, cpus)` shards, `cond_id % T`, one on the main thread and
-//! one on each of `T - 1` helper threads (`cpus`: the CPUs the process
-//! may use), and merges
+//! (default 0 = evaluated on the loop's thread) splits it into
+//! `T = min(W, cpus)` shards, `cond_id % T`, one on the loop's thread
+//! and one on each of `T - 1` helper threads (`cpus`: the CPUs the
+//! process may use), and merges
 //! the alerts back into stream order before the fan-out, so the
 //! gauntlet also exercises sharded evaluation under real sockets. The
 //! report carries the helper count and the pipeline's ingest→emit
@@ -71,7 +76,7 @@ use rcm_json::obj;
 use rcm_net::Backoff;
 use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
 use rcm_sync::atomic::{AtomicU64, Ordering};
-use rcm_sync::Arc;
+use rcm_sync::{Arc, Mutex};
 use rcm_transport::{
     fin_rounds, size_receive_buffer, BackLinkSpec, EventLoop, EventedBackLink, UdpFrontLink,
 };
@@ -171,6 +176,46 @@ impl AlertDrain for FanoutDrain {
     }
 }
 
+/// The CE body: the flat pipeline, or the aggregation tree whose root
+/// alerts fan out at once.
+enum CeBody {
+    Flat(EvalPipeline),
+    Tree(TreeEval, FanoutDrain, Vec<Alert>),
+}
+
+/// The CE, evaluated inside the ingress's `deliver`. The retiring
+/// ingress drops it, which ends the stream and finishes every back
+/// link; a tree leaves its counters in the shared slot.
+struct Ce(Option<CeBody>, Arc<Mutex<Option<TreeStats>>>);
+
+impl Ce {
+    fn ingest(&mut self, update: Update) {
+        match &mut self.0 {
+            Some(CeBody::Flat(pipe)) => pipe.dispatch(update),
+            Some(CeBody::Tree(tree, drain, alerts)) => {
+                tree.ingest(update, alerts);
+                if !alerts.is_empty() {
+                    drain.round(alerts);
+                }
+            }
+            None => {}
+        }
+    }
+}
+
+impl Drop for Ce {
+    fn drop(&mut self) {
+        match self.0.take() {
+            Some(CeBody::Flat(pipe)) => pipe.finish(),
+            Some(CeBody::Tree(tree, mut drain, _)) => {
+                drain.end_of_stream();
+                *self.1.lock() = Some(tree.stats());
+            }
+            None => {}
+        }
+    }
+}
+
 /// Open file descriptors of this process (Linux; 0 elsewhere).
 fn open_fds() -> u64 {
     std::fs::read_dir("/proc/self/fd").map(|d| d.count() as u64).unwrap_or(0)
@@ -230,18 +275,19 @@ fn main() -> ExitCode {
     let idle = opts.budget;
     let mut el = EventLoop::new().expect("event loop");
     let engine_counters = el.counters();
-    let (update_tx, update_rx) = rcm_sync::chan::unbounded();
-    let ingress = el
-        .add_front_ingress(ce_sock, opts.front, idle, move |round| {
-            for u in round.drain(..) {
-                let _ = update_tx.send(u);
-            }
-        })
-        .expect("register ingress");
-    let (alert_tx, alert_rx) = rcm_sync::chan::unbounded();
+
+    // AD body: AD-1 over the merged stream, filtering each alert as the
+    // listener reads it — every emitted alert must survive exactly once.
+    let heard = Arc::new(AtomicU64::new(0));
+    let displayed = Arc::new(AtomicU64::new(0));
+    let (ad_heard, ad_displayed) = (Arc::clone(&heard), Arc::clone(&displayed));
+    let mut filter = Ad1::new();
     let ad = el
-        .add_alert_listener(listener, opts.back, idle, move |a| {
-            let _ = alert_tx.send(a);
+        .add_alert_listener(listener, opts.back, idle, move |alert| {
+            ad_heard.fetch_add(1, Ordering::Relaxed);
+            if filter.offer(&alert).is_deliver() {
+                ad_displayed.fetch_add(1, Ordering::Relaxed);
+            }
         })
         .expect("register listener");
     let mut backs = Vec::with_capacity(opts.back);
@@ -254,6 +300,58 @@ fn main() -> ExitCode {
         back_stats.push(back.counters());
         backs.push(back);
     }
+
+    // CE body: each delivered update fires one always-true threshold
+    // per active variable, and the alert is fanned out on every back
+    // link. The ingress drops the body when it saw all N Fins (or its
+    // idle backstop fired), and that ends the stream. `--workers W`
+    // splits the conditions into `min(W, cpus)` shards, one per thread,
+    // and merges back into stream order before the fan-out.
+    let latency = Arc::new(LatencyHistogram::new());
+    let emitted = Arc::new(AtomicU64::new(0));
+    let drain = FanoutDrain { backs, emitted: Arc::clone(&emitted) };
+    let tree_stats = Arc::new(Mutex::new(None));
+    let mut helpers = 0;
+    let body = if let Some((depth, fanout)) = opts.tree {
+        // Each delivered update goes through the tree as the ingress
+        // hands it over, and the root's alerts fan out at once. Per-var
+        // seqno order holds because the single ingress socket delivers
+        // each link's datagrams in order.
+        let leaves = fanout.pow((depth - 1) as u32).max(1);
+        let mut plan =
+            TreePlan::new(leaves).with_relay_tiers(depth.saturating_sub(2)).with_fanout(fanout);
+        for i in 0..opts.active {
+            let var = VarId::new(i as u32);
+            plan.own(var, i % leaves);
+            plan.add_condition(CondId::new(i as u32), Arc::new(cond::threshold(var, Cmp::Gt, 0.0)))
+                .expect("single-variable condition lands on its owning leaf");
+        }
+        let tree =
+            TreeEval::build(plan, TreeOptions { wire_check: true, ..TreeOptions::default() });
+        CeBody::Tree(tree, drain, Vec::new())
+    } else {
+        let conds: Vec<Arc<dyn Condition>> = (0..opts.active)
+            .map(|i| {
+                Arc::new(cond::threshold(VarId::new(i as u32), Cmp::Gt, 0.0)) as Arc<dyn Condition>
+            })
+            .collect();
+        let pipe = EvalPipeline::start(
+            CeId::new(0),
+            &conds,
+            &PipelineOptions::with_workers(opts.workers),
+            Box::new(drain),
+            Arc::clone(&latency),
+            Arc::new(AtomicU64::new(0)),
+        );
+        helpers = pipe.helpers();
+        CeBody::Flat(pipe)
+    };
+    let mut ce = Ce(Some(body), Arc::clone(&tree_stats));
+    let ingress = el
+        .add_front_ingress(ce_sock, opts.front, idle, move |round| {
+            round.drain(..).for_each(|u| ce.ingest(u));
+        })
+        .expect("register ingress");
     let engine = rcm_sync::thread::spawn(move || el.run());
 
     // The DM fleet: every front link exists (and owns an FD); only the
@@ -275,6 +373,21 @@ fn main() -> ExitCode {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
+    // Sign off once the node caught up (every update read or dropped by
+    // the kernel, every alert heard on every back link): Fins sent into
+    // its backlog would overflow the one CE socket's receive buffer.
+    let sent = opts.active as u64 * opts.updates;
+    while started.elapsed() < opts.budget {
+        let read = ingress.snapshot();
+        let accounted =
+            read.delivered + read.dropped_stale + kernel_drops(&ce_sock_watch).unwrap_or(0);
+        if accounted >= sent
+            && heard.load(Ordering::Relaxed) >= emitted.load(Ordering::Relaxed) * opts.back as u64
+        {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Fin rounds, paced like the updates: every link's Fin lands on the
     // one CE socket, and a round of them back to back overflows its
     // receive buffer (seen: 117 of 2,000 links lost all eight Fins).
@@ -289,76 +402,13 @@ fn main() -> ExitCode {
         open.is_empty()
     });
 
-    // CE body: each delivered update fires one always-true threshold
-    // per active variable, and the alert is fanned out on every back
-    // link. The channel closes when the ingress saw all N Fins (or its
-    // idle backstop fired). `--workers W` splits the conditions into
-    // `min(W, cpus)` shards, one per thread, and merges back into stream
-    // order before the fan-out.
-    let latency = Arc::new(LatencyHistogram::new());
-    let emitted = Arc::new(AtomicU64::new(0));
-    let mut drain = FanoutDrain { backs, emitted: Arc::clone(&emitted) };
-    let mut tree_stats: Option<TreeStats> = None;
-    let mut helpers = 0;
-    if let Some((depth, fanout)) = opts.tree {
-        // Each delivered update goes through the tree as the ingress
-        // hands it over, and the root's alerts fan out at once. Per-var
-        // seqno order holds because the single ingress socket delivers
-        // each link's datagrams in order.
-        let leaves = fanout.pow((depth - 1) as u32).max(1);
-        let mut plan =
-            TreePlan::new(leaves).with_relay_tiers(depth.saturating_sub(2)).with_fanout(fanout);
-        for i in 0..opts.active {
-            let var = VarId::new(i as u32);
-            plan.own(var, i % leaves);
-            plan.add_condition(CondId::new(i as u32), Arc::new(cond::threshold(var, Cmp::Gt, 0.0)))
-                .expect("single-variable condition lands on its owning leaf");
-        }
-        let mut tree =
-            TreeEval::build(plan, TreeOptions { wire_check: true, ..TreeOptions::default() });
-        let mut alerts = Vec::new();
-        while let Ok(update) = update_rx.recv() {
-            tree.ingest(update, &mut alerts);
-            if !alerts.is_empty() {
-                drain.round(&mut alerts);
-            }
-        }
-        drain.end_of_stream();
-        tree_stats = Some(tree.stats());
-    } else {
-        let conds: Vec<Arc<dyn Condition>> = (0..opts.active)
-            .map(|i| {
-                Arc::new(cond::threshold(VarId::new(i as u32), Cmp::Gt, 0.0)) as Arc<dyn Condition>
-            })
-            .collect();
-        let mut pipe = EvalPipeline::start(
-            CeId::new(0),
-            &conds,
-            &PipelineOptions::with_workers(opts.workers),
-            Box::new(drain),
-            Arc::clone(&latency),
-            Arc::new(AtomicU64::new(0)),
-        );
-        helpers = pipe.helpers();
-        while let Ok(update) = update_rx.recv() {
-            pipe.dispatch(update);
-        }
-        pipe.finish();
-    }
-    let emitted = emitted.load(Ordering::Relaxed);
+    // The loop ends once the ingress retired, every back link drained
+    // and the listener saw every Fin.
     engine.join().expect("loop thread");
-
-    // AD body: AD-1 over the merged stream — every emitted alert must
-    // survive exactly once.
-    let mut filter = Ad1::new();
-    let mut heard: u64 = 0;
-    let mut displayed: u64 = 0;
-    while let Ok(alert) = alert_rx.recv() {
-        heard += 1;
-        if filter.offer(&alert).is_deliver() {
-            displayed += 1;
-        }
-    }
+    let emitted = emitted.load(Ordering::Relaxed);
+    let heard = heard.load(Ordering::Relaxed);
+    let displayed = displayed.load(Ordering::Relaxed);
+    let tree_stats = tree_stats.lock().take();
 
     let elapsed = started.elapsed();
     let ingress_stats = ingress.snapshot();

@@ -20,7 +20,7 @@
 //!   `LOOM_MAX_PREEMPTIONS`, `0` = unbounded).
 //! * **Deterministic virtual time** — `time::Instant` reads a virtual
 //!   clock only `thread::sleep` advances, so backoff deadlines and
-//!   severance windows are schedule-stable.
+//!   timeouts are schedule-stable.
 //! * **Deadlock detection** — a state with live but only-blocked
 //!   threads aborts the execution with the offending schedule.
 //! * **Panic replay** — the first failing schedule's choice sequence

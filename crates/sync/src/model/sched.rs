@@ -376,7 +376,7 @@ impl Exec {
     }
 
     /// Advances the virtual clock (a `sleep`). The caller must hold the
-    /// token; severance windows and backoff deadlines expire instantly.
+    /// token; timeouts and backoff deadlines expire instantly.
     pub(crate) fn advance_clock(&self, d: Duration) {
         let mut g = self.lock();
         g.clock = g.clock.saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));

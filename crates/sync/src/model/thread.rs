@@ -56,7 +56,7 @@ impl<T: Send + 'static> JoinHandle<T> {
 }
 
 /// Advances the virtual clock by `d` and yields. Nothing actually
-/// sleeps: modeled deadlines (backoff, severance windows) simply
+/// sleeps: modeled deadlines (backoff, timeouts) simply
 /// expire.
 pub fn sleep(d: Duration) {
     let (exec, me) = current();

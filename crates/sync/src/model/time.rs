@@ -2,7 +2,7 @@
 //!
 //! [`Instant::now`] reads a per-execution nanosecond counter that only
 //! [`thread::sleep`](super::thread::sleep) advances, so timed logic
-//! (backoff schedules, severance windows) is fully deterministic under
+//! (backoff schedules, timeouts) is fully deterministic under
 //! the model: a given schedule always observes the same clock.
 
 use std::time::Duration;

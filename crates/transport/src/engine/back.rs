@@ -4,8 +4,11 @@
 //! follows the [`Outbox`] policy every back link shares: sends while
 //! down wait in a bounded queue, and a reconnect, paced by a seeded
 //! [`Backoff`] schedule, re-sends the unacked tail and then the queue in
-//! order. Every alert is its own `Alert` frame: a back link carries
-//! little traffic, and an alert that waits for company is a late alert.
+//! order. A scripted outage counts sends: until the [`Outbox`] says it
+//! is over (or a finish or abandon ends it), every reconnect attempt
+//! backs off again. Every alert is its own `Alert` frame: a back link
+//! carries little traffic, and an alert that waits for company is a
+//! late alert.
 //!
 //! The socket is nonblocking, and every state a blocking link would sit
 //! in is explicit:
@@ -68,7 +71,7 @@ pub struct BackLinkSpec {
     pub(super) peer: SocketAddr,
     pub(super) node: u32,
     pub(super) backoff: Backoff,
-    pub(super) severs: Vec<(u64, Duration)>,
+    pub(super) severs: Vec<(u64, u64)>,
 }
 
 impl BackLinkSpec {
@@ -77,10 +80,10 @@ impl BackLinkSpec {
         BackLinkSpec { peer, node, backoff, severs: Vec::new() }
     }
 
-    /// Scripts severances as `(at_send, down_for)` pairs; see
+    /// Scripts severances as `(at_send, down_sends)` pairs; see
     /// [`Outbox::new`].
     #[must_use]
-    pub fn with_severs(mut self, severs: Vec<(u64, Duration)>) -> Self {
+    pub fn with_severs(mut self, severs: Vec<(u64, u64)>) -> Self {
         self.severs = severs;
         self
     }
@@ -381,7 +384,9 @@ impl BackSource {
     fn attempt_connect(&mut self, core: &mut Core, id: usize) {
         self.counters.attempts.fetch_add(1, Ordering::SeqCst);
         let now = Instant::now();
-        if self.outbox.outage_holds(now) {
+        // A finish or abandon ends any scripted outage: no send is left
+        // to count it down.
+        if !self.finishing && self.outbox.outage_holds() {
             let delay = self.backoff.next_delay();
             self.schedule_reconnect(core, id, now + delay);
             return;

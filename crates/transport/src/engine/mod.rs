@@ -272,8 +272,8 @@ mod tests {
                 let _ = tx.send(a);
             })
             .expect("register listener");
-        let spec =
-            BackLinkSpec::new(addr, 0, backoff()).with_severs(vec![(1, Duration::from_millis(30))]);
+        // An outage of 10 sends outlasts the stream: the abandon ends it.
+        let spec = BackLinkSpec::new(addr, 0, backoff()).with_severs(vec![(1, 10)]);
         let mut back = el.add_back_link(spec).expect("back link");
         let link_stats = back.counters();
         let engine = rcm_sync::thread::spawn(move || el.run());
@@ -287,6 +287,40 @@ mod tests {
         assert_eq!(ad.snapshot().fins, 1, "the listener still got its end-of-stream marker");
         let sent = link_stats.snapshot();
         assert_eq!((sent.sent, sent.severs, sent.lost_overflow), (1, 1, 0));
+    }
+
+    /// An outage that outlasts the stream ends at `finish`: the link
+    /// reconnects, re-sends its unacked tail, sends what was queued and
+    /// then its Fin. Nothing is lost.
+    #[test]
+    fn finish_ends_an_outage_that_outlasts_the_stream() {
+        let mut el = EventLoop::new().expect("event loop");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (tx, rx) = rcm_sync::chan::unbounded();
+        let ad = el
+            .add_alert_listener(listener, 1, Duration::from_secs(5), move |a| {
+                let _ = tx.send(a);
+            })
+            .expect("register listener");
+        let spec = BackLinkSpec::new(addr, 0, backoff()).with_severs(vec![(3, 100)]);
+        let mut back = el.add_back_link(spec).expect("back link");
+        let link_stats = back.counters();
+        let engine = rcm_sync::thread::spawn(move || el.run());
+
+        for i in 0..5 {
+            back.send_alert(alert(i));
+        }
+        back.finish();
+        let got: Vec<u64> = rx.iter().map(|a| a.id.index).collect();
+        engine.join().expect("loop thread");
+        assert_eq!(got, vec![0, 1, 2, 0, 1, 2, 3, 4], "every alert, the re-sent tail, in order");
+        assert_eq!((ad.snapshot().fins, ad.snapshot().connections), (1, 2));
+        let sent = link_stats.snapshot();
+        assert_eq!(
+            (sent.sent, sent.severs, sent.reconnects, sent.resent_duplicates, sent.lost_overflow),
+            (5, 1, 1, 3, 0)
+        );
     }
 
     /// Send-after-finish is a caller bug the handle absorbs without

@@ -6,8 +6,12 @@
 //! its bytes:
 //!
 //! * a scripted severance (for chaos tests) takes the link down just
-//!   before its `at_send`-th send, for `down_for`; one that lands during
-//!   an outage extends it rather than stacking a second;
+//!   before its `at_send`-th send, for `down_sends` sends: that send and
+//!   the next `down_sends − 1` are queued. One that lands during an
+//!   outage extends it to whichever end is later, rather than stacking
+//!   a second; a flush or finish ends any outage at once. Outages count
+//!   sends, not time, so a run with scripted severances replays from
+//!   its inputs;
 //! * sends while down wait in a FIFO queue of at most
 //!   [`Outbox::QUEUE_CAP`]; overflow drops the oldest and counts it,
 //!   never silently;
@@ -30,7 +34,6 @@
 use std::collections::VecDeque;
 
 use rcm_sync::atomic::{AtomicU64, Ordering};
-use rcm_sync::time::{Duration, Instant};
 use rcm_sync::Arc;
 
 use crate::report::BackLinkStats;
@@ -38,11 +41,12 @@ use crate::report::BackLinkStats;
 /// One back link's sever schedule, resend queue and unacked tail,
 /// generic over the message so the policy is testable without sockets.
 pub struct Outbox<T> {
-    /// Pending severances, ascending by send index: `(at_send, down_for)`.
-    severs: VecDeque<(u64, Duration)>,
+    /// Pending severances, ascending by send index: `(at_send, down_sends)`.
+    severs: VecDeque<(u64, u64)>,
     sends_seen: u64,
-    /// When the scripted outage in force ends, if one is.
-    floor: Option<Instant>,
+    /// The index of the first send past the scripted outage in force,
+    /// if one is.
+    up_at: Option<u64>,
     queue: VecDeque<T>,
     unacked: VecDeque<T>,
     counters: Arc<BackLinkStats<AtomicU64>>,
@@ -65,15 +69,15 @@ impl<T: Clone> Outbox<T> {
     /// How many recently sent messages a reconnect re-sends.
     pub const UNACKED_TAIL: usize = 8;
 
-    /// An outbox scripting `severs` as `(at_send, down_for)` pairs
-    /// (`at_send` counts prior sends, so `(0, d)` severs before the
+    /// An outbox scripting `severs` as `(at_send, down_sends)` pairs
+    /// (`at_send` counts prior sends, so `(0, n)` severs before the
     /// first; the pairs are sorted here), counting into `counters`.
-    pub fn new(mut severs: Vec<(u64, Duration)>, counters: Arc<BackLinkStats<AtomicU64>>) -> Self {
+    pub fn new(mut severs: Vec<(u64, u64)>, counters: Arc<BackLinkStats<AtomicU64>>) -> Self {
         severs.sort_by_key(|&(at, _)| at);
         Outbox {
             severs: severs.into(),
             sends_seen: 0,
-            floor: None,
+            up_at: None,
             queue: VecDeque::new(),
             unacked: VecDeque::new(),
             counters,
@@ -82,25 +86,28 @@ impl<T: Clone> Outbox<T> {
 
     /// Counts one send, about to happen. Returns `true` when a scripted
     /// severance is due before it and the link must go down: the sever
-    /// is counted, and the outage ends no earlier than `down_for` from
-    /// now. The clock is read only then, not on every send.
+    /// is counted, and the outage holds this send and the next
+    /// `down_sends − 1` at least.
     pub fn sever_due(&mut self) -> bool {
         let seen = self.sends_seen;
         self.sends_seen += 1;
-        let Some(&(at, down_for)) = self.severs.front() else { return false };
+        let Some(&(at, down_sends)) = self.severs.front() else { return false };
         if seen < at {
             return false;
         }
         self.severs.pop_front();
-        let until = Instant::now() + down_for;
-        self.floor = Some(self.floor.map_or(until, |floor| floor.max(until)));
+        let up_at = seen.saturating_add(down_sends);
+        self.up_at = Some(self.up_at.map_or(up_at, |end| end.max(up_at)));
         self.counters.severs.fetch_add(1, Ordering::SeqCst);
         true
     }
 
-    /// Whether a scripted outage still forbids reconnecting at `now`.
-    pub fn outage_holds(&self, now: Instant) -> bool {
-        self.floor.is_some_and(|floor| now < floor)
+    /// Whether the send last counted by [`sever_due`](Outbox::sever_due)
+    /// falls inside a scripted outage: the link may not reconnect for it.
+    /// A link that flushes or finishes reconnects regardless: nothing is
+    /// left to count the outage down.
+    pub fn outage_holds(&self) -> bool {
+        self.up_at.is_some_and(|up_at| self.sends_seen <= up_at)
     }
 
     /// Queues a message the link could not send, dropping (and
@@ -129,7 +136,7 @@ impl<T: Clone> Outbox<T> {
     /// then everything queued (`false`), each oldest first. The tail
     /// stays; the queue is now empty.
     pub fn replay(&mut self) -> Vec<(T, bool)> {
-        self.floor = None;
+        self.up_at = None;
         let tail = self.unacked.iter().map(|msg| (msg.clone(), true));
         tail.chain(self.queue.drain(..).map(|msg| (msg, false))).collect()
     }
@@ -173,31 +180,36 @@ impl<T: Clone> Outbox<T> {
 mod tests {
     use super::*;
 
-    fn outbox(severs: Vec<(u64, Duration)>) -> Outbox<u64> {
+    fn outbox(severs: Vec<(u64, u64)>) -> Outbox<u64> {
         Outbox::new(severs, Arc::default())
-    }
-
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
     }
 
     #[test]
     fn a_sever_that_lands_during_an_outage_extends_it() {
-        let mut out = outbox(vec![(2, ms(10)), (0, ms(600)), (1, ms(1200))]);
-        let before = Instant::now();
-        assert!(out.sever_due(), "(0, 600 ms) is due before the first send");
-        let first = Instant::now();
-        assert!(out.outage_holds(before + ms(599)) && !out.outage_holds(first + ms(600)));
-        assert!(out.sever_due(), "(1, 1200 ms) lands during the outage");
-        assert!(out.outage_holds(before + ms(1199)), "it extends the outage");
-        assert!(out.sever_due(), "(2, 10 ms) would end sooner: it shortens nothing");
-        assert!(out.outage_holds(before + ms(1199)));
-        let last = Instant::now();
-        assert!(!out.outage_holds(last + ms(1200)));
-        assert!(!out.sever_due(), "the schedule is spent");
+        let mut out = outbox(vec![(3, 1), (0, 2), (1, 4)]);
+        assert!(out.sever_due(), "(0, 2) is due before send 0");
+        assert!(out.outage_holds(), "send 0 is held");
+        assert!(out.sever_due(), "(1, 4) lands during the outage");
+        assert!(out.outage_holds(), "it extends the outage to send 4");
+        assert!(!out.sever_due() && out.outage_holds(), "send 2 is held");
+        assert!(out.sever_due(), "(3, 1) would end sooner: it shortens nothing");
+        assert!(out.outage_holds(), "send 3 is held");
+        assert!(!out.sever_due() && out.outage_holds(), "send 4 is the last held");
+        assert!(
+            !out.sever_due() && !out.outage_holds(),
+            "(1, 4) held sends 1 to 4: send 5 reconnects"
+        );
         assert_eq!(out.counters.snapshot().severs, 3);
+
+        let mut out = outbox(vec![(1, 0)]);
+        assert!(!out.sever_due());
+        assert!(out.sever_due() && !out.outage_holds(), "zero sends reconnect at once");
+
+        let mut out = outbox(vec![(0, 100)]);
+        assert!(out.sever_due() && out.outage_holds());
         out.replay();
-        assert!(!out.outage_holds(before), "a reconnect ends the outage");
+        assert!(!out.outage_holds(), "a reconnect ends the outage");
+        assert!(!out.sever_due() && !out.outage_holds(), "and it stays ended");
     }
 
     #[test]

@@ -124,7 +124,8 @@ pub struct BackLinkStats<C = u64> {
     pub severs: C,
     /// Successful reconnects (the initial connect is not one).
     pub reconnects: C,
-    /// Connect attempts paced by the backoff schedule.
+    /// Reconnect attempts: over sockets paced by the backoff schedule;
+    /// in-process every attempt is a reconnect.
     pub attempts: C,
     /// Duplicate alerts re-sent from the unacked tail on reconnect.
     pub resent_duplicates: C,
