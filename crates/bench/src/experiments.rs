@@ -12,8 +12,8 @@ use rcm_json::Json;
 use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
 use rcm_sim::availability::{sweep, AvailabilityPoint};
 use rcm_sim::montecarlo::{run_seed, ScenarioKind, Topology};
-use rcm_sim::multicond::{run_multi, MultiCondResult, MultiCondScenario, SharedWorkload};
-use rcm_sim::{run, DelaySpec, LossSpec, Scenario, Spikes, ValueSpec, VarWorkload};
+use rcm_sim::multicond::{run_multi, MultiCondResult, MultiCondScenario};
+use rcm_sim::{run, DelaySpec, LossSpec, Scenario, ValueSpec, VarWorkload};
 
 use crate::executions;
 use crate::record::{col, num, Col, Record, Table};
@@ -149,7 +149,12 @@ pub(crate) fn pda_buffering(runs: u64, seed: u64) -> Record {
                     updates,
                     period: 10,
                     offset: 0,
-                    model: Box::new(Spikes::new(100.0, 5.0, 1000.0, 0.2)),
+                    values: ValueSpec::Spikes {
+                        base: 100.0,
+                        noise: 5.0,
+                        magnitude: 1000.0,
+                        spike_p: 0.2,
+                    },
                 }],
                 front_loss: vec![LossSpec::Bernoulli(0.1)],
                 front_delay: vec![DelaySpec::Constant(1)],
@@ -202,7 +207,7 @@ pub(crate) fn multi_condition_sim(runs: u64, seed: u64) -> Record {
         let scenario = MultiCondScenario {
             conditions: conditions.clone(),
             replicas: 2,
-            workloads: vec![SharedWorkload {
+            workloads: vec![VarWorkload {
                 var: x,
                 updates: 24,
                 period: 10,

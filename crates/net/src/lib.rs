@@ -13,28 +13,33 @@
 //!   buffers alerts anyway, and losing an alert is far worse than
 //!   losing an update.
 //!
-//! This crate provides those links for the discrete-event simulator and
-//! the threaded runtime: composable [`LossModel`]s (including a
-//! Gilbert–Elliott burst-loss model), [`DelayModel`]s, the lossy
-//! in-order [`LossyLink`] and the FIFO lossless [`ReliableLink`]. All
-//! randomness flows through caller-supplied RNGs, so every execution is
-//! replayable from a seed.
+//! This crate holds what the discrete-event simulator and the runtime
+//! share about those links: composable [`LossModel`]s (including a
+//! Gilbert–Elliott burst-loss model), the per-link [`LinkStats`], the
+//! reconnect [`Backoff`], and the seeded [`Rng`] with its [`cases`]
+//! property driver. The simulator's delays and its link horizons live
+//! in `rcm-sim` beside the specs that describe them. All randomness
+//! flows through caller-supplied RNGs, so every execution is replayable
+//! from a seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod backoff;
-mod delay;
-mod link;
 mod loss;
 mod rng;
 
 pub use backoff::Backoff;
-pub use delay::{ConstantDelay, DelayModel, ExponentialDelay, UniformDelay};
-pub use link::{LinkStats, LossyLink, ReliableLink, Transmit};
 pub use loss::{Bernoulli, GilbertElliott, LossModel, Lossless, Scripted};
 pub use rng::{cases, Rng};
 
-/// Simulated time, in abstract ticks.
-pub type Tick = u64;
+/// Counters of one front link: what was handed to it and what its loss
+/// model dropped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkStats {
+    /// Messages handed to the link.
+    pub sent: u64,
+    /// Messages dropped by the loss model.
+    pub dropped: u64,
+}

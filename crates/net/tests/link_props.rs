@@ -1,60 +1,6 @@
-//! Seeded property invariants of the link substrate.
+//! Seeded property invariants of the loss models.
 
-use rcm_net::{
-    cases, Bernoulli, ConstantDelay, GilbertElliott, Lossless, LossyLink, ReliableLink, Rng,
-    Transmit, UniformDelay,
-};
-
-// Each case's own generator draws the inputs and then drives the link.
-
-#[test]
-fn reliable_link_never_reorders() {
-    cases("reliable_link_never_reorders", 128, 98, |rng, size| {
-        let sends: Vec<u64> = (0..1 + rng.below(size + 1)).map(|_| rng.below(5) as u64).collect();
-        let mut link = ReliableLink::new(Box::new(UniformDelay::new(0, rng.below(50) as u64)));
-        let mut now = 0;
-        let mut prev = 0;
-        for gap in sends {
-            now += gap;
-            let at = link.transmit(now, rng);
-            assert!(at >= now);
-            assert!(at >= prev, "reliable link reordered: {at} < {prev}");
-            prev = at;
-        }
-        assert_eq!(link.stats().dropped, 0);
-    });
-}
-
-#[test]
-fn lossy_link_tags_are_strictly_increasing() {
-    cases("lossy_link_tags_are_strictly_increasing", 128, 198, |rng, size| {
-        // A send's tag is its index on the link, `stats().sent` just
-        // before it: each send is counted once, delivered or dropped.
-        let n = 1 + rng.below(size + 1);
-        let p = rng.next_f64();
-        let mut link = LossyLink::new(Box::new(Bernoulli::new(p)), Box::new(ConstantDelay::new(1)));
-        let mut last_tag = None;
-        let mut dropped = 0;
-        for now in 0..n as u64 {
-            let tag = link.stats().sent;
-            match link.transmit(now, rng) {
-                Transmit::DeliverAt { at } => {
-                    assert_eq!(at, now + 1);
-                    if let Some(last) = last_tag {
-                        assert!(tag > last);
-                    }
-                    last_tag = Some(tag);
-                }
-                Transmit::Dropped => dropped += 1,
-            }
-            assert_eq!(link.stats().sent, tag + 1);
-        }
-        let stats = link.stats();
-        assert_eq!(stats.sent, n as u64);
-        assert_eq!(stats.dropped, dropped);
-        assert!(stats.dropped <= stats.sent);
-    });
-}
+use rcm_net::{cases, Bernoulli, GilbertElliott, Lossless, Rng};
 
 #[test]
 fn loss_models_are_deterministic_per_seed() {

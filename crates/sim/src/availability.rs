@@ -19,10 +19,11 @@ use rcm_core::ad::{apply_filter, Ad1};
 use rcm_core::condition::{cond, Cmp};
 use rcm_core::{transduce, Alert, CeId, VarId};
 
+use crate::delay::DelaySpec;
 use crate::engine::run;
 use crate::montecarlo::mix;
-use crate::scenario::{DelaySpec, LossSpec, Outage, Scenario, VarWorkload};
-use crate::workload::Spikes;
+use crate::scenario::{LossSpec, Outage, Scenario, VarWorkload};
+use crate::workload::ValueSpec;
 
 /// Parameters of one availability sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,7 +110,12 @@ pub fn measure(config: AvailabilityConfig) -> AvailabilityPoint {
                 period: 10,
                 offset: 0,
                 // Baseline 100 with ~15% spikes to 1100: crisp alerts.
-                model: Box::new(Spikes::new(100.0, 5.0, 1000.0, 0.15)),
+                values: ValueSpec::Spikes {
+                    base: 100.0,
+                    noise: 5.0,
+                    magnitude: 1000.0,
+                    spike_p: 0.15,
+                },
             }],
             front_loss: vec![LossSpec::Bernoulli(config.link_loss)],
             front_delay: vec![DelaySpec::Constant(1)],

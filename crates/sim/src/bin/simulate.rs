@@ -5,21 +5,23 @@
 //! cat scenario.json | cargo run -p rcm-sim --bin simulate -- - --filter ad4
 //! ```
 //!
-//! The spec format is [`rcm_sim::ScenarioSpec`]; see its documentation
-//! for an example. The tool runs the scenario, applies the chosen AD
-//! algorithm, prints the displayed alerts, and reports the paper's
-//! three properties for the execution.
+//! The spec format is [`rcm_sim::Scenario::from_json`]'s; see its
+//! documentation for an example. The tool runs the scenario, applies
+//! the chosen AD algorithm, prints the displayed alerts, and reports
+//! the paper's three properties for the execution. A spec that cannot
+//! run, or a filter the condition's variable count does not allow,
+//! exits 1 with one `error:` line.
 
 use std::io::Read;
 use std::process::ExitCode;
 
-use rcm_core::ad::apply_filter;
+use rcm_core::ad::{self, apply_filter};
 use rcm_core::condition::Condition;
 use rcm_core::Alert;
 use rcm_json::obj;
 use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
 use rcm_sim::montecarlo::FilterKind;
-use rcm_sim::{run, ScenarioSpec};
+use rcm_sim::{run, Scenario};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -37,19 +39,11 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--filter" => {
                 let Some(name) = args.next() else { return usage() };
-                filter = match name.as_str() {
-                    "pass" => FilterKind::PassThrough,
-                    "ad1" => FilterKind::Ad1,
-                    "ad2" => FilterKind::Ad2,
-                    "ad3" => FilterKind::Ad3,
-                    "ad4" => FilterKind::Ad4,
-                    "ad5" => FilterKind::Ad5,
-                    "ad6" => FilterKind::Ad6,
-                    other => {
-                        eprintln!("unknown filter '{other}'");
-                        return usage();
-                    }
+                let Some(kind) = FilterKind::ALL.into_iter().find(|k| k.name() == name) else {
+                    eprintln!("unknown filter '{name}'");
+                    return usage();
                 };
+                filter = kind;
             }
             "--json" => json = true,
             _ if path.is_none() => path = Some(arg),
@@ -75,24 +69,20 @@ fn main() -> ExitCode {
         }
     };
 
-    let spec = match rcm_json::parse(&text).and_then(|j| ScenarioSpec::from_json(&j)) {
-        Ok(s) => s,
+    let (scenario, registry) = match rcm_json::parse(&text).and_then(|j| Scenario::from_json(&j)) {
+        Ok(read) => read,
         Err(e) => {
             eprintln!("error: bad scenario spec: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let (scenario, registry) = match spec.build() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let condition = scenario.condition.clone();
     let vars = condition.variables();
+    let Some(mut ad) = ad::by_name(filter.name(), &vars) else {
+        eprintln!("error: filter '{}' unavailable for this variable count", filter.name());
+        return ExitCode::FAILURE;
+    };
     let result = run(scenario);
-    let mut ad = filter.build(&vars);
     let displayed = apply_filter(&mut *ad, &result.arrivals);
 
     let ordered = check_ordered(&displayed, &vars).ok;

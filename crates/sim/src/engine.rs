@@ -1,12 +1,13 @@
 //! The simulation engine: wires DMs, CEs and the AD over simulated
 //! links and runs the event loop to completion.
 
-use rcm_core::{Alert, CeId, CondId, Condition, ConditionRegistry, Update, VarId};
-use rcm_net::{LossyLink, ReliableLink, Rng, Transmit};
+use rcm_core::{Alert, CeId, CondId, ConditionRegistry, Update};
+use rcm_net::{LossModel, Rng};
 use rcm_transport::SeqGate;
 
-use crate::event::EventQueue;
+use crate::event::{EventQueue, SimTime};
 use crate::scenario::Scenario;
+use crate::workload::ValueState;
 
 /// Aggregate counters of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -91,23 +92,15 @@ enum Ev {
 ///
 /// # Panics
 ///
-/// Panics if the scenario is malformed: zero replicas, a workload for
-/// a variable outside the condition's variable set, two workloads for
-/// one variable, or empty spec lists.
+/// Panics if the scenario is malformed, with the message
+/// [`Scenario::from_json`] would return for it: zero replicas, a
+/// workload for a variable outside the condition's variable set, two
+/// workloads for one variable, a spec out of its bounds, a bad outage
+/// or overlapping AD outages. An empty spec list that a link needs
+/// panics too (`from_json` fills in the defaults instead).
 pub fn run(scenario: Scenario) -> RunResult {
-    assert!(scenario.replicas >= 1, "need at least one replica");
-    let vars: Vec<VarId> = scenario.condition.variables();
-    for (i, w) in scenario.workloads.iter().enumerate() {
-        assert!(
-            vars.contains(&w.var),
-            "workload variable {} not in the condition's variable set",
-            w.var
-        );
-        assert!(
-            scenario.workloads[..i].iter().all(|v| v.var != w.var),
-            "two workloads for variable {}",
-            w.var
-        );
+    if let Err(why) = scenario.check() {
+        panic!("{why}");
     }
     let n_ce = scenario.replicas;
     let n_var = scenario.workloads.len();
@@ -120,25 +113,31 @@ pub fn run(scenario: Scenario) -> RunResult {
     let mut rng = Rng::seed_from_u64(scenario.seed ^ scenario.link_salt.rotate_left(17) ^ 0x11a5);
     let mut queue: EventQueue<Ev> = EventQueue::new();
 
-    // Component state. Everything reading `&scenario` is built first;
-    // the owned fields (workloads, AD outages) are then
-    // moved out rather than cloned.
-    let mut front_links: Vec<LossyLink> = (0..n_var * n_ce)
-        .map(|i| {
-            let (v, c) = (i / n_ce, i % n_ce);
-            LossyLink::new(
-                scenario.front_loss_for(v, c).build(),
-                scenario.front_delay_for(v, c).build(),
-            )
-        })
-        .collect();
+    // Front links: one live loss model per (variable, replica) link;
+    // each send draws its loss first and then, if kept, its delay.
+    let mut front_loss: Vec<Box<dyn LossModel>> =
+        (0..n_var * n_ce).map(|i| scenario.front_loss_for(i / n_ce, i % n_ce).build()).collect();
     // One seqno gate per replica, as a deployed CE has: the k-th send
     // on a front link carries its variable's k-th update (each emit
     // sends once per replica), so admitting only seqnos that advance
     // turns overtaking in flight into loss.
     let mut gates: Vec<SeqGate> = vec![SeqGate::new(); n_ce];
-    let mut back_links: Vec<ReliableLink> =
-        (0..n_ce).map(|c| ReliableLink::new(scenario.back_delay_for(c).build())).collect();
+    // Back links are reliable and FIFO: each replica's alert arrives at
+    // `max(up(now + delay), previous arrival)`, where `up` moves a time
+    // inside an AD outage to the outage's end (the link buffers while
+    // the AD is off), so no alert overtakes an earlier one.
+    let mut horizons: Vec<SimTime> = vec![0; n_ce];
+    let ad_windows = scenario.ad_windows();
+    let up = |mut t: SimTime| {
+        // Sorted and disjoint: a window ending at `t` is followed by
+        // any window starting at `t`.
+        for &(from, to) in &ad_windows {
+            if from <= t && t < to {
+                t = to;
+            }
+        }
+        t
+    };
     let mut down = vec![false; n_ce];
 
     // Each replica is the deployed Condition Evaluator: a registry
@@ -152,7 +151,8 @@ pub fn run(scenario: Scenario) -> RunResult {
         .collect();
 
     // Workload state.
-    let mut models = scenario.workloads;
+    let mut values: Vec<ValueState> =
+        scenario.workloads.iter().map(|w| ValueState::new(&w.values)).collect();
     let mut next_seqno: Vec<u64> = vec![0; n_var];
 
     // Outputs. Arrivals are logged as `(ce, idx)` references into
@@ -164,29 +164,13 @@ pub fn run(scenario: Scenario) -> RunResult {
     let mut arrival_times: Vec<(u64, u64)> = Vec::new();
     let mut stats = RunStats::default();
 
-    // Normalize AD outage windows: sorted, validated.
-    let mut ad_outages = scenario.ad_outages;
-    ad_outages.sort_unstable();
-    for w in ad_outages.windows(2) {
-        assert!(w[0].1 <= w[1].0, "AD outage windows must not overlap");
-    }
-    for &(from, to) in &ad_outages {
-        assert!(from <= to, "AD outage window inverted");
-    }
-    // If the AD is down at `t`, the end of the containing window.
-    let ad_up_at = |t: u64| -> Option<u64> {
-        ad_outages.iter().find(|&&(from, to)| from <= t && t < to).map(|&(_, to)| to)
-    };
-
     // Schedule emissions and outages.
-    for (vi, w) in models.iter().enumerate() {
+    for (vi, w) in scenario.workloads.iter().enumerate() {
         for i in 0..w.updates {
             queue.schedule(w.offset + i * w.period, Ev::Emit { var_index: vi });
         }
     }
     for o in &scenario.outages {
-        assert!(o.ce < n_ce, "outage names replica {} of {n_ce}", o.ce);
-        assert!(o.from <= o.to, "outage window inverted");
         queue.schedule(o.from, Ev::CrashStart { ce: o.ce });
         queue.schedule(o.to, Ev::CrashEnd { ce: o.ce });
     }
@@ -194,20 +178,19 @@ pub fn run(scenario: Scenario) -> RunResult {
     while let Some((now, ev)) = queue.pop() {
         match ev {
             Ev::Emit { var_index } => {
-                let w = &mut models[var_index];
+                let w = &scenario.workloads[var_index];
                 next_seqno[var_index] += 1;
-                let value = w.model.next(&mut values_rng);
+                let value = values[var_index].next(&w.values, &mut values_rng);
                 let update = Update::new(w.var, next_seqno[var_index], value);
                 emitted.push(update);
                 stats.updates_emitted += 1;
                 for ce in 0..n_ce {
-                    let link = &mut front_links[var_index * n_ce + ce];
-                    match link.transmit(now, &mut rng) {
-                        Transmit::Dropped => stats.updates_lost += 1,
-                        Transmit::DeliverAt { at } => {
-                            queue.schedule(at, Ev::DeliverUpdate { ce, update })
-                        }
+                    if front_loss[var_index * n_ce + ce].drops(&mut rng) {
+                        stats.updates_lost += 1;
+                        continue;
                     }
+                    let at = now + scenario.front_delay_for(var_index, ce).sample(&mut rng);
+                    queue.schedule(at, Ev::DeliverUpdate { ce, update });
                 }
             }
             Ev::DeliverUpdate { ce, update } => {
@@ -225,21 +208,15 @@ pub fn run(scenario: Scenario) -> RunResult {
                 stats.updates_ingested += 1;
                 for idx in raised..ce_outputs[ce].len() {
                     stats.alerts_emitted += 1;
-                    let at = back_links[ce].transmit(now, &mut rng);
+                    let delay = scenario.back_delay_for(ce).sample(&mut rng);
+                    let at = up(now + delay).max(horizons[ce]);
+                    horizons[ce] = at;
                     queue.schedule(at, Ev::DeliverAlert { ce, idx, sent_at: now });
                 }
             }
             Ev::DeliverAlert { ce, idx, sent_at } => {
-                // Powered-off PDA: the reliable back link buffers the
-                // alert and redelivers when the AD comes back. Same-tick
-                // redeliveries keep their relative (FIFO) order through
-                // the queue's insertion-order tie-break.
-                if let Some(up_at) = ad_up_at(now) {
-                    queue.schedule(up_at, Ev::DeliverAlert { ce, idx, sent_at });
-                } else {
-                    arrival_times.push((sent_at, now));
-                    arrival_log.push((ce, idx));
-                }
+                arrival_times.push((sent_at, now));
+                arrival_log.push((ce, idx));
             }
             Ev::CrashStart { ce } => {
                 down[ce] = true;
@@ -260,9 +237,11 @@ pub fn run(scenario: Scenario) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{DelaySpec, LossSpec, Outage, VarWorkload};
-    use crate::workload::Scripted;
+    use crate::delay::DelaySpec;
+    use crate::scenario::{LossSpec, Outage, VarWorkload};
+    use crate::workload::ValueSpec;
     use rcm_core::condition::{cond, Cmp};
+    use rcm_core::VarId;
     use std::sync::Arc;
 
     fn x() -> VarId {
@@ -278,7 +257,7 @@ mod tests {
                 updates: 3,
                 period: 10,
                 offset: 0,
-                model: Box::new(Scripted::new(vec![2900.0, 3100.0, 3200.0])),
+                values: ValueSpec::Scripted(vec![2900.0, 3100.0, 3200.0]),
             }],
             front_loss: vec![LossSpec::Lossless],
             front_delay: vec![DelaySpec::Constant(1)],
@@ -378,7 +357,8 @@ mod tests {
     #[should_panic(expected = "two workloads")]
     fn two_workloads_for_one_variable_rejected() {
         let mut sc = base_scenario(4);
-        let twin = VarWorkload { model: Box::new(Scripted::new(vec![1.0])), ..sc.workloads[0] };
+        let twin =
+            VarWorkload { values: ValueSpec::Scripted(vec![1.0]), ..sc.workloads[0].clone() };
         sc.workloads.push(twin);
         run(sc);
     }
@@ -400,6 +380,36 @@ mod tests {
             assert!(arrived > sent);
         }
         assert!(r.mean_alert_latency() > 50.0);
+    }
+
+    #[test]
+    fn the_back_link_stays_fifo_across_an_ad_outage() {
+        // Alert 1 is sent at 1 and would arrive at 2, inside the
+        // outage; alert 2 is sent at 2 and arrives at 3, the outage's
+        // end. Both arrive at 3, in the order they were sent.
+        let mut sc = base_scenario(15);
+        sc.condition = Arc::new(cond::threshold(x(), Cmp::Gt, -1.0));
+        sc.replicas = 1;
+        sc.workloads[0].updates = 2;
+        sc.workloads[0].period = 1;
+        sc.ad_outages = vec![(0, 3)];
+        let r = run(sc);
+        let seqs = |alerts: &[Alert]| -> Vec<u64> {
+            alerts.iter().map(|a| a.seqno(x()).unwrap().get()).collect()
+        };
+        assert_eq!(seqs(&r.ce_outputs[0]), [1, 2]);
+        assert_eq!(seqs(&r.arrivals), [1, 2]);
+        assert_eq!(r.arrival_times, [(1, 3), (2, 3)]);
+    }
+
+    #[test]
+    fn an_alert_landing_where_one_outage_ends_and_the_next_begins_waits_for_both() {
+        let mut sc = base_scenario(16);
+        sc.replicas = 1;
+        sc.ad_outages = vec![(15, 30), (5, 15)];
+        let r = run(sc);
+        // Alerts sent at 11 and 21 would arrive at 12 and 22.
+        assert_eq!(r.arrival_times, [(11, 30), (21, 30)]);
     }
 
     #[test]

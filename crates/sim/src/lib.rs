@@ -7,7 +7,11 @@
 //! Displayer receiving the replicas' alert streams over reliable FIFO
 //! back links. Every run is a pure function of its [`Scenario`]
 //! (including the seed), so any property violation found by the
-//! Monte-Carlo harness is replayable.
+//! Monte-Carlo harness is replayable. A scenario is plain data: each
+//! model — loss ([`LossSpec`]), delay ([`DelaySpec`]), values
+//! ([`ValueSpec`]) — is described once, by its spec, which the engine
+//! samples directly and [`Scenario::from_json`] reads from scenario
+//! files.
 //!
 //! The [`montecarlo`] module regenerates the paper's Tables 1–3 (and
 //! the AD-3/AD-4/AD-6 variants described in prose): for each scenario
@@ -31,6 +35,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod availability;
+mod delay;
 mod engine;
 mod event;
 pub mod montecarlo;
@@ -41,8 +46,8 @@ mod scenario;
 mod spec;
 mod workload;
 
+pub use delay::DelaySpec;
 pub use engine::{run, RunResult, RunStats};
 pub use event::{EventQueue, SimTime};
-pub use scenario::{DelaySpec, LossSpec, Outage, Scenario, VarWorkload};
-pub use spec::{ScenarioSpec, WorkloadSpec};
-pub use workload::{RandomWalk, Scripted, SineNoise, Spikes, ValueModel, ValueSpec};
+pub use scenario::{LossSpec, Outage, Scenario, VarWorkload};
+pub use workload::ValueSpec;

@@ -16,16 +16,17 @@
 
 use std::sync::Arc;
 
-use rcm_core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, Ad5, Ad6, AlertFilter, PassThrough};
+use rcm_core::ad::{self, apply_filter, AlertFilter};
 use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, VarId};
 use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
 
+use crate::delay::DelaySpec;
 use crate::engine::{run, RunResult};
 use crate::report::{Matrix, MatrixCell, MatrixRow};
-use crate::scenario::{DelaySpec, LossSpec, Scenario, VarWorkload};
-use crate::workload::RandomWalk;
+use crate::scenario::{LossSpec, Scenario, VarWorkload};
+use crate::workload::ValueSpec;
 
 /// The four scenario classes of Tables 1–3, in row order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,6 +94,17 @@ pub enum FilterKind {
 }
 
 impl FilterKind {
+    /// Every kind, pass-through first, then AD-1 to AD-6.
+    pub const ALL: [FilterKind; 7] = [
+        FilterKind::PassThrough,
+        FilterKind::Ad1,
+        FilterKind::Ad2,
+        FilterKind::Ad3,
+        FilterKind::Ad4,
+        FilterKind::Ad5,
+        FilterKind::Ad6,
+    ];
+
     /// Display name ("AD-1", …).
     pub fn label(self) -> &'static str {
         match self {
@@ -106,31 +118,30 @@ impl FilterKind {
         }
     }
 
-    /// Builds a fresh filter instance for a condition over `vars`.
+    /// The name `simulate --filter`, `rcm-ad` and `rcm-monitor` know
+    /// the filter by ("ad1", …), as [`ad::by_name`] reads it.
+    pub fn name(self) -> &'static str {
+        match self {
+            FilterKind::PassThrough => "pass",
+            FilterKind::Ad1 => "ad1",
+            FilterKind::Ad2 => "ad2",
+            FilterKind::Ad3 => "ad3",
+            FilterKind::Ad4 => "ad4",
+            FilterKind::Ad5 => "ad5",
+            FilterKind::Ad6 => "ad6",
+        }
+    }
+
+    /// Builds a fresh filter instance for a condition over `vars`,
+    /// through [`ad::by_name`].
     ///
     /// # Panics
     ///
     /// Panics when a single-variable algorithm (AD-2/3/4) is built for
     /// a multi-variable set.
     pub fn build(self, vars: &[VarId]) -> Box<dyn AlertFilter> {
-        match self {
-            FilterKind::PassThrough => Box::new(PassThrough::new()),
-            FilterKind::Ad1 => Box::new(Ad1::new()),
-            FilterKind::Ad2 => {
-                assert_eq!(vars.len(), 1, "AD-2 is single-variable");
-                Box::new(Ad2::new(vars[0]))
-            }
-            FilterKind::Ad3 => {
-                assert_eq!(vars.len(), 1, "AD-3 is single-variable");
-                Box::new(Ad3::new([vars[0]]))
-            }
-            FilterKind::Ad4 => {
-                assert_eq!(vars.len(), 1, "AD-4 is single-variable");
-                Box::new(Ad4::new(vars[0]))
-            }
-            FilterKind::Ad5 => Box::new(Ad5::new(vars.iter().copied())),
-            FilterKind::Ad6 => Box::new(Ad6::new(vars.iter().copied())),
-        }
+        ad::by_name(self.name(), vars)
+            .unwrap_or_else(|| panic!("{} is single-variable", self.label()))
     }
 }
 
@@ -260,7 +271,7 @@ pub fn build_scenario_n(
             updates,
             period,
             offset: (vi as u64) * 3 + mix(seed ^ (0x55 + vi as u64)) % 4,
-            model: Box::new(RandomWalk::new(100.0, 25.0, 0.0, 200.0)),
+            values: ValueSpec::RandomWalk { start: 100.0, step: 25.0, lo: 0.0, hi: 200.0 },
         })
         .collect();
 
@@ -643,6 +654,20 @@ mod tests {
             assert!(!f.name().is_empty());
         }
         assert_eq!(FilterKind::Ad1.label(), "AD-1");
+    }
+
+    #[test]
+    fn filter_kinds_are_named_as_by_name_reads_them() {
+        assert_eq!(
+            FilterKind::ALL.map(FilterKind::name),
+            ["pass", "ad1", "ad2", "ad3", "ad4", "ad5", "ad6"]
+        );
+        for kind in FilterKind::ALL {
+            let built =
+                ad::by_name(kind.name(), &[x()]).expect("every filter runs on one variable");
+            assert_eq!(kind.build(&[x()]).name(), built.name(), "{}", kind.label());
+        }
+        assert_eq!(FilterKind::Ad6.build(&[x(), y()]).name(), "AD-6");
     }
 
     #[test]

@@ -19,27 +19,11 @@ use std::sync::Arc;
 
 use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::Condition;
-use rcm_core::{Alert, CondId, VarId};
+use rcm_core::{Alert, CondId};
 
+use crate::delay::DelaySpec;
 use crate::engine::{run, RunResult};
-use crate::event::SimTime;
-use crate::scenario::{DelaySpec, LossSpec, Scenario, VarWorkload};
-use crate::workload::ValueSpec;
-
-/// One shared Data Monitor description (rebuildable per condition run).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharedWorkload {
-    /// The monitored variable.
-    pub var: VarId,
-    /// Number of updates emitted.
-    pub updates: u64,
-    /// Ticks between emissions.
-    pub period: SimTime,
-    /// Tick of the first emission.
-    pub offset: SimTime,
-    /// Value process specification.
-    pub values: ValueSpec,
-}
+use crate::scenario::{LossSpec, Scenario, VarWorkload};
 
 /// A multi-condition scenario: shared DMs, one replicated CE group per
 /// condition.
@@ -52,7 +36,7 @@ pub struct MultiCondScenario {
     /// Shared Data Monitors. Every variable used by any condition must
     /// appear here; each condition's CEs subscribe to the subset they
     /// need.
-    pub workloads: Vec<SharedWorkload>,
+    pub workloads: Vec<VarWorkload>,
     /// Front-link loss spec (uniform across links).
     pub front_loss: LossSpec,
     /// Front-link delay spec.
@@ -102,18 +86,8 @@ pub fn run_multi(scenario: &MultiCondScenario) -> MultiCondResult {
 
     for (ci, condition) in scenario.conditions.iter().enumerate() {
         let vars = condition.variables();
-        let workloads: Vec<VarWorkload> = scenario
-            .workloads
-            .iter()
-            .filter(|w| vars.contains(&w.var))
-            .map(|w| VarWorkload {
-                var: w.var,
-                updates: w.updates,
-                period: w.period,
-                offset: w.offset,
-                model: w.values.build(),
-            })
-            .collect();
+        let workloads: Vec<VarWorkload> =
+            scenario.workloads.iter().filter(|w| vars.contains(&w.var)).cloned().collect();
         for v in &vars {
             assert!(
                 workloads.iter().any(|w| w.var == *v),
@@ -162,6 +136,9 @@ mod tests {
     use rcm_core::condition::{cond, Cmp};
     use rcm_props::{check_consistent_multi, check_ordered};
 
+    use crate::workload::ValueSpec;
+    use rcm_core::VarId;
+
     fn x() -> VarId {
         VarId::new(0)
     }
@@ -173,7 +150,7 @@ mod tests {
                 Arc::new(cond::delta_rise(x(), 15.0)),
             ],
             replicas: 2,
-            workloads: vec![SharedWorkload {
+            workloads: vec![VarWorkload {
                 var: x(),
                 updates: 30,
                 period: 10,

@@ -1,23 +1,24 @@
-//! Scenario descriptions: everything a simulation run depends on.
+//! Scenario descriptions: everything a simulation run depends on, as
+//! plain data. Each model is described once, by its spec; the engine
+//! samples the specs directly, and [`Scenario::from_json`] reads the
+//! same specs from scenario files.
 
-use std::fmt;
 use std::sync::Arc;
 
 use rcm_core::condition::expr::CompiledCondition;
 use rcm_core::condition::Condition;
 use rcm_core::VarId;
 use rcm_json::Json;
-use rcm_net::{
-    Bernoulli, ConstantDelay, DelayModel, ExponentialDelay, GilbertElliott, LossModel, Lossless,
-    UniformDelay,
-};
+use rcm_net::{Bernoulli, GilbertElliott, LossModel, Lossless};
 
+use crate::delay::DelaySpec;
 use crate::event::SimTime;
 use crate::spec::bad_variant;
-use crate::workload::ValueModel;
+use crate::workload::ValueSpec;
 
 /// Loss-model specification; [`LossSpec::build`] turns it into a live
-/// model (one instance per front link).
+/// model (one instance per front link), the form the runtime's front
+/// links share.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LossSpec {
     /// Never drop ([`Lossless`]).
@@ -39,6 +40,12 @@ pub enum LossSpec {
 
 impl LossSpec {
     /// Instantiates the model.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a probability or target rate outside `[0, 1]` or a
+    /// burst length below 1 (see [`Scenario::from_json`] for the
+    /// checked path).
     pub fn build(&self) -> Box<dyn LossModel> {
         match self {
             LossSpec::Lossless => Box::new(Lossless),
@@ -50,6 +57,21 @@ impl LossSpec {
                 Box::new(rcm_net::Scripted::new(positions.iter().copied()))
             }
         }
+    }
+
+    /// Why [`build`](Self::build) would refuse the spec, if it would.
+    fn check(&self) -> Result<(), &'static str> {
+        let (holds, why) = match self {
+            LossSpec::Bernoulli(p) => {
+                ((0.0..=1.0).contains(p), "loss probability must be in [0, 1]")
+            }
+            LossSpec::Burst { target, burst_len } => match *burst_len >= 1.0 {
+                true => ((0.0..=1.0).contains(target), "burst target rate must be in [0, 1]"),
+                false => (false, "burst length must be at least 1"),
+            },
+            LossSpec::Lossless | LossSpec::Scripted(_) => (true, ""),
+        };
+        holds.then_some(()).ok_or(why)
     }
 
     /// Reads `"Lossless"`, `{"Bernoulli": p}`,
@@ -70,52 +92,9 @@ impl LossSpec {
     }
 }
 
-/// Delay-model specification.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DelaySpec {
-    /// Fixed delay.
-    Constant(u64),
-    /// Uniform delay in `[min, max]`.
-    Uniform(u64, u64),
-    /// Base plus geometric tail with the given mean.
-    Exponential {
-        /// Fixed component.
-        base: u64,
-        /// Mean of the random tail.
-        mean: f64,
-    },
-}
-
-impl DelaySpec {
-    /// Instantiates the model.
-    pub fn build(&self) -> Box<dyn DelayModel> {
-        match self {
-            DelaySpec::Constant(t) => Box::new(ConstantDelay::new(*t)),
-            DelaySpec::Uniform(lo, hi) => Box::new(UniformDelay::new(*lo, *hi)),
-            DelaySpec::Exponential { base, mean } => Box::new(ExponentialDelay::new(*base, *mean)),
-        }
-    }
-
-    /// Reads `{"Constant": t}`, `{"Uniform": [min, max]}` or
-    /// `{"Exponential": {"base":…,"mean":…}}`.
-    pub(crate) fn from_json(j: &Json) -> rcm_json::Result<Self> {
-        Ok(match j.variant()? {
-            ("Constant", Some(t)) => DelaySpec::Constant(t.u64()?),
-            ("Uniform", Some(range)) => match range.arr()? {
-                [lo, hi] => DelaySpec::Uniform(lo.u64()?, hi.u64()?),
-                _ => return Err(bad_variant("Uniform")),
-            },
-            ("Exponential", Some(e)) => DelaySpec::Exponential {
-                base: e.field("base")?.u64()?,
-                mean: e.field("mean")?.f64()?,
-            },
-            (name, _) => return Err(bad_variant(name)),
-        })
-    }
-}
-
 /// One Data Monitor's workload: how many updates it emits, how often,
 /// and the value process driving it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarWorkload {
     /// The monitored variable.
     pub var: VarId,
@@ -125,21 +104,8 @@ pub struct VarWorkload {
     pub period: SimTime,
     /// Tick of the first emission.
     pub offset: SimTime,
-    /// Value process (boxed; constructed fresh per run from the
-    /// scenario builder).
-    pub model: Box<dyn ValueModel>,
-}
-
-impl fmt::Debug for VarWorkload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VarWorkload")
-            .field("var", &self.var)
-            .field("updates", &self.updates)
-            .field("period", &self.period)
-            .field("offset", &self.offset)
-            .field("model", &self.model)
-            .finish()
-    }
+    /// The value process.
+    pub values: ValueSpec,
 }
 
 /// A Condition Evaluator outage: the replica is down during
@@ -172,6 +138,7 @@ impl Outage {
 /// per `(variable, replica)` pair — index `var_index * replicas + ce` —
 /// falling back to the last entry when fewer specs than links are
 /// given (so a single entry configures every link uniformly).
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// The monitored condition.
     pub condition: Arc<CompiledCondition>,
@@ -205,24 +172,63 @@ pub struct Scenario {
     pub link_salt: u64,
 }
 
-impl fmt::Debug for Scenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Scenario")
-            .field("condition", &self.condition.name())
-            .field("replicas", &self.replicas)
-            .field("workloads", &self.workloads)
-            .field("front_loss", &self.front_loss)
-            .field("front_delay", &self.front_delay)
-            .field("back_delay", &self.back_delay)
-            .field("outages", &self.outages)
-            .field("ad_outages", &self.ad_outages)
-            .field("seed", &self.seed)
-            .field("link_salt", &self.link_salt)
-            .finish()
-    }
-}
-
 impl Scenario {
+    /// Why [`run`](crate::run) cannot run the scenario, if it cannot,
+    /// naming the field at fault.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let at = |field: &str, i: usize, why: &str| format!("{field}[{i}]: {why}");
+        if self.replicas == 0 {
+            return Err("replicas: need at least one replica".into());
+        }
+        let vars = self.condition.variables();
+        for (i, w) in self.workloads.iter().enumerate() {
+            if !vars.contains(&w.var) {
+                let why =
+                    format!("workload variable {} not in the condition's variable set", w.var);
+                return Err(at("workloads", i, &why));
+            }
+            if self.workloads[..i].iter().any(|v| v.var == w.var) {
+                return Err(at("workloads", i, &format!("two workloads for variable {}", w.var)));
+            }
+            w.values.check().map_err(|why| at("workloads", i, &format!("values: {why}")))?;
+        }
+        for (i, loss) in self.front_loss.iter().enumerate() {
+            loss.check().map_err(|why| at("front_loss", i, why))?;
+        }
+        for (field, delays) in
+            [("front_delay", &self.front_delay), ("back_delay", &self.back_delay)]
+        {
+            for (i, delay) in delays.iter().enumerate() {
+                delay.check().map_err(|why| at(field, i, why))?;
+            }
+        }
+        for (i, o) in self.outages.iter().enumerate() {
+            if o.ce >= self.replicas {
+                let why = format!("outage names replica {} of {}", o.ce, self.replicas);
+                return Err(at("outages", i, &why));
+            }
+            if o.from > o.to {
+                return Err(at("outages", i, "outage window inverted"));
+            }
+        }
+        for (i, &(from, to)) in self.ad_outages.iter().enumerate() {
+            if from > to {
+                return Err(at("ad_outages", i, "AD outage window inverted"));
+            }
+        }
+        if self.ad_windows().windows(2).any(|w| w[0].1 > w[1].0) {
+            return Err("ad_outages: AD outage windows must not overlap".into());
+        }
+        Ok(())
+    }
+
+    /// The AD outage windows in time order.
+    pub(crate) fn ad_windows(&self) -> Vec<(SimTime, SimTime)> {
+        let mut windows = self.ad_outages.clone();
+        windows.sort_unstable();
+        windows
+    }
+
     /// The loss spec for the front link from `var_index`'s DM to
     /// replica `ce`.
     pub(crate) fn front_loss_for(&self, var_index: usize, ce: usize) -> &LossSpec {
@@ -241,8 +247,7 @@ impl Scenario {
 }
 
 fn pick<T>(list: &[T], index: usize) -> &T {
-    assert!(!list.is_empty(), "scenario spec lists must not be empty");
-    list.get(index).unwrap_or_else(|| list.last().expect("non-empty"))
+    list.get(index).or(list.last()).expect("scenario spec lists must not be empty")
 }
 
 #[cfg(test)]
@@ -250,19 +255,23 @@ mod tests {
     use super::*;
     use rcm_net::Rng;
 
+    fn rng(seed: u64) -> Rng {
+        Rng::seed_from_u64(seed)
+    }
+
     #[test]
     fn specs_build_models() {
-        let mut r = Rng::seed_from_u64(0);
+        let mut r = rng(0);
         assert!(!LossSpec::Lossless.build().drops(&mut r));
         assert!(LossSpec::Bernoulli(1.0).build().drops(&mut r));
         let mut scripted = LossSpec::Scripted(vec![0]).build();
         assert!(scripted.drops(&mut r));
         assert!(!scripted.drops(&mut r));
         let _ = LossSpec::Burst { target: 0.1, burst_len: 4.0 }.build();
-        assert_eq!(DelaySpec::Constant(5).build().sample(&mut r), 5);
-        let d = DelaySpec::Uniform(1, 3).build().sample(&mut r);
+        assert_eq!(DelaySpec::Constant(5).sample(&mut r), 5);
+        let d = DelaySpec::Uniform(1, 3).sample(&mut r);
         assert!((1..=3).contains(&d));
-        let _ = DelaySpec::Exponential { base: 1, mean: 4.0 }.build();
+        assert!(DelaySpec::Exponential { base: 1, mean: 4.0 }.sample(&mut r) >= 1);
     }
 
     #[test]

@@ -7,158 +7,20 @@
 //! sequence numbers, loss and interleavings, never on sensor physics
 //! (see DESIGN.md's substitution notes).
 
-use std::fmt;
-
 use rcm_json::Json;
 use rcm_net::Rng;
 
-/// Generates the value snapshot for each successive update of one
-/// variable.
-pub trait ValueModel: fmt::Debug + Send {
-    /// Produces the next reading.
-    fn next(&mut self, rng: &mut Rng) -> f64;
-}
-
-/// A bounded random walk: each reading moves by a uniform step in
-/// `[-step, step]`, clamped to `[lo, hi]`.
-///
-/// Tuned so delta conditions (`c2`/`c3`) trigger on a healthy fraction
-/// of updates: a walk with `step = 2δ` crosses a `δ` rise roughly a
-/// quarter of the time.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomWalk {
-    value: f64,
-    step: f64,
-    lo: f64,
-    hi: f64,
-}
-
-impl RandomWalk {
-    /// Creates a walk starting at `start`, stepping ±`step`, clamped to
-    /// `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or `step` is not finite and positive.
-    pub fn new(start: f64, step: f64, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "bounds must satisfy lo <= hi");
-        assert!(step > 0.0 && step.is_finite(), "step must be positive");
-        RandomWalk { value: start.clamp(lo, hi), step, lo, hi }
-    }
-}
-
-impl ValueModel for RandomWalk {
-    fn next(&mut self, rng: &mut Rng) -> f64 {
-        let delta = (rng.next_f64() * 2.0 - 1.0) * self.step;
-        self.value = (self.value + delta).clamp(self.lo, self.hi);
-        self.value
-    }
-}
-
-/// A baseline with occasional spikes: readings sit at `base` (plus
-/// small noise) and jump to `base + magnitude` with probability
-/// `spike_p` — a missile-launch / overheat pattern for threshold
-/// conditions.
-#[derive(Debug, Clone, Copy)]
-pub struct Spikes {
-    base: f64,
-    noise: f64,
-    magnitude: f64,
-    spike_p: f64,
-}
-
-impl Spikes {
-    /// Creates the process.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= spike_p <= 1`.
-    pub fn new(base: f64, noise: f64, magnitude: f64, spike_p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&spike_p), "spike probability must be in [0, 1]");
-        Spikes { base, noise, magnitude, spike_p }
-    }
-}
-
-impl ValueModel for Spikes {
-    fn next(&mut self, rng: &mut Rng) -> f64 {
-        let jitter = (rng.next_f64() * 2.0 - 1.0) * self.noise;
-        if rng.next_f64() < self.spike_p {
-            self.base + self.magnitude + jitter
-        } else {
-            self.base + jitter
-        }
-    }
-}
-
-/// A deterministic sine wave with additive noise — smooth periodic data
-/// for level-crossing conditions.
-#[derive(Debug, Clone, Copy)]
-pub struct SineNoise {
-    mean: f64,
-    amplitude: f64,
-    period: f64,
-    noise: f64,
-    t: f64,
-}
-
-impl SineNoise {
-    /// Creates the process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not positive.
-    pub fn new(mean: f64, amplitude: f64, period: f64, noise: f64) -> Self {
-        assert!(period > 0.0, "period must be positive");
-        SineNoise { mean, amplitude, period, noise, t: 0.0 }
-    }
-}
-
-impl ValueModel for SineNoise {
-    fn next(&mut self, rng: &mut Rng) -> f64 {
-        let phase = self.t * std::f64::consts::TAU / self.period;
-        self.t += 1.0;
-        let jitter = (rng.next_f64() * 2.0 - 1.0) * self.noise;
-        self.mean + self.amplitude * phase.sin() + jitter
-    }
-}
-
-/// Replays a fixed list of readings (cycling if exhausted) — used to
-/// reproduce the paper's worked examples exactly.
-#[derive(Debug, Clone)]
-pub struct Scripted {
-    values: Vec<f64>,
-    i: usize,
-}
-
-impl Scripted {
-    /// Creates the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty script.
-    pub fn new(values: impl Into<Vec<f64>>) -> Self {
-        let values = values.into();
-        assert!(!values.is_empty(), "scripted values must not be empty");
-        Scripted { values, i: 0 }
-    }
-}
-
-impl ValueModel for Scripted {
-    fn next(&mut self, _rng: &mut Rng) -> f64 {
-        let v = self.values[self.i % self.values.len()];
-        self.i += 1;
-        v
-    }
-}
-
-/// Value-model specification as scenario files write it;
-/// [`ValueSpec::build`] turns it into a live model. Used where a
-/// workload must be rebuilt several times from the same description —
-/// e.g. the per-condition runs of a multi-condition system, which must
-/// observe identical DM values.
+/// The value process of one Data Monitor, as scenario files write it.
+/// The engine draws each workload's readings from it directly, so a
+/// workload shared by several runs (the per-condition runs of a
+/// multi-condition system) yields identical values in each.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValueSpec {
-    /// [`RandomWalk`] parameters `(start, step, lo, hi)`.
+    /// A bounded random walk: each reading moves by a uniform step in
+    /// `[-step, step]` from the last, clamped to `[lo, hi]`; the walk
+    /// starts at `start` clamped likewise. A walk with `step = 2δ`
+    /// crosses a `δ` rise roughly a quarter of the time, so delta
+    /// conditions trigger on a healthy fraction of updates.
     RandomWalk {
         /// Starting value.
         start: f64,
@@ -169,7 +31,10 @@ pub enum ValueSpec {
         /// Upper clamp.
         hi: f64,
     },
-    /// [`Spikes`] parameters.
+    /// A baseline with occasional spikes: readings sit at `base` plus
+    /// uniform noise in `[-noise, noise]`, and jump by `magnitude` with
+    /// probability `spike_p` — a missile-launch / overheat pattern for
+    /// threshold conditions.
     Spikes {
         /// Baseline value.
         base: f64,
@@ -180,7 +45,8 @@ pub enum ValueSpec {
         /// Spike probability per reading.
         spike_p: f64,
     },
-    /// [`SineNoise`] parameters.
+    /// A sine wave with additive noise — smooth periodic data for
+    /// level-crossing conditions.
     Sine {
         /// Mean level.
         mean: f64,
@@ -191,25 +57,31 @@ pub enum ValueSpec {
         /// Noise magnitude.
         noise: f64,
     },
-    /// [`Scripted`] readings.
+    /// Replays a fixed list of readings, cycling when exhausted — used
+    /// to reproduce the paper's worked examples exactly.
     Scripted(Vec<f64>),
 }
 
 impl ValueSpec {
-    /// Instantiates the model.
-    pub fn build(&self) -> Box<dyn ValueModel> {
-        match self {
-            ValueSpec::RandomWalk { start, step, lo, hi } => {
-                Box::new(RandomWalk::new(*start, *step, *lo, *hi))
+    /// Why the process cannot run, if it cannot: walk bounds out of
+    /// order, a walk step that is not finite and positive, a spike
+    /// probability outside `[0, 1]`, a sine period that is not positive,
+    /// or an empty script.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let (holds, why) = match self {
+            ValueSpec::RandomWalk { step, lo, hi, .. } => match lo <= hi {
+                true => (*step > 0.0 && step.is_finite(), "walk step must be finite and positive"),
+                false => (false, "walk bounds must satisfy lo <= hi"),
+            },
+            ValueSpec::Spikes { spike_p, .. } => {
+                ((0.0..=1.0).contains(spike_p), "spike probability must be in [0, 1]")
             }
-            ValueSpec::Spikes { base, noise, magnitude, spike_p } => {
-                Box::new(Spikes::new(*base, *noise, *magnitude, *spike_p))
+            ValueSpec::Sine { period, .. } => (*period > 0.0, "sine period must be positive"),
+            ValueSpec::Scripted(values) => {
+                (!values.is_empty(), "scripted values must not be empty")
             }
-            ValueSpec::Sine { mean, amplitude, period, noise } => {
-                Box::new(SineNoise::new(*mean, *amplitude, *period, *noise))
-            }
-            ValueSpec::Scripted(values) => Box::new(Scripted::new(values.clone())),
-        }
+        };
+        holds.then_some(()).ok_or(why)
     }
 
     /// Reads `{"RandomWalk": {"start":…,"step":…,"lo":…,"hi":…}}`,
@@ -247,48 +119,93 @@ impl ValueSpec {
     }
 }
 
+/// One workload's value process in motion: the readings drawn so far
+/// and, for a walk, where it stands.
+#[derive(Debug)]
+pub(crate) struct ValueState {
+    drawn: u64,
+    walk: f64,
+}
+
+impl ValueState {
+    /// The state before the first reading of `spec`.
+    pub(crate) fn new(spec: &ValueSpec) -> Self {
+        let walk = match spec {
+            ValueSpec::RandomWalk { start, lo, hi, .. } => start.clamp(*lo, *hi),
+            _ => 0.0,
+        };
+        ValueState { drawn: 0, walk }
+    }
+
+    /// Draws the next reading of `spec`, the spec this state was made
+    /// from.
+    pub(crate) fn next(&mut self, spec: &ValueSpec, rng: &mut Rng) -> f64 {
+        let i = self.drawn;
+        self.drawn += 1;
+        let jitter = |rng: &mut Rng, noise: f64| (rng.next_f64() * 2.0 - 1.0) * noise;
+        match spec {
+            ValueSpec::RandomWalk { step, lo, hi, .. } => {
+                let delta = jitter(rng, *step);
+                self.walk = (self.walk + delta).clamp(*lo, *hi);
+                self.walk
+            }
+            ValueSpec::Spikes { base, noise, magnitude, spike_p } => {
+                let jitter = jitter(rng, *noise);
+                if rng.next_f64() < *spike_p {
+                    base + magnitude + jitter
+                } else {
+                    base + jitter
+                }
+            }
+            ValueSpec::Sine { mean, amplitude, period, noise } => {
+                let phase = i as f64 * std::f64::consts::TAU / period;
+                mean + amplitude * phase.sin() + jitter(rng, *noise)
+            }
+            ValueSpec::Scripted(values) => values[(i % values.len() as u64) as usize],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rng(seed: u64) -> Rng {
-        Rng::seed_from_u64(seed)
+    /// The first `n` readings of `spec` from a generator seeded `seed`.
+    fn draws(spec: &ValueSpec, seed: u64, n: usize) -> Vec<f64> {
+        let mut state = ValueState::new(spec);
+        let mut r = Rng::seed_from_u64(seed);
+        (0..n).map(|_| state.next(spec, &mut r)).collect()
+    }
+
+    fn walk(start: f64, step: f64, lo: f64, hi: f64) -> ValueSpec {
+        ValueSpec::RandomWalk { start, step, lo, hi }
     }
 
     #[test]
     fn walk_stays_in_bounds() {
-        let mut w = RandomWalk::new(50.0, 30.0, 0.0, 100.0);
-        let mut r = rng(1);
-        for _ in 0..10_000 {
-            let v = w.next(&mut r);
-            assert!((0.0..=100.0).contains(&v));
-        }
+        let values = draws(&walk(50.0, 30.0, 0.0, 100.0), 1, 10_000);
+        assert!(values.iter().all(|v| (0.0..=100.0).contains(v)));
     }
 
     #[test]
     fn walk_moves() {
-        let mut w = RandomWalk::new(50.0, 5.0, 0.0, 100.0);
-        let mut r = rng(2);
-        let a = w.next(&mut r);
-        let b = w.next(&mut r);
-        assert_ne!(a, b);
+        let values = draws(&walk(50.0, 5.0, 0.0, 100.0), 2, 2);
+        assert_ne!(values[0], values[1]);
     }
 
     #[test]
     fn spikes_hit_roughly_at_rate() {
-        let mut s = Spikes::new(100.0, 1.0, 1000.0, 0.1);
-        let mut r = rng(3);
+        let spikes = ValueSpec::Spikes { base: 100.0, noise: 1.0, magnitude: 1000.0, spike_p: 0.1 };
         let n = 20_000;
-        let hits = (0..n).filter(|_| s.next(&mut r) > 500.0).count();
+        let hits = draws(&spikes, 3, n).into_iter().filter(|&v| v > 500.0).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.02, "rate = {rate}");
     }
 
     #[test]
     fn sine_oscillates_around_mean() {
-        let mut s = SineNoise::new(100.0, 10.0, 20.0, 0.0);
-        let mut r = rng(4);
-        let vals: Vec<f64> = (0..20).map(|_| s.next(&mut r)).collect();
+        let sine = ValueSpec::Sine { mean: 100.0, amplitude: 10.0, period: 20.0, noise: 0.0 };
+        let vals = draws(&sine, 4, 20);
         let max = vals.iter().cloned().fold(f64::MIN, f64::max);
         let min = vals.iter().cloned().fold(f64::MAX, f64::min);
         assert!(max > 105.0 && min < 95.0);
@@ -296,28 +213,19 @@ mod tests {
 
     #[test]
     fn scripted_replays_and_cycles() {
-        let mut s = Scripted::new(vec![1.0, 2.0]);
-        let mut r = rng(5);
-        assert_eq!(s.next(&mut r), 1.0);
-        assert_eq!(s.next(&mut r), 2.0);
-        assert_eq!(s.next(&mut r), 1.0);
+        assert_eq!(draws(&ValueSpec::Scripted(vec![1.0, 2.0]), 5, 3), [1.0, 2.0, 1.0]);
     }
 
     #[test]
     fn value_spec_builds_equivalent_models() {
         let specs = [
-            ValueSpec::RandomWalk { start: 10.0, step: 2.0, lo: 0.0, hi: 20.0 },
+            walk(10.0, 2.0, 0.0, 20.0),
             ValueSpec::Spikes { base: 5.0, noise: 1.0, magnitude: 50.0, spike_p: 0.2 },
             ValueSpec::Sine { mean: 0.0, amplitude: 3.0, period: 8.0, noise: 0.1 },
             ValueSpec::Scripted(vec![1.0, 2.0]),
         ];
         for spec in &specs {
-            let mut a = spec.build();
-            let mut b = spec.build();
-            let (mut r1, mut r2) = (rng(4), rng(4));
-            for _ in 0..50 {
-                assert_eq!(a.next(&mut r1), b.next(&mut r2), "{spec:?}");
-            }
+            assert_eq!(draws(spec, 4, 50), draws(spec, 4, 50), "{spec:?}");
         }
         // And reads back from the form scenario files use.
         let text = r#"[{"RandomWalk": {"start": 10.0, "step": 2, "lo": 0.0, "hi": 20.0}},
@@ -339,11 +247,13 @@ mod tests {
 
     #[test]
     fn determinism_from_seed() {
-        let mut a = RandomWalk::new(0.0, 1.0, -10.0, 10.0);
-        let mut b = RandomWalk::new(0.0, 1.0, -10.0, 10.0);
-        let (mut r1, mut r2) = (rng(9), rng(9));
-        for _ in 0..100 {
-            assert_eq!(a.next(&mut r1), b.next(&mut r2));
-        }
+        let spec = walk(0.0, 1.0, -10.0, 10.0);
+        assert_eq!(draws(&spec, 9, 100), draws(&spec, 9, 100));
+    }
+
+    #[test]
+    fn a_walk_starts_inside_its_bounds() {
+        // Zero-width bounds pin the walk wherever it starts.
+        assert_eq!(draws(&walk(500.0, 1.0, 3.0, 3.0), 6, 2), [3.0, 3.0]);
     }
 }

@@ -16,7 +16,7 @@ use rcm::core::ad::{apply_filter, Ad1, Ad2, Ad3, Ad4, AlertFilter};
 use rcm::core::condition::expr::CompiledCondition;
 use rcm::core::{Condition, VarRegistry};
 use rcm::props::{check_complete_multi, check_consistent_multi, check_ordered};
-use rcm::sim::{run, DelaySpec, LossSpec, RandomWalk, Scenario, VarWorkload};
+use rcm::sim::{run, DelaySpec, LossSpec, Scenario, ValueSpec, VarWorkload};
 
 fn main() {
     let mut registry = VarRegistry::new();
@@ -38,7 +38,7 @@ fn main() {
             updates: 80,
             period: 10,
             offset: 0,
-            model: Box::new(RandomWalk::new(2800.0, 260.0, 2000.0, 3600.0)),
+            values: ValueSpec::RandomWalk { start: 2800.0, step: 260.0, lo: 2000.0, hi: 3600.0 },
         }],
         // Each replica's sensor link drops bursts independently.
         front_loss: vec![LossSpec::Burst { target: 0.2, burst_len: 3.0 }],

@@ -9,7 +9,9 @@
 //! * [`props`] — exact checkers for the paper's three correctness
 //!   properties (orderedness, completeness, consistency) plus
 //!   domination and maximality probes;
-//! * [`net`] — simulated link substrate (loss, delay, ordering);
+//! * [`net`] — what the simulator and the runtime share about links:
+//!   loss models, per-link counters, reconnect backoff and the seeded
+//!   generator;
 //! * [`sim`] — deterministic discrete-event simulator and the
 //!   Monte-Carlo harness that regenerates the paper's tables;
 //! * [`runtime`] — threaded actor runtime for deploying a monitoring
@@ -55,7 +57,7 @@ pub mod prelude {
         transduce, Alert, CeId, CondId, ConditionRegistry, SeqNo, Update, VarId, VarRegistry,
     };
     pub use rcm_runtime::{MonitorSystem, VarFeed};
-    pub use rcm_sim::{run, Scenario, ScenarioSpec};
+    pub use rcm_sim::{run, Scenario};
 }
 
 /// Compiles the README's code blocks as doctests so the front-page

@@ -13,7 +13,7 @@ use rcm::core::condition::{cond, Cmp, Condition};
 use rcm::core::{Alert, CeId, SeqNo, VarId};
 use rcm::net::Scripted as ScriptedLoss;
 use rcm::runtime::{MonitorSystem, VarFeed};
-use rcm::sim::{run, DelaySpec, LossSpec, Scenario, Scripted, VarWorkload};
+use rcm::sim::{run, DelaySpec, LossSpec, Scenario, ValueSpec, VarWorkload};
 
 fn x() -> VarId {
     VarId::new(0)
@@ -35,7 +35,7 @@ fn run_sim(cond: Arc<CompiledCondition>) -> (Vec<Vec<u64>>, Vec<Vec<Alert>>) {
             updates: values().len() as u64,
             period: 10,
             offset: 0,
-            model: Box::new(Scripted::new(values())),
+            values: ValueSpec::Scripted(values()),
         }],
         front_loss: vec![
             LossSpec::Scripted(DROPS[0].to_vec()),
