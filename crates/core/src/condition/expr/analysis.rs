@@ -1,8 +1,6 @@
 //! Static analysis of condition expressions: type checking, variable
 //! set, degrees and triggering classification.
 
-use std::collections::BTreeMap;
-
 use super::ast::{BinOp, Expr, UnOp};
 use super::parser::ParseError;
 use crate::condition::Triggering;
@@ -29,9 +27,10 @@ impl std::fmt::Display for Ty {
 /// (names as parsed, [`VarId`](crate::VarId)s once resolved).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExprInfo<V> {
-    /// Per-variable degree: max history index used + 1, and at least 1
-    /// for variables appearing only in `consecutive(...)`.
-    pub degrees: BTreeMap<V, usize>,
+    /// Per-variable degree, ascending by variable: max history index
+    /// used + 1, and at least 1 for variables appearing only in
+    /// `consecutive(...)`.
+    pub degrees: Vec<(V, usize)>,
     /// Derived triggering classification (see below).
     pub triggering: Triggering,
 }
@@ -59,20 +58,17 @@ pub fn analyze<V: Ord + Clone>(expr: &Expr<V>) -> Result<ExprInfo<V>, ParseError
     if ty != Ty::Bool {
         return Err(err(format!("condition must be boolean, found {ty}")));
     }
-    let mut degrees: BTreeMap<V, usize> = BTreeMap::new();
+    let mut degrees: Vec<(V, usize)> = Vec::new();
+    // `var`'s degree, entered at `first` and raised to `need`.
+    let mut read =
+        |var: &V, first: usize, need: usize| match degrees.binary_search_by(|(v, _)| v.cmp(var)) {
+            Ok(at) => degrees[at].1 = degrees[at].1.max(need),
+            Err(at) => degrees.insert(at, (var.clone(), first.max(need))),
+        };
     expr.visit(&mut |node| match node {
-        Expr::Term { var, index, .. } => {
-            let need = index.unsigned_abs() as usize + 1;
-            let d = degrees.entry(var.clone()).or_insert(0);
-            *d = (*d).max(need);
-        }
-        Expr::Consecutive(var) => {
-            degrees.entry(var.clone()).or_insert(1);
-        }
-        Expr::Agg { var, window, .. } => {
-            let d = degrees.entry(var.clone()).or_insert(0);
-            *d = (*d).max(*window as usize);
-        }
+        Expr::Term { var, index, .. } => read(var, 0, index.unsigned_abs() as usize + 1),
+        Expr::Consecutive(var) => read(var, 1, 0),
+        Expr::Agg { var, window, .. } => read(var, 0, *window as usize),
         _ => {}
     });
     if degrees.is_empty() {
@@ -81,7 +77,7 @@ pub fn analyze<V: Ord + Clone>(expr: &Expr<V>) -> Result<ExprInfo<V>, ParseError
 
     let guarded = guards(expr);
     let conservative =
-        degrees.iter().all(|(var, &degree)| degree <= 1 || guarded.iter().any(|g| g == var));
+        degrees.iter().all(|(var, degree)| *degree <= 1 || guarded.iter().any(|g| g == var));
     let triggering = if conservative { Triggering::Conservative } else { Triggering::Aggressive };
     Ok(ExprInfo { degrees, triggering })
 }
@@ -174,24 +170,30 @@ mod tests {
         analyze(&parse(src).unwrap()).unwrap()
     }
 
+    impl ExprInfo<String> {
+        fn degree(&self, var: &str) -> Option<&usize> {
+            self.degrees.iter().find(|(v, _)| v == var).map(|(_, d)| d)
+        }
+    }
+
     #[test]
     fn c1_is_degree_one_conservative() {
         let i = info("x[0].value > 3000");
-        assert_eq!(i.degrees.get("x"), Some(&1));
+        assert_eq!(i.degree("x"), Some(&1));
         assert_eq!(i.triggering, Triggering::Conservative);
     }
 
     #[test]
     fn c2_is_degree_two_aggressive() {
         let i = info("x[0].value - x[-1].value > 200");
-        assert_eq!(i.degrees.get("x"), Some(&2));
+        assert_eq!(i.degree("x"), Some(&2));
         assert_eq!(i.triggering, Triggering::Aggressive);
     }
 
     #[test]
     fn c3_is_degree_two_conservative() {
         let i = info("x[0].value - x[-1].value > 200 && consecutive(x)");
-        assert_eq!(i.degrees.get("x"), Some(&2));
+        assert_eq!(i.degree("x"), Some(&2));
         assert_eq!(i.triggering, Triggering::Conservative);
     }
 
@@ -199,7 +201,7 @@ mod tests {
     fn sparse_indices_take_max_degree() {
         // A condition using only H[0] and H[-2] is of degree 3 (paper §2).
         let i = info("x[0].value > x[-2].value");
-        assert_eq!(i.degrees.get("x"), Some(&3));
+        assert_eq!(i.degree("x"), Some(&3));
     }
 
     #[test]
@@ -238,8 +240,8 @@ mod tests {
     #[test]
     fn non_historical_multi_var_is_conservative() {
         let i = info("abs(x[0].value - y[0].value) > 100");
-        assert_eq!(i.degrees.get("x"), Some(&1));
-        assert_eq!(i.degrees.get("y"), Some(&1));
+        assert_eq!(i.degree("x"), Some(&1));
+        assert_eq!(i.degree("y"), Some(&1));
         assert_eq!(i.triggering, Triggering::Conservative);
     }
 
@@ -264,7 +266,7 @@ mod tests {
     #[test]
     fn consecutive_only_var_gets_degree_one() {
         let i = info("consecutive(x)");
-        assert_eq!(i.degrees.get("x"), Some(&1));
+        assert_eq!(i.degree("x"), Some(&1));
         assert_eq!(i.triggering, Triggering::Conservative);
     }
 
@@ -274,7 +276,7 @@ mod tests {
         // readings" — the bounded-window version of the high-watermark
         // condition the paper excludes (unbounded state). Degree 4.
         let i = info("x[0].value > max_over(x, 4)");
-        assert_eq!(i.degrees.get("x"), Some(&4));
+        assert_eq!(i.degree("x"), Some(&4));
         assert_eq!(i.triggering, Triggering::Aggressive);
         let guarded = info("x[0].value > max_over(x, 4) && consecutive(x)");
         assert_eq!(guarded.triggering, Triggering::Conservative);
@@ -283,13 +285,13 @@ mod tests {
     #[test]
     fn aggregate_window_below_index_use_takes_max() {
         let i = info("avg_over(x, 2) > x[-4].value");
-        assert_eq!(i.degrees.get("x"), Some(&5));
+        assert_eq!(i.degree("x"), Some(&5));
     }
 
     #[test]
     fn seqno_terms_count_toward_degree() {
         let i = info("x[0].seqno == x[-1].seqno + 1");
-        assert_eq!(i.degrees.get("x"), Some(&2));
+        assert_eq!(i.degree("x"), Some(&2));
         // seqno arithmetic is NOT recognized as a conservativeness guard
         // (syntactic approximation): classified aggressive.
         assert_eq!(i.triggering, Triggering::Aggressive);

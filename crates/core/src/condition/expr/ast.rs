@@ -174,24 +174,6 @@ pub enum Expr<V> {
 }
 
 impl<V> Expr<V> {
-    /// Maps the variable representation, e.g. resolving names to ids.
-    pub fn map_vars<W>(self, f: &mut impl FnMut(V) -> W) -> Expr<W> {
-        match self {
-            Expr::Num(n) => Expr::Num(n),
-            Expr::Bool(b) => Expr::Bool(b),
-            Expr::Term { var, index, field } => Expr::Term { var: f(var), index, field },
-            Expr::Consecutive(v) => Expr::Consecutive(f(v)),
-            Expr::Agg { op, var, window } => Expr::Agg { op, var: f(var), window },
-            Expr::Unary { op, expr } => Expr::Unary { op, expr: Box::new(expr.map_vars(f)) },
-            Expr::Binary { op, lhs, rhs } => {
-                Expr::Binary { op, lhs: Box::new(lhs.map_vars(f)), rhs: Box::new(rhs.map_vars(f)) }
-            }
-            Expr::Abs(e) => Expr::Abs(Box::new(e.map_vars(f))),
-            Expr::Min(a, b) => Expr::Min(Box::new(a.map_vars(f)), Box::new(b.map_vars(f))),
-            Expr::Max(a, b) => Expr::Max(Box::new(a.map_vars(f)), Box::new(b.map_vars(f))),
-        }
-    }
-
     /// Visits every node of the tree (pre-order).
     pub fn visit(&self, f: &mut impl FnMut(&Expr<V>)) {
         f(self);
@@ -235,23 +217,6 @@ impl<V: fmt::Display> fmt::Display for Expr<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_vars_resolves_names() {
-        let e: Expr<String> = Expr::Binary {
-            op: BinOp::Gt,
-            lhs: Box::new(Expr::Term { var: "x".into(), index: 0, field: Field::Value }),
-            rhs: Box::new(Expr::Num(1.0)),
-        };
-        let resolved = e.map_vars(&mut |name: String| name.len() as u32);
-        match resolved {
-            Expr::Binary { lhs, .. } => match *lhs {
-                Expr::Term { var, .. } => assert_eq!(var, 1),
-                other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
-    }
 
     #[test]
     fn visit_reaches_all_nodes() {

@@ -1,10 +1,10 @@
 //! Compiled, evaluable condition expressions.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use super::analysis::analyze;
+use super::analysis::{analyze, ExprInfo};
 use super::ast::{AggOp, BinOp, Expr, Field, UnOp};
-use super::parser::parse;
+use super::parser::parse_with;
 use crate::condition::{Condition, Triggering};
 use crate::error::Result;
 use crate::history::{History, HistorySet};
@@ -18,6 +18,9 @@ use crate::var::{VarId, VarRegistry};
 /// constructors in [`cond`](crate::condition::cond); `&`, `|` and `!`
 /// combine conditions into new ones. Its variable set, degrees and
 /// triggering class are derived from the expression.
+///
+/// A condition is a handle: its name, tree and degrees sit behind one
+/// reference count, so a clone allocates nothing and copies nothing.
 ///
 /// ```rust
 /// use rcm_core::condition::expr::CompiledCondition;
@@ -34,17 +37,23 @@ use crate::var::{VarId, VarRegistry};
 /// # Ok::<(), rcm_core::Error>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct CompiledCondition {
+pub struct CompiledCondition(Arc<Compiled>);
+
+/// What a [`CompiledCondition`] shares among its clones.
+#[derive(Debug, Clone)]
+struct Compiled {
     name: String,
     ast: Expr<VarId>,
-    degrees: BTreeMap<VarId, usize>,
+    /// `(variable, degree)`, ascending by variable.
+    degrees: Vec<(VarId, usize)>,
     triggering: Triggering,
 }
 
 impl CompiledCondition {
     /// Parses, type-checks and resolves `source`, which is also the
-    /// condition's name. Variable names are registered in `registry`
-    /// (reusing existing ids for known names).
+    /// condition's name, in one pass over the text. Variable names are
+    /// registered in `registry` (reusing existing ids for known names)
+    /// once the condition has passed every check.
     ///
     /// # Errors
     ///
@@ -52,10 +61,25 @@ impl CompiledCondition {
     /// syntactic or type errors, and on conditions that mention no
     /// variables; no name is registered then.
     pub fn compile(source: &str, registry: &mut VarRegistry) -> Result<Self> {
-        let ast = parse(source)?;
-        analyze(&ast)?;
-        let ast = ast.map_vars(&mut |name: String| registry.register(&name));
-        Self::from_expr(source, ast)
+        // A name the registry does not know yet reads as the id it will
+        // get: the registry's next, in order of first appearance.
+        let mut fresh: Vec<&str> = Vec::new();
+        let known = &*registry;
+        let ast = parse_with(source, |name| {
+            if let Some(id) = known.lookup(name) {
+                return id;
+            }
+            let k = fresh.iter().position(|&f| f == name).unwrap_or_else(|| {
+                fresh.push(name);
+                fresh.len() - 1
+            });
+            VarId::new((known.len() + k) as u32)
+        })?;
+        let info = analyze(&ast)?;
+        for name in fresh {
+            registry.register(name);
+        }
+        Ok(Self::new(source.to_owned(), ast, info))
     }
 
     /// Type-checks a resolved syntax tree and derives its variable set,
@@ -68,12 +92,12 @@ impl CompiledCondition {
     /// boolean, mixes types or mentions no variable.
     pub fn from_expr(name: impl Into<String>, ast: Expr<VarId>) -> Result<Self> {
         let info = analyze(&ast)?;
-        Ok(CompiledCondition {
-            name: name.into(),
-            ast,
-            degrees: info.degrees,
-            triggering: info.triggering,
-        })
+        Ok(Self::new(name.into(), ast, info))
+    }
+
+    fn new(name: String, ast: Expr<VarId>, info: ExprInfo<VarId>) -> Self {
+        let ExprInfo { degrees, triggering } = info;
+        CompiledCondition(Arc::new(Compiled { name, ast, degrees, triggering }))
     }
 
     /// [`CompiledCondition::from_expr`] for a tree built of conditions
@@ -85,9 +109,11 @@ impl CompiledCondition {
         }
     }
 
-    /// The name and the expression, for building a condition of it.
+    /// The name and the expression, for building a condition of it;
+    /// copied only if another handle shares them.
     pub(crate) fn into_parts(self) -> (String, Expr<VarId>) {
-        (self.name, self.ast)
+        let Compiled { name, ast, .. } = Arc::unwrap_or_clone(self.0);
+        (name, ast)
     }
 }
 
@@ -198,27 +224,28 @@ pub(crate) fn eval_expr(e: &Expr<VarId>, h: &HistorySet) -> Option<Val> {
 
 impl Condition for CompiledCondition {
     fn name(&self) -> String {
-        self.name.clone()
+        self.0.name.clone()
     }
 
     fn variables(&self) -> Vec<VarId> {
-        self.degrees.keys().copied().collect()
+        self.0.degrees.iter().map(|&(var, _)| var).collect()
     }
 
     fn degree(&self, var: VarId) -> usize {
-        self.degrees.get(&var).copied().unwrap_or(0)
+        let degrees = &self.0.degrees;
+        degrees.binary_search_by_key(&var, |&(v, _)| v).map_or(0, |at| degrees[at].1)
     }
 
     fn triggering(&self) -> Triggering {
-        self.triggering
+        self.0.triggering
     }
 
     fn eval(&self, h: &HistorySet) -> bool {
-        eval_expr(&self.ast, h).and_then(Val::boolean).unwrap_or(false)
+        eval_expr(&self.0.ast, h).and_then(Val::boolean).unwrap_or(false)
     }
 
     fn expr(&self) -> &Expr<VarId> {
-        &self.ast
+        &self.0.ast
     }
 }
 

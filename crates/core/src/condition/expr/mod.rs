@@ -18,9 +18,10 @@
 //! `consecutive(x)` is true iff `H_x`'s seqnos have no gap — the
 //! building block of conservative triggering.
 //!
-//! [`CompiledCondition::compile`] parses, type-checks, resolves variable
-//! names against a [`VarRegistry`](crate::VarRegistry), and derives the
-//! paper's static classification automatically:
+//! [`CompiledCondition::compile`] reads the text once: it parses it,
+//! resolving variable names against a [`VarRegistry`](crate::VarRegistry)
+//! as they are read, type-checks the tree, and derives the paper's
+//! static classification automatically:
 //!
 //! * the **variable set** and per-variable **degree** (max history index
 //!   used + 1);
@@ -41,5 +42,4 @@ pub(crate) mod store;
 pub use analysis::{ExprInfo, Ty};
 pub use ast::{AggOp, BinOp, Expr, Field, UnOp};
 pub use compiled::CompiledCondition;
-pub use lexer::{LexError, Token};
 pub use parser::{parse, ParseError};

@@ -1,9 +1,10 @@
-//! Recursive-descent parser for condition expressions.
+//! Recursive-descent parser for condition expressions: one pass over
+//! the source, pulling each token from the lexer as it is needed.
 
 use std::fmt;
 
 use super::ast::{AggOp, BinOp, Expr, Field, UnOp};
-use super::lexer::{lex, LexError, Token};
+use super::lexer::{Lexer, Token};
 
 /// Parse error with source position.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,12 +23,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError { offset: e.offset, message: e.message }
-    }
-}
 
 /// Parses a condition expression into an AST over variable *names*.
 ///
@@ -54,58 +49,82 @@ impl From<LexError> for ParseError {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on any lexical or syntactic problem. Type
+/// Returns a [`ParseError`] on any lexical or syntactic problem; if the
+/// source holds a lexical error, its first is the one reported. Type
 /// errors (e.g. `1 && 2`) are reported by the analysis pass, not here.
 pub fn parse(src: &str) -> Result<Expr<String>, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, src_len: src.len() };
-    let e = p.expr()?;
-    if let Some((tok, off)) = p.peek_with_offset() {
-        return Err(ParseError {
-            offset: off,
-            message: format!("unexpected trailing token '{tok}'"),
-        });
-    }
-    Ok(e)
+    parse_with(src, str::to_owned)
 }
 
-struct Parser {
-    tokens: Vec<(Token, usize)>,
-    pos: usize,
+/// [`parse`], each variable name read turned into a `V` by `resolve`,
+/// in the order the names appear in the source.
+pub(super) fn parse_with<'a, V>(
+    src: &'a str,
+    resolve: impl FnMut(&'a str) -> V,
+) -> Result<Expr<V>, ParseError> {
+    let mut p = Parser { lexer: Lexer::new(src), current: None, src_len: src.len(), resolve };
+    let parsed = p.bump().and_then(|_| p.whole());
+    parsed.map_err(|e| p.first_lex_error_or(e))
+}
+
+struct Parser<'a, R> {
+    lexer: Lexer<'a>,
+    /// The next token and its offset; `None` at the end of input.
+    current: Option<(Token<'a>, usize)>,
     src_len: usize,
+    resolve: R,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+impl<'a, V, R: FnMut(&'a str) -> V> Parser<'a, R> {
+    /// The whole source as one expression.
+    fn whole(&mut self) -> Result<Expr<V>, ParseError> {
+        let e = self.expr()?;
+        if let Some((tok, offset)) = self.current {
+            return Err(ParseError {
+                offset,
+                message: format!("unexpected trailing token '{tok}'"),
+            });
+        }
+        Ok(e)
     }
 
-    fn peek_with_offset(&self) -> Option<(&Token, usize)> {
-        self.tokens.get(self.pos).map(|(t, o)| (t, *o))
+    /// `error`, unless the rest of the source holds a lexical error:
+    /// the source is rejected for the first one, wherever the parse
+    /// stopped.
+    fn first_lex_error_or(&mut self, error: ParseError) -> ParseError {
+        loop {
+            match self.lexer.next_token() {
+                Ok(Some(_)) => {}
+                Ok(None) => return error,
+                Err(lexical) => return lexical,
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<Token<'a>> {
+        self.current.map(|(t, _)| t)
     }
 
     fn offset(&self) -> usize {
-        self.tokens.get(self.pos).map_or(self.src_len, |(_, o)| *o)
+        self.current.map_or(self.src_len, |(_, o)| o)
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Consumes the current token, returning it with its offset.
+    fn bump(&mut self) -> Result<Option<(Token<'a>, usize)>, ParseError> {
+        let t = self.current;
+        self.current = self.lexer.next_token()?;
+        Ok(t)
     }
 
-    fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
-        match self.peek() {
-            Some(t) if t == want => {
-                self.pos += 1;
+    fn expect(&mut self, want: Token<'_>) -> Result<(), ParseError> {
+        match self.current {
+            Some((t, _)) if t == want => {
+                self.bump()?;
                 Ok(())
             }
-            Some(t) => Err(ParseError {
-                offset: self.offset(),
-                message: format!("expected '{want}', found '{t}'"),
-            }),
+            Some((t, offset)) => {
+                Err(ParseError { offset, message: format!("expected '{want}', found '{t}'") })
+            }
             None => Err(ParseError {
                 offset: self.src_len,
                 message: format!("expected '{want}', found end of input"),
@@ -117,46 +136,51 @@ impl Parser {
         ParseError { offset: self.offset(), message: message.into() }
     }
 
-    fn expr(&mut self) -> Result<Expr<String>, ParseError> {
+    /// Consumes a variable name and resolves it.
+    fn var(&mut self, or_else: impl FnOnce() -> String) -> Result<V, ParseError> {
+        match self.bump()? {
+            Some((Token::Ident(name), _)) => Ok((self.resolve)(name)),
+            _ => Err(self.err_here(or_else())),
+        }
+    }
+
+    fn expr(&mut self) -> Result<Expr<V>, ParseError> {
         let mut lhs = self.and()?;
-        while self.peek() == Some(&Token::OrOr) {
-            self.bump();
+        while self.peek() == Some(Token::OrOr) {
+            self.bump()?;
             let rhs = self.and()?;
             lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
         Ok(lhs)
     }
 
-    fn and(&mut self) -> Result<Expr<String>, ParseError> {
+    fn and(&mut self) -> Result<Expr<V>, ParseError> {
         let mut lhs = self.cmp()?;
-        while self.peek() == Some(&Token::AndAnd) {
-            self.bump();
+        while self.peek() == Some(Token::AndAnd) {
+            self.bump()?;
             let rhs = self.cmp()?;
             lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
         Ok(lhs)
     }
 
-    fn cmp(&mut self) -> Result<Expr<String>, ParseError> {
+    fn cmp(&mut self) -> Result<Expr<V>, ParseError> {
         let lhs = self.sum()?;
         let op = match self.peek() {
-            Some(Token::Lt) => Some(BinOp::Lt),
-            Some(Token::Le) => Some(BinOp::Le),
-            Some(Token::Gt) => Some(BinOp::Gt),
-            Some(Token::Ge) => Some(BinOp::Ge),
-            Some(Token::EqEq) => Some(BinOp::Eq),
-            Some(Token::Ne) => Some(BinOp::Ne),
-            _ => None,
+            Some(Token::Lt) => BinOp::Lt,
+            Some(Token::Le) => BinOp::Le,
+            Some(Token::Gt) => BinOp::Gt,
+            Some(Token::Ge) => BinOp::Ge,
+            Some(Token::EqEq) => BinOp::Eq,
+            Some(Token::Ne) => BinOp::Ne,
+            _ => return Ok(lhs),
         };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.sum()?;
-            return Ok(Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) });
-        }
-        Ok(lhs)
+        self.bump()?;
+        let rhs = self.sum()?;
+        Ok(Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) })
     }
 
-    fn sum(&mut self) -> Result<Expr<String>, ParseError> {
+    fn sum(&mut self) -> Result<Expr<V>, ParseError> {
         let mut lhs = self.prod()?;
         loop {
             let op = match self.peek() {
@@ -164,14 +188,14 @@ impl Parser {
                 Some(Token::Minus) => BinOp::Sub,
                 _ => break,
             };
-            self.bump();
+            self.bump()?;
             let rhs = self.prod()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
         Ok(lhs)
     }
 
-    fn prod(&mut self) -> Result<Expr<String>, ParseError> {
+    fn prod(&mut self) -> Result<Expr<V>, ParseError> {
         let mut lhs = self.neg()?;
         loop {
             let op = match self.peek() {
@@ -179,114 +203,99 @@ impl Parser {
                 Some(Token::Slash) => BinOp::Div,
                 _ => break,
             };
-            self.bump();
+            self.bump()?;
             let rhs = self.neg()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
         Ok(lhs)
     }
 
-    fn neg(&mut self) -> Result<Expr<String>, ParseError> {
-        if self.peek() == Some(&Token::Minus) {
-            self.bump();
-            let inner = self.neg()?;
-            return Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(inner) });
-        }
-        if self.peek() == Some(&Token::Bang) {
-            self.bump();
-            let inner = self.neg()?;
-            return Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(inner) });
-        }
-        self.atom()
+    fn neg(&mut self) -> Result<Expr<V>, ParseError> {
+        let op = match self.peek() {
+            Some(Token::Minus) => UnOp::Neg,
+            Some(Token::Bang) => UnOp::Not,
+            _ => return self.atom(),
+        };
+        self.bump()?;
+        let inner = self.neg()?;
+        Ok(Expr::Unary { op, expr: Box::new(inner) })
     }
 
-    fn atom(&mut self) -> Result<Expr<String>, ParseError> {
-        match self.bump() {
-            Some(Token::Number(n)) => Ok(Expr::Num(n)),
-            Some(Token::LParen) => {
+    fn atom(&mut self) -> Result<Expr<V>, ParseError> {
+        let Some((token, offset)) = self.bump()? else {
+            return Err(ParseError {
+                offset: self.src_len,
+                message: "unexpected end of input".into(),
+            });
+        };
+        let name = match token {
+            Token::Number(n) => return Ok(Expr::Num(n)),
+            Token::LParen => {
                 let e = self.expr()?;
-                self.expect(&Token::RParen)?;
-                Ok(e)
+                self.expect(Token::RParen)?;
+                return Ok(e);
             }
-            Some(Token::Ident(name)) => match name.as_str() {
-                "true" => Ok(Expr::Bool(true)),
-                "false" => Ok(Expr::Bool(false)),
-                "consecutive" => {
-                    self.expect(&Token::LParen)?;
-                    let var = match self.bump() {
-                        Some(Token::Ident(v)) => v,
-                        _ => return Err(self.err_here("consecutive() takes a variable name")),
-                    };
-                    self.expect(&Token::RParen)?;
-                    Ok(Expr::Consecutive(var))
-                }
-                "abs" => {
-                    self.expect(&Token::LParen)?;
-                    let e = self.expr()?;
-                    self.expect(&Token::RParen)?;
-                    Ok(Expr::Abs(Box::new(e)))
-                }
-                "min_over" | "max_over" | "avg_over" | "sum_over" => {
-                    let op = match name.as_str() {
-                        "min_over" => AggOp::Min,
-                        "max_over" => AggOp::Max,
-                        "avg_over" => AggOp::Avg,
-                        _ => AggOp::Sum,
-                    };
-                    self.expect(&Token::LParen)?;
-                    let var = match self.bump() {
-                        Some(Token::Ident(v)) => v,
-                        _ => {
-                            return Err(self.err_here(format!(
-                                "{}() takes a variable name and a window size",
-                                op.name()
-                            )))
-                        }
-                    };
-                    self.expect(&Token::Comma)?;
-                    let window = match self.bump() {
-                        Some(Token::Number(n)) if n.fract() == 0.0 && n >= 1.0 => n as u64,
-                        _ => return Err(self.err_here("window size must be a positive integer")),
-                    };
-                    self.expect(&Token::RParen)?;
-                    Ok(Expr::Agg { op, var, window })
-                }
-                "min" | "max" => {
-                    self.expect(&Token::LParen)?;
-                    let a = self.expr()?;
-                    self.expect(&Token::Comma)?;
-                    let b = self.expr()?;
-                    self.expect(&Token::RParen)?;
-                    if name == "min" {
-                        Ok(Expr::Min(Box::new(a), Box::new(b)))
-                    } else {
-                        Ok(Expr::Max(Box::new(a), Box::new(b)))
-                    }
-                }
-                _ => self.term(name),
-            },
-            Some(t) => Err(ParseError {
-                offset: self.tokens[self.pos - 1].1,
-                message: format!("unexpected token '{t}'"),
-            }),
-            None => {
-                Err(ParseError { offset: self.src_len, message: "unexpected end of input".into() })
+            Token::Ident(name) => name,
+            t => return Err(ParseError { offset, message: format!("unexpected token '{t}'") }),
+        };
+        match name {
+            "true" => Ok(Expr::Bool(true)),
+            "false" => Ok(Expr::Bool(false)),
+            "consecutive" => {
+                self.expect(Token::LParen)?;
+                let var = self.var(|| "consecutive() takes a variable name".into())?;
+                self.expect(Token::RParen)?;
+                Ok(Expr::Consecutive(var))
+            }
+            "abs" => {
+                self.expect(Token::LParen)?;
+                let e = self.expr()?;
+                self.expect(Token::RParen)?;
+                Ok(Expr::Abs(Box::new(e)))
+            }
+            "min_over" | "max_over" | "avg_over" | "sum_over" => {
+                let op = match name {
+                    "min_over" => AggOp::Min,
+                    "max_over" => AggOp::Max,
+                    "avg_over" => AggOp::Avg,
+                    _ => AggOp::Sum,
+                };
+                self.expect(Token::LParen)?;
+                let var = self
+                    .var(|| format!("{}() takes a variable name and a window size", op.name()))?;
+                self.expect(Token::Comma)?;
+                let window = match self.bump()? {
+                    Some((Token::Number(n), _)) if n.fract() == 0.0 && n >= 1.0 => n as u64,
+                    _ => return Err(self.err_here("window size must be a positive integer")),
+                };
+                self.expect(Token::RParen)?;
+                Ok(Expr::Agg { op, var, window })
+            }
+            "min" | "max" => {
+                self.expect(Token::LParen)?;
+                let a = Box::new(self.expr()?);
+                self.expect(Token::Comma)?;
+                let b = Box::new(self.expr()?);
+                self.expect(Token::RParen)?;
+                Ok(if name == "min" { Expr::Min(a, b) } else { Expr::Max(a, b) })
+            }
+            _ => {
+                let var = (self.resolve)(name);
+                self.term(var)
             }
         }
     }
 
     /// Parses the `[index].field` suffix of a history term whose
     /// variable name was already consumed.
-    fn term(&mut self, var: String) -> Result<Expr<String>, ParseError> {
-        self.expect(&Token::LBracket)?;
-        let negative = if self.peek() == Some(&Token::Minus) {
-            self.bump();
-            true
-        } else {
-            false
-        };
-        let index = match self.bump() {
-            Some(Token::Number(n)) if n.fract() == 0.0 => {
+    fn term(&mut self, var: V) -> Result<Expr<V>, ParseError> {
+        self.expect(Token::LBracket)?;
+        let negative = self.peek() == Some(Token::Minus);
+        if negative {
+            self.bump()?;
+        }
+        let index = match self.bump()? {
+            Some((Token::Number(n), _)) if n.fract() == 0.0 => {
                 let n = n as i64;
                 if negative {
                     -n
@@ -301,11 +310,11 @@ impl Parser {
                 "history index must be zero or negative (H[0] is the newest update), got {index}"
             )));
         }
-        self.expect(&Token::RBracket)?;
-        self.expect(&Token::Dot)?;
-        let field = match self.bump() {
-            Some(Token::Ident(f)) if f == "value" => Field::Value,
-            Some(Token::Ident(f)) if f == "seqno" => Field::Seqno,
+        self.expect(Token::RBracket)?;
+        self.expect(Token::Dot)?;
+        let field = match self.bump()? {
+            Some((Token::Ident("value"), _)) => Field::Value,
+            Some((Token::Ident("seqno"), _)) => Field::Seqno,
             _ => return Err(self.err_here("expected '.value' or '.seqno'")),
         };
         Ok(Expr::Term { var, index, field })

@@ -62,6 +62,7 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use super::ast::{AggOp, BinOp, Expr, Field, UnOp};
 use super::compiled::{aggregate, binary, unary, Val};
@@ -103,7 +104,7 @@ enum Memo {
     Known(Option<Val>),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Ring {
     history: History,
     /// Nodes whose subtree reads this ring, each listed once.
@@ -112,20 +113,14 @@ struct Ring {
 
 /// A condition's history inside the store: per variable in ascending
 /// order, the ring and how many of its newest entries the condition
-/// holds.
-type Spec = Box<[(usize, usize)]>;
+/// holds. The store keeps each distinct spec once, under an id.
+type Spec = [(usize, usize)];
 
-/// A condition hosted on its own: its root node and its spec.
-#[derive(Debug)]
+/// A condition hosted on its own: its root node and its spec's id.
+#[derive(Debug, Clone)]
 pub(crate) struct Hosted {
     root: usize,
-    spec: Spec,
-}
-
-impl Hosted {
-    pub(crate) fn spec(&self) -> &[(usize, usize)] {
-        &self.spec
-    }
+    spec: usize,
 }
 
 /// What [`ExprStore::host`] made of a condition.
@@ -149,15 +144,15 @@ enum Bound {
 }
 
 /// What the members of a family have in common, and the family's key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Shape {
     signal: usize,
     bound: Bound,
     residual: Option<usize>,
-    spec: Spec,
+    spec: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Family {
     shape: Shape,
     /// `(threshold, tag)`, ascending by threshold whenever `sorted`.
@@ -165,16 +160,63 @@ struct Family {
     sorted: bool,
 }
 
+/// The hasher of the interning maps. Their keys are a few small
+/// integers the store mints itself, so one rotate, xor and multiply per
+/// word does; flood resistance buys nothing here, and SipHash was a
+/// large share of the cost of registering a condition.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An interning map: a key to the id minted for it.
+type Interned<K> = HashMap<K, usize, BuildHasherDefault<WordHasher>>;
+
 /// Shared rings and interned expressions; see the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ExprStore {
     rings: Vec<Ring>,
     ring_of: BTreeMap<VarId, usize>,
     nodes: Vec<Node>,
     memo: Vec<Memo>,
-    interned: HashMap<Node, usize>,
+    interned: Interned<Node>,
     families: Vec<Family>,
-    family_of: HashMap<Shape, usize>,
+    family_of: Interned<Shape>,
+    /// Every distinct spec, by id, and the id of each.
+    specs: Vec<Box<Spec>>,
+    spec_ids: Interned<Box<Spec>>,
+    /// Scratch for [`ExprStore::host`]: the spec being placed.
+    placing: Vec<(usize, usize)>,
 }
 
 /// Whether the `degree` newest entries of `h` have consecutive seqnos.
@@ -250,17 +292,17 @@ impl ExprStore {
         let spec = self.rings_for(spec)?;
         let reads = &mut Vec::new();
         let Some((Comparison { signal, bound, threshold }, residual)) = indexable(expr) else {
-            return Some(Placed::Alone(Hosted { root: self.intern(expr, &spec, reads)?, spec }));
+            return Some(Placed::Alone(Hosted { root: self.intern(expr, spec, reads)?, spec }));
         };
-        let signal = self.intern(signal, &spec, reads)?;
+        let signal = self.intern(signal, spec, reads)?;
         let residual = match residual {
-            Some(rest) => Some(self.intern(rest, &spec, reads)?),
+            Some(rest) => Some(self.intern(rest, spec, reads)?),
             None => None,
         };
-        let family = match self.family_of.entry(Shape { signal, bound, residual, spec }) {
+        let shape = Shape { signal, bound, residual, spec };
+        let family = match self.family_of.entry(shape) {
             Entry::Occupied(known) => *known.get(),
             Entry::Vacant(new) => {
-                let shape = new.key().clone();
                 self.families.push(Family { shape, members: Vec::new(), sorted: true });
                 *new.insert(self.families.len() - 1)
             }
@@ -271,19 +313,35 @@ impl ExprStore {
         Some(Placed::Member(family))
     }
 
-    /// The store's form of a history spec, its rings created or
-    /// deepened; `None` if one of them already holds history.
-    fn rings_for(&mut self, spec: &[(VarId, usize)]) -> Option<Spec> {
+    /// The id of the store's form of a history spec, its rings created
+    /// or deepened; `None` if one of them already holds history.
+    fn rings_for(&mut self, spec: &[(VarId, usize)]) -> Option<usize> {
         let unusable = |&(var, degree): &(VarId, usize)| {
             degree == 0 || self.ring_of.get(&var).is_some_and(|&r| !self.history(r).is_empty())
         };
         if spec.iter().any(unusable) {
             return None;
         }
-        let mut spec: Spec =
-            spec.iter().map(|&(var, degree)| (self.ring_for(var, degree), degree)).collect();
-        spec.sort_unstable_by_key(|&(ring, _)| self.history(ring).var());
-        Some(spec)
+        let mut placing = std::mem::take(&mut self.placing);
+        placing.clear();
+        placing.extend(spec.iter().map(|&(var, degree)| (self.ring_for(var, degree), degree)));
+        placing.sort_unstable_by_key(|&(ring, _)| self.history(ring).var());
+        let id = match self.spec_ids.get(placing.as_slice()) {
+            Some(&known) => known,
+            None => {
+                let new: Box<Spec> = placing.as_slice().into();
+                self.specs.push(new.clone());
+                self.spec_ids.insert(new, self.specs.len() - 1);
+                self.specs.len() - 1
+            }
+        };
+        self.placing = placing;
+        Some(id)
+    }
+
+    /// Spec `id`'s `(ring, degree)` pairs.
+    fn spec(&self, id: usize) -> &Spec {
+        self.specs.get(id).map_or(&[], |spec| spec)
     }
 
     /// The ring for `var`, created or deepened to hold `degree` entries.
@@ -301,18 +359,13 @@ impl ExprStore {
         ring
     }
 
-    /// Interns `e` bottom-up and returns its node. `spec` is the owning
-    /// condition's `(ring, degree)` pairs; `reads` collects the rings
-    /// read so far, so that a new node can subscribe to those its own
-    /// subtree appended.
-    fn intern(
-        &mut self,
-        e: &Expr<VarId>,
-        spec: &[(usize, usize)],
-        reads: &mut Vec<usize>,
-    ) -> Option<usize> {
+    /// Interns `e` bottom-up and returns its node. `spec` is the id of
+    /// the owning condition's `(ring, degree)` pairs; `reads` collects
+    /// the rings read so far, so that a new node can subscribe to those
+    /// its own subtree appended.
+    fn intern(&mut self, e: &Expr<VarId>, spec: usize, reads: &mut Vec<usize>) -> Option<usize> {
         let ring_of = |store: &Self, var: &VarId| {
-            spec.iter().copied().find(|&(ring, _)| store.history(ring).var() == *var)
+            store.spec(spec).iter().copied().find(|&(ring, _)| store.history(ring).var() == *var)
         };
         let mark = reads.len();
         let node = match e {
@@ -391,9 +444,9 @@ impl ExprStore {
         true
     }
 
-    /// Whether every variable of `spec` holds `degree` updates.
-    fn defined(&self, spec: &[(usize, usize)]) -> bool {
-        spec.iter().all(|&(ring, degree)| self.history(ring).len() >= degree)
+    /// Whether every variable of spec `spec` holds `degree` updates.
+    fn defined(&self, spec: usize) -> bool {
+        self.spec(spec).iter().all(|&(ring, degree)| self.history(ring).len() >= degree)
     }
 
     /// Whether node `id` evaluates to `true`, not `false` or undefined.
@@ -404,7 +457,7 @@ impl ExprStore {
     /// Whether the condition holds now: every one of its variables holds
     /// `degree` updates and its expression is boolean-true.
     pub(crate) fn satisfied(&mut self, hosted: &Hosted) -> bool {
-        self.defined(&hosted.spec) && self.holds(hosted.root)
+        self.defined(hosted.spec) && self.holds(hosted.root)
     }
 
     /// Appends the tags of the members of `family` that hold now, in no
@@ -421,7 +474,7 @@ impl ExprStore {
             SORTS.set(SORTS.get() + 1);
         }
         let Some(Family { shape, .. }) = self.families.get(family) else { return };
-        let Shape { signal, bound, residual, ref spec } = *shape;
+        let Shape { signal, bound, residual, spec } = *shape;
         if !self.defined(spec) {
             return;
         }
@@ -499,8 +552,13 @@ impl ExprStore {
     }
 
     /// The spec the members of `family` share.
-    pub(crate) fn family_spec(&self, family: usize) -> &[(usize, usize)] {
-        self.families.get(family).map_or(&[], |f| &f.shape.spec)
+    pub(crate) fn family_spec(&self, family: usize) -> &Spec {
+        self.families.get(family).map_or(&[], |f| self.spec(f.shape.spec))
+    }
+
+    /// The spec of a condition hosted on its own.
+    pub(crate) fn hosted_spec(&self, hosted: &Hosted) -> &Spec {
+        self.spec(hosted.spec)
     }
 
     /// The history `spec` covers: per variable in ascending order, its
@@ -564,7 +622,7 @@ mod tests {
     /// with an expression that is not a threshold.
     fn alone(store: &mut ExprStore, cond: &CompiledCondition) -> Hosted {
         let spec = store.rings_for(&cond.history_spec()).expect("rings are empty");
-        let root = store.intern(cond.expr(), &spec, &mut Vec::new()).expect("reads within spec");
+        let root = store.intern(cond.expr(), spec, &mut Vec::new()).expect("reads within spec");
         Hosted { root, spec }
     }
 
@@ -582,7 +640,7 @@ mod tests {
 
     fn spec_of<'a>(store: &'a ExprStore, placed: &'a Placed) -> &'a [(usize, usize)] {
         match placed {
-            Placed::Alone(hosted) => hosted.spec(),
+            Placed::Alone(hosted) => store.hosted_spec(hosted),
             Placed::Member(family) => store.family_spec(*family),
         }
     }

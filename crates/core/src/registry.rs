@@ -72,7 +72,7 @@ thread_local! {
 }
 
 /// How a hosted condition is evaluated in the registry's store.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Eval {
     /// On its own.
     Alone(Hosted),
@@ -84,7 +84,7 @@ enum Eval {
 
 /// One hosted condition: how it is evaluated plus its own counters. A
 /// family member keeps only `emitted`; see [`FamilyCounters`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry {
     cond_id: CondId,
     eval: Eval,
@@ -115,7 +115,7 @@ impl Entry {
     /// emission index.
     fn raise(&mut self, store: &ExprStore, ce: CeId) -> Alert {
         let spec = match &self.eval {
-            Eval::Alone(hosted) => hosted.spec(),
+            Eval::Alone(hosted) => store.hosted_spec(hosted),
             Eval::Member(family) => store.family_spec(*family),
         };
         let (fingerprint, snapshot) = (store.fingerprint(spec), store.snapshot(spec));
@@ -126,7 +126,7 @@ impl Entry {
 }
 
 /// The conditions reading one variable, as an update for it visits them.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Route {
     /// The threshold families over the variable, by store id.
     families: Vec<usize>,
@@ -139,7 +139,7 @@ struct Route {
 /// counts from when it joined — a condition hosted after a `restart()`
 /// can join a family that has been counting for a while — so the sums
 /// over members are `count * members - joined`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct FamilyCounters {
     members: u64,
     ingested: u64,
@@ -181,12 +181,12 @@ pub struct RegistryStats {
 /// assert_eq!(alerts.len(), 1); // first condition fires, second undefined
 /// # Ok::<(), rcm_core::Error>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ConditionRegistry {
     ce: CeId,
     entries: Vec<Entry>,
-    /// Condition id → index into `entries`.
-    slot_of: BTreeMap<CondId, u32>,
+    /// `(condition id, index into entries)`, ascending by id.
+    slot_of: Vec<(CondId, u32)>,
     /// Variable → the conditions mentioning that variable.
     index: BTreeMap<VarId, Route>,
     /// Histories and expressions of every entry.
@@ -204,13 +204,22 @@ impl ConditionRegistry {
         ConditionRegistry {
             ce,
             entries: Vec::new(),
-            slot_of: BTreeMap::new(),
+            slot_of: Vec::new(),
             index: BTreeMap::new(),
             store: ExprStore::default(),
             families: Vec::new(),
             fired: Vec::new(),
             unrouted: 0,
         }
+    }
+
+    /// This registry as replica `ce`'s: the same conditions, store,
+    /// histories and counters, copied rather than hosted again. Every
+    /// replica of a system evaluates one condition set, so the system
+    /// hosts it once and gives each replica such a copy; what a copy
+    /// emits differs from its original's only in [`AlertId::ce`].
+    pub fn for_replica(&self, ce: CeId) -> Self {
+        ConditionRegistry { ce, ..self.clone() }
     }
 
     /// Registers a condition under the next sequential [`CondId`]
@@ -247,13 +256,15 @@ impl ConditionRegistry {
             self.entries.len()
         );
         let slot = self.entries.len() as u32;
-        assert!(!self.slot_of.contains_key(&cond_id), "condition id {cond_id} already registered");
+        let Err(at) = self.slot_of.binary_search_by_key(&cond_id, |&(id, _)| id) else {
+            panic!("condition id {cond_id} already registered")
+        };
         let spec = cond.history_spec();
         // The store takes nothing of a condition it refuses.
         let Some(placed) = self.store.host(cond.expr(), &spec, slot) else {
             panic!("condition {cond_id} registered after one of its variables holds history")
         };
-        self.slot_of.insert(cond_id, slot);
+        self.slot_of.insert(at, (cond_id, slot));
         // Updates reach a member through its family, which its first
         // member lists on the route of each variable, and any other
         // condition by its slot.
@@ -297,7 +308,8 @@ impl ConditionRegistry {
 
     /// Alerts emitted so far for `cond_id` (its next `AlertId::index`).
     pub fn alerts_emitted(&self, cond_id: CondId) -> Option<u64> {
-        let slot = *self.slot_of.get(&cond_id)?;
+        let at = self.slot_of.binary_search_by_key(&cond_id, |&(id, _)| id).ok()?;
+        let &(_, slot) = self.slot_of.get(at)?;
         self.entries.get(slot as usize).map(|e| e.emitted)
     }
 

@@ -451,16 +451,23 @@ impl Engine for Partitions {
     }
 }
 
-fn run(engine: &mut dyn Engine, steps: &[Step]) -> (Vec<Alert>, RegistryStats) {
-    let mut out = Vec::new();
+/// Runs `steps` on `engine`, appending its alerts to `out`, and
+/// returns its counters after them.
+fn run_into(engine: &mut dyn Engine, steps: &[Step], out: &mut Vec<Alert>) -> RegistryStats {
     for step in steps {
         match step {
             Step::Insert(id, cond) => engine.insert(*id, Arc::clone(cond)),
-            Step::Ingest(updates) => engine.ingest(updates, &mut out),
+            Step::Ingest(updates) => engine.ingest(updates, out),
             Step::Restart => engine.restart(),
         }
     }
-    (out, engine.stats())
+    engine.stats()
+}
+
+fn run(engine: &mut dyn Engine, steps: &[Step]) -> (Vec<Alert>, RegistryStats) {
+    let mut out = Vec::new();
+    let stats = run_into(engine, steps, &mut out);
+    (out, stats)
 }
 
 /// `==` on alerts is the paper's identity (condition + fingerprint);
@@ -537,6 +544,49 @@ fn registry_matches_independent_evaluators() {
     assert!(fired_after_restart.iter().all(|&n| n > 0) && stale > 0 && strays > 0);
     assert_eq!(family_split[0], 0, "one partition cannot part a family");
     assert!(family_split[1] > 0 && family_split[2] > 0, "no split parted {SPLIT_FAMILY:?}");
+}
+
+/// A registry copied for replica `k` ([`ConditionRegistry::for_replica`])
+/// emits exactly what one built from scratch for `k` does — ids,
+/// fingerprints, snapshots and counters — across `restart()` and an
+/// `insert` after it, whether it is copied once the conditions are
+/// hosted (as a system does) or in the middle of the stream; and the
+/// copy leaves its original as it was.
+#[test]
+fn a_registry_copied_for_a_replica_emits_what_one_built_for_it_does() {
+    for seed in 0..30u64 {
+        let Script { steps, .. } = script(seed);
+        let hosted = steps.iter().position(|s| matches!(s, Step::Ingest(_))).unwrap();
+        let restart = steps.iter().position(|s| matches!(s, Step::Restart)).unwrap();
+        let mut original = Registry(ConditionRegistry::new(CeId::new(0)), Feed::Batched);
+        let mut before = Vec::new();
+        let mut copies = Vec::new();
+        for (at, step) in steps.iter().enumerate() {
+            if at == hosted || at == restart {
+                for k in [1, 3] {
+                    let copy = original.0.for_replica(CeId::new(k));
+                    copies.push((at, k, before.len(), Registry(copy, Feed::Batched)));
+                }
+            }
+            run_into(&mut original, std::slice::from_ref(step), &mut before);
+        }
+        let original_stats = original.stats();
+        for (at, k, skip, mut copy) in copies {
+            let what = format!("seed {seed}, replica {k} copied before step {at}");
+            let mut scratch = Registry(ConditionRegistry::new(CeId::new(k)), Feed::Batched);
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            let want_stats = run_into(&mut scratch, &steps, &mut want);
+            let stats = run_into(&mut copy, &steps[at..], &mut got);
+            assert_same_alerts(&got, &want[skip..], &what);
+            assert_eq!(stats, want_stats, "{what}");
+            assert!(got.iter().all(|al| al.id.ce == CeId::new(k)), "{what}");
+        }
+        // The original went on as if never copied.
+        let scratch = &mut Registry(ConditionRegistry::new(CeId::new(0)), Feed::Batched);
+        let (want, want_stats) = run(scratch, &steps);
+        assert_same_alerts(&before, &want, &format!("seed {seed}, original"));
+        assert_eq!(original_stats, want_stats, "seed {seed}, original");
+    }
 }
 
 /// Per-condition alert numbering survives `restart()` for family

@@ -18,17 +18,15 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
-use rcm_sync::atomic::AtomicU64;
 use rcm_sync::time::Instant;
 use rcm_sync::{Arc, Mutex};
 
 use rcm_core::ad::AlertFilter;
-use rcm_core::condition::Condition;
-use rcm_core::{Alert, CeId, LatencyHistogram, Update};
+use rcm_core::{Alert, ConditionRegistry, LatencyHistogram, Update};
 
 use crate::dm::ROUND;
 use crate::faults::{FaultReport, IngestGate, RetainedWindow};
-use crate::pipeline::{AlertDrain, EvalPipeline, PipelineOptions};
+use crate::pipeline::{AlertDrain, EvalPipeline};
 use crate::system::AlertCallback;
 
 /// One CE → AD path, as a replica sees it: the in-process
@@ -73,22 +71,6 @@ impl std::fmt::Debug for CeFaultConfig {
             .field("max_restarts", &self.max_restarts)
             .field("ce_index", &self.ce_index)
             .finish()
-    }
-}
-
-/// Evaluation-stage configuration handed to every replica: the pipeline
-/// shape plus the run-wide latency histogram (shared across replicas,
-/// snapshotted into the final report).
-pub(crate) struct CePipeline {
-    /// Shard count.
-    pub options: PipelineOptions,
-    /// Ingest→alert-emit latency histogram.
-    pub latency: Arc<LatencyHistogram>,
-}
-
-impl std::fmt::Debug for CePipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CePipeline").field("options", &self.options).finish()
     }
 }
 
@@ -235,27 +217,21 @@ pub(crate) struct Replica {
 }
 
 impl Replica {
-    /// Replica `ce` over `conditions`, its alerts recorded in `emitted`
-    /// and sent over `back`, its admitted updates recorded in
-    /// `ingested`. The pipeline's helper threads start here.
+    /// The replica whose conditions `shards` host (as its own, see
+    /// [`ConditionRegistry::for_replica`]), its alerts recorded in
+    /// `emitted` and sent over `back`, its admitted updates recorded in
+    /// `ingested`, and its ingest→emit latencies in the run-wide
+    /// `latency`. The pipeline's helper threads start here.
     pub(crate) fn new(
-        ce: CeId,
-        conditions: &[Arc<dyn Condition>],
-        pipeline: CePipeline,
+        shards: Vec<ConditionRegistry>,
+        latency: Arc<LatencyHistogram>,
         back: Box<dyn AlertSink>,
         ingested: Arc<Mutex<Vec<Update>>>,
         emitted: Arc<Mutex<Vec<Alert>>>,
         faults: Option<CeFaultConfig>,
     ) -> Self {
         let drain = Box::new(SystemDrain { back, emitted });
-        let pipe = EvalPipeline::start(
-            ce,
-            conditions,
-            &pipeline.options,
-            drain,
-            pipeline.latency,
-            Arc::new(AtomicU64::new(0)),
-        );
+        let pipe = EvalPipeline::with_shards(shards, drain, latency);
         let mut kill_at: Vec<u64> = faults.as_ref().map(|f| f.kill_at.clone()).unwrap_or_default();
         kill_at.sort_unstable_by(|a, b| b.cmp(a));
         let live = Live {

@@ -14,6 +14,11 @@
 //! condition in one registry. With `workers` 0 or 1 nothing is spawned
 //! and the CPU count is not read.
 //!
+//! **Hosted once.** A [`MonitorSystem`](crate::MonitorSystem) reads the
+//! CPU count and hosts its condition set in this shard layout once;
+//! each replica's pipeline starts from copies of those registries
+//! ([`ConditionRegistry::for_replica`]), not from the conditions.
+//!
 //! [`available_parallelism`]: rcm_sync::thread::available_parallelism
 //!
 //! **Rounds.** The unit of work is a round: the updates one offer to
@@ -218,6 +223,40 @@ impl std::fmt::Debug for EvalPipeline {
     }
 }
 
+/// The CPU budget [`EvalPipeline::start`] shards for: the caller's
+/// available parallelism when `workers >= 2`, read once per call, and
+/// 1 otherwise (no shard count depends on it then).
+pub(crate) fn cpu_budget(options: &PipelineOptions) -> usize {
+    if options.workers >= 2 {
+        rcm_sync::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
+    } else {
+        1
+    }
+}
+
+/// `conditions` hosted for replica `ce` on `min(max(workers, 1), cpus)`
+/// shards: shard `t` hosts the conditions with `i % threads == t`, in
+/// ascending `i` (condition `i` is `CondId::new(i)`), so it emits in
+/// ascending condition id. A system hosts its set once and gives each
+/// replica copies ([`ConditionRegistry::for_replica`]).
+pub(crate) fn shards(
+    ce: CeId,
+    conditions: &[Arc<dyn Condition>],
+    options: &PipelineOptions,
+    cpus: usize,
+) -> Vec<ConditionRegistry> {
+    let threads = options.workers.max(1).min(cpus).max(1);
+    (0..threads)
+        .map(|t| {
+            let mut registry = ConditionRegistry::new(ce);
+            for (i, cond) in conditions.iter().enumerate().skip(t).step_by(threads) {
+                registry.insert(CondId::new(i as u32), Arc::clone(cond));
+            }
+            registry
+        })
+        .collect()
+}
+
 impl EvalPipeline {
     /// Starts the evaluation stage: one shard on each of
     /// `min(max(workers, 1), cpus)` threads, the caller's and one helper
@@ -234,45 +273,31 @@ impl EvalPipeline {
         latency: Arc<LatencyHistogram>,
         _shed: Arc<AtomicU64>,
     ) -> EvalPipeline {
-        let cpus = if options.workers >= 2 {
-            rcm_sync::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
-        } else {
-            1
-        };
-        EvalPipeline::with_cpus(ce, conditions, options, cpus, drain, latency)
+        let shards = shards(ce, conditions, options, cpu_budget(options));
+        EvalPipeline::with_shards(shards, drain, latency)
     }
 
-    /// [`start`](Self::start) with the CPU budget given:
-    /// `min(workers, cpus)` shards, one per thread, and never fewer than
-    /// one (the caller's).
-    pub(crate) fn with_cpus(
-        ce: CeId,
-        conditions: &[Arc<dyn Condition>],
-        options: &PipelineOptions,
-        cpus: usize,
+    /// The evaluation stage over shards already hosted: the first on the
+    /// caller's thread and one helper thread for each further one (no
+    /// shards is one empty shard).
+    pub(crate) fn with_shards(
+        shards: Vec<ConditionRegistry>,
         drain: Box<dyn AlertDrain>,
         latency: Arc<LatencyHistogram>,
     ) -> EvalPipeline {
-        let threads = options.workers.max(1).min(cpus).max(1);
-        // Shard `t` hosts the conditions with `i % threads == t`, in
-        // ascending `i`, so it emits in ascending condition id.
-        let shard = |t: usize| {
-            let mut registry = ConditionRegistry::new(ce);
-            for (i, cond) in conditions.iter().enumerate().skip(t).step_by(threads) {
-                registry.insert(CondId::new(i as u32), Arc::clone(cond));
-            }
-            registry
-        };
-        let mut helpers = Vec::with_capacity(threads - 1);
-        for t in 1..threads {
-            let registry = shard(t);
-            let (jobs, job_rx) = unbounded::<Job>();
-            let (reply_tx, replies) = unbounded::<Job>();
-            let thread = rcm_sync::thread::spawn(move || helper_body(registry, job_rx, reply_tx));
-            helpers.push(Helper { jobs, replies, thread: Some(thread), job: Job::default() });
-        }
+        let mut shards = shards.into_iter();
+        let shard = shards.next().unwrap_or_else(|| ConditionRegistry::new(CeId::new(0)));
+        let helpers = shards
+            .map(|registry| {
+                let (jobs, job_rx) = unbounded::<Job>();
+                let (reply_tx, replies) = unbounded::<Job>();
+                let thread =
+                    rcm_sync::thread::spawn(move || helper_body(registry, job_rx, reply_tx));
+                Helper { jobs, replies, thread: Some(thread), job: Job::default() }
+            })
+            .collect();
         EvalPipeline {
-            shard: shard(0),
+            shard,
             own: Evaluated::default(),
             helpers,
             drain,
@@ -465,11 +490,8 @@ mod tests {
         cpus: usize,
         seen: &Seen,
     ) -> EvalPipeline {
-        EvalPipeline::with_cpus(
-            CeId::new(0),
-            conds,
-            &PipelineOptions::with_workers(workers),
-            cpus,
+        EvalPipeline::with_shards(
+            shards(CeId::new(0), conds, &PipelineOptions::with_workers(workers), cpus),
             Box::new(VecDrain(seen.clone())),
             Arc::new(LatencyHistogram::new()),
         )

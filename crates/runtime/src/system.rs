@@ -14,7 +14,7 @@ use rcm_sync::{Arc, Mutex};
 
 use rcm_core::ad::{Ad1, AlertFilter};
 use rcm_core::condition::Condition;
-use rcm_core::{Alert, CeId, LatencyHistogram, LatencySnapshot, Update, VarId};
+use rcm_core::{Alert, CeId, ConditionRegistry, LatencyHistogram, LatencySnapshot, Update, VarId};
 use rcm_net::{Backoff, LinkStats, LossModel, Lossless};
 use rcm_sync::atomic::AtomicU64;
 use rcm_transport::{
@@ -22,12 +22,12 @@ use rcm_transport::{
     IngressStats, ListenerStats, RoundSender, TransportMode, TransportReport, UdpFrontLink,
 };
 
-use crate::actors::{on_ingress, Ad, AlertSink, CeFaultConfig, CePipeline, Replica};
+use crate::actors::{on_ingress, Ad, AlertSink, CeFaultConfig, Replica};
 use crate::backlink::BackLink;
 use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
 use crate::link::FrontHop;
-use crate::pipeline::PipelineOptions;
+use crate::pipeline::{self, PipelineOptions};
 
 /// One variable's data feed: where its Data Monitor's readings come
 /// from — a pre-recorded list or a live channel.
@@ -319,9 +319,12 @@ impl SystemBuilder {
             Some(p) => self.feeds.iter().map(|_| RetainedWindow::new(p.retain_window)).collect(),
             None => Vec::new(),
         };
+        // The condition set is hosted once, in the shard layout every
+        // replica's pipeline runs; each replica gets copies.
+        let cpus = pipeline::cpu_budget(&self.pipeline);
         let mut ces = Replicas {
-            conditions: std::mem::take(&mut self.conditions),
-            options: self.pipeline,
+            shards: pipeline::shards(CeId::new(0), &self.conditions, &self.pipeline, cpus),
+            workers: self.pipeline.workers,
             seed: self.seed,
             plan: self.faults.take(),
             windows,
@@ -514,8 +517,9 @@ fn ad(
 /// `start` builds it once; it builds each replica and keeps the sinks
 /// the final report reads.
 struct Replicas {
-    conditions: Vec<Arc<dyn Condition>>,
-    options: PipelineOptions,
+    /// The condition set, hosted once in the pipeline's shard layout.
+    shards: Vec<ConditionRegistry>,
+    workers: usize,
     seed: u64,
     plan: Option<FaultPlan>,
     /// Every DM's retained window, in feed order.
@@ -562,9 +566,10 @@ impl Replicas {
             report: Arc::clone(&self.fault_report),
             ce_index: ce,
         });
-        let pipeline = CePipeline { options: self.options, latency: Arc::clone(&self.latency) };
         let id = CeId::new(ce as u32);
-        Replica::new(id, &self.conditions, pipeline, back, record, outputs, faults)
+        let shards = self.shards.iter().map(|shard| shard.for_replica(id)).collect();
+        let latency = Arc::clone(&self.latency);
+        Replica::new(shards, latency, back, record, outputs, faults)
     }
 
     /// The running system: its threads, the AD's records, the links'
@@ -584,7 +589,7 @@ impl Replicas {
             emitted: self.emitted,
             fault_report: self.fault_report,
             links,
-            workers: self.options.workers,
+            workers: self.workers,
             latency: self.latency,
         }
     }

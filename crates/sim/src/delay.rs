@@ -32,10 +32,27 @@ impl DelaySpec {
     pub fn sample(&self, rng: &mut Rng) -> SimTime {
         match *self {
             DelaySpec::Constant(ticks) => ticks,
-            DelaySpec::Uniform(min, max) => min + rng.next_u64() % (max - min + 1),
+            // `[0, u64::MAX]` has 2^64 values, every draw one of them.
+            DelaySpec::Uniform(min, max) => match (max - min).checked_add(1) {
+                Some(span) => min + rng.next_u64() % span,
+                None => rng.next_u64(),
+            },
             DelaySpec::Exponential { base, mean } => {
                 let u = ((rng.next_u64() >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-                base + (-u.ln() * mean).round() as SimTime
+                base + tail(u, mean)
+            }
+        }
+    }
+
+    /// The longest delay [`sample`](Self::sample) can return, `None`
+    /// past the last tick. An exponential tail is longest at the
+    /// smallest unit draw, 2^-54.
+    pub(crate) fn longest(&self) -> Option<SimTime> {
+        match *self {
+            DelaySpec::Constant(ticks) => Some(ticks),
+            DelaySpec::Uniform(_, max) => Some(max),
+            DelaySpec::Exponential { base, mean } => {
+                base.checked_add(tail(0.5 / (1u64 << 53) as f64, mean))
             }
         }
     }
@@ -71,6 +88,12 @@ impl DelaySpec {
     }
 }
 
+/// The geometric tail of mean `mean` at unit draw `u`, saturating at
+/// the last tick.
+fn tail(u: f64, mean: f64) -> SimTime {
+    (-u.ln() * mean).round() as SimTime
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,6 +118,32 @@ mod tests {
         for want in 2..=5 {
             assert!(samples.contains(&want), "never sampled {want}");
         }
+    }
+
+    #[test]
+    fn uniform_over_every_tick_draws_without_wrapping() {
+        let (mut a, mut b) = (rng(5), rng(5));
+        for _ in 0..100 {
+            assert_eq!(DelaySpec::Uniform(0, u64::MAX).sample(&mut a), b.next_u64());
+        }
+        let mut r = rng(6);
+        assert!((0..100)
+            .all(|_| DelaySpec::Uniform(u64::MAX - 1, u64::MAX).sample(&mut r) >= u64::MAX - 1));
+    }
+
+    #[test]
+    fn longest_bounds_every_sample() {
+        let mut r = rng(7);
+        for d in [
+            DelaySpec::Constant(4),
+            DelaySpec::Uniform(2, 9),
+            DelaySpec::Exponential { base: 3, mean: 0.5 },
+        ] {
+            let longest = d.longest().unwrap();
+            assert!((0..10_000).all(|_| d.sample(&mut r) <= longest), "{d:?}");
+        }
+        assert_eq!(DelaySpec::Exponential { base: 0, mean: 1.0 }.longest(), Some(37));
+        assert_eq!(DelaySpec::Exponential { base: u64::MAX, mean: 1.0 }.longest(), None);
     }
 
     #[test]

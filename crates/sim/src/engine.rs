@@ -141,14 +141,11 @@ pub fn run(scenario: Scenario) -> RunResult {
     let mut down = vec![false; n_ce];
 
     // Each replica is the deployed Condition Evaluator: a registry
-    // hosting the scenario's one condition.
-    let mut replicas: Vec<ConditionRegistry> = (0..n_ce)
-        .map(|ce| {
-            let mut registry = ConditionRegistry::new(CeId::new(ce as u32));
-            registry.insert(CondId::SINGLE, scenario.condition.clone());
-            registry
-        })
-        .collect();
+    // hosting the scenario's one condition, hosted once and copied.
+    let mut hosted = ConditionRegistry::new(CeId::new(0));
+    hosted.insert(CondId::SINGLE, scenario.condition.clone());
+    let mut replicas: Vec<ConditionRegistry> =
+        (0..n_ce).map(|ce| hosted.for_replica(CeId::new(ce as u32))).collect();
 
     // Workload state.
     let mut values: Vec<ValueState> =
@@ -167,7 +164,8 @@ pub fn run(scenario: Scenario) -> RunResult {
     // Schedule emissions and outages.
     for (vi, w) in scenario.workloads.iter().enumerate() {
         for i in 0..w.updates {
-            queue.schedule(w.offset + i * w.period, Ev::Emit { var_index: vi });
+            let at = w.emission(i).expect("`Scenario::check` bounds every emission");
+            queue.schedule(at, Ev::Emit { var_index: vi });
         }
     }
     for o in &scenario.outages {
@@ -189,7 +187,8 @@ pub fn run(scenario: Scenario) -> RunResult {
                         stats.updates_lost += 1;
                         continue;
                     }
-                    let at = now + scenario.front_delay_for(var_index, ce).sample(&mut rng);
+                    let delay = scenario.front_delay_for(var_index, ce).sample(&mut rng);
+                    let at = now.checked_add(delay).expect("`Scenario::check` bounds every tick");
                     queue.schedule(at, Ev::DeliverUpdate { ce, update });
                 }
             }
@@ -209,7 +208,8 @@ pub fn run(scenario: Scenario) -> RunResult {
                 for idx in raised..ce_outputs[ce].len() {
                     stats.alerts_emitted += 1;
                     let delay = scenario.back_delay_for(ce).sample(&mut rng);
-                    let at = up(now + delay).max(horizons[ce]);
+                    let sent = now.checked_add(delay).expect("`Scenario::check` bounds every tick");
+                    let at = up(sent).max(horizons[ce]);
                     horizons[ce] = at;
                     queue.schedule(at, Ev::DeliverAlert { ce, idx, sent_at: now });
                 }

@@ -108,6 +108,18 @@ pub struct VarWorkload {
     pub values: ValueSpec,
 }
 
+impl VarWorkload {
+    /// The tick of emission `i`, `None` past the last tick.
+    pub(crate) fn emission(&self, i: u64) -> Option<SimTime> {
+        i.checked_mul(self.period)?.checked_add(self.offset)
+    }
+
+    /// The tick of the last emission (of the first, if there is none).
+    fn last_emission(&self) -> Option<SimTime> {
+        self.emission(self.updates.saturating_sub(1))
+    }
+}
+
 /// A Condition Evaluator outage: the replica is down during
 /// `[from, to)` — it misses all updates delivered in that window and
 /// loses its in-memory histories.
@@ -182,6 +194,9 @@ impl Scenario {
         }
         let vars = self.condition.variables();
         for (i, w) in self.workloads.iter().enumerate() {
+            if w.last_emission().is_none() {
+                return Err(at("workloads", i, "the last emission is past the last tick"));
+            }
             if !vars.contains(&w.var) {
                 let why =
                     format!("workload variable {} not in the condition's variable set", w.var);
@@ -219,7 +234,26 @@ impl Scenario {
         if self.ad_windows().windows(2).any(|w| w[0].1 > w[1].0) {
             return Err("ad_outages: AD outage windows must not overlap".into());
         }
+        if self.last_tick().is_none() {
+            let why = "an emission plus the longest front and back delays is past the last tick";
+            return Err(format!("workloads: {why}"));
+        }
         Ok(())
+    }
+
+    /// The latest tick the run computes, `None` past the last one: the
+    /// last emission plus the longest front and then back delay. (Outage
+    /// ends are given, and an alert the AD's outage holds back lands at
+    /// its end.)
+    fn last_tick(&self) -> Option<SimTime> {
+        let longest = |delays: &[DelaySpec]| {
+            delays.iter().try_fold(0, |t: SimTime, d| Some(t.max(d.longest()?)))
+        };
+        let mut emissions = self.workloads.iter().map(VarWorkload::last_emission);
+        let last_emission = emissions.try_fold(0, |t: SimTime, last| Some(t.max(last?)))?;
+        last_emission
+            .checked_add(longest(&self.front_delay)?)?
+            .checked_add(longest(&self.back_delay)?)
     }
 
     /// The AD outage windows in time order.

@@ -262,6 +262,48 @@ mod tests {
         );
     }
 
+    /// A one-workload scenario over `x`: `updates` emissions `period`
+    /// ticks apart, with `delays` spliced in.
+    fn ticking(updates: u64, period: u64, delays: &str) -> String {
+        format!(
+            r#"{{"condition": "x[0].value > 0", {delays} "workloads": [
+                {{"var": "x", "updates": {updates}, "period": {period},
+                  "values": {{"Scripted": [1.0]}}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn ticks_past_the_last_one_are_refused() {
+        // Once wrapped the third emission round to tick 0.
+        assert_eq!(
+            read(&ticking(3, 1 << 63, "")).unwrap_err().to_string(),
+            "workloads[0]: the last emission is past the last tick"
+        );
+        // Once panicked dividing by `max - min + 1`, wrapped to 0.
+        let every_tick = r#""front_delay": [{"Uniform": [0, 18446744073709551615]}],"#;
+        assert_eq!(
+            read(&ticking(3, 1, every_tick)).unwrap_err().to_string(),
+            "workloads: an emission plus the longest front and back delays is past the last tick"
+        );
+        let far =
+            r#""back_delay": [{"Exponential": {"base": 18446744073709551600, "mean": 1.0}}],"#;
+        assert!(read(&ticking(1, 1, far)).is_err());
+    }
+
+    #[test]
+    fn ticks_up_to_the_last_one_run_in_time_order() {
+        let (sc, _) = read(&ticking(2, 1 << 63, "")).unwrap();
+        let result = run(sc);
+        assert_eq!(result.stats.updates_emitted, 2);
+        // Raised on arrival, one default tick after the emission.
+        let raised = result.arrival_times.iter().map(|&(sent, _)| sent).max();
+        assert_eq!(raised, Some((1 << 63) + 1));
+        let every_tick = r#""front_delay": [{"Uniform": [0, 18446744073709551615]}],
+            "back_delay": [{"Constant": 0}],"#;
+        let (sc, _) = read(&ticking(1, 1, every_tick)).unwrap();
+        assert_eq!(run(sc).stats.updates_emitted, 1);
+    }
+
     #[test]
     fn a_zero_exponential_mean_is_refused() {
         assert_eq!(

@@ -51,6 +51,10 @@ pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
          crate root stays deny(unsafe_code)",
     ),
     (
+        "crates/core/tests/compile_allocations.rs",
+        "a counting #[global_allocator] that forwards to System, in a test binary of its own",
+    ),
+    (
         "crates/poll/tests/wait_allocations.rs",
         "a counting #[global_allocator] that forwards to System, in a test binary of its own",
     ),
