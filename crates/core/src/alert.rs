@@ -249,7 +249,7 @@ impl HistoryFingerprint {
         words: usize,
         entries: impl IntoIterator<Item = (VarId, S)>,
     ) -> Result<Self, FingerprintError> {
-        let mut builder = FingerprintBuilder { words, ..FingerprintBuilder::default() };
+        let mut builder = FingerprintBuilder::with_words(words);
         for (var, seqnos) in entries {
             builder.start(var)?;
             for seqno in seqnos {
@@ -303,7 +303,13 @@ impl HistoryFingerprint {
 
     /// The seqnos over all variables: the length of a full snapshot.
     pub(crate) fn seqno_count(&self) -> usize {
-        self.iter().map(|(_, seqnos)| seqnos.len()).sum()
+        match &self.repr {
+            Repr::Flat { len, ends, .. } => match usize::from(*len) {
+                0 => 0,
+                len => usize::from(ends[len - 1]),
+            },
+            Repr::Spilled(words) => words.len() - Runs(words).count(),
+        }
     }
 
     /// Whether the seqnos for every variable are consecutive (no gaps),
@@ -466,8 +472,8 @@ pub struct FingerprintBuilder {
     scratch: [SeqNo; SCRATCH],
     len: usize,
     spill: Vec<SeqNo>,
-    /// Where the open entry's head is.
-    head: Option<usize>,
+    /// The entry being pushed to; its head is written when it closes.
+    open: Option<Open>,
     vars: usize,
     /// The words the finished set will hold, if known (else 0): the
     /// spill is then sized once, exactly.
@@ -476,12 +482,33 @@ pub struct FingerprintBuilder {
     unsorted: bool,
 }
 
+/// A [`FingerprintBuilder`]'s open entry.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    /// Where its head is.
+    head: usize,
+    var: VarId,
+    /// Its seqnos so far.
+    count: usize,
+    /// The last seqno pushed, if `count` is not 0.
+    last: SeqNo,
+}
+
 impl FingerprintBuilder {
     /// A builder holding nothing.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// A builder for a history set of `words` variables and seqnos in
+    /// all, known ahead: one too large to store in place is gathered
+    /// in one block of exactly that size, with no growth on the way.
+    /// A wrong count costs allocations, never correctness.
+    pub fn with_words(words: usize) -> Self {
+        FingerprintBuilder { words, ..Self::default() }
+    }
+
+    #[inline]
     fn words(&self) -> &[SeqNo] {
         if self.spill.is_empty() {
             &self.scratch[..self.len]
@@ -490,6 +517,7 @@ impl FingerprintBuilder {
         }
     }
 
+    #[inline]
     fn append(&mut self, word: SeqNo) {
         if self.spill.is_empty() {
             if let Some(slot) = self.scratch.get_mut(self.len) {
@@ -507,13 +535,21 @@ impl FingerprintBuilder {
         self.spill.push(word);
     }
 
-    /// Closes the open entry, if any, and returns its variable.
+    /// Closes the open entry, if any, writing its head, and returns
+    /// its variable.
+    #[inline]
     fn close(&mut self) -> Result<Option<VarId>, FingerprintError> {
-        let Some(head) = self.head.take() else { return Ok(None) };
-        match unpack(self.words()[head]) {
-            (var, 0) => Err(FingerprintError::EmptyHistory(var)),
-            (var, _) => Ok(Some(var)),
+        let Some(Open { head, var, count, .. }) = self.open.take() else { return Ok(None) };
+        if count == 0 {
+            return Err(FingerprintError::EmptyHistory(var));
         }
+        let word = pack(var, count);
+        if self.spill.is_empty() {
+            self.scratch[head] = word;
+        } else {
+            self.spill[head] = word;
+        }
+        Ok(Some(var))
     }
 
     /// Begins the history of `var`; the seqnos pushed next are its.
@@ -522,11 +558,13 @@ impl FingerprintBuilder {
     ///
     /// [`FingerprintError::EmptyHistory`] if the variable before it
     /// was given no seqno.
+    #[inline]
     pub fn start(&mut self, var: VarId) -> Result<(), FingerprintError> {
         if let Some(prev) = self.close()? {
             self.unsorted |= var <= prev;
         }
-        self.head = Some(self.words().len());
+        let head = self.words().len();
+        self.open = Some(Open { head, var, count: 0, last: SeqNo::new(0) });
         self.vars += 1;
         self.append(pack(var, 0));
         Ok(())
@@ -542,19 +580,14 @@ impl FingerprintBuilder {
     /// # Panics
     ///
     /// Panics if no variable was started.
+    #[inline]
     pub fn push(&mut self, seqno: SeqNo) -> Result<(), FingerprintError> {
-        let head = self.head.expect("`start` names the variable a seqno belongs to");
-        let words = self.words();
-        let (var, count) = unpack(words[head]);
-        if count > 0 && words[words.len() - 1] <= seqno {
-            return Err(FingerprintError::UnorderedHistory(var));
+        let open = self.open.as_mut().expect("`start` names the variable a seqno belongs to");
+        if open.count > 0 && open.last <= seqno {
+            return Err(FingerprintError::UnorderedHistory(open.var));
         }
-        let counted = pack(var, count + 1);
-        if self.spill.is_empty() {
-            self.scratch[head] = counted;
-        } else {
-            self.spill[head] = counted;
-        }
+        open.count += 1;
+        open.last = seqno;
         self.append(seqno);
         Ok(())
     }
@@ -726,6 +759,43 @@ impl Snapshot {
                 return Err(SnapshotError::Update { expected: (var, seqno), found }.into());
             }
             Ok(update.value)
+        })
+    }
+
+    /// The snapshot of `fingerprint` whose values `values` yields, in
+    /// the fingerprint's order: none, or one per seqno. The form for a
+    /// reader of untrusted input that carries the values alone, as the
+    /// wire does; each is taken as it is, bit for bit.
+    ///
+    /// ```rust
+    /// use rcm_core::{HistoryFingerprint, SeqNo, Snapshot, SnapshotError, VarId};
+    /// let fp = HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(6), SeqNo::new(5)]);
+    /// let read = |values: &[f64]| Snapshot::read_values(&fp, values.iter().map(|&v| Ok(v)));
+    /// assert_eq!(read(&[0.5, -0.0])?[..], [0.5, -0.0]);
+    /// assert!(read(&[])?.is_empty());
+    /// assert_eq!(read(&[0.5]), Err(SnapshotError::Length { expected: 2, found: 1 }));
+    /// # Ok::<(), SnapshotError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Length`] when `values` holds neither none nor
+    /// one per seqno of the fingerprint, before any is read; else the
+    /// first error `values` yields.
+    pub fn read_values<E: From<SnapshotError>>(
+        fingerprint: &HistoryFingerprint,
+        mut values: impl ExactSizeIterator<Item = Result<f64, E>>,
+    ) -> Result<Self, E> {
+        let (expected, found) = (fingerprint.seqno_count(), values.len());
+        if found == 0 {
+            return Ok(Snapshot::default());
+        }
+        if found != expected {
+            return Err(SnapshotError::Length { expected, found }.into());
+        }
+        Snapshot::fill(expected, || match values.next() {
+            Some(value) => value,
+            None => Err(SnapshotError::Length { expected, found }.into()),
         })
     }
 

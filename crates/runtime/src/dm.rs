@@ -28,6 +28,7 @@ use rcm_core::{Alert, Update, VarId};
 use crate::actors::{Ad, Replica};
 use crate::faults::RetainedWindow;
 use crate::link::FrontHop;
+use crate::wire::{cross_in, Message};
 
 /// Most readings one round takes before it is handed off. It bounds how
 /// long a feed with a backlog can hold back another feed's reading: one
@@ -190,9 +191,9 @@ fn wait(dms: &[Dm]) {
 }
 
 /// The in-process fanout: a [`FrontHop`] per `(feed, replica)` draws
-/// each update's loss and crosses the codec with it, and what survives
-/// a round is offered to each replica, which evaluates it before the
-/// call returns. The fanout also runs the AD: after each round's offers
+/// each update's loss, an update some hop keeps crosses the codec once,
+/// and what survives a round is offered to each replica, which
+/// evaluates it before the call returns. The fanout also runs the AD: after each round's offers
 /// it drains the back links' channel and offers what arrived to the
 /// [`Ad`] as one burst, on this thread.
 pub(crate) struct Rounds {
@@ -205,6 +206,8 @@ pub(crate) struct Rounds {
     alerts: Receiver<Alert>,
     /// The burst being offered to the AD; its capacity is reused.
     burst: Vec<Alert>,
+    /// The frame of the update in flight; cleared and reused per update.
+    frame: Vec<u8>,
 }
 
 impl Rounds {
@@ -217,7 +220,7 @@ impl Rounds {
         alerts: Receiver<Alert>,
     ) -> Self {
         let replicas = replicas.into_iter().map(|r| (r, Vec::with_capacity(ROUND))).collect();
-        Rounds { hops, replicas, ad, alerts, burst: Vec::new() }
+        Rounds { hops, replicas, ad, alerts, burst: Vec::new(), frame: Vec::new() }
     }
 
     /// Offers the AD every alert the back links have delivered so far.
@@ -229,10 +232,16 @@ impl Rounds {
 
 impl Fanout for Rounds {
     fn multicast(&mut self, feed: usize, update: Update) {
+        let mut kept = false;
         for (hop, (_, round)) in self.hops[feed].iter_mut().zip(&mut self.replicas) {
-            if hop.pass(&update) {
+            if hop.pass() {
                 round.push(update);
+                kept = true;
             }
+        }
+        // Every hop would send the same bytes: one crossing checks them.
+        if kept {
+            cross_in(&mut self.frame, &Message::Update(update));
         }
     }
 

@@ -25,6 +25,8 @@ use crate::wire::{cross_in, Message};
 pub struct FrontLink {
     tx: Sender<Update>,
     hop: FrontHop,
+    /// The frame of the update in flight; cleared and reused per send.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for FrontLink {
@@ -36,7 +38,7 @@ impl std::fmt::Debug for FrontLink {
 impl FrontLink {
     /// Creates the link over an existing channel sender.
     pub fn new(tx: Sender<Update>, loss: Box<dyn LossModel>, seed: u64) -> Self {
-        FrontLink { tx, hop: FrontHop::new(loss, seed) }
+        FrontLink { tx, hop: FrontHop::new(loss, seed), frame: Vec::new() }
     }
 
     /// A handle for reading the link's counters after the DM thread
@@ -49,13 +51,19 @@ impl FrontLink {
     /// receiver may still have hung up, which also counts as not
     /// delivered).
     pub fn send(&mut self, update: Update) -> bool {
-        self.hop.pass(&update) && self.tx.send(update).is_ok()
+        if !self.hop.pass() {
+            return false;
+        }
+        cross_in(&mut self.frame, &Message::Update(update));
+        self.tx.send(update).is_ok()
     }
 }
 
-/// Everything a [`FrontLink`] does to an update except hand it over:
-/// the seeded loss draw, the counters and the codec crossing. The system's DM loop keeps one per `(feed, replica)` and
-/// collects what passes into one round per replica.
+/// What a [`FrontLink`] does to an update before the codec and the
+/// hand-over: the seeded loss draw and the counters. The system's DM
+/// loop keeps one per `(feed, replica)`, crosses the codec once with
+/// each update some hop keeps (the bytes are the same for every
+/// replica), and collects what passes into one round per replica.
 ///
 /// It counts into the [`FrontLinkStats`] block the socket link uses: a
 /// channel "frame" is one update, and no wire bytes are counted.
@@ -63,19 +71,12 @@ pub(crate) struct FrontHop {
     loss: Box<dyn LossModel>,
     rng: Rng,
     counters: Arc<FrontLinkStats<AtomicU64>>,
-    /// The frame of the update in flight; cleared and reused per send.
-    frame: Vec<u8>,
 }
 
 impl FrontHop {
     /// A hop drawing its losses from `loss` seeded with `seed`.
     pub(crate) fn new(loss: Box<dyn LossModel>, seed: u64) -> Self {
-        FrontHop {
-            loss,
-            rng: Rng::seed_from_u64(seed),
-            counters: Arc::default(),
-            frame: Vec::new(),
-        }
+        FrontHop { loss, rng: Rng::seed_from_u64(seed), counters: Arc::default() }
     }
 
     /// See [`FrontLink::counters`].
@@ -83,10 +84,9 @@ impl FrontHop {
         Arc::clone(&self.counters)
     }
 
-    /// Carries one update across the link, up to the hand-over: counts
-    /// the send, draws loss, and crosses the codec with what survives.
-    /// Returns whether it survived.
-    pub(crate) fn pass(&mut self, update: &Update) -> bool {
+    /// Carries one update across the link, up to the codec: counts the
+    /// send and draws its loss. Returns whether it survived.
+    pub(crate) fn pass(&mut self) -> bool {
         self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
         self.counters.updates_sent.fetch_add(1, Ordering::SeqCst);
         if self.loss.drops(&mut self.rng) {
@@ -94,7 +94,6 @@ impl FrontHop {
             self.counters.updates_dropped.fetch_add(1, Ordering::SeqCst);
             return false;
         }
-        cross_in(&mut self.frame, &Message::Update(*update));
         true
     }
 }

@@ -1,11 +1,12 @@
 //! What one alert costs the allocator, counted in calls and in the
-//! bytes they ask for: raising it, encoding
-//! it, decoding it, crossing the codec in process, and sending an
-//! update down an in-process front link — and what a whole in-process
-//! run retains of it: one body, shared by the CE's record, the AD's
-//! arrivals and its display. A binary of its own because the
-//! counter is the process's `#[global_allocator]`; counts are per
-//! thread, so the harness's own threads cannot disturb them.
+//! bytes they ask for: raising it, encoding it, decoding it, crossing
+//! the codec in process (a 2 × 2 alert and a 2 × 16 one), decoding a
+//! frame that lies about its counts, and sending an update down an
+//! in-process front link — and what a whole in-process run retains of
+//! it: one body, shared by the CE's record, the AD's arrivals and its
+//! display. A binary of its own because the counter is the process's
+//! `#[global_allocator]`; counts are per thread, so the harness's own
+//! threads cannot disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -167,6 +168,24 @@ fn a_two_by_sixteen_alert_asks_for_its_body_seqnos_and_values_alone() {
     // ring drops its oldest update before taking the new one instead
     // of growing.
     assert_eq!((raised.calls, raised.bytes), (3, dropped.freed), "{raised:?}");
+
+    // Crossing it in process asks for the same three blocks and gives
+    // them back: the decoder sizes the spilled fingerprint from a skim
+    // of its counts, so its builder never grows, and reads the 32
+    // values straight into one exact slice. The frame: 9 header bytes,
+    // tag, cond, ce, index, 2 variables of a head and 16 one-byte
+    // seqnos each, the count and 32 × 8 value bytes.
+    registry.ingest(Update::new(v1, 17, 1.0), &mut out);
+    let msg = Message::Alert(out.pop().expect("the next update raises another"));
+    let mut frame = Vec::new();
+    wire::cross_in(&mut frame, &msg);
+    assert_eq!(frame.len(), 9 + 4 + 1 + 2 * (2 + 16) + 1 + 32 * 8);
+    let (crossed, ()) = allocations(|| wire::cross_in(&mut frame, &msg));
+    assert_eq!(
+        (crossed.calls, crossed.bytes, crossed.frees, crossed.freed),
+        (3, dropped.freed, 3, dropped.freed),
+        "{crossed:?}"
+    );
 }
 
 #[test]
@@ -186,6 +205,9 @@ fn an_alert_costs_one_allocation_to_raise_none_to_encode_and_one_to_decode() {
     result.expect("encodes");
     assert_eq!(encoded.calls, 0, "encoding into a buffer that has held the frame before");
 
+    // 9 header bytes, tag, cond, ce, index, 2 variables of a head and
+    // 2 one-byte seqnos each, the count and 4 × 8 value bytes.
+    assert_eq!(frame.len(), 9 + 4 + 1 + 2 * (2 + 2) + 1 + 4 * 8);
     let (decoded, back) = allocations(|| wire::decode_datagram(&frame));
     let Ok(Message::Alert(back)) = back else { panic!("own frame decodes to an alert") };
     let body = (1, BODY_BLOCK);
@@ -201,6 +223,39 @@ fn an_alert_costs_one_allocation_to_raise_none_to_encode_and_one_to_decode() {
         (1, BODY_BLOCK, 1),
         "crossing in process: the decoded body, checked and dropped"
     );
+}
+
+#[test]
+fn a_count_the_payload_cannot_hold_sizes_nothing() {
+    // Framed as the encoder frames (the checksum is FNV-1a), alert
+    // payloads of cond 0, ce 0, index 0 that lie: 2^63 variables,
+    // one variable of 2^63 seqnos, and one variable of two seqnos
+    // followed by 2^60 values. Each is refused having asked the
+    // allocator for nothing; the last, whose fingerprint is held in
+    // place, before sizing a single value.
+    let frame = |payload: &[u8]| {
+        let sum = payload
+            .iter()
+            .fold(0x811c_9dc5u32, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193));
+        let mut frame = vec![wire::BINARY_WIRE_VERSION];
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&sum.to_be_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    };
+    let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+    let nsnap = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10];
+    let lies = [
+        [&[1, 0, 0, 0][..], &huge].concat(),
+        [&[1, 0, 0, 0, 1, 7][..], &huge].concat(),
+        [&[1, 0, 0, 0, 1, 7, 2, 9, 8][..], &nsnap, &[0; 16]].concat(),
+    ];
+    for payload in lies {
+        let raw = frame(&payload);
+        let (asked, got) = allocations(|| wire::decode_datagram(&raw));
+        assert!(matches!(got, Err(wire::WireError::Malformed { .. })), "{payload:?}: {got:?}");
+        assert_eq!(asked.calls, 0, "{payload:?}");
+    }
 }
 
 #[test]

@@ -151,19 +151,22 @@ fn scripted_loss_matches_in_process_output_exactly() {
     }
 }
 
-/// Acceptance for the version refusal, live on the evented engine: a
-/// peer still labelling its frames wire version 2 — a datagram at each
-/// CE ingress, a stream at the AD listener — is counted in
-/// `decode_errors` (the stream peer disconnected at its first frame),
-/// and the displayed output is exactly the in-process run's.
+/// Acceptance for the version refusal, live on the evented engine:
+/// peers still labelling their frames wire version 2 or 3 — a datagram
+/// of each at each CE ingress, a stream of each at the AD listener —
+/// are counted in `decode_errors` (each stream peer disconnected at its
+/// first frame), and the displayed output is exactly the in-process
+/// run's. So a version-3 `rcm-ce` and a version-4 `rcm-ad` refuse each
+/// other rather than misparse an alert.
 #[test]
 fn version_2_peers_are_refused_and_change_nothing() {
     use rcm_runtime::wire::{self, Message};
     use std::io::Write;
 
-    let v2_labelled = |msg: &Message| {
+    const STALE: [u8; 2] = [2, 3];
+    let labelled = |version: u8, msg: &Message| {
         let mut frame = wire::encode(msg).expect("encodes");
-        frame[0] = 2;
+        frame[0] = version;
         frame
     };
     let baseline = run_in_process(FaultPlan::scripted(), &[]);
@@ -172,13 +175,17 @@ fn version_2_peers_are_refused_and_change_nothing() {
     // everything the system itself sends. An update that would fire
     // the threshold, ahead of the stream's seqnos if it were admitted:
     let stale = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind raw");
-    let update = v2_labelled(&Message::Update(rcm_core::Update::new(x(), 1, 99.0)));
-    for addr in bound.ce_addrs() {
-        stale.send_to(&update, addr).expect("send_to");
+    let mut stale_ces = Vec::new();
+    for version in STALE {
+        let update = Message::Update(rcm_core::Update::new(x(), 1, 99.0));
+        for addr in bound.ce_addrs() {
+            stale.send_to(&labelled(version, &update), addr).expect("send_to");
+        }
+        let alert = labelled(version, &Message::Alert(baseline.displayed[0].clone()));
+        let mut stale_ce = std::net::TcpStream::connect(bound.ad_addr()).expect("connect raw");
+        stale_ce.write_all(&[&alert[..], &alert[..]].concat()).expect("write");
+        stale_ces.push(stale_ce);
     }
-    let alert = v2_labelled(&Message::Alert(baseline.displayed[0].clone()));
-    let mut stale_ce = std::net::TcpStream::connect(bound.ad_addr()).expect("connect raw");
-    stale_ce.write_all(&[&alert[..], &alert[..]].concat()).expect("write");
 
     let sockets = MonitorSystem::builder(threshold())
         .replicas(2)
@@ -190,12 +197,12 @@ fn version_2_peers_are_refused_and_change_nothing() {
 
     assert_eq!(sockets.displayed, baseline.displayed);
     for ingress in &sockets.transport.ingress {
-        assert_eq!(ingress.decode_errors, 1);
+        assert_eq!(ingress.decode_errors, STALE.len() as u64);
         assert_eq!(ingress.delivered, values().len() as u64);
     }
-    // Two refused frames were written, one was counted: the listener
-    // dropped the stream at the first.
-    assert_eq!(sockets.transport.ad.decode_errors, 1);
+    // Two refused frames were written on each stream, one was counted:
+    // the listener dropped each stream at its first.
+    assert_eq!(sockets.transport.ad.decode_errors, STALE.len() as u64);
 }
 
 /// Acceptance for round framing: an unpaced 20-reading feed is one DM

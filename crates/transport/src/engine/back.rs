@@ -45,7 +45,7 @@ use rcm_sync::Arc;
 use super::event_loop::{timer_data, Command, Core, KIND_DEADLINE, KIND_RECONNECT};
 use crate::outbox::Outbox;
 use crate::report::BackLinkStats;
-use crate::wire::{self, Codec, Message};
+use crate::wire::{self, Message};
 
 /// How long `finish` keeps retrying a dead peer before counting the
 /// queue as lost.
@@ -418,7 +418,7 @@ impl BackSource {
     /// out-queue. Counting happens at completion.
     fn queue_frame(&mut self, alert: Alert, resend: bool) {
         let mut bytes = Vec::new();
-        if wire::encode_into(Codec::Binary, &Message::Alert(alert.clone()), &mut bytes).is_err() {
+        if wire::encode_alert_into(&alert, &mut bytes).is_err() {
             // Unreachable for well-formed alerts; counted, not
             // panicked. Duplicates (resends) are simply dropped.
             self.counters.io_errors.fetch_add(1, Ordering::SeqCst);

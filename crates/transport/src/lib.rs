@@ -10,7 +10,8 @@
 //!
 //! * [`wire`] — the shared frame codec (version byte, length prefix,
 //!   checksum, payload) used by every link, in-process or socket: one
-//!   compact binary payload layout, version 3;
+//!   compact binary payload layout, version 4, in which an alert's
+//!   snapshot is its values alone;
 //! * [`UdpFrontLink`] — the DM's side of a front link: updates over
 //!   UDP, end-of-stream as a Fin marker repeated until the CE echoes it;
 //!   a DM node's [`RoundSender`] holds one per CE and sends each round,

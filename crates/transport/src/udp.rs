@@ -723,7 +723,8 @@ pub(crate) mod tests {
         // frame fits. Fewer datagrams cannot carry the round in order,
         // so the link must send exactly these runs.
         let fits = |run: &[Update]| {
-            wire::frame_len(&Message::UpdateBatch(run.to_vec())) <= wire::DATAGRAM_BUDGET
+            wire::encode(&Message::UpdateBatch(run.to_vec())).expect("encodes").len()
+                <= wire::DATAGRAM_BUDGET
         };
         let (mut fewest, mut rest) = (Vec::new(), &round[..]);
         while !rest.is_empty() {

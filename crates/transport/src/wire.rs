@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The version byte names the one payload layout this build speaks —
-//! version 3: a hand-rolled compact encoding of one tag byte, LEB128
+//! version 4: a hand-rolled compact encoding of one tag byte, LEB128
 //! varints for every id/seqno/count, and raw little-endian `f64` bits,
 //! encoded into a caller-provided buffer and decoded straight off the
 //! frame with no intermediate allocation. Any other version byte fails
@@ -33,9 +33,12 @@
 //! update    := var:varint seqno:varint value:f64-le-bits
 //! alert     := cond:varint ce:varint index:varint
 //!              nvars:varint { var:varint nseq:varint seqno:varint* }*
-//!              nsnap:varint update*
-//!              (nsnap is 0, or one update per seqno of the fingerprint
-//!              in its order: variables ascending, newest first)
+//!              nsnap:varint value:f64-le-bits*
+//!              (variables strictly ascending, each with at least one
+//!              seqno, newest first; nsnap is 0 or the fingerprint's
+//!              seqno count, and the values follow its order: the
+//!              fingerprint already names each value's variable and
+//!              seqno, so the snapshot carries the values alone)
 //! hello/fin := node:varint
 //! batches   := count:varint item*
 //! derived   := var:varint seqno:varint kind:u8 alert
@@ -47,6 +50,9 @@ use rcm_core::{
     Alert, AlertId, CeId, CondId, DerivedUpdate, FingerprintBuilder, FingerprintError, SeqNo,
     Snapshot, SnapshotError, Update, VarId,
 };
+
+/// Bytes of one `f64` on the wire.
+const F64_LEN: usize = 8;
 
 /// A message on a monitoring link.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,7 +159,7 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// The version byte every frame carries.
-pub const BINARY_WIRE_VERSION: u8 = 3;
+pub const BINARY_WIRE_VERSION: u8 = 4;
 
 /// Bytes before the payload: version, length, checksum.
 pub const HEADER_LEN: usize = 9;
@@ -177,7 +183,7 @@ pub const DATAGRAM_BUDGET: usize = 1200;
 /// type in the PR after a `benchmark` PR stops passing it.
 #[derive(Debug, Clone, Copy)]
 pub enum Codec {
-    /// Version-3 compact binary payloads.
+    /// Version-4 compact binary payloads.
     Binary,
 }
 
@@ -221,14 +227,18 @@ fn varint_len(mut v: u64) -> usize {
     len
 }
 
+fn put_f64(out: &mut Vec<u8>, value: f64) {
+    out.extend_from_slice(&value.to_bits().to_le_bytes());
+}
+
 fn put_update(out: &mut Vec<u8>, update: &Update) {
     put_varint(out, u64::from(update.var.index()));
     put_varint(out, update.seqno.get());
-    out.extend_from_slice(&update.value.to_bits().to_le_bytes());
+    put_f64(out, update.value);
 }
 
 fn update_wire_len(update: &Update) -> usize {
-    varint_len(u64::from(update.var.index())) + varint_len(update.seqno.get()) + 8
+    varint_len(u64::from(update.var.index())) + varint_len(update.seqno.get()) + F64_LEN
 }
 
 fn put_alert(out: &mut Vec<u8>, alert: &Alert) {
@@ -244,8 +254,8 @@ fn put_alert(out: &mut Vec<u8>, alert: &Alert) {
         }
     }
     put_varint(out, alert.snapshot.len() as u64);
-    for update in alert.updates() {
-        put_update(out, &update);
+    for &value in alert.snapshot.iter() {
+        put_f64(out, value);
     }
 }
 
@@ -256,33 +266,10 @@ fn put_derived(out: &mut Vec<u8>, derived: &DerivedUpdate) {
     put_alert(out, &derived.verdict);
 }
 
-fn derived_wire_len(derived: &DerivedUpdate) -> usize {
-    varint_len(u64::from(derived.var.index()))
-        + varint_len(derived.seqno.get())
-        + 1
-        + alert_wire_len(&derived.verdict)
-}
-
-fn alert_wire_len(alert: &Alert) -> usize {
-    let mut len = varint_len(u64::from(alert.cond.index()))
-        + varint_len(u64::from(alert.id.ce.index()))
-        + varint_len(alert.id.index)
-        + varint_len(alert.fingerprint.iter().count() as u64)
-        + varint_len(alert.snapshot.len() as u64);
-    for (var, seqnos) in alert.fingerprint.iter() {
-        len += varint_len(u64::from(var.index())) + varint_len(seqnos.len() as u64);
-        for s in seqnos {
-            len += varint_len(s.get());
-        }
-    }
-    for update in alert.updates() {
-        len += update_wire_len(&update);
-    }
-    len
-}
-
 /// Forward-only reader over a binary payload. Every accessor reports
 /// truncation instead of panicking — the decoder's promise on garbage.
+/// A copy reads ahead without moving the original.
+#[derive(Clone, Copy)]
 struct Reader<'a> {
     bytes: &'a [u8],
 }
@@ -310,6 +297,14 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, WireError> {
+        // Variables, counts and small ids take one byte: read it
+        // without the loop.
+        if let Some((&byte, rest)) = self.bytes.split_first() {
+            if byte < 0x80 {
+                self.bytes = rest;
+                return Ok(u64::from(byte));
+            }
+        }
         let mut value: u64 = 0;
         let mut shift: u32 = 0;
         loop {
@@ -332,8 +327,8 @@ impl<'a> Reader<'a> {
     }
 
     fn f64(&mut self) -> Result<f64, WireError> {
-        let raw = self.take(8)?;
-        let mut bits = [0u8; 8];
+        let raw = self.take(F64_LEN)?;
+        let mut bits = [0u8; F64_LEN];
         bits.copy_from_slice(raw);
         Ok(f64::from_bits(u64::from_le_bytes(bits)))
     }
@@ -363,25 +358,67 @@ impl<'a> Reader<'a> {
         Ok(updates)
     }
 
+    /// The words — variables plus seqnos — of the `nvars` histories
+    /// ahead, skimmed off a copy of the reader: what sizes a spilled
+    /// fingerprint exactly. No count sizes anything here, and the
+    /// payload runs out before a lying one does.
+    fn history_words(mut self, nvars: u64) -> Result<usize, WireError> {
+        let mut words = 0;
+        for _ in 0..nvars {
+            self.skip_varint()?;
+            let nseq = self.varint()?;
+            for _ in 0..nseq {
+                self.skip_varint()?;
+            }
+            words += 1 + nseq as usize;
+        }
+        Ok(words)
+    }
+
+    /// Steps over one varint without reading its value: the bytes up to
+    /// and including the first without the continuation bit.
+    fn skip_varint(&mut self) -> Result<(), WireError> {
+        let end = self.bytes.iter().position(|&byte| byte < 0x80).map(|last| last + 1);
+        match end.and_then(|end| self.bytes.get(end..)) {
+            Some(rest) => {
+                self.bytes = rest;
+                Ok(())
+            }
+            None => Err(WireError::Malformed { context: "payload ended early" }),
+        }
+    }
+
     fn alert(&mut self) -> Result<Alert, WireError> {
         let cond = CondId::new(self.varint_u32()?);
         let ce = CeId::new(self.varint_u32()?);
         let index = self.varint()?;
-        // Neither count sizes an allocation: the builder grows as
-        // seqnos arrive, and the payload runs out before a lie does.
-        let mut fingerprint = FingerprintBuilder::new();
-        for _ in 0..self.varint()? {
-            fingerprint.start(VarId::new(self.varint_u32()?)).map_err(bad_fingerprint)?;
+        let nvars = self.varint()?;
+        // The builder checks each history as it is read: none empty,
+        // seqnos strictly decreasing. Variables must ascend, as the
+        // encoder writes them, so none repeats and none needs sorting.
+        let mut fingerprint = FingerprintBuilder::with_words(self.history_words(nvars)?);
+        let mut last = None;
+        for _ in 0..nvars {
+            let var = VarId::new(self.varint_u32()?);
+            if last.is_some_and(|last| var <= last) {
+                return Err(WireError::Malformed { context: "fingerprint variables out of order" });
+            }
+            last = Some(var);
+            fingerprint.start(var).map_err(bad_fingerprint)?;
             for _ in 0..self.varint()? {
                 fingerprint.push(SeqNo::new(self.varint()?)).map_err(bad_fingerprint)?;
             }
         }
         let fingerprint = fingerprint.finish().map_err(bad_fingerprint)?;
-        // None, or exactly the fingerprint's updates in its order, each
-        // checked as it is read. Only the values are kept, in the body
-        // itself up to six: the body is the decode's one allocation.
-        let count = self.batch_count()?;
-        let snapshot = Snapshot::read(&fingerprint, (0..count).map(|_| self.update()))?;
+        // None, or one value per seqno of the fingerprint in its order,
+        // kept in the body itself up to six: then the body is the
+        // decode's one allocation.
+        let count = self.varint()?;
+        if count > (self.remaining() / F64_LEN) as u64 {
+            return Err(WireError::Malformed { context: "snapshot count exceeds payload" });
+        }
+        let values = (0..count as usize).map(|_| self.f64());
+        let snapshot = Snapshot::read_values(&fingerprint, values)?;
         Ok(Alert::new(cond, fingerprint, snapshot, AlertId { ce, index }))
     }
 
@@ -411,10 +448,7 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             out.push(tag::UPDATE);
             put_update(out, u);
         }
-        Message::Alert(a) => {
-            out.push(tag::ALERT);
-            put_alert(out, a);
-        }
+        Message::Alert(a) => encode_alert(a, out),
         Message::Hello { node } => {
             out.push(tag::HELLO);
             put_varint(out, u64::from(*node));
@@ -429,6 +463,13 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
         }
         Message::UpdateBatch(updates) => encode_update_slice(updates, out),
     }
+}
+
+/// A borrowed alert as an `Alert` payload: what a back link sends,
+/// identical bytes to the owned variant.
+fn encode_alert(alert: &Alert, out: &mut Vec<u8>) {
+    out.push(tag::ALERT);
+    put_alert(out, alert);
 }
 
 /// A borrowed update run as an `UpdateBatch` payload — what a front
@@ -460,20 +501,6 @@ fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
         return Err(WireError::Malformed { context: "trailing payload bytes" });
     }
     Ok(msg)
-}
-
-/// Exact encoded payload size in bytes, computed without allocating.
-fn payload_len(msg: &Message) -> usize {
-    match msg {
-        Message::Update(u) => 1 + update_wire_len(u),
-        Message::Alert(a) => 1 + alert_wire_len(a),
-        Message::Derived(d) => 1 + derived_wire_len(d),
-        Message::Hello { node } | Message::Fin { node } => 1 + varint_len(u64::from(*node)),
-        Message::UpdateBatch(updates) => {
-            1 + varint_len(updates.len() as u64)
-                + updates.iter().map(update_wire_len).sum::<usize>()
-        }
-    }
 }
 
 /// FNV-1a over the payload: cheap, dependency-free, and plenty to
@@ -563,10 +590,14 @@ pub fn encode_updates_into(
     frame_with(out, |out| encode_update_slice(updates, out))
 }
 
-/// The complete frame size (header + payload) `msg` would occupy,
-/// computed without encoding.
-pub fn frame_len(msg: &Message) -> usize {
-    HEADER_LEN + payload_len(msg)
+/// Appends one `Alert` frame for a borrowed alert — byte-identical to
+/// `encode_into` of [`Message::Alert`] without a handle to move in.
+///
+/// # Errors
+///
+/// As [`encode_into`].
+pub fn encode_alert_into(alert: &Alert, out: &mut Vec<u8>) -> Result<(), WireError> {
+    frame_with(out, |out| encode_alert(alert, out))
 }
 
 /// How many of `updates`, from the front, one front-link datagram
@@ -805,7 +836,7 @@ fn alert_difference(a: &Alert, b: &Alert) -> Option<&'static str> {
         Some("alert.id.index")
     } else if a.snapshot.len() != b.snapshot.len() {
         Some("alert.snapshot length")
-    } else if a.updates().zip(b.updates()).any(|(a, b)| update_difference(&a, &b).is_some()) {
+    } else if a.snapshot.iter().zip(b.snapshot.iter()).any(|(a, b)| a.to_bits() != b.to_bits()) {
         Some("alert.snapshot")
     } else {
         None
@@ -1028,11 +1059,63 @@ mod tests {
         }
     }
 
+    /// Version 4, byte for byte: each frame spelled out in hex
+    /// (header: version, big-endian length, big-endian FNV-1a).
     #[test]
-    fn payload_len_is_exact_without_encoding() {
-        for m in sample_messages() {
-            let frame = encode(&m).expect("encodes");
-            assert_eq!(frame_len(&m), frame.len(), "{m:?}");
+    fn golden_frames_pin_the_version_4_layout() {
+        let (x, y) = (VarId::new(0), VarId::new(1));
+        let fingerprint = HistoryFingerprint::new(vec![
+            (x, vec![SeqNo::new(9), SeqNo::new(8)]),
+            (y, vec![SeqNo::new(300), SeqNo::new(299)]),
+        ]);
+        let held = [
+            Update::new(x, 9, 1.5),
+            Update::new(x, 8, -0.0),
+            Update::new(y, 300, f64::INFINITY),
+            Update::new(y, 299, 2.0),
+        ];
+        let id = AlertId { ce: CeId::new(1), index: 200 };
+        let alert = Alert::new(CondId::new(2), fingerprint.clone(), &held[..], id);
+        let bare = Alert::new(CondId::new(2), fingerprint, Vec::<Update>::new(), id);
+        // The 2 x 2 alert's payload: tag 01, cond 02, ce 01, index
+        // c801, 2 variables (00: 2 seqnos 09 08; 01: 2 seqnos ac02
+        // ab02), then 4 values, 8 little-endian bytes each.
+        let alert_payload = "010201c80102000209080102ac02ab0204\
+             000000000000f83f0000000000000080000000000000f07f0000000000000040";
+        let golden = [
+            (
+                Message::Update(Update::new(VarId::new(3), 17, 3000.5)),
+                "040000000bf62035db000311000000000071a740".to_string(),
+            ),
+            (
+                Message::UpdateBatch(vec![Update::new(x, 1, 0.5), Update::new(y, 130, -2.0)]),
+                "04000000175fbf8d9104020001000000000000e03f01820100000000000000c0".to_string(),
+            ),
+            (Message::Alert(alert.clone()), format!("0400000031f2a19f69{alert_payload}")),
+            (
+                Message::Alert(bare),
+                "04000000116e323b5d010201c80102000209080102ac02ab0200".to_string(),
+            ),
+            (
+                Message::Derived(DerivedUpdate {
+                    var: rcm_core::derived_var(1, 0),
+                    seqno: SeqNo::new(1),
+                    verdict: alert,
+                }),
+                // tag 06, var 80808408, seqno 01, kind 01 (verdict), then
+                // the alert's payload without its tag.
+                format!("0400000037bd15a89e06808084080101{}", &alert_payload[2..]),
+            ),
+        ];
+        let mut frame = Vec::new();
+        for (m, hex) in golden {
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+                .collect();
+            assert_eq!(encode(&m).expect("encodes"), bytes, "{m:?}");
+            cross_in(&mut frame, &m);
+            assert_eq!(frame, bytes, "{m:?}");
         }
     }
 
@@ -1066,11 +1149,12 @@ mod tests {
     fn unknown_version_rejected_on_the_first_byte() {
         // The checksum covers only the payload, so a well-formed frame
         // relabelled to any other version — the retired JSON version 2
-        // included — reaches the version check intact and must stop
-        // there: one byte suffices, no length is read.
+        // and version 3, whose alerts spelled out every snapshot
+        // update, included — reaches the version check intact and must
+        // stop there: one byte suffices, no length is read.
         for m in sample_messages() {
             let frame = encode(&m).expect("encodes");
-            for version in [0u8, 1, 2, 4, 9, 255] {
+            for version in [0u8, 1, 2, 3, 9, 255] {
                 let mut relabelled = frame.clone();
                 relabelled[0] = version;
                 let rejected = |r: Result<Option<Message>, WireError>| matches!(r, Err(WireError::BadVersion { found }) if found == version);
@@ -1159,7 +1243,7 @@ mod tests {
                     seqnos.iter().for_each(|s| put_varint(&mut payload, s.get()));
                 }
                 put_varint(&mut payload, snapshot.len() as u64);
-                snapshot.iter().for_each(|u| put_update(&mut payload, u));
+                snapshot.iter().for_each(|u| put_f64(&mut payload, u.value));
                 let frame = encode(&Message::Alert(sent.clone())).expect("encodes");
                 assert_eq!(frame, raw_frame(BINARY_WIRE_VERSION, &payload), "{nvars} x {degree}");
 
@@ -1191,35 +1275,62 @@ mod tests {
     #[test]
     fn a_snapshot_that_contradicts_its_fingerprint_is_malformed() {
         // cond 0, ce 0, index 0, one variable 0 with seqnos 2 then 1,
-        // then the snapshot: its count and its updates.
-        let frame = |snapshot: &[Update]| {
+        // then the snapshot: its count and the bytes of its values.
+        let frame = |nsnap: u64, values: &[u8]| {
             let mut payload = vec![tag::ALERT, 0, 0, 0, 1, 0, 2, 2, 1];
-            put_varint(&mut payload, snapshot.len() as u64);
-            snapshot.iter().for_each(|u| put_update(&mut payload, u));
+            put_varint(&mut payload, nsnap);
+            payload.extend_from_slice(values);
             raw_frame(BINARY_WIRE_VERSION, &payload)
         };
-        let (x, y) = (VarId::new(0), VarId::new(1));
-        let full = [Update::new(x, 2, 20.0), Update::new(x, 1, 10.0)];
-        let Ok(Message::Alert(a)) = decode_datagram(&frame(&full)) else { panic!("full") };
+        let bytes = |values: &[f64]| -> Vec<u8> {
+            values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
+        };
+        let Ok(Message::Alert(a)) = decode_datagram(&frame(2, &bytes(&[20.0, 10.0]))) else {
+            panic!("full")
+        };
+        let (x, seqnos) = (VarId::new(0), [2, 1]);
+        let full: Vec<Update> =
+            seqnos.iter().zip([20.0, 10.0]).map(|(&s, v)| Update::new(x, s, v)).collect();
         assert_eq!(a.updates().collect::<Vec<_>>(), full);
-        let Ok(Message::Alert(a)) = decode_datagram(&frame(&[])) else { panic!("empty") };
+        let Ok(Message::Alert(a)) = decode_datagram(&frame(0, &[])) else { panic!("empty") };
         assert!(a.snapshot.is_empty());
-        // One seqno off: the AD would display a value beside histories
-        // it does not belong to.
-        for bad in [
-            vec![Update::new(x, 2, 20.0), Update::new(x, 0, 10.0)],
-            vec![Update::new(x, 1, 10.0), Update::new(x, 2, 20.0)],
-            vec![Update::new(x, 2, 20.0), Update::new(y, 1, 10.0)],
-            vec![Update::new(x, 2, 20.0)],
-            vec![full[0], full[1], full[1]],
-        ] {
+        // A count that is neither none nor one per seqno: the AD would
+        // display values beside histories they do not belong to.
+        for (nsnap, values) in [(1, vec![20.0]), (3, vec![20.0, 10.0, 5.0])] {
             assert!(
                 matches!(
-                    decode_datagram(&frame(&bad)),
+                    decode_datagram(&frame(nsnap, &bytes(&values))),
                     Err(WireError::Malformed { context: "snapshot differs from its fingerprint" })
                 ),
-                "{bad:?} decoded as {:?}",
-                decode_datagram(&frame(&bad))
+                "{nsnap} values {values:?}"
+            );
+        }
+        // A count the payload could never hold is refused before it
+        // sizes anything; so are values cut short.
+        let mut short = bytes(&[20.0, 10.0]);
+        short.truncate(13);
+        for raw in [frame(1 << 60, &bytes(&[20.0, 10.0])), frame(2, &short)] {
+            assert!(matches!(decode_datagram(&raw), Err(WireError::Malformed { .. })), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_variables_that_repeat_or_descend_are_malformed() {
+        // cond 0, ce 0, index 0, two variables of one seqno each, and
+        // an empty snapshot. The encoder writes variables ascending;
+        // the decoder refuses any other order rather than sorting it.
+        let frame = |first: u8, second: u8| {
+            raw_frame(BINARY_WIRE_VERSION, &[tag::ALERT, 0, 0, 0, 2, first, 1, 5, second, 1, 5, 0])
+        };
+        let Ok(Message::Alert(a)) = decode_datagram(&frame(0, 1)) else { panic!("ascending") };
+        assert_eq!(a.fingerprint.variables().collect::<Vec<_>>(), [VarId::new(0), VarId::new(1)]);
+        for (first, second) in [(1, 0), (1, 1)] {
+            assert!(
+                matches!(
+                    decode_datagram(&frame(first, second)),
+                    Err(WireError::Malformed { context: "fingerprint variables out of order" })
+                ),
+                "v{first} then v{second}"
             );
         }
     }

@@ -6,7 +6,11 @@
 //! The message pool includes tier-link `Derived` frames (synthetic
 //! stream ids in the derived-variable space carrying full verdict
 //! alerts), so every property above covers the
-//! aggregation tree's uplink traffic too.
+//! aggregation tree's uplink traffic too. Alerts of every shape — in
+//! place and spilled, with and without a snapshot, with the values a
+//! comparison by value gets wrong — come back field for field, and
+//! hand-built alert payloads that lie about their snapshot or their
+//! variables' order are refused as malformed.
 
 use rcm_core::{
     Alert, AlertId, CeId, CondId, DerivedUpdate, HistoryFingerprint, SeqNo, Update, VarId,
@@ -59,6 +63,84 @@ fn fnv1a(bytes: &[u8]) -> u32 {
     bytes.iter().fold(0x811c_9dc5, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
+/// A frame of this build's version around `payload`, with a correct
+/// length and checksum.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = vec![BINARY_WIRE_VERSION];
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&fnv1a(payload).to_be_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Histories as the wire lists them: `(variable, newest-first seqnos)`.
+type Entries = Vec<(u32, Vec<u64>)>;
+
+/// An alert payload spelled out from the layout: cond 1, ce 2, index
+/// 3, the histories as given, `nsnap`, then `values` as they are.
+fn alert_payload(entries: &Entries, nsnap: u64, values: &[u8]) -> Vec<u8> {
+    let mut payload = vec![1, 1, 2, 3];
+    put_varint(&mut payload, entries.len() as u64);
+    for (var, seqnos) in entries {
+        put_varint(&mut payload, u64::from(*var));
+        put_varint(&mut payload, seqnos.len() as u64);
+        seqnos.iter().for_each(|&s| put_varint(&mut payload, s));
+    }
+    put_varint(&mut payload, nsnap);
+    payload.extend_from_slice(values);
+    payload
+}
+
+/// The values a comparison by value gets wrong.
+const AWKWARD: [f64; 6] = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+
+/// Histories of any shape: up to 6 variables, ascending with gaps,
+/// each of 1 to `size + 1` seqnos, descending with gaps — in place (up
+/// to 4 variables, 6 seqnos between them) or spilled.
+fn histories(rng: &mut Rng, size: usize) -> Entries {
+    let mut var = 0;
+    (0..rng.below(7))
+        .map(|_| {
+            var += 1 + rng.below(200) as u32;
+            let mut seqno = 1 + rng.below(1 << 20) as u64;
+            let seqnos = (0..1 + rng.below(size + 1))
+                .map(|_| {
+                    seqno += 1 + rng.below(3) as u64;
+                    seqno
+                })
+                .collect::<Vec<_>>();
+            (var, seqnos.into_iter().rev().collect())
+        })
+        .collect()
+}
+
+/// A value awkward for a comparison by value half the time, any bit
+/// pattern otherwise.
+fn value(rng: &mut Rng) -> f64 {
+    if rng.below(2) == 0 {
+        AWKWARD[rng.below(AWKWARD.len())]
+    } else {
+        f64::from_bits(rng.next_u64())
+    }
+}
+
+/// `n` drawn values as the wire carries them.
+fn value_bytes(rng: &mut Rng, n: u64) -> Vec<u8> {
+    (0..n).flat_map(|_| value(rng).to_bits().to_le_bytes()).collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 /// Tag 5 was `AlertBatch`, retired: a well-framed payload under it, as
 /// the old encoder wrote one (a count, then that many alerts), is an
 /// unknown tag like any other, whatever it carries.
@@ -71,11 +153,7 @@ fn the_retired_alert_batch_tag_is_rejected() {
             let one = encode(&Message::Alert(alert(rng))).expect("encodable");
             payload.extend_from_slice(&one[HEADER_LEN + 1..]);
         }
-        let mut frame = vec![BINARY_WIRE_VERSION];
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&fnv1a(&payload).to_be_bytes());
-        frame.extend_from_slice(&payload);
-        match decode_datagram(&frame) {
+        match decode_datagram(&framed(&payload)) {
             Err(WireError::Malformed { context: "unknown message tag" }) => {}
             other => panic!("tag 5 decoded as {other:?}"),
         }
@@ -240,6 +318,104 @@ fn cross_version_relabel_is_rejected() {
                 Err(WireError::BadVersion { found }) => assert_eq!(found, version),
                 Err(e) => panic!("unexpected error class: {e}"),
                 Ok(got) => panic!("relabeled frame decoded to {got:?}"),
+            }
+        }
+    });
+}
+
+#[test]
+fn alerts_of_every_shape_come_back_field_for_field() {
+    let (mut in_place, mut spilled, mut bare) = (0, 0, 0);
+    cases("alerts_of_every_shape_come_back_field_for_field", 512, 20, |rng, size| {
+        let entries = histories(rng, size);
+        let seqnos: usize = entries.iter().map(|(_, s)| s.len()).sum();
+        let values: Vec<f64> =
+            if rng.below(4) == 0 { vec![] } else { (0..seqnos).map(|_| value(rng)).collect() };
+        let fingerprint = HistoryFingerprint::new(
+            entries
+                .iter()
+                .map(|(v, s)| (VarId::new(*v), s.iter().map(|&s| SeqNo::new(s)).collect()))
+                .collect(),
+        );
+        let updates: Vec<Update> = fingerprint
+            .iter()
+            .flat_map(|(v, s)| s.iter().map(move |s| (v, s.get())))
+            .zip(&values)
+            .map(|((v, s), &value)| Update::new(v, s, value))
+            .collect();
+        let id = AlertId { ce: CeId::new(2), index: 3 };
+        let sent = Alert::new(CondId::new(1), fingerprint, updates, id);
+        if values.is_empty() {
+            bare += 1;
+        } else if entries.len() <= 4 && seqnos <= 6 {
+            in_place += 1;
+        } else {
+            spilled += 1;
+        }
+
+        // The encoder writes the layout, byte for byte.
+        let msg = Message::Alert(sent.clone());
+        let frame = encode(&msg).expect("encodable");
+        let value_bytes: Vec<u8> = values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        assert_eq!(frame, framed(&alert_payload(&entries, values.len() as u64, &value_bytes)));
+
+        let Ok(Message::Alert(got)) = decode_datagram(&frame) else { panic!("not an alert") };
+        assert_eq!((got.cond, got.id), (sent.cond, sent.id));
+        let read: Entries = got
+            .fingerprint
+            .iter()
+            .map(|(v, s)| (v.index(), s.iter().map(|s| s.get()).collect()))
+            .collect();
+        assert_eq!(read, entries);
+        assert_eq!(bits(&got.snapshot), bits(&values));
+        let mut crossed = Vec::new();
+        cross_in(&mut crossed, &msg);
+        assert_eq!(crossed, frame);
+    });
+    assert!(in_place > 0 && spilled > 0 && bare > 0, "{in_place} {spilled} {bare}");
+}
+
+#[test]
+fn alert_payloads_that_lie_are_malformed() {
+    cases("alert_payloads_that_lie_are_malformed", 512, 20, |rng, size| {
+        let mut entries = histories(rng, size);
+        if entries.is_empty() {
+            entries.push((0, vec![1]));
+        }
+        let seqnos: u64 = entries.iter().map(|(_, s)| s.len() as u64).sum();
+        let mut lies = Vec::new();
+        // A snapshot count that is neither none nor one per seqno, its
+        // values all present.
+        let wrong = loop {
+            let n = 1 + rng.below(2 * seqnos as usize + 2) as u64;
+            if n != seqnos {
+                break n;
+            }
+        };
+        lies.push(alert_payload(&entries, wrong, &value_bytes(rng, wrong)));
+        // A count no payload could hold.
+        lies.push(alert_payload(&entries, 1 << 60, &value_bytes(rng, seqnos)));
+        // The right count, its values cut short.
+        let mut short = value_bytes(rng, seqnos);
+        short.truncate(rng.below(short.len()));
+        lies.push(alert_payload(&entries, seqnos, &short));
+        // A variable repeated, or the variables out of order.
+        if entries.len() >= 2 {
+            let mut unordered = entries.clone();
+            let (i, j) = (rng.below(entries.len()), rng.below(entries.len() - 1));
+            let j = if j >= i { j + 1 } else { j };
+            if rng.below(2) == 0 {
+                unordered[i.max(j)].0 = unordered[i.min(j)].0;
+            } else {
+                unordered.swap(i, j);
+            }
+            lies.push(alert_payload(&unordered, seqnos, &value_bytes(rng, seqnos)));
+            lies.push(alert_payload(&unordered, 0, &[]));
+        }
+        for payload in lies {
+            match decode_datagram(&framed(&payload)) {
+                Err(WireError::Malformed { .. }) => {}
+                other => panic!("{entries:?}: {payload:?} decoded as {other:?}"),
             }
         }
     });

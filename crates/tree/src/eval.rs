@@ -223,9 +223,9 @@ impl TreeEval {
     /// check every field of the copy bit for bit, forward `d` itself.
     fn wire_cross(&mut self, d: DerivedUpdate) -> DerivedUpdate {
         let msg = Message::Derived(d);
-        self.counters.wire_frames += 1;
-        self.counters.wire_bytes += wire::frame_len(&msg) as u64;
         wire::cross_in(&mut self.frame, &msg);
+        self.counters.wire_frames += 1;
+        self.counters.wire_bytes += self.frame.len() as u64;
         let Message::Derived(d) = msg else { unreachable!("built as a derived update above") };
         d
     }
