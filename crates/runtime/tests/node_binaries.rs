@@ -251,3 +251,107 @@ fn ad_displays_each_alert_once_and_suppresses_a_replicas_duplicate() {
         ["done: 3 alert(s) displayed of 4 arriving over 2 connection(s); 0 decode error(s)"]
     );
 }
+
+/// Reads a node's first stderr line, `listening on HOST:PORT` plus
+/// anything after a `;`, and returns the bound address.
+fn bound_address(node: &mut std::process::Child) -> SocketAddr {
+    let stderr = node.stderr.as_mut().expect("piped stderr");
+    let mut first = Vec::new();
+    let mut byte = [0u8; 1];
+    // Byte by byte, so nothing past the first line is taken from the pipe.
+    while stderr.read(&mut byte).expect("read stderr") == 1 && byte[0] != b'\n' {
+        first.push(byte[0]);
+    }
+    let first = String::from_utf8_lossy(&first);
+    first
+        .strip_prefix("listening on ")
+        .and_then(|rest| rest.split(';').next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("first stderr line names the bound address: {first:?}"))
+}
+
+/// Displayed lines without their ` [from CEn]` suffix: which replica's
+/// copy of an alert arrives first is timing.
+fn without_origin(stdout: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|line| line.rsplit_once(" [from CE").map_or(line, |(shown, _)| shown).to_owned())
+        .collect()
+}
+
+/// The deployed triangle against `rcm-monitor`: `rcm-ad`, `replicas` ×
+/// `rcm-ce` and one `rcm-dm`, each its own process on loopback
+/// sockets, must display what the in-process system displays for the
+/// same readings and filter.
+fn deployed_triangle_matches_the_monitor(filter: &str, replicas: usize, workers: usize) {
+    const CONDITION: &str = "v0[0].value > 50";
+    let readings: String = (0..100).map(|i| format!("{}\n", (i * 37) % 101)).collect();
+
+    let mut ad = Command::new(env!("CARGO_BIN_EXE_rcm-ad"))
+        .args(["--bind", "127.0.0.1:0", "--replicas", &replicas.to_string()])
+        .args(["--filter", filter, "--idle-ms", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rcm-ad");
+    let ad_addr = bound_address(&mut ad).to_string();
+    let mut ces: Vec<_> = (0..replicas)
+        .map(|i| {
+            Command::new(env!("CARGO_BIN_EXE_rcm-ce"))
+                .args(["--bind", "127.0.0.1:0", "--ad", &ad_addr, "--node", &i.to_string()])
+                .args(["--condition", CONDITION, "--workers", &workers.to_string()])
+                .args(["--idle-ms", "20000"])
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn rcm-ce")
+        })
+        .collect();
+    let mut dm = Command::new(env!("CARGO_BIN_EXE_rcm-dm"));
+    dm.args(["--period-us", "0"]);
+    for ce in &mut ces {
+        dm.args(["--ce", &bound_address(ce).to_string()]);
+    }
+    let mut dm = dm.stdin(Stdio::piped()).stderr(Stdio::null()).spawn().expect("spawn rcm-dm");
+    dm.stdin.take().expect("piped stdin").write_all(readings.as_bytes()).expect("feed stdin");
+    assert!(dm.wait().expect("rcm-dm exits").success());
+    for ce in ces {
+        let out = ce.wait_with_output().expect("rcm-ce exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "rcm-ce: {:?}; stderr: {stderr}", out.status);
+    }
+    let deployed = ad.wait_with_output().expect("rcm-ad exits");
+    assert!(deployed.status.success(), "rcm-ad: {:?}", deployed.status);
+
+    let mut monitor = Command::new(env!("CARGO_BIN_EXE_rcm-monitor"))
+        .args(["--condition", CONDITION, "--replicas", &replicas.to_string()])
+        .args(["--filter", filter])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn rcm-monitor");
+    monitor.stdin.take().expect("piped stdin").write_all(readings.as_bytes()).expect("feed");
+    let in_process = monitor.wait_with_output().expect("rcm-monitor exits");
+    assert!(in_process.status.success(), "rcm-monitor: {:?}", in_process.status);
+
+    let want = without_origin(&in_process.stdout);
+    assert!(!want.is_empty(), "{filter}: the readings raise alerts");
+    assert_eq!(
+        without_origin(&deployed.stdout),
+        want,
+        "{filter} over {replicas} replica(s), {workers} worker(s)"
+    );
+}
+
+/// The node binaries deployed as processes display exactly what
+/// `rcm-monitor` displays, for every AD filter and one to three
+/// replicas, and with sharded evaluation in the CEs.
+#[test]
+fn deployed_nodes_display_what_the_monitor_displays() {
+    for filter in ["ad1", "ad2", "ad3", "ad4", "ad5", "ad6"] {
+        for replicas in 1..=3 {
+            deployed_triangle_matches_the_monitor(filter, replicas, 0);
+        }
+    }
+    deployed_triangle_matches_the_monitor("ad6", 3, 2);
+}
