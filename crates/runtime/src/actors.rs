@@ -1,10 +1,11 @@
 //! The Condition Evaluator replica and the Alert Displayer, each a
 //! value its caller drives. A [`Replica`] takes a round at a time:
 //! in-process the DM loop ([`dm_loop`](crate::dm::dm_loop)) owns every
-//! replica and offers each its share of a round, and over sockets the
-//! event loop offers one each datagram its ingress admits
-//! ([`on_ingress`]). The replica's supervisor turns injected (or
-//! genuine) panics into bounded restarts with history replay. The
+//! replica and offers each its share of a round, and over sockets (a
+//! system's or an `rcm-ce` node's) the event loop offers one each
+//! datagram its ingress admits ([`on_ingress`]). A system replica's
+//! supervisor turns injected (or genuine) panics into bounded restarts
+//! with history replay. The
 //! [`Ad`] takes a burst of alerts at a time, on the thread that
 //! received them: the DM loop in-process, the event loop over sockets.
 //!
@@ -28,27 +29,6 @@ use crate::dm::ROUND;
 use crate::faults::{FaultReport, IngestGate, RetainedWindow};
 use crate::pipeline::{AlertDrain, EvalPipeline};
 use crate::system::AlertCallback;
-
-/// One CE → AD path, as a replica sees it: the in-process
-/// [`BackLink`](crate::backlink::BackLink) and the socket transport's
-/// TCP link implement this.
-pub(crate) trait AlertSink: Send {
-    /// Sends one alert (queued while the link is down — the link owns
-    /// the lossless contract).
-    fn send_alert(&mut self, alert: Alert);
-
-    /// Ends the stream losslessly — called once at end-of-stream. The
-    /// in-process link blocks until it is up and everything queued is
-    /// out; the socket link hands the drain to its event loop, which
-    /// runs until it is done.
-    fn flush(&mut self);
-
-    /// Closes without flushing: the path for a replica abandoned past
-    /// its restart budget, whose queued alerts are sanctioned loss.
-    /// Channels need nothing (dropping the sender suffices); socket
-    /// links still owe their listener an end-of-stream marker.
-    fn abandon(&mut self) {}
-}
 
 /// Per-replica fault configuration handed to a supervised [`Replica`].
 pub(crate) struct CeFaultConfig {
@@ -74,33 +54,6 @@ impl std::fmt::Debug for CeFaultConfig {
     }
 }
 
-/// The pipeline's [`AlertDrain`] for a system replica: each merged
-/// round lands in the shared `emitted` record and goes out the back
-/// link, which the drain owns while the pipeline runs and which is
-/// where an alert is serialised — once, in either transport mode.
-struct SystemDrain {
-    back: Box<dyn AlertSink>,
-    emitted: Arc<Mutex<Vec<Alert>>>,
-}
-
-impl AlertDrain for SystemDrain {
-    fn round(&mut self, alerts: &mut Vec<Alert>) {
-        // LOCK ORDER: leaf record mutex, released before the link.
-        self.emitted.lock().extend(alerts.iter().cloned());
-        for alert in alerts.drain(..) {
-            self.back.send_alert(alert);
-        }
-    }
-
-    fn end_of_stream(&mut self) {
-        self.back.flush();
-    }
-
-    fn abandoned(&mut self) {
-        self.back.abandon();
-    }
-}
-
 /// Admitted updates waiting to be evaluated as one round, and when the
 /// first of them was admitted (the round's latency clock starts there).
 struct Round {
@@ -116,13 +69,16 @@ impl Round {
         self.updates.push(update);
     }
 
-    /// Records the round in `U_i` under one lock, then evaluates it.
-    fn dispatch(&mut self, pipe: &mut EvalPipeline, ingested: &Mutex<Vec<Update>>) {
+    /// Records the round in `U_i` (if the replica keeps it) under one
+    /// lock, then evaluates it.
+    fn dispatch(&mut self, pipe: &mut EvalPipeline, ingested: Option<&Mutex<Vec<Update>>>) {
         if self.updates.is_empty() {
             return;
         }
-        // LOCK ORDER: leaf record mutex, released before evaluation.
-        ingested.lock().extend_from_slice(&self.updates);
+        if let Some(ingested) = ingested {
+            // LOCK ORDER: leaf record mutex, released before evaluation.
+            ingested.lock().extend_from_slice(&self.updates);
+        }
         pipe.dispatch_round(&self.updates, self.opened);
         self.updates.clear();
     }
@@ -146,7 +102,8 @@ struct Live {
     pipe: EvalPipeline,
     gate: IngestGate,
     round: Round,
-    ingested: Arc<Mutex<Vec<Update>>>,
+    /// The system's `U_i` record; a node keeps none.
+    ingested: Option<Arc<Mutex<Vec<Update>>>>,
     /// Updates offered so far, over the replica's whole life.
     arrivals: u64,
     /// Arrival counts at which to kill, descending: `pop` yields the
@@ -162,14 +119,14 @@ impl Live {
             self.arrivals += 1;
             if self.kill_at.last().is_some_and(|&k| self.arrivals >= k) {
                 self.kill_at.pop();
-                self.round.dispatch(&mut self.pipe, &self.ingested);
+                self.round.dispatch(&mut self.pipe, self.ingested.as_deref());
                 return Offered::Killed;
             }
             if self.gate.admit(&update) {
                 self.round.push(update);
             } // else a duplicate of a replayed update
         }
-        self.round.dispatch(&mut self.pipe, &self.ingested);
+        self.round.dispatch(&mut self.pipe, self.ingested.as_deref());
         Offered::Evaluated
     }
 
@@ -183,20 +140,23 @@ impl Live {
     }
 }
 
-/// One supervised Condition Evaluator replica, as a value its caller
-/// drives: [`offer`](Self::offer) hands it a round of updates, and
-/// [`finish`](Self::finish) ends its stream. In-process the DM loop
-/// owns every replica and offers each its share of a round; over
-/// sockets its ingress's `deliver` owns it ([`on_ingress`]).
+/// One Condition Evaluator replica, as a value its caller drives:
+/// `offer` hands it a round of updates, and `finish` ends its stream.
+/// In-process the DM loop owns every replica and offers each its share
+/// of a round; over sockets its ingress's `deliver` owns it
+/// ([`on_ingress`]). A [`MonitorSystem`](crate::MonitorSystem) and the
+/// `rcm-ce` node run this same replica.
 ///
 /// The replica hosts its whole condition set in one [`EvalPipeline`]
 /// (condition `i` is `CondId::new(i)`, so a single-condition system
 /// emits under `CondId::SINGLE`), whose shards evaluate each round on
 /// the caller's thread and its helpers and merge back into the
-/// single-threaded emission order; the back link lives in the
-/// pipeline's [`SystemDrain`].
+/// single-threaded emission order; its alerts go to the
+/// [`AlertDrain`] it was built with, the back link or a wrapper of it.
 ///
-/// A panic, scripted by the fault plan or genuine, is caught. The rule
+/// A node's replica is unsupervised: a panic propagates. A system
+/// replica is supervised; a panic, scripted by the fault plan or
+/// genuine, is caught. The rule
 /// is one for both transports: a kill loses the rest of the round it
 /// fired in and nothing else. Within the restart budget the replica
 /// restarts: every condition's histories are wiped (the paper's crash
@@ -209,44 +169,63 @@ impl Live {
 /// survives crashes too (the registry keeps it across `restart`). Past
 /// the budget the replica is abandoned, and every round offered to it
 /// later is counted as lost while down.
-pub(crate) struct Replica {
+pub struct Replica {
     /// `None` once the replica is abandoned.
     live: Option<Live>,
     /// `None` for an unsupervised replica, whose panics propagate.
     faults: Option<CeFaultConfig>,
 }
 
+impl std::fmt::Debug for Replica {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Replica")
+            .field("abandoned", &self.live.is_none())
+            .field("faults", &self.faults)
+            .finish()
+    }
+}
+
 impl Replica {
-    /// The replica whose conditions `shards` host (as its own, see
-    /// [`ConditionRegistry::for_replica`]), its alerts recorded in
-    /// `emitted` and sent over `back`, its admitted updates recorded in
-    /// `ingested`, and its ingest→emit latencies in the run-wide
-    /// `latency`. The pipeline's helper threads start here.
-    pub(crate) fn new(
+    /// The replica whose conditions `shards` host (see
+    /// [`shards`](crate::pipeline::shards); a system gives each replica
+    /// copies, [`ConditionRegistry::for_replica`]), its alerts handed to
+    /// `drain` and its ingest→emit latencies recorded in `latency`. The
+    /// pipeline's helper threads start here.
+    pub fn new(
         shards: Vec<ConditionRegistry>,
         latency: Arc<LatencyHistogram>,
-        back: Box<dyn AlertSink>,
-        ingested: Arc<Mutex<Vec<Update>>>,
-        emitted: Arc<Mutex<Vec<Alert>>>,
-        faults: Option<CeFaultConfig>,
+        drain: Box<dyn AlertDrain>,
     ) -> Self {
-        let drain = Box::new(SystemDrain { back, emitted });
-        let pipe = EvalPipeline::with_shards(shards, drain, latency);
-        let mut kill_at: Vec<u64> = faults.as_ref().map(|f| f.kill_at.clone()).unwrap_or_default();
-        kill_at.sort_unstable_by(|a, b| b.cmp(a));
         let live = Live {
-            pipe,
+            pipe: EvalPipeline::with_shards(shards, drain, latency),
             gate: IngestGate::new(),
             round: Round { updates: Vec::with_capacity(ROUND), opened: Instant::now() },
-            ingested,
+            ingested: None,
             arrivals: 0,
-            kill_at,
+            kill_at: Vec::new(),
         };
-        Replica { live: Some(live), faults }
+        Replica { live: Some(live), faults: None }
+    }
+
+    /// The system's additions: the replica records its admitted updates
+    /// in `ingested` (the paper's `U_i`), and with `faults` it is
+    /// supervised under the fault plan.
+    pub(crate) fn in_system(
+        mut self,
+        ingested: Arc<Mutex<Vec<Update>>>,
+        faults: Option<CeFaultConfig>,
+    ) -> Self {
+        if let Some(live) = &mut self.live {
+            live.ingested = Some(ingested);
+            live.kill_at = faults.iter().flat_map(|f| f.kill_at.iter().copied()).collect();
+            live.kill_at.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        self.faults = faults;
+        self
     }
 
     /// Helper threads the replica's pipeline runs.
-    pub(crate) fn helpers(&self) -> usize {
+    pub fn helpers(&self) -> usize {
         self.live.as_ref().map_or(0, |live| live.pipe.helpers())
     }
 
@@ -332,7 +311,7 @@ impl Replica {
             }
         }
         let replayed = live.round.updates.len() as u64;
-        live.round.dispatch(&mut live.pipe, &live.ingested);
+        live.round.dispatch(&mut live.pipe, live.ingested.as_deref());
         let mut report = cfg.report.lock();
         report.updates_replayed += replayed;
         report.recovery_latency.push(recovery_start.elapsed());
@@ -352,10 +331,10 @@ impl Replica {
 /// A socket-mode replica as its CE ingress's `deliver`: each datagram's
 /// admitted updates are offered as one round, on the event loop's
 /// thread, as the datagram is read. The ingress drops the callback when
-/// it retires (its Fin, or its idle backstop), and the drop finishes
+/// it retires (its Fins, or its idle backstop), and the drop finishes
 /// the replica: its back link's drain is submitted to the same loop,
 /// which runs until the drain is done.
-pub(crate) fn on_ingress(replica: Replica) -> impl FnMut(&mut Vec<Update>) + Send {
+pub fn on_ingress(replica: Replica) -> impl FnMut(&mut Vec<Update>) + Send {
     let mut replica = FinishOnDrop(Some(replica));
     move |round| {
         if let Some(replica) = &mut replica.0 {

@@ -30,6 +30,7 @@ use rcm_core::Alert;
 use rcm_net::Backoff;
 use rcm_transport::{BackLinkStats, Outbox};
 
+use crate::pipeline::AlertDrain;
 use crate::wire::{cross_in, Message};
 
 /// A TCP-like back link: FIFO and lossless across transient
@@ -142,20 +143,23 @@ impl<T: Clone + Send + 'static> BackLink<T> {
     }
 }
 
-impl crate::actors::AlertSink for BackLink<Alert> {
-    fn send_alert(&mut self, alert: Alert) {
-        // Cross a real serialization boundary, as the socket link does,
-        // then forward the original: the body the CE recorded.
-        let msg = Message::Alert(alert);
-        cross_in(&mut self.frame, &msg);
-        let Message::Alert(alert) = msg else { unreachable!("built as an alert above") };
-        self.send(alert);
+/// A replica's in-process back link: each alert crosses a real
+/// serialization boundary, as on the socket link, and the original
+/// goes out — the body the CE recorded. End-of-stream flushes.
+impl AlertDrain for BackLink<Alert> {
+    fn round(&mut self, alerts: &mut Vec<Alert>) {
+        for alert in alerts.drain(..) {
+            let msg = Message::Alert(alert);
+            cross_in(&mut self.frame, &msg);
+            let Message::Alert(alert) = msg else { unreachable!("built as an alert above") };
+            self.send(alert);
+        }
     }
 
-    fn flush(&mut self) {
-        BackLink::flush(self);
+    fn end_of_stream(&mut self) {
+        self.flush();
     }
-    // Default `abandon`: dropping the channel sender is the hangup, and
+    // Default `abandoned`: dropping the channel sender is the hangup, and
     // the queued alerts of an abandoned replica are sanctioned loss.
 }
 
@@ -257,7 +261,6 @@ mod tests {
 
     #[test]
     fn an_alert_sink_crosses_the_codec_and_forwards_the_original() {
-        use crate::actors::AlertSink;
         use crate::wire::{self, BINARY_WIRE_VERSION};
         use rcm_core::{AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
 
@@ -296,7 +299,7 @@ mod tests {
         ];
         let (mut link, rx) = link::<Alert>(vec![]);
         for sent in sent {
-            link.send_alert(sent.clone());
+            link.round(&mut vec![sent.clone()]);
             let got = rx.try_recv().expect("the alert went through");
             // Forwarded, not decoded: the very body that was sent.
             assert!(Alert::ptr_eq(&got, &sent), "{sent:?}");

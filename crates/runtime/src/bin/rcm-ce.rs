@@ -26,6 +26,10 @@
 //! names the bound address and the size granted, as `listening on
 //! HOST:PORT; receive buffer N B`.
 //!
+//! The node runs the same CE replica a `MonitorSystem` runs over
+//! sockets (`rcm_runtime::Replica`, placed on the loop by
+//! `rcm_runtime::on_ingress`), unsupervised and keeping no record of
+//! what it ingests or emits: its alerts go straight to the back link.
 //! Updates are evaluated on that loop, a round at a time: each
 //! datagram's admitted updates are one round, evaluated as the datagram
 //! is read. `--workers N` (default 0) splits the conditions into
@@ -36,7 +40,7 @@
 //! and evaluates every condition in one shard. The shards' alerts are
 //! merged back into the exact single-threaded emission order before the
 //! back link, and nothing is shed. When the ingress retires, the
-//! pipeline finishes and the back link drains on the same loop; the
+//! replica finishes and the back link drains on the same loop; the
 //! loop returns once the drain is done. The exit report carries the
 //! helper count and the ingest→emit latency percentiles.
 //!
@@ -47,13 +51,13 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 
 use rcm_core::condition::{expr::CompiledCondition, Condition};
-use rcm_core::{Alert, CeId, LatencyHistogram, Update, VarRegistry};
+use rcm_core::{CeId, LatencyHistogram, VarRegistry};
 use rcm_net::Backoff;
-use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
-use rcm_sync::atomic::AtomicU64;
-use rcm_sync::time::{Duration, Instant};
+use rcm_runtime::pipeline::{cpu_budget, shards};
+use rcm_runtime::{on_ingress, PipelineOptions, Replica};
+use rcm_sync::time::Duration;
 use rcm_sync::Arc;
-use rcm_transport::{size_receive_buffer, BackLinkSpec, EventLoop, EventedBackLink};
+use rcm_transport::{size_receive_buffer, BackLinkSpec, EventLoop};
 
 struct Options {
     bind: SocketAddr,
@@ -116,51 +120,8 @@ fn parse_args() -> Option<Options> {
     Some(opts)
 }
 
-/// Routes the pipeline's merged alert stream onto the back link;
-/// `end_of_stream` hands the link its lossless drain and Fin, which the
-/// loop finishes before it returns, so every queued alert is on the
-/// wire before the node reports.
-struct BackDrain {
-    back: EventedBackLink,
-}
-
-impl AlertDrain for BackDrain {
-    fn round(&mut self, alerts: &mut Vec<Alert>) {
-        for alert in alerts.drain(..) {
-            self.back.send_alert(alert);
-        }
-    }
-    fn end_of_stream(&mut self) {
-        self.back.finish();
-    }
-}
-
-/// The pipeline as the ingress's `deliver`: evaluates each datagram's
-/// round as it is read, and finishes when the ingress drops it on
-/// retiring (all Fins, or the idle backstop). A panic propagating
-/// through the loop finishes nothing.
-struct Evaluate(Option<EvalPipeline>);
-
-impl Evaluate {
-    fn round(&mut self, round: &[Update]) {
-        if let Some(pipe) = &mut self.0 {
-            pipe.dispatch_round(round, Instant::now());
-        }
-    }
-}
-
-impl Drop for Evaluate {
-    fn drop(&mut self) {
-        if let Some(pipe) = self.0.take() {
-            if !rcm_sync::thread::panicking() {
-                pipe.finish();
-            }
-        }
-    }
-}
-
 /// Ingress and back link are state machines on one readiness loop, run
-/// on this thread; evaluation runs inside the ingress's `deliver`.
+/// on this thread; the replica runs inside the ingress's `deliver`.
 fn main() -> ExitCode {
     let Some(opts) = parse_args() else { return usage() };
 
@@ -210,22 +171,15 @@ fn main() -> ExitCode {
     };
     let back_stats = back.counters();
 
-    // The ingress gate already dropped reorders and duplicates, so every
-    // delivered round goes straight into evaluation.
+    // The ingress drops the replica when it retires (all Fins, or the
+    // idle backstop), which finishes it: the back link drains on the
+    // loop, and the loop returns once it is done.
+    let options = PipelineOptions::with_workers(opts.workers);
+    let hosted = shards(CeId::new(opts.node), &conds, &options, cpu_budget(&options));
     let latency = Arc::new(LatencyHistogram::new());
-    let pipe = EvalPipeline::start(
-        CeId::new(opts.node),
-        &conds,
-        &PipelineOptions::with_workers(opts.workers),
-        Box::new(BackDrain { back }),
-        Arc::clone(&latency),
-        Arc::new(AtomicU64::new(0)),
-    );
-    let helpers = pipe.helpers();
-    let mut evaluate = Evaluate(Some(pipe));
-    let ingress = match el.add_front_ingress(sock, opts.dms, opts.idle, move |round| {
-        evaluate.round(round);
-    }) {
+    let replica = Replica::new(hosted, Arc::clone(&latency), Box::new(back));
+    let helpers = replica.helpers();
+    let ingress = match el.add_front_ingress(sock, opts.dms, opts.idle, on_ingress(replica)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: cannot register ingress: {e}");

@@ -44,11 +44,16 @@
 //! [`Topology`] (UDP per front link, TCP per back link — see
 //! `rcm_transport`) and hand it to [`SystemBuilder::transport`], or
 //! deploy the `rcm-dm` / `rcm-ce` / `rcm-ad` binaries as separate
-//! processes. Either way the replica, the AD, the codec and the fault
-//! machinery are identical; only the link layer changes, and with it
-//! the thread that drives the roles: over sockets the event loop gets a
-//! thread of its own, and every replica and the AD run on it, each as
-//! its datagrams or alerts arrive. The DM loop is the other thread.
+//! processes. Either way the CE is one [`Replica`], placed on the event
+//! loop by [`on_ingress`], and the codec is the same: a system adds to
+//! its replicas only what it keeps for its report (each replica's `U_i`
+//! and emitted alerts) and fault supervision, and an `rcm-ce` node
+//! keeps nothing per update. `rcm-ad` runs the chosen filter on each
+//! alert as it is read, which is all the system's AD does besides
+//! recording. Only the link layer changes, and with it the thread that
+//! drives the roles: over sockets the event loop gets a thread of its
+//! own, and every replica and the AD run on it, each as its datagrams
+//! or alerts arrive. The DM loop is the other thread.
 //!
 //! ```rust
 //! use rcm_runtime::{MonitorSystem, VarFeed};
@@ -82,6 +87,7 @@ mod socket;
 mod system;
 pub mod wire;
 
+pub use actors::{on_ingress, Replica};
 pub use backlink::BackLink;
 pub use dm::ROUND;
 pub use faults::{FaultPlan, FaultReport, IngestGate, KillCe, RetainedWindow, SeverBackLink};

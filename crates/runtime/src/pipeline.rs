@@ -1,5 +1,6 @@
 //! The CE's evaluation stage: one [`EvalPipeline`] behind every
-//! supervised replica and every `rcm-ce` node, for any worker count.
+//! [`Replica`](crate::Replica) — a system's, an `rcm-ce` node's and the
+//! scale gauntlet's flat CE — for any worker count.
 //!
 //! **Shards are threads.** The conditions are evaluated on
 //! `threads = min(max(workers, 1), cpus)` threads, where `cpus` is the
@@ -15,9 +16,10 @@
 //! and the CPU count is not read.
 //!
 //! **Hosted once.** A [`MonitorSystem`](crate::MonitorSystem) reads the
-//! CPU count and hosts its condition set in this shard layout once;
-//! each replica's pipeline starts from copies of those registries
-//! ([`ConditionRegistry::for_replica`]), not from the conditions.
+//! CPU count ([`cpu_budget`]) and hosts its condition set in this shard
+//! layout ([`shards`]) once; each replica's pipeline starts from copies
+//! of those registries ([`ConditionRegistry::for_replica`]), not from
+//! the conditions. A node hosts its one replica's set the same way.
 //!
 //! [`available_parallelism`]: rcm_sync::thread::available_parallelism
 //!
@@ -77,9 +79,12 @@ use rcm_core::{Alert, CeId, CondId, ConditionRegistry, LatencyHistogram, Update}
 
 /// Where the pipeline delivers each admitted update's merged alerts.
 ///
-/// The dispatching thread owns the drain, so the CE's back link
-/// (channel or socket) moves in here; `rcm-ce` and the scale gauntlet
-/// provide their own implementations.
+/// The dispatching thread owns the drain, so the CE's back link moves
+/// in here: [`BackLink`](crate::BackLink) (a channel) and the socket
+/// transport's `EventedBackLink` implement it, and are the drain an
+/// `rcm-ce` node's replica runs. A system wraps its link in a drain
+/// that also records what the replica emitted; the scale gauntlet
+/// fans each alert out on many links.
 ///
 /// The pipeline calls [`round`](Self::round) only. A drain implements
 /// `round`, or `alerts` if it wants each round as a `Vec` of its own;
@@ -223,10 +228,10 @@ impl std::fmt::Debug for EvalPipeline {
     }
 }
 
-/// The CPU budget [`EvalPipeline::start`] shards for: the caller's
-/// available parallelism when `workers >= 2`, read once per call, and
-/// 1 otherwise (no shard count depends on it then).
-pub(crate) fn cpu_budget(options: &PipelineOptions) -> usize {
+/// The CPU budget [`shards`] splits for: the caller's available
+/// parallelism when `workers >= 2`, read once per call, and 1
+/// otherwise (no shard count depends on it then).
+pub fn cpu_budget(options: &PipelineOptions) -> usize {
     if options.workers >= 2 {
         rcm_sync::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
     } else {
@@ -238,8 +243,9 @@ pub(crate) fn cpu_budget(options: &PipelineOptions) -> usize {
 /// shards: shard `t` hosts the conditions with `i % threads == t`, in
 /// ascending `i` (condition `i` is `CondId::new(i)`), so it emits in
 /// ascending condition id. A system hosts its set once and gives each
-/// replica copies ([`ConditionRegistry::for_replica`]).
-pub(crate) fn shards(
+/// replica copies ([`ConditionRegistry::for_replica`]); a node hosts
+/// its own replica's set.
+pub fn shards(
     ce: CeId,
     conditions: &[Arc<dyn Condition>],
     options: &PipelineOptions,

@@ -1,5 +1,5 @@
 //! Socket-mode adapters: the transport crate's real UDP/TCP links
-//! dressed up as the [`Fanout`] / [`AlertSink`] traits, so `dm_loop`
+//! dressed up as the [`Fanout`] / [`AlertDrain`] traits, so `dm_loop`
 //! and a replica drive loopback sockets exactly as they drive
 //! in-process hops and channels.
 //!
@@ -9,8 +9,8 @@
 use rcm_core::{Alert, Update};
 use rcm_transport::{EventedBackLink, RoundSender};
 
-use crate::actors::AlertSink;
 use crate::dm::Fanout;
+use crate::pipeline::AlertDrain;
 
 /// The DM loop's socket fanout: the system's DMs as one node, with one
 /// UDP link per replica. Each round, every feed's readings of it, goes
@@ -33,16 +33,22 @@ impl Fanout for RoundSender {
     }
 }
 
-impl AlertSink for EventedBackLink {
-    fn send_alert(&mut self, alert: Alert) {
-        EventedBackLink::send_alert(self, alert);
+/// A replica's socket back link: each alert is queued to the event
+/// loop as it is merged; end-of-stream hands the loop the lossless
+/// drain and the Fin, which the loop finishes before it returns, and an
+/// abandoned replica's link still owes its listener the Fin.
+impl AlertDrain for EventedBackLink {
+    fn round(&mut self, alerts: &mut Vec<Alert>) {
+        for alert in alerts.drain(..) {
+            self.send_alert(alert);
+        }
     }
 
-    fn flush(&mut self) {
+    fn end_of_stream(&mut self) {
         self.finish();
     }
 
-    fn abandon(&mut self) {
-        EventedBackLink::abandon(self);
+    fn abandoned(&mut self) {
+        self.abandon();
     }
 }

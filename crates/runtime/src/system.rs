@@ -22,12 +22,12 @@ use rcm_transport::{
     IngressStats, ListenerStats, RoundSender, TransportMode, TransportReport, UdpFrontLink,
 };
 
-use crate::actors::{on_ingress, Ad, AlertSink, CeFaultConfig, Replica};
+use crate::actors::{on_ingress, Ad, CeFaultConfig, Replica};
 use crate::backlink::BackLink;
 use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
 use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
 use crate::link::FrontHop;
-use crate::pipeline::{self, PipelineOptions};
+use crate::pipeline::{self, AlertDrain, PipelineOptions};
 
 /// One variable's data feed: where its Data Monitor's readings come
 /// from — a pre-recorded list or a live channel.
@@ -554,11 +554,11 @@ impl Replicas {
 
     /// Replica `ce`, sending its alerts over `back`, with its records
     /// kept for the report.
-    fn replica(&mut self, ce: usize, back: Box<dyn AlertSink>) -> Replica {
+    fn replica(&mut self, ce: usize, back: Box<dyn AlertDrain>) -> Replica {
         let record = Arc::new(Mutex::new(Vec::new()));
         self.ingested.push(Arc::clone(&record));
-        let outputs = Arc::new(Mutex::new(Vec::new()));
-        self.emitted.push(Arc::clone(&outputs));
+        let emitted = Arc::new(Mutex::new(Vec::new()));
+        self.emitted.push(Arc::clone(&emitted));
         let faults = self.plan.as_ref().map(|p| CeFaultConfig {
             kill_at: p.kills.iter().filter(|k| k.ce == ce).map(|k| k.at_arrival).collect(),
             max_restarts: p.max_restarts,
@@ -568,8 +568,8 @@ impl Replicas {
         });
         let id = CeId::new(ce as u32);
         let shards = self.shards.iter().map(|shard| shard.for_replica(id)).collect();
-        let latency = Arc::clone(&self.latency);
-        Replica::new(shards, latency, back, record, outputs, faults)
+        let drain = Box::new(Recorded { back, emitted });
+        Replica::new(shards, Arc::clone(&self.latency), drain).in_system(record, faults)
     }
 
     /// The running system: its threads, the AD's records, the links'
@@ -592,6 +592,30 @@ impl Replicas {
             workers: self.workers,
             latency: self.latency,
         }
+    }
+}
+
+/// A system replica's [`AlertDrain`]: each merged round lands in the
+/// replica's `emitted` record, then goes out its back link, where an
+/// alert is serialised — once, in either transport mode.
+struct Recorded {
+    back: Box<dyn AlertDrain>,
+    emitted: Arc<Mutex<Vec<Alert>>>,
+}
+
+impl AlertDrain for Recorded {
+    fn round(&mut self, alerts: &mut Vec<Alert>) {
+        // LOCK ORDER: leaf record mutex, released before the link.
+        self.emitted.lock().extend(alerts.iter().cloned());
+        self.back.round(alerts);
+    }
+
+    fn end_of_stream(&mut self) {
+        self.back.end_of_stream();
+    }
+
+    fn abandoned(&mut self) {
+        self.back.abandoned();
     }
 }
 

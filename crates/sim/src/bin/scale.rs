@@ -26,31 +26,32 @@
 //! * any link surfaced a decode error, or
 //! * the run overshot `--budget-ms` of wall clock.
 //!
-//! The node runs as a deployed `rcm-ce` and `rcm-ad` do: the CE body
-//! runs inside the ingress's `deliver` and the AD-1 filter inside the
+//! The node runs as a deployed `rcm-ce` and `rcm-ad` do: the CE runs
+//! inside the ingress's `deliver` and the AD-1 filter inside the
 //! listener's `deliver`, both on the loop's thread, as each datagram
 //! or alert is read. The main thread only drives the DM fleet.
 //!
-//! The CE body is an `EvalPipeline` over one always-firing threshold
-//! per active variable, dispatched one update at a time; `--workers W`
-//! (default 0 = evaluated on the loop's thread) splits it into
-//! `T = min(W, cpus)` shards, `cond_id % T`, one on the loop's thread
-//! and one on each of `T - 1` helper threads (`cpus`: the CPUs the
-//! process may use), and merges
-//! the alerts back into stream order before the fan-out, so the
+//! The flat CE is the system's replica, `rcm_runtime::Replica`, placed
+//! on the loop by `rcm_runtime::on_ingress` as in `rcm-ce`: one round
+//! per datagram, over one always-firing threshold per active variable,
+//! its alerts fanned out by its drain. `--workers W` (default 0 =
+//! evaluated on the loop's thread) splits it into `T = min(W, cpus)`
+//! shards, `cond_id % T`, one on the loop's thread and one on each of
+//! `T - 1` helper threads (`cpus`: the CPUs the process may use), and
+//! merges the alerts back into stream order before the fan-out, so the
 //! gauntlet also exercises sharded evaluation under real sockets. The
 //! report carries the helper count and the pipeline's ingest→emit
 //! latency percentiles.
 //!
 //! `--tree DxF` (e.g. `--tree 3x8`: depth 3, fanout 8) swaps the flat
-//! CE body for an aggregation tree (`rcm_tree::TreeEval`): the evented
+//! CE for an aggregation tree (`rcm_tree::TreeEval`): the evented
 //! loop still owns every socket (front ingress, back links, AD
 //! listener), but each delivered update routes through `F^(D-1)` leaf
 //! CEs that emit derived verdict streams up `D-2` relay tiers to a
 //! root CE, whose re-stamped alerts fan out on the back links at once.
 //! The exactly-once assertion is unchanged and now spans the whole
 //! tree: every update must surface at the root-fed AD exactly once. No
-//! tree node runs an `EvalPipeline`, so `--tree` with a non-zero
+//! tree node runs a sharded pipeline, so `--tree` with a non-zero
 //! `--workers` is a usage error: exit 1 before a socket is bound.
 //!
 //! `--json` adds the capacity evidence CI archives: peak process FDs
@@ -74,7 +75,8 @@ use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, CeId, CondId, LatencyHistogram, Update, VarId};
 use rcm_json::obj;
 use rcm_net::Backoff;
-use rcm_runtime::{AlertDrain, EvalPipeline, PipelineOptions};
+use rcm_runtime::pipeline::{cpu_budget, shards};
+use rcm_runtime::{on_ingress, AlertDrain, PipelineOptions, Replica};
 use rcm_sync::atomic::{AtomicU64, Ordering};
 use rcm_sync::{Arc, Mutex};
 use rcm_transport::{
@@ -145,7 +147,7 @@ fn parse_args() -> Option<Options> {
         }
     }
     opts.active = opts.active.min(opts.front);
-    // No tree node runs an `EvalPipeline`: refuse the pair rather than
+    // No tree node runs a sharded pipeline: refuse the pair rather than
     // report a worker count nothing used.
     if opts.tree.is_some() && opts.workers > 0 {
         return None;
@@ -153,8 +155,8 @@ fn parse_args() -> Option<Options> {
     Some(opts)
 }
 
-/// The CE body's sink: fans every merged alert out on all M back links
-/// and counts emissions.
+/// The CE's drain: fans every merged alert out on all M back links and
+/// counts emissions.
 struct FanoutDrain {
     backs: Vec<EventedBackLink>,
     emitted: Arc<AtomicU64>,
@@ -176,43 +178,32 @@ impl AlertDrain for FanoutDrain {
     }
 }
 
-/// The CE body: the flat pipeline, or the aggregation tree whose root
-/// alerts fan out at once.
-enum CeBody {
-    Flat(EvalPipeline),
-    Tree(TreeEval, FanoutDrain, Vec<Alert>),
+/// The tree CE, evaluated inside the ingress's `deliver`: each
+/// delivered update routes through the tree, and the root's alerts fan
+/// out at once. The retiring ingress drops it, which ends the stream,
+/// finishes every back link and leaves the tree's counters in `stats`.
+struct Ce {
+    tree: TreeEval,
+    drain: FanoutDrain,
+    alerts: Vec<Alert>,
+    stats: Arc<Mutex<Option<TreeStats>>>,
 }
 
-/// The CE, evaluated inside the ingress's `deliver`. The retiring
-/// ingress drops it, which ends the stream and finishes every back
-/// link; a tree leaves its counters in the shared slot.
-struct Ce(Option<CeBody>, Arc<Mutex<Option<TreeStats>>>);
-
 impl Ce {
-    fn ingest(&mut self, update: Update) {
-        match &mut self.0 {
-            Some(CeBody::Flat(pipe)) => pipe.dispatch(update),
-            Some(CeBody::Tree(tree, drain, alerts)) => {
-                tree.ingest(update, alerts);
-                if !alerts.is_empty() {
-                    drain.round(alerts);
-                }
+    fn round(&mut self, round: &mut Vec<Update>) {
+        for update in round.drain(..) {
+            self.tree.ingest(update, &mut self.alerts);
+            if !self.alerts.is_empty() {
+                self.drain.round(&mut self.alerts);
             }
-            None => {}
         }
     }
 }
 
 impl Drop for Ce {
     fn drop(&mut self) {
-        match self.0.take() {
-            Some(CeBody::Flat(pipe)) => pipe.finish(),
-            Some(CeBody::Tree(tree, mut drain, _)) => {
-                drain.end_of_stream();
-                *self.1.lock() = Some(tree.stats());
-            }
-            None => {}
-        }
+        self.drain.end_of_stream();
+        *self.stats.lock() = Some(self.tree.stats());
     }
 }
 
@@ -278,13 +269,12 @@ fn main() -> ExitCode {
 
     // AD body: AD-1 over the merged stream, filtering each alert as the
     // listener reads it — every emitted alert must survive exactly once.
-    let heard = Arc::new(AtomicU64::new(0));
+    // The listener counts each alert it hears before handing it over.
     let displayed = Arc::new(AtomicU64::new(0));
-    let (ad_heard, ad_displayed) = (Arc::clone(&heard), Arc::clone(&displayed));
+    let ad_displayed = Arc::clone(&displayed);
     let mut filter = Ad1::new();
     let ad = el
         .add_alert_listener(listener, opts.back, idle, move |alert| {
-            ad_heard.fetch_add(1, Ordering::Relaxed);
             if filter.offer(&alert).is_deliver() {
                 ad_displayed.fetch_add(1, Ordering::Relaxed);
             }
@@ -301,18 +291,18 @@ fn main() -> ExitCode {
         backs.push(back);
     }
 
-    // CE body: each delivered update fires one always-true threshold
-    // per active variable, and the alert is fanned out on every back
-    // link. The ingress drops the body when it saw all N Fins (or its
-    // idle backstop fired), and that ends the stream. `--workers W`
-    // splits the conditions into `min(W, cpus)` shards, one per thread,
-    // and merges back into stream order before the fan-out.
+    // CE: each delivered update fires one always-true threshold per
+    // active variable, and the alert is fanned out on every back link.
+    // The ingress drops the CE when it saw all N Fins (or its idle
+    // backstop fired), and that ends the stream. `--workers W` splits
+    // the conditions into `min(W, cpus)` shards, one per thread, and
+    // merges back into stream order before the fan-out.
     let latency = Arc::new(LatencyHistogram::new());
     let emitted = Arc::new(AtomicU64::new(0));
     let drain = FanoutDrain { backs, emitted: Arc::clone(&emitted) };
     let tree_stats = Arc::new(Mutex::new(None));
     let mut helpers = 0;
-    let body = if let Some((depth, fanout)) = opts.tree {
+    let ingress = if let Some((depth, fanout)) = opts.tree {
         // Each delivered update goes through the tree as the ingress
         // hands it over, and the root's alerts fan out at once. Per-var
         // seqno order holds because the single ingress socket delivers
@@ -328,30 +318,22 @@ fn main() -> ExitCode {
         }
         let tree =
             TreeEval::build(plan, TreeOptions { wire_check: true, ..TreeOptions::default() });
-        CeBody::Tree(tree, drain, Vec::new())
+        let stats = Arc::clone(&tree_stats);
+        let mut ce = Ce { tree, drain, alerts: Vec::new(), stats };
+        el.add_front_ingress(ce_sock, opts.front, idle, move |round| ce.round(round))
     } else {
         let conds: Vec<Arc<dyn Condition>> = (0..opts.active)
             .map(|i| {
                 Arc::new(cond::threshold(VarId::new(i as u32), Cmp::Gt, 0.0)) as Arc<dyn Condition>
             })
             .collect();
-        let pipe = EvalPipeline::start(
-            CeId::new(0),
-            &conds,
-            &PipelineOptions::with_workers(opts.workers),
-            Box::new(drain),
-            Arc::clone(&latency),
-            Arc::new(AtomicU64::new(0)),
-        );
-        helpers = pipe.helpers();
-        CeBody::Flat(pipe)
-    };
-    let mut ce = Ce(Some(body), Arc::clone(&tree_stats));
-    let ingress = el
-        .add_front_ingress(ce_sock, opts.front, idle, move |round| {
-            round.drain(..).for_each(|u| ce.ingest(u));
-        })
-        .expect("register ingress");
+        let options = PipelineOptions::with_workers(opts.workers);
+        let hosted = shards(CeId::new(0), &conds, &options, cpu_budget(&options));
+        let replica = Replica::new(hosted, Arc::clone(&latency), Box::new(drain));
+        helpers = replica.helpers();
+        el.add_front_ingress(ce_sock, opts.front, idle, on_ingress(replica))
+    }
+    .expect("register ingress");
     let engine = rcm_sync::thread::spawn(move || el.run());
 
     // The DM fleet: every front link exists (and owns an FD); only the
@@ -382,7 +364,7 @@ fn main() -> ExitCode {
         let accounted =
             read.delivered + read.dropped_stale + kernel_drops(&ce_sock_watch).unwrap_or(0);
         if accounted >= sent
-            && heard.load(Ordering::Relaxed) >= emitted.load(Ordering::Relaxed) * opts.back as u64
+            && ad.snapshot().alerts >= emitted.load(Ordering::Relaxed) * opts.back as u64
         {
             break;
         }
@@ -406,13 +388,13 @@ fn main() -> ExitCode {
     // and the listener saw every Fin.
     engine.join().expect("loop thread");
     let emitted = emitted.load(Ordering::Relaxed);
-    let heard = heard.load(Ordering::Relaxed);
     let displayed = displayed.load(Ordering::Relaxed);
     let tree_stats = tree_stats.lock().take();
 
     let elapsed = started.elapsed();
     let ingress_stats = ingress.snapshot();
     let ad_stats = ad.snapshot();
+    let heard = ad_stats.alerts;
     let engine_stats = engine_counters.snapshot();
     let lost_overflow: u64 = back_stats.iter().map(|s| s.snapshot().lost_overflow).sum();
     let per_link_bytes = if opts.front == 0 {
