@@ -42,6 +42,10 @@ pub(crate) struct CeFaultConfig {
     pub report: Arc<Mutex<FaultReport>>,
     /// This replica's index into `report.restarts`.
     pub ce_index: usize,
+    /// Admits each live and replayed update at most once, in seqno
+    /// order per variable. It outlives every crash, so `U_i` stays
+    /// strictly ordered however replays and live arrivals interleave.
+    pub gate: IngestGate,
 }
 
 impl std::fmt::Debug for CeFaultConfig {
@@ -96,11 +100,10 @@ enum Offered {
 }
 
 /// What a replica holds while it is alive: everything a crash keeps
-/// (the gate, the arrival count, the kill schedule, alert numbering
-/// inside the pipeline) and the pipeline whose histories it wipes.
+/// (the arrival count, the kill schedule, alert numbering inside the
+/// pipeline) and the pipeline whose histories it wipes.
 struct Live {
     pipe: EvalPipeline,
-    gate: IngestGate,
     round: Round,
     /// The system's `U_i` record; a node keeps none.
     ingested: Option<Arc<Mutex<Vec<Update>>>>,
@@ -112,9 +115,14 @@ struct Live {
 }
 
 impl Live {
-    /// Takes `updates` in order through the gate into the round until a
-    /// scripted kill fires, then evaluates what was admitted.
-    fn take(&mut self, updates: &mut impl Iterator<Item = Update>) -> Offered {
+    /// Takes `updates` in order into the round, through `gate` when the
+    /// replica is supervised, until a scripted kill fires, then
+    /// evaluates what was admitted.
+    fn take(
+        &mut self,
+        updates: &mut impl Iterator<Item = Update>,
+        mut gate: Option<&mut IngestGate>,
+    ) -> Offered {
         for update in updates {
             self.arrivals += 1;
             if self.kill_at.last().is_some_and(|&k| self.arrivals >= k) {
@@ -122,7 +130,7 @@ impl Live {
                 self.round.dispatch(&mut self.pipe, self.ingested.as_deref());
                 return Offered::Killed;
             }
-            if self.gate.admit(&update) {
+            if gate.as_mut().is_none_or(|gate| gate.admit(&update)) {
                 self.round.push(update);
             } // else a duplicate of a replayed update
         }
@@ -154,16 +162,20 @@ impl Live {
 /// single-threaded emission order; its alerts go to the
 /// [`AlertDrain`] it was built with, the back link or a wrapper of it.
 ///
-/// A node's replica is unsupervised: a panic propagates. A system
-/// replica is supervised; a panic, scripted by the fault plan or
-/// genuine, is caught. The rule
+/// A node's replica is unsupervised: a panic propagates, and it admits
+/// every update it is offered, since what reaches it is in order
+/// already (its ingress gated each datagram, and an in-process hop
+/// neither reorders nor duplicates). A system replica with a
+/// [`FaultPlan`](crate::FaultPlan) is supervised; a panic, scripted by
+/// the fault plan or genuine, is caught. The rule
 /// is one for both transports: a kill loses the rest of the round it
 /// fired in and nothing else. Within the restart budget the replica
 /// restarts: every condition's histories are wiped (the paper's crash
 /// model), the arrival the kill fired on and the rest of its round are
 /// counted as lost while down, and the bounded `H_x` histories are
 /// rebuilt by replaying the DMs' retained windows through the normal
-/// ingest path. The [`IngestGate`] outlives every crash, so the
+/// ingest path. A supervised replica runs every live and replayed
+/// update through an [`IngestGate`] that outlives every crash, so the
 /// recorded `U_i` stays strictly ordered per variable no matter how
 /// replays and live arrivals interleave; per-condition alert numbering
 /// survives crashes too (the registry keeps it across `restart`). Past
@@ -198,7 +210,6 @@ impl Replica {
     ) -> Self {
         let live = Live {
             pipe: EvalPipeline::with_shards(shards, drain, latency),
-            gate: IngestGate::new(),
             round: Round { updates: Vec::with_capacity(ROUND), opened: Instant::now() },
             ingested: None,
             arrivals: 0,
@@ -230,10 +241,10 @@ impl Replica {
     }
 
     /// Takes every update of `updates`, in order, as one round: admits
-    /// what the gate passes, evaluates it and drains its alerts before
-    /// it returns. A scripted kill inside the round first evaluates
-    /// what was admitted before it. `updates` is left empty, its
-    /// capacity kept for the caller's next round.
+    /// it (through the gate, when supervised), evaluates it and drains
+    /// its alerts before it returns. A scripted kill inside the round
+    /// first evaluates what was admitted before it. `updates` is left
+    /// empty, its capacity kept for the caller's next round.
     pub(crate) fn offer(&mut self, updates: &mut Vec<Update>) {
         let Some(live) = &mut self.live else {
             // Abandoned: what it is offered is lost while down.
@@ -244,7 +255,8 @@ impl Replica {
             return;
         };
         let mut rest = updates.drain(..);
-        let run = panic::catch_unwind(AssertUnwindSafe(|| live.take(&mut rest)));
+        let gate = self.faults.as_mut().map(|cfg| &mut cfg.gate);
+        let run = panic::catch_unwind(AssertUnwindSafe(|| live.take(&mut rest, gate)));
         let injected = match run {
             Ok(Offered::Evaluated) => return,
             Ok(Offered::Killed) => true,
@@ -266,7 +278,7 @@ impl Replica {
     /// Crash handling: counts the crash and the updates it lost, then
     /// restarts within the budget or abandons the replica past it.
     fn crashed(&mut self, injected: bool, lost: u64) {
-        let (Some(live), Some(cfg)) = (&mut self.live, &self.faults) else {
+        let (Some(live), Some(cfg)) = (&mut self.live, &mut self.faults) else {
             return;
         };
         // A genuine panic inside evaluation leaves its round recorded
@@ -305,7 +317,7 @@ impl Replica {
         // ordered and nothing is double-ingested.
         for window in &cfg.windows {
             for update in window.snapshot() {
-                if live.gate.admit(&update) {
+                if cfg.gate.admit(&update) {
                     live.round.push(update);
                 }
             }

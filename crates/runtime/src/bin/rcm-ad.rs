@@ -26,6 +26,7 @@
 //! LOCK ORDER: no locks — the listener's counters are atomics, read
 //! after the stream ends.
 
+use std::io::Write;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
@@ -86,8 +87,11 @@ fn parse_args() -> Option<Options> {
 fn main() -> ExitCode {
     let Some(opts) = parse_args() else { return usage() };
 
-    // Declared before the loop, which borrows both from its `deliver`.
+    // Declared before the loop, which borrows these from its `deliver`.
+    // `stdout_open` is cleared at the first failed write (a reader that
+    // hung up): the AD goes on filtering and counting without printing.
     let mut displayed: u64 = 0;
+    let mut stdout_open = true;
     let Some(mut filter) = ad::by_name(&opts.filter, &opts.vars) else {
         eprintln!("error: filter '{}' unavailable for this variable count", opts.filter);
         return ExitCode::FAILURE;
@@ -119,10 +123,16 @@ fn main() -> ExitCode {
     let display = |alert: rcm_core::Alert| {
         if filter.offer(&alert).is_deliver() {
             displayed += 1;
+            if !stdout_open {
+                return;
+            }
             let heads: Vec<String> =
                 alert.fingerprint.iter().map(|(v, seqnos)| format!("{v}@{}", seqnos[0])).collect();
             let value = alert.updates().next().map(|u| u.value);
-            println!("ALERT {} (reading {:?}) [from {}]", heads.join(", "), value, alert.id.ce);
+            let (heads, ce) = (heads.join(", "), alert.id.ce);
+            let written =
+                writeln!(std::io::stdout().lock(), "ALERT {heads} (reading {value:?}) [from {ce}]");
+            stdout_open = written.is_ok();
         }
     };
     let counters = match el.add_alert_listener(sock, opts.replicas, opts.idle, display) {

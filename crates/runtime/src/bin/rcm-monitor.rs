@@ -16,8 +16,9 @@
 //! stdin's reader lock, held for the read loop on the main thread.
 
 use rcm_sync::Arc;
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
 use rcm_core::ad;
@@ -104,6 +105,9 @@ fn main() -> ExitCode {
     let filter_name = opts.filter.clone();
     let vars_for_filter = vars.clone();
     let registry_for_cb = Arc::clone(&registry);
+    // Cleared at the first failed write (a reader that hung up): the run
+    // goes on without printing, and still ends with its `done:` line.
+    let stdout_open = Cell::new(true);
     let mut builder = MonitorSystem::builder(Arc::new(condition))
         .replicas(opts.replicas)
         .seed(opts.seed)
@@ -114,6 +118,9 @@ fn main() -> ExitCode {
             })
         })
         .on_alert(move |alert| {
+            if !stdout_open.get() {
+                return;
+            }
             let heads: Vec<String> = alert
                 .fingerprint
                 .iter()
@@ -122,7 +129,10 @@ fn main() -> ExitCode {
                 })
                 .collect();
             let value = alert.updates().next().map(|u| u.value);
-            println!("ALERT {} (reading {:?}) [from {}]", heads.join(", "), value, alert.id.ce);
+            let (heads, ce) = (heads.join(", "), alert.id.ce);
+            let written =
+                writeln!(std::io::stdout().lock(), "ALERT {heads} (reading {value:?}) [from {ce}]");
+            stdout_open.set(written.is_ok());
         });
     for (name, values) in feeds {
         let Some(var) = registry.lookup(&name).filter(|v| vars.contains(v)) else {

@@ -7,27 +7,31 @@
 //! [`wait_any`] (recorded feeds are paced by their own deadlines), and
 //! after each wake drains a bounded round: one reading per feed per
 //! pass, round-robin, at most [`ROUND`] in all. Where the round goes is
-//! the [`Fanout`]'s business: in-process the loop owns the replicas
-//! and the AD too, offers each replica the round's surviving updates
-//! with a call, on this thread, and then offers the AD the alerts they
-//! raised; over sockets the loop is one DM node with one link per
-//! replica, and the whole round, every feed's readings in round order,
-//! reaches each replica as one datagram while it fits the datagram
-//! budget.
+//! the [`Fanout`]'s business. In either shape a seeded [`FrontHop`] per
+//! `(feed, replica)` draws each update's loss first, in replica order.
+//! In-process the loop owns the replicas and the AD too, offers each
+//! replica the round's surviving updates with a call, on this thread,
+//! and then offers the AD the alerts they raised; over sockets the loop
+//! is one DM node with one link per replica, and what survives of the
+//! round for a replica, every feed's readings in round order, reaches
+//! it as one datagram while it fits the datagram budget.
 //!
 //! LOCK ORDER: the loop takes only leaf mutexes owned elsewhere (a
 //! retained window and, in-process, its replicas' records and fault
 //! report and the AD's sinks), each alone and released before any send
 //! or other lock. The links count into atomics.
 
+use rcm_sync::atomic::AtomicU64;
 use rcm_sync::chan::{wait_any, Receiver, TryRecvError};
 use rcm_sync::time::{Duration, Instant};
+use rcm_sync::Arc;
 
 use rcm_core::{Alert, Update, VarId};
+use rcm_transport::FrontLinkStats;
 
 use crate::actors::{Ad, Replica};
 use crate::faults::RetainedWindow;
-use crate::link::FrontHop;
+use crate::link::{count, FrontHop};
 use crate::wire::{cross_in, Message};
 
 /// Most readings one round takes before it is handed off. It bounds how
@@ -191,14 +195,17 @@ fn wait(dms: &[Dm]) {
 }
 
 /// The in-process fanout: a [`FrontHop`] per `(feed, replica)` draws
-/// each update's loss, an update some hop keeps crosses the codec once,
-/// and what survives a round is offered to each replica, which
-/// evaluates it before the call returns. The fanout also runs the AD: after each round's offers
-/// it drains the back links' channel and offers what arrived to the
-/// [`Ad`] as one burst, on this thread.
+/// each update's loss and its ledger row counts it, an update some hop
+/// keeps crosses the codec once, and what survives a round is offered
+/// to each replica, which evaluates it before the call returns. The
+/// fanout also runs the AD: after each round's offers it drains the
+/// back links' channel and offers what arrived to the [`Ad`] as one
+/// burst, on this thread.
 pub(crate) struct Rounds {
     /// `hops[feed][replica]`.
     hops: Vec<Vec<FrontHop>>,
+    /// `ledger[feed][replica]`: the counters of that front link.
+    ledger: Vec<Vec<Arc<FrontLinkStats<AtomicU64>>>>,
     /// Per replica: the replica and the round being collected for it.
     replicas: Vec<(Replica, Vec<Update>)>,
     ad: Ad,
@@ -219,8 +226,15 @@ impl Rounds {
         ad: Ad,
         alerts: Receiver<Alert>,
     ) -> Self {
+        let ledger = hops.iter().map(|row| row.iter().map(|_| Arc::default()).collect()).collect();
         let replicas = replicas.into_iter().map(|r| (r, Vec::with_capacity(ROUND))).collect();
-        Rounds { hops, replicas, ad, alerts, burst: Vec::new(), frame: Vec::new() }
+        Rounds { hops, ledger, replicas, ad, alerts, burst: Vec::new(), frame: Vec::new() }
+    }
+
+    /// The counters of front link `(feed, replica)`, readable while the
+    /// loop runs.
+    pub(crate) fn counters(&self, feed: usize, replica: usize) -> Arc<FrontLinkStats<AtomicU64>> {
+        Arc::clone(&self.ledger[feed][replica])
     }
 
     /// Offers the AD every alert the back links have delivered so far.
@@ -233,8 +247,11 @@ impl Rounds {
 impl Fanout for Rounds {
     fn multicast(&mut self, feed: usize, update: Update) {
         let mut kept = false;
-        for (hop, (_, round)) in self.hops[feed].iter_mut().zip(&mut self.replicas) {
-            if hop.pass() {
+        let links = self.hops[feed].iter_mut().zip(&self.ledger[feed]);
+        for ((hop, counters), (_, round)) in links.zip(&mut self.replicas) {
+            let pass = hop.pass();
+            count(counters, pass);
+            if pass {
                 round.push(update);
                 kept = true;
             }

@@ -20,8 +20,9 @@
 //!   queue and resend; only bounded-queue overflow loses, and is
 //!   counted);
 //! * each replica's recorded `U_i` **must** stay strictly ordered per
-//!   variable across any number of restarts — [`IngestGate`] enforces
-//!   this with a per-variable seqno cursor that survives the crash;
+//!   variable across any number of restarts — a supervised replica's
+//!   [`IngestGate`] enforces this with a per-variable seqno cursor that
+//!   survives the crash;
 //! * alert numbering **must** keep ascending across restarts (the
 //!   evaluator keeps its `emitted` counter; only histories are rebuilt).
 //!
@@ -154,10 +155,11 @@ impl FaultPlan {
 ///
 /// The evaluator's own staleness check lives in its histories, which a
 /// restart wipes — so after recovery it would happily re-accept seqnos
-/// it already processed. The gate survives the restart and is consulted
-/// on both the live path and the replay path, making ingestion
-/// exactly-once per `(variable, seqno)` no matter how live arrivals and
-/// window replays interleave.
+/// it already processed. A supervised replica's gate survives the
+/// restart and is consulted on both the live path and the replay path,
+/// making ingestion exactly-once per `(variable, seqno)` no matter how
+/// live arrivals and window replays interleave. An unsupervised replica
+/// has no replays, so it holds none.
 ///
 /// The same cursor is what the socket transport's UDP receiver uses to
 /// enforce the front-link contract (drop reorders and duplicates), so

@@ -48,7 +48,10 @@
 //! loop by [`on_ingress`], and the codec is the same: a system adds to
 //! its replicas only what it keeps for its report (each replica's `U_i`
 //! and emitted alerts) and fault supervision, and an `rcm-ce` node
-//! keeps nothing per update. `rcm-ad` runs the chosen filter on each
+//! keeps nothing per update. The builder's front-link loss models apply
+//! in both shapes, drawn by the DM loop with the same seeds before an
+//! update is handed to a channel or put in a replica's datagram.
+//! `rcm-ad` runs the chosen filter on each
 //! alert as it is read, which is all the system's AD does besides
 //! recording. Only the link layer changes, and with it the thread that
 //! drives the roles: over sockets the event loop gets a thread of its

@@ -25,33 +25,41 @@ use crate::wire::{cross_in, Message};
 pub struct FrontLink {
     tx: Sender<Update>,
     hop: FrontHop,
+    counters: Arc<FrontLinkStats<AtomicU64>>,
     /// The frame of the update in flight; cleared and reused per send.
     frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for FrontLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontLink").field("stats", &self.hop.counters.snapshot()).finish()
+        f.debug_struct("FrontLink").field("stats", &self.counters.snapshot()).finish()
     }
 }
 
 impl FrontLink {
     /// Creates the link over an existing channel sender.
     pub fn new(tx: Sender<Update>, loss: Box<dyn LossModel>, seed: u64) -> Self {
-        FrontLink { tx, hop: FrontHop::new(loss, seed), frame: Vec::new() }
+        FrontLink {
+            tx,
+            hop: FrontHop::new(loss, seed),
+            counters: Arc::default(),
+            frame: Vec::new(),
+        }
     }
 
     /// A handle for reading the link's counters after the DM thread
     /// has taken ownership of the link.
     pub fn counters(&self) -> Arc<FrontLinkStats<AtomicU64>> {
-        self.hop.counters()
+        Arc::clone(&self.counters)
     }
 
     /// Transmits one update; returns whether it was delivered (the
     /// receiver may still have hung up, which also counts as not
     /// delivered).
     pub fn send(&mut self, update: Update) -> bool {
-        if !self.hop.pass() {
+        let kept = self.hop.pass();
+        count(&self.counters, kept);
+        if !kept {
             return false;
         }
         cross_in(&mut self.frame, &Message::Update(update));
@@ -59,42 +67,37 @@ impl FrontLink {
     }
 }
 
-/// What a [`FrontLink`] does to an update before the codec and the
-/// hand-over: the seeded loss draw and the counters. The system's DM
-/// loop keeps one per `(feed, replica)`, crosses the codec once with
-/// each update some hop keeps (the bytes are the same for every
-/// replica), and collects what passes into one round per replica.
-///
-/// It counts into the [`FrontLinkStats`] block the socket link uses: a
-/// channel "frame" is one update, and no wire bytes are counted.
+/// One front link's loss draws: its loss model, drawing from an RNG
+/// seeded for that link alone. A system's DM loop keeps one per `(feed,
+/// replica)` in either shape, seeded alike, and draws on a feed's hops
+/// in replica order for each of its updates, so a link loses the same
+/// updates over channels as over sockets.
 pub(crate) struct FrontHop {
     loss: Box<dyn LossModel>,
     rng: Rng,
-    counters: Arc<FrontLinkStats<AtomicU64>>,
 }
 
 impl FrontHop {
     /// A hop drawing its losses from `loss` seeded with `seed`.
     pub(crate) fn new(loss: Box<dyn LossModel>, seed: u64) -> Self {
-        FrontHop { loss, rng: Rng::seed_from_u64(seed), counters: Arc::default() }
+        FrontHop { loss, rng: Rng::seed_from_u64(seed) }
     }
 
-    /// See [`FrontLink::counters`].
-    pub(crate) fn counters(&self) -> Arc<FrontLinkStats<AtomicU64>> {
-        Arc::clone(&self.counters)
-    }
-
-    /// Carries one update across the link, up to the codec: counts the
-    /// send and draws its loss. Returns whether it survived.
+    /// Draws one update's loss; returns whether it survives.
     pub(crate) fn pass(&mut self) -> bool {
-        self.counters.frames_sent.fetch_add(1, Ordering::SeqCst);
-        self.counters.updates_sent.fetch_add(1, Ordering::SeqCst);
-        if self.loss.drops(&mut self.rng) {
-            self.counters.frames_dropped.fetch_add(1, Ordering::SeqCst);
-            self.counters.updates_dropped.fetch_add(1, Ordering::SeqCst);
-            return false;
-        }
-        true
+        !self.loss.drops(&mut self.rng)
+    }
+}
+
+/// Counts one update over a channel link into the [`FrontLinkStats`]
+/// block the socket link uses: a channel "frame" is one update, and no
+/// wire bytes are counted.
+pub(crate) fn count(counters: &FrontLinkStats<AtomicU64>, kept: bool) {
+    counters.frames_sent.fetch_add(1, Ordering::SeqCst);
+    counters.updates_sent.fetch_add(1, Ordering::SeqCst);
+    if !kept {
+        counters.frames_dropped.fetch_add(1, Ordering::SeqCst);
+        counters.updates_dropped.fetch_add(1, Ordering::SeqCst);
     }
 }
 

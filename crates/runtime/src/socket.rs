@@ -10,26 +10,45 @@ use rcm_core::{Alert, Update};
 use rcm_transport::{EventedBackLink, RoundSender};
 
 use crate::dm::Fanout;
+use crate::link::FrontHop;
 use crate::pipeline::AlertDrain;
 
 /// The DM loop's socket fanout: the system's DMs as one node, with one
-/// UDP link per replica. Each round, every feed's readings of it, goes
-/// to each replica as one datagram while it fits the datagram budget;
-/// the sender keeps the `(feed, replica)` ledger.
-impl Fanout for RoundSender {
+/// UDP link per replica. Each update is drawn against its feed's
+/// [`FrontHop`]s in replica order, as in-process, and joins the rounds
+/// of the replicas whose draw kept it; each round, every feed's
+/// surviving readings of it, goes to each replica as one datagram while
+/// it fits the datagram budget. The sender keeps the `(feed, replica)`
+/// ledger, a drawn loss included.
+pub(crate) struct SocketRounds {
+    /// `hops[feed][replica]`.
+    hops: Vec<Vec<FrontHop>>,
+    sender: RoundSender,
+}
+
+impl SocketRounds {
+    /// A fanout drawing on `hops[feed][replica]` and sending through
+    /// `sender`, which has one link per replica.
+    pub(crate) fn new(hops: Vec<Vec<FrontHop>>, sender: RoundSender) -> Self {
+        SocketRounds { hops, sender }
+    }
+}
+
+impl Fanout for SocketRounds {
     fn multicast(&mut self, feed: usize, update: Update) {
-        self.push(feed, update);
+        let hops = self.hops[feed].iter_mut().map(FrontHop::pass);
+        self.sender.push_with(feed, update, hops);
     }
 
     fn end_round(&mut self) {
-        self.send_round();
+        self.sender.send_round();
     }
 
     // UDP has no hangup, so end-of-stream is an explicit marker on every
     // link, a round at a time until each is echoed, because the front
     // link is allowed to drop a Fin (or its echo) like any datagram.
     fn finish(&mut self) {
-        RoundSender::finish(self);
+        self.sender.finish();
     }
 }
 

@@ -25,9 +25,10 @@ use rcm_transport::{
 use crate::actors::{on_ingress, Ad, CeFaultConfig, Replica};
 use crate::backlink::BackLink;
 use crate::dm::{dm_loop, Dm, Fanout, FeedSource, Rounds};
-use crate::faults::{FaultPlan, FaultReport, RetainedWindow};
+use crate::faults::{FaultPlan, FaultReport, IngestGate, RetainedWindow};
 use crate::link::FrontHop;
 use crate::pipeline::{self, AlertDrain, PipelineOptions};
+use crate::socket::SocketRounds;
 
 /// One variable's data feed: where its Data Monitor's readings come
 /// from — a pre-recorded list or a live channel.
@@ -199,6 +200,10 @@ impl SystemBuilder {
     }
 
     /// Sets the per-front-link loss model factory (default: lossless).
+    /// Each `(feed, replica)` link draws from its own model, seeded from
+    /// [`seed`](Self::seed), in either transport: an update drawn as
+    /// lost never reaches that replica, and counts as dropped on its
+    /// link.
     #[must_use]
     pub fn loss(
         mut self,
@@ -268,11 +273,12 @@ impl SystemBuilder {
     /// alerts over TCP to its AD listener. The topology's replica count
     /// must match [`SystemBuilder::replicas`].
     ///
-    /// Loss models ([`SystemBuilder::loss`]) are an in-process construct
-    /// and are ignored in socket mode — impair a socket run by routing
-    /// front links through a [`LossProxy`](rcm_transport::LossProxy) instead
-    /// ([`BoundTopology::route_front_links`]). Back-link severances and
-    /// CE kills from the [`FaultPlan`] apply in both modes.
+    /// The front links' loss models ([`SystemBuilder::loss`]) apply as
+    /// in-process, drawn with the same seeds in the same order: an
+    /// update drawn as lost is left out of that replica's datagram, so
+    /// the socket links lose what the network loses on top of it.
+    /// Back-link severances and CE kills from the [`FaultPlan`] apply in
+    /// both modes.
     #[must_use]
     pub fn transport(mut self, topology: BoundTopology) -> Self {
         self.transport = Some(topology);
@@ -333,12 +339,10 @@ impl SystemBuilder {
             ingested: Vec::new(),
             emitted: Vec::new(),
         };
+        let hops = self.front_hops();
         if let Some(topology) = self.transport.take() {
-            return self.start_sockets(topology, &vars, ces);
+            return self.start_sockets(topology, &vars, ces, hops);
         }
-
-        let mut loss =
-            self.loss.unwrap_or_else(|| Box::new(|_, _| Box::new(Lossless) as Box<dyn LossModel>));
 
         // The replicas' back links share one channel, which the DM loop
         // drains into the AD after each round.
@@ -354,26 +358,33 @@ impl SystemBuilder {
         drop(alert_tx); // The replicas' back links hold every sender.
         let helpers = replicas.iter().map(Replica::helpers).sum();
 
-        // The DM loop, with a front hop per (feed, replica).
-        let mut hops = Vec::with_capacity(self.feeds.len());
-        for (fi, feed) in self.feeds.iter().enumerate() {
-            counters.front_vars.push(feed.var);
-            let mut row = Vec::with_capacity(self.replicas);
-            for ci in 0..self.replicas {
-                let ce = CeId::new(ci as u32);
-                let hop = FrontHop::new(loss(feed.var, ce), link_seed(self.seed, fi, ci));
-                counters.front.push(((fi, ci), hop.counters()));
-                row.push(hop);
-            }
-            hops.push(row);
-        }
-        // The loop owns the replicas and the AD: it offers each replica
-        // its share of every round and the AD what they raised, and
-        // finishes each replica when the last feed ends.
+        // The DM loop owns the replicas and the AD: it offers each
+        // replica its share of every round and the AD what they raised,
+        // and finishes each replica when the last feed ends.
+        let rounds = Rounds::new(hops, replicas, ad, alert_rx);
+        counters.front(&self.feeds, self.replicas, |fi, ci| rounds.counters(fi, ci));
         let dms = dms(self.feeds, &ces.windows);
-        let handles = vec![spawn_dm_loop(dms, Rounds::new(hops, replicas, ad, alert_rx))];
+        let handles = vec![spawn_dm_loop(dms, rounds)];
 
         Ok(ces.system(handles, helpers, sinks, counters))
+    }
+
+    /// One seeded loss draw per front link, `hops[feed][replica]`: the
+    /// builder's loss model (lossless unless one was set), seeded with
+    /// [`link_seed`], the same in either transport.
+    fn front_hops(&mut self) -> Vec<Vec<FrontHop>> {
+        let mut loss = self
+            .loss
+            .take()
+            .unwrap_or_else(|| Box::new(|_, _| Box::new(Lossless) as Box<dyn LossModel>));
+        let mut hops = Vec::with_capacity(self.feeds.len());
+        for (fi, feed) in self.feeds.iter().enumerate() {
+            let hop = |ci| {
+                FrontHop::new(loss(feed.var, CeId::new(ci as u32)), link_seed(self.seed, fi, ci))
+            };
+            hops.push((0..self.replicas).map(hop).collect());
+        }
+        hops
     }
 
     /// Socket-mode assembly: the same replicas and AD, with every
@@ -390,6 +401,7 @@ impl SystemBuilder {
         topology: BoundTopology,
         vars: &[VarId],
         mut ces: Replicas,
+        hops: Vec<Vec<FrontHop>>,
     ) -> Result<MonitorSystem, ConfigError> {
         if topology.replicas() != self.replicas {
             return Err(ConfigError::TopologyMismatch {
@@ -447,21 +459,16 @@ impl SystemBuilder {
         let mut handles = vec![rcm_sync::thread::spawn(move || event_loop.run())];
 
         // The DM loop: one node, DM 0, with one UDP socket per replica,
-        // aimed at the topology's routed targets (the CE sockets, or an
-        // interposed loss proxy per replica). Each round goes to each
-        // replica as one datagram; the sender keeps the ledger of every
-        // (feed, replica) front link.
+        // aimed at the topology's DM targets. Each update is drawn on its
+        // links' hops as in-process, and what a replica keeps of a round
+        // goes to it as one datagram; the sender keeps the ledger of
+        // every (feed, replica) front link.
         let links = parts.dm_targets.iter().map(|target| UdpFrontLink::connect(*target, 0));
         let links = links.collect::<Result<Vec<_>, _>>().map_err(transport_err)?;
         let sender = RoundSender::new(links, self.feeds.len(), parts.fin_repeats);
-        for (fi, feed) in self.feeds.iter().enumerate() {
-            counters.front_vars.push(feed.var);
-            for ci in 0..self.replicas {
-                counters.front.push(((fi, ci), sender.counters(fi, ci)));
-            }
-        }
+        counters.front(&self.feeds, self.replicas, |fi, ci| sender.counters(fi, ci));
         let dms = dms(self.feeds, &ces.windows);
-        handles.push(spawn_dm_loop(dms, sender));
+        handles.push(spawn_dm_loop(dms, SocketRounds::new(hops, sender)));
 
         Ok(ces.system(handles, helpers, sinks, counters))
     }
@@ -565,6 +572,7 @@ impl Replicas {
             windows: self.windows.clone(),
             report: Arc::clone(&self.fault_report),
             ce_index: ce,
+            gate: IngestGate::new(),
         });
         let id = CeId::new(ce as u32);
         let shards = self.shards.iter().map(|shard| shard.for_replica(id)).collect();
@@ -640,6 +648,20 @@ struct LinkCounters {
 }
 
 impl LinkCounters {
+    /// Registers every front link's counters, feed-major: `row(feed,
+    /// replica)` hands out that link's block.
+    fn front(
+        &mut self,
+        feeds: &[VarFeed],
+        replicas: usize,
+        row: impl Fn(usize, usize) -> Arc<FrontLinkStats<AtomicU64>>,
+    ) {
+        for (fi, feed) in feeds.iter().enumerate() {
+            self.front_vars.push(feed.var);
+            self.front.extend((0..replicas).map(|ci| ((fi, ci), row(fi, ci))));
+        }
+    }
+
     fn report(&self) -> TransportReport {
         TransportReport {
             mode: self.mode,
@@ -1015,18 +1037,22 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn front_link_losses_match_a_lone_link_with_the_same_seed() {
-        // Three feeds multicast to three replicas through one DM loop;
-        // each (feed, replica) link must still drop exactly what a lone
-        // `FrontHop` with its seed drops from the same sequence — the
-        // loss draws are per link, in send order, whatever the rounds.
+    /// Three feeds multicast to three replicas through one DM loop,
+    /// in-process or over `transport`; each (feed, replica) link must
+    /// still drop exactly what a lone `FrontHop` with its seed drops
+    /// from the same sequence — the loss draws are per link, in send
+    /// order, whatever the rounds and whichever the shape. Returns the
+    /// per-link view.
+    fn losses_match_lone_links(transport: Option<BoundTopology>) -> Vec<(u64, u64)> {
         let vars = [VarId::new(0), VarId::new(1), VarId::new(2)];
         let (n, replicas, seed) = (400u64, 3usize, 41u64);
         let mut builder = MonitorSystem::builder_multi(quiet(&vars)).replicas(replicas);
         for (i, &var) in vars.iter().enumerate() {
             let values: Vec<f64> = (0..n).map(|s| (s * 7 + i as u64) as f64).collect();
             builder = builder.feed(VarFeed::new(var, values));
+        }
+        if let Some(bound) = transport {
+            builder = builder.transport(bound);
         }
         let report = builder
             .loss(|_, _| Box::new(rcm_net::Bernoulli::new(0.3)))
@@ -1045,6 +1071,19 @@ mod tests {
                 assert_eq!((r.sent, r.dropped), (n, n - want.len() as u64));
             }
         }
+        report.links.iter().map(|(_, r)| (r.sent, r.dropped)).collect()
+    }
+
+    #[test]
+    fn front_link_losses_match_a_lone_link_with_the_same_seed() {
+        losses_match_lone_links(None);
+    }
+
+    #[test]
+    fn socket_front_link_losses_match_a_lone_link_with_the_same_seed() {
+        let bound = rcm_transport::Topology::loopback(3).bind().expect("bind topology");
+        let sockets = losses_match_lone_links(Some(bound.idle_timeout(Duration::from_secs(10))));
+        assert_eq!(sockets, losses_match_lone_links(None));
     }
 
     /// The thread count `MonitorSystem`'s `Debug` reports.

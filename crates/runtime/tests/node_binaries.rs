@@ -355,3 +355,72 @@ fn deployed_nodes_display_what_the_monitor_displays() {
     }
     deployed_triangle_matches_the_monitor("ad6", 3, 2);
 }
+
+/// Reads one displayed line from `node`'s stdout, then closes the read
+/// end, as `| head -1` does. The node must print more than a pipe
+/// holds, so its later writes fail.
+fn hang_up_after_one_line(node: &mut std::process::Child) {
+    let stdout = node.stdout.take().expect("piped stdout");
+    let mut first = String::new();
+    BufReader::new(stdout).read_line(&mut first).expect("read the first line");
+    assert!(first.starts_with("ALERT "), "first line: {first:?}");
+}
+
+/// A node whose reader hung up finishes its run, prints its `done:`
+/// line on stderr and exits 0, without a panic.
+fn assert_ended_quietly(node: std::process::Child) {
+    let out = node.wait_with_output().expect("the node exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit status {:?}; stderr: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.lines().any(|line| line.starts_with("done: ")), "stderr: {stderr}");
+}
+
+/// `rcm-monitor ... | head -1`: 20,000 alerting readings print far more
+/// than a pipe holds, so the monitor writes on after its reader left.
+#[test]
+fn monitor_ends_quietly_when_its_reader_hangs_up() {
+    let readings: String = (0..20_000).map(|i| format!("{}\n", 100 + i)).collect();
+    let mut monitor = Command::new(env!("CARGO_BIN_EXE_rcm-monitor"))
+        .args(["--condition", "v0[0].value > 50", "--replicas", "2", "--filter", "ad4"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rcm-monitor");
+    monitor.stdin.take().expect("piped stdin").write_all(readings.as_bytes()).expect("feed");
+    hang_up_after_one_line(&mut monitor);
+    assert_ended_quietly(monitor);
+}
+
+/// `rcm-ad ... | head -1`, with a stand-in CE sending 5,000 distinct
+/// alerts, far more lines than a pipe holds. The CE writes from a
+/// thread of its own: the AD stops reading while its stdout is full.
+#[test]
+fn ad_ends_quietly_when_its_reader_hangs_up() {
+    let mut ad = Command::new(env!("CARGO_BIN_EXE_rcm-ad"))
+        .args(["--bind", "127.0.0.1:0", "--replicas", "1", "--filter", "ad1"])
+        .args(["--idle-ms", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rcm-ad");
+    let addr = bound_address(&mut ad);
+    let ce = std::thread::spawn(move || {
+        let mut bytes = wire::encode(&Message::Hello { node: 0 }).expect("encodes");
+        for seqno in 1..=5_000 {
+            let alert = Alert::new(
+                CondId::SINGLE,
+                HistoryFingerprint::single(VarId::new(0), vec![SeqNo::new(seqno)]),
+                vec![Update::new(VarId::new(0), seqno, 60.0)],
+                AlertId { ce: CeId::new(0), index: seqno - 1 },
+            );
+            bytes.extend(wire::encode(&Message::Alert(alert)).expect("encodes"));
+        }
+        bytes.extend(wire::encode(&Message::Fin { node: 0 }).expect("encodes"));
+        TcpStream::connect(addr).expect("connect").write_all(&bytes).expect("write the stream");
+    });
+    hang_up_after_one_line(&mut ad);
+    ce.join().expect("the stand-in CE wrote its stream");
+    assert_ended_quietly(ad);
+}

@@ -1,8 +1,9 @@
 //! Loopback socket-transport tests: the same system, once over
 //! in-process channels and once over real UDP/TCP sockets, must show
 //! the user the exact same filtered alert sequence — under scripted
-//! front-link loss injected by a [`LossProxy`], and across a mid-run
-//! TCP back-link severance.
+//! front-link loss, which both shapes draw from the builder's own loss
+//! model with the same seeds, and across a mid-run TCP back-link
+//! severance.
 //!
 //! These are the tentpole acceptance tests for the socket transport:
 //! they prove the deployment path is behaviorally identical to the
@@ -15,13 +16,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rcm_core::condition::{cond, Cmp, Condition};
-use rcm_core::{Alert, VarId};
+use rcm_core::{Alert, AlertId, CeId, Update, VarId};
 use rcm_net::Scripted;
 use rcm_runtime::{
-    BoundTopology, FaultPlan, MonitorSystem, RunReport, SeverBackLink, Topology, TransportMode,
-    VarFeed,
+    BoundTopology, FaultPlan, MonitorSystem, RunReport, SeverBackLink, SystemBuilder, Topology,
+    TransportMode, VarFeed,
 };
-use rcm_transport::{LossProxy, ProxyStats};
 
 fn x() -> VarId {
     VarId::new(0)
@@ -37,31 +37,41 @@ fn values() -> Vec<f64> {
     (0..20).map(|i| if i % 2 == 1 { 60.0 + f64::from(i) } else { 40.0 }).collect()
 }
 
-/// Pace DM emissions so loopback datagrams (and the single-threaded
-/// proxy) preserve send order; a paced feed emits one reading per
-/// round, so each datagram is one update and scripted drop positions
-/// line up exactly with the in-process loss model's.
+/// Pace DM emissions so loopback datagrams preserve send order and
+/// each replica's alerts reach the AD before the next reading goes out;
+/// a paced feed emits one reading per round, so each datagram is one
+/// update.
 const PERIOD: Duration = Duration::from_millis(1);
 
-fn run_in_process(plan: FaultPlan, drops: &'static [u64]) -> RunReport {
-    run_in_process_paced(plan, drops, PERIOD)
-}
-
-fn run_in_process_paced(plan: FaultPlan, drops: &'static [u64], period: Duration) -> RunReport {
+/// The system every test here runs in both shapes: two replicas of the
+/// threshold over `values()` paced at `period`, under `plan`, replica
+/// `i`'s front link dropping the updates at `drops[i]` (0-based).
+fn system(plan: FaultPlan, drops: [&'static [u64]; 2], period: Duration) -> SystemBuilder {
     MonitorSystem::builder(threshold())
         .replicas(2)
         .feed(VarFeed::new(x(), values()).period(period))
-        .loss(move |_, _| Box::new(Scripted::new(drops.iter().copied())))
+        .loss(move |_, ce: CeId| {
+            Box::new(Scripted::new(drops[ce.index() as usize].iter().copied()))
+        })
         .faults(plan)
-        .start()
-        .expect("in-process system starts")
-        .wait()
 }
 
-/// Runs the same system over real sockets, with a [`LossProxy`] per CE
-/// replica replaying the same scripted drop set on the real datagrams.
-fn run_sockets(plan: FaultPlan, drops: &'static [u64]) -> (RunReport, Vec<ProxyStats>) {
-    run_sockets_with(plan, drops, 0, PERIOD)
+fn run_in_process(plan: FaultPlan, drops: &'static [u64]) -> RunReport {
+    run_in_process_paced(plan, [drops; 2], PERIOD)
+}
+
+fn run_in_process_paced(
+    plan: FaultPlan,
+    drops: [&'static [u64]; 2],
+    period: Duration,
+) -> RunReport {
+    system(plan, drops, period).start().expect("in-process system starts").wait()
+}
+
+/// Runs the same system over real loopback sockets, the DM loop drawing
+/// the same scripted drop set before the datagrams go out.
+fn run_sockets(plan: FaultPlan, drops: &'static [u64]) -> RunReport {
+    run_sockets_with(plan, [drops; 2], 0, PERIOD)
 }
 
 /// Like [`run_sockets`] with the CE evaluation pipeline enabled at
@@ -69,33 +79,17 @@ fn run_sockets(plan: FaultPlan, drops: &'static [u64]) -> (RunReport, Vec<ProxyS
 /// and the feed paced at `period`.
 fn run_sockets_with(
     plan: FaultPlan,
-    drops: &'static [u64],
+    drops: [&'static [u64]; 2],
     workers: usize,
     period: Duration,
-) -> (RunReport, Vec<ProxyStats>) {
+) -> RunReport {
     let bound = Topology::loopback(2).bind().expect("bind topology");
-    let mut proxies = Vec::new();
-    let mut targets = Vec::new();
-    for addr in bound.ce_addrs() {
-        let proxy = LossProxy::bind(*addr, Box::new(Scripted::new(drops.iter().copied())), 0)
-            .expect("bind proxy")
-            .spawn()
-            .expect("spawn proxy");
-        targets.push(proxy.addr());
-        proxies.push(proxy);
-    }
-    let bound = bound.route_front_links(targets).idle_timeout(Duration::from_secs(10));
-    let report = MonitorSystem::builder(threshold())
-        .replicas(2)
+    system(plan, drops, period)
         .workers(workers)
-        .feed(VarFeed::new(x(), values()).period(period))
-        .faults(plan)
-        .transport(bound)
+        .transport(bound.idle_timeout(Duration::from_secs(10)))
         .start()
         .expect("socket system starts")
-        .wait();
-    let stats = proxies.into_iter().map(rcm_transport::ProxyHandle::stop).collect();
-    (report, stats)
+        .wait()
 }
 
 fn displayed_seqnos(report: &RunReport) -> Vec<u64> {
@@ -117,7 +111,7 @@ fn scripted_loss_matches_in_process_output_exactly() {
     const DROPS: &[u64] = &[1, 4, 7, 11];
     for drops in [&[] as &'static [u64], DROPS] {
         let in_process = run_in_process(FaultPlan::scripted(), drops);
-        let (sockets, proxy_stats) = run_sockets(FaultPlan::scripted(), drops);
+        let sockets = run_sockets(FaultPlan::scripted(), drops);
 
         assert_eq!(sockets.transport.mode, TransportMode::Sockets);
         assert!(!sockets.displayed.is_empty(), "loss must not silence the system");
@@ -131,21 +125,21 @@ fn scripted_loss_matches_in_process_output_exactly() {
             displayed_seqnos(&in_process),
         );
 
-        // The loss really happened on the wire, not in a model: each
-        // proxy ate exactly the scripted positions, and each CE ingress
-        // saw only the survivors.
-        for stats in &proxy_stats {
-            assert_eq!(stats.dropped, drops.len() as u64);
+        // Each link's ledger counts exactly the scripted positions as
+        // dropped, no datagram carried them, and each CE ingress saw
+        // only the survivors.
+        let kept = (values().len() - drops.len()) as u64;
+        for (_, _, stats) in &sockets.transport.front_links {
+            assert_eq!(stats.updates_dropped, drops.len() as u64);
+            assert_eq!((stats.updates_sent, stats.frames_sent), (values().len() as u64, kept));
         }
         assert_eq!(sockets.transport.ingress.len(), 2);
         for ingress in &sockets.transport.ingress {
-            assert_eq!(ingress.delivered, (values().len() - drops.len()) as u64);
+            assert_eq!(ingress.delivered, kept);
         }
         assert_eq!(sockets.transport.decode_errors(), 0);
-        // The legacy per-link view is populated in both modes.
-        assert_eq!(sockets.links.len(), 2);
-        let sent: u64 = sockets.transport.front_links.iter().map(|(_, _, s)| s.frames_sent).sum();
-        assert_eq!(sent, 2 * values().len() as u64);
+        // The per-link view reads alike in both modes.
+        assert_eq!(sockets.links, in_process.links);
         // The engine rollup is live: the readiness loop woke to carry this.
         assert!(sockets.transport.engine.wakeups > 0, "loop never woke");
     }
@@ -210,8 +204,8 @@ fn version_2_peers_are_refused_and_change_nothing() {
 /// and the displayed output is bit for bit the in-process run's.
 #[test]
 fn a_round_is_one_datagram_and_output_does_not_change() {
-    let baseline = run_in_process_paced(FaultPlan::scripted(), &[], Duration::ZERO);
-    let (sockets, _) = run_sockets_with(FaultPlan::scripted(), &[], 0, Duration::ZERO);
+    let baseline = run_in_process_paced(FaultPlan::scripted(), [&[]; 2], Duration::ZERO);
+    let sockets = run_sockets_with(FaultPlan::scripted(), [&[]; 2], 0, Duration::ZERO);
 
     assert_eq!(
         sockets.displayed,
@@ -229,6 +223,43 @@ fn a_round_is_one_datagram_and_output_does_not_change() {
     assert!((sockets.transport.updates_per_datagram() - 20.0).abs() < f64::EPSILON);
     for ingress in &sockets.transport.ingress {
         assert_eq!(ingress.delivered, 20);
+    }
+}
+
+/// Each alert as it was emitted, field for field: its id, and the
+/// updates its snapshot spells (`Alert`'s `==` compares neither).
+fn spelled(alerts: &[Alert]) -> Vec<(AlertId, Vec<Update>)> {
+    alerts.iter().map(|a| (a.id, a.updates().collect())).collect()
+}
+
+/// Scripted loss holds unpaced too: the 20 readings are one round, so
+/// each replica gets one datagram holding what its link's draws kept
+/// (a different drop set per replica), and each replica ingests and
+/// emits exactly what its in-process twin does, alert ids included.
+#[test]
+fn scripted_loss_matches_in_process_unpaced_in_one_datagram_per_replica() {
+    const DROPS: [&[u64]; 2] = [&[1, 4, 7, 11], &[0, 3, 19]];
+    let in_process = run_in_process_paced(FaultPlan::scripted(), DROPS, Duration::ZERO);
+    let sockets = run_sockets_with(FaultPlan::scripted(), DROPS, 0, Duration::ZERO);
+
+    for (ce, drops) in DROPS.iter().enumerate() {
+        let want: Vec<u64> = (1..=20).filter(|s| !drops.contains(&(s - 1))).collect();
+        let got: Vec<u64> = sockets.ingested[ce].iter().map(|u| u.seqno.get()).collect();
+        assert_eq!(got, want, "replica {ce} admitted what its draws kept");
+        assert_eq!(sockets.ingested[ce], in_process.ingested[ce], "replica {ce}");
+        assert!(!in_process.emitted[ce].is_empty(), "replica {ce} raised nothing");
+        assert_eq!(sockets.emitted[ce], in_process.emitted[ce], "replica {ce}");
+        assert_eq!(spelled(&sockets.emitted[ce]), spelled(&in_process.emitted[ce]));
+    }
+    for &(_, ce, stats) in &sockets.transport.front_links {
+        assert_eq!(stats.frames_sent, 1, "replica {ce}: one round, one datagram");
+        assert_eq!(stats.updates_sent, 20);
+        assert_eq!(stats.updates_dropped, DROPS[ce].len() as u64, "replica {ce}");
+    }
+    assert_eq!(sockets.links, in_process.links);
+    for (ce, ingress) in sockets.transport.ingress.iter().enumerate() {
+        assert_eq!(ingress.delivered, (20 - DROPS[ce].len()) as u64);
+        assert_eq!(ingress.dropped_stale, 0);
     }
 }
 
@@ -288,7 +319,7 @@ fn pipelined_workers_match_in_process_output_over_sockets() {
     const DROPS: &[u64] = &[1, 4, 7, 11];
     let inline = run_in_process(FaultPlan::scripted(), DROPS);
     assert!(!inline.displayed.is_empty());
-    let (sockets, _) = run_sockets_with(FaultPlan::scripted(), DROPS, 4, PERIOD);
+    let sockets = run_sockets_with(FaultPlan::scripted(), [DROPS; 2], 4, PERIOD);
     assert_eq!(
         sockets.displayed,
         inline.displayed,
@@ -316,7 +347,7 @@ fn back_link_sever_reconnects_without_losing_alerts() {
         ..FaultPlan::default()
     };
     let in_process = run_in_process(plan(), &[]);
-    let (sockets, _) = run_sockets(plan(), &[]);
+    let sockets = run_sockets(plan(), &[]);
 
     assert_eq!(
         sockets.displayed,
@@ -367,7 +398,7 @@ fn replica_kills_over_sockets_match_in_process_within_and_past_the_budget() {
         let in_process = run_in_process(plan.clone(), &[]);
         let (done_tx, done) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = done_tx.send(run_sockets(plan, &[]).0);
+            let _ = done_tx.send(run_sockets(plan, &[]));
         });
         let sockets = done
             .recv_timeout(Duration::from_secs(60))

@@ -522,28 +522,26 @@ fn availability_check() -> Vec<String> {
     violations
 }
 
-/// One loopback socket run on the evented engine: output must match
-/// the in-process model, and the readiness loop must actually have
-/// carried it (nonzero wakeups).
+/// One loopback socket run on the evented engine, under the same seeded
+/// 20% front loss as its in-process twin, both fed one reading per
+/// millisecond: the displayed output and each replica's admitted stream
+/// must match the in-process model's, and the readiness loop must
+/// actually have carried it (nonzero wakeups).
 fn socket_smoke() -> (TransportReport, Vec<String>) {
     let x = VarId::new(0);
     let cond: Arc<dyn Condition> = Arc::new(cond::threshold(x, Cmp::Gt, 50.0));
     let values: Vec<f64> =
         (0..40).map(|i| if i % 2 == 1 { 60.0 + f64::from(i) } else { 40.0 }).collect();
-    let in_process = MonitorSystem::builder(cond.clone())
-        .replicas(2)
-        .feed(VarFeed::new(x, values.clone()))
-        .start()
-        .expect("in-process smoke config is valid")
-        .wait();
+    let system = || {
+        MonitorSystem::builder(cond.clone())
+            .replicas(2)
+            .feed(VarFeed::new(x, values.clone()).period(Duration::from_millis(1)))
+            .loss(|_, _| Box::new(Bernoulli::new(0.2)))
+            .seed(7)
+    };
+    let in_process = system().start().expect("in-process smoke config is valid").wait();
     let bound = Topology::loopback(2).bind().expect("loopback topology binds");
-    let sockets = MonitorSystem::builder(cond)
-        .replicas(2)
-        .feed(VarFeed::new(x, values).period(Duration::from_millis(1)))
-        .transport(bound)
-        .start()
-        .expect("socket smoke config is valid")
-        .wait();
+    let sockets = system().transport(bound).start().expect("socket smoke config is valid").wait();
 
     let mut violations = Vec::new();
     if sockets.displayed != in_process.displayed {
@@ -552,6 +550,18 @@ fn socket_smoke() -> (TransportReport, Vec<String>) {
             sockets.displayed.len(),
             in_process.displayed.len()
         ));
+    }
+    for (ce, (got, want)) in sockets.ingested.iter().zip(&in_process.ingested).enumerate() {
+        if got != want {
+            violations.push(format!(
+                "replica {ce} ingested {} update(s) over sockets, {} in-process",
+                got.len(),
+                want.len()
+            ));
+        }
+    }
+    if sockets.links.iter().all(|(_, link)| link.dropped == 0) {
+        violations.push("the 20% front loss dropped nothing".into());
     }
     if sockets.transport.engine.wakeups == 0 {
         violations.push("evented engine recorded no wakeups".into());
@@ -750,12 +760,7 @@ fn run_tree_plan(index: usize, plan_seed: u64) -> TreeOutcome {
     // Replay windows sized past the workload: recovery must be
     // complete, so exactly-once at the root is an invariant, not a
     // best effort. Every tier hop crosses the codec, checked.
-    let opts = TreeOptions {
-        root_ce: ROOT_CE,
-        leaf_replicas: replicas,
-        replay_window: 4096,
-        wire_check: true,
-    };
+    let opts = TreeOptions { root_ce: ROOT_CE, leaf_replicas: replicas, replay_window: 4096 };
     let mut tree = TreeEval::build(plan, opts);
     // Faults fire before the update at their index: a relay dies at a
     // third and its orphans are adopted at two thirds; leaf 0's replica

@@ -316,8 +316,7 @@ fn main() -> ExitCode {
             plan.add_condition(CondId::new(i as u32), Arc::new(cond::threshold(var, Cmp::Gt, 0.0)))
                 .expect("single-variable condition lands on its owning leaf");
         }
-        let tree =
-            TreeEval::build(plan, TreeOptions { wire_check: true, ..TreeOptions::default() });
+        let tree = TreeEval::build(plan, TreeOptions::default());
         let stats = Arc::clone(&tree_stats);
         let mut ce = Ce { tree, drain, alerts: Vec::new(), stats };
         el.add_front_ingress(ce_sock, opts.front, idle, move |round| ce.round(round))

@@ -15,8 +15,9 @@ use rcm_core::{DerivedUpdate, SeqNo, Update, VarId};
 /// the evaluator still sees a strictly-ordered `U_i` per variable.
 ///
 /// The runtime's crash-recovery path re-exports this type as its
-/// `IngestGate`: surviving a replica restart and surviving datagram
-/// reordering are the same invariant (exactly-once, in-order admission
+/// `IngestGate`, which only a supervised replica holds: surviving a
+/// replica restart and surviving datagram reordering are the same
+/// invariant (exactly-once, in-order admission
 /// per `(variable, seqno)`), so they share one implementation.
 #[derive(Debug, Clone, Default)]
 pub struct SeqGate {

@@ -15,8 +15,9 @@
 //! * [`UdpFrontLink`] — the DM's side of a front link: updates over
 //!   UDP, end-of-stream as a Fin marker repeated until the CE echoes it;
 //!   a DM node's [`RoundSender`] holds one per CE and sends each round,
-//!   every feed's readings of it, as one datagram per CE under a fixed
-//!   1,200-byte budget ([`wire::DATAGRAM_BUDGET`]);
+//!   every feed's readings of it that the CE's loss draws kept, as one
+//!   datagram per CE under a fixed 1,200-byte budget
+//!   ([`wire::DATAGRAM_BUDGET`]);
 //! * [`engine`] — the receiving and alert-carrying side: every CE
 //!   ingress (enforcing the front-link contract by discarding reordered
 //!   and duplicated datagrams via a per-variable seqno high-water mark,
@@ -28,9 +29,6 @@
 //! * [`Outbox`] — the one resend policy of every back link, socket or
 //!   in-process: scripted severs, a bounded FIFO queue while down, and
 //!   the unacked tail re-sent on reconnect;
-//! * [`LossProxy`] — a UDP forwarder replaying [`rcm_net`] loss models
-//!   onto real packets, for deterministic loss injection in loopback
-//!   integration tests;
 //! * [`Topology`] / [`BoundTopology`] — address plans binding a whole
 //!   DM / CE×n / AD deployment, used by the runtime's `SystemBuilder`
 //!   and the `rcm-dm` / `rcm-ce` / `rcm-ad` node binaries.
@@ -55,7 +53,6 @@ pub mod engine;
 mod gate;
 mod outbox;
 mod probe_shims;
-mod proxy;
 mod receive;
 mod report;
 mod topology;
@@ -66,10 +63,9 @@ pub use engine::{size_receive_buffer, BackLinkSpec, EventLoop, EventedBackLink};
 pub use gate::SeqGate;
 pub use outbox::Outbox;
 pub use probe_shims::{TcpAlertListener, TcpBackLink, UdpFrontReceiver};
-pub use proxy::{LossProxy, ProxyHandle};
 pub use report::{
-    BackLinkStats, EngineStats, FrontLinkStats, IngressStats, ListenerStats, ProxyStats,
-    TransportMode, TransportReport,
+    BackLinkStats, EngineStats, FrontLinkStats, IngressStats, ListenerStats, TransportMode,
+    TransportReport,
 };
 pub use topology::{BoundTopology, Topology, TopologyParts};
 pub use udp::{fin_rounds, RoundSender, UdpFrontLink};

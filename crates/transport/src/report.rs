@@ -268,23 +268,6 @@ impl EngineStats {
     }
 }
 
-/// Counters for one [`LossProxy`](crate::LossProxy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProxyStats<C = u64> {
-    /// Datagrams forwarded to the target.
-    pub forwarded: C,
-    /// Datagrams eaten by the loss model, or refused by the socket on
-    /// the way to the target.
-    pub dropped: C,
-}
-
-impl ProxyStats<AtomicU64> {
-    /// The counters as they stand.
-    pub fn snapshot(&self) -> ProxyStats {
-        ProxyStats { forwarded: load(&self.forwarded), dropped: load(&self.dropped) }
-    }
-}
-
 /// One counter's value.
 fn load(cell: &AtomicU64) -> u64 {
     cell.load(Ordering::SeqCst)
@@ -599,9 +582,6 @@ mod tests {
             engine.snapshot(),
             EngineStats { wakeups: 1, timer_fires: 2, spurious_readiness: 3 }
         );
-
-        let proxy = ProxyStats { forwarded: n(1), dropped: n(2) };
-        assert_eq!(proxy.snapshot(), ProxyStats { forwarded: 1, dropped: 2 });
     }
 
     #[test]

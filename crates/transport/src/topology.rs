@@ -80,8 +80,9 @@ pub struct BoundTopology {
     ce_sockets: Vec<UdpSocket>,
     listener: TcpListener,
     ce_addrs: Vec<SocketAddr>,
-    /// Where DMs actually send — normally the CE addresses, but tests
-    /// interpose a [`LossProxy`](crate::LossProxy) per replica.
+    /// Where DMs actually send: the CE addresses, unless
+    /// [`route_front_links`](BoundTopology::route_front_links) aimed
+    /// them elsewhere.
     dm_targets: Vec<SocketAddr>,
     ad_addr: SocketAddr,
     idle_timeout: Duration,
@@ -103,14 +104,14 @@ impl BoundTopology {
         self.ce_sockets.len()
     }
 
-    /// Reroutes DM traffic through interposed addresses (one per CE
-    /// replica, e.g. a loss proxy in front of each).
+    /// Aims DM traffic at other addresses than the CE sockets, one per
+    /// CE replica (a closed port, say, to make every send fail).
     ///
     /// # Panics
     ///
     /// Panics unless `targets` has exactly one address per replica.
     #[must_use]
-    // analyze: allow(reach): the documented way to put a LossProxy in front of a socket run
+    // analyze: allow(reach): only rcm-runtime's refused-send tests call it, from another crate
     pub fn route_front_links(mut self, targets: Vec<SocketAddr>) -> Self {
         assert_eq!(targets.len(), self.ce_sockets.len(), "one DM target per CE replica");
         self.dm_targets = targets;
@@ -147,7 +148,8 @@ pub struct TopologyParts {
     pub ce_sockets: Vec<UdpSocket>,
     /// The bound AD alert listener.
     pub listener: TcpListener,
-    /// Where each DM sends for each replica (proxy-aware).
+    /// Where each DM sends for each replica: the CE addresses unless
+    /// rerouted.
     pub dm_targets: Vec<SocketAddr>,
     /// The AD listener's address, for the CE back links.
     pub ad_addr: SocketAddr,
@@ -178,15 +180,15 @@ mod tests {
 
     #[test]
     fn rerouting_replaces_dm_targets() {
-        let proxy_addrs: Vec<SocketAddr> =
+        let targets: Vec<SocketAddr> =
             vec!["127.0.0.1:4001".parse().expect("addr"), "127.0.0.1:4002".parse().expect("addr")];
         let bound = Topology::loopback(2)
             .bind()
             .expect("bind topology")
-            .route_front_links(proxy_addrs.clone())
+            .route_front_links(targets.clone())
             .idle_timeout(Duration::from_secs(1));
         let parts = bound.into_parts();
-        assert_eq!(parts.dm_targets, proxy_addrs);
+        assert_eq!(parts.dm_targets, targets);
         assert_eq!(parts.idle_timeout, Duration::from_secs(1));
         assert_eq!(parts.ce_sockets.len(), 2);
     }

@@ -13,20 +13,21 @@
 //! duplication become loss, which the CE already tolerates.
 //!
 //! A DM node sends through a [`RoundSender`]: one link per CE, and each
-//! round — every feed's readings of it, in round order — goes to each CE
-//! in as few `UpdateBatch` datagrams as fit it under
-//! [`wire::DATAGRAM_BUDGET`], sharing the header and the syscall. The
-//! receiver runs a batch's updates through the gate in batch order (one
-//! high-water mark per variable), so it admits exactly what individual
-//! datagrams arriving in that order would, and hands what it admitted
-//! on as one round. A lone update is a plain `Update` frame.
+//! round — every feed's readings of it that the CE's loss draws kept, in
+//! round order — goes to each CE in as few `UpdateBatch` datagrams as
+//! fit it under [`wire::DATAGRAM_BUDGET`], sharing the header and the
+//! syscall. The receiver runs a batch's updates through the gate in
+//! batch order (one high-water mark per variable), so it admits exactly
+//! what individual datagrams arriving in that order would, and hands
+//! what it admitted on as one round. A lone update is a plain `Update`
+//! frame.
 //!
 //! The one datagram that travels back is the end of stream. A DM ends
 //! its stream with a `Fin`, and the receiver echoes every `Fin` it
 //! reads, byte for byte, to its sender. The DM repeats its `Fin` (at
 //! most `repeats` times, 500 µs apart: [`fin_rounds`]) only until that
 //! echo comes back, so on a healthy link teardown is one round trip.
-//! A peer that never echoes — an older CE, a loss proxy, total loss —
+//! A peer that never echoes — an older CE, total loss —
 //! gets every repeat, and the receiver's idle backstop still covers a
 //! stream whose every `Fin` was lost.
 //!
@@ -237,29 +238,31 @@ struct Datagram {
     taken: bool,
 }
 
-/// A DM node's sending side: one [`UdpFrontLink`] per CE replica and the
-/// round it is collecting. [`push`](Self::push) adds a feed's update to
-/// the round; [`send_round`](Self::send_round) multicasts the whole
-/// round, every feed's updates in the order pushed, to every CE, in as
-/// few `UpdateBatch` datagrams as fit [`wire::DATAGRAM_BUDGET`]
+/// A DM node's sending side: one [`UdpFrontLink`] per CE replica and,
+/// per CE, the round it is collecting. [`push`](Self::push) adds a
+/// feed's update to every CE's round, [`push_with`](Self::push_with) to
+/// those whose loss draw keeps it; [`send_round`](Self::send_round)
+/// sends each CE its round, every feed's updates in the order pushed,
+/// in as few `UpdateBatch` datagrams as fit [`wire::DATAGRAM_BUDGET`]
 /// ([`wire::datagram_run`]): one per CE while the round fits.
 /// [`finish`](Self::finish) ends every link together ([`fin_rounds`]).
-/// `rcm-dm` (one feed) and a socket-mode system's DM loop (every feed
-/// of the system) both send this way.
+/// `rcm-dm` (one feed, every update to every CE) and a socket-mode
+/// system's DM loop (every feed of the system, drawn per link) both
+/// send this way.
 ///
 /// The sender keeps a ledger per `(feed, ce)`, the paper's front link:
-/// [`counters`](Self::counters) counts the feed's updates handed to that
-/// CE's link and those lost in datagrams the socket refused. A datagram
-/// may carry several feeds' updates; its frame and bytes count on the
-/// row of the feed whose update opens it, so one CE's rows sum to the
-/// datagrams and bytes its link really sent. Each count is stored once:
-/// the links' own [`UdpFrontLink::counters`] stay zero.
+/// [`counters`](Self::counters) counts the feed's updates pushed for
+/// that CE, and those lost, to a loss draw or in datagrams the socket
+/// refused. A datagram may carry several feeds' updates; its frame and
+/// bytes count on the row of the feed whose update opens it, so one
+/// CE's rows sum to the datagrams and bytes its link really sent. Each
+/// count is stored once: the links' own [`UdpFrontLink::counters`] stay
+/// zero.
 #[derive(Debug)]
 pub struct RoundSender {
     links: Vec<UdpFrontLink>,
-    round: Vec<Update>,
-    /// `feeds[i]`: the feed `round[i]` is charged to.
-    feeds: Vec<usize>,
+    /// `rounds[ce]`: what CE `ce`'s link carries of this round.
+    rounds: Vec<Kept>,
     /// `pushed[feed]`: the feed's updates in this round, added to its
     /// rows once a round rather than once an update.
     pushed: Vec<u64>,
@@ -276,9 +279,8 @@ impl RoundSender {
         let row = || links.iter().map(|_| Arc::default()).collect();
         RoundSender {
             ledger: (0..feeds).map(|_| row()).collect(),
+            rounds: links.iter().map(|_| Kept::default()).collect(),
             links,
-            round: Vec::new(),
-            feeds: Vec::new(),
             pushed: vec![0; feeds],
             fin_repeats,
         }
@@ -294,41 +296,63 @@ impl RoundSender {
         Arc::clone(&self.ledger[feed][ce])
     }
 
-    /// Updates in the round so far.
+    /// Updates pushed in the round so far.
     pub fn pending(&self) -> usize {
-        self.round.len()
+        self.pushed.iter().sum::<u64>() as usize
     }
 
-    /// Adds `update` to the round, charged to `feed`.
+    /// Adds `update` to every CE's round, charged to `feed`.
     ///
     /// # Panics
     ///
     /// Panics unless `feed` is one of the sender's feeds.
     pub fn push(&mut self, feed: usize, update: Update) {
-        self.pushed[feed] += 1;
-        self.round.push(update);
-        self.feeds.push(feed);
+        self.push_with(feed, update, std::iter::repeat(true));
     }
 
-    /// Sends the round to every CE and starts the next one.
+    /// Adds `update` to the round of each CE whose entry of `keeps`, in
+    /// CE order, is `true`, charged to `feed`; each other CE's row
+    /// counts it as sent and dropped. `keeps` is read once per CE.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `feed` is one of the sender's feeds.
+    pub fn push_with(
+        &mut self,
+        feed: usize,
+        update: Update,
+        keeps: impl IntoIterator<Item = bool>,
+    ) {
+        self.pushed[feed] += 1;
+        for ((round, row), keep) in self.rounds.iter_mut().zip(&self.ledger[feed]).zip(keeps) {
+            if keep {
+                round.updates.push(update);
+                round.feeds.push(feed);
+            } else {
+                row.updates_dropped.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Sends each CE its round and starts the next one.
     pub fn send_round(&mut self) {
-        let RoundSender { links, round, feeds, pushed, ledger, .. } = self;
-        for (ce, link) in links.iter_mut().enumerate() {
+        let RoundSender { links, rounds, pushed, ledger, .. } = self;
+        for (ce, (link, round)) in links.iter_mut().zip(rounds.iter_mut()).enumerate() {
             for (row, &n) in ledger.iter().zip(pushed.iter()) {
                 if n > 0 {
                     row[ce].updates_sent.fetch_add(n, Ordering::SeqCst);
                 }
             }
             let mut start = 0;
-            while start < round.len() {
-                let end = start + wire::datagram_run(&round[start..]);
-                let sent = link.send_datagram(&round[start..end]);
-                charge(ledger, ce, &feeds[start..end], sent);
+            while start < round.updates.len() {
+                let end = start + wire::datagram_run(&round.updates[start..]);
+                let sent = link.send_datagram(&round.updates[start..end]);
+                charge(ledger, ce, &round.feeds[start..end], sent);
                 start = end;
             }
+            round.updates.clear();
+            round.feeds.clear();
         }
-        round.clear();
-        feeds.clear();
         pushed.fill(0);
     }
 
@@ -343,6 +367,15 @@ impl RoundSender {
             links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
         });
     }
+}
+
+/// What one CE's link carries of a round: the updates its loss draws
+/// kept, and the feed each is charged to.
+#[derive(Debug, Default)]
+struct Kept {
+    updates: Vec<Update>,
+    /// `feeds[i]`: the feed `updates[i]` is charged to.
+    feeds: Vec<usize>,
 }
 
 /// Counts one datagram CE `ce`'s link sent into the ledger; `feeds`
@@ -788,6 +821,44 @@ pub(crate) mod tests {
             assert_eq!(y_row, FrontLinkStats { frames_sent: 1, bytes_sent: n as u64, ..opener });
             assert_eq!(x_row, FrontLinkStats { updates_sent: 2, ..Default::default() });
         }
+    }
+
+    /// A two-feed round whose draws for CE 1 lose y's first update and
+    /// x's second: CE 0 gets the whole round, CE 1 one datagram without
+    /// them, which x's update then opens. Each dropped update counts as
+    /// sent and dropped on its own feed's row.
+    #[test]
+    fn a_drawn_loss_leaves_the_update_out_of_that_ces_datagram() {
+        let ces = [0, 1].map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind CE"));
+        let links = ces
+            .iter()
+            .map(|ce| UdpFrontLink::connect(ce.local_addr().expect("addr"), 0).expect("connect"))
+            .collect();
+        let mut tx = RoundSender::new(links, 2, 1);
+        let y = |seqno| Update::new(VarId::new(1), seqno, 0.5);
+        let round =
+            [(1, y(1), false), (0, u(1, 1.0), true), (0, u(2, 2.0), false), (1, y(2), true)];
+        for &(feed, update, ce1_keeps) in &round {
+            tx.push_with(feed, update, [true, ce1_keeps]);
+        }
+        assert_eq!(tx.pending(), 4);
+        tx.send_round();
+        let kept = |ce: usize| round.iter().filter(|r| ce == 0 || r.2).map(|r| r.1).collect();
+        for (ce, sock) in ces.iter().enumerate() {
+            sock.set_nonblocking(true).expect("nonblocking");
+            let mut buf = [0u8; 2048];
+            let n = sock.recv(&mut buf).expect("one datagram");
+            let got = wire::decode_datagram(&buf[..n]).expect("own frame");
+            assert_eq!(got, Message::UpdateBatch(kept(ce)), "CE {ce}");
+            assert!(sock.recv(&mut buf).is_err(), "CE {ce}: a second datagram");
+        }
+        // (frames_sent, updates_sent, updates_dropped, frames_dropped)
+        let row = |feed, ce| {
+            let stats = tx.counters(feed, ce).snapshot();
+            (stats.frames_sent, stats.updates_sent, stats.updates_dropped, stats.frames_dropped)
+        };
+        assert_eq!([row(1, 0), row(0, 0)], [(1, 2, 0, 0), (0, 2, 0, 0)], "CE 0: y opens");
+        assert_eq!([row(1, 1), row(0, 1)], [(0, 2, 1, 0), (1, 2, 1, 0)], "CE 1: x opens");
     }
 
     #[test]

@@ -52,8 +52,7 @@ pub struct TreeStats {
     pub frames_to_dead: u64,
     /// Alerts the root displayed.
     pub root_alerts: u64,
-    /// Tier-link frames crossed, checked, through the binary codec
-    /// (when `wire_check` is on).
+    /// Tier-link frames crossed, checked, through the binary codec.
     pub wire_frames: u64,
     /// Bytes those frames occupied on the wire.
     pub wire_bytes: u64,
@@ -65,8 +64,8 @@ pub struct TreeStats {
 ///
 /// Every raw update is routed to the single leaf owning its variable;
 /// each leaf replica evaluates it and the resulting derived updates
-/// climb the relay chain (optionally crossing the binary wire codec,
-/// checked field for field, per hop) to the root.
+/// climb the relay chain (crossing the binary wire codec, checked field
+/// for field, per hop, as every in-process link does) to the root.
 /// Faults are method calls made between updates.
 /// [`TreeEval::kill_relay`] and [`TreeEval::reparent_orphans`] model
 /// the failure path: frames sent to a dead relay are lost until the
@@ -76,7 +75,6 @@ pub struct TreeStats {
 /// [`TreeEval::restore_leaf`] cut and reconnect one replica's uplink.
 #[derive(Debug)]
 pub struct TreeEval {
-    opts: TreeOptions,
     owner: BTreeMap<VarId, usize>,
     /// `[leaf][replica]`.
     leaves: Vec<Vec<LeafCe>>,
@@ -88,8 +86,7 @@ pub struct TreeEval {
     parents: Vec<Vec<NodeRef>>,
     root: RootCe,
     counters: TreeStats,
-    /// The frame of the last tier-link hop (with `wire_check` on);
-    /// cleared and reused per hop.
+    /// The frame of the last tier-link hop; cleared and reused per hop.
     frame: Vec<u8>,
 }
 
@@ -148,7 +145,6 @@ impl TreeEval {
         let owner: BTreeMap<VarId, usize> = plan.owned_vars().into_iter().collect();
         TreeEval {
             severed: vec![vec![false; opts.leaf_replicas]; leaves_n],
-            opts,
             owner,
             leaves,
             relays,
@@ -190,9 +186,7 @@ impl TreeEval {
     /// Walks one derived update up the tree from `at`.
     fn deliver(&mut self, mut at: NodeRef, mut d: DerivedUpdate, out: &mut Vec<Alert>) {
         loop {
-            if self.opts.wire_check {
-                d = self.wire_cross(d);
-            }
+            d = self.wire_cross(d);
             match at {
                 NodeRef::Relay { tier, idx } => {
                     let relay = &mut self.relays[tier - 1][idx];
@@ -401,8 +395,7 @@ mod tests {
 
     #[test]
     fn two_tier_tree_displays_root_provenance() {
-        let opts =
-            TreeOptions { root_ce: CeId::new(42), wire_check: true, ..TreeOptions::default() };
+        let opts = TreeOptions { root_ce: CeId::new(42), ..TreeOptions::default() };
         let mut tree = TreeEval::build(plan2(), opts);
         let mut out = Vec::new();
         tree.ingest(Update::new(VarId::new(0), 1, 50.0), &mut out);
@@ -415,7 +408,7 @@ mod tests {
         assert_eq!(s.updates_unowned, 1);
         assert_eq!(s.root_alerts, 2);
         assert_eq!(s.derived_emitted, 2);
-        assert!(s.wire_frames >= 2, "wire_check crosses every hop");
+        assert!(s.wire_frames >= 2, "every hop crosses the codec");
         assert!(s.wire_bytes > 0);
     }
 
@@ -486,7 +479,7 @@ mod tests {
 
     #[test]
     fn severed_uplink_replays_on_restore() {
-        let opts = TreeOptions { replay_window: 256, wire_check: true, ..TreeOptions::default() };
+        let opts = TreeOptions { replay_window: 256, ..TreeOptions::default() };
         let mut tree = TreeEval::build(plan2(), opts);
         let mut out = Vec::new();
         feed_severed(&mut tree, 30, 10, &mut out);

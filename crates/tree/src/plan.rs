@@ -153,7 +153,7 @@ impl TreePlan {
 }
 
 /// Deployment knobs orthogonal to the topology: the replication
-/// degree, replay bounds, codec checking, and identity.
+/// degree, replay bounds and identity.
 #[derive(Debug, Clone)]
 pub struct TreeOptions {
     /// The root's `CeId` — the provenance stamped on every displayed
@@ -166,21 +166,11 @@ pub struct TreeOptions {
     /// Sender-side replay window per node (elements retained for
     /// re-parent recovery; 0 disables replay).
     pub replay_window: usize,
-    /// Round-trip every tier-link hop through the binary wire codec,
-    /// asserting fidelity and counting frames/bytes. The keystone test
-    /// runs with this on; the benchmark leaves it off to time the logic
-    /// alone.
-    pub wire_check: bool,
 }
 
 impl Default for TreeOptions {
     fn default() -> Self {
-        TreeOptions {
-            root_ce: CeId::new(0),
-            leaf_replicas: 1,
-            replay_window: 64,
-            wire_check: false,
-        }
+        TreeOptions { root_ce: CeId::new(0), leaf_replicas: 1, replay_window: 64 }
     }
 }
 

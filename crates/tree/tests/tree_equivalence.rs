@@ -139,12 +139,7 @@ fn build_tree(case: &Case, replay_window: usize) -> TreeEval {
             plan.add_condition(id, Arc::new(cond::threshold(var, Cmp::Gt, threshold))).unwrap();
         assert_eq!(placed, leaf, "placement follows ownership");
     }
-    let opts = TreeOptions {
-        root_ce: ROOT_CE,
-        leaf_replicas: case.replicas,
-        replay_window,
-        wire_check: true,
-    };
+    let opts = TreeOptions { root_ce: ROOT_CE, leaf_replicas: case.replicas, replay_window };
     TreeEval::build(plan, opts)
 }
 
