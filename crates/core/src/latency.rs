@@ -224,6 +224,32 @@ mod tests {
         assert_eq!(s.max_ns, 1_000_000);
     }
 
+    /// For any recorded samples, spread over every octave, the reported
+    /// percentiles are monotone and bounded by the exact maximum, and no
+    /// percentile falls below the sample at its rank.
+    #[test]
+    fn percentiles_are_monotone_up_to_the_max() {
+        rcm_net::cases("percentiles_are_monotone_up_to_the_max", 256, 300, |rng, size| {
+            let h = LatencyHistogram::new();
+            let mut samples: Vec<u64> =
+                (0..=size).map(|_| rng.next_u64() >> rng.below(64)).collect();
+            for &s in &samples {
+                h.record(s);
+            }
+            samples.sort_unstable();
+            let s = h.snapshot();
+            assert_eq!(s.count, samples.len() as u64);
+            assert_eq!(Some(&s.max_ns), samples.last());
+            assert!(s.p50_ns <= s.p99_ns, "p50 {} > p99 {}", s.p50_ns, s.p99_ns);
+            assert!(s.p99_ns <= s.p999_ns, "p99 {} > p999 {}", s.p99_ns, s.p999_ns);
+            assert!(s.p999_ns <= s.max_ns, "p999 {} > max {}", s.p999_ns, s.max_ns);
+            for (q, got) in [(0.50, s.p50_ns), (0.99, s.p99_ns), (0.999, s.p999_ns)] {
+                let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+                assert!(got >= samples[rank - 1], "p{q} {got} under the sample at its rank");
+            }
+        });
+    }
+
     #[test]
     fn empty_histogram_reports_zeros() {
         let h = LatencyHistogram::new();

@@ -14,7 +14,7 @@
 //! duplicated datagrams are dropped); the TCP back link queues and
 //! resends across connection drops, so no alert handed to it is lost.
 //! The ingress echoes every Fin marker back to its sender, so a DM
-//! stops repeating its Fin (at most its `--fin-repeats`) once one got
+//! stops repeating its Fin (at most 16 of them) once one got
 //! through. The node exits once `--dms` distinct Fin markers arrived
 //! (or after `--idle-ms` of silence as a backstop against lost Fins).
 //!

@@ -13,8 +13,8 @@
 //! there: the readings before it are still sent and finished, and the
 //! node exits non-zero. The front link is UDP — lossy by design — so
 //! the node ends the stream with a Fin marker that it repeats, 500 µs
-//! apart, until the CE echoes it back: `--fin-repeats N` (default 16)
-//! is the most Fins a link gets, all of them when its CE never echoes.
+//! apart, until the CE echoes it back: 16 is the most Fins a link
+//! gets, all of them when its CE never echoes.
 //!
 //! Readings go out in rounds, like the DM loop's: a round ends when the
 //! input read so far runs out, or at `rcm_runtime::ROUND` (64)
@@ -41,27 +41,19 @@ struct Options {
     var: u32,
     node: u32,
     period: Duration,
-    fin_repeats: usize,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rcm-dm --ce HOST:PORT [--ce HOST:PORT ...] [--var N] [--node N] \
-         [--period-us N] [--fin-repeats N]\n\
-         readings on stdin: one '<value>' per line\n\
-         --fin-repeats N: at most N Fins per link, until the CE echoes one"
+         [--period-us N]\n\
+         readings on stdin: one '<value>' per line"
     );
     ExitCode::FAILURE
 }
 
 fn parse_args() -> Option<Options> {
-    let mut opts = Options {
-        ce: Vec::new(),
-        var: 0,
-        node: 0,
-        period: Duration::from_micros(500),
-        fin_repeats: 16,
-    };
+    let mut opts = Options { ce: Vec::new(), var: 0, node: 0, period: Duration::from_micros(500) };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -69,7 +61,6 @@ fn parse_args() -> Option<Options> {
             "--var" => opts.var = args.next()?.parse().ok()?,
             "--node" => opts.node = args.next()?.parse().ok()?,
             "--period-us" => opts.period = Duration::from_micros(args.next()?.parse().ok()?),
-            "--fin-repeats" => opts.fin_repeats = args.next()?.parse().ok()?,
             _ => return None,
         }
     }
@@ -94,7 +85,7 @@ fn main() -> ExitCode {
     }
 
     let n_links = links.len();
-    let mut sender = RoundSender::new(links, 1, opts.fin_repeats);
+    let mut sender = RoundSender::new(links, 1);
     let var = VarId::new(opts.var);
     let mut seqno: u64 = 0;
     let mut status = ExitCode::SUCCESS;

@@ -94,6 +94,7 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// An empty scripted plan (supervision on, nothing injected).
+    // analyze: allow(reach): the fault_recovery and transport_loopback suites script their plans from it
     pub fn scripted() -> Self {
         FaultPlan::default()
     }
@@ -130,6 +131,7 @@ impl FaultPlan {
 
     /// Adds a scripted kill.
     #[must_use]
+    // analyze: allow(reach): the fault_recovery and transport_loopback suites script their kills with it
     pub fn kill_ce(mut self, ce: usize, at_arrival: u64) -> Self {
         self.kills.push(KillCe { ce, at_arrival });
         self

@@ -465,7 +465,7 @@ impl SystemBuilder {
         // every (feed, replica) front link.
         let links = parts.dm_targets.iter().map(|target| UdpFrontLink::connect(*target, 0));
         let links = links.collect::<Result<Vec<_>, _>>().map_err(transport_err)?;
-        let sender = RoundSender::new(links, self.feeds.len(), parts.fin_repeats);
+        let sender = RoundSender::new(links, self.feeds.len());
         counters.front(&self.feeds, self.replicas, |fi, ci| sender.counters(fi, ci));
         let dms = dms(self.feeds, &ces.windows);
         handles.push(spawn_dm_loop(dms, SocketRounds::new(hops, sender)));

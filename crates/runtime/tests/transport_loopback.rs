@@ -1,9 +1,9 @@
 //! Loopback socket-transport tests: the same system, once over
 //! in-process channels and once over real UDP/TCP sockets, must show
 //! the user the exact same filtered alert sequence — under scripted
-//! front-link loss, which both shapes draw from the builder's own loss
-//! model with the same seeds, and across a mid-run TCP back-link
-//! severance.
+//! and seeded Bernoulli front-link loss, which both shapes draw from
+//! the builder's own loss model with the same seeds, and across a
+//! mid-run TCP back-link severance.
 //!
 //! These are the tentpole acceptance tests for the socket transport:
 //! they prove the deployment path is behaviorally identical to the
@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use rcm_core::condition::{cond, Cmp, Condition};
 use rcm_core::{Alert, AlertId, CeId, Update, VarId};
-use rcm_net::Scripted;
+use rcm_net::{Bernoulli, Scripted};
 use rcm_runtime::{
     BoundTopology, FaultPlan, MonitorSystem, RunReport, SeverBackLink, SystemBuilder, Topology,
     TransportMode, VarFeed,
@@ -143,6 +143,40 @@ fn scripted_loss_matches_in_process_output_exactly() {
         // The engine rollup is live: the readiness loop woke to carry this.
         assert!(sockets.transport.engine.wakeups > 0, "loop never woke");
     }
+}
+
+/// Acceptance under a drawn loss model: 40 readings paced 1 ms over two
+/// replicas at seeded Bernoulli(0.2) front loss display the same alerts
+/// over sockets as in-process, and each replica ingests the same
+/// updates, because both shapes draw each link's loss from one seed.
+#[test]
+fn seeded_bernoulli_loss_displays_what_in_process_displays() {
+    let values: Vec<f64> =
+        (0..40).map(|i| if i % 2 == 1 { 60.0 + f64::from(i) } else { 40.0 }).collect();
+    let system = || {
+        MonitorSystem::builder(threshold())
+            .replicas(2)
+            .feed(VarFeed::new(x(), values.clone()).period(PERIOD))
+            .loss(|_, _| Box::new(Bernoulli::new(0.2)))
+            .seed(7)
+    };
+    let in_process = system().start().expect("in-process system starts").wait();
+    let bound = Topology::loopback(2).bind().expect("bind topology");
+    let sockets = system().transport(bound).start().expect("socket system starts").wait();
+
+    assert_eq!(
+        sockets.displayed,
+        in_process.displayed,
+        "sockets {:?} vs in-process {:?}",
+        displayed_seqnos(&sockets),
+        displayed_seqnos(&in_process),
+    );
+    for (ce, (got, want)) in sockets.ingested.iter().zip(&in_process.ingested).enumerate() {
+        assert_eq!(got, want, "replica {ce} ingested other updates over sockets");
+    }
+    assert!(sockets.links.iter().any(|(_, link)| link.dropped > 0), "the 20% loss dropped nothing");
+    assert!(sockets.transport.engine.wakeups > 0, "loop never woke");
+    assert_eq!(sockets.transport.decode_errors(), 0);
 }
 
 /// Acceptance for the version refusal, live on the evented engine:

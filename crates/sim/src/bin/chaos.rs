@@ -38,14 +38,6 @@
 //! lossy classes assert exactly the per-algorithm guarantees of AD-2/3/4,
 //! which hold under any interleaving.
 //!
-//! Before the randomized sweep, one scripted availability plan kills
-//! replica 0 permanently (restart budget zero) and requires every alert
-//! the surviving replica emitted to be displayed. After it, one
-//! loopback **socket** run on the evented engine rides along, so the
-//! gauntlet's JSON carries real event-loop counters (wakeups, timer
-//! fires, spurious readiness) for `cargo xtask assert-chaos` to gate
-//! on.
-//!
 //! After the flat sweep, a **tree gauntlet** (`--tree-plans`, default
 //! 10) drives `rcm_tree::TreeEval` under its own fault classes, each
 //! fault a method call at a scripted update index, and checks the
@@ -66,8 +58,13 @@
 //! are sized past the workload, so recovery must be *complete* — any
 //! lost or duplicated alert is a violation.
 //!
-//! Exit status is nonzero if any property check fails or any alert is
-//! lost to resend-queue overflow, so CI can gate on this binary.
+//! A run that checks nothing is a violation too: a flat plan whose
+//! front links sent no update, and a tree sweep whose roots displayed
+//! no alert. Exit status is nonzero on any violation or any alert lost
+//! to resend-queue overflow, so this binary is its own gate. The fixed
+//! scenarios live in tier-1 tests: the kill-one-replica availability
+//! plan in `rcm-runtime`'s `fault_recovery`, the socket run against its
+//! in-process twin in `transport_loopback`.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -75,12 +72,12 @@ use std::time::Duration;
 
 use rcm_core::ad::{Ad1, Ad2, Ad3, Ad4, AlertFilter};
 use rcm_core::condition::expr::CompiledCondition;
-use rcm_core::condition::{cond, Cmp, Condition};
+use rcm_core::condition::{cond, Cmp};
 use rcm_core::{Alert, AlertId, CeId, CondId, ConditionRegistry, Update, VarId};
 use rcm_json::obj;
 use rcm_net::{Bernoulli, LossModel, Lossless};
 use rcm_props::{check_complete_multi, check_consistent_multi, check_ordered};
-use rcm_runtime::{FaultPlan, MonitorSystem, RunReport, Topology, TransportReport, VarFeed};
+use rcm_runtime::{FaultPlan, MonitorSystem, RunReport, TransportReport, VarFeed};
 use rcm_transport::SeqGate;
 use rcm_tree::{TreeEval, TreeOptions, TreePlan, TreeStats};
 
@@ -248,32 +245,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let availability_violations = availability_check();
-    if !json {
-        if availability_violations.is_empty() {
-            println!("availability: kill-one-replica plan displayed every surviving alert");
-        } else {
-            for v in &availability_violations {
-                println!("availability VIOLATION: {v}");
-            }
-        }
-    }
-
-    let (socket_transport, socket_violations) = socket_smoke();
-    if !json {
-        if socket_violations.is_empty() {
-            println!(
-                "socket smoke: evented loopback run matched in-process output \
-                 ({} wakeups, {} timer fires)",
-                socket_transport.engine.wakeups, socket_transport.engine.timer_fires
-            );
-        } else {
-            for v in &socket_violations {
-                println!("socket smoke VIOLATION: {v}");
-            }
-        }
-    }
-
     let mut outcomes = Vec::with_capacity(plans);
     for index in 0..plans {
         let outcome = run_plan(index, plan_seed(seed, index));
@@ -291,12 +262,33 @@ fn main() -> ExitCode {
         }
         tree_outcomes.push(outcome);
     }
-    let tree_violation_count: usize = tree_outcomes.iter().map(|o| o.violations.len()).sum();
+    // Tree gauntlet rollup. A sweep whose roots displayed nothing
+    // checked no property at the root: that is a violation of its own.
+    let tree_totals = tree_outcomes.iter().fold(TreeStats::default(), |mut acc, o| {
+        acc.updates_routed += o.stats.updates_routed;
+        acc.gate_dropped_raw += o.stats.gate_dropped_raw;
+        acc.leaf_alerts += o.stats.leaf_alerts;
+        acc.derived_emitted += o.stats.derived_emitted;
+        acc.derived_forwarded += o.stats.derived_forwarded;
+        acc.derived_duplicates += o.stats.derived_duplicates;
+        acc.reparent_events += o.stats.reparent_events;
+        acc.replayed_frames += o.stats.replayed_frames;
+        acc.frames_to_dead += o.stats.frames_to_dead;
+        acc.root_alerts += o.stats.root_alerts;
+        acc.wire_frames += o.stats.wire_frames;
+        acc.wire_bytes += o.stats.wire_bytes;
+        acc
+    });
 
-    let violation_count = availability_violations.len()
-        + socket_violations.len()
-        + tree_violation_count
-        + outcomes.iter().map(|o| o.violations.len()).sum::<usize>();
+    let silent_root = tree_plans > 0 && tree_totals.root_alerts == 0;
+    if silent_root && !json {
+        println!("tree VIOLATION: no alert reached the root in {tree_plans} plans");
+    }
+    let tree_violation_count: usize =
+        tree_outcomes.iter().map(|o| o.violations.len()).sum::<usize>() + usize::from(silent_root);
+
+    let violation_count =
+        tree_violation_count + outcomes.iter().map(|o| o.violations.len()).sum::<usize>();
     let mut recovery: Vec<Duration> = outcomes.iter().flat_map(|o| o.recovery.clone()).collect();
     recovery.sort_unstable();
     let recovery_max = recovery.last().copied().unwrap_or(Duration::ZERO);
@@ -315,14 +307,6 @@ fn main() -> ExitCode {
     let frames_sent: u64 = outcomes.iter().map(|o| o.transport.front_frames_sent()).sum();
     let updates_sent: u64 = outcomes.iter().map(|o| o.transport.front_updates_sent()).sum();
     let bytes_sent: u64 = outcomes.iter().map(|o| o.transport.front_bytes_sent()).sum();
-    // In-process plans report zero engine counters; the socket smoke
-    // run is what makes these totals nonzero.
-    let engine_wakeups: u64 = socket_transport.engine.wakeups
-        + outcomes.iter().map(|o| o.transport.engine.wakeups).sum::<u64>();
-    let engine_timer_fires: u64 = socket_transport.engine.timer_fires
-        + outcomes.iter().map(|o| o.transport.engine.timer_fires).sum::<u64>();
-    let engine_spurious: u64 = socket_transport.engine.spurious_readiness
-        + outcomes.iter().map(|o| o.transport.engine.spurious_readiness).sum::<u64>();
     // Pipeline rollup: latency percentiles report the worst (max) over
     // the plans that actually recorded samples. A plan with helper
     // threads is one with at least two shards.
@@ -331,23 +315,6 @@ fn main() -> ExitCode {
     let latency_p50: u64 = outcomes.iter().map(|o| o.latency.p50_ns).max().unwrap_or(0);
     let latency_p99: u64 = outcomes.iter().map(|o| o.latency.p99_ns).max().unwrap_or(0);
     let latency_p999: u64 = outcomes.iter().map(|o| o.latency.p999_ns).max().unwrap_or(0);
-
-    // Tree gauntlet rollup: the counters `xtask assert-chaos` gates on.
-    let tree_totals = tree_outcomes.iter().fold(TreeStats::default(), |mut acc, o| {
-        acc.updates_routed += o.stats.updates_routed;
-        acc.gate_dropped_raw += o.stats.gate_dropped_raw;
-        acc.leaf_alerts += o.stats.leaf_alerts;
-        acc.derived_emitted += o.stats.derived_emitted;
-        acc.derived_forwarded += o.stats.derived_forwarded;
-        acc.derived_duplicates += o.stats.derived_duplicates;
-        acc.reparent_events += o.stats.reparent_events;
-        acc.replayed_frames += o.stats.replayed_frames;
-        acc.frames_to_dead += o.stats.frames_to_dead;
-        acc.root_alerts += o.stats.root_alerts;
-        acc.wire_frames += o.stats.wire_frames;
-        acc.wire_bytes += o.stats.wire_bytes;
-        acc
-    });
 
     if json {
         let updates_per_datagram =
@@ -366,9 +333,6 @@ fn main() -> ExitCode {
             ("updates_per_datagram", updates_per_datagram.into()),
             ("recovery_mean_us", (recovery_mean.as_micros() as u64).into()),
             ("recovery_max_us", (recovery_max.as_micros() as u64).into()),
-            ("engine_wakeups", engine_wakeups.into()),
-            ("engine_timer_fires", engine_timer_fires.into()),
-            ("engine_spurious_readiness", engine_spurious.into()),
             ("pipelined_plans", pipelined_plans.into()),
             ("latency_count", latency_count.into()),
             ("latency_p50_ns", latency_p50.into()),
@@ -440,14 +404,6 @@ fn main() -> ExitCode {
             ("seed", seed.into()),
             ("plans", plans.into()),
             ("violations", violation_count.into()),
-            ("availability_violations", availability_violations.clone().into()),
-            (
-                "socket_smoke",
-                obj([
-                    ("violations", socket_violations.clone().into()),
-                    ("transport", socket_transport.to_json()),
-                ]),
-            ),
             ("totals", totals),
             ("tree", tree),
             ("runs", runs.collect()),
@@ -485,91 +441,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Scripted plan: replica 0 is killed on its first arrival with a zero
-/// restart budget, so it stays dead. Availability demands the surviving
-/// replica carry the run: every alert it emitted must be displayed.
-fn availability_check() -> Vec<String> {
-    let x = VarId::new(0);
-    let cond: Arc<dyn Condition> = Arc::new(cond::threshold(x, Cmp::Gt, 50.0));
-    let system = MonitorSystem::builder(cond)
-        .replicas(2)
-        .feed(VarFeed::new(x, vec![60.0, 40.0, 70.0, 55.0, 30.0, 80.0]))
-        .faults(FaultPlan::scripted().kill_ce(0, 1).max_restarts(0))
-        .start()
-        .expect("availability plan config is valid");
-    let report = system.wait();
-
-    let mut violations = Vec::new();
-    if report.faults.replicas_abandoned != 1 {
-        violations.push(format!(
-            "expected exactly one abandoned replica, saw {}",
-            report.faults.replicas_abandoned
-        ));
-    }
-    for alert in &report.emitted[1] {
-        if !report.displayed.contains(alert) {
-            violations.push(format!("surviving replica's alert {alert:?} was not displayed"));
-        }
-    }
-    if report.displayed.len() != 4 {
-        violations.push(format!(
-            "expected the 4 surviving-replica alerts displayed, saw {}",
-            report.displayed.len()
-        ));
-    }
-    violations
-}
-
-/// One loopback socket run on the evented engine, under the same seeded
-/// 20% front loss as its in-process twin, both fed one reading per
-/// millisecond: the displayed output and each replica's admitted stream
-/// must match the in-process model's, and the readiness loop must
-/// actually have carried it (nonzero wakeups).
-fn socket_smoke() -> (TransportReport, Vec<String>) {
-    let x = VarId::new(0);
-    let cond: Arc<dyn Condition> = Arc::new(cond::threshold(x, Cmp::Gt, 50.0));
-    let values: Vec<f64> =
-        (0..40).map(|i| if i % 2 == 1 { 60.0 + f64::from(i) } else { 40.0 }).collect();
-    let system = || {
-        MonitorSystem::builder(cond.clone())
-            .replicas(2)
-            .feed(VarFeed::new(x, values.clone()).period(Duration::from_millis(1)))
-            .loss(|_, _| Box::new(Bernoulli::new(0.2)))
-            .seed(7)
-    };
-    let in_process = system().start().expect("in-process smoke config is valid").wait();
-    let bound = Topology::loopback(2).bind().expect("loopback topology binds");
-    let sockets = system().transport(bound).start().expect("socket smoke config is valid").wait();
-
-    let mut violations = Vec::new();
-    if sockets.displayed != in_process.displayed {
-        violations.push(format!(
-            "evented socket run displayed {} alert(s), in-process displayed {}",
-            sockets.displayed.len(),
-            in_process.displayed.len()
-        ));
-    }
-    for (ce, (got, want)) in sockets.ingested.iter().zip(&in_process.ingested).enumerate() {
-        if got != want {
-            violations.push(format!(
-                "replica {ce} ingested {} update(s) over sockets, {} in-process",
-                got.len(),
-                want.len()
-            ));
-        }
-    }
-    if sockets.links.iter().all(|(_, link)| link.dropped == 0) {
-        violations.push("the 20% front loss dropped nothing".into());
-    }
-    if sockets.transport.engine.wakeups == 0 {
-        violations.push("evented engine recorded no wakeups".into());
-    }
-    if sockets.transport.decode_errors() != 0 {
-        violations.push(format!("{} decode errors on loopback", sockets.transport.decode_errors()));
-    }
-    (sockets.transport, violations)
 }
 
 /// The seed of flat plan `index` in the gauntlet seeded `seed`.
@@ -659,6 +530,9 @@ fn check(
     x: VarId,
 ) -> Vec<String> {
     let mut violations = Vec::new();
+    if report.transport.front_updates_sent() == 0 {
+        violations.push("the front links sent no update".to_string());
+    }
     // The lossless back-link contract: severance may queue and
     // duplicate, never drop. This holds in every class.
     let lost = report.transport.lost_overflow();

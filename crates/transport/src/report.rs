@@ -412,7 +412,7 @@ mod tests {
             },
             engine: EngineStats { wakeups: 40, timer_fires: 6, spurious_readiness: 1 },
         };
-        // `xtask assert-chaos` reads these keys; keep them stable.
+        // `scale --json` and chaos `--json` carry these keys; keep them stable.
         assert_eq!(
             report.to_json().to_string(),
             concat!(

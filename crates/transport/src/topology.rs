@@ -18,11 +18,6 @@ use std::net::{SocketAddr, TcpListener, UdpSocket};
 
 use rcm_sync::time::Duration;
 
-/// How many times, at most, each DM sends its end-of-stream marker on
-/// a link: enough to survive heavy scripted loss. It stops as soon as
-/// the CE echoes the marker back.
-const FIN_REPEATS: usize = 16;
-
 /// A loopback plan: how many CEs listen for updates beside the one AD
 /// listening for alerts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,7 +129,6 @@ impl BoundTopology {
             listener: self.listener,
             dm_targets: self.dm_targets,
             ad_addr: self.ad_addr,
-            fin_repeats: FIN_REPEATS,
             idle_timeout: self.idle_timeout,
         }
     }
@@ -153,9 +147,6 @@ pub struct TopologyParts {
     pub dm_targets: Vec<SocketAddr>,
     /// The AD listener's address, for the CE back links.
     pub ad_addr: SocketAddr,
-    /// The most end-of-stream markers a DM sends per link (16); it
-    /// stops as soon as the CE echoes the marker back.
-    pub fin_repeats: usize,
     /// Receiver idle backstop.
     pub idle_timeout: Duration,
 }
@@ -196,7 +187,6 @@ mod tests {
     #[test]
     fn wire_config_defaults_and_threads_through_bind() {
         let parts = Topology::loopback(1).bind().expect("bind topology").into_parts();
-        assert_eq!(parts.fin_repeats, 16);
         assert_eq!(parts.idle_timeout, Duration::from_secs(5));
     }
 

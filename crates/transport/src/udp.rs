@@ -268,21 +268,18 @@ pub struct RoundSender {
     pushed: Vec<u64>,
     /// `ledger[feed][ce]`.
     ledger: Vec<Vec<Arc<FrontLinkStats<AtomicU64>>>>,
-    /// Most Fins a silent link is sent.
-    fin_repeats: usize,
 }
 
 impl RoundSender {
     /// A sender over `links`, one per CE, for feeds `0..feeds`; each
-    /// link gets at most `fin_repeats` Fins.
-    pub fn new(links: Vec<UdpFrontLink>, feeds: usize, fin_repeats: usize) -> Self {
+    /// link gets at most 16 Fins.
+    pub fn new(links: Vec<UdpFrontLink>, feeds: usize) -> Self {
         let row = || links.iter().map(|_| Arc::default()).collect();
         RoundSender {
             ledger: (0..feeds).map(|_| row()).collect(),
             rounds: links.iter().map(|_| Kept::default()).collect(),
             links,
             pushed: vec![0; feeds],
-            fin_repeats,
         }
     }
 
@@ -362,7 +359,7 @@ impl RoundSender {
     // first silent link.
     pub fn finish(&mut self) {
         let links = &mut self.links;
-        fin_rounds(self.fin_repeats, |until| {
+        fin_rounds(FIN_REPEATS, |until| {
             links.iter_mut().for_each(UdpFrontLink::send_fin);
             links.iter_mut().fold(true, |all, l| l.fin_echoed(until) & all)
         });
@@ -399,6 +396,10 @@ fn charge(
         }
     }
 }
+
+/// The most Fins a [`RoundSender`] sends a link: enough to survive
+/// heavy loss. It stops as soon as the CE echoes the Fin back.
+const FIN_REPEATS: usize = 16;
 
 /// The pause between two Fins on one link: far enough apart that a
 /// bursty loss episode cannot eat them all.
@@ -737,7 +738,7 @@ pub(crate) mod tests {
         let wire_side = UdpSocket::bind("127.0.0.1:0").expect("bind");
         let link = UdpFrontLink::connect(wire_side.local_addr().expect("bound addr"), 0)
             .expect("connect sender");
-        let mut tx = RoundSender::new(vec![link], 1, 1);
+        let mut tx = RoundSender::new(vec![link], 1);
         // Seqnos cross 2^14, where a varint grows a byte, so the updates
         // are not all one size.
         let round: Vec<Update> = (0..200).map(|i| u(16_300 + i, f64::from(i as u32))).collect();
@@ -803,7 +804,7 @@ pub(crate) mod tests {
             .iter()
             .map(|ce| UdpFrontLink::connect(ce.local_addr().expect("addr"), 0).expect("connect"))
             .collect();
-        let mut tx = RoundSender::new(links, 2, 1);
+        let mut tx = RoundSender::new(links, 2);
         let y = |seqno| Update::new(VarId::new(1), seqno, 0.5);
         let round = [(1, y(1)), (0, u(1, 1.0)), (1, y(2)), (0, u(2, 2.0)), (1, y(3))];
         round.iter().for_each(|&(feed, update)| tx.push(feed, update));
@@ -834,7 +835,7 @@ pub(crate) mod tests {
             .iter()
             .map(|ce| UdpFrontLink::connect(ce.local_addr().expect("addr"), 0).expect("connect"))
             .collect();
-        let mut tx = RoundSender::new(links, 2, 1);
+        let mut tx = RoundSender::new(links, 2);
         let y = |seqno| Update::new(VarId::new(1), seqno, 0.5);
         let round =
             [(1, y(1), false), (0, u(1, 1.0), true), (0, u(2, 2.0), false), (1, y(2), true)];

@@ -7,7 +7,6 @@
 pub mod ab;
 pub mod analyze;
 pub mod ast;
-pub mod chaos;
 pub mod lexer;
 pub mod lock_order;
 pub mod manifest;

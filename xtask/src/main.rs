@@ -1,7 +1,5 @@
 //! `cargo xtask analyze` — the repository's AST-level static analyzer —
-//! plus `cargo xtask assert-chaos <report.json>`, the CI-side schema
-//! and invariant check over the chaos gauntlet's JSON report, and
-//! `cargo xtask schedstat`, per-thread CPU of a running process over an
+//! plus `cargo xtask schedstat`, per-thread CPU of a running process over an
 //! interval (see `xtask/src/schedstat.rs`), and `cargo xtask ab`, the
 //! alternating parent/change pairs of a performance claim (see
 //! `xtask/src/ab.rs`).
@@ -46,23 +44,15 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use xtask::analyze;
-use xtask::chaos;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") | None => run_analyze(&args[args.len().min(1)..]),
-        Some("assert-chaos") => match args.get(1) {
-            Some(path) => chaos::assert_chaos(Path::new(path)),
-            None => {
-                eprintln!("usage: cargo xtask assert-chaos <chaos.json>");
-                ExitCode::from(2)
-            }
-        },
         Some("schedstat") => xtask::schedstat::run(&args[1..]),
         Some("ab") => xtask::ab::run(&args[1..], &repo_root()),
         Some(other) => {
-            eprintln!("unknown xtask `{other}`; available: analyze, ab, assert-chaos, schedstat");
+            eprintln!("unknown xtask `{other}`; available: analyze, ab, schedstat");
             ExitCode::from(2)
         }
     }
