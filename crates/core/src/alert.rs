@@ -117,18 +117,20 @@ impl std::error::Error for FingerprintError {}
 const INLINE_VARS: usize = 4;
 
 /// Seqnos, over all its variables, a fingerprint holds in place.
-const INLINE_SEQNOS: usize = 6;
+const INLINE_SEQNOS: usize = 4;
 
 /// Where a fingerprint's entries live; only [`Entries`] reads it.
 #[derive(Clone)]
 enum Repr {
     /// In place, for up to [`INLINE_VARS`] variables holding up to
-    /// [`INLINE_SEQNOS`] seqnos between them: the paper's degree-1–3
-    /// histories over one or two variables, and 3 × 2. Entry `i` is
+    /// [`INLINE_SEQNOS`] seqnos between them: every shape the benchmark
+    /// workloads raise but `eval_fanout`'s 2 × 16 (1 × 1, 2 × 2), the
+    /// paper's one- and two-variable cells and TRIVAR's 3 × 1; a
+    /// longer history (TRIVAR's aggressive 3 × 2) spills. Entry `i` is
     /// `vars[i]` with `seqnos[ends[i - 1]..ends[i]]` (from 0 for the
     /// first). Plain `Copy` arrays, zero past `len` entries, and no
     /// pointer: the one-byte fields share a word with the enum's tag,
-    /// which keeps a fingerprint at 72 bytes of an [`AlertBody`]'s 152.
+    /// which keeps a fingerprint at 56 bytes of an [`AlertBody`]'s 120.
     Flat {
         len: u8,
         ends: [u8; INLINE_VARS],
@@ -165,7 +167,7 @@ fn unpack(word: SeqNo) -> (VarId, usize) {
 /// two CEs receiving update `i_x` necessarily saw the same value, so the
 /// seqnos determine the values.
 ///
-/// Up to 4 variables holding up to 6 seqnos between them are stored in
+/// Up to 4 variables holding up to 4 seqnos between them are stored in
 /// the fingerprint itself; a larger history set is one boxed slice.
 /// Equality, ordering, hashing and both text forms are functions of the
 /// entries alone, whichever way they are stored. Checkpointed as
@@ -707,7 +709,7 @@ impl From<SnapshotError> for rcm_json::Error {
 /// An update is a full snapshot of its variable, so its variable and
 /// seqno, which the fingerprint already holds, fix its value: the
 /// snapshot keeps the values alone and [`AlertBody::updates`] puts
-/// each back beside its seqno. Up to 6 values are stored in the
+/// each back beside its seqno. Up to 4 values are stored in the
 /// snapshot itself, a longer run in one boxed slice. It reads as a
 /// `[f64]` (through `Deref`) and compares value by value, whichever way
 /// it is stored.
@@ -1219,7 +1221,7 @@ mod tests {
         // A snapshot moves between alerts on its length alone.
         assert!(a.snapshot.clone().into_snapshot(&fingerprint).is_ok());
         assert!(a.snapshot.clone().into_snapshot(&fp(&[3, 2])).is_err());
-        // Past six values the snapshot is one exact allocation; the
+        // Past four values the snapshot is one exact allocation; the
         // updates read back the same.
         let deep = fp(&[9, 8, 7, 6, 5, 4, 3]);
         let run: Vec<Update> = (3..=9).rev().map(|s| Update::new(x, s, s as f64)).collect();
@@ -1245,12 +1247,12 @@ mod tests {
     fn an_alert_is_one_pointer() {
         // A run retains every alert it raised, `alert_storm` 1.7 million
         // handles on 0.7 million bodies: each handle is a word, and a
-        // body with the 2 × 2 snapshot in place is one 176-byte malloc
-        // chunk (152 bytes plus the two refcounts). The snapshot holds
-        // values alone: six in place, as many as the fingerprint's seqnos.
-        assert_eq!(std::mem::size_of::<HistoryFingerprint>(), 72);
-        assert_eq!(std::mem::size_of::<Snapshot>(), 56);
-        assert_eq!(std::mem::size_of::<AlertBody>(), 152);
+        // body with the 2 × 2 snapshot in place is one 144-byte malloc
+        // chunk (120 bytes plus the two refcounts). The snapshot holds
+        // values alone: four in place, as many as the fingerprint's seqnos.
+        assert_eq!(std::mem::size_of::<HistoryFingerprint>(), 56);
+        assert_eq!(std::mem::size_of::<Snapshot>(), 40);
+        assert_eq!(std::mem::size_of::<AlertBody>(), 120);
         assert_eq!(std::mem::size_of::<Alert>(), 8);
     }
 

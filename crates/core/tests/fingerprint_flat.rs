@@ -10,7 +10,7 @@
 //! prefix of the other — whichever of the two forms each side is held
 //! in. Shapes run from no variable to five and from one seqno per
 //! variable to twenty, so both limits of the in-place form (4
-//! variables, 6 seqnos between them) are crossed from both sides, and
+//! variables, 4 seqnos between them) are crossed from both sides, and
 //! every fingerprint is built three ways — `new`, `try_new` and a
 //! [`FingerprintBuilder`] — from entries in shuffled order.
 //!
@@ -209,7 +209,7 @@ fn flat_fingerprint_equals_the_list_model() {
         let a = build(&mut rng, &ma);
         assert_reads_as(&a, &ma);
         let seqnos: usize = ma.iter().map(|(_, s)| s.len()).sum();
-        if ma.len() <= 4 && seqnos <= 6 {
+        if ma.len() <= 4 && seqnos <= 4 {
             in_place += 1;
         } else {
             boxed += 1;
@@ -243,7 +243,7 @@ fn text_forms_are_pinned() {
         format!("{small:?}"),
         "HistoryFingerprint { entries: [(VarId(0), [SeqNo(8), SeqNo(5)]), (VarId(1), [SeqNo(2)])] }"
     );
-    // Seven seqnos: one past what is held in place.
+    // Seven seqnos: past what is held in place.
     let large = HistoryFingerprint::single(y, seqnos(&[9, 8, 7, 6, 5, 4, 2]));
     assert_eq!(large.to_string(), "{v1:[9,8,7,6,5,4,2]}");
     assert_eq!(

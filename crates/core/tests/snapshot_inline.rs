@@ -1,5 +1,5 @@
 //! Seeded sweep: [`Snapshot`] — the values of an alert's triggering
-//! updates in its fingerprint's order, up to six held in place in the
+//! updates in its fingerprint's order, up to four held in place in the
 //! alert's body and a longer run in one boxed slice — against the
 //! plainest model of one, a `Vec<Update>` in that order.
 //!
@@ -29,7 +29,7 @@ use rcm_net::Rng;
 use rcm_transport::wire::{self, Message};
 
 /// Values held in place; one more spills.
-const IN_PLACE: usize = 6;
+const IN_PLACE: usize = 4;
 
 /// The values a comparison by value gets wrong, and a few plain ones.
 const AWKWARD: [f64; 9] =
@@ -260,7 +260,7 @@ fn snapshot_matches_the_vec_model() {
 }
 
 #[test]
-fn the_limit_is_six_values() {
+fn the_limit_is_four_values() {
     let x = VarId::new(0);
     for n in 0..=12 {
         let seqnos: Vec<SeqNo> = (1..=n).rev().map(SeqNo::new).collect();

@@ -9,10 +9,13 @@
 //!
 //! Reconnecting back links re-send their unacked tail, so the merged
 //! stream contains duplicates by design — the selected AD algorithm is
-//! what keeps the user's view clean. Variable-scoped filters (ad2–ad6)
-//! take the variable ids via repeated `--var` flags, matching the CE's
-//! first-mention order. The node exits once `--replicas` distinct Fin
-//! markers arrived (or after `--idle-ms` of silence).
+//! what keeps the user's view clean. It runs once per condition (paper
+//! Appendix D): a CE hosting several conditions sends all their alerts
+//! down one link, and each condition's stream is filtered on its own.
+//! Variable-scoped filters (ad2–ad6) take the variable ids via repeated
+//! `--var` flags, matching the CE's first-mention order. The node exits
+//! once `--replicas` distinct Fin markers arrived (or after `--idle-ms`
+//! of silence).
 //!
 //! `--bind HOST:0` binds an ephemeral port; the first line of stderr is
 //! always `listening on HOST:PORT`, the address actually bound.
@@ -30,7 +33,7 @@ use std::io::Write;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
-use rcm_core::ad;
+use rcm_core::ad::{self, AlertFilter};
 use rcm_core::VarId;
 use rcm_sync::time::Duration;
 use rcm_transport::EventLoop;
@@ -92,10 +95,13 @@ fn main() -> ExitCode {
     // hung up): the AD goes on filtering and counting without printing.
     let mut displayed: u64 = 0;
     let mut stdout_open = true;
-    let Some(mut filter) = ad::by_name(&opts.filter, &opts.vars) else {
+    if ad::by_name(&opts.filter, &opts.vars).is_none() {
         eprintln!("error: filter '{}' unavailable for this variable count", opts.filter);
         return ExitCode::FAILURE;
-    };
+    }
+    let mut filter = ad::PerCondition::new(|_| {
+        ad::by_name(&opts.filter, &opts.vars).expect("the filter's name was checked above")
+    });
     let sock = match std::net::TcpListener::bind(opts.bind) {
         Ok(s) => s,
         Err(e) => {

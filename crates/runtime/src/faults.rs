@@ -87,18 +87,14 @@ pub struct FaultPlan {
 }
 
 impl Default for FaultPlan {
+    /// Supervision on and nothing injected: the plan a script of
+    /// faults starts from.
     fn default() -> Self {
         FaultPlan { kills: Vec::new(), severs: Vec::new(), max_restarts: 3, retain_window: 256 }
     }
 }
 
 impl FaultPlan {
-    /// An empty scripted plan (supervision on, nothing injected).
-    // analyze: allow(reach): the fault_recovery and transport_loopback suites script their plans from it
-    pub fn scripted() -> Self {
-        FaultPlan::default()
-    }
-
     /// Derives a randomized plan from a seed: up to two kills and two
     /// back-link severances, spread over `replicas` CEs and an update
     /// horizon. Each sever lasts `0..=horizon` sends, so some outages
@@ -340,7 +336,7 @@ mod tests {
 
     #[test]
     fn scripted_builder_accumulates() {
-        let plan = FaultPlan::scripted().kill_ce(1, 40).max_restarts(1).retain_window(64);
+        let plan = FaultPlan::default().kill_ce(1, 40).max_restarts(1).retain_window(64);
         assert_eq!(plan.kills, vec![KillCe { ce: 1, at_arrival: 40 }]);
         assert_eq!(plan.max_restarts, 1);
         assert_eq!(plan.retain_window, 64);

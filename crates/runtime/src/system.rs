@@ -933,7 +933,7 @@ mod tests {
         let system = MonitorSystem::builder(c1())
             .replicas(2)
             .feed(VarFeed::new(x(), vec![2900.0, 3100.0, 3200.0]))
-            .faults(FaultPlan::scripted())
+            .faults(FaultPlan::default())
             .start()
             .expect("system starts");
         let report = system.wait();

@@ -1,6 +1,7 @@
 //! What one alert costs the allocator, counted in calls and in the
-//! bytes they ask for: raising it, encoding it, decoding it, crossing
-//! the codec in process (a 2 × 2 alert and a 2 × 16 one), decoding a
+//! bytes they ask for: raising it (by shape, on both sides of the
+//! in-place limit), encoding it, decoding it, crossing the codec in
+//! process (a 2 × 2 alert and a 2 × 16 one), decoding a
 //! frame that lies about its counts, and sending an update down an
 //! in-process front link — and what a whole in-process run retains of
 //! it: one body, shared by the CE's record, the AD's arrivals and its
@@ -104,8 +105,79 @@ fn allocations<T>(work: impl FnOnce() -> T) -> (Asked, T) {
 }
 
 /// The block an alert's body takes: two refcounts and the body, which
-/// holds a 2 × 2 history set's seqnos and values in place.
+/// holds up to 4 seqnos and their values in place.
 const BODY_BLOCK: u64 = 16 + std::mem::size_of::<rcm_core::AlertBody>() as u64;
+
+/// A condition over `vars` variables (`v0`, `v1`, …) reading `degree`
+/// updates of each, true of every reading.
+fn shaped(vars: usize, degree: usize) -> String {
+    let terms: Vec<String> = (0..vars)
+        .flat_map(|v| (0..degree).map(move |d| format!("v{v}[{}].value", -(d as i64))))
+        .collect();
+    format!("{} > -1", terms.join(" + "))
+}
+
+/// Alert shapes (variables, seqnos per variable) and whether the body
+/// holds them in place: every shape the benchmark workloads raise but
+/// the 2 × 16 (1 × 1, 2 × 2), both edges of the limit (1 × 4, 4 × 1)
+/// and the shapes one past it (1 × 5, 2 × 3, and TRIVAR's aggressive
+/// 3 × 2).
+const SHAPES: [(usize, usize, bool); 7] = [
+    (1, 1, true),
+    (2, 2, true),
+    (1, 4, true),
+    (4, 1, true),
+    (1, 5, false),
+    (2, 3, false),
+    (3, 2, false),
+];
+
+#[test]
+fn raising_an_alert_asks_for_its_body_alone_up_to_four_seqnos() {
+    #[cfg(target_pointer_width = "64")]
+    assert_eq!(BODY_BLOCK, 136, "two refcounts and a 120-byte body");
+    for (nvars, degree, in_place) in SHAPES {
+        let shape = format!("{nvars} x {degree}");
+        let mut vars = VarRegistry::new();
+        let mut registry = ConditionRegistry::new(CeId::new(0));
+        let condition = CompiledCondition::compile(&shaped(nvars, degree), &mut vars);
+        registry.add_compiled(condition.expect("compiles"));
+        let ids: Vec<_> =
+            (0..nvars).map(|v| vars.lookup(&format!("v{v}")).expect("named")).collect();
+        // Rounds past the deepest history, so every ring is full and
+        // drops its oldest update rather than growing.
+        let mut out = Vec::with_capacity(64);
+        for seqno in 1..=degree as u64 + 2 {
+            for &var in &ids {
+                registry.ingest(Update::new(var, seqno, 1.0), &mut out);
+            }
+        }
+        assert!(!out.is_empty(), "{shape}: the condition is defined and true");
+        out.clear();
+
+        let next = Update::new(ids[0], degree as u64 + 3, 1.0);
+        let (raised, ()) = allocations(|| registry.ingest(next, &mut out));
+        let alert = out.pop().expect("one alert");
+        assert!(out.is_empty(), "{shape}");
+        let held: Vec<usize> = alert.fingerprint.iter().map(|(_, s)| s.len()).collect();
+        assert_eq!(held, vec![degree; nvars], "{shape}");
+        assert_eq!(alert.snapshot.len(), nvars * degree, "{shape}");
+
+        // In place: the body's block and nothing else. Past the limit:
+        // the body, the fingerprint's heads and seqnos, and the values,
+        // each block exactly its size.
+        let seqnos = (nvars * degree) as u64;
+        let blocks = if in_place {
+            vec![BODY_BLOCK]
+        } else {
+            vec![BODY_BLOCK, (nvars as u64 + seqnos) * 8, seqnos * 8]
+        };
+        let asked = (raised.calls, raised.bytes);
+        assert_eq!(asked, (blocks.len() as u64, blocks.iter().sum()), "{shape}: {raised:?}");
+        let (dropped, ()) = allocations(|| drop(alert));
+        assert_eq!((dropped.frees, dropped.freed), asked, "{shape}: {dropped:?}");
+    }
+}
 
 /// `alert_storm`'s condition (benchmark/src/workloads.rs): two
 /// variables, degree 2 each, true of every reading.
@@ -129,7 +201,7 @@ fn storm_alert() -> Alert {
     let (raised, ()) = allocations(|| registry.ingest(Update::new(v0, 4, 1.0), &mut out));
     assert_eq!(out.len(), 1);
     assert_eq!(raised.calls, 1, "raising a 2 x 2 alert allocates its body and nothing else");
-    assert!(raised.bytes <= 168, "the body's block is {} bytes", raised.bytes);
+    assert!(raised.bytes <= 136, "the body's block is {} bytes", raised.bytes);
     assert_eq!(raised.bytes, BODY_BLOCK);
     out.pop().expect("one alert")
 }
@@ -158,10 +230,10 @@ fn a_two_by_sixteen_alert_asks_for_its_body_seqnos_and_values_alone() {
     assert_eq!(alert.snapshot.len(), 32);
     // What the alert holds is what its last handle gives back: the
     // body, the fingerprint's 2 heads and 32 seqnos, the 32 values —
-    // 168 + 272 + 256 bytes in three blocks.
+    // 136 + 272 + 256 bytes in three blocks.
     let (dropped, ()) = allocations(|| drop(alert));
     assert_eq!(dropped.frees, 3, "{dropped:?}");
-    assert!(dropped.freed <= 700, "{dropped:?}");
+    assert!(dropped.freed <= 664, "{dropped:?}");
     assert_eq!(dropped.freed, BODY_BLOCK + 34 * 8 + 32 * 8);
     // And raising it asked for exactly those three blocks: the spilled
     // fingerprint is sized once from its word count, and the full `v0`

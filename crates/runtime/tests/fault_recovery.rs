@@ -30,7 +30,7 @@ fn kill_one_replica_keeps_surviving_alerts_displayed() {
     let system = MonitorSystem::builder(threshold())
         .replicas(2)
         .feed(VarFeed::new(x(), vec![60.0, 40.0, 70.0, 55.0, 30.0, 80.0]))
-        .faults(FaultPlan::scripted().kill_ce(0, 1).max_restarts(0))
+        .faults(FaultPlan::default().kill_ce(0, 1).max_restarts(0))
         .start()
         .unwrap();
     let report = system.wait();
@@ -52,7 +52,7 @@ fn restart_budget_is_a_hard_bound() {
     // replica, arrival 4 kills it past its budget, and no later kill
     // fires on the abandoned replica.
     let values: Vec<f64> = (0..40).map(|i| f64::from((i * 7) % 100)).collect();
-    let mut plan = FaultPlan::scripted().max_restarts(3);
+    let mut plan = FaultPlan::default().max_restarts(3);
     for arrival in 1..=40 {
         plan = plan.kill_ce(0, arrival);
     }
@@ -139,7 +139,7 @@ fn recovery_replays_retained_window() {
     let system = MonitorSystem::builder(threshold())
         .replicas(2)
         .feed(VarFeed::new(x(), values))
-        .faults(FaultPlan::scripted().kill_ce(0, 10).retain_window(4096).max_restarts(3))
+        .faults(FaultPlan::default().kill_ce(0, 10).retain_window(4096).max_restarts(3))
         .start()
         .unwrap();
     let report = system.wait();
@@ -167,7 +167,7 @@ fn a_kill_mid_round_counts_the_rest_of_the_round_as_dropped_down() {
     // rest of the same round, so it never fires.
     let n = 1_000u64;
     for budget in [3, 0] {
-        let plan = FaultPlan::scripted().kill_ce(0, 100).kill_ce(0, 110);
+        let plan = FaultPlan::default().kill_ce(0, 100).kill_ce(0, 110);
         let system = MonitorSystem::builder(threshold())
             .replicas(2)
             .feed(VarFeed::new(x(), (0..n).map(|i| (i % 100) as f64).collect::<Vec<_>>()))
@@ -221,7 +221,7 @@ fn an_in_process_run_with_kills_and_loss_replays_exactly() {
                     SeverBackLink { ce: 1, at_send: 10, down_sends: 40 },
                     SeverBackLink { ce: 2, at_send: 3, down_sends: 100_000 },
                 ],
-                ..FaultPlan::scripted()
+                ..FaultPlan::default()
                     .kill_ce(0, 90)
                     .kill_ce(2, 300)
                     .retain_window(32)
@@ -270,7 +270,7 @@ fn multicond_restart_rebuilds_registry_and_keeps_numbering() {
     let system = MonitorSystem::builder_multi(set.clone())
         .replicas(2)
         .feed(VarFeed::new(x(), values.clone()))
-        .faults(FaultPlan::scripted().kill_ce(0, 12).retain_window(4096).max_restarts(3))
+        .faults(FaultPlan::default().kill_ce(0, 12).retain_window(4096).max_restarts(3))
         .start()
         .unwrap();
     let report = system.wait();

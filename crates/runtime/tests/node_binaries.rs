@@ -279,14 +279,16 @@ fn without_origin(stdout: &[u8]) -> Vec<String> {
         .collect()
 }
 
-/// The deployed triangle against `rcm-monitor`: `rcm-ad`, `replicas` ×
-/// `rcm-ce` and one `rcm-dm`, each its own process on loopback
-/// sockets, must display what the in-process system displays for the
-/// same readings and filter.
-fn deployed_triangle_matches_the_monitor(filter: &str, replicas: usize, workers: usize) {
-    const CONDITION: &str = "v0[0].value > 50";
-    let readings: String = (0..100).map(|i| format!("{}\n", (i * 37) % 101)).collect();
-
+/// Runs the deployed triangle: `rcm-ad`, `replicas` × `rcm-ce` hosting
+/// `conditions` and one `rcm-dm`, each its own process on loopback
+/// sockets. Feeds `readings` to the DM and returns what the AD printed.
+fn deployed_triangle(
+    filter: &str,
+    replicas: usize,
+    workers: usize,
+    conditions: &[&str],
+    readings: &str,
+) -> Vec<u8> {
     let mut ad = Command::new(env!("CARGO_BIN_EXE_rcm-ad"))
         .args(["--bind", "127.0.0.1:0", "--replicas", &replicas.to_string()])
         .args(["--filter", filter, "--idle-ms", "20000"])
@@ -297,10 +299,12 @@ fn deployed_triangle_matches_the_monitor(filter: &str, replicas: usize, workers:
     let ad_addr = bound_address(&mut ad).to_string();
     let mut ces: Vec<_> = (0..replicas)
         .map(|i| {
-            Command::new(env!("CARGO_BIN_EXE_rcm-ce"))
-                .args(["--bind", "127.0.0.1:0", "--ad", &ad_addr, "--node", &i.to_string()])
-                .args(["--condition", CONDITION, "--workers", &workers.to_string()])
-                .args(["--idle-ms", "20000"])
+            let mut ce = Command::new(env!("CARGO_BIN_EXE_rcm-ce"));
+            ce.args(["--bind", "127.0.0.1:0", "--ad", &ad_addr, "--node", &i.to_string()]);
+            for condition in conditions {
+                ce.args(["--condition", condition]);
+            }
+            ce.args(["--workers", &workers.to_string(), "--idle-ms", "20000"])
                 .stderr(Stdio::piped())
                 .spawn()
                 .expect("spawn rcm-ce")
@@ -321,6 +325,15 @@ fn deployed_triangle_matches_the_monitor(filter: &str, replicas: usize, workers:
     }
     let deployed = ad.wait_with_output().expect("rcm-ad exits");
     assert!(deployed.status.success(), "rcm-ad: {:?}", deployed.status);
+    deployed.stdout
+}
+
+/// The deployed triangle against `rcm-monitor`: it must display what
+/// the in-process system displays for the same readings and filter.
+fn deployed_triangle_matches_the_monitor(filter: &str, replicas: usize, workers: usize) {
+    const CONDITION: &str = "v0[0].value > 50";
+    let readings: String = (0..100).map(|i| format!("{}\n", (i * 37) % 101)).collect();
+    let deployed = deployed_triangle(filter, replicas, workers, &[CONDITION], &readings);
 
     let mut monitor = Command::new(env!("CARGO_BIN_EXE_rcm-monitor"))
         .args(["--condition", CONDITION, "--replicas", &replicas.to_string()])
@@ -337,7 +350,7 @@ fn deployed_triangle_matches_the_monitor(filter: &str, replicas: usize, workers:
     let want = without_origin(&in_process.stdout);
     assert!(!want.is_empty(), "{filter}: the readings raise alerts");
     assert_eq!(
-        without_origin(&deployed.stdout),
+        without_origin(&deployed),
         want,
         "{filter} over {replicas} replica(s), {workers} worker(s)"
     );
@@ -354,6 +367,31 @@ fn deployed_nodes_display_what_the_monitor_displays() {
         }
     }
     deployed_triangle_matches_the_monitor("ad6", 3, 2);
+}
+
+/// Two conditions on one CE share its back link, and `rcm-ad` filters
+/// each condition's alerts on its own (paper Appendix D). Readings 70,
+/// 40 and 80 against `> 50` and `> 60` raise four alerts, two per
+/// condition on the same two updates; one filter run across both
+/// conditions would take each of the second's for a copy of the
+/// first's (AD-2 and AD-5 display 2 of the 4).
+#[test]
+fn ad_filters_each_condition_of_a_shared_ce_on_its_own() {
+    const CONDITIONS: [&str; 2] = ["v0[0].value > 50", "v0[0].value > 60"];
+    let want = [
+        "ALERT v0@1 (reading Some(70.0))",
+        "ALERT v0@1 (reading Some(70.0))",
+        "ALERT v0@3 (reading Some(80.0))",
+        "ALERT v0@3 (reading Some(80.0))",
+    ];
+    for filter in ["ad1", "ad2", "ad5", "ad6"] {
+        for replicas in 1..=2 {
+            let deployed = deployed_triangle(filter, replicas, 0, &CONDITIONS, "70\n40\n80\n");
+            let mut shown = without_origin(&deployed);
+            shown.sort();
+            assert_eq!(shown, want, "{filter} over {replicas} replica(s)");
+        }
+    }
 }
 
 /// Reads one displayed line from `node`'s stdout, then closes the read

@@ -162,7 +162,7 @@ fn pipelined_restarts_keep_alert_numbering_intact() {
     let conds = family(6);
     for workers in [0usize, 1, 4] {
         let report = build(&conds, workers, values(120))
-            .faults(FaultPlan::scripted().kill_ce(0, 30).kill_ce(1, 55).retain_window(256))
+            .faults(FaultPlan::default().kill_ce(0, 30).kill_ce(1, 55).retain_window(256))
             .start()
             .expect("faulted system starts")
             .wait();
@@ -218,7 +218,7 @@ fn a_kill_inside_a_round_evaluates_the_admitted_prefix() {
     let conds = family(6);
     for workers in [0usize, 2] {
         let report = build(&conds, workers, values(600))
-            .faults(FaultPlan::scripted().kill_ce(0, KILL_AT).retain_window(0).max_restarts(3))
+            .faults(FaultPlan::default().kill_ce(0, KILL_AT).retain_window(0).max_restarts(3))
             .start()
             .expect("faulted system starts")
             .wait();
@@ -284,7 +284,7 @@ fn prop_restarts_preserve_numbering() {
         let workers = 1 + rng.below(4);
         let (kill0, kill1) = (5 + rng.below(55) as u64, 5 + rng.below(55) as u64);
         let report = build(&conds, workers, values(90))
-            .faults(FaultPlan::scripted().kill_ce(0, kill0).kill_ce(1, kill1))
+            .faults(FaultPlan::default().kill_ce(0, kill0).kill_ce(1, kill1))
             .start()
             .expect("system starts")
             .wait();

@@ -110,8 +110,8 @@ fn scripted_loss_matches_in_process_output_exactly() {
     // link in both modes.
     const DROPS: &[u64] = &[1, 4, 7, 11];
     for drops in [&[] as &'static [u64], DROPS] {
-        let in_process = run_in_process(FaultPlan::scripted(), drops);
-        let sockets = run_sockets(FaultPlan::scripted(), drops);
+        let in_process = run_in_process(FaultPlan::default(), drops);
+        let sockets = run_sockets(FaultPlan::default(), drops);
 
         assert_eq!(sockets.transport.mode, TransportMode::Sockets);
         assert!(!sockets.displayed.is_empty(), "loss must not silence the system");
@@ -197,7 +197,7 @@ fn version_2_peers_are_refused_and_change_nothing() {
         frame[0] = version;
         frame
     };
-    let baseline = run_in_process(FaultPlan::scripted(), &[]);
+    let baseline = run_in_process(FaultPlan::default(), &[]);
     let bound = Topology::loopback(2).bind().expect("bind topology");
     // The sockets are bound already, so the stale frames queue ahead of
     // everything the system itself sends. An update that would fire
@@ -238,8 +238,8 @@ fn version_2_peers_are_refused_and_change_nothing() {
 /// and the displayed output is bit for bit the in-process run's.
 #[test]
 fn a_round_is_one_datagram_and_output_does_not_change() {
-    let baseline = run_in_process_paced(FaultPlan::scripted(), [&[]; 2], Duration::ZERO);
-    let sockets = run_sockets_with(FaultPlan::scripted(), [&[]; 2], 0, Duration::ZERO);
+    let baseline = run_in_process_paced(FaultPlan::default(), [&[]; 2], Duration::ZERO);
+    let sockets = run_sockets_with(FaultPlan::default(), [&[]; 2], 0, Duration::ZERO);
 
     assert_eq!(
         sockets.displayed,
@@ -273,8 +273,8 @@ fn spelled(alerts: &[Alert]) -> Vec<(AlertId, Vec<Update>)> {
 #[test]
 fn scripted_loss_matches_in_process_unpaced_in_one_datagram_per_replica() {
     const DROPS: [&[u64]; 2] = [&[1, 4, 7, 11], &[0, 3, 19]];
-    let in_process = run_in_process_paced(FaultPlan::scripted(), DROPS, Duration::ZERO);
-    let sockets = run_sockets_with(FaultPlan::scripted(), DROPS, 0, Duration::ZERO);
+    let in_process = run_in_process_paced(FaultPlan::default(), DROPS, Duration::ZERO);
+    let sockets = run_sockets_with(FaultPlan::default(), DROPS, 0, Duration::ZERO);
 
     for (ce, drops) in DROPS.iter().enumerate() {
         let want: Vec<u64> = (1..=20).filter(|s| !drops.contains(&(s - 1))).collect();
@@ -351,9 +351,9 @@ fn a_multi_feed_round_is_one_datagram_per_replica() {
 #[test]
 fn pipelined_workers_match_in_process_output_over_sockets() {
     const DROPS: &[u64] = &[1, 4, 7, 11];
-    let inline = run_in_process(FaultPlan::scripted(), DROPS);
+    let inline = run_in_process(FaultPlan::default(), DROPS);
     assert!(!inline.displayed.is_empty());
-    let sockets = run_sockets_with(FaultPlan::scripted(), [DROPS; 2], 4, PERIOD);
+    let sockets = run_sockets_with(FaultPlan::default(), [DROPS; 2], 4, PERIOD);
     assert_eq!(
         sockets.displayed,
         inline.displayed,
@@ -424,8 +424,8 @@ fn fault_counts(report: &RunReport) -> (u32, Vec<u32>, u32, u64) {
 /// from the loop, and the run still ends.
 #[test]
 fn replica_kills_over_sockets_match_in_process_within_and_past_the_budget() {
-    let within = FaultPlan::scripted().kill_ce(0, 4).kill_ce(1, 4).kill_ce(0, 12).max_restarts(3);
-    let past = FaultPlan::scripted().kill_ce(0, 4).kill_ce(0, 9).max_restarts(1);
+    let within = FaultPlan::default().kill_ce(0, 4).kill_ce(1, 4).kill_ce(0, 12).max_restarts(3);
+    let past = FaultPlan::default().kill_ce(0, 4).kill_ce(0, 9).max_restarts(1);
     for (name, plan, restarts, abandoned) in
         [("within", within, [2, 1], 0), ("past", past, [1, 0], 1)]
     {

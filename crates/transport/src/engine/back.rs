@@ -193,6 +193,10 @@ pub(super) struct BackSource {
     backoff: Backoff,
     outbox: Outbox<Alert>,
     out: VecDeque<PendingWrite>,
+    /// Where each alert frame is encoded before an exactly sized copy
+    /// of it is parked on `out`; kept across frames, so a frame costs
+    /// one allocation however its encoding grows.
+    scratch: Vec<u8>,
     registered_write: bool,
     reconnect_timer: Option<TimerKey>,
     deadline_timer: Option<TimerKey>,
@@ -226,6 +230,7 @@ impl BackSource {
             backoff: spec.backoff,
             outbox: Outbox::new(spec.severs, Arc::clone(&counters)),
             out: VecDeque::new(),
+            scratch: Vec::new(),
             registered_write: true,
             reconnect_timer: None,
             deadline_timer: None,
@@ -417,8 +422,8 @@ impl BackSource {
     /// Encodes `alert` as one `Alert` frame and parks it on the
     /// out-queue. Counting happens at completion.
     fn queue_frame(&mut self, alert: Alert, resend: bool) {
-        let mut bytes = Vec::new();
-        if wire::encode_alert_into(&alert, &mut bytes).is_err() {
+        self.scratch.clear();
+        if wire::encode_alert_into(&alert, &mut self.scratch).is_err() {
             // Unreachable for well-formed alerts; counted, not
             // panicked. Duplicates (resends) are simply dropped.
             self.counters.io_errors.fetch_add(1, Ordering::SeqCst);
@@ -428,7 +433,7 @@ impl BackSource {
             return;
         }
         self.out.push_back(PendingWrite {
-            bytes,
+            bytes: self.scratch.clone(),
             written: 0,
             alert: Some(alert),
             resend,
@@ -581,5 +586,52 @@ impl BackSource {
             core.wheel.cancel(key);
         }
         self.reconnect_timer = Some(core.wheel.schedule_at(at, timer_data(id, KIND_RECONNECT)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use rcm_core::{AlertId, CeId, CondId, HistoryFingerprint, SeqNo, Update, VarId};
+    use rcm_poll::{Poller, TimerWheel};
+
+    use super::*;
+
+    /// An alert over one variable, `degree` updates deep.
+    fn alert(index: u64, degree: u64) -> Alert {
+        let x = VarId::new(0);
+        let seqnos: Vec<u64> = (1..=degree).rev().collect();
+        Alert::new(
+            CondId::new(0),
+            HistoryFingerprint::single(x, seqnos.iter().map(|&s| SeqNo::new(s)).collect()),
+            seqnos.iter().map(|&s| Update::new(x, s, s as f64)).collect::<Vec<_>>(),
+            AlertId { ce: CeId::new(3), index },
+        )
+    }
+
+    /// Each alert frame parked on the out-queue is the codec's frame
+    /// for it, in a block of exactly its length, whatever the frames
+    /// the link's one encode buffer held before it.
+    #[test]
+    fn a_parked_alert_frame_is_the_codecs_frame_sized_exactly() {
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind the stand-in AD");
+        let mut core = Core {
+            poller: Poller::new().expect("poller"),
+            wheel: TimerWheel::new(Instant::now(), Duration::from_millis(1), 8),
+            counters: Arc::default(),
+            buf: Box::default(),
+        };
+        let backoff = Backoff::new(Duration::from_millis(1), Duration::from_millis(5), 7);
+        let spec = BackLinkSpec::new(peer.local_addr().expect("addr"), 3, backoff);
+        let mut link = BackSource::open(spec, &mut core, 0).expect("connects");
+        for (index, degree) in [(0, 1), (1, 16), (2, 2)] {
+            let alert = alert(index, degree);
+            link.queue_frame(alert.clone(), false);
+            let parked = &link.out.back().expect("parked").bytes;
+            assert_eq!(*parked, wire::encode(&Message::Alert(alert)).expect("encodes"));
+            assert_eq!(parked.capacity(), parked.len(), "degree {degree}");
+        }
+        assert_eq!(link.out.len(), 4, "the Hello and three alert frames");
     }
 }

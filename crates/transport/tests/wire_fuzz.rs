@@ -104,7 +104,7 @@ const AWKWARD: [f64; 6] = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::N
 
 /// Histories of any shape: up to 6 variables, ascending with gaps,
 /// each of 1 to `size + 1` seqnos, descending with gaps — in place (up
-/// to 4 variables, 6 seqnos between them) or spilled.
+/// to 4 variables, 4 seqnos between them) or spilled.
 fn histories(rng: &mut Rng, size: usize) -> Entries {
     let mut var = 0;
     (0..rng.below(7))
