@@ -369,6 +369,14 @@ impl Drop for FinishOnDrop {
     }
 }
 
+/// Writes a displayed alert as `rcm-ad` and `rcm-monitor` print it, e.g.
+/// `ALERT a(c1, {v0:[3,2]}) values [70.0, 40.0] [from CE0]`: its
+/// `Display`, its snapshot's values and its replica. Names never cross
+/// the wire, so the line names variables by id.
+pub fn write_alert(out: &mut impl std::io::Write, alert: &Alert) -> std::io::Result<()> {
+    writeln!(out, "ALERT {alert} values {:?} [from {}]", alert.snapshot, alert.id.ce)
+}
+
 /// The Alert Displayer, as a value that does no I/O: it is offered
 /// each burst of merged alert arrivals on the thread that received
 /// them — in-process the DM loop, after each round's offers; over

@@ -14,7 +14,9 @@
 //! node exits non-zero. The front link is UDP — lossy by design — so
 //! the node ends the stream with a Fin marker that it repeats, 500 µs
 //! apart, until the CE echoes it back: 16 is the most Fins a link
-//! gets, all of them when its CE never echoes.
+//! gets, all of them when its CE never echoes. The Fin carries the
+//! `--var` index as the DM's node id, so the DMs of one CE, one per
+//! variable, end under distinct ids.
 //!
 //! Readings go out in rounds, like the DM loop's: a round ends when the
 //! input read so far runs out, or at `rcm_runtime::ROUND` (64)
@@ -39,27 +41,24 @@ use rcm_transport::{RoundSender, UdpFrontLink};
 struct Options {
     ce: Vec<SocketAddr>,
     var: u32,
-    node: u32,
     period: Duration,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: rcm-dm --ce HOST:PORT [--ce HOST:PORT ...] [--var N] [--node N] \
-         [--period-us N]\n\
+        "usage: rcm-dm --ce HOST:PORT [--ce HOST:PORT ...] [--var N] [--period-us N]\n\
          readings on stdin: one '<value>' per line"
     );
     ExitCode::FAILURE
 }
 
 fn parse_args() -> Option<Options> {
-    let mut opts = Options { ce: Vec::new(), var: 0, node: 0, period: Duration::from_micros(500) };
+    let mut opts = Options { ce: Vec::new(), var: 0, period: Duration::from_micros(500) };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--ce" => opts.ce.push(args.next()?.parse().ok()?),
             "--var" => opts.var = args.next()?.parse().ok()?,
-            "--node" => opts.node = args.next()?.parse().ok()?,
             "--period-us" => opts.period = Duration::from_micros(args.next()?.parse().ok()?),
             _ => return None,
         }
@@ -75,7 +74,7 @@ fn main() -> ExitCode {
 
     let mut links = Vec::with_capacity(opts.ce.len());
     for addr in &opts.ce {
-        match UdpFrontLink::connect(*addr, opts.node) {
+        match UdpFrontLink::connect(*addr, opts.var) {
             Ok(link) => links.push(link),
             Err(e) => {
                 eprintln!("error: cannot open front link to {addr}: {e}");

@@ -90,7 +90,7 @@ mod socket;
 mod system;
 pub mod wire;
 
-pub use actors::{on_ingress, Replica};
+pub use actors::{on_ingress, write_alert, Replica};
 pub use backlink::BackLink;
 pub use dm::ROUND;
 pub use faults::{FaultPlan, FaultReport, IngestGate, KillCe, RetainedWindow, SeverBackLink};
